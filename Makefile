@@ -2,9 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet fmt race check bench tables trace-ci server-ci crash-ci fault-ci vm-ci batch-ci cover linkcheck ci
-
-all: build
+.PHONY: build test vet fmt race check bench tables cover linkcheck ci
 
 build:
 	$(GO) build ./...
@@ -35,40 +33,6 @@ bench:
 tables:
 	$(GO) run ./cmd/kdpbench
 
-# Trace gate: run one kdpbench table with structured tracing exported,
-# validate the JSON against the exporter's schema, and require the
-# event stream to be byte-identical across two runs (the second under
-# GOMAXPROCS=1) — the determinism contract from docs/TRACING.md.
-TRACE_DIR := $(or $(TMPDIR),/tmp)
-trace-ci:
-	$(GO) run ./cmd/kdpbench -table 2 -disks RAM -trace $(TRACE_DIR)/kdp-trace-a.json > /dev/null
-	GOMAXPROCS=1 $(GO) run ./cmd/kdpbench -table 2 -disks RAM -trace $(TRACE_DIR)/kdp-trace-b.json > /dev/null
-	$(GO) run ./cmd/kdpbench -validate $(TRACE_DIR)/kdp-trace-a.json
-	cmp $(TRACE_DIR)/kdp-trace-a.json $(TRACE_DIR)/kdp-trace-b.json
-
-# Crash gate: a bounded crash sweep (power cut at a seed-derived op
-# boundary, repairing fsck, remount, durability oracle for every
-# pre-crash fsync'd file), run twice — the second under GOMAXPROCS=1 —
-# with per-seed digests compared byte-for-byte.
-CRASH_SEEDS ?= 100
-crash-ci:
-	$(GO) run ./cmd/kdpcheck -crash -seeds $(CRASH_SEEDS) > $(TRACE_DIR)/kdp-crash-a.txt
-	GOMAXPROCS=1 $(GO) run ./cmd/kdpcheck -crash -seeds $(CRASH_SEEDS) > $(TRACE_DIR)/kdp-crash-b.txt
-	cmp $(TRACE_DIR)/kdp-crash-a.txt $(TRACE_DIR)/kdp-crash-b.txt
-
-# Fault gate: a bounded fault-plan sweep (per seed: fault-free census
-# of every eligible fault site, then one armed re-run per sampled
-# (site, k) with replay verification), run twice — the second under
-# GOMAXPROCS=1 — with per-seed folded digests compared byte-for-byte.
-# The sweep fails if any armed run trips an invariant, leaks, diverges
-# on replay, or arms a fault that never fires. See docs/FAULTS.md.
-FAULT_SEEDS ?= 8
-FAULT_OPS ?= 40
-fault-ci:
-	$(GO) run ./cmd/kdpcheck -faults -seeds $(FAULT_SEEDS) -ops $(FAULT_OPS) > $(TRACE_DIR)/kdp-fault-a.txt
-	GOMAXPROCS=1 $(GO) run ./cmd/kdpcheck -faults -seeds $(FAULT_SEEDS) -ops $(FAULT_OPS) > $(TRACE_DIR)/kdp-fault-b.txt
-	cmp $(TRACE_DIR)/kdp-fault-a.txt $(TRACE_DIR)/kdp-fault-b.txt
-
 # Coverage gate: the packages at the core of the poll/event-loop and
 # cache/disk work must keep a statement-coverage floor. awk parses
 # `go test -cover`'s "coverage: NN.N% of statements" line per package.
@@ -89,29 +53,28 @@ cover:
 linkcheck:
 	$(GO) run ./tools/mdlinkcheck .
 
-# Server gate: regenerate the server-scalability sweep twice (second
-# run under GOMAXPROCS=1) and require byte-identical tables — the
-# stream transport and server engine must be deterministic end to end.
-server-ci:
-	$(GO) run ./cmd/kdpbench -sweep server > $(TRACE_DIR)/kdp-server-a.txt
-	GOMAXPROCS=1 $(GO) run ./cmd/kdpbench -sweep server > $(TRACE_DIR)/kdp-server-b.txt
-	cmp $(TRACE_DIR)/kdp-server-a.txt $(TRACE_DIR)/kdp-server-b.txt
+# Determinism gates (docs/TRACING.md's contract): `make <gate>-ci` runs
+# the gate's command twice, the second time under GOMAXPROCS=1, and
+# requires the two outputs ($(1)) to be byte-identical. crash and fault
+# are bounded kdpcheck sweeps printing per-seed digests (docs/FAULTS.md);
+# trace is one table's exported event stream, schema-validated as well;
+# server, vm and batch are the sweep tables that exercise the stream
+# transport and server engines, demand paging, and aggregated crossings.
+CRASH_SEEDS ?= 100
+FAULT_SEEDS ?= 8
+FAULT_OPS ?= 40
+crash_gate  = $(GO) run ./cmd/kdpcheck -crash -seeds $(CRASH_SEEDS) > $(1)
+fault_gate  = $(GO) run ./cmd/kdpcheck -faults -seeds $(FAULT_SEEDS) -ops $(FAULT_OPS) > $(1)
+trace_gate  = $(GO) run ./cmd/kdpbench -table 2 -disks RAM -trace $(1) > /dev/null && $(GO) run ./cmd/kdpbench -validate $(1)
+server_gate = $(GO) run ./cmd/kdpbench -sweep server > $(1)
+vm_gate     = $(GO) run ./cmd/kdpbench -sweep vm > $(1)
+batch_gate  = $(GO) run ./cmd/kdpbench -sweep batch > $(1)
+GATES := crash-ci fault-ci trace-ci server-ci vm-ci batch-ci
+GATE_OUT = $(or $(TMPDIR),/tmp)/kdp-$*
+.PHONY: $(GATES)
+$(GATES): %-ci:
+	$(call $*_gate,$(GATE_OUT)-a)
+	GOMAXPROCS=1 $(call $*_gate,$(GATE_OUT)-b)
+	cmp $(GATE_OUT)-a $(GATE_OUT)-b
 
-# VM gate: regenerate the mmap-vs-read-vs-splice ablation twice (second
-# run under GOMAXPROCS=1) and require byte-identical tables — demand
-# paging, COW, and the clock pageout must be deterministic end to end.
-vm-ci:
-	$(GO) run ./cmd/kdpbench -sweep vm > $(TRACE_DIR)/kdp-vm-a.txt
-	GOMAXPROCS=1 $(GO) run ./cmd/kdpbench -sweep vm > $(TRACE_DIR)/kdp-vm-b.txt
-	cmp $(TRACE_DIR)/kdp-vm-a.txt $(TRACE_DIR)/kdp-vm-b.txt
-
-# Batch gate: regenerate the syscall-aggregation ablation twice (second
-# run under GOMAXPROCS=1) and require byte-identical tables — the
-# vectored and batched crossings must be deterministic end to end, and
-# every mode must move identical bytes.
-batch-ci:
-	$(GO) run ./cmd/kdpbench -sweep batch > $(TRACE_DIR)/kdp-batch-a.txt
-	GOMAXPROCS=1 $(GO) run ./cmd/kdpbench -sweep batch > $(TRACE_DIR)/kdp-batch-b.txt
-	cmp $(TRACE_DIR)/kdp-batch-a.txt $(TRACE_DIR)/kdp-batch-b.txt
-
-ci: fmt vet build race check cover linkcheck crash-ci fault-ci trace-ci server-ci vm-ci batch-ci
+ci: fmt vet build race check cover linkcheck $(GATES)

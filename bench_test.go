@@ -9,7 +9,7 @@
 //
 //	BenchmarkTable1*  — CPU availability factors (paper Table 1)
 //	BenchmarkTable2*  — copy throughput, KB/s (paper Table 2)
-//	BenchmarkAblation* — the design-choice sweeps from DESIGN.md
+//	BenchmarkAblation* — the design-choice sweeps from EXPERIMENTS.md
 package kdp_test
 
 import (

@@ -1,15 +1,14 @@
 // Command kdpbench regenerates the paper's evaluation: Table 1 (CPU
 // availability factors) and Table 2 (copy throughput) for the RAM, RZ58
-// and RZ56 device types, plus the ablation sweeps listed in DESIGN.md.
+// and RZ56 device types, plus the ablation sweeps listed in
+// EXPERIMENTS.md.
 //
 // Usage:
 //
 //	kdpbench                  # both tables
 //	kdpbench -table 1         # CPU availability only
 //	kdpbench -table 2         # throughput only
-//	kdpbench -sweep quantum   # one of: quantum, watermark, sharing,
-//	                          # filesize, socket, rate, layout,
-//	                          # server, cache, vm, batch
+//	kdpbench -sweep quantum   # one of bench.Sweeps (-h lists them)
 //	kdpbench -series          # per-window availability timeline
 //	kdpbench -disks RAM,RZ58  # restrict device types
 //	kdpbench -trace out.json  # also export every machine's event
@@ -25,6 +24,7 @@ import (
 	"strings"
 
 	"kdp/internal/bench"
+	"kdp/internal/disk"
 	"kdp/internal/trace"
 )
 
@@ -44,10 +44,10 @@ func run(args []string, out io.Writer) error {
 	fl := flag.NewFlagSet("kdpbench", flag.ContinueOnError)
 	fl.SetOutput(out)
 	table := fl.Int("table", 0, "regenerate only this table (1 or 2; 0 = both)")
-	sweep := fl.String("sweep", "", "run an ablation sweep: quantum, watermark, sharing, filesize, socket, rate, layout, server, cache, vm, batch")
+	sweep := fl.String("sweep", "", "run an ablation sweep: "+bench.SweepNames())
 	series := fl.Bool("series", false, "print the per-window availability time series instead of tables")
 	csvOut := fl.Bool("csv", false, "emit tables as CSV (for plotting)")
-	disks := fl.String("disks", "RAM,RZ58,RZ56", "comma-separated device types")
+	disks := fl.String("disks", disk.KindNames(), "comma-separated device types")
 	traceOut := fl.String("trace", "", "export every machine's event stream as Chrome trace-event JSON to this file")
 	validate := fl.String("validate", "", "validate a previously exported trace file and exit")
 	if err := fl.Parse(args); err != nil {
@@ -160,23 +160,22 @@ func exportTraced(path string, traced []tracedRun) error {
 	return f.Close()
 }
 
+// parseDisks resolves a comma-separated list of device type names; an
+// empty list selects every type.
 func parseDisks(s string) ([]bench.DiskKind, error) {
 	var kinds []bench.DiskKind
 	for _, name := range strings.Split(s, ",") {
-		switch strings.ToUpper(strings.TrimSpace(name)) {
-		case "RAM":
-			kinds = append(kinds, bench.RAM)
-		case "RZ58":
-			kinds = append(kinds, bench.RZ58)
-		case "RZ56":
-			kinds = append(kinds, bench.RZ56)
-		case "":
-		default:
-			return nil, fmt.Errorf("unknown disk type %q", name)
+		if name = strings.TrimSpace(name); name == "" {
+			continue
 		}
+		kind, err := disk.ParseKind(name)
+		if err != nil {
+			return nil, err
+		}
+		kinds = append(kinds, kind)
 	}
 	if len(kinds) == 0 {
-		kinds = bench.AllDisks
+		kinds = disk.Kinds()
 	}
 	return kinds, nil
 }

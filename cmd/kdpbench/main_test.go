@@ -2,12 +2,14 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
 
+	"kdp/internal/bench"
 	"kdp/internal/trace"
 )
 
@@ -36,6 +38,64 @@ func TestTableGolden(t *testing.T) {
 		if out.String() != string(want) {
 			t.Errorf("table %s differs from %s:\ngot:\n%s\nwant:\n%s",
 				tc.flag, tc.golden, out.String(), want)
+		}
+	}
+}
+
+// TestSweepsGolden pins every registered sweep's report and the -series
+// view across commits, as TestTableGolden does the two tables: each
+// section of the golden file is the output of the command in its
+// header. Regenerate a section (with the reason stated in the PR) by
+// running that command.
+func TestSweepsGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-size sweeps in -short mode")
+	}
+	var got bytes.Buffer
+	section := func(args ...string) {
+		fmt.Fprintf(&got, "== kdpbench %s ==\n", strings.Join(args, " "))
+		if err := run(args, &got); err != nil {
+			t.Fatalf("run %v: %v", args, err)
+		}
+	}
+	for _, sw := range bench.Sweeps {
+		section("-sweep", sw.Name)
+	}
+	section("-series")
+	want, err := os.ReadFile("testdata/sweeps.golden")
+	if err != nil {
+		t.Fatalf("read golden: %v", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gotLines) && i < len(wantLines); i++ {
+			if gotLines[i] != wantLines[i] {
+				t.Fatalf("sweeps differ from testdata/sweeps.golden at line %d:\ngot:  %s\nwant: %s", i+1, gotLines[i], wantLines[i])
+			}
+		}
+		t.Fatalf("sweeps differ from testdata/sweeps.golden in length: got %d lines, want %d", len(gotLines), len(wantLines))
+	}
+}
+
+// TestSweepDocs keeps the sweep lists in README.md and EXPERIMENTS.md
+// generated from the registry: the lines below, in bench.Sweeps order,
+// must appear verbatim. On failure, paste the printed text.
+func TestSweepDocs(t *testing.T) {
+	var block strings.Builder
+	for _, sw := range bench.Sweeps {
+		fmt.Fprintf(&block, "go run ./cmd/kdpbench -sweep %-10s # %s\n", sw.Name, sw.Title)
+	}
+	line := "go run ./cmd/kdpbench -sweep " + strings.ReplaceAll(bench.SweepNames(), ", ", "|") + "\n"
+	for _, doc := range []struct{ path, want string }{
+		{"../../EXPERIMENTS.md", block.String()},
+		{"../../README.md", line},
+	} {
+		text, err := os.ReadFile(doc.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(text), doc.want) {
+			t.Errorf("%s does not list the registered sweeps; it must contain:\n%s", doc.path, doc.want)
 		}
 	}
 }

@@ -66,26 +66,13 @@ func run(args []string, out io.Writer) error {
 	m := bench.NewMachine(s)
 
 	var rep, repRepair *fs.FsckReport
-	m.K.Spawn("fsck", func(p *kernel.Proc) {
-		if err := m.Boot(p); err != nil {
-			panic(err)
-		}
+	m.ColdRun("fsck", 1, func(p *kernel.Proc) {
 		// Exercise the volume: create, copy, delete.
-		if err := workload.MakeFile(p, "/src/data", s.FileBytes, 1); err != nil {
-			panic(err)
-		}
-		if _, err := workload.Copy(p, workload.DefaultCopySpec("/src/data", "/dst/copy", workload.CopySplice)); err != nil {
-			panic(err)
-		}
-		if err := p.Unlink("/dst/copy"); err != nil {
-			panic(err)
-		}
-		if err := m.FSs[0].SyncAll(p.Ctx()); err != nil {
-			panic(err)
-		}
-		if err := m.Cache.InvalidateDev(p.Ctx(), m.Disks[0]); err != nil {
-			panic(err)
-		}
+		_, err := workload.Copy(p, workload.DefaultCopySpec(bench.SrcPath, bench.DstPath, workload.CopySplice))
+		bench.Must(err)
+		bench.Must(p.Unlink(bench.DstPath))
+		bench.Must(m.FSs[0].SyncAll(p.Ctx()))
+		bench.Must(m.Cache.InvalidateDev(p.Ctx(), m.Disks[0]))
 
 		switch *corrupt {
 		case "leak":
@@ -96,29 +83,18 @@ func run(args []string, out io.Writer) error {
 			crossLink(m)
 		}
 		if *corrupt != "" {
-			if err := m.Cache.InvalidateDev(p.Ctx(), m.Disks[0]); err != nil {
-				panic(err)
-			}
+			bench.Must(m.Cache.InvalidateDev(p.Ctx(), m.Disks[0]))
 		}
 
-		var err error
 		rep, err = fs.Fsck(p.Ctx(), m.Cache, m.Disks[0])
-		if err != nil {
-			panic(err)
-		}
+		bench.Must(err)
 		if *repair && !rep.Clean() {
-			fixed, err := fs.FsckRepair(p.Ctx(), m.Cache, m.Disks[0])
-			if err != nil {
-				panic(err)
-			}
-			repRepair = fixed
+			repRepair, err = fs.FsckRepair(p.Ctx(), m.Cache, m.Disks[0])
+			bench.Must(err)
 			rep, err = fs.Fsck(p.Ctx(), m.Cache, m.Disks[0])
-			if err != nil {
-				panic(err)
-			}
+			bench.Must(err)
 		}
 	})
-	m.Run()
 
 	if repRepair != nil {
 		fmt.Fprintf(out, "repair: %d problem(s) found, %d fix(es) applied\n",
@@ -162,7 +138,7 @@ func crossLink(m *bench.Machine) {
 	sb := m.FSs[0].Super()
 	raw := make([]byte, sb.BlockSize)
 	m.Disks[0].ReadRaw(int64(sb.ITableStart), raw)
-	// Inode 2 is /src/data. Duplicate its first pointer into inode 3's
+	// Inode 2 is the source file. Duplicate its first pointer into inode 3's
 	// slot and mark inode 3 allocated with one block.
 	copy(raw[3*fs.InodeSize:4*fs.InodeSize], raw[2*fs.InodeSize:3*fs.InodeSize])
 	m.Disks[0].WriteRaw(int64(sb.ITableStart), raw)

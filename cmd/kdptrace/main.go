@@ -20,6 +20,7 @@ import (
 	"os"
 
 	"kdp/internal/bench"
+	"kdp/internal/disk"
 	"kdp/internal/kernel"
 	"kdp/internal/server"
 	"kdp/internal/sim"
@@ -43,13 +44,13 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fl := flag.NewFlagSet("kdptrace", flag.ContinueOnError)
 	fl.SetOutput(out)
-	diskName := fl.String("disk", "RZ58", "disk type: RAM, RZ58 or RZ56")
+	diskName := fl.String("disk", bench.RZ58.String(), "disk type: "+disk.KindNames())
 	kb := fl.Int64("kb", 64, "file size in kilobytes")
 	limit := fl.Int("n", 40, "maximum trace lines to print (negative = all, 0 = none)")
 	stats := fl.Bool("stats", false, "print the counter snapshot instead of trace lines")
 	mcp := fl.Bool("mcp", false, "trace the mmap copy (mcp) instead of the splice: page faults, pageins, pageouts")
 	jsonOut := fl.String("json", "", "export the full run as Chrome trace-event JSON to this file")
-	serverN := fl.Int("server", 0, "trace the server scenario at this fan-out instead of the splice: one section per engine/mode (cp, scp, event, escp)")
+	serverN := fl.Int("server", 0, "trace the server scenario at this fan-out instead of the splice: one section per engine/mode of the server grid")
 	if err := fl.Parse(args); err != nil {
 		return err
 	}
@@ -60,11 +61,9 @@ func run(args []string, out io.Writer) error {
 		return runServer(*serverN, *stats, out)
 	}
 
-	kind, ok := map[string]bench.DiskKind{
-		"RAM": bench.RAM, "RZ58": bench.RZ58, "RZ56": bench.RZ56,
-	}[*diskName]
-	if !ok {
-		return fmt.Errorf("unknown disk %q", *diskName)
+	kind, err := disk.ParseKind(*diskName)
+	if err != nil {
+		return err
 	}
 
 	s := bench.DefaultSetup(kind)
@@ -79,43 +78,29 @@ func run(args []string, out io.Writer) error {
 	var usr, sys sim.Duration
 	var nsys, nvol, ninv int64
 	spliceFrom := 0
-	name := "scp"
+	mode := workload.CopySplice
 	if *mcp {
-		name = "mcp"
+		mode = workload.CopyMmap
 	}
-	m.K.Spawn(name, func(p *kernel.Proc) {
+	m.ColdRun(mode.String(), 1, func(p *kernel.Proc) {
 		defer func() {
 			usr, sys = p.UserTime(), p.SysTime()
 			nsys = p.Syscalls()
 			nvol, ninv = p.ContextSwitches()
 		}()
-		if err := m.Boot(p); err != nil {
-			panic(err)
-		}
-		if err := workload.MakeFile(p, "/src/file", s.FileBytes, 1); err != nil {
-			panic(err)
-		}
-		if err := workload.ColdStart(p, m.Cache, m.Devices()...); err != nil {
-			panic(err)
-		}
 		spliceFrom = len(col.Events) // trace lines cover only the copy itself
 		if *mcp {
 			var err error
-			res, err = workload.Copy(p, workload.DefaultCopySpec("/src/file", "/dst/copy", workload.CopyMmap))
-			if err != nil {
-				panic(err)
-			}
+			res, err = workload.Copy(p, workload.DefaultCopySpec(bench.SrcPath, bench.DstPath, mode))
+			bench.Must(err)
 			return
 		}
-		src, _ := p.Open("/src/file", kernel.ORdOnly)
-		dst, _ := p.Open("/dst/copy", kernel.OCreat|kernel.OWrOnly)
+		src, _ := p.Open(bench.SrcPath, kernel.ORdOnly)
+		dst, _ := p.Open(bench.DstPath, kernel.OCreat|kernel.OWrOnly)
 		_, h, err := splice.SpliceOpts(p, src, dst, splice.EOF, splice.Options{})
-		if err != nil {
-			panic(err)
-		}
+		bench.Must(err)
 		st = h.Stats()
 	})
-	m.Run()
 
 	if *mcp {
 		mm := tr.Metrics()
@@ -188,19 +173,14 @@ func run(args []string, out io.Writer) error {
 // full counter snapshot (poll returns, readiness dispatches, splice
 // pipeline, stream retransmits); without it, just the request totals.
 func runServer(clients int, stats bool, out io.Writer) error {
-	for _, em := range []struct {
-		e server.Engine
-		m server.Mode
-	}{
-		{server.EngineProcs, server.ModeCopy},
-		{server.EngineProcs, server.ModeSplice},
-		{server.EngineEvent, server.ModeCopy},
-		{server.EngineEvent, server.ModeSplice},
-	} {
+	for _, path := range server.Paths {
+		if !path.Grid {
+			continue
+		}
 		col := &trace.Collector{}
-		cell, tr := bench.MeasureServerTraced(clients, em.e, em.m, col)
+		cell, tr := bench.MeasureServer(clients, path.Engine, path.Mode, col)
 		fmt.Fprintf(out, "== %d clients, %s: %d request(s) ==\n",
-			cell.Clients, server.ModeName(em.e, em.m), cell.Requests)
+			cell.Clients, path.Label, cell.Requests)
 		if stats {
 			tr.Metrics().Format(out)
 			fmt.Fprintln(out)

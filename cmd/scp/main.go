@@ -14,6 +14,7 @@ import (
 	"os"
 
 	"kdp/internal/bench"
+	"kdp/internal/disk"
 	"kdp/internal/workload"
 )
 
@@ -32,7 +33,7 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fl := flag.NewFlagSet("scp", flag.ContinueOnError)
 	fl.SetOutput(out)
-	diskName := fl.String("disk", "RAM", "disk type: RAM, RZ58 or RZ56")
+	diskName := fl.String("disk", bench.RAM.String(), "disk type: "+disk.KindNames())
 	mb := fl.Int64("mb", 8, "file size in megabytes")
 	mode := fl.String("mode", "both", "copy mode: scp, cp or both")
 	if err := fl.Parse(args); err != nil {
@@ -42,17 +43,24 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("unexpected argument %q", fl.Arg(0))
 	}
 
-	kind, ok := map[string]bench.DiskKind{
-		"RAM": bench.RAM, "RZ58": bench.RZ58, "RZ56": bench.RZ56,
-	}[*diskName]
-	if !ok {
-		return fmt.Errorf("unknown disk %q", *diskName)
+	kind, err := disk.ParseKind(*diskName)
+	if err != nil {
+		return err
+	}
+	var modes []workload.CopyMode
+	for _, m := range []workload.CopyMode{workload.CopySplice, workload.CopyReadWrite} {
+		if *mode == "both" || *mode == m.String() {
+			modes = append(modes, m)
+		}
+	}
+	if len(modes) == 0 {
+		return fmt.Errorf("unknown mode %q", *mode)
 	}
 
 	s := bench.DefaultSetup(kind)
 	s.FileBytes = *mb << 20
 
-	copyOnce := func(m workload.CopyMode) {
+	for _, m := range modes {
 		res := bench.MeasureThroughput(s, m)
 		fmt.Fprintf(out, "%-4s %2dMB on %-5s: %10v  %8.0f KB/s",
 			m, *mb, kind, res.Elapsed, res.ThroughputKBs())
@@ -62,18 +70,6 @@ func run(args []string, out io.Writer) error {
 				st.ReadsIssued, st.WritesIssued, st.Shared, st.Callouts)
 		}
 		fmt.Fprintln(out)
-	}
-
-	switch *mode {
-	case "scp":
-		copyOnce(workload.CopySplice)
-	case "cp":
-		copyOnce(workload.CopyReadWrite)
-	case "both":
-		copyOnce(workload.CopySplice)
-		copyOnce(workload.CopyReadWrite)
-	default:
-		return fmt.Errorf("unknown mode %q", *mode)
 	}
 	return nil
 }

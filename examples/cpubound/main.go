@@ -22,13 +22,11 @@ const (
 )
 
 func main() {
-	diskName := flag.String("disk", "RAM", "disk type: RAM, RZ58 or RZ56")
+	diskName := flag.String("disk", kdp.DiskRAM.String(), "disk type: RAM, RZ58 or RZ56")
 	flag.Parse()
-	kind, ok := map[string]kdp.DiskKind{
-		"RAM": kdp.DiskRAM, "RZ58": kdp.DiskRZ58, "RZ56": kdp.DiskRZ56,
-	}[*diskName]
-	if !ok {
-		log.Fatalf("unknown disk %q", *diskName)
+	kind, err := kdp.ParseDisk(*diskName)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	idle := measure(kind, "idle")

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"kdp/internal/disk"
 	"kdp/internal/sim"
 	"kdp/internal/splice"
 	"kdp/internal/workload"
@@ -29,7 +30,7 @@ func TestMeasureIdleIsPureCompute(t *testing.T) {
 func TestAvailabilityOrdering(t *testing.T) {
 	// The paper's core claim, at small scale: idle < scp-slowdown <
 	// cp-slowdown on every device type.
-	for _, kind := range AllDisks {
+	for _, kind := range disk.Kinds() {
 		s := smallSetup(kind)
 		idle := MeasureIdle(s)
 		cp := MeasureAvailability(s, workload.CopyReadWrite)
@@ -55,7 +56,7 @@ func TestThroughputOrdering(t *testing.T) {
 	// delayed writes all pile into the final fsync and distort the
 	// mechanical-disk ratios.
 	ratios := map[DiskKind]float64{}
-	for _, kind := range AllDisks {
+	for _, kind := range disk.Kinds() {
 		s := DefaultSetup(kind)
 		scp := MeasureThroughput(s, workload.CopySplice)
 		cp := MeasureThroughput(s, workload.CopyReadWrite)
@@ -175,7 +176,7 @@ func TestRunSweepUnknownName(t *testing.T) {
 }
 
 func TestDiskKindStringsAndParams(t *testing.T) {
-	for _, k := range AllDisks {
+	for _, k := range disk.Kinds() {
 		if k.String() == "" || strings.Contains(k.String(), "DiskKind") {
 			t.Fatalf("bad name for %d", int(k))
 		}
@@ -184,7 +185,7 @@ func TestDiskKindStringsAndParams(t *testing.T) {
 			t.Fatalf("%v params wrong", k)
 		}
 	}
-	if RAM.interleave() != 1 || RZ58.interleave() != 2 {
+	if RAM.Interleave() != 1 || RZ58.Interleave() != 2 {
 		t.Fatal("interleave defaults wrong")
 	}
 }

@@ -42,7 +42,10 @@ func TestSweepCacheDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	var tables [2]string
 	for i, procs := range []int{1, 8} {
 		runtime.GOMAXPROCS(procs)
-		tables[i] = SweepCache()
+		var err error
+		if tables[i], err = RunSweep("cache", nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if tables[0] != tables[1] {
 		t.Errorf("cache sweep differs across GOMAXPROCS:\n--- procs=1 ---\n%s\n--- procs=8 ---\n%s",

@@ -30,7 +30,7 @@ func BenchmarkFaultHitUnarmed(b *testing.B) {
 
 // BenchmarkFaultHitArmedMiss measures the same hit with an arm present
 // on the site but matching a different argument — the filter path a
-// quiet InjectFault adapter adds to every transfer on its disk.
+// quiet per-block defect arm adds to every transfer on its disk.
 func BenchmarkFaultHitArmedMiss(b *testing.B) {
 	k := kernel.New(kernel.DefaultConfig())
 	fp := k.Faults()

@@ -1,7 +1,8 @@
 // Package bench is the experiment harness: it builds the paper's
 // measurement machine (DecStation 5000/200, 32MB memory, 3.2MB buffer
 // cache, two disks of a chosen type) and regenerates every table of the
-// evaluation section plus the ablation sweeps documented in DESIGN.md.
+// evaluation section plus the ablation sweeps documented in
+// EXPERIMENTS.md.
 package bench
 
 import (
@@ -23,67 +24,22 @@ import (
 // uses this to collect one event stream per table cell.
 var TraceSinkFactory func(label string) trace.Sink
 
-// DiskKind selects one of the paper's three device types.
-type DiskKind int
+// DiskKind selects one of the paper's three device types; the names,
+// models and default layouts live in disk's kind table.
+type DiskKind = disk.Kind
 
 // The measured device types.
 const (
-	RAM DiskKind = iota
-	RZ58
-	RZ56
+	RAM  = disk.KindRAM
+	RZ58 = disk.KindRZ58
+	RZ56 = disk.KindRZ56
 )
-
-// AllDisks lists the device types in the paper's table order.
-var AllDisks = []DiskKind{RAM, RZ58, RZ56}
-
-func (k DiskKind) String() string {
-	switch k {
-	case RAM:
-		return "RAM"
-	case RZ58:
-		return "RZ58"
-	case RZ56:
-		return "RZ56"
-	default:
-		return fmt.Sprintf("DiskKind(%d)", int(k))
-	}
-}
-
-// interleave returns the FFS allocation stride for this device: 2 for
-// mechanical disks (the 4.2BSD rotdelay layout), 1 for the RAM disk
-// (no rotation to outrun).
-func (k DiskKind) interleave() int {
-	if k == RAM {
-		return 1
-	}
-	return 2
-}
-
-// Params returns the disk model parameters for this kind.
-func (k DiskKind) Params(blocks int64, blockSize int) disk.Params {
-	switch k {
-	case RAM:
-		return disk.RAMDisk(blocks, blockSize)
-	case RZ58:
-		return disk.RZ58(blocks, blockSize)
-	case RZ56:
-		return disk.RZ56(blocks, blockSize)
-	default:
-		panic("bench: unknown disk kind")
-	}
-}
 
 // Setup configures one experiment machine.
 type Setup struct {
 	Disk DiskKind
 	// FileBytes is the copied file's size (the paper uses 8MB).
 	FileBytes int64
-	// CacheBufs is the buffer cache size in 8KB buffers (400 = 3.2MB,
-	// as measured).
-	CacheBufs int
-	// DiskBlocks sizes each disk (default: enough for the file plus
-	// slack).
-	DiskBlocks int64
 	// Seed makes runs reproducible.
 	Seed uint64
 	// TestOps and TestOpCost define the CPU-bound test program's fixed
@@ -99,14 +55,18 @@ type Setup struct {
 	// windows, negative values disable readahead entirely. The cache
 	// sweep uses this for its readahead on/off comparison.
 	ReadaheadMax int
-	// VMPages sizes the machine's page pool for mmap'd file I/O, in
-	// 8KB page frames; 0 selects the default 256 (2MB — well under the
-	// 8MB working set, so the clock pageout is exercised). Negative
-	// disables the VM subsystem entirely.
-	VMPages int
 	// Label names this machine's run in exported traces (see
 	// TraceSinkFactory). The Measure* helpers fill it in when empty.
 	Label string
+}
+
+// interleave resolves the FFS allocation stride: the override, or the
+// device type's default.
+func (s Setup) interleave() int {
+	if s.Interleave != 0 {
+		return s.Interleave
+	}
+	return s.Disk.Interleave()
 }
 
 // DefaultSetup returns the paper's configuration for a disk type.
@@ -114,7 +74,6 @@ func DefaultSetup(k DiskKind) Setup {
 	return Setup{
 		Disk:       k,
 		FileBytes:  8 << 20,
-		CacheBufs:  400,
 		Seed:       1,
 		TestOps:    600,
 		TestOpCost: 10 * sim.Millisecond, // 6s of pure compute
@@ -124,6 +83,14 @@ func DefaultSetup(k DiskKind) Setup {
 // BlockSize is the filesystem and buffer-cache block size.
 const BlockSize = 8192
 
+// The measured machine's memory: a 3.2MB buffer cache, and a 2MB page
+// pool for mmap'd file I/O — well under the 8MB working set, so the
+// clock pageout is exercised.
+const (
+	cacheBufs = 400
+	vmPages   = 256
+)
+
 // Machine is a booted experiment machine: two disks with a filesystem
 // each, mounted at /src and /dst, and a VM page pool backing mmap'd
 // file I/O.
@@ -132,28 +99,17 @@ type Machine struct {
 	Cache *buf.Cache
 	Disks [2]*disk.Disk
 	FSs   [2]*fs.FS
-	Pool  *vm.Pool
+	pool  *vm.Pool
 	setup Setup
 }
 
 // NewMachine builds and formats the machine (filesystems are created on
 // the raw media; mounting happens in Boot).
 func NewMachine(s Setup) *Machine {
-	if s.FileBytes <= 0 {
-		s.FileBytes = 8 << 20
-	}
-	if s.CacheBufs <= 0 {
-		s.CacheBufs = 400
-	}
-	if s.DiskBlocks <= 0 {
-		// Mechanical disks use the interleaved (rotdelay) layout, which
-		// spreads a file over twice its size in physical blocks.
-		il := s.Interleave
-		if il == 0 {
-			il = s.Disk.interleave()
-		}
-		s.DiskBlocks = s.FileBytes/BlockSize*int64(il) + 64
-	}
+	// Each disk holds the file plus slack. Mechanical disks use the
+	// interleaved (rotdelay) layout, which spreads a file over twice its
+	// size in physical blocks.
+	diskBlocks := s.FileBytes/BlockSize*int64(s.interleave()) + 64
 	cfg := kernel.DefaultConfig()
 	cfg.Seed = s.Seed
 	cfg.MaxRunTime = 0
@@ -163,17 +119,15 @@ func NewMachine(s Setup) *Machine {
 			k.StartTrace(sink)
 		}
 	}
-	m := &Machine{K: k, Cache: buf.NewCache(k, s.CacheBufs, BlockSize), setup: s}
-	if s.VMPages >= 0 {
-		pages := s.VMPages
-		if pages == 0 {
-			pages = 256
-		}
-		m.Pool = vm.NewPool(k, pages, BlockSize)
-		k.SetVM(m.Pool)
+	m := &Machine{
+		K:     k,
+		Cache: buf.NewCache(k, cacheBufs, BlockSize),
+		pool:  vm.NewPool(k, vmPages, BlockSize),
+		setup: s,
 	}
+	k.SetVM(m.pool)
 	for i := range m.Disks {
-		dp := s.Disk.Params(s.DiskBlocks, BlockSize)
+		dp := s.Disk.Params(diskBlocks, BlockSize)
 		// Distinguish the two drives in traces and per-disk metrics.
 		dp.Name = fmt.Sprintf("%s-%d", dp.Name, i)
 		d := disk.New(k, dp)
@@ -198,20 +152,14 @@ func (m *Machine) Boot(p *kernel.Proc) error {
 		if err != nil {
 			return err
 		}
-		il := m.setup.Interleave
-		if il == 0 {
-			il = m.setup.Disk.interleave()
-		}
-		f.SetInterleave(il)
+		f.SetInterleave(m.setup.interleave())
 		switch {
 		case m.setup.ReadaheadMax > 0:
 			f.SetReadahead(m.setup.ReadaheadMax)
 		case m.setup.ReadaheadMax < 0:
 			f.SetReadahead(0)
 		}
-		if m.Pool != nil {
-			f.SetPager(m.Pool)
-		}
+		f.SetPager(m.pool)
 		m.FSs[i] = f
 		m.K.Mount(mounts[i], f)
 	}

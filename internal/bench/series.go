@@ -21,39 +21,16 @@ type AvailabilitySeries struct {
 // looping copy (as MeasureAvailability does) and reports its per-window
 // CPU share over the first `windows` windows.
 func MeasureAvailabilitySeries(s Setup, mode workload.CopyMode, window sim.Duration, windows int) AvailabilitySeries {
-	m := NewMachine(s)
-	stop := false
-	ready := false
 	var opTimes []sim.Time
 	var start sim.Time
-
-	m.K.Spawn("copier", func(p *kernel.Proc) {
-		if err := m.Boot(p); err != nil {
-			panic(err)
-		}
-		if err := workload.MakeFile(p, srcPath, s.FileBytes, 7); err != nil {
-			panic(err)
-		}
-		ready = true
-		m.K.Wakeup(&ready)
-		spec := workload.DefaultCopySpec(srcPath, dstPath, mode)
-		if _, _, err := workload.LoopCopy(p, spec, m.Cache, m.Devices(), &stop); err != nil {
-			panic(err)
-		}
-	})
-	m.K.Spawn("test", func(p *kernel.Proc) {
-		for !ready {
-			_ = p.Sleep(&ready, kernel.PWAIT)
-		}
+	availRun(s, mode, func(p *kernel.Proc) {
 		start = p.Now()
 		deadline := start.Add(sim.Duration(windows) * window)
 		for p.Now() < deadline {
 			p.Compute(s.TestOpCost)
 			opTimes = append(opTimes, p.Now())
 		}
-		stop = true
 	})
-	m.Run()
 
 	series := AvailabilitySeries{Window: window, Share: make([]float64, windows)}
 	for _, t := range opTimes {

@@ -14,6 +14,7 @@ import (
 	"kdp/internal/socket"
 	"kdp/internal/stream"
 	"kdp/internal/trace"
+	"kdp/internal/workload"
 )
 
 // Server-scalability experiment (§7's server scenario at fan-out): one
@@ -46,31 +47,19 @@ const (
 // ServerCell is one (client count, engine, mode) measurement.
 type ServerCell struct {
 	Clients  int
-	Mode     server.Mode
-	Engine   server.Engine
 	KBs      float64      // aggregate delivered KB/s over the test window
 	AvailPct float64      // 100 x baseline / test-elapsed
 	P99      sim.Duration // p99 client request latency
 	Requests int64
 }
 
-// MeasureServer runs one process-per-connection cell (cp/scp).
-func MeasureServer(clients int, mode server.Mode) ServerCell {
-	return MeasureServerEngine(clients, server.EngineProcs, mode)
-}
-
-// MeasureServerEngine runs one cell: clients closed-loop requesters
-// against a warm-cache file server with the given process model and
-// data path, concurrent with the CPU-bound test program.
-func MeasureServerEngine(clients int, engine server.Engine, mode server.Mode) ServerCell {
-	cell, _ := MeasureServerTraced(clients, engine, mode, nil)
-	return cell
-}
-
-// MeasureServerTraced runs one cell with a structured-trace sink
-// attached from boot (nil for none), returning the tracer so callers
-// can render counter snapshots of the serving path (kdptrace -server).
-func MeasureServerTraced(clients int, engine server.Engine, mode server.Mode, sink trace.Sink) (ServerCell, *trace.Tracer) {
+// MeasureServer runs one cell: clients closed-loop requesters against a
+// warm-cache file server with the given process model and data path,
+// concurrent with the CPU-bound test program. A non-nil sink is
+// attached as a structured-trace sink from boot, and the tracer
+// returned so callers can render counter snapshots of the serving path
+// (kdptrace -server).
+func MeasureServer(clients int, engine server.Engine, mode server.Mode, sink trace.Sink) (ServerCell, *trace.Tracer) {
 	cfg := kernel.DefaultConfig()
 	cfg.MaxRunTime = 3600 * sim.Second
 	k := kernel.New(cfg)
@@ -81,19 +70,15 @@ func MeasureServerTraced(clients int, engine server.Engine, mode server.Mode, si
 	cache := buf.NewCache(k, 400, 8192)
 	d := disk.New(k, disk.RAMDisk(2048, 8192))
 	d.SetCache(cache)
-	if _, err := fs.Mkfs(d, 64); err != nil {
-		panic(err)
-	}
+	_, err := fs.Mkfs(d, 64)
+	Must(err)
 	net := socket.NewNet(k, socket.Ethernet10())
 	st, err := stream.NewTransport(k, net, serverPort)
-	if err != nil {
-		panic(err)
-	}
+	Must(err)
 	cts := make([]*stream.Transport, clients)
 	for i := range cts {
-		if cts[i], err = stream.NewTransport(k, net, 5001+i); err != nil {
-			panic(err)
-		}
+		cts[i], err = stream.NewTransport(k, net, 5001+i)
+		Must(err)
 	}
 
 	ready := false
@@ -105,37 +90,23 @@ func MeasureServerTraced(clients int, engine server.Engine, mode server.Mode, si
 	// server engine and release the clients.
 	k.Spawn("boot", func(p *kernel.Proc) {
 		f, err := fs.Mount(p.Ctx(), cache, d)
-		if err != nil {
-			panic(err)
-		}
+		Must(err)
 		k.Mount("/srv", f)
 		fd, err := p.Open(serverFile, kernel.OCreat|kernel.ORdWr)
-		if err != nil {
-			panic(err)
-		}
+		Must(err)
 		block := make([]byte, 8192)
 		for i := range block {
 			block[i] = byte(i) ^ 0x5A
 		}
 		for off := 0; off < serverFileBytes; off += len(block) {
-			if _, err := p.Write(fd, block); err != nil {
-				panic(err)
-			}
+			_, err := p.Write(fd, block)
+			Must(err)
 		}
 		_ = p.Close(fd)
 		// One full read leaves every block resident, so the network is
 		// the only device in the serving path.
-		rfd, err := p.Open(serverFile, kernel.ORdOnly)
-		if err != nil {
-			panic(err)
-		}
-		for {
-			n, err := p.Read(rfd, block)
-			if err != nil || n == 0 {
-				break
-			}
-		}
-		_ = p.Close(rfd)
+		_, err = workload.ReadSequential(p, serverFile, 8192)
+		Must(err)
 		server.Start(k, server.Config{
 			Name:      "fsrv",
 			Transport: st,
@@ -156,9 +127,7 @@ func MeasureServerTraced(clients int, engine server.Engine, mode server.Mode, si
 				_ = p.Sleep(&ready, kernel.PWAIT)
 			}
 			fd, _, err := cts[i].Connect(p, serverPort)
-			if err != nil {
-				panic(err)
-			}
+			Must(err)
 			buf := make([]byte, 8192)
 			for r := 0; r < serverClientReqs; r++ {
 				t0 := p.Now()
@@ -185,28 +154,16 @@ func MeasureServerTraced(clients int, engine server.Engine, mode server.Mode, si
 		for !ready {
 			_ = p.Sleep(&ready, kernel.PWAIT)
 		}
-		t0 := p.Now()
-		for i := 0; i < serverTestOps; i++ {
-			p.Compute(serverTestCost)
-		}
-		elapsed = p.Now().Sub(t0)
+		elapsed = workload.RunTestProgram(p, serverTestOps, serverTestCost).Elapsed
 	})
-
-	if err := k.Run(); err != nil {
-		panic(err)
-	}
+	Must(k.Run())
 
 	var all []sim.Duration
 	for _, ls := range latencies {
 		all = append(all, ls...)
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	cell := ServerCell{
-		Clients:  clients,
-		Mode:     mode,
-		Engine:   engine,
-		Requests: int64(len(all)),
-	}
+	cell := ServerCell{Clients: clients, Requests: int64(len(all))}
 	baseline := sim.Duration(serverTestOps) * serverTestCost
 	if elapsed > 0 {
 		cell.AvailPct = 100 * float64(baseline) / float64(elapsed)
@@ -222,42 +179,26 @@ func MeasureServerTraced(clients int, engine server.Engine, mode server.Mode, si
 	return cell, tr
 }
 
-// serverSweepCells enumerates the sweep grid: clients x
-// {cp, scp, event, escp}, rows in client-count-major order.
-func serverSweepCells() []ServerCell {
-	var cells []ServerCell
-	for _, n := range []int{1, 2, 4, 8} {
-		for _, em := range []struct {
-			e server.Engine
-			m server.Mode
-		}{
-			{server.EngineProcs, server.ModeCopy},
-			{server.EngineProcs, server.ModeSplice},
-			{server.EngineEvent, server.ModeCopy},
-			{server.EngineEvent, server.ModeSplice},
-		} {
-			cells = append(cells, MeasureServerEngine(n, em.e, em.m))
-		}
-	}
-	return cells
-}
-
-// SweepServer produces the server-scalability table: clients x
-// {cp, scp, event, escp} with aggregate throughput, CPU availability,
-// and p99 client latency. cp/scp run one handler process per
-// connection; event/escp run every connection from a single
+// sweepServer produces the server-scalability table: client counts x
+// the server's grid of (engine, data path) pairings, rows in
+// client-count-major order, with aggregate throughput, CPU
+// availability, and p99 client latency. cp/scp run one handler process
+// per connection; event/escp run every connection from a single
 // event-loop process (nonblocking copies vs one async splice per
 // request).
-func SweepServer() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Server scalability (128 KB cached file, 10Mb Ethernet, concurrent test program)\n")
-	fmt.Fprintf(&b, "cp/scp: process per connection; event/escp: single-process event loop\n")
-	fmt.Fprintf(&b, "%-8s %-6s %10s %10s %11s %9s\n",
+func sweepServer(b *strings.Builder, _ []DiskKind) {
+	fmt.Fprintf(b, "cp/scp: process per connection; event/escp: single-process event loop\n")
+	fmt.Fprintf(b, "%-8s %-6s %10s %10s %11s %9s\n",
 		"Clients", "Mode", "KB/s", "Avail", "p99(ms)", "Reqs")
-	for _, c := range serverSweepCells() {
-		fmt.Fprintf(&b, "%-8d %-6s %10.0f %9.1f%% %11.1f %9d\n",
-			c.Clients, server.ModeName(c.Engine, c.Mode),
-			c.KBs, c.AvailPct, float64(c.P99)/float64(sim.Millisecond), c.Requests)
+	for _, n := range []int{1, 2, 4, 8} {
+		for _, path := range server.Paths {
+			if !path.Grid {
+				continue
+			}
+			c, _ := MeasureServer(n, path.Engine, path.Mode, nil)
+			fmt.Fprintf(b, "%-8d %-6s %10.0f %9.1f%% %11.1f %9d\n",
+				c.Clients, path.Label,
+				c.KBs, c.AvailPct, float64(c.P99)/float64(sim.Millisecond), c.Requests)
+		}
 	}
-	return b.String()
 }

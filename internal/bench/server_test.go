@@ -13,8 +13,8 @@ import (
 func TestServerSweepShape(t *testing.T) {
 	prevGap := -1.0
 	for _, n := range []int{1, 2, 4, 8} {
-		cp := MeasureServer(n, server.ModeCopy)
-		scp := MeasureServer(n, server.ModeSplice)
+		cp, _ := MeasureServer(n, server.EngineProcs, server.ModeCopy, nil)
+		scp, _ := MeasureServer(n, server.EngineProcs, server.ModeSplice, nil)
 		if scp.AvailPct <= cp.AvailPct {
 			t.Fatalf("%d clients: scp availability %.1f%% not above cp %.1f%%",
 				n, scp.AvailPct, cp.AvailPct)
@@ -38,9 +38,9 @@ func TestServerSweepShape(t *testing.T) {
 // process-per-connection splice server (scp) while serving every
 // request.
 func TestServerEventEngine(t *testing.T) {
-	scp := MeasureServerEngine(8, server.EngineProcs, server.ModeSplice)
-	ev := MeasureServerEngine(8, server.EngineEvent, server.ModeCopy)
-	escp := MeasureServerEngine(8, server.EngineEvent, server.ModeSplice)
+	scp, _ := MeasureServer(8, server.EngineProcs, server.ModeSplice, nil)
+	ev, _ := MeasureServer(8, server.EngineEvent, server.ModeCopy, nil)
+	escp, _ := MeasureServer(8, server.EngineEvent, server.ModeSplice, nil)
 	if ev.Requests == 0 || escp.Requests == 0 {
 		t.Fatalf("event engine served no requests (event=%d escp=%d)",
 			ev.Requests, escp.Requests)
@@ -58,9 +58,9 @@ func TestServerEventEngine(t *testing.T) {
 // TestServerSweepDeterministic regenerates the table under different
 // GOMAXPROCS settings and requires byte-identical output.
 func TestServerSweepDeterministic(t *testing.T) {
-	first := SweepServer()
+	first, _ := RunSweep("server", nil)
 	prev := runtime.GOMAXPROCS(1)
-	second := SweepServer()
+	second, _ := RunSweep("server", nil)
 	runtime.GOMAXPROCS(prev)
 	if first != second {
 		t.Fatalf("server sweep differs across GOMAXPROCS:\n--- default ---\n%s\n--- GOMAXPROCS=1 ---\n%s", first, second)

@@ -3,7 +3,7 @@ package bench
 import (
 	"testing"
 
-	"kdp/internal/kernel"
+	"kdp/internal/disk"
 	"kdp/internal/workload"
 )
 
@@ -19,7 +19,7 @@ func TestShapeTable2(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale experiment")
 	}
-	rows := Table2(AllDisks)
+	rows := Table2(disk.Kinds())
 	get := func(k DiskKind) Table2Row {
 		for _, r := range rows {
 			if r.Disk == k {
@@ -61,7 +61,7 @@ func TestShapeTable1(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale experiment")
 	}
-	rows := Table1(AllDisks)
+	rows := Table1(disk.Kinds())
 	for _, r := range rows {
 		// Splice must improve availability on every device type, and
 		// the paper bounds the improvement at "20 to 70 percent".
@@ -135,35 +135,12 @@ func TestShapeFsyncMethodologyMatters(t *testing.T) {
 	// is load-bearing.
 	s := DefaultSetup(RAM)
 	withFsync := MeasureThroughput(s, workload.CopyReadWrite).ThroughputKBs()
-	withoutFsync := measureCPNoFsync(t, s)
+	spec := workload.DefaultCopySpec(SrcPath, DstPath, workload.CopyReadWrite)
+	spec.Fsync = false
+	_, res := coldCopy(s, "copier", 7, spec)
+	withoutFsync := res.ThroughputKBs()
 	if withoutFsync <= withFsync {
 		t.Errorf("cp without fsync (%.0f) not faster than with (%.0f); write-through methodology has no effect",
 			withoutFsync, withFsync)
 	}
-}
-
-func measureCPNoFsync(t *testing.T, s Setup) float64 {
-	t.Helper()
-	m := NewMachine(s)
-	var res workload.CopyResult
-	m.K.Spawn("copier", func(p *kernel.Proc) {
-		if err := m.Boot(p); err != nil {
-			panic(err)
-		}
-		if err := workload.MakeFile(p, srcPath, s.FileBytes, 7); err != nil {
-			panic(err)
-		}
-		if err := workload.ColdStart(p, m.Cache, m.Devices()...); err != nil {
-			panic(err)
-		}
-		spec := workload.DefaultCopySpec(srcPath, dstPath, workload.CopyReadWrite)
-		spec.Fsync = false
-		var err error
-		res, err = workload.Copy(p, spec)
-		if err != nil {
-			panic(err)
-		}
-	})
-	m.Run()
-	return res.ThroughputKBs()
 }

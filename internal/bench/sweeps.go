@@ -8,125 +8,125 @@ import (
 	"kdp/internal/sim"
 	"kdp/internal/socket"
 	"kdp/internal/splice"
+	"kdp/internal/trace"
 	"kdp/internal/workload"
 )
 
-// RunSweep executes a named ablation sweep and returns its formatted
-// report. Valid names: quantum, watermark, sharing, filesize, socket.
-func RunSweep(name string, disks []DiskKind) (string, error) {
-	switch name {
-	case "quantum":
-		return SweepQuantum(), nil
-	case "watermark":
-		return SweepWatermark(), nil
-	case "sharing":
-		return SweepSharing(), nil
-	case "filesize":
-		return SweepFileSize(disks), nil
-	case "socket":
-		return SweepSocket(), nil
-	case "rate":
-		return SweepRate(), nil
-	case "layout":
-		return SweepLayout(), nil
-	case "server":
-		return SweepServer(), nil
-	case "cache":
-		return SweepCache(), nil
-	case "vm":
-		return SweepVM(disks), nil
-	case "batch":
-		return SweepBatch(), nil
-	default:
-		return "", fmt.Errorf("unknown sweep %q (want quantum, watermark, sharing, filesize, socket, rate, layout, server, cache, vm, batch)", name)
+// Sweep is one named experiment beyond the paper's two tables.
+type Sweep struct {
+	Name string
+	// Title is the report's first line.
+	Title string
+	// run appends the report's rows; disks is the -disks selection, for
+	// the sweeps that walk device types.
+	run func(b *strings.Builder, disks []DiskKind)
+}
+
+// Sweeps is the one ordered registry of sweeps: RunSweep, kdpbench's
+// -sweep help, the unknown-name error and the lists in README.md and
+// EXPERIMENTS.md all derive from it, so a new sweep is one entry.
+var Sweeps = []Sweep{
+	{"quantum", "Ablation A: transfer quantum (4MB file, RZ58, repeated sync splices)", sweepQuantum},
+	{"watermark", "Ablation B: flow-control watermarks (8MB file, RAM disk)", sweepWatermark},
+	{"sharing", "Ablation C: write-side buffer sharing (8MB file, RAM disk)", sweepSharing},
+	{"filesize", "Ablation D: file-size sweep (cold cache)", sweepFileSize},
+	{"socket", "Ablation E: UDP relay, spliced vs user-level (10Mb/s Ethernet)", sweepSocket},
+	{"rate", "Ablation F: kernel-paced splice (4MB file, RZ58)", sweepRate},
+	{"layout", "Ablation G: FFS allocation layout (4MB file, RZ58)", sweepLayout},
+	{"server", "Server scalability (128 KB cached file, 10Mb Ethernet, concurrent test program)", sweepServer},
+	{"cache", "Ablation H: adaptive readahead (4MB file, RZ58, cold cache)", sweepCache},
+	{"vm", "Ablation I: mmap vs read vs splice (8MB file, cold cache, 256-frame page pool)", sweepVM},
+	{"batch", "Ablation J: syscall aggregation (4MB file, RZ58, cold cache)", sweepBatch},
+}
+
+// SweepNames returns the registered sweep names, comma-separated in
+// registry order.
+func SweepNames() string {
+	names := make([]string, len(Sweeps))
+	for i, sw := range Sweeps {
+		names[i] = sw.Name
 	}
+	return strings.Join(names, ", ")
 }
 
-// batchCell is one syscall-aggregation measurement: copy throughput,
-// total CPU consumed (wall clock minus idle), the syscalls the copier
-// issued, the crossings aggregation saved, and the bytes moved (equal
-// across modes — the ablation varies only how the bytes cross).
-type batchCell struct {
-	kbs   float64
-	busy  sim.Duration
-	calls int64
-	saved int64
-	bytes int64
+// RunSweep executes a named sweep and returns its formatted report.
+func RunSweep(name string, disks []DiskKind) (string, error) {
+	for _, sw := range Sweeps {
+		if sw.Name == name {
+			var b strings.Builder
+			fmt.Fprintln(&b, sw.Title)
+			sw.run(&b, disks)
+			return b.String(), nil
+		}
+	}
+	return "", fmt.Errorf("unknown sweep %q (want %s)", name, SweepNames())
 }
 
-// measureBatchCell copies a 4MB file on a cold RZ58 machine with the
-// given copy mode, counting the copier's syscalls and the
-// crossings-saved counter the aggregated paths emit.
-func measureBatchCell(mode workload.CopyMode) batchCell {
+// metrics returns the machine's tracer, starting a sink-less one
+// (counters only) when no trace export is active. Call before the
+// machine runs.
+func (m *Machine) metrics() *trace.Tracer {
+	if tr := m.K.Tracer(); tr != nil {
+		return tr
+	}
+	return m.K.StartTrace(nil)
+}
+
+// busy returns the total CPU the machine's run consumed (wall clock
+// minus idle): at equal work, less busy time means more CPU left for
+// other processes — the paper's availability currency — and it compares
+// fairly between runs of different lengths, where an idle percentage
+// would not.
+func (m *Machine) busy() sim.Duration {
+	st := m.K.Stats()
+	return st.Now.Sub(0) - st.Idle
+}
+
+// smallRZ58 is the 4MB-file RZ58 machine most ablations run on.
+func smallRZ58() Setup {
 	s := DefaultSetup(RZ58)
 	s.FileBytes = 4 << 20
-	s.Label = fmt.Sprintf("batch/%s", mode)
-	m := NewMachine(s)
-	tr := m.K.Tracer()
-	if tr == nil {
-		tr = m.K.StartTrace(nil) // metrics only, no sink
-	}
-	var res workload.CopyResult
-	var calls int64
-	m.K.Spawn("bench", func(p *kernel.Proc) {
-		if err := m.Boot(p); err != nil {
-			panic(err)
-		}
-		if err := workload.MakeFile(p, srcPath, s.FileBytes, 3); err != nil {
-			panic(err)
-		}
-		if err := workload.ColdStart(p, m.Cache, m.Devices()...); err != nil {
-			panic(err)
-		}
-		sys0 := p.Syscalls()
-		var err error
-		res, err = workload.Copy(p, workload.DefaultCopySpec(srcPath, dstPath, mode))
-		if err != nil {
-			panic(err)
-		}
-		calls = p.Syscalls() - sys0
-	})
-	m.Run()
-	st := m.K.Stats()
-	mt := tr.Metrics()
-	return batchCell{
-		kbs:   res.ThroughputKBs(),
-		busy:  st.Now.Sub(0) - st.Idle,
-		calls: calls,
-		saved: mt.BatchCrossingsSaved,
-		bytes: res.Bytes,
-	}
+	return s
 }
 
-// SweepBatch is the syscall-aggregation ablation: the same 4MB cold
+// pctOver returns by what percentage a's throughput exceeds b's.
+func pctOver(a, b workload.CopyResult) float64 {
+	return (a.ThroughputKBs()/b.ThroughputKBs() - 1) * 100
+}
+
+// sweepBatch is the syscall-aggregation ablation: the same 4MB cold
 // copy as cp (one crossing per 8KB read or write), cpv (readv/writev,
 // one crossing per 4-iovec vector), bcp (reads and writes aggregated
 // through Submit), and scp (splice, no per-block crossings at all).
 // Bytes moved are identical across rows; what varies is how many times
-// the copier traps into the kernel, and the trap + copy-setup CPU that
+// the copier traps into the kernel (counted around the copy alone), the
+// crossings aggregation saved, and the trap + copy-setup CPU that
 // aggregation returns to the availability budget.
-func SweepBatch() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Ablation J: syscall aggregation (4MB file, RZ58, cold cache)\n")
-	fmt.Fprintf(&b, "%-5s %12s %12s %10s %10s %12s\n",
+func sweepBatch(b *strings.Builder, _ []DiskKind) {
+	fmt.Fprintf(b, "%-5s %12s %12s %10s %10s %12s\n",
 		"Mode", "KB/s", "CPU busy", "Syscalls", "Saved", "Bytes")
-	modes := []workload.CopyMode{
+	for _, mode := range []workload.CopyMode{
 		workload.CopyReadWrite, workload.CopyVectored,
 		workload.CopyBatched, workload.CopySplice,
+	} {
+		s := smallRZ58()
+		s.Label = fmt.Sprintf("batch/%s", mode)
+		m := NewMachine(s)
+		tr := m.metrics()
+		var res workload.CopyResult
+		var calls int64
+		m.ColdRun("bench", 3, func(p *kernel.Proc) {
+			sys0 := p.Syscalls()
+			res = mustCopy(p, workload.DefaultCopySpec(SrcPath, DstPath, mode))
+			calls = p.Syscalls() - sys0
+		})
+		fmt.Fprintf(b, "%-5s %12.0f %11.2fs %10d %10d %12d\n",
+			mode, res.ThroughputKBs(), m.busy().Seconds(), calls,
+			tr.Metrics().BatchCrossingsSaved, res.Bytes)
 	}
-	for _, mode := range modes {
-		c := measureBatchCell(mode)
-		fmt.Fprintf(&b, "%-5s %12.0f %11.2fs %10d %10d %12d\n",
-			mode, c.kbs, c.busy.Seconds(), c.calls, c.saved, c.bytes)
-	}
-	return b.String()
 }
 
-// cacheCell is one cache-sweep measurement. busy is the total CPU the
-// run consumed (wall clock minus idle): at equal work, less busy time
-// means more CPU left for other processes — the paper's availability
-// currency — and it compares fairly between runs of different lengths,
-// where an idle percentage would not.
+// cacheCell is one cache-sweep measurement.
 type cacheCell struct {
 	kbs     float64
 	busy    sim.Duration
@@ -134,94 +134,71 @@ type cacheCell struct {
 	raWaste int64
 }
 
-// measureCacheCell runs one cache-sweep workload on a cold RZ58
-// machine: a 4MB source file, the readahead cap set per the cell, and
-// one of three access patterns — a sequential user-space read loop
-// (cp's read side), a file→file splice copy (scp), or seed-derived
-// random reads.
+// cachePatterns are the cache sweep's access patterns: a sequential
+// user-space read loop (cp's read side), a file→file splice copy (scp),
+// and seed-derived random reads.
+var cachePatterns = []struct {
+	name string
+	run  func(p *kernel.Proc) (workload.CopyResult, error)
+}{
+	{"seq-read", func(p *kernel.Proc) (workload.CopyResult, error) {
+		return workload.ReadSequential(p, SrcPath, 8192)
+	}},
+	{"splice", func(p *kernel.Proc) (workload.CopyResult, error) {
+		return workload.Copy(p, workload.DefaultCopySpec(SrcPath, DstPath, workload.CopySplice))
+	}},
+	{"rand-read", func(p *kernel.Proc) (workload.CopyResult, error) {
+		return workload.ReadRandom(p, SrcPath, 8192, 256, 11)
+	}},
+}
+
+// measureCacheCell runs the named access pattern against a cold 4MB
+// file on an RZ58 machine with the readahead cap set to ra.
 func measureCacheCell(pattern string, ra int) cacheCell {
-	s := DefaultSetup(RZ58)
-	s.FileBytes = 4 << 20
+	s := smallRZ58()
 	s.ReadaheadMax = ra
 	s.Label = fmt.Sprintf("cache/%s/ra=%d", pattern, ra)
 	m := NewMachine(s)
-	var bytes int64
-	var elapsed sim.Duration
-	m.K.Spawn("bench", func(p *kernel.Proc) {
-		if err := m.Boot(p); err != nil {
-			panic(err)
-		}
-		if err := workload.MakeFile(p, srcPath, s.FileBytes, 3); err != nil {
-			panic(err)
-		}
-		if err := workload.ColdStart(p, m.Cache, m.Devices()...); err != nil {
-			panic(err)
-		}
-		switch pattern {
-		case "seq-read":
-			res, err := workload.ReadSequential(p, srcPath, 8192)
-			if err != nil {
-				panic(err)
+	var res workload.CopyResult
+	m.ColdRun("bench", 3, func(p *kernel.Proc) {
+		for _, cp := range cachePatterns {
+			if cp.name == pattern {
+				var err error
+				res, err = cp.run(p)
+				Must(err)
+				return
 			}
-			bytes, elapsed = res.Bytes, res.Elapsed
-		case "splice":
-			res, err := workload.Copy(p, workload.DefaultCopySpec(srcPath, dstPath, workload.CopySplice))
-			if err != nil {
-				panic(err)
-			}
-			bytes, elapsed = res.Bytes, res.Elapsed
-		case "rand-read":
-			res, err := workload.ReadRandom(p, srcPath, 8192, 256, 11)
-			if err != nil {
-				panic(err)
-			}
-			bytes, elapsed = res.Bytes, res.Elapsed
-		default:
-			panic("bench: unknown cache pattern " + pattern)
 		}
+		panic("bench: unknown cache pattern " + pattern)
 	})
-	m.Run()
-	st := m.K.Stats()
 	cs := m.Cache.Stats()
-	c := cacheCell{
-		busy:    st.Now.Sub(0) - st.Idle,
-		raHits:  cs.RaHits,
-		raWaste: cs.RaWaste,
-	}
-	if elapsed > 0 {
-		c.kbs = float64(bytes) / 1024 / elapsed.Seconds()
-	}
-	return c
+	return cacheCell{kbs: res.ThroughputKBs(), busy: m.busy(), raHits: cs.RaHits, raWaste: cs.RaWaste}
 }
 
-// SweepCache measures the adaptive readahead engine: each access
+// sweepCache measures the adaptive readahead engine: each access
 // pattern runs with readahead disabled (off) and with a deep 8-block
 // window (on). Sequential reads gain throughput at equal-or-better CPU
 // availability — the asynchronous window overlaps disk latency the
 // synchronous read loop otherwise eats — while the splice path is
 // indifferent (its flow-controlled pipeline already keeps the device
 // busy, §5.5) and random reads collapse the window, wasting nothing.
-func SweepCache() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Ablation H: adaptive readahead (4MB file, RZ58, cold cache)\n")
-	fmt.Fprintf(&b, "%-10s %-4s %12s %12s %10s %10s\n", "Pattern", "RA", "KB/s", "CPU busy", "RA hits", "RA waste")
-	for _, pattern := range []string{"seq-read", "splice", "rand-read"} {
+func sweepCache(b *strings.Builder, _ []DiskKind) {
+	fmt.Fprintf(b, "%-10s %-4s %12s %12s %10s %10s\n", "Pattern", "RA", "KB/s", "CPU busy", "RA hits", "RA waste")
+	for _, cp := range cachePatterns {
 		for _, ra := range []int{-1, 8} {
-			c := measureCacheCell(pattern, ra)
+			c := measureCacheCell(cp.name, ra)
 			mode := "off"
 			if ra > 0 {
 				mode = fmt.Sprintf("%d", ra)
 			}
-			fmt.Fprintf(&b, "%-10s %-4s %12.0f %11.2fs %10d %10d\n",
-				pattern, mode, c.kbs, c.busy.Seconds(), c.raHits, c.raWaste)
+			fmt.Fprintf(b, "%-10s %-4s %12.0f %11.2fs %10d %10d\n",
+				cp.name, mode, c.kbs, c.busy.Seconds(), c.raHits, c.raWaste)
 		}
 	}
-	return b.String()
 }
 
 // vmCell is one mmap-vs-read-vs-splice measurement: copy throughput,
-// total CPU consumed (wall clock minus idle — the paper's availability
-// currency), and the VM activity behind it.
+// total CPU consumed, and the VM activity behind it.
 type vmCell struct {
 	kbs      float64
 	busy     sim.Duration
@@ -239,304 +216,205 @@ func measureVMCell(k DiskKind, mode workload.CopyMode) vmCell {
 	s := DefaultSetup(k)
 	s.Label = fmt.Sprintf("vm/%s/%s", k, mode)
 	m := NewMachine(s)
-	tr := m.K.Tracer()
-	if tr == nil {
-		tr = m.K.StartTrace(nil) // metrics only, no sink
-	}
+	tr := m.metrics()
 	var res workload.CopyResult
-	m.K.Spawn("bench", func(p *kernel.Proc) {
-		if err := m.Boot(p); err != nil {
-			panic(err)
-		}
-		if err := workload.MakeFile(p, srcPath, s.FileBytes, 3); err != nil {
-			panic(err)
-		}
-		if err := workload.ColdStart(p, m.Cache, m.Devices()...); err != nil {
-			panic(err)
-		}
-		var err error
-		res, err = workload.Copy(p, workload.DefaultCopySpec(srcPath, dstPath, mode))
-		if err != nil {
-			panic(err)
-		}
+	m.ColdRun("bench", 3, func(p *kernel.Proc) {
+		res = mustCopy(p, workload.DefaultCopySpec(SrcPath, DstPath, mode))
 	})
-	m.Run()
-	st := m.K.Stats()
 	mt := tr.Metrics()
 	return vmCell{
 		kbs:      res.ThroughputKBs(),
-		busy:     st.Now.Sub(0) - st.Idle,
+		busy:     m.busy(),
 		faults:   mt.VMFaults,
 		pageins:  mt.VMPageins,
 		pageouts: mt.VMPageouts,
 	}
 }
 
-// SweepVM is the mmap-vs-read-vs-splice ablation: the same 8MB cold
+// sweepVM is the mmap-vs-read-vs-splice ablation: the same 8MB cold
 // copy through the three data paths. cp pays two kernel copies plus a
 // syscall per 8KB; mcp pays priced page faults and one user-level
 // bcopy, with dirty mapped pages written back through the shared
 // buffer cache; scp never surfaces the data to user space at all.
-func SweepVM(disks []DiskKind) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Ablation I: mmap vs read vs splice (8MB file, cold cache, 256-frame page pool)\n")
-	fmt.Fprintf(&b, "%-6s %-5s %12s %12s %10s %10s %10s\n",
+func sweepVM(b *strings.Builder, disks []DiskKind) {
+	fmt.Fprintf(b, "%-6s %-5s %12s %12s %10s %10s %10s\n",
 		"Disk", "Mode", "KB/s", "CPU busy", "Faults", "Pageins", "Pageouts")
 	for _, d := range disks {
 		for _, mode := range []workload.CopyMode{workload.CopyReadWrite, workload.CopyMmap, workload.CopySplice} {
 			c := measureVMCell(d, mode)
-			fmt.Fprintf(&b, "%-6s %-5s %12.0f %11.2fs %10d %10d %10d\n",
+			fmt.Fprintf(b, "%-6s %-5s %12.0f %11.2fs %10d %10d %10d\n",
 				d, mode, c.kbs, c.busy.Seconds(), c.faults, c.pageins, c.pageouts)
 		}
 	}
-	return b.String()
 }
 
-// SweepLayout varies the FFS allocation interleave — the "block
+// sweepLayout varies the FFS allocation interleave — the "block
 // allocation strategies" the paper lists as future work. Dense
 // (interleave 1) allocation lets both copy paths stream at media rate;
 // the era's rotdelay layout (interleave 2) halves sequential bandwidth,
 // which is the regime the paper measured.
-func SweepLayout() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Ablation G: FFS allocation layout (4MB file, RZ58)\n")
-	fmt.Fprintf(&b, "%-12s %14s %14s %10s\n", "Interleave", "SCP KB/s", "CP KB/s", "%-Improve")
+func sweepLayout(b *strings.Builder, _ []DiskKind) {
+	fmt.Fprintf(b, "%-12s %14s %14s %10s\n", "Interleave", "SCP KB/s", "CP KB/s", "%-Improve")
 	for _, il := range []int{1, 2, 3} {
-		s := DefaultSetup(RZ58)
-		s.FileBytes = 4 << 20
+		s := smallRZ58()
 		s.Interleave = il
 		scp := MeasureThroughput(s, workload.CopySplice)
 		cp := MeasureThroughput(s, workload.CopyReadWrite)
-		fmt.Fprintf(&b, "%-12d %14.0f %14.0f %9.0f%%\n",
-			il, scp.ThroughputKBs(), cp.ThroughputKBs(),
-			(scp.ThroughputKBs()/cp.ThroughputKBs()-1)*100)
+		fmt.Fprintf(b, "%-12d %14.0f %14.0f %9.0f%%\n",
+			il, scp.ThroughputKBs(), cp.ThroughputKBs(), pctOver(scp, cp))
 	}
-	return b.String()
 }
 
-// SweepRate exercises the kernel-paced splice (the continuous-media
+// sweepRate exercises the kernel-paced splice (the continuous-media
 // extension): a 4MB transfer is paced at several target rates; the
 // achieved rate should track the target closely until it hits the
 // device's ceiling.
-func SweepRate() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Ablation F: kernel-paced splice (4MB file, RZ58)\n")
-	fmt.Fprintf(&b, "%-14s %14s %12s\n", "Target KB/s", "Achieved KB/s", "Elapsed")
+func sweepRate(b *strings.Builder, _ []DiskKind) {
+	fmt.Fprintf(b, "%-14s %14s %12s\n", "Target KB/s", "Achieved KB/s", "Elapsed")
 	for _, target := range []float64{0, 128 << 10, 256 << 10, 512 << 10, 2 << 20} {
-		s := DefaultSetup(RZ58)
-		s.FileBytes = 4 << 20
-		res := MeasureThroughputOpts(s, splice.Options{RateBytesPerSec: target})
+		res := MeasureThroughputOpts(smallRZ58(), splice.Options{RateBytesPerSec: target})
 		label := "unpaced"
 		if target > 0 {
 			label = fmt.Sprintf("%.0f", target/1024)
 		}
-		fmt.Fprintf(&b, "%-14s %14.0f %12v\n", label, res.ThroughputKBs(), res.Elapsed)
+		fmt.Fprintf(b, "%-14s %14.0f %12v\n", label, res.ThroughputKBs(), res.Elapsed)
 	}
-	return b.String()
 }
 
-// SweepQuantum measures how the per-call transfer quantum (the size
+// sweepQuantum measures how the per-call transfer quantum (the size
 // parameter, §4's rate-control knob) affects elapsed time: smaller
 // quanta mean more system calls and more process wakeups for the same
-// bytes.
-func SweepQuantum() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Ablation A: transfer quantum (4MB file, RZ58, repeated sync splices)\n")
-	fmt.Fprintf(&b, "%-10s %12s %14s %10s\n", "Quantum", "Elapsed", "KB/s", "Syscalls")
-	const fileBytes = 4 << 20
-	quanta := []int64{8 << 10, 32 << 10, 128 << 10, 512 << 10, splice.EOF}
-	for _, q := range quanta {
-		s := DefaultSetup(RZ58)
-		s.FileBytes = fileBytes
-		m := NewMachine(s)
+// bytes. The one sweep whose body is not a workload copy: it drives
+// splice directly, one call per quantum.
+func sweepQuantum(b *strings.Builder, _ []DiskKind) {
+	fmt.Fprintf(b, "%-10s %12s %14s %10s\n", "Quantum", "Elapsed", "KB/s", "Syscalls")
+	for _, q := range []int64{8 << 10, 32 << 10, 128 << 10, 512 << 10, splice.EOF} {
+		s := smallRZ58()
 		var elapsed sim.Duration
 		var calls int64
-		m.K.Spawn("scp", func(p *kernel.Proc) {
-			if err := m.Boot(p); err != nil {
-				panic(err)
-			}
-			if err := workload.MakeFile(p, srcPath, fileBytes, 3); err != nil {
-				panic(err)
-			}
-			if err := workload.ColdStart(p, m.Cache, m.Devices()...); err != nil {
-				panic(err)
-			}
-			src, _ := p.Open(srcPath, kernel.ORdOnly)
-			dst, _ := p.Open(dstPath, kernel.OCreat|kernel.OWrOnly)
+		NewMachine(s).ColdRun(workload.CopySplice.String(), 3, func(p *kernel.Proc) {
+			src, _ := p.Open(SrcPath, kernel.ORdOnly)
+			dst, _ := p.Open(DstPath, kernel.OCreat|kernel.OWrOnly)
 			t0 := p.Now()
 			sys0 := p.Syscalls()
 			for {
 				n, err := splice.Splice(p, src, dst, q)
-				if err != nil {
-					panic(err)
-				}
-				if n == 0 {
-					break
-				}
-				if q == splice.EOF {
+				Must(err)
+				if n == 0 || q == splice.EOF {
 					break
 				}
 			}
 			elapsed = p.Now().Sub(t0)
 			calls = p.Syscalls() - sys0
 		})
-		m.Run()
 		label := "EOF"
 		if q != splice.EOF {
 			label = fmt.Sprintf("%dKB", q>>10)
 		}
-		kbs := float64(fileBytes) / 1024 / elapsed.Seconds()
-		fmt.Fprintf(&b, "%-10s %12v %14.0f %10d\n", label, elapsed, kbs, calls)
+		kbs := float64(s.FileBytes) / 1024 / elapsed.Seconds()
+		fmt.Fprintf(b, "%-10s %12v %14.0f %10d\n", label, elapsed, kbs, calls)
 	}
-	return b.String()
 }
 
-// SweepWatermark varies the flow-control watermarks (§5.5, defaults 3
+// sweepWatermark varies the flow-control watermarks (§5.5, defaults 3
 // reads / 5 writes / refill 5) and reports RAM-disk splice throughput:
 // too little in-flight I/O starves the pipeline; the defaults keep both
 // devices busy.
-func SweepWatermark() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Ablation B: flow-control watermarks (8MB file, RAM disk)\n")
-	fmt.Fprintf(&b, "%-18s %14s %12s %12s\n", "read/write/refill", "KB/s", "PeakReads", "PeakWrites")
-	combos := []splice.Options{
+func sweepWatermark(b *strings.Builder, _ []DiskKind) {
+	fmt.Fprintf(b, "%-18s %14s %12s %12s\n", "read/write/refill", "KB/s", "PeakReads", "PeakWrites")
+	for _, o := range []splice.Options{
 		{ReadWatermark: 1, WriteWatermark: 1, RefillBatch: 1},
 		{ReadWatermark: 2, WriteWatermark: 2, RefillBatch: 2},
 		{ReadWatermark: 3, WriteWatermark: 5, RefillBatch: 5}, // the paper's values
 		{ReadWatermark: 6, WriteWatermark: 10, RefillBatch: 10},
 		{ReadWatermark: 12, WriteWatermark: 20, RefillBatch: 20},
-	}
-	for _, o := range combos {
-		sRAM := DefaultSetup(RAM)
-		res := MeasureThroughputOpts(sRAM, o)
-		fmt.Fprintf(&b, "%2d/%2d/%2d           %14.0f %12d %12d\n",
+	} {
+		res := MeasureThroughputOpts(DefaultSetup(RAM), o)
+		fmt.Fprintf(b, "%2d/%2d/%2d           %14.0f %12d %12d\n",
 			o.ReadWatermark, o.WriteWatermark, o.RefillBatch,
 			res.ThroughputKBs(), res.Splice.PeakReads, res.Splice.PeakWrites)
 	}
-	return b.String()
 }
 
-// SweepSharing compares the paper's write-side data aliasing (§5.4, no
+// sweepSharing compares the paper's write-side data aliasing (§5.4, no
 // copy between cache buffers) against a copying write side. Throughput
 // barely moves on the RAM disk — the pipeline is callout-tick bound —
 // but the extra kernel bcopy shows up directly as stolen (interrupt)
 // CPU, which is exactly the availability the aliasing buys back.
-func SweepSharing() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Ablation C: write-side buffer sharing (8MB file, RAM disk)\n")
-	fmt.Fprintf(&b, "%-10s %14s %16s %10s %10s\n", "Mode", "KB/s", "InterruptCPU", "Shared", "Copied")
+func sweepSharing(b *strings.Builder, _ []DiskKind) {
+	fmt.Fprintf(b, "%-10s %14s %16s %10s %10s\n", "Mode", "KB/s", "InterruptCPU", "Shared", "Copied")
 	for _, noShare := range []bool{false, true} {
 		res, intr := MeasureSharingVariant(noShare)
 		mode := "shared"
 		if noShare {
 			mode = "copying"
 		}
-		fmt.Fprintf(&b, "%-10s %14.0f %16v %10d %10d\n",
+		fmt.Fprintf(b, "%-10s %14.0f %16v %10d %10d\n",
 			mode, res.ThroughputKBs(), intr, res.Splice.Shared, res.Splice.Copied)
 	}
-	return b.String()
+}
+
+// spliceCopy runs one cold splice copy on s with explicit splice
+// options, returning the machine for its statistics.
+func spliceCopy(s Setup, o splice.Options) (*Machine, workload.CopyResult) {
+	spec := workload.DefaultCopySpec(SrcPath, DstPath, workload.CopySplice)
+	spec.SpliceOptions = o
+	return coldCopy(s, spec.Mode.String(), 3, spec)
 }
 
 // MeasureSharingVariant runs an 8MB RAM-disk splice copy with or
 // without write-side data aliasing, returning the copy result and the
 // machine's total interrupt-level CPU time.
 func MeasureSharingVariant(noShare bool) (workload.CopyResult, sim.Duration) {
-	s := DefaultSetup(RAM)
-	m := NewMachine(s)
-	var res workload.CopyResult
-	m.K.Spawn("scp", func(p *kernel.Proc) {
-		if err := m.Boot(p); err != nil {
-			panic(err)
-		}
-		if err := workload.MakeFile(p, srcPath, s.FileBytes, 3); err != nil {
-			panic(err)
-		}
-		if err := workload.ColdStart(p, m.Cache, m.Devices()...); err != nil {
-			panic(err)
-		}
-		spec := workload.DefaultCopySpec(srcPath, dstPath, workload.CopySplice)
-		spec.SpliceOptions = splice.Options{NoShare: noShare}
-		var err error
-		res, err = workload.Copy(p, spec)
-		if err != nil {
-			panic(err)
-		}
-	})
-	m.Run()
+	m, res := spliceCopy(DefaultSetup(RAM), splice.Options{NoShare: noShare})
 	return res, m.K.Stats().Interrupt
 }
 
 // MeasureThroughputOpts is MeasureThroughput for splice copies with
 // explicit flow-control options.
 func MeasureThroughputOpts(s Setup, o splice.Options) workload.CopyResult {
-	fileBytes := s.FileBytes
-	m := NewMachine(s)
-	var res workload.CopyResult
-	m.K.Spawn("scp", func(p *kernel.Proc) {
-		if err := m.Boot(p); err != nil {
-			panic(err)
-		}
-		if err := workload.MakeFile(p, srcPath, fileBytes, 3); err != nil {
-			panic(err)
-		}
-		if err := workload.ColdStart(p, m.Cache, m.Devices()...); err != nil {
-			panic(err)
-		}
-		spec := workload.DefaultCopySpec(srcPath, dstPath, workload.CopySplice)
-		spec.SpliceOptions = o
-		var err error
-		res, err = workload.Copy(p, spec)
-		if err != nil {
-			panic(err)
-		}
-	})
-	m.Run()
+	_, res := spliceCopy(s, o)
 	return res
 }
 
-// SweepFileSize copies files of several sizes and reports cp vs scp
+// sweepFileSize copies files of several sizes and reports cp vs scp
 // throughput — the paper notes alternative sizes were "statistically
 // indistinguishable from the 8MB representative case" (§6.2).
-func SweepFileSize(disks []DiskKind) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Ablation D: file-size sweep (cold cache)\n")
-	fmt.Fprintf(&b, "%-6s %8s %14s %14s %10s\n", "Disk", "MB", "SCP KB/s", "CP KB/s", "%-Improve")
+func sweepFileSize(b *strings.Builder, disks []DiskKind) {
+	fmt.Fprintf(b, "%-6s %8s %14s %14s %10s\n", "Disk", "MB", "SCP KB/s", "CP KB/s", "%-Improve")
 	for _, d := range disks {
 		for _, mb := range []int64{1, 2, 4, 8, 16} {
 			s := DefaultSetup(d)
 			s.FileBytes = mb << 20
 			scp := MeasureThroughput(s, workload.CopySplice)
 			cp := MeasureThroughput(s, workload.CopyReadWrite)
-			fmt.Fprintf(&b, "%-6s %8d %14.0f %14.0f %9.0f%%\n",
-				d, mb, scp.ThroughputKBs(), cp.ThroughputKBs(),
-				(scp.ThroughputKBs()/cp.ThroughputKBs()-1)*100)
+			fmt.Fprintf(b, "%-6s %8d %14.0f %14.0f %9.0f%%\n",
+				d, mb, scp.ThroughputKBs(), cp.ThroughputKBs(), pctOver(scp, cp))
 		}
 	}
-	return b.String()
 }
 
-// SweepSocket compares a splice-based UDP relay against a user-level
+// sweepSocket compares a splice-based UDP relay against a user-level
 // read/write relay over the simulated Ethernet: same network, different
 // data path. Reports relay throughput and the CPU the relay consumed.
-func SweepSocket() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Ablation E: UDP relay, spliced vs user-level (10Mb/s Ethernet)\n")
-	fmt.Fprintf(&b, "%-10s %12s %14s %16s\n", "Relay", "Elapsed", "KB/s", "Relay CPU")
+func sweepSocket(b *strings.Builder, _ []DiskKind) {
+	fmt.Fprintf(b, "%-10s %12s %14s %16s\n", "Relay", "Elapsed", "KB/s", "Relay CPU")
 	const ndgrams = 512
 	const dsize = 8192
-	for _, spliced := range []bool{true, false} {
-		elapsed, cpu := runSocketRelay(spliced, ndgrams, dsize)
-		mode := "user"
-		if spliced {
-			mode = "spliced"
+	for _, mode := range []workload.CopyMode{workload.CopySplice, workload.CopyReadWrite} {
+		elapsed, cpu := runSocketRelay(mode, ndgrams, dsize)
+		label := "user"
+		if mode == workload.CopySplice {
+			label = "spliced"
 		}
 		kbs := float64(ndgrams*dsize) / 1024 / elapsed.Seconds()
-		fmt.Fprintf(&b, "%-10s %12v %14.0f %16v\n", mode, elapsed, kbs, cpu)
+		fmt.Fprintf(b, "%-10s %12v %14.0f %16v\n", label, elapsed, kbs, cpu)
 	}
-	return b.String()
 }
 
-func runSocketRelay(spliced bool, ndgrams, dsize int) (sim.Duration, sim.Duration) {
+// runSocketRelay relays ndgrams datagrams of dsize bytes from one
+// socket to another along mode's data path.
+func runSocketRelay(mode workload.CopyMode, ndgrams, dsize int) (sim.Duration, sim.Duration) {
 	s := DefaultSetup(RAM)
 	m := NewMachine(s)
 	net := socket.NewNet(m.K, socket.Ethernet10())
@@ -548,34 +426,15 @@ func runSocketRelay(spliced bool, ndgrams, dsize int) (sim.Duration, sim.Duratio
 	out.Connect(4)
 
 	var elapsed, cpu sim.Duration
-	total := int64(ndgrams * dsize)
+	relay := workload.CopySpec{Mode: mode, BufSize: dsize}.Mover()
 
 	var relayProc *kernel.Proc
 	relayProc = m.K.Spawn("relay", func(p *kernel.Proc) {
 		inFD := p.InstallFile(in, kernel.ORdOnly)
 		outFD := p.InstallFile(out, kernel.OWrOnly)
 		t0 := p.Now()
-		if spliced {
-			if _, err := splice.Splice(p, inFD, outFD, total); err != nil {
-				panic(err)
-			}
-		} else {
-			buf := make([]byte, dsize)
-			var moved int64
-			for moved < total {
-				n, err := p.Read(inFD, buf)
-				if err != nil {
-					panic(err)
-				}
-				if n == 0 {
-					break
-				}
-				if _, err := p.Write(outFD, buf[:n]); err != nil {
-					panic(err)
-				}
-				moved += int64(n)
-			}
-		}
+		_, err := relay(p, inFD, outFD, int64(ndgrams*dsize))
+		Must(err)
 		elapsed = p.Now().Sub(t0)
 		cpu = relayProc.UserTime() + relayProc.SysTime()
 	})
@@ -583,9 +442,8 @@ func runSocketRelay(spliced bool, ndgrams, dsize int) (sim.Duration, sim.Duratio
 		fd := p.InstallFile(producer, kernel.OWrOnly)
 		msg := make([]byte, dsize)
 		for i := 0; i < ndgrams; i++ {
-			if _, err := p.Write(fd, msg); err != nil {
-				panic(err)
-			}
+			_, err := p.Write(fd, msg)
+			Must(err)
 		}
 	})
 	m.K.Spawn("consumer", func(p *kernel.Proc) {

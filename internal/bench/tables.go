@@ -9,11 +9,78 @@ import (
 	"kdp/internal/workload"
 )
 
-// srcPath and dstPath are the experiment file names.
+// SrcPath and DstPath are the experiment file names.
 const (
-	srcPath = "/src/bigfile"
-	dstPath = "/dst/copy"
+	SrcPath = "/src/bigfile"
+	DstPath = "/dst/copy"
 )
+
+// Must panics on a non-nil error: experiments must not fail.
+func Must(err error) {
+	if err != nil {
+		panic(err)
+	}
+}
+
+// mustCopy runs one copy, panicking on failure.
+func mustCopy(p *kernel.Proc, spec workload.CopySpec) workload.CopyResult {
+	res, err := workload.Copy(p, spec)
+	Must(err)
+	return res
+}
+
+// ColdRun is the recipe every single-copy measurement shares: a process
+// called name boots the machine, creates the source file (pattern seed
+// fileSeed), brings both devices to the paper's cold-cache start and
+// runs body; the machine is then driven to completion.
+func (m *Machine) ColdRun(name string, fileSeed byte, body func(p *kernel.Proc)) {
+	m.K.Spawn(name, func(p *kernel.Proc) {
+		Must(m.Boot(p))
+		Must(workload.MakeFile(p, SrcPath, m.setup.FileBytes, fileSeed))
+		Must(workload.ColdStart(p, m.Cache, m.Devices()...))
+		body(p)
+	})
+	m.Run()
+}
+
+// coldCopy is ColdRun with one copy as its body: the machine it ran on
+// and the copy's result.
+func coldCopy(s Setup, name string, fileSeed byte, spec workload.CopySpec) (*Machine, workload.CopyResult) {
+	m := NewMachine(s)
+	var res workload.CopyResult
+	m.ColdRun(name, fileSeed, func(p *kernel.Proc) { res = mustCopy(p, spec) })
+	return m, res
+}
+
+// availRun is the Table 1 environment: a copier process boots the
+// machine, creates the source file and copies it over and over along
+// mode's data path (cold cache each round), while a test process —
+// released once the file exists, so the measurement covers pure copy
+// contention — runs testBody. The copier starts first so the load
+// exists from the test's first operation, and stops when testBody
+// returns.
+func availRun(s Setup, mode workload.CopyMode, testBody func(p *kernel.Proc)) (rounds int) {
+	m := NewMachine(s)
+	stop, ready := false, false
+	m.K.Spawn("copier", func(p *kernel.Proc) {
+		Must(m.Boot(p))
+		Must(workload.MakeFile(p, SrcPath, s.FileBytes, 7))
+		ready = true
+		m.K.Wakeup(&ready)
+		var err error
+		rounds, _, err = workload.LoopCopy(p, workload.DefaultCopySpec(SrcPath, DstPath, mode), m.Cache, m.Devices(), &stop)
+		Must(err)
+	})
+	m.K.Spawn("test", func(p *kernel.Proc) {
+		for !ready {
+			_ = p.Sleep(&ready, kernel.PWAIT)
+		}
+		testBody(p)
+		stop = true
+	})
+	m.Run()
+	return rounds
+}
 
 // MeasureIdle runs the CPU-bound test program alone and returns its
 // elapsed time — the Table 1 baseline.
@@ -24,9 +91,7 @@ func MeasureIdle(s Setup) sim.Duration {
 	m := NewMachine(s)
 	var res workload.TestProgramResult
 	m.K.Spawn("test", func(p *kernel.Proc) {
-		if err := m.Boot(p); err != nil {
-			panic(err)
-		}
+		Must(m.Boot(p))
 		res = workload.RunTestProgram(p, s.TestOps, s.TestOpCost)
 	})
 	m.Run()
@@ -37,8 +102,6 @@ func MeasureIdle(s Setup) sim.Duration {
 type AvailabilityResult struct {
 	TestElapsed sim.Duration
 	CopyRounds  int
-	CopyBytes   int64
-	Stats       kernel.CPUStats
 }
 
 // MeasureAvailability runs the test program concurrently with a looping
@@ -48,48 +111,11 @@ func MeasureAvailability(s Setup, mode workload.CopyMode) AvailabilityResult {
 	if s.Label == "" {
 		s.Label = fmt.Sprintf("avail/%s/%s", mode, s.Disk)
 	}
-	m := NewMachine(s)
-	stop := false
-	ready := false
 	var test workload.TestProgramResult
-	var rounds int
-	var bytes int64
-
-	// The copier starts first so the load exists from the test's first
-	// operation; it keeps copying (cold cache each round) until the
-	// test completes its fixed op count.
-	m.K.Spawn("copier", func(p *kernel.Proc) {
-		if err := m.Boot(p); err != nil {
-			panic(err)
-		}
-		if err := workload.MakeFile(p, srcPath, s.FileBytes, 7); err != nil {
-			panic(err)
-		}
-		ready = true
-		m.K.Wakeup(&ready)
-		spec := workload.DefaultCopySpec(srcPath, dstPath, mode)
-		var err error
-		rounds, bytes, err = workload.LoopCopy(p, spec, m.Cache, m.Devices(), &stop)
-		if err != nil {
-			panic(err)
-		}
-	})
-	m.K.Spawn("test", func(p *kernel.Proc) {
-		// Wait for the copier to finish creating the source file so
-		// the measurement covers pure copy contention.
-		for !ready {
-			_ = p.Sleep(&ready, kernel.PWAIT)
-		}
+	rounds := availRun(s, mode, func(p *kernel.Proc) {
 		test = workload.RunTestProgram(p, s.TestOps, s.TestOpCost)
-		stop = true
 	})
-	m.Run()
-	return AvailabilityResult{
-		TestElapsed: test.Elapsed,
-		CopyRounds:  rounds,
-		CopyBytes:   bytes,
-		Stats:       m.K.Stats(),
-	}
+	return AvailabilityResult{TestElapsed: test.Elapsed, CopyRounds: rounds}
 }
 
 // MeasureThroughput performs a single cold-cache copy on an otherwise
@@ -98,25 +124,7 @@ func MeasureThroughput(s Setup, mode workload.CopyMode) workload.CopyResult {
 	if s.Label == "" {
 		s.Label = fmt.Sprintf("thrput/%s/%s", mode, s.Disk)
 	}
-	m := NewMachine(s)
-	var res workload.CopyResult
-	m.K.Spawn("copier", func(p *kernel.Proc) {
-		if err := m.Boot(p); err != nil {
-			panic(err)
-		}
-		if err := workload.MakeFile(p, srcPath, s.FileBytes, 7); err != nil {
-			panic(err)
-		}
-		if err := workload.ColdStart(p, m.Cache, m.Devices()...); err != nil {
-			panic(err)
-		}
-		var err error
-		res, err = workload.Copy(p, workload.DefaultCopySpec(srcPath, dstPath, mode))
-		if err != nil {
-			panic(err)
-		}
-	})
-	m.Run()
+	_, res := coldCopy(s, "copier", 7, workload.DefaultCopySpec(SrcPath, DstPath, mode))
 	return res
 }
 

@@ -18,6 +18,7 @@ package disk
 
 import (
 	"fmt"
+	"strings"
 
 	"kdp/internal/buf"
 	"kdp/internal/kernel"
@@ -112,6 +113,70 @@ func RAMDisk(blocks int64, blockSize int) Params {
 	}
 }
 
+// Kind names one of the paper's three device types. The kinds table
+// below is the one place a type's name, model and default layout are
+// declared; everything that selects a device by name or walks the
+// types ranges over it.
+type Kind int
+
+// The measured device types, in the paper's table order.
+const (
+	KindRAM Kind = iota
+	KindRZ58
+	KindRZ56
+)
+
+var kinds = [...]struct {
+	name   string
+	params func(blocks int64, blockSize int) Params
+	// interleave is the default FFS allocation stride on this device:
+	// 2 for mechanical disks (the 4.2BSD rotdelay layout), 1 for the
+	// RAM disk (no rotation to outrun).
+	interleave int
+}{
+	KindRAM:  {"RAM", RAMDisk, 1},
+	KindRZ58: {"RZ58", RZ58, 2},
+	KindRZ56: {"RZ56", RZ56, 2},
+}
+
+// Kinds lists the device types in the paper's table order.
+func Kinds() []Kind {
+	all := make([]Kind, len(kinds))
+	for i := range all {
+		all[i] = Kind(i)
+	}
+	return all
+}
+
+// KindNames is the comma-separated list of type names, for flag help.
+func KindNames() string {
+	names := make([]string, len(kinds))
+	for i := range kinds {
+		names[i] = kinds[i].name
+	}
+	return strings.Join(names, ",")
+}
+
+// ParseKind returns the device type called name (case-insensitive).
+func ParseKind(name string) (Kind, error) {
+	for i := range kinds {
+		if strings.EqualFold(name, kinds[i].name) {
+			return Kind(i), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown disk type %q (want one of %s)", name, KindNames())
+}
+
+func (k Kind) String() string { return kinds[k].name }
+
+// Params returns the disk model parameters for this kind.
+func (k Kind) Params(blocks int64, blockSize int) Params {
+	return kinds[k].params(blocks, blockSize)
+}
+
+// Interleave returns the kind's default FFS allocation stride.
+func (k Kind) Interleave() int { return kinds[k].interleave }
+
 // Disk is a simulated block device. It implements buf.Device.
 type Disk struct {
 	k      *kernel.Kernel
@@ -124,9 +189,7 @@ type Disk struct {
 	headBlk  int64 // current head position (block)
 	segments []raSegment
 
-	// Fault injection: InjectFault's per-block arms in the kernel
-	// fault plan (see fault.go).
-	faults         map[int64]*blkFault
+	// Fault sites in the kernel fault plan (see fault.go).
 	siteRd, siteWr kernel.FaultSite
 
 	// Stats

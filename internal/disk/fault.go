@@ -10,65 +10,15 @@ import (
 // "disk.<name>.wrerr"), with the block number as the site argument. A
 // fire completes the transfer with B_ERROR + ErrIO instead of moving
 // data — the interrupt-level error splice's abort-and-drain behaviour
-// exists to survive. InjectFault below is a compatibility adapter over
-// the kernel.FaultPlan registry; plans armed directly on the sites
-// (kdpcheck -faults) go through exactly the same completion path.
-
-// blkFault holds the plan arms backing one InjectFault call.
-type blkFault struct {
-	rd, wr *kernel.FaultArm
-}
+// exists to survive. Faults are armed on the sites through the
+// kernel.FaultPlan registry: a defective block is an arm with
+// Match: blkno and Every: 1 (Count: -1 for a permanent defect).
 
 // ReadSite returns the disk's read-error fault site ID.
 func (d *Disk) ReadSite() kernel.FaultSite { return d.siteRd }
 
 // WriteSite returns the disk's write-error fault site ID.
 func (d *Disk) WriteSite() kernel.FaultSite { return d.siteWr }
-
-// InjectFault marks block blkno as defective: the next count transfers
-// touching it in the selected direction(s) complete with an I/O error
-// (B_ERROR + ErrIO) instead of moving data. A negative count makes the
-// defect permanent; a repeated call for the same block replaces the
-// previous defect. Implemented as quiet arms in the kernel fault plan,
-// so it composes with externally injected plans without changing any
-// traced stream.
-func (d *Disk) InjectFault(blkno int64, onRead, onWrite bool, count int) {
-	if d.faults == nil {
-		d.faults = make(map[int64]*blkFault)
-	}
-	fp := d.k.Faults()
-	if old := d.faults[blkno]; old != nil {
-		fp.Remove(old.rd)
-		fp.Remove(old.wr)
-		delete(d.faults, blkno)
-	}
-	if count == 0 {
-		return // defect already exhausted: nothing to arm
-	}
-	bf := &blkFault{}
-	if onRead {
-		bf.rd = fp.Arm(kernel.FaultArm{
-			Site: d.siteRd, Every: 1, Match: blkno, Count: count, Quiet: true,
-		})
-	}
-	if onWrite {
-		bf.wr = fp.Arm(kernel.FaultArm{
-			Site: d.siteWr, Every: 1, Match: blkno, Count: count, Quiet: true,
-		})
-	}
-	d.faults[blkno] = bf
-}
-
-// ClearFaults removes every defect injected through InjectFault (arms
-// placed directly in the fault plan are not touched).
-func (d *Disk) ClearFaults() {
-	fp := d.k.Faults()
-	for _, bf := range d.faults {
-		fp.Remove(bf.rd)
-		fp.Remove(bf.wr)
-	}
-	d.faults = nil
-}
 
 // Errors reports how many transfers failed due to injected faults.
 func (d *Disk) Errors() int64 { return d.nerrors }

@@ -8,7 +8,7 @@ import (
 
 func TestInjectedReadFault(t *testing.T) {
 	k, c, d := newRig(RZ58(256, 8192))
-	d.InjectFault(7, true, false, -1)
+	k.Faults().Arm(kernel.FaultArm{Site: d.ReadSite(), Every: 1, Match: 7, Count: -1, Quiet: true})
 	run(t, k, func(p *kernel.Proc) {
 		ctx := p.Ctx()
 		if _, err := c.Bread(ctx, d, 7); err != kernel.ErrIO {
@@ -29,7 +29,7 @@ func TestInjectedReadFault(t *testing.T) {
 
 func TestInjectedWriteFaultOnSyncDevice(t *testing.T) {
 	k, c, d := newRig(RAMDisk(256, 8192))
-	d.InjectFault(3, false, true, -1)
+	k.Faults().Arm(kernel.FaultArm{Site: d.WriteSite(), Every: 1, Match: 3, Count: -1, Quiet: true})
 	run(t, k, func(p *kernel.Proc) {
 		ctx := p.Ctx()
 		b := c.Getblk(ctx, d, 3)
@@ -41,7 +41,7 @@ func TestInjectedWriteFaultOnSyncDevice(t *testing.T) {
 
 func TestCountedFaultExpires(t *testing.T) {
 	k, c, d := newRig(RAMDisk(256, 8192))
-	d.InjectFault(5, true, false, 2)
+	k.Faults().Arm(kernel.FaultArm{Site: d.ReadSite(), Every: 1, Match: 5, Count: 2, Quiet: true})
 	run(t, k, func(p *kernel.Proc) {
 		ctx := p.Ctx()
 		for i := 0; i < 2; i++ {
@@ -63,13 +63,16 @@ func TestCountedFaultExpires(t *testing.T) {
 
 func TestClearFaults(t *testing.T) {
 	k, c, d := newRig(RAMDisk(256, 8192))
-	d.InjectFault(1, true, true, -1)
-	d.ClearFaults()
+	rd := k.Faults().Arm(kernel.FaultArm{Site: d.ReadSite(), Every: 1, Match: 1, Count: -1, Quiet: true})
+	wr := k.Faults().Arm(kernel.FaultArm{Site: d.WriteSite(), Every: 1, Match: 1, Count: -1, Quiet: true})
+	if !k.Faults().Remove(rd) || !k.Faults().Remove(wr) {
+		t.Fatal("armed defects not found in the plan")
+	}
 	run(t, k, func(p *kernel.Proc) {
 		ctx := p.Ctx()
 		b, err := c.Bread(ctx, d, 1)
 		if err != nil {
-			t.Errorf("bread after ClearFaults: %v", err)
+			t.Errorf("bread after removing the defects: %v", err)
 			return
 		}
 		c.Brelse(ctx, b)
@@ -78,7 +81,7 @@ func TestClearFaults(t *testing.T) {
 
 func TestFaultDirectionSelective(t *testing.T) {
 	k, c, d := newRig(RAMDisk(256, 8192))
-	d.InjectFault(9, false, true, -1) // writes only
+	k.Faults().Arm(kernel.FaultArm{Site: d.WriteSite(), Every: 1, Match: 9, Count: -1, Quiet: true}) // writes only
 	run(t, k, func(p *kernel.Proc) {
 		ctx := p.Ctx()
 		b, err := c.Bread(ctx, d, 9)
@@ -98,7 +101,7 @@ func TestFaultErrorSurfacesThroughBiodoneAsync(t *testing.T) {
 	// An async write hitting a fault releases the buffer with BError;
 	// the buffer must not stay cached with stale contents.
 	k, c, d := newRig(RZ58(256, 8192))
-	d.InjectFault(4, false, true, -1)
+	k.Faults().Arm(kernel.FaultArm{Site: d.WriteSite(), Every: 1, Match: 4, Count: -1, Quiet: true})
 	run(t, k, func(p *kernel.Proc) {
 		ctx := p.Ctx()
 		b := c.Getblk(ctx, d, 4)

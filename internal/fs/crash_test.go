@@ -80,7 +80,7 @@ func TestDaemonFlushedWriteErrorSurfacesAtFsync(t *testing.T) {
 		// Fail the physical block backing the delayed write, then let
 		// the daemon flush it asynchronously.
 		blk := fl.(*File).Inode().direct[0]
-		r.d.InjectFault(int64(blk), false, true, 1)
+		r.k.Faults().Arm(kernel.FaultArm{Site: r.d.WriteSite(), Every: 1, Match: int64(blk), Count: 1, Quiet: true})
 		p.SleepFor(200 * sim.Millisecond)
 		if r.c.WriteError(r.d) == nil {
 			t.Fatal("daemon flush error did not latch on the device")
@@ -119,7 +119,7 @@ func TestDaemonFlushedWriteErrorSurfacesAtClose(t *testing.T) {
 			t.Fatalf("write: %v", err)
 		}
 		blk := fl.(*File).Inode().direct[0]
-		r.d.InjectFault(int64(blk), false, true, 1)
+		r.k.Faults().Arm(kernel.FaultArm{Site: r.d.WriteSite(), Every: 1, Match: int64(blk), Count: 1, Quiet: true})
 		p.SleepFor(200 * sim.Millisecond)
 		if err := fl.Close(ctx); err != kernel.ErrIO {
 			t.Fatalf("close after daemon-flushed write error = %v, want ErrIO", err)
@@ -496,7 +496,7 @@ func TestErrIOMidExtensionLeavesCleanFsck(t *testing.T) {
 		if err := r.c.InvalidateBlocks(ctx, r.d, []int64{indir}); err != nil {
 			t.Fatalf("invalidate: %v", err)
 		}
-		r.d.InjectFault(indir, true, false, 1)
+		r.k.Faults().Arm(kernel.FaultArm{Site: r.d.ReadSite(), Every: 1, Match: indir, Count: 1, Quiet: true})
 		// Two blocks starting at direct block 11: the first lands, the
 		// second needs the indirect block and dies on the media error.
 		n, werr := fl.Write(ctx, pattern(2*testBlockSize, 9), 11*testBlockSize)
@@ -557,7 +557,7 @@ func TestRollbackBlockAfterFailedBread(t *testing.T) {
 			ip.unlock()
 			t.Fatalf("invalidate: %v", err)
 		}
-		r.d.InjectFault(int64(pblk), true, false, 1)
+		r.k.Faults().Arm(kernel.FaultArm{Site: r.d.ReadSite(), Every: 1, Match: int64(pblk), Count: 1, Quiet: true})
 		if _, err := r.c.Bread(ctx, r.d, int64(pblk)); err != kernel.ErrIO {
 			ip.unlock()
 			t.Fatalf("bread of faulted block = %v, want ErrIO", err)

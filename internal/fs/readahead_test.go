@@ -388,7 +388,7 @@ func TestClusteredFlushAcrossFaultBoundary(t *testing.T) {
 			}
 		}
 		// Fault the write of a block in the middle of the cluster.
-		r.d.InjectFault(int64(ip.direct[2]), false, true, 1)
+		r.k.Faults().Arm(kernel.FaultArm{Site: r.d.WriteSite(), Every: 1, Match: int64(ip.direct[2]), Count: 1, Quiet: true})
 		if err := fl.Sync(ctx); err == nil {
 			t.Fatal("fsync across the fault succeeded, want error")
 		}

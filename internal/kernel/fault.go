@@ -18,10 +18,6 @@ import (
 // the occurrences an armed run can hit, and the armed run is the census
 // run's prefix up to the fire point — the property that makes a full
 // sweep over (site, k) samples reproducible and minimizable.
-//
-// The per-package knobs that predate this registry (disk.InjectFault,
-// socket.NetParams.DropEvery) are thin adapters over quiet arms, so
-// their existing tests and digests are unchanged.
 
 // FaultSite is a stable identifier for one fault site, e.g.
 // "disk.rz58.wrerr" or "proc.sleep-signal". Site IDs are part of the
@@ -65,10 +61,10 @@ type FaultArm struct {
 	// (single-shot).
 	Count int
 
-	// Quiet suppresses the fault.arm/fault.fire trace events. The
-	// compatibility adapters (disk.InjectFault, NetParams.DropEvery) arm
-	// quietly so streams traced before the registry existed keep their
-	// digests.
+	// Quiet suppresses the fault.arm/fault.fire trace events: a
+	// harness's background disturbances (simcheck's defective blocks and
+	// lossy stream link) arm quietly, so only the fault under study
+	// shows in the traced stream.
 	Quiet bool
 
 	seen  int64 // eligible occurrences observed

@@ -5,7 +5,6 @@ import (
 
 	"kdp/internal/kernel"
 	"kdp/internal/splice"
-	"kdp/internal/stream"
 	"kdp/internal/trace"
 )
 
@@ -29,10 +28,8 @@ const (
 
 // econn is one event-loop connection.
 type econn struct {
-	id   int64
-	conn *stream.Conn
-	cfd  int // connection descriptor (nonblocking)
-	sfd  int // private source-file descriptor (own offset)
+	cfd int // connection descriptor (nonblocking)
+	sfd int // private source-file descriptor (own offset)
 
 	state     econnState
 	remaining int64 // response bytes not yet read from the file
@@ -205,12 +202,7 @@ func (s *Server) acceptReady(p *kernel.Proc) []*econn {
 		if err != nil {
 			panic(fmt.Sprintf("server %s: open %s: %v", s.cfg.Name, s.cfg.Path, err))
 		}
-		added = append(added, &econn{
-			id:   s.accepted,
-			conn: conn,
-			cfd:  cfd,
-			sfd:  sfd,
-		})
+		added = append(added, &econn{cfd: cfd, sfd: sfd})
 	}
 }
 

@@ -16,39 +16,28 @@ import (
 	"fmt"
 
 	"kdp/internal/kernel"
-	"kdp/internal/splice"
 	"kdp/internal/stream"
 	"kdp/internal/trace"
+	"kdp/internal/workload"
 )
 
-// Mode selects the serving data path.
-type Mode int
+// Mode selects the serving data path: one of workload's copy modes.
+type Mode = workload.CopyMode
 
 // Serving modes.
 const (
 	// ModeCopy serves with read(file)+write(conn): two user copies per
 	// block, both charged to the handler process.
-	ModeCopy Mode = iota
+	ModeCopy = workload.CopyReadWrite
 	// ModeSplice serves with splice(file, conn): the data moves at
 	// interrupt level and never crosses the user boundary.
-	ModeSplice
+	ModeSplice = workload.CopySplice
 	// ModeBatch serves with aggregated syscalls: the seek and a window
 	// of file reads cross the boundary in one Submit, and the blocks
 	// they return leave through one writev on the connection (see
-	// Server.ServeBatch).
-	ModeBatch
+	// serveBatch).
+	ModeBatch = workload.CopyBatched
 )
-
-func (m Mode) String() string {
-	switch m {
-	case ModeSplice:
-		return "scp"
-	case ModeBatch:
-		return "bcp"
-	default:
-		return "cp"
-	}
-}
 
 // Engine selects the server's process model.
 type Engine int
@@ -65,16 +54,51 @@ const (
 	EngineEvent
 )
 
-// ModeName returns the sweep label for an engine/mode pair:
-// cp, scp (process per connection) and event, escp (event loop).
-func ModeName(e Engine, m Mode) string {
-	if e == EngineEvent {
-		if m == ModeSplice {
-			return "escp"
+// Path is one (engine, data path) pairing the server implements.
+type Path struct {
+	Engine Engine
+	Mode   Mode
+	// Label names the pairing in sweeps and metrics: the data path's
+	// own name under EngineProcs, event/escp under the event loop.
+	Label string
+	// Grid marks the pairings of the server-scalability grid (copy vs
+	// splice on each engine), which kdpbench -sweep server and
+	// kdptrace -server range over.
+	Grid bool
+	// move answers one request under EngineProcs: file descriptor to
+	// connection descriptor, FileBytes bytes. The event loop drives its
+	// two paths from its own state machine instead (event.go).
+	move workload.Mover
+}
+
+// Paths is the one table of valid pairings. Start refuses a Config
+// whose (Engine, Mode) is not listed.
+var Paths = []Path{
+	{EngineProcs, ModeCopy, ModeCopy.String(), true, rewound(ModeCopy)},
+	{EngineProcs, ModeSplice, ModeSplice.String(), true, rewound(ModeSplice)},
+	{EngineEvent, ModeCopy, "event", true, nil},
+	{EngineEvent, ModeSplice, "escp", true, nil},
+	{EngineProcs, ModeBatch, ModeBatch.String(), false, serveBatch},
+}
+
+// lookup returns the table entry for an engine/mode pair, or nil.
+func lookup(e Engine, m Mode) *Path {
+	for i := range Paths {
+		if Paths[i].Engine == e && Paths[i].Mode == m {
+			return &Paths[i]
 		}
-		return "event"
 	}
-	return m.String()
+	return nil
+}
+
+// ModeName returns the sweep label for an engine/mode pair: cp, scp,
+// bcp (process per connection) and event, escp (event loop); empty for
+// a pair the server does not implement.
+func ModeName(e Engine, m Mode) string {
+	if path := lookup(e, m); path != nil {
+		return path.Label
+	}
+	return ""
 }
 
 // Config describes one server instance.
@@ -99,8 +123,9 @@ type Config struct {
 
 // Server is a running file server.
 type Server struct {
-	cfg Config
-	k   *kernel.Kernel
+	cfg  Config
+	path *Path
+	k    *kernel.Kernel
 
 	port *complPort // event engine's splice completion queue
 
@@ -119,9 +144,13 @@ func (s *Server) Requests() int64 { return s.requests }
 func (s *Server) BytesServed() int64 { return s.bytes }
 
 // Start spawns the serving engine: an accept loop plus per-connection
-// handlers (EngineProcs), or one event-loop process (EngineEvent).
+// handlers (EngineProcs), or one event-loop process (EngineEvent). It
+// panics if the engine does not implement the configured data path.
 func Start(k *kernel.Kernel, cfg Config) *Server {
-	s := &Server{cfg: cfg, k: k}
+	s := &Server{cfg: cfg, path: lookup(cfg.Engine, cfg.Mode), k: k}
+	if s.path == nil {
+		panic(fmt.Sprintf("server %s: engine %d does not implement the %s data path", cfg.Name, cfg.Engine, cfg.Mode))
+	}
 	if cfg.Engine == EngineEvent {
 		k.Spawn(cfg.Name+"-event", s.eventLoop)
 	} else {
@@ -167,38 +196,10 @@ func (s *Server) handle(p *kernel.Proc, conn *stream.Conn) {
 		if err != nil || n == 0 {
 			break // client closed (or connection failed)
 		}
-		if s.cfg.Mode != ModeBatch {
-			// ModeBatch folds the rewind into its first submission.
-			if _, err := p.Lseek(src, 0, kernel.SeekSet); err != nil {
-				panic(fmt.Sprintf("server %s: lseek: %v", s.cfg.Name, err))
-			}
-		}
-		if s.cfg.Mode == ModeBatch {
-			served := s.ServeBatch(p, src, cfd)
-			s.bytes += served
-			if served < s.cfg.FileBytes {
-				break
-			}
-		} else if s.cfg.Mode == ModeSplice {
-			moved, err := splice.Splice(p, src, cfd, s.cfg.FileBytes)
-			if err != nil {
-				break
-			}
-			s.bytes += moved
-		} else {
-			buf := make([]byte, 8192)
-			var served int64
-			for served < s.cfg.FileBytes {
-				rn, err := p.Read(src, buf)
-				if err != nil || rn == 0 {
-					break
-				}
-				if _, err := p.Write(cfd, buf[:rn]); err != nil {
-					break
-				}
-				served += int64(rn)
-			}
-			s.bytes += served
+		served, err := s.path.move(p, src, cfd, s.cfg.FileBytes)
+		s.bytes += served
+		if err != nil || served < s.cfg.FileBytes {
+			break
 		}
 		s.requests++
 	}
@@ -206,21 +207,33 @@ func (s *Server) handle(p *kernel.Proc, conn *stream.Conn) {
 	_ = p.Close(cfd)
 }
 
-// ServeBatch answers one request with aggregated syscalls: the rewind
+// rewound returns mode's workload mover (8KB user buffer, no loop
+// cost) behind the lseek that restarts the file for each request.
+func rewound(mode Mode) workload.Mover {
+	move := workload.CopySpec{Mode: mode, BufSize: 8192}.Mover()
+	return func(p *kernel.Proc, src, cfd int, size int64) (int64, error) {
+		if _, err := p.Lseek(src, 0, kernel.SeekSet); err != nil {
+			return 0, err
+		}
+		return move(p, src, cfd, size)
+	}
+}
+
+// serveBatch answers one request with aggregated syscalls: the rewind
 // lseek and a window of file reads cross the user/kernel boundary in a
 // single Submit, and the blocks they return leave through one writev
 // on the connection — 2 crossings per window where cp pays one per
-// block. Returns the bytes served (short on error or a truncated file).
-func (s *Server) ServeBatch(p *kernel.Proc, src, cfd int) int64 {
+// block. Unlike workload's bcp the rewind rides in the first batch and
+// the data leaves by writev, so it is its own mover.
+func serveBatch(p *kernel.Proc, src, cfd int, size int64) (served int64, err error) {
 	const bsize = 8192
 	const vec = 4
 	bufs := make([][]byte, vec)
 	for i := range bufs {
 		bufs[i] = make([]byte, bsize)
 	}
-	var served int64
 	rewind := true
-	for served < s.cfg.FileBytes {
+	for served < size {
 		ops := make([]kernel.BatchOp, 0, vec+1)
 		if rewind {
 			ops = append(ops, kernel.BatchOp{Code: kernel.BatchLseek, FD: src, Off: 0, Whence: kernel.SeekSet})
@@ -232,7 +245,7 @@ func (s *Server) ServeBatch(p *kernel.Proc, src, cfd int) int64 {
 		iovs := make([][]byte, 0, vec)
 		for i, r := range p.Submit(ops) {
 			if r.Err != nil {
-				return served
+				return served, r.Err
 			}
 			if ops[i].Code == kernel.BatchRead && r.N > 0 {
 				iovs = append(iovs, ops[i].Buf[:r.N])
@@ -243,9 +256,9 @@ func (s *Server) ServeBatch(p *kernel.Proc, src, cfd int) int64 {
 		}
 		w, err := p.Writev(cfd, iovs)
 		if err != nil {
-			return served
+			return served, err
 		}
 		served += int64(w)
 	}
-	return served
+	return served, nil
 }

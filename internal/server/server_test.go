@@ -122,19 +122,10 @@ func runServer(t *testing.T, engine Engine, mode Mode, nClients, reqs int) ([][]
 }
 
 func TestServerServesConcurrentClients(t *testing.T) {
-	for _, em := range []struct {
-		e Engine
-		m Mode
-	}{
-		{EngineProcs, ModeCopy},
-		{EngineProcs, ModeSplice},
-		{EngineProcs, ModeBatch},
-		{EngineEvent, ModeCopy},
-		{EngineEvent, ModeSplice},
-	} {
-		t.Run(ModeName(em.e, em.m), func(t *testing.T) {
+	for _, path := range Paths {
+		t.Run(path.Label, func(t *testing.T) {
 			const nClients, reqs = 3, 2
-			got, col, srv := runServer(t, em.e, em.m, nClients, reqs)
+			got, col, srv := runServer(t, path.Engine, path.Mode, nClients, reqs)
 
 			want := make([]byte, 0, testFileBytes*reqs)
 			block := make([]byte, 8192)
@@ -146,7 +137,7 @@ func TestServerServesConcurrentClients(t *testing.T) {
 			}
 			for i := 0; i < nClients; i++ {
 				if !bytes.Equal(got[i], want) {
-					t.Fatalf("client %d received %d bytes, want %d (%s)", i, len(got[i]), len(want), ModeName(em.e, em.m))
+					t.Fatalf("client %d received %d bytes, want %d (%s)", i, len(got[i]), len(want), path.Label)
 				}
 			}
 			if srv.Accepted() != nClients {
@@ -173,10 +164,10 @@ func TestServerServesConcurrentClients(t *testing.T) {
 			if accepts != nClients {
 				t.Fatalf("%d server.accept events, want %d", accepts, nClients)
 			}
-			if em.e == EngineEvent && readies == 0 {
+			if path.Engine == EngineEvent && readies == 0 {
 				t.Fatalf("event engine dispatched no server.ready events")
 			}
-			if em.e == EngineProcs && readies != 0 {
+			if path.Engine == EngineProcs && readies != 0 {
 				t.Fatalf("procs engine emitted %d server.ready events, want 0", readies)
 			}
 		})
@@ -199,6 +190,23 @@ func TestModeName(t *testing.T) {
 			t.Errorf("ModeName(%v, %v) = %q, want %q", tc.e, tc.m, got, tc.want)
 		}
 	}
+}
+
+// TestStartRefusesUnimplementedPair: the event loop has no batched
+// path, and Start must say so rather than serve plain nonblocking
+// copies under the wrong label (ModeName has no label for the pair
+// either).
+func TestStartRefusesUnimplementedPair(t *testing.T) {
+	if name := ModeName(EngineEvent, ModeBatch); name != "" {
+		t.Errorf("ModeName(EngineEvent, ModeBatch) = %q, want none", name)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Start(EngineEvent, ModeBatch) did not panic")
+		}
+	}()
+	k := kernel.New(kernel.DefaultConfig())
+	Start(k, Config{Name: "fsrv", Engine: EngineEvent, Mode: ModeBatch})
 }
 
 // TestComplPortFileOps pins the completion port's file contract: it
@@ -227,7 +235,7 @@ func TestComplPortFileOps(t *testing.T) {
 	if r := cp.PollReady(kernel.PollIn); r != 0 {
 		t.Errorf("empty port PollReady = %#x, want 0", r)
 	}
-	ec := &econn{id: 1}
+	ec := &econn{cfd: 1}
 	cp.post(ec)
 	if r := cp.PollReady(kernel.PollIn); r != kernel.PollIn {
 		t.Errorf("posted port PollReady = %#x, want PollIn", r)

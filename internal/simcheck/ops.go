@@ -308,8 +308,7 @@ func (m *machine) execOp(p *kernel.Proc, w int, o *op) {
 	case opSpliceSock:
 		m.doSpliceSock(p, w, o)
 	case opFault:
-		m.disks[o.faultDisk].InjectFault(o.faultBlk, o.faultRead, !o.faultRead, 1)
-		m.faulted[o.faultDisk] = true
+		m.armBlockFault(o.faultDisk, o.faultBlk, o.faultRead)
 		m.logf("op %d w%d %s", o.idx, w, o.describe())
 	case opTraceSnap:
 		m.doTraceSnap(o, w)

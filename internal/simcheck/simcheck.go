@@ -159,6 +159,11 @@ type machine struct {
 	faulted     [2]bool
 	netFaulted  bool
 	workersLeft int
+
+	// blockFaults holds opFault's arms by (disk, block), so a repeat on
+	// the same block replaces the earlier defect and the final sync can
+	// withdraw them all.
+	blockFaults map[[2]int64]*kernel.FaultArm
 }
 
 // ofile is the oracle's model of one file's expected contents. tainted
@@ -272,9 +277,10 @@ func execute(cfg Config, ops []*op) *Result {
 	kcfg.MaxRunTime = 600 * sim.Second // watchdog: fuzz runs finish in simulated seconds
 
 	m := &machine{
-		cfg:    cfg,
-		k:      kernel.New(kcfg),
-		oracle: make(map[string]*ofile),
+		cfg:         cfg,
+		k:           kernel.New(kcfg),
+		oracle:      make(map[string]*ofile),
+		blockFaults: make(map[[2]int64]*kernel.FaultArm),
 	}
 	m.cache = buf.NewCache(m.k, cacheBufs, blockSize)
 	params := [2]disk.Params{
@@ -298,8 +304,12 @@ func execute(cfg Config, ops []*op) *Result {
 	m.net = socket.NewNet(m.k, socket.Loopback())
 	lossy := socket.Loopback()
 	lossy.Name = "snet" // distinct fault sites: "net.snet.drop" etc.
-	lossy.DropEvery = 5
 	m.snet = socket.NewNet(m.k, lossy)
+	// Every fifth data datagram on snet is lost, for the whole run.
+	m.k.Faults().Arm(kernel.FaultArm{
+		Site: m.snet.DropSite(), Every: 5,
+		Match: kernel.MatchAny, Count: -1, Quiet: true,
+	})
 	m.tchk = trace.NewChecker()
 	m.tdig = trace.NewDigester()
 	m.tr = m.k.StartTrace(trace.Tee(m.tchk, m.tdig))
@@ -397,13 +407,28 @@ func execute(cfg Config, ops []*op) *Result {
 	}
 }
 
+// armBlockFault makes one block of a volume fail its next read (or
+// write): a quiet single-shot arm on the disk's fault site.
+func (m *machine) armBlockFault(di int, blk int64, read bool) {
+	site := m.disks[di].WriteSite()
+	if read {
+		site = m.disks[di].ReadSite()
+	}
+	fp, key := m.k.Faults(), [2]int64{int64(di), blk}
+	fp.Remove(m.blockFaults[key])
+	m.blockFaults[key] = fp.Arm(kernel.FaultArm{
+		Site: site, Every: 1, Match: blk, Count: 1, Quiet: true,
+	})
+	m.faulted[di] = true
+}
+
 // onFire classifies an armed-plan fire into the harness's tolerance
 // classes the instant the fault lands. A lost or errored transfer on a
 // volume suspends content checks there (delayed writes may silently die
 // on the floor, exactly like an opFault-injected defect); a perturbed
 // oracle datagram net downgrades the splice-to-socket byte accounting.
-// Fires from the quiet compatibility adapters (opFault's InjectFault
-// arms, snet's DropEvery arm) are not the armed fault and keep their own
+// Fires from the harness's own quiet arms (opFault's defective blocks,
+// snet's every-fifth drop) are not the armed fault and keep their own
 // handling.
 func (m *machine) onFire(site kernel.FaultSite, arg int64) {
 	if site != m.cfg.FaultSite {
@@ -572,10 +597,8 @@ func (m *machine) finalVerify(p *kernel.Proc) {
 		m.logf("verify %s ok (%d bytes)", path, n)
 	}
 
-	for i := range m.disks {
-		if m.faulted[i] {
-			m.disks[i].ClearFaults()
-		}
+	for _, arm := range m.blockFaults {
+		m.k.Faults().Remove(arm)
 	}
 	for i, f := range m.fss {
 		if err := f.SyncAll(p.Ctx()); err != nil {

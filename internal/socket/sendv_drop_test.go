@@ -13,7 +13,7 @@ import (
 // sendvWorkload runs a fixed vectored-send workload over a lossy link
 // and returns (delivered datagrams, dropped count, trace digest). Nine
 // datagrams are sent, each gathered from a three-slice iovec; with
-// DropEvery=3 exactly every third DATAGRAM must be lost — the loss
+// an every-3rd drop arm exactly every third DATAGRAM must be lost — the loss
 // counter ticks per packet on the wire, never per iovec slice (which
 // would drop every datagram, since each carries three).
 func sendvWorkload(t *testing.T) (got [][]byte, dropped int64, digest uint64) {
@@ -23,9 +23,8 @@ func sendvWorkload(t *testing.T) (got [][]byte, dropped int64, digest uint64) {
 	k := kernel.New(cfg)
 	dig := trace.NewDigester()
 	k.StartTrace(dig)
-	p := Loopback()
-	p.DropEvery = 3
-	n := NewNet(k, p)
+	n := NewNet(k, Loopback())
+	k.Faults().Arm(kernel.FaultArm{Site: n.DropSite(), Every: 3, Match: kernel.MatchAny, Count: -1, Quiet: true})
 	a, _ := n.NewSocket(1)
 	b, _ := n.NewSocket(2)
 	a.Connect(2)
@@ -71,7 +70,7 @@ func sendvWorkload(t *testing.T) (got [][]byte, dropped int64, digest uint64) {
 func time20ms() sim.Duration { return 20 * sim.Millisecond }
 
 // TestSendvDropCountsPerDatagram pins the loss accounting of vectored
-// sends: each Sendv emits one datagram, so DropEvery=3 over nine
+// sends: each Sendv emits one datagram, so an every-3rd drop arm over nine
 // three-slice sends loses exactly three messages — the 3rd, 6th and
 // 9th — and every survivor arrives gathered and intact.
 func TestSendvDropCountsPerDatagram(t *testing.T) {

@@ -35,10 +35,6 @@ type NetParams struct {
 	// RcvBufBytes bounds each socket's receive queue; datagrams
 	// arriving beyond it are dropped, as UDP does.
 	RcvBufBytes int
-	// DropEvery, when positive, drops every DropEvery-th data packet in
-	// flight — deterministic loss for testing relays under lossy UDP.
-	// EOF markers are never dropped, so spliced relays still terminate.
-	DropEvery int
 }
 
 // Ethernet10 returns parameters for the era's 10Mb/s shared Ethernet.
@@ -105,15 +101,6 @@ func NewNet(k *kernel.Kernel, p NetParams) *Net {
 		siteDrop:    "net." + name + ".drop",
 		siteDup:     "net." + name + ".dup",
 		siteReorder: "net." + name + ".reorder",
-	}
-	if p.DropEvery > 0 {
-		// Compatibility adapter: the DropEvery knob is a quiet
-		// every-Nth arm on the drop site, counting exactly the packets
-		// the old per-net counter did.
-		k.Faults().Arm(kernel.FaultArm{
-			Site: n.siteDrop, Every: int64(p.DropEvery),
-			Match: kernel.MatchAny, Count: -1, Quiet: true,
-		})
 	}
 	return n
 }

@@ -163,7 +163,7 @@ func TestSpliceSourceFileWriteFaultAbortsCleanly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.disks[1].InjectFault(int64(dtable[3]), false, true, -1)
+		defect := m.k.Faults().Arm(kernel.FaultArm{Site: m.disks[1].WriteSite(), Every: 1, Match: int64(dtable[3]), Count: -1, Quiet: true})
 
 		inFD := p.InstallFile(in, kernel.ORdOnly)
 		free0 := m.cache.FreeBuffers()
@@ -204,7 +204,7 @@ func TestSpliceSourceFileWriteFaultAbortsCleanly(t *testing.T) {
 			t.Fatalf("source fd unusable after failed splice: n=%d err=%v", r, rerr)
 		}
 		// The destination volume stays consistent and writable.
-		m.disks[1].ClearFaults()
+		m.k.Faults().Remove(defect)
 		if err := m.fsys[1].SyncAll(p.Ctx()); err != nil {
 			t.Fatalf("sync after failed splice: %v", err)
 		}
@@ -344,9 +344,8 @@ func TestSpliceSocketDroppedPackets(t *testing.T) {
 	// garbage — it moves what arrives and terminates on the EOF marker
 	// (which is never dropped).
 	m := newMachine(t, disk.RAMDisk)
-	params := socket.Loopback()
-	params.DropEvery = 4
-	net := socket.NewNet(m.k, params)
+	net := socket.NewNet(m.k, socket.Loopback())
+	m.k.Faults().Arm(kernel.FaultArm{Site: net.DropSite(), Every: 4, Match: kernel.MatchAny, Count: -1, Quiet: true})
 	in, _ := net.NewSocket(5000)
 	out, _ := net.NewSocket(5001)
 	sink, _ := net.NewSocket(5002)
@@ -399,7 +398,7 @@ func TestSpliceSocketDroppedPackets(t *testing.T) {
 
 	_, _, dropped := net.Stats()
 	if dropped == 0 {
-		t.Fatal("lossy link dropped nothing; DropEvery not applied")
+		t.Fatal("lossy link dropped nothing; drop arm not applied")
 	}
 	if relayed >= ndgrams*dsize {
 		t.Fatalf("relayed %d bytes despite %d drops", relayed, dropped)

@@ -30,7 +30,7 @@ func TestSpliceReadFaultAbortsCleanly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.disks[0].InjectFault(int64(table[10]), true, false, -1)
+		m.k.Faults().Arm(kernel.FaultArm{Site: m.disks[0].ReadSite(), Every: 1, Match: int64(table[10]), Count: -1, Quiet: true})
 
 		dst, _ := p.Open("/d1/dst", kernel.OCreat|kernel.OWrOnly)
 		free0 := m.cache.FreeBuffers()
@@ -62,7 +62,7 @@ func TestSpliceWriteFaultAbortsCleanly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.disks[1].InjectFault(int64(dtable[5]), false, true, -1)
+		m.k.Faults().Arm(kernel.FaultArm{Site: m.disks[1].WriteSite(), Every: 1, Match: int64(dtable[5]), Count: -1, Quiet: true})
 
 		src, _ := p.Open("/d0/src", kernel.ORdOnly)
 		free0 := m.cache.FreeBuffers()
@@ -90,7 +90,7 @@ func TestSpliceTransientFaultPartialData(t *testing.T) {
 		src, _ := p.Open("/d0/src", kernel.ORdOnly)
 		fd, _ := p.FD(src)
 		table, _ := fd.Ops().(FileLike).SpliceMapRead(p.Ctx(), blocks)
-		m.disks[0].InjectFault(int64(table[6]), true, false, 1)
+		m.k.Faults().Arm(kernel.FaultArm{Site: m.disks[0].ReadSite(), Every: 1, Match: int64(table[6]), Count: 1, Quiet: true})
 
 		dst, _ := p.Open("/d1/dst", kernel.OCreat|kernel.OWrOnly)
 		if _, _, serr := SpliceOpts(p, src, dst, EOF, Options{}); serr != kernel.ErrIO {
@@ -118,7 +118,7 @@ func TestReadWritePathReportsFault(t *testing.T) {
 		src, _ := p.Open("/d0/f", kernel.ORdOnly)
 		fd, _ := p.FD(src)
 		table, _ := fd.Ops().(FileLike).SpliceMapRead(p.Ctx(), 4)
-		m.disks[0].InjectFault(int64(table[2]), true, false, -1)
+		m.k.Faults().Arm(kernel.FaultArm{Site: m.disks[0].ReadSite(), Every: 1, Match: int64(table[2]), Count: -1, Quiet: true})
 		buf := make([]byte, bsize)
 		var rerr error
 		for i := 0; i < 4 && rerr == nil; i++ {

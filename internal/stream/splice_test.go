@@ -9,7 +9,6 @@ import (
 	"kdp/internal/fs"
 	"kdp/internal/kernel"
 	"kdp/internal/sim"
-	"kdp/internal/socket"
 	"kdp/internal/splice"
 )
 
@@ -34,9 +33,7 @@ func TestSpliceFileToConn(t *testing.T) {
 			if _, err := fs.Mkfs(d, 64); err != nil {
 				t.Fatal(err)
 			}
-			params := socket.Loopback()
-			params.DropEvery = tc.dropEvery
-			n := socket.NewNet(k, params)
+			n := lossyNet(k, tc.dropEvery)
 			srv, _ := NewTransport(k, n, 80)
 			cli, _ := NewTransport(k, n, 5001)
 

@@ -176,16 +176,24 @@ func TestStreamEchoBothDirections(t *testing.T) {
 	}
 }
 
-// runLossyTransfer moves size bytes over a DropEvery link and reports
+// lossyNet returns a loopback net that loses every every-th data
+// datagram (0: none) — a quiet permanent arm on the net's drop site.
+func lossyNet(k *kernel.Kernel, every int) *socket.Net {
+	n := socket.NewNet(k, socket.Loopback())
+	if every > 0 {
+		k.Faults().Arm(kernel.FaultArm{Site: n.DropSite(), Every: int64(every), Match: kernel.MatchAny, Count: -1, Quiet: true})
+	}
+	return n
+}
+
+// runLossyTransfer moves size bytes over a lossy link and reports
 // the received data, total retransmissions, and the full event digest.
 func runLossyTransfer(t *testing.T, size, dropEvery int) (got []byte, retx int64, digest uint64) {
 	t.Helper()
 	k := newK()
 	dig := trace.NewDigester()
 	k.StartTrace(dig)
-	params := socket.Loopback()
-	params.DropEvery = dropEvery
-	n := socket.NewNet(k, params)
+	n := lossyNet(k, dropEvery)
 	srv, _ := NewTransport(k, n, 80)
 	cli, _ := NewTransport(k, n, 5001)
 	msg := pattern(size, 9)
@@ -234,7 +242,7 @@ func runLossyTransfer(t *testing.T, size, dropEvery int) (got []byte, retx int64
 func TestStreamTransferUnderLoss(t *testing.T) {
 	_, retx, _ := runLossyTransfer(t, 200_000, 5)
 	if retx == 0 {
-		t.Fatal("DropEvery=5 transfer completed without a single retransmission")
+		t.Fatal("every-5th-drop transfer completed without a single retransmission")
 	}
 }
 
@@ -323,9 +331,7 @@ func TestStreamInvariantsCleanRun(t *testing.T) {
 	EnableInvariants(true)
 	defer EnableInvariants(false)
 	k := newK()
-	params := socket.Loopback()
-	params.DropEvery = 6
-	n := socket.NewNet(k, params)
+	n := lossyNet(k, 6)
 	srv, _ := NewTransport(k, n, 80)
 	cli, _ := NewTransport(k, n, 5001)
 	msg := pattern(90_000, 13)

@@ -386,14 +386,14 @@ func TestMsyncSurfacesPageoutWriteError(t *testing.T) {
 		if err != nil || blks[0] == 0 {
 			t.Fatalf("block table: %v %v", blks, err)
 		}
-		r.d.InjectFault(int64(blks[0]), false, true, -1)
+		defect := r.k.Faults().Arm(kernel.FaultArm{Site: r.d.WriteSite(), Every: 1, Match: int64(blks[0]), Count: -1, Quiet: true})
 		if err := p.Close(fd); err != nil {
 			t.Fatalf("close: %v", err)
 		}
 		if err := p.Msync(addr); err != kernel.ErrIO {
 			t.Errorf("msync = %v, want ErrIO", err)
 		}
-		r.d.ClearFaults()
+		r.k.Faults().Remove(defect)
 		// The latch survived the msync: a second msync (clean flush,
 		// fault withdrawn) still observes it.
 		if err := p.Msync(addr); err != kernel.ErrIO {
@@ -455,7 +455,7 @@ func TestPageoutDelayedWriteErrorLatch(t *testing.T) {
 		if err := p.Close(fd); err != nil {
 			t.Fatalf("close: %v", err)
 		}
-		r.d.InjectFault(int64(blks[0]), false, true, 1)
+		r.k.Faults().Arm(kernel.FaultArm{Site: r.d.WriteSite(), Every: 1, Match: int64(blks[0]), Count: 1, Quiet: true})
 		// Munmap converts the dirty page to a delayed write; no disk
 		// I/O yet, so no error yet.
 		if err := p.Munmap(addr); err != nil {

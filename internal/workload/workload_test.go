@@ -229,3 +229,37 @@ func TestCopyModeString(t *testing.T) {
 		t.Fatal("mode names wrong")
 	}
 }
+
+// TestCopyClosesDescriptorsOnError: a copy whose move fails midway (the
+// destination volume fills up) must leave neither descriptor open, on
+// every data path. Descriptors are handed out lowest-free-first, so a
+// leak shows as a probe open landing on a higher number than before.
+func TestCopyClosesDescriptorsOnError(t *testing.T) {
+	for _, mode := range []CopyMode{CopyReadWrite, CopySplice, CopyMmap, CopyVectored, CopyBatched} {
+		r := newRig(t, disk.RAMDisk)
+		r.run(t, func(p *kernel.Proc) {
+			if err := MakeFile(p, "/a/src", 2<<20, 4); err != nil {
+				t.Fatal(err)
+			}
+			if err := MakeFile(p, "/b/filler", 7<<20, 5); err != nil {
+				t.Fatal(err)
+			}
+			lowestFree := func() int {
+				fd, err := p.Open("/a/src", kernel.ORdOnly)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_ = p.Close(fd)
+				return fd
+			}
+			before := lowestFree()
+			res, err := Copy(p, DefaultCopySpec("/a/src", "/b/dst", mode))
+			if err == nil {
+				t.Fatalf("%v: copy onto a full volume succeeded (%d bytes)", mode, res.Bytes)
+			}
+			if after := lowestFree(); after != before {
+				t.Errorf("%v: failed copy (%v) left descriptors open: lowest free fd %d, was %d", mode, err, after, before)
+			}
+		})
+	}
+}

@@ -142,14 +142,18 @@ var (
 )
 
 // DiskKind selects a device model.
-type DiskKind int
+type DiskKind = disk.Kind
 
 // The three device types measured in the paper.
 const (
-	DiskRAM DiskKind = iota
-	DiskRZ58
-	DiskRZ56
+	DiskRAM  = disk.KindRAM
+	DiskRZ58 = disk.KindRZ58
+	DiskRZ56 = disk.KindRZ56
 )
+
+// ParseDisk returns the device model called name (RAM, RZ58 or RZ56,
+// case-insensitive).
+func ParseDisk(name string) (DiskKind, error) { return disk.ParseKind(name) }
 
 // DiskSpec describes one disk with a freshly formatted filesystem,
 // mounted at Mount.
@@ -226,17 +230,7 @@ func New(cfg Config) *Machine {
 			mb = 16
 		}
 		blocks := int64(mb) << 20 / BlockSize
-		var p disk.Params
-		switch spec.Kind {
-		case DiskRAM:
-			p = disk.RAMDisk(blocks, BlockSize)
-		case DiskRZ58:
-			p = disk.RZ58(blocks, BlockSize)
-		case DiskRZ56:
-			p = disk.RZ56(blocks, BlockSize)
-		default:
-			panic(fmt.Sprintf("kdp: unknown disk kind %d", spec.Kind))
-		}
+		p := spec.Kind.Params(blocks, BlockSize)
 		// Device names must be unique per machine: the VM keys mapped
 		// objects by (device name, inode), and traces/metrics are
 		// per-device.
@@ -260,10 +254,7 @@ func New(cfg Config) *Machine {
 				}
 				il := m.specs[i].Interleave
 				if il == 0 {
-					il = 2
-					if m.specs[i].Kind == DiskRAM {
-						il = 1
-					}
+					il = m.specs[i].Kind.Interleave()
 				}
 				f.SetInterleave(il)
 				if m.pool != nil {
@@ -337,21 +328,15 @@ func SpliceWithOptions(p *Proc, srcFD, dstFD int, size int64, o SpliceOptions) (
 
 // ---- device and network helpers ----
 
-// DACConfig configures a rate-paced output device (audio or video DAC).
-type DACConfig struct {
-	Path     string  // device special file, e.g. "/dev/speaker"
-	Rate     float64 // playback rate in bytes per second
-	BufBytes int     // device staging buffer (default 64KB)
-	Capture  bool    // retain played bytes for inspection
-}
+// DACConfig configures a rate-paced output device (audio or video DAC):
+// Path is the device special file (e.g. "/dev/speaker"), Rate the
+// playback rate in bytes per second, BufBytes the device staging buffer
+// (default 64KB), and Capture retains played bytes for inspection.
+type DACConfig = dev.DACParams
 
 // AddDAC attaches a rate-paced output DAC and registers its device
 // file.
-func (m *Machine) AddDAC(cfg DACConfig) *dev.DAC {
-	return dev.NewDAC(m.k, dev.DACParams{
-		Path: cfg.Path, Rate: cfg.Rate, BufBytes: cfg.BufBytes, Capture: cfg.Capture,
-	})
-}
+func (m *Machine) AddDAC(cfg DACConfig) *dev.DAC { return dev.NewDAC(m.k, cfg) }
 
 // AddNull attaches /dev/null.
 func (m *Machine) AddNull() *dev.Null { return dev.NewNull(m.k) }
