@@ -21,8 +21,8 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Bounded randomized simulation checking (see README "Testing &
-# verification"); CHECK_SEEDS can be raised for a deeper sweep.
+# Bounded randomized simulation checking (see docs/CHECKING.md);
+# CHECK_SEEDS can be raised for a deeper sweep.
 CHECK_SEEDS ?= 25
 check:
 	$(GO) run ./cmd/kdpcheck -seeds $(CHECK_SEEDS)

@@ -27,8 +27,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
+	"strings"
 
+	"kdp/internal/buf"
 	"kdp/internal/simcheck"
 )
 
@@ -56,6 +59,8 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fl := flag.NewFlagSet("kdpcheck", flag.ContinueOnError)
 	fl.SetOutput(out)
+	kinds := buf.DamageKinds()
+	damageKinds := strings.Join(kinds, ", ")
 	var (
 		seeds     = fl.Int("seeds", 0, "sweep this many seeds starting at -start (default mode, 25 seeds)")
 		start     = fl.Uint64("start", 0, "first seed of the sweep")
@@ -65,7 +70,7 @@ func run(args []string, out io.Writer) error {
 		verbose   = fl.Bool("v", false, "print the event log of every run")
 		minimize  = fl.Bool("minimize", false, "with -seed: shrink a failing op sequence to a minimal repro")
 		noReplay  = fl.Bool("noreplay", false, "skip the second run that verifies seed-replay determinism")
-		damage    = fl.String("damage", "", "with -seed: corrupt the buffer cache mid-run to self-test the checkers (busy-on-freelist, delwri-undone, hash-key, ra-pending)")
+		damage    = fl.String("damage", "", "with -seed: corrupt the buffer cache mid-run to self-test the checkers ("+damageKinds+")")
 		damageAt  = fl.Int("damage-after", 5, "with -damage: corrupt after this many ops")
 		crash     = fl.Bool("crash", false, "crash sweep: one power cut per seed, then repair, remount, and durability checks")
 		faults    = fl.Bool("faults", false, "fault sweep: census each seed's fault sites, then re-run once per (site, k) sample with a single-shot fault armed")
@@ -82,10 +87,8 @@ func run(args []string, out io.Writer) error {
 	if *ops <= 0 {
 		return fmt.Errorf("-ops must be positive (got %d)", *ops)
 	}
-	switch *damage {
-	case "", "busy-on-freelist", "delwri-undone", "hash-key", "ra-pending":
-	default:
-		return fmt.Errorf("unknown damage kind %q (busy-on-freelist, delwri-undone, hash-key, ra-pending)", *damage)
+	if *damage != "" && !slices.Contains(kinds, *damage) {
+		return fmt.Errorf("unknown damage kind %q (%s)", *damage, damageKinds)
 	}
 	if *damage != "" && *seed < 0 {
 		return fmt.Errorf("-damage requires -seed")
@@ -103,11 +106,11 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-fault-site runs exactly one armed configuration; drop -faults/-damage/-crash")
 	}
 
+	n := *seeds
+	if n <= 0 {
+		n = 25
+	}
 	if *faults {
-		n := *seeds
-		if n <= 0 {
-			n = 25
-		}
 		first := *start
 		if *seed >= 0 {
 			first, n = uint64(*seed), 1
@@ -127,12 +130,15 @@ func run(args []string, out io.Writer) error {
 		replay := !*noReplay && *damage == ""
 		return runOne(cfg, *minimize, replay, out)
 	}
-
-	n := *seeds
-	if n <= 0 {
-		n = 25
-	}
 	return runSweep(*start, n, *ops, *workers, *crash, *verbose, !*noReplay, out)
+}
+
+// modeName is how a summary line says whether seeds were replayed.
+func modeName(replay bool) string {
+	if replay {
+		return "run+replay"
+	}
+	return "run"
 }
 
 // runOne checks a single seed, minimizing on failure when asked.
@@ -145,12 +151,12 @@ func runOne(cfg simcheck.Config, minimize, replay bool, out io.Writer) error {
 			fmt.Fprintf(out, "minimized to %d op(s), original indices %v\n", min.Ops, idx)
 			fmt.Fprintf(out, "minimal-run violation: %v\n", min.Violation)
 		}
-		fmt.Fprintf(out, "repro: %s\n", simcheck.ReproCommand(simcheck.Config{Seed: res.Seed, Ops: cfg.Ops, Workers: res.Workers}))
+		fmt.Fprintf(out, "repro: %s\n", simcheck.ReproCommand(cfg))
 		return errFailed
 	}
 	fmt.Fprintf(out, "seed %d ok: %d ops, %d workers, digest %016x\n", res.Seed, res.Ops, res.Workers, res.Digest)
 	if replay {
-		if err := simcheck.VerifyReplayConfig(cfg); err != nil {
+		if err := simcheck.Replay(cfg, res); err != nil {
 			fmt.Fprintf(out, "seed %d REPLAY FAILED: %v\n", cfg.Seed, err)
 			return errFailed
 		}
@@ -208,12 +214,8 @@ func runFaultSweep(start uint64, n, ops int, verbose, replay bool, out io.Writer
 	for _, site := range sites {
 		fmt.Fprintf(out, "site %-22s fired %d\n", site, fired[site])
 	}
-	mode := "run+replay"
-	if !replay {
-		mode = "run"
-	}
 	fmt.Fprintf(out, "ok: %d fault seed(s) [%d..%d] clean (%s, %d ops each, %d armed runs, %d site(s) covered)\n",
-		n, start, start+uint64(n)-1, mode, ops, totalRuns, len(sites))
+		n, start, start+uint64(n)-1, modeName(replay), ops, totalRuns, len(sites))
 	return nil
 }
 
@@ -237,14 +239,14 @@ func runSweep(start uint64, n, ops, workers int, crash, verbose, replay bool, ou
 			fmt.Fprintf(out, "seed %d FAILED: %v\n", s, res.Violation)
 			min, idx := simcheck.Minimize(cfg)
 			fmt.Fprintf(out, "  minimized to %d op(s), original indices %v\n", min.Ops, idx)
-			fmt.Fprintf(out, "  repro: %s\n", simcheck.ReproCommand(simcheck.Config{Seed: s, Ops: ops, Workers: res.Workers, Crash: crash}))
+			fmt.Fprintf(out, "  repro: %s\n", simcheck.ReproCommand(cfg))
 			continue
 		}
 		if crash {
 			fmt.Fprintf(out, "seed %d digest %016x\n", s, res.Digest)
 		}
 		if replay {
-			if err := simcheck.VerifyReplayConfig(simcheck.Config{Seed: s, Ops: ops, Workers: workers, Crash: crash}); err != nil {
+			if err := simcheck.Replay(cfg, res); err != nil {
 				failed++
 				fmt.Fprintf(out, "seed %d REPLAY FAILED: %v\n", s, err)
 				continue
@@ -255,14 +257,10 @@ func runSweep(start uint64, n, ops, workers int, crash, verbose, replay bool, ou
 		fmt.Fprintf(out, "FAIL: %d of %d seed(s) failed\n", failed, n)
 		return errFailed
 	}
-	mode := "run+replay"
-	if !replay {
-		mode = "run"
-	}
 	kind := "seed(s)"
 	if crash {
 		kind = "crash seed(s)"
 	}
-	fmt.Fprintf(out, "ok: %d %s [%d..%d] clean (%s, %d ops each)\n", n, kind, start, start+uint64(n)-1, mode, ops)
+	fmt.Fprintf(out, "ok: %d %s [%d..%d] clean (%s, %d ops each)\n", n, kind, start, start+uint64(n)-1, modeName(replay), ops)
 	return nil
 }

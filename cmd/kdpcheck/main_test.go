@@ -2,8 +2,11 @@ package main
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
+
+	"kdp/internal/simcheck"
 )
 
 func TestSweepSmoke(t *testing.T) {
@@ -77,6 +80,9 @@ func TestUsageErrors(t *testing.T) {
 	if err := run([]string{"-damage", "hash-key"}, &out); err == nil || errors.Is(err, errFailed) {
 		t.Errorf("-damage without -seed: err = %v, want usage error", err)
 	}
+	if err := run([]string{"-seed", "1", "-damage", "nope"}, &out); err == nil || !strings.Contains(err.Error(), "ra-pending") {
+		t.Errorf("unknown damage kind: err = %v, want a usage error listing buf.DamageKinds", err)
+	}
 	if err := run([]string{"-faults", "-crash"}, &out); err == nil || errors.Is(err, errFailed) {
 		t.Errorf("-faults with -crash: err = %v, want usage error", err)
 	}
@@ -85,5 +91,56 @@ func TestUsageErrors(t *testing.T) {
 	}
 	if err := run([]string{"-seed", "1", "-fault-site", "disk.rz58.rderr", "-faults"}, &out); err == nil || errors.Is(err, errFailed) {
 		t.Errorf("-fault-site with -faults: err = %v, want usage error", err)
+	}
+}
+
+// TestReproReproduces feeds the flags of a printed repro line back
+// through run. A failing -damage run must print a repro that fails with
+// the same violation (it used to drop the disturbance, so the repro
+// passed); the repro of a -crash and of a -fault-site configuration
+// must replay that configuration's digest, not the default mix's.
+func TestReproReproduces(t *testing.T) {
+	reproFlags := func(line string) []string {
+		_, flags, ok := strings.Cut(line, "go run ./cmd/kdpcheck ")
+		if !ok {
+			t.Fatalf("not a repro line: %q", line)
+		}
+		return strings.Fields(flags)
+	}
+	lineWith := func(out, marker string) string {
+		for _, line := range strings.Split(out, "\n") {
+			if strings.Contains(line, marker) {
+				return line
+			}
+		}
+		t.Fatalf("no %q line in:\n%s", marker, out)
+		return ""
+	}
+
+	var first, again strings.Builder
+	if err := run([]string{"-seed", "3", "-damage", "busy-on-freelist"}, &first); !errors.Is(err, errFailed) {
+		t.Fatalf("damaged run: err = %v, want errFailed", err)
+	}
+	flags := reproFlags(lineWith(first.String(), "repro:"))
+	if err := run(flags, &again); !errors.Is(err, errFailed) {
+		t.Fatalf("repro %v: err = %v, want errFailed\n%s", flags, err, again.String())
+	}
+	if want, got := lineWith(first.String(), "FAILED"), lineWith(again.String(), "FAILED"); got != want {
+		t.Errorf("repro %v failed differently:\n got: %s\nwant: %s", flags, got, want)
+	}
+
+	for _, cfg := range []simcheck.Config{
+		{Seed: 2, Ops: 25, Crash: true},
+		{Seed: 0, Ops: 25, FaultSite: simcheck.SiteCrashBoundary, FaultK: 2},
+	} {
+		want := simcheck.Run(cfg)
+		flags := reproFlags(simcheck.ReproCommand(cfg))
+		var out strings.Builder
+		if err := run(append(flags, "-noreplay"), &out); err != nil {
+			t.Fatalf("repro %v: %v", flags, err)
+		}
+		if digest := fmt.Sprintf("digest %016x", want.Digest); !strings.Contains(out.String(), digest) {
+			t.Errorf("repro %v did not reproduce %s:\n%s", flags, digest, lineWith(out.String(), " ok: "))
+		}
 	}
 }

@@ -153,37 +153,56 @@ func checkBufFlags(b *Buf) error {
 	return nil
 }
 
-// Damage deliberately corrupts one internal flag so the invariant
-// checker trips — the fault-injection side of the checker's own test
-// harness (simcheck's "corrupt one buffer-cache flag" acceptance
-// check). kind selects the corruption:
-//
-//	"busy-on-freelist"  set BBusy on the head of the free list
-//	"delwri-undone"     set BDelwri without BDone on a free buffer
-//	"hash-key"          change a hashed buffer's Blkno without rehashing
-//	"ra-pending"        bump raPending without an in-flight readahead
-//
-// It is exported for tests and the simcheck harness only; production
-// paths never call it.
-func (c *Cache) Damage(kind string) {
-	switch kind {
-	case "busy-on-freelist":
+// damages is every deliberate corruption Damage knows, once: the
+// invariant checker must trip on each — the fault-injection side of the
+// checker's own test harness (simcheck's "corrupt one buffer-cache
+// flag" acceptance check).
+var damages = []struct {
+	kind  string
+	apply func(c *Cache)
+}{
+	// set BBusy on the head of the free list
+	{"busy-on-freelist", func(c *Cache) {
 		if c.freeHead != nil {
 			c.freeHead.Flags |= BBusy
 		}
-	case "delwri-undone":
+	}},
+	// set BDelwri without BDone on a free buffer
+	{"delwri-undone", func(c *Cache) {
 		if c.freeHead != nil {
 			c.freeHead.Flags |= BDelwri
 			c.freeHead.Flags &^= BDone
 		}
-	case "hash-key":
+	}},
+	// change a hashed buffer's Blkno without rehashing
+	{"hash-key", func(c *Cache) {
 		for _, b := range c.hash {
 			b.Blkno++
 			break
 		}
-	case "ra-pending":
-		c.raPending++
-	default:
-		panic("buf: unknown damage kind " + kind)
+	}},
+	// bump raPending without an in-flight readahead
+	{"ra-pending", func(c *Cache) { c.raPending++ }},
+}
+
+// DamageKinds lists the kinds Damage accepts.
+func DamageKinds() []string {
+	kinds := make([]string, len(damages))
+	for i, d := range damages {
+		kinds[i] = d.kind
 	}
+	return kinds
+}
+
+// Damage deliberately corrupts one internal flag, selected by kind (one
+// of DamageKinds; anything else panics). It is exported for tests and
+// the simcheck harness only; production paths never call it.
+func (c *Cache) Damage(kind string) {
+	for _, d := range damages {
+		if d.kind == kind {
+			d.apply(c)
+			return
+		}
+	}
+	panic("buf: unknown damage kind " + kind)
 }

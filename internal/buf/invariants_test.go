@@ -30,7 +30,7 @@ func (d *badDevice) Strategy(b *Buf) {
 }
 
 func TestDamageTripsInvariants(t *testing.T) {
-	for _, kind := range []string{"busy-on-freelist", "delwri-undone", "hash-key", "ra-pending"} {
+	for _, kind := range DamageKinds() {
 		t.Run(kind, func(t *testing.T) {
 			f := newFixture(8)
 			f.runProc(t, func(p *kernel.Proc) {

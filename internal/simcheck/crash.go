@@ -2,7 +2,6 @@ package simcheck
 
 import (
 	"fmt"
-	"sort"
 
 	"kdp/internal/fs"
 	"kdp/internal/kernel"
@@ -18,67 +17,15 @@ import (
 // reads back byte-exact, every durably created name still resolves,
 // and both volumes check fsck-clean.
 
-// genCrashOps derives a crash-focused op sequence: single worker, the
-// plain file vocabulary with a heavy fsync/msync bias (so most runs
-// have synced state to verify), mmap stores for the pageout write path,
-// splice file→file for the bypass write engine, and exactly one power
-// cut at a seed-derived boundary in the middle half of the run. No
-// fault or stream ops: the crash is the disturbance under test, and the
-// post-crash content checks need checkable volumes.
-func genCrashOps(cfg Config) []*op {
-	r := sim.NewRand(cfg.Seed)
-	crashAt := cfg.Ops/4 + int(r.Int63n(int64(cfg.Ops/2+1)))
-	ops := make([]*op, 0, cfg.Ops)
-	for i := 0; i < cfg.Ops; i++ {
-		if i == crashAt {
-			ops = append(ops, &op{idx: i, kind: opCrash})
-			continue
-		}
-		o := &op{
-			idx:   i,
-			disk:  r.Intn(2),
-			slot:  r.Intn(slotsPerWk),
-			off:   r.Int63n(maxOff),
-			size:  1 + r.Intn(maxIO),
-			pat:   byte(1 + r.Intn(255)),
-			think: sim.Duration(r.Intn(3)) * 700 * sim.Microsecond,
-		}
-		switch w := r.Intn(100); {
-		case w < 26:
-			o.kind = opWrite
-		case w < 34:
-			o.kind = opRead
-		case w < 38:
-			o.kind = opSeqRead
-		case w < 44:
-			o.kind = opTrunc
-		case w < 50:
-			o.kind = opUnlink
-		case w < 72:
-			o.kind = opFsync
-		case w < 78:
-			o.kind = opMmapWrite
-		case w < 84:
-			o.kind = opMsync
-		case w < 94:
-			o.kind = opSpliceFF
-			o.disk2 = r.Intn(2)
-			o.slot2 = r.Intn(slotsPerWk)
-			if o.disk2 == o.disk && o.slot2 == o.slot {
-				o.slot2 = (o.slot2 + 1) % slotsPerWk
-			}
-		default:
-			o.kind = opTraceSnap
-		}
-		ops = append(ops, o)
-	}
-	return ops
-}
+// crashOp is the power cut as an op. Neither mix draws it: the crash
+// generator places exactly one, and a fired crash-boundary fault runs
+// its body after whichever op it hit.
+var crashOp = &opRow{name: "crash-recover", text: textName, run: (*machine).doCrash}
 
 // doCrash pulls the plug: volatile state is discarded while durably
 // committed platter state survives, then recovery runs (repair, verify
 // clean, remount) and the oracle collapses to the durable view.
-func (m *machine) doCrash(p *kernel.Proc, w int, o *op) {
+func (m *machine) doCrash(p *kernel.Proc, o *op) {
 	// Quiescence: every op is self-contained, and the crash sweep runs
 	// one worker, so at an op boundary no file may be held open. A held
 	// inode here is a harness bug, not a filesystem one.
@@ -111,7 +58,7 @@ func (m *machine) doCrash(p *kernel.Proc, w int, o *op) {
 		lost, discarded := m.cache.Crash(d)
 		m.k.TraceEmit(trace.KindFSCrash, 0, int64(lost), int64(dropped[i]), d.DevName())
 		m.logf("op %d w%d %s: /d%d power cut: %d dirty buffer(s) lost, %d queued request(s) dropped, %d cached discarded",
-			o.idx, w, o.describe(), i, lost, dropped[i], discarded)
+			o.idx, o.worker, o.describe(), i, lost, dropped[i], discarded)
 	}
 
 	// Recovery: repair each volume, require the follow-up plain fsck to
@@ -144,7 +91,7 @@ func (m *machine) doCrash(p *kernel.Proc, w int, o *op) {
 	}
 
 	m.postCrashOracle()
-	m.verifyDurable(p, o, w)
+	m.verifyDurable(p, o)
 }
 
 // postCrashOracle collapses the oracle to the durable view: a file
@@ -166,14 +113,9 @@ func (m *machine) postCrashOracle() {
 // verifyDurable checks the crash contract immediately after remount:
 // every durably created file still resolves, and every fsync'd file
 // reads back byte-exact.
-func (m *machine) verifyDurable(p *kernel.Proc, o *op, w int) {
-	paths := make([]string, 0, len(m.oracle))
-	for path := range m.oracle {
-		paths = append(paths, path)
-	}
-	sort.Strings(paths)
+func (m *machine) verifyDurable(p *kernel.Proc, o *op) {
 	synced, existing := 0, 0
-	for _, path := range paths {
+	for _, path := range m.oraclePaths() {
 		of := m.oracle[path]
 		if !of.created {
 			continue
@@ -207,5 +149,5 @@ func (m *machine) verifyDurable(p *kernel.Proc, o *op, w int) {
 		}
 		synced++
 	}
-	m.opLog(o, w, "recovered: %d file(s) survive, %d verified byte-exact against fsync snapshots", existing, synced)
+	m.opLog(o, "recovered: %d file(s) survive, %d verified byte-exact against fsync snapshots", existing, synced)
 }

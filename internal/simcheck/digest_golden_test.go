@@ -7,6 +7,13 @@ import (
 	"testing"
 )
 
+// corpus is the pinned corpus: seeds 1..n of each class, at 60 ops.
+var corpus = []struct {
+	name  string
+	crash bool
+	n     uint64
+}{{"standard", false, 7}, {"crash", true, 3}}
+
 // TestDigestsGolden pins the run digests of the benchmark's fixed
 // corpus — standard seeds 1–7 and crash seeds 1–3 at 60 ops — across
 // commits. Every other digest comparison in the tree is run-vs-rerun;
@@ -18,11 +25,7 @@ import (
 // same digests one at a time.
 func TestDigestsGolden(t *testing.T) {
 	var b strings.Builder
-	for _, class := range []struct {
-		name  string
-		crash bool
-		n     uint64
-	}{{"standard", false, 7}, {"crash", true, 3}} {
+	for _, class := range corpus {
 		for seed := uint64(1); seed <= class.n; seed++ {
 			res := Run(Config{Seed: seed, Ops: 60, Crash: class.crash})
 			if res.Failed() {

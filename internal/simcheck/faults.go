@@ -1,9 +1,12 @@
 package simcheck
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 
 	"kdp/internal/kernel"
+	"kdp/internal/sim"
 )
 
 // Fault sweep: walk every error path the workload can reach. The seed
@@ -33,6 +36,41 @@ import (
 // fsck, remount, durability oracle) in the middle of the workload. The
 // site argument is the op index.
 const SiteCrashBoundary kernel.FaultSite = "sim.crash-boundary"
+
+// The fault op arms a one-shot defect on one block of either volume.
+func drawFault(r *sim.Rand, o *op) {
+	o.faultDisk = r.Intn(2)
+	o.faultBlk = r.Int63n([2]int64{d0Blocks, d1Blocks}[o.faultDisk])
+	o.faultRead = r.Intn(2) == 0
+}
+
+func textFault(name string, o *op) string {
+	mode := "on write"
+	if o.faultRead {
+		mode = "on read"
+	}
+	return fmt.Sprintf("%s d%d blk=%d %s", name, o.faultDisk, o.faultBlk, mode)
+}
+
+func (m *machine) doFault(p *kernel.Proc, o *op) {
+	m.armBlockFault(o.faultDisk, o.faultBlk, o.faultRead)
+	m.logf("op %d w%d %s", o.idx, o.worker, o.describe())
+}
+
+// armBlockFault makes one block of a volume fail its next read (or
+// write): a quiet single-shot arm on the disk's fault site.
+func (m *machine) armBlockFault(di int, blk int64, read bool) {
+	site := m.disks[di].WriteSite()
+	if read {
+		site = m.disks[di].ReadSite()
+	}
+	fp, key := m.k.Faults(), [2]int64{int64(di), blk}
+	fp.Remove(m.blockFaults[key])
+	m.blockFaults[key] = fp.Arm(kernel.FaultArm{
+		Site: site, Every: 1, Match: blk, Count: 1, Quiet: true,
+	})
+	m.faulted[di] = true
+}
 
 // FaultRun is the outcome of one armed re-run within a sweep.
 type FaultRun struct {
@@ -66,19 +104,11 @@ func (r *FaultSweepResult) Failed() bool { return r.Violation != nil }
 // one value, so two sweeps — e.g. under different GOMAXPROCS — can be
 // compared with a single line.
 func (r *FaultSweepResult) Digest() uint64 {
-	const prime = 1099511628211
-	h := uint64(14695981039346656037)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime
-			v >>= 8
-		}
-	}
+	h := fnv.New64a()
 	for _, run := range r.Runs {
-		mix(run.Digest)
+		h.Write(binary.LittleEndian.AppendUint64(nil, run.Digest))
 	}
-	return h
+	return h.Sum64()
 }
 
 // sampleKs picks the occurrence indices to arm for a site with n
@@ -115,17 +145,17 @@ func FaultSweepSeed(cfg Config, replay bool) *FaultSweepResult {
 	// single-worker boundaries.
 	cfg.Workers = 1
 
-	base := Run(cfg)
-	if base.Violation != nil {
-		res.Violation = fmt.Errorf("census run: %w", base.Violation)
-		res.FailedConfig = cfg
+	fail := func(cfg Config, err error) *FaultSweepResult {
+		res.Violation, res.FailedConfig = err, cfg
 		return res
 	}
+	base := Run(cfg)
+	if base.Violation != nil {
+		return fail(cfg, fmt.Errorf("census run: %w", base.Violation))
+	}
 	if replay {
-		if err := VerifyReplayConfig(cfg); err != nil {
-			res.Violation = err
-			res.FailedConfig = cfg
-			return res
+		if err := Replay(cfg, base); err != nil {
+			return fail(cfg, err)
 		}
 	}
 	res.Census = base.Census
@@ -136,30 +166,16 @@ func FaultSweepSeed(cfg Config, replay bool) *FaultSweepResult {
 			acfg.FaultSite, acfg.FaultK = sc.Site, k
 			r := Run(acfg)
 			if r.Violation != nil {
-				res.Violation = r.Violation
-				res.FailedConfig = acfg
-				return res
+				return fail(acfg, r.Violation)
 			}
 			if r.FaultFired != 1 {
-				res.Violation = fmt.Errorf(
+				return fail(acfg, fmt.Errorf(
 					"simcheck: seed %d: site %s armed at k=%d fired %d time(s), want exactly 1 (census saw %d occurrence(s))",
-					cfg.Seed, sc.Site, k, r.FaultFired, sc.N)
-				res.FailedConfig = acfg
-				return res
+					cfg.Seed, sc.Site, k, r.FaultFired, sc.N))
 			}
 			if replay {
-				r2 := Run(acfg)
-				if r2.Violation != nil {
-					res.Violation = fmt.Errorf("armed replay: %w", r2.Violation)
-					res.FailedConfig = acfg
-					return res
-				}
-				if r2.Digest != r.Digest {
-					res.Violation = fmt.Errorf(
-						"simcheck: seed %d: armed run (site %s, k=%d) is not deterministic: digests %016x != %016x%s",
-						cfg.Seed, sc.Site, k, r.Digest, r2.Digest, firstLogDiff(r.Log, r2.Log))
-					res.FailedConfig = acfg
-					return res
+				if err := Replay(acfg, r); err != nil {
+					return fail(acfg, fmt.Errorf("armed run (site %s, k=%d): %w", sc.Site, k, err))
 				}
 			}
 			res.Runs = append(res.Runs, FaultRun{Site: sc.Site, K: k, Fired: r.FaultFired, Digest: r.Digest})

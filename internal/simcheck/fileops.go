@@ -1,0 +1,451 @@
+package simcheck
+
+import (
+	"errors"
+	"fmt"
+
+	"kdp/internal/kernel"
+)
+
+// The plain file ops. A range read is open (reconciled with the
+// oracle) → fetch → verify against the oracle's bytes; a range write is
+// open → store → fold the stored bytes into the oracle. read, seq-read,
+// readv, the batch read and mmap-read differ only in their fetch;
+// write, writev, the batch write and the mmap stores only in their
+// store — as in the kernel under test, where they are one uio mover
+// reached by different routes.
+
+// A fetch returns the bytes it got through fd, which it closes, and
+// anything it wants appended to the op's ok line. An error means the
+// I/O failed and taints the file — unless it is a skipped, or the fetch
+// raised a violation itself.
+type fetchFunc func(m *machine, p *kernel.Proc, fd int, o *op) (got []byte, note string, err error)
+
+// A store puts data — the op's pattern at o.off — into the file behind
+// fd, which it closes. durable reports that the store included a
+// successful sync; an error means the range is partially applied and
+// taints the file — unless it is a skipped, or the store raised a
+// violation itself.
+type storeFunc func(m *machine, p *kernel.Proc, fd int, o *op, data []byte) (note string, durable bool, err error)
+
+// skipped is the error of a fetch or store that gave up before moving
+// any data: the op logs it and leaves the file's content model alone.
+type skipped string
+
+func (s skipped) Error() string { return string(s) }
+
+// seekTo positions fd for a ranged fetch or store, closing it on failure.
+func seekTo(p *kernel.Proc, fd int, off int64) error {
+	if _, err := p.Lseek(fd, off, kernel.SeekSet); err != nil {
+		p.Close(fd)
+		return skipped(fmt.Sprintf("lseek: %v", err))
+	}
+	return nil
+}
+
+// rangeRead builds a read op from its fetch. whole ops read the file
+// start to finish rather than [o.off, o.off+o.size); rule names the
+// invariant a content mismatch violates.
+func rangeRead(rule string, whole bool, fetch fetchFunc) opFunc {
+	return func(m *machine, p *kernel.Proc, o *op) {
+		of, fd, ok := m.openChecked(p, o)
+		if !ok {
+			return
+		}
+		got, note, err := fetch(m, p, fd, o)
+		switch {
+		case m.violation != nil: // raised inside the fetch, already reported
+		case err != nil:
+			if of != nil && !errors.As(err, new(skipped)) {
+				of.tainted = true
+			}
+			m.opLog(o, "%v", err)
+		default:
+			m.verifyRange(o, of, got, rule, whole, note)
+		}
+	}
+}
+
+// openChecked opens the op's file for reading and reconciles the
+// outcome with the oracle: a file the oracle knows must exist, a file
+// it never saw created must not. ok is false when the op is over
+// (logged or failed).
+func (m *machine) openChecked(p *kernel.Proc, o *op) (of *ofile, fd int, ok bool) {
+	path := o.path()
+	of = m.oracle[path]
+	fd, err := p.Open(path, kernel.ORdOnly)
+	switch {
+	case err == nil:
+		if of == nil && m.checkable(o.disk) {
+			p.Close(fd)
+			m.fail(fmt.Errorf("oracle-absent: %s opened but the oracle says it was never created", path))
+			return nil, 0, false
+		}
+		return of, fd, true
+	case errors.Is(err, kernel.ErrNoEnt):
+		m.absent(o, of, err)
+	default:
+		if of != nil {
+			of.tainted = true
+		}
+		m.opLog(o, "open: %v", err)
+	}
+	return nil, 0, false
+}
+
+// absent handles ENOENT for the op's file: a violation if the oracle
+// knows the file exists, otherwise the expected outcome.
+func (m *machine) absent(o *op, of *ofile, err error) {
+	if of != nil && !of.tainted && m.checkable(o.disk) {
+		m.fail(fmt.Errorf("oracle-exists: %s: %v, but oracle has %d bytes", o.path(), err, len(of.data)))
+		return
+	}
+	m.opLog(o, "absent")
+}
+
+// verifyRange holds the bytes a fetch returned against the oracle's
+// bytes for the window the op asked for.
+func (m *machine) verifyRange(o *op, of *ofile, got []byte, rule string, whole bool, note string) {
+	if of == nil || of.tainted || !m.checkable(o.disk) {
+		m.opLog(o, "n=%d (unchecked)", len(got))
+		return
+	}
+	var off int64
+	want := of.data
+	if !whole {
+		off, want = o.off, nil
+		if off < int64(len(of.data)) {
+			want = of.data[off:]
+			if len(want) > o.size {
+				want = want[:o.size]
+			}
+		}
+	}
+	if len(got) != len(want) {
+		m.fail(fmt.Errorf("oracle-size: %s %s off=%d returned %d bytes, oracle expects %d",
+			o.row.name, o.path(), off, len(got), len(want)))
+		return
+	}
+	if len(got) == 0 && !whole {
+		m.opLog(o, "ok n=0 (past eof)")
+		return
+	}
+	if i := firstDiff(got, want); i >= 0 {
+		m.fail(fmt.Errorf("%s: %s %s differs at byte %d: got %#02x, oracle %#02x",
+			rule, o.row.name, o.path(), off+int64(i), got[i], want[i]))
+		return
+	}
+	m.opLog(o, "ok n=%d%s", len(got), note)
+}
+
+func fetchRead(m *machine, p *kernel.Proc, fd int, o *op) ([]byte, string, error) {
+	if err := seekTo(p, fd, o.off); err != nil {
+		return nil, "", err
+	}
+	data := make([]byte, o.size)
+	n, err := p.Read(fd, data)
+	p.Close(fd)
+	if err != nil {
+		return nil, "", fmt.Errorf("read: %v", err)
+	}
+	return data[:n], "", nil
+}
+
+// fetchSeq scans the whole file start to finish in seed-derived chunks
+// — the access pattern the adaptive readahead engine exists for. Each
+// chunked read continues exactly where the previous one ended, so the
+// inode's window grows and asynchronous readaheads flow through the
+// cache's budgeted issue path while the probe re-validates the
+// readahead invariants (flag discipline, pending count, budget clamp)
+// at every boundary.
+func fetchSeq(m *machine, p *kernel.Proc, fd int, o *op) ([]byte, string, error) {
+	// Chunks smaller than a block keep consecutive reads inside and
+	// across block boundaries strictly sequential.
+	buf := make([]byte, 1+o.size/4)
+	var got []byte
+	for {
+		n, err := p.Read(fd, buf)
+		if err != nil {
+			p.Close(fd)
+			return nil, "", fmt.Errorf("read: %v", err)
+		}
+		if n == 0 {
+			p.Close(fd)
+			return got, "", nil
+		}
+		got = append(got, buf[:n]...)
+	}
+}
+
+func textChunk(name string, o *op) string {
+	return fmt.Sprintf("%s d%d/f%d chunk=%d", name, o.disk, o.slot, o.size)
+}
+
+// splitIovs carves total bytes into up to nvec independently allocated
+// iovec buffers of near-equal size (empty tails are dropped), so the
+// scatter/gather paths see genuinely discontiguous memory rather than
+// views of one array.
+func splitIovs(total, nvec int) [][]byte {
+	iovs := make([][]byte, 0, nvec)
+	for i := 0; i < nvec && total > 0; i++ {
+		n := total / (nvec - i)
+		if n == 0 {
+			n = 1
+		}
+		iovs = append(iovs, make([]byte, n))
+		total -= n
+	}
+	return iovs
+}
+
+// scatter tiles data, in order, over fresh iovecs.
+func scatter(data []byte, nvec int) [][]byte {
+	iovs := splitIovs(len(data), nvec)
+	for _, iov := range iovs {
+		data = data[copy(iov, data):]
+	}
+	return iovs
+}
+
+// fetchReadv is fetchRead through the vectored path: the range is
+// scattered across 2–4 independent iovecs in one crossing and the
+// reassembled bytes must match the content oracle exactly — the iovec
+// byte-conservation invariant (no gaps, overlaps, or reordering across
+// segment boundaries). A partial-progress error latched on the
+// descriptor is observed through PendingError and taints like a read
+// error would.
+func fetchReadv(m *machine, p *kernel.Proc, fd int, o *op) ([]byte, string, error) {
+	if err := seekTo(p, fd, o.off); err != nil {
+		return nil, "", err
+	}
+	iovs := splitIovs(o.size, 2+int(o.pat)%3)
+	n, err := p.Readv(fd, iovs)
+	latched := p.PendingError(fd)
+	p.Close(fd)
+	if err != nil || latched != nil {
+		return nil, "", fmt.Errorf("readv: err=%v latched=%v", err, latched)
+	}
+	return (kernel.Uio{Iovs: iovs}).Gather()[:n], fmt.Sprintf(" iovs=%d", len(iovs)), nil
+}
+
+// batch exercises aggregated submission. The pattern byte picks the
+// flavor: a read batch (lseek + two reads, verified against the oracle
+// like a read) or a write batch (lseek + two writes, optionally trailed
+// by an in-batch fsync carrying doFsync's durability contract). Either
+// way the batch-results invariant holds: Submit must return exactly one
+// result per submitted op.
+func batch() opFunc {
+	read, write := rangeRead("oracle-content", false, fetchBatch), rangeWrite(storeBatch)
+	return func(m *machine, p *kernel.Proc, o *op) {
+		if int(o.pat)%3 == 0 {
+			read(m, p, o)
+		} else {
+			write(m, p, o)
+		}
+	}
+}
+
+// submit runs lseek(o.off), one rw op per part and an optional fsync as
+// one batch on fd, which it closes. It returns each part's byte count,
+// the batch length and the first error any op reported.
+func submit(m *machine, p *kernel.Proc, fd int, o *op, rw int, parts [][]byte, sync bool) (counts []int, nops int, err error) {
+	ops := []kernel.BatchOp{{Code: kernel.BatchLseek, FD: fd, Off: o.off, Whence: kernel.SeekSet}}
+	for _, part := range parts {
+		ops = append(ops, kernel.BatchOp{Code: rw, FD: fd, Buf: part})
+	}
+	if sync {
+		ops = append(ops, kernel.BatchOp{Code: kernel.BatchFsync, FD: fd})
+	}
+	res := p.Submit(ops)
+	p.Close(fd)
+	if len(res) != len(ops) {
+		m.fail(fmt.Errorf("batch-results-len: submitted %d ops, got %d results", len(ops), len(res)))
+		return nil, 0, nil
+	}
+	for i, r := range res {
+		if r.Err != nil && err == nil {
+			err = r.Err
+		}
+		if ops[i].Code == rw {
+			counts = append(counts, int(r.N))
+		}
+	}
+	return counts, len(ops), err
+}
+
+func fetchBatch(m *machine, p *kernel.Proc, fd int, o *op) ([]byte, string, error) {
+	bufs := splitIovs(o.size, 2)
+	counts, nops, err := submit(m, p, fd, o, kernel.BatchRead, bufs, false)
+	if err != nil {
+		return nil, "", fmt.Errorf("batch-read: %v", err)
+	}
+	var got []byte
+	for i, n := range counts {
+		got = append(got, bufs[i][:n]...)
+	}
+	return got, fmt.Sprintf(" ops=%d", nops), nil
+}
+
+// rangeWrite builds a write op from its store.
+func rangeWrite(store storeFunc) opFunc {
+	return func(m *machine, p *kernel.Proc, o *op) {
+		path := o.path()
+		fd, err := p.Open(path, kernel.OCreat|kernel.ORdWr)
+		if err != nil {
+			m.taintEnsure(path)
+			m.opLog(o, "open: %v", err)
+			return
+		}
+		data := pattern(o.size, o.off, o.pat)
+		note, durable, err := store(m, p, fd, o, data)
+		if m.violation != nil {
+			return // raised inside the store, already reported
+		}
+		of := m.ensure(path)
+		if !errors.As(err, new(skipped)) {
+			// The open succeeded, so the name is durably on the platter
+			// (ordered dirEnter); the store itself is delayed, so any durable
+			// content snapshot from an earlier sync is stale from here on.
+			of.created = true
+			of.syncedOK = false
+		}
+		if err != nil {
+			// Partial stores (ENOSPC on the tight volume, an injected fault
+			// mid-transfer) leave the range unpredictable: some blocks
+			// landed, some did not.
+			of.tainted = true
+			m.opLog(o, "%v", err)
+			return
+		}
+		of.apply(o.off, data)
+		if durable {
+			of.markDurable()
+		}
+		m.opLog(o, "ok n=%d%s", len(data), note)
+	}
+}
+
+// apply folds a completed store of data at off into the model,
+// zero-filling any gap past the old end of file.
+func (of *ofile) apply(off int64, data []byte) {
+	end := off + int64(len(data))
+	if int64(len(of.data)) < end {
+		of.data = append(of.data, make([]byte, end-int64(len(of.data)))...)
+	}
+	copy(of.data[off:end], data)
+}
+
+// markDurable is the contract under test: a successful sync makes this
+// exact content durable, surviving any later crash byte-exact. A
+// tainted file has no known content to promise.
+func (of *ofile) markDurable() {
+	if !of.tainted {
+		of.synced = append([]byte(nil), of.data...)
+		of.syncedOK = true
+	}
+}
+
+func storeWrite(m *machine, p *kernel.Proc, fd int, o *op, data []byte) (string, bool, error) {
+	if err := seekTo(p, fd, o.off); err != nil {
+		return "", false, err
+	}
+	n, err := p.Write(fd, data)
+	p.Close(fd)
+	if err != nil || n != len(data) {
+		return "", false, fmt.Errorf("write: n=%d err=%v (tainted)", n, err)
+	}
+	return "", false, nil
+}
+
+// storeWritev is storeWrite through the vectored path: the patterned
+// range is gathered from 2–4 independent iovecs in one crossing.
+// Anything short of full-vector completion — an error, a latched
+// partial-progress error, or a short count — taints like a partial
+// write.
+func storeWritev(m *machine, p *kernel.Proc, fd int, o *op, data []byte) (string, bool, error) {
+	if err := seekTo(p, fd, o.off); err != nil {
+		return "", false, err
+	}
+	iovs := scatter(data, 2+int(o.pat)%3)
+	n, err := p.Writev(fd, iovs)
+	latched := p.PendingError(fd)
+	p.Close(fd)
+	if err != nil || latched != nil || n != len(data) {
+		return "", false, fmt.Errorf("writev: n=%d err=%v latched=%v (tainted)", n, err, latched)
+	}
+	return fmt.Sprintf(" iovs=%d", len(iovs)), false, nil
+}
+
+// storeBatch: any op failing mid-batch (or a short write) leaves the
+// range partially applied, like a partial plain write; an in-batch
+// fsync that succeeded after both writes makes the content durable one
+// crossing earlier than doFsync would.
+func storeBatch(m *machine, p *kernel.Proc, fd int, o *op, data []byte) (string, bool, error) {
+	sync := int(o.pat)%2 == 0
+	counts, nops, err := submit(m, p, fd, o, kernel.BatchWrite, scatter(data, 2), sync)
+	n := 0
+	for _, c := range counts {
+		n += c
+	}
+	if err != nil || n != len(data) {
+		return "", false, fmt.Errorf("batch-write: n=%d err=%v (tainted)", n, err)
+	}
+	return fmt.Sprintf(" ops=%d sync=%v", nops, sync), sync, nil
+}
+
+func (m *machine) doTrunc(p *kernel.Proc, o *op) {
+	path := o.path()
+	fd, err := p.Open(path, kernel.OCreat|kernel.ORdWr|kernel.OTrunc)
+	if err != nil {
+		m.taintEnsure(path)
+		m.opLog(o, "open: %v", err)
+		return
+	}
+	p.Close(fd)
+	// Truncation resets the contents to a known state, clearing taint.
+	// It is also durable: truncate writes the cleared inode
+	// synchronously before freeing blocks, so after a crash the file is
+	// exactly empty.
+	*m.ensure(path) = ofile{created: true, syncedOK: true}
+	m.opLog(o, "ok")
+}
+
+func (m *machine) doUnlink(p *kernel.Proc, o *op) {
+	path := o.path()
+	of := m.oracle[path]
+	err := p.Unlink(path)
+	switch {
+	case err == nil:
+		delete(m.oracle, path)
+		m.opLog(o, "ok")
+	case errors.Is(err, kernel.ErrNoEnt):
+		m.absent(o, of, err)
+	default:
+		if of != nil {
+			of.tainted = true
+		}
+		m.opLog(o, "unlink: %v", err)
+	}
+}
+
+func (m *machine) doFsync(p *kernel.Proc, o *op) {
+	path := o.path()
+	fd, err := p.Open(path, kernel.ORdWr)
+	if err != nil {
+		m.opLog(o, "open: %v", err)
+		return
+	}
+	serr := p.Fsync(fd)
+	p.Close(fd)
+	of := m.ensure(path)
+	if serr != nil {
+		// A failed fsync flushed an unknown subset: current content and
+		// the durable image are both unpredictable.
+		of.tainted = true
+		of.syncedOK = false
+		m.opLog(o, "fsync: %v", serr)
+		return
+	}
+	of.markDurable()
+	m.opLog(o, "ok")
+}

@@ -15,27 +15,8 @@ import "fmt"
 // does not fail at all, the first return is the passing result and the
 // index list is nil.
 func Minimize(cfg Config) (*Result, []int) {
-	if cfg.Ops <= 0 {
-		cfg.Ops = 60
-	}
-	if cfg.Crash {
-		cfg.Workers = 1
-	}
-	if cfg.FaultSite != "" {
-		cfg.Workers = 1
-		if cfg.FaultK <= 0 {
-			cfg.FaultK = 1
-		}
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1 + int(cfg.Seed%3)
-	}
-	var full []*op
-	if cfg.Crash {
-		full = genCrashOps(cfg)
-	} else {
-		full = genOps(cfg)
-	}
+	cfg = cfg.normalize()
+	full := generate(cfg)
 	res := execute(cfg, full)
 	if !res.Failed() {
 		return res, nil
@@ -75,14 +56,18 @@ func Minimize(cfg Config) (*Result, []int) {
 	return res, idx
 }
 
-// ReproCommand renders the command line that reproduces a failing seed.
+// ReproCommand renders the command line that reproduces a run of cfg,
+// disturbance included, with the defaults Run would apply spelled out.
 func ReproCommand(cfg Config) string {
+	cfg = cfg.normalize()
 	extra := ""
-	if cfg.Crash {
+	switch {
+	case cfg.Crash:
 		extra = " -crash"
-	}
-	if cfg.FaultSite != "" {
+	case cfg.FaultSite != "":
 		extra = fmt.Sprintf(" -fault-site %s -fault-k %d", cfg.FaultSite, cfg.FaultK)
+	case cfg.Damage != "":
+		extra = fmt.Sprintf(" -damage %s -damage-after %d", cfg.Damage, cfg.DamageAfter)
 	}
 	return fmt.Sprintf("go run ./cmd/kdpcheck -seed %d -ops %d -workers %d%s -v",
 		cfg.Seed, cfg.Ops, cfg.Workers, extra)

@@ -152,15 +152,15 @@ type machine struct {
 	tchk *trace.Checker
 	tdig *trace.Digester
 
-	violation   error
-	curOp       string
-	opsDone     int
-	damaged     bool
-	faulted     [2]bool
-	netFaulted  bool
-	workersLeft int
+	violation  error
+	curOp      string
+	opsDone    int
+	damaged    bool
+	faulted    [2]bool
+	netFaulted bool
+	workers    *gate
 
-	// blockFaults holds opFault's arms by (disk, block), so a repeat on
+	// blockFaults holds the fault op's arms by (disk, block), so a repeat on
 	// the same block replaces the earlier defect and the final sync can
 	// withdraw them all.
 	blockFaults map[[2]int64]*kernel.FaultArm
@@ -186,39 +186,37 @@ type ofile struct {
 	syncedOK bool
 }
 
-// Run executes one harness run and reports the outcome. It never
-// returns a nil Result.
-func Run(cfg Config) *Result {
+// normalize resolves cfg's defaults and the single-worker rules, so
+// generation and execution see the configuration that actually runs.
+func (cfg Config) normalize() Config {
 	if cfg.Ops <= 0 {
 		cfg.Ops = 60
 	}
-	if cfg.Crash {
+	if cfg.FaultSite != "" && cfg.FaultK <= 0 {
+		cfg.FaultK = 1
+	}
+	switch {
+	case cfg.Crash || cfg.FaultSite != "":
 		// The power cut requires a quiescent machine at the op boundary,
-		// which only a single worker guarantees.
+		// which only a single worker guarantees. Armed runs are
+		// single-worker so they replay the census run's schedule exactly
+		// up to the fire point, and so a crash-boundary fire finds the
+		// quiescent machine doCrash requires.
 		cfg.Workers = 1
-	}
-	if cfg.FaultSite != "" {
-		// Armed runs are single-worker so they replay the census run's
-		// schedule exactly up to the fire point, and so a crash-boundary
-		// fire finds the quiescent machine doCrash requires.
-		cfg.Workers = 1
-		if cfg.FaultK <= 0 {
-			cfg.FaultK = 1
-		}
-	}
-	if cfg.Workers <= 0 {
+	case cfg.Workers <= 0:
 		cfg.Workers = 1 + int(cfg.Seed%3)
 	}
 	if cfg.Damage != "" && cfg.DamageAfter <= 0 {
 		cfg.DamageAfter = 1
 	}
-	var ops []*op
-	if cfg.Crash {
-		ops = genCrashOps(cfg)
-	} else {
-		ops = genOps(cfg)
-	}
-	return execute(cfg, ops)
+	return cfg
+}
+
+// Run executes one harness run and reports the outcome. It never
+// returns a nil Result.
+func Run(cfg Config) *Result {
+	cfg = cfg.normalize()
+	return execute(cfg, generate(cfg))
 }
 
 // RunSeed is Run with defaults for everything but the seed.
@@ -234,21 +232,29 @@ func VerifyReplay(seed uint64) error {
 // (the crash sweep replays with Crash set).
 func VerifyReplayConfig(cfg Config) error {
 	cfg.Verbose = nil
+	return Replay(cfg, Run(cfg))
+}
+
+// Replay runs cfg once more, quietly, and compares the outcome with
+// first — the result of an earlier Run(cfg). It is the one replay
+// comparator: a clean first run, a clean second run, identical
+// event-log digests, identical CPU accounting.
+func Replay(cfg Config, first *Result) error {
 	seed := cfg.Seed
-	a := Run(cfg)
-	b := Run(cfg)
-	if a.Violation != nil {
-		return fmt.Errorf("simcheck: replay of failing seed %d: %w", seed, a.Violation)
+	if first.Violation != nil {
+		return fmt.Errorf("simcheck: replay of failing seed %d: %w", seed, first.Violation)
 	}
-	if b.Violation != nil {
-		return fmt.Errorf("simcheck: second run of seed %d failed: %w", seed, b.Violation)
+	cfg.Verbose = nil
+	second := Run(cfg)
+	if second.Violation != nil {
+		return fmt.Errorf("simcheck: second run of seed %d failed: %w", seed, second.Violation)
 	}
-	if a.Digest != b.Digest {
+	if first.Digest != second.Digest {
 		return fmt.Errorf("simcheck: seed %d is not deterministic: digests %016x != %016x%s",
-			seed, a.Digest, b.Digest, firstLogDiff(a.Log, b.Log))
+			seed, first.Digest, second.Digest, firstLogDiff(first.Log, second.Log))
 	}
-	if a.Stats != b.Stats {
-		return fmt.Errorf("simcheck: seed %d CPU accounting diverged: %+v != %+v", seed, a.Stats, b.Stats)
+	if first.Stats != second.Stats {
+		return fmt.Errorf("simcheck: seed %d CPU accounting diverged: %+v != %+v", seed, first.Stats, second.Stats)
 	}
 	return nil
 }
@@ -268,8 +274,8 @@ func firstLogDiff(a, b []string) string {
 	return fmt.Sprintf("\n  logs are a prefix of each other (%d vs %d lines)", len(a), len(b))
 }
 
-// execute runs an explicit op list (Run generates it; Minimize replays
-// subsets of it).
+// execute runs an explicit op list under an already normalized cfg (Run
+// generates the list; Minimize replays subsets of it).
 func execute(cfg Config, ops []*op) *Result {
 	kcfg := kernel.DefaultConfig()
 	kcfg.Name = fmt.Sprintf("simcheck-%d", cfg.Seed)
@@ -349,19 +355,12 @@ func execute(cfg Config, ops []*op) *Result {
 			})
 			m.k.Faults().OnFire = m.onFire
 		}
-		m.workersLeft = cfg.Workers
-		workers := make([]*kernel.Proc, cfg.Workers)
+		m.workers = m.newGate(cfg.Workers)
 		for w := 0; w < cfg.Workers; w++ {
-			w := w
-			workers[w] = m.k.Spawn(fmt.Sprintf("fuzz%d", w), func(wp *kernel.Proc) {
-				m.worker(wp, w, perWorker[w])
-			})
+			ops := perWorker[w]
+			m.k.Spawn(fmt.Sprintf("fuzz%d", w), func(wp *kernel.Proc) { m.worker(wp, ops) })
 		}
-		for m.workersLeft > 0 {
-			if err := p.Sleep(&m.workersLeft, kernel.PSLEP); err != nil {
-				p.DeliverSignals()
-			}
-		}
+		m.workers.await(p)
 		m.finalVerify(p)
 	})
 
@@ -373,10 +372,11 @@ func execute(cfg Config, ops []*op) *Result {
 	// syscalls open, so only a clean run must quiesce). The trace digest
 	// goes into the event log, so VerifyReplay covers the typed stream.
 	if m.violation == nil {
-		if err := m.tchk.CheckQuiesced(); err != nil {
-			m.violation = fmt.Errorf("simcheck: seed %d: %w", cfg.Seed, err)
-			m.logf("VIOLATION %v", m.violation)
-		} else if err := m.tchk.CheckMetrics(m.tr.Metrics()); err != nil {
+		err := m.tchk.CheckQuiesced()
+		if err == nil {
+			err = m.tchk.CheckMetrics(m.tr.Metrics())
+		}
+		if err != nil {
 			m.violation = fmt.Errorf("simcheck: seed %d: %w", cfg.Seed, err)
 			m.logf("VIOLATION %v", m.violation)
 		}
@@ -407,27 +407,12 @@ func execute(cfg Config, ops []*op) *Result {
 	}
 }
 
-// armBlockFault makes one block of a volume fail its next read (or
-// write): a quiet single-shot arm on the disk's fault site.
-func (m *machine) armBlockFault(di int, blk int64, read bool) {
-	site := m.disks[di].WriteSite()
-	if read {
-		site = m.disks[di].ReadSite()
-	}
-	fp, key := m.k.Faults(), [2]int64{int64(di), blk}
-	fp.Remove(m.blockFaults[key])
-	m.blockFaults[key] = fp.Arm(kernel.FaultArm{
-		Site: site, Every: 1, Match: blk, Count: 1, Quiet: true,
-	})
-	m.faulted[di] = true
-}
-
 // onFire classifies an armed-plan fire into the harness's tolerance
 // classes the instant the fault lands. A lost or errored transfer on a
 // volume suspends content checks there (delayed writes may silently die
-// on the floor, exactly like an opFault-injected defect); a perturbed
+// on the floor, exactly like a fault-op-injected defect); a perturbed
 // oracle datagram net downgrades the splice-to-socket byte accounting.
-// Fires from the harness's own quiet arms (opFault's defective blocks,
+// Fires from the harness's own quiet arms (the fault op's defective blocks,
 // snet's every-fifth drop) are not the armed fault and keep their own
 // handling.
 func (m *machine) onFire(site kernel.FaultSite, arg int64) {
@@ -501,6 +486,28 @@ func (m *machine) checkInvariants() error {
 	return stream.CheckInvariants()
 }
 
+// doTraceSnap folds the current counter snapshot into the event log:
+// the snapshot is a pure function of the event stream so far, so replay
+// divergence in any counter shows up as a digest mismatch, and the
+// mid-run aggregator/stream cross-check runs under live load.
+func (m *machine) doTraceSnap(p *kernel.Proc, o *op) {
+	if err := m.tchk.CheckMetrics(m.tr.Metrics()); err != nil {
+		m.fail(err)
+		return
+	}
+	snap := m.tr.Metrics().Snapshot()
+	var sum uint64 = 14695981039346656037
+	for _, c := range snap {
+		for i := 0; i < len(c.Name); i++ {
+			sum ^= uint64(c.Name[i])
+			sum *= 1099511628211
+		}
+		sum ^= uint64(c.Value)
+		sum *= 1099511628211
+	}
+	m.opLog(o, "counters=%d events=%d sum=%016x", len(snap), m.tr.Metrics().Events(), sum)
+}
+
 // fail records the first violation, stamped with the seed, the op in
 // progress and the virtual time — everything needed to reproduce.
 func (m *machine) fail(err error) {
@@ -539,6 +546,16 @@ func (m *machine) ensure(path string) *ofile {
 	return of
 }
 
+// oraclePaths lists every file the oracle knows, sorted.
+func (m *machine) oraclePaths() []string {
+	paths := make([]string, 0, len(m.oracle))
+	for path := range m.oracle {
+		paths = append(paths, path)
+	}
+	sort.Strings(paths)
+	return paths
+}
+
 // taintEnsure marks path's contents unpredictable (creating the entry:
 // after a failed create-op the file may or may not exist).
 func (m *machine) taintEnsure(path string) { m.ensure(path).tainted = true }
@@ -552,12 +569,7 @@ func (m *machine) finalVerify(p *kernel.Proc) {
 	}
 	m.curOp = "final-verify"
 
-	paths := make([]string, 0, len(m.oracle))
-	for path := range m.oracle {
-		paths = append(paths, path)
-	}
-	sort.Strings(paths)
-	for _, path := range paths {
+	for _, path := range m.oraclePaths() {
 		of := m.oracle[path]
 		d := diskOf(path)
 		if of.tainted || !m.checkable(d) {

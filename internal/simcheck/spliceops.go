@@ -1,0 +1,280 @@
+package simcheck
+
+import (
+	"fmt"
+
+	"kdp/internal/dev"
+	"kdp/internal/kernel"
+	"kdp/internal/sim"
+	"kdp/internal/socket"
+	"kdp/internal/splice"
+)
+
+// The splice ops: file → file through the block engine (optionally
+// interrupted by a signal), file → pipe and file → socket with a helper
+// process draining the far end, and pipe → file with a helper feeding
+// the near one.
+
+func textSpliceFile(_ string, o *op) string {
+	return fmt.Sprintf("splice d%d/f%d -> d%d/f%d", o.disk, o.slot, o.disk2, o.slot2)
+}
+
+func textSpliceSig(name string, o *op) string {
+	return fmt.Sprintf("%s sig@%d", textSpliceFile(name, o), o.sigTicks)
+}
+
+func textSplicePipe(_ string, o *op) string {
+	return fmt.Sprintf("splice d%d/f%d -> pipe", o.disk, o.slot)
+}
+
+func textPipeSplice(_ string, o *op) string {
+	return fmt.Sprintf("splice pipe -> d%d/f%d n=%d", o.disk, o.slot, o.size)
+}
+
+func textSpliceSock(_ string, o *op) string {
+	return fmt.Sprintf("splice d%d/f%d -> socket", o.disk, o.slot)
+}
+
+// drawSig draws the tick at which splice-sig's signal is posted.
+func drawSig(r *sim.Rand, o *op) {
+	o.sigTicks = 1 + r.Intn(15)
+	drawDst(r, o)
+}
+
+// doSpliceFile runs the block engine: splice(src → dst, EOF). For
+// splice-sig (the row that draws sigTicks) a signal is posted to the
+// caller mid-transfer, exercising the interrupt-drain path; the partial
+// destination is tainted.
+func (m *machine) doSpliceFile(p *kernel.Proc, o *op) {
+	src, dst := o.path(), o.dst()
+	sfd, err := p.Open(src, kernel.ORdOnly)
+	if err != nil {
+		m.opLog(o, "open src: %v", err)
+		return
+	}
+	dfd, err := p.Open(dst, kernel.OCreat|kernel.ORdWr)
+	if err != nil {
+		p.Close(sfd)
+		m.taintEnsure(dst)
+		m.opLog(o, "open dst: %v", err)
+		return
+	}
+	var c *kernel.Callout
+	if o.sigTicks > 0 {
+		c = m.k.Timeout(func() { m.k.Post(p, kernel.SIGIO) }, o.sigTicks)
+	}
+	n, serr := splice.Splice(p, sfd, dfd, splice.EOF)
+	if c != nil {
+		m.k.Untimeout(c)
+		p.DeliverSignals()
+	}
+	p.Close(sfd)
+	p.Close(dfd)
+
+	oso := m.oracle[src]
+	odo := m.ensure(dst)
+	// The destination name is durable (open succeeded); its content and
+	// metadata were (possibly) rewritten with delayed metadata, so any
+	// earlier fsync snapshot no longer matches the platter.
+	odo.created = true
+	odo.syncedOK = false
+	srcKnown := oso != nil && !oso.tainted && m.checkable(o.disk)
+	switch {
+	case serr != nil:
+		// Interrupted or failed: the destination prefix is whatever
+		// drained before the stop.
+		odo.tainted = true
+		m.opLog(o, "moved=%d err=%v (dst tainted)", n, serr)
+	case !srcKnown:
+		if n > 0 {
+			odo.tainted = true
+		}
+		m.opLog(o, "moved=%d (src unchecked, dst tainted)", n)
+	default:
+		if n != int64(len(oso.data)) && m.checkable(o.disk2) {
+			m.fail(fmt.Errorf("oracle-splice: %s -> %s moved %d bytes, oracle expects %d", src, dst, n, len(oso.data)))
+			return
+		}
+		// Splice overwrites the prefix; a longer destination keeps its
+		// tail (SpliceSetSize only ever extends).
+		if int64(len(odo.data)) < n {
+			odo.data = append(odo.data, make([]byte, n-int64(len(odo.data)))...)
+		}
+		copy(odo.data[:n], oso.data)
+		m.opLog(o, "ok moved=%d", n)
+	}
+}
+
+// spliceSrc opens the op's file as the source of a splice into a byte
+// sink and sizes the transfer: the whole file, up to limit. ok is false
+// when there is nothing to move (logged, descriptor closed).
+func (m *machine) spliceSrc(p *kernel.Proc, o *op, limit int64) (sfd int, n int64, ok bool) {
+	sfd, err := p.Open(o.path(), kernel.ORdOnly)
+	if err != nil {
+		m.opLog(o, "open src: %v", err)
+		return 0, 0, false
+	}
+	n, err = p.FileSize(sfd)
+	if err != nil || n == 0 {
+		p.Close(sfd)
+		m.opLog(o, "empty src (size=%d err=%v)", n, err)
+		return 0, 0, false
+	}
+	if n > limit {
+		n = limit
+	}
+	return sfd, n, true
+}
+
+// A drain is the helper at the far end of a splice into a byte sink: a
+// process that reads the sink until n bytes have arrived, or EOF, or an
+// error.
+type drain struct {
+	*gate
+	got []byte
+}
+
+// startDrain spawns the reader on the sink's read side. bufSize is its
+// read size: datagram reads truncate to the buffer (recvfrom
+// semantics), so a socket's must cover the largest datagram any path
+// sends.
+func (m *machine) startDrain(name string, sink kernel.FileOps, bufSize int, n int64) *drain {
+	d := &drain{}
+	d.gate = m.helper(name, func(rp *kernel.Proc) {
+		fd := rp.InstallFile(sink, kernel.ORdOnly)
+		buf := make([]byte, bufSize)
+		for int64(len(d.got)) < n {
+			r, err := rp.Read(fd, buf)
+			if err != nil || r == 0 {
+				break
+			}
+			d.got = append(d.got, buf[:r]...)
+		}
+	})
+	return d
+}
+
+// spliceInto moves n bytes from sfd into the sink behind wfd. If the
+// splice stops short it releases the drain by pushing filler for the
+// bytes that never came.
+func spliceInto(p *kernel.Proc, sfd, wfd int, n int64) (moved int64, err error) {
+	moved, err = splice.Splice(p, sfd, wfd, n)
+	if err != nil && moved < n {
+		p.Write(wfd, make([]byte, n-moved))
+	}
+	return moved, err
+}
+
+// checkDrained verifies a splice into a byte sink against the oracle:
+// n bytes moved, and the drain saw exactly the file's first n. rule is
+// the invariant, sink what the messages call the far end. lossy means a
+// fault perturbed the sink's delivery (a dropped datagram shortens got,
+// a duplicate lengthens it, a reorder scrambles it): only the
+// splice-side accounting is still exact.
+func (m *machine) checkDrained(o *op, rule, sink string, moved, n int64, serr error, got []byte, lossy bool) {
+	src := o.path()
+	of := m.oracle[src]
+	switch {
+	case serr != nil || of == nil || of.tainted || !m.checkable(o.disk):
+		m.opLog(o, "moved=%d err=%v (unchecked)", moved, serr)
+	case lossy && moved != n:
+		m.fail(fmt.Errorf("%s: %s -> %s moved %d, want %d (net fault perturbs delivery, not the splice)", rule, src, sink, moved, n))
+	case lossy:
+		m.opLog(o, "moved=%d drained=%d (net faulted, delivery unchecked)", moved, len(got))
+	case moved != n || int64(len(got)) != n:
+		m.fail(fmt.Errorf("%s: %s -> %s moved %d, drained %d, want %d", rule, src, sink, moved, len(got), n))
+	default:
+		if i := firstDiff(got, of.data[:n]); i >= 0 {
+			m.fail(fmt.Errorf("%s-content: %s -> %s differs at byte %d: got %#02x, oracle %#02x", rule, src, sink, i, got[i], of.data[i]))
+			return
+		}
+		m.opLog(o, "ok moved=%d", moved)
+	}
+}
+
+// doSplicePipe splices a file into a fresh pipe while a spawned reader
+// drains it, verifying the drained bytes against the oracle.
+func (m *machine) doSplicePipe(p *kernel.Proc, o *op) {
+	sfd, n, ok := m.spliceSrc(p, o, 32<<10)
+	if !ok {
+		return
+	}
+	pipe := dev.NewPipe(m.k, "", pipeCap)
+	pfd := p.InstallFile(pipe, kernel.OWrOnly)
+	d := m.startDrain(fmt.Sprintf("drain%d", o.idx), pipe, 4096, n)
+	moved, serr := spliceInto(p, sfd, pfd, n)
+	d.await(p)
+	p.Close(sfd)
+	p.Close(pfd)
+	m.checkDrained(o, "oracle-pipe", "pipe", moved, n, serr, d.got, false)
+}
+
+// doSpliceSock splices a file into a datagram socket while a spawned
+// reader drains the peer socket.
+func (m *machine) doSpliceSock(p *kernel.Proc, o *op) {
+	sfd, n, ok := m.spliceSrc(p, o, maxStreamIO)
+	if !ok {
+		return
+	}
+	// Fresh port pair per op: sockets close with their procs' fd tables.
+	portA, portB := 1000+2*o.idx, 1001+2*o.idx
+	sa, err := m.net.NewSocket(portA)
+	var sb *socket.Socket
+	if err == nil {
+		sb, err = m.net.NewSocket(portB)
+	}
+	if err != nil {
+		p.Close(sfd)
+		m.opLog(o, "socket: %v", err)
+		return
+	}
+	sa.Connect(portB)
+	afd := p.InstallFile(sa, kernel.OWrOnly)
+	d := m.startDrain(fmt.Sprintf("recv%d", o.idx), sb, 32<<10, n)
+	moved, serr := spliceInto(p, sfd, afd, n)
+	// Close the sending socket before waiting for the reader: the close
+	// queues an EOF marker, which is zero-length and therefore immune to
+	// the datagram fault sites (drop/dup/reorder act on data packets
+	// only), so the reader terminates even when an armed fault ate one
+	// of the datagrams it is counting on.
+	p.Close(afd)
+	d.await(p)
+	p.Close(sfd)
+	m.checkDrained(o, "oracle-sock", "socket", moved, n, serr, d.got, m.netFaulted)
+}
+
+// doPipeSplice splices from a pipe into a file (the source→file staging
+// engine) while a spawned writer feeds the pipe a known pattern.
+func (m *machine) doPipeSplice(p *kernel.Proc, o *op) {
+	dst := o.path()
+	dfd, err := p.Open(dst, kernel.OCreat|kernel.ORdWr|kernel.OTrunc)
+	if err != nil {
+		m.taintEnsure(dst)
+		m.opLog(o, "open dst: %v", err)
+		return
+	}
+	n := int64(o.size)
+	pipe := dev.NewPipe(m.k, "", pipeCap)
+	pfd := p.InstallFile(pipe, kernel.ORdOnly)
+
+	m.k.Spawn(fmt.Sprintf("feed%d", o.idx), func(wp *kernel.Proc) {
+		wfd := wp.InstallFile(pipe, kernel.OWrOnly)
+		wp.Write(wfd, pattern(o.size, 0, o.pat))
+	})
+
+	moved, serr := splice.Splice(p, pfd, dfd, n)
+	p.Close(pfd)
+	p.Close(dfd)
+
+	of := m.ensure(dst)
+	of.created = true
+	of.syncedOK = false
+	if serr != nil || moved != n {
+		of.tainted = true
+		m.opLog(o, "moved=%d err=%v (tainted)", moved, serr)
+		return
+	}
+	of.data = pattern(o.size, 0, o.pat)
+	of.tainted = false
+	m.opLog(o, "ok moved=%d", moved)
+}

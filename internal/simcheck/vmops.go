@@ -1,193 +1,89 @@
 package simcheck
 
 import (
-	"errors"
 	"fmt"
 
 	"kdp/internal/kernel"
 )
 
-// The mapped-file ops. Each one is self-contained like the rest of the
-// vocabulary: map, act, unmap. The mapping outlives its descriptor (the
-// fd closes right after Mmap), so every op also exercises the
+// The mapped-file ops are a fetch and two stores in fileops.go's
+// frames: map, act, unmap. The mapping outlives its descriptor (the fd
+// closes right after Mmap), so every op also exercises the
 // map-reference-keeps-the-inode path. Munmap pages out any dirty pages
 // as delayed writes, so a later fault op can surface through the next
 // op's Munmap or msync — those errors taint the oracle exactly like a
 // failed write.
 
-// doMmapRead maps the whole file shared read-only, faults every page in
-// through the buffer cache with one MemRead, and verifies the bytes
-// against the oracle — the mapped twin of doSeqRead.
-func (m *machine) doMmapRead(p *kernel.Proc, w int, o *op) {
-	path := m.path(w, o.disk, o.slot)
-	of := m.oracle[path]
-	fd, err := p.Open(path, kernel.ORdOnly)
-	if err != nil {
-		if errors.Is(err, kernel.ErrNoEnt) {
-			if of != nil && !of.tainted && m.checkable(o.disk) {
-				m.fail(fmt.Errorf("oracle-exists: open %s: %v, but oracle has %d bytes", path, err, len(of.data)))
-				return
-			}
-			m.opLog(o, w, "absent")
-			return
-		}
-		if of != nil {
-			of.tainted = true
-		}
-		m.opLog(o, w, "open: %v", err)
-		return
-	}
-	if of == nil && m.checkable(o.disk) {
-		p.Close(fd)
-		m.fail(fmt.Errorf("oracle-absent: %s opened but the oracle says it was never created", path))
-		return
-	}
+// fetchMmap maps the whole file shared read-only and faults every page
+// in through the buffer cache with one MemRead — the mapped twin of
+// fetchSeq.
+func fetchMmap(m *machine, p *kernel.Proc, fd int, o *op) ([]byte, string, error) {
 	size, err := p.FileSize(fd)
 	if err != nil || size == 0 {
 		p.Close(fd)
-		m.opLog(o, w, "empty (size=%d err=%v)", size, err)
-		return
+		return nil, "", skipped(fmt.Sprintf("empty (size=%d err=%v)", size, err))
 	}
 	addr, merr := p.Mmap(fd, 0, size, kernel.ProtRead, kernel.MapShared)
 	p.Close(fd)
 	if merr != nil {
 		// Mapping an open regular file takes no I/O; failure is a harness bug.
-		m.fail(fmt.Errorf("mmap-read: mmap %s: %v", path, merr))
-		return
+		m.fail(fmt.Errorf("mmap-read: mmap %s: %v", o.path(), merr))
+		return nil, "", nil
 	}
 	got := make([]byte, size)
 	rerr := p.MemRead(addr, got)
 	uerr := p.Munmap(addr)
 	if rerr != nil {
 		// A read fault hit an injected disk fault mid-scan.
-		if of != nil {
-			of.tainted = true
-		}
-		m.opLog(o, w, "memread: %v", rerr)
-		return
+		return nil, "", fmt.Errorf("memread: %v", rerr)
 	}
 	if uerr != nil {
 		// A read-only mapping has nothing to page out; failure is a bug.
-		m.fail(fmt.Errorf("mmap-read: munmap %s: %v", path, uerr))
-		return
+		m.fail(fmt.Errorf("mmap-read: munmap %s: %v", o.path(), uerr))
 	}
-	if of == nil || of.tainted || !m.checkable(o.disk) {
-		m.opLog(o, w, "n=%d (unchecked)", size)
-		return
-	}
-	if size != int64(len(of.data)) {
-		m.fail(fmt.Errorf("oracle-size: mmap-read %s maps %d bytes, oracle expects %d", path, size, len(of.data)))
-		return
-	}
-	if i := firstDiff(got, of.data); i >= 0 {
-		m.fail(fmt.Errorf("oracle-content: %s differs at byte %d: mapped %#02x, oracle %#02x",
-			path, i, got[i], of.data[i]))
-		return
-	}
-	m.opLog(o, w, "ok n=%d", size)
+	return got, "", nil
 }
 
-// mmapStore maps [0, off+size) of the worker's file shared read/write,
-// stores the pattern at off through MemWrite (write faults allocate
-// backing blocks and COW nothing — it's a shared map), and returns the
-// mapping address for the caller to sync and/or unmap. It applies the
-// doWrite oracle discipline: name durable on successful open, any
-// earlier durable snapshot stale, errors taint.
-func (m *machine) mmapStore(p *kernel.Proc, w int, o *op) (addr int64, of *ofile, ok bool) {
-	path := m.path(w, o.disk, o.slot)
-	fd, err := p.Open(path, kernel.OCreat|kernel.ORdWr)
-	if err != nil {
-		m.taintEnsure(path)
-		m.opLog(o, w, "open: %v", err)
-		return 0, nil, false
-	}
-	end := o.off + int64(o.size)
-	addr, merr := p.Mmap(fd, 0, end, kernel.ProtRead|kernel.ProtWrite, kernel.MapShared)
-	p.Close(fd)
-	of = m.ensure(path)
-	of.created = true
-	of.syncedOK = false
-	if merr != nil {
-		// Mapping extends the file to end (delayed metadata); nothing
-		// else is knowable.
-		of.tainted = true
-		m.opLog(o, w, "mmap: %v", merr)
-		return 0, nil, false
-	}
-	data := make([]byte, o.size)
-	fillPattern(data, o.off, o.pat)
-	if werr := p.MemWrite(addr+o.off, data); werr != nil {
-		// A fault mid-store (ENOSPC allocating a backing block, or an
-		// injected read fault paging in a partial page) leaves an
-		// unpredictable subset of the stores applied.
-		of.tainted = true
-		if uerr := p.Munmap(addr); uerr != nil {
-			m.opLog(o, w, "memwrite: %v; munmap: %v (tainted)", werr, uerr)
-			return 0, nil, false
+// mappedStore builds the mmap-write and msync stores: map [0, off+size)
+// of the file shared read/write, store data at off through MemWrite
+// (write faults allocate backing blocks and COW nothing — it's a shared
+// map), msync if asked, and unmap. The dirty pages leave as delayed
+// writes inside Munmap, so a latched write error from an earlier fault
+// op surfaces here — tainting the file just as it would a plain write.
+// A successful msync carries the same contract as fsync: this exact
+// content is durable and survives any later crash byte-exact — the
+// crash sweep holds it to that.
+func mappedStore(sync bool) storeFunc {
+	return func(m *machine, p *kernel.Proc, fd int, o *op, data []byte) (string, bool, error) {
+		addr, err := p.Mmap(fd, 0, o.off+int64(len(data)), kernel.ProtRead|kernel.ProtWrite, kernel.MapShared)
+		p.Close(fd)
+		if err != nil {
+			// Mapping extends the file to end (delayed metadata); nothing
+			// else is knowable.
+			return "", false, fmt.Errorf("mmap: %v", err)
 		}
-		m.opLog(o, w, "memwrite: %v (tainted)", werr)
-		return 0, nil, false
+		if werr := p.MemWrite(addr+o.off, data); werr != nil {
+			// A fault mid-store (ENOSPC allocating a backing block, or an
+			// injected read fault paging in a partial page) leaves an
+			// unpredictable subset of the stores applied.
+			if uerr := p.Munmap(addr); uerr != nil {
+				return "", false, fmt.Errorf("memwrite: %v; munmap: %v (tainted)", werr, uerr)
+			}
+			return "", false, fmt.Errorf("memwrite: %v (tainted)", werr)
+		}
+		var serr error
+		if sync {
+			serr = p.Msync(addr)
+		}
+		uerr := p.Munmap(addr)
+		if serr != nil {
+			// A failed msync paged out an unknown subset: current content
+			// and the durable image are both unpredictable.
+			return "", false, fmt.Errorf("msync: %v", serr)
+		}
+		if uerr != nil {
+			return "", false, fmt.Errorf("munmap: %v (tainted)", uerr)
+		}
+		return "", sync, nil
 	}
-	return addr, of, true
-}
-
-// storeOracle folds a completed mmap store into the oracle: the mapping
-// extended the file to off+size (zero-filling any gap) and the pattern
-// landed at off.
-func (o *op) storeOracle(of *ofile) {
-	end := o.off + int64(o.size)
-	if int64(len(of.data)) < end {
-		of.data = append(of.data, make([]byte, end-int64(len(of.data)))...)
-	}
-	fillPattern(of.data[o.off:end], o.off, o.pat)
-}
-
-// doMmapWrite stores through a shared mapping and unmaps. The dirty
-// pages leave as delayed writes inside Munmap, so a latched write error
-// from an earlier fault op surfaces here — tainting the file just as it
-// would a plain write.
-func (m *machine) doMmapWrite(p *kernel.Proc, w int, o *op) {
-	addr, of, ok := m.mmapStore(p, w, o)
-	if !ok {
-		return
-	}
-	if uerr := p.Munmap(addr); uerr != nil {
-		of.tainted = true
-		m.opLog(o, w, "munmap: %v (tainted)", uerr)
-		return
-	}
-	o.storeOracle(of)
-	m.opLog(o, w, "ok n=%d", o.size)
-}
-
-// doMsync stores through a shared mapping, then msyncs before
-// unmapping. A successful msync carries the same contract as fsync:
-// this exact content is durable and survives any later crash
-// byte-exact — the crash sweep holds it to that.
-func (m *machine) doMsync(p *kernel.Proc, w int, o *op) {
-	addr, of, ok := m.mmapStore(p, w, o)
-	if !ok {
-		return
-	}
-	serr := p.Msync(addr)
-	uerr := p.Munmap(addr)
-	if serr != nil {
-		// A failed msync paged out an unknown subset: current content
-		// and the durable image are both unpredictable.
-		of.tainted = true
-		of.syncedOK = false
-		m.opLog(o, w, "msync: %v", serr)
-		return
-	}
-	if uerr != nil {
-		of.tainted = true
-		m.opLog(o, w, "munmap: %v (tainted)", uerr)
-		return
-	}
-	o.storeOracle(of)
-	if !of.tainted {
-		of.synced = append([]byte(nil), of.data...)
-		of.syncedOK = true
-	}
-	m.opLog(o, w, "ok n=%d", o.size)
 }
