@@ -67,93 +67,25 @@ func (p *Proc) Submit(ops []BatchOp) []BatchResult {
 	return res
 }
 
-// batchOne dispatches one batched op. The bodies mirror Read, Write,
-// Lseek and Fsync minus their SyscallEnter/SyscallExit pairs: the
-// crossing was paid once by Submit, and the trace checker's per-pid
-// syscall nesting forbids unpaired inner events.
+// batchOne dispatches one batched op to the body of the system call it
+// names. The bodies, not the exported calls: the crossing was paid once
+// by Submit, and the trace checker's per-pid syscall nesting forbids
+// unpaired inner events.
 func (p *Proc) batchOne(op *BatchOp) BatchResult {
+	var n int
+	var err error
 	switch op.Code {
 	case BatchRead:
-		f, err := p.FD(op.FD)
-		if err != nil {
-			return BatchResult{Err: err}
-		}
-		if f.flags&0x3 == OWrOnly {
-			return BatchResult{Err: ErrBadFD}
-		}
-		if lerr := f.takeLatched(); lerr != nil {
-			return BatchResult{Err: lerr}
-		}
-		n, err := f.ops.Read(p.ioCtx(f), op.Buf, f.offset)
-		if n > 0 {
-			p.UseK(p.k.cfg.CopyCost(n)) // copyout
-			f.offset += int64(n)
-		}
-		return BatchResult{N: int64(n), Err: err}
-
+		n, err = p.read(op.FD, op.Buf)
 	case BatchWrite:
-		f, err := p.FD(op.FD)
-		if err != nil {
-			return BatchResult{Err: err}
-		}
-		if f.flags&0x3 == ORdOnly {
-			return BatchResult{Err: ErrBadFD}
-		}
-		if lerr := f.takeLatched(); lerr != nil {
-			return BatchResult{Err: lerr}
-		}
-		ctx := p.ioCtx(f)
-		if _, nb := ctx.(nbCtx); nb {
-			n, err := f.ops.Write(ctx, op.Buf, f.offset)
-			if n > 0 {
-				p.UseK(p.k.cfg.CopyCost(n))
-				f.offset += int64(n)
-			}
-			return BatchResult{N: int64(n), Err: err}
-		}
-		if len(op.Buf) > 0 {
-			p.UseK(p.k.cfg.CopyCost(len(op.Buf))) // copyin
-		}
-		n, err := f.ops.Write(ctx, op.Buf, f.offset)
-		if n > 0 {
-			f.offset += int64(n)
-		}
-		return BatchResult{N: int64(n), Err: err}
-
+		n, err = p.write(op.FD, op.Buf)
 	case BatchLseek:
-		f, err := p.FD(op.FD)
-		if err != nil {
-			return BatchResult{Err: err}
-		}
-		var base int64
-		switch op.Whence {
-		case SeekSet:
-			base = 0
-		case SeekCur:
-			base = f.offset
-		case SeekEnd:
-			sz, serr := f.ops.Size(p.Ctx())
-			if serr != nil {
-				return BatchResult{Err: serr}
-			}
-			base = sz
-		default:
-			return BatchResult{Err: ErrInval}
-		}
-		if base+op.Off < 0 {
-			return BatchResult{Err: ErrInval}
-		}
-		f.offset = base + op.Off
-		return BatchResult{N: f.offset}
-
+		off, err := p.lseek(op.FD, op.Off, op.Whence)
+		return BatchResult{N: off, Err: err}
 	case BatchFsync:
-		f, err := p.FD(op.FD)
-		if err != nil {
-			return BatchResult{Err: err}
-		}
-		return BatchResult{Err: f.ops.Sync(p.Ctx())}
-
+		err = p.fsync(op.FD)
 	default:
-		return BatchResult{Err: ErrInval}
+		err = ErrInval
 	}
+	return BatchResult{N: int64(n), Err: err}
 }

@@ -290,33 +290,49 @@ func (k *Kernel) closeFD(p *Proc, fd int) error {
 	return f.ops.Close(p.Ctx())
 }
 
-// ioCtx selects the execution context for a descriptor's read/write:
-// nonblocking only when ONonblock is set and the object is pollable
-// (regular files keep blocking disk I/O under ONonblock, as in BSD).
-func (p *Proc) ioCtx(f *FDesc) Ctx {
+// ioFD is the prelude of every data-moving call: look fd up, refuse the
+// access mode that forbids the direction (wrong is OWrOnly for a read,
+// ORdOnly for a write), surface an error latched by an earlier partial
+// transfer, and pick the execution context — nonblocking only when
+// ONonblock is set and the object is pollable (regular files keep
+// blocking disk I/O under ONonblock, as in BSD).
+func (p *Proc) ioFD(fd, wrong int) (*FDesc, Ctx, error) {
+	f, err := p.FD(fd)
+	if err == nil && f.flags&0x3 == wrong {
+		err = ErrBadFD
+	}
+	if err == nil {
+		err = f.takeLatched()
+	}
+	if err != nil {
+		return nil, nil, err
+	}
 	if f.flags&ONonblock != 0 {
-		if _, ok := f.ops.(PollOps); ok {
-			return nbCtx{p}
+		if _, pollable := f.ops.(PollOps); pollable {
+			return f, nbCtx{p}, nil
 		}
 	}
-	return procCtx{p}
+	return f, procCtx{p}, nil
 }
+
+// A system call is a crossing plus a body: the exported method pays the
+// trap and emits the enter/exit pair, the unexported body does the work
+// and is what an aggregated submission (Submit) dispatches to, its one
+// crossing already paid.
 
 // Read reads up to len(b) bytes at the current offset, charging the
 // kernel-to-user copy for the bytes moved. Returns 0, nil at EOF.
 func (p *Proc) Read(fd int, b []byte) (int, error) {
 	defer p.SyscallExit(p.SyscallEnter("read"))
-	f, err := p.FD(fd)
+	return p.read(fd, b)
+}
+
+func (p *Proc) read(fd int, b []byte) (int, error) {
+	f, ctx, err := p.ioFD(fd, OWrOnly)
 	if err != nil {
 		return 0, err
 	}
-	if f.flags&0x3 == OWrOnly {
-		return 0, ErrBadFD
-	}
-	if lerr := f.takeLatched(); lerr != nil {
-		return 0, lerr
-	}
-	n, err := f.ops.Read(p.ioCtx(f), b, f.offset)
+	n, err := f.ops.Read(ctx, b, f.offset)
 	if n > 0 {
 		p.UseK(p.k.cfg.CopyCost(n)) // copyout
 		f.offset += int64(n)
@@ -328,32 +344,25 @@ func (p *Proc) Read(fd int, b []byte) (int, error) {
 // user-to-kernel copy.
 func (p *Proc) Write(fd int, b []byte) (int, error) {
 	defer p.SyscallExit(p.SyscallEnter("write"))
-	f, err := p.FD(fd)
+	return p.write(fd, b)
+}
+
+func (p *Proc) write(fd int, b []byte) (int, error) {
+	f, ctx, err := p.ioFD(fd, ORdOnly)
 	if err != nil {
 		return 0, err
 	}
-	if f.flags&0x3 == ORdOnly {
-		return 0, ErrBadFD
-	}
-	if lerr := f.takeLatched(); lerr != nil {
-		return 0, lerr
-	}
-	ctx := p.ioCtx(f)
-	if _, nb := ctx.(nbCtx); nb {
-		// Nonblocking: the object may admit only part of b, so the
-		// copyin is charged for the bytes actually taken.
-		n, err := f.ops.Write(ctx, b, f.offset)
-		if n > 0 {
-			p.UseK(p.k.cfg.CopyCost(n))
-			f.offset += int64(n)
-		}
-		return n, err
-	}
-	if len(b) > 0 {
-		p.UseK(p.k.cfg.CopyCost(len(b))) // copyin
+	_, nb := ctx.(nbCtx)
+	if !nb && len(b) > 0 {
+		p.UseK(p.k.cfg.CopyCost(len(b))) // copyin, before the object sees b
 	}
 	n, err := f.ops.Write(ctx, b, f.offset)
 	if n > 0 {
+		if nb {
+			// Nonblocking: the object may admit only part of b, so the
+			// copyin is charged for the bytes actually taken.
+			p.UseK(p.k.cfg.CopyCost(n))
+		}
 		f.offset += int64(n)
 	}
 	return n, err
@@ -369,14 +378,17 @@ const (
 // Lseek repositions the file offset.
 func (p *Proc) Lseek(fd int, off int64, whence int) (int64, error) {
 	defer p.SyscallExit(p.SyscallEnter("lseek"))
+	return p.lseek(fd, off, whence)
+}
+
+func (p *Proc) lseek(fd int, off int64, whence int) (int64, error) {
 	f, err := p.FD(fd)
 	if err != nil {
 		return 0, err
 	}
 	var base int64
 	switch whence {
-	case SeekSet:
-		base = 0
+	case SeekSet: // base 0
 	case SeekCur:
 		base = f.offset
 	case SeekEnd:
@@ -417,6 +429,10 @@ func (p *Proc) Fcntl(fd int, cmd int, arg int) (int, error) {
 // Fsync forces the file's dirty blocks to stable storage and waits.
 func (p *Proc) Fsync(fd int) error {
 	defer p.SyscallExit(p.SyscallEnter("fsync"))
+	return p.fsync(fd)
+}
+
+func (p *Proc) fsync(fd int) error {
 	f, err := p.FD(fd)
 	if err != nil {
 		return err

@@ -81,17 +81,10 @@ type WritevOps interface {
 // next call (4.3BSD readv semantics).
 func (p *Proc) Readv(fd int, iovs [][]byte) (int, error) {
 	defer p.SyscallExit(p.SyscallEnter("readv"))
-	f, err := p.FD(fd)
+	f, ctx, err := p.ioFD(fd, OWrOnly)
 	if err != nil {
 		return 0, err
 	}
-	if f.flags&0x3 == OWrOnly {
-		return 0, ErrBadFD
-	}
-	if lerr := f.takeLatched(); lerr != nil {
-		return 0, lerr
-	}
-	ctx := p.ioCtx(f)
 	total := 0
 	if rv, ok := f.ops.(ReadvOps); ok {
 		total, err = rv.Readv(ctx, iovs, f.offset)
@@ -110,69 +103,47 @@ func (p *Proc) Readv(fd int, iovs [][]byte) (int, error) {
 	}
 	if total > 0 {
 		p.UseK(p.k.cfg.CopyCost(total)) // one copyout setup for the vector
+	}
+	return p.vecDone(f, len(iovs), total, err)
+}
+
+// vecDone is the epilogue of a vectored call that moved total bytes in
+// one crossing carrying ops operations: advance the offset, latch an
+// error that followed partial progress for the descriptor's next call,
+// and record the aggregated crossing — (ops-1) fewer traps than issuing
+// the operations one syscall at a time.
+func (p *Proc) vecDone(f *FDesc, ops, total int, err error) (int, error) {
+	if total > 0 {
 		f.offset += int64(total)
-		if err != nil {
-			f.latched = err
-			err = nil
+		f.latched, err = err, nil
+		if ops > 1 {
+			p.k.TraceEmit(trace.KindKernelBatch, p.pid, int64(ops), int64(ops-1), "")
 		}
-		p.emitBatch(len(iovs))
 	}
 	return total, err
 }
 
-// emitBatch records one aggregated crossing carrying ops operations —
-// (ops-1) fewer traps than issuing them one syscall at a time.
-func (p *Proc) emitBatch(ops int) {
-	if ops > 1 {
-		p.k.TraceEmit(trace.KindKernelBatch, p.pid, int64(ops), int64(ops-1), "")
-	}
-}
-
 // Writev writes the iovecs in order, crossing the user/kernel boundary
-// once. The copyin setup is charged once for the vector. Returns the
-// bytes consumed; an error after partial progress is latched on the
-// descriptor for the next call (4.3BSD writev semantics).
+// once. The copyin setup is charged once for the vector: up front for
+// its whole length, or, nonblocking, afterwards for the bytes the object
+// actually took. Returns the bytes consumed; an error after partial
+// progress is latched on the descriptor for the next call (4.3BSD writev
+// semantics).
 func (p *Proc) Writev(fd int, iovs [][]byte) (int, error) {
 	defer p.SyscallExit(p.SyscallEnter("writev"))
-	f, err := p.FD(fd)
+	f, ctx, err := p.ioFD(fd, ORdOnly)
 	if err != nil {
 		return 0, err
 	}
-	if f.flags&0x3 == ORdOnly {
-		return 0, ErrBadFD
+	_, nb := ctx.(nbCtx)
+	if n := (Uio{Iovs: iovs}).Total(); !nb && n > 0 {
+		p.UseK(p.k.cfg.CopyCost(n))
 	}
-	if lerr := f.takeLatched(); lerr != nil {
-		return 0, lerr
+	total, err := p.writevInner(f, ctx, iovs)
+	if nb && total > 0 {
+		p.UseK(p.k.cfg.CopyCost(total))
 	}
-	ctx := p.ioCtx(f)
-	if _, nb := ctx.(nbCtx); nb {
-		// Nonblocking: the object may admit only part of the vector, so
-		// the copyin is charged for the bytes actually taken.
-		total, werr := p.writevInner(f, ctx, iovs)
-		if total > 0 {
-			p.UseK(p.k.cfg.CopyCost(total))
-			f.offset += int64(total)
-			if werr != nil {
-				f.latched = werr
-				werr = nil
-			}
-			p.emitBatch(len(iovs))
-		}
-		return total, werr
-	}
-	if n := (Uio{Iovs: iovs}).Total(); n > 0 {
-		p.UseK(p.k.cfg.CopyCost(n)) // one copyin setup for the vector
-	}
-	total, werr := p.writevInner(f, ctx, iovs)
-	if total > 0 {
-		f.offset += int64(total)
-		if werr != nil {
-			f.latched = werr
-			werr = nil
-		}
-		p.emitBatch(len(iovs))
-	}
-	return total, werr
+	return p.vecDone(f, len(iovs), total, err)
 }
 
 // writevInner moves the vector into the object: one native gather-write

@@ -10,7 +10,7 @@ import (
 	"kdp/internal/splice"
 )
 
-// The splice ops: file → file through the block engine (optionally
+// The splice ops: file → file, block reader into aliasing writer (optionally
 // interrupted by a signal), file → pipe and file → socket with a helper
 // process draining the far end, and pipe → file with a helper feeding
 // the near one.
@@ -41,7 +41,7 @@ func drawSig(r *sim.Rand, o *op) {
 	drawDst(r, o)
 }
 
-// doSpliceFile runs the block engine: splice(src → dst, EOF). For
+// doSpliceFile runs the file → file pairing: splice(src → dst, EOF). For
 // splice-sig (the row that draws sigTicks) a signal is posted to the
 // caller mid-transfer, exercising the interrupt-drain path; the partial
 // destination is tainted.

@@ -1,10 +1,6 @@
 package splice
 
-import (
-	"fmt"
-
-	"kdp/internal/buf"
-)
+import "fmt"
 
 // This file implements the splice invariant checker used by the
 // simcheck harness. Because splice descriptors live entirely inside the
@@ -15,8 +11,9 @@ import (
 // Invariant catalog (splice):
 //
 //	splice-pending-neg     pending read/write counts never go negative
-//	splice-pending-bound   block-engine pending counts respect the
-//	                       watermark + refill-batch flow-control bounds
+//	splice-pending-bound   pending counts respect the read side's bound:
+//	                       watermark + refill batch for a block reader,
+//	                       one outstanding read for a source reader
 //	splice-done-live       a completed descriptor is not still registered
 //	splice-moved-bound     bytes moved never exceed the transfer size
 //	splice-hdr-alias       every in-flight write header is memory-less
@@ -33,8 +30,8 @@ var (
 
 // EnableInvariants switches descriptor tracking on or off. While on,
 // every splice registers its descriptor for CheckInvariants to inspect
-// and tracks its in-flight write headers. Not safe to toggle while a
-// machine is running.
+// and an aliasing write side tracks its in-flight headers. Not safe to
+// toggle while a machine is running.
 func EnableInvariants(on bool) {
 	invariantsOn = on
 	if on {
@@ -47,25 +44,12 @@ func EnableInvariants(on bool) {
 func registerDesc(d *desc) {
 	if invariantsOn && !d.done {
 		liveDescs[d] = struct{}{}
-		d.liveHdrs = make(map[*buf.Buf]struct{})
 	}
 }
 
 func unregisterDesc(d *desc) {
 	if invariantsOn {
 		delete(liveDescs, d)
-	}
-}
-
-func trackHdr(d *desc, hdr *buf.Buf) {
-	if d.liveHdrs != nil {
-		d.liveHdrs[hdr] = struct{}{}
-	}
-}
-
-func untrackHdr(d *desc, hdr *buf.Buf) {
-	if d.liveHdrs != nil {
-		delete(d.liveHdrs, hdr)
 	}
 }
 
@@ -105,44 +89,8 @@ func (d *desc) check() error {
 	if d.total >= 0 && d.moved > d.total {
 		return sviolation("splice-moved-bound", "moved %d of %d bytes", d.moved, d.total)
 	}
-	switch d.mode {
-	case modeFileFile, modeFileSink:
-		// §5.5 flow control: priming issues RefillBatch reads; a refill
-		// fires only when pendingReads < ReadWatermark and adds at most
-		// RefillBatch more, so reads are bounded by RW-1+RB. Every
-		// completed read becomes a pending write, and refills require
-		// pendingWrites < WriteWatermark, bounding writes by
-		// WW-1 + (RW-1+RB).
-		maxReads := d.opts.ReadWatermark - 1 + d.opts.RefillBatch
-		if d.pendingReads > maxReads {
-			return sviolation("splice-pending-bound", "%d pending reads exceed watermark bound %d", d.pendingReads, maxReads)
-		}
-		maxWrites := d.opts.WriteWatermark - 1 + maxReads
-		if d.pendingWrites > maxWrites {
-			return sviolation("splice-pending-bound", "%d pending writes exceed watermark bound %d", d.pendingWrites, maxWrites)
-		}
-	case modeSourceSink, modeSourceFile:
-		// Stream engines keep at most one source read outstanding.
-		if d.pendingReads > 1 {
-			return sviolation("splice-pending-bound", "stream engine with %d pending reads", d.pendingReads)
-		}
+	if err := d.rd.bound(); err != nil {
+		return err
 	}
-	for hdr := range d.liveHdrs {
-		if hdr.Flags&buf.BNoMem == 0 {
-			return sviolation("splice-hdr-alias", "write header without B_NOMEM: %s", hdr)
-		}
-		peer := hdr.SplicePeer
-		if peer == nil {
-			return sviolation("splice-hdr-alias", "write header with no read-side peer: %s", hdr)
-		}
-		if !d.opts.NoShare {
-			if len(hdr.Data) == 0 || len(peer.Data) == 0 || &hdr.Data[0] != &peer.Data[0] {
-				return sviolation("splice-hdr-alias", "write header does not alias its peer's data area: %s", hdr)
-			}
-		}
-		if hdr.SpliceDesc != any(d) {
-			return sviolation("splice-hdr-alias", "write header bound to foreign descriptor: %s", hdr)
-		}
-	}
-	return nil
+	return d.wr.check()
 }

@@ -3,44 +3,47 @@
 // objects named by file descriptors, moving data asynchronously and
 // without user-process intervention.
 //
-// The implementation mirrors the paper's §5 exactly:
+// Every transfer is one pipeline, the one §5 describes:
 //
-//   - A dynamically allocated splice descriptor holds all transfer
-//     state, so I/O proceeds without the calling process's context.
-//   - For file endpoints, the complete table of physical block numbers
-//     is built up front by successive bmap() calls; the destination is
-//     mapped with a special bmap that skips zero-fill delayed writes.
-//   - The read side uses a modified bread with the biowait removed: an
-//     async read with a B_CALL completion handler.
+//   - A dynamically allocated splice descriptor (desc, pipeline.go)
+//     holds all transfer state, so I/O proceeds without the calling
+//     process's context (§5.2).
+//   - A read side produces data at interrupt level and hands each piece
+//     to the write side (read.go). Reading a file, it walks the table of
+//     physical block numbers built up front by successive bmap() calls
+//     and issues a modified bread with the biowait removed — an async
+//     read with a B_CALL completion handler (§5.3). Reading a Source
+//     (socket, framebuffer, pipe), it keeps one read outstanding.
 //   - The read handler schedules the write side by placing it at the
-//     head of the system callout list, decoupling the I/O access
-//     periods of the source and sink devices.
-//   - The write side obtains a buffer header with no data memory (the
-//     modified getblk) and aliases its data pointer to the read-side
-//     buffer, so no copy occurs between cache buffers.
-//   - The write-completion handler releases both buffers and restarts
-//     reads under rate-based flow control: when pending reads and
-//     pending writes drop below the watermarks (3 and 5), up to five
-//     additional reads are issued.
+//     head of the system callout list, decoupling the I/O access periods
+//     of the source and sink devices (§5.3).
+//   - A write side consumes the data (write.go). Into a file it obtains
+//     a buffer header with no data memory (the modified getblk) and
+//     aliases its data pointer to the read-side buffer, so no copy
+//     occurs between cache buffers (§5.4); into a Sink it passes a slice
+//     of that same buffer; from a Source into a file it stages the
+//     arriving bytes into cache buffers, the one unavoidable copy.
+//   - One write handler releases the buffers, credits the bytes moved
+//     and restarts reads under rate-based flow control: when pending
+//     reads and pending writes drop below the watermarks (3 and 5), up
+//     to five additional reads are issued (§5.5).
+//   - One completion rule (settle) decides when the transfer is over.
 //
-// Sources and sinks beyond regular files (character devices, sockets,
-// the framebuffer) participate through the small Source and Sink
-// interfaces, which are satisfied structurally by internal/dev and
-// internal/socket.
+// SpliceOpts pairs a read side with a write side once, from what the two
+// descriptors are; nothing afterwards asks which pairing is running.
+// Sources and sinks beyond regular files participate through the small
+// Source and Sink interfaces, which are satisfied structurally by
+// internal/dev, internal/socket and internal/stream.
 //
-// Every engine emits structured trace events (splice.start, the
+// The pipeline emits structured trace events (splice.start, the
 // read/write pipeline with its pending-I/O gauges, stalls, and
 // completion) through the kernel's tracer; the taxonomy is documented
 // in docs/TRACING.md.
 package splice
 
 import (
-	"sort"
-
 	"kdp/internal/buf"
 	"kdp/internal/kernel"
-	"kdp/internal/sim"
-	"kdp/internal/trace"
 )
 
 // EOF is the special size value requesting that the splice run until
@@ -157,163 +160,158 @@ type Stats struct {
 	PeakWrites   int   // maximum writes in flight at once
 }
 
-// desc is the splice descriptor (§5.2): all state needed to run the
-// transfer without the calling process.
-type desc struct {
-	k     *kernel.Kernel
-	cache *buf.Cache
-	opts  Options
-
-	mode spliceMode
-
-	// File endpoints (block engine and file→sink).
-	srcFile  FileLike
-	dstFile  FileLike
-	srcTable []uint32
-	dstTable []uint32
-	bsize    int64
-
-	// Endpoint interfaces (stream engine).
-	source Source
-	sink   Sink
-
-	total       int64 // bytes to move (after EOF resolution); -1 if EOF on a Source
-	startOff    int64 // source byte offset of the transfer
-	dstOff      int64 // destination byte offset (block engine: block aligned)
-	srcStartBlk int64 // first source logical block covered by srcTable
-	nblocks     int64 // logical blocks to transfer (file source)
-	nextRead    int64 // next table index to issue
-	lastBytes   int   // bytes in the final block
-
-	// Stream-engine state (source → sink).
-	streamEOF       bool
-	readOutstanding bool
-	streamScheduled int64
-
-	// Rate-pacing state (Options.RateBytesPerSec).
-	rateStart     sim.Time
-	rateScheduled int64 // bytes admitted to the pipeline so far
-
-	// File→sink ordering state. Source reads complete in I/O order —
-	// a cache hit or a hole returns instantly while an earlier block
-	// is still on the disk queue — but a pipe or socket is a byte
-	// stream, so completed blocks park here until every earlier block
-	// has been handed to the sink.
-	sinkParked map[int64]*buf.Buf
-	sinkNext   int64 // next logical block (table index) to deliver
-
-	// dstFresh flags destination blocks freshly allocated by this
-	// splice's SpliceMapWrite: a partial write into a fresh block must
-	// put zeros in the unwritten remainder (nothing else ever will),
-	// while a partial write into a pre-existing block must preserve it.
-	dstFresh []bool
-
-	// Source→file staging state.
-	sfHdr      *buf.Buf // destination block buffer being filled
-	sfFill     int      // bytes staged into sfHdr
-	sfReceived int64    // bytes taken from the source
-	sfStash    []byte   // bytes awaiting a staging buffer
-
-	pendingReads  int
-	pendingWrites int
-	moved         int64
-	err           error
-	stopped       bool // no further reads (interrupt/abort)
-	done          bool
-	retryArmed    bool
-
-	async  bool
-	caller *kernel.Proc
-
-	onDone func() // optional completion hook (facade/examples)
-
-	// liveHdrs tracks in-flight write headers for the invariant checker;
-	// nil (and untouched) unless EnableInvariants is in effect.
-	liveHdrs map[*buf.Buf]struct{}
-
-	stats Stats
+// Splice implements the system call: move size bytes (or EOF for the
+// rest of the source) from the object open on srcFD to the object open
+// on dstFD, entirely inside the kernel. If either descriptor has the
+// FASYNC status flag set (fcntl F_SETFL), the call returns as soon as
+// the transfer is set up and the caller receives SIGIO on completion;
+// otherwise it blocks until the data has been moved and returns the
+// byte count.
+func Splice(p *kernel.Proc, srcFD, dstFD int, size int64) (int64, error) {
+	n, _, err := SpliceOpts(p, srcFD, dstFD, size, Options{})
+	return n, err
 }
 
-type spliceMode int
+// sourceChunk is how much a Source is asked for at a time when its data
+// goes to a Sink (into a file it is asked for one block).
+const sourceChunk = 8192
 
-const (
-	modeFileFile spliceMode = iota
-	modeFileSink
-	modeSourceSink
-	modeSourceFile
-)
+// SpliceOpts is Splice with explicit flow-control options, returning a
+// Handle for observing an asynchronous transfer.
+func SpliceOpts(p *kernel.Proc, srcFD, dstFD int, size int64, opts Options) (int64, *Handle, error) {
+	defer p.SyscallExit(p.SyscallEnter("splice"))
+	if size < 0 && size != EOF {
+		return 0, nil, kernel.ErrInval
+	}
+	sfd, err := p.FD(srcFD)
+	if err != nil {
+		return 0, nil, err
+	}
+	dfd, err := p.FD(dstFD)
+	if err != nil {
+		return 0, nil, err
+	}
+	d := &desc{
+		k:      p.Kernel(),
+		opts:   opts.withDefaults(),
+		async:  (sfd.Flags()|dfd.Flags())&kernel.FAsync != 0,
+		caller: p,
+	}
 
-func (m spliceMode) String() string {
-	switch m {
-	case modeFileFile:
-		return "file-file"
-	case modeFileSink:
-		return "file-sink"
-	case modeSourceSink:
-		return "source-sink"
-	case modeSourceFile:
-		return "source-file"
+	srcFile, srcIsFile := sfd.Ops().(FileLike)
+	dstFile, dstIsFile := dfd.Ops().(FileLike)
+	src, srcIsSource := sfd.Ops().(Source)
+	dst, dstIsSink := dfd.Ops().(Sink)
+
+	// The pairing table (§5.1): which read side feeds which write side,
+	// what the pairing requires of its arguments, and which descriptors'
+	// offsets the transfer consumes. A file is read a block at a time
+	// from any byte offset; writing one needs a block-aligned offset and
+	// a size known up front (§5.2 sizes the destination mapping from the
+	// source gnode, and an unbounded network source has no size to
+	// take); aliasing needs both files block aligned in one buffer cache.
+	switch {
+	case srcIsFile && dstIsFile:
+		if dstFile.BufCache() != srcFile.BufCache() || !blockAligned(srcFile, sfd) || !blockAligned(dstFile, dfd) {
+			return 0, nil, kernel.ErrInval
+		}
+		w := &alias{fileOut: newFileOut(d, dstFile, dfd)}
+		d.rd, d.wr, d.files = newBlocks(d, srcFile, sfd, w), w, []*kernel.FDesc{sfd, dfd}
+	case srcIsFile && dstIsSink:
+		w := &sink{d: d, dst: dst, cache: srcFile.BufCache()}
+		d.rd, d.wr, d.files = newBlocks(d, srcFile, sfd, w), w, []*kernel.FDesc{sfd}
+	case srcIsSource && dstIsSink:
+		w := &sink{d: d, dst: dst}
+		d.rd, d.wr = &source{d: d, src: src, wr: w, chunk: sourceChunk}, w
+	case srcIsSource && dstIsFile:
+		if size == EOF || !blockAligned(dstFile, dfd) {
+			return 0, nil, kernel.ErrInval
+		}
+		w := &stage{fileOut: newFileOut(d, dstFile, dfd)}
+		d.rd, d.wr, d.files = &source{d: d, src: src, wr: w, chunk: int(w.bsize)}, w, []*kernel.FDesc{dfd}
 	default:
-		return "mode?"
+		return 0, nil, kernel.ErrOpNotSupp
 	}
+	d.label = d.rd.name() + "-" + d.wr.name()
+
+	if err := d.setup(p, size); err != nil {
+		return 0, nil, err
+	}
+	h := &Handle{d: d}
+	if !d.async {
+		n, err := d.wait(p)
+		return n, h, err
+	}
+	// The caller continues in user mode; the transfer proceeds on device
+	// interrupts and the callout list. The scheduled size is returned
+	// when known; an until-EOF transfer from a sizeless source reports
+	// zero (poll the Handle or wait for SIGIO).
+	switch {
+	case d.done: // zero bytes, or finished while being primed
+		return d.moved, h, d.err
+	case d.total == EOF:
+		return 0, h, nil
+	}
+	return d.total, h, nil
 }
 
-// handlerCharge charges one handler execution at interrupt level.
-func (d *desc) handlerCharge() {
-	d.k.StealCPU(d.k.Config().SpliceHandlerCost)
+// blockAligned reports whether fd's offset sits on a block boundary of
+// the file open on it.
+func blockAligned(f FileLike, fd *kernel.FDesc) bool {
+	return fd.Offset()%int64(f.BufCache().BlockSize()) == 0
 }
 
-// complete finishes the splice: releases the kernel hold, posts SIGIO
-// to an async caller, and wakes a synchronous waiter.
-func (d *desc) complete() {
-	if d.done {
-		return
+// wait blocks a synchronous caller until the splice drains — which a
+// zero-length transfer, or one primed against a synchronous device, has
+// already done. A signal interrupts the splice: new reads stop,
+// in-flight I/O drains, and the call returns the partial count with
+// ErrIntr, matching "until ... the operation is interrupted by the
+// caller".
+func (d *desc) wait(p *kernel.Proc) (int64, error) {
+	interrupted := false
+	for !d.done {
+		pri := kernel.PSLEP
+		if interrupted {
+			// Already interrupted: drain uninterruptibly, otherwise
+			// the still-pending signal would spin the sleep forever.
+			pri = kernel.PRIBIO
+		}
+		if err := p.Sleep(d, pri); err == kernel.ErrIntr && !interrupted {
+			interrupted = true
+			d.stop()
+		}
 	}
-	d.done = true
-	errFlag := int64(0)
-	if d.err != nil {
-		errFlag = 1
+	d.advance(d.moved)
+	if d.err == nil && interrupted {
+		return d.moved, kernel.ErrIntr
 	}
-	d.k.TraceEmit(trace.KindSpliceDone, 0, d.moved, errFlag, d.mode.String())
-	unregisterDesc(d)
-	d.k.Release()
-	if d.async && d.caller != nil && d.onDone == nil {
-		d.k.Post(d.caller, kernel.SIGIO)
-	}
-	d.k.Wakeup(d)
-	if d.onDone != nil {
-		d.onDone()
-	}
+	return d.moved, d.err
 }
 
-// fail records the first error and stops issuing new work.
-func (d *desc) fail(err error) {
-	if d.err == nil {
-		d.err = err
-	}
-	d.stopped = true
-	d.flushParked()
-	if d.pendingReads == 0 && d.pendingWrites == 0 {
-		d.complete()
-	}
-}
+// Handle observes a splice in flight (useful mainly for FASYNC
+// transfers and tests; the paper's interface is SIGIO).
+type Handle struct{ d *desc }
 
-// flushParked discards blocks parked for in-order sink delivery. Once
-// the transfer has failed nothing will deliver them, and each one still
-// holds a cache buffer and a pending-write count.
-func (d *desc) flushParked() {
-	if len(d.sinkParked) == 0 {
-		return
+// Done reports whether the transfer has completed.
+func (h *Handle) Done() bool { return h.d.done }
+
+// Err returns the transfer error, if any (valid once Done).
+func (h *Handle) Err() error { return h.d.err }
+
+// Moved returns the number of bytes moved so far.
+func (h *Handle) Moved() int64 { return h.d.moved }
+
+// Stats returns the transfer's activity counters.
+func (h *Handle) Stats() Stats { return h.d.stats }
+
+// Wait blocks p until the transfer completes, delivering any signals
+// that arrive in the meantime (including this transfer's own SIGIO).
+func (h *Handle) Wait(p *kernel.Proc) error {
+	for !h.d.done {
+		if err := p.Sleep(h.d, kernel.PSLEP); err == kernel.ErrIntr {
+			p.DeliverSignals()
+		}
 	}
-	lblks := make([]int64, 0, len(d.sinkParked))
-	for lblk := range d.sinkParked {
-		lblks = append(lblks, lblk)
-	}
-	sort.Slice(lblks, func(i, j int) bool { return lblks[i] < lblks[j] })
-	for _, lblk := range lblks {
-		b := d.sinkParked[lblk]
-		delete(d.sinkParked, lblk)
-		d.dropReadBuf(b)
-		d.pendingWrites--
-	}
+	p.DeliverSignals()
+	return h.d.err
 }

@@ -1,0 +1,338 @@
+package splice
+
+import (
+	"kdp/internal/buf"
+	"kdp/internal/kernel"
+	"kdp/internal/trace"
+)
+
+// ---- fileOut: what both ways of writing a file share ----
+
+// fileOut is a destination file: its block table, built up front by the
+// special allocating bmap (§5.2), and the asynchronous device write.
+type fileOut struct {
+	d     *desc
+	file  FileLike
+	cache *buf.Cache
+	bsize int64
+	off   int64    // destination byte offset, block aligned
+	table []uint32 // physical block numbers from off's block on
+	// fresh flags blocks freshly allocated by open: a partial write into
+	// a fresh block must put zeros in the unwritten remainder (nothing
+	// else ever will), while a partial write into a pre-existing block
+	// must preserve it.
+	fresh []bool
+}
+
+func newFileOut(d *desc, f FileLike, fd *kernel.FDesc) fileOut {
+	c := f.BufCache()
+	return fileOut{d: d, file: f, cache: c, bsize: int64(c.BlockSize()), off: fd.Offset()}
+}
+
+func (o *fileOut) name() string { return "file" }
+
+// open maps (allocating) the destination blocks and sizes the file.
+func (o *fileOut) open(ctx kernel.Ctx, total int64) error {
+	start := o.off / o.bsize
+	full, fresh, err := o.file.SpliceMapWrite(ctx, start+(total+o.bsize-1)/o.bsize)
+	if err != nil {
+		return err
+	}
+	o.table, o.fresh = full[start:], fresh[start:]
+	o.file.SpliceSetSize(ctx, o.off+total)
+	return nil
+}
+
+// issue starts the asynchronous write of hdr to the transfer's block
+// blk; n bytes of it are payload. The device transfer length depends on
+// the destination block's history: a short write into a pre-existing
+// block is a partial device write that preserves the block's tail, while
+// a fresh block is written whole, so its on-disk tail is whatever the
+// caller put after the payload (zeros) rather than what the freed block
+// previously held — which would surface when a later write extends the
+// file across old EOF. tag is the splice.write event's first argument.
+func (o *fileOut) issue(hdr *buf.Buf, blk int64, n int, tag int64) {
+	d := o.d
+	hdr.SpliceN = n
+	if n < int(o.bsize) && !o.fresh[blk] {
+		hdr.Bcount = n
+	}
+	hdr.SpliceDesc = d
+	hdr.Flags &^= buf.BRead | buf.BDone
+	hdr.Flags |= buf.BCall
+	hdr.Iodone = d.writeDone
+	d.stats.WritesIssued++
+	d.k.TraceEmit(trace.KindSpliceWrite, 0, tag, int64(d.pendingWrites), "")
+	o.file.Dev().Strategy(hdr)
+}
+
+// ---- alias: file blocks written from the read-side buffers ----
+
+// alias writes each source block through a memory-less buffer header
+// whose data pointer aliases the read-side buffer (§5.4).
+type alias struct {
+	fileOut
+	holdsNothing
+	// live tracks in-flight write headers for the invariant checker;
+	// untouched unless EnableInvariants is in effect.
+	live map[*buf.Buf]struct{}
+}
+
+func (a *alias) writeBlock(b *buf.Buf, data []byte) {
+	d, lblk, n := a.d, b.SpliceLblk, len(data)
+	hdr := a.cache.AllocHeader(a.file.Dev(), int64(a.table[lblk]))
+	if d.opts.NoShare {
+		// Ablation: allocate real memory and copy between cache
+		// buffers, charging the kernel bcopy.
+		hdr.Data = make([]byte, a.bsize)
+		copy(hdr.Data, data)
+		d.k.StealCPU(d.k.Config().BcopyCost(n))
+		d.stats.Copied++
+	} else {
+		// The paper's path: "the data pointer in the new buffer header
+		// is ... altered to point to the same address the data pointer
+		// in the read-side buffer does, so both buffers share a common
+		// data area. We thus avoid copying between cache buffers." The
+		// read buffer carries zeros past EOF, so a whole-block write of
+		// a short final block zeroes the destination's tail.
+		hdr.Data = b.Data
+		d.stats.Shared++
+	}
+	hdr.SplicePeer = b
+	hdr.SpliceLblk = lblk
+	if invariantsOn {
+		if a.live == nil {
+			a.live = make(map[*buf.Buf]struct{})
+		}
+		a.live[hdr] = struct{}{}
+	}
+	a.issue(hdr, lblk, n, lblk)
+}
+
+// release frees the write header and the read-side buffer it aliased.
+func (a *alias) release(hdr *buf.Buf) {
+	delete(a.live, hdr)
+	if hdr.SplicePeer != nil {
+		releaseBuf(a.d.k, a.cache, hdr.SplicePeer)
+	}
+	a.cache.ReleaseHeader(hdr)
+}
+
+// check: splice-hdr-alias.
+func (a *alias) check() error {
+	for hdr := range a.live {
+		if hdr.Flags&buf.BNoMem == 0 {
+			return sviolation("splice-hdr-alias", "write header without B_NOMEM: %s", hdr)
+		}
+		peer := hdr.SplicePeer
+		if peer == nil {
+			return sviolation("splice-hdr-alias", "write header with no read-side peer: %s", hdr)
+		}
+		if !a.d.opts.NoShare {
+			if len(hdr.Data) == 0 || len(peer.Data) == 0 || &hdr.Data[0] != &peer.Data[0] {
+				return sviolation("splice-hdr-alias", "write header does not alias its peer's data area: %s", hdr)
+			}
+		}
+		if hdr.SpliceDesc != any(a.d) {
+			return sviolation("splice-hdr-alias", "write header bound to foreign descriptor: %s", hdr)
+		}
+	}
+	return nil
+}
+
+// ---- sink: a Sink fed blocks or chunks ----
+
+// sink hands data to a Sink (device, socket, pipe). Blocks arrive in
+// I/O-completion order — a cache hit or a hole returns instantly while
+// an earlier block is still on the disk queue — but a Sink is a byte
+// stream, so they park until every earlier block has been handed over;
+// a parked block still counts as a pending write, which keeps the
+// watermarks honest. Chunks from a Source arrive in order and go
+// through the callout list, as the read handler of §5.3 sends blocks.
+type sink struct {
+	holdsNothing
+	d     *desc
+	dst   Sink
+	cache *buf.Cache // where block buffers return; nil when fed chunks
+
+	parked map[int64]parkedBlock
+	next   int64 // next logical block to hand over
+	queued int   // chunks on the callout list
+}
+
+type parkedBlock struct {
+	b    *buf.Buf
+	data []byte
+}
+
+func (s *sink) name() string { return "sink" }
+
+func (s *sink) open(kernel.Ctx, int64) error { return nil }
+
+func (s *sink) ready() bool { return true }
+
+func (s *sink) writeBlock(b *buf.Buf, data []byte) {
+	if s.parked == nil {
+		s.parked = make(map[int64]parkedBlock)
+	}
+	s.parked[b.SpliceLblk] = parkedBlock{b, data}
+	for pb, ok := s.parked[s.next]; ok; pb, ok = s.parked[s.next] {
+		delete(s.parked, s.next)
+		s.next++
+		// The sink sees a slice of the read-side buffer's data area; the
+		// buffer is released when the sink signals completion.
+		s.d.stats.Shared++
+		s.send(pb.b, pb.data, pb.b.SpliceLblk)
+	}
+}
+
+func (s *sink) writeChunk(data []byte) {
+	d := s.d
+	s.queued++
+	d.callout(func() {
+		d.handlerCharge()
+		s.queued--
+		if d.stopped {
+			d.settle() // the chunk is dropped
+			return
+		}
+		d.pendingWrites++
+		s.send(nil, data, int64(len(data)))
+	})
+}
+
+// send passes data to the Sink; b, if any, is the buffer behind it.
+func (s *sink) send(b *buf.Buf, data []byte, tag int64) {
+	d := s.d
+	d.stats.WritesIssued++
+	d.k.TraceEmit(trace.KindSpliceWrite, 0, tag, int64(d.pendingWrites), "")
+	s.dst.SpliceWrite(data, func(err error) { d.written(b, len(data), err) })
+}
+
+func (s *sink) release(b *buf.Buf) {
+	if b != nil {
+		releaseBuf(s.d.k, s.cache, b)
+	}
+}
+
+// abandon discards parked blocks, in block order, once the transfer has
+// failed: nothing will deliver them (their predecessors are dropped at
+// hand-off), and each still holds a cache buffer and a pending-write
+// count. A transfer that was merely interrupted still delivers them as
+// its reads drain.
+func (s *sink) abandon() {
+	if s.d.err == nil {
+		return
+	}
+	for lblk := s.next; len(s.parked) > 0; lblk++ {
+		if pb, ok := s.parked[lblk]; ok {
+			s.release(pb.b)
+			delete(s.parked, lblk)
+			s.d.pendingWrites--
+		}
+	}
+}
+
+func (s *sink) drained() bool { return s.queued == 0 }
+
+// ---- stage: file blocks filled from a Source's chunks ----
+
+// stage marshals arbitrarily sized chunks into destination cache
+// buffers — the one place a copy is unavoidable, since network data
+// arrives in packets that must become aligned blocks — and writes each
+// block as it fills with the same asynchronous B_CALL machinery. An
+// extension beyond the paper's prototype, which supported file→file,
+// socket→socket and framebuffer→socket.
+type stage struct {
+	fileOut
+	holdsNothing
+	hdr    *buf.Buf // destination block buffer being filled
+	fill   int      // bytes staged into hdr
+	staged int64    // bytes staged so far
+	stash  []byte   // bytes awaiting a staging buffer
+}
+
+func (s *stage) ready() bool { return len(s.stash) == 0 }
+
+// writeChunk stages incoming bytes at interrupt level, writing each
+// block as it fills. On a momentarily unavailable buffer the remainder
+// is stashed and retried from the callout list.
+func (s *stage) writeChunk(data []byte) {
+	d := s.d
+	for len(data) > 0 && !d.stopped {
+		if s.hdr == nil {
+			hdr, err := s.cache.GetblkNB(d.k.IntrCtx(), s.file.Dev(), int64(s.table[s.staged/s.bsize]))
+			if err != nil {
+				// No buffer without sleeping: stash and retry next tick.
+				s.stash = append(s.stash, data...)
+				d.armRetry()
+				return
+			}
+			s.hdr, s.fill = hdr, 0
+		}
+		n := copy(s.hdr.Data[s.fill:], data)
+		d.k.StealCPU(d.k.Config().BcopyCost(n)) // mbuf → cache buffer
+		s.fill += n
+		s.staged += int64(n)
+		data = data[n:]
+		if int64(s.fill) == s.bsize || s.staged == d.total {
+			s.flush()
+		}
+	}
+	if d.stopped {
+		d.settle() // nothing more will be staged
+	}
+}
+
+// flush writes the current staging buffer. A short final block into a
+// fresh destination block is zero-padded, its in-memory tail being stale
+// recycled content; into a pre-existing block the device write is
+// partial and the buffer must then not survive as a cached copy
+// (release invalidates it).
+func (s *stage) flush() {
+	d, hdr, n := s.d, s.hdr, s.fill
+	s.hdr = nil
+	blk := (s.staged - 1) / s.bsize
+	if s.fresh[blk] {
+		clear(hdr.Data[n:])
+	}
+	d.pendingWrites++
+	d.stats.Copied++
+	d.stats.PeakWrites = max(d.stats.PeakWrites, d.pendingWrites)
+	s.issue(hdr, blk, n, int64(n))
+}
+
+func (s *stage) release(hdr *buf.Buf) {
+	if hdr.Bcount < int(s.bsize) {
+		// Partial write into a pre-existing block: the buffer's
+		// in-memory tail does not match the preserved on-disk tail.
+		hdr.Flags |= buf.BInval
+	}
+	s.cache.Brelse(s.d.k.IntrCtx(), hdr)
+}
+
+// resume re-feeds stashed bytes through the staging path.
+func (s *stage) resume() {
+	if data := s.stash; len(data) > 0 {
+		s.stash = nil
+		s.writeChunk(data)
+	}
+}
+
+func (s *stage) abandon() {
+	if s.hdr != nil {
+		s.cache.Brelse(s.d.k.IntrCtx(), s.hdr)
+		s.hdr = nil
+	}
+	s.stash = nil
+}
+
+// drained flushes the short block a source that hit EOF early left
+// staged; everything received has then been issued unless some of it is
+// still stashed.
+func (s *stage) drained() bool {
+	if s.hdr != nil {
+		s.flush()
+	}
+	return len(s.stash) == 0
+}
