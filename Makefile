@@ -40,7 +40,7 @@ tables:
 COVER_FLOOR ?= 75.0
 COVER_PKGS := ./internal/splice/ ./internal/kernel/ ./internal/stream/ \
 	./internal/server/ ./internal/buf/ ./internal/disk/ ./internal/fs/ \
-	./internal/vm/
+	./internal/vm/ ./internal/machine/
 cover:
 	$(GO) test -cover $(COVER_PKGS) | awk -v floor=$(COVER_FLOOR) '\
 		{ print } \

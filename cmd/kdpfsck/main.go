@@ -89,9 +89,7 @@ func run(args []string, out io.Writer) error {
 		rep, err = fs.Fsck(p.Ctx(), m.Cache, m.Disks[0])
 		bench.Must(err)
 		if *repair && !rep.Clean() {
-			repRepair, err = fs.FsckRepair(p.Ctx(), m.Cache, m.Disks[0])
-			bench.Must(err)
-			rep, err = fs.Fsck(p.Ctx(), m.Cache, m.Disks[0])
+			repRepair, rep, err = m.Repair(p, 0)
 			bench.Must(err)
 		}
 	})

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"kdp/internal/disk"
+	"kdp/internal/kernel"
+	"kdp/internal/machine"
 	"kdp/internal/sim"
 	"kdp/internal/splice"
 	"kdp/internal/workload"
@@ -187,5 +189,51 @@ func TestDiskKindStringsAndParams(t *testing.T) {
 	}
 	if RAM.Interleave() != 1 || RZ58.Interleave() != 2 {
 		t.Fatal("interleave defaults wrong")
+	}
+}
+
+// shape boots m and reports the facts a builder encodes: cache size,
+// per-disk device name, mount point (by creating a file there) and
+// inode count.
+func shape(t *testing.T, m *machine.Machine, mounts ...string) (nbuf int, names []string, inodes []uint32) {
+	t.Helper()
+	m.K.Spawn("shape", func(p *kernel.Proc) {
+		Must(m.Boot(p))
+		for _, mount := range mounts {
+			fd, err := p.Open(mount+"/probe", kernel.OCreat|kernel.OWrOnly)
+			if err != nil {
+				t.Errorf("nothing mounted at %s: %v", mount, err)
+				continue
+			}
+			p.Close(fd)
+		}
+	})
+	Must(m.K.Run())
+	for i, d := range m.Disks {
+		names = append(names, d.DevName())
+		inodes = append(inodes, m.FSs[i].Super().NInodes)
+	}
+	return m.Cache.NumBuffers(), names, inodes
+}
+
+// TestMachineShapes pins what NewMachine and the server machine ask the
+// one assembler for.
+func TestMachineShapes(t *testing.T) {
+	paper := NewMachine(DefaultSetup(RZ58))
+	nbuf, names, inodes := shape(t, paper.Machine, "/src", "/dst")
+	if nbuf != 400 || strings.Join(names, ",") != "rz58-0,rz58-1" || inodes[0] != 64 || inodes[1] != 64 {
+		t.Errorf("paper machine: %d buffers, disks %v, inodes %v", nbuf, names, inodes)
+	}
+	if paper.Pool == nil || paper.Pool.Frames() != 256 || paper.FSs[0].Pager() == nil {
+		t.Error("paper machine: want a 256-page pool attached to its filesystems")
+	}
+	if got := paper.Disks[0].DevBlocks(); got != 8<<20/BlockSize*2+64 {
+		t.Errorf("paper machine: %d blocks per disk", got)
+	}
+
+	srv := serverMachine()
+	nbuf, names, inodes = shape(t, srv, "/srv")
+	if nbuf != 400 || strings.Join(names, ",") != "ram" || inodes[0] != 64 || srv.Pool != nil {
+		t.Errorf("server machine: %d buffers, disks %v, inodes %v, pool %v", nbuf, names, inodes, srv.Pool)
 	}
 }

@@ -8,13 +8,11 @@ package bench
 import (
 	"fmt"
 
-	"kdp/internal/buf"
 	"kdp/internal/disk"
-	"kdp/internal/fs"
 	"kdp/internal/kernel"
+	"kdp/internal/machine"
 	"kdp/internal/sim"
 	"kdp/internal/trace"
-	"kdp/internal/vm"
 )
 
 // TraceSinkFactory, when non-nil, is consulted once per NewMachine: a
@@ -81,7 +79,7 @@ func DefaultSetup(k DiskKind) Setup {
 }
 
 // BlockSize is the filesystem and buffer-cache block size.
-const BlockSize = 8192
+const BlockSize = machine.BlockSize
 
 // The measured machine's memory: a 3.2MB buffer cache, and a 2MB page
 // pool for mmap'd file I/O — well under the 8MB working set, so the
@@ -91,79 +89,44 @@ const (
 	vmPages   = 256
 )
 
-// Machine is a booted experiment machine: two disks with a filesystem
-// each, mounted at /src and /dst, and a VM page pool backing mmap'd
+// Machine is an experiment machine: two disks with a filesystem each,
+// mounted at /src and /dst by Boot (which must be called from the first
+// process before any file access), and a VM page pool backing mmap'd
 // file I/O.
 type Machine struct {
-	K     *kernel.Kernel
-	Cache *buf.Cache
-	Disks [2]*disk.Disk
-	FSs   [2]*fs.FS
-	pool  *vm.Pool
+	*machine.Machine
 	setup Setup
 }
 
 // NewMachine builds and formats the machine (filesystems are created on
 // the raw media; mounting happens in Boot).
 func NewMachine(s Setup) *Machine {
+	spec := machine.Spec{Kernel: kernel.DefaultConfig(), CacheBufs: cacheBufs, VMPages: vmPages}
+	spec.Kernel.Seed = s.Seed
+	spec.Kernel.MaxRunTime = 0
 	// Each disk holds the file plus slack. Mechanical disks use the
 	// interleaved (rotdelay) layout, which spreads a file over twice its
 	// size in physical blocks.
 	diskBlocks := s.FileBytes/BlockSize*int64(s.interleave()) + 64
-	cfg := kernel.DefaultConfig()
-	cfg.Seed = s.Seed
-	cfg.MaxRunTime = 0
-	k := kernel.New(cfg)
+	for i, mount := range []string{"/src", "/dst"} {
+		ds := machine.DiskSpec{
+			Mount:      mount,
+			Params:     s.Disk.Params(diskBlocks, BlockSize),
+			Inodes:     64,
+			Interleave: s.interleave(),
+			Readahead:  s.ReadaheadMax,
+		}
+		// Distinguish the two drives in traces and per-disk metrics.
+		ds.Params.Name = fmt.Sprintf("%s-%d", ds.Params.Name, i)
+		spec.Disks = append(spec.Disks, ds)
+	}
+	m := &Machine{Machine: machine.New(spec), setup: s}
 	if TraceSinkFactory != nil {
 		if sink := TraceSinkFactory(s.Label); sink != nil {
-			k.StartTrace(sink)
+			m.K.StartTrace(sink)
 		}
-	}
-	m := &Machine{
-		K:     k,
-		Cache: buf.NewCache(k, cacheBufs, BlockSize),
-		pool:  vm.NewPool(k, vmPages, BlockSize),
-		setup: s,
-	}
-	k.SetVM(m.pool)
-	for i := range m.Disks {
-		dp := s.Disk.Params(diskBlocks, BlockSize)
-		// Distinguish the two drives in traces and per-disk metrics.
-		dp.Name = fmt.Sprintf("%s-%d", dp.Name, i)
-		d := disk.New(k, dp)
-		d.SetCache(m.Cache)
-		if _, err := fs.Mkfs(d, 64); err != nil {
-			panic("bench: mkfs: " + err.Error())
-		}
-		m.Disks[i] = d
 	}
 	return m
-}
-
-// Boot mounts both filesystems from process context; it must be called
-// from the first process before any file access.
-func (m *Machine) Boot(p *kernel.Proc) error {
-	if m.FSs[0] != nil {
-		return nil
-	}
-	mounts := []string{"/src", "/dst"}
-	for i, d := range m.Disks {
-		f, err := fs.Mount(p.Ctx(), m.Cache, d)
-		if err != nil {
-			return err
-		}
-		f.SetInterleave(m.setup.interleave())
-		switch {
-		case m.setup.ReadaheadMax > 0:
-			f.SetReadahead(m.setup.ReadaheadMax)
-		case m.setup.ReadaheadMax < 0:
-			f.SetReadahead(0)
-		}
-		f.SetPager(m.pool)
-		m.FSs[i] = f
-		m.K.Mount(mounts[i], f)
-	}
-	return nil
 }
 
 // Run drives the machine to completion, panicking on simulator errors
@@ -172,9 +135,4 @@ func (m *Machine) Run() {
 	if err := m.K.Run(); err != nil {
 		panic("bench: " + err.Error())
 	}
-}
-
-// Devices returns the two disks as buf.Devices (for cold starts).
-func (m *Machine) Devices() []buf.Device {
-	return []buf.Device{m.Disks[0], m.Disks[1]}
 }

@@ -5,10 +5,9 @@ import (
 	"sort"
 	"strings"
 
-	"kdp/internal/buf"
 	"kdp/internal/disk"
-	"kdp/internal/fs"
 	"kdp/internal/kernel"
+	"kdp/internal/machine"
 	"kdp/internal/server"
 	"kdp/internal/sim"
 	"kdp/internal/socket"
@@ -53,6 +52,20 @@ type ServerCell struct {
 	Requests int64
 }
 
+// serverMachine is the serving machine: the measured machine's buffer
+// cache over one RAM disk mounted at /srv, and no VM.
+func serverMachine() *machine.Machine {
+	spec := machine.Spec{
+		Kernel:    kernel.DefaultConfig(),
+		CacheBufs: cacheBufs,
+		Disks: []machine.DiskSpec{
+			{Mount: "/srv", Params: disk.RAMDisk(2048, BlockSize), Inodes: 64},
+		},
+	}
+	spec.Kernel.MaxRunTime = 3600 * sim.Second
+	return machine.New(spec)
+}
+
 // MeasureServer runs one cell: clients closed-loop requesters against a
 // warm-cache file server with the given process model and data path,
 // concurrent with the CPU-bound test program. A non-nil sink is
@@ -60,18 +73,12 @@ type ServerCell struct {
 // returned so callers can render counter snapshots of the serving path
 // (kdptrace -server).
 func MeasureServer(clients int, engine server.Engine, mode server.Mode, sink trace.Sink) (ServerCell, *trace.Tracer) {
-	cfg := kernel.DefaultConfig()
-	cfg.MaxRunTime = 3600 * sim.Second
-	k := kernel.New(cfg)
+	m := serverMachine()
+	k := m.K
 	var tr *trace.Tracer
 	if sink != nil {
 		tr = k.StartTrace(sink)
 	}
-	cache := buf.NewCache(k, 400, 8192)
-	d := disk.New(k, disk.RAMDisk(2048, 8192))
-	d.SetCache(cache)
-	_, err := fs.Mkfs(d, 64)
-	Must(err)
 	net := socket.NewNet(k, socket.Ethernet10())
 	st, err := stream.NewTransport(k, net, serverPort)
 	Must(err)
@@ -89,12 +96,10 @@ func MeasureServer(clients int, engine server.Engine, mode server.Mode, sink tra
 	// Boot: mount, create the file, warm the cache, then start the
 	// server engine and release the clients.
 	k.Spawn("boot", func(p *kernel.Proc) {
-		f, err := fs.Mount(p.Ctx(), cache, d)
-		Must(err)
-		k.Mount("/srv", f)
+		Must(m.Boot(p))
 		fd, err := p.Open(serverFile, kernel.OCreat|kernel.ORdWr)
 		Must(err)
-		block := make([]byte, 8192)
+		block := make([]byte, BlockSize)
 		for i := range block {
 			block[i] = byte(i) ^ 0x5A
 		}

@@ -225,9 +225,9 @@ type raSegment struct {
 	valid     bool
 }
 
-// New creates a disk attached to kernel k. The buffer cache must be
-// registered with SetCache before Biodone-completing requests can be
-// dispatched (done automatically by fs setup helpers).
+// New creates a disk attached to kernel k. The disk is inert until the
+// buffer cache whose Biodone completes its requests is registered with
+// SetCache; machine.New does both.
 func New(k *kernel.Kernel, p Params) *Disk {
 	if p.BlockSize <= 0 || p.Blocks <= 0 {
 		panic("disk: bad geometry")

@@ -3,10 +3,7 @@ package simcheck
 import (
 	"fmt"
 
-	"kdp/internal/fs"
 	"kdp/internal/kernel"
-	"kdp/internal/sim"
-	"kdp/internal/trace"
 )
 
 // Crash sweep: the machine loses power at an op boundary, every piece
@@ -22,72 +19,32 @@ import (
 // its body after whichever op it hit.
 var crashOp = &opRow{name: "crash-recover", text: textName, run: (*machine).doCrash}
 
-// doCrash pulls the plug: volatile state is discarded while durably
-// committed platter state survives, then recovery runs (repair, verify
-// clean, remount) and the oracle collapses to the durable view.
+// doCrash pulls the plug (machine.PowerCut: volatile state is discarded
+// while durably committed platter state survives), recovers each volume
+// (machine.Recover: repair, verify clean, remount) and collapses the
+// oracle to the durable view.
 func (m *machine) doCrash(p *kernel.Proc, o *op) {
-	// Quiescence: every op is self-contained, and the crash sweep runs
-	// one worker, so at an op boundary no file may be held open. A held
-	// inode here is a harness bug, not a filesystem one.
-	for i, f := range m.fss {
-		if n := f.LiveInodes(); n != 0 {
-			m.fail(fmt.Errorf("crash: /d%d not quiescent: %d in-core inode(s) held", i, n))
-			return
-		}
-	}
-	// Same contract for the page pool: every mapping was unmapped by its
-	// op, so the power cut must find no mapped pages to corrupt.
-	if err := m.pool.CheckDrained(); err != nil {
-		m.fail(fmt.Errorf("crash: page pool not quiescent: %w", err))
+	// Every op is self-contained and the crash sweep runs one worker, so
+	// at an op boundary the machine is quiescent: a refused cut is a
+	// harness bug, not a filesystem one.
+	cuts, err := m.PowerCut(p)
+	if err != nil {
+		m.fail(fmt.Errorf("crash: %w", err))
 		return
 	}
-
-	// Power cut, per disk: queued transfers are dropped (their data
-	// never transferred), while a transfer already in progress is past
-	// the point of no return and completes. Wait it out, then discard
-	// every cached buffer — the dirty ones are the delayed writes the
-	// platter never saw.
-	var dropped [2]int
-	for i, d := range m.disks {
-		dropped[i] = d.Crash()
-	}
-	for m.disks[0].Busy() || m.disks[1].Busy() {
-		p.SleepFor(10 * sim.Millisecond) // one clock tick
-	}
-	for i, d := range m.disks {
-		lost, discarded := m.cache.Crash(d)
-		m.k.TraceEmit(trace.KindFSCrash, 0, int64(lost), int64(dropped[i]), d.DevName())
+	for i, c := range cuts {
 		m.logf("op %d w%d %s: /d%d power cut: %d dirty buffer(s) lost, %d queued request(s) dropped, %d cached discarded",
-			o.idx, o.worker, o.describe(), i, lost, dropped[i], discarded)
+			o.idx, o.worker, o.describe(), i, c.Lost, c.Dropped, c.Discarded)
 	}
-
-	// Recovery: repair each volume, require the follow-up plain fsck to
-	// come back clean, and remount (replacing the dead in-core fs).
-	for i, d := range m.disks {
-		rep, err := fs.FsckRepair(p.Ctx(), m.cache, d)
+	for i := range m.Disks {
+		rep, err := m.Recover(p, i)
+		if rep != nil {
+			m.logf("op %d: fsck-repair /d%d: %d problem(s), %d repair(s)", o.idx, i, len(rep.Problems), rep.Repaired)
+		}
 		if err != nil {
-			m.fail(fmt.Errorf("crash: fsck-repair /d%d: %v", i, err))
+			m.fail(fmt.Errorf("crash: %w", err))
 			return
 		}
-		m.logf("op %d: fsck-repair /d%d: %d problem(s), %d repair(s)", o.idx, i, len(rep.Problems), rep.Repaired)
-		chk, err := fs.Fsck(p.Ctx(), m.cache, d)
-		if err != nil {
-			m.fail(fmt.Errorf("crash: post-repair fsck /d%d: %v", i, err))
-			return
-		}
-		if !chk.Clean() {
-			m.fail(fmt.Errorf("crash: /d%d not clean after repair: %d problem(s), first: %s",
-				i, len(chk.Problems), chk.Problems[0]))
-			return
-		}
-		f, err := fs.Mount(p.Ctx(), m.cache, d)
-		if err != nil {
-			m.fail(fmt.Errorf("crash: remount /d%d: %v", i, err))
-			return
-		}
-		f.SetPager(m.pool)
-		m.fss[i] = f
-		m.k.Mount(fmt.Sprintf("/d%d", i), f)
 	}
 
 	m.postCrashOracle()

@@ -60,11 +60,11 @@ func (m *machine) doFault(p *kernel.Proc, o *op) {
 // armBlockFault makes one block of a volume fail its next read (or
 // write): a quiet single-shot arm on the disk's fault site.
 func (m *machine) armBlockFault(di int, blk int64, read bool) {
-	site := m.disks[di].WriteSite()
+	site := m.Disks[di].WriteSite()
 	if read {
-		site = m.disks[di].ReadSite()
+		site = m.Disks[di].ReadSite()
 	}
-	fp, key := m.k.Faults(), [2]int64{int64(di), blk}
+	fp, key := m.K.Faults(), [2]int64{int64(di), blk}
 	fp.Remove(m.blockFaults[key])
 	m.blockFaults[key] = fp.Arm(kernel.FaultArm{
 		Site: site, Every: 1, Match: blk, Count: 1, Quiet: true,

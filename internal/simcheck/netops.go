@@ -19,10 +19,10 @@ import (
 // and nclients clients, on ports four apart per op so an op's
 // transports can never collide with a neighbour's.
 func (m *machine) transports(o *op, nclients int) (srv *stream.Transport, clis []*stream.Transport, ok bool) {
-	srv, err := stream.NewTransport(m.k, m.snet, 5000+4*o.idx)
+	srv, err := stream.NewTransport(m.K, m.snet, 5000+4*o.idx)
 	for c := 0; err == nil && c < nclients; c++ {
 		var ct *stream.Transport
-		ct, err = stream.NewTransport(m.k, m.snet, 5002+4*o.idx+c)
+		ct, err = stream.NewTransport(m.K, m.snet, 5002+4*o.idx+c)
 		clis = append(clis, ct)
 	}
 	if err != nil {
@@ -154,7 +154,7 @@ func textPoll(name string, o *op) string {
 // shapes: infinite wait, a bounded wait that may expire and re-poll,
 // and a zero-timeout scan before the real wait.
 func (m *machine) doPollWait(p *kernel.Proc, o *op) {
-	pipe := dev.NewPipe(m.k, "", pipeCap)
+	pipe := dev.NewPipe(m.K, "", pipeCap)
 	rfd := p.InstallFile(pipe, kernel.ORdOnly)
 	if _, err := p.Fcntl(rfd, kernel.FSetFL, kernel.ONonblock); err != nil {
 		m.fail(fmt.Errorf("poll-wait: fcntl: %v", err))
@@ -162,7 +162,7 @@ func (m *machine) doPollWait(p *kernel.Proc, o *op) {
 	}
 	n := o.size
 	want := pattern(n, 0, o.pat)
-	tick := m.k.Config().TickDuration()
+	tick := m.K.Config().TickDuration()
 
 	fed := m.helper(fmt.Sprintf("pfeed%d", o.idx), func(wp *kernel.Proc) {
 		wfd := wp.InstallFile(pipe, kernel.OWrOnly)
@@ -289,7 +289,7 @@ func (m *machine) doEventServe(p *kernel.Proc, o *op) {
 	clients := m.newGate(nclients)
 	for c, ct := range cts {
 		c, ct := c, ct
-		m.k.Spawn(fmt.Sprintf("ecli%d.%d", o.idx, c), func(cp *kernel.Proc) {
+		m.K.Spawn(fmt.Sprintf("ecli%d.%d", o.idx, c), func(cp *kernel.Proc) {
 			defer clients.exit()
 			fd, _, err := ct.Connect(cp, st.Port())
 			if err != nil {

@@ -207,12 +207,12 @@ type gate struct {
 	left int
 }
 
-func (m *machine) newGate(helpers int) *gate { return &gate{k: m.k, left: helpers} }
+func (m *machine) newGate(helpers int) *gate { return &gate{k: m.K, left: helpers} }
 
 // helper spawns body as a helper process behind a gate of its own.
 func (m *machine) helper(name string, body func(hp *kernel.Proc)) *gate {
 	g := m.newGate(1)
-	m.k.Spawn(name, func(hp *kernel.Proc) {
+	m.K.Spawn(name, func(hp *kernel.Proc) {
 		defer g.exit()
 		body(hp)
 	})
@@ -250,13 +250,13 @@ func (m *machine) worker(p *kernel.Proc, ops []*op) {
 		// are pure functions of the run so far, so the census and armed
 		// runs count identically.
 		if m.cfg.Workers == 1 && o.row != crashOp && !m.faulted[0] && !m.faulted[1] &&
-			m.k.Faults().Hit(SiteCrashBoundary, int64(o.idx)) {
+			m.K.Faults().Hit(SiteCrashBoundary, int64(o.idx)) {
 			m.logf("op %d w%d: crash-boundary fault fired", o.idx, o.worker)
 			m.doCrash(p, o)
 		}
 		if m.cfg.Damage != "" && !m.damaged && m.opsDone >= m.cfg.DamageAfter {
 			m.damaged = true
-			m.cache.Damage(m.cfg.Damage)
+			m.Cache.Damage(m.cfg.Damage)
 			m.logf("op %d: damaged buffer cache (%s)", o.idx, m.cfg.Damage)
 			// Check synchronously: the corruption must be caught before
 			// this worker's continuation can trip over it (the probe only
@@ -271,5 +271,5 @@ func (m *machine) worker(p *kernel.Proc, ops []*op) {
 
 // opLog records an op's outcome, stamped with the virtual time.
 func (m *machine) opLog(o *op, format string, args ...any) {
-	m.logf("op %d w%d %s: %s t=%v", o.idx, o.worker, o.describe(), fmt.Sprintf(format, args...), m.k.Now())
+	m.logf("op %d w%d %s: %s t=%v", o.idx, o.worker, o.describe(), fmt.Sprintf(format, args...), m.K.Now())
 }

@@ -45,23 +45,22 @@ import (
 	"sort"
 	"strings"
 
-	"kdp/internal/buf"
 	"kdp/internal/disk"
 	"kdp/internal/fs"
 	"kdp/internal/kernel"
+	mach "kdp/internal/machine"
 	"kdp/internal/sim"
 	"kdp/internal/socket"
 	"kdp/internal/splice"
 	"kdp/internal/stream"
 	"kdp/internal/trace"
-	"kdp/internal/vm"
 )
 
 // Machine geometry. Small on purpose: a 64-buffer cache and a nearly
 // full second disk reach eviction, reclaim and ENOSPC paths that a
 // roomy machine never exercises.
 const (
-	blockSize  = 8192
+	blockSize  = mach.BlockSize
 	cacheBufs  = 64
 	d0Blocks   = 600 // roomy volume, RZ58
 	d1Blocks   = 220 // tight volume, RZ56 (ENOSPC under load)
@@ -129,17 +128,15 @@ func (r *Result) Failed() bool { return r.Violation != nil }
 
 // machine is one booted harness machine.
 type machine struct {
-	cfg   Config
-	k     *kernel.Kernel
-	cache *buf.Cache
-	disks [2]*disk.Disk
-	fss   [2]*fs.FS
-	net   *socket.Net
+	cfg Config
+	// The assembled workstation: K, Cache, Pool, Disks, FSs and the
+	// boot, invariant, power-cut and recovery verbs.
+	*mach.Machine
+	net *socket.Net
 	// snet is a second, deliberately lossy link reserved for the stream
 	// ops, so the datagram oracle on net keeps its no-loss assumptions
 	// while the transport's retransmission machinery sees real drops.
 	snet *socket.Net
-	pool *vm.Pool
 
 	oracle map[string]*ofile
 	log    []string
@@ -274,51 +271,50 @@ func firstLogDiff(a, b []string) string {
 	return fmt.Sprintf("\n  logs are a prefix of each other (%d vs %d lines)", len(a), len(b))
 }
 
+// checkMachine assembles the harness machine for seed: the roomy RZ58
+// at /d0 and the tight RZ56 at /d1. The disks keep their bare model
+// names — the disk.rz58.* / disk.rz56.* fault sites and onFire's prefix
+// match are spelled with them — and run the elevator, so the C-LOOK
+// pick path that keeps clustered delayed-write runs contiguous at the
+// platter is fuzzed alongside everything else.
+func checkMachine(seed uint64) *mach.Machine {
+	spec := mach.Spec{Kernel: kernel.DefaultConfig(), CacheBufs: cacheBufs, VMPages: vmFrames}
+	spec.Kernel.Name = fmt.Sprintf("simcheck-%d", seed)
+	spec.Kernel.Seed = seed
+	spec.Kernel.MaxRunTime = 600 * sim.Second // watchdog: fuzz runs finish in simulated seconds
+	for i, params := range []disk.Params{
+		disk.RZ58(d0Blocks, blockSize),
+		disk.RZ56(d1Blocks, blockSize),
+	} {
+		params.Elevator = true
+		spec.Disks = append(spec.Disks, mach.DiskSpec{
+			Mount: fmt.Sprintf("/d%d", i), Params: params, Inodes: ninodes,
+		})
+	}
+	return mach.New(spec)
+}
+
 // execute runs an explicit op list under an already normalized cfg (Run
 // generates the list; Minimize replays subsets of it).
 func execute(cfg Config, ops []*op) *Result {
-	kcfg := kernel.DefaultConfig()
-	kcfg.Name = fmt.Sprintf("simcheck-%d", cfg.Seed)
-	kcfg.Seed = cfg.Seed
-	kcfg.MaxRunTime = 600 * sim.Second // watchdog: fuzz runs finish in simulated seconds
-
 	m := &machine{
 		cfg:         cfg,
-		k:           kernel.New(kcfg),
+		Machine:     checkMachine(cfg.Seed),
 		oracle:      make(map[string]*ofile),
 		blockFaults: make(map[[2]int64]*kernel.FaultArm),
 	}
-	m.cache = buf.NewCache(m.k, cacheBufs, blockSize)
-	params := [2]disk.Params{
-		disk.RZ58(d0Blocks, blockSize),
-		disk.RZ56(d1Blocks, blockSize),
-	}
-	for i := range m.disks {
-		// The elevator keeps clustered delayed-write runs contiguous at
-		// the platter; running the sweep with it on means the C-LOOK
-		// pick path is fuzzed alongside everything else.
-		params[i].Elevator = true
-		d := disk.New(m.k, params[i])
-		d.SetCache(m.cache)
-		if _, err := fs.Mkfs(d, ninodes); err != nil {
-			panic("simcheck: mkfs: " + err.Error())
-		}
-		m.disks[i] = d
-	}
-	m.pool = vm.NewPool(m.k, vmFrames, blockSize)
-	m.k.SetVM(m.pool)
-	m.net = socket.NewNet(m.k, socket.Loopback())
+	m.net = socket.NewNet(m.K, socket.Loopback())
 	lossy := socket.Loopback()
 	lossy.Name = "snet" // distinct fault sites: "net.snet.drop" etc.
-	m.snet = socket.NewNet(m.k, lossy)
+	m.snet = socket.NewNet(m.K, lossy)
 	// Every fifth data datagram on snet is lost, for the whole run.
-	m.k.Faults().Arm(kernel.FaultArm{
+	m.K.Faults().Arm(kernel.FaultArm{
 		Site: m.snet.DropSite(), Every: 5,
 		Match: kernel.MatchAny, Count: -1, Quiet: true,
 	})
 	m.tchk = trace.NewChecker()
 	m.tdig = trace.NewDigester()
-	m.tr = m.k.StartTrace(trace.Tee(m.tchk, m.tdig))
+	m.tr = m.K.StartTrace(trace.Tee(m.tchk, m.tdig))
 
 	var arm *kernel.FaultArm
 
@@ -326,45 +322,39 @@ func execute(cfg Config, ops []*op) *Result {
 	defer splice.EnableInvariants(false)
 	stream.EnableInvariants(true)
 	defer stream.EnableInvariants(false)
-	m.k.SetProbe(m.probe)
+	m.K.SetProbe(m.probe)
 
 	perWorker := make([][]*op, cfg.Workers)
 	for _, o := range ops {
 		perWorker[o.worker] = append(perWorker[o.worker], o)
 	}
 
-	m.k.Spawn("boot", func(p *kernel.Proc) {
-		for i, d := range m.disks {
-			f, err := fs.Mount(p.Ctx(), m.cache, d)
-			if err != nil {
-				panic("simcheck: mount: " + err.Error())
-			}
-			f.SetPager(m.pool)
-			m.fss[i] = f
-			m.k.Mount(fmt.Sprintf("/d%d", i), f)
+	m.K.Spawn("boot", func(p *kernel.Proc) {
+		if err := m.Boot(p); err != nil {
+			panic("simcheck: mount: " + err.Error())
 		}
 		// Fault exploration begins here: boot-time transfers (mkfs,
 		// mount) are not eligible injection points — a fault there has
 		// no op to report to — so the census restarts and the sweep's
 		// arm is installed only now. Census and armed runs share this
 		// boundary, which keeps their occurrence numbering aligned.
-		m.k.Faults().ResetCensus()
+		m.K.Faults().ResetCensus()
 		if cfg.FaultSite != "" {
-			arm = m.k.Faults().Arm(kernel.FaultArm{
+			arm = m.K.Faults().Arm(kernel.FaultArm{
 				Site: cfg.FaultSite, K: cfg.FaultK, Match: kernel.MatchAny,
 			})
-			m.k.Faults().OnFire = m.onFire
+			m.K.Faults().OnFire = m.onFire
 		}
 		m.workers = m.newGate(cfg.Workers)
 		for w := 0; w < cfg.Workers; w++ {
 			ops := perWorker[w]
-			m.k.Spawn(fmt.Sprintf("fuzz%d", w), func(wp *kernel.Proc) { m.worker(wp, ops) })
+			m.K.Spawn(fmt.Sprintf("fuzz%d", w), func(wp *kernel.Proc) { m.worker(wp, ops) })
 		}
 		m.workers.await(p)
 		m.finalVerify(p)
 	})
 
-	if err := m.k.Run(); err != nil && m.violation == nil {
+	if err := m.K.Run(); err != nil && m.violation == nil {
 		m.fail(fmt.Errorf("simulation aborted: %w", err))
 	}
 
@@ -384,13 +374,13 @@ func execute(cfg Config, ops []*op) *Result {
 	m.logf("trace: events=%d digest=%016x", m.tchk.Events(), m.tdig.Sum())
 
 	m.logf("end: d0 errors=%d d1 errors=%d cache hits=%d",
-		m.disks[0].Errors(), m.disks[1].Errors(), m.cache.Stats().Hits)
+		m.Disks[0].Errors(), m.Disks[1].Errors(), m.Cache.Stats().Hits)
 	var fired int64
 	if arm != nil {
 		fired = arm.Fired()
 		m.logf("fault: site=%s k=%d seen=%d fired=%d", cfg.FaultSite, cfg.FaultK, arm.Seen(), fired)
 	}
-	st := m.k.Stats()
+	st := m.K.Stats()
 	m.logf("stats: now=%v idle=%v intr=%v switching=%v switches=%d interrupts=%d ticks=%d",
 		st.Now, st.Idle, st.Interrupt, st.Switching, st.Switches, st.Interrupts, st.Ticks)
 
@@ -401,7 +391,7 @@ func execute(cfg Config, ops []*op) *Result {
 		Digest:     digest(m.log),
 		Log:        m.log,
 		Stats:      st,
-		Census:     m.k.Faults().Census(),
+		Census:     m.K.Faults().Census(),
 		FaultFired: fired,
 		Violation:  m.violation,
 	}
@@ -449,29 +439,7 @@ func (m *machine) probe() {
 
 // checkInvariants validates every layer's invariants once.
 func (m *machine) checkInvariants() error {
-	if err := m.cache.CheckInvariants(); err != nil {
-		return err
-	}
-	if err := m.k.CheckInvariants(); err != nil {
-		return err
-	}
-	for _, d := range m.disks {
-		if d == nil {
-			continue
-		}
-		if err := d.CheckInvariants(); err != nil {
-			return err
-		}
-	}
-	for _, f := range m.fss {
-		if f == nil {
-			continue
-		}
-		if err := f.CheckLive(); err != nil {
-			return err
-		}
-	}
-	if err := m.pool.CheckInvariants(); err != nil {
+	if err := m.Machine.CheckInvariants(); err != nil {
 		return err
 	}
 	if err := m.tchk.Err(); err != nil {
@@ -514,12 +482,12 @@ func (m *machine) fail(err error) {
 	if m.violation != nil {
 		return
 	}
-	m.violation = fmt.Errorf("simcheck: seed %d: %w (during %s, t=%v)", m.cfg.Seed, err, m.curOp, m.k.Now())
+	m.violation = fmt.Errorf("simcheck: seed %d: %w (during %s, t=%v)", m.cfg.Seed, err, m.curOp, m.K.Now())
 	m.logf("VIOLATION %v", m.violation)
 	// Halt the world: every state reachable from a violated invariant is
 	// untrustworthy, and running on (e.g.) a corrupted buffer cache can
 	// crash the simulation before the violation is reported.
-	m.k.Abort(m.violation)
+	m.K.Abort(m.violation)
 }
 
 func (m *machine) logf(format string, args ...any) {
@@ -610,9 +578,9 @@ func (m *machine) finalVerify(p *kernel.Proc) {
 	}
 
 	for _, arm := range m.blockFaults {
-		m.k.Faults().Remove(arm)
+		m.K.Faults().Remove(arm)
 	}
-	for i, f := range m.fss {
+	for i, f := range m.FSs {
 		if err := f.SyncAll(p.Ctx()); err != nil {
 			if m.faulted[i] {
 				m.logf("syncall /d%d: %v (faulted volume, tolerated)", i, err)
@@ -626,34 +594,24 @@ func (m *machine) finalVerify(p *kernel.Proc) {
 	// clean outright; a volume that absorbed injected faults may have
 	// lost delayed metadata writes, so the repairing fsck runs first and
 	// must converge it to a clean volume.
-	for i := range m.fss {
+	for i := range m.FSs {
 		if !m.fsckVolume(p, i) {
 			return
 		}
 	}
 
-	// Every mapping was unmapped by its op, so the page pool must be
-	// empty: a surviving page or address space is a leaked reference.
-	if err := m.pool.CheckDrained(); err != nil {
-		m.fail(err)
-		return
-	}
-	if err := splice.CheckDrained(); err != nil {
-		m.fail(err)
-		return
-	}
-	if err := stream.CheckDrained(); err != nil {
-		m.fail(err)
-		return
-	}
-	// No poller may still be registered (or asleep in poll) once every
-	// worker has exited: a leftover registration is a leaked wakeup path.
-	if err := m.k.CheckPollDrained(); err != nil {
-		m.fail(err)
-		return
-	}
-	if err := m.checkInvariants(); err != nil {
-		m.fail(err)
+	// At rest: every mapping was unmapped by its op (a surviving page or
+	// address space is a leaked reference), the splice and stream
+	// registries have drained, and no poller is still registered or
+	// asleep in poll (a leftover registration is a leaked wakeup path).
+	for _, check := range []func() error{
+		m.CheckDrained, splice.CheckDrained, stream.CheckDrained,
+		m.K.CheckPollDrained, m.checkInvariants,
+	} {
+		if err := check(); err != nil {
+			m.fail(err)
+			return
+		}
 	}
 }
 
@@ -667,9 +625,12 @@ func (m *machine) finalVerify(p *kernel.Proc) {
 func (m *machine) fsckVolume(p *kernel.Proc, i int) bool {
 	for attempt := 0; ; attempt++ {
 		faultedAtStart := m.faulted[i]
+		var rep *fs.FsckReport
+		var err error
 		if faultedAtStart {
-			rep, err := fs.FsckRepair(p.Ctx(), m.cache, m.disks[i])
-			if err != nil {
+			var fixed *fs.FsckReport
+			fixed, rep, err = m.Repair(p, i)
+			if fixed == nil {
 				if attempt == 0 {
 					m.logf("fsck-repair /d%d: %v (mid-verify fault, retrying)", i, err)
 					continue
@@ -677,9 +638,10 @@ func (m *machine) fsckVolume(p *kernel.Proc, i int) bool {
 				m.fail(fmt.Errorf("fsck-repair /d%d: %v", i, err))
 				return false
 			}
-			m.logf("fsck-repair /d%d: %d problem(s), %d repair(s)", i, len(rep.Problems), rep.Repaired)
+			m.logf("fsck-repair /d%d: %d problem(s), %d repair(s)", i, len(fixed.Problems), fixed.Repaired)
+		} else {
+			rep, err = fs.Fsck(p.Ctx(), m.Cache, m.Disks[i])
 		}
-		rep, err := fs.Fsck(p.Ctx(), m.cache, m.disks[i])
 		if err != nil {
 			if attempt == 0 && m.faulted[i] {
 				m.logf("fsck /d%d: %v (mid-verify fault, retrying with repair)", i, err)

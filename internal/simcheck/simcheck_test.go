@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"kdp/internal/kernel"
 )
 
 // TestSeedSweep is the in-tree fuzz budget: a deterministic table of
@@ -225,5 +227,49 @@ func TestFaultedVolumeStillChecked(t *testing.T) {
 	}
 	if m.checkable(1) {
 		t.Error("disk 1 still content-checked despite injected faults")
+	}
+}
+
+// TestCheckMachineShape pins what the harness asks the one assembler
+// for: the small cache and pool, the two bare-named elevator disks (the
+// fault-site IDs depend on the names) and their mount points.
+func TestCheckMachineShape(t *testing.T) {
+	m := checkMachine(3)
+	if m.Cache.NumBuffers() != 64 || m.Pool.Frames() != 8 || len(m.Disks) != 2 {
+		t.Fatalf("%d buffers, %d frames, %d disks", m.Cache.NumBuffers(), m.Pool.Frames(), len(m.Disks))
+	}
+	for i, want := range []struct {
+		name   string
+		blocks int64
+	}{{"rz58", 600}, {"rz56", 220}} {
+		d := m.Disks[i]
+		if d.DevName() != want.name || d.DevBlocks() != want.blocks || !d.Params().Elevator {
+			t.Errorf("disk %d: %s, %d blocks, elevator=%v", i, d.DevName(), d.DevBlocks(), d.Params().Elevator)
+		}
+	}
+	m.K.Spawn("boot", func(p *kernel.Proc) {
+		if err := m.Boot(p); err != nil {
+			t.Errorf("boot: %v", err)
+			return
+		}
+		for i, mount := range []string{"/d0", "/d1"} {
+			if n := m.FSs[i].Super().NInodes; n != 64 {
+				t.Errorf("%s: %d inodes", mount, n)
+			}
+			if !m.FSs[i].Exists(p.Ctx(), "/") || m.FSs[i].Pager() == nil {
+				t.Errorf("%s: not mounted with its pager", mount)
+			}
+			if fd, err := p.Open(mount+"/probe", kernel.OCreat|kernel.OWrOnly); err != nil {
+				t.Errorf("nothing mounted at %s: %v", mount, err)
+			} else {
+				p.Close(fd)
+			}
+		}
+	})
+	if err := m.K.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if cfg := m.K.Config(); cfg.Seed != 3 || cfg.Name != "simcheck-3" {
+		t.Errorf("kernel config: seed %d, name %q", cfg.Seed, cfg.Name)
 	}
 }

@@ -61,11 +61,11 @@ func (m *machine) doSpliceFile(p *kernel.Proc, o *op) {
 	}
 	var c *kernel.Callout
 	if o.sigTicks > 0 {
-		c = m.k.Timeout(func() { m.k.Post(p, kernel.SIGIO) }, o.sigTicks)
+		c = m.K.Timeout(func() { m.K.Post(p, kernel.SIGIO) }, o.sigTicks)
 	}
 	n, serr := splice.Splice(p, sfd, dfd, splice.EOF)
 	if c != nil {
-		m.k.Untimeout(c)
+		m.K.Untimeout(c)
 		p.DeliverSignals()
 	}
 	p.Close(sfd)
@@ -199,7 +199,7 @@ func (m *machine) doSplicePipe(p *kernel.Proc, o *op) {
 	if !ok {
 		return
 	}
-	pipe := dev.NewPipe(m.k, "", pipeCap)
+	pipe := dev.NewPipe(m.K, "", pipeCap)
 	pfd := p.InstallFile(pipe, kernel.OWrOnly)
 	d := m.startDrain(fmt.Sprintf("drain%d", o.idx), pipe, 4096, n)
 	moved, serr := spliceInto(p, sfd, pfd, n)
@@ -254,10 +254,10 @@ func (m *machine) doPipeSplice(p *kernel.Proc, o *op) {
 		return
 	}
 	n := int64(o.size)
-	pipe := dev.NewPipe(m.k, "", pipeCap)
+	pipe := dev.NewPipe(m.K, "", pipeCap)
 	pfd := p.InstallFile(pipe, kernel.ORdOnly)
 
-	m.k.Spawn(fmt.Sprintf("feed%d", o.idx), func(wp *kernel.Proc) {
+	m.K.Spawn(fmt.Sprintf("feed%d", o.idx), func(wp *kernel.Proc) {
 		wfd := wp.InstallFile(pipe, kernel.OWrOnly)
 		wp.Write(wfd, pattern(o.size, 0, o.pat))
 	})

@@ -45,12 +45,14 @@ import (
 	"kdp/internal/disk"
 	"kdp/internal/fs"
 	"kdp/internal/kernel"
+	"kdp/internal/machine"
 	"kdp/internal/server"
 	"kdp/internal/sim"
 	"kdp/internal/socket"
 	"kdp/internal/splice"
 	"kdp/internal/stream"
 	"kdp/internal/vm"
+	"kdp/internal/workload"
 )
 
 // Re-exported core types. Proc is the simulated process handle passed
@@ -186,129 +188,101 @@ type Config struct {
 }
 
 // BlockSize is the filesystem and buffer-cache block size.
-const BlockSize = 8192
+const BlockSize = machine.BlockSize
 
 // Machine is a booted simulated workstation.
 type Machine struct {
-	k     *kernel.Kernel
-	cache *buf.Cache
-	disks []*disk.Disk
-	fss   []*fs.FS
-	pool  *vm.Pool
-	specs []DiskSpec
+	m *machine.Machine
 }
 
 // New builds a machine: devices are created and formatted, and the
 // filesystems are mounted by a short-lived init process.
 func New(cfg Config) *Machine {
-	kcfg := kernel.DefaultConfig()
+	spec := machine.Spec{Kernel: kernel.DefaultConfig()}
 	if cfg.Seed != 0 {
-		kcfg.Seed = cfg.Seed
+		spec.Kernel.Seed = cfg.Seed
 	}
-	kcfg.MaxRunTime = cfg.MaxRunTime
-	k := kernel.New(kcfg)
+	spec.Kernel.MaxRunTime = cfg.MaxRunTime
 
 	cacheMB := cfg.CacheMB
 	if cacheMB <= 0 {
 		cacheMB = 3.2
 	}
-	nbuf := int(cacheMB * 1024 * 1024 / BlockSize)
-	m := &Machine{k: k, cache: buf.NewCache(k, nbuf, BlockSize), specs: cfg.Disks}
+	spec.CacheBufs = int(cacheMB * 1024 * 1024 / BlockSize)
 
-	if cfg.VMPages >= 0 {
-		pages := cfg.VMPages
-		if pages == 0 {
-			pages = 256
-		}
-		m.pool = vm.NewPool(k, pages, BlockSize)
-		k.SetVM(m.pool)
+	switch {
+	case cfg.VMPages == 0:
+		spec.VMPages = 256
+	case cfg.VMPages > 0:
+		spec.VMPages = cfg.VMPages
 	}
 
-	for i, spec := range cfg.Disks {
-		mb := spec.MB
+	for i, d := range cfg.Disks {
+		mb := d.MB
 		if mb <= 0 {
 			mb = 16
 		}
-		blocks := int64(mb) << 20 / BlockSize
-		p := spec.Kind.Params(blocks, BlockSize)
-		// Device names must be unique per machine: the VM keys mapped
-		// objects by (device name, inode), and traces/metrics are
-		// per-device.
-		p.Name = fmt.Sprintf("%s-%d", p.Name, i)
-		d := disk.New(k, p)
-		d.SetCache(m.cache)
-		if _, err := fs.Mkfs(d, 256); err != nil {
-			panic("kdp: mkfs: " + err.Error())
+		ds := machine.DiskSpec{
+			Mount:      d.Mount,
+			Params:     d.Kind.Params(int64(mb)<<20/BlockSize, BlockSize),
+			Inodes:     256,
+			Interleave: d.Interleave,
 		}
-		m.disks = append(m.disks, d)
+		ds.Params.Name = fmt.Sprintf("%s-%d", ds.Params.Name, i)
+		if ds.Interleave == 0 {
+			ds.Interleave = d.Kind.Interleave()
+		}
+		spec.Disks = append(spec.Disks, ds)
 	}
+	m := machine.New(spec)
 
 	// Mount everything from an init process before user processes run.
-	m.fss = make([]*fs.FS, len(m.disks))
-	if len(m.disks) > 0 {
-		k.Spawn("init", func(p *kernel.Proc) {
-			for i, d := range m.disks {
-				f, err := fs.Mount(p.Ctx(), m.cache, d)
-				if err != nil {
-					panic("kdp: mount: " + err.Error())
-				}
-				il := m.specs[i].Interleave
-				if il == 0 {
-					il = m.specs[i].Kind.Interleave()
-				}
-				f.SetInterleave(il)
-				if m.pool != nil {
-					f.SetPager(m.pool)
-				}
-				m.fss[i] = f
-				k.Mount(m.specs[i].Mount, f)
+	if len(cfg.Disks) > 0 {
+		m.K.Spawn("init", func(p *kernel.Proc) {
+			if err := m.Boot(p); err != nil {
+				panic("kdp: mount: " + err.Error())
 			}
 		})
-		if err := k.Run(); err != nil {
+		if err := m.K.Run(); err != nil {
 			panic("kdp: boot: " + err.Error())
 		}
 	}
-	return m
+	return &Machine{m}
 }
 
 // Spawn adds a process to the machine; it runs when Run is called.
 func (m *Machine) Spawn(name string, body func(*Proc)) *Proc {
-	return m.k.Spawn(name, body)
+	return m.m.K.Spawn(name, body)
 }
 
 // Run drives the machine until every process has exited and all
 // in-kernel work (async splices, device queues) has drained.
-func (m *Machine) Run() error { return m.k.Run() }
+func (m *Machine) Run() error { return m.m.K.Run() }
 
 // Now returns the machine's virtual time.
-func (m *Machine) Now() Time { return m.k.Now() }
+func (m *Machine) Now() Time { return m.m.K.Now() }
 
 // Kernel exposes the underlying kernel (stats, tracing, advanced use).
-func (m *Machine) Kernel() *kernel.Kernel { return m.k }
+func (m *Machine) Kernel() *kernel.Kernel { return m.m.K }
 
 // BufferCache exposes the machine's buffer cache.
-func (m *Machine) BufferCache() *buf.Cache { return m.cache }
+func (m *Machine) BufferCache() *buf.Cache { return m.m.Cache }
 
 // Disk returns the i'th configured disk.
-func (m *Machine) Disk(i int) *disk.Disk { return m.disks[i] }
+func (m *Machine) Disk(i int) *disk.Disk { return m.m.Disks[i] }
 
 // FS returns the filesystem mounted from the i'th disk.
-func (m *Machine) FS(i int) *fs.FS { return m.fss[i] }
+func (m *Machine) FS(i int) *fs.FS { return m.m.FSs[i] }
 
 // VMPool exposes the machine's page pool (nil when Config.VMPages is
 // negative).
-func (m *Machine) VMPool() *vm.Pool { return m.pool }
+func (m *Machine) VMPool() *vm.Pool { return m.m.Pool }
 
 // ColdCaches flushes and invalidates every cached disk block, giving
 // the cold-start condition the paper's measurements require. Must be
 // called from process context.
 func (m *Machine) ColdCaches(p *Proc) error {
-	for _, d := range m.disks {
-		if err := m.cache.InvalidateDev(p.Ctx(), d); err != nil {
-			return err
-		}
-	}
-	return nil
+	return workload.ColdStart(p, m.m.Cache, m.m.Devices()...)
 }
 
 // Splice is the paper's system call: move size bytes (or SpliceEOF for
@@ -336,10 +310,10 @@ type DACConfig = dev.DACParams
 
 // AddDAC attaches a rate-paced output DAC and registers its device
 // file.
-func (m *Machine) AddDAC(cfg DACConfig) *dev.DAC { return dev.NewDAC(m.k, cfg) }
+func (m *Machine) AddDAC(cfg DACConfig) *dev.DAC { return dev.NewDAC(m.m.K, cfg) }
 
 // AddNull attaches /dev/null.
-func (m *Machine) AddNull() *dev.Null { return dev.NewNull(m.k) }
+func (m *Machine) AddNull() *dev.Null { return dev.NewNull(m.m.K) }
 
 // FramebufferConfig configures a frame-capture device.
 type FramebufferConfig struct {
@@ -352,7 +326,7 @@ type FramebufferConfig struct {
 // AddFramebuffer attaches a frame source (for framebuffer-to-socket
 // splices).
 func (m *Machine) AddFramebuffer(cfg FramebufferConfig) *dev.Framebuffer {
-	return dev.NewFramebuffer(m.k, dev.FBParams{
+	return dev.NewFramebuffer(m.m.K, dev.FBParams{
 		Path: cfg.Path, FrameBytes: cfg.FrameBytes, FPS: cfg.FPS, Frames: cfg.Frames,
 	})
 }
@@ -362,7 +336,7 @@ func (m *Machine) AddFramebuffer(cfg FramebufferConfig) *dev.Framebuffer {
 // (file → pipe → socket). capacity 0 selects 64KB. path may be empty
 // for an anonymous pipe (use InstallFile on the returned object).
 func (m *Machine) AddPipe(path string, capacity int) *dev.Pipe {
-	return dev.NewPipe(m.k, path, capacity)
+	return dev.NewPipe(m.m.K, path, capacity)
 }
 
 // NetKind selects a network model.
@@ -378,9 +352,9 @@ const (
 func (m *Machine) AddNet(kind NetKind) *socket.Net {
 	switch kind {
 	case NetLoopback:
-		return socket.NewNet(m.k, socket.Loopback())
+		return socket.NewNet(m.m.K, socket.Loopback())
 	default:
-		return socket.NewNet(m.k, socket.Ethernet10())
+		return socket.NewNet(m.m.K, socket.Ethernet10())
 	}
 }
 
@@ -414,11 +388,11 @@ const (
 // port on net. Its Listen/Accept/Connect methods are kernel syscalls
 // (call them from process context).
 func (m *Machine) AddStreamTransport(net *socket.Net, port int) (*StreamTransport, error) {
-	return stream.NewTransport(m.k, net, port)
+	return stream.NewTransport(m.m.K, net, port)
 }
 
 // StartServer launches the concurrent file-server engine: an accept
 // loop that hands each connection to a spawned handler process.
 func (m *Machine) StartServer(cfg ServerConfig) *Server {
-	return server.Start(m.k, cfg)
+	return server.Start(m.m.K, cfg)
 }

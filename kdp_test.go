@@ -454,3 +454,32 @@ func TestFacadeVMDisabled(t *testing.T) {
 		t.Fatal("VMPool non-nil with VMPages < 0")
 	}
 }
+
+// TestFacadeDefaultShape pins what kdp.New asks the one assembler for
+// when the Config leaves everything to defaults.
+func TestFacadeDefaultShape(t *testing.T) {
+	m := twoDiskMachine(kdp.DiskRZ58)
+	if n := m.BufferCache().NumBuffers(); n != 409 {
+		t.Errorf("default cache: %d buffers, want int(3.2MB/8KB) = 409", n)
+	}
+	if m.VMPool() == nil || m.VMPool().Frames() != 256 {
+		t.Error("default page pool: want 256 frames")
+	}
+	for i, name := range []string{"rz58-0", "rz58-1"} {
+		if got := m.Disk(i).DevName(); got != name {
+			t.Errorf("disk %d is called %q, want %q", i, got, name)
+		}
+		if got := m.Disk(i).DevBlocks(); got != 16<<20/kdp.BlockSize {
+			t.Errorf("disk %d: %d blocks, want 16MB", i, got)
+		}
+		if got := m.FS(i).Super().NInodes; got != 256 {
+			t.Errorf("disk %d: %d inodes, want 256", i, got)
+		}
+		if m.FS(i).Pager() == nil {
+			t.Errorf("disk %d mounted without the pager", i)
+		}
+	}
+	if kdp.New(kdp.Config{VMPages: -1}).VMPool() != nil {
+		t.Error("VMPages < 0 still built a page pool")
+	}
+}
