@@ -84,7 +84,6 @@ type Buf struct {
 	// whose data area it shares.
 	SplicePeer *Buf
 
-	cache    *Buf // unused; placeholder to keep header size honest
 	pool     *Cache
 	hashNext *Buf
 	hashed   bool

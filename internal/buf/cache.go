@@ -233,11 +233,6 @@ func (c *Cache) Peek(dev Device, blkno int64) *Buf {
 	return nil
 }
 
-// incore reports whether (dev, blkno) is present in the cache.
-func (c *Cache) incore(dev Device, blkno int64) *Buf {
-	return c.Peek(dev, blkno)
-}
-
 // ---- getblk and friends ----
 
 // Getblk returns a locked (BBusy) buffer for (dev, blkno). If the block
@@ -278,7 +273,7 @@ func (c *Cache) getblk(ctx kernel.Ctx, dev Device, blkno int64, canSleep, quiet 
 		ctx.Use(c.k.Config().BufHashCost)
 	}
 	for {
-		if b := c.incore(dev, blkno); b != nil {
+		if b := c.Peek(dev, blkno); b != nil {
 			if b.Flags&BBusy != 0 {
 				if !canSleep {
 					return nil, kernel.ErrWouldBlock
@@ -437,7 +432,7 @@ func (c *Cache) StartReadahead(ctx kernel.Ctx, dev Device, blkno int64) bool {
 	if dev == nil || blkno < 0 || blkno >= dev.DevBlocks() {
 		return false
 	}
-	if c.incore(dev, blkno) != nil {
+	if c.Peek(dev, blkno) != nil {
 		return true
 	}
 	if c.raMax <= 0 || c.raPending >= c.raMax {
@@ -663,7 +658,7 @@ func (c *Cache) FlushBlocks(ctx kernel.Ctx, dev Device, blknos []int64) (int, er
 	}
 	var dirty []*Buf
 	for _, bn := range blknos {
-		if b := c.incore(dev, bn); b != nil && b.Flags&BDelwri != 0 && b.Flags&BBusy == 0 {
+		if b := c.Peek(dev, bn); b != nil && b.Flags&BDelwri != 0 && b.Flags&BBusy == 0 {
 			dirty = append(dirty, b)
 		}
 	}
@@ -817,7 +812,7 @@ func (c *Cache) InvalidateBlocks(ctx kernel.Ctx, dev Device, blknos []int64) err
 	}
 	for _, bn := range blknos {
 		for {
-			b := c.incore(dev, bn)
+			b := c.Peek(dev, bn)
 			if b == nil {
 				break
 			}

@@ -151,14 +151,6 @@ func (fb *Framebuffer) Sync(ctx kernel.Ctx) error { return nil }
 // (screen refresh does not stop because a reader closed).
 func (fb *Framebuffer) Close(ctx kernel.Ctx) error { return nil }
 
-// Stop halts capture (test/teardown helper).
-func (fb *Framebuffer) Stop() {
-	if fb.running {
-		fb.eof = true
-		fb.p.Frames = fb.captured
-	}
-}
-
 // SpliceRead implements the splice Source interface: deliver the oldest
 // captured frame, or park the request until one arrives.
 func (fb *Framebuffer) SpliceRead(max int, deliver func([]byte, bool, error)) {

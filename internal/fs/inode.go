@@ -300,7 +300,6 @@ func (f *FS) allocData(ctx kernel.Ctx, zeroFill bool) (uint32, error) {
 		for i := range b.Data {
 			b.Data[i] = 0
 		}
-		b.Flags |= 0 // contents now valid; Bdwrite marks BDone
 		f.cache.Bdwrite(ctx, b)
 	}
 	return blk, nil

@@ -248,13 +248,6 @@ func (p *Proc) runAtExit() {
 	p.atExit = nil
 }
 
-// exit terminates the process from inside its own goroutine.
-func (p *Proc) exitSelf() {
-	p.req = reqExit
-	p.parked <- struct{}{}
-	// never resumed
-}
-
 func (p *Proc) assertRunning(op string) {
 	if p.k.current != p {
 		panic(fmt.Sprintf("kernel: %s called on proc %q which is not current (state %v)", op, p.name, p.state))

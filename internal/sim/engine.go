@@ -8,15 +8,11 @@ import (
 // Event is a scheduled callback. Events are created by Engine.Schedule
 // and may be cancelled before they fire.
 type Event struct {
-	when   Time
-	seq    uint64 // insertion order; breaks ties deterministically
-	index  int    // heap index, -1 when not queued
-	fn     func()
-	labels string // optional description for tracing
+	when  Time
+	seq   uint64 // insertion order; breaks ties deterministically
+	index int    // heap index, -1 when not queued
+	fn    func()
 }
-
-// When reports the virtual time at which the event is scheduled to fire.
-func (ev *Event) When() Time { return ev.when }
 
 // Pending reports whether the event is still queued (not yet fired or
 // cancelled).
@@ -78,7 +74,8 @@ func (e *Engine) Fired() uint64 { return e.fired }
 func (e *Engine) Pending() int { return len(e.queue) }
 
 // Schedule queues fn to run after delay. A negative delay is treated as
-// zero (the event fires as soon as the queue is next drained). The
+// zero (the event fires as soon as the queue is next drained). label
+// names the event at the call site; the engine does not keep it. The
 // returned Event may be passed to Cancel.
 func (e *Engine) Schedule(delay Duration, label string, fn func()) *Event {
 	if fn == nil {
@@ -88,10 +85,9 @@ func (e *Engine) Schedule(delay Duration, label string, fn func()) *Event {
 		delay = 0
 	}
 	ev := &Event{
-		when:   e.now.Add(delay),
-		seq:    e.nextID,
-		fn:     fn,
-		labels: label,
+		when: e.now.Add(delay),
+		seq:  e.nextID,
+		fn:   fn,
 	}
 	e.nextID++
 	heap.Push(&e.queue, ev)

@@ -52,13 +52,6 @@ func (d Duration) String() string {
 	}
 }
 
-// PerByte converts a rate in bytes per second into the duration charged
-// for one byte, as a float to avoid cumulative rounding; use BytesAt to
-// charge for a block.
-func PerByte(bytesPerSecond float64) float64 {
-	return float64(Second) / bytesPerSecond
-}
-
 // BytesAt returns the time to move n bytes at the given rate in bytes
 // per second.
 func BytesAt(n int64, bytesPerSecond float64) Duration {

@@ -248,8 +248,6 @@ type Socket struct {
 	pendingDeliver func([]byte, bool, error)
 
 	pollQ kernel.PollQueue
-
-	sent, rcvd int64
 }
 
 // NewSocket binds a datagram socket to port.
@@ -276,12 +274,6 @@ func (s *Socket) Connect(port int) error {
 
 // Port returns the bound port.
 func (s *Socket) Port() int { return s.port }
-
-// Counters returns datagrams sent and received by this socket.
-func (s *Socket) Counters() (sent, rcvd int64) { return s.sent, s.rcvd }
-
-// QueuedDatagrams reports datagrams waiting in the receive queue.
-func (s *Socket) QueuedDatagrams() int { return len(s.rcvq) }
 
 func (s *Socket) String() string {
 	return fmt.Sprintf("udp:%d", s.port)
@@ -314,7 +306,6 @@ func (s *Socket) takeDatagram(max int) (data []byte, eof bool) {
 		if pkt.eof {
 			return nil, true
 		}
-		s.rcvd++
 		d := pkt.data
 		if max < len(d) {
 			d = d[:max]
@@ -346,7 +337,6 @@ func (s *Socket) SendTo(dst int, data []byte, onSent func()) {
 // sendTo transmits one datagram toward port dst.
 func (s *Socket) sendTo(dst int, data []byte, eof bool, onSent func()) {
 	cp := append([]byte(nil), data...) // the wire owns a copy (mbuf)
-	s.sent++
 	s.net.transmit(txRequest{
 		pkt:    packet{data: cp, from: s.port, eof: eof},
 		dst:    dst,

@@ -152,9 +152,6 @@ func NewPool(k *kernel.Kernel, frames, pageSize int) *Pool {
 	}
 }
 
-// PageSize returns the page size in bytes.
-func (v *Pool) PageSize() int { return v.pageSize }
-
 // Frames returns the total number of page frames in the pool.
 func (v *Pool) Frames() int { return v.nframes }
 
