@@ -23,9 +23,11 @@ import "fmt"
 //	splice-desc-leak       (checked by CheckDrained) no descriptor is
 //	                       still live once a machine has run to idle
 
+// liveDescs is in registration order, so which violation is reported
+// when several descriptors are damaged replays deterministically.
 var (
 	invariantsOn bool
-	liveDescs    map[*desc]struct{}
+	liveDescs    []*desc
 )
 
 // EnableInvariants switches descriptor tracking on or off. While on,
@@ -34,22 +36,21 @@ var (
 // toggle while a machine is running.
 func EnableInvariants(on bool) {
 	invariantsOn = on
-	if on {
-		liveDescs = make(map[*desc]struct{})
-	} else {
-		liveDescs = nil
-	}
+	liveDescs = nil
 }
 
 func registerDesc(d *desc) {
 	if invariantsOn && !d.done {
-		liveDescs[d] = struct{}{}
+		liveDescs = append(liveDescs, d)
 	}
 }
 
 func unregisterDesc(d *desc) {
-	if invariantsOn {
-		delete(liveDescs, d)
+	for i, live := range liveDescs {
+		if live == d {
+			liveDescs = append(liveDescs[:i], liveDescs[i+1:]...)
+			return
+		}
 	}
 }
 
@@ -61,7 +62,7 @@ func sviolation(name, format string, args ...any) error {
 // first violation found (nil when consistent, or when tracking is
 // disabled). It never sleeps.
 func CheckInvariants() error {
-	for d := range liveDescs {
+	for _, d := range liveDescs {
 		if err := d.check(); err != nil {
 			return err
 		}

@@ -188,6 +188,19 @@ func TestDamageTripsInvariants(t *testing.T) {
 				}
 				dmg.revert()
 			}
+
+			// With both descriptors damaged the report is the first
+			// registered one's, every time: a replayed failing seed must
+			// name the same violation.
+			d.moved += d.total + 1
+			hs.d.pendingReads++
+			for i := 0; i < 20; i++ {
+				if err := CheckInvariants(); !violates(err, "splice-moved-bound") {
+					t.Fatalf("check %d with two damaged descriptors: %v, want the first-registered descriptor's splice-moved-bound", i, err)
+				}
+			}
+			d.moved -= d.total + 1
+			hs.d.pendingReads--
 			if err := CheckDrained(); !violates(err, "splice-desc-leak") {
 				t.Errorf("live descriptors not reported as splice-desc-leak: %v", err)
 			}

@@ -17,6 +17,7 @@ import (
 // glossary" appendix of EXPERIMENTS.md; EventCount indexes by Kind.
 type Metrics struct {
 	EventCount [kindMax]int64
+	events     int64    // running sum of EventCount
 	First      sim.Time // timestamp of the first event observed
 	Last       sim.Time // timestamp of the most recent event
 
@@ -137,8 +138,9 @@ func (m *Metrics) disk(name string) *DiskMetrics {
 func (m *Metrics) observe(ev Event) {
 	if ev.Kind < kindMax {
 		m.EventCount[ev.Kind]++
+		m.events++
 	}
-	if m.eventsTotal() == 1 {
+	if m.events == 1 {
 		m.First = ev.T
 	}
 	m.Last = ev.T
@@ -236,16 +238,8 @@ func (m *Metrics) observe(ev Event) {
 	}
 }
 
-func (m *Metrics) eventsTotal() int64 {
-	var n int64
-	for _, c := range m.EventCount {
-		n += c
-	}
-	return n
-}
-
 // Events returns the total number of events observed.
-func (m *Metrics) Events() int64 { return m.eventsTotal() }
+func (m *Metrics) Events() int64 { return m.events }
 
 // ProcCPUSnapshot returns per-process CPU accounting, sorted by pid.
 func (m *Metrics) ProcCPUSnapshot() []struct {
@@ -377,7 +371,7 @@ func (m *Metrics) Snapshot() []Counter {
 // the kdptrace -stats renderer.
 func (m *Metrics) Format(w io.Writer) {
 	span := m.Last.Sub(m.First)
-	fmt.Fprintf(w, "events: %d over %v (t=%v..%v)\n", m.eventsTotal(), span, m.First, m.Last)
+	fmt.Fprintf(w, "events: %d over %v (t=%v..%v)\n", m.events, span, m.First, m.Last)
 
 	fmt.Fprintf(w, "cpu: user=%v sys=%v intr=%v idle=%v switch=%v\n",
 		m.CPUUser, m.CPUSys, m.CPUIntr, m.CPUIdle, m.CPUSwitch)

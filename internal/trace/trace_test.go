@@ -232,6 +232,15 @@ func TestMetricsAggregation(t *testing.T) {
 	if m.SpliceBytes != 1<<20 {
 		t.Errorf("splice bytes = %d", m.SpliceBytes)
 	}
+	// The running total is the sum of the per-kind counts, and the span
+	// starts at the first event.
+	var sum int64
+	for _, n := range m.EventCount {
+		sum += n
+	}
+	if m.Events() != 14 || sum != 14 || m.First != 1 || m.Last != 12 {
+		t.Errorf("events=%d (per-kind sum %d) over t=%dns..%dns, want 14 over 1..12", m.Events(), sum, m.First, m.Last)
+	}
 
 	snap := m.Snapshot()
 	byName := map[string]int64{}
