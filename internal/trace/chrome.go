@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strings"
 
 	"kdp/internal/sim"
 )
@@ -25,7 +26,10 @@ import (
 //   - the machine itself → tid 0 (callout/flush/sync instants) and
 //     tid 900 for network instants;
 //   - splice in-flight blocks, disk queue depth and cache hit/miss
-//     totals → counter (C) tracks.
+//     totals → counter (C) tracks;
+//   - every kind with no rendering of its own → an instant named after
+//     the kind, on its process's thread when it has a Pid, else tid 0,
+//     with args arg1, arg2 and name.
 //
 // CPU accounting events (KindCPU*) are deliberately not rendered: they
 // are the highest-frequency kinds and their content is exactly the
@@ -310,6 +314,28 @@ func exportRun(emit func(chromeEvent) error, pid int, run Run) error {
 		case KindSpliceWrite, KindSpliceWriteDone:
 			spliceWrites = ev.Arg2
 			if err := emitSpliceGauge(emit, pid, ev.T, spliceReads, spliceWrites); err != nil {
+				return err
+			}
+		case KindCPUUser, KindCPUSys, KindCPUIntr, KindCPUIdle, KindCPUSwitch,
+			KindSchedSwitch, KindDiskRead, KindDiskWrite:
+			// Not drawn: cpu.* is the Metrics CPU counters, sched.switch
+			// only names threads, and the disk.start slice already spans
+			// the completion.
+		default:
+			// Every other kind is an instant carrying its raw arguments,
+			// on its process's track if it has one, so a kind added to
+			// the stream shows up in the export without an exporter change.
+			tid := chromeTidMachine
+			if ev.Pid > 0 {
+				tid = int(ev.Pid)
+			}
+			args := map[string]any{"arg1": ev.Arg1, "arg2": ev.Arg2, "s": "t"}
+			if ev.Name != "" {
+				args["name"] = ev.Name
+			}
+			cat, _, _ := strings.Cut(ev.Kind.String(), ".")
+			if err := emit(chromeEvent{Name: ev.Kind.String(), Cat: cat, Ph: "i",
+				Ts: usec(ev.T), Pid: pid, Tid: tid, Args: args}); err != nil {
 				return err
 			}
 		}

@@ -125,3 +125,48 @@ func TestValidateChromeRejectsMalformed(t *testing.T) {
 		}
 	}
 }
+
+// TestExportChromeDrawsEveryKind emits one event of every kind, each at
+// its own millisecond, and requires every kind outside the documented
+// exclusions to appear in the export — so a kind added to the stream
+// cannot be silently dropped by the exporter.
+func TestExportChromeDrawsEveryKind(t *testing.T) {
+	excluded := map[Kind]bool{
+		KindCPUUser: true, KindCPUSys: true, KindCPUIntr: true, KindCPUIdle: true, KindCPUSwitch: true,
+		KindSchedSwitch: true, // names threads
+		KindDiskRead:    true, KindDiskWrite: true, // the disk.start slice spans them
+	}
+	var run Run
+	for k := Kind(1); k < kindMax; k++ {
+		run.Events = append(run.Events, Event{
+			T: sim.Time(int64(k) * int64(sim.Millisecond)), Kind: k, Pid: 1, Arg1: 7, Arg2: 1, Name: "x",
+		})
+	}
+	var out bytes.Buffer
+	if err := ExportChrome(&out, []Run{run}); err != nil {
+		t.Fatalf("export: %v", err)
+	}
+	if _, err := ValidateChrome(bytes.NewReader(out.Bytes())); err != nil {
+		t.Fatalf("export invalid: %v", err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Ph string  `json:"ph"`
+			Ts float64 `json:"ts"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	drawn := map[Kind]bool{}
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph != "M" {
+			drawn[Kind(ev.Ts/1000)] = true
+		}
+	}
+	for k := Kind(1); k < kindMax; k++ {
+		if drawn[k] == excluded[k] {
+			t.Errorf("%v: drawn=%v, excluded=%v", k, drawn[k], excluded[k])
+		}
+	}
+}
