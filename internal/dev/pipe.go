@@ -57,10 +57,19 @@ func (pp *Pipe) Buffered() int { return len(pp.buf) }
 func (pp *Pipe) Transferred() (in, out int64) { return pp.in, pp.out }
 
 // CloseWrite marks end-of-stream: readers drain the remaining bytes and
-// then see EOF.
+// then see EOF. Writers still queued behind a full buffer fail — nothing
+// is promised to make room for them any more, and a process blocked in
+// Write must not sleep forever because the far end went away.
 func (pp *Pipe) CloseWrite() {
 	pp.closed = true
 	pp.serveReader()
+	stranded := pp.writeWaiters
+	pp.writeWaiters = nil
+	for _, w := range stranded {
+		if w.done != nil {
+			w.done(kernel.ErrBadFD)
+		}
+	}
 	pp.wake(kernel.PollIn | kernel.PollHup)
 }
 
@@ -179,14 +188,18 @@ func (pp *Pipe) Write(ctx kernel.Ctx, b []byte, off int64) (int, error) {
 		return n, nil
 	}
 	donef := false
-	pp.SpliceWrite(b, func(error) {
-		donef = true
+	var werr error
+	pp.SpliceWrite(b, func(err error) {
+		donef, werr = true, err
 		pp.k.Wakeup(&donef)
 	})
 	for !donef {
 		if err := ctx.Sleep(&donef, kernel.PSOCK); err != nil {
 			return 0, err
 		}
+	}
+	if werr != nil {
+		return 0, werr
 	}
 	return len(b), nil
 }

@@ -79,6 +79,37 @@ func TestPipeBackpressureBlocksWriter(t *testing.T) {
 	}
 }
 
+func TestPipeCloseReleasesBlockedWriter(t *testing.T) {
+	// A writer queued behind a full buffer when the far end goes away
+	// must fail, not sleep forever; what was admitted stays readable.
+	k := newK()
+	NewPipe(k, "/dev/pipe3", 1000)
+	var werr error
+	k.Spawn("writer", func(pw *kernel.Proc) {
+		fd, _ := pw.Open("/dev/pipe3", kernel.OWrOnly)
+		_, werr = pw.Write(fd, make([]byte, 3000))
+	})
+	k.Spawn("reader", func(pr *kernel.Proc) {
+		pr.SleepFor(100 * sim.Millisecond)
+		fd, _ := pr.Open("/dev/pipe3", kernel.ORdOnly)
+		_ = pr.Close(fd) // gives up without draining
+		fd, _ = pr.Open("/dev/pipe3", kernel.ORdOnly)
+		buf := make([]byte, 2000)
+		if n, err := pr.Read(fd, buf); n != 1000 || err != nil {
+			t.Errorf("read after close = (%d, %v), want the 1000 admitted bytes", n, err)
+		}
+		if n, err := pr.Read(fd, buf); n != 0 || err != nil {
+			t.Errorf("second read = (%d, %v), want EOF", n, err)
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatalf("a blocked writer outlived the pipe: %v", err)
+	}
+	if werr != kernel.ErrBadFD {
+		t.Errorf("blocked write returned %v, want ErrBadFD", werr)
+	}
+}
+
 func TestPipeEOFAfterCloseWrite(t *testing.T) {
 	k := newK()
 	p := NewPipe(k, "/dev/pipe2", 4096)

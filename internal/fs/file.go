@@ -372,23 +372,33 @@ func (fl *File) SpliceMapWrite(ctx kernel.Ctx, nblocks int64) ([]uint32, []bool,
 		return nil, nil, err
 	}
 	blocks, err := ip.PhysicalBlocks(ctx, nblocks, true)
+	if err == nil {
+		// The write engine bypasses the buffer cache (memory-less headers
+		// straight to the driver), so cached copies of the destination
+		// blocks must be purged now: a clean one would shadow the spliced
+		// data on later reads, a dirty one would overwrite it on flush.
+		blknos := make([]int64, 0, len(blocks))
+		for _, pb := range blocks {
+			blknos = append(blknos, int64(pb))
+		}
+		err = ip.fs.cache.InvalidateBlocks(ctx, ip.fs.dev, blknos)
+	}
 	if err != nil {
+		// A mapping that fails partway (the volume fills up, a bitmap
+		// read errors) must not leave the blocks it did allocate attached
+		// past EOF: unwritten, they hold their previous owner's data, and
+		// a later partial write extending the file across them would
+		// read it in.
+		for l, pb := range pre {
+			if pb == 0 {
+				fl.rollbackBlock(ctx, int64(l))
+			}
+		}
 		return nil, nil, err
 	}
 	fresh := make([]bool, nblocks)
 	for i, pb := range pre {
 		fresh[i] = pb == 0 && blocks[i] != 0
-	}
-	// The write engine bypasses the buffer cache (memory-less headers
-	// straight to the driver), so cached copies of the destination
-	// blocks must be purged now: a clean one would shadow the spliced
-	// data on later reads, a dirty one would overwrite it on flush.
-	blknos := make([]int64, 0, len(blocks))
-	for _, pb := range blocks {
-		blknos = append(blknos, int64(pb))
-	}
-	if err := ip.fs.cache.InvalidateBlocks(ctx, ip.fs.dev, blknos); err != nil {
-		return nil, nil, err
 	}
 	return blocks, fresh, nil
 }

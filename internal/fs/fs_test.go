@@ -472,6 +472,40 @@ func TestSpliceMapWriteAllocatesWithoutZeroFillIO(t *testing.T) {
 	})
 }
 
+func TestSpliceMapWriteRollsBackOnFailure(t *testing.T) {
+	// A destination mapping that runs out of space must give back every
+	// block it allocated: left attached past EOF, unwritten, they would
+	// surface their previous owner's data under a later extending write.
+	r := newRig(t, 64)
+	r.run(t, func(p *kernel.Proc, f *FS) {
+		ctx := p.Ctx()
+		fl, _ := f.OpenFile(ctx, "/dst", kernel.OCreat|kernel.ORdWr)
+		file := fl.(*File)
+		if _, err := file.Write(ctx, pattern(2*testBlockSize, 3), 0); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		free := f.Super().FreeBlocks
+		if _, _, err := file.SpliceMapWrite(ctx, 200); err != kernel.ErrNoSpace {
+			t.Fatalf("mapping 200 blocks of a 64-block volume: %v, want ErrNoSpace", err)
+		}
+		// Only the indirect pointer block allocated on the way may stay:
+		// the inode references it and the next extension reuses it.
+		if kept := free - f.Super().FreeBlocks; kept > 1 {
+			t.Errorf("failed mapping kept %d blocks", kept)
+		}
+		if blocks, err := file.ip.PhysicalBlocks(ctx, 12, false); err != nil || blocks[1] == 0 || blocks[2] != 0 || blocks[11] != 0 {
+			t.Errorf("after rollback the file maps %v (%v), want its two written blocks only", blocks, err)
+		}
+		_ = fl.Close(ctx)
+		if err := f.SyncAll(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if rep, err := Fsck(ctx, r.c, r.d); err != nil || !rep.Clean() {
+			t.Errorf("fsck after rollback: %v %v", err, rep.Problems)
+		}
+	})
+}
+
 func TestDirentEncodeDecodeProperty(t *testing.T) {
 	f := func(ino uint32, raw []byte) bool {
 		name := make([]byte, 0, MaxNameLen)

@@ -273,3 +273,42 @@ func TestCheckMachineShape(t *testing.T) {
 		t.Errorf("kernel config: seed %d, name %q", cfg.Seed, cfg.Name)
 	}
 }
+
+// TestOracleStaleRule drives the short-splice rule directly: a
+// destination mixing the payload, its previous content and zeros
+// passes; one foreign byte is an oracle-stale violation.
+func TestOracleStaleRule(t *testing.T) {
+	m := &machine{cfg: Config{Seed: 1}, Machine: checkMachine(1), oracle: make(map[string]*ofile)}
+	fresh := pattern(3*blockSize, 0, 5)
+	prev := pattern(2*blockSize+100, 0, 9)
+	// Block 0 written by the splice, block 1 still the old content,
+	// block 2 allocated by the splice and scrubbed.
+	content := append(append(append([]byte(nil), fresh[:blockSize]...), prev[blockSize:2*blockSize]...), make([]byte, blockSize)...)
+	m.K.Spawn("test", func(p *kernel.Proc) {
+		if err := m.Boot(p); err != nil {
+			t.Errorf("boot: %v", err)
+			return
+		}
+		write := func(data []byte) {
+			fd, err := p.Open("/d0/f", kernel.OCreat|kernel.OWrOnly|kernel.OTrunc)
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			if _, err := p.Write(fd, data); err != nil {
+				t.Fatalf("write: %v", err)
+			}
+			p.Close(fd)
+		}
+		write(content)
+		if !m.checkNoStale(p, "/d0/f", fresh, prev) || m.violation != nil {
+			t.Errorf("payload/previous/zero mix flagged: %v", m.violation)
+		}
+		content[2*blockSize+17] = fresh[2*blockSize+17] ^ 0x5A // somebody else's byte
+		write(content)
+		if m.checkNoStale(p, "/d0/f", fresh, prev) || m.violation == nil ||
+			!strings.Contains(m.violation.Error(), "oracle-stale: /d0/f byte 16401 (block 2)") {
+			t.Errorf("foreign byte not reported as oracle-stale: %v", m.violation)
+		}
+	})
+	_ = m.K.Run() // the violation aborts the run
+}

@@ -82,7 +82,10 @@ func (m *machine) doSpliceFile(p *kernel.Proc, o *op) {
 	switch {
 	case serr != nil:
 		// Interrupted or failed: the destination prefix is whatever
-		// drained before the stop.
+		// drained before the stop — but nothing foreign.
+		if srcKnown && !odo.tainted && !m.checkNoStale(p, dst, oso.data, odo.data) {
+			return
+		}
 		odo.tainted = true
 		m.opLog(o, "moved=%d err=%v (dst tainted)", n, serr)
 	case !srcKnown:
@@ -103,6 +106,39 @@ func (m *machine) doSpliceFile(p *kernel.Proc, o *op) {
 		copy(odo.data[:n], oso.data)
 		m.opLog(o, "ok moved=%d", n)
 	}
+}
+
+// checkNoStale is the oracle's rule for a splice into a file that ended
+// short (oracle-stale): which of its blocks were written is not
+// predictable, but every byte of the destination is the new payload's,
+// the one the file held before, or zero — never anything else. A block
+// the transfer allocated and did not write would otherwise surface its
+// previous owner's data. It reports false after raising the violation;
+// a faulted volume, or a read-back that itself fails, is not judged.
+func (m *machine) checkNoStale(p *kernel.Proc, path string, fresh, prev []byte) bool {
+	d := diskOf(path)
+	if !m.checkable(d) {
+		return true
+	}
+	fd, err := p.Open(path, kernel.ORdOnly)
+	if err != nil {
+		return true
+	}
+	got := make([]byte, max(len(fresh), len(prev))+blockSize+1)
+	n, err := p.Read(fd, got)
+	p.Close(fd)
+	if err != nil || !m.checkable(d) {
+		return true
+	}
+	for i, b := range got[:n] {
+		if b == 0 || i < len(fresh) && b == fresh[i] || i < len(prev) && b == prev[i] {
+			continue
+		}
+		m.fail(fmt.Errorf("oracle-stale: %s byte %d (block %d) is %#02x after a short splice: not the payload's, the file's previous, or zero",
+			path, i, i/blockSize, b))
+		return false
+	}
+	return true
 }
 
 // spliceSrc opens the op's file as the source of a splice into a byte
@@ -270,6 +306,10 @@ func (m *machine) doPipeSplice(p *kernel.Proc, o *op) {
 	of.created = true
 	of.syncedOK = false
 	if serr != nil || moved != n {
+		// The file was truncated at open, so it held nothing before.
+		if !m.checkNoStale(p, dst, pattern(o.size, 0, o.pat), nil) {
+			return
+		}
 		of.tainted = true
 		m.opLog(o, "moved=%d err=%v (tainted)", moved, serr)
 		return

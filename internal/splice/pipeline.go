@@ -36,6 +36,7 @@ type desc struct {
 	stopped    bool // no further reads (error or interrupt)
 	done       bool
 	retryArmed bool
+	scrubbing  bool // inside wr.scrub: a synchronous device settles re-entrantly
 
 	async  bool
 	caller *kernel.Proc
@@ -78,6 +79,9 @@ type writeSide interface {
 	// final short block was holding back, and report whether nothing
 	// accepted from the read side is still waiting to be issued.
 	drained() bool
+	// scrub is asked once everything issued has completed: issue writes
+	// covering what the transfer allocated but left unwritten, if any.
+	scrub()
 	// check verifies the side's own invariants.
 	check() error
 }
@@ -234,10 +238,18 @@ func (d *desc) stop() {
 
 // settle is the one place that decides the transfer is over: nothing in
 // flight, and either it was stopped or the read side has no more to
-// read and the write side nothing left to issue.
+// read and the write side nothing left to issue. Before anyone is told —
+// the kernel hold still in place — the write side covers what it left
+// unwritten; those writes complete through written and settle again.
 func (d *desc) settle() {
 	over := d.stopped || (d.rd.exhausted() && d.wr.drained())
-	if over && d.pendingReads == 0 && d.pendingWrites == 0 {
+	if !over || d.pendingReads > 0 || d.pendingWrites > 0 || d.scrubbing {
+		return
+	}
+	d.scrubbing = true
+	d.wr.scrub()
+	d.scrubbing = false
+	if d.pendingWrites == 0 {
 		d.complete()
 	}
 }

@@ -17,11 +17,15 @@ type fileOut struct {
 	bsize int64
 	off   int64    // destination byte offset, block aligned
 	table []uint32 // physical block numbers from off's block on
-	// fresh flags blocks freshly allocated by open: a partial write into
-	// a fresh block must put zeros in the unwritten remainder (nothing
-	// else ever will), while a partial write into a pre-existing block
-	// must preserve it.
-	fresh []bool
+	// fresh flags blocks freshly allocated by open that no write has yet
+	// reached: they hold whatever their previous owner left. A partial
+	// write into a fresh block must put zeros in the unwritten remainder
+	// (nothing else ever will), while a partial write into a pre-existing
+	// block must preserve it; and a transfer that ends short must not
+	// leave a fresh block readable (scrub).
+	fresh    []bool
+	scrubbed int    // blocks below this index have been seen by scrub
+	zeros    []byte // the one zero block every scrub header points at
 }
 
 func newFileOut(d *desc, f FileLike, fd *kernel.FDesc) fileOut {
@@ -57,6 +61,7 @@ func (o *fileOut) issue(hdr *buf.Buf, blk int64, n int, tag int64) {
 	if n < int(o.bsize) && !o.fresh[blk] {
 		hdr.Bcount = n
 	}
+	hdr.SpliceLblk = blk
 	hdr.SpliceDesc = d
 	hdr.Flags &^= buf.BRead | buf.BDone
 	hdr.Flags |= buf.BCall
@@ -64,6 +69,42 @@ func (o *fileOut) issue(hdr *buf.Buf, blk int64, n int, tag int64) {
 	d.stats.WritesIssued++
 	d.k.TraceEmit(trace.KindSpliceWrite, 0, tag, int64(d.pendingWrites), "")
 	o.file.Dev().Strategy(hdr)
+}
+
+// wrote notes a completed write: a block that reached the platter is no
+// longer fresh. A failed write leaves it fresh, for scrub.
+func (o *fileOut) wrote(hdr *buf.Buf) {
+	if hdr.Flags&buf.BError == 0 {
+		o.fresh[hdr.SpliceLblk] = false
+	}
+}
+
+// scrub is asked when everything the transfer issued has completed: it
+// zero-writes the blocks still fresh — never reached because the
+// transfer was interrupted, failed or ran out of source, or reached by a
+// write that failed — so the destination, sized up front, can never be
+// read as its blocks' previous owner. Zeroing rather than trimming the
+// size and freeing the blocks because it needs no process context: the
+// writes are ordinary asynchronous device writes, a memory-less header
+// each over one shared zero block, issued up to the write watermark at
+// a time and drained through the same completion handler as payload,
+// so a FASYNC transfer finishing at interrupt level is covered by the
+// mechanism a blocked caller is. Each fresh block is tried once.
+func (o *fileOut) scrub() {
+	d := o.d
+	for ; o.scrubbed < len(o.fresh) && d.pendingWrites < d.opts.WriteWatermark; o.scrubbed++ {
+		if !o.fresh[o.scrubbed] {
+			continue
+		}
+		if o.zeros == nil {
+			o.zeros = make([]byte, o.bsize)
+		}
+		blk := int64(o.scrubbed)
+		hdr := o.cache.AllocHeader(o.file.Dev(), int64(o.table[blk]))
+		hdr.Data = o.zeros
+		d.pendingWrites++
+		o.issue(hdr, blk, 0, blk)
+	}
 }
 
 // ---- alias: file blocks written from the read-side buffers ----
@@ -99,7 +140,6 @@ func (a *alias) writeBlock(b *buf.Buf, data []byte) {
 		d.stats.Shared++
 	}
 	hdr.SplicePeer = b
-	hdr.SpliceLblk = lblk
 	if invariantsOn {
 		if a.live == nil {
 			a.live = make(map[*buf.Buf]struct{})
@@ -111,6 +151,7 @@ func (a *alias) writeBlock(b *buf.Buf, data []byte) {
 
 // release frees the write header and the read-side buffer it aliased.
 func (a *alias) release(hdr *buf.Buf) {
+	a.wrote(hdr)
 	delete(a.live, hdr)
 	if hdr.SplicePeer != nil {
 		releaseBuf(a.d.k, a.cache, hdr.SplicePeer)
@@ -209,6 +250,8 @@ func (s *sink) send(b *buf.Buf, data []byte, tag int64) {
 	s.dst.SpliceWrite(data, func(err error) { d.written(b, len(data), err) })
 }
 
+func (s *sink) scrub() {} // a Sink is not sized up front
+
 func (s *sink) release(b *buf.Buf) {
 	if b != nil {
 		releaseBuf(s.d.k, s.cache, b)
@@ -303,12 +346,13 @@ func (s *stage) flush() {
 }
 
 func (s *stage) release(hdr *buf.Buf) {
+	s.wrote(hdr)
 	if hdr.Bcount < int(s.bsize) {
 		// Partial write into a pre-existing block: the buffer's
 		// in-memory tail does not match the preserved on-disk tail.
 		hdr.Flags |= buf.BInval
 	}
-	s.cache.Brelse(s.d.k.IntrCtx(), hdr)
+	releaseBuf(s.d.k, s.cache, hdr) // a staging buffer, or a scrub header
 }
 
 // resume re-feeds stashed bytes through the staging path.

@@ -133,7 +133,7 @@ func TestValidateChromeRejectsMalformed(t *testing.T) {
 func TestExportChromeDrawsEveryKind(t *testing.T) {
 	excluded := map[Kind]bool{
 		KindCPUUser: true, KindCPUSys: true, KindCPUIntr: true, KindCPUIdle: true, KindCPUSwitch: true,
-		KindSchedSwitch: true, // names threads
+		KindSchedSwitch: true,                      // names threads
 		KindDiskRead:    true, KindDiskWrite: true, // the disk.start slice spans them
 	}
 	var run Run
