@@ -50,12 +50,12 @@ func TestBootMountsOnce(t *testing.T) {
 		if err := m.Boot(p); err != nil {
 			t.Fatalf("boot: %v", err)
 		}
-		first := append([]any(nil), m.FSs[0], m.FSs[1])
+		f0, f1 := m.FSs[0], m.FSs[1]
 		reads := m.Disks[0].Stats().Reads + m.Disks[1].Stats().Reads
 		if err := m.Boot(p); err != nil {
 			t.Fatalf("second boot: %v", err)
 		}
-		if m.FSs[0] != first[0] || m.FSs[1] != first[1] {
+		if m.FSs[0] != f0 || m.FSs[1] != f1 {
 			t.Error("second Boot replaced a mounted filesystem")
 		}
 		if got := m.Disks[0].Stats().Reads + m.Disks[1].Stats().Reads; got != reads {
