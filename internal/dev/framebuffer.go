@@ -34,10 +34,7 @@ type Framebuffer struct {
 	eof      bool
 	running  bool
 
-	// One pending splice read at a time (the splice engine issues them
-	// serially).
-	pendingMax     int
-	pendingDeliver func([]byte, bool, error)
+	rd kernel.ParkedRead
 }
 
 // NewFramebuffer creates the device, registers its special file, and
@@ -94,15 +91,13 @@ func (fb *Framebuffer) captureFrame() {
 	fb.k.Engine().Schedule(fb.framePeriod(), "fbcap", fb.captureFrame)
 }
 
+// readable reports that a read would not block: a frame or EOF.
+func (fb *Framebuffer) readable() bool { return len(fb.frames) > 0 || fb.eof }
+
 // serveWaiters hands data to a pending splice read and wakes blocked
 // readers.
 func (fb *Framebuffer) serveWaiters() {
-	if fb.pendingDeliver != nil && (len(fb.frames) > 0 || fb.eof) {
-		deliver := fb.pendingDeliver
-		fb.pendingDeliver = nil
-		data, eof := fb.takeFrame(fb.pendingMax)
-		deliver(data, eof, nil)
-	}
+	fb.rd.Serve(fb.readable(), fb.takeFrame)
 	fb.k.Wakeup(fb)
 }
 
@@ -123,13 +118,8 @@ func (fb *Framebuffer) takeFrame(max int) (data []byte, eof bool) {
 
 // Read implements kernel.FileOps: blocks until a frame (or EOF).
 func (fb *Framebuffer) Read(ctx kernel.Ctx, p []byte, off int64) (int, error) {
-	for len(fb.frames) == 0 {
-		if fb.eof {
-			return 0, nil
-		}
-		if err := ctx.Sleep(fb, kernel.PSOCK+1); err != nil {
-			return 0, err
-		}
+	if err := kernel.SleepUntil(ctx, fb, kernel.PSOCK+1, fb.readable); err != nil || len(fb.frames) == 0 {
+		return 0, err // refused or interrupted, else EOF
 	}
 	data, _ := fb.takeFrame(len(p))
 	copy(p, data)
@@ -154,25 +144,8 @@ func (fb *Framebuffer) Close(ctx kernel.Ctx) error { return nil }
 // SpliceRead implements the splice Source interface: deliver the oldest
 // captured frame, or park the request until one arrives.
 func (fb *Framebuffer) SpliceRead(max int, deliver func([]byte, bool, error)) {
-	if len(fb.frames) > 0 || fb.eof {
-		data, eof := fb.takeFrame(max)
-		deliver(data, eof, nil)
-		return
-	}
-	if fb.pendingDeliver != nil {
-		deliver(nil, false, kernel.ErrWouldBlock)
-		return
-	}
-	fb.pendingMax = max
-	fb.pendingDeliver = deliver
+	fb.rd.Read(max, deliver, fb.readable(), fb.takeFrame)
 }
 
-// CancelSpliceRead withdraws a parked splice read (splice interrupt
-// path).
-func (fb *Framebuffer) CancelSpliceRead() bool {
-	if fb.pendingDeliver == nil {
-		return false
-	}
-	fb.pendingDeliver = nil
-	return true
-}
+// CancelSpliceRead implements the splice Source interface.
+func (fb *Framebuffer) CancelSpliceRead() bool { return fb.rd.Cancel() }

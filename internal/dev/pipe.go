@@ -14,25 +14,17 @@ import (
 // It also implements kernel.FileOps, so ordinary read/write processes
 // can sit on either end.
 type Pipe struct {
-	k   *kernel.Kernel
-	cap int
+	k *kernel.Kernel
 
-	buf    []byte
+	// q.Buf is the pipe: writers are admitted into it, readers take from
+	// its front.
+	q      kernel.WriteQueue
+	rd     kernel.ParkedRead
 	closed bool
-
-	// Pending splice-side callbacks.
-	writeWaiters []pipeWrite
-	readWaiter   func([]byte, bool, error)
-	readMax      int
 
 	pollQ kernel.PollQueue
 
-	in, out int64
-}
-
-type pipeWrite struct {
-	data []byte
-	done func(error)
+	out int64
 }
 
 // NewPipe creates a pipe with the given buffer capacity (default 64KB)
@@ -41,7 +33,7 @@ func NewPipe(k *kernel.Kernel, path string, capacity int) *Pipe {
 	if capacity <= 0 {
 		capacity = 64 << 10
 	}
-	p := &Pipe{k: k, cap: capacity}
+	p := &Pipe{k: k, q: kernel.WriteQueue{Cap: capacity}}
 	if path != "" {
 		k.RegisterDev(path, func(ctx kernel.Ctx) (kernel.FileOps, error) {
 			return p, nil
@@ -51,10 +43,11 @@ func NewPipe(k *kernel.Kernel, path string, capacity int) *Pipe {
 }
 
 // Buffered reports the bytes currently queued.
-func (pp *Pipe) Buffered() int { return len(pp.buf) }
+func (pp *Pipe) Buffered() int { return len(pp.q.Buf) }
 
-// Transferred returns total bytes in and out.
-func (pp *Pipe) Transferred() (in, out int64) { return pp.in, pp.out }
+// Transferred returns total bytes in and out: every byte admitted has
+// either been taken or is still buffered.
+func (pp *Pipe) Transferred() (in, out int64) { return pp.out + int64(len(pp.q.Buf)), pp.out }
 
 // CloseWrite marks end-of-stream: readers drain the remaining bytes and
 // then see EOF. Writers still queued behind a full buffer fail — nothing
@@ -63,13 +56,7 @@ func (pp *Pipe) Transferred() (in, out int64) { return pp.in, pp.out }
 func (pp *Pipe) CloseWrite() {
 	pp.closed = true
 	pp.serveReader()
-	stranded := pp.writeWaiters
-	pp.writeWaiters = nil
-	for _, w := range stranded {
-		if w.done != nil {
-			w.done(kernel.ErrBadFD)
-		}
-	}
+	pp.q.Abort(kernel.ErrBadFD)
 	pp.wake(kernel.PollIn | kernel.PollHup)
 }
 
@@ -80,85 +67,46 @@ func (pp *Pipe) wake(events int) {
 	pp.pollQ.Notify(events)
 }
 
-// admit moves as much pending write data as fits, completing write
-// callbacks whose data has been fully admitted.
-func (pp *Pipe) admit() {
-	for len(pp.writeWaiters) > 0 {
-		w := &pp.writeWaiters[0]
-		space := pp.cap - len(pp.buf)
-		if space <= 0 {
-			return
-		}
-		n := len(w.data)
-		if n > space {
-			n = space
-		}
-		pp.buf = append(pp.buf, w.data[:n]...)
-		pp.in += int64(n)
-		w.data = w.data[n:]
-		if len(w.data) > 0 {
-			return
-		}
-		done := w.done
-		pp.writeWaiters = pp.writeWaiters[1:]
-		if done != nil {
-			done(nil)
-		}
+// readable reports that a read would not block: bytes or EOF.
+func (pp *Pipe) readable() bool { return len(pp.q.Buf) > 0 || pp.closed }
+
+// serveReader admits what fits and hands buffered data to a waiting
+// splice read.
+func (pp *Pipe) serveReader() {
+	pp.q.Admit()
+	if pp.rd.Serve(pp.readable(), pp.take) {
+		pp.drained()
 	}
 }
 
-// serveReader hands buffered data to a waiting splice read.
-func (pp *Pipe) serveReader() {
-	pp.admit()
-	if pp.readWaiter == nil {
-		return
-	}
-	if len(pp.buf) == 0 && !pp.closed {
-		return
-	}
-	deliver := pp.readWaiter
-	pp.readWaiter = nil
-	data, eof := pp.take(pp.readMax)
-	deliver(data, eof, nil)
-	// Taking data may have opened space for writers, which may in turn
-	// satisfy a newly armed reader.
-	pp.admit()
+// drained follows every take: the space it opened may admit queued
+// writers, which may in turn satisfy a newly armed reader.
+func (pp *Pipe) drained() {
+	pp.q.Admit()
 	pp.wake(kernel.PollIn | kernel.PollOut)
 }
 
 // take removes up to max buffered bytes.
 func (pp *Pipe) take(max int) (data []byte, eof bool) {
-	n := len(pp.buf)
-	if n > max {
-		n = max
-	}
+	n := min(len(pp.q.Buf), max)
 	if n > 0 {
-		data = append([]byte(nil), pp.buf[:n]...)
-		pp.buf = pp.buf[n:]
+		data = append([]byte(nil), pp.q.Buf[:n]...)
+		pp.q.Buf = pp.q.Buf[n:]
 		pp.out += int64(n)
 	}
-	return data, pp.closed && len(pp.buf) == 0
+	return data, pp.closed && len(pp.q.Buf) == 0
 }
 
 // ---- kernel.FileOps ----
 
 // Read implements kernel.FileOps: blocks until data or EOF.
 func (pp *Pipe) Read(ctx kernel.Ctx, b []byte, off int64) (int, error) {
-	for len(pp.buf) == 0 {
-		if pp.closed {
-			return 0, nil
-		}
-		if !ctx.CanSleep() {
-			return 0, kernel.ErrWouldBlock
-		}
-		if err := ctx.Sleep(pp, kernel.PSOCK+1); err != nil {
-			return 0, err
-		}
+	if err := kernel.SleepUntil(ctx, pp, kernel.PSOCK+1, pp.readable); err != nil || len(pp.q.Buf) == 0 {
+		return 0, err // refused or interrupted, else EOF
 	}
 	data, _ := pp.take(len(b))
 	copy(b, data)
-	pp.admit()
-	pp.wake(kernel.PollIn | kernel.PollOut)
+	pp.drained()
 	return len(data), nil
 }
 
@@ -170,42 +118,18 @@ func (pp *Pipe) Write(ctx kernel.Ctx, b []byte, off int64) (int, error) {
 		return 0, kernel.ErrBadFD
 	}
 	if !ctx.CanSleep() {
-		if len(pp.writeWaiters) > 0 {
-			return 0, kernel.ErrWouldBlock
+		n, err := pp.q.TryWrite(b)
+		if err == nil {
+			pp.serveReader()
+			pp.wake(kernel.PollIn)
 		}
-		space := pp.cap - len(pp.buf)
-		if space <= 0 {
-			return 0, kernel.ErrWouldBlock
-		}
-		n := len(b)
-		if n > space {
-			n = space
-		}
-		pp.buf = append(pp.buf, b[:n]...)
-		pp.in += int64(n)
-		pp.serveReader()
-		pp.wake(kernel.PollIn)
-		return n, nil
+		return n, err
 	}
-	donef := false
-	var werr error
-	pp.SpliceWrite(b, func(err error) {
-		donef, werr = true, err
-		pp.k.Wakeup(&donef)
-	})
-	for !donef {
-		if err := ctx.Sleep(&donef, kernel.PSOCK); err != nil {
-			return 0, err
-		}
-	}
-	if werr != nil {
-		return 0, werr
-	}
-	return len(b), nil
+	return kernel.AwaitWrite(ctx, b, pp.SpliceWrite)
 }
 
 // Size implements kernel.FileOps.
-func (pp *Pipe) Size(ctx kernel.Ctx) (int64, error) { return int64(len(pp.buf)), nil }
+func (pp *Pipe) Size(ctx kernel.Ctx) (int64, error) { return int64(len(pp.q.Buf)), nil }
 
 // Sync implements kernel.FileOps.
 func (pp *Pipe) Sync(ctx kernel.Ctx) error { return nil }
@@ -224,11 +148,10 @@ func (pp *Pipe) Close(ctx kernel.Ctx) error {
 // queued ahead.
 func (pp *Pipe) PollReady(events int) int {
 	r := 0
-	if events&kernel.PollIn != 0 && (len(pp.buf) > 0 || pp.closed) {
+	if events&kernel.PollIn != 0 && pp.readable() {
 		r |= kernel.PollIn
 	}
-	if events&kernel.PollOut != 0 && !pp.closed &&
-		len(pp.writeWaiters) == 0 && len(pp.buf) < pp.cap {
+	if events&kernel.PollOut != 0 && !pp.closed && pp.q.Writable() {
 		r |= kernel.PollOut
 	}
 	if pp.closed {
@@ -249,41 +172,18 @@ func (pp *Pipe) SpliceWrite(data []byte, done func(error)) {
 		done(kernel.ErrBadFD)
 		return
 	}
-	pp.writeWaiters = append(pp.writeWaiters, pipeWrite{
-		data: append([]byte(nil), data...),
-		done: done,
-	})
+	pp.q.Queue(data, done)
 	pp.serveReader()
-	if len(pp.writeWaiters) > 0 {
-		pp.admit()
-	}
 	pp.wake(kernel.PollIn)
 }
 
 // SpliceRead implements the splice Source interface.
 func (pp *Pipe) SpliceRead(max int, deliver func([]byte, bool, error)) {
-	pp.admit()
-	if len(pp.buf) > 0 || pp.closed {
-		data, eof := pp.take(max)
-		deliver(data, eof, nil)
-		pp.admit()
-		pp.wake(kernel.PollIn | kernel.PollOut)
-		return
+	pp.q.Admit()
+	if pp.rd.Read(max, deliver, pp.readable(), pp.take) {
+		pp.drained()
 	}
-	if pp.readWaiter != nil {
-		deliver(nil, false, kernel.ErrWouldBlock)
-		return
-	}
-	pp.readMax = max
-	pp.readWaiter = deliver
 }
 
-// CancelSpliceRead withdraws a parked splice read (splice interrupt
-// path).
-func (pp *Pipe) CancelSpliceRead() bool {
-	if pp.readWaiter == nil {
-		return false
-	}
-	pp.readWaiter = nil
-	return true
-}
+// CancelSpliceRead implements the splice Source interface.
+func (pp *Pipe) CancelSpliceRead() bool { return pp.rd.Cancel() }

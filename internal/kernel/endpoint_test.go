@@ -1,0 +1,241 @@
+package kernel
+
+import (
+	"errors"
+	"fmt"
+	"reflect"
+	"testing"
+)
+
+// readLog records every deliver a ParkedRead makes, so a test can assert
+// that each read was completed exactly once and with what.
+type readLog struct{ got []string }
+
+func (l *readLog) deliver(tag string) func([]byte, bool, error) {
+	return func(data []byte, eof bool, err error) {
+		l.got = append(l.got, fmt.Sprintf("%s:%q eof=%v err=%v", tag, data, eof, err))
+	}
+}
+
+func TestParkedRead(t *testing.T) {
+	// The endpoint's side of the contract: a buffer take drains.
+	var buf []byte
+	eof := false
+	ready := func() bool { return len(buf) > 0 || eof }
+	take := func(max int) ([]byte, bool) {
+		n := min(len(buf), max)
+		data := buf[:n]
+		buf = buf[n:]
+		return data, eof && len(buf) == 0
+	}
+	boom := errors.New("boom")
+
+	cases := []struct {
+		name string
+		run  func(r *ParkedRead, l *readLog)
+		want []string
+	}{
+		{"ready delivers at once and parks nothing", func(r *ParkedRead, l *readLog) {
+			buf = []byte("abcdef")
+			if !r.Read(4, l.deliver("a"), ready(), take) || r.Parked() {
+				t.Error("ready read did not complete synchronously")
+			}
+			if r.Serve(ready(), take) {
+				t.Error("Serve delivered with no read parked")
+			}
+		}, []string{`a:"abcd" eof=false err=<nil>`}},
+
+		{"second read is refused, the first stays parked and is served once", func(r *ParkedRead, l *readLog) {
+			if r.Read(4, l.deliver("a"), ready(), take) || !r.Parked() {
+				t.Error("read on an empty endpoint did not park")
+			}
+			if r.Read(9, l.deliver("b"), ready(), take) || !r.Parked() {
+				t.Error("refused read disturbed the parked one")
+			}
+			if r.Serve(ready(), take) {
+				t.Error("Serve delivered before the endpoint was ready")
+			}
+			buf = []byte("abcdef")
+			if !r.Serve(ready(), take) || r.Parked() {
+				t.Error("Serve did not complete the parked read")
+			}
+			if r.Serve(ready(), take) {
+				t.Error("Serve delivered the same read twice")
+			}
+		}, []string{`b:"" eof=false err=operation would block`, `a:"abcd" eof=false err=<nil>`}},
+
+		{"end of stream serves a parked read with eof", func(r *ParkedRead, l *readLog) {
+			r.Read(4, l.deliver("a"), ready(), take)
+			eof = true
+			r.Serve(ready(), take)
+		}, []string{`a:"" eof=true err=<nil>`}},
+
+		{"cancel: deliver never runs; false when nothing is parked", func(r *ParkedRead, l *readLog) {
+			if r.Cancel() {
+				t.Error("Cancel on an empty slot reported a read")
+			}
+			r.Read(4, l.deliver("a"), ready(), take)
+			if !r.Cancel() || r.Parked() || r.Cancel() {
+				t.Error("Cancel did not withdraw the parked read exactly once")
+			}
+			buf = []byte("late")
+			r.Serve(ready(), take)
+			r.Fail(boom)
+		}, nil},
+
+		{"fail completes the parked read once with the error", func(r *ParkedRead, l *readLog) {
+			r.Fail(boom) // nothing parked: nothing happens
+			r.Read(4, l.deliver("a"), ready(), take)
+			r.Fail(boom)
+			r.Fail(boom)
+			if r.Parked() {
+				t.Error("failed read still parked")
+			}
+		}, []string{`a:"" eof=false err=boom`}},
+	}
+	for _, c := range cases {
+		buf, eof = nil, false
+		var r ParkedRead
+		var l readLog
+		c.run(&r, &l)
+		if !reflect.DeepEqual(l.got, c.want) {
+			t.Errorf("%s:\n got %q\nwant %q", c.name, l.got, c.want)
+		}
+	}
+}
+
+func TestWriteQueue(t *testing.T) {
+	var log []string
+	done := func(tag string) func(error) {
+		return func(err error) { log = append(log, fmt.Sprintf("%s:%v", tag, err)) }
+	}
+	expect := func(step string, want ...string) {
+		t.Helper()
+		if !reflect.DeepEqual(log, want) {
+			t.Fatalf("%s: completions %q, want %q", step, log, want)
+		}
+	}
+	boom := errors.New("boom")
+
+	q := WriteQueue{Cap: 4}
+	src := []byte("abc")
+	q.Queue(src, done("a"))
+	src[0] = 'X' // the queue keeps its own copy
+	q.Queue([]byte("defgh"), done("b"))
+	q.Queue([]byte("i"), done("c"))
+	expect("queued, nothing admitted")
+	if q.Queued() != 3 || q.Writable() {
+		t.Fatalf("Queued=%d Writable=%v, want 3 false", q.Queued(), q.Writable())
+	}
+
+	q.Admit() // a whole, one byte of b
+	expect("first admit", "a:<nil>")
+	if string(q.Buf) != "abcd" || q.Queued() != 2 {
+		t.Fatalf("Buf=%q Queued=%d", q.Buf, q.Queued())
+	}
+	q.Admit() // full: no progress, no completion
+	expect("admit into a full buffer", "a:<nil>")
+
+	q.Buf = q.Buf[3:] // the endpoint consumed three bytes
+	q.Admit()
+	expect("b is three of five bytes in", "a:<nil>")
+	if _, err := q.TryWrite([]byte("z")); err != ErrWouldBlock {
+		t.Fatalf("TryWrite behind queued writers: %v, want ErrWouldBlock", err)
+	}
+	q.Buf = q.Buf[4:]
+	q.Admit() // rest of b, then c, in arrival order
+	expect("b then c", "a:<nil>", "b:<nil>", "c:<nil>")
+	if string(q.Buf) != "hi" || q.Queued() != 0 || !q.Writable() {
+		t.Fatalf("Buf=%q Queued=%d Writable=%v", q.Buf, q.Queued(), q.Writable())
+	}
+
+	// Nonblocking writes admit what fits, then refuse.
+	if n, err := q.TryWrite([]byte("jklm")); n != 2 || err != nil {
+		t.Fatalf("TryWrite with 2 bytes of room = (%d, %v)", n, err)
+	}
+	if n, err := q.TryWrite([]byte("n")); n != 0 || err != ErrWouldBlock {
+		t.Fatalf("TryWrite into a full buffer = (%d, %v)", n, err)
+	}
+
+	// Abort fails every stranded writer exactly once, the part-admitted
+	// one included; later admits and aborts find nothing.
+	log = nil
+	q.Queue([]byte("op"), done("d"))
+	q.Queue([]byte("q"), done("e"))
+	q.Buf = q.Buf[1:]
+	q.Admit()
+	q.Abort(boom)
+	q.Abort(boom)
+	q.Buf = nil
+	q.Admit()
+	expect("abort", "d:boom", "e:boom")
+
+	// Flush admits past Cap and completes in order.
+	log = nil
+	q.Queue([]byte("12345"), done("f"))
+	q.Queue([]byte("6"), done("g"))
+	q.Flush()
+	expect("flush", "f:<nil>", "g:<nil>")
+	if string(q.Buf) != "123456" || q.Queued() != 0 {
+		t.Fatalf("after Flush Buf=%q Queued=%d", q.Buf, q.Queued())
+	}
+}
+
+func TestAwaitWriteAndSleepUntil(t *testing.T) {
+	k := newPollRig()
+	boom := errors.New("boom")
+	b := []byte("abc")
+	// A sink that completes with err: at once, or after ticks.
+	sink := func(err error, ticks int) func([]byte, func(error)) {
+		return func(_ []byte, done func(error)) {
+			if ticks == 0 {
+				done(err)
+				return
+			}
+			k.Timeout(func() { done(err) }, ticks)
+		}
+	}
+	k.Spawn("caller", func(p *Proc) {
+		// Completed synchronously: no sleep, the callback's verdict.
+		if n, err := AwaitWrite(p.Ctx(), b, sink(nil, 0)); n != 3 || err != nil {
+			t.Errorf("synchronous completion = (%d, %v), want (3, nil)", n, err)
+		}
+		if n, err := AwaitWrite(k.IntrCtx(), b, sink(boom, 0)); n != 0 || err != boom {
+			t.Errorf("synchronous failure at interrupt level = (%d, %v), want (0, boom)", n, err)
+		}
+		// Completed later from a callout: AwaitWrite sleeps until then.
+		t0 := p.Now()
+		if n, err := AwaitWrite(p.Ctx(), b, sink(boom, 3)); n != 0 || err != boom || p.Now() == t0 {
+			t.Errorf("deferred completion = (%d, %v) after %v, want boom after a sleep", n, err, p.Now().Sub(t0))
+		}
+		// A context that cannot sleep returns at once (NBCtx.Sleep
+		// panics, so returning at all proves no sleep was attempted);
+		// the write still completes on its own.
+		if n, err := AwaitWrite(p.NBCtx(), b, sink(boom, 1)); n != 3 || err != nil {
+			t.Errorf("nonblocking AwaitWrite = (%d, %v), want (3, nil)", n, err)
+		}
+		p.SleepFor(2 * k.Config().TickDuration())
+
+		flag := false
+		cond := func() bool { return flag }
+		if err := SleepUntil(p.NBCtx(), &flag, PSOCK, cond); err != ErrWouldBlock {
+			t.Errorf("SleepUntil that cannot sleep: %v, want ErrWouldBlock", err)
+		}
+		k.Timeout(func() { flag = true; k.Wakeup(&flag) }, 2)
+		if err := SleepUntil(p.Ctx(), &flag, PSOCK, cond); err != nil || !flag {
+			t.Errorf("SleepUntil: %v flag=%v", err, flag)
+		}
+		if err := SleepUntil(p.NBCtx(), &flag, PSOCK, cond); err != nil {
+			t.Errorf("SleepUntil with the condition already true: %v", err)
+		}
+		// A signal breaks an interruptible sleep.
+		k.Timeout(func() { k.Post(p, SIGIO) }, 2)
+		if err := SleepUntil(p.Ctx(), &flag, PZERO+1, func() bool { return false }); err != ErrIntr {
+			t.Errorf("interrupted SleepUntil: %v, want ErrIntr", err)
+		}
+		p.DeliverSignals()
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -37,7 +37,7 @@ func sendvWorkload(t *testing.T) (got [][]byte, dropped int64, digest uint64) {
 				{0xBB, 0xCC, 0xDD},
 				{0xEE},
 			}
-			if _, err := a.Sendv(pr.Ctx(), iovs); err != nil {
+			if _, err := a.Writev(pr.Ctx(), iovs, 0); err != nil {
 				t.Errorf("sendv %d: %v", i, err)
 			}
 		}
@@ -70,7 +70,7 @@ func sendvWorkload(t *testing.T) (got [][]byte, dropped int64, digest uint64) {
 func time20ms() sim.Duration { return 20 * sim.Millisecond }
 
 // TestSendvDropCountsPerDatagram pins the loss accounting of vectored
-// sends: each Sendv emits one datagram, so an every-3rd drop arm over nine
+// sends: each Writev emits one datagram, so an every-3rd drop arm over nine
 // three-slice sends loses exactly three messages — the 3rd, 6th and
 // 9th — and every survivor arrives gathered and intact.
 func TestSendvDropCountsPerDatagram(t *testing.T) {

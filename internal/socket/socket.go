@@ -244,8 +244,7 @@ type Socket struct {
 	// level instead of the receive queue (see SetHandler).
 	handler func(data []byte, from int, eof bool)
 
-	pendingMax     int
-	pendingDeliver func([]byte, bool, error)
+	rd kernel.ParkedRead
 
 	pollQ kernel.PollQueue
 }
@@ -279,15 +278,13 @@ func (s *Socket) String() string {
 	return fmt.Sprintf("udp:%d", s.port)
 }
 
+// readable reports that a read would not block: a datagram or EOF.
+func (s *Socket) readable() bool { return len(s.rcvq) > 0 || s.closed }
+
 // serveWaiters hands queued data to a pending splice read and wakes
 // blocked readers. Runs at interrupt level.
 func (s *Socket) serveWaiters() {
-	if s.pendingDeliver != nil && (len(s.rcvq) > 0 || s.closed) {
-		deliver := s.pendingDeliver
-		s.pendingDeliver = nil
-		data, eof := s.takeDatagram(s.pendingMax)
-		deliver(data, eof, nil)
-	}
+	s.rd.Serve(s.readable(), s.takeDatagram)
 	s.net.k.Wakeup(s)
 	events := kernel.PollIn
 	if s.closed {
@@ -349,16 +346,8 @@ func (s *Socket) sendTo(dst int, data []byte, eof bool, onSent func()) {
 // Read implements kernel.FileOps: blocks for the next datagram;
 // zero-length return means the peer shut down.
 func (s *Socket) Read(ctx kernel.Ctx, p []byte, off int64) (int, error) {
-	for len(s.rcvq) == 0 {
-		if s.closed {
-			return 0, nil
-		}
-		if !ctx.CanSleep() {
-			return 0, kernel.ErrWouldBlock
-		}
-		if err := ctx.Sleep(s, kernel.PSOCK+1); err != nil {
-			return 0, err
-		}
+	if err := kernel.SleepUntil(ctx, s, kernel.PSOCK+1, s.readable); err != nil || len(s.rcvq) == 0 {
+		return 0, err // refused or interrupted, else EOF
 	}
 	data, eofMark := s.takeDatagram(len(p))
 	if eofMark {
@@ -369,43 +358,17 @@ func (s *Socket) Read(ctx kernel.Ctx, p []byte, off int64) (int, error) {
 }
 
 // Write implements kernel.FileOps: sends one datagram to the connected
-// peer and returns when it has been handed to the link.
+// peer and returns when it has been handed to the link (a nonblocking
+// write does not wait for that).
 func (s *Socket) Write(ctx kernel.Ctx, p []byte, off int64) (int, error) {
-	if s.closed {
-		return 0, kernel.ErrBadFD
-	}
-	if s.peer < 0 {
-		return 0, kernel.ErrInval
-	}
-	sentCh := false
-	s.sendTo(s.peer, p, false, func() {
-		sentCh = true
-		s.net.k.Wakeup(&sentCh)
-	})
-	for !sentCh {
-		if !ctx.CanSleep() {
-			break
-		}
-		if err := ctx.Sleep(&sentCh, kernel.PSOCK); err != nil {
-			return 0, err
-		}
-	}
-	return len(p), nil
+	return kernel.AwaitWrite(ctx, p, s.SpliceWrite)
 }
 
-// Sendv builds ONE datagram from the iovec array and sends it to the
-// connected peer — the gather half of vectored socket I/O: N iovecs
-// still cross the wire as a single packet, not N, so message framing is
-// preserved no matter how the sender assembled the payload.
-func (s *Socket) Sendv(ctx kernel.Ctx, iovs [][]byte) (int, error) {
-	u := kernel.Uio{Iovs: iovs}
-	return s.Write(ctx, u.Gather(), 0)
-}
-
-// Recvv receives ONE datagram and scatters it across the iovec array
-// in order; bytes beyond the vector's total length are truncated,
-// exactly as recvfrom truncates an oversized datagram.
-func (s *Socket) Recvv(ctx kernel.Ctx, iovs [][]byte) (int, error) {
+// Readv implements kernel.ReadvOps: it receives ONE datagram and
+// scatters it across the iovec array in order; bytes beyond the
+// vector's total length are truncated, exactly as recvfrom truncates an
+// oversized datagram.
+func (s *Socket) Readv(ctx kernel.Ctx, iovs [][]byte, off int64) (int, error) {
 	u := kernel.Uio{Iovs: iovs}
 	tmp := make([]byte, u.Total())
 	n, err := s.Read(ctx, tmp, 0)
@@ -415,16 +378,13 @@ func (s *Socket) Recvv(ctx kernel.Ctx, iovs [][]byte) (int, error) {
 	return n, err
 }
 
-// Readv implements kernel.ReadvOps via Recvv, so Proc.Readv on a socket
-// descriptor consumes exactly one datagram per call.
-func (s *Socket) Readv(ctx kernel.Ctx, iovs [][]byte, off int64) (int, error) {
-	return s.Recvv(ctx, iovs)
-}
-
-// Writev implements kernel.WritevOps via Sendv, so Proc.Writev on a
-// socket descriptor emits exactly one datagram per call.
+// Writev implements kernel.WritevOps: it builds ONE datagram from the
+// iovec array and sends it to the connected peer — N iovecs still cross
+// the wire as a single packet, not N, so message framing is preserved
+// no matter how the sender assembled the payload.
 func (s *Socket) Writev(ctx kernel.Ctx, iovs [][]byte, off int64) (int, error) {
-	return s.Sendv(ctx, iovs)
+	u := kernel.Uio{Iovs: iovs}
+	return s.Write(ctx, u.Gather(), 0)
 }
 
 // Size implements kernel.FileOps.
@@ -455,7 +415,7 @@ func (s *Socket) Close(ctx kernel.Ctx) error {
 // sends queue on the link without blocking the caller indefinitely.
 func (s *Socket) PollReady(events int) int {
 	r := 0
-	if events&kernel.PollIn != 0 && (len(s.rcvq) > 0 || s.closed) {
+	if events&kernel.PollIn != 0 && s.readable() {
 		r |= kernel.PollIn
 	}
 	if events&kernel.PollOut != 0 && !s.closed {
@@ -491,25 +451,8 @@ func (s *Socket) SpliceWrite(data []byte, done func(error)) {
 // is delivered immediately if queued, otherwise on its receive
 // interrupt.
 func (s *Socket) SpliceRead(max int, deliver func([]byte, bool, error)) {
-	if len(s.rcvq) > 0 || s.closed {
-		data, eof := s.takeDatagram(max)
-		deliver(data, eof, nil)
-		return
-	}
-	if s.pendingDeliver != nil {
-		deliver(nil, false, kernel.ErrWouldBlock)
-		return
-	}
-	s.pendingMax = max
-	s.pendingDeliver = deliver
+	s.rd.Read(max, deliver, s.readable(), s.takeDatagram)
 }
 
-// CancelSpliceRead withdraws a parked splice read (splice interrupt
-// path); the deliver callback will never run.
-func (s *Socket) CancelSpliceRead() bool {
-	if s.pendingDeliver == nil {
-		return false
-	}
-	s.pendingDeliver = nil
-	return true
-}
+// CancelSpliceRead implements the splice Source interface.
+func (s *Socket) CancelSpliceRead() bool { return s.rd.Cancel() }

@@ -2,6 +2,8 @@ package socket
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"kdp/internal/kernel"
@@ -263,5 +265,117 @@ func TestSpliceSinkCompletionAfterSerialization(t *testing.T) {
 	// 12500 bytes at 1.25MB/s = 10ms of serialization.
 	if doneAt < sim.Time(9*sim.Millisecond) {
 		t.Fatalf("sink completion at %v, want >= ~10ms", doneAt)
+	}
+}
+
+// TestSpliceReadPollAndVectoredWiring walks the socket's use of the
+// shared endpoint types: readiness as poll reports it, the
+// one-read-at-a-time rule, cancellation, the nonblocking read, a parked
+// read served by the receive interrupt, and one datagram scattered
+// across an iovec by Readv.
+func TestSpliceReadPollAndVectoredWiring(t *testing.T) {
+	k := newK()
+	n := NewNet(k, Loopback())
+	a, _ := n.NewSocket(1)
+	b, _ := n.NewSocket(2)
+	a.Connect(2)
+	const inOut = kernel.PollIn | kernel.PollOut
+	var log []string
+	deliver := func(tag string) func([]byte, bool, error) {
+		return func(data []byte, eof bool, err error) {
+			log = append(log, fmt.Sprintf("%s:%q eof=%v err=%v", tag, data, eof, err))
+		}
+	}
+
+	if r := b.PollReady(inOut); r != kernel.PollOut {
+		t.Errorf("idle socket polls %#x, want PollOut", r)
+	}
+	if nr, err := b.Read(k.IntrCtx(), make([]byte, 8), 0); nr != 0 || err != kernel.ErrWouldBlock {
+		t.Errorf("nonblocking read with nothing queued = (%d, %v)", nr, err)
+	}
+	b.SpliceRead(64, deliver("a")) // parks
+	b.SpliceRead(64, deliver("b")) // refused; a stays parked
+	if !b.CancelSpliceRead() || b.CancelSpliceRead() {
+		t.Error("CancelSpliceRead did not withdraw the parked read exactly once")
+	}
+	b.SpliceRead(3, deliver("c")) // parks; served by the receive interrupt, truncated to 3
+
+	k.Spawn("peer", func(p *kernel.Proc) {
+		ctx := p.Ctx()
+		if _, err := a.Writev(ctx, [][]byte{[]byte("he"), []byte("llo")}, 0); err != nil {
+			t.Errorf("writev: %v", err)
+		}
+		p.SleepFor(10 * sim.Millisecond) // c has taken "hel"; the rest of that datagram is gone
+		if _, err := a.Write(ctx, []byte("world!"), 0); err != nil {
+			t.Errorf("write: %v", err)
+		}
+		// On the wire, not yet arrived: the poller sleeps for the receive interrupt.
+		fds := []kernel.PollFd{{FD: p.InstallFile(b, kernel.ORdWr), Events: kernel.PollIn}}
+		if nready, err := p.Poll(fds, -1); nready != 1 || err != nil || fds[0].Revents != kernel.PollIn {
+			t.Errorf("poll = (%d, %v) revents %#x, want readable", nready, err, fds[0].Revents)
+		}
+		iov := [][]byte{make([]byte, 2), make([]byte, 3)}
+		if nr, err := b.Readv(ctx, iov, 0); nr != 5 || err != nil || string(iov[0])+string(iov[1]) != "world" {
+			t.Errorf("readv = (%d, %v) %q %q, want one datagram cut to the vector's 5 bytes", nr, err, iov[0], iov[1])
+		}
+		b.SpliceRead(64, deliver("d")) // parks until a's EOF marker arrives
+		if err := a.Close(ctx); err != nil {
+			t.Errorf("close: %v", err)
+		}
+		p.SleepFor(10 * sim.Millisecond)
+		if err := b.Close(ctx); err != nil {
+			t.Errorf("close: %v", err)
+		}
+		if r := b.PollReady(inOut); r != kernel.PollIn|kernel.PollHup {
+			t.Errorf("closed socket polls %#x, want PollIn|PollHup", r)
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		`b:"" eof=false err=operation would block`,
+		`c:"hel" eof=false err=<nil>`,
+		`d:"" eof=true err=<nil>`,
+	}
+	if !reflect.DeepEqual(log, want) {
+		t.Errorf("deliveries:\n got %q\nwant %q", log, want)
+	}
+}
+
+// TestDupAndReorderSites pins what the receive-side fault sites do to a
+// numbered run of datagrams: dup delivers one twice, reorder holds one
+// back a propagation period so the datagram behind it overtakes it.
+func TestDupAndReorderSites(t *testing.T) {
+	k := newK()
+	n := NewNet(k, Loopback())
+	k.Faults().Arm(kernel.FaultArm{Site: n.DupSite(), K: 2, Match: kernel.MatchAny})
+	k.Faults().Arm(kernel.FaultArm{Site: n.ReorderSite(), K: 3, Match: kernel.MatchAny})
+	a, _ := n.NewSocket(1)
+	b, _ := n.NewSocket(2)
+	a.Connect(2)
+	var got []byte
+	k.Spawn("tx", func(p *kernel.Proc) {
+		for i := byte(1); i <= 4; i++ {
+			a.SendTo(2, []byte{i}, nil) // back to back: all four are in flight together
+		}
+		p.SleepFor(10 * sim.Millisecond)
+		_ = a.Close(p.Ctx())
+	})
+	k.Spawn("rx", func(p *kernel.Proc) {
+		buf := make([]byte, 8)
+		for {
+			nr, err := b.Read(p.Ctx(), buf, 0)
+			if nr == 0 || err != nil {
+				return
+			}
+			got = append(got, buf[:nr]...)
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []byte{1, 2, 2, 4, 3}; !bytes.Equal(got, want) {
+		t.Errorf("received %v, want %v", got, want)
 	}
 }

@@ -276,7 +276,7 @@ func (r *source) delivered(data []byte, eof bool, err error) {
 }
 
 func (r *source) cancel() {
-	if rc, ok := r.src.(readCanceller); ok && r.outstanding && rc.CancelSpliceRead() {
+	if r.outstanding && r.src.CancelSpliceRead() {
 		r.outstanding = false
 		r.d.pendingReads--
 	}

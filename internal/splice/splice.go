@@ -135,15 +135,10 @@ type Sink interface {
 // reports that no further data will ever arrive.
 type Source interface {
 	SpliceRead(max int, deliver func(data []byte, eof bool, err error))
-}
-
-// readCanceller is optionally implemented by Sources that can withdraw
-// a parked SpliceRead; an interrupted splice uses it so a source that
-// never delivers (an idle socket) cannot wedge the drain.
-type readCanceller interface {
 	// CancelSpliceRead withdraws the pending read, if any; the deliver
 	// callback will then never be invoked. Reports whether a read was
-	// cancelled.
+	// cancelled. An interrupted splice uses it so a source that never
+	// delivers (an idle socket) cannot wedge the drain.
 	CancelSpliceRead() bool
 }
 

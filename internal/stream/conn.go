@@ -37,11 +37,6 @@ const (
 	stateClosed
 )
 
-type connWrite struct {
-	data []byte
-	done func(error)
-}
-
 // Conn is one reliable stream connection. All protocol processing runs
 // at interrupt level (segments arrive via the transport's socket
 // handler, retransmissions fire from the callout list); process-context
@@ -55,23 +50,23 @@ type Conn struct {
 	label  string
 	state  connState
 
-	// Sender. sndBuf holds bytes [sndUna, sndUna+len(sndBuf)); sndNxt
-	// is the next offset to transmit; peerWnd is the receiver's most
-	// recent advertised credit.
-	sndBuf       []byte
-	sndUna       int64
-	sndNxt       int64
-	peerWnd      int64
-	finAt        int64 // FIN sequence offset; -1 until Close
-	finAcked     bool
-	writeWaiters []connWrite
-	rtx          *kernel.Callout
-	rtoTicks     int
-	retries      int64
-	probes       int64 // consecutive zero-window probes unanswered by credit
-	retx         int64 // total retransmitted segments (stable under GOMAXPROCS)
-	stalled      bool
-	failed       error
+	// Sender. snd.Buf holds bytes [sndUna, sndUna+len(snd.Buf)), with
+	// the writes it has no room for yet queued in snd; sndNxt is the
+	// next offset to transmit; peerWnd is the receiver's most recent
+	// advertised credit.
+	snd      kernel.WriteQueue
+	sndUna   int64
+	sndNxt   int64
+	peerWnd  int64
+	finAt    int64 // FIN sequence offset; -1 until Close
+	finAcked bool
+	rtx      *kernel.Callout
+	rtoTicks int
+	retries  int64
+	probes   int64 // consecutive zero-window probes unanswered by credit
+	retx     int64 // total retransmitted segments (stable under GOMAXPROCS)
+	stalled  bool
+	failed   error
 
 	// Receiver. rcvBuf holds in-order bytes awaiting the consumer;
 	// reasm holds out-of-order segments keyed by start offset; advWnd
@@ -83,9 +78,7 @@ type Conn struct {
 	remoteFin int64 // FIN offset announced by the peer; -1 until seen
 	rcvClosed bool
 
-	// Parked splice read.
-	pendingMax     int
-	pendingDeliver func([]byte, bool, error)
+	rd kernel.ParkedRead // parked splice read
 
 	// Sleep channels (one per wait reason, so wakeups are targeted).
 	connW byte // Connect waiting for SYNACK
@@ -104,6 +97,7 @@ func newConn(t *Transport, remote int, id uint32, st connState) *Conn {
 		id:        id,
 		label:     fmt.Sprintf("%d->%d#%d", t.port, remote, id),
 		state:     st,
+		snd:       kernel.WriteQueue{Cap: sndCap},
 		finAt:     -1,
 		remoteFin: -1,
 		rtoTicks:  initialRTO,
@@ -136,7 +130,7 @@ func (c *Conn) freeWnd() int64 {
 }
 
 // dataEnd is the offset just past the last byte accepted for sending.
-func (c *Conn) dataEnd() int64 { return c.sndUna + int64(len(c.sndBuf)) }
+func (c *Conn) dataEnd() int64 { return c.sndUna + int64(len(c.snd.Buf)) }
 
 // seqEnd is the last offset the peer must acknowledge: dataEnd, plus
 // one for the FIN once Close has queued it.
@@ -164,34 +158,6 @@ func (c *Conn) sendSeg(typ byte, seq int64, payload []byte) {
 	c.t.sock.SendTo(c.remote, seg.encode(), nil)
 }
 
-// admit moves pending write data into the send buffer while capacity
-// allows, completing write callbacks whose data is fully admitted —
-// admission, not acknowledgement, is the sink-side flow control that
-// composes with the splice watermarks.
-func (c *Conn) admit() {
-	for len(c.writeWaiters) > 0 {
-		w := &c.writeWaiters[0]
-		space := sndCap - len(c.sndBuf)
-		if space <= 0 {
-			return
-		}
-		n := len(w.data)
-		if n > space {
-			n = space
-		}
-		c.sndBuf = append(c.sndBuf, w.data[:n]...)
-		w.data = w.data[n:]
-		if len(w.data) > 0 {
-			return
-		}
-		done := w.done
-		c.writeWaiters = c.writeWaiters[1:]
-		if done != nil {
-			done(nil)
-		}
-	}
-}
-
 // pump transmits as much buffered data as the peer's window allows,
 // then the FIN once all data is out. Emits stream.stall (once per
 // episode) when data is ready but the window is closed.
@@ -217,7 +183,7 @@ func (c *Conn) pump() {
 			n = w
 		}
 		off := c.sndNxt - c.sndUna
-		c.sendSeg(segDATA, c.sndNxt, c.sndBuf[off:off+n])
+		c.sendSeg(segDATA, c.sndNxt, c.snd.Buf[off:off+n])
 		c.sndNxt += n
 		c.stalled = false
 	}
@@ -283,7 +249,7 @@ func (c *Conn) rtxFire() {
 			n = MaxSeg
 		}
 		c.t.k.TraceEmit(trace.KindStreamRetx, 0, c.sndUna, c.retries, c.label)
-		c.sendSeg(segDATA, c.sndUna, c.sndBuf[:n])
+		c.sendSeg(segDATA, c.sndUna, c.snd.Buf[:n])
 	case c.finAt >= 0 && c.sndUna == c.finAt:
 		c.t.k.TraceEmit(trace.KindStreamRetx, 0, c.finAt, c.retries, c.label)
 		c.sendSeg(segFIN, c.finAt, nil)
@@ -335,10 +301,10 @@ func (c *Conn) handleSegment(seg segment) {
 		if seg.ack > c.sndUna {
 			c.t.k.TraceEmit(trace.KindStreamAck, 0, seg.ack, seg.wnd, c.label)
 			acked := seg.ack - c.sndUna
-			if db := int64(len(c.sndBuf)); acked > db {
+			if db := int64(len(c.snd.Buf)); acked > db {
 				acked = db // the FIN's offset carries no buffer bytes
 			}
-			c.sndBuf = c.sndBuf[acked:]
+			c.snd.Buf = c.snd.Buf[acked:]
 			c.sndUna = seg.ack
 			if c.sndNxt < c.sndUna {
 				c.sndNxt = c.sndUna
@@ -350,7 +316,7 @@ func (c *Conn) handleSegment(seg segment) {
 				c.finAcked = true
 				c.t.k.Wakeup(&c.clW)
 			}
-			c.admit()
+			c.snd.Admit()
 			c.pollQ.Notify(kernel.PollOut) // acknowledged bytes opened send space
 		}
 		c.pump()
@@ -438,15 +404,17 @@ func (c *Conn) tryConsumeFin() {
 	c.serveReader()
 }
 
+// readable reports that in-order bytes or EOF await the consumer.
+func (c *Conn) readable() bool { return len(c.rcvBuf) > 0 || c.rcvClosed }
+
+// inputReady reports that a read(2) would not block: readable, or the
+// terminal error is waiting to be reported.
+func (c *Conn) inputReady() bool { return c.readable() || c.failed != nil }
+
 // serveReader hands buffered data (or EOF) to a parked splice read and
 // wakes blocked readers.
 func (c *Conn) serveReader() {
-	if c.pendingDeliver != nil && (len(c.rcvBuf) > 0 || c.rcvClosed) {
-		deliver := c.pendingDeliver
-		c.pendingDeliver = nil
-		data, eof := c.take(c.pendingMax)
-		deliver(data, eof, nil)
-	}
+	c.rd.Serve(c.readable(), c.take)
 	c.t.k.Wakeup(&c.rdW)
 	events := kernel.PollIn
 	if c.rcvClosed {
@@ -502,16 +470,8 @@ func (c *Conn) fail(err error) {
 	c.stopRtx()
 	delete(c.t.conns, c.key())
 	unregisterConn(c)
-	for _, w := range c.writeWaiters {
-		if w.done != nil {
-			w.done(err)
-		}
-	}
-	c.writeWaiters = nil
-	if deliver := c.pendingDeliver; deliver != nil {
-		c.pendingDeliver = nil
-		deliver(nil, false, err)
-	}
+	c.snd.Abort(err)
+	c.rd.Fail(err)
 	c.t.k.Wakeup(&c.connW)
 	c.t.k.Wakeup(&c.rdW)
 	c.t.k.Wakeup(&c.clW)
@@ -523,19 +483,11 @@ func (c *Conn) fail(err error) {
 // Read implements kernel.FileOps: blocks for in-order stream bytes;
 // zero-length return means the peer closed.
 func (c *Conn) Read(ctx kernel.Ctx, b []byte, off int64) (int, error) {
-	for len(c.rcvBuf) == 0 {
-		if c.failed != nil {
-			return 0, c.failed
-		}
-		if c.rcvClosed {
-			return 0, nil
-		}
-		if !ctx.CanSleep() {
-			return 0, kernel.ErrWouldBlock
-		}
-		if err := ctx.Sleep(&c.rdW, kernel.PSOCK+1); err != nil {
-			return 0, err
-		}
+	if err := kernel.SleepUntil(ctx, &c.rdW, kernel.PSOCK+1, c.inputReady); err != nil {
+		return 0, err
+	}
+	if len(c.rcvBuf) == 0 {
+		return 0, c.failed // the terminal error, or nil at EOF
 	}
 	data, _ := c.take(len(b))
 	copy(b, data)
@@ -555,37 +507,13 @@ func (c *Conn) Write(ctx kernel.Ctx, b []byte, off int64) (int, error) {
 		return 0, kernel.ErrBadFD
 	}
 	if !ctx.CanSleep() {
-		if len(c.writeWaiters) > 0 {
-			return 0, kernel.ErrWouldBlock
+		n, err := c.snd.TryWrite(b)
+		if err == nil {
+			c.pump()
 		}
-		space := sndCap - len(c.sndBuf)
-		if space <= 0 {
-			return 0, kernel.ErrWouldBlock
-		}
-		n := len(b)
-		if n > space {
-			n = space
-		}
-		c.sndBuf = append(c.sndBuf, b[:n]...)
-		c.pump()
-		return n, nil
+		return n, err
 	}
-	var werr error
-	donef := false
-	c.SpliceWrite(b, func(err error) {
-		werr = err
-		donef = true
-		c.t.k.Wakeup(&donef)
-	})
-	for !donef {
-		if err := ctx.Sleep(&donef, kernel.PSOCK); err != nil {
-			return 0, err
-		}
-	}
-	if werr != nil {
-		return 0, werr
-	}
-	return len(b), nil
+	return kernel.AwaitWrite(ctx, b, c.SpliceWrite)
 }
 
 // Writev implements kernel.WritevOps by coalescing the whole iovec
@@ -618,13 +546,11 @@ func (c *Conn) PollReady(events int) int {
 	if c.rcvClosed {
 		r |= kernel.PollHup
 	}
-	if events&kernel.PollIn != 0 &&
-		(len(c.rcvBuf) > 0 || c.rcvClosed || c.failed != nil) {
+	if events&kernel.PollIn != 0 && c.inputReady() {
 		r |= kernel.PollIn
 	}
 	if events&kernel.PollOut != 0 &&
-		c.state == stateEstablished && c.failed == nil && c.finAt < 0 &&
-		len(c.writeWaiters) == 0 && len(c.sndBuf) < sndCap {
+		c.state == stateEstablished && c.failed == nil && c.finAt < 0 && c.snd.Writable() {
 		r |= kernel.PollOut
 	}
 	return r
@@ -644,23 +570,12 @@ func (c *Conn) Close(ctx kernel.Ctx) error {
 	if c.finAt >= 0 || c.state == stateClosed {
 		return nil
 	}
-	// Force-admit any writes still pending so the FIN covers them.
-	for _, w := range c.writeWaiters {
-		c.sndBuf = append(c.sndBuf, w.data...)
-		if w.done != nil {
-			w.done(nil)
-		}
-	}
-	c.writeWaiters = nil
+	c.snd.Flush() // the FIN covers writes still waiting for room
 	c.finAt = c.dataEnd()
 	c.pump()
-	for !c.finAcked && c.failed == nil {
-		if !ctx.CanSleep() {
-			return kernel.ErrWouldBlock
-		}
-		if err := ctx.Sleep(&c.clW, kernel.PSOCK); err != nil {
-			return err
-		}
+	settled := func() bool { return c.finAcked || c.failed != nil }
+	if err := kernel.SleepUntil(ctx, &c.clW, kernel.PSOCK, settled); err != nil {
+		return err
 	}
 	return c.failed
 }
@@ -681,11 +596,8 @@ func (c *Conn) SpliceWrite(data []byte, done func(error)) {
 		done(kernel.ErrBadFD)
 		return
 	}
-	c.writeWaiters = append(c.writeWaiters, connWrite{
-		data: append([]byte(nil), data...),
-		done: done,
-	})
-	c.admit()
+	c.snd.Queue(data, done)
+	c.snd.Admit()
 	c.pump()
 }
 
@@ -697,25 +609,8 @@ func (c *Conn) SpliceRead(max int, deliver func([]byte, bool, error)) {
 		deliver(nil, false, c.failed)
 		return
 	}
-	if len(c.rcvBuf) > 0 || c.rcvClosed {
-		data, eof := c.take(max)
-		deliver(data, eof, nil)
-		return
-	}
-	if c.pendingDeliver != nil {
-		deliver(nil, false, kernel.ErrWouldBlock)
-		return
-	}
-	c.pendingMax = max
-	c.pendingDeliver = deliver
+	c.rd.Read(max, deliver, c.readable(), c.take)
 }
 
-// CancelSpliceRead withdraws a parked splice read (splice interrupt
-// path); the deliver callback will never run.
-func (c *Conn) CancelSpliceRead() bool {
-	if c.pendingDeliver == nil {
-		return false
-	}
-	c.pendingDeliver = nil
-	return true
-}
+// CancelSpliceRead implements the splice Source interface.
+func (c *Conn) CancelSpliceRead() bool { return c.rd.Cancel() }

@@ -2,9 +2,13 @@ package stream
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"kdp/internal/kernel"
+	"kdp/internal/sim"
 	"kdp/internal/socket"
 )
 
@@ -262,6 +266,18 @@ func TestStreamFailureReadiness(t *testing.T) {
 					t.Errorf("established poll: n=%d err=%v revents=%#x, want PollOut",
 						pn, err, fds[0].Revents)
 				}
+				// A splice read parked on the idle receive side and a splice
+				// write stranded behind the full send buffer (the server
+				// never reads) are parked callers too: the failure must
+				// complete each exactly once with the terminal error.
+				var parked []error
+				c.SpliceRead(64, func(_ []byte, _ bool, err error) { parked = append(parked, err) })
+				c.SpliceWrite(make([]byte, sndCap+rcvCap+MaxSeg+1), func(err error) { parked = append(parked, err) })
+				defer func() {
+					if len(parked) != 2 || parked[0] != tc.err || parked[1] != tc.err {
+						t.Errorf("parked splice write and read completed with %v, want %v once each", parked, tc.err)
+					}
+				}()
 				// Fail the connection at interrupt level while a poller
 				// sleeps on the receive side.
 				k.Timeout(func() { c.fail(tc.err) }, 5)
@@ -299,5 +315,94 @@ func TestStreamFailureReadiness(t *testing.T) {
 				t.Fatalf("failed connection still live on the client transport")
 			}
 		})
+	}
+}
+
+// TestConnSpliceWiring walks the connection's use of the shared endpoint
+// types: the one-read-at-a-time rule, cancellation, a parked read served
+// by the arrival interrupt, the nonblocking write arm, and the
+// stream-conn-leak invariant seeing a parked read and a queued write
+// through the shared types' accessors.
+func TestConnSpliceWiring(t *testing.T) {
+	EnableInvariants(true)
+	defer EnableInvariants(false)
+	k := newK()
+	n := socket.NewNet(k, socket.Loopback())
+	srv, _ := NewTransport(k, n, 80)
+	cli, _ := NewTransport(k, n, 5001)
+	var log []string
+	deliver := func(tag string) func([]byte, bool, error) {
+		return func(data []byte, eof bool, err error) {
+			log = append(log, fmt.Sprintf("%s:%q eof=%v err=%v", tag, data, eof, err))
+		}
+	}
+	var received int
+	k.Spawn("server", func(p *kernel.Proc) {
+		_ = srv.Listen(p)
+		fd, _, err := srv.Accept(p)
+		if err != nil {
+			t.Errorf("accept: %v", err)
+			return
+		}
+		p.SleepFor(20 * sim.Millisecond)
+		if _, err := p.Write(fd, []byte("hello")); err != nil {
+			t.Errorf("write: %v", err)
+		}
+		p.SleepFor(20 * sim.Millisecond) // the client's send buffer fills meanwhile
+		received = len(readToEOF(t, p, fd))
+		_ = p.Close(fd)
+	})
+	k.Spawn("client", func(p *kernel.Proc) {
+		fd, c, err := cli.Connect(p, 80)
+		if err != nil {
+			t.Errorf("connect: %v", err)
+			return
+		}
+		c.SpliceRead(3, deliver("a")) // parks
+		c.SpliceRead(3, deliver("b")) // refused; a stays parked
+		if err := CheckDrained(); err == nil || !strings.Contains(err.Error(), "splice read still parked") {
+			t.Errorf("CheckDrained with a parked read: %v", err)
+		}
+		if !c.CancelSpliceRead() || c.CancelSpliceRead() {
+			t.Error("CancelSpliceRead did not withdraw the parked read exactly once")
+		}
+		c.SpliceRead(3, deliver("c")) // parks; served when "hello" arrives
+		p.SleepFor(30 * sim.Millisecond)
+		c.SpliceRead(16, deliver("d")) // the rest is waiting: delivered at once
+
+		// Nonblocking: what fits goes in, then nothing does; a splice
+		// write behind the full buffer queues, and the leak check sees it.
+		nb := p.NBCtx()
+		if wn, err := c.Write(nb, make([]byte, sndCap+100), 0); wn != sndCap || err != nil {
+			t.Errorf("nonblocking write = (%d, %v), want the %d that fit", wn, err, sndCap)
+		}
+		if wn, err := c.Write(nb, []byte("x"), 0); wn != 0 || err != kernel.ErrWouldBlock {
+			t.Errorf("nonblocking write into a full send buffer = (%d, %v)", wn, err)
+		}
+		c.SpliceWrite(make([]byte, 100), func(err error) { log = append(log, fmt.Sprintf("w:%v", err)) })
+		if err := CheckDrained(); err == nil || !strings.Contains(err.Error(), "1 write(s) never admitted") {
+			t.Errorf("CheckDrained with a queued write: %v", err)
+		}
+		if err := p.Close(fd); err != nil { // force-admits the queued write under the FIN
+			t.Errorf("close: %v", err)
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		`b:"" eof=false err=operation would block`,
+		`c:"hel" eof=false err=<nil>`,
+		`d:"lo" eof=false err=<nil>`,
+		`w:<nil>`,
+	}
+	if !reflect.DeepEqual(log, want) {
+		t.Errorf("completions:\n got %q\nwant %q", log, want)
+	}
+	if received != sndCap+100 {
+		t.Errorf("server received %d bytes, want %d", received, sndCap+100)
+	}
+	if err := CheckDrained(); err != nil {
+		t.Errorf("after both closes: %v", err)
 	}
 }

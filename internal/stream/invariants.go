@@ -153,18 +153,18 @@ func CheckDrained() error {
 		switch {
 		case c.state == stateSynSent:
 			return violation("stream-conn-leak", c.label, "handshake never completed")
-		case len(c.writeWaiters) > 0:
-			return violation("stream-conn-leak", c.label, "%d write(s) never admitted", len(c.writeWaiters))
-		case len(c.sndBuf) > 0 || c.sndUna != c.sndNxt:
+		case c.snd.Queued() > 0:
+			return violation("stream-conn-leak", c.label, "%d write(s) never admitted", c.snd.Queued())
+		case len(c.snd.Buf) > 0 || c.sndUna != c.sndNxt:
 			return violation("stream-conn-leak", c.label,
-				"unacknowledged send data: una=%d nxt=%d buffered=%d", c.sndUna, c.sndNxt, len(c.sndBuf))
+				"unacknowledged send data: una=%d nxt=%d buffered=%d", c.sndUna, c.sndNxt, len(c.snd.Buf))
 		case c.finAt >= 0 && !c.finAcked:
 			return violation("stream-conn-leak", c.label, "FIN at %d never acknowledged", c.finAt)
 		case len(c.rcvBuf) > 0:
 			return violation("stream-conn-leak", c.label, "%d received byte(s) never read", len(c.rcvBuf))
 		case len(c.reasm) > 0:
 			return violation("stream-conn-leak", c.label, "%d segment(s) stuck in reassembly", len(c.reasm))
-		case c.pendingDeliver != nil:
+		case c.rd.Parked():
 			return violation("stream-conn-leak", c.label, "splice read still parked")
 		}
 	}
