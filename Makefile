@@ -23,12 +23,14 @@ race:
 
 # Bounded randomized simulation checking (see docs/CHECKING.md);
 # CHECK_SEEDS can be raised for a deeper sweep.
-CHECK_SEEDS ?= 25
+CHECK_SEEDS ?= 60
 check:
 	$(GO) run ./cmd/kdpcheck -seeds $(CHECK_SEEDS)
 
+# internal/machine holds BenchmarkCheckInvariants: ns and allocations
+# per probe (docs/CHECKING.md, "What a probe costs").
 bench:
-	$(GO) test -bench=. -benchmem ./internal/bench/
+	$(GO) test -bench=. -benchmem ./internal/bench/ ./internal/machine/
 
 tables:
 	$(GO) run ./cmd/kdpbench

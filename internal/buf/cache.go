@@ -8,18 +8,18 @@ import (
 	"kdp/internal/trace"
 )
 
-type devblk struct {
-	dev Device
-	blk int64
-}
-
 // Cache is the system buffer cache: a fixed pool of block-sized buffers
 // shared by every mounted filesystem, as in 4.2BSD. The paper's
 // measured system used a 3.2MB cache with 8KB blocks (400 buffers).
 type Cache struct {
 	k         *kernel.Kernel
 	blockSize int
-	hash      map[devblk]*Buf
+	// pool is every buffer in creation order. hash is 4.3BSD's bufhash:
+	// a power-of-two array of chains indexed by block number alone (the
+	// handful of devices share chains), so a lookup hashes nothing and
+	// the invariant pass walks it bucket by bucket.
+	pool []Buf
+	hash []*Buf
 
 	// LRU free list of reusable buffers (intrusive doubly linked).
 	freeHead *Buf
@@ -70,17 +70,28 @@ func NewCache(k *kernel.Kernel, nbuf, blockSize int) *Cache {
 	c := &Cache{
 		k:         k,
 		blockSize: blockSize,
-		hash:      make(map[devblk]*Buf, nbuf),
+		pool:      make([]Buf, nbuf),
+		hash:      make([]*Buf, hashSize(nbuf)),
 		werrs:     make(map[Device]error),
 		werrN:     make(map[Device]int64),
 		nbuf:      nbuf,
 		raMax:     defaultRaBudget(nbuf),
 	}
-	for i := 0; i < nbuf; i++ {
-		b := &Buf{pool: c, Data: make([]byte, blockSize), Flags: BInval}
+	for i := range c.pool {
+		b := &c.pool[i]
+		b.pool, b.Data, b.Flags = c, make([]byte, blockSize), BInval
 		c.freePush(b, false)
 	}
 	return c
+}
+
+// hashSize is the smallest power of two holding nbuf chains.
+func hashSize(nbuf int) int {
+	n := 1
+	for n < nbuf {
+		n <<= 1
+	}
+	return n
 }
 
 // BlockSize returns the cache's buffer size.
@@ -191,10 +202,13 @@ func (c *Cache) freeRemove(b *Buf) {
 	c.nfree--
 }
 
+// bucket returns the index of the hash chain block blkno lives on.
+func (c *Cache) bucket(blkno int64) int { return int(blkno) & (len(c.hash) - 1) }
+
 func (c *Cache) hashInsert(b *Buf) {
-	key := devblk{b.Dev, b.Blkno}
-	b.hashNext = c.hash[key]
-	c.hash[key] = b
+	head := &c.hash[c.bucket(b.Blkno)]
+	b.hashNext = *head
+	*head = b
 	b.hashed = true
 }
 
@@ -202,20 +216,10 @@ func (c *Cache) hashRemove(b *Buf) {
 	if !b.hashed {
 		return
 	}
-	key := devblk{b.Dev, b.Blkno}
-	cur := c.hash[key]
-	if cur == b {
-		if b.hashNext == nil {
-			delete(c.hash, key)
-		} else {
-			c.hash[key] = b.hashNext
-		}
-	} else {
-		for cur != nil && cur.hashNext != b {
-			cur = cur.hashNext
-		}
-		if cur != nil {
-			cur.hashNext = b.hashNext
+	for link := &c.hash[c.bucket(b.Blkno)]; *link != nil; link = &(*link).hashNext {
+		if *link == b {
+			*link = b.hashNext
+			break
 		}
 	}
 	b.hashNext = nil
@@ -225,7 +229,7 @@ func (c *Cache) hashRemove(b *Buf) {
 // Peek returns the cached buffer for (dev, blkno) without claiming it,
 // or nil. Used by fsync-style scans.
 func (c *Cache) Peek(dev Device, blkno int64) *Buf {
-	for b := c.hash[devblk{dev, blkno}]; b != nil; b = b.hashNext {
+	for b := c.hash[c.bucket(blkno)]; b != nil; b = b.hashNext {
 		if b.Dev == dev && b.Blkno == blkno && b.Flags&BInval == 0 {
 			return b
 		}

@@ -6,7 +6,9 @@ import "fmt"
 // simcheck harness (internal/simcheck). The checks are structural —
 // they walk the hash table and free list without doing I/O or sleeping
 // — so they are callable from any context, including the kernel's
-// scheduling loop between events.
+// scheduling loop between events. A passing pass allocates nothing and
+// visits buffers in a fixed order (free list, then hash buckets), so
+// the violation reported for a given state is always the same one.
 //
 // Invariant catalog (buffer cache):
 //
@@ -45,16 +47,14 @@ func violation(name, format string, args ...any) error {
 // the first violation found (nil if the cache is consistent). It never
 // sleeps and performs no I/O.
 func (c *Cache) CheckInvariants() error {
-	// Free-list walk: link integrity, counts, flags.
-	seen := make(map[*Buf]bool, c.nfree)
+	// Free-list walk: link integrity, counts, flags. Only pool buffers
+	// are ever freed, so a walk longer than the pool has looped.
 	n := 0
 	var prev *Buf
 	for b := c.freeHead; b != nil; b = b.freeNext {
-		if seen[b] {
+		if n++; n > c.nbuf {
 			return violation("buf-free-link", "free list cycle at %s", b)
 		}
-		seen[b] = true
-		n++
 		if b.freePrev != prev {
 			return violation("buf-free-link", "%s has freePrev=%p, want %p", b, b.freePrev, prev)
 		}
@@ -76,27 +76,27 @@ func (c *Cache) CheckInvariants() error {
 		return violation("buf-free-link", "free list holds %d buffers, nfree says %d", n, c.nfree)
 	}
 
-	// Hash walk: chain keys, duplicate detection, busy accounting,
-	// in-flight readahead accounting.
+	// Hash walk, bucket by bucket: chain keys, duplicate detection, busy
+	// accounting, in-flight readahead accounting.
 	busy := 0
 	inflightRA := 0
-	valid := make(map[devblk]*Buf)
-	for key, head := range c.hash {
+	for i, head := range c.hash {
 		for b := head; b != nil; b = b.hashNext {
 			if !b.hashed {
-				return violation("buf-hash-key", "%s on chain %s#%d with hashed=false", b, key.dev.DevName(), key.blk)
+				return violation("buf-hash-key", "%s on chain %d with hashed=false", b, i)
 			}
 			if b.Flags&BNoMem != 0 {
 				return violation("buf-header-hashed", "header-only buffer in hash: %s", b)
 			}
-			if (devblk{b.Dev, b.Blkno}) != key {
-				return violation("buf-hash-key", "%s hashed under chain %s#%d", b, key.dev.DevName(), key.blk)
+			if c.bucket(b.Blkno) != i {
+				return violation("buf-hash-key", "%s hashed under chain %d", b, i)
 			}
 			if b.Flags&BInval == 0 {
-				if dup, ok := valid[key]; ok {
-					return violation("buf-hash-dup", "blocks %s and %s both valid for %s#%d", dup, b, key.dev.DevName(), key.blk)
+				for dup := head; dup != b; dup = dup.hashNext {
+					if dup.Dev == b.Dev && dup.Blkno == b.Blkno && dup.Flags&BInval == 0 {
+						return violation("buf-hash-dup", "blocks %s and %s both valid for %s#%d", dup, b, b.Dev.DevName(), b.Blkno)
+					}
 				}
-				valid[key] = b
 			}
 			if b.Flags&BBusy != 0 {
 				busy++
@@ -174,11 +174,13 @@ var damages = []struct {
 			c.freeHead.Flags &^= BDone
 		}
 	}},
-	// change a hashed buffer's Blkno without rehashing
+	// change the first hashed buffer's Blkno without rehashing
 	{"hash-key", func(c *Cache) {
-		for _, b := range c.hash {
-			b.Blkno++
-			break
+		for i := range c.pool {
+			if b := &c.pool[i]; b.hashed {
+				b.Blkno++
+				break
+			}
 		}
 	}},
 	// bump raPending without an in-flight readahead

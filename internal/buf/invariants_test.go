@@ -1,6 +1,7 @@
 package buf
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -29,30 +30,124 @@ func (d *badDevice) Strategy(b *Buf) {
 	})
 }
 
+// warmFixture returns a cache whose first three pool buffers hold blocks
+// 5, 1 and 9 (in that order), released and valid.
+func warmFixture(t *testing.T) *fixture {
+	t.Helper()
+	f := newFixture(8)
+	f.runProc(t, func(p *kernel.Proc) {
+		ctx := p.Ctx()
+		for _, blk := range []int64{5, 1, 9} {
+			b, err := f.c.Bread(ctx, f.dev, blk)
+			if err != nil {
+				t.Fatalf("bread: %v", err)
+			}
+			f.c.Brelse(ctx, b)
+		}
+	})
+	if err := f.c.CheckInvariants(); err != nil {
+		t.Fatalf("invariants dirty before damage: %v", err)
+	}
+	return f
+}
+
+// wantViolation fails unless err is the named invariant's violation.
+func wantViolation(t *testing.T, err error, name string) {
+	t.Helper()
+	var ie *InvariantError
+	if !errors.As(err, &ie) || ie.Name != name || ie.Detail == "" {
+		t.Fatalf("CheckInvariants = %v, want a %s violation", err, name)
+	}
+}
+
+// TestDamageTripsInvariants: every Damage kind trips the check it was
+// written to trip — by name, so the catalog cannot silently thin.
 func TestDamageTripsInvariants(t *testing.T) {
+	want := map[string]string{
+		"busy-on-freelist": "buf-free-busy",
+		"delwri-undone":    "buf-flag-delwri",
+		"hash-key":         "buf-hash-key",
+		"ra-pending":       "buf-ra-pending",
+	}
 	for _, kind := range DamageKinds() {
 		t.Run(kind, func(t *testing.T) {
-			f := newFixture(8)
-			f.runProc(t, func(p *kernel.Proc) {
-				ctx := p.Ctx()
-				b, err := f.c.Bread(ctx, f.dev, 1)
-				if err != nil {
-					t.Fatalf("bread: %v", err)
-				}
-				f.c.Brelse(ctx, b)
-			})
-			if err := f.c.CheckInvariants(); err != nil {
-				t.Fatalf("invariants dirty before damage: %v", err)
-			}
+			f := warmFixture(t)
 			f.c.Damage(kind)
-			err := f.c.CheckInvariants()
-			if err == nil {
-				t.Fatalf("damage %q not detected", kind)
-			}
-			if err.Error() == "" {
-				t.Error("empty violation message")
-			}
+			wantViolation(t, f.c.CheckInvariants(), want[kind])
 		})
+	}
+}
+
+// TestCatalogTrips plants one hand-made fault per name in the invariant
+// catalog and requires the same-named check to report it.
+func TestCatalogTrips(t *testing.T) {
+	// hashedBuf is the first hashed buffer in pool order (block 5, idle).
+	hashedBuf := func(c *Cache) *Buf { return &c.pool[0] }
+	faults := []struct {
+		name  string
+		plant func(f *fixture)
+	}{
+		{"buf-free-link", func(f *fixture) { f.c.freeHead.freeNext.freePrev = nil }},
+		{"buf-free-busy", func(f *fixture) { f.c.freeHead.Flags |= BBusy }},
+		{"buf-free-flag", func(f *fixture) { f.c.freeHead.onFree = false }},
+		{"buf-hash-key", func(f *fixture) { hashedBuf(f.c).hashed = false }},
+		{"buf-hash-dup", func(f *fixture) {
+			twin := f.c.freeHead // never used: invalid, unhashed
+			twin.Dev, twin.Blkno, twin.Flags = f.dev, 5, BDone
+			f.c.hashInsert(twin)
+		}},
+		{"buf-flag-wanted", func(f *fixture) { f.c.freeHead.Flags |= BWanted }},
+		{"buf-flag-delwri", func(f *fixture) { f.c.freeHead.Flags |= BDelwri }},
+		{"buf-flag-call", func(f *fixture) { f.c.freeHead.Flags |= BCall }},
+		{"buf-pool-account", func(f *fixture) { f.c.nbuf++ }},
+		{"buf-header-hashed", func(f *fixture) { hashedBuf(f.c).Flags |= BNoMem }},
+		{"buf-ra-flag", func(f *fixture) { hashedBuf(f.c).Flags |= BReadahead | BDelwri }},
+		{"buf-ra-pending", func(f *fixture) { f.c.raPending++ }},
+		{"buf-ra-budget", func(f *fixture) {
+			// Two well-formed in-flight readaheads against a budget of one.
+			for blk := int64(20); blk < 22; blk++ {
+				b := f.c.freeHead
+				f.c.freeRemove(b)
+				b.Dev, b.Blkno, b.Flags = f.dev, blk, BBusy|BRead|BAsync|BReadahead
+				f.c.hashInsert(b)
+				f.c.raPending++
+			}
+			f.c.raMax = 1
+		}},
+	}
+	for _, fault := range faults {
+		t.Run(fault.name, func(t *testing.T) {
+			f := warmFixture(t)
+			fault.plant(f)
+			wantViolation(t, f.c.CheckInvariants(), fault.name)
+		})
+	}
+}
+
+// TestFirstViolationIsDeterministic: with two buffers damaged, which
+// violation is reported (the one on the lower hash chain) and which
+// buffer Damage("hash-key") picks (the first hashed one in pool order)
+// are the same on every run of the same history. Ranging over a Go map
+// made both random.
+func TestFirstViolationIsDeterministic(t *testing.T) {
+	var first string
+	for run := 0; run < 20; run++ {
+		f := warmFixture(t)
+		f.c.Damage("hash-key")
+		if got := f.c.pool[0].Blkno; got != 6 {
+			t.Fatalf("run %d: Damage(hash-key) left pool[0] at block %d, want 6 (block 5 bumped)", run, got)
+		}
+		f.c.pool[2].Blkno += 2 // block 9 too, on chain 1, ahead of block 5's chain
+		err := f.c.CheckInvariants()
+		wantViolation(t, err, "buf-hash-key")
+		if run == 0 {
+			first = err.Error()
+		} else if err.Error() != first {
+			t.Fatalf("run %d reported %q, run 0 reported %q", run, err, first)
+		}
+	}
+	if !strings.Contains(first, "mem0#11 ") {
+		t.Errorf("reported %q, want the buffer on the lower chain (mem0#11)", first)
 	}
 }
 

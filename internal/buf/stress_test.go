@@ -28,12 +28,12 @@ func checkInvariants(t *testing.T, c *Cache) {
 	if n != c.nfree {
 		t.Fatalf("free count %d != list length %d", c.nfree, n)
 	}
-	for key, head := range c.hash {
+	for i, head := range c.hash {
 		for b := head; b != nil; b = b.hashNext {
 			if !b.hashed {
-				t.Fatalf("unhashed buffer on chain %v", key)
+				t.Fatalf("unhashed buffer on chain %d", i)
 			}
-			if b.Dev != key.dev {
+			if c.bucket(b.Blkno) != i {
 				t.Fatalf("buffer %v on wrong hash chain", b)
 			}
 		}

@@ -1,6 +1,7 @@
 package fs
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -23,6 +24,13 @@ type FS struct {
 	interleave uint32 // allocation stride (FFS rotdelay layout); 1 = dense
 	raMax      int    // per-file readahead window cap, in blocks
 	pager      Pager  // VM writeback hook (see SetPager); nil without VM
+
+	// CheckLive's view (invariants.go): the in-core inodes again, in
+	// iget order, so the walk needs no map iteration; its per-block
+	// scratch; and the pass counter that stamps it.
+	live   []*Inode
+	claims []claim
+	ckPass uint64
 }
 
 // DefaultReadahead is the default cap on a file's readahead window, in
@@ -249,6 +257,7 @@ func (f *FS) iget(ctx kernel.Ctx, ino uint32) (*Inode, error) {
 	}
 	ip.direct = di.Direct
 	f.inodes[ino] = ip
+	f.live = append(f.live, ip)
 	return ip, nil
 }
 
@@ -277,6 +286,9 @@ func (f *FS) iput(ctx kernel.Ctx, ip *Inode) error {
 		}
 	}
 	delete(f.inodes, ip.ino)
+	if i := slices.Index(f.live, ip); i >= 0 {
+		f.live = slices.Delete(f.live, i, i+1)
+	}
 	return err
 }
 
@@ -359,6 +371,7 @@ func (f *FS) ialloc(ctx kernel.Ctx, mode uint16) (*Inode, error) {
 		}
 		ip := &Inode{fs: f, ino: ino, mode: mode, nlink: 1, refs: 1}
 		f.inodes[ino] = ip
+		f.live = append(f.live, ip)
 		f.inoRotor = ino + 1
 		f.sb.FreeInodes--
 		f.sbDirty = true

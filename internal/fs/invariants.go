@@ -27,28 +27,29 @@ func fsviolation(name, format string, args ...any) error {
 	return fmt.Errorf("invariant %s violated: %s", name, fmt.Sprintf(format, args...))
 }
 
-// CheckLive verifies the in-core filesystem invariants, returning the
-// first violation found (nil when consistent). It performs no I/O.
-func (f *FS) CheckLive() error {
-	claimed := make(map[uint32]uint32) // physical block -> claiming inode
-	checkPtr := func(ino, pblk uint32, what string) error {
-		if pblk == 0 {
-			return nil
-		}
-		if pblk < f.sb.DataStart || pblk >= f.sb.TotalBlocks {
-			return fsviolation("fs-ptr-bounds", "inode %d: %s block %d outside data region [%d,%d)",
-				ino, what, pblk, f.sb.DataStart, f.sb.TotalBlocks)
-		}
-		if prev, dup := claimed[pblk]; dup {
-			return fsviolation("fs-ptr-dup", "block %d claimed by inodes %d and %d", pblk, prev, ino)
-		}
-		claimed[pblk] = ino
-		return nil
-	}
+// claim records that in-core inode ino claimed a physical block during
+// CheckLive pass number pass; a slot stamped by an earlier pass is free.
+type claim struct {
+	pass uint64
+	ino  uint32
+}
 
-	for ino, ip := range f.inodes {
-		if ip.ino != ino {
-			return fsviolation("fs-inode-key", "table key %d holds inode %d", ino, ip.ino)
+// CheckLive verifies the in-core filesystem invariants, returning the
+// first violation found (nil when consistent). It performs no I/O and,
+// once its per-block scratch exists, allocates nothing; inodes are
+// visited in iget order.
+func (f *FS) CheckLive() error {
+	if len(f.live) != len(f.inodes) {
+		return fsviolation("fs-inode-key", "inode table holds %d inodes, the in-core list %d", len(f.inodes), len(f.live))
+	}
+	if f.claims == nil {
+		f.claims = make([]claim, f.sb.TotalBlocks)
+	}
+	f.ckPass++
+	for _, ip := range f.live {
+		ino := ip.ino
+		if f.inodes[ino] != ip {
+			return fsviolation("fs-inode-key", "in-core inode %d is not the table's entry for that number", ino)
 		}
 		if ip.refs < 0 {
 			return fsviolation("fs-inode-refs", "inode %d in core with refs %d", ino, ip.refs)
@@ -62,14 +63,14 @@ func (f *FS) CheckLive() error {
 			return fsviolation("fs-inode-size", "inode %d has negative size %d", ino, ip.size)
 		}
 		for _, pblk := range ip.direct {
-			if err := checkPtr(ino, pblk, "direct"); err != nil {
+			if err := f.checkPtr(ino, pblk, "direct"); err != nil {
 				return err
 			}
 		}
-		if err := checkPtr(ino, ip.indir, "indirect"); err != nil {
+		if err := f.checkPtr(ino, ip.indir, "indirect"); err != nil {
 			return err
 		}
-		if err := checkPtr(ino, ip.dindir, "double-indirect"); err != nil {
+		if err := f.checkPtr(ino, ip.dindir, "double-indirect"); err != nil {
 			return err
 		}
 	}
@@ -81,5 +82,22 @@ func (f *FS) CheckLive() error {
 	if f.sb.FreeInodes > f.sb.NInodes {
 		return fsviolation("fs-super-counts", "free inodes %d exceed table size %d", f.sb.FreeInodes, f.sb.NInodes)
 	}
+	return nil
+}
+
+// checkPtr validates one block pointer of inode ino and claims the
+// block for it in the current pass.
+func (f *FS) checkPtr(ino, pblk uint32, what string) error {
+	if pblk == 0 {
+		return nil
+	}
+	if pblk < f.sb.DataStart || pblk >= f.sb.TotalBlocks {
+		return fsviolation("fs-ptr-bounds", "inode %d: %s block %d outside data region [%d,%d)",
+			ino, what, pblk, f.sb.DataStart, f.sb.TotalBlocks)
+	}
+	if c := f.claims[pblk]; c.pass == f.ckPass {
+		return fsviolation("fs-ptr-dup", "block %d claimed by inodes %d and %d", pblk, c.ino, ino)
+	}
+	f.claims[pblk] = claim{f.ckPass, ino}
 	return nil
 }

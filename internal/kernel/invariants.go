@@ -1,6 +1,9 @@
 package kernel
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // This file implements the kernel-side invariant checker used by the
 // simcheck harness, plus the probe hook that lets the harness run
@@ -49,13 +52,15 @@ func (k *Kernel) CheckInvariants() error {
 		return kviolation("kern-callout-delta", "list holds %d entries, count says %d", n, k.callouts.n)
 	}
 
-	// Run queue.
-	onq := make(map[*Proc]bool, len(k.runq))
+	// Run queue. Entries are stamped with this pass's number: a stamp
+	// already present is a duplicate, and a sleeper carrying it below is
+	// queued twice over — no set is built.
+	k.ckPass++
 	for _, p := range k.runq {
-		if onq[p] {
+		if p.ckRunq == k.ckPass {
 			return kviolation("kern-runq-state", "proc %q queued twice", p.name)
 		}
-		onq[p] = true
+		p.ckRunq = k.ckPass
 		if p.state != ProcRunnable {
 			return kviolation("kern-runq-state", "proc %q on run queue in state %v", p.name, p.state)
 		}
@@ -64,30 +69,43 @@ func (k *Kernel) CheckInvariants() error {
 		}
 	}
 
-	// Sleep queues.
-	for wchan, list := range k.sleepq {
-		if len(list) == 0 {
-			return kviolation("kern-sleepq-state", "empty sleep queue left behind for %T", wchan)
-		}
-		for _, p := range list {
-			if p.state != ProcSleeping {
-				return kviolation("kern-sleepq-state", "proc %q on sleep queue in state %v", p.name, p.state)
-			}
-			if p.wchan != wchan {
-				return kviolation("kern-sleepq-state", "proc %q sleeping on wrong queue", p.name)
-			}
-			if onq[p] {
-				return kviolation("kern-sleepq-state", "proc %q on both run and sleep queues", p.name)
-			}
-		}
-	}
-
-	// Process accounting.
-	live := 0
+	// Sleep queues and process accounting, from the process table in
+	// spawn order: every sleeper sits on the queue its wchan names, and
+	// that queue is walked in full when the sleeper at its head comes
+	// up. Queues that no sleeper heads — left behind empty, or holding
+	// only strays — show as the table having more queues than were
+	// walked.
+	live, queues := 0, 0
 	for _, p := range k.procs {
 		if p.state != ProcExited {
 			live++
 		}
+		if p.state != ProcSleeping {
+			continue
+		}
+		list := k.sleepq[p.wchan]
+		at := slices.Index(list, p)
+		if at < 0 {
+			return kviolation("kern-sleepq-state", "proc %q sleeping on wrong queue", p.name)
+		}
+		if at > 0 {
+			continue
+		}
+		queues++
+		for _, q := range list {
+			if q.state != ProcSleeping {
+				return kviolation("kern-sleepq-state", "proc %q on sleep queue in state %v", q.name, q.state)
+			}
+			if q.wchan != p.wchan {
+				return kviolation("kern-sleepq-state", "proc %q sleeping on wrong queue", q.name)
+			}
+			if q.ckRunq == k.ckPass {
+				return kviolation("kern-sleepq-state", "proc %q on both run and sleep queues", q.name)
+			}
+		}
+	}
+	if queues != len(k.sleepq) {
+		return kviolation("kern-sleepq-state", "%d sleep queues but only %d headed by a sleeper", len(k.sleepq), queues)
 	}
 	if live != k.alive {
 		return kviolation("kern-proc-account", "%d live procs, alive says %d", live, k.alive)

@@ -56,6 +56,7 @@ type Kernel struct {
 
 	tr       *trace.Tracer
 	probe    func() // invoked at every scheduling boundary (simcheck)
+	ckPass   uint64 // CheckInvariants pass counter (see Proc.ckRunq)
 	abortErr error  // set by Abort; Run returns it at the next boundary
 
 	faults *FaultPlan // fault-site registry (see fault.go)

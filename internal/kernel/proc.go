@@ -120,6 +120,8 @@ type Proc struct {
 	exited   chan struct{} // closed when the body returns
 	body     func(*Proc)
 	panicVal any // panic recovered from the body, re-raised by the kernel
+
+	ckRunq uint64 // CheckInvariants pass that last saw this proc on the run queue
 }
 
 // Pid returns the process id.

@@ -149,13 +149,10 @@ func TestDamageTripsInvariants(t *testing.T) {
 			for len(a.live) == 0 && !d.done {
 				p.SleepFor(sim.Millisecond)
 			}
-			var hdr *buf.Buf
-			for hdr = range a.live {
-				break
-			}
-			if hdr == nil {
+			if len(a.live) == 0 {
 				t.Fatal("no write header in flight to corrupt")
 			}
+			hdr := a.live[0]
 			shared := hdr.Data
 
 			// An idle source reader, for the other pending-read bound.

@@ -1,6 +1,8 @@
 package splice
 
 import (
+	"slices"
+
 	"kdp/internal/buf"
 	"kdp/internal/kernel"
 	"kdp/internal/trace"
@@ -114,9 +116,9 @@ func (o *fileOut) scrub() {
 type alias struct {
 	fileOut
 	holdsNothing
-	// live tracks in-flight write headers for the invariant checker;
-	// untouched unless EnableInvariants is in effect.
-	live map[*buf.Buf]struct{}
+	// live tracks in-flight write headers, in issue order, for the
+	// invariant checker; untouched unless EnableInvariants is in effect.
+	live []*buf.Buf
 }
 
 func (a *alias) writeBlock(b *buf.Buf, data []byte) {
@@ -141,10 +143,7 @@ func (a *alias) writeBlock(b *buf.Buf, data []byte) {
 	}
 	hdr.SplicePeer = b
 	if invariantsOn {
-		if a.live == nil {
-			a.live = make(map[*buf.Buf]struct{})
-		}
-		a.live[hdr] = struct{}{}
+		a.live = append(a.live, hdr)
 	}
 	a.issue(hdr, lblk, n, lblk)
 }
@@ -152,7 +151,9 @@ func (a *alias) writeBlock(b *buf.Buf, data []byte) {
 // release frees the write header and the read-side buffer it aliased.
 func (a *alias) release(hdr *buf.Buf) {
 	a.wrote(hdr)
-	delete(a.live, hdr)
+	if i := slices.Index(a.live, hdr); i >= 0 {
+		a.live = slices.Delete(a.live, i, i+1)
+	}
 	if hdr.SplicePeer != nil {
 		releaseBuf(a.d.k, a.cache, hdr.SplicePeer)
 	}
@@ -161,7 +162,7 @@ func (a *alias) release(hdr *buf.Buf) {
 
 // check: splice-hdr-alias.
 func (a *alias) check() error {
-	for hdr := range a.live {
+	for _, hdr := range a.live {
 		if hdr.Flags&buf.BNoMem == 0 {
 			return sviolation("splice-hdr-alias", "write header without B_NOMEM: %s", hdr)
 		}

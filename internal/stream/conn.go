@@ -1,8 +1,9 @@
 package stream
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"kdp/internal/kernel"
 	"kdp/internal/trace"
@@ -69,11 +70,11 @@ type Conn struct {
 	failed   error
 
 	// Receiver. rcvBuf holds in-order bytes awaiting the consumer;
-	// reasm holds out-of-order segments keyed by start offset; advWnd
+	// reasm holds out-of-order segments in start-offset order; advWnd
 	// is the window last advertised to the peer.
 	rcvNxt    int64
 	rcvBuf    []byte
-	reasm     map[int64][]byte
+	reasm     []reasmSeg
 	advWnd    int64
 	remoteFin int64 // FIN offset announced by the peer; -1 until seen
 	rcvClosed bool
@@ -102,7 +103,6 @@ func newConn(t *Transport, remote int, id uint32, st connState) *Conn {
 		remoteFin: -1,
 		rtoTicks:  initialRTO,
 		advWnd:    rcvCap,
-		reasm:     make(map[int64][]byte),
 	}
 	registerConn(c)
 	return c
@@ -358,39 +358,32 @@ func (c *Conn) acceptData(seq int64, payload []byte) {
 		c.tryConsumeFin()
 		c.serveReader()
 	case seq <= c.rcvNxt+reasmLimit:
-		if _, dup := c.reasm[seq]; !dup {
-			c.reasm[seq] = append([]byte(nil), payload...)
+		i, dup := slices.BinarySearchFunc(c.reasm, seq, func(s reasmSeg, off int64) int { return cmp.Compare(s.off, off) })
+		if !dup {
+			c.reasm = slices.Insert(c.reasm, i, reasmSeg{seq, append([]byte(nil), payload...)})
 		}
 	}
 }
 
+// reasmSeg is one stashed out-of-order segment.
+type reasmSeg struct {
+	off  int64
+	data []byte
+}
+
 // drainReasm folds stashed out-of-order segments into the in-order
-// buffer. Keys are walked in sorted order so reassembly is
-// deterministic regardless of arrival interleaving.
+// buffer, lowest offset first, so reassembly is deterministic
+// regardless of arrival interleaving.
 func (c *Conn) drainReasm() {
-	for len(c.reasm) > 0 {
-		keys := make([]int64, 0, len(c.reasm))
-		for k := range c.reasm {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		progressed := false
-		for _, k := range keys {
-			if k > c.rcvNxt {
-				continue
-			}
-			p := c.reasm[k]
-			delete(c.reasm, k)
-			if end := k + int64(len(p)); end > c.rcvNxt {
-				c.rcvBuf = append(c.rcvBuf, p[c.rcvNxt-k:]...)
-				c.rcvNxt = end
-				progressed = true
-			}
-		}
-		if !progressed {
-			return
+	n := 0
+	for ; n < len(c.reasm) && c.reasm[n].off <= c.rcvNxt; n++ {
+		s := c.reasm[n]
+		if end := s.off + int64(len(s.data)); end > c.rcvNxt {
+			c.rcvBuf = append(c.rcvBuf, s.data[c.rcvNxt-s.off:]...)
+			c.rcvNxt = end
 		}
 	}
+	c.reasm = append(c.reasm[:0], c.reasm[n:]...)
 }
 
 // tryConsumeFin advances over the peer's FIN once all data before it

@@ -110,7 +110,7 @@ func TestGhostAnswersLateSegmentWithoutResurrecting(t *testing.T) {
 	const id = 7
 	key := connKey(6001, id)
 	tr.addGhost(key, 777)
-	e0 := *tr.ghosts[key]
+	e0 := *tr.ghost(key)
 	conns0 := len(tr.conns)
 
 	k.Spawn("drive", func(p *kernel.Proc) {
@@ -132,7 +132,7 @@ func TestGhostAnswersLateSegmentWithoutResurrecting(t *testing.T) {
 					i, r.typ, r.connID, r.ack, id)
 			}
 		}
-		e := tr.ghosts[key]
+		e := tr.ghost(key)
 		if e == nil {
 			t.Error("ghost entry vanished before its deadline")
 			return
@@ -183,11 +183,11 @@ func TestGhostReRetireSurvivesStaleCallout(t *testing.T) {
 	tr.addGhost(key, 100)
 	k.Spawn("drive", func(p *kernel.Proc) {
 		p.SleepFor(half)
-		delete(tr.ghosts, key) // key reuse: a new SYN clears the entry
+		tr.dropGhost(key) // key reuse: a new SYN clears the entry
 		tr.addGhost(key, 200)
 		// Past the first callout's deadline, inside the second's window.
 		p.SleepFor(half + 100*sim.Millisecond)
-		e := tr.ghosts[key]
+		e := tr.ghost(key)
 		if e == nil {
 			t.Error("stale expiry callout reaped the re-retired ghost early")
 		} else if e.final != 200 {

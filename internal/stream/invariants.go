@@ -2,12 +2,14 @@ package stream
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Invariant checker for the simcheck harness, mirroring the splice
-// one: a registry of live connections is maintained only while
-// EnableInvariants(true) is in effect, so production runs pay nothing.
+// one: registries of live connections and transports, in registration
+// order, are maintained only while EnableInvariants(true) is in effect,
+// so production runs pay nothing and which violation is reported when
+// several connections are damaged replays deterministically.
 //
 // Invariant catalog (stream):
 //
@@ -26,7 +28,7 @@ import (
 //	                       window reopening never exceed maxRetries
 //	stream-ghost-bound     retired-connection records are reaped by
 //	                       their expiry callout: no ghost entry
-//	                       outlives its deadline (the map cannot grow
+//	                       outlives its deadline (the list cannot grow
 //	                       with every connection ever retired)
 //	stream-ghost-no-resurrect
 //	                       a retired key never coexists with live
@@ -41,38 +43,32 @@ import (
 //	                       splice read, no half-finished handshake
 var (
 	invariantsOn   bool
-	liveConns      map[*Conn]struct{}
-	liveTransports map[*Transport]struct{}
+	liveConns      []*Conn
+	liveTransports []*Transport
 )
 
 // EnableInvariants switches connection tracking on or off. Not safe to
 // toggle while a machine is running.
 func EnableInvariants(on bool) {
 	invariantsOn = on
-	if on {
-		liveConns = make(map[*Conn]struct{})
-		liveTransports = make(map[*Transport]struct{})
-	} else {
-		liveConns = nil
-		liveTransports = nil
-	}
+	liveConns, liveTransports = nil, nil
 }
 
 func registerTransport(t *Transport) {
 	if invariantsOn {
-		liveTransports[t] = struct{}{}
+		liveTransports = append(liveTransports, t)
 	}
 }
 
 func registerConn(c *Conn) {
 	if invariantsOn {
-		liveConns[c] = struct{}{}
+		liveConns = append(liveConns, c)
 	}
 }
 
 func unregisterConn(c *Conn) {
-	if invariantsOn {
-		delete(liveConns, c)
+	if i := slices.Index(liveConns, c); i >= 0 {
+		liveConns = slices.Delete(liveConns, i, i+1)
 	}
 }
 
@@ -80,41 +76,21 @@ func violation(name, label, format string, args ...any) error {
 	return fmt.Errorf("invariant %s violated on %s: %s", name, label, fmt.Sprintf(format, args...))
 }
 
-// sortedLive returns the registered connections in label order, so
-// checker errors are deterministic.
-func sortedLive() []*Conn {
-	conns := make([]*Conn, 0, len(liveConns))
-	for c := range liveConns {
-		conns = append(conns, c)
-	}
-	sort.Slice(conns, func(i, j int) bool { return conns[i].label < conns[j].label })
-	return conns
-}
-
 // CheckInvariants verifies every live connection, returning the first
 // violation found (nil when consistent, or when tracking is disabled).
 // It never sleeps.
 func CheckInvariants() error {
-	for _, c := range sortedLive() {
+	for _, c := range liveConns {
 		if err := c.check(); err != nil {
 			return err
 		}
 	}
-	for _, t := range sortedTransports() {
+	for _, t := range liveTransports {
 		if err := t.checkGhosts(); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-func sortedTransports() []*Transport {
-	ts := make([]*Transport, 0, len(liveTransports))
-	for t := range liveTransports {
-		ts = append(ts, t)
-	}
-	sort.Slice(ts, func(i, j int) bool { return ts[i].port < ts[j].port })
-	return ts
 }
 
 // checkGhosts verifies every retired-connection record is still inside
@@ -126,19 +102,14 @@ func sortedTransports() []*Transport {
 // which deletes the ghost before admitting a fresh incarnation.
 func (t *Transport) checkGhosts() error {
 	now := t.k.Ticks()
-	keys := make([]uint64, 0, len(t.ghosts))
-	for key := range t.ghosts {
-		keys = append(keys, key)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, key := range keys {
-		if e := t.ghosts[key]; now > e.expires+1 {
+	for _, e := range t.ghosts {
+		if now > e.expires+1 {
 			return violation("stream-ghost-bound", fmt.Sprintf("port %d", t.port),
-				"ghost %#x expired at tick %d, still present at tick %d", key, e.expires, now)
+				"ghost %#x expired at tick %d, still present at tick %d", e.key, e.expires, now)
 		}
-		if _, live := t.conns[key]; live {
+		if _, live := t.conns[e.key]; live {
 			return violation("stream-ghost-no-resurrect", fmt.Sprintf("port %d", t.port),
-				"ghost %#x coexists with live connection state for the same key", key)
+				"ghost %#x coexists with live connection state for the same key", e.key)
 		}
 	}
 	return nil
@@ -149,7 +120,7 @@ func (t *Transport) checkGhosts() error {
 // undelivered, or parked. Retired (ghosted) and failed connections
 // unregister themselves.
 func CheckDrained() error {
-	for _, c := range sortedLive() {
+	for _, c := range liveConns {
 		switch {
 		case c.state == stateSynSent:
 			return violation("stream-conn-leak", c.label, "handshake never completed")
@@ -188,10 +159,10 @@ func (c *Conn) check() error {
 		return violation("stream-rcv-bound", c.label,
 			"%d buffered bytes exceed cap %d + one segment", len(c.rcvBuf), rcvCap)
 	}
-	for k := range c.reasm {
-		if k <= c.rcvNxt || k > c.rcvNxt+reasmLimit {
+	for _, s := range c.reasm {
+		if s.off <= c.rcvNxt || s.off > c.rcvNxt+reasmLimit {
 			return violation("stream-reasm-bound", c.label,
-				"reassembly offset %d outside (%d, %d]", k, c.rcvNxt, c.rcvNxt+reasmLimit)
+				"reassembly offset %d outside (%d, %d]", s.off, c.rcvNxt, c.rcvNxt+reasmLimit)
 		}
 	}
 	if c.retries > maxRetries {

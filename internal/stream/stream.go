@@ -17,6 +17,8 @@
 package stream
 
 import (
+	"slices"
+
 	"kdp/internal/kernel"
 	"kdp/internal/socket"
 )
@@ -37,14 +39,15 @@ type Transport struct {
 
 	nextID uint32
 	conns  map[uint64]*Conn
-	// ghosts maps retired connection keys to their final cumulative
-	// ack. A FIN retransmitted after both sides finished still earns an
-	// acknowledgement from here. Entries expire on the callout list
-	// after twice the give-up interval (see addGhost) — by then a
-	// conforming peer has either heard the ack or torn the connection
-	// down — so the map stays bounded by the churn inside one TTL
-	// window instead of growing with every connection ever retired.
-	ghosts   map[uint64]*ghostEntry
+	// ghosts records retired connection keys with their final
+	// cumulative ack, oldest first. A FIN retransmitted after both
+	// sides finished still earns an acknowledgement from here. Entries
+	// expire on the callout list after twice the give-up interval (see
+	// addGhost) — by then a conforming peer has either heard the ack or
+	// torn the connection down — so the list stays bounded by the churn
+	// inside one TTL window instead of growing with every connection
+	// ever retired.
+	ghosts   []ghostEntry
 	ghostGen uint64
 
 	listening bool
@@ -62,11 +65,10 @@ func NewTransport(k *kernel.Kernel, net *socket.Net, port int) (*Transport, erro
 		return nil, err
 	}
 	t := &Transport{
-		k:      k,
-		sock:   s,
-		port:   port,
-		conns:  make(map[uint64]*Conn),
-		ghosts: make(map[uint64]*ghostEntry),
+		k:     k,
+		sock:  s,
+		port:  port,
+		conns: make(map[uint64]*Conn),
 	}
 	registerTransport(t)
 	s.SetHandler(t.input)
@@ -95,7 +97,7 @@ func (t *Transport) input(data []byte, from int, eof bool) {
 		c.handleSegment(seg)
 		return
 	}
-	if e, ghost := t.ghosts[key]; ghost && seg.typ != segACK {
+	if e := t.ghost(key); e != nil && seg.typ != segACK {
 		// A lost final ACK left the peer retransmitting its FIN:
 		// answer with the recorded cumulative ack.
 		reply := segment{typ: segACK, connID: seg.connID, ack: e.final}
@@ -106,6 +108,7 @@ func (t *Transport) input(data []byte, from int, eof bool) {
 // ghostEntry is the retained state of a retired connection: enough to
 // acknowledge a retransmitted FIN, plus its reaping deadline.
 type ghostEntry struct {
+	key     uint64
 	final   int64 // final cumulative ack for the key
 	expires int64 // tick after which the entry must be gone
 	gen     uint64
@@ -133,12 +136,28 @@ func (t *Transport) addGhost(key uint64, final int64) {
 	ttl := ghostTTL()
 	t.ghostGen++
 	gen := t.ghostGen
-	t.ghosts[key] = &ghostEntry{final: final, expires: t.k.Ticks() + int64(ttl), gen: gen}
+	t.dropGhost(key)
+	t.ghosts = append(t.ghosts, ghostEntry{key: key, final: final, expires: t.k.Ticks() + int64(ttl), gen: gen})
 	t.k.Timeout(func() {
-		if e, ok := t.ghosts[key]; ok && e.gen == gen {
-			delete(t.ghosts, key)
+		if e := t.ghost(key); e != nil && e.gen == gen {
+			t.dropGhost(key)
 		}
 	}, ttl)
+}
+
+// ghost returns the retired-connection record for key, or nil.
+func (t *Transport) ghost(key uint64) *ghostEntry {
+	for i := range t.ghosts {
+		if t.ghosts[i].key == key {
+			return &t.ghosts[i]
+		}
+	}
+	return nil
+}
+
+// dropGhost forgets key's record, if there is one.
+func (t *Transport) dropGhost(key uint64) {
+	t.ghosts = slices.DeleteFunc(t.ghosts, func(e ghostEntry) bool { return e.key == key })
 }
 
 // Ghosts returns the number of retired-connection records currently
@@ -146,7 +165,7 @@ func (t *Transport) addGhost(key uint64, final int64) {
 func (t *Transport) Ghosts() int { return len(t.ghosts) }
 
 func (t *Transport) handleSYN(key uint64, from int, seg segment) {
-	delete(t.ghosts, key) // key reuse starts a fresh connection
+	t.dropGhost(key) // key reuse starts a fresh connection
 	if c, live := t.conns[key]; live {
 		// Duplicate SYN: the SYNACK was lost; repeat it.
 		c.sendSeg(segSYNACK, 0, nil)

@@ -48,10 +48,34 @@ func violation(name, format string, args ...any) error {
 	return &InvariantError{Name: name, Detail: fmt.Sprintf(format, args...)}
 }
 
+// stamp is a per-pass tally kept on the checked object itself, so a
+// pass builds no set: n counts sightings during pass number pass, and a
+// stamp left by an earlier pass reads as zero.
+type stamp struct {
+	pass uint64
+	n    int
+}
+
+func (s *stamp) add(pass uint64) int {
+	if s.pass != pass {
+		*s = stamp{pass: pass}
+	}
+	s.n++
+	return s.n
+}
+
+func (s *stamp) count(pass uint64) int {
+	if s.pass != pass {
+		return 0
+	}
+	return s.n
+}
+
 // CheckInvariants verifies the pool's structural invariants, returning
-// the first violation found (nil if consistent). It never sleeps and
-// performs no I/O, so the simcheck probe can run it at every
-// scheduling boundary.
+// the first violation found (nil if consistent). It never sleeps,
+// performs no I/O and allocates nothing, so the simcheck probe can run
+// it at every scheduling boundary; spaces, objects and frames are
+// visited in first-mmap, first-mapping and clock order.
 func (v *Pool) CheckInvariants() error {
 	if len(v.ring) > v.nframes {
 		return violation("vm-frame-overcommit", "%d resident pages in a %d-frame pool", len(v.ring), v.nframes)
@@ -59,89 +83,97 @@ func (v *Pool) CheckInvariants() error {
 	if v.hand < 0 || v.hand > len(v.ring) {
 		return violation("vm-clock-hand", "hand=%d with %d resident pages", v.hand, len(v.ring))
 	}
+	v.ckPass++
+	pass := v.ckPass
 
-	// Collect the anonymous pages owned by shadows and validate the
-	// per-mapping structures on the way.
-	shadowOwners := make(map[*page]int)
-	objRefs := make(map[*object]int)
-	for _, pid := range sortedSpaceIDs(v.spaces) {
-		as := v.spaces[pid]
+	// Validate the per-mapping structures, tallying on each object the
+	// mappings that refer to it and on each anonymous page the shadows
+	// that own it.
+	anon := 0
+	for _, as := range v.spaces {
+		pid := as.pid
 		for _, m := range as.maps {
 			if m.addr < mapBase || m.addr+m.npages*int64(v.pageSize) > as.brk {
 				return violation("vm-addr-range", "pid %d mapping at %#x..%#x outside space range", pid, m.addr, m.addr+m.npages*int64(v.pageSize))
 			}
-			objRefs[m.obj]++
-			if len(m.shadow) > 0 && !m.private() {
-				return violation("vm-shadow-private", "pid %d shared mapping at %#x has %d shadow pages", pid, m.addr, len(m.shadow))
+			if v.object(m.obj.dev, m.obj.ino) != m.obj {
+				return violation("vm-obj-leak", "pid %d maps object %s/%d, which is not in the pool table", pid, m.obj.dev, m.obj.ino)
 			}
-			for idx := range m.wok {
-				if !m.valid[idx] {
-					return violation("vm-wok-subset", "pid %d mapping at %#x: page %d write-enabled but not entered", pid, m.addr, idx)
+			m.obj.ck.add(pass)
+			for i, entered := range m.valid {
+				if m.wok[i] && !entered {
+					return violation("vm-wok-subset", "pid %d mapping at %#x: page %d write-enabled but not entered", pid, m.addr, m.pgoff+int64(i))
 				}
 			}
-			for idx, pg := range m.shadow {
+			for i, pg := range m.shadow {
+				if pg == nil {
+					continue
+				}
+				if !m.private() {
+					return violation("vm-shadow-private", "pid %d shared mapping at %#x has a shadow page", pid, m.addr)
+				}
 				if pg.obj != nil {
-					return violation("vm-cow-isolation", "pid %d shadow page %d still belongs to object %s/%d", pid, idx, pg.obj.dev, pg.obj.ino)
+					return violation("vm-cow-isolation", "pid %d shadow page %d still belongs to object %s/%d", pid, m.pgoff+int64(i), pg.obj.dev, pg.obj.ino)
 				}
-				shadowOwners[pg]++
+				if pg.ck.add(pass) == 1 {
+					anon++
+				}
 			}
 		}
 	}
 
 	// Object-side accounting.
 	resident := 0
-	for key, obj := range v.objects {
+	for _, obj := range v.objects {
 		if obj.mappings <= 0 {
-			return violation("vm-obj-leak", "object %s/%d alive with %d mappings", key.dev, key.ino, obj.mappings)
+			return violation("vm-obj-leak", "object %s/%d alive with %d mappings", obj.dev, obj.ino, obj.mappings)
 		}
-		if objRefs[obj] != obj.mappings {
-			return violation("vm-obj-refcount", "object %s/%d says %d mappings, address spaces hold %d", key.dev, key.ino, obj.mappings, objRefs[obj])
+		if refs := obj.ck.count(pass); refs != obj.mappings {
+			return violation("vm-obj-refcount", "object %s/%d says %d mappings, address spaces hold %d", obj.dev, obj.ino, obj.mappings, refs)
 		}
-		if obj.dev != key.dev || obj.ino != key.ino {
-			return violation("vm-frame-owner", "object keyed %s/%d identifies as %s/%d", key.dev, key.ino, obj.dev, obj.ino)
+		if v.object(obj.dev, obj.ino) != obj {
+			return violation("vm-frame-owner", "object %s/%d is in the pool table twice", obj.dev, obj.ino)
 		}
 		resident += len(obj.pages)
 	}
-	for obj, refs := range objRefs {
-		if v.objects[objKey{obj.dev, obj.ino}] != obj {
-			return violation("vm-obj-leak", "mapped object %s/%d (%d refs) not in the pool table", obj.dev, obj.ino, refs)
-		}
-	}
 
 	// Ring walk: ownership, duplicates, dirty discipline.
-	seen := make(map[*page]bool, len(v.ring))
 	for _, pg := range v.ring {
-		if seen[pg] {
+		if pg.ckRing == pass {
 			return violation("vm-frame-dup", "page (obj=%v idx=%d) in ring twice", pg.obj != nil, pg.idx)
 		}
-		seen[pg] = true
+		pg.ckRing = pass
 		if pg.wired < 0 {
 			return violation("vm-wired-count", "page idx=%d wired=%d", pg.idx, pg.wired)
 		}
 		if pg.obj != nil {
-			if v.objects[objKey{pg.obj.dev, pg.obj.ino}] != pg.obj || pg.obj.pages[pg.idx] != pg {
+			if v.object(pg.obj.dev, pg.obj.ino) != pg.obj || pg.obj.pages[pg.idx] != pg {
 				return violation("vm-frame-owner", "object page %s/%d idx=%d not indexed by its object", pg.obj.dev, pg.obj.ino, pg.idx)
 			}
 			if pg.dirty && pg.blk == 0 {
 				return violation("vm-dirty-unbacked", "dirty page %s/%d idx=%d has no block", pg.obj.dev, pg.obj.ino, pg.idx)
 			}
 		} else {
-			switch shadowOwners[pg] {
+			switch owners := pg.ck.count(pass); owners {
 			case 1:
 			case 0:
 				return violation("vm-frame-owner", "anonymous page idx=%d owned by no mapping", pg.idx)
 			default:
-				return violation("vm-cow-isolation", "anonymous page idx=%d owned by %d mappings", pg.idx, shadowOwners[pg])
+				return violation("vm-cow-isolation", "anonymous page idx=%d owned by %d mappings", pg.idx, owners)
 			}
 		}
 	}
-	total := resident + len(shadowOwners)
+	total := resident + anon
 	if total != len(v.ring) {
-		return violation("vm-frame-leak", "%d owned pages (%d object + %d anonymous) but %d frames in ring", total, resident, len(shadowOwners), len(v.ring))
+		return violation("vm-frame-leak", "%d owned pages (%d object + %d anonymous) but %d frames in ring", total, resident, anon, len(v.ring))
 	}
-	for pg := range shadowOwners {
-		if !seen[pg] {
-			return violation("vm-frame-leak", "shadow page idx=%d not in the ring", pg.idx)
+	for _, as := range v.spaces {
+		for _, m := range as.maps {
+			for _, pg := range m.shadow {
+				if pg != nil && pg.ckRing != pass {
+					return violation("vm-frame-leak", "shadow page idx=%d not in the ring", pg.idx)
+				}
+			}
 		}
 	}
 	return nil
@@ -151,9 +183,9 @@ func (v *Pool) CheckInvariants() error {
 // unmapped, every object released, every frame free. Address spaces of
 // still-live processes may exist, but must be empty.
 func (v *Pool) CheckDrained() error {
-	for _, pid := range sortedSpaceIDs(v.spaces) {
-		if n := len(v.spaces[pid].maps); n > 0 {
-			return violation("vm-map-leak", "pid %d still holds %d mappings at drain", pid, n)
+	for _, as := range v.spaces {
+		if n := len(as.maps); n > 0 {
+			return violation("vm-map-leak", "pid %d still holds %d mappings at drain", as.pid, n)
 		}
 	}
 	if n := len(v.objects); n > 0 {
@@ -195,17 +227,4 @@ func (v *Pool) Damage(kind string) {
 	default:
 		panic("vm: unknown damage kind " + kind)
 	}
-}
-
-func sortedSpaceIDs(m map[int]*space) []int {
-	ids := make([]int, 0, len(m))
-	for pid := range m {
-		ids = append(ids, pid)
-	}
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j-1] > ids[j]; j-- {
-			ids[j-1], ids[j] = ids[j], ids[j-1]
-		}
-	}
-	return ids
 }

@@ -1,0 +1,113 @@
+package vm
+
+import (
+	"errors"
+	"testing"
+
+	"kdp/internal/buf"
+	"kdp/internal/disk"
+	"kdp/internal/fs"
+	"kdp/internal/kernel"
+	"kdp/internal/sim"
+)
+
+// withMappings runs body in a process that holds two mappings of one
+// two-page file — a shared one with a dirty object page and a private
+// one with a copy-on-write shadow page — on a healthy 8-frame pool.
+func withMappings(t *testing.T, body func(v *Pool, shared, private *mapping)) {
+	t.Helper()
+	const bsize = 8192
+	cfg := kernel.DefaultConfig()
+	cfg.MaxRunTime = 60 * sim.Second
+	k := kernel.New(cfg)
+	cache := buf.NewCache(k, 32, bsize)
+	d := disk.New(k, disk.RAMDisk(128, bsize))
+	d.SetCache(cache)
+	if _, err := fs.Mkfs(d, 64); err != nil {
+		t.Fatalf("mkfs: %v", err)
+	}
+	v := NewPool(k, 8, bsize)
+	k.SetVM(v)
+	k.Spawn("mapper", func(p *kernel.Proc) {
+		f, err := fs.Mount(p.Ctx(), cache, d)
+		if err != nil {
+			t.Errorf("mount: %v", err)
+			return
+		}
+		f.SetPager(v)
+		k.Mount("/v", f)
+		fd, err := p.Open("/v/f", kernel.OCreat|kernel.ORdWr)
+		if err != nil {
+			t.Errorf("open: %v", err)
+			return
+		}
+		var addrs [2]int64
+		for i, flags := range []int{kernel.MapShared, kernel.MapPrivate} {
+			addrs[i], err = p.Mmap(fd, 0, 2*bsize, kernel.ProtRead|kernel.ProtWrite, flags)
+			if err == nil {
+				err = p.MemWrite(addrs[i], []byte{byte(i + 1)})
+			}
+			if err != nil {
+				t.Errorf("mapping %d: %v", i, err)
+				return
+			}
+		}
+		if err := v.CheckInvariants(); err != nil {
+			t.Errorf("healthy pool: %v", err)
+			return
+		}
+		maps := v.space(p.Pid()).maps
+		body(v, maps[0], maps[1])
+	})
+	// The body leaves the pool damaged, so the exit-time unmap may
+	// panic or fail; the rig is done either way.
+	defer func() { _ = recover() }()
+	_ = k.Run()
+}
+
+// TestCatalogTrips plants one hand-made fault per name in the invariant
+// catalog and requires the same-named check to report it.
+func TestCatalogTrips(t *testing.T) {
+	objPage := func(m *mapping) *page { return m.obj.pages[0] }
+	faults := []struct {
+		name  string
+		plant func(v *Pool, shared, private *mapping)
+	}{
+		{"vm-frame-overcommit", func(v *Pool, _, _ *mapping) { v.nframes = len(v.ring) - 1 }},
+		{"vm-clock-hand", func(v *Pool, _, _ *mapping) { v.hand = len(v.ring) + 1 }},
+		{"vm-frame-dup", func(v *Pool, _, _ *mapping) { v.ring = append(v.ring, v.ring[0]) }},
+		{"vm-frame-owner", func(v *Pool, _, _ *mapping) {
+			v.ring = append(v.ring, &page{data: make([]byte, v.pageSize)})
+		}},
+		{"vm-frame-leak", func(v *Pool, _, _ *mapping) { v.ring = v.ring[:len(v.ring)-1] }},
+		{"vm-dirty-unbacked", func(v *Pool, shared, _ *mapping) { objPage(shared).blk = 0 }},
+		{"vm-wired-count", func(v *Pool, shared, _ *mapping) { objPage(shared).wired = -1 }},
+		{"vm-cow-isolation", func(v *Pool, shared, private *mapping) { private.shadow[0].obj = shared.obj }},
+		{"vm-shadow-private", func(v *Pool, shared, private *mapping) { shared.shadow = private.shadow }},
+		{"vm-obj-refcount", func(v *Pool, shared, _ *mapping) { shared.obj.mappings++ }},
+		{"vm-obj-leak", func(v *Pool, shared, _ *mapping) { shared.obj.mappings = 0 }},
+		{"vm-wok-subset", func(v *Pool, shared, _ *mapping) { shared.wok[1] = true }},
+		{"vm-addr-range", func(v *Pool, shared, _ *mapping) { shared.addr = mapBase - int64(v.pageSize) }},
+	}
+	for _, fault := range faults {
+		t.Run(fault.name, func(t *testing.T) {
+			ran := false
+			withMappings(t, func(v *Pool, shared, private *mapping) {
+				ran = true
+				if !objPage(shared).dirty || private.shadow[0] == nil {
+					t.Error("rig: want a dirty object page and a shadow page")
+					return
+				}
+				fault.plant(v, shared, private)
+				err := v.CheckInvariants()
+				var ie *InvariantError
+				if !errors.As(err, &ie) || ie.Name != fault.name || ie.Detail == "" {
+					t.Errorf("CheckInvariants = %v, want a %s violation", err, fault.name)
+				}
+			})
+			if !ran {
+				t.Fatal("rig never reached the fault")
+			}
+		})
+	}
+}

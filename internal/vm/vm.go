@@ -27,6 +27,7 @@
 package vm
 
 import (
+	"slices"
 	"sort"
 
 	"kdp/internal/kernel"
@@ -77,6 +78,9 @@ type page struct {
 	ref   bool // clock reference bit
 	busy  bool // pagein/pageout in flight; waiters sleep on the page
 	wired int  // transient pins held across scheduling points
+
+	ck     stamp  // CheckInvariants: shadows that own the page
+	ckRing uint64 // CheckInvariants pass that last saw the page in the ring
 }
 
 // object is the per-(device, inode) set of resident pages, shared by
@@ -87,11 +91,8 @@ type object struct {
 	ino      uint32
 	pages    map[int64]*page
 	mappings int
-}
 
-type objKey struct {
-	dev string
-	ino uint32
+	ck stamp // CheckInvariants: mappings found referring to the object
 }
 
 // mapping is one contiguous mmap region in one address space.
@@ -103,9 +104,12 @@ type mapping struct {
 	prot   int
 	flags  int
 	obj    *object
-	shadow map[int64]*page // private COW pages, by object page index
-	valid  map[int64]bool  // pages entered into this address space
-	wok    map[int64]bool  // pages entered write-enabled
+
+	// Per-page state, indexed by page within the region (object page
+	// index − pgoff); shadow is nil for a shared mapping.
+	shadow []*page // private COW pages
+	valid  []bool  // pages entered into this address space
+	wok    []bool  // pages entered write-enabled
 }
 
 func (m *mapping) private() bool { return m.flags&kernel.MapPrivate != 0 }
@@ -128,11 +132,12 @@ type Pool struct {
 	pageSize int
 	nframes  int
 
-	objects map[objKey]*object
-	spaces  map[int]*space
-	ring    []*page // resident pages in clock order
+	objects []*object // mapped files, in first-mapping order
+	spaces  []*space  // address spaces, in first-mmap order
+	ring    []*page   // resident pages in clock order
 	hand    int
 
+	ckPass  uint64 // CheckInvariants pass counter (see stamp)
 	damaged string // fault injection for invariant self-tests
 }
 
@@ -143,13 +148,27 @@ func NewPool(k *kernel.Kernel, frames, pageSize int) *Pool {
 	if frames <= 0 || pageSize <= 0 {
 		panic("vm: NewPool with nonpositive geometry")
 	}
-	return &Pool{
-		k:        k,
-		pageSize: pageSize,
-		nframes:  frames,
-		objects:  make(map[objKey]*object),
-		spaces:   make(map[int]*space),
+	return &Pool{k: k, pageSize: pageSize, nframes: frames}
+}
+
+// space returns pid's address space, or nil if it never mapped anything.
+func (v *Pool) space(pid int) *space {
+	for _, as := range v.spaces {
+		if as.pid == pid {
+			return as
+		}
 	}
+	return nil
+}
+
+// object returns the mapped object for (dev, ino), or nil.
+func (v *Pool) object(dev string, ino uint32) *object {
+	for _, obj := range v.objects {
+		if obj.ino == ino && obj.dev == dev {
+			return obj
+		}
+	}
+	return nil
 }
 
 // Frames returns the total number of page frames in the pool.
@@ -163,10 +182,10 @@ var _ kernel.AddressSpaceProvider = (*Pool)(nil)
 // ---- address-space management ----
 
 func (v *Pool) spaceFor(p *kernel.Proc) *space {
-	as := v.spaces[p.Pid()]
+	as := v.space(p.Pid())
 	if as == nil {
 		as = &space{pid: p.Pid(), brk: mapBase}
-		v.spaces[p.Pid()] = as
+		v.spaces = append(v.spaces, as)
 		// Leftover mappings are released when the process exits, so a
 		// process can never leak page frames or inode references.
 		p.AtExit(v.releaseSpace)
@@ -175,7 +194,7 @@ func (v *Pool) spaceFor(p *kernel.Proc) *space {
 }
 
 func (v *Pool) releaseSpace(p *kernel.Proc) {
-	as := v.spaces[p.Pid()]
+	as := v.space(p.Pid())
 	if as == nil {
 		return
 	}
@@ -183,7 +202,9 @@ func (v *Pool) releaseSpace(p *kernel.Proc) {
 	for len(as.maps) > 0 {
 		_ = v.unmap(ctx, p.Pid(), as, as.maps[0])
 	}
-	delete(v.spaces, p.Pid())
+	if i := slices.Index(v.spaces, as); i >= 0 {
+		v.spaces = slices.Delete(v.spaces, i, i+1)
+	}
 }
 
 // Mmap implements kernel.AddressSpaceProvider. off must be
@@ -226,12 +247,11 @@ func (v *Pool) Mmap(p *kernel.Proc, fd int, off, length int64, prot, flags int) 
 		}
 	}
 	dev, ino := b.MapKey()
-	key := objKey{dev, ino}
-	obj := v.objects[key]
+	obj := v.object(dev, ino)
 	if obj == nil {
 		obj = &object{backing: b, dev: dev, ino: ino, pages: make(map[int64]*page)}
 		b.MapRef(ctx)
-		v.objects[key] = obj
+		v.objects = append(v.objects, obj)
 	}
 	obj.mappings++
 	as := v.spaceFor(p)
@@ -239,10 +259,10 @@ func (v *Pool) Mmap(p *kernel.Proc, fd int, off, length int64, prot, flags int) 
 	m := &mapping{
 		addr: as.brk, length: length, npages: npages, pgoff: off / ps,
 		prot: prot, flags: flags, obj: obj,
-		valid: make(map[int64]bool), wok: make(map[int64]bool),
+		valid: make([]bool, npages), wok: make([]bool, npages),
 	}
 	if m.private() {
-		m.shadow = make(map[int64]*page)
+		m.shadow = make([]*page, npages)
 	}
 	as.brk += (npages + 1) * ps // guard page between regions
 	as.maps = append(as.maps, m)
@@ -254,7 +274,7 @@ func (v *Pool) Mmap(p *kernel.Proc, fd int, off, length int64, prot, flags int) 
 // proposal. The last unmap of an object pages out its dirty pages as
 // delayed writes and drops its frames and inode reference.
 func (v *Pool) Munmap(p *kernel.Proc, addr int64) error {
-	as := v.spaces[p.Pid()]
+	as := v.space(p.Pid())
 	if as == nil {
 		return kernel.ErrInval
 	}
@@ -274,7 +294,18 @@ func (v *Pool) Munmap(p *kernel.Proc, addr int64) error {
 // sleeps nowhere.
 func (v *Pool) unmap(ctx kernel.Ctx, pid int, as *space, m *mapping) error {
 	// pmap teardown: one map manipulation per page entered.
-	if n := len(m.valid) + len(m.shadow); n > 0 {
+	n := 0
+	for _, entered := range m.valid {
+		if entered {
+			n++
+		}
+	}
+	for _, pg := range m.shadow {
+		if pg != nil {
+			n++
+		}
+	}
+	if n > 0 {
 		ctx.Use(v.k.Config().PageMapCost * sim.Duration(n))
 	}
 	obj := m.obj
@@ -291,8 +322,10 @@ func (v *Pool) unmap(ctx kernel.Ctx, pid int, as *space, m *mapping) error {
 			break
 		}
 	}
-	for _, idx := range sortedPages(m.shadow) {
-		v.ringRemove(m.shadow[idx])
+	for _, pg := range m.shadow {
+		if pg != nil {
+			v.ringRemove(pg)
+		}
 	}
 	m.shadow = nil
 	m.valid = nil
@@ -306,7 +339,9 @@ func (v *Pool) unmap(ctx kernel.Ctx, pid int, as *space, m *mapping) error {
 		delete(obj.pages, idx)
 		v.ringRemove(pg)
 	}
-	delete(v.objects, objKey{obj.dev, obj.ino})
+	if i := slices.Index(v.objects, obj); i >= 0 {
+		v.objects = slices.Delete(v.objects, i, i+1)
+	}
 	// Dropping the inode reference may write back metadata (and can
 	// sleep), but the object is fully gone from the pool by now.
 	if err := obj.backing.MapUnref(ctx); err != nil && firstErr == nil {
@@ -354,7 +389,7 @@ func (v *Pool) quiesceObject(ctx kernel.Ctx, pid int, obj *object) error {
 // durability — and, like fsync, Msync surfaces the sticky per-device
 // write error latched by any earlier failed async pageout.
 func (v *Pool) Msync(p *kernel.Proc, addr int64) error {
-	as := v.spaces[p.Pid()]
+	as := v.space(p.Pid())
 	if as == nil {
 		return kernel.ErrInval
 	}
@@ -376,7 +411,7 @@ func (v *Pool) Msync(p *kernel.Proc, addr int64) error {
 // the buffer cache as delayed writes. Implements fs.Pager, which is
 // how fsync and SyncAll reach mapped dirty data.
 func (v *Pool) PageoutObject(ctx kernel.Ctx, dev string, ino uint32) error {
-	obj := v.objects[objKey{dev, ino}]
+	obj := v.object(dev, ino)
 	if obj == nil {
 		return nil
 	}
@@ -387,13 +422,13 @@ func (v *Pool) PageoutObject(ctx kernel.Ctx, dev string, ino uint32) error {
 // pages, ascending.
 func (v *Pool) DirtyInos(dev string) []uint32 {
 	var inos []uint32
-	for key, obj := range v.objects {
-		if key.dev != dev {
+	for _, obj := range v.objects {
+		if obj.dev != dev {
 			continue
 		}
 		for _, pg := range obj.pages {
 			if pg.dirty {
-				inos = append(inos, key.ino)
+				inos = append(inos, obj.ino)
 				break
 			}
 		}
@@ -503,7 +538,7 @@ func (v *Pool) MemWrite(p *kernel.Proc, addr int64, src []byte) error {
 }
 
 func (v *Pool) findMapping(pid int, addr, length int64) *mapping {
-	as := v.spaces[pid]
+	as := v.space(pid)
 	if as == nil {
 		return nil
 	}
@@ -534,16 +569,17 @@ func (v *Pool) touch(p *kernel.Proc, m *mapping, idx int64, write bool) (*page, 
 	if write && m.prot&kernel.ProtWrite == 0 {
 		return nil, kernel.ErrInval // protection violation (SIGSEGV analogue)
 	}
+	i := idx - m.pgoff
 	if m.private() {
-		if pg := m.shadow[idx]; pg != nil {
+		if pg := m.shadow[i]; pg != nil {
 			pg.ref = true
 			pg.wired++
 			return pg, nil
 		}
 	}
-	if m.valid[idx] {
+	if m.valid[i] {
 		if pg := m.obj.pages[idx]; pg != nil && !pg.busy {
-			if !write || (m.wok[idx] && !m.private()) {
+			if !write || (m.wok[i] && !m.private()) {
 				pg.ref = true
 				pg.wired++
 				return pg, nil
@@ -576,15 +612,15 @@ func (v *Pool) touch(p *kernel.Proc, m *mapping, idx int64, write bool) (*page, 
 		v.unwire(pg)
 		ctx.Use(cfg.BcopyCost(v.pageSize))
 		npg.idx = idx
-		m.shadow[idx] = npg
-		m.valid[idx] = true
+		m.shadow[i] = npg
+		m.valid[i] = true
 		v.k.TraceEmit(trace.KindVMCOW, p.Pid(), idx, int64(v.pageSize), m.obj.dev)
 		ctx.Use(cfg.PageMapCost)
 		return npg, nil
 	}
-	m.valid[idx] = true
+	m.valid[i] = true
 	if write {
-		m.wok[idx] = true
+		m.wok[i] = true
 	}
 	ctx.Use(cfg.PageMapCost)
 	pg.ref = true

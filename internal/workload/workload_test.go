@@ -74,9 +74,12 @@ func TestMakeFileDeterministicContents(t *testing.T) {
 		if sz, _ := p.FileSize(fd); sz != 100000 {
 			t.Fatalf("size = %d", sz)
 		}
-		buf := make([]byte, 1000)
-		if _, err := p.Read(fd, buf); err != nil {
-			t.Fatal(err)
+		// The whole file, so the row-at-a-time fill is held to the
+		// per-byte definition across row and chunk boundaries and in the
+		// ragged tail.
+		buf := make([]byte, 100000)
+		if n, err := p.Read(fd, buf); err != nil || n != len(buf) {
+			t.Fatalf("read = (%d, %v)", n, err)
 		}
 		for i, b := range buf {
 			want := byte(i>>8) ^ byte(i)*5 ^ 9
