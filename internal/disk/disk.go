@@ -182,7 +182,7 @@ type Disk struct {
 	k      *kernel.Kernel
 	cache  *buf.Cache
 	p      Params
-	blocks [][]byte // the platter, sparse: a block is nil (reads as zeros) until first written
+	data   []byte
 	queue  []*buf.Buf
 	active bool
 
@@ -235,7 +235,7 @@ func New(k *kernel.Kernel, p Params) *Disk {
 	d := &Disk{
 		k:      k,
 		p:      p,
-		blocks: make([][]byte, p.Blocks),
+		data:   make([]byte, p.Blocks*int64(p.BlockSize)),
 		runBlk: -1,
 		siteRd: "disk." + p.Name + ".rderr",
 		siteWr: "disk." + p.Name + ".wrerr",
@@ -357,36 +357,19 @@ func (d *Disk) completeSync(b *buf.Buf) {
 // transfer moves the request's data between buffer and platter and
 // counts it, or fails it if its fault site fires.
 func (d *Disk) transfer(b *buf.Buf) {
+	off := b.Blkno * int64(d.p.BlockSize)
 	switch {
 	case d.checkFault(b):
 		d.failTransfer(b)
 	case b.Flags&buf.BRead != 0:
-		d.load(b.Blkno, b.Data[:b.Bcount])
+		copy(b.Data[:b.Bcount], d.data[off:off+int64(b.Bcount)])
 		d.nreads++
 		d.readBytes += int64(b.Bcount)
 	default:
-		d.store(b.Blkno, b.Data[:b.Bcount])
+		copy(d.data[off:off+int64(b.Bcount)], b.Data[:b.Bcount])
 		d.nwrites++
 		d.writeBytes += int64(b.Bcount)
 	}
-}
-
-// load fills p (at most a block) from the head of block blkno.
-func (d *Disk) load(blkno int64, p []byte) {
-	if blk := d.blocks[blkno]; blk != nil {
-		copy(p, blk)
-	} else {
-		clear(p)
-	}
-}
-
-// store copies p (at most a block) over the head of block blkno; a
-// block's first write materialises it, the rest of it zero.
-func (d *Disk) store(blkno int64, p []byte) {
-	if d.blocks[blkno] == nil {
-		d.blocks[blkno] = make([]byte, d.p.BlockSize)
-	}
-	copy(d.blocks[blkno], p)
 }
 
 // startNext begins servicing the next request — FIFO, or the C-LOOK
@@ -495,24 +478,16 @@ func (d *Disk) Crash() int {
 	return len(dropped)
 }
 
-// ReadRaw copies block contents directly out of the backing store,
-// starting at blkno and running on into the following blocks (host-side
-// helper for tests and verification; no simulated time).
+// ReadRaw copies block contents directly out of the backing store
+// (host-side helper for tests and verification; no simulated time).
 func (d *Disk) ReadRaw(blkno int64, p []byte) {
-	for ; len(p) > 0 && blkno < d.p.Blocks; blkno++ {
-		n := min(len(p), d.p.BlockSize)
-		d.load(blkno, p[:n])
-		p = p[n:]
-	}
+	off := blkno * int64(d.p.BlockSize)
+	copy(p, d.data[off:])
 }
 
-// WriteRaw installs block contents directly, starting at blkno and
-// running on into the following blocks (host-side helper used to
+// WriteRaw installs block contents directly (host-side helper used to
 // preload media images in tests; no simulated time).
 func (d *Disk) WriteRaw(blkno int64, p []byte) {
-	for ; len(p) > 0 && blkno < d.p.Blocks; blkno++ {
-		n := min(len(p), d.p.BlockSize)
-		d.store(blkno, p[:n])
-		p = p[n:]
-	}
+	off := blkno * int64(d.p.BlockSize)
+	copy(d.data[off:], p)
 }

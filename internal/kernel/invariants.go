@@ -1,9 +1,6 @@
 package kernel
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // This file implements the kernel-side invariant checker used by the
 // simcheck harness, plus the probe hook that lets the harness run
@@ -70,29 +67,22 @@ func (k *Kernel) CheckInvariants() error {
 	}
 
 	// Sleep queues and process accounting, from the process table in
-	// spawn order: every sleeper sits on the queue its wchan names, and
-	// that queue is walked in full when the sleeper at its head comes
-	// up. Queues that no sleeper heads — left behind empty, or holding
-	// only strays — show as the table having more queues than were
-	// walked.
+	// spawn order: the first sleeper met on a queue walks the whole of
+	// the queue its wchan names and stamps every entry, so each queue is
+	// walked once and a sleeper the walk did not reach is on the wrong
+	// queue. Queues holding no sleeper of their own — left behind empty,
+	// or holding only strays — show as the table having more queues
+	// than were walked.
 	live, queues := 0, 0
 	for _, p := range k.procs {
 		if p.state != ProcExited {
 			live++
 		}
-		if p.state != ProcSleeping {
-			continue
-		}
-		list := k.sleepq[p.wchan]
-		at := slices.Index(list, p)
-		if at < 0 {
-			return kviolation("kern-sleepq-state", "proc %q sleeping on wrong queue", p.name)
-		}
-		if at > 0 {
+		if p.state != ProcSleeping || p.ckSleep == k.ckPass {
 			continue
 		}
 		queues++
-		for _, q := range list {
+		for _, q := range k.sleepq[p.wchan] {
 			if q.state != ProcSleeping {
 				return kviolation("kern-sleepq-state", "proc %q on sleep queue in state %v", q.name, q.state)
 			}
@@ -102,10 +92,14 @@ func (k *Kernel) CheckInvariants() error {
 			if q.ckRunq == k.ckPass {
 				return kviolation("kern-sleepq-state", "proc %q on both run and sleep queues", q.name)
 			}
+			q.ckSleep = k.ckPass
+		}
+		if p.ckSleep != k.ckPass {
+			return kviolation("kern-sleepq-state", "proc %q sleeping on wrong queue", p.name)
 		}
 	}
 	if queues != len(k.sleepq) {
-		return kviolation("kern-sleepq-state", "%d sleep queues but only %d headed by a sleeper", len(k.sleepq), queues)
+		return kviolation("kern-sleepq-state", "%d sleep queues but only %d hold a sleeper", len(k.sleepq), queues)
 	}
 	if live != k.alive {
 		return kviolation("kern-proc-account", "%d live procs, alive says %d", live, k.alive)

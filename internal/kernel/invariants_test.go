@@ -34,7 +34,11 @@ func TestCatalogTrips(t *testing.T) {
 		}},
 		{"kern-sleepq-state", func(k *Kernel, sl *Proc) func() { // a runnable process on a sleep queue
 			k.sleepq[&wchan] = append(k.sleepq[&wchan], k.runq[0])
-			return func() { k.sleepq[&wchan] = k.sleepq[&wchan][:1] }
+			return func() { k.sleepq[&wchan] = k.sleepq[&wchan][:2] }
+		}},
+		{"kern-sleepq-state", func(k *Kernel, _ *Proc) func() { // a later sleeper missing from a shared queue
+			k.sleepq[&wchan] = k.sleepq[&wchan][:1]
+			return func() { k.sleepq[&wchan] = k.sleepq[&wchan][:2] }
 		}},
 		{"kern-sleepq-state", func(k *Kernel, sl *Proc) func() { // a queue holding only a stray
 			k.sleepq[&stray] = []*Proc{k.runq[0]}
@@ -60,6 +64,7 @@ func TestCatalogTrips(t *testing.T) {
 	}
 	k, _ := newFDRig()
 	sleeper := k.Spawn("sleeper", func(p *Proc) { _ = p.Sleep(&wchan, PWAIT) })
+	k.Spawn("sleeper2", func(p *Proc) { _ = p.Sleep(&wchan, PWAIT) })
 	k.Spawn("driver", func(p *Proc) {
 		k.Timeout(func() {}, 5)
 		for _, fault := range faults {

@@ -121,7 +121,8 @@ type Proc struct {
 	body     func(*Proc)
 	panicVal any // panic recovered from the body, re-raised by the kernel
 
-	ckRunq uint64 // CheckInvariants pass that last saw this proc on the run queue
+	ckRunq  uint64 // CheckInvariants pass that last saw this proc on the run queue
+	ckSleep uint64 // ... and on the sleep queue its wchan names
 }
 
 // Pid returns the process id.

@@ -86,6 +86,12 @@ func (v *Pool) CheckInvariants() error {
 	v.ckPass++
 	pass := v.ckPass
 
+	// Stamp every object in the pool table, so that below a current
+	// stamp proves table membership without a lookup.
+	for _, obj := range v.objects {
+		obj.ck = stamp{pass: pass}
+	}
+
 	// Validate the per-mapping structures, tallying on each object the
 	// mappings that refer to it and on each anonymous page the shadows
 	// that own it.
@@ -96,7 +102,7 @@ func (v *Pool) CheckInvariants() error {
 			if m.addr < mapBase || m.addr+m.npages*int64(v.pageSize) > as.brk {
 				return violation("vm-addr-range", "pid %d mapping at %#x..%#x outside space range", pid, m.addr, m.addr+m.npages*int64(v.pageSize))
 			}
-			if v.object(m.obj.dev, m.obj.ino) != m.obj {
+			if m.obj.ck.pass != pass {
 				return violation("vm-obj-leak", "pid %d maps object %s/%d, which is not in the pool table", pid, m.obj.dev, m.obj.ino)
 			}
 			m.obj.ck.add(pass)
@@ -147,7 +153,7 @@ func (v *Pool) CheckInvariants() error {
 			return violation("vm-wired-count", "page idx=%d wired=%d", pg.idx, pg.wired)
 		}
 		if pg.obj != nil {
-			if v.object(pg.obj.dev, pg.obj.ino) != pg.obj || pg.obj.pages[pg.idx] != pg {
+			if pg.obj.ck.pass != pass || pg.obj.pages[pg.idx] != pg {
 				return violation("vm-frame-owner", "object page %s/%d idx=%d not indexed by its object", pg.obj.dev, pg.obj.ino, pg.idx)
 			}
 			if pg.dirty && pg.blk == 0 {

@@ -79,6 +79,10 @@ func TestCatalogTrips(t *testing.T) {
 		{"vm-frame-owner", func(v *Pool, _, _ *mapping) {
 			v.ring = append(v.ring, &page{data: make([]byte, v.pageSize)})
 		}},
+		// A resident page of an object the pool table does not hold.
+		{"vm-frame-owner", func(v *Pool, shared, _ *mapping) {
+			objPage(shared).obj = &object{dev: "stray", pages: map[int64]*page{}}
+		}},
 		{"vm-frame-leak", func(v *Pool, _, _ *mapping) { v.ring = v.ring[:len(v.ring)-1] }},
 		{"vm-dirty-unbacked", func(v *Pool, shared, _ *mapping) { objPage(shared).blk = 0 }},
 		{"vm-wired-count", func(v *Pool, shared, _ *mapping) { objPage(shared).wired = -1 }},
@@ -86,6 +90,8 @@ func TestCatalogTrips(t *testing.T) {
 		{"vm-shadow-private", func(v *Pool, shared, private *mapping) { shared.shadow = private.shadow }},
 		{"vm-obj-refcount", func(v *Pool, shared, _ *mapping) { shared.obj.mappings++ }},
 		{"vm-obj-leak", func(v *Pool, shared, _ *mapping) { shared.obj.mappings = 0 }},
+		// A mapping of an object the pool table does not hold.
+		{"vm-obj-leak", func(v *Pool, _, _ *mapping) { v.objects = nil }},
 		{"vm-wok-subset", func(v *Pool, shared, _ *mapping) { shared.wok[1] = true }},
 		{"vm-addr-range", func(v *Pool, shared, _ *mapping) { shared.addr = mapBase - int64(v.pageSize) }},
 	}
