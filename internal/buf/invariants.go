@@ -17,11 +17,10 @@ import "fmt"
 //	buf-free-flag        onFree matches actual free-list membership
 //	buf-hash-key         a hashed buffer is on the chain its Blkno selects
 //	                     (chains are indexed by Blkno alone and a lookup
-//	                     compares (Dev, Blkno) down the chain, so that is
-//	                     all findability needs: unlike the (dev, blkno)-
-//	                     keyed table this replaced, a changed Dev, or a
-//	                     Blkno moved by a multiple of the table size, leaves
-//	                     the buffer findable and is not reported)
+//	                     compares (Dev, Blkno) down the chain, so a changed
+//	                     Dev, or a Blkno moved by a multiple of the table
+//	                     size, leaves the buffer findable under its new
+//	                     identity and is not a violation)
 //	buf-hash-dup         at most one valid (non-BInval) buffer per (dev, blkno)
 //	buf-flag-wanted      BWanted only while BBusy (someone holds the buffer)
 //	buf-flag-delwri      BDelwri implies BDone and not BInval (dirty data is valid)

@@ -145,7 +145,10 @@ func (t *Transport) addGhost(key uint64, final int64) {
 	}, ttl)
 }
 
-// ghost returns the retired-connection record for key, or nil.
+// ghost returns the retired-connection record for key, or nil. The
+// list is scanned: it holds one entry per connection retired inside the
+// TTL window, which is the client count (8 to 16) on the server
+// workloads and 2 under the checker.
 func (t *Transport) ghost(key uint64) *ghostEntry {
 	for i := range t.ghosts {
 		if t.ghosts[i].key == key {
