@@ -28,9 +28,11 @@ check:
 	$(GO) run ./cmd/kdpcheck -seeds $(CHECK_SEEDS)
 
 # internal/machine holds BenchmarkCheckInvariants: ns and allocations
-# per probe (docs/CHECKING.md, "What a probe costs").
+# per probe (docs/CHECKING.md, "What a probe costs"); internal/stream
+# holds BenchmarkStreamTransfer: ns, bytes and allocations per simulated
+# megabyte through one connection.
 bench:
-	$(GO) test -bench=. -benchmem ./internal/bench/ ./internal/machine/
+	$(GO) test -bench=. -benchmem ./internal/bench/ ./internal/machine/ ./internal/stream/
 
 tables:
 	$(GO) run ./cmd/kdpbench

@@ -86,10 +86,10 @@ func (pp *Pipe) drained() {
 	pp.wake(kernel.PollIn | kernel.PollOut)
 }
 
-// take removes up to max buffered bytes.
+// take removes up to max buffered bytes as a slice of their own: a
+// splice read's deliver owns what it is handed.
 func (pp *Pipe) take(max int) (data []byte, eof bool) {
-	n := min(len(pp.q.Buf), max)
-	if n > 0 {
+	if n := min(len(pp.q.Buf), max); n > 0 {
 		data = append([]byte(nil), pp.q.Buf[:n]...)
 		pp.q.Buf = pp.q.Buf[n:]
 		pp.out += int64(n)
@@ -104,10 +104,11 @@ func (pp *Pipe) Read(ctx kernel.Ctx, b []byte, off int64) (int, error) {
 	if err := kernel.SleepUntil(ctx, pp, kernel.PSOCK+1, pp.readable); err != nil || len(pp.q.Buf) == 0 {
 		return 0, err // refused or interrupted, else EOF
 	}
-	data, _ := pp.take(len(b))
-	copy(b, data)
+	n := copy(b, pp.q.Buf)
+	pp.q.Buf = pp.q.Buf[n:]
+	pp.out += int64(n)
 	pp.drained()
-	return len(data), nil
+	return n, nil
 }
 
 // Write implements kernel.FileOps: blocks until all bytes are admitted.
@@ -166,13 +167,14 @@ func (pp *Pipe) PollQueue() *kernel.PollQueue { return &pp.pollQ }
 // ---- splice endpoints ----
 
 // SpliceWrite implements the splice Sink interface: done fires once the
-// whole chunk has been admitted to the pipe buffer (backpressure).
+// whole chunk has been admitted to the pipe buffer (backpressure). data
+// is borrowed and not read again once the call has returned.
 func (pp *Pipe) SpliceWrite(data []byte, done func(error)) {
 	if pp.closed {
 		done(kernel.ErrBadFD)
 		return
 	}
-	pp.q.Queue(data, done)
+	pp.q.Queue(data, false, done)
 	pp.serveReader()
 	pp.wake(kernel.PollIn)
 }

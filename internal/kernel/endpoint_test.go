@@ -1,8 +1,10 @@
 package kernel
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -119,16 +121,20 @@ func TestWriteQueue(t *testing.T) {
 
 	q := WriteQueue{Cap: 4}
 	src := []byte("abc")
-	q.Queue(src, done("a"))
-	src[0] = 'X' // the queue keeps its own copy
-	q.Queue([]byte("defgh"), done("b"))
-	q.Queue([]byte("i"), done("c"))
-	expect("queued, nothing admitted")
-	if q.Queued() != 3 || q.Writable() {
-		t.Fatalf("Queued=%d Writable=%v, want 3 false", q.Queued(), q.Writable())
+	q.Queue(src, false, done("a")) // fits whole, nobody ahead: admitted on the spot
+	src[0] = 'X'                   // Buf holds its own copy
+	lent := []byte("defgh")
+	q.Queue(lent, false, done("b"))
+	lent[0] = 'X' // a write that has to wait is copied...
+	given := []byte("i")
+	q.Queue(given, true, done("c"))
+	given[0] = 'I' // ...unless the caller gave the bytes away
+	expect("a admitted at once, b and c wait", "a:<nil>")
+	if q.Queued() != 2 || q.Writable() {
+		t.Fatalf("Queued=%d Writable=%v, want 2 false", q.Queued(), q.Writable())
 	}
 
-	q.Admit() // a whole, one byte of b
+	q.Admit() // one byte of b
 	expect("first admit", "a:<nil>")
 	if string(q.Buf) != "abcd" || q.Queued() != 2 {
 		t.Fatalf("Buf=%q Queued=%d", q.Buf, q.Queued())
@@ -145,7 +151,7 @@ func TestWriteQueue(t *testing.T) {
 	q.Buf = q.Buf[4:]
 	q.Admit() // rest of b, then c, in arrival order
 	expect("b then c", "a:<nil>", "b:<nil>", "c:<nil>")
-	if string(q.Buf) != "hi" || q.Queued() != 0 || !q.Writable() {
+	if string(q.Buf) != "hI" || q.Queued() != 0 || !q.Writable() {
 		t.Fatalf("Buf=%q Queued=%d Writable=%v", q.Buf, q.Queued(), q.Writable())
 	}
 
@@ -160,8 +166,8 @@ func TestWriteQueue(t *testing.T) {
 	// Abort fails every stranded writer exactly once, the part-admitted
 	// one included; later admits and aborts find nothing.
 	log = nil
-	q.Queue([]byte("op"), done("d"))
-	q.Queue([]byte("q"), done("e"))
+	q.Queue([]byte("op"), false, done("d"))
+	q.Queue([]byte("q"), false, done("e"))
 	q.Buf = q.Buf[1:]
 	q.Admit()
 	q.Abort(boom)
@@ -172,8 +178,8 @@ func TestWriteQueue(t *testing.T) {
 
 	// Flush admits past Cap and completes in order.
 	log = nil
-	q.Queue([]byte("12345"), done("f"))
-	q.Queue([]byte("6"), done("g"))
+	q.Queue([]byte("12345"), false, done("f"))
+	q.Queue([]byte("6"), false, done("g"))
 	q.Flush()
 	expect("flush", "f:<nil>", "g:<nil>")
 	if string(q.Buf) != "123456" || q.Queued() != 0 {
@@ -237,5 +243,161 @@ func TestAwaitWriteAndSleepUntil(t *testing.T) {
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWriteQueueAgainstModel drives one WriteQueue with a seeded random
+// run of every operation an endpoint performs on it — raw pushes,
+// consumption from the front, Queue (lent and given bytes), Admit,
+// TryWrite, Flush, Abort — beside a bytes.Buffer and a plain list of
+// waiting writes. After every step the window must read exactly what
+// the model holds, however often it has slid or been reallocated, and
+// every done must have fired once, in order, with the model's verdict.
+func TestWriteQueueAgainstModel(t *testing.T) {
+	boom := errors.New("boom")
+	type pending struct {
+		rest []byte
+		id   int
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		q := WriteQueue{Cap: 1 + rng.Intn(96)}
+		var model bytes.Buffer
+		var waiting []pending
+		var fired, want []string
+		next := byte(0)
+		fresh := func(n int) []byte { // n bytes unlike their neighbours
+			b := make([]byte, n)
+			for i := range b {
+				b[i] = next
+				next++
+			}
+			return b
+		}
+		done := func(id int) func(error) {
+			return func(err error) { fired = append(fired, fmt.Sprintf("%d:%v", id, err)) }
+		}
+		admit := func() { // the model's Admit
+			for len(waiting) > 0 && model.Len() < q.Cap {
+				w := &waiting[0]
+				n := min(len(w.rest), q.Cap-model.Len())
+				model.Write(w.rest[:n])
+				if w.rest = w.rest[n:]; len(w.rest) > 0 {
+					return
+				}
+				want = append(want, fmt.Sprintf("%d:<nil>", w.id))
+				waiting = waiting[1:]
+			}
+		}
+		for step := 0; step < 2000; step++ {
+			writable := len(waiting) == 0 && model.Len() < q.Cap
+			switch op := rng.Intn(10); op {
+			case 0: // a raw push, as a receive buffer takes a segment
+				b := fresh(rng.Intn(40))
+				q.Push(b)
+				model.Write(b)
+			case 1, 2, 3: // the endpoint consumes from the front
+				n := rng.Intn(model.Len() + 1)
+				q.Buf = q.Buf[n:]
+				model.Next(n)
+			case 4, 5, 6:
+				b, owned := fresh(rng.Intn(2*q.Cap)), rng.Intn(2) == 0
+				if writable && len(b) <= q.Cap-model.Len() {
+					model.Write(b)
+					want = append(want, fmt.Sprintf("%d:<nil>", step))
+				} else {
+					waiting = append(waiting, pending{append([]byte(nil), b...), step})
+				}
+				q.Queue(b, owned, done(step))
+				if !owned {
+					clear(b) // lent bytes are the caller's again
+				}
+			case 7:
+				q.Admit()
+				admit()
+			case 8:
+				b := fresh(rng.Intn(q.Cap + 8))
+				n, err := q.TryWrite(b)
+				wantN, wantErr := min(len(b), q.Cap-model.Len()), error(nil)
+				if !writable {
+					wantN, wantErr = 0, ErrWouldBlock
+				}
+				if n != wantN || err != wantErr {
+					t.Fatalf("seed %d step %d: TryWrite = (%d, %v), want (%d, %v)", seed, step, n, err, wantN, wantErr)
+				}
+				model.Write(b[:n])
+			case 9:
+				if rng.Intn(2) == 0 {
+					q.Flush()
+					for _, w := range waiting {
+						model.Write(w.rest)
+						want = append(want, fmt.Sprintf("%d:<nil>", w.id))
+					}
+				} else {
+					q.Abort(boom)
+					for _, w := range waiting {
+						want = append(want, fmt.Sprintf("%d:boom", w.id))
+					}
+				}
+				waiting = nil
+			}
+			if !bytes.Equal(q.Buf, model.Bytes()) {
+				t.Fatalf("seed %d step %d: Buf = %v, model %v", seed, step, q.Buf, model.Bytes())
+			}
+			if q.Queued() != len(waiting) || q.Writable() != (len(waiting) == 0 && model.Len() < q.Cap) {
+				t.Fatalf("seed %d step %d: Queued=%d Writable=%v, model has %d waiting and %d of %d bytes",
+					seed, step, q.Queued(), q.Writable(), len(waiting), model.Len(), q.Cap)
+			}
+			if !reflect.DeepEqual(fired, want) {
+				t.Fatalf("seed %d step %d: completions %q, want %q", seed, step, fired, want)
+			}
+		}
+	}
+}
+
+// TestQueueKeepsNothingItPopped: values come out in order, a popped slot
+// is zeroed at once, and the backing array neither creeps forward nor
+// grows — whether the queue empties between bursts or never does.
+func TestQueueKeepsNothingItPopped(t *testing.T) {
+	var q Queue[*int]
+	check := func(when string, bound int) {
+		t.Helper()
+		all := q.items[:cap(q.items)]
+		for i, p := range all {
+			if queued := i >= q.head && i < len(q.items); !queued && p != nil {
+				t.Fatalf("%s: slot %d of %d still holds a popped value", when, i, len(all))
+			}
+		}
+		if len(all) > bound {
+			t.Fatalf("%s: backing array has %d slots, want at most %d", when, len(all), bound)
+		}
+	}
+	in, out := 0, 0
+	push := func() { v := in; in++; q.Push(&v) }
+	pop := func() {
+		t.Helper()
+		if **q.Front() != out || *q.Pop() != out {
+			t.Fatalf("value %d came out of turn", out)
+		}
+		out++
+	}
+	for burst := 0; burst < 200; burst++ { // fills to 5, drains to empty
+		for i := 0; i < 5; i++ {
+			push()
+		}
+		for q.Len() > 0 {
+			pop()
+		}
+		check("emptied between bursts", 8)
+	}
+	push()
+	for i := 0; i < 1000; i++ { // never empty: between 1 and 4 queued
+		for q.Len() < 4 {
+			push()
+		}
+		for q.Len() > 1 {
+			pop()
+		}
+		check("never emptied", 16)
 	}
 }

@@ -76,8 +76,9 @@ type Net struct {
 	p     NetParams
 	socks map[int]*Socket
 
-	txq    []txRequest
+	txq    kernel.Queue[txRequest]
 	txBusy bool
+	free   [][]byte // packet buffers nobody refers to any more, for PacketBuf
 
 	rxCount                  int64
 	sent, delivered, dropped int64
@@ -121,7 +122,7 @@ func (n *Net) Stats() (sent, delivered, dropped int64) {
 
 // transmit queues a packet for the shared link.
 func (n *Net) transmit(req txRequest) {
-	n.txq = append(n.txq, req)
+	n.txq.Push(req)
 	if !n.txBusy {
 		n.txBusy = true
 		n.k.Hold()
@@ -130,13 +131,12 @@ func (n *Net) transmit(req txRequest) {
 }
 
 func (n *Net) txNext() {
-	if len(n.txq) == 0 {
+	if n.txq.Len() == 0 {
 		n.txBusy = false
 		n.k.Release()
 		return
 	}
-	req := n.txq[0]
-	n.txq = n.txq[1:]
+	req := n.txq.Pop()
 	ser := sim.BytesAt(int64(len(req.pkt.data)), n.p.Bandwidth)
 	n.k.Engine().Schedule(ser, "net:tx", func() {
 		n.sent++
@@ -167,6 +167,7 @@ func (n *Net) txNext() {
 // dup delivers it twice, reorder delays it one extra propagation period
 // so a datagram in flight behind it overtakes it.
 func (n *Net) deliver(port int, pkt packet) {
+	dup := false
 	if !pkt.eof && len(pkt.data) > 0 {
 		fp := n.k.Faults()
 		n.rxCount++
@@ -174,40 +175,47 @@ func (n *Net) deliver(port int, pkt packet) {
 		if fp.Hit(n.siteDrop, ord) {
 			n.dropped++
 			n.k.TraceEmit(trace.KindNetDrop, 0, int64(len(pkt.data)), int64(port), "")
+			n.free = append(n.free, pkt.data)
 			return
 		}
-		dup := fp.Hit(n.siteDup, ord)
+		dup = fp.Hit(n.siteDup, ord)
 		if fp.Hit(n.siteReorder, ord) {
 			n.k.Hold()
 			n.k.Engine().Schedule(n.p.Latency, "net:reorder", func() {
 				n.k.Interrupt(func() {
 					n.k.StealCPU(n.p.PerPacketCost)
-					n.deliverTo(port, pkt)
-					if dup {
-						n.k.StealCPU(n.p.PerPacketCost)
-						n.deliverTo(port, pkt)
-					}
+					n.arrive(port, pkt, dup)
 				})
 				n.k.Release()
 			})
 			return
 		}
-		if dup {
-			n.deliverTo(port, pkt)
-			n.k.StealCPU(n.p.PerPacketCost)
-			n.deliverTo(port, pkt)
-			return
-		}
 	}
-	n.deliverTo(port, pkt)
+	n.arrive(port, pkt, dup)
 }
 
-func (n *Net) deliverTo(port int, pkt packet) {
+// arrive delivers pkt — twice under dup — and recycles its buffer after
+// the last delivery, unless a reader's queue has taken the bytes.
+func (n *Net) arrive(port int, pkt packet, dup bool) {
+	kept := n.deliverTo(port, pkt)
+	if dup {
+		n.k.StealCPU(n.p.PerPacketCost)
+		kept = n.deliverTo(port, pkt) || kept
+	}
+	if !kept && cap(pkt.data) > 0 {
+		n.free = append(n.free, pkt.data)
+	}
+}
+
+// deliverTo hands pkt to the socket bound to port and reports whether
+// that socket's receive queue now holds pkt.data (a handler has finished
+// with the bytes when it returns).
+func (n *Net) deliverTo(port int, pkt packet) (kept bool) {
 	s, ok := n.socks[port]
 	if !ok || s.closed {
 		n.dropped++
 		n.k.TraceEmit(trace.KindNetDrop, 0, int64(len(pkt.data)), int64(port), "")
-		return
+		return false
 	}
 	if s.handler != nil {
 		// Protocol input processing: the handler consumes the packet
@@ -216,18 +224,19 @@ func (n *Net) deliverTo(port int, pkt packet) {
 		n.delivered++
 		n.k.TraceEmit(trace.KindNetRx, 0, int64(len(pkt.data)), int64(port), "")
 		s.handler(pkt.data, pkt.from, pkt.eof)
-		return
+		return false
 	}
 	if s.rcvBytes+len(pkt.data) > n.p.RcvBufBytes {
 		n.dropped++
 		n.k.TraceEmit(trace.KindNetDrop, 0, int64(len(pkt.data)), int64(port), "")
-		return
+		return false
 	}
 	n.delivered++
 	n.k.TraceEmit(trace.KindNetRx, 0, int64(len(pkt.data)), int64(port), "")
 	s.rcvBytes += len(pkt.data)
-	s.rcvq = append(s.rcvq, pkt)
+	s.rcvq.Push(pkt)
 	s.serveWaiters()
+	return true
 }
 
 // Socket is a datagram endpoint bound to a port on its Net.
@@ -237,7 +246,7 @@ type Socket struct {
 	peer   int // connected destination port (for write/splice sink)
 	closed bool
 
-	rcvq     []packet
+	rcvq     kernel.Queue[packet]
 	rcvBytes int
 
 	// handler, when set, receives every arriving packet at interrupt
@@ -279,7 +288,7 @@ func (s *Socket) String() string {
 }
 
 // readable reports that a read would not block: a datagram or EOF.
-func (s *Socket) readable() bool { return len(s.rcvq) > 0 || s.closed }
+func (s *Socket) readable() bool { return s.rcvq.Len() > 0 || s.closed }
 
 // serveWaiters hands queued data to a pending splice read and wakes
 // blocked readers. Runs at interrupt level.
@@ -296,9 +305,8 @@ func (s *Socket) serveWaiters() {
 // takeDatagram pops the next datagram (or its first max bytes; the rest
 // of the datagram is discarded, as recvfrom does).
 func (s *Socket) takeDatagram(max int) (data []byte, eof bool) {
-	for len(s.rcvq) > 0 {
-		pkt := s.rcvq[0]
-		s.rcvq = s.rcvq[1:]
+	for s.rcvq.Len() > 0 {
+		pkt := s.rcvq.Pop()
 		s.rcvBytes -= len(pkt.data)
 		if pkt.eof {
 			return nil, true
@@ -318,24 +326,35 @@ func (s *Socket) takeDatagram(max int) (data []byte, eof bool) {
 // readers. A handler socket has no receive-buffer bound (the handler
 // consumes each packet as it arrives). The stream transport uses this
 // to demultiplex segments onto connections. Pass nil to restore queued
-// delivery.
+// delivery. data is lent for the call only — the net reuses the buffer
+// once the handler has returned — so a handler copies what it keeps.
 func (s *Socket) SetHandler(fn func(data []byte, from int, eof bool)) {
 	s.handler = fn
 }
 
-// SendTo transmits one datagram toward dst, independent of the
-// connected peer — the transport-layer send path (stream segments carry
-// their own addressing). onSent, if non-nil, fires at interrupt level
-// once the link has accepted the datagram.
-func (s *Socket) SendTo(dst int, data []byte, onSent func()) {
-	s.sendTo(dst, data, false, onSent)
+// PacketBuf returns an n-byte buffer of unspecified content to build a
+// datagram for SendTo in, off the net's free list when that has one.
+func (s *Socket) PacketBuf(n int) []byte {
+	free := s.net.free
+	if top := len(free) - 1; top >= 0 {
+		b := free[top]
+		free[top], s.net.free = nil, free[:top]
+		if cap(b) >= n {
+			return b[:n]
+		}
+	}
+	return make([]byte, n)
 }
 
-// sendTo transmits one datagram toward port dst.
-func (s *Socket) sendTo(dst int, data []byte, eof bool, onSent func()) {
-	cp := append([]byte(nil), data...) // the wire owns a copy (mbuf)
+// SendTo transmits one datagram toward dst, independent of the
+// connected peer — the transport-layer send path (stream segments carry
+// their own addressing). It takes data over: the buffer is the net's
+// from here on, to reuse after the last delivery, so the caller must
+// not touch it again. onSent, if non-nil, fires at interrupt level once
+// the link has accepted the datagram.
+func (s *Socket) SendTo(dst int, data []byte, onSent func()) {
 	s.net.transmit(txRequest{
-		pkt:    packet{data: cp, from: s.port, eof: eof},
+		pkt:    packet{data: data, from: s.port},
 		dst:    dst,
 		onSent: onSent,
 	})
@@ -346,15 +365,7 @@ func (s *Socket) sendTo(dst int, data []byte, eof bool, onSent func()) {
 // Read implements kernel.FileOps: blocks for the next datagram;
 // zero-length return means the peer shut down.
 func (s *Socket) Read(ctx kernel.Ctx, p []byte, off int64) (int, error) {
-	if err := kernel.SleepUntil(ctx, s, kernel.PSOCK+1, s.readable); err != nil || len(s.rcvq) == 0 {
-		return 0, err // refused or interrupted, else EOF
-	}
-	data, eofMark := s.takeDatagram(len(p))
-	if eofMark {
-		return 0, nil
-	}
-	copy(p, data)
-	return len(data), nil
+	return s.Readv(ctx, [][]byte{p}, off)
 }
 
 // Write implements kernel.FileOps: sends one datagram to the connected
@@ -369,13 +380,12 @@ func (s *Socket) Write(ctx kernel.Ctx, p []byte, off int64) (int, error) {
 // vector's total length are truncated, exactly as recvfrom truncates an
 // oversized datagram.
 func (s *Socket) Readv(ctx kernel.Ctx, iovs [][]byte, off int64) (int, error) {
-	u := kernel.Uio{Iovs: iovs}
-	tmp := make([]byte, u.Total())
-	n, err := s.Read(ctx, tmp, 0)
-	if n > 0 {
-		u.Scatter(tmp[:n])
+	if err := kernel.SleepUntil(ctx, s, kernel.PSOCK+1, s.readable); err != nil || s.rcvq.Len() == 0 {
+		return 0, err // refused or interrupted, else EOF
 	}
-	return n, err
+	u := kernel.Uio{Iovs: iovs}
+	data, _ := s.takeDatagram(u.Total())
+	return u.Scatter(data), nil
 }
 
 // Writev implements kernel.WritevOps: it builds ONE datagram from the
@@ -400,7 +410,7 @@ func (s *Socket) Close(ctx kernel.Ctx) error {
 		return nil
 	}
 	if s.peer >= 0 {
-		s.sendTo(s.peer, nil, true, nil)
+		s.net.transmit(txRequest{pkt: packet{from: s.port, eof: true}, dst: s.peer})
 	}
 	s.closed = true
 	delete(s.net.socks, s.port)
@@ -434,7 +444,8 @@ func (s *Socket) PollQueue() *kernel.PollQueue { return &s.pollQ }
 
 // SpliceWrite implements the splice Sink interface: each chunk is sent
 // as one datagram; done fires when the link has accepted it, which is
-// the sink-side flow control.
+// the sink-side flow control. data is borrowed and not read again once
+// the call has returned.
 func (s *Socket) SpliceWrite(data []byte, done func(error)) {
 	if s.closed {
 		done(kernel.ErrBadFD)
@@ -444,7 +455,7 @@ func (s *Socket) SpliceWrite(data []byte, done func(error)) {
 		done(kernel.ErrInval)
 		return
 	}
-	s.sendTo(s.peer, data, false, func() { done(nil) })
+	s.SendTo(s.peer, append([]byte(nil), data...), func() { done(nil) }) // the wire's own copy (mbuf)
 }
 
 // SpliceRead implements the splice Source interface: the next datagram

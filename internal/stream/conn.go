@@ -69,11 +69,11 @@ type Conn struct {
 	stalled  bool
 	failed   error
 
-	// Receiver. rcvBuf holds in-order bytes awaiting the consumer;
+	// Receiver. rcv.Buf holds in-order bytes awaiting the consumer;
 	// reasm holds out-of-order segments in start-offset order; advWnd
 	// is the window last advertised to the peer.
 	rcvNxt    int64
-	rcvBuf    []byte
+	rcv       kernel.FIFO
 	reasm     []reasmSeg
 	advWnd    int64
 	remoteFin int64 // FIN offset announced by the peer; -1 until seen
@@ -123,7 +123,7 @@ func (c *Conn) Err() error { return c.failed }
 func (c *Conn) key() uint64 { return connKey(c.remote, c.id) }
 
 func (c *Conn) freeWnd() int64 {
-	if f := int64(rcvCap - len(c.rcvBuf)); f > 0 {
+	if f := int64(rcvCap - len(c.rcv.Buf)); f > 0 {
 		return f
 	}
 	return 0
@@ -155,7 +155,7 @@ func (c *Conn) sendSeg(typ byte, seq int64, payload []byte) {
 		wnd:     c.advWnd,
 		payload: payload,
 	}
-	c.t.sock.SendTo(c.remote, seg.encode(), nil)
+	c.t.sock.SendTo(c.remote, seg.encode(c.t.sock.PacketBuf(hdrBytes+len(payload))), nil)
 }
 
 // pump transmits as much buffered data as the peer's window allows,
@@ -352,7 +352,7 @@ func (c *Conn) acceptData(seq int64, payload []byte) {
 		if c.freeWnd() == 0 {
 			return // window closed: acknowledge only
 		}
-		c.rcvBuf = append(c.rcvBuf, payload[c.rcvNxt-seq:]...)
+		c.rcv.Push(payload[c.rcvNxt-seq:])
 		c.rcvNxt = end
 		c.drainReasm()
 		c.tryConsumeFin()
@@ -379,7 +379,7 @@ func (c *Conn) drainReasm() {
 	for ; n < len(c.reasm) && c.reasm[n].off <= c.rcvNxt; n++ {
 		s := c.reasm[n]
 		if end := s.off + int64(len(s.data)); end > c.rcvNxt {
-			c.rcvBuf = append(c.rcvBuf, s.data[c.rcvNxt-s.off:]...)
+			c.rcv.Push(s.data[c.rcvNxt-s.off:])
 			c.rcvNxt = end
 		}
 	}
@@ -398,7 +398,7 @@ func (c *Conn) tryConsumeFin() {
 }
 
 // readable reports that in-order bytes or EOF await the consumer.
-func (c *Conn) readable() bool { return len(c.rcvBuf) > 0 || c.rcvClosed }
+func (c *Conn) readable() bool { return len(c.rcv.Buf) > 0 || c.rcvClosed }
 
 // inputReady reports that a read(2) would not block: readable, or the
 // terminal error is waiting to be reported.
@@ -416,24 +416,26 @@ func (c *Conn) serveReader() {
 	c.pollQ.Notify(events)
 }
 
-// take removes up to max in-order bytes, sending a window update when
-// the drain opens enough new credit to matter (a full segment, or any
-// space after the window was closed).
+// take removes up to max in-order bytes as a slice of their own: a
+// splice read's deliver owns what it is handed.
 func (c *Conn) take(max int) (data []byte, eof bool) {
-	n := len(c.rcvBuf)
-	if n > max {
-		n = max
+	if n := min(len(c.rcv.Buf), max); n > 0 {
+		data = append([]byte(nil), c.rcv.Buf[:n]...)
 	}
-	if n > 0 {
-		data = append([]byte(nil), c.rcvBuf[:n]...)
-		c.rcvBuf = c.rcvBuf[n:]
-	}
+	return data, c.drained(len(data))
+}
+
+// drained drops the n bytes the consumer took, sends a window update
+// when that opens enough new credit to matter (a full segment, or any
+// space after the window was closed) and reports end of stream.
+func (c *Conn) drained(n int) (eof bool) {
+	c.rcv.Buf = c.rcv.Buf[n:]
 	if c.state == stateEstablished && !c.rcvClosed {
 		if f := c.freeWnd(); f-c.advWnd >= MaxSeg || (c.advWnd == 0 && f > 0) {
 			c.sendSeg(segACK, 0, nil)
 		}
 	}
-	return data, c.rcvClosed && len(c.rcvBuf) == 0
+	return c.rcvClosed && len(c.rcv.Buf) == 0
 }
 
 // maybeGhost retires the connection once both directions are done: our
@@ -479,12 +481,12 @@ func (c *Conn) Read(ctx kernel.Ctx, b []byte, off int64) (int, error) {
 	if err := kernel.SleepUntil(ctx, &c.rdW, kernel.PSOCK+1, c.inputReady); err != nil {
 		return 0, err
 	}
-	if len(c.rcvBuf) == 0 {
+	if len(c.rcv.Buf) == 0 {
 		return 0, c.failed // the terminal error, or nil at EOF
 	}
-	data, _ := c.take(len(b))
-	copy(b, data)
-	return len(data), nil
+	n := copy(b, c.rcv.Buf)
+	c.drained(n)
+	return n, nil
 }
 
 // Write implements kernel.FileOps: blocks until the bytes have been
@@ -493,6 +495,11 @@ func (c *Conn) Read(ctx kernel.Ctx, b []byte, off int64) (int, error) {
 // buffer can take right now, returning the partial count, or
 // ErrWouldBlock when not a single byte fits.
 func (c *Conn) Write(ctx kernel.Ctx, b []byte, off int64) (int, error) {
+	return c.write(ctx, b, false)
+}
+
+// write is Write over bytes the caller lends or gives away (owned).
+func (c *Conn) write(ctx kernel.Ctx, b []byte, owned bool) (int, error) {
 	if c.failed != nil {
 		return 0, c.failed
 	}
@@ -506,17 +513,18 @@ func (c *Conn) Write(ctx kernel.Ctx, b []byte, off int64) (int, error) {
 		}
 		return n, err
 	}
-	return kernel.AwaitWrite(ctx, b, c.SpliceWrite)
+	return kernel.AwaitWrite(ctx, b, func(data []byte, done func(error)) { c.spliceWrite(data, owned, done) })
 }
 
 // Writev implements kernel.WritevOps by coalescing the whole iovec
 // array into one send-buffer admission. Per-iovec writes would admit
 // (and often segment) each iovec separately; one gathered admission
 // lets pump cut MaxSeg-sized segments across iovec boundaries, so a
-// vector of small buffers goes out in fewer, fuller segments.
+// vector of small buffers goes out in fewer, fuller segments. The
+// gathered run is nobody else's, so the send queue keeps it as it is.
 func (c *Conn) Writev(ctx kernel.Ctx, iovs [][]byte, off int64) (int, error) {
 	u := kernel.Uio{Iovs: iovs}
-	return c.Write(ctx, u.Gather(), off)
+	return c.write(ctx, u.Gather(), true)
 }
 
 // Size implements kernel.FileOps.
@@ -579,8 +587,11 @@ func (c *Conn) Close(ctx kernel.Ctx) error {
 // chunk is admitted to the send buffer, so splice's write watermark
 // composes with the transport window — a closed window holds bytes in
 // the send buffer, the full send buffer parks admissions, and the
-// parked admissions throttle the splice engine.
-func (c *Conn) SpliceWrite(data []byte, done func(error)) {
+// parked admissions throttle the splice engine. data is borrowed and
+// not read again once the call has returned.
+func (c *Conn) SpliceWrite(data []byte, done func(error)) { c.spliceWrite(data, false, done) }
+
+func (c *Conn) spliceWrite(data []byte, owned bool, done func(error)) {
 	if c.failed != nil {
 		done(c.failed)
 		return
@@ -589,7 +600,7 @@ func (c *Conn) SpliceWrite(data []byte, done func(error)) {
 		done(kernel.ErrBadFD)
 		return
 	}
-	c.snd.Queue(data, done)
+	c.snd.Queue(data, owned, done)
 	c.snd.Admit()
 	c.pump()
 }

@@ -118,7 +118,7 @@ func TestGhostAnswersLateSegmentWithoutResurrecting(t *testing.T) {
 		// stray data segment arrive for the retired key.
 		p.SleepFor(sim.Duration(ghostTTL()/2) * 10 * sim.Millisecond)
 		for _, typ := range []byte{segFIN, segDATA} {
-			tr.input(segment{typ: typ, connID: id, seq: 777}.encode(), 6001, false)
+			tr.input(segment{typ: typ, connID: id, seq: 777}.encode(make([]byte, hdrBytes)), 6001, false)
 		}
 		p.SleepFor(200 * sim.Millisecond) // let the replies cross the link
 
@@ -148,7 +148,7 @@ func TestGhostAnswersLateSegmentWithoutResurrecting(t *testing.T) {
 		}
 
 		// A pure ACK for a retired key is dropped silently.
-		tr.input(segment{typ: segACK, connID: id}.encode(), 6001, false)
+		tr.input(segment{typ: segACK, connID: id}.encode(make([]byte, hdrBytes)), 6001, false)
 		p.SleepFor(200 * sim.Millisecond)
 		if len(replies) != 2 {
 			t.Errorf("late ACK drew %d extra repl(ies), want silence", len(replies)-2)

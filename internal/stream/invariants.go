@@ -131,8 +131,8 @@ func CheckDrained() error {
 				"unacknowledged send data: una=%d nxt=%d buffered=%d", c.sndUna, c.sndNxt, len(c.snd.Buf))
 		case c.finAt >= 0 && !c.finAcked:
 			return violation("stream-conn-leak", c.label, "FIN at %d never acknowledged", c.finAt)
-		case len(c.rcvBuf) > 0:
-			return violation("stream-conn-leak", c.label, "%d received byte(s) never read", len(c.rcvBuf))
+		case len(c.rcv.Buf) > 0:
+			return violation("stream-conn-leak", c.label, "%d received byte(s) never read", len(c.rcv.Buf))
 		case len(c.reasm) > 0:
 			return violation("stream-conn-leak", c.label, "%d segment(s) stuck in reassembly", len(c.reasm))
 		case c.rd.Parked():
@@ -155,9 +155,9 @@ func (c *Conn) check() error {
 	if c.peerWnd < 0 || c.advWnd < 0 {
 		return violation("stream-wnd-neg", c.label, "peerWnd=%d advWnd=%d", c.peerWnd, c.advWnd)
 	}
-	if len(c.rcvBuf) > rcvCap+MaxSeg {
+	if len(c.rcv.Buf) > rcvCap+MaxSeg {
 		return violation("stream-rcv-bound", c.label,
-			"%d buffered bytes exceed cap %d + one segment", len(c.rcvBuf), rcvCap)
+			"%d buffered bytes exceed cap %d + one segment", len(c.rcv.Buf), rcvCap)
 	}
 	for _, s := range c.reasm {
 		if s.off <= c.rcvNxt || s.off > c.rcvNxt+reasmLimit {

@@ -38,8 +38,8 @@ type segment struct {
 	payload []byte
 }
 
-func (s segment) encode() []byte {
-	b := make([]byte, hdrBytes+len(s.payload))
+// encode fills b, a packet buffer hdrBytes+len(s.payload) long.
+func (s segment) encode(b []byte) []byte {
 	b[0] = s.typ
 	binary.BigEndian.PutUint32(b[1:5], s.connID)
 	binary.BigEndian.PutUint64(b[5:13], uint64(s.seq))

@@ -101,7 +101,7 @@ func (t *Transport) input(data []byte, from int, eof bool) {
 		// A lost final ACK left the peer retransmitting its FIN:
 		// answer with the recorded cumulative ack.
 		reply := segment{typ: segACK, connID: seg.connID, ack: e.final}
-		t.sock.SendTo(from, reply.encode(), nil)
+		t.sock.SendTo(from, reply.encode(t.sock.PacketBuf(hdrBytes)), nil)
 	}
 }
 
