@@ -3,6 +3,7 @@ package kernel
 import (
 	"errors"
 	"fmt"
+	"iter"
 
 	"kdp/internal/sim"
 	"kdp/internal/trace"
@@ -53,6 +54,7 @@ type Kernel struct {
 	nIntr      int64
 
 	pollRegs int // live poller registrations across every PollQueue
+	resumes  int // coroutine switches into a process (tests pin the in-place path with it)
 
 	tr       *trace.Tracer
 	probe    func() // invoked at every scheduling boundary (simcheck)
@@ -148,24 +150,25 @@ func (k *Kernel) Spawn(name string, fn func(*Proc)) *Proc {
 		state:   ProcRunnable,
 		pri:     PUSER,
 		basePri: PUSER,
-		resume:  make(chan struct{}),
-		parked:  make(chan struct{}),
-		exited:  make(chan struct{}),
 		body:    fn,
 	}
+	// stop is never called: a process Run abandons (deadlock, watchdog,
+	// Abort) stays parked in its coroutine for the life of the program.
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		procMain(p)
+	})
 	k.nextPid++
 	k.procs = append(k.procs, p)
 	k.alive++
 	k.runq = append(k.runq, p)
-	go procMain(p)
 	return p
 }
 
-// procMain is the goroutine body hosting a process. Descriptor teardown
+// procMain is the coroutine body hosting a process. Descriptor teardown
 // happens here, in process context, because closing a file can sleep
-// (inode writeback); only then does the goroutine park with reqExit.
+// (inode writeback); only then does the coroutine end with reqExit.
 func procMain(p *Proc) {
-	<-p.resume
 	defer func() {
 		if r := recover(); r != nil {
 			p.panicVal = r
@@ -182,8 +185,6 @@ func procMain(p *Proc) {
 			}()
 		}
 		p.req = reqExit
-		p.parked <- struct{}{}
-		// never resumed again
 	}()
 	p.body(p)
 }
@@ -397,9 +398,9 @@ func (k *Kernel) runStep(p *Proc) {
 		return // either completed (current stays p) or preempted
 	}
 
-	// Resume the process goroutine until it parks with a request.
-	p.resume <- struct{}{}
-	<-p.parked
+	// Resume the process coroutine until it parks with a request.
+	k.resumes++
+	p.next()
 
 	switch p.req {
 	case reqUse:
@@ -435,7 +436,6 @@ func (k *Kernel) reapProc(p *Proc) {
 		p.itimer.stop(k)
 		p.itimer = nil
 	}
-	close(p.exited)
 	k.Wakeup(p) // anyone waiting on the proc itself
 	k.TraceEmit(trace.KindProcExit, p.pid, 0, 0, p.name)
 	if p.panicVal != nil {

@@ -49,7 +49,7 @@ func (s ProcState) String() string {
 	}
 }
 
-// reqKind identifies why a process goroutine parked.
+// reqKind identifies why a process parked.
 type reqKind int
 
 const (
@@ -86,10 +86,11 @@ type Proc struct {
 	wakeErr  error
 	sleepSig bool // sleeping interruptibly
 
-	// park/resume handshake
-	resume chan struct{}
-	parked chan struct{}
-	req    reqKind
+	// coroutine switch: Run calls next to resume the body, the body
+	// calls yield to park with req saying why
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	req   reqKind
 
 	// pending CPU-use request
 	useRem    sim.Duration
@@ -117,7 +118,6 @@ type Proc struct {
 	nvcsw int64        // voluntary context switches (blocked)
 	nicsw int64        // involuntary context switches (preempted)
 
-	exited   chan struct{} // closed when the body returns
 	body     func(*Proc)
 	panicVal any // panic recovered from the body, re-raised by the kernel
 
@@ -157,10 +157,7 @@ func (p *Proc) ContextSwitches() (voluntary, involuntary int64) {
 
 // park hands control back to the kernel loop and blocks until the
 // kernel resumes this process.
-func (p *Proc) park() {
-	p.parked <- struct{}{}
-	<-p.resume
-}
+func (p *Proc) park() { p.yield(struct{}{}) }
 
 // Use charges d of CPU time to the process. Kernel-mode time is not
 // preemptible by the scheduler (interrupts still steal time); user-mode
