@@ -30,9 +30,11 @@ check:
 # internal/machine holds BenchmarkCheckInvariants: ns and allocations
 # per probe (docs/CHECKING.md, "What a probe costs"); internal/stream
 # holds BenchmarkStreamTransfer: ns, bytes and allocations per simulated
-# megabyte through one connection.
+# megabyte through one connection; internal/kernel holds BenchmarkUse,
+# BenchmarkSleepWakeup and BenchmarkSyscallLseek: what a CPU charge, a
+# process switch and the cheapest system call cost the host.
 bench:
-	$(GO) test -bench=. -benchmem ./internal/bench/ ./internal/machine/ ./internal/stream/
+	$(GO) test -bench=. -benchmem ./internal/bench/ ./internal/machine/ ./internal/stream/ ./internal/kernel/
 
 tables:
 	$(GO) run ./cmd/kdpbench

@@ -191,6 +191,7 @@ type Disk struct {
 
 	// Fault sites in the kernel fault plan (see fault.go).
 	siteRd, siteWr kernel.FaultSite
+	label          string // "disk:<name>", the label of every completion event
 
 	// Stats
 	nreads, nwrites   int64
@@ -239,6 +240,7 @@ func New(k *kernel.Kernel, p Params) *Disk {
 		runBlk: -1,
 		siteRd: "disk." + p.Name + ".rderr",
 		siteWr: "disk." + p.Name + ".wrerr",
+		label:  "disk:" + p.Name,
 	}
 	if p.CacheSegments > 0 {
 		d.segments = make([]raSegment, p.CacheSegments)
@@ -384,7 +386,7 @@ func (d *Disk) startNext() {
 	svc := d.serviceTime(b)
 	d.busyTime += svc
 	d.k.TraceEmit(trace.KindDiskStart, 0, b.Blkno, int64(svc), d.p.Name)
-	d.k.Engine().Schedule(svc, "disk:"+d.p.Name, func() {
+	d.k.Engine().Schedule(svc, d.label, func() {
 		d.complete(b)
 	})
 }

@@ -24,6 +24,7 @@ type FS struct {
 	interleave uint32 // allocation stride (FFS rotdelay layout); 1 = dense
 	raMax      int    // per-file readahead window cap, in blocks
 	pager      Pager  // VM writeback hook (see SetPager); nil without VM
+	siteAlloc  kernel.FaultSite
 
 	// CheckLive's view (invariants.go): the in-core inodes again, in
 	// iget order, so the walk needs no map iteration; its per-block
@@ -47,11 +48,12 @@ func Mount(ctx kernel.Ctx, cache *buf.Cache, dev buf.Device) (*FS, error) {
 		return nil, kernel.ErrInval
 	}
 	f := &FS{
-		k:      ctx.Kern(),
-		cache:  cache,
-		dev:    dev,
-		inodes: make(map[uint32]*Inode),
-		raMax:  DefaultReadahead,
+		k:         ctx.Kern(),
+		cache:     cache,
+		dev:       dev,
+		inodes:    make(map[uint32]*Inode),
+		raMax:     DefaultReadahead,
+		siteAlloc: "fs." + dev.DevName() + ".nospace",
 	}
 	b, err := cache.Bread(ctx, dev, 0)
 	if err != nil {
@@ -112,9 +114,7 @@ func (f *FS) SetInterleave(n int) {
 // ("fs.<dev>.nospace"): every block allocation is one eligible
 // occurrence, and a fire makes it fail with ErrNoSpace as if the bitmap
 // scan had come up empty.
-func (f *FS) AllocSite() kernel.FaultSite {
-	return "fs." + f.dev.DevName() + ".nospace"
-}
+func (f *FS) AllocSite() kernel.FaultSite { return f.siteAlloc }
 
 // allocBlock finds, marks and returns a free data block. The bitmap is
 // accessed through the buffer cache, so allocation costs real I/O when

@@ -6,9 +6,11 @@
 //
 // Everything runs on the discrete-event engine from internal/sim. The
 // kernel's Run loop owns simulated time; process bodies are ordinary Go
-// functions executing on goroutines that are parked whenever they are
-// not the (single) running process, which keeps the simulation fully
-// deterministic.
+// functions hosted in coroutines (iter.Pull) that Run switches to
+// directly, one at a time, which keeps the simulation fully
+// deterministic. A CPU charge (Proc.Use) is served on the charging
+// process's own stack, so interrupt-level code — clock ticks, callouts,
+// device completions — runs on the stack of whatever it interrupted.
 package kernel
 
 import "kdp/internal/sim"

@@ -240,7 +240,7 @@ func (p *Proc) SyscallExit(name string) {
 }
 
 // closeAllFDs closes every open descriptor; called from the process's
-// own goroutine at exit, since closing may sleep.
+// own coroutine at exit, since closing may sleep.
 func (p *Proc) closeAllFDs() {
 	for fd, f := range p.fds {
 		if f != nil {

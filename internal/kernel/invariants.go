@@ -128,10 +128,12 @@ func (k *Kernel) CheckPollDrained() error {
 	return nil
 }
 
-// SetProbe installs fn to be invoked by Run at every scheduling boundary
-// (after due events fire, before the next process step). The simcheck
-// harness uses it to check invariants between events; nil disables the
-// probe. The probe must not sleep and must not mutate kernel state.
+// SetProbe installs fn to be invoked at every scheduling boundary
+// (Kernel.boundary: after due events fire, before the next process
+// step). The simcheck harness uses it to check invariants between
+// events; nil disables the probe. A boundary may be taken on a
+// process's stack (Proc.Use), so the probe must not sleep, charge CPU
+// or mutate kernel state.
 func (k *Kernel) SetProbe(fn func()) { k.probe = fn }
 
 // Abort makes Run return err at the next scheduling boundary without

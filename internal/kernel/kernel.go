@@ -60,6 +60,7 @@ type Kernel struct {
 	probe    func() // invoked at every scheduling boundary (simcheck)
 	ckPass   uint64 // CheckInvariants pass counter (see Proc.ckRunq)
 	abortErr error  // set by Abort; Run returns it at the next boundary
+	stopErr  error  // what a boundary Proc.Use ran returned; Run returns it as its own
 
 	faults *FaultPlan // fault-site registry (see fault.go)
 }
@@ -318,15 +319,8 @@ func (k *Kernel) otherRunnable(pri int) bool {
 func (k *Kernel) Run() error {
 	k.startClock()
 	for {
-		if k.cfg.MaxRunTime > 0 && sim.Duration(k.engine.Now()) > k.cfg.MaxRunTime {
-			return ErrWatchdog
-		}
-		k.engine.RunDue()
-		if k.probe != nil {
-			k.probe()
-		}
-		if k.abortErr != nil {
-			return k.abortErr
+		if err := k.boundary(); err != nil {
+			return err
 		}
 		if k.alive == 0 && k.holds == 0 {
 			return nil
@@ -362,7 +356,25 @@ func (k *Kernel) Run() error {
 			continue
 		}
 		k.runStep(p)
+		if k.stopErr != nil {
+			return k.stopErr
+		}
 	}
+}
+
+// boundary is one scheduling boundary: the watchdog test, every event
+// now due (at interrupt level, on whichever stack got here: Run's, or
+// that of the process Proc.Use is charging), the probe, and a pending
+// Abort. A non-nil error ends the run.
+func (k *Kernel) boundary() error {
+	if k.cfg.MaxRunTime > 0 && sim.Duration(k.engine.Now()) > k.cfg.MaxRunTime {
+		return ErrWatchdog
+	}
+	k.engine.RunDue()
+	if k.probe != nil {
+		k.probe()
+	}
+	return k.abortErr
 }
 
 // anySignalsPending reports whether any live process has an undelivered
@@ -376,8 +388,9 @@ func (k *Kernel) anySignalsPending() bool {
 	return false
 }
 
-// runStep gives the CPU to p for one step: either serving its pending
-// CPU-use request or resuming its goroutine until it parks again.
+// runStep gives the CPU to p for one step: either serving the rest of a
+// CPU charge it was preempted in, or resuming its coroutine until it
+// parks again.
 func (k *Kernel) runStep(p *Proc) {
 	if k.lastRun != p {
 		if k.lastRun != nil {
@@ -404,7 +417,8 @@ func (k *Kernel) runStep(p *Proc) {
 
 	switch p.req {
 	case reqUse:
-		// Served on the next loop iteration (current remains p).
+		// Preempted mid-charge (serveUse requeued it) or stopped by a
+		// boundary (stopErr): see Proc.Use.
 	case reqSleep:
 		k.sleepq[p.wchan] = append(k.sleepq[p.wchan], p)
 		p.state = ProcSleeping

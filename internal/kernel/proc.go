@@ -68,12 +68,14 @@ type errorString string
 
 func (e errorString) Error() string { return string(e) }
 
-// Proc is a simulated process. Its body runs on a dedicated goroutine,
-// but only one goroutine (either the kernel's Run loop or exactly one
-// process body) is ever executing at a time: the body parks at every
-// point where virtual time must advance or the process must block, and
-// the kernel decides when it resumes. This makes the simulation
+// Proc is a simulated process. Its body runs in a coroutine, and only
+// one flow of control (either the kernel's Run loop or exactly one
+// process body) ever executes: the body charges CPU time in place (Use)
+// and parks where the process must block, yield, exit or is preempted,
+// and the kernel decides when it resumes. This makes the simulation
 // deterministic while letting process code read like a normal program.
+// A process Run abandons (deadlock, watchdog, Abort) stays parked for
+// the life of the program.
 type Proc struct {
 	k    *Kernel
 	pid  int
@@ -163,6 +165,14 @@ func (p *Proc) park() { p.yield(struct{}{}) }
 // preemptible by the scheduler (interrupts still steal time); user-mode
 // time is subject to round-robin preemption and priority preemption on
 // wakeup. Use returns only after the full duration has been charged.
+//
+// The charge is served here, on the process's own stack, by the steps
+// Run would take had the process parked with it — a boundary, serveUse,
+// a boundary — so clock ticks, callouts and device completions that
+// come due meanwhile run on the interrupted process's stack. The
+// process parks only when it has lost the CPU (serveUse preempted it:
+// Run takes the boundary and picks the next process) or when a boundary
+// ends the run (Run returns stopErr without taking the boundary again).
 func (p *Proc) Use(d sim.Duration, kernelMode bool) {
 	if d <= 0 {
 		return
@@ -170,6 +180,15 @@ func (p *Proc) Use(d sim.Duration, kernelMode bool) {
 	p.assertRunning("Use")
 	p.useRem = d
 	p.useKernel = kernelMode
+	k := p.k
+	if k.stopErr = k.boundary(); k.stopErr == nil {
+		k.serveUse(p)
+		if k.current == p {
+			if k.stopErr = k.boundary(); k.stopErr == nil {
+				return
+			}
+		}
+	}
 	p.req = reqUse
 	p.park()
 }
@@ -240,7 +259,7 @@ func (p *Proc) AtExit(fn func(*Proc)) {
 }
 
 // runAtExit invokes registered exit hooks LIFO, from the process's own
-// goroutine.
+// coroutine.
 func (p *Proc) runAtExit() {
 	for i := len(p.atExit) - 1; i >= 0; i-- {
 		p.atExit[i](p)
