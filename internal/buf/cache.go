@@ -27,6 +27,10 @@ type Cache struct {
 	nfree    int
 	nbuf     int
 
+	// Empty headers for AllocHeader, linked through freeNext (4.3BSD's
+	// BQ_EMPTY, the list the paper's modified getblk draws from).
+	emptyHdrs *Buf
+
 	// Sticky per-device write errors: a failed asynchronous write has
 	// no caller left to report to (biodone's brelse invalidates the
 	// buffer), so the first error per device is latched here and
@@ -615,23 +619,24 @@ func (c *Cache) StartRead(ctx kernel.Ctx, dev Device, blkno int64, desc any, lbl
 // the buffer, but rather only sets the b_bcount field" (§5.4). The
 // header is not entered in the cache hash.
 func (c *Cache) AllocHeader(dev Device, blkno int64) *Buf {
-	return &Buf{
-		pool:   c,
-		Flags:  BBusy | BNoMem,
-		Dev:    dev,
-		Blkno:  blkno,
-		Bcount: c.blockSize,
+	b := c.emptyHdrs
+	if b == nil {
+		b = &Buf{pool: c}
+	} else {
+		c.emptyHdrs, b.freeNext = b.freeNext, nil
 	}
+	b.Flags, b.Dev, b.Blkno, b.Bcount = BBusy|BNoMem, dev, blkno, c.blockSize
+	return b
 }
 
-// ReleaseHeader discards a header obtained from AllocHeader.
+// ReleaseHeader returns a header obtained from AllocHeader to the empty
+// list: the caller must hold no reference to it afterwards.
 func (c *Cache) ReleaseHeader(b *Buf) {
 	if b.Flags&BNoMem == 0 {
 		panic("buf: ReleaseHeader of pooled buffer")
 	}
-	b.Data = nil
-	b.SplicePeer = nil
-	b.Flags = BInval
+	*b = Buf{pool: c, Flags: BInval, freeNext: c.emptyHdrs}
+	c.emptyHdrs = b
 }
 
 // ---- flushing / invalidation ----

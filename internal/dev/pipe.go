@@ -16,8 +16,8 @@ import (
 type Pipe struct {
 	k *kernel.Kernel
 
-	// q.Buf is the pipe: writers are admitted into it, readers take from
-	// its front.
+	// q's FIFO is the pipe: writers are admitted into it, readers take
+	// from its front.
 	q      kernel.WriteQueue
 	rd     kernel.ParkedRead
 	closed bool
@@ -43,11 +43,11 @@ func NewPipe(k *kernel.Kernel, path string, capacity int) *Pipe {
 }
 
 // Buffered reports the bytes currently queued.
-func (pp *Pipe) Buffered() int { return len(pp.q.Buf) }
+func (pp *Pipe) Buffered() int { return pp.q.Len() }
 
 // Transferred returns total bytes in and out: every byte admitted has
 // either been taken or is still buffered.
-func (pp *Pipe) Transferred() (in, out int64) { return pp.out + int64(len(pp.q.Buf)), pp.out }
+func (pp *Pipe) Transferred() (in, out int64) { return pp.out + int64(pp.q.Len()), pp.out }
 
 // CloseWrite marks end-of-stream: readers drain the remaining bytes and
 // then see EOF. Writers still queued behind a full buffer fail — nothing
@@ -68,7 +68,7 @@ func (pp *Pipe) wake(events int) {
 }
 
 // readable reports that a read would not block: bytes or EOF.
-func (pp *Pipe) readable() bool { return len(pp.q.Buf) > 0 || pp.closed }
+func (pp *Pipe) readable() bool { return pp.q.Len() > 0 || pp.closed }
 
 // serveReader admits what fits and hands buffered data to a waiting
 // splice read.
@@ -89,24 +89,30 @@ func (pp *Pipe) drained() {
 // take removes up to max buffered bytes as a slice of their own: a
 // splice read's deliver owns what it is handed.
 func (pp *Pipe) take(max int) (data []byte, eof bool) {
-	if n := min(len(pp.q.Buf), max); n > 0 {
-		data = append([]byte(nil), pp.q.Buf[:n]...)
-		pp.q.Buf = pp.q.Buf[n:]
-		pp.out += int64(n)
+	if n := min(pp.q.Len(), max); n > 0 {
+		data = make([]byte, n)
+		pp.consume(data)
 	}
-	return data, pp.closed && len(pp.q.Buf) == 0
+	return data, pp.closed && pp.q.Len() == 0
+}
+
+// consume moves the oldest bytes of the pipe into dst and returns how
+// many that was.
+func (pp *Pipe) consume(dst []byte) int {
+	n := pp.q.CopyOut(dst, 0)
+	pp.q.Drop(n)
+	pp.out += int64(n)
+	return n
 }
 
 // ---- kernel.FileOps ----
 
 // Read implements kernel.FileOps: blocks until data or EOF.
 func (pp *Pipe) Read(ctx kernel.Ctx, b []byte, off int64) (int, error) {
-	if err := kernel.SleepUntil(ctx, pp, kernel.PSOCK+1, pp.readable); err != nil || len(pp.q.Buf) == 0 {
+	if err := kernel.SleepUntil(ctx, pp, kernel.PSOCK+1, pp.readable); err != nil || pp.q.Len() == 0 {
 		return 0, err // refused or interrupted, else EOF
 	}
-	n := copy(b, pp.q.Buf)
-	pp.q.Buf = pp.q.Buf[n:]
-	pp.out += int64(n)
+	n := pp.consume(b)
 	pp.drained()
 	return n, nil
 }
@@ -126,11 +132,11 @@ func (pp *Pipe) Write(ctx kernel.Ctx, b []byte, off int64) (int, error) {
 		}
 		return n, err
 	}
-	return kernel.AwaitWrite(ctx, b, pp.SpliceWrite)
+	return kernel.AwaitWrite(ctx, b, pp.SpliceWrite, &pp.q)
 }
 
 // Size implements kernel.FileOps.
-func (pp *Pipe) Size(ctx kernel.Ctx) (int64, error) { return int64(len(pp.q.Buf)), nil }
+func (pp *Pipe) Size(ctx kernel.Ctx) (int64, error) { return int64(pp.q.Len()), nil }
 
 // Sync implements kernel.FileOps.
 func (pp *Pipe) Sync(ctx kernel.Ctx) error { return nil }
@@ -168,13 +174,13 @@ func (pp *Pipe) PollQueue() *kernel.PollQueue { return &pp.pollQ }
 
 // SpliceWrite implements the splice Sink interface: done fires once the
 // whole chunk has been admitted to the pipe buffer (backpressure). data
-// is borrowed and not read again once the call has returned.
+// is borrowed until then.
 func (pp *Pipe) SpliceWrite(data []byte, done func(error)) {
 	if pp.closed {
 		done(kernel.ErrBadFD)
 		return
 	}
-	pp.q.Queue(data, false, done)
+	pp.q.Queue(data, done)
 	pp.serveReader()
 	pp.wake(kernel.PollIn)
 }

@@ -18,6 +18,7 @@ package disk
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"kdp/internal/buf"
@@ -185,6 +186,11 @@ type Disk struct {
 	data   []byte
 	queue  []*buf.Buf
 	active bool
+	// The drive services one request at a time: cur is the one whose
+	// completion event is scheduled, onComplete the handler of every
+	// such event, bound once.
+	cur        *buf.Buf
+	onComplete func()
 
 	headBlk  int64 // current head position (block)
 	segments []raSegment
@@ -245,6 +251,7 @@ func New(k *kernel.Kernel, p Params) *Disk {
 	if p.CacheSegments > 0 {
 		d.segments = make([]raSegment, p.CacheSegments)
 	}
+	d.onComplete = d.complete
 	return d
 }
 
@@ -382,13 +389,12 @@ func (d *Disk) startNext() {
 		idx = d.elevatorPick()
 	}
 	b := d.queue[idx]
-	d.queue = append(d.queue[:idx], d.queue[idx+1:]...)
+	d.queue = slices.Delete(d.queue, idx, idx+1)
 	svc := d.serviceTime(b)
 	d.busyTime += svc
 	d.k.TraceEmit(trace.KindDiskStart, 0, b.Blkno, int64(svc), d.p.Name)
-	d.k.Engine().Schedule(svc, d.label, func() {
-		d.complete(b)
-	})
+	d.cur = b
+	d.k.Engine().Schedule(svc, d.label, d.onComplete)
 }
 
 // elevatorPick returns the queue index of the C-LOOK choice: the
@@ -412,10 +418,12 @@ func (d *Disk) elevatorPick() int {
 	return bestLow
 }
 
-// complete finishes the transfer: data is moved at completion time,
-// then the completion interrupt runs biodone (and any splice handler
-// hanging off it).
-func (d *Disk) complete(b *buf.Buf) {
+// complete finishes the active transfer: data is moved at completion
+// time, then the completion interrupt runs biodone (and any splice
+// handler hanging off it).
+func (d *Disk) complete() {
+	b := d.cur
+	d.cur = nil
 	d.transfer(b)
 	d.headBlk = b.Blkno + 1
 	d.noteRun(b.Blkno)

@@ -13,38 +13,65 @@ import "kdp/internal/trace"
 // softclock), which is what decouples the source and sink I/O access
 // periods.
 
+// callout is one entry of the list. Records are recycled through the
+// kernel's free list (4.3BSD's callfree): softclock and Untimeout return
+// them, Timeout takes one, so arming a timer allocates nothing once the
+// list has held its working set.
+type callout struct {
+	fn     func()
+	delta  int // ticks after the previous entry
+	next   *callout
+	queued bool   // on the callout list (not fired, cancelled or free)
+	gen    uint64 // bumped each time the record is armed
+}
+
 // Callout is a handle to a queued callout; it can be cancelled with
-// Untimeout.
+// Untimeout. The zero value names no callout. A handle carries the
+// generation its record was armed with, so one kept past the firing or
+// cancellation of its callout can never cancel the later timer that
+// reuses the record.
 type Callout struct {
-	fn    func()
-	delta int // ticks after the previous entry
-	next  *Callout
-	fired bool
-	dead  bool
+	c   *callout
+	gen uint64
 }
 
 type calloutList struct {
-	head *Callout
+	head *callout
 	n    int
+	free *callout   // recycled records, linked through next
+	due  []*callout // softclock's batch, kept for its backing array
 }
 
 func (cl *calloutList) empty() bool { return cl.head == nil }
 
+// release returns a record that has left the list to the free list.
+func (cl *calloutList) release(c *callout) {
+	c.fn, c.queued = nil, false
+	c.next, cl.free = cl.free, c
+}
+
 // Timeout queues fn to run from softclock after ticks clock ticks.
 // ticks <= 0 means the next softclock (the head of the callout list).
-func (k *Kernel) Timeout(fn func(), ticks int) *Callout {
+func (k *Kernel) Timeout(fn func(), ticks int) Callout {
 	if fn == nil {
 		panic("kernel: Timeout with nil fn")
 	}
 	if ticks < 0 {
 		ticks = 0
 	}
-	c := &Callout{fn: fn}
 	cl := &k.callouts
+	c := cl.free
+	if c == nil {
+		c = &callout{}
+	} else {
+		cl.free = c.next
+	}
+	c.fn, c.queued = fn, true
+	c.gen++
 	cl.n++
 
 	// Insert into the delta list.
-	var prev *Callout
+	var prev *callout
 	cur := cl.head
 	rem := ticks
 	for cur != nil && rem >= cur.delta {
@@ -62,17 +89,18 @@ func (k *Kernel) Timeout(fn func(), ticks int) *Callout {
 	} else {
 		prev.next = c
 	}
-	return c
+	return Callout{c, c.gen}
 }
 
 // Untimeout cancels a queued callout. Returns false if it already fired
 // or was already cancelled.
-func (k *Kernel) Untimeout(c *Callout) bool {
-	if c == nil || c.fired || c.dead {
+func (k *Kernel) Untimeout(h Callout) bool {
+	c := h.c
+	if c == nil || c.gen != h.gen || !c.queued {
 		return false
 	}
 	cl := &k.callouts
-	var prev *Callout
+	var prev *callout
 	for cur := cl.head; cur != nil; prev, cur = cur, cur.next {
 		if cur != c {
 			continue
@@ -85,8 +113,8 @@ func (k *Kernel) Untimeout(c *Callout) bool {
 		} else {
 			prev.next = cur.next
 		}
-		c.dead = true
 		cl.n--
+		cl.release(c)
 		return true
 	}
 	return false
@@ -122,18 +150,22 @@ func (k *Kernel) softclock() {
 	// Collect all entries due now (delta zero at the head). Handlers
 	// may queue new callouts; those are inserted for future ticks and
 	// must not fire in this pass, so detach first.
-	var due []*Callout
+	due := cl.due[:0]
 	for cl.head != nil && cl.head.delta == 0 {
 		c := cl.head
 		cl.head = c.next
 		c.next = nil
-		c.fired = true
+		c.queued = false
 		cl.n--
 		due = append(due, c)
 	}
-	for _, c := range due {
+	for i, c := range due {
 		k.StealCPU(k.cfg.CalloutDispatchCost)
 		k.TraceEmit(trace.KindCalloutFire, 0, int64(cl.n), 0, "")
-		c.fn()
+		fn := c.fn
+		due[i] = nil
+		cl.release(c) // before fn runs: a handler re-arming itself reuses its own record
+		fn()
 	}
+	cl.due = due[:0]
 }

@@ -27,7 +27,7 @@ func TestCalloutOrderProperty(t *testing.T) {
 			asked int
 		}
 		var fired []co
-		var handles []*Callout
+		var handles []Callout
 		asked := make([]int, 0, 80)
 		n := 30 + r.Intn(50)
 		for i := 0; i < n; i++ {

@@ -77,25 +77,66 @@ func (r *ParkedRead) Cancel() bool {
 // Parked reports whether a read is waiting.
 func (r *ParkedRead) Parked() bool { return r.deliver != nil }
 
-// FIFO is a byte queue in one backing array that it owns. Buf is a
-// window of that array and moves on every Push: consume it by re-slicing
-// from the front (f.Buf = f.Buf[n:]), never hold a sub-slice across a Push.
+// FIFO is a byte queue in a ring it owns: a byte is copied in by Push,
+// copied out by CopyOut and never moved in between, however long the
+// queue stays full. The ring is allocated by the first Push, sized by
+// what it had to hold, and replaced at twice the size or more when a
+// Push finds it too small.
 type FIFO struct {
-	Buf []byte // the queued bytes, oldest first
-	mem []byte // allocated by the first Push, sized by what it had to hold
+	mem  []byte
+	head int // index in mem of the oldest byte
+	n    int // bytes queued
 }
 
-// Push appends b. With no room left behind the window the queued bytes
-// first slide back to the start of the backing array (one memmove, no new
-// array); it is replaced, at twice the size or more, only if that fails.
+// Len returns the number of queued bytes.
+func (f *FIFO) Len() int { return f.n }
+
+// Push appends b.
 func (f *FIFO) Push(b []byte) {
-	if need := len(f.Buf) + len(b); need > cap(f.Buf) {
-		if need > cap(f.mem) {
-			f.mem = make([]byte, max(need, 2*cap(f.mem)))
-		}
-		f.Buf = f.mem[:copy(f.mem, f.Buf)]
+	if need := f.n + len(b); need > len(f.mem) {
+		mem := make([]byte, max(need, 2*len(f.mem)))
+		f.CopyOut(mem, 0)
+		f.mem, f.head = mem, 0
 	}
-	f.Buf = append(f.Buf, b...)
+	tail := f.head + f.n
+	if tail >= len(f.mem) {
+		tail -= len(f.mem)
+	}
+	k := copy(f.mem[tail:], b)
+	copy(f.mem, b[k:]) // the part past the wrap
+	f.n += len(b)
+}
+
+// CopyOut copies queued bytes into dst, starting off bytes behind the
+// oldest, and returns how many it copied: len(dst) or what is queued
+// from off on, whichever is less. The bytes stay queued.
+func (f *FIFO) CopyOut(dst []byte, off int) int {
+	n := min(len(dst), f.n-off)
+	if n <= 0 {
+		return 0
+	}
+	start := f.head + off
+	if start >= len(f.mem) {
+		start -= len(f.mem)
+	}
+	k := copy(dst[:n], f.mem[start:])
+	copy(dst[k:n], f.mem) // the part past the wrap
+	return n
+}
+
+// Drop discards the oldest n bytes.
+func (f *FIFO) Drop(n int) {
+	if n < 0 || n > f.n {
+		panic("kernel: FIFO.Drop out of range")
+	}
+	f.n -= n
+	if f.n == 0 {
+		f.head = 0
+		return
+	}
+	if f.head += n; f.head >= len(f.mem) {
+		f.head -= len(f.mem)
+	}
 }
 
 // Queue is a FIFO of values popped one at a time. Pop clears the slot it
@@ -135,43 +176,59 @@ func (q *Queue[T]) Pop() (v T) {
 // WriteQueue is the sink half: a byte FIFO bounded by Cap with the
 // writes that do not fit yet queued in front of it. Admission, not
 // consumption, completes a write — the flow control that composes with
-// the splice watermarks. The endpoint consumes Buf from the front and
-// calls Admit whenever it has made room.
+// the splice watermarks. The endpoint consumes the FIFO from the front
+// (CopyOut, Drop) and calls Admit whenever it has made room.
 type WriteQueue struct {
 	Cap     int
-	FIFO    // Buf holds the admitted bytes
+	FIFO    // the admitted bytes
 	waiting Queue[queuedWrite]
 }
 
 type queuedWrite struct {
-	data []byte
+	data []byte // what is not admitted yet; the writer's own bytes, on loan
 	done func(error)
 }
 
 // Queue accepts a write behind the earlier ones. One that fits whole with
-// nobody queued ahead goes straight into Buf and done(nil) fires at once,
-// as the next Admit would have had it. Any other write waits, and the
-// queue then keeps its own copy of data unless the caller gives the bytes
-// away (owned). done fires exactly once: with nil from Queue, Admit or
-// Flush once the last byte is in Buf, or with Abort's error.
-func (q *WriteQueue) Queue(data []byte, owned bool, done func(error)) {
-	if q.Writable() && len(data) <= q.Cap-len(q.Buf) {
+// nobody queued ahead is admitted and done(nil) fires at once, as the
+// next Admit would have had it. Any other write waits, and the queue
+// borrows data rather than copying it: the writer leaves the bytes alone
+// until done fires (a splice keeps the source buffer busy until its
+// write completes; a process blocked in AwaitWrite is asleep on them),
+// or calls Keep first. done fires exactly once: with nil from Queue,
+// Admit or Flush once the last byte is admitted, or with Abort's error.
+func (q *WriteQueue) Queue(data []byte, done func(error)) {
+	if q.Writable() && len(data) <= q.Cap-q.Len() {
 		q.Push(data)
 		done(nil)
 		return
 	}
-	if !owned {
-		data = append([]byte(nil), data...)
-	}
 	q.waiting.Push(queuedWrite{data, done})
 }
 
-// Admit moves queued bytes into Buf in arrival order while it has room,
-// completing each write whose last byte went in.
+// Keep ends the loan of data before its write has completed: the queue
+// takes a copy of its own of what it still has to admit, and the writer
+// may reuse the bytes.
+func (q *WriteQueue) Keep(data []byte) {
+	if len(data) == 0 {
+		return
+	}
+	last := &data[len(data)-1]
+	for i := q.waiting.head; i < len(q.waiting.items); i++ {
+		// Admission consumes a write from the front, so what remains of
+		// one still ends where the writer's slice does.
+		if w := &q.waiting.items[i]; len(w.data) > 0 && &w.data[len(w.data)-1] == last {
+			w.data = append([]byte(nil), w.data...)
+		}
+	}
+}
+
+// Admit moves queued bytes into the FIFO in arrival order while it has
+// room, completing each write whose last byte went in.
 func (q *WriteQueue) Admit() {
 	for q.waiting.Len() > 0 {
 		w := q.waiting.Front()
-		space := q.Cap - len(q.Buf)
+		space := q.Cap - q.Len()
 		if space <= 0 {
 			return
 		}
@@ -187,7 +244,7 @@ func (q *WriteQueue) Admit() {
 
 // Writable reports that a write would admit at least one byte now:
 // there is room and no earlier write is queued ahead.
-func (q *WriteQueue) Writable() bool { return q.waiting.Len() == 0 && len(q.Buf) < q.Cap }
+func (q *WriteQueue) Writable() bool { return q.waiting.Len() == 0 && q.Len() < q.Cap }
 
 // TryWrite is the nonblocking write: it admits what fits right now and
 // returns the count, or ErrWouldBlock when not a single byte can go in.
@@ -195,7 +252,7 @@ func (q *WriteQueue) TryWrite(b []byte) (int, error) {
 	if !q.Writable() {
 		return 0, ErrWouldBlock
 	}
-	n := min(len(b), q.Cap-len(q.Buf))
+	n := min(len(b), q.Cap-q.Len())
 	q.Push(b[:n])
 	return n, nil
 }
@@ -239,28 +296,57 @@ func SleepUntil(ctx Ctx, wchan any, pri int, cond func() bool) error {
 	return nil
 }
 
+// awaiter is the completion state of one AwaitWrite. A process keeps a
+// spare in Proc.aw, so a blocking write allocates neither the state nor
+// the callback it hands to the endpoint.
+type awaiter struct {
+	k     *Kernel
+	fired bool
+	err   error
+	done  func(error) // complete, bound once
+}
+
+func (a *awaiter) complete(err error) {
+	a.fired, a.err = true, err
+	a.k.Wakeup(a)
+}
+
 // AwaitWrite is the blocking write(2) over an endpoint's own sink half
 // (write is its SpliceWrite): it awaits a completion callback from
 // process context, sleeping until done has fired, and returns len(b) or
 // done's error. A context that cannot sleep does not wait — the write
 // finishes on its own and counts as accepted. An interrupted sleep
-// returns the sleep's error and leaves the write running.
-func AwaitWrite(ctx Ctx, b []byte, write func(data []byte, done func(error))) (int, error) {
-	var c struct {
-		fired bool
-		err   error
+// returns the sleep's error and leaves the write running. Either way the
+// caller gets b back before done has fired, so lentTo, the queue write
+// lends b to (nil if it lends to none), first takes its own copy of what
+// it still holds.
+func AwaitWrite(ctx Ctx, b []byte, write func(data []byte, done func(error)), lentTo *WriteQueue) (int, error) {
+	var a *awaiter
+	pc, inProc := ctx.(procCtx)
+	if inProc && pc.p.aw != nil {
+		a, pc.p.aw = pc.p.aw, nil
+		a.fired, a.err = false, nil
+	} else {
+		a = &awaiter{k: ctx.Kern()}
+		a.done = a.complete
 	}
-	write(b, func(err error) {
-		c.fired, c.err = true, err
-		ctx.Kern().Wakeup(&c)
-	})
-	for !c.fired && ctx.CanSleep() {
-		if err := ctx.Sleep(&c, PSOCK); err != nil {
-			return 0, err
-		}
+	write(b, a.done)
+	var serr error
+	for !a.fired && serr == nil && ctx.CanSleep() {
+		serr = ctx.Sleep(a, PSOCK)
 	}
-	if c.err != nil {
-		return 0, c.err
+	fired := a.fired
+	switch {
+	case fired && inProc:
+		pc.p.aw = a // done has run and will not again: the record is spare
+	case !fired && lentTo != nil:
+		lentTo.Keep(b)
+	}
+	switch {
+	case serr != nil:
+		return 0, serr
+	case fired && a.err != nil:
+		return 0, a.err
 	}
 	return len(b), nil
 }

@@ -106,6 +106,13 @@ func TestParkedRead(t *testing.T) {
 	}
 }
 
+// queued returns the bytes f holds, oldest first.
+func queued(f *FIFO) []byte {
+	b := make([]byte, f.Len())
+	f.CopyOut(b, 0)
+	return b
+}
+
 func TestWriteQueue(t *testing.T) {
 	var log []string
 	done := func(tag string) func(error) {
@@ -121,14 +128,14 @@ func TestWriteQueue(t *testing.T) {
 
 	q := WriteQueue{Cap: 4}
 	src := []byte("abc")
-	q.Queue(src, false, done("a")) // fits whole, nobody ahead: admitted on the spot
-	src[0] = 'X'                   // Buf holds its own copy
+	q.Queue(src, done("a")) // fits whole, nobody ahead: admitted on the spot
+	src[0] = 'X'            // the FIFO holds its own copy
 	lent := []byte("defgh")
-	q.Queue(lent, false, done("b"))
-	lent[0] = 'X' // a write that has to wait is copied...
-	given := []byte("i")
-	q.Queue(given, true, done("c"))
-	given[0] = 'I' // ...unless the caller gave the bytes away
+	q.Queue(lent, done("b")) // has to wait: the queue borrows the bytes...
+	kept := []byte("i")
+	q.Queue(kept, done("c"))
+	q.Keep(kept) // ...until done, or until the writer takes them back
+	kept[0] = 'I'
 	expect("a admitted at once, b and c wait", "a:<nil>")
 	if q.Queued() != 2 || q.Writable() {
 		t.Fatalf("Queued=%d Writable=%v, want 2 false", q.Queued(), q.Writable())
@@ -136,23 +143,26 @@ func TestWriteQueue(t *testing.T) {
 
 	q.Admit() // one byte of b
 	expect("first admit", "a:<nil>")
-	if string(q.Buf) != "abcd" || q.Queued() != 2 {
-		t.Fatalf("Buf=%q Queued=%d", q.Buf, q.Queued())
+	if got := queued(&q.FIFO); string(got) != "abcd" || q.Queued() != 2 {
+		t.Fatalf("FIFO=%q Queued=%d", got, q.Queued())
 	}
 	q.Admit() // full: no progress, no completion
 	expect("admit into a full buffer", "a:<nil>")
 
-	q.Buf = q.Buf[3:] // the endpoint consumed three bytes
+	q.Drop(3) // the endpoint consumed three bytes
 	q.Admit()
-	expect("b is three of five bytes in", "a:<nil>")
+	expect("b is four of five bytes in", "a:<nil>")
 	if _, err := q.TryWrite([]byte("z")); err != ErrWouldBlock {
 		t.Fatalf("TryWrite behind queued writers: %v, want ErrWouldBlock", err)
 	}
-	q.Buf = q.Buf[4:]
+	q.Keep(lent) // what is left of b is copied; what went in already stays
+	lent[4] = 'X'
+	q.Keep([]byte("nobody's")) // bytes the queue was never lent: nothing happens
+	q.Drop(4)
 	q.Admit() // rest of b, then c, in arrival order
 	expect("b then c", "a:<nil>", "b:<nil>", "c:<nil>")
-	if string(q.Buf) != "hI" || q.Queued() != 0 || !q.Writable() {
-		t.Fatalf("Buf=%q Queued=%d Writable=%v", q.Buf, q.Queued(), q.Writable())
+	if got := queued(&q.FIFO); string(got) != "hi" || q.Queued() != 0 || !q.Writable() {
+		t.Fatalf("FIFO=%q Queued=%d Writable=%v", got, q.Queued(), q.Writable())
 	}
 
 	// Nonblocking writes admit what fits, then refuse.
@@ -166,25 +176,130 @@ func TestWriteQueue(t *testing.T) {
 	// Abort fails every stranded writer exactly once, the part-admitted
 	// one included; later admits and aborts find nothing.
 	log = nil
-	q.Queue([]byte("op"), false, done("d"))
-	q.Queue([]byte("q"), false, done("e"))
-	q.Buf = q.Buf[1:]
+	q.Queue([]byte("op"), done("d"))
+	q.Queue([]byte("q"), done("e"))
+	q.Drop(1)
 	q.Admit()
 	q.Abort(boom)
 	q.Abort(boom)
-	q.Buf = nil
+	q.Drop(q.Len())
 	q.Admit()
 	expect("abort", "d:boom", "e:boom")
 
 	// Flush admits past Cap and completes in order.
 	log = nil
-	q.Queue([]byte("12345"), false, done("f"))
-	q.Queue([]byte("6"), false, done("g"))
+	q.Queue([]byte("12345"), done("f"))
+	q.Queue([]byte("6"), done("g"))
 	q.Flush()
 	expect("flush", "f:<nil>", "g:<nil>")
-	if string(q.Buf) != "123456" || q.Queued() != 0 {
-		t.Fatalf("after Flush Buf=%q Queued=%d", q.Buf, q.Queued())
+	if got := queued(&q.FIFO); string(got) != "123456" || q.Queued() != 0 {
+		t.Fatalf("after Flush FIFO=%q Queued=%d", got, q.Queued())
 	}
+}
+
+// TestFIFOAgainstModel checks the ring against a plain []byte. First by
+// enumeration: for every ring size up to 24, the wrap is put on every
+// offset with every fill, read back from every offset, and the ring is
+// then grown while wrapped. Then at random: seeded pushes (some past the
+// ring's size), drops and partial CopyOuts, the ring reading exactly
+// what the reference holds after every step.
+func TestFIFOAgainstModel(t *testing.T) {
+	next := byte(0)
+	fresh := func(n int) []byte { // n bytes unlike their neighbours
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = next
+			next++
+		}
+		return b
+	}
+	check := func(f *FIFO, model []byte, when string) {
+		t.Helper()
+		if f.Len() != len(model) {
+			t.Fatalf("%s: Len = %d, reference holds %d", when, f.Len(), len(model))
+		}
+		for off := 0; off <= len(model); off++ {
+			dst := make([]byte, len(model)-off+2) // longer than what is left
+			if n := f.CopyOut(dst, off); n != len(model)-off || !bytes.Equal(dst[:n], model[off:]) {
+				t.Fatalf("%s: CopyOut from %d = %d %v, reference %v", when, off, n, dst[:n], model[off:])
+			}
+		}
+	}
+	for size := 1; size <= 24; size++ {
+		for head := 0; head < size; head++ {
+			for fill := 1; fill <= size; fill++ {
+				var f FIFO
+				model := fresh(size)
+				f.Push(model) // sizes the ring
+				f.Drop(size - 1)
+				model = model[size-1:]
+				for f.head != head { // one byte in, one out: head walks the ring
+					model = append(model[1:], fresh(1)...)
+					f.Push(model[len(model)-1:])
+					f.Drop(1)
+				}
+				rest := fresh(fill - 1)
+				f.Push(rest)
+				model = append(model, rest...)
+				if f.head != head || f.n != fill || len(f.mem) != size {
+					t.Fatalf("size %d head %d fill %d: ring at head %d holding %d of %d", size, head, fill, f.head, f.n, len(f.mem))
+				}
+				check(&f, model, fmt.Sprintf("size %d head %d fill %d", size, head, fill))
+				more := fresh(size - fill + 1 + head%3) // does not fit: the ring is replaced
+				f.Push(more)
+				model = append(model, more...)
+				check(&f, model, fmt.Sprintf("size %d head %d fill %d, grown", size, head, fill))
+			}
+		}
+	}
+
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var f FIFO
+		var model []byte
+		wrapped := 0
+		for step := 0; step < 3000; step++ {
+			switch op := rng.Intn(8); {
+			case op < 3: // push: what fits, or now and then more than that
+				n := rng.Intn(len(f.mem) - f.Len() + 1)
+				if len(f.mem) < 512 && rng.Intn(8) == 0 {
+					n += 1 + rng.Intn(8)
+				}
+				b := fresh(n)
+				f.Push(b)
+				model = append(model, b...)
+				clear(b) // Push copied: the bytes are the caller's again
+			case op < 6:
+				n := rng.Intn(len(model) + 1)
+				f.Drop(n)
+				model = model[n:]
+			default: // a partial read into a short dst
+				off := rng.Intn(len(model) + 1)
+				dst := make([]byte, rng.Intn(len(model)-off+1))
+				if n := f.CopyOut(dst, off); n != len(dst) || !bytes.Equal(dst, model[off:off+n]) {
+					t.Fatalf("seed %d step %d: CopyOut(%d bytes from %d) = %d %v, reference %v", seed, step, len(dst), off, n, dst[:n], model[off:])
+				}
+			}
+			if f.head+f.n > len(f.mem) {
+				wrapped++
+			}
+			if !bytes.Equal(queued(&f), model) {
+				t.Fatalf("seed %d step %d: ring holds %v, reference %v", seed, step, queued(&f), model)
+			}
+		}
+		if wrapped == 0 {
+			t.Fatalf("seed %d: the queue never wrapped", seed)
+		}
+	}
+
+	var f FIFO
+	f.Push([]byte("ab"))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Drop of more than is queued did not panic")
+		}
+	}()
+	f.Drop(3)
 }
 
 func TestAwaitWriteAndSleepUntil(t *testing.T) {
@@ -203,21 +318,21 @@ func TestAwaitWriteAndSleepUntil(t *testing.T) {
 	}
 	k.Spawn("caller", func(p *Proc) {
 		// Completed synchronously: no sleep, the callback's verdict.
-		if n, err := AwaitWrite(p.Ctx(), b, sink(nil, 0)); n != 3 || err != nil {
+		if n, err := AwaitWrite(p.Ctx(), b, sink(nil, 0), nil); n != 3 || err != nil {
 			t.Errorf("synchronous completion = (%d, %v), want (3, nil)", n, err)
 		}
-		if n, err := AwaitWrite(k.IntrCtx(), b, sink(boom, 0)); n != 0 || err != boom {
+		if n, err := AwaitWrite(k.IntrCtx(), b, sink(boom, 0), nil); n != 0 || err != boom {
 			t.Errorf("synchronous failure at interrupt level = (%d, %v), want (0, boom)", n, err)
 		}
 		// Completed later from a callout: AwaitWrite sleeps until then.
 		t0 := p.Now()
-		if n, err := AwaitWrite(p.Ctx(), b, sink(boom, 3)); n != 0 || err != boom || p.Now() == t0 {
+		if n, err := AwaitWrite(p.Ctx(), b, sink(boom, 3), nil); n != 0 || err != boom || p.Now() == t0 {
 			t.Errorf("deferred completion = (%d, %v) after %v, want boom after a sleep", n, err, p.Now().Sub(t0))
 		}
 		// A context that cannot sleep returns at once (NBCtx.Sleep
 		// panics, so returning at all proves no sleep was attempted);
 		// the write still completes on its own.
-		if n, err := AwaitWrite(p.NBCtx(), b, sink(boom, 1)); n != 3 || err != nil {
+		if n, err := AwaitWrite(p.NBCtx(), b, sink(boom, 1), nil); n != 3 || err != nil {
 			t.Errorf("nonblocking AwaitWrite = (%d, %v), want (3, nil)", n, err)
 		}
 		p.SleepFor(2 * k.Config().TickDuration())
@@ -248,11 +363,12 @@ func TestAwaitWriteAndSleepUntil(t *testing.T) {
 
 // TestWriteQueueAgainstModel drives one WriteQueue with a seeded random
 // run of every operation an endpoint performs on it — raw pushes,
-// consumption from the front, Queue (lent and given bytes), Admit,
-// TryWrite, Flush, Abort — beside a bytes.Buffer and a plain list of
-// waiting writes. After every step the window must read exactly what
-// the model holds, however often it has slid or been reallocated, and
-// every done must have fired once, in order, with the model's verdict.
+// consumption from the front, Queue (bytes left on loan, and bytes taken
+// back with Keep and overwritten), Admit, TryWrite, Flush, Abort — beside
+// a bytes.Buffer and a plain list of waiting writes. After every step
+// the FIFO must read exactly what the model holds, however often it has
+// wrapped or been reallocated, and every done must have fired once, in
+// order, with the model's verdict.
 func TestWriteQueueAgainstModel(t *testing.T) {
 	boom := errors.New("boom")
 	type pending struct {
@@ -298,19 +414,20 @@ func TestWriteQueueAgainstModel(t *testing.T) {
 				model.Write(b)
 			case 1, 2, 3: // the endpoint consumes from the front
 				n := rng.Intn(model.Len() + 1)
-				q.Buf = q.Buf[n:]
+				q.Drop(n)
 				model.Next(n)
 			case 4, 5, 6:
-				b, owned := fresh(rng.Intn(2*q.Cap)), rng.Intn(2) == 0
+				b, keep := fresh(rng.Intn(2*q.Cap)), rng.Intn(2) == 0
 				if writable && len(b) <= q.Cap-model.Len() {
 					model.Write(b)
 					want = append(want, fmt.Sprintf("%d:<nil>", step))
 				} else {
 					waiting = append(waiting, pending{append([]byte(nil), b...), step})
 				}
-				q.Queue(b, owned, done(step))
-				if !owned {
-					clear(b) // lent bytes are the caller's again
+				q.Queue(b, done(step))
+				if keep {
+					q.Keep(b)
+					clear(b) // the bytes are the caller's again
 				}
 			case 7:
 				q.Admit()
@@ -341,8 +458,8 @@ func TestWriteQueueAgainstModel(t *testing.T) {
 				}
 				waiting = nil
 			}
-			if !bytes.Equal(q.Buf, model.Bytes()) {
-				t.Fatalf("seed %d step %d: Buf = %v, model %v", seed, step, q.Buf, model.Bytes())
+			if got := queued(&q.FIFO); !bytes.Equal(got, model.Bytes()) {
+				t.Fatalf("seed %d step %d: FIFO = %v, model %v", seed, step, got, model.Bytes())
 			}
 			if q.Queued() != len(waiting) || q.Writable() != (len(waiting) == 0 && model.Len() < q.Cap) {
 				t.Fatalf("seed %d step %d: Queued=%d Writable=%v, model has %d waiting and %d of %d bytes",

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"slices"
 	"sort"
 
 	"kdp/internal/trace"
@@ -136,7 +137,7 @@ func (fp *FaultPlan) Remove(h *FaultArm) bool {
 		if a != h {
 			continue
 		}
-		list = append(list[:i], list[i+1:]...)
+		list = slices.Delete(list, i, i+1)
 		if len(list) == 0 {
 			delete(fp.arms, h.Site)
 		} else {

@@ -8,8 +8,11 @@ import (
 	"kdp/internal/trace"
 )
 
-// Errno-style errors shared across the I/O stack.
-var (
+// Errno-style errors shared across the I/O stack. They are constants so
+// that returning one as an error converts static data and allocates
+// nothing: a refused nonblocking call is the common case at interrupt
+// level (splice retries on ErrWouldBlock every tick it is stalled).
+const (
 	ErrNoEnt       = errorString("no such file or directory")
 	ErrBadFD       = errorString("bad file descriptor")
 	ErrInval       = errorString("invalid argument")

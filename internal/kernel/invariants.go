@@ -37,7 +37,7 @@ func (k *Kernel) CheckInvariants() error {
 		if c.delta < 0 {
 			return kviolation("kern-callout-delta", "negative delta %d at entry %d", c.delta, n)
 		}
-		if c.fired || c.dead {
+		if !c.queued {
 			return kviolation("kern-callout-delta", "fired/cancelled entry still queued at %d", n)
 		}
 		n++
@@ -82,7 +82,10 @@ func (k *Kernel) CheckInvariants() error {
 			continue
 		}
 		queues++
-		for _, q := range k.sleepq[p.wchan] {
+		for q := k.sleepq[p.wchan].head; q != nil; q = q.sleepNext {
+			if q.ckSleep == k.ckPass {
+				return kviolation("kern-sleepq-state", "proc %q on its sleep queue twice", q.name)
+			}
 			if q.state != ProcSleeping {
 				return kviolation("kern-sleepq-state", "proc %q on sleep queue in state %v", q.name, q.state)
 			}
@@ -120,9 +123,11 @@ func (k *Kernel) CheckPollDrained() error {
 	if k.pollRegs != 0 {
 		return kviolation("poll-leak", "%d poller registration(s) outstanding at drain", k.pollRegs)
 	}
-	for wchan, list := range k.sleepq {
-		if _, ok := wchan.(*pollWaiter); ok && len(list) > 0 {
-			return kviolation("poll-leak", "%d process(es) still sleeping in poll at drain", len(list))
+	for wchan := range k.sleepq {
+		if _, ok := wchan.(*pollWaiter); ok {
+			if n := k.Sleepers(wchan); n > 0 {
+				return kviolation("poll-leak", "%d process(es) still sleeping in poll at drain", n)
+			}
 		}
 	}
 	return nil

@@ -29,19 +29,26 @@ func TestCatalogTrips(t *testing.T) {
 			return func() { sl.wchan = &wchan }
 		}},
 		{"kern-sleepq-state", func(k *Kernel, _ *Proc) func() { // empty queue left behind
-			k.sleepq[&stray] = nil
+			k.sleepq[&stray] = sleepQueue{}
 			return func() { delete(k.sleepq, &stray) }
 		}},
 		{"kern-sleepq-state", func(k *Kernel, sl *Proc) func() { // a runnable process on a sleep queue
-			k.sleepq[&wchan] = append(k.sleepq[&wchan], k.runq[0])
-			return func() { k.sleepq[&wchan] = k.sleepq[&wchan][:2] }
+			tail := k.sleepq[&wchan].tail
+			tail.sleepNext = k.runq[0]
+			return func() { tail.sleepNext = nil }
 		}},
-		{"kern-sleepq-state", func(k *Kernel, _ *Proc) func() { // a later sleeper missing from a shared queue
-			k.sleepq[&wchan] = k.sleepq[&wchan][:1]
-			return func() { k.sleepq[&wchan] = k.sleepq[&wchan][:2] }
+		{"kern-sleepq-state", func(k *Kernel, sl *Proc) func() { // a later sleeper missing from a shared queue
+			later := sl.sleepNext
+			sl.sleepNext = nil
+			return func() { sl.sleepNext = later }
+		}},
+		{"kern-sleepq-state", func(k *Kernel, sl *Proc) func() { // a sleeper threaded onto its queue twice
+			tail := k.sleepq[&wchan].tail
+			tail.sleepNext = sl
+			return func() { tail.sleepNext = nil }
 		}},
 		{"kern-sleepq-state", func(k *Kernel, sl *Proc) func() { // a queue holding only a stray
-			k.sleepq[&stray] = []*Proc{k.runq[0]}
+			k.sleepq[&stray] = sleepQueue{head: k.runq[0], tail: k.runq[0]}
 			return func() { delete(k.sleepq, &stray) }
 		}},
 		{"kern-proc-account", func(k *Kernel, _ *Proc) func() {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"slices"
 
 	"kdp/internal/sim"
 	"kdp/internal/trace"
@@ -35,12 +36,13 @@ type Kernel struct {
 	needResched bool
 	quantumLeft int
 
-	sleepq map[any][]*Proc
+	sleepq map[any]sleepQueue
 
-	callouts calloutList
-	ticks    int64
-	clockOn  bool
-	nextTick sim.Time
+	callouts  calloutList
+	ticks     int64
+	clockOn   bool
+	nextTick  sim.Time
+	hardclock func() // hardclockIntr, bound once: the tick schedules no closure
 
 	mounts []mountEntry
 	devs   []devEntry
@@ -75,8 +77,9 @@ func New(cfg Config) *Kernel {
 		engine:  sim.NewEngine(),
 		rand:    sim.NewRand(cfg.Seed),
 		nextPid: 1,
-		sleepq:  make(map[any][]*Proc),
+		sleepq:  make(map[any]sleepQueue),
 	}
+	k.hardclock = k.hardclockIntr
 	k.faults = newFaultPlan(k)
 	return k
 }
@@ -223,35 +226,75 @@ func (k *Kernel) Interrupt(fn func()) {
 	fn()
 }
 
+// sleepQueue is the processes blocked on one wchan, longest sleeper
+// first, threaded through Proc.sleepNext (4.3BSD's p_link).
+type sleepQueue struct{ head, tail *Proc }
+
 // Sleepers reports how many processes are blocked on wchan.
-func (k *Kernel) Sleepers(wchan any) int { return len(k.sleepq[wchan]) }
+func (k *Kernel) Sleepers(wchan any) int {
+	n := 0
+	for p := k.sleepq[wchan].head; p != nil; p = p.sleepNext {
+		n++
+	}
+	return n
+}
+
+// enqueueSleeper puts p at the tail of the queue its wchan names.
+func (k *Kernel) enqueueSleeper(p *Proc) {
+	q := k.sleepq[p.wchan]
+	if q.tail == nil {
+		q.head = p
+	} else {
+		q.tail.sleepNext = p
+	}
+	q.tail = p
+	k.sleepq[p.wchan] = q
+}
 
 // Wakeup makes every process sleeping on wchan runnable, as 4.3BSD
 // wakeup(). Safe to call from any context.
 func (k *Kernel) Wakeup(wchan any) {
-	list := k.sleepq[wchan]
-	if len(list) == 0 {
+	q, ok := k.sleepq[wchan]
+	if !ok {
 		return
 	}
 	delete(k.sleepq, wchan)
-	for _, p := range list {
+	for p := q.head; p != nil; {
+		next := p.sleepNext
+		p.sleepNext = nil
 		k.makeRunnable(p, p.sleepPri)
+		p = next
 	}
 }
 
 // WakeupOne wakes only the longest-sleeping process on wchan.
 func (k *Kernel) WakeupOne(wchan any) {
-	list := k.sleepq[wchan]
-	if len(list) == 0 {
+	q, ok := k.sleepq[wchan]
+	if !ok {
 		return
 	}
-	p := list[0]
-	if len(list) == 1 {
+	p := q.head
+	k.dequeueSleeper(wchan, q, nil, p)
+	k.makeRunnable(p, p.sleepPri)
+}
+
+// dequeueSleeper unlinks p, whose predecessor on q is prev (nil at the
+// head), and drops the queue from the table once it is empty.
+func (k *Kernel) dequeueSleeper(wchan any, q sleepQueue, prev, p *Proc) {
+	if prev == nil {
+		q.head = p.sleepNext
+	} else {
+		prev.sleepNext = p.sleepNext
+	}
+	if q.tail == p {
+		q.tail = prev
+	}
+	p.sleepNext = nil
+	if q.head == nil {
 		delete(k.sleepq, wchan)
 	} else {
-		k.sleepq[wchan] = list[1:]
+		k.sleepq[wchan] = q
 	}
-	k.makeRunnable(p, p.sleepPri)
 }
 
 func (k *Kernel) makeRunnable(p *Proc, pri int) {
@@ -270,17 +313,13 @@ func (k *Kernel) makeRunnable(p *Proc, pri int) {
 
 // unsleep removes p from its sleep queue (signal interruption).
 func (k *Kernel) unsleep(p *Proc) {
-	list := k.sleepq[p.wchan]
-	for i, q := range list {
-		if q == p {
-			list = append(list[:i], list[i+1:]...)
-			break
+	q := k.sleepq[p.wchan]
+	var prev *Proc
+	for cur := q.head; cur != nil; prev, cur = cur, cur.sleepNext {
+		if cur == p {
+			k.dequeueSleeper(p.wchan, q, prev, p)
+			return
 		}
-	}
-	if len(list) == 0 {
-		delete(k.sleepq, p.wchan)
-	} else {
-		k.sleepq[p.wchan] = list
 	}
 }
 
@@ -297,7 +336,7 @@ func (k *Kernel) pickNext() *Proc {
 		return nil
 	}
 	p := k.runq[best]
-	k.runq = append(k.runq[:best], k.runq[best+1:]...)
+	k.runq = slices.Delete(k.runq, best, best+1)
 	return p
 }
 
@@ -420,7 +459,7 @@ func (k *Kernel) runStep(p *Proc) {
 		// Preempted mid-charge (serveUse requeued it) or stopped by a
 		// boundary (stopErr): see Proc.Use.
 	case reqSleep:
-		k.sleepq[p.wchan] = append(k.sleepq[p.wchan], p)
+		k.enqueueSleeper(p)
 		p.state = ProcSleeping
 		p.pri = p.sleepPri
 		p.nvcsw++
@@ -544,10 +583,10 @@ func (k *Kernel) scheduleNextTick() {
 	k.engine.Schedule(delay, "hardclock", k.hardclock)
 }
 
-// hardclock is the 100Hz (by default) clock interrupt: it advances the
-// tick count, runs softclock (the callout list), and implements
+// hardclockIntr is the 100Hz (by default) clock interrupt: it advances
+// the tick count, runs softclock (the callout list), and implements
 // round-robin preemption for equal-priority user processes.
-func (k *Kernel) hardclock() {
+func (k *Kernel) hardclockIntr() {
 	k.ticks++
 	k.softclock()
 	// Charge the quantum to whoever holds the CPU, in either mode (as

@@ -8,7 +8,7 @@ package kernel
 
 // ErrNoMem is returned when the page pool cannot supply a frame (every
 // resident page is wired), in the spirit of ENOMEM.
-var ErrNoMem = errorString("out of memory")
+const ErrNoMem = errorString("out of memory")
 
 // Protection and mapping-type flags for Mmap, following mmap(2).
 const (

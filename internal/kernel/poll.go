@@ -1,6 +1,8 @@
 package kernel
 
 import (
+	"slices"
+
 	"kdp/internal/trace"
 )
 
@@ -88,7 +90,7 @@ func (q *PollQueue) register(w *pollWaiter, events int) {
 func (q *PollQueue) unregister(w *pollWaiter) {
 	for i := range q.regs {
 		if q.regs[i].w == w {
-			q.regs = append(q.regs[:i], q.regs[i+1:]...)
+			q.regs = slices.Delete(q.regs, i, i+1)
 			w.k.pollRegs--
 			return
 		}
@@ -106,7 +108,7 @@ func (q *PollQueue) Notify(events int) {
 	if len(q.regs) == 0 {
 		return
 	}
-	var kept []pollReg
+	kept := q.regs[:0] // filtered in place: a wakeup registers nobody
 	for _, r := range q.regs {
 		if r.events&events == 0 {
 			kept = append(kept, r)
@@ -116,6 +118,7 @@ func (q *PollQueue) Notify(events int) {
 		r.w.ready = true
 		r.w.k.Wakeup(r.w)
 	}
+	clear(q.regs[len(kept):])
 	q.regs = kept
 }
 
@@ -145,7 +148,7 @@ func (p *Proc) Poll(fds []PollFd, timeoutTicks int) (n int, err error) {
 	k := p.k
 	w := &pollWaiter{k: k}
 
-	var to *Callout
+	var to Callout
 	if timeoutTicks > 0 {
 		to = k.Timeout(func() {
 			w.timedOut = true
@@ -157,9 +160,7 @@ func (p *Proc) Poll(fds []PollFd, timeoutTicks int) (n int, err error) {
 		for _, q := range registered {
 			q.unregister(w)
 		}
-		if to != nil {
-			k.Untimeout(to)
-		}
+		k.Untimeout(to)
 		if err == nil {
 			k.TraceEmit(trace.KindKernelPoll, p.pid, int64(len(fds)), int64(n), "")
 		}

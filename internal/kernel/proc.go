@@ -62,7 +62,7 @@ const (
 
 // ErrIntr is returned by interruptible sleeps broken by a signal, in
 // the spirit of EINTR.
-var ErrIntr = errorString("interrupted system call")
+const ErrIntr = errorString("interrupted system call")
 
 type errorString string
 
@@ -81,12 +81,13 @@ type Proc struct {
 	pid  int
 	name string
 
-	state    ProcState
-	pri      int // current sleep/run priority
-	basePri  int // priority when computing in user mode
-	wchan    any // sleep channel when state == ProcSleeping
-	wakeErr  error
-	sleepSig bool // sleeping interruptibly
+	state     ProcState
+	pri       int   // current sleep/run priority
+	basePri   int   // priority when computing in user mode
+	wchan     any   // sleep channel when state == ProcSleeping
+	sleepNext *Proc // next sleeper on the same wchan
+	wakeErr   error
+	sleepSig  bool // sleeping interruptibly
 
 	// coroutine switch: Run calls next to resume the body, the body
 	// calls yield to park with req saying why
@@ -100,6 +101,10 @@ type Proc struct {
 
 	// pending sleep request
 	sleepPri int
+
+	wakeSelf func() // SleepFor's callout handler, made by the first call
+
+	aw *awaiter // spare AwaitWrite state, nil while a write that outlived its await holds it
 
 	// signals
 	sigPending uint32
@@ -242,12 +247,15 @@ func (p *Proc) Yield() {
 // SleepFor blocks the process for the given virtual duration using the
 // callout list (like tsleep with a timeout and no wakeup).
 func (p *Proc) SleepFor(d sim.Duration) {
-	ch := new(int)
 	k := p.k
-	ticks := k.DurationToTicks(d)
-	k.Timeout(func() { k.Wakeup(ch) }, ticks)
+	// The sleep cannot end before its own callout fires, so one handler
+	// and one channel (the handler's slot) serve every SleepFor of p.
+	if p.wakeSelf == nil {
+		p.wakeSelf = func() { k.Wakeup(&p.wakeSelf) }
+	}
+	k.Timeout(p.wakeSelf, k.DurationToTicks(d))
 	// Uninterruptible: purely a timing primitive.
-	_ = p.Sleep(ch, PSLEP-30) // below PZERO: not signal-interruptible
+	_ = p.Sleep(&p.wakeSelf, PSLEP-30) // below PZERO: not signal-interruptible
 }
 
 // AtExit registers fn to run when the process exits, in process

@@ -98,7 +98,7 @@ func (p *Proc) Pause() {
 type itimer struct {
 	p        *Proc
 	interval int // ticks; 0 means one-shot
-	callout  *Callout
+	callout  Callout
 	stopped  bool
 }
 
@@ -114,10 +114,7 @@ func (t *itimer) fire(k *Kernel) {
 
 func (t *itimer) stop(k *Kernel) {
 	t.stopped = true
-	if t.callout != nil {
-		k.Untimeout(t.callout)
-		t.callout = nil
-	}
+	k.Untimeout(t.callout)
 }
 
 // SetITimer arms (or with zero durations, disarms) the process's real

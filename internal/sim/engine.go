@@ -1,51 +1,21 @@
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
-// Event is a scheduled callback. Events are created by Engine.Schedule
-// and may be cancelled before they fire.
-type Event struct {
-	when  Time
-	seq   uint64 // insertion order; breaks ties deterministically
-	index int    // heap index, -1 when not queued
-	fn    func()
+// event is a scheduled callback. The queue holds events by value, so
+// scheduling one allocates nothing once the queue has grown to the
+// machine's working set.
+type event struct {
+	when Time
+	seq  uint64 // insertion order; breaks ties deterministically
+	fn   func()
 }
 
-// Pending reports whether the event is still queued (not yet fired or
-// cancelled).
-func (ev *Event) Pending() bool { return ev != nil && ev.index >= 0 }
-
-// eventQueue is a min-heap ordered by (when, seq).
-type eventQueue []*Event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].when != q[j].when {
-		return q[i].when < q[j].when
+func (a *event) before(b *event) bool {
+	if a.when != b.when {
+		return a.when < b.when
 	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-func (q *eventQueue) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*q)
-	*q = append(*q, ev)
-}
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*q = old[:n-1]
-	return ev
+	return a.seq < b.seq
 }
 
 // Engine is the discrete-event core: a virtual clock plus an ordered
@@ -54,7 +24,7 @@ func (q *eventQueue) Pop() any {
 // explicitly (Consume) to model CPU time being burned.
 type Engine struct {
 	now    Time
-	queue  eventQueue
+	queue  []event // binary min-heap ordered by (when, seq)
 	nextID uint64
 	fired  uint64
 }
@@ -75,33 +45,61 @@ func (e *Engine) Pending() int { return len(e.queue) }
 
 // Schedule queues fn to run after delay. A negative delay is treated as
 // zero (the event fires as soon as the queue is next drained). label
-// names the event at the call site; the engine does not keep it. The
-// returned Event may be passed to Cancel.
-func (e *Engine) Schedule(delay Duration, label string, fn func()) *Event {
+// names the event at the call site; the engine does not keep it.
+func (e *Engine) Schedule(delay Duration, label string, fn func()) {
 	if fn == nil {
 		panic("sim: Schedule with nil fn")
 	}
 	if delay < 0 {
 		delay = 0
 	}
-	ev := &Event{
-		when: e.now.Add(delay),
-		seq:  e.nextID,
-		fn:   fn,
-	}
+	ev := event{when: e.now.Add(delay), seq: e.nextID, fn: fn}
 	e.nextID++
-	heap.Push(&e.queue, ev)
-	return ev
+	// Sift up: move later parents down into the hole.
+	q := append(e.queue, ev)
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(&q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = ev
+	e.queue = q
 }
 
-// Cancel removes a queued event. Cancelling an event that already fired
-// or was already cancelled is a no-op and returns false.
-func (e *Engine) Cancel(ev *Event) bool {
-	if ev == nil || ev.index < 0 {
-		return false
+// pop removes and returns the earliest event. The vacated slot is
+// cleared so the queue does not keep a fired handler reachable.
+func (e *Engine) pop() event {
+	q := e.queue
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = event{}
+	q = q[:n]
+	// Sift down: move the earlier child up into the hole.
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && q[r].before(&q[child]) {
+			child = r
+		}
+		if !q[child].before(&last) {
+			break
+		}
+		q[i] = q[child]
+		i = child
 	}
-	heap.Remove(&e.queue, ev.index)
-	return true
+	if n > 0 {
+		q[i] = last
+	}
+	e.queue = q
+	return top
 }
 
 // NextEventTime returns the firing time of the earliest queued event.
@@ -121,7 +119,7 @@ func (e *Engine) RunNext() bool {
 	if len(e.queue) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.queue).(*Event)
+	ev := e.pop()
 	if ev.when > e.now {
 		e.now = ev.when
 	}

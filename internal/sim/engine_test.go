@@ -37,29 +37,6 @@ func TestEngineTieBreakBySequence(t *testing.T) {
 	}
 }
 
-func TestEngineCancel(t *testing.T) {
-	e := NewEngine()
-	fired := false
-	ev := e.Schedule(Millisecond, "x", func() { fired = true })
-	if !ev.Pending() {
-		t.Fatal("event not pending after Schedule")
-	}
-	if !e.Cancel(ev) {
-		t.Fatal("Cancel returned false on pending event")
-	}
-	if ev.Pending() {
-		t.Fatal("event still pending after Cancel")
-	}
-	if e.Cancel(ev) {
-		t.Fatal("second Cancel should return false")
-	}
-	for e.RunNext() {
-	}
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-}
-
 func TestEngineConsumeDelaysEvents(t *testing.T) {
 	e := NewEngine()
 	var firedAt Time
@@ -209,5 +186,53 @@ func TestRandUniformish(t *testing.T) {
 		if c < n/10-n/50 || c > n/10+n/50 {
 			t.Fatalf("bucket %d grossly non-uniform: %d of %d", i, c, n)
 		}
+	}
+}
+
+// scheduleRun is the benchmark probe's loop: eight events in, eight out.
+func scheduleRun(e *Engine, fn func(), rounds int) {
+	for i := 0; i < rounds*8; i++ {
+		e.Schedule(Duration(i%64), "", fn)
+		if i%8 == 7 {
+			for j := 0; j < 8; j++ {
+				e.RunNext()
+			}
+		}
+	}
+}
+
+// TestScheduleRunAllocatesNothing: once the queue has grown to its
+// working set, scheduling and dispatching an event allocates nothing.
+func TestScheduleRunAllocatesNothing(t *testing.T) {
+	e := NewEngine()
+	fn := func() {}
+	scheduleRun(e, fn, 4) // warm-up: grows the queue
+	if a := testing.AllocsPerRun(100, func() { scheduleRun(e, fn, 4) }); a != 0 {
+		t.Fatalf("schedule + dispatch allocated %.1f times per run, want 0", a)
+	}
+}
+
+// TestPopReleasesHandler: a dispatched event's slot does not keep its
+// handler reachable from the queue's backing array.
+func TestPopReleasesHandler(t *testing.T) {
+	e := NewEngine()
+	for i := 0; i < 5; i++ {
+		e.Schedule(Duration(i), "x", func() {})
+	}
+	for e.RunNext() {
+	}
+	for i, ev := range e.queue[:cap(e.queue)] {
+		if ev.fn != nil {
+			t.Fatalf("slot %d past len still holds a handler", i)
+		}
+	}
+}
+
+func BenchmarkScheduleRun(b *testing.B) {
+	e := NewEngine()
+	fn := func() {}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		scheduleRun(e, fn, 1)
 	}
 }

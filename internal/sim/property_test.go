@@ -5,11 +5,12 @@ import (
 	"testing"
 )
 
-// TestEventOrderProperty drives the engine with random schedules and
-// cancellations and checks events fire exactly in (time, insertion)
-// order, matching a reference sort.
+// TestEventOrderProperty is the model-based test of the event heap:
+// random schedules, a share of them made from inside handlers while the
+// queue is being drained, must fire exactly as a stable sort of
+// everything scheduled by (when, seq) orders them.
 func TestEventOrderProperty(t *testing.T) {
-	for seed := uint64(1); seed <= 20; seed++ {
+	for seed := uint64(1); seed <= 40; seed++ {
 		r := NewRand(seed)
 		e := NewEngine()
 
@@ -17,45 +18,41 @@ func TestEventOrderProperty(t *testing.T) {
 			when Time
 			seq  int
 		}
-		var expected []ev
-		var fired []ev
-		var handles []*Event
-		n := 50 + r.Intn(100)
-		for i := 0; i < n; i++ {
-			delay := Duration(r.Int63n(int64(100 * Millisecond)))
-			seq := i
-			when := e.Now().Add(delay)
-			h := e.Schedule(delay, "p", func() {
-				fired = append(fired, ev{when, seq})
+		var scheduled, fired []ev
+		budget := 200 + r.Intn(200) // events still to schedule from handlers
+		var schedule func()
+		schedule = func() {
+			// Few distinct delays, zero among them, so ties are common.
+			delay := Duration(r.Intn(8)) * Millisecond
+			x := ev{e.Now().Add(delay), len(scheduled)}
+			scheduled = append(scheduled, x)
+			e.Schedule(delay, "p", func() {
+				fired = append(fired, x)
+				for k := r.Intn(3); k > 0 && budget > 0; k-- {
+					budget--
+					schedule()
+				}
 			})
-			handles = append(handles, h)
-			expected = append(expected, ev{when, seq})
 		}
-		// Cancel a random subset.
-		cancelled := map[int]bool{}
-		for i := 0; i < n/4; i++ {
-			idx := r.Intn(n)
-			if e.Cancel(handles[idx]) {
-				cancelled[idx] = true
+		for i := 50 + r.Intn(100); i > 0; i-- {
+			schedule()
+		}
+		for e.RunNext() {
+			if e.Pending() == 0 && budget > 0 {
+				budget--
+				schedule() // the queue refills after draining empty
 			}
 		}
-		var want []ev
-		for i, x := range expected {
-			if !cancelled[i] {
-				want = append(want, x)
-			}
-		}
-		sort.Slice(want, func(a, b int) bool {
+
+		want := append([]ev(nil), scheduled...)
+		sort.SliceStable(want, func(a, b int) bool {
 			if want[a].when != want[b].when {
 				return want[a].when < want[b].when
 			}
 			return want[a].seq < want[b].seq
 		})
-
-		for e.RunNext() {
-		}
-		if len(fired) != len(want) {
-			t.Fatalf("seed %d: fired %d, want %d", seed, len(fired), len(want))
+		if len(fired) != len(want) || e.Fired() != uint64(len(want)) {
+			t.Fatalf("seed %d: fired %d (engine says %d), want %d", seed, len(fired), e.Fired(), len(want))
 		}
 		for i := range want {
 			if fired[i] != want[i] {

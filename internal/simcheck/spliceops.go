@@ -59,12 +59,12 @@ func (m *machine) doSpliceFile(p *kernel.Proc, o *op) {
 		m.opLog(o, "open dst: %v", err)
 		return
 	}
-	var c *kernel.Callout
+	var c kernel.Callout
 	if o.sigTicks > 0 {
 		c = m.K.Timeout(func() { m.K.Post(p, kernel.SIGIO) }, o.sigTicks)
 	}
 	n, serr := splice.Splice(p, sfd, dfd, splice.EOF)
-	if c != nil {
+	if o.sigTicks > 0 {
 		m.K.Untimeout(c)
 		p.DeliverSignals()
 	}

@@ -66,7 +66,14 @@ type packet struct {
 type txRequest struct {
 	pkt    packet
 	dst    int
-	onSent func()
+	onSent func(error)
+}
+
+// flight is a datagram in propagation toward dst.
+type flight struct {
+	pkt packet
+	dst int
+	dup bool // reordered datagrams only: deliver twice
 }
 
 // Net is a simulated network: a shared medium connecting every socket
@@ -79,6 +86,17 @@ type Net struct {
 	txq    kernel.Queue[txRequest]
 	txBusy bool
 	free   [][]byte // packet buffers nobody refers to any more, for PacketBuf
+
+	// The link serves one request at a time and every datagram
+	// propagates for the same Latency, so datagrams arrive in the order
+	// they left: the request on the wire and the queues of datagrams in
+	// propagation stand in for a closure per event, with the three event
+	// handlers bound once.
+	sending           txRequest
+	flying, reordered kernel.Queue[flight]
+	onSent            func() // txDone
+	onArrive          func() // rxArrive
+	onReordered       func() // rxReordered
 
 	rxCount                  int64
 	sent, delivered, dropped int64
@@ -103,6 +121,7 @@ func NewNet(k *kernel.Kernel, p NetParams) *Net {
 		siteDup:     "net." + name + ".dup",
 		siteReorder: "net." + name + ".reorder",
 	}
+	n.onSent, n.onArrive, n.onReordered = n.txDone, n.rxArrive, n.rxReordered
 	return n
 }
 
@@ -136,29 +155,49 @@ func (n *Net) txNext() {
 		n.k.Release()
 		return
 	}
-	req := n.txq.Pop()
-	ser := sim.BytesAt(int64(len(req.pkt.data)), n.p.Bandwidth)
-	n.k.Engine().Schedule(ser, "net:tx", func() {
-		n.sent++
-		n.k.TraceEmit(trace.KindNetTx, 0, int64(len(req.pkt.data)), int64(req.dst), "")
-		// Sender-side completion: the datagram is on the wire.
-		n.k.Interrupt(func() {
-			n.k.StealCPU(n.p.PerPacketCost)
-			if req.onSent != nil {
-				req.onSent()
-			}
-		})
-		// Propagation, then receive interrupt at the destination.
-		pkt := req.pkt
-		dst := req.dst
-		n.k.Engine().Schedule(n.p.Latency, "net:rx", func() {
-			n.k.Interrupt(func() {
-				n.k.StealCPU(n.p.PerPacketCost)
-				n.deliver(dst, pkt)
-			})
-		})
-		n.txNext()
+	n.sending = n.txq.Pop()
+	ser := sim.BytesAt(int64(len(n.sending.pkt.data)), n.p.Bandwidth)
+	n.k.Engine().Schedule(ser, "net:tx", n.onSent)
+}
+
+// txDone fires when the link has serialized the request it was sending.
+func (n *Net) txDone() {
+	req := n.sending
+	n.sending = txRequest{}
+	n.sent++
+	n.k.TraceEmit(trace.KindNetTx, 0, int64(len(req.pkt.data)), int64(req.dst), "")
+	// Sender-side completion: the datagram is on the wire.
+	n.k.Interrupt(func() {
+		n.k.StealCPU(n.p.PerPacketCost)
+		if req.onSent != nil {
+			req.onSent(nil)
+		}
 	})
+	// Propagation, then receive interrupt at the destination.
+	n.flying.Push(flight{pkt: req.pkt, dst: req.dst})
+	n.k.Engine().Schedule(n.p.Latency, "net:rx", n.onArrive)
+	n.txNext()
+}
+
+// rxArrive is the receive interrupt of the datagram longest in
+// propagation.
+func (n *Net) rxArrive() {
+	f := n.flying.Pop()
+	n.k.Interrupt(func() {
+		n.k.StealCPU(n.p.PerPacketCost)
+		n.deliver(f.dst, f.pkt)
+	})
+}
+
+// rxReordered is rxArrive for a datagram the reorder fault held back
+// one more propagation period.
+func (n *Net) rxReordered() {
+	f := n.reordered.Pop()
+	n.k.Interrupt(func() {
+		n.k.StealCPU(n.p.PerPacketCost)
+		n.arrive(f.dst, f.pkt, f.dup)
+	})
+	n.k.Release()
 }
 
 // deliver runs the receive-side fault sites — every non-EOF data
@@ -181,13 +220,8 @@ func (n *Net) deliver(port int, pkt packet) {
 		dup = fp.Hit(n.siteDup, ord)
 		if fp.Hit(n.siteReorder, ord) {
 			n.k.Hold()
-			n.k.Engine().Schedule(n.p.Latency, "net:reorder", func() {
-				n.k.Interrupt(func() {
-					n.k.StealCPU(n.p.PerPacketCost)
-					n.arrive(port, pkt, dup)
-				})
-				n.k.Release()
-			})
+			n.reordered.Push(flight{pkt, port, dup})
+			n.k.Engine().Schedule(n.p.Latency, "net:reorder", n.onReordered)
 			return
 		}
 	}
@@ -350,9 +384,9 @@ func (s *Socket) PacketBuf(n int) []byte {
 // connected peer — the transport-layer send path (stream segments carry
 // their own addressing). It takes data over: the buffer is the net's
 // from here on, to reuse after the last delivery, so the caller must
-// not touch it again. onSent, if non-nil, fires at interrupt level once
-// the link has accepted the datagram.
-func (s *Socket) SendTo(dst int, data []byte, onSent func()) {
+// not touch it again. onSent, if non-nil, fires with nil at interrupt
+// level once the link has accepted the datagram.
+func (s *Socket) SendTo(dst int, data []byte, onSent func(error)) {
 	s.net.transmit(txRequest{
 		pkt:    packet{data: data, from: s.port},
 		dst:    dst,
@@ -372,7 +406,7 @@ func (s *Socket) Read(ctx kernel.Ctx, p []byte, off int64) (int, error) {
 // peer and returns when it has been handed to the link (a nonblocking
 // write does not wait for that).
 func (s *Socket) Write(ctx kernel.Ctx, p []byte, off int64) (int, error) {
-	return kernel.AwaitWrite(ctx, p, s.SpliceWrite)
+	return kernel.AwaitWrite(ctx, p, s.SpliceWrite, nil)
 }
 
 // Readv implements kernel.ReadvOps: it receives ONE datagram and
@@ -455,7 +489,9 @@ func (s *Socket) SpliceWrite(data []byte, done func(error)) {
 		done(kernel.ErrInval)
 		return
 	}
-	s.SendTo(s.peer, append([]byte(nil), data...), func() { done(nil) }) // the wire's own copy (mbuf)
+	pkt := s.PacketBuf(len(data)) // the wire's own copy (mbuf)
+	copy(pkt, data)
+	s.SendTo(s.peer, pkt, done)
 }
 
 // SpliceRead implements the splice Source interface: the next datagram

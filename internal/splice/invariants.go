@@ -1,6 +1,9 @@
 package splice
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // This file implements the splice invariant checker used by the
 // simcheck harness. Because splice descriptors live entirely inside the
@@ -46,11 +49,8 @@ func registerDesc(d *desc) {
 }
 
 func unregisterDesc(d *desc) {
-	for i, live := range liveDescs {
-		if live == d {
-			liveDescs = append(liveDescs[:i], liveDescs[i+1:]...)
-			return
-		}
+	if i := slices.Index(liveDescs, d); i >= 0 {
+		liveDescs = slices.Delete(liveDescs, i, i+1)
 	}
 }
 

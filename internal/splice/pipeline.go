@@ -17,7 +17,7 @@ type desc struct {
 
 	rd    readSide
 	wr    writeSide
-	label string          // the two sides' names, for splice.start/done
+	label string          // the pairing, for splice.start/done
 	files []*kernel.FDesc // descriptors whose offsets the transfer consumes
 
 	total int64    // bytes to move (after EOF resolution); EOF if unbounded
@@ -41,13 +41,17 @@ type desc struct {
 	async  bool
 	caller *kernel.Proc
 
+	// Handlers bound once at setup, so that issuing a write or arming a
+	// retry builds no closure.
+	onWriteDone func(*kernel.Kernel, *buf.Buf) // writeDone
+	onRetry     func()                         // retry
+
 	stats Stats
 }
 
 // readSide produces the transfer's data at interrupt level and hands
 // each piece to the write side it was paired with.
 type readSide interface {
-	name() string
 	// open resolves the requested size against the source and maps what
 	// will be read; it may sleep. A zero result means nothing to move.
 	open(ctx kernel.Ctx, size int64) (total int64, err error)
@@ -66,7 +70,6 @@ type readSide interface {
 // writeSide consumes the data; beyond the entry point its reader uses
 // (blockWriter or chunkWriter) it answers the descriptor's questions.
 type writeSide interface {
-	name() string
 	// open maps the destination for total bytes; it may sleep.
 	open(ctx kernel.Ctx, total int64) error
 	// release returns the buffer of a completed write.
@@ -154,12 +157,15 @@ func (d *desc) armRetry() {
 	}
 	d.retryArmed = true
 	d.k.TraceEmit(trace.KindSpliceStall, 0, int64(d.pendingReads), int64(d.pendingWrites), "")
-	d.k.Timeout(func() {
-		d.retryArmed = false
-		d.wr.resume()
-		d.rd.start(d.k.IntrCtx())
-		d.settle()
-	}, 1)
+	d.k.Timeout(d.onRetry, 1)
+}
+
+// retry is the callout armRetry queued.
+func (d *desc) retry() {
+	d.retryArmed = false
+	d.wr.resume()
+	d.rd.start(d.k.IntrCtx())
+	d.settle()
 }
 
 // ioError returns the error a completed buffer carries, if any.

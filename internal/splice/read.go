@@ -29,14 +29,24 @@ type blocks struct {
 	next  int64    // next table index to issue
 
 	admitted int64 // bytes admitted so far by the rate clock
+
+	// arrived is the blocks read, in arrival order, beside the block
+	// table: each block arrives once, so slot i is the i-th to arrive.
+	// arrived[handed:narrived] wait on the callout list for handoff.
+	// Callouts queued for the same tick fire in the order they were
+	// queued, so the handlers are bound once and handoff takes the oldest.
+	arrived          []*buf.Buf
+	narrived, handed int
+	onReadDone       func(*kernel.Kernel, *buf.Buf) // readDone
+	onHandoff        func()                         // handoff
 }
 
 func newBlocks(d *desc, f FileLike, fd *kernel.FDesc, wr blockWriter) *blocks {
 	c := f.BufCache()
-	return &blocks{d: d, file: f, cache: c, wr: wr, bsize: int64(c.BlockSize()), off: fd.Offset()}
+	r := &blocks{d: d, file: f, cache: c, wr: wr, bsize: int64(c.BlockSize()), off: fd.Offset()}
+	r.onReadDone, r.onHandoff = r.readDone, r.handoff
+	return r
 }
-
-func (r *blocks) name() string { return "file" }
 
 // open determines the size from the source gnode and builds the
 // physical block table by successive bmap() calls (§5.2).
@@ -58,6 +68,7 @@ func (r *blocks) open(ctx kernel.Ctx, size int64) (int64, error) {
 		return 0, err
 	}
 	r.table = full[r.first:]
+	r.arrived = make([]*buf.Buf, len(r.table))
 	return size, nil
 }
 
@@ -105,7 +116,7 @@ func (r *blocks) start(ctx kernel.Ctx) {
 			r.readDone(d.k, hdr)
 			continue
 		}
-		hit, err := r.cache.StartRead(ctx, r.file.Dev(), int64(pblk), d, lblk, r.readDone)
+		hit, err := r.cache.StartRead(ctx, r.file.Dev(), int64(pblk), d, lblk, r.onReadDone)
 		if err != nil {
 			// No buffer available without sleeping: back off and retry
 			// from the callout list next tick.
@@ -157,14 +168,18 @@ func (r *blocks) readDone(_ *kernel.Kernel, b *buf.Buf) {
 	// blocks parked in the callout queue.
 	d.pendingWrites++
 	d.stats.PeakWrites = max(d.stats.PeakWrites, d.pendingWrites)
-	d.callout(func() { r.handoff(b) })
+	r.arrived[r.narrived] = b
+	r.narrived++
+	d.callout(r.onHandoff)
 }
 
 // handoff runs from the callout list with a locked buffer containing
 // valid source data (§5.4) and passes it to the write side, unless the
 // transfer has failed in the meantime.
-func (r *blocks) handoff(b *buf.Buf) {
-	d := r.d
+func (r *blocks) handoff() {
+	d, b := r.d, r.arrived[r.handed]
+	r.arrived[r.handed] = nil
+	r.handed++
 	d.handlerCharge()
 	if d.err != nil {
 		releaseBuf(d.k, r.cache, b)
@@ -217,8 +232,6 @@ type source struct {
 	eof         bool
 	outstanding bool // a read is parked in the Source, or its data is being handed over
 }
-
-func (r *source) name() string { return "source" }
 
 func (r *source) open(_ kernel.Ctx, size int64) (int64, error) { return size, nil }
 

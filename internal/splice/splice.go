@@ -123,8 +123,8 @@ type FileLike interface {
 // Sink consumes spliced data at interrupt level: character devices,
 // sockets and the framebuffer implement it. done must be invoked
 // exactly once when the sink has consumed the bytes and the underlying
-// buffer may be reused; it may be called synchronously or later from an
-// interrupt or callout.
+// buffer may be reused — data is on loan until then; it may be called
+// synchronously or later from an interrupt or callout.
 type Sink interface {
 	SpliceWrite(data []byte, done func(err error))
 }
@@ -192,6 +192,7 @@ func SpliceOpts(p *kernel.Proc, srcFD, dstFD int, size int64, opts Options) (int
 		async:  (sfd.Flags()|dfd.Flags())&kernel.FAsync != 0,
 		caller: p,
 	}
+	d.onWriteDone, d.onRetry = d.writeDone, d.retry
 
 	srcFile, srcIsFile := sfd.Ops().(FileLike)
 	dstFile, dstIsFile := dfd.Ops().(FileLike)
@@ -212,23 +213,25 @@ func SpliceOpts(p *kernel.Proc, srcFD, dstFD int, size int64, opts Options) (int
 		}
 		w := &alias{fileOut: newFileOut(d, dstFile, dfd)}
 		d.rd, d.wr, d.files = newBlocks(d, srcFile, sfd, w), w, []*kernel.FDesc{sfd, dfd}
+		d.label = "file-file"
 	case srcIsFile && dstIsSink:
 		w := &sink{d: d, dst: dst, cache: srcFile.BufCache()}
 		d.rd, d.wr, d.files = newBlocks(d, srcFile, sfd, w), w, []*kernel.FDesc{sfd}
+		d.label = "file-sink"
 	case srcIsSource && dstIsSink:
 		w := &sink{d: d, dst: dst}
 		d.rd, d.wr = &source{d: d, src: src, wr: w, chunk: sourceChunk}, w
+		d.label = "source-sink"
 	case srcIsSource && dstIsFile:
 		if size == EOF || !blockAligned(dstFile, dfd) {
 			return 0, nil, kernel.ErrInval
 		}
 		w := &stage{fileOut: newFileOut(d, dstFile, dfd)}
 		d.rd, d.wr, d.files = &source{d: d, src: src, wr: w, chunk: int(w.bsize)}, w, []*kernel.FDesc{dfd}
+		d.label = "source-file"
 	default:
 		return 0, nil, kernel.ErrOpNotSupp
 	}
-	d.label = d.rd.name() + "-" + d.wr.name()
-
 	if err := d.setup(p, size); err != nil {
 		return 0, nil, err
 	}

@@ -35,8 +35,6 @@ func newFileOut(d *desc, f FileLike, fd *kernel.FDesc) fileOut {
 	return fileOut{d: d, file: f, cache: c, bsize: int64(c.BlockSize()), off: fd.Offset()}
 }
 
-func (o *fileOut) name() string { return "file" }
-
 // open maps (allocating) the destination blocks and sizes the file.
 func (o *fileOut) open(ctx kernel.Ctx, total int64) error {
 	start := o.off / o.bsize
@@ -67,7 +65,7 @@ func (o *fileOut) issue(hdr *buf.Buf, blk int64, n int, tag int64) {
 	hdr.SpliceDesc = d
 	hdr.Flags &^= buf.BRead | buf.BDone
 	hdr.Flags |= buf.BCall
-	hdr.Iodone = d.writeDone
+	hdr.Iodone = d.onWriteDone
 	d.stats.WritesIssued++
 	d.k.TraceEmit(trace.KindSpliceWrite, 0, tag, int64(d.pendingWrites), "")
 	o.file.Dev().Strategy(hdr)
@@ -199,7 +197,14 @@ type sink struct {
 
 	parked map[int64]parkedBlock
 	next   int64 // next logical block to hand over
-	queued int   // chunks on the callout list
+
+	// Chunks on the callout list, oldest first: callouts queued for the
+	// same tick fire in the order they were queued, so one handler, bound
+	// once, takes them from the front.
+	chunks  kernel.Queue[[]byte]
+	onChunk func() // sendChunk
+
+	spare *sending // completed write records, for send
 }
 
 type parkedBlock struct {
@@ -207,7 +212,24 @@ type parkedBlock struct {
 	data []byte
 }
 
-func (s *sink) name() string { return "sink" }
+// sending is one write the Sink has not completed yet: the completion
+// callback it was handed and what that callback has to report. A sink
+// may complete its writes in any order, so each has a record of its own;
+// a completed one is reused by a later send.
+type sending struct {
+	s    *sink
+	b    *buf.Buf // the buffer behind the data, if any
+	n    int
+	done func(error) // completed, bound once
+	next *sending    // on s.spare
+}
+
+func (w *sending) completed(err error) {
+	s, b, n := w.s, w.b, w.n
+	w.b = nil
+	w.next, s.spare = s.spare, w
+	s.d.written(b, n, err)
+}
 
 func (s *sink) open(kernel.Ctx, int64) error { return nil }
 
@@ -229,18 +251,23 @@ func (s *sink) writeBlock(b *buf.Buf, data []byte) {
 }
 
 func (s *sink) writeChunk(data []byte) {
-	d := s.d
-	s.queued++
-	d.callout(func() {
-		d.handlerCharge()
-		s.queued--
-		if d.stopped {
-			d.settle() // the chunk is dropped
-			return
-		}
-		d.pendingWrites++
-		s.send(nil, data, int64(len(data)))
-	})
+	if s.onChunk == nil {
+		s.onChunk = s.sendChunk
+	}
+	s.chunks.Push(data)
+	s.d.callout(s.onChunk)
+}
+
+// sendChunk runs from the callout list with the oldest queued chunk.
+func (s *sink) sendChunk() {
+	d, data := s.d, s.chunks.Pop()
+	d.handlerCharge()
+	if d.stopped {
+		d.settle() // the chunk is dropped
+		return
+	}
+	d.pendingWrites++
+	s.send(nil, data, int64(len(data)))
 }
 
 // send passes data to the Sink; b, if any, is the buffer behind it.
@@ -248,7 +275,15 @@ func (s *sink) send(b *buf.Buf, data []byte, tag int64) {
 	d := s.d
 	d.stats.WritesIssued++
 	d.k.TraceEmit(trace.KindSpliceWrite, 0, tag, int64(d.pendingWrites), "")
-	s.dst.SpliceWrite(data, func(err error) { d.written(b, len(data), err) })
+	w := s.spare
+	if w == nil {
+		w = &sending{s: s}
+		w.done = w.completed
+	} else {
+		s.spare = w.next
+	}
+	w.b, w.n = b, len(data)
+	s.dst.SpliceWrite(data, w.done)
 }
 
 func (s *sink) scrub() {} // a Sink is not sized up front
@@ -277,7 +312,7 @@ func (s *sink) abandon() {
 	}
 }
 
-func (s *sink) drained() bool { return s.queued == 0 }
+func (s *sink) drained() bool { return s.chunks.Len() == 0 }
 
 // ---- stage: file blocks filled from a Source's chunks ----
 

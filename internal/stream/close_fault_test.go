@@ -128,7 +128,7 @@ func TestCloseWithCalloutsInFlight(t *testing.T) {
 			if c.state != stateClosed {
 				t.Fatalf("state = %v after close, want closed", c.state)
 			}
-			if c.rtx != nil {
+			if c.rtx != (kernel.Callout{}) {
 				t.Fatal("retransmission callout still armed after teardown")
 			}
 			if c.retx != retxAfterClose {

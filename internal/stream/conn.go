@@ -51,17 +51,19 @@ type Conn struct {
 	label  string
 	state  connState
 
-	// Sender. snd.Buf holds bytes [sndUna, sndUna+len(snd.Buf)), with
+	// Sender. snd's FIFO holds bytes [sndUna, sndUna+snd.Len()), with
 	// the writes it has no room for yet queued in snd; sndNxt is the
 	// next offset to transmit; peerWnd is the receiver's most recent
-	// advertised credit.
+	// advertised credit. rtx is the zero handle while no retransmission
+	// callout is pending.
 	snd      kernel.WriteQueue
 	sndUna   int64
 	sndNxt   int64
 	peerWnd  int64
 	finAt    int64 // FIN sequence offset; -1 until Close
 	finAcked bool
-	rtx      *kernel.Callout
+	rtx      kernel.Callout
+	rtxFn    func() // rtxFire, bound once
 	rtoTicks int
 	retries  int64
 	probes   int64 // consecutive zero-window probes unanswered by credit
@@ -69,7 +71,7 @@ type Conn struct {
 	stalled  bool
 	failed   error
 
-	// Receiver. rcv.Buf holds in-order bytes awaiting the consumer;
+	// Receiver. rcv holds in-order bytes awaiting the consumer;
 	// reasm holds out-of-order segments in start-offset order; advWnd
 	// is the window last advertised to the peer.
 	rcvNxt    int64
@@ -104,6 +106,7 @@ func newConn(t *Transport, remote int, id uint32, st connState) *Conn {
 		rtoTicks:  initialRTO,
 		advWnd:    rcvCap,
 	}
+	c.rtxFn = c.rtxFire
 	registerConn(c)
 	return c
 }
@@ -123,14 +126,14 @@ func (c *Conn) Err() error { return c.failed }
 func (c *Conn) key() uint64 { return connKey(c.remote, c.id) }
 
 func (c *Conn) freeWnd() int64 {
-	if f := int64(rcvCap - len(c.rcv.Buf)); f > 0 {
+	if f := int64(rcvCap - c.rcv.Len()); f > 0 {
 		return f
 	}
 	return 0
 }
 
 // dataEnd is the offset just past the last byte accepted for sending.
-func (c *Conn) dataEnd() int64 { return c.sndUna + int64(len(c.snd.Buf)) }
+func (c *Conn) dataEnd() int64 { return c.sndUna + int64(c.snd.Len()) }
 
 // seqEnd is the last offset the peer must acknowledge: dataEnd, plus
 // one for the FIN once Close has queued it.
@@ -144,19 +147,24 @@ func (c *Conn) seqEnd() int64 {
 // ---- sending ----
 
 // sendSeg emits one segment toward the peer, piggybacking the current
-// cumulative ack and receive window.
-func (c *Conn) sendSeg(typ byte, seq int64, payload []byte) {
+// cumulative ack and receive window. Its payload is the n bytes of the
+// send buffer from off on, copied straight into the packet.
+func (c *Conn) sendSeg(typ byte, seq int64, off, n int) {
 	c.advWnd = c.freeWnd()
 	seg := segment{
-		typ:     typ,
-		connID:  c.id,
-		seq:     seq,
-		ack:     c.rcvNxt,
-		wnd:     c.advWnd,
-		payload: payload,
+		typ:    typ,
+		connID: c.id,
+		seq:    seq,
+		ack:    c.rcvNxt,
+		wnd:    c.advWnd,
 	}
-	c.t.sock.SendTo(c.remote, seg.encode(c.t.sock.PacketBuf(hdrBytes+len(payload))), nil)
+	pkt := seg.encode(c.t.sock.PacketBuf(hdrBytes + n))
+	c.snd.CopyOut(pkt[hdrBytes:], off)
+	c.t.sock.SendTo(c.remote, pkt, nil)
 }
+
+// sendCtl emits a segment that carries no payload.
+func (c *Conn) sendCtl(typ byte, seq int64) { c.sendSeg(typ, seq, 0, 0) }
 
 // pump transmits as much buffered data as the peer's window allows,
 // then the FIN once all data is out. Emits stream.stall (once per
@@ -182,14 +190,13 @@ func (c *Conn) pump() {
 		if w := c.peerWnd - inflight; n > w {
 			n = w
 		}
-		off := c.sndNxt - c.sndUna
-		c.sendSeg(segDATA, c.sndNxt, c.snd.Buf[off:off+n])
+		c.sendSeg(segDATA, c.sndNxt, int(inflight), int(n))
 		c.sndNxt += n
 		c.stalled = false
 	}
 	// The FIN consumes one offset and, like TCP's, ignores the window.
 	if c.finAt >= 0 && c.sndNxt == c.finAt {
-		c.sendSeg(segFIN, c.finAt, nil)
+		c.sendCtl(segFIN, c.finAt)
 		c.sndNxt = c.finAt + 1
 	}
 	c.armRtx()
@@ -201,13 +208,13 @@ func (c *Conn) pump() {
 // zero-window probe (a lost window update would otherwise deadlock the
 // connection).
 func (c *Conn) armRtx() {
-	if c.rtx != nil || c.state == stateClosed {
+	if c.rtx != (kernel.Callout{}) || c.state == stateClosed {
 		return
 	}
 	if c.state == stateEstablished && c.sndUna >= c.seqEnd() {
 		return
 	}
-	c.rtx = c.t.k.Timeout(c.rtxFire, c.rtoTicks)
+	c.rtx = c.t.k.Timeout(c.rtxFn, c.rtoTicks)
 }
 
 // rtxFire retransmits the oldest unacknowledged segment with
@@ -220,7 +227,7 @@ func (c *Conn) armRtx() {
 // BSD persist timer eventually gives up on a peer that acknowledges
 // probes while advertising zero forever.
 func (c *Conn) rtxFire() {
-	c.rtx = nil
+	c.rtx = kernel.Callout{}
 	if c.state == stateClosed {
 		return
 	}
@@ -242,17 +249,17 @@ func (c *Conn) rtxFire() {
 	switch {
 	case c.state == stateSynSent:
 		c.t.k.TraceEmit(trace.KindStreamRetx, 0, 0, c.retries, c.label)
-		c.sendSeg(segSYN, 0, nil)
+		c.sendCtl(segSYN, 0)
 	case c.sndUna < c.dataEnd():
 		n := c.dataEnd() - c.sndUna
 		if n > MaxSeg {
 			n = MaxSeg
 		}
 		c.t.k.TraceEmit(trace.KindStreamRetx, 0, c.sndUna, c.retries, c.label)
-		c.sendSeg(segDATA, c.sndUna, c.snd.Buf[:n])
+		c.sendSeg(segDATA, c.sndUna, 0, int(n))
 	case c.finAt >= 0 && c.sndUna == c.finAt:
 		c.t.k.TraceEmit(trace.KindStreamRetx, 0, c.finAt, c.retries, c.label)
-		c.sendSeg(segFIN, c.finAt, nil)
+		c.sendCtl(segFIN, c.finAt)
 	default:
 		return // fully acknowledged in the meantime
 	}
@@ -263,10 +270,8 @@ func (c *Conn) rtxFire() {
 }
 
 func (c *Conn) stopRtx() {
-	if c.rtx != nil {
-		c.t.k.Untimeout(c.rtx)
-		c.rtx = nil
-	}
+	c.t.k.Untimeout(c.rtx)
+	c.rtx = kernel.Callout{}
 }
 
 // ---- segment input (interrupt level) ----
@@ -301,10 +306,10 @@ func (c *Conn) handleSegment(seg segment) {
 		if seg.ack > c.sndUna {
 			c.t.k.TraceEmit(trace.KindStreamAck, 0, seg.ack, seg.wnd, c.label)
 			acked := seg.ack - c.sndUna
-			if db := int64(len(c.snd.Buf)); acked > db {
+			if db := int64(c.snd.Len()); acked > db {
 				acked = db // the FIN's offset carries no buffer bytes
 			}
-			c.snd.Buf = c.snd.Buf[acked:]
+			c.snd.Drop(int(acked))
 			c.sndUna = seg.ack
 			if c.sndNxt < c.sndUna {
 				c.sndNxt = c.sndUna
@@ -325,13 +330,13 @@ func (c *Conn) handleSegment(seg segment) {
 	switch seg.typ {
 	case segDATA:
 		c.acceptData(seg.seq, seg.payload)
-		c.sendSeg(segACK, 0, nil) // receivers always answer, even duplicates
+		c.sendCtl(segACK, 0) // receivers always answer, even duplicates
 	case segFIN:
 		if c.remoteFin < 0 {
 			c.remoteFin = seg.seq
 		}
 		c.tryConsumeFin()
-		c.sendSeg(segACK, 0, nil)
+		c.sendCtl(segACK, 0)
 	}
 	c.maybeGhost()
 }
@@ -398,7 +403,7 @@ func (c *Conn) tryConsumeFin() {
 }
 
 // readable reports that in-order bytes or EOF await the consumer.
-func (c *Conn) readable() bool { return len(c.rcv.Buf) > 0 || c.rcvClosed }
+func (c *Conn) readable() bool { return c.rcv.Len() > 0 || c.rcvClosed }
 
 // inputReady reports that a read(2) would not block: readable, or the
 // terminal error is waiting to be reported.
@@ -419,8 +424,9 @@ func (c *Conn) serveReader() {
 // take removes up to max in-order bytes as a slice of their own: a
 // splice read's deliver owns what it is handed.
 func (c *Conn) take(max int) (data []byte, eof bool) {
-	if n := min(len(c.rcv.Buf), max); n > 0 {
-		data = append([]byte(nil), c.rcv.Buf[:n]...)
+	if n := min(c.rcv.Len(), max); n > 0 {
+		data = make([]byte, n)
+		c.rcv.CopyOut(data, 0)
 	}
 	return data, c.drained(len(data))
 }
@@ -429,13 +435,13 @@ func (c *Conn) take(max int) (data []byte, eof bool) {
 // when that opens enough new credit to matter (a full segment, or any
 // space after the window was closed) and reports end of stream.
 func (c *Conn) drained(n int) (eof bool) {
-	c.rcv.Buf = c.rcv.Buf[n:]
+	c.rcv.Drop(n)
 	if c.state == stateEstablished && !c.rcvClosed {
 		if f := c.freeWnd(); f-c.advWnd >= MaxSeg || (c.advWnd == 0 && f > 0) {
-			c.sendSeg(segACK, 0, nil)
+			c.sendCtl(segACK, 0)
 		}
 	}
-	return c.rcvClosed && len(c.rcv.Buf) == 0
+	return c.rcvClosed && c.rcv.Len() == 0
 }
 
 // maybeGhost retires the connection once both directions are done: our
@@ -481,10 +487,10 @@ func (c *Conn) Read(ctx kernel.Ctx, b []byte, off int64) (int, error) {
 	if err := kernel.SleepUntil(ctx, &c.rdW, kernel.PSOCK+1, c.inputReady); err != nil {
 		return 0, err
 	}
-	if len(c.rcv.Buf) == 0 {
+	if c.rcv.Len() == 0 {
 		return 0, c.failed // the terminal error, or nil at EOF
 	}
-	n := copy(b, c.rcv.Buf)
+	n := c.rcv.CopyOut(b, 0)
 	c.drained(n)
 	return n, nil
 }
@@ -495,11 +501,6 @@ func (c *Conn) Read(ctx kernel.Ctx, b []byte, off int64) (int, error) {
 // buffer can take right now, returning the partial count, or
 // ErrWouldBlock when not a single byte fits.
 func (c *Conn) Write(ctx kernel.Ctx, b []byte, off int64) (int, error) {
-	return c.write(ctx, b, false)
-}
-
-// write is Write over bytes the caller lends or gives away (owned).
-func (c *Conn) write(ctx kernel.Ctx, b []byte, owned bool) (int, error) {
 	if c.failed != nil {
 		return 0, c.failed
 	}
@@ -513,18 +514,17 @@ func (c *Conn) write(ctx kernel.Ctx, b []byte, owned bool) (int, error) {
 		}
 		return n, err
 	}
-	return kernel.AwaitWrite(ctx, b, func(data []byte, done func(error)) { c.spliceWrite(data, owned, done) })
+	return kernel.AwaitWrite(ctx, b, c.SpliceWrite, &c.snd)
 }
 
 // Writev implements kernel.WritevOps by coalescing the whole iovec
 // array into one send-buffer admission. Per-iovec writes would admit
 // (and often segment) each iovec separately; one gathered admission
 // lets pump cut MaxSeg-sized segments across iovec boundaries, so a
-// vector of small buffers goes out in fewer, fuller segments. The
-// gathered run is nobody else's, so the send queue keeps it as it is.
+// vector of small buffers goes out in fewer, fuller segments.
 func (c *Conn) Writev(ctx kernel.Ctx, iovs [][]byte, off int64) (int, error) {
 	u := kernel.Uio{Iovs: iovs}
-	return c.write(ctx, u.Gather(), true)
+	return c.Write(ctx, u.Gather(), 0)
 }
 
 // Size implements kernel.FileOps.
@@ -587,11 +587,9 @@ func (c *Conn) Close(ctx kernel.Ctx) error {
 // chunk is admitted to the send buffer, so splice's write watermark
 // composes with the transport window — a closed window holds bytes in
 // the send buffer, the full send buffer parks admissions, and the
-// parked admissions throttle the splice engine. data is borrowed and
-// not read again once the call has returned.
-func (c *Conn) SpliceWrite(data []byte, done func(error)) { c.spliceWrite(data, false, done) }
-
-func (c *Conn) spliceWrite(data []byte, owned bool, done func(error)) {
+// parked admissions throttle the splice engine. data is borrowed until
+// done fires.
+func (c *Conn) SpliceWrite(data []byte, done func(error)) {
 	if c.failed != nil {
 		done(c.failed)
 		return
@@ -600,7 +598,7 @@ func (c *Conn) spliceWrite(data []byte, owned bool, done func(error)) {
 		done(kernel.ErrBadFD)
 		return
 	}
-	c.snd.Queue(data, owned, done)
+	c.snd.Queue(data, done)
 	c.snd.Admit()
 	c.pump()
 }

@@ -126,13 +126,13 @@ func CheckDrained() error {
 			return violation("stream-conn-leak", c.label, "handshake never completed")
 		case c.snd.Queued() > 0:
 			return violation("stream-conn-leak", c.label, "%d write(s) never admitted", c.snd.Queued())
-		case len(c.snd.Buf) > 0 || c.sndUna != c.sndNxt:
+		case c.snd.Len() > 0 || c.sndUna != c.sndNxt:
 			return violation("stream-conn-leak", c.label,
-				"unacknowledged send data: una=%d nxt=%d buffered=%d", c.sndUna, c.sndNxt, len(c.snd.Buf))
+				"unacknowledged send data: una=%d nxt=%d buffered=%d", c.sndUna, c.sndNxt, c.snd.Len())
 		case c.finAt >= 0 && !c.finAcked:
 			return violation("stream-conn-leak", c.label, "FIN at %d never acknowledged", c.finAt)
-		case len(c.rcv.Buf) > 0:
-			return violation("stream-conn-leak", c.label, "%d received byte(s) never read", len(c.rcv.Buf))
+		case c.rcv.Len() > 0:
+			return violation("stream-conn-leak", c.label, "%d received byte(s) never read", c.rcv.Len())
 		case len(c.reasm) > 0:
 			return violation("stream-conn-leak", c.label, "%d segment(s) stuck in reassembly", len(c.reasm))
 		case c.rd.Parked():
@@ -155,9 +155,9 @@ func (c *Conn) check() error {
 	if c.peerWnd < 0 || c.advWnd < 0 {
 		return violation("stream-wnd-neg", c.label, "peerWnd=%d advWnd=%d", c.peerWnd, c.advWnd)
 	}
-	if len(c.rcv.Buf) > rcvCap+MaxSeg {
+	if c.rcv.Len() > rcvCap+MaxSeg {
 		return violation("stream-rcv-bound", c.label,
-			"%d buffered bytes exceed cap %d + one segment", len(c.rcv.Buf), rcvCap)
+			"%d buffered bytes exceed cap %d + one segment", c.rcv.Len(), rcvCap)
 	}
 	for _, s := range c.reasm {
 		if s.off <= c.rcvNxt || s.off > c.rcvNxt+reasmLimit {

@@ -48,13 +48,13 @@ func TestCatalogTrips(t *testing.T) {
 	}{
 		{"stream-seq-order", func(r *checkRig) { r.c.sndUna = r.c.sndNxt + 1 }},
 		{"stream-wnd-neg", func(r *checkRig) { r.c.peerWnd = -1 }},
-		{"stream-rcv-bound", func(r *checkRig) { r.c.rcv.Buf = make([]byte, rcvCap+MaxSeg+1) }},
+		{"stream-rcv-bound", func(r *checkRig) { r.c.rcv.Push(make([]byte, rcvCap+MaxSeg+1)) }},
 		{"stream-reasm-bound", func(r *checkRig) { r.c.reasm = []reasmSeg{{off: r.c.rcvNxt}} }},
 		{"stream-retry-bound", func(r *checkRig) { r.c.retries = maxRetries + 1 }},
 		{"stream-probe-bound", func(r *checkRig) { r.c.probes = maxRetries + 1 }},
 		{"stream-ghost-bound", func(r *checkRig) { r.srv.ghost(r.ghostKey).expires = r.srv.k.Ticks() - 2 }},
 		{"stream-ghost-no-resurrect", func(r *checkRig) { r.srv.conns[r.ghostKey] = r.c }},
-		{"stream-conn-leak", func(r *checkRig) { r.c.rcv.Buf = []byte{1} }},
+		{"stream-conn-leak", func(r *checkRig) { r.c.rcv.Push([]byte{1}) }},
 	}
 	for _, fault := range faults {
 		t.Run(fault.name, func(t *testing.T) {

@@ -38,14 +38,15 @@ type segment struct {
 	payload []byte
 }
 
-// encode fills b, a packet buffer hdrBytes+len(s.payload) long.
+// encode writes the header into b, a packet buffer hdrBytes plus the
+// payload long, and returns b; the sender fills in the payload. The
+// payload field is set by decodeSegment only.
 func (s segment) encode(b []byte) []byte {
 	b[0] = s.typ
 	binary.BigEndian.PutUint32(b[1:5], s.connID)
 	binary.BigEndian.PutUint64(b[5:13], uint64(s.seq))
 	binary.BigEndian.PutUint64(b[13:21], uint64(s.ack))
 	binary.BigEndian.PutUint32(b[21:25], uint32(s.wnd))
-	copy(b[hdrBytes:], s.payload)
 	return b
 }
 

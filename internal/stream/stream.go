@@ -171,7 +171,7 @@ func (t *Transport) handleSYN(key uint64, from int, seg segment) {
 	t.dropGhost(key) // key reuse starts a fresh connection
 	if c, live := t.conns[key]; live {
 		// Duplicate SYN: the SYNACK was lost; repeat it.
-		c.sendSeg(segSYNACK, 0, nil)
+		c.sendCtl(segSYNACK, 0)
 		return
 	}
 	if !t.listening {
@@ -181,7 +181,7 @@ func (t *Transport) handleSYN(key uint64, from int, seg segment) {
 	c.peerWnd = seg.wnd
 	t.conns[key] = c
 	t.acceptq = append(t.acceptq, c)
-	c.sendSeg(segSYNACK, 0, nil)
+	c.sendCtl(segSYNACK, 0)
 	t.k.Wakeup(&t.acceptW)
 	t.pollQ.Notify(kernel.PollIn)
 }
@@ -276,7 +276,7 @@ func (t *Transport) Connect(p *kernel.Proc, remotePort int) (int, *Conn, error) 
 	t.nextID++
 	c := newConn(t, remotePort, t.nextID, stateSynSent)
 	t.conns[c.key()] = c
-	c.sendSeg(segSYN, 0, nil)
+	c.sendCtl(segSYN, 0)
 	c.armRtx()
 	for c.state == stateSynSent {
 		if err := p.Sleep(&c.connW, kernel.PSOCK+1); err != nil {

@@ -11,7 +11,8 @@ import "fmt"
 // Invariant catalog (virtual memory):
 //
 //	vm-frame-overcommit  resident pages never exceed the pool size
-//	vm-clock-hand        the clock hand stays within the ring
+//	vm-clock-hand        the clock hand rests on a page of the ring (or
+//	                     past its newest page)
 //	vm-frame-dup         a page frame appears in the ring exactly once
 //	vm-frame-owner       every ring page is owned: an object page is
 //	                     indexed by its object under the right key; an
@@ -77,11 +78,11 @@ func (s *stamp) count(pass uint64) int {
 // it at every scheduling boundary; spaces, objects and frames are
 // visited in first-mmap, first-mapping and clock order.
 func (v *Pool) CheckInvariants() error {
-	if len(v.ring) > v.nframes {
-		return violation("vm-frame-overcommit", "%d resident pages in a %d-frame pool", len(v.ring), v.nframes)
+	if v.resident > v.nframes {
+		return violation("vm-frame-overcommit", "%d resident pages in a %d-frame pool", v.resident, v.nframes)
 	}
-	if v.hand < 0 || v.hand > len(v.ring) {
-		return violation("vm-clock-hand", "hand=%d with %d resident pages", v.hand, len(v.ring))
+	if v.hand != nil && !v.hand.inRing {
+		return violation("vm-clock-hand", "hand rests on page idx=%d, which is not in the ring", v.hand.idx)
 	}
 	v.ckPass++
 	pass := v.ckPass
@@ -144,7 +145,9 @@ func (v *Pool) CheckInvariants() error {
 	}
 
 	// Ring walk: ownership, duplicates, dirty discipline.
-	for _, pg := range v.ring {
+	ring := 0
+	for pg := v.ringHead; pg != nil; pg = pg.next {
+		ring++
 		if pg.ckRing == pass {
 			return violation("vm-frame-dup", "page (obj=%v idx=%d) in ring twice", pg.obj != nil, pg.idx)
 		}
@@ -170,8 +173,8 @@ func (v *Pool) CheckInvariants() error {
 		}
 	}
 	total := resident + anon
-	if total != len(v.ring) {
-		return violation("vm-frame-leak", "%d owned pages (%d object + %d anonymous) but %d frames in ring", total, resident, anon, len(v.ring))
+	if total != ring || ring != v.resident {
+		return violation("vm-frame-leak", "%d owned pages (%d object + %d anonymous) but %d frames in ring, %d counted resident", total, resident, anon, ring, v.resident)
 	}
 	for _, as := range v.spaces {
 		for _, m := range as.maps {
@@ -197,7 +200,7 @@ func (v *Pool) CheckDrained() error {
 	if n := len(v.objects); n > 0 {
 		return violation("vm-obj-leak", "%d objects alive at drain", n)
 	}
-	if n := len(v.ring); n > 0 {
+	if n := v.resident; n > 0 {
 		return violation("vm-frame-leak", "%d frames resident at drain", n)
 	}
 	return v.CheckInvariants()
@@ -211,20 +214,20 @@ func (v *Pool) Damage(kind string) {
 	v.damaged = kind
 	switch kind {
 	case "ring-orphan":
-		v.ring = append(v.ring, &page{data: make([]byte, v.pageSize)})
+		v.ringAdd(&page{data: make([]byte, v.pageSize)})
 	case "dirty-unbacked":
-		v.ring = append(v.ring, &page{data: make([]byte, v.pageSize)})
-		// also owned by nobody, but dirty-unbacked needs an object page:
+		// dirty-unbacked needs an object page; a pool without one gets
+		// an orphan frame instead:
 		for _, obj := range v.objects {
 			for _, pg := range obj.pages {
 				pg.dirty = true
 				pg.blk = 0
-				v.ring = v.ring[:len(v.ring)-1]
 				return
 			}
 		}
+		v.ringAdd(&page{data: make([]byte, v.pageSize)})
 	case "hand":
-		v.hand = len(v.ring) + 3
+		v.hand = &page{}
 	case "refcount":
 		for _, obj := range v.objects {
 			obj.mappings++

@@ -73,17 +73,26 @@ func TestCatalogTrips(t *testing.T) {
 		name  string
 		plant func(v *Pool, shared, private *mapping)
 	}{
-		{"vm-frame-overcommit", func(v *Pool, _, _ *mapping) { v.nframes = len(v.ring) - 1 }},
-		{"vm-clock-hand", func(v *Pool, _, _ *mapping) { v.hand = len(v.ring) + 1 }},
-		{"vm-frame-dup", func(v *Pool, _, _ *mapping) { v.ring = append(v.ring, v.ring[0]) }},
+		{"vm-frame-overcommit", func(v *Pool, _, _ *mapping) { v.nframes = v.resident - 1 }},
+		{"vm-clock-hand", func(v *Pool, _, _ *mapping) { v.hand = &page{} }},
+		// A frame whose memory went back to the free list with the hand on it.
+		{"vm-clock-hand", func(v *Pool, shared, _ *mapping) {
+			pg := objPage(shared)
+			delete(shared.obj.pages, pg.idx)
+			v.freePage(pg)
+			v.hand = pg
+		}},
+		{"vm-frame-dup", func(v *Pool, _, _ *mapping) { v.ringTail.next = v.ringHead }},
 		{"vm-frame-owner", func(v *Pool, _, _ *mapping) {
-			v.ring = append(v.ring, &page{data: make([]byte, v.pageSize)})
+			v.ringAdd(&page{data: make([]byte, v.pageSize)})
 		}},
 		// A resident page of an object the pool table does not hold.
 		{"vm-frame-owner", func(v *Pool, shared, _ *mapping) {
 			objPage(shared).obj = &object{dev: "stray", pages: map[int64]*page{}}
 		}},
-		{"vm-frame-leak", func(v *Pool, _, _ *mapping) { v.ring = v.ring[:len(v.ring)-1] }},
+		{"vm-frame-leak", func(v *Pool, _, _ *mapping) { v.ringTail.prev.next = nil }},
+		// A frame on the free list that its object still indexes.
+		{"vm-frame-leak", func(v *Pool, shared, _ *mapping) { v.freePage(objPage(shared)) }},
 		{"vm-dirty-unbacked", func(v *Pool, shared, _ *mapping) { objPage(shared).blk = 0 }},
 		{"vm-wired-count", func(v *Pool, shared, _ *mapping) { objPage(shared).wired = -1 }},
 		{"vm-cow-isolation", func(v *Pool, shared, private *mapping) { private.shadow[0].obj = shared.obj }},

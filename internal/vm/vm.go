@@ -79,6 +79,11 @@ type page struct {
 	busy  bool // pagein/pageout in flight; waiters sleep on the page
 	wired int  // transient pins held across scheduling points
 
+	// Clock-ring links while resident (inRing); next alone threads the
+	// pool's free list otherwise.
+	prev, next *page
+	inRing     bool
+
 	ck     stamp  // CheckInvariants: shadows that own the page
 	ckRing uint64 // CheckInvariants pass that last saw the page in the ring
 }
@@ -134,8 +139,19 @@ type Pool struct {
 
 	objects []*object // mapped files, in first-mapping order
 	spaces  []*space  // address spaces, in first-mmap order
-	ring    []*page   // resident pages in clock order
-	hand    int
+
+	// The clock ring: resident pages from oldest to newest, doubly linked
+	// so that a page leaves it in constant time. hand is the next page the
+	// sweep examines; nil stands for the position past the newest page,
+	// which the sweep wraps to the oldest and a new page arrives under.
+	ringHead, ringTail *page
+	hand               *page
+	resident           int
+
+	// free holds the frames no page is using. A frame's memory is
+	// allocated the first time the pool needs it and then stays with the
+	// pool, passing from an evicted or unmapped page to the next fault.
+	free *page
 
 	ckPass  uint64 // CheckInvariants pass counter (see stamp)
 	damaged string // fault injection for invariant self-tests
@@ -175,7 +191,7 @@ func (v *Pool) object(dev string, ino uint32) *object {
 func (v *Pool) Frames() int { return v.nframes }
 
 // Resident returns the number of frames currently in use.
-func (v *Pool) Resident() int { return len(v.ring) }
+func (v *Pool) Resident() int { return v.resident }
 
 var _ kernel.AddressSpaceProvider = (*Pool)(nil)
 
@@ -316,15 +332,12 @@ func (v *Pool) unmap(ctx kernel.Ctx, pid int, as *space, m *mapping) error {
 		// pass, so the pages are still clean and idle at the excision.
 		firstErr = v.quiesceObject(ctx, pid, obj)
 	}
-	for i, q := range as.maps {
-		if q == m {
-			as.maps = append(as.maps[:i], as.maps[i+1:]...)
-			break
-		}
+	if i := slices.Index(as.maps, m); i >= 0 {
+		as.maps = slices.Delete(as.maps, i, i+1)
 	}
 	for _, pg := range m.shadow {
 		if pg != nil {
-			v.ringRemove(pg)
+			v.freePage(pg)
 		}
 	}
 	m.shadow = nil
@@ -337,7 +350,7 @@ func (v *Pool) unmap(ctx kernel.Ctx, pid int, as *space, m *mapping) error {
 	for _, idx := range sortedPages(obj.pages) {
 		pg := obj.pages[idx]
 		delete(obj.pages, idx)
-		v.ringRemove(pg)
+		v.freePage(pg)
 	}
 	if i := slices.Index(v.objects, obj); i >= 0 {
 		v.objects = slices.Delete(v.objects, i, i+1)
@@ -663,7 +676,7 @@ func (v *Pool) residentPage(p *kernel.Proc, obj *object, idx int64, alloc bool) 
 	if err != nil {
 		delete(obj.pages, idx)
 		v.unwire(pg)
-		v.ringRemove(pg)
+		v.freePage(pg) // never filled: the next fault overwrites it whole
 		return nil, err
 	}
 	pg.blk = blk
@@ -677,15 +690,24 @@ func (v *Pool) residentPage(p *kernel.Proc, obj *object, idx int64, alloc bool) 
 
 // allocPage takes a free frame, running the clock algorithm first when
 // the pool is full. The new page is born wired (the caller is about to
-// fill it) with its reference bit set.
+// fill it) with its reference bit set; its memory holds whatever the
+// frame's last page left, which every caller overwrites whole (PageIn,
+// the copy-on-write copy).
 func (v *Pool) allocPage(ctx kernel.Ctx) (*page, error) {
-	if len(v.ring) >= v.nframes {
+	if v.resident >= v.nframes {
 		if err := v.reclaimFrame(ctx); err != nil {
 			return nil, err
 		}
 	}
-	pg := &page{data: make([]byte, v.pageSize), ref: true, wired: 1}
-	v.ring = append(v.ring, pg)
+	pg := v.free
+	if pg == nil {
+		pg = &page{data: make([]byte, v.pageSize)}
+	} else {
+		v.free = pg.next
+		*pg = page{data: pg.data, ck: pg.ck, ckRing: pg.ckRing}
+	}
+	pg.ref, pg.wired = true, 1
+	v.ringAdd(pg)
 	return pg, nil
 }
 
@@ -698,53 +720,90 @@ func (v *Pool) allocPage(ctx kernel.Ctx) (*page, error) {
 // resident until their mapping goes away. ErrNoMem when two full
 // sweeps find nothing evictable.
 func (v *Pool) reclaimFrame(ctx kernel.Ctx) error {
-	limit := 2*len(v.ring) + 2
+	limit := 2*v.resident + 2
 	for scanned := 0; scanned < limit; scanned++ {
-		if len(v.ring) == 0 {
+		if v.resident == 0 {
 			break
 		}
-		if v.hand >= len(v.ring) {
-			v.hand = 0
+		if v.hand == nil {
+			v.hand = v.ringHead
 		}
-		pg := v.ring[v.hand]
+		pg := v.hand
 		if pg.busy || pg.wired > 0 || pg.obj == nil {
-			v.hand++
+			v.advanceHand()
 			continue
 		}
 		if pg.ref {
 			pg.ref = false
-			v.hand++
+			v.advanceHand()
 			continue
 		}
 		if pg.dirty {
+			// The pageout sleeps in the cache and another fault's sweep
+			// may move the hand meanwhile: it advances from where it is
+			// then, not from pg.
 			if err := v.pageoutPage(ctx, 0, pg); err != nil {
-				v.hand++
+				v.advanceHand()
 				continue
 			}
-			// The pageout slept in the cache; re-check the victim.
 			if pg.busy || pg.wired > 0 || pg.ref || pg.dirty {
-				v.hand++
+				v.advanceHand()
 				continue
 			}
 		}
 		delete(pg.obj.pages, pg.idx)
-		v.ringRemove(pg)
+		v.freePage(pg)
 		return nil
 	}
 	return kernel.ErrNoMem
 }
 
-func (v *Pool) ringRemove(pg *page) {
-	for i, q := range v.ring {
-		if q == pg {
-			v.ring = append(v.ring[:i], v.ring[i+1:]...)
-			if i < v.hand {
-				v.hand--
-			}
-			return
-		}
+// advanceHand moves the clock hand to the next newer page; past the
+// newest it stays there.
+func (v *Pool) advanceHand() {
+	if v.hand != nil {
+		v.hand = v.hand.next
 	}
-	panic("vm: ringRemove of page not in ring")
+}
+
+// ringAdd makes pg the newest page of the clock ring.
+func (v *Pool) ringAdd(pg *page) {
+	pg.prev, pg.next, pg.inRing = v.ringTail, nil, true
+	if v.ringTail == nil {
+		v.ringHead = pg
+	} else {
+		v.ringTail.next = pg
+	}
+	v.ringTail = pg
+	if v.hand == nil {
+		v.hand = pg // the hand stood past the newest page
+	}
+	v.resident++
+}
+
+// freePage takes pg, which nothing refers to any more, out of the clock
+// ring and returns its frame to the free list. A hand resting on pg moves
+// to the page after it.
+func (v *Pool) freePage(pg *page) {
+	if !pg.inRing {
+		panic("vm: freePage of page not in ring")
+	}
+	if v.hand == pg {
+		v.hand = pg.next
+	}
+	if pg.prev == nil {
+		v.ringHead = pg.next
+	} else {
+		pg.prev.next = pg.next
+	}
+	if pg.next == nil {
+		v.ringTail = pg.prev
+	} else {
+		pg.next.prev = pg.prev
+	}
+	v.resident--
+	pg.obj, pg.prev, pg.inRing = nil, nil, false
+	pg.next, v.free = v.free, pg
 }
 
 func sortedPages[V any](m map[int64]V) []int64 {
