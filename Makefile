@@ -31,10 +31,15 @@ check:
 # per probe (docs/CHECKING.md, "What a probe costs"); internal/stream
 # holds BenchmarkStreamTransfer: ns, bytes and allocations per simulated
 # megabyte through one connection; internal/kernel holds BenchmarkUse,
-# BenchmarkSleepWakeup and BenchmarkSyscallLseek: what a CPU charge, a
-# process switch and the cheapest system call cost the host.
+# BenchmarkSleepWakeup, BenchmarkSyscallLseek and BenchmarkCalloutArmFire:
+# what a CPU charge, a process switch, the cheapest system call and a
+# timer cost the host; internal/sim, internal/socket and internal/vm hold
+# BenchmarkScheduleRun, BenchmarkDatagram and BenchmarkPageFaultWarm: an
+# event, a datagram end to end and a fault in a full pool (each 0 allocs,
+# docs/ARCHITECTURE.md "Who owns which memory").
 bench:
-	$(GO) test -bench=. -benchmem ./internal/bench/ ./internal/machine/ ./internal/stream/ ./internal/kernel/
+	$(GO) test -run '^$$' -bench=. -benchmem ./internal/bench/ ./internal/machine/ ./internal/stream/ ./internal/kernel/ \
+		./internal/sim/ ./internal/socket/ ./internal/vm/
 
 tables:
 	$(GO) run ./cmd/kdpbench

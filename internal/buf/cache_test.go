@@ -356,6 +356,45 @@ func TestAllocHeaderSharesData(t *testing.T) {
 	})
 }
 
+// TestHeadersComeOffTheEmptyList: a released header is the next one
+// handed out, wiped of everything its last user hung on it; released
+// headers are handed out once each; releasing one twice is refused; and
+// the round trip allocates nothing.
+func TestHeadersComeOffTheEmptyList(t *testing.T) {
+	f := newFixture(16)
+	used := f.c.AllocHeader(f.dev, 7)
+	used.Data, used.Err, used.SpliceDesc, used.SpliceLblk, used.SpliceN = make([]byte, 8), kernel.ErrIO, f, 5, 3
+	used.SplicePeer, used.Iodone = used, func(*kernel.Kernel, *Buf) {}
+	used.Flags |= BError | BCall
+	other := f.c.AllocHeader(f.dev, 8)
+	f.c.ReleaseHeader(used)
+	f.c.ReleaseHeader(other)
+
+	a, b, c := f.c.AllocHeader(f.dev, 30), f.c.AllocHeader(f.dev, 31), f.c.AllocHeader(f.dev, 32)
+	if a != other || b != used || c == used || c == other {
+		t.Fatalf("headers handed out: %p %p %p, released %p then %p", a, b, c, used, other)
+	}
+	want := Buf{pool: f.c, Flags: BBusy | BNoMem, Dev: f.dev, Blkno: 31, Bcount: f.c.BlockSize()}
+	if b.Flags != want.Flags || b.Dev != want.Dev || b.Blkno != want.Blkno || b.Bcount != want.Bcount ||
+		b.Data != nil || b.Err != nil || b.Iodone != nil || b.SpliceDesc != nil || b.SpliceLblk != 0 ||
+		b.SpliceN != 0 || b.SplicePeer != nil || b.freeNext != nil {
+		t.Fatalf("recycled header carries its last user's state: %+v", b)
+	}
+	if err := f.c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { f.c.ReleaseHeader(f.c.AllocHeader(f.dev, 1)) }); n != 0 {
+		t.Fatalf("a header round trip allocated %.1f times, want 0", n)
+	}
+	f.c.ReleaseHeader(a)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("releasing a header twice did not panic")
+		}
+	}()
+	f.c.ReleaseHeader(a)
+}
+
 func TestInvalidateDevColdStart(t *testing.T) {
 	f := newFixture(16)
 	f.runProc(t, func(p *kernel.Proc) {

@@ -89,3 +89,54 @@ func TestElevatorReducesScatteredSeekTime(t *testing.T) {
 		t.Fatalf("elevator (%v) not faster than FIFO (%v) on scattered I/O", elevTime, fifoTime)
 	}
 }
+
+// TestQueueForgetsServicedRequests: a request taken off the queue — out
+// of the middle, under the elevator — leaves no pointer behind in the
+// queue's backing array, and the drive lets go of the active request
+// when it completes: a header recycled by its owner is not kept alive,
+// or found again, through the disk.
+func TestQueueForgetsServicedRequests(t *testing.T) {
+	blocks := []int64{4000, 100, 7000, 2000, 5000, 300}
+	p := RZ56(8192, 8192)
+	p.Elevator = true
+	k, c, d := newRig(p)
+	completed := map[*buf.Buf]bool{}
+	check := func(when string) {
+		if d.cur != nil && completed[d.cur] {
+			t.Errorf("%s: the drive still holds a completed request as active", when)
+		}
+		for i, b := range d.queue[:cap(d.queue)] {
+			switch {
+			case i >= len(d.queue) && b != nil:
+				t.Errorf("%s: slot %d past the queue's %d entries still holds %v", when, i, len(d.queue), b)
+			case b != nil && completed[b]:
+				t.Errorf("%s: completed %v is still queued", when, b)
+			}
+		}
+	}
+	run(t, k, func(pr *kernel.Proc) {
+		for _, blk := range blocks {
+			b, err := c.GetblkNB(pr.Ctx(), d, blk)
+			if err != nil {
+				t.Errorf("getblk %d: %v", blk, err)
+				return
+			}
+			b.Flags |= buf.BRead | buf.BCall
+			b.Flags &^= buf.BDone
+			b.Iodone = func(kk *kernel.Kernel, bb *buf.Buf) {
+				completed[bb] = true
+				check("in biodone")
+				c.Brelse(kk.IntrCtx(), bb)
+			}
+			d.Strategy(b)
+		}
+		for len(completed) < len(blocks) {
+			pr.SleepFor(20 * sim.Millisecond)
+			check("between completions")
+		}
+	})
+	if d.cur != nil || len(d.queue) != 0 {
+		t.Fatalf("idle drive holds active %v and %d queued", d.cur, len(d.queue))
+	}
+	check("idle")
+}

@@ -43,7 +43,7 @@ func TestPacketBuffersRecycledAfterLastDelivery(t *testing.T) {
 		return datagram(buf, id)
 	}
 	scribble := func() {
-		for _, f := range n.free {
+		for _, f := range n.free[0] {
 			f = f[:cap(f)]
 			for i := range f {
 				f[i] = 0xDB
@@ -74,7 +74,7 @@ func TestPacketBuffersRecycledAfterLastDelivery(t *testing.T) {
 	k.Spawn("tx", func(p *kernel.Proc) {
 		burst(1)
 		p.SleepFor(20 * sim.Millisecond)
-		resting = len(n.free)
+		resting = len(n.free[0])
 		burst(11) // nothing in flight: every buffer comes off the free list
 		p.SleepFor(20 * sim.Millisecond)
 	})
@@ -90,11 +90,11 @@ func TestPacketBuffersRecycledAfterLastDelivery(t *testing.T) {
 	if want := []byte{101, 102, 102, 104, 105, 106, 111, 112, 113, 114, 115, 116}; !bytes.Equal(atA, want) {
 		t.Errorf("a saw echoes %v, want %v", atA, want)
 	}
-	if resting != len(handedOut) || len(n.free) != resting {
+	if resting != len(handedOut) || len(n.free[0]) != resting || len(n.free[1]) != 0 {
 		t.Errorf("free list holds %d buffers after the first burst and %d at the end; %d were ever handed out",
-			resting, len(n.free), len(handedOut))
+			resting, len(n.free[0]), len(handedOut))
 	}
-	for _, f := range n.free {
+	for _, f := range n.free[0] {
 		if p := &f[:1][0]; !handedOut[p] {
 			t.Errorf("free list holds a buffer twice, or one PacketBuf never handed out")
 		} else {
@@ -182,6 +182,39 @@ func TestReadvTruncatesOversizedDatagram(t *testing.T) {
 		if nr, err := b.Read(ctx, buf, 0); err != nil || string(buf[:nr]) != "next" {
 			t.Errorf("read after the truncated datagram = %q, %v; want \"next\"", buf[:nr], err)
 		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQueuedDuplicateOwnsItsBuffer: a read hands its datagram's buffer
+// back to the net, so a duplicated datagram must not sit in the receive
+// queue twice over one buffer — the second copy would be overwritten by
+// whatever is sent after the first is read.
+func TestQueuedDuplicateOwnsItsBuffer(t *testing.T) {
+	k := newK()
+	n := NewNet(k, Loopback())
+	k.Faults().Arm(kernel.FaultArm{Site: n.DupSite(), K: 1, Match: kernel.MatchAny})
+	a, _ := n.NewSocket(1)
+	b, _ := n.NewSocket(2)
+	const size = 64
+	want := datagram(make([]byte, size), 1)
+	k.Spawn("rx", func(p *kernel.Proc) {
+		got := make([]byte, size)
+		for i := 0; i < 2; i++ {
+			if m, err := b.Read(p.Ctx(), got, 0); m != size || err != nil || !bytes.Equal(got, want) {
+				t.Errorf("read %d = (%d, %v) %v, want datagram 1 intact", i, m, err, got)
+			}
+			// Traffic that draws on the free list between the two reads.
+			for id := byte(10); id < 14; id++ {
+				a.SendTo(3, datagram(a.PacketBuf(size), id), nil)
+			}
+			p.SleepFor(10 * sim.Millisecond)
+		}
+	})
+	k.Spawn("tx", func(p *kernel.Proc) {
+		a.SendTo(2, datagram(a.PacketBuf(size), 1), nil)
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)

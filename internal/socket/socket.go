@@ -85,7 +85,11 @@ type Net struct {
 
 	txq    kernel.Queue[txRequest]
 	txBusy bool
-	free   [][]byte // packet buffers nobody refers to any more, for PacketBuf
+	// free is the packet buffers nobody refers to any more, for PacketBuf,
+	// in two lists as mbufs and clusters are: a segment's worth of payload
+	// must not find the acknowledgements' buffers on top of its list, nor
+	// an acknowledgement use up a payload-sized one.
+	free [2][][]byte
 
 	// The link serves one request at a time and every datagram
 	// propagates for the same Latency, so datagrams arrive in the order
@@ -214,7 +218,7 @@ func (n *Net) deliver(port int, pkt packet) {
 		if fp.Hit(n.siteDrop, ord) {
 			n.dropped++
 			n.k.TraceEmit(trace.KindNetDrop, 0, int64(len(pkt.data)), int64(port), "")
-			n.free = append(n.free, pkt.data)
+			n.recycle(pkt.data)
 			return
 		}
 		dup = fp.Hit(n.siteDup, ord)
@@ -229,15 +233,19 @@ func (n *Net) deliver(port int, pkt packet) {
 }
 
 // arrive delivers pkt — twice under dup — and recycles its buffer after
-// the last delivery, unless a reader's queue has taken the bytes.
+// the last delivery, unless a reader's queue has taken the bytes (the
+// read that empties it out recycles it then).
 func (n *Net) arrive(port int, pkt packet, dup bool) {
 	kept := n.deliverTo(port, pkt)
 	if dup {
 		n.k.StealCPU(n.p.PerPacketCost)
+		if kept {
+			pkt.data = append([]byte(nil), pkt.data...) // a queued datagram owns its buffer alone
+		}
 		kept = n.deliverTo(port, pkt) || kept
 	}
-	if !kept && cap(pkt.data) > 0 {
-		n.free = append(n.free, pkt.data)
+	if !kept {
+		n.recycle(pkt.data)
 	}
 }
 
@@ -369,15 +377,41 @@ func (s *Socket) SetHandler(fn func(data []byte, from int, eof bool)) {
 // PacketBuf returns an n-byte buffer of unspecified content to build a
 // datagram for SendTo in, off the net's free list when that has one.
 func (s *Socket) PacketBuf(n int) []byte {
-	free := s.net.free
-	if top := len(free) - 1; top >= 0 {
-		b := free[top]
-		free[top], s.net.free = nil, free[:top]
-		if cap(b) >= n {
+	if n <= smallPacket {
+		if free := s.net.free[0]; len(free) > 0 {
+			top := len(free) - 1
+			b := free[top]
+			free[top], s.net.free[0] = nil, free[:top]
+			return b[:n]
+		}
+		return make([]byte, n, smallPacket)
+	}
+	// The newest large buffer that is large enough: they differ in size
+	// when a window cuts a segment short.
+	free := s.net.free[1]
+	for i := len(free) - 1; i >= 0; i-- {
+		if b := free[i]; cap(b) >= n {
+			top := len(free) - 1
+			free[i], free[top], s.net.free[1] = free[top], nil, free[:top]
 			return b[:n]
 		}
 	}
 	return make([]byte, n)
+}
+
+// smallPacket is the capacity of every buffer on the small free list.
+const smallPacket = 256
+
+// recycle puts a packet buffer nobody refers to any more on its free
+// list.
+func (n *Net) recycle(b []byte) {
+	switch {
+	case cap(b) == 0:
+	case cap(b) <= smallPacket:
+		n.free[0] = append(n.free[0], b)
+	default:
+		n.free[1] = append(n.free[1], b)
+	}
 }
 
 // SendTo transmits one datagram toward dst, independent of the
@@ -419,7 +453,9 @@ func (s *Socket) Readv(ctx kernel.Ctx, iovs [][]byte, off int64) (int, error) {
 	}
 	u := kernel.Uio{Iovs: iovs}
 	data, _ := s.takeDatagram(u.Total())
-	return u.Scatter(data), nil
+	n := u.Scatter(data)
+	s.net.recycle(data) // copied out: the buffer is nobody's
+	return n, nil
 }
 
 // Writev implements kernel.WritevOps: it builds ONE datagram from the

@@ -757,3 +757,79 @@ func TestInvariantsDetectDamage(t *testing.T) {
 		})
 	}
 }
+
+// faultRig maps a 64-page file read-only through an 8-frame pool and
+// hands body a function that touches the next page in a cycle: every
+// call is a major fault that evicts a page and fills its frame from the
+// buffer cache.
+func faultRig(tb testing.TB, body func(fault func())) {
+	const npages = 64
+	cfg := kernel.DefaultConfig()
+	k := kernel.New(cfg)
+	c := buf.NewCache(k, 128, bsize)
+	d := disk.New(k, disk.RAMDisk(600, bsize))
+	d.SetCache(c)
+	if _, err := fs.Mkfs(d, 128); err != nil {
+		tb.Fatalf("mkfs: %v", err)
+	}
+	pool := vm.NewPool(k, 8, bsize)
+	k.SetVM(pool)
+	k.Spawn("faulter", func(p *kernel.Proc) {
+		f, err := fs.Mount(p.Ctx(), c, d)
+		if err != nil {
+			tb.Errorf("mount: %v", err)
+			return
+		}
+		f.SetPager(pool)
+		k.Mount("/v", f)
+		fd, _ := p.Open("/v/f", kernel.OCreat|kernel.ORdWr)
+		if _, err := p.Write(fd, pattern(npages*bsize, 3)); err != nil {
+			tb.Errorf("write: %v", err)
+			return
+		}
+		addr, err := p.Mmap(fd, 0, npages*bsize, kernel.ProtRead, kernel.MapShared)
+		if err != nil {
+			tb.Errorf("mmap: %v", err)
+			return
+		}
+		one, next := make([]byte, 1), int64(0)
+		fault := func() {
+			if err := p.MemRead(addr+next*bsize, one); err != nil || one[0] != byte(3) {
+				tb.Errorf("page %d: %v, first byte %d", next, err, one[0])
+			}
+			next = (next + 1) % npages
+		}
+		for i := 0; i < 2*npages; i++ { // warm-up: the pool is full and has cycled
+			fault()
+		}
+		body(fault)
+		_ = p.Munmap(addr)
+		_ = p.Close(fd)
+	})
+	if err := k.Run(); err != nil {
+		tb.Fatal(err)
+	}
+	if pool.Resident() != 0 {
+		tb.Errorf("%d frames resident at the end", pool.Resident())
+	}
+}
+
+// TestPageFaultInFullPoolAllocatesNothing: the fault takes the victim's
+// frame — record and memory — instead of asking for a new one.
+func TestPageFaultInFullPoolAllocatesNothing(t *testing.T) {
+	allocs := -1.0
+	faultRig(t, func(fault func()) { allocs = testing.AllocsPerRun(200, fault) })
+	if allocs != 0 {
+		t.Fatalf("a page fault in a full pool allocated %.2f times, want 0", allocs)
+	}
+}
+
+func BenchmarkPageFaultWarm(b *testing.B) {
+	b.ReportAllocs()
+	faultRig(b, func(fault func()) {
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			fault()
+		}
+	})
+}
