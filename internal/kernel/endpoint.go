@@ -131,7 +131,7 @@ func (f *FIFO) Drop(n int) {
 	}
 	f.n -= n
 	if f.n == 0 {
-		f.head = 0
+		f.head = 0 // a queue that keeps emptying stays in the ring's first bytes
 		return
 	}
 	if f.head += n; f.head >= len(f.mem) {

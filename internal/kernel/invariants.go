@@ -123,11 +123,9 @@ func (k *Kernel) CheckPollDrained() error {
 	if k.pollRegs != 0 {
 		return kviolation("poll-leak", "%d poller registration(s) outstanding at drain", k.pollRegs)
 	}
-	for wchan := range k.sleepq {
-		if _, ok := wchan.(*pollWaiter); ok {
-			if n := k.Sleepers(wchan); n > 0 {
-				return kviolation("poll-leak", "%d process(es) still sleeping in poll at drain", n)
-			}
+	for wchan, q := range k.sleepq {
+		if _, ok := wchan.(*pollWaiter); ok && q.head != nil {
+			return kviolation("poll-leak", "%d process(es) still sleeping in poll at drain", k.Sleepers(wchan))
 		}
 	}
 	return nil

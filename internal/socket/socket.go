@@ -69,11 +69,13 @@ type txRequest struct {
 	onSent func(error)
 }
 
-// flight is a datagram in propagation toward dst.
+// flight is a datagram in propagation toward dst. One the reorder fault
+// holds back for a second propagation period is held, and dup then says
+// whether to deliver it twice.
 type flight struct {
-	pkt packet
-	dst int
-	dup bool // reordered datagrams only: deliver twice
+	pkt       packet
+	dst       int
+	held, dup bool
 }
 
 // Net is a simulated network: a shared medium connecting every socket
@@ -92,15 +94,14 @@ type Net struct {
 	free [2][][]byte
 
 	// The link serves one request at a time and every datagram
-	// propagates for the same Latency, so datagrams arrive in the order
-	// they left: the request on the wire and the queues of datagrams in
-	// propagation stand in for a closure per event, with the three event
-	// handlers bound once.
-	sending           txRequest
-	flying, reordered kernel.Queue[flight]
-	onSent            func() // txDone
-	onArrive          func() // rxArrive
-	onReordered       func() // rxReordered
+	// propagates for the same Latency (a reordered one twice), so
+	// datagrams arrive in the order they set out: the request on the wire
+	// and the queue of datagrams in propagation stand in for a closure
+	// per event, with the two event handlers bound once.
+	sending  txRequest
+	flying   kernel.Queue[flight]
+	onSent   func() // txDone
+	onArrive func() // rxArrive
 
 	rxCount                  int64
 	sent, delivered, dropped int64
@@ -125,7 +126,7 @@ func NewNet(k *kernel.Kernel, p NetParams) *Net {
 		siteDup:     "net." + name + ".dup",
 		siteReorder: "net." + name + ".reorder",
 	}
-	n.onSent, n.onArrive, n.onReordered = n.txDone, n.rxArrive, n.rxReordered
+	n.onSent, n.onArrive = n.txDone, n.rxArrive
 	return n
 }
 
@@ -184,24 +185,21 @@ func (n *Net) txDone() {
 }
 
 // rxArrive is the receive interrupt of the datagram longest in
-// propagation.
+// propagation. One that was held back has been through the fault sites
+// already.
 func (n *Net) rxArrive() {
 	f := n.flying.Pop()
 	n.k.Interrupt(func() {
 		n.k.StealCPU(n.p.PerPacketCost)
-		n.deliver(f.dst, f.pkt)
+		if f.held {
+			n.arrive(f.dst, f.pkt, f.dup)
+		} else {
+			n.deliver(f.dst, f.pkt)
+		}
 	})
-}
-
-// rxReordered is rxArrive for a datagram the reorder fault held back
-// one more propagation period.
-func (n *Net) rxReordered() {
-	f := n.reordered.Pop()
-	n.k.Interrupt(func() {
-		n.k.StealCPU(n.p.PerPacketCost)
-		n.arrive(f.dst, f.pkt, f.dup)
-	})
-	n.k.Release()
+	if f.held {
+		n.k.Release()
+	}
 }
 
 // deliver runs the receive-side fault sites — every non-EOF data
@@ -224,8 +222,8 @@ func (n *Net) deliver(port int, pkt packet) {
 		dup = fp.Hit(n.siteDup, ord)
 		if fp.Hit(n.siteReorder, ord) {
 			n.k.Hold()
-			n.reordered.Push(flight{pkt, port, dup})
-			n.k.Engine().Schedule(n.p.Latency, "net:reorder", n.onReordered)
+			n.flying.Push(flight{pkt, port, true, dup})
+			n.k.Engine().Schedule(n.p.Latency, "net:reorder", n.onArrive)
 			return
 		}
 	}

@@ -704,7 +704,7 @@ func (v *Pool) allocPage(ctx kernel.Ctx) (*page, error) {
 		pg = &page{data: make([]byte, v.pageSize)}
 	} else {
 		v.free = pg.next
-		*pg = page{data: pg.data, ck: pg.ck, ckRing: pg.ckRing}
+		*pg = page{data: pg.data}
 	}
 	pg.ref, pg.wired = true, 1
 	v.ringAdd(pg)
