@@ -151,7 +151,7 @@ func TestAwaitWriteLendsUntilDone(t *testing.T) {
 
 		// Interrupted: the write is left running on a private copy.
 		b := []byte("abcdef")
-		if n, err := AwaitWrite(&sleepBreaker{Ctx: p.Ctx()}, b, sinkWrite, &q); n != 0 || err != ErrIntr {
+		if n, err := AwaitWrite(&sleepBreaker{Ctx: p.Ctx()}, b, sinkWrite, q.Keep); n != 0 || err != ErrIntr {
 			t.Errorf("interrupted AwaitWrite = (%d, %v), want (0, ErrIntr)", n, err)
 		}
 		copy(b, "XXXXXX") // the caller's again
@@ -161,7 +161,7 @@ func TestAwaitWriteLendsUntilDone(t *testing.T) {
 
 		// Cannot sleep: accepted, and likewise completed later.
 		c := []byte("gh")
-		if n, err := AwaitWrite(p.NBCtx(), c, sinkWrite, &q); n != 2 || err != nil {
+		if n, err := AwaitWrite(p.NBCtx(), c, sinkWrite, q.Keep); n != 2 || err != nil {
 			t.Errorf("nonblocking AwaitWrite = (%d, %v), want (2, nil)", n, err)
 		}
 		copy(c, "YY")
@@ -178,7 +178,7 @@ func TestAwaitWriteLendsUntilDone(t *testing.T) {
 		}
 		k.Timeout(consume, 1)
 		d := []byte("ijklm")
-		if n, err := AwaitWrite(p.Ctx(), d, sinkWrite, &q); n != 5 || err != nil {
+		if n, err := AwaitWrite(p.Ctx(), d, sinkWrite, q.Keep); n != 5 || err != nil {
 			t.Errorf("blocking AwaitWrite = (%d, %v), want (5, nil)", n, err)
 		}
 		p.SleepFor(3 * k.cfg.TickDuration())
@@ -209,7 +209,7 @@ func TestAwaitWriteSleepIsNotInterruptible(t *testing.T) {
 		k.Timeout(room, 2) // admits two bytes
 		k.Timeout(room, 3) // consumes them and admits the third
 		b := []byte("abc")
-		if n, err := AwaitWrite(p.Ctx(), b, q.Queue, &q); n != 3 || err != nil {
+		if n, err := AwaitWrite(p.Ctx(), b, q.Queue, q.Keep); n != 3 || err != nil {
 			t.Errorf("AwaitWrite with proc.sleep-signal armed = (%d, %v), want (3, nil)", n, err)
 		}
 	})
@@ -231,7 +231,7 @@ func TestAwaitWriteAllocatesNothing(t *testing.T) {
 		write := func() {
 			k.Timeout(room, 1)
 			k.Timeout(room, 2)
-			if n, err := AwaitWrite(p.Ctx(), b, q.Queue, &q); n != len(b) || err != nil {
+			if n, err := AwaitWrite(p.Ctx(), b, q.Queue, q.Keep); n != len(b) || err != nil {
 				t.Errorf("AwaitWrite = (%d, %v)", n, err)
 			}
 		}

@@ -185,8 +185,9 @@ type WriteQueue struct {
 }
 
 type queuedWrite struct {
-	data []byte // what is not admitted yet; the writer's own bytes, on loan
-	done func(error)
+	data  []byte // what is not admitted yet; the writer's own bytes, on loan
+	owned bool   // Keep has made data the queue's own copy
+	done  func(error)
 }
 
 // Queue accepts a write behind the earlier ones. One that fits whole with
@@ -203,22 +204,17 @@ func (q *WriteQueue) Queue(data []byte, done func(error)) {
 		done(nil)
 		return
 	}
-	q.waiting.Push(queuedWrite{data, done})
+	q.waiting.Push(queuedWrite{data: data, done: done})
 }
 
-// Keep ends the loan of data before its write has completed: the queue
-// takes a copy of its own of what it still has to admit, and the writer
-// may reuse the bytes.
-func (q *WriteQueue) Keep(data []byte) {
-	if len(data) == 0 {
-		return
-	}
-	last := &data[len(data)-1]
+// Keep ends every loan before its write has completed: the queue takes a
+// copy of its own of what it still has to admit, and each writer may
+// reuse its bytes. A writer that has to take its bytes back early cannot
+// say which waiting write is its own, so all of them are copied.
+func (q *WriteQueue) Keep() {
 	for i := q.waiting.head; i < len(q.waiting.items); i++ {
-		// Admission consumes a write from the front, so what remains of
-		// one still ends where the writer's slice does.
-		if w := &q.waiting.items[i]; len(w.data) > 0 && &w.data[len(w.data)-1] == last {
-			w.data = append([]byte(nil), w.data...)
+		if w := &q.waiting.items[i]; !w.owned {
+			w.data, w.owned = append([]byte(nil), w.data...), true
 		}
 	}
 }
@@ -317,10 +313,11 @@ func (a *awaiter) complete(err error) {
 // done's error. A context that cannot sleep does not wait — the write
 // finishes on its own and counts as accepted. An interrupted sleep
 // returns the sleep's error and leaves the write running. Either way the
-// caller gets b back before done has fired, so lentTo, the queue write
-// lends b to (nil if it lends to none), first takes its own copy of what
-// it still holds.
-func AwaitWrite(ctx Ctx, b []byte, write func(data []byte, done func(error)), lentTo *WriteQueue) (int, error) {
+// caller gets b back before done has fired, so keep (the Keep of the
+// queue write lends b to; nil if it lends to none) first ends the loan.
+// No endpoint gets there today: Conn and Pipe serve a context that cannot
+// sleep with TryWrite, and the sleep, at PSOCK, is not interruptible.
+func AwaitWrite(ctx Ctx, b []byte, write func(data []byte, done func(error)), keep func()) (int, error) {
 	var a *awaiter
 	pc, inProc := ctx.(procCtx)
 	if inProc && pc.p.aw != nil {
@@ -339,8 +336,8 @@ func AwaitWrite(ctx Ctx, b []byte, write func(data []byte, done func(error)), le
 	switch {
 	case fired && inProc:
 		pc.p.aw = a // done has run and will not again: the record is spare
-	case !fired && lentTo != nil:
-		lentTo.Keep(b)
+	case !fired && keep != nil:
+		keep()
 	}
 	switch {
 	case serr != nil:

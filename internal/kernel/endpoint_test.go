@@ -134,8 +134,6 @@ func TestWriteQueue(t *testing.T) {
 	q.Queue(lent, done("b")) // has to wait: the queue borrows the bytes...
 	kept := []byte("i")
 	q.Queue(kept, done("c"))
-	q.Keep(kept) // ...until done, or until the writer takes them back
-	kept[0] = 'I'
 	expect("a admitted at once, b and c wait", "a:<nil>")
 	if q.Queued() != 2 || q.Writable() {
 		t.Fatalf("Queued=%d Writable=%v, want 2 false", q.Queued(), q.Writable())
@@ -155,9 +153,9 @@ func TestWriteQueue(t *testing.T) {
 	if _, err := q.TryWrite([]byte("z")); err != ErrWouldBlock {
 		t.Fatalf("TryWrite behind queued writers: %v, want ErrWouldBlock", err)
 	}
-	q.Keep(lent) // what is left of b is copied; what went in already stays
-	lent[4] = 'X'
-	q.Keep([]byte("nobody's")) // bytes the queue was never lent: nothing happens
+	q.Keep() // ...until done, or until a writer takes them back: what is left of b, and c, are copied
+	lent[4], kept[0] = 'X', 'I'
+	q.Keep() // nothing on loan any more: nothing happens
 	q.Drop(4)
 	q.Admit() // rest of b, then c, in arrival order
 	expect("b then c", "a:<nil>", "b:<nil>", "c:<nil>")
@@ -426,7 +424,7 @@ func TestWriteQueueAgainstModel(t *testing.T) {
 				}
 				q.Queue(b, done(step))
 				if keep {
-					q.Keep(b)
+					q.Keep()
 					clear(b) // the bytes are the caller's again
 				}
 			case 7:

@@ -191,7 +191,10 @@ func TestReadvTruncatesOversizedDatagram(t *testing.T) {
 // TestQueuedDuplicateOwnsItsBuffer: a read hands its datagram's buffer
 // back to the net, so a duplicated datagram must not sit in the receive
 // queue twice over one buffer — the second copy would be overwritten by
-// whatever is sent after the first is read.
+// whatever is sent after the first is read. The copy, and a buffer a
+// SendTo caller made itself, may be smaller than the small free list's
+// buffers: every buffer resting on that list afterwards must still be
+// good for the largest small datagram.
 func TestQueuedDuplicateOwnsItsBuffer(t *testing.T) {
 	k := newK()
 	n := NewNet(k, Loopback())
@@ -211,6 +214,11 @@ func TestQueuedDuplicateOwnsItsBuffer(t *testing.T) {
 				a.SendTo(3, datagram(a.PacketBuf(size), id), nil)
 			}
 			p.SleepFor(10 * sim.Millisecond)
+		}
+		a.SendTo(3, []byte{1, 2, 3}, nil) // the sender's own buffer, taken over
+		p.SleepFor(10 * sim.Millisecond)
+		for i := len(n.free[0]); i >= 0; i-- { // every resting buffer, and a new one
+			a.SendTo(3, datagram(a.PacketBuf(smallPacket), 20), nil)
 		}
 	})
 	k.Spawn("tx", func(p *kernel.Proc) {

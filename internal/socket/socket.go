@@ -238,7 +238,8 @@ func (n *Net) arrive(port int, pkt packet, dup bool) {
 	if dup {
 		n.k.StealCPU(n.p.PerPacketCost)
 		if kept {
-			pkt.data = append([]byte(nil), pkt.data...) // a queued datagram owns its buffer alone
+			// A queued datagram owns its buffer alone.
+			pkt.data = append(n.packetBuf(len(pkt.data))[:0], pkt.data...)
 		}
 		kept = n.deliverTo(port, pkt) || kept
 	}
@@ -374,40 +375,44 @@ func (s *Socket) SetHandler(fn func(data []byte, from int, eof bool)) {
 
 // PacketBuf returns an n-byte buffer of unspecified content to build a
 // datagram for SendTo in, off the net's free list when that has one.
-func (s *Socket) PacketBuf(n int) []byte {
-	if n <= smallPacket {
-		if free := s.net.free[0]; len(free) > 0 {
+func (s *Socket) PacketBuf(n int) []byte { return s.net.packetBuf(n) }
+
+func (n *Net) packetBuf(size int) []byte {
+	if size <= smallPacket {
+		if free := n.free[0]; len(free) > 0 {
 			top := len(free) - 1
 			b := free[top]
-			free[top], s.net.free[0] = nil, free[:top]
-			return b[:n]
+			free[top], n.free[0] = nil, free[:top]
+			return b[:size]
 		}
-		return make([]byte, n, smallPacket)
+		return make([]byte, size, smallPacket)
 	}
 	// The newest large buffer that is large enough: they differ in size
 	// when a window cuts a segment short.
-	free := s.net.free[1]
+	free := n.free[1]
 	for i := len(free) - 1; i >= 0; i-- {
-		if b := free[i]; cap(b) >= n {
+		if b := free[i]; cap(b) >= size {
 			top := len(free) - 1
-			free[i], free[top], s.net.free[1] = free[top], nil, free[:top]
-			return b[:n]
+			free[i], free[top], n.free[1] = free[top], nil, free[:top]
+			return b[:size]
 		}
 	}
-	return make([]byte, n)
+	return make([]byte, size)
 }
 
 // smallPacket is the capacity of every buffer on the small free list.
 const smallPacket = 256
 
 // recycle puts a packet buffer nobody refers to any more on its free
-// list.
+// list. SendTo takes over whatever its caller built the datagram in, so
+// a buffer smaller than smallPacket can get here; it is left to the
+// collector, which keeps every buffer on the small list good for any
+// small request.
 func (n *Net) recycle(b []byte) {
 	switch {
-	case cap(b) == 0:
-	case cap(b) <= smallPacket:
+	case cap(b) == smallPacket:
 		n.free[0] = append(n.free[0], b)
-	default:
+	case cap(b) > smallPacket:
 		n.free[1] = append(n.free[1], b)
 	}
 }

@@ -30,15 +30,13 @@ type blocks struct {
 
 	admitted int64 // bytes admitted so far by the rate clock
 
-	// arrived is the blocks read, in arrival order, beside the block
-	// table: each block arrives once, so slot i is the i-th to arrive.
-	// arrived[handed:narrived] wait on the callout list for handoff.
-	// Callouts queued for the same tick fire in the order they were
-	// queued, so the handlers are bound once and handoff takes the oldest.
-	arrived          []*buf.Buf
-	narrived, handed int
-	onReadDone       func(*kernel.Kernel, *buf.Buf) // readDone
-	onHandoff        func()                         // handoff
+	// arrived is the blocks read that wait on the callout list for
+	// handoff. Callouts queued for the same tick fire in the order they
+	// were queued, so the handlers are bound once and handoff takes the
+	// oldest.
+	arrived    kernel.Queue[*buf.Buf]
+	onReadDone func(*kernel.Kernel, *buf.Buf) // readDone
+	onHandoff  func()                         // handoff
 }
 
 func newBlocks(d *desc, f FileLike, fd *kernel.FDesc, wr blockWriter) *blocks {
@@ -68,7 +66,6 @@ func (r *blocks) open(ctx kernel.Ctx, size int64) (int64, error) {
 		return 0, err
 	}
 	r.table = full[r.first:]
-	r.arrived = make([]*buf.Buf, len(r.table))
 	return size, nil
 }
 
@@ -168,8 +165,7 @@ func (r *blocks) readDone(_ *kernel.Kernel, b *buf.Buf) {
 	// blocks parked in the callout queue.
 	d.pendingWrites++
 	d.stats.PeakWrites = max(d.stats.PeakWrites, d.pendingWrites)
-	r.arrived[r.narrived] = b
-	r.narrived++
+	r.arrived.Push(b)
 	d.callout(r.onHandoff)
 }
 
@@ -177,9 +173,7 @@ func (r *blocks) readDone(_ *kernel.Kernel, b *buf.Buf) {
 // valid source data (§5.4) and passes it to the write side, unless the
 // transfer has failed in the meantime.
 func (r *blocks) handoff() {
-	d, b := r.d, r.arrived[r.handed]
-	r.arrived[r.handed] = nil
-	r.handed++
+	d, b := r.d, r.arrived.Pop()
 	d.handlerCharge()
 	if d.err != nil {
 		releaseBuf(d.k, r.cache, b)
