@@ -23,12 +23,15 @@ race:
 
 # Bounded randomized simulation checking (see docs/CHECKING.md);
 # CHECK_SEEDS can be raised for a deeper sweep.
-CHECK_SEEDS ?= 60
+CHECK_SEEDS ?= 80
 check:
 	$(GO) run ./cmd/kdpcheck -seeds $(CHECK_SEEDS)
 
 # internal/machine holds BenchmarkCheckInvariants: ns and allocations
-# per probe (docs/CHECKING.md, "What a probe costs"); internal/stream
+# per probe (docs/CHECKING.md, "What a probe costs"), and
+# BenchmarkBuildRelease/{cold,warm}: what it costs to stamp out
+# simcheck's machine with the slab recycler empty and with the last
+# machine's platters and buffer slab resting in it; internal/stream
 # holds BenchmarkStreamTransfer: ns, bytes and allocations per simulated
 # megabyte through one connection; internal/kernel holds BenchmarkUse,
 # BenchmarkSleepWakeup, BenchmarkSyscallLseek and BenchmarkCalloutArmFire:
@@ -75,7 +78,7 @@ linkcheck:
 # server, vm and batch are the sweep tables that exercise the stream
 # transport and server engines, demand paging, and aggregated crossings.
 CRASH_SEEDS ?= 100
-FAULT_SEEDS ?= 8
+FAULT_SEEDS ?= 10
 FAULT_OPS ?= 40
 crash_gate  = $(GO) run ./cmd/kdpcheck -crash -seeds $(CRASH_SEEDS) > $(1)
 fault_gate  = $(GO) run ./cmd/kdpcheck -faults -seeds $(FAULT_SEEDS) -ops $(FAULT_OPS) > $(1)

@@ -74,6 +74,7 @@ func serverMachine() *machine.Machine {
 // (kdptrace -server).
 func MeasureServer(clients int, engine server.Engine, mode server.Mode, sink trace.Sink) (ServerCell, *trace.Tracer) {
 	m := serverMachine()
+	defer m.Release()
 	k := m.K
 	var tr *trace.Tracer
 	if sink != nil {

@@ -123,6 +123,7 @@ func sweepBatch(b *strings.Builder, _ []DiskKind) {
 		fmt.Fprintf(b, "%-5s %12.0f %11.2fs %10d %10d %12d\n",
 			mode, res.ThroughputKBs(), m.busy().Seconds(), calls,
 			tr.Metrics().BatchCrossingsSaved, res.Bytes)
+		m.Release()
 	}
 }
 
@@ -159,6 +160,7 @@ func measureCacheCell(pattern string, ra int) cacheCell {
 	s.ReadaheadMax = ra
 	s.Label = fmt.Sprintf("cache/%s/ra=%d", pattern, ra)
 	m := NewMachine(s)
+	defer m.Release()
 	var res workload.CopyResult
 	m.ColdRun("bench", 3, func(p *kernel.Proc) {
 		for _, cp := range cachePatterns {
@@ -216,6 +218,7 @@ func measureVMCell(k DiskKind, mode workload.CopyMode) vmCell {
 	s := DefaultSetup(k)
 	s.Label = fmt.Sprintf("vm/%s/%s", k, mode)
 	m := NewMachine(s)
+	defer m.Release()
 	tr := m.metrics()
 	var res workload.CopyResult
 	m.ColdRun("bench", 3, func(p *kernel.Proc) {
@@ -292,7 +295,8 @@ func sweepQuantum(b *strings.Builder, _ []DiskKind) {
 		s := smallRZ58()
 		var elapsed sim.Duration
 		var calls int64
-		NewMachine(s).ColdRun(workload.CopySplice.String(), 3, func(p *kernel.Proc) {
+		m := NewMachine(s)
+		m.ColdRun(workload.CopySplice.String(), 3, func(p *kernel.Proc) {
 			src, _ := p.Open(SrcPath, kernel.ORdOnly)
 			dst, _ := p.Open(DstPath, kernel.OCreat|kernel.OWrOnly)
 			t0 := p.Now()
@@ -307,6 +311,7 @@ func sweepQuantum(b *strings.Builder, _ []DiskKind) {
 			elapsed = p.Now().Sub(t0)
 			calls = p.Syscalls() - sys0
 		})
+		m.Release()
 		label := "EOF"
 		if q != splice.EOF {
 			label = fmt.Sprintf("%dKB", q>>10)
@@ -355,8 +360,8 @@ func sweepSharing(b *strings.Builder, _ []DiskKind) {
 }
 
 // spliceCopy runs one cold splice copy on s with explicit splice
-// options, returning the machine for its statistics.
-func spliceCopy(s Setup, o splice.Options) (*Machine, workload.CopyResult) {
+// options, returning the run's CPU accounting with the result.
+func spliceCopy(s Setup, o splice.Options) (kernel.CPUStats, workload.CopyResult) {
 	spec := workload.DefaultCopySpec(SrcPath, DstPath, workload.CopySplice)
 	spec.SpliceOptions = o
 	return coldCopy(s, spec.Mode.String(), 3, spec)
@@ -366,8 +371,8 @@ func spliceCopy(s Setup, o splice.Options) (*Machine, workload.CopyResult) {
 // without write-side data aliasing, returning the copy result and the
 // machine's total interrupt-level CPU time.
 func MeasureSharingVariant(noShare bool) (workload.CopyResult, sim.Duration) {
-	m, res := spliceCopy(DefaultSetup(RAM), splice.Options{NoShare: noShare})
-	return res, m.K.Stats().Interrupt
+	st, res := spliceCopy(DefaultSetup(RAM), splice.Options{NoShare: noShare})
+	return res, st.Interrupt
 }
 
 // MeasureThroughputOpts is MeasureThroughput for splice copies with
@@ -417,6 +422,7 @@ func sweepSocket(b *strings.Builder, _ []DiskKind) {
 func runSocketRelay(mode workload.CopyMode, ndgrams, dsize int) (sim.Duration, sim.Duration) {
 	s := DefaultSetup(RAM)
 	m := NewMachine(s)
+	defer m.Release()
 	net := socket.NewNet(m.K, socket.Ethernet10())
 	producer, _ := net.NewSocket(1)
 	in, _ := net.NewSocket(2)

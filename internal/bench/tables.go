@@ -43,13 +43,14 @@ func (m *Machine) ColdRun(name string, fileSeed byte, body func(p *kernel.Proc))
 	m.Run()
 }
 
-// coldCopy is ColdRun with one copy as its body: the machine it ran on
-// and the copy's result.
-func coldCopy(s Setup, name string, fileSeed byte, spec workload.CopySpec) (*Machine, workload.CopyResult) {
+// coldCopy is ColdRun with one copy as its body, on a machine built for
+// it and released after: the run's CPU accounting and the copy's result.
+func coldCopy(s Setup, name string, fileSeed byte, spec workload.CopySpec) (kernel.CPUStats, workload.CopyResult) {
 	m := NewMachine(s)
+	defer m.Release()
 	var res workload.CopyResult
 	m.ColdRun(name, fileSeed, func(p *kernel.Proc) { res = mustCopy(p, spec) })
-	return m, res
+	return m.K.Stats(), res
 }
 
 // availRun is the Table 1 environment: a copier process boots the
@@ -61,6 +62,7 @@ func coldCopy(s Setup, name string, fileSeed byte, spec workload.CopySpec) (*Mac
 // returns.
 func availRun(s Setup, mode workload.CopyMode, testBody func(p *kernel.Proc)) (rounds int) {
 	m := NewMachine(s)
+	defer m.Release()
 	stop, ready := false, false
 	m.K.Spawn("copier", func(p *kernel.Proc) {
 		Must(m.Boot(p))
@@ -89,6 +91,7 @@ func MeasureIdle(s Setup) sim.Duration {
 		s.Label = fmt.Sprintf("idle/%s", s.Disk)
 	}
 	m := NewMachine(s)
+	defer m.Release()
 	var res workload.TestProgramResult
 	m.K.Spawn("test", func(p *kernel.Proc) {
 		Must(m.Boot(p))

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"kdp/internal/kernel"
+	"kdp/internal/sim"
 	"kdp/internal/trace"
 )
 
@@ -20,6 +21,7 @@ type Cache struct {
 	// the invariant pass walks it bucket by bucket.
 	pool []Buf
 	hash []*Buf
+	slab []byte // the pool's data memory in one piece; nil once released
 
 	// LRU free list of reusable buffers (intrusive doubly linked).
 	freeHead *Buf
@@ -76,6 +78,7 @@ func NewCache(k *kernel.Kernel, nbuf, blockSize int) *Cache {
 		blockSize: blockSize,
 		pool:      make([]Buf, nbuf),
 		hash:      make([]*Buf, hashSize(nbuf)),
+		slab:      sim.GetSlab(nbuf * blockSize),
 		werrs:     make(map[Device]error),
 		werrN:     make(map[Device]int64),
 		nbuf:      nbuf,
@@ -83,10 +86,21 @@ func NewCache(k *kernel.Kernel, nbuf, blockSize int) *Cache {
 	}
 	for i := range c.pool {
 		b := &c.pool[i]
-		b.pool, b.Data, b.Flags = c, make([]byte, blockSize), BInval
+		b.pool, b.Data, b.Flags = c, c.slab[i*blockSize:][:blockSize:blockSize], BInval
 		c.freePush(b, false)
 	}
 	return c
+}
+
+// Release ends the cache's life: the buffer memory is cleared and rests
+// for the next NewCache of this size. Any later getblk panics.
+func (c *Cache) Release() {
+	if c.slab == nil {
+		panic("buf: cache released twice")
+	}
+	clear(c.slab)
+	sim.PutSlab(c.slab)
+	c.slab = nil
 }
 
 // hashSize is the smallest power of two holding nbuf chains.
@@ -269,6 +283,9 @@ func (c *Cache) GetblkNB(ctx kernel.Ctx, dev Device, blkno int64) (*Buf, error) 
 func (c *Cache) getblk(ctx kernel.Ctx, dev Device, blkno int64, canSleep, quiet bool) (*Buf, error) {
 	if dev == nil {
 		panic("buf: getblk on nil device")
+	}
+	if c.slab == nil {
+		panic("buf: getblk on a released cache")
 	}
 	if blkno < 0 || blkno >= dev.DevBlocks() {
 		panic(fmt.Sprintf("buf: getblk block %d out of range on %s", blkno, dev.DevName()))

@@ -12,6 +12,7 @@ import "fmt"
 //
 // Invariant catalog (buffer cache):
 //
+//	buf-released         the cache still owns its buffer memory (no Release yet)
 //	buf-free-link        free list forward/back pointers agree, count == nfree
 //	buf-free-busy        no buffer is both BBusy and on the free list
 //	buf-free-flag        onFree matches actual free-list membership
@@ -52,6 +53,9 @@ func violation(name, format string, args ...any) error {
 // the first violation found (nil if the cache is consistent). It never
 // sleeps and performs no I/O.
 func (c *Cache) CheckInvariants() error {
+	if c.slab == nil {
+		return violation("buf-released", "cache checked after Release")
+	}
 	// Free-list walk: link integrity, counts, flags. Only pool buffers
 	// are ever freed, so a walk longer than the pool has looped.
 	n := 0

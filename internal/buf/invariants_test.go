@@ -87,6 +87,7 @@ func TestCatalogTrips(t *testing.T) {
 		name  string
 		plant func(f *fixture)
 	}{
+		{"buf-released", func(f *fixture) { f.c.Release() }},
 		{"buf-free-link", func(f *fixture) { f.c.freeHead.freeNext.freePrev = nil }},
 		{"buf-free-busy", func(f *fixture) { f.c.freeHead.Flags |= BBusy }},
 		{"buf-free-flag", func(f *fixture) { f.c.freeHead.onFree = false }},

@@ -184,6 +184,7 @@ type Disk struct {
 	cache  *buf.Cache
 	p      Params
 	data   []byte
+	dirty  []uint64 // one bit per block written to: what Release zeroes again
 	queue  []*buf.Buf
 	active bool
 	// The drive services one request at a time: cur is the one whose
@@ -242,7 +243,8 @@ func New(k *kernel.Kernel, p Params) *Disk {
 	d := &Disk{
 		k:      k,
 		p:      p,
-		data:   make([]byte, p.Blocks*int64(p.BlockSize)),
+		data:   sim.GetSlab(int(p.Blocks) * p.BlockSize),
+		dirty:  make([]uint64, (p.Blocks+63)/64),
 		runBlk: -1,
 		siteRd: "disk." + p.Name + ".rderr",
 		siteWr: "disk." + p.Name + ".wrerr",
@@ -326,9 +328,7 @@ func (d *Disk) Strategy(b *buf.Buf) {
 	if b.Bcount <= 0 || b.Bcount > d.p.BlockSize {
 		panic(fmt.Sprintf("disk %s: bad bcount %d", d.p.Name, b.Bcount))
 	}
-	if b.Blkno < 0 || b.Blkno >= d.p.Blocks {
-		panic(fmt.Sprintf("disk %s: block %d out of range", d.p.Name, b.Blkno))
-	}
+	d.raw(b.Blkno, b.Bcount) // panics unless the transfer lies on a live platter
 	if d.p.SyncCPU {
 		d.completeSync(b)
 		return
@@ -366,16 +366,15 @@ func (d *Disk) completeSync(b *buf.Buf) {
 // transfer moves the request's data between buffer and platter and
 // counts it, or fails it if its fault site fires.
 func (d *Disk) transfer(b *buf.Buf) {
-	off := b.Blkno * int64(d.p.BlockSize)
 	switch {
 	case d.checkFault(b):
 		d.failTransfer(b)
 	case b.Flags&buf.BRead != 0:
-		copy(b.Data[:b.Bcount], d.data[off:off+int64(b.Bcount)])
+		d.ReadRaw(b.Blkno, b.Data[:b.Bcount])
 		d.nreads++
 		d.readBytes += int64(b.Bcount)
 	default:
-		copy(d.data[off:off+int64(b.Bcount)], b.Data[:b.Bcount])
+		d.WriteRaw(b.Blkno, b.Data[:b.Bcount])
 		d.nwrites++
 		d.writeBytes += int64(b.Bcount)
 	}
@@ -488,16 +487,41 @@ func (d *Disk) Crash() int {
 	return len(dropped)
 }
 
-// ReadRaw copies block contents directly out of the backing store
-// (host-side helper for tests and verification; no simulated time).
-func (d *Disk) ReadRaw(blkno int64, p []byte) {
+// raw returns the n platter bytes at block blkno: the one test, for every
+// route to the platter, that the disk still has it and the bytes lie on it.
+func (d *Disk) raw(blkno int64, n int) []byte {
 	off := blkno * int64(d.p.BlockSize)
-	copy(p, d.data[off:])
+	switch {
+	case d.data == nil:
+		panic("disk: " + d.p.Name + ": used after Release")
+	case blkno < 0 || blkno >= d.p.Blocks || off+int64(n) > int64(len(d.data)):
+		panic(fmt.Sprintf("disk: %s: %d bytes at block %d are off the device", d.p.Name, n, blkno))
+	}
+	return d.data[off : off+int64(n)]
 }
 
-// WriteRaw installs block contents directly (host-side helper used to
-// preload media images in tests; no simulated time).
+// ReadRaw copies block contents directly out of the backing store (no
+// simulated time: the move inside a transfer, and a host-side helper).
+func (d *Disk) ReadRaw(blkno int64, p []byte) { copy(p, d.raw(blkno, len(p))) }
+
+// WriteRaw installs block contents directly, likewise, and is the one
+// place platter bytes change: it marks the blocks for Release.
 func (d *Disk) WriteRaw(blkno int64, p []byte) {
-	off := blkno * int64(d.p.BlockSize)
-	copy(d.data[off:], p)
+	copy(d.raw(blkno, len(p)), p)
+	for end := blkno + int64((len(p)+d.p.BlockSize-1)/d.p.BlockSize); blkno < end; blkno++ {
+		d.dirty[blkno>>6] |= 1 << (blkno & 63)
+	}
+}
+
+// Release ends the disk's life: the marked blocks are zeroed again and
+// the platter rests for the next New of this size. Later use panics.
+func (d *Disk) Release() {
+	platter := d.raw(0, len(d.data)) // panics on a second Release
+	for blk := range d.p.Blocks {
+		if d.dirty[blk>>6]&(1<<(blk&63)) != 0 {
+			clear(d.raw(blk, d.p.BlockSize))
+		}
+	}
+	sim.PutSlab(platter)
+	d.data, d.dirty = nil, nil
 }

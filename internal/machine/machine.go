@@ -6,7 +6,7 @@
 // three cross-links — disk → cache (a disk is inert until attached),
 // kernel → pool, filesystem → pool (without it fsync stops covering
 // mmap stores) — are written here and nowhere else, as are the verbs on
-// a running machine: CheckInvariants, CheckDrained, PowerCut, Recover.
+// a running machine: CheckInvariants, CheckDrained, PowerCut, Recover, Release.
 package machine
 
 import (
@@ -135,6 +135,17 @@ func (m *Machine) mount(p *kernel.Proc, i int) error {
 	m.FSs[i] = f
 	m.K.Mount(s.Mount, f)
 	return nil
+}
+
+// Release ends the machine's life and gives its volume memory back: each
+// platter (written blocks re-zeroed) and the cache's slab (cleared) rest
+// where the next New of these sizes draws them. Afterwards disks and cache
+// panic on use or Release, and CheckInvariants reports buf-released.
+func (m *Machine) Release() {
+	for _, d := range m.Disks {
+		d.Release()
+	}
+	m.Cache.Release()
 }
 
 // Devices returns the disks as buf.Devices (for workload.ColdStart).

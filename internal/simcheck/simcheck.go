@@ -303,6 +303,7 @@ func execute(cfg Config, ops []*op) *Result {
 		oracle:      make(map[string]*ofile),
 		blockFaults: make(map[[2]int64]*kernel.FaultArm),
 	}
+	defer m.Release() // the Result below holds nothing of the volumes
 	m.net = socket.NewNet(m.K, socket.Loopback())
 	lossy := socket.Loopback()
 	lossy.Name = "snet" // distinct fault sites: "net.snet.drop" etc.
