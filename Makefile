@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt race check bench tables cover linkcheck ci
+.PHONY: build test vet fmt race check bench tables cover linkcheck loc ci
 
 build:
 	$(GO) build ./...
@@ -69,6 +69,12 @@ cover:
 # to a real file (anchors and external URLs are not checked).
 linkcheck:
 	$(GO) run ./tools/mdlinkcheck .
+
+# The two sizes ROADMAP.md and CHANGES.md quote, defined once: lines of
+# non-test and of test Go outside the frozen benchmark/ tree.
+loc:
+	@find . -name '*.go' -not -path './benchmark/*' -not -name '*_test.go' | xargs cat | wc -l | xargs echo non-test
+	@find . -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l | xargs echo test
 
 # Determinism gates (docs/TRACING.md's contract): `make <gate>-ci` runs
 # the gate's command twice, the second time under GOMAXPROCS=1, and

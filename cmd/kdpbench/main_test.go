@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -96,6 +98,57 @@ func TestSweepDocs(t *testing.T) {
 		}
 		if !strings.Contains(string(text), doc.want) {
 			t.Errorf("%s does not list the registered sweeps; it must contain:\n%s", doc.path, doc.want)
+		}
+	}
+}
+
+// TestExperimentsQuoteGoldens holds EXPERIMENTS.md's two headline tables
+// to the goldens: in the "## Table 1" and "## Table 2" sections, the bold
+// ("measured") cells of each disk's row must be that disk's golden row —
+// thousands separators apart, and Table 1's improvement cell reading
+// "factor (percent)" — so a golden that moves cannot leave a stale
+// number in the prose.
+func TestExperimentsQuoteGoldens(t *testing.T) {
+	text, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bold := regexp.MustCompile(`\*\*([^*]+)\*\*`)
+	for _, tc := range []struct{ heading, golden string }{
+		{"\n## Table 1 ", "testdata/table1.golden"},
+		{"\n## Table 2 ", "testdata/table2.golden"},
+	} {
+		_, section, ok := strings.Cut(string(text), tc.heading)
+		if !ok {
+			t.Fatalf("EXPERIMENTS.md has no %q section", strings.TrimSpace(tc.heading))
+		}
+		section, _, _ = strings.Cut(section, "\n## ")
+		golden, err := os.ReadFile(tc.golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := 0
+		for _, line := range strings.Split(string(golden), "\n")[2:] { // title, header, then one row per disk
+			want := strings.Fields(line)
+			if len(want) == 0 {
+				continue
+			}
+			rows++
+			var got []string
+			for _, docLine := range strings.Split(section, "\n") {
+				if cells := strings.Split(docLine, "|"); len(cells) > 1 && strings.TrimSpace(cells[1]) == want[0] {
+					for _, m := range bold.FindAllStringSubmatch(docLine, -1) {
+						got = append(got, strings.Fields(strings.NewReplacer(",", "", "(", "", ")", "").Replace(m[1]))...)
+					}
+				}
+			}
+			if !slices.Equal(got, want[1:]) {
+				t.Errorf("EXPERIMENTS.md %s row %s: measured cells %v, %s has %v",
+					strings.TrimSpace(tc.heading), want[0], got, tc.golden, want[1:])
+			}
+		}
+		if rows != 3 {
+			t.Errorf("%s: %d disk rows, want 3", tc.golden, rows)
 		}
 	}
 }

@@ -434,17 +434,6 @@ func (c *Cache) Bread(ctx kernel.Ctx, dev Device, blkno int64) (*Buf, error) {
 	return b, nil
 }
 
-// Breada is Bread plus an asynchronous read-ahead of rablkno (if valid
-// and not already cached), mirroring 4.2BSD breada(). The readahead
-// goes through StartReadahead, so it is subject to the cache's
-// readahead budget and counted in the readahead statistics.
-func (c *Cache) Breada(ctx kernel.Ctx, dev Device, blkno, rablkno int64) (*Buf, error) {
-	if rablkno >= 0 {
-		c.StartReadahead(ctx, dev, rablkno)
-	}
-	return c.Bread(ctx, dev, blkno)
-}
-
 // StartReadahead issues an asynchronous speculative read of (dev,
 // blkno): the buffer is fetched with BReadahead set and released by
 // biodone, staying cached until a demand lookup consumes it. It never

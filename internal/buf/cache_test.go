@@ -243,35 +243,6 @@ func TestFreeListExhaustionBlocks(t *testing.T) {
 	})
 }
 
-func TestBreadaIssuesReadAhead(t *testing.T) {
-	f := newFixture(16)
-	f.runProc(t, func(p *kernel.Proc) {
-		ctx := p.Ctx()
-		b, err := f.c.Breada(ctx, f.dev, 0, 1)
-		if err != nil {
-			t.Errorf("breada: %v", err)
-			return
-		}
-		f.c.Brelse(ctx, b)
-		// Give the async read-ahead time to finish.
-		p.SleepFor(10 * sim.Millisecond)
-		if f.dev.nreads != 2 {
-			t.Errorf("device reads = %d, want 2 (block + read-ahead)", f.dev.nreads)
-		}
-		// Now block 1 must be a hit.
-		before := f.dev.nreads
-		b1, err := f.c.Bread(ctx, f.dev, 1)
-		if err != nil {
-			t.Errorf("bread 1: %v", err)
-			return
-		}
-		if f.dev.nreads != before {
-			t.Error("read-ahead block was not cached")
-		}
-		f.c.Brelse(ctx, b1)
-	})
-}
-
 func TestStartReadInvokesHandler(t *testing.T) {
 	f := newFixture(16)
 	copy(f.dev.data[2*8192:], []byte{1, 2, 3, 4})

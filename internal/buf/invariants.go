@@ -1,6 +1,6 @@
 package buf
 
-import "fmt"
+import "kdp/internal/kernel"
 
 // This file implements the buffer-cache invariant checker used by the
 // simcheck harness (internal/simcheck). The checks are structural —
@@ -32,29 +32,13 @@ import "fmt"
 //	                     an in-flight (not BDone) readahead is a busy async read
 //	buf-ra-pending       raPending == number of in-flight readahead buffers
 //	buf-ra-budget        0 <= raPending <= the readahead budget
-//
-// A violation is reported as an *InvariantError naming the invariant.
-
-// InvariantError describes one violated buffer-cache invariant.
-type InvariantError struct {
-	Name   string // invariant identifier, e.g. "buf-free-busy"
-	Detail string
-}
-
-func (e *InvariantError) Error() string {
-	return "invariant " + e.Name + " violated: " + e.Detail
-}
-
-func violation(name, format string, args ...any) error {
-	return &InvariantError{Name: name, Detail: fmt.Sprintf(format, args...)}
-}
 
 // CheckInvariants verifies the cache's structural invariants, returning
 // the first violation found (nil if the cache is consistent). It never
 // sleeps and performs no I/O.
 func (c *Cache) CheckInvariants() error {
 	if c.slab == nil {
-		return violation("buf-released", "cache checked after Release")
+		return kernel.Violation("buf-released", "cache checked after Release")
 	}
 	// Free-list walk: link integrity, counts, flags. Only pool buffers
 	// are ever freed, so a walk longer than the pool has looped.
@@ -62,16 +46,16 @@ func (c *Cache) CheckInvariants() error {
 	var prev *Buf
 	for b := c.freeHead; b != nil; b = b.freeNext {
 		if n++; n > c.nbuf {
-			return violation("buf-free-link", "free list cycle at %s", b)
+			return kernel.Violation("buf-free-link", "free list cycle at %s", b)
 		}
 		if b.freePrev != prev {
-			return violation("buf-free-link", "%s has freePrev=%p, want %p", b, b.freePrev, prev)
+			return kernel.Violation("buf-free-link", "%s has freePrev=%p, want %p", b, b.freePrev, prev)
 		}
 		if !b.onFree {
-			return violation("buf-free-flag", "%s on free list with onFree=false", b)
+			return kernel.Violation("buf-free-flag", "%s on free list with onFree=false", b)
 		}
 		if b.Flags&BBusy != 0 {
-			return violation("buf-free-busy", "busy buffer on free list: %s", b)
+			return kernel.Violation("buf-free-busy", "busy buffer on free list: %s", b)
 		}
 		if err := checkBufFlags(b); err != nil {
 			return err
@@ -79,10 +63,10 @@ func (c *Cache) CheckInvariants() error {
 		prev = b
 	}
 	if prev != c.freeTail {
-		return violation("buf-free-link", "freeTail=%p, want %p", c.freeTail, prev)
+		return kernel.Violation("buf-free-link", "freeTail=%p, want %p", c.freeTail, prev)
 	}
 	if n != c.nfree {
-		return violation("buf-free-link", "free list holds %d buffers, nfree says %d", n, c.nfree)
+		return kernel.Violation("buf-free-link", "free list holds %d buffers, nfree says %d", n, c.nfree)
 	}
 
 	// Hash walk, bucket by bucket: chain keys, duplicate detection, busy
@@ -92,31 +76,31 @@ func (c *Cache) CheckInvariants() error {
 	for i, head := range c.hash {
 		for b := head; b != nil; b = b.hashNext {
 			if !b.hashed {
-				return violation("buf-hash-key", "%s on chain %d with hashed=false", b, i)
+				return kernel.Violation("buf-hash-key", "%s on chain %d with hashed=false", b, i)
 			}
 			if b.Flags&BNoMem != 0 {
-				return violation("buf-header-hashed", "header-only buffer in hash: %s", b)
+				return kernel.Violation("buf-header-hashed", "header-only buffer in hash: %s", b)
 			}
 			if c.bucket(b.Blkno) != i {
-				return violation("buf-hash-key", "%s hashed under chain %d", b, i)
+				return kernel.Violation("buf-hash-key", "%s hashed under chain %d", b, i)
 			}
 			if b.Flags&BInval == 0 {
 				for dup := head; dup != b; dup = dup.hashNext {
 					if dup.Dev == b.Dev && dup.Blkno == b.Blkno && dup.Flags&BInval == 0 {
-						return violation("buf-hash-dup", "blocks %s and %s both valid for %s#%d", dup, b, b.Dev.DevName(), b.Blkno)
+						return kernel.Violation("buf-hash-dup", "blocks %s and %s both valid for %s#%d", dup, b, b.Dev.DevName(), b.Blkno)
 					}
 				}
 			}
 			if b.Flags&BBusy != 0 {
 				busy++
 				if b.onFree {
-					return violation("buf-free-busy", "busy hashed buffer claims free-list membership: %s", b)
+					return kernel.Violation("buf-free-busy", "busy hashed buffer claims free-list membership: %s", b)
 				}
 				if err := checkBufFlags(b); err != nil {
 					return err
 				}
 			} else if !b.onFree {
-				return violation("buf-pool-account", "idle hashed buffer not on free list: %s", b)
+				return kernel.Violation("buf-pool-account", "idle hashed buffer not on free list: %s", b)
 			}
 			if b.Flags&BReadahead != 0 && b.Flags&BDone == 0 {
 				inflightRA++
@@ -124,13 +108,13 @@ func (c *Cache) CheckInvariants() error {
 		}
 	}
 	if c.nfree+busy != c.nbuf {
-		return violation("buf-pool-account", "free %d + busy %d != pool %d", c.nfree, busy, c.nbuf)
+		return kernel.Violation("buf-pool-account", "free %d + busy %d != pool %d", c.nfree, busy, c.nbuf)
 	}
 	if inflightRA != c.raPending {
-		return violation("buf-ra-pending", "raPending=%d but %d in-flight readahead buffers", c.raPending, inflightRA)
+		return kernel.Violation("buf-ra-pending", "raPending=%d but %d in-flight readahead buffers", c.raPending, inflightRA)
 	}
 	if c.raPending < 0 || (c.raMax > 0 && c.raPending > c.raMax) {
-		return violation("buf-ra-budget", "raPending=%d outside [0, %d]", c.raPending, c.raMax)
+		return kernel.Violation("buf-ra-budget", "raPending=%d outside [0, %d]", c.raPending, c.raMax)
 	}
 	return nil
 }
@@ -138,25 +122,25 @@ func (c *Cache) CheckInvariants() error {
 // checkBufFlags verifies per-buffer flag consistency.
 func checkBufFlags(b *Buf) error {
 	if b.Flags&BWanted != 0 && b.Flags&BBusy == 0 {
-		return violation("buf-flag-wanted", "BWanted without BBusy: %s", b)
+		return kernel.Violation("buf-flag-wanted", "BWanted without BBusy: %s", b)
 	}
 	if b.Flags&BDelwri != 0 {
 		if b.Flags&BDone == 0 {
-			return violation("buf-flag-delwri", "BDelwri without BDone: %s", b)
+			return kernel.Violation("buf-flag-delwri", "BDelwri without BDone: %s", b)
 		}
 		if b.Flags&BInval != 0 {
-			return violation("buf-flag-delwri", "BDelwri on invalid buffer: %s", b)
+			return kernel.Violation("buf-flag-delwri", "BDelwri on invalid buffer: %s", b)
 		}
 	}
 	if b.Flags&BCall != 0 && b.Iodone == nil {
-		return violation("buf-flag-call", "BCall set with nil Iodone: %s", b)
+		return kernel.Violation("buf-flag-call", "BCall set with nil Iodone: %s", b)
 	}
 	if b.Flags&BReadahead != 0 {
 		if b.Flags&(BDelwri|BNoMem) != 0 {
-			return violation("buf-ra-flag", "BReadahead on dirty or header-only buffer: %s", b)
+			return kernel.Violation("buf-ra-flag", "BReadahead on dirty or header-only buffer: %s", b)
 		}
 		if b.Flags&BDone == 0 && !b.HasFlags(BBusy|BRead|BAsync) {
-			return violation("buf-ra-flag", "in-flight readahead not a busy async read: %s", b)
+			return kernel.Violation("buf-ra-flag", "in-flight readahead not a busy async read: %s", b)
 		}
 	}
 	return nil
@@ -194,6 +178,14 @@ var damages = []struct {
 	}},
 	// bump raPending without an in-flight readahead
 	{"ra-pending", func(c *Cache) { c.raPending++ }},
+	// ra-pending, and the free tail, if dirty, goes invalid as well: which
+	// check reports depends on the ops before it — the minimizer's self-test
+	{"two-stage", func(c *Cache) {
+		c.raPending++
+		if b := c.freeTail; b != nil && b.Flags&BDelwri != 0 {
+			b.Flags |= BInval
+		}
+	}},
 }
 
 // DamageKinds lists the kinds Damage accepts.

@@ -54,7 +54,7 @@ func warmFixture(t *testing.T) *fixture {
 // wantViolation fails unless err is the named invariant's violation.
 func wantViolation(t *testing.T, err error, name string) {
 	t.Helper()
-	var ie *InvariantError
+	var ie *kernel.InvariantError
 	if !errors.As(err, &ie) || ie.Name != name || ie.Detail == "" {
 		t.Fatalf("CheckInvariants = %v, want a %s violation", err, name)
 	}
@@ -68,6 +68,7 @@ func TestDamageTripsInvariants(t *testing.T) {
 		"delwri-undone":    "buf-flag-delwri",
 		"hash-key":         "buf-hash-key",
 		"ra-pending":       "buf-ra-pending",
+		"two-stage":        "buf-ra-pending", // the fixture holds no dirty buffer
 	}
 	for _, kind := range DamageKinds() {
 		t.Run(kind, func(t *testing.T) {

@@ -132,7 +132,7 @@ func (pp *Pipe) Write(ctx kernel.Ctx, b []byte, off int64) (int, error) {
 		}
 		return n, err
 	}
-	return kernel.AwaitWrite(ctx, b, pp.SpliceWrite, pp.q.Keep)
+	return kernel.AwaitWrite(ctx, b, pp.SpliceWrite)
 }
 
 // Size implements kernel.FileOps.

@@ -1,9 +1,8 @@
 package disk
 
 import (
-	"fmt"
-
 	"kdp/internal/buf"
+	"kdp/internal/kernel"
 )
 
 // This file implements the disk-side invariant checker used by the
@@ -20,42 +19,26 @@ import (
 //	disk-active          a drained device is inactive and an inactive
 //	                     device has an empty queue; SyncCPU devices
 //	                     never queue at all
-//
-// A violation is reported as an *InvariantError naming the invariant.
-
-// InvariantError describes one violated disk invariant.
-type InvariantError struct {
-	Name   string // invariant identifier, e.g. "disk-queue-range"
-	Detail string
-}
-
-func (e *InvariantError) Error() string {
-	return "invariant " + e.Name + " violated: " + e.Detail
-}
-
-func violation(name, format string, args ...any) error {
-	return &InvariantError{Name: name, Detail: fmt.Sprintf(format, args...)}
-}
 
 // CheckInvariants verifies the device's structural invariants,
 // returning the first violation found (nil if consistent). It never
 // sleeps and performs no I/O.
 func (d *Disk) CheckInvariants() error {
 	if d.p.SyncCPU && (len(d.queue) > 0 || d.active) {
-		return violation("disk-active", "%s: SyncCPU device with queued or active requests", d.p.Name)
+		return kernel.Violation("disk-active", "%s: SyncCPU device with queued or active requests", d.p.Name)
 	}
 	if !d.active && len(d.queue) > 0 {
-		return violation("disk-active", "%s: %d queued requests on inactive device", d.p.Name, len(d.queue))
+		return kernel.Violation("disk-active", "%s: %d queued requests on inactive device", d.p.Name, len(d.queue))
 	}
 	for _, b := range d.queue {
 		if b == nil {
-			return violation("disk-queue-busy", "%s: nil request in queue", d.p.Name)
+			return kernel.Violation("disk-queue-busy", "%s: nil request in queue", d.p.Name)
 		}
 		if b.Blkno < 0 || b.Blkno >= d.p.Blocks || b.Bcount <= 0 || b.Bcount > d.p.BlockSize {
-			return violation("disk-queue-range", "%s: queued %s out of range", d.p.Name, b)
+			return kernel.Violation("disk-queue-range", "%s: queued %s out of range", d.p.Name, b)
 		}
 		if !b.HasFlags(buf.BBusy) || b.Flags&buf.BDone != 0 {
-			return violation("disk-queue-busy", "%s: queued buffer not busy or already done: %s", d.p.Name, b)
+			return kernel.Violation("disk-queue-busy", "%s: queued buffer not busy or already done: %s", d.p.Name, b)
 		}
 	}
 	return nil

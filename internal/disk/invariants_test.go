@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"kdp/internal/buf"
+	"kdp/internal/kernel"
 )
 
 // TestCatalogTrips plants one hand-made fault per name in the invariant
@@ -32,7 +33,7 @@ func TestCatalogTrips(t *testing.T) {
 			}
 			fault.plant(d)
 			err := d.CheckInvariants()
-			var ie *InvariantError
+			var ie *kernel.InvariantError
 			if !errors.As(err, &ie) || ie.Name != fault.name || ie.Detail == "" {
 				t.Fatalf("CheckInvariants = %v, want a %s violation", err, fault.name)
 			}

@@ -1,6 +1,6 @@
 package fs
 
-import "fmt"
+import "kdp/internal/kernel"
 
 // This file implements the filesystem's live invariant checker used by
 // the simcheck harness. Unlike Fsck — which reads the whole volume and
@@ -23,10 +23,6 @@ import "fmt"
 // on-disk check (bitmap cross-check, directory connectivity) is Fsck's
 // job and runs at end of workload, on a quiescent volume.
 
-func fsviolation(name, format string, args ...any) error {
-	return fmt.Errorf("invariant %s violated: %s", name, fmt.Sprintf(format, args...))
-}
-
 // claim records that in-core inode ino claimed a physical block during
 // CheckLive pass number pass; a slot stamped by an earlier pass is free.
 type claim struct {
@@ -40,7 +36,7 @@ type claim struct {
 // visited in iget order.
 func (f *FS) CheckLive() error {
 	if len(f.live) != len(f.inodes) {
-		return fsviolation("fs-inode-key", "inode table holds %d inodes, the in-core list %d", len(f.inodes), len(f.live))
+		return kernel.Violation("fs-inode-key", "inode table holds %d inodes, the in-core list %d", len(f.inodes), len(f.live))
 	}
 	if f.claims == nil {
 		f.claims = make([]claim, f.sb.TotalBlocks)
@@ -49,18 +45,18 @@ func (f *FS) CheckLive() error {
 	for _, ip := range f.live {
 		ino := ip.ino
 		if f.inodes[ino] != ip {
-			return fsviolation("fs-inode-key", "in-core inode %d is not the table's entry for that number", ino)
+			return kernel.Violation("fs-inode-key", "in-core inode %d is not the table's entry for that number", ino)
 		}
 		if ip.refs < 0 {
-			return fsviolation("fs-inode-refs", "inode %d in core with refs %d", ino, ip.refs)
+			return kernel.Violation("fs-inode-refs", "inode %d in core with refs %d", ino, ip.refs)
 		}
 		// ModeFree appears transiently while iput tears down an
 		// unlinked inode; anything else is corruption.
 		if ip.mode != ModeFile && ip.mode != ModeDir && ip.mode != ModeFree {
-			return fsviolation("fs-inode-mode", "inode %d has invalid mode %d", ino, ip.mode)
+			return kernel.Violation("fs-inode-mode", "inode %d has invalid mode %d", ino, ip.mode)
 		}
 		if ip.size < 0 {
-			return fsviolation("fs-inode-size", "inode %d has negative size %d", ino, ip.size)
+			return kernel.Violation("fs-inode-size", "inode %d has negative size %d", ino, ip.size)
 		}
 		for _, pblk := range ip.direct {
 			if err := f.checkPtr(ino, pblk, "direct"); err != nil {
@@ -77,10 +73,10 @@ func (f *FS) CheckLive() error {
 
 	dataBlocks := f.sb.TotalBlocks - f.sb.DataStart
 	if f.sb.FreeBlocks > dataBlocks {
-		return fsviolation("fs-super-counts", "free blocks %d exceed data region %d", f.sb.FreeBlocks, dataBlocks)
+		return kernel.Violation("fs-super-counts", "free blocks %d exceed data region %d", f.sb.FreeBlocks, dataBlocks)
 	}
 	if f.sb.FreeInodes > f.sb.NInodes {
-		return fsviolation("fs-super-counts", "free inodes %d exceed table size %d", f.sb.FreeInodes, f.sb.NInodes)
+		return kernel.Violation("fs-super-counts", "free inodes %d exceed table size %d", f.sb.FreeInodes, f.sb.NInodes)
 	}
 	return nil
 }
@@ -92,11 +88,11 @@ func (f *FS) checkPtr(ino, pblk uint32, what string) error {
 		return nil
 	}
 	if pblk < f.sb.DataStart || pblk >= f.sb.TotalBlocks {
-		return fsviolation("fs-ptr-bounds", "inode %d: %s block %d outside data region [%d,%d)",
+		return kernel.Violation("fs-ptr-bounds", "inode %d: %s block %d outside data region [%d,%d)",
 			ino, what, pblk, f.sb.DataStart, f.sb.TotalBlocks)
 	}
 	if c := f.claims[pblk]; c.pass == f.ckPass {
-		return fsviolation("fs-ptr-dup", "block %d claimed by inodes %d and %d", pblk, c.ino, ino)
+		return kernel.Violation("fs-ptr-dup", "block %d claimed by inodes %d and %d", pblk, c.ino, ino)
 	}
 	f.claims[pblk] = claim{f.ckPass, ino}
 	return nil

@@ -1,7 +1,6 @@
 package fs
 
 import (
-	"strings"
 	"testing"
 
 	"kdp/internal/kernel"
@@ -62,7 +61,7 @@ func TestCatalogTrips(t *testing.T) {
 				savedA, savedB, savedSB := *a, *b, f.sb
 				fault.plant(f, a, b)
 				err := f.CheckLive()
-				if err == nil || !strings.Contains(err.Error(), "invariant "+fault.name+" violated") {
+				if kernel.ViolationName(err) != fault.name {
 					t.Errorf("CheckLive = %v, want a %s violation", err, fault.name)
 				}
 				*a, *b, f.sb = savedA, savedB, savedSB

@@ -1,9 +1,6 @@
 package kernel
 
-import (
-	"errors"
-	"testing"
-)
+import "testing"
 
 // Allocation budgets of the kernel's per-event records: once the free
 // lists hold a machine's working set, a timer and a process switch ask
@@ -113,26 +110,10 @@ func TestStaleCalloutHandle(t *testing.T) {
 	}
 }
 
-// sleepBreaker is a process context whose first sleep is broken at once,
-// as a signal would break an interruptible one.
-type sleepBreaker struct {
-	Ctx
-	broken bool
-}
-
-func (c *sleepBreaker) Sleep(wchan any, pri int) error {
-	if !c.broken {
-		c.broken = true
-		return ErrIntr
-	}
-	return c.Ctx.Sleep(wchan, pri)
-}
-
 // TestAwaitWriteLendsUntilDone: a blocked write's bytes are read when
-// they are admitted, not copied when they are queued; a write whose
-// await ends early — its sleep interrupted, or its context unable to
-// sleep — stays queued and completes later from the queue's own copy,
-// taken at that moment, so the writer may reuse its buffer at once.
+// they are admitted, not copied when they are queued — the caller sleeps
+// with its buffer on loan while a callout plays the endpoint — and the
+// completed await hands its state back to the process.
 func TestAwaitWriteLendsUntilDone(t *testing.T) {
 	k := testKernel()
 	q := WriteQueue{Cap: 4}
@@ -140,53 +121,30 @@ func TestAwaitWriteLendsUntilDone(t *testing.T) {
 	sinkWrite := func(data []byte, done func(error)) {
 		q.Queue(data, func(err error) { completions = append(completions, err); done(err) })
 	}
-	drain := func() string { // the endpoint consumes everything admitted, then admits
-		s := string(queued(&q.FIFO))
-		q.Drop(q.Len())
-		q.Admit()
-		return s
-	}
 	k.Spawn("writer", func(p *Proc) {
-		q.Push([]byte("...")) // one byte of room: every write below has to wait
-
-		// Interrupted: the write is left running on a private copy.
-		b := []byte("abcdef")
-		if n, err := AwaitWrite(&sleepBreaker{Ctx: p.Ctx()}, b, sinkWrite, q.Keep); n != 0 || err != ErrIntr {
-			t.Errorf("interrupted AwaitWrite = (%d, %v), want (0, ErrIntr)", n, err)
-		}
-		copy(b, "XXXXXX") // the caller's again
-		if q.Queued() != 1 || len(completions) != 0 {
-			t.Fatalf("after the interrupt: %d queued, %d completed; want the write still queued", q.Queued(), len(completions))
-		}
-
-		// Cannot sleep: accepted, and likewise completed later.
-		c := []byte("gh")
-		if n, err := AwaitWrite(p.NBCtx(), c, sinkWrite, q.Keep); n != 2 || err != nil {
-			t.Errorf("nonblocking AwaitWrite = (%d, %v), want (2, nil)", n, err)
-		}
-		copy(c, "YY")
-
-		// Blocked: the caller sleeps, its bytes on loan, while a callout
-		// plays the endpoint.
+		q.Push([]byte("...")) // one byte of room: the write below has to wait
 		var got string
 		var consume func()
-		consume = func() {
-			got += drain()
+		consume = func() { // the endpoint consumes everything admitted, then admits
+			got += string(queued(&q.FIFO))
+			q.Drop(q.Len())
+			q.Admit()
 			if q.Len() > 0 || q.Queued() > 0 {
 				k.Timeout(consume, 1)
 			}
 		}
 		k.Timeout(consume, 1)
 		d := []byte("ijklm")
-		if n, err := AwaitWrite(p.Ctx(), d, sinkWrite, q.Keep); n != 5 || err != nil {
+		k.Timeout(func() { d[4] = 'M' }, 1) // still the writer's bytes: what is admitted later is read then
+		if n, err := AwaitWrite(p.Ctx(), d, sinkWrite); n != 5 || err != nil {
 			t.Errorf("blocking AwaitWrite = (%d, %v), want (5, nil)", n, err)
 		}
 		p.SleepFor(3 * k.cfg.TickDuration())
-		if got != "...abcdefghijklm" {
-			t.Errorf("the endpoint read %q, want %q", got, "...abcdefghijklm")
+		if got != "...ijklM" {
+			t.Errorf("the endpoint read %q, want %q", got, "...ijklM")
 		}
-		if len(completions) != 3 || errors.Join(completions...) != nil {
-			t.Errorf("completions %v, want three nils", completions)
+		if len(completions) != 1 || completions[0] != nil {
+			t.Errorf("completions %v, want one nil", completions)
 		}
 		if p.aw == nil {
 			t.Error("the completed await did not return its state to the process")
@@ -209,7 +167,7 @@ func TestAwaitWriteSleepIsNotInterruptible(t *testing.T) {
 		k.Timeout(room, 2) // admits two bytes
 		k.Timeout(room, 3) // consumes them and admits the third
 		b := []byte("abc")
-		if n, err := AwaitWrite(p.Ctx(), b, q.Queue, q.Keep); n != 3 || err != nil {
+		if n, err := AwaitWrite(p.Ctx(), b, q.Queue); n != 3 || err != nil {
 			t.Errorf("AwaitWrite with proc.sleep-signal armed = (%d, %v), want (3, nil)", n, err)
 		}
 	})
@@ -231,7 +189,7 @@ func TestAwaitWriteAllocatesNothing(t *testing.T) {
 		write := func() {
 			k.Timeout(room, 1)
 			k.Timeout(room, 2)
-			if n, err := AwaitWrite(p.Ctx(), b, q.Queue, q.Keep); n != len(b) || err != nil {
+			if n, err := AwaitWrite(p.Ctx(), b, q.Queue); n != len(b) || err != nil {
 				t.Errorf("AwaitWrite = (%d, %v)", n, err)
 			}
 		}

@@ -185,9 +185,8 @@ type WriteQueue struct {
 }
 
 type queuedWrite struct {
-	data  []byte // what is not admitted yet; the writer's own bytes, on loan
-	owned bool   // Keep has made data the queue's own copy
-	done  func(error)
+	data []byte // what is not admitted yet; the writer's own bytes, on loan
+	done func(error)
 }
 
 // Queue accepts a write behind the earlier ones. One that fits whole with
@@ -195,9 +194,9 @@ type queuedWrite struct {
 // next Admit would have had it. Any other write waits, and the queue
 // borrows data rather than copying it: the writer leaves the bytes alone
 // until done fires (a splice keeps the source buffer busy until its
-// write completes; a process blocked in AwaitWrite is asleep on them),
-// or calls Keep first. done fires exactly once: with nil from Queue,
-// Admit or Flush once the last byte is admitted, or with Abort's error.
+// write completes; a process blocked in AwaitWrite is asleep on them).
+// done fires exactly once: with nil from Queue, Admit or Flush once the
+// last byte is admitted, or with Abort's error.
 func (q *WriteQueue) Queue(data []byte, done func(error)) {
 	if q.Writable() && len(data) <= q.Cap-q.Len() {
 		q.Push(data)
@@ -205,18 +204,6 @@ func (q *WriteQueue) Queue(data []byte, done func(error)) {
 		return
 	}
 	q.waiting.Push(queuedWrite{data: data, done: done})
-}
-
-// Keep ends every loan before its write has completed: the queue takes a
-// copy of its own of what it still has to admit, and each writer may
-// reuse its bytes. A writer that has to take its bytes back early cannot
-// say which waiting write is its own, so all of them are copied.
-func (q *WriteQueue) Keep() {
-	for i := q.waiting.head; i < len(q.waiting.items); i++ {
-		if w := &q.waiting.items[i]; !w.owned {
-			w.data, w.owned = append([]byte(nil), w.data...), true
-		}
-	}
 }
 
 // Admit moves queued bytes into the FIFO in arrival order while it has
@@ -311,13 +298,14 @@ func (a *awaiter) complete(err error) {
 // (write is its SpliceWrite): it awaits a completion callback from
 // process context, sleeping until done has fired, and returns len(b) or
 // done's error. A context that cannot sleep does not wait — the write
-// finishes on its own and counts as accepted. An interrupted sleep
-// returns the sleep's error and leaves the write running. Either way the
-// caller gets b back before done has fired, so keep (the Keep of the
-// queue write lends b to; nil if it lends to none) first ends the loan.
-// No endpoint gets there today: Conn and Pipe serve a context that cannot
-// sleep with TryWrite, and the sleep, at PSOCK, is not interruptible.
-func AwaitWrite(ctx Ctx, b []byte, write func(data []byte, done func(error)), keep func()) (int, error) {
+// finishes on its own and counts as accepted. The caller then has b back
+// before done has fired, so a caller that cannot sleep must not hand
+// AwaitWrite a write that lends b (a WriteQueue's): Conn and Pipe serve
+// such a context with TryWrite, and a socket has copied b into its
+// packet when write returns. A sleeping caller is safe: the sleep, at
+// PSOCK, is not interruptible, so it ends only once done has fired (were
+// it to fail all the same, its error is returned, the write left running).
+func AwaitWrite(ctx Ctx, b []byte, write func(data []byte, done func(error))) (int, error) {
 	var a *awaiter
 	pc, inProc := ctx.(procCtx)
 	if inProc && pc.p.aw != nil {
@@ -332,17 +320,13 @@ func AwaitWrite(ctx Ctx, b []byte, write func(data []byte, done func(error)), ke
 	for !a.fired && serr == nil && ctx.CanSleep() {
 		serr = ctx.Sleep(a, PSOCK)
 	}
-	fired := a.fired
-	switch {
-	case fired && inProc:
+	if a.fired && inProc {
 		pc.p.aw = a // done has run and will not again: the record is spare
-	case !fired && keep != nil:
-		keep()
 	}
 	switch {
 	case serr != nil:
 		return 0, serr
-	case fired && a.err != nil:
+	case a.fired && a.err != nil:
 		return 0, a.err
 	}
 	return len(b), nil

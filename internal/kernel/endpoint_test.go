@@ -132,8 +132,7 @@ func TestWriteQueue(t *testing.T) {
 	src[0] = 'X'            // the FIFO holds its own copy
 	lent := []byte("defgh")
 	q.Queue(lent, done("b")) // has to wait: the queue borrows the bytes...
-	kept := []byte("i")
-	q.Queue(kept, done("c"))
+	q.Queue([]byte("i"), done("c"))
 	expect("a admitted at once, b and c wait", "a:<nil>")
 	if q.Queued() != 2 || q.Writable() {
 		t.Fatalf("Queued=%d Writable=%v, want 2 false", q.Queued(), q.Writable())
@@ -153,13 +152,11 @@ func TestWriteQueue(t *testing.T) {
 	if _, err := q.TryWrite([]byte("z")); err != ErrWouldBlock {
 		t.Fatalf("TryWrite behind queued writers: %v, want ErrWouldBlock", err)
 	}
-	q.Keep() // ...until done, or until a writer takes them back: what is left of b, and c, are copied
-	lent[4], kept[0] = 'X', 'I'
-	q.Keep() // nothing on loan any more: nothing happens
+	lent[4] = 'H' // ...until done: what is admitted later is read then
 	q.Drop(4)
 	q.Admit() // rest of b, then c, in arrival order
 	expect("b then c", "a:<nil>", "b:<nil>", "c:<nil>")
-	if got := queued(&q.FIFO); string(got) != "hi" || q.Queued() != 0 || !q.Writable() {
+	if got := queued(&q.FIFO); string(got) != "Hi" || q.Queued() != 0 || !q.Writable() {
 		t.Fatalf("FIFO=%q Queued=%d Writable=%v", got, q.Queued(), q.Writable())
 	}
 
@@ -316,21 +313,21 @@ func TestAwaitWriteAndSleepUntil(t *testing.T) {
 	}
 	k.Spawn("caller", func(p *Proc) {
 		// Completed synchronously: no sleep, the callback's verdict.
-		if n, err := AwaitWrite(p.Ctx(), b, sink(nil, 0), nil); n != 3 || err != nil {
+		if n, err := AwaitWrite(p.Ctx(), b, sink(nil, 0)); n != 3 || err != nil {
 			t.Errorf("synchronous completion = (%d, %v), want (3, nil)", n, err)
 		}
-		if n, err := AwaitWrite(k.IntrCtx(), b, sink(boom, 0), nil); n != 0 || err != boom {
+		if n, err := AwaitWrite(k.IntrCtx(), b, sink(boom, 0)); n != 0 || err != boom {
 			t.Errorf("synchronous failure at interrupt level = (%d, %v), want (0, boom)", n, err)
 		}
 		// Completed later from a callout: AwaitWrite sleeps until then.
 		t0 := p.Now()
-		if n, err := AwaitWrite(p.Ctx(), b, sink(boom, 3), nil); n != 0 || err != boom || p.Now() == t0 {
+		if n, err := AwaitWrite(p.Ctx(), b, sink(boom, 3)); n != 0 || err != boom || p.Now() == t0 {
 			t.Errorf("deferred completion = (%d, %v) after %v, want boom after a sleep", n, err, p.Now().Sub(t0))
 		}
 		// A context that cannot sleep returns at once (NBCtx.Sleep
 		// panics, so returning at all proves no sleep was attempted);
 		// the write still completes on its own.
-		if n, err := AwaitWrite(p.NBCtx(), b, sink(boom, 1), nil); n != 3 || err != nil {
+		if n, err := AwaitWrite(p.NBCtx(), b, sink(boom, 1)); n != 3 || err != nil {
 			t.Errorf("nonblocking AwaitWrite = (%d, %v), want (3, nil)", n, err)
 		}
 		p.SleepFor(2 * k.Config().TickDuration())
@@ -415,7 +412,7 @@ func TestWriteQueueAgainstModel(t *testing.T) {
 				q.Drop(n)
 				model.Next(n)
 			case 4, 5, 6:
-				b, keep := fresh(rng.Intn(2*q.Cap)), rng.Intn(2) == 0
+				b := fresh(rng.Intn(2 * q.Cap))
 				if writable && len(b) <= q.Cap-model.Len() {
 					model.Write(b)
 					want = append(want, fmt.Sprintf("%d:<nil>", step))
@@ -423,10 +420,6 @@ func TestWriteQueueAgainstModel(t *testing.T) {
 					waiting = append(waiting, pending{append([]byte(nil), b...), step})
 				}
 				q.Queue(b, done(step))
-				if keep {
-					q.Keep()
-					clear(b) // the bytes are the caller's again
-				}
 			case 7:
 				q.Admit()
 				admit()

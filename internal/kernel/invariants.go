@@ -1,9 +1,13 @@
 package kernel
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
-// This file implements the kernel-side invariant checker used by the
-// simcheck harness, plus the probe hook that lets the harness run
+// This file holds the invariant contract every layer's checker raises
+// through (InvariantError, Violation), the kernel-side checker used by
+// the simcheck harness, and the probe hook that lets the harness run
 // checks at every scheduling boundary.
 //
 // Invariant catalog (kernel):
@@ -23,8 +27,33 @@ import "fmt"
 //	                     waiter — a leftover registration means a
 //	                     wakeup was lost or a poller leaked
 
-func kviolation(name, format string, args ...any) error {
-	return fmt.Errorf("invariant %s violated: %s", name, fmt.Sprintf(format, args...))
+// InvariantError is one violated invariant, the same type in every
+// layer's catalog and in simcheck's own rules: Name is the catalog name
+// (docs/CHECKING.md lists them all), and it survives any %w wrapping, so
+// a violation is told from another by errors.As, never by its text.
+type InvariantError struct {
+	Name   string // e.g. "buf-free-busy"
+	Detail string
+}
+
+func (e *InvariantError) Error() string {
+	return "invariant " + e.Name + " violated: " + e.Detail
+}
+
+// Violation is the one constructor. Formatting allocates, which is fine:
+// it happens on the failing path only, once per run.
+func Violation(name, format string, args ...any) error {
+	return &InvariantError{Name: name, Detail: fmt.Sprintf(format, args...)}
+}
+
+// ViolationName returns the name of the invariant err reports, "" when
+// err wraps no InvariantError (an abort, a trace-checker error).
+func ViolationName(err error) string {
+	var ie *InvariantError
+	if errors.As(err, &ie) {
+		return ie.Name
+	}
+	return ""
 }
 
 // CheckInvariants verifies the scheduler, sleep queues and callout list,
@@ -35,18 +64,18 @@ func (k *Kernel) CheckInvariants() error {
 	n := 0
 	for c := k.callouts.head; c != nil; c = c.next {
 		if c.delta < 0 {
-			return kviolation("kern-callout-delta", "negative delta %d at entry %d", c.delta, n)
+			return Violation("kern-callout-delta", "negative delta %d at entry %d", c.delta, n)
 		}
 		if !c.queued {
-			return kviolation("kern-callout-delta", "fired/cancelled entry still queued at %d", n)
+			return Violation("kern-callout-delta", "fired/cancelled entry still queued at %d", n)
 		}
 		n++
 		if n > k.callouts.n {
-			return kviolation("kern-callout-delta", "list longer than count %d", k.callouts.n)
+			return Violation("kern-callout-delta", "list longer than count %d", k.callouts.n)
 		}
 	}
 	if n != k.callouts.n {
-		return kviolation("kern-callout-delta", "list holds %d entries, count says %d", n, k.callouts.n)
+		return Violation("kern-callout-delta", "list holds %d entries, count says %d", n, k.callouts.n)
 	}
 
 	// Run queue. Entries are stamped with this pass's number: a stamp
@@ -55,14 +84,14 @@ func (k *Kernel) CheckInvariants() error {
 	k.ckPass++
 	for _, p := range k.runq {
 		if p.ckRunq == k.ckPass {
-			return kviolation("kern-runq-state", "proc %q queued twice", p.name)
+			return Violation("kern-runq-state", "proc %q queued twice", p.name)
 		}
 		p.ckRunq = k.ckPass
 		if p.state != ProcRunnable {
-			return kviolation("kern-runq-state", "proc %q on run queue in state %v", p.name, p.state)
+			return Violation("kern-runq-state", "proc %q on run queue in state %v", p.name, p.state)
 		}
 		if p == k.current {
-			return kviolation("kern-runq-state", "current proc %q also on run queue", p.name)
+			return Violation("kern-runq-state", "current proc %q also on run queue", p.name)
 		}
 	}
 
@@ -84,34 +113,34 @@ func (k *Kernel) CheckInvariants() error {
 		queues++
 		for q := k.sleepq[p.wchan].head; q != nil; q = q.sleepNext {
 			if q.ckSleep == k.ckPass {
-				return kviolation("kern-sleepq-state", "proc %q on its sleep queue twice", q.name)
+				return Violation("kern-sleepq-state", "proc %q on its sleep queue twice", q.name)
 			}
 			if q.state != ProcSleeping {
-				return kviolation("kern-sleepq-state", "proc %q on sleep queue in state %v", q.name, q.state)
+				return Violation("kern-sleepq-state", "proc %q on sleep queue in state %v", q.name, q.state)
 			}
 			if q.wchan != p.wchan {
-				return kviolation("kern-sleepq-state", "proc %q sleeping on wrong queue", q.name)
+				return Violation("kern-sleepq-state", "proc %q sleeping on wrong queue", q.name)
 			}
 			if q.ckRunq == k.ckPass {
-				return kviolation("kern-sleepq-state", "proc %q on both run and sleep queues", q.name)
+				return Violation("kern-sleepq-state", "proc %q on both run and sleep queues", q.name)
 			}
 			q.ckSleep = k.ckPass
 		}
 		if p.ckSleep != k.ckPass {
-			return kviolation("kern-sleepq-state", "proc %q sleeping on wrong queue", p.name)
+			return Violation("kern-sleepq-state", "proc %q sleeping on wrong queue", p.name)
 		}
 	}
 	if queues != len(k.sleepq) {
-		return kviolation("kern-sleepq-state", "%d sleep queues but only %d hold a sleeper", len(k.sleepq), queues)
+		return Violation("kern-sleepq-state", "%d sleep queues but only %d hold a sleeper", len(k.sleepq), queues)
 	}
 	if live != k.alive {
-		return kviolation("kern-proc-account", "%d live procs, alive says %d", live, k.alive)
+		return Violation("kern-proc-account", "%d live procs, alive says %d", live, k.alive)
 	}
 	if k.holds < 0 {
-		return kviolation("kern-holds", "negative hold count %d", k.holds)
+		return Violation("kern-holds", "negative hold count %d", k.holds)
 	}
 	if k.pollRegs < 0 {
-		return kviolation("poll-reg-count", "negative poller registration count %d", k.pollRegs)
+		return Violation("poll-reg-count", "negative poller registration count %d", k.pollRegs)
 	}
 	return nil
 }
@@ -121,11 +150,11 @@ func (k *Kernel) CheckInvariants() error {
 // the poller's own unwind) and no process is parked on a poll waiter.
 func (k *Kernel) CheckPollDrained() error {
 	if k.pollRegs != 0 {
-		return kviolation("poll-leak", "%d poller registration(s) outstanding at drain", k.pollRegs)
+		return Violation("poll-leak", "%d poller registration(s) outstanding at drain", k.pollRegs)
 	}
 	for wchan, q := range k.sleepq {
 		if _, ok := wchan.(*pollWaiter); ok && q.head != nil {
-			return kviolation("poll-leak", "%d process(es) still sleeping in poll at drain", k.Sleepers(wchan))
+			return Violation("poll-leak", "%d process(es) still sleeping in poll at drain", k.Sleepers(wchan))
 		}
 	}
 	return nil

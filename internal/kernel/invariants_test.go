@@ -1,8 +1,11 @@
 package kernel
 
 import (
-	"strings"
+	"errors"
+	"fmt"
 	"testing"
+
+	"kdp/internal/sim"
 )
 
 // TestCatalogTrips plants hand-made faults for every name in the
@@ -84,7 +87,7 @@ func TestCatalogTrips(t *testing.T) {
 			if fault.name == "poll-leak" { // the drain-time check
 				err = k.CheckPollDrained()
 			}
-			if err == nil || !strings.Contains(err.Error(), "invariant "+fault.name+" violated") {
+			if ViolationName(err) != fault.name {
 				t.Errorf("CheckInvariants = %v, want a %s violation", err, fault.name)
 			}
 			undo()
@@ -118,5 +121,43 @@ func TestCheckAllocatesNothing(t *testing.T) {
 	k.Spawn("runner", func(p *Proc) {})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestViolationFormat pins the one message layout — every layer's text
+// is `invariant <name> violated: <detail>` — and that the name survives
+// the wrapping a harness puts around it (simcheck's seed/op/time stamp,
+// a fault sweep's "census run:" on top), which is what lets Minimize
+// and the tests tell violations apart by errors.As and never by text.
+func TestViolationFormat(t *testing.T) {
+	stamp := func(err error) error {
+		return fmt.Errorf("simcheck: seed %d: %w (during %s, t=%v)", 3, err, "op 4 (w0 read d1/f2)", sim.Time(630848*sim.Microsecond))
+	}
+	for _, tc := range []struct {
+		err        error
+		name, text string
+	}{
+		{Violation("buf-free-busy", "busy buffer on free list: %s", "buf{rz58#1}"), "buf-free-busy",
+			"invariant buf-free-busy violated: busy buffer on free list: buf{rz58#1}"},
+		{Violation("stream-wnd-neg", "%s: peerWnd=%d advWnd=%d", "c:5002->5000", -1, 0), "stream-wnd-neg",
+			"invariant stream-wnd-neg violated: c:5002->5000: peerWnd=-1 advWnd=0"},
+		{Violation("poll-leak", "no arguments"), "poll-leak", "invariant poll-leak violated: no arguments"},
+		{stamp(Violation("oracle-size", "%s has %d bytes, oracle expects %d", "/d0/f", 1, 2)), "oracle-size",
+			"simcheck: seed 3: invariant oracle-size violated: /d0/f has 1 bytes, oracle expects 2 (during op 4 (w0 read d1/f2), t=0.630848s)"},
+		{fmt.Errorf("census run: %w", stamp(Violation("fs-ptr-dup", "block %d claimed by inodes %d and %d", 9, 2, 3))), "fs-ptr-dup",
+			"census run: simcheck: seed 3: invariant fs-ptr-dup violated: block 9 claimed by inodes 2 and 3 (during op 4 (w0 read d1/f2), t=0.630848s)"},
+		{stamp(fmt.Errorf("simulation aborted: %w", ErrIO)), "", "simcheck: seed 3: simulation aborted: " + ErrIO.Error() + " (during op 4 (w0 read d1/f2), t=0.630848s)"},
+		{nil, "", ""},
+	} {
+		if got := ViolationName(tc.err); got != tc.name {
+			t.Errorf("ViolationName(%v) = %q, want %q", tc.err, got, tc.name)
+		}
+		if tc.err != nil && tc.err.Error() != tc.text {
+			t.Errorf("Error() = %q\n        want %q", tc.err, tc.text)
+		}
+		var ie *InvariantError
+		if errors.As(tc.err, &ie) != (tc.name != "") || ie != nil && (ie.Name != tc.name || ie.Detail == "") {
+			t.Errorf("errors.As(%v) found %+v, want name %q", tc.err, ie, tc.name)
+		}
 	}
 }

@@ -267,36 +267,6 @@ func (k *Kernel) Wakeup(wchan any) {
 	}
 }
 
-// WakeupOne wakes only the longest-sleeping process on wchan.
-func (k *Kernel) WakeupOne(wchan any) {
-	q, ok := k.sleepq[wchan]
-	if !ok {
-		return
-	}
-	p := q.head
-	k.dequeueSleeper(wchan, q, nil, p)
-	k.makeRunnable(p, p.sleepPri)
-}
-
-// dequeueSleeper unlinks p, whose predecessor on q is prev (nil at the
-// head), and drops the queue from the table once it is empty.
-func (k *Kernel) dequeueSleeper(wchan any, q sleepQueue, prev, p *Proc) {
-	if prev == nil {
-		q.head = p.sleepNext
-	} else {
-		prev.sleepNext = p.sleepNext
-	}
-	if q.tail == p {
-		q.tail = prev
-	}
-	p.sleepNext = nil
-	if q.head == nil {
-		delete(k.sleepq, wchan)
-	} else {
-		k.sleepq[wchan] = q
-	}
-}
-
 func (k *Kernel) makeRunnable(p *Proc, pri int) {
 	if p.state == ProcExited {
 		return
@@ -311,15 +281,29 @@ func (k *Kernel) makeRunnable(p *Proc, pri int) {
 	k.TraceEmit(trace.KindSchedWakeup, p.pid, int64(pri), 0, p.name)
 }
 
-// unsleep removes p from its sleep queue (signal interruption).
+// unsleep removes p from its sleep queue (signal interruption) and
+// drops the queue from the table once it is empty.
 func (k *Kernel) unsleep(p *Proc) {
 	q := k.sleepq[p.wchan]
 	var prev *Proc
-	for cur := q.head; cur != nil; prev, cur = cur, cur.sleepNext {
-		if cur == p {
-			k.dequeueSleeper(p.wchan, q, prev, p)
+	for cur := q.head; cur != p; prev, cur = cur, cur.sleepNext {
+		if cur == nil {
 			return
 		}
+	}
+	if prev == nil {
+		q.head = p.sleepNext
+	} else {
+		prev.sleepNext = p.sleepNext
+	}
+	if q.tail == p {
+		q.tail = prev
+	}
+	p.sleepNext = nil
+	if q.head == nil {
+		delete(k.sleepq, p.wchan)
+	} else {
+		k.sleepq[p.wchan] = q
 	}
 }
 

@@ -137,34 +137,6 @@ func TestWakeupPreemptsLowerPriority(t *testing.T) {
 	}
 }
 
-func TestWakeupOne(t *testing.T) {
-	k := testKernel()
-	ch := new(int)
-	order := []string{}
-	for _, name := range []string{"s1", "s2"} {
-		name := name
-		k.Spawn(name, func(p *Proc) {
-			_ = p.Sleep(ch, PWAIT)
-			order = append(order, name)
-		})
-	}
-	k.Spawn("waker", func(p *Proc) {
-		p.Compute(10 * sim.Millisecond)
-		k.WakeupOne(ch)
-		p.Compute(50 * sim.Millisecond)
-		if k.Sleepers(ch) != 1 {
-			t.Errorf("sleepers = %d, want 1", k.Sleepers(ch))
-		}
-		k.WakeupOne(ch)
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != 2 || order[0] != "s1" || order[1] != "s2" {
-		t.Fatalf("wakeup order = %v, want [s1 s2] (FIFO)", order)
-	}
-}
-
 func TestSleepForUsesCallout(t *testing.T) {
 	k := testKernel()
 	var woke sim.Time

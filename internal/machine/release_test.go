@@ -84,7 +84,7 @@ func TestReleasedMachineIsDead(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Release()
-	if err := m.CheckInvariants(); err == nil || !strings.Contains(err.Error(), "buf-released") {
+	if err := m.CheckInvariants(); kernel.ViolationName(err) != "buf-released" {
 		t.Errorf("CheckInvariants on a released machine = %v, want buf-released", err)
 	}
 	for _, use := range []struct {

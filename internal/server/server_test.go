@@ -5,10 +5,9 @@ import (
 	"fmt"
 	"testing"
 
-	"kdp/internal/buf"
 	"kdp/internal/disk"
-	"kdp/internal/fs"
 	"kdp/internal/kernel"
+	"kdp/internal/machine"
 	"kdp/internal/sim"
 	"kdp/internal/socket"
 	"kdp/internal/stream"
@@ -27,15 +26,12 @@ func runServer(t *testing.T, engine Engine, mode Mode, nClients, reqs int) ([][]
 	t.Helper()
 	cfg := kernel.DefaultConfig()
 	cfg.MaxRunTime = 3600 * sim.Second
-	k := kernel.New(cfg)
+	m := machine.New(machine.Spec{Kernel: cfg, CacheBufs: 400, Disks: []machine.DiskSpec{
+		{Mount: "/srv", Params: disk.RAMDisk(1024, 8192), Inodes: 64},
+	}})
+	k := m.K
 	col := &trace.Collector{}
 	k.StartTrace(col)
-	cache := buf.NewCache(k, 400, 8192)
-	d := disk.New(k, disk.RAMDisk(1024, 8192))
-	d.SetCache(cache)
-	if _, err := fs.Mkfs(d, 64); err != nil {
-		t.Fatal(err)
-	}
 	net := socket.NewNet(k, socket.Loopback())
 	st, err := stream.NewTransport(k, net, testPort)
 	if err != nil {
@@ -51,11 +47,9 @@ func runServer(t *testing.T, engine Engine, mode Mode, nClients, reqs int) ([][]
 	var srv *Server
 	ready := false
 	k.Spawn("boot", func(p *kernel.Proc) {
-		f, err := fs.Mount(p.Ctx(), cache, d)
-		if err != nil {
+		if err := m.Boot(p); err != nil {
 			panic(err)
 		}
-		k.Mount("/srv", f)
 		fd, err := p.Open("/srv/file", kernel.OCreat|kernel.ORdWr)
 		if err != nil {
 			panic(err)

@@ -1,10 +1,6 @@
 package simcheck
 
-import (
-	"fmt"
-
-	"kdp/internal/kernel"
-)
+import "kdp/internal/kernel"
 
 // Crash sweep: the machine loses power at an op boundary, every piece
 // of volatile state is discarded (dirty delayed-write buffers, queued
@@ -29,7 +25,7 @@ func (m *machine) doCrash(p *kernel.Proc, o *op) {
 	// harness bug, not a filesystem one.
 	cuts, err := m.PowerCut(p)
 	if err != nil {
-		m.fail(fmt.Errorf("crash: %w", err))
+		m.violate("crash-recover", "%v", err)
 		return
 	}
 	for i, c := range cuts {
@@ -42,7 +38,7 @@ func (m *machine) doCrash(p *kernel.Proc, o *op) {
 			m.logf("op %d: fsck-repair /d%d: %d problem(s), %d repair(s)", o.idx, i, len(rep.Problems), rep.Repaired)
 		}
 		if err != nil {
-			m.fail(fmt.Errorf("crash: %w", err))
+			m.violate("crash-recover", "%v", err)
 			return
 		}
 	}
@@ -79,8 +75,8 @@ func (m *machine) verifyDurable(p *kernel.Proc, o *op) {
 		}
 		fd, err := p.Open(path, kernel.ORdOnly)
 		if err != nil {
-			m.fail(fmt.Errorf("crash-exists: %s lost by the crash: %v (oracle: created durable, synced=%v)",
-				path, err, of.syncedOK))
+			m.violate("crash-exists", "%s lost by the crash: %v (oracle: created durable, synced=%v)",
+				path, err, of.syncedOK)
 			return
 		}
 		existing++
@@ -92,16 +88,16 @@ func (m *machine) verifyDurable(p *kernel.Proc, o *op) {
 		n, rerr := p.Read(fd, got)
 		p.Close(fd)
 		if rerr != nil {
-			m.fail(fmt.Errorf("crash-content: read %s after recovery: %v", path, rerr))
+			m.violate("crash-content", "read %s after recovery: %v", path, rerr)
 			return
 		}
 		if n != len(of.data) {
-			m.fail(fmt.Errorf("crash-size: %s has %d bytes after recovery, fsync promised %d", path, n, len(of.data)))
+			m.violate("crash-size", "%s has %d bytes after recovery, fsync promised %d", path, n, len(of.data))
 			return
 		}
 		if i := firstDiff(got[:n], of.data); i >= 0 {
-			m.fail(fmt.Errorf("crash-content: %s differs at byte %d after recovery: disk %#02x, fsync promised %#02x",
-				path, i, got[i], of.data[i]))
+			m.violate("crash-content", "%s differs at byte %d after recovery: disk %#02x, fsync promised %#02x",
+				path, i, got[i], of.data[i])
 			return
 		}
 		synced++

@@ -169,8 +169,8 @@ func FaultSweepSeed(cfg Config, replay bool) *FaultSweepResult {
 				return fail(acfg, r.Violation)
 			}
 			if r.FaultFired != 1 {
-				return fail(acfg, fmt.Errorf(
-					"simcheck: seed %d: site %s armed at k=%d fired %d time(s), want exactly 1 (census saw %d occurrence(s))",
+				return fail(acfg, kernel.Violation("fault-fired",
+					"seed %d: site %s armed at k=%d fired %d time(s), want exactly 1 (census saw %d occurrence(s))",
 					cfg.Seed, sc.Site, k, r.FaultFired, sc.N))
 			}
 			if replay {

@@ -44,9 +44,8 @@ func seekTo(p *kernel.Proc, fd int, off int64) error {
 }
 
 // rangeRead builds a read op from its fetch. whole ops read the file
-// start to finish rather than [o.off, o.off+o.size); rule names the
-// invariant a content mismatch violates.
-func rangeRead(rule string, whole bool, fetch fetchFunc) opFunc {
+// start to finish rather than [o.off, o.off+o.size).
+func rangeRead(whole bool, fetch fetchFunc) opFunc {
 	return func(m *machine, p *kernel.Proc, o *op) {
 		of, fd, ok := m.openChecked(p, o)
 		if !ok {
@@ -61,7 +60,7 @@ func rangeRead(rule string, whole bool, fetch fetchFunc) opFunc {
 			}
 			m.opLog(o, "%v", err)
 		default:
-			m.verifyRange(o, of, got, rule, whole, note)
+			m.verifyRange(o, of, got, whole, note)
 		}
 	}
 }
@@ -78,7 +77,7 @@ func (m *machine) openChecked(p *kernel.Proc, o *op) (of *ofile, fd int, ok bool
 	case err == nil:
 		if of == nil && m.checkable(o.disk) {
 			p.Close(fd)
-			m.fail(fmt.Errorf("oracle-absent: %s opened but the oracle says it was never created", path))
+			m.violate("oracle-absent", "%s opened but the oracle says it was never created", path)
 			return nil, 0, false
 		}
 		return of, fd, true
@@ -97,7 +96,7 @@ func (m *machine) openChecked(p *kernel.Proc, o *op) (of *ofile, fd int, ok bool
 // knows the file exists, otherwise the expected outcome.
 func (m *machine) absent(o *op, of *ofile, err error) {
 	if of != nil && !of.tainted && m.checkable(o.disk) {
-		m.fail(fmt.Errorf("oracle-exists: %s: %v, but oracle has %d bytes", o.path(), err, len(of.data)))
+		m.violate("oracle-exists", "%s: %v, but oracle has %d bytes", o.path(), err, len(of.data))
 		return
 	}
 	m.opLog(o, "absent")
@@ -105,7 +104,7 @@ func (m *machine) absent(o *op, of *ofile, err error) {
 
 // verifyRange holds the bytes a fetch returned against the oracle's
 // bytes for the window the op asked for.
-func (m *machine) verifyRange(o *op, of *ofile, got []byte, rule string, whole bool, note string) {
+func (m *machine) verifyRange(o *op, of *ofile, got []byte, whole bool, note string) {
 	if of == nil || of.tainted || !m.checkable(o.disk) {
 		m.opLog(o, "n=%d (unchecked)", len(got))
 		return
@@ -122,8 +121,8 @@ func (m *machine) verifyRange(o *op, of *ofile, got []byte, rule string, whole b
 		}
 	}
 	if len(got) != len(want) {
-		m.fail(fmt.Errorf("oracle-size: %s %s off=%d returned %d bytes, oracle expects %d",
-			o.row.name, o.path(), off, len(got), len(want)))
+		m.violate("oracle-size", "%s %s off=%d returned %d bytes, oracle expects %d",
+			o.row.name, o.path(), off, len(got), len(want))
 		return
 	}
 	if len(got) == 0 && !whole {
@@ -131,8 +130,8 @@ func (m *machine) verifyRange(o *op, of *ofile, got []byte, rule string, whole b
 		return
 	}
 	if i := firstDiff(got, want); i >= 0 {
-		m.fail(fmt.Errorf("%s: %s %s differs at byte %d: got %#02x, oracle %#02x",
-			rule, o.row.name, o.path(), off+int64(i), got[i], want[i]))
+		m.violate("oracle-content", "%s %s differs at byte %d: got %#02x, oracle %#02x",
+			o.row.name, o.path(), off+int64(i), got[i], want[i])
 		return
 	}
 	m.opLog(o, "ok n=%d%s", len(got), note)
@@ -235,7 +234,7 @@ func fetchReadv(m *machine, p *kernel.Proc, fd int, o *op) ([]byte, string, erro
 // way the batch-results invariant holds: Submit must return exactly one
 // result per submitted op.
 func batch() opFunc {
-	read, write := rangeRead("oracle-content", false, fetchBatch), rangeWrite(storeBatch)
+	read, write := rangeRead(false, fetchBatch), rangeWrite(storeBatch)
 	return func(m *machine, p *kernel.Proc, o *op) {
 		if int(o.pat)%3 == 0 {
 			read(m, p, o)
@@ -259,7 +258,7 @@ func submit(m *machine, p *kernel.Proc, fd int, o *op, rw int, parts [][]byte, s
 	res := p.Submit(ops)
 	p.Close(fd)
 	if len(res) != len(ops) {
-		m.fail(fmt.Errorf("batch-results-len: submitted %d ops, got %d results", len(ops), len(res)))
+		m.violate("batch-results-len", "submitted %d ops, got %d results", len(ops), len(res))
 		return nil, 0, nil
 	}
 	for i, r := range res {

@@ -1,6 +1,10 @@
 package simcheck
 
-import "fmt"
+import (
+	"fmt"
+
+	"kdp/internal/kernel"
+)
 
 // Minimize shrinks a failing seed's op sequence to a locally minimal
 // failing subset by delta debugging (ddmin): repeatedly try dropping
@@ -8,7 +12,10 @@ import "fmt"
 // halve the chunk size when no chunk can be dropped. Because every op
 // is self-contained, any subsequence is a valid workload, and because
 // the simulation is deterministic, "still fails" is decidable by just
-// running it.
+// running it — and means the same failure: a reduction is kept only when
+// it trips the violation the full run tripped, by name (failures without
+// one all count as the same), so the minimal seed reproduces the bug that
+// was reported and not another the shrinking uncovered.
 //
 // It returns the final (minimal) failing result and the indices of the
 // surviving ops within the original generated sequence. If the seed
@@ -22,6 +29,7 @@ func Minimize(cfg Config) (*Result, []int) {
 		return res, nil
 	}
 
+	want := kernel.ViolationName(res.Violation)
 	ops := full
 	chunk := (len(ops) + 1) / 2
 	for chunk >= 1 && len(ops) > 1 {
@@ -37,7 +45,7 @@ func Minimize(cfg Config) (*Result, []int) {
 			if len(candidate) == 0 {
 				continue
 			}
-			if r := execute(cfg, candidate); r.Failed() {
+			if r := execute(cfg, candidate); r.Failed() && kernel.ViolationName(r.Violation) == want {
 				ops = candidate
 				res = r
 				reduced = true

@@ -26,7 +26,7 @@ func (m *machine) transports(o *op, nclients int) (srv *stream.Transport, clis [
 		clis = append(clis, ct)
 	}
 	if err != nil {
-		m.fail(fmt.Errorf("%s: transport: %w", o.row.name, err))
+		m.violate("stream-transport", "%s: %v", o.row.name, err)
 		return nil, nil, false
 	}
 	return srv, clis, true
@@ -59,7 +59,7 @@ func (m *machine) doStreamConn(p *kernel.Proc, o *op) {
 	}
 	srv.await(p)
 	if cerr != nil || srvErr != nil {
-		m.fail(fmt.Errorf("stream-conn: client err %v, server err %v", cerr, srvErr))
+		m.violate("stream-conn", "client err %v, server err %v", cerr, srvErr)
 		return
 	}
 	m.opLog(o, "ok retx=%d", conn.Retransmits())
@@ -121,15 +121,15 @@ func (m *machine) doStreamXfer(p *kernel.Proc, o *op) {
 	}
 	srv.await(p)
 	if cerr != nil || srvErr != nil {
-		m.fail(fmt.Errorf("stream-xfer: client err %v, server err %v", cerr, srvErr))
+		m.violate("stream-xfer", "client err %v, server err %v", cerr, srvErr)
 		return
 	}
 	if len(got) != len(want) {
-		m.fail(fmt.Errorf("stream-xfer: delivered %d bytes, want %d", len(got), len(want)))
+		m.violate("stream-xfer", "delivered %d bytes, want %d", len(got), len(want))
 		return
 	}
 	if i := firstDiff(got, want); i >= 0 {
-		m.fail(fmt.Errorf("stream-xfer-content: byte %d differs: got %#02x, want %#02x", i, got[i], want[i]))
+		m.violate("stream-xfer-content", "byte %d differs: got %#02x, want %#02x", i, got[i], want[i])
 		return
 	}
 	m.opLog(o, "ok retx=%d/%d", conn.Retransmits(), srvRetx)
@@ -157,7 +157,7 @@ func (m *machine) doPollWait(p *kernel.Proc, o *op) {
 	pipe := dev.NewPipe(m.K, "", pipeCap)
 	rfd := p.InstallFile(pipe, kernel.ORdOnly)
 	if _, err := p.Fcntl(rfd, kernel.FSetFL, kernel.ONonblock); err != nil {
-		m.fail(fmt.Errorf("poll-wait: fcntl: %v", err))
+		m.violate("poll-wait", "fcntl: %v", err)
 		return
 	}
 	n := o.size
@@ -174,7 +174,7 @@ func (m *machine) doPollWait(p *kernel.Proc, o *op) {
 
 	fds := []kernel.PollFd{{FD: rfd, Events: kernel.PollIn}}
 	timeouts := 0
-	poll := func() error { // block until ready, counting bounded-wait expiries
+	poll := func() bool { // block until ready, counting bounded-wait expiries; false once it has raised a violation
 		for {
 			ready, perr := p.Poll(fds, pollTimeout(o))
 			if perr == kernel.ErrIntr {
@@ -184,13 +184,15 @@ func (m *machine) doPollWait(p *kernel.Proc, o *op) {
 				continue
 			}
 			if perr != nil {
-				return perr
+				m.violate("poll-wait", "%v", perr)
+				return false
 			}
 			if ready > 0 {
 				if fds[0].Revents&(kernel.PollIn|kernel.PollHup) == 0 {
-					return fmt.Errorf("poll-ready-bits: revents=%#x lacks POLLIN/POLLHUP", fds[0].Revents)
+					m.violate("poll-ready-bits", "revents=%#x lacks POLLIN/POLLHUP", fds[0].Revents)
+					return false
 				}
-				return nil
+				return true
 			}
 			timeouts++
 		}
@@ -202,7 +204,7 @@ func (m *machine) doPollWait(p *kernel.Proc, o *op) {
 		// logged, not asserted.
 		ready, perr := p.Poll(fds, 0)
 		if perr != nil {
-			m.fail(fmt.Errorf("poll-wait: zero-timeout poll: %v", perr))
+			m.violate("poll-wait", "zero-timeout poll: %v", perr)
 			return
 		}
 		if ready > 0 {
@@ -214,8 +216,7 @@ func (m *machine) doPollWait(p *kernel.Proc, o *op) {
 	justPolled := false
 	for len(got) < n {
 		if !justPolled {
-			if err := poll(); err != nil {
-				m.fail(fmt.Errorf("poll-wait: %v", err))
+			if !poll() {
 				return
 			}
 			justPolled = true
@@ -223,13 +224,13 @@ func (m *machine) doPollWait(p *kernel.Proc, o *op) {
 		r, rerr := p.Read(rfd, buf)
 		if rerr == kernel.ErrWouldBlock {
 			if justPolled {
-				m.fail(fmt.Errorf("poll-ready-read: descriptor reported ready but read would block (got %d of %d)", len(got), n))
+				m.violate("poll-ready-read", "descriptor reported ready but read would block (got %d of %d)", len(got), n)
 				return
 			}
 			continue
 		}
 		if rerr != nil {
-			m.fail(fmt.Errorf("poll-wait: read: %v", rerr))
+			m.violate("poll-wait", "read: %v", rerr)
 			return
 		}
 		justPolled = false
@@ -241,11 +242,11 @@ func (m *machine) doPollWait(p *kernel.Proc, o *op) {
 	fed.await(p)
 	p.Close(rfd)
 	if len(got) != n {
-		m.fail(fmt.Errorf("poll-wait: drained %d bytes, want %d", len(got), n))
+		m.violate("poll-wait", "drained %d bytes, want %d", len(got), n)
 		return
 	}
 	if i := firstDiff(got, want); i >= 0 {
-		m.fail(fmt.Errorf("poll-wait-content: byte %d differs: got %#02x, want %#02x", i, got[i], want[i]))
+		m.violate("poll-wait-content", "byte %d differs: got %#02x, want %#02x", i, got[i], want[i])
 		return
 	}
 	m.opLog(o, "ok n=%d timeouts=%d", n, timeouts)
@@ -280,7 +281,7 @@ func (m *machine) doEventServe(p *kernel.Proc, o *op) {
 		return
 	}
 	if err := st.Listen(p); err != nil {
-		m.fail(fmt.Errorf("event-serve: listen: %w", err))
+		m.violate("event-serve", "listen: %v", err)
 		return
 	}
 	lfd := p.InstallFile(st.File(), kernel.ORdOnly)
@@ -365,7 +366,7 @@ func (m *machine) doEventServe(p *kernel.Proc, o *op) {
 				p.DeliverSignals()
 				continue
 			}
-			m.fail(fmt.Errorf("event-serve: poll: %v", perr))
+			m.violate("event-serve", "poll: %v", perr)
 			return
 		}
 		for i := range fds {
@@ -378,18 +379,18 @@ func (m *machine) doEventServe(p *kernel.Proc, o *op) {
 					cfd, _, aerr := st.AcceptNB(p)
 					if aerr == kernel.ErrWouldBlock {
 						if first {
-							m.fail(fmt.Errorf("event-ready-accept: listener reported readable but accept would block"))
+							m.violate("event-ready-accept", "listener reported readable but accept would block")
 							return
 						}
 						break
 					}
 					if aerr != nil {
-						m.fail(fmt.Errorf("event-serve: accept: %v", aerr))
+						m.violate("event-serve", "accept: %v", aerr)
 						return
 					}
 					first = false
 					if _, ferr := p.Fcntl(cfd, kernel.FSetFL, kernel.ONonblock); ferr != nil {
-						m.fail(fmt.Errorf("event-serve: fcntl: %v", ferr))
+						m.violate("event-serve", "fcntl: %v", ferr)
 						return
 					}
 					accepted++
@@ -405,7 +406,7 @@ func (m *machine) doEventServe(p *kernel.Proc, o *op) {
 				b := make([]byte, 1)
 				r, rerr := p.Read(ec.fd, b)
 				if rerr == kernel.ErrWouldBlock {
-					m.fail(fmt.Errorf("event-ready-read: connection reported readable but read would block"))
+					m.violate("event-ready-read", "connection reported readable but read would block")
 					return
 				}
 				if rerr != nil || r == 0 {
@@ -422,7 +423,7 @@ func (m *machine) doEventServe(p *kernel.Proc, o *op) {
 				wn, werr := p.Write(ec.fd, want[ec.sent:])
 				if werr == kernel.ErrWouldBlock {
 					if firstWrite {
-						m.fail(fmt.Errorf("event-ready-write: connection reported writable but write would block"))
+						m.violate("event-ready-write", "connection reported writable but write would block")
 						return
 					}
 					break
@@ -441,7 +442,7 @@ func (m *machine) doEventServe(p *kernel.Proc, o *op) {
 	clients.await(p)
 	for c, cerr := range cliErrs {
 		if cerr != nil {
-			m.fail(fmt.Errorf("event-serve: client %d: %v", c, cerr))
+			m.violate("event-serve", "client %d: %v", c, cerr)
 			return
 		}
 	}

@@ -69,13 +69,13 @@ type opRow struct {
 var opTable = []*opRow{
 	{name: "write", std: 13, crash: 26, text: textRangePat, run: rangeWrite(storeWrite)},
 	{name: "writev", std: 5, text: textRangePat, run: rangeWrite(storeWritev)},
-	{name: "read", std: 6, crash: 8, text: textRange, run: rangeRead("oracle-content", false, fetchRead)},
-	{name: "readv", std: 4, text: textRange, run: rangeRead("iovec-conservation", false, fetchReadv)},
-	{name: "seq-read", std: 5, crash: 4, text: textChunk, run: rangeRead("oracle-content", true, fetchSeq)},
+	{name: "read", std: 6, crash: 8, text: textRange, run: rangeRead(false, fetchRead)},
+	{name: "readv", std: 4, text: textRange, run: rangeRead(false, fetchReadv)},
+	{name: "seq-read", std: 5, crash: 4, text: textChunk, run: rangeRead(true, fetchSeq)},
 	{name: "trunc", std: 4, crash: 6, text: textFile, run: (*machine).doTrunc},
 	{name: "unlink", std: 4, crash: 6, text: textFile, run: (*machine).doUnlink},
 	{name: "fsync", std: 4, crash: 22, text: textFile, run: (*machine).doFsync},
-	{name: "mmap-read", std: 4, text: textFile, run: rangeRead("oracle-content", true, fetchMmap)},
+	{name: "mmap-read", std: 4, text: textFile, run: rangeRead(true, fetchMmap)},
 	{name: "mmap-write", std: 4, crash: 6, text: textRangePat, run: rangeWrite(mappedStore(false))},
 	{name: "msync", std: 3, crash: 6, text: textRangePat, run: rangeWrite(mappedStore(true))},
 	{name: "splice-file", std: 5, crash: 10, draw: drawDst, text: textSpliceFile, run: (*machine).doSpliceFile},

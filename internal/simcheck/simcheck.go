@@ -30,7 +30,7 @@
 //     virtual time, matched syscall enter/exit pairs, counter snapshots
 //     consistent with event deltas), and a clean run must quiesce with
 //     no syscall left open.
-//  4. Replay. VerifyReplay runs the same seed twice and asserts the
+//  4. Replay. VerifyReplayConfig runs the same seed twice and asserts the
 //     event-log digest — which folds in the typed trace-stream digest —
 //     and CPU accounting are bit-identical, the property that makes
 //     "rerun the seed" a faithful repro.
@@ -118,8 +118,8 @@ type Result struct {
 	// FaultFired is how many times the armed fault fired (armed runs
 	// only; the single-shot arm makes 1 the only clean value).
 	FaultFired int64
-	// Violation is the first invariant or oracle failure, nil if the
-	// run was clean.
+	// Violation is the first invariant or oracle failure, nil if the run
+	// was clean; kernel.ViolationName names it (not an abort's, though).
 	Violation error
 }
 
@@ -216,17 +216,8 @@ func Run(cfg Config) *Result {
 	return execute(cfg, generate(cfg))
 }
 
-// RunSeed is Run with defaults for everything but the seed.
-func RunSeed(seed uint64) *Result { return Run(Config{Seed: seed}) }
-
-// VerifyReplay runs seed twice and verifies determinism: identical
+// VerifyReplayConfig runs cfg twice and verifies determinism: identical
 // event-log digests and identical CPU accounting.
-func VerifyReplay(seed uint64) error {
-	return VerifyReplayConfig(Config{Seed: seed})
-}
-
-// VerifyReplayConfig is VerifyReplay for an arbitrary configuration
-// (the crash sweep replays with Crash set).
 func VerifyReplayConfig(cfg Config) error {
 	cfg.Verbose = nil
 	return Replay(cfg, Run(cfg))
@@ -491,6 +482,12 @@ func (m *machine) fail(err error) {
 	m.K.Abort(m.violation)
 }
 
+// violate raises one of the harness's own rules (docs/CHECKING.md lists
+// them) on the type the layers' catalogs use.
+func (m *machine) violate(name, format string, args ...any) {
+	m.fail(kernel.Violation(name, format, args...))
+}
+
 func (m *machine) logf(format string, args ...any) {
 	line := fmt.Sprintf(format, args...)
 	m.log = append(m.log, line)
@@ -553,7 +550,7 @@ func (m *machine) finalVerify(p *kernel.Proc) {
 				m.logf("verify %s skipped: open failed after mid-verify fault (%v)", path, err)
 				continue
 			}
-			m.fail(fmt.Errorf("oracle-exists: final open %s: %v (oracle has %d bytes)", path, err, len(of.data)))
+			m.violate("oracle-exists", "final open %s: %v (oracle has %d bytes)", path, err, len(of.data))
 			return
 		}
 		got := make([]byte, len(of.data)+1)
@@ -564,15 +561,15 @@ func (m *machine) finalVerify(p *kernel.Proc) {
 				m.logf("verify %s skipped: read failed after mid-verify fault (%v)", path, err)
 				continue
 			}
-			m.fail(fmt.Errorf("final read %s: %v", path, err))
+			m.violate("final-read", "%s: %v", path, err)
 			return
 		}
 		if n != len(of.data) {
-			m.fail(fmt.Errorf("oracle-size: %s has %d bytes, oracle expects %d", path, n, len(of.data)))
+			m.violate("oracle-size", "%s has %d bytes, oracle expects %d", path, n, len(of.data))
 			return
 		}
 		if i := firstDiff(got[:n], of.data); i >= 0 {
-			m.fail(fmt.Errorf("oracle-content: %s differs at byte %d: disk %#02x, oracle %#02x", path, i, got[i], of.data[i]))
+			m.violate("oracle-content", "%s differs at byte %d: disk %#02x, oracle %#02x", path, i, got[i], of.data[i])
 			return
 		}
 		m.logf("verify %s ok (%d bytes)", path, n)
@@ -587,7 +584,7 @@ func (m *machine) finalVerify(p *kernel.Proc) {
 				m.logf("syncall /d%d: %v (faulted volume, tolerated)", i, err)
 				continue
 			}
-			m.fail(fmt.Errorf("syncall /d%d: %v", i, err))
+			m.violate("final-sync", "syncall /d%d: %v", i, err)
 			return
 		}
 	}
@@ -636,7 +633,7 @@ func (m *machine) fsckVolume(p *kernel.Proc, i int) bool {
 					m.logf("fsck-repair /d%d: %v (mid-verify fault, retrying)", i, err)
 					continue
 				}
-				m.fail(fmt.Errorf("fsck-repair /d%d: %v", i, err))
+				m.violate("fsck-run", "fsck-repair /d%d: %v", i, err)
 				return false
 			}
 			m.logf("fsck-repair /d%d: %d problem(s), %d repair(s)", i, len(fixed.Problems), fixed.Repaired)
@@ -648,7 +645,7 @@ func (m *machine) fsckVolume(p *kernel.Proc, i int) bool {
 				m.logf("fsck /d%d: %v (mid-verify fault, retrying with repair)", i, err)
 				continue
 			}
-			m.fail(fmt.Errorf("fsck /d%d: %v", i, err))
+			m.violate("fsck-run", "fsck /d%d: %v", i, err)
 			return false
 		}
 		if !rep.Clean() {
@@ -656,7 +653,7 @@ func (m *machine) fsckVolume(p *kernel.Proc, i int) bool {
 				m.logf("fsck /d%d: %d problem(s) after mid-verify fault, retrying with repair", i, len(rep.Problems))
 				continue
 			}
-			m.fail(fmt.Errorf("fsck /d%d found %d problem(s), first: %s", i, len(rep.Problems), rep.Problems[0]))
+			m.violate("fsck-clean", "/d%d has %d problem(s), first: %s", i, len(rep.Problems), rep.Problems[0])
 			return false
 		}
 		m.logf("fsck /d%d clean: %d inodes, %d used blocks", i, rep.Inodes, rep.UsedBlocks)

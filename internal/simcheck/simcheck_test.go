@@ -1,7 +1,9 @@
 package simcheck
 
 import (
+	"errors"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -20,7 +22,7 @@ func TestSeedSweep(t *testing.T) {
 		n = 10
 	}
 	for seed := uint64(0); seed < n; seed++ {
-		res := RunSeed(seed)
+		res := Run(Config{Seed: seed})
 		if res.Failed() {
 			t.Errorf("seed %d: %v\nrepro: %s", seed, res.Violation,
 				ReproCommand(Config{Seed: seed, Ops: 60, Workers: res.Workers}))
@@ -46,7 +48,7 @@ func TestSeedSweepLargerWorkloads(t *testing.T) {
 // twice yields bit-identical event logs and CPU accounting.
 func TestVerifyReplay(t *testing.T) {
 	for seed := uint64(0); seed < 8; seed++ {
-		if err := VerifyReplay(seed); err != nil {
+		if err := VerifyReplayConfig(Config{Seed: seed}); err != nil {
 			t.Errorf("%v", err)
 		}
 	}
@@ -62,7 +64,7 @@ func TestReplayAcrossGOMAXPROCS(t *testing.T) {
 	digests := [2]uint64{}
 	for i, procs := range []int{1, 8} {
 		runtime.GOMAXPROCS(procs)
-		res := RunSeed(7)
+		res := Run(Config{Seed: 7})
 		if res.Failed() {
 			t.Fatalf("GOMAXPROCS=%d: %v", procs, res.Violation)
 		}
@@ -94,13 +96,7 @@ func TestDamageTripsInvariants(t *testing.T) {
 				t.Fatalf("damage %q went undetected", tc.damage)
 			}
 			msg := res.Violation.Error()
-			found := false
-			for _, inv := range tc.invariants {
-				if strings.Contains(msg, "invariant "+inv) {
-					found = true
-				}
-			}
-			if !found {
+			if !slices.Contains(tc.invariants, kernel.ViolationName(res.Violation)) {
 				t.Errorf("damage %q: diagnostic does not name one of %v: %s", tc.damage, tc.invariants, msg)
 			}
 			if !strings.Contains(msg, "seed 3") {
@@ -305,8 +301,9 @@ func TestOracleStaleRule(t *testing.T) {
 		}
 		content[2*blockSize+17] = fresh[2*blockSize+17] ^ 0x5A // somebody else's byte
 		write(content)
-		if m.checkNoStale(p, "/d0/f", fresh, prev) || m.violation == nil ||
-			!strings.Contains(m.violation.Error(), "oracle-stale: /d0/f byte 16401 (block 2)") {
+		var ie *kernel.InvariantError
+		if m.checkNoStale(p, "/d0/f", fresh, prev) || !errors.As(m.violation, &ie) || ie.Name != "oracle-stale" ||
+			!strings.HasPrefix(ie.Detail, "/d0/f byte 16401 (block 2)") {
 			t.Errorf("foreign byte not reported as oracle-stale: %v", m.violation)
 		}
 	})

@@ -95,7 +95,7 @@ func (m *machine) doSpliceFile(p *kernel.Proc, o *op) {
 		m.opLog(o, "moved=%d (src unchecked, dst tainted)", n)
 	default:
 		if n != int64(len(oso.data)) && m.checkable(o.disk2) {
-			m.fail(fmt.Errorf("oracle-splice: %s -> %s moved %d bytes, oracle expects %d", src, dst, n, len(oso.data)))
+			m.violate("oracle-splice", "%s -> %s moved %d bytes, oracle expects %d", src, dst, n, len(oso.data))
 			return
 		}
 		// Splice overwrites the prefix; a longer destination keeps its
@@ -134,8 +134,8 @@ func (m *machine) checkNoStale(p *kernel.Proc, path string, fresh, prev []byte) 
 		if b == 0 || i < len(fresh) && b == fresh[i] || i < len(prev) && b == prev[i] {
 			continue
 		}
-		m.fail(fmt.Errorf("oracle-stale: %s byte %d (block %d) is %#02x after a short splice: not the payload's, the file's previous, or zero",
-			path, i, i/blockSize, b))
+		m.violate("oracle-stale", "%s byte %d (block %d) is %#02x after a short splice: not the payload's, the file's previous, or zero",
+			path, i, i/blockSize, b)
 		return false
 	}
 	return true
@@ -202,26 +202,26 @@ func spliceInto(p *kernel.Proc, sfd, wfd int, n int64) (moved int64, err error) 
 }
 
 // checkDrained verifies a splice into a byte sink against the oracle:
-// n bytes moved, and the drain saw exactly the file's first n. rule is
-// the invariant, sink what the messages call the far end. lossy means a
-// fault perturbed the sink's delivery (a dropped datagram shortens got,
-// a duplicate lengthens it, a reorder scrambles it): only the
-// splice-side accounting is still exact.
-func (m *machine) checkDrained(o *op, rule, sink string, moved, n int64, serr error, got []byte, lossy bool) {
+// n bytes moved, and the drain saw exactly the file's first n. sink is
+// what the messages call the far end. lossy means a fault perturbed the
+// sink's delivery (a dropped datagram shortens got, a duplicate
+// lengthens it, a reorder scrambles it): only the splice-side
+// accounting is still exact.
+func (m *machine) checkDrained(o *op, sink string, moved, n int64, serr error, got []byte, lossy bool) {
 	src := o.path()
 	of := m.oracle[src]
 	switch {
 	case serr != nil || of == nil || of.tainted || !m.checkable(o.disk):
 		m.opLog(o, "moved=%d err=%v (unchecked)", moved, serr)
 	case lossy && moved != n:
-		m.fail(fmt.Errorf("%s: %s -> %s moved %d, want %d (net fault perturbs delivery, not the splice)", rule, src, sink, moved, n))
+		m.violate("oracle-drain", "%s -> %s moved %d, want %d (net fault perturbs delivery, not the splice)", src, sink, moved, n)
 	case lossy:
 		m.opLog(o, "moved=%d drained=%d (net faulted, delivery unchecked)", moved, len(got))
 	case moved != n || int64(len(got)) != n:
-		m.fail(fmt.Errorf("%s: %s -> %s moved %d, drained %d, want %d", rule, src, sink, moved, len(got), n))
+		m.violate("oracle-drain", "%s -> %s moved %d, drained %d, want %d", src, sink, moved, len(got), n)
 	default:
 		if i := firstDiff(got, of.data[:n]); i >= 0 {
-			m.fail(fmt.Errorf("%s-content: %s -> %s differs at byte %d: got %#02x, oracle %#02x", rule, src, sink, i, got[i], of.data[i]))
+			m.violate("oracle-drain-content", "%s -> %s differs at byte %d: got %#02x, oracle %#02x", src, sink, i, got[i], of.data[i])
 			return
 		}
 		m.opLog(o, "ok moved=%d", moved)
@@ -242,7 +242,7 @@ func (m *machine) doSplicePipe(p *kernel.Proc, o *op) {
 	d.await(p)
 	p.Close(sfd)
 	p.Close(pfd)
-	m.checkDrained(o, "oracle-pipe", "pipe", moved, n, serr, d.got, false)
+	m.checkDrained(o, "pipe", moved, n, serr, d.got, false)
 }
 
 // doSpliceSock splices a file into a datagram socket while a spawned
@@ -276,7 +276,7 @@ func (m *machine) doSpliceSock(p *kernel.Proc, o *op) {
 	p.Close(afd)
 	d.await(p)
 	p.Close(sfd)
-	m.checkDrained(o, "oracle-sock", "socket", moved, n, serr, d.got, m.netFaulted)
+	m.checkDrained(o, "socket", moved, n, serr, d.got, m.netFaulted)
 }
 
 // doPipeSplice splices from a pipe into a file (the source→file staging

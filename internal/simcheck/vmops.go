@@ -27,7 +27,7 @@ func fetchMmap(m *machine, p *kernel.Proc, fd int, o *op) ([]byte, string, error
 	p.Close(fd)
 	if merr != nil {
 		// Mapping an open regular file takes no I/O; failure is a harness bug.
-		m.fail(fmt.Errorf("mmap-read: mmap %s: %v", o.path(), merr))
+		m.violate("mmap-read", "mmap %s: %v", o.path(), merr)
 		return nil, "", nil
 	}
 	got := make([]byte, size)
@@ -39,7 +39,7 @@ func fetchMmap(m *machine, p *kernel.Proc, fd int, o *op) ([]byte, string, error
 	}
 	if uerr != nil {
 		// A read-only mapping has nothing to page out; failure is a bug.
-		m.fail(fmt.Errorf("mmap-read: munmap %s: %v", o.path(), uerr))
+		m.violate("mmap-read", "munmap %s: %v", o.path(), uerr)
 	}
 	return got, "", nil
 }

@@ -443,7 +443,7 @@ func (s *Socket) Read(ctx kernel.Ctx, p []byte, off int64) (int, error) {
 // peer and returns when it has been handed to the link (a nonblocking
 // write does not wait for that).
 func (s *Socket) Write(ctx kernel.Ctx, p []byte, off int64) (int, error) {
-	return kernel.AwaitWrite(ctx, p, s.SpliceWrite, nil)
+	return kernel.AwaitWrite(ctx, p, s.SpliceWrite)
 }
 
 // Readv implements kernel.ReadvOps: it receives ONE datagram and

@@ -4,11 +4,9 @@ import (
 	"bytes"
 	"testing"
 
-	"kdp/internal/buf"
 	"kdp/internal/disk"
 	"kdp/internal/fs"
 	"kdp/internal/kernel"
-	"kdp/internal/sim"
 	"kdp/internal/socket"
 )
 
@@ -46,32 +44,8 @@ func TestSpliceFullFilesystem(t *testing.T) {
 	// /d1 lives on a volume far too small for the source file; the
 	// destination mapping is built up front (§5.2), so the splice fails
 	// with ENOSPC before any data moves, and the machine stays usable.
-	cfg := kernel.DefaultConfig()
-	cfg.MaxRunTime = 3600 * sim.Second
-	k := kernel.New(cfg)
-	cache := buf.NewCache(k, 400, bsize)
-	big := disk.New(k, disk.RAMDisk(2048, bsize))
-	big.SetCache(cache)
-	tiny := disk.New(k, disk.RAMDisk(48, bsize))
-	tiny.SetCache(cache)
-	for _, d := range []*disk.Disk{big, tiny} {
-		if _, err := fs.Mkfs(d, 16); err != nil {
-			t.Fatalf("mkfs: %v", err)
-		}
-	}
-
-	var tinyFS *fs.FS
-	k.Spawn("test", func(p *kernel.Proc) {
-		for i, d := range []*disk.Disk{big, tiny} {
-			f, err := fs.Mount(p.Ctx(), cache, d)
-			if err != nil {
-				t.Fatalf("mount %d: %v", i, err)
-			}
-			k.Mount([]string{"/d0", "/d1"}[i], f)
-			if d == tiny {
-				tinyFS = f
-			}
-		}
+	m := assemble(16, disk.RAMDisk(2048, bsize), disk.RAMDisk(48, bsize))
+	m.run(t, func(p *kernel.Proc) {
 		makeFile(t, p, "/d0/src", 64*bsize, 51)
 		src, _ := p.Open("/d0/src", kernel.ORdOnly)
 		dst, _ := p.Open("/d1/dst", kernel.OCreat|kernel.OWrOnly)
@@ -80,10 +54,10 @@ func TestSpliceFullFilesystem(t *testing.T) {
 		}
 		// The blocks the aborted mapping grabbed are still attached to
 		// the destination inode — consistently so.
-		if err := tinyFS.SyncAll(p.Ctx()); err != nil {
+		if err := m.fsys[1].SyncAll(p.Ctx()); err != nil {
 			t.Fatalf("sync: %v", err)
 		}
-		if rep, err := fs.Fsck(p.Ctx(), cache, tiny); err != nil {
+		if rep, err := fs.Fsck(p.Ctx(), m.cache, m.disks[1]); err != nil {
 			t.Fatalf("fsck: %v", err)
 		} else if !rep.Clean() {
 			t.Fatalf("tiny volume inconsistent after failed splice: %v", rep.Problems)
@@ -104,9 +78,6 @@ func TestSpliceFullFilesystem(t *testing.T) {
 			t.Fatalf("write after ENOSPC: %v", err)
 		}
 	})
-	if err := k.Run(); err != nil {
-		t.Fatalf("kernel: %v", err)
-	}
 	if err := CheckDrained(); err != nil {
 		t.Fatal(err)
 	}
@@ -234,33 +205,20 @@ func TestSpliceSourceFileWriteFaultAbortsCleanly(t *testing.T) {
 // queue is untouched and the partial allocation stays consistently
 // attached.
 func TestSpliceSourceFileSetupENOSPC(t *testing.T) {
-	cfg := kernel.DefaultConfig()
-	cfg.MaxRunTime = 3600 * sim.Second
-	k := kernel.New(cfg)
-	cache := buf.NewCache(k, 400, bsize)
-	tiny := disk.New(k, disk.RAMDisk(48, bsize))
-	tiny.SetCache(cache)
-	if _, err := fs.Mkfs(tiny, 16); err != nil {
-		t.Fatalf("mkfs: %v", err)
-	}
-	net := socket.NewNet(k, socket.Loopback())
+	m := assemble(16, disk.RAMDisk(48, bsize))
+	net := socket.NewNet(m.k, socket.Loopback())
 	in, _ := net.NewSocket(1)
 	producer, _ := net.NewSocket(2)
 	producer.Connect(1)
 
-	k.Spawn("test", func(p *kernel.Proc) {
-		f, err := fs.Mount(p.Ctx(), cache, tiny)
-		if err != nil {
-			t.Fatalf("mount: %v", err)
-		}
-		k.Mount("/d1", f)
+	m.run(t, func(p *kernel.Proc) {
 		pfd := p.InstallFile(producer, kernel.OWrOnly)
 		if _, err := p.Write(pfd, []byte("queued before the splice")); err != nil {
 			t.Fatalf("produce: %v", err)
 		}
 
 		inFD := p.InstallFile(in, kernel.ORdOnly)
-		dst, _ := p.Open("/d1/dst", kernel.OCreat|kernel.OWrOnly)
+		dst, _ := p.Open("/d0/dst", kernel.OCreat|kernel.OWrOnly)
 		if _, err := Splice(p, inFD, dst, 64*bsize); err != kernel.ErrNoSpace {
 			t.Fatalf("splice onto full fs: %v, want ErrNoSpace", err)
 		}
@@ -270,10 +228,10 @@ func TestSpliceSourceFileSetupENOSPC(t *testing.T) {
 		if err != nil || string(tmp[:n]) != "queued before the splice" {
 			t.Fatalf("source disturbed by failed setup: n=%d err=%v", n, err)
 		}
-		if err := f.SyncAll(p.Ctx()); err != nil {
+		if err := m.fsys[0].SyncAll(p.Ctx()); err != nil {
 			t.Fatalf("sync: %v", err)
 		}
-		if rep, err := fs.Fsck(p.Ctx(), cache, tiny); err != nil {
+		if rep, err := fs.Fsck(p.Ctx(), m.cache, m.disks[0]); err != nil {
 			t.Fatalf("fsck: %v", err)
 		} else if !rep.Clean() {
 			t.Fatalf("volume inconsistent after failed setup: %v", rep.Problems)
@@ -282,13 +240,10 @@ func TestSpliceSourceFileSetupENOSPC(t *testing.T) {
 		if err := p.Close(dst); err != nil {
 			t.Fatalf("close dst: %v", err)
 		}
-		if err := p.Unlink("/d1/dst"); err != nil {
+		if err := p.Unlink("/d0/dst"); err != nil {
 			t.Fatalf("unlink: %v", err)
 		}
 	})
-	if err := k.Run(); err != nil {
-		t.Fatalf("kernel: %v", err)
-	}
 	if err := CheckDrained(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,9 @@
 package splice
 
 import (
-	"fmt"
 	"slices"
+
+	"kdp/internal/kernel"
 )
 
 // This file implements the splice invariant checker used by the
@@ -54,10 +55,6 @@ func unregisterDesc(d *desc) {
 	}
 }
 
-func sviolation(name, format string, args ...any) error {
-	return fmt.Errorf("invariant %s violated: %s", name, fmt.Sprintf(format, args...))
-}
-
 // CheckInvariants verifies every live splice descriptor, returning the
 // first violation found (nil when consistent, or when tracking is
 // disabled). It never sleeps.
@@ -75,20 +72,20 @@ func CheckInvariants() error {
 // idle; a failure means a splice leaked its kernel hold.
 func CheckDrained() error {
 	if n := len(liveDescs); n > 0 {
-		return sviolation("splice-desc-leak", "%d splice descriptor(s) still live after drain", n)
+		return kernel.Violation("splice-desc-leak", "%d splice descriptor(s) still live after drain", n)
 	}
 	return nil
 }
 
 func (d *desc) check() error {
 	if d.done {
-		return sviolation("splice-done-live", "completed descriptor still registered (moved=%d)", d.moved)
+		return kernel.Violation("splice-done-live", "completed descriptor still registered (moved=%d)", d.moved)
 	}
 	if d.pendingReads < 0 || d.pendingWrites < 0 {
-		return sviolation("splice-pending-neg", "pendingReads=%d pendingWrites=%d", d.pendingReads, d.pendingWrites)
+		return kernel.Violation("splice-pending-neg", "pendingReads=%d pendingWrites=%d", d.pendingReads, d.pendingWrites)
 	}
 	if d.total >= 0 && d.moved > d.total {
-		return sviolation("splice-moved-bound", "moved %d of %d bytes", d.moved, d.total)
+		return kernel.Violation("splice-moved-bound", "moved %d of %d bytes", d.moved, d.total)
 	}
 	if err := d.rd.bound(); err != nil {
 		return err

@@ -3,8 +3,11 @@ package splice
 import (
 	"testing"
 
+	"kdp/internal/buf"
 	"kdp/internal/disk"
+	"kdp/internal/fs"
 	"kdp/internal/kernel"
+	"kdp/internal/sim"
 	"kdp/internal/trace"
 )
 
@@ -71,7 +74,7 @@ func TestPairTraceDigests(t *testing.T) {
 		}},
 	}
 	for _, tc := range cases {
-		m := newMachine(t, disk.RZ58)
+		m := pairMachine(t)
 		pipes(m)
 		m.run(t, func(p *kernel.Proc) {
 			src, dst, size := tc.splice(m, p)
@@ -87,4 +90,35 @@ func TestPairTraceDigests(t *testing.T) {
 			}
 		})
 	}
+}
+
+// pairMachine is newMachine(t, disk.RZ58) put together by hand, the one
+// rig internal/machine does not build (machine.TestSingleAssembler lists
+// this file): the digests above fold the device name of every cache and
+// disk event, they were pinned with both disks under the bare model name
+// "rz58", and a machine refuses two devices of one name.
+func pairMachine(t *testing.T) *machine {
+	t.Helper()
+	cfg := kernel.DefaultConfig()
+	cfg.MaxRunTime = 3600 * sim.Second
+	k := kernel.New(cfg)
+	m := &machine{k: k, cache: buf.NewCache(k, 400, bsize), fsys: make([]*fs.FS, 2)}
+	for range m.fsys {
+		d := disk.New(k, disk.RZ58(2048, bsize))
+		d.SetCache(m.cache)
+		if _, err := fs.Mkfs(d, 64); err != nil {
+			t.Fatalf("mkfs: %v", err)
+		}
+		m.disks = append(m.disks, d)
+	}
+	m.mount = func(p *kernel.Proc) (err error) {
+		for i, d := range m.disks {
+			if m.fsys[i], err = fs.Mount(p.Ctx(), m.cache, d); err != nil {
+				return err
+			}
+			k.Mount([]string{"/d0", "/d1"}[i], m.fsys[i])
+		}
+		return nil
+	}
+	return m
 }

@@ -3,7 +3,6 @@ package splice
 import (
 	"bytes"
 	"errors"
-	"strings"
 	"testing"
 
 	"kdp/internal/buf"
@@ -124,9 +123,7 @@ func TestSourceToFileOnSynchronousDevice(t *testing.T) {
 }
 
 // violates reports whether err names the given invariant.
-func violates(err error, name string) bool {
-	return err != nil && strings.Contains(err.Error(), "invariant "+name+" violated")
-}
+func violates(err error, name string) bool { return kernel.ViolationName(err) == name }
 
 func TestDamageTripsInvariants(t *testing.T) {
 	// One corruption of a live descriptor per catalog row; each must be

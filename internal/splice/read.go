@@ -194,10 +194,10 @@ func (r *blocks) bound() error {
 	d := r.d
 	maxReads := d.opts.ReadWatermark - 1 + d.opts.RefillBatch
 	if d.pendingReads > maxReads {
-		return sviolation("splice-pending-bound", "%d pending reads exceed watermark bound %d", d.pendingReads, maxReads)
+		return kernel.Violation("splice-pending-bound", "%d pending reads exceed watermark bound %d", d.pendingReads, maxReads)
 	}
 	if maxWrites := d.opts.WriteWatermark - 1 + maxReads; d.pendingWrites > maxWrites {
-		return sviolation("splice-pending-bound", "%d pending writes exceed watermark bound %d", d.pendingWrites, maxWrites)
+		return kernel.Violation("splice-pending-bound", "%d pending writes exceed watermark bound %d", d.pendingWrites, maxWrites)
 	}
 	return nil
 }
@@ -292,7 +292,7 @@ func (r *source) cancel() {
 // bound: at most one source read is ever outstanding.
 func (r *source) bound() error {
 	if r.d.pendingReads > 1 {
-		return sviolation("splice-pending-bound", "source reader with %d pending reads", r.d.pendingReads)
+		return kernel.Violation("splice-pending-bound", "source reader with %d pending reads", r.d.pendingReads)
 	}
 	return nil
 }

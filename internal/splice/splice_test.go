@@ -2,54 +2,58 @@ package splice
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"kdp/internal/buf"
 	"kdp/internal/disk"
 	"kdp/internal/fs"
 	"kdp/internal/kernel"
+	mach "kdp/internal/machine"
 	"kdp/internal/sim"
 )
 
 const bsize = 8192
 
-// machine is a two-disk test machine with a filesystem on each disk,
-// mounted at /d0 and /d1, mirroring the paper's experimental setup of
-// copying between filesystems on different physical disks.
+// machine is the test rig: disks with a filesystem each, mounted at
+// /d0, /d1, …, built by internal/machine like every other machine
+// (pair_test.go's hand-assembled one apart). The fields alias the
+// assembled machine's; fsys fills in when mount runs.
 type machine struct {
 	k     *kernel.Kernel
 	cache *buf.Cache
-	disks [2]*disk.Disk
-	fsys  [2]*fs.FS
+	disks []*disk.Disk
+	fsys  []*fs.FS
+	mount func(p *kernel.Proc) error
 }
 
+// assemble builds a rig over the given disks with a 400-buffer (3.2MB)
+// cache; disk i mounts at /d<i> under the name <model>-<i>, since a
+// machine's device names are unique.
+func assemble(inodes int, params ...disk.Params) *machine {
+	spec := mach.Spec{Kernel: kernel.DefaultConfig(), CacheBufs: 400}
+	spec.Kernel.MaxRunTime = 3600 * sim.Second
+	for i, dp := range params {
+		dp.Name = fmt.Sprintf("%s-%d", dp.Name, i)
+		spec.Disks = append(spec.Disks, mach.DiskSpec{Mount: fmt.Sprintf("/d%d", i), Params: dp, Inodes: inodes})
+	}
+	mm := mach.New(spec)
+	return &machine{k: mm.K, cache: mm.Cache, disks: mm.Disks, fsys: mm.FSs, mount: mm.Boot}
+}
+
+// newMachine is the usual rig, mirroring the paper's experimental setup
+// of copying between filesystems on different physical disks: two 16MB
+// disks of one model.
 func newMachine(t *testing.T, mkParams func(blocks int64, bs int) disk.Params) *machine {
 	t.Helper()
-	cfg := kernel.DefaultConfig()
-	cfg.MaxRunTime = 3600 * sim.Second
-	k := kernel.New(cfg)
-	m := &machine{k: k, cache: buf.NewCache(k, 400, bsize)} // 3.2MB cache
-	for i := range m.disks {
-		d := disk.New(k, mkParams(2048, bsize)) // 16MB each
-		d.SetCache(m.cache)
-		if _, err := fs.Mkfs(d, 64); err != nil {
-			t.Fatalf("mkfs: %v", err)
-		}
-		m.disks[i] = d
-	}
-	return m
+	return assemble(64, mkParams(2048, bsize), mkParams(2048, bsize))
 }
 
-// boot mounts both filesystems from inside the init process.
+// boot mounts the filesystems from inside the init process.
 func (m *machine) boot(t *testing.T, p *kernel.Proc) {
 	t.Helper()
-	for i, d := range m.disks {
-		f, err := fs.Mount(p.Ctx(), m.cache, d)
-		if err != nil {
-			t.Fatalf("mount %d: %v", i, err)
-		}
-		m.fsys[i] = f
-		m.k.Mount([]string{"/d0", "/d1"}[i], f)
+	if err := m.mount(p); err != nil {
+		t.Fatalf("mount: %v", err)
 	}
 }
 

@@ -162,19 +162,19 @@ func (a *alias) release(hdr *buf.Buf) {
 func (a *alias) check() error {
 	for _, hdr := range a.live {
 		if hdr.Flags&buf.BNoMem == 0 {
-			return sviolation("splice-hdr-alias", "write header without B_NOMEM: %s", hdr)
+			return kernel.Violation("splice-hdr-alias", "write header without B_NOMEM: %s", hdr)
 		}
 		peer := hdr.SplicePeer
 		if peer == nil {
-			return sviolation("splice-hdr-alias", "write header with no read-side peer: %s", hdr)
+			return kernel.Violation("splice-hdr-alias", "write header with no read-side peer: %s", hdr)
 		}
 		if !a.d.opts.NoShare {
 			if len(hdr.Data) == 0 || len(peer.Data) == 0 || &hdr.Data[0] != &peer.Data[0] {
-				return sviolation("splice-hdr-alias", "write header does not alias its peer's data area: %s", hdr)
+				return kernel.Violation("splice-hdr-alias", "write header does not alias its peer's data area: %s", hdr)
 			}
 		}
 		if hdr.SpliceDesc != any(a.d) {
-			return sviolation("splice-hdr-alias", "write header bound to foreign descriptor: %s", hdr)
+			return kernel.Violation("splice-hdr-alias", "write header bound to foreign descriptor: %s", hdr)
 		}
 	}
 	return nil

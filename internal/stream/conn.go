@@ -514,7 +514,7 @@ func (c *Conn) Write(ctx kernel.Ctx, b []byte, off int64) (int, error) {
 		}
 		return n, err
 	}
-	return kernel.AwaitWrite(ctx, b, c.SpliceWrite, c.snd.Keep)
+	return kernel.AwaitWrite(ctx, b, c.SpliceWrite)
 }
 
 // Writev implements kernel.WritevOps by coalescing the whole iovec

@@ -1,8 +1,9 @@
 package stream
 
 import (
-	"fmt"
 	"slices"
+
+	"kdp/internal/kernel"
 )
 
 // Invariant checker for the simcheck harness, mirroring the splice
@@ -72,10 +73,6 @@ func unregisterConn(c *Conn) {
 	}
 }
 
-func violation(name, label, format string, args ...any) error {
-	return fmt.Errorf("invariant %s violated on %s: %s", name, label, fmt.Sprintf(format, args...))
-}
-
 // CheckInvariants verifies every live connection, returning the first
 // violation found (nil when consistent, or when tracking is disabled).
 // It never sleeps.
@@ -104,12 +101,12 @@ func (t *Transport) checkGhosts() error {
 	now := t.k.Ticks()
 	for _, e := range t.ghosts {
 		if now > e.expires+1 {
-			return violation("stream-ghost-bound", fmt.Sprintf("port %d", t.port),
-				"ghost %#x expired at tick %d, still present at tick %d", e.key, e.expires, now)
+			return kernel.Violation("stream-ghost-bound",
+				"port %d: ghost %#x expired at tick %d, still present at tick %d", t.port, e.key, e.expires, now)
 		}
 		if _, live := t.conns[e.key]; live {
-			return violation("stream-ghost-no-resurrect", fmt.Sprintf("port %d", t.port),
-				"ghost %#x coexists with live connection state for the same key", e.key)
+			return kernel.Violation("stream-ghost-no-resurrect",
+				"port %d: ghost %#x coexists with live connection state for the same key", t.port, e.key)
 		}
 	}
 	return nil
@@ -123,20 +120,20 @@ func CheckDrained() error {
 	for _, c := range liveConns {
 		switch {
 		case c.state == stateSynSent:
-			return violation("stream-conn-leak", c.label, "handshake never completed")
+			return kernel.Violation("stream-conn-leak", "%s: handshake never completed", c.label)
 		case c.snd.Queued() > 0:
-			return violation("stream-conn-leak", c.label, "%d write(s) never admitted", c.snd.Queued())
+			return kernel.Violation("stream-conn-leak", "%s: %d write(s) never admitted", c.label, c.snd.Queued())
 		case c.snd.Len() > 0 || c.sndUna != c.sndNxt:
-			return violation("stream-conn-leak", c.label,
-				"unacknowledged send data: una=%d nxt=%d buffered=%d", c.sndUna, c.sndNxt, c.snd.Len())
+			return kernel.Violation("stream-conn-leak",
+				"%s: unacknowledged send data: una=%d nxt=%d buffered=%d", c.label, c.sndUna, c.sndNxt, c.snd.Len())
 		case c.finAt >= 0 && !c.finAcked:
-			return violation("stream-conn-leak", c.label, "FIN at %d never acknowledged", c.finAt)
+			return kernel.Violation("stream-conn-leak", "%s: FIN at %d never acknowledged", c.label, c.finAt)
 		case c.rcv.Len() > 0:
-			return violation("stream-conn-leak", c.label, "%d received byte(s) never read", c.rcv.Len())
+			return kernel.Violation("stream-conn-leak", "%s: %d received byte(s) never read", c.label, c.rcv.Len())
 		case len(c.reasm) > 0:
-			return violation("stream-conn-leak", c.label, "%d segment(s) stuck in reassembly", len(c.reasm))
+			return kernel.Violation("stream-conn-leak", "%s: %d segment(s) stuck in reassembly", c.label, len(c.reasm))
 		case c.rd.Parked():
-			return violation("stream-conn-leak", c.label, "splice read still parked")
+			return kernel.Violation("stream-conn-leak", "%s: splice read still parked", c.label)
 		}
 	}
 	return nil
@@ -144,32 +141,32 @@ func CheckDrained() error {
 
 func (c *Conn) check() error {
 	if c.sndUna > c.sndNxt || c.sndNxt > c.seqEnd() {
-		return violation("stream-seq-order", c.label,
-			"una=%d nxt=%d end=%d", c.sndUna, c.sndNxt, c.seqEnd())
+		return kernel.Violation("stream-seq-order",
+			"%s: una=%d nxt=%d end=%d", c.label, c.sndUna, c.sndNxt, c.seqEnd())
 	}
 	if c.rcvNxt < c.ckRcvNxt {
-		return violation("stream-seq-order", c.label,
-			"rcvNxt moved backward: %d -> %d", c.ckRcvNxt, c.rcvNxt)
+		return kernel.Violation("stream-seq-order",
+			"%s: rcvNxt moved backward: %d -> %d", c.label, c.ckRcvNxt, c.rcvNxt)
 	}
 	c.ckRcvNxt = c.rcvNxt
 	if c.peerWnd < 0 || c.advWnd < 0 {
-		return violation("stream-wnd-neg", c.label, "peerWnd=%d advWnd=%d", c.peerWnd, c.advWnd)
+		return kernel.Violation("stream-wnd-neg", "%s: peerWnd=%d advWnd=%d", c.label, c.peerWnd, c.advWnd)
 	}
 	if c.rcv.Len() > rcvCap+MaxSeg {
-		return violation("stream-rcv-bound", c.label,
-			"%d buffered bytes exceed cap %d + one segment", c.rcv.Len(), rcvCap)
+		return kernel.Violation("stream-rcv-bound",
+			"%s: %d buffered bytes exceed cap %d + one segment", c.label, c.rcv.Len(), rcvCap)
 	}
 	for _, s := range c.reasm {
 		if s.off <= c.rcvNxt || s.off > c.rcvNxt+reasmLimit {
-			return violation("stream-reasm-bound", c.label,
-				"reassembly offset %d outside (%d, %d]", s.off, c.rcvNxt, c.rcvNxt+reasmLimit)
+			return kernel.Violation("stream-reasm-bound",
+				"%s: reassembly offset %d outside (%d, %d]", c.label, s.off, c.rcvNxt, c.rcvNxt+reasmLimit)
 		}
 	}
 	if c.retries > maxRetries {
-		return violation("stream-retry-bound", c.label, "%d consecutive retries", c.retries)
+		return kernel.Violation("stream-retry-bound", "%s: %d consecutive retries", c.label, c.retries)
 	}
 	if c.probes > maxRetries {
-		return violation("stream-probe-bound", c.label, "%d consecutive zero-window probes", c.probes)
+		return kernel.Violation("stream-probe-bound", "%s: %d consecutive zero-window probes", c.label, c.probes)
 	}
 	return nil
 }

@@ -1,9 +1,9 @@
 package stream
 
 import (
-	"strings"
 	"testing"
 
+	"kdp/internal/kernel"
 	"kdp/internal/socket"
 )
 
@@ -67,7 +67,7 @@ func TestCatalogTrips(t *testing.T) {
 				}
 				err = CheckDrained()
 			}
-			if err == nil || !strings.Contains(err.Error(), "invariant "+fault.name+" violated") {
+			if kernel.ViolationName(err) != fault.name {
 				t.Fatalf("CheckInvariants = %v, want a %s violation", err, fault.name)
 			}
 		})

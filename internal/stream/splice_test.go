@@ -5,14 +5,23 @@ import (
 	"runtime"
 	"testing"
 
-	"kdp/internal/buf"
 	"kdp/internal/disk"
-	"kdp/internal/fs"
 	"kdp/internal/kernel"
+	"kdp/internal/machine"
 	"kdp/internal/sim"
 	"kdp/internal/socket"
 	"kdp/internal/splice"
 )
+
+// fileMachine is a file server's machine as internal/machine builds it:
+// one 16MB RAM disk behind a 400-buffer cache, mounted at /d0 by Boot.
+func fileMachine() *machine.Machine {
+	cfg := kernel.DefaultConfig()
+	cfg.MaxRunTime = 3600 * sim.Second
+	return machine.New(machine.Spec{Kernel: cfg, CacheBufs: 400, Disks: []machine.DiskSpec{
+		{Mount: "/d0", Params: disk.RAMDisk(2048, 8192), Inodes: 64},
+	}})
+}
 
 // TestSpliceFileToConn is the paper's server data path: the file is
 // spliced onto a stream connection with SPLICE_EOF and the client reads
@@ -26,15 +35,8 @@ func TestSpliceFileToConn(t *testing.T) {
 		{"lossy", 9},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := kernel.DefaultConfig()
-			cfg.MaxRunTime = 3600 * sim.Second
-			k := kernel.New(cfg)
-			cache := buf.NewCache(k, 400, 8192)
-			d := disk.New(k, disk.RAMDisk(2048, 8192))
-			d.SetCache(cache)
-			if _, err := fs.Mkfs(d, 64); err != nil {
-				t.Fatal(err)
-			}
+			m := fileMachine()
+			k := m.K
 			n := lossyNet(k, tc.dropEvery)
 			srv, _ := NewTransport(k, n, 80)
 			cli, _ := NewTransport(k, n, 5001)
@@ -42,12 +44,10 @@ func TestSpliceFileToConn(t *testing.T) {
 			data := pattern(150_000, 21)
 			var got []byte
 			k.Spawn("server", func(p *kernel.Proc) {
-				f, err := fs.Mount(p.Ctx(), cache, d)
-				if err != nil {
+				if err := m.Boot(p); err != nil {
 					t.Errorf("mount: %v", err)
 					return
 				}
-				k.Mount("/d0", f)
 				fd, err := p.Open("/d0/file", kernel.OCreat|kernel.ORdWr)
 				if err != nil {
 					t.Errorf("create: %v", err)
@@ -114,13 +114,8 @@ func TestSpliceFileToConn(t *testing.T) {
 // room has grown to its depth by then) while it crosses a 10 Mb Ethernet
 // to a client that reads and checks it.
 func TestSplicedBlockOntoConnAllocatesNothing(t *testing.T) {
-	k := newK()
-	cache := buf.NewCache(k, 400, 8192)
-	d := disk.New(k, disk.RAMDisk(2048, 8192))
-	d.SetCache(cache)
-	if _, err := fs.Mkfs(d, 64); err != nil {
-		t.Fatal(err)
-	}
+	m := fileMachine()
+	k := m.K
 	n := socket.NewNet(k, socket.Ethernet10())
 	srv, _ := NewTransport(k, n, 80)
 	cli, _ := NewTransport(k, n, 5001)
@@ -129,12 +124,10 @@ func TestSplicedBlockOntoConnAllocatesNothing(t *testing.T) {
 	var objects uint64
 	var blocks int64
 	k.Spawn("server", func(p *kernel.Proc) {
-		f, err := fs.Mount(p.Ctx(), cache, d)
-		if err != nil {
+		if err := m.Boot(p); err != nil {
 			t.Errorf("mount: %v", err)
 			return
 		}
-		k.Mount("/d0", f)
 		fd, _ := p.Open("/d0/file", kernel.OCreat|kernel.ORdWr)
 		for off := 0; off < size; off += 8192 {
 			if _, err := p.Write(fd, data[off:off+8192]); err != nil {

@@ -1,0 +1,34 @@
+package vm
+
+// Damage corrupts the pool's structures for invariant self-tests — this
+// package's, and machine_test.go's proof that machine.CheckInvariants
+// reaches the pool (an external test package sees this file). The
+// kinds mirror the catalog: "ring-orphan" plants an unowned frame,
+// "dirty-unbacked" dirties a blockless page, "hand" pushes the clock
+// hand out of range, "refcount" skews an object's mapping count.
+func (v *Pool) Damage(kind string) {
+	switch kind {
+	case "ring-orphan":
+		v.ringAdd(&page{data: make([]byte, v.pageSize)})
+	case "dirty-unbacked":
+		// dirty-unbacked needs an object page; a pool without one gets
+		// an orphan frame instead:
+		for _, obj := range v.objects {
+			for _, pg := range obj.pages {
+				pg.dirty = true
+				pg.blk = 0
+				return
+			}
+		}
+		v.ringAdd(&page{data: make([]byte, v.pageSize)})
+	case "hand":
+		v.hand = &page{}
+	case "refcount":
+		for _, obj := range v.objects {
+			obj.mappings++
+			return
+		}
+	default:
+		panic("vm: unknown damage kind " + kind)
+	}
+}

@@ -1,6 +1,6 @@
 package vm
 
-import "fmt"
+import "kdp/internal/kernel"
 
 // This file implements the VM invariant checker used by the simcheck
 // harness. The checks are structural — they walk the page pool, the
@@ -32,22 +32,6 @@ import "fmt"
 //	                     pages in every mapping
 //	vm-addr-range        every mapping lies within its space's
 //	                     allocated address range
-//
-// A violation is reported as an *InvariantError naming the invariant.
-
-// InvariantError describes one violated VM invariant.
-type InvariantError struct {
-	Name   string // invariant identifier, e.g. "vm-frame-leak"
-	Detail string
-}
-
-func (e *InvariantError) Error() string {
-	return "invariant " + e.Name + " violated: " + e.Detail
-}
-
-func violation(name, format string, args ...any) error {
-	return &InvariantError{Name: name, Detail: fmt.Sprintf(format, args...)}
-}
 
 // stamp is a per-pass tally kept on the checked object itself, so a
 // pass builds no set: n counts sightings during pass number pass, and a
@@ -79,10 +63,10 @@ func (s *stamp) count(pass uint64) int {
 // visited in first-mmap, first-mapping and clock order.
 func (v *Pool) CheckInvariants() error {
 	if v.resident > v.nframes {
-		return violation("vm-frame-overcommit", "%d resident pages in a %d-frame pool", v.resident, v.nframes)
+		return kernel.Violation("vm-frame-overcommit", "%d resident pages in a %d-frame pool", v.resident, v.nframes)
 	}
 	if v.hand != nil && !v.hand.inRing {
-		return violation("vm-clock-hand", "hand rests on page idx=%d, which is not in the ring", v.hand.idx)
+		return kernel.Violation("vm-clock-hand", "hand rests on page idx=%d, which is not in the ring", v.hand.idx)
 	}
 	v.ckPass++
 	pass := v.ckPass
@@ -101,15 +85,15 @@ func (v *Pool) CheckInvariants() error {
 		pid := as.pid
 		for _, m := range as.maps {
 			if m.addr < mapBase || m.addr+m.npages*int64(v.pageSize) > as.brk {
-				return violation("vm-addr-range", "pid %d mapping at %#x..%#x outside space range", pid, m.addr, m.addr+m.npages*int64(v.pageSize))
+				return kernel.Violation("vm-addr-range", "pid %d mapping at %#x..%#x outside space range", pid, m.addr, m.addr+m.npages*int64(v.pageSize))
 			}
 			if m.obj.ck.pass != pass {
-				return violation("vm-obj-leak", "pid %d maps object %s/%d, which is not in the pool table", pid, m.obj.dev, m.obj.ino)
+				return kernel.Violation("vm-obj-leak", "pid %d maps object %s/%d, which is not in the pool table", pid, m.obj.dev, m.obj.ino)
 			}
 			m.obj.ck.add(pass)
 			for i, entered := range m.valid {
 				if m.wok[i] && !entered {
-					return violation("vm-wok-subset", "pid %d mapping at %#x: page %d write-enabled but not entered", pid, m.addr, m.pgoff+int64(i))
+					return kernel.Violation("vm-wok-subset", "pid %d mapping at %#x: page %d write-enabled but not entered", pid, m.addr, m.pgoff+int64(i))
 				}
 			}
 			for i, pg := range m.shadow {
@@ -117,10 +101,10 @@ func (v *Pool) CheckInvariants() error {
 					continue
 				}
 				if !m.private() {
-					return violation("vm-shadow-private", "pid %d shared mapping at %#x has a shadow page", pid, m.addr)
+					return kernel.Violation("vm-shadow-private", "pid %d shared mapping at %#x has a shadow page", pid, m.addr)
 				}
 				if pg.obj != nil {
-					return violation("vm-cow-isolation", "pid %d shadow page %d still belongs to object %s/%d", pid, m.pgoff+int64(i), pg.obj.dev, pg.obj.ino)
+					return kernel.Violation("vm-cow-isolation", "pid %d shadow page %d still belongs to object %s/%d", pid, m.pgoff+int64(i), pg.obj.dev, pg.obj.ino)
 				}
 				if pg.ck.add(pass) == 1 {
 					anon++
@@ -133,13 +117,13 @@ func (v *Pool) CheckInvariants() error {
 	resident := 0
 	for _, obj := range v.objects {
 		if obj.mappings <= 0 {
-			return violation("vm-obj-leak", "object %s/%d alive with %d mappings", obj.dev, obj.ino, obj.mappings)
+			return kernel.Violation("vm-obj-leak", "object %s/%d alive with %d mappings", obj.dev, obj.ino, obj.mappings)
 		}
 		if refs := obj.ck.count(pass); refs != obj.mappings {
-			return violation("vm-obj-refcount", "object %s/%d says %d mappings, address spaces hold %d", obj.dev, obj.ino, obj.mappings, refs)
+			return kernel.Violation("vm-obj-refcount", "object %s/%d says %d mappings, address spaces hold %d", obj.dev, obj.ino, obj.mappings, refs)
 		}
 		if v.object(obj.dev, obj.ino) != obj {
-			return violation("vm-frame-owner", "object %s/%d is in the pool table twice", obj.dev, obj.ino)
+			return kernel.Violation("vm-frame-owner", "object %s/%d is in the pool table twice", obj.dev, obj.ino)
 		}
 		resident += len(obj.pages)
 	}
@@ -149,38 +133,38 @@ func (v *Pool) CheckInvariants() error {
 	for pg := v.ringHead; pg != nil; pg = pg.next {
 		ring++
 		if pg.ckRing == pass {
-			return violation("vm-frame-dup", "page (obj=%v idx=%d) in ring twice", pg.obj != nil, pg.idx)
+			return kernel.Violation("vm-frame-dup", "page (obj=%v idx=%d) in ring twice", pg.obj != nil, pg.idx)
 		}
 		pg.ckRing = pass
 		if pg.wired < 0 {
-			return violation("vm-wired-count", "page idx=%d wired=%d", pg.idx, pg.wired)
+			return kernel.Violation("vm-wired-count", "page idx=%d wired=%d", pg.idx, pg.wired)
 		}
 		if pg.obj != nil {
 			if pg.obj.ck.pass != pass || pg.obj.pages[pg.idx] != pg {
-				return violation("vm-frame-owner", "object page %s/%d idx=%d not indexed by its object", pg.obj.dev, pg.obj.ino, pg.idx)
+				return kernel.Violation("vm-frame-owner", "object page %s/%d idx=%d not indexed by its object", pg.obj.dev, pg.obj.ino, pg.idx)
 			}
 			if pg.dirty && pg.blk == 0 {
-				return violation("vm-dirty-unbacked", "dirty page %s/%d idx=%d has no block", pg.obj.dev, pg.obj.ino, pg.idx)
+				return kernel.Violation("vm-dirty-unbacked", "dirty page %s/%d idx=%d has no block", pg.obj.dev, pg.obj.ino, pg.idx)
 			}
 		} else {
 			switch owners := pg.ck.count(pass); owners {
 			case 1:
 			case 0:
-				return violation("vm-frame-owner", "anonymous page idx=%d owned by no mapping", pg.idx)
+				return kernel.Violation("vm-frame-owner", "anonymous page idx=%d owned by no mapping", pg.idx)
 			default:
-				return violation("vm-cow-isolation", "anonymous page idx=%d owned by %d mappings", pg.idx, owners)
+				return kernel.Violation("vm-cow-isolation", "anonymous page idx=%d owned by %d mappings", pg.idx, owners)
 			}
 		}
 	}
 	total := resident + anon
 	if total != ring || ring != v.resident {
-		return violation("vm-frame-leak", "%d owned pages (%d object + %d anonymous) but %d frames in ring, %d counted resident", total, resident, anon, ring, v.resident)
+		return kernel.Violation("vm-frame-leak", "%d owned pages (%d object + %d anonymous) but %d frames in ring, %d counted resident", total, resident, anon, ring, v.resident)
 	}
 	for _, as := range v.spaces {
 		for _, m := range as.maps {
 			for _, pg := range m.shadow {
 				if pg != nil && pg.ckRing != pass {
-					return violation("vm-frame-leak", "shadow page idx=%d not in the ring", pg.idx)
+					return kernel.Violation("vm-frame-leak", "shadow page idx=%d not in the ring", pg.idx)
 				}
 			}
 		}
@@ -194,46 +178,14 @@ func (v *Pool) CheckInvariants() error {
 func (v *Pool) CheckDrained() error {
 	for _, as := range v.spaces {
 		if n := len(as.maps); n > 0 {
-			return violation("vm-map-leak", "pid %d still holds %d mappings at drain", as.pid, n)
+			return kernel.Violation("vm-map-leak", "pid %d still holds %d mappings at drain", as.pid, n)
 		}
 	}
 	if n := len(v.objects); n > 0 {
-		return violation("vm-obj-leak", "%d objects alive at drain", n)
+		return kernel.Violation("vm-obj-leak", "%d objects alive at drain", n)
 	}
 	if n := v.resident; n > 0 {
-		return violation("vm-frame-leak", "%d frames resident at drain", n)
+		return kernel.Violation("vm-frame-leak", "%d frames resident at drain", n)
 	}
 	return v.CheckInvariants()
-}
-
-// Damage corrupts the pool's structures for invariant self-tests. The
-// kinds mirror the catalog: "ring-orphan" plants an unowned frame,
-// "dirty-unbacked" dirties a blockless page, "hand" pushes the clock
-// hand out of range, "refcount" skews an object's mapping count.
-func (v *Pool) Damage(kind string) {
-	v.damaged = kind
-	switch kind {
-	case "ring-orphan":
-		v.ringAdd(&page{data: make([]byte, v.pageSize)})
-	case "dirty-unbacked":
-		// dirty-unbacked needs an object page; a pool without one gets
-		// an orphan frame instead:
-		for _, obj := range v.objects {
-			for _, pg := range obj.pages {
-				pg.dirty = true
-				pg.blk = 0
-				return
-			}
-		}
-		v.ringAdd(&page{data: make([]byte, v.pageSize)})
-	case "hand":
-		v.hand = &page{}
-	case "refcount":
-		for _, obj := range v.objects {
-			obj.mappings++
-			return
-		}
-	default:
-		panic("vm: unknown damage kind " + kind)
-	}
 }

@@ -153,8 +153,7 @@ type Pool struct {
 	// pool, passing from an evicted or unmapped page to the next fault.
 	free *page
 
-	ckPass  uint64 // CheckInvariants pass counter (see stamp)
-	damaged string // fault injection for invariant self-tests
+	ckPass uint64 // CheckInvariants pass counter (see stamp)
 }
 
 // NewPool builds a page pool of frames pages of pageSize bytes.

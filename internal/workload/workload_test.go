@@ -6,53 +6,39 @@ import (
 
 	"kdp/internal/buf"
 	"kdp/internal/disk"
-	"kdp/internal/fs"
 	"kdp/internal/kernel"
+	"kdp/internal/machine"
 	"kdp/internal/sim"
-	"kdp/internal/vm"
 )
 
+// rig is a machine with two 8MB disks of one model, mounted at /a and
+// /b, and a 64-page pool; the fields alias the assembled machine's.
 type rig struct {
+	*machine.Machine
 	k     *kernel.Kernel
 	cache *buf.Cache
-	disks [2]*disk.Disk
-	pool  *vm.Pool
+	disks []*disk.Disk
 }
 
 func newRig(t *testing.T, mk func(int64, int) disk.Params) *rig {
 	t.Helper()
-	cfg := kernel.DefaultConfig()
-	cfg.MaxRunTime = 3600 * sim.Second
-	k := kernel.New(cfg)
-	r := &rig{k: k, cache: buf.NewCache(k, 400, 8192)}
-	r.pool = vm.NewPool(k, 64, 8192)
-	k.SetVM(r.pool)
-	for i := range r.disks {
+	spec := machine.Spec{Kernel: kernel.DefaultConfig(), CacheBufs: 400, VMPages: 64}
+	spec.Kernel.MaxRunTime = 3600 * sim.Second
+	for i, mount := range []string{"/a", "/b"} {
 		dp := mk(1024, 8192)
-		// Distinct device names: the VM page pool (like traces and
-		// per-device metrics) identifies devices by name.
-		dp.Name = fmt.Sprintf("%s-%d", dp.Name, i)
-		d := disk.New(k, dp)
-		d.SetCache(r.cache)
-		if _, err := fs.Mkfs(d, 64); err != nil {
-			t.Fatal(err)
-		}
-		r.disks[i] = d
+		dp.Name = fmt.Sprintf("%s-%d", dp.Name, i) // a machine's device names are unique
+		spec.Disks = append(spec.Disks, machine.DiskSpec{Mount: mount, Params: dp, Inodes: 64})
 	}
-	return r
+	m := machine.New(spec)
+	return &rig{Machine: m, k: m.K, cache: m.Cache, disks: m.Disks}
 }
 
 func (r *rig) run(t *testing.T, fn func(p *kernel.Proc)) {
 	t.Helper()
 	r.k.Spawn("w", func(p *kernel.Proc) {
-		for i, d := range r.disks {
-			f, err := fs.Mount(p.Ctx(), r.cache, d)
-			if err != nil {
-				t.Errorf("mount: %v", err)
-				return
-			}
-			f.SetPager(r.pool)
-			r.k.Mount([]string{"/a", "/b"}[i], f)
+		if err := r.Boot(p); err != nil {
+			t.Errorf("mount: %v", err)
+			return
 		}
 		fn(p)
 	})
