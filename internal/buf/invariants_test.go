@@ -51,8 +51,8 @@ func warmFixture(t *testing.T) *fixture {
 	return f
 }
 
-// wantViolation fails unless err is the named invariant's violation.
-func wantViolation(t *testing.T, err error, name string) {
+// wantTrip fails unless err is the named invariant's violation.
+func wantTrip(t *testing.T, err error, name string) {
 	t.Helper()
 	var ie *kernel.InvariantError
 	if !errors.As(err, &ie) || ie.Name != name || ie.Detail == "" {
@@ -74,7 +74,7 @@ func TestDamageTripsInvariants(t *testing.T) {
 		t.Run(kind, func(t *testing.T) {
 			f := warmFixture(t)
 			f.c.Damage(kind)
-			wantViolation(t, f.c.CheckInvariants(), want[kind])
+			wantTrip(t, f.c.CheckInvariants(), want[kind])
 		})
 	}
 }
@@ -121,7 +121,7 @@ func TestCatalogTrips(t *testing.T) {
 		t.Run(fault.name, func(t *testing.T) {
 			f := warmFixture(t)
 			fault.plant(f)
-			wantViolation(t, f.c.CheckInvariants(), fault.name)
+			wantTrip(t, f.c.CheckInvariants(), fault.name)
 		})
 	}
 }
@@ -141,7 +141,7 @@ func TestFirstViolationIsDeterministic(t *testing.T) {
 		}
 		f.c.pool[2].Blkno += 2 // block 9 too, on chain 1, ahead of block 5's chain
 		err := f.c.CheckInvariants()
-		wantViolation(t, err, "buf-hash-key")
+		wantTrip(t, err, "buf-hash-key")
 		if run == 0 {
 			first = err.Error()
 		} else if err.Error() != first {

@@ -44,9 +44,9 @@ func TestSeedSweepLargerWorkloads(t *testing.T) {
 	}
 }
 
-// TestVerifyReplay asserts the determinism contract: the same seed run
-// twice yields bit-identical event logs and CPU accounting.
-func TestVerifyReplay(t *testing.T) {
+// TestReplayIsDeterministic asserts the determinism contract: the same
+// seed run twice yields bit-identical event logs and CPU accounting.
+func TestReplayIsDeterministic(t *testing.T) {
 	for seed := uint64(0); seed < 8; seed++ {
 		if err := VerifyReplayConfig(Config{Seed: seed}); err != nil {
 			t.Errorf("%v", err)
