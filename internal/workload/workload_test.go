@@ -12,13 +12,8 @@ import (
 )
 
 // rig is a machine with two 8MB disks of one model, mounted at /a and
-// /b, and a 64-page pool; the fields alias the assembled machine's.
-type rig struct {
-	*machine.Machine
-	k     *kernel.Kernel
-	cache *buf.Cache
-	disks []*disk.Disk
-}
+// /b, and a 64-page pool.
+type rig struct{ *machine.Machine }
 
 func newRig(t *testing.T, mk func(int64, int) disk.Params) *rig {
 	t.Helper()
@@ -29,20 +24,19 @@ func newRig(t *testing.T, mk func(int64, int) disk.Params) *rig {
 		dp.Name = fmt.Sprintf("%s-%d", dp.Name, i) // a machine's device names are unique
 		spec.Disks = append(spec.Disks, machine.DiskSpec{Mount: mount, Params: dp, Inodes: 64})
 	}
-	m := machine.New(spec)
-	return &rig{Machine: m, k: m.K, cache: m.Cache, disks: m.Disks}
+	return &rig{machine.New(spec)}
 }
 
 func (r *rig) run(t *testing.T, fn func(p *kernel.Proc)) {
 	t.Helper()
-	r.k.Spawn("w", func(p *kernel.Proc) {
+	r.K.Spawn("w", func(p *kernel.Proc) {
 		if err := r.Boot(p); err != nil {
 			t.Errorf("mount: %v", err)
 			return
 		}
 		fn(p)
 	})
-	if err := r.k.Run(); err != nil {
+	if err := r.K.Run(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -127,7 +121,7 @@ func TestSpliceCopyFasterThanReadWriteOnRAM(t *testing.T) {
 			if err := MakeFile(p, "/a/src", size, 4); err != nil {
 				t.Fatal(err)
 			}
-			if err := ColdStart(p, r.cache, r.disks[0], r.disks[1]); err != nil {
+			if err := ColdStart(p, r.Cache, r.Disks[0], r.Disks[1]); err != nil {
 				t.Fatal(err)
 			}
 			res, err := Copy(p, DefaultCopySpec("/a/src", "/b/dst", mode))
@@ -163,7 +157,7 @@ func TestLoopCopyStopsAndCleansUp(t *testing.T) {
 	r := newRig(t, disk.RAMDisk)
 	stop := false
 	var rounds int
-	r.k.Spawn("stopper", func(p *kernel.Proc) {
+	r.K.Spawn("stopper", func(p *kernel.Proc) {
 		p.SleepFor(2 * sim.Second)
 		stop = true
 	})
@@ -173,7 +167,7 @@ func TestLoopCopyStopsAndCleansUp(t *testing.T) {
 		}
 		var err error
 		rounds, _, err = LoopCopy(p, DefaultCopySpec("/a/src", "/b/dst", CopySplice),
-			r.cache, []buf.Device{r.disks[0], r.disks[1]}, &stop)
+			r.Cache, []buf.Device{r.Disks[0], r.Disks[1]}, &stop)
 		if err != nil {
 			t.Fatalf("loopcopy: %v", err)
 		}
@@ -189,15 +183,15 @@ func TestColdStartForcesDeviceReads(t *testing.T) {
 		if err := MakeFile(p, "/a/src", 1<<20, 4); err != nil {
 			t.Fatal(err)
 		}
-		if err := ColdStart(p, r.cache, r.disks[0]); err != nil {
+		if err := ColdStart(p, r.Cache, r.Disks[0]); err != nil {
 			t.Fatal(err)
 		}
-		before := r.disks[0].Stats().Reads
+		before := r.Disks[0].Stats().Reads
 		fd, _ := p.Open("/a/src", kernel.ORdOnly)
 		buf := make([]byte, 8192)
 		_, _ = p.Read(fd, buf)
 		_ = p.Close(fd)
-		if r.disks[0].Stats().Reads == before {
+		if r.Disks[0].Stats().Reads == before {
 			t.Fatal("read after cold start did not touch the device")
 		}
 	})
