@@ -154,7 +154,7 @@ func (k *Kernel) CheckPollDrained() error {
 	}
 	for wchan, q := range k.sleepq {
 		if _, ok := wchan.(*pollWaiter); ok && q.head != nil {
-			return Violation("poll-leak", "%d process(es) still sleeping in poll at drain", k.Sleepers(wchan))
+			return Violation("poll-leak", "proc %q still sleeping in poll at drain", q.head.name)
 		}
 	}
 	return nil

@@ -230,15 +230,6 @@ func (k *Kernel) Interrupt(fn func()) {
 // first, threaded through Proc.sleepNext (4.3BSD's p_link).
 type sleepQueue struct{ head, tail *Proc }
 
-// Sleepers reports how many processes are blocked on wchan.
-func (k *Kernel) Sleepers(wchan any) int {
-	n := 0
-	for p := k.sleepq[wchan].head; p != nil; p = p.sleepNext {
-		n++
-	}
-	return n
-}
-
 // enqueueSleeper puts p at the tail of the queue its wchan names.
 func (k *Kernel) enqueueSleeper(p *Proc) {
 	q := k.sleepq[p.wchan]
