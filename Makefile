@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt race check bench tables cover linkcheck loc ci
+.PHONY: build test vet fmt race check bench tables goldens cover linkcheck loc ci
 
 build:
 	$(GO) build ./...
@@ -46,6 +46,13 @@ bench:
 
 tables:
 	$(GO) run ./cmd/kdpbench
+
+# Rewrites the six pinned outputs — kdpbench's table1, table2 and sweeps,
+# kdptrace's server_stats and vm_stats, simcheck's digests — by rerunning
+# the tests that compare against them with -update. `git diff` afterwards
+# is the behaviour change; the commit that carries it says why, per file.
+goldens:
+	$(GO) test ./cmd/kdpbench ./cmd/kdptrace ./internal/simcheck -run 'Golden$$' -update
 
 # Coverage gate: the paper's own package, the endpoints it splices
 # (§5.1: devices and sockets) and the packages at the core of the

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -14,6 +15,26 @@ import (
 	"kdp/internal/bench"
 	"kdp/internal/trace"
 )
+
+// update is set by `make goldens`, which reruns the pinned-output tests
+// to rewrite what they compare against.
+var update = flag.Bool("update", false, "rewrite the pinned outputs under testdata/")
+
+// pinned returns the contents of the golden file at path — under -update
+// after writing got there, so the caller's comparison holds.
+func pinned(t *testing.T, path string, got []byte) []byte {
+	t.Helper()
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden: %v", err)
+	}
+	return want
+}
 
 // TestTableGolden checks the headline tables against golden output.
 // The simulation is fully deterministic, so the numbers are stable
@@ -33,11 +54,7 @@ func TestTableGolden(t *testing.T) {
 		if err := run([]string{"-table", tc.flag}, &out); err != nil {
 			t.Fatalf("run -table %s: %v", tc.flag, err)
 		}
-		want, err := os.ReadFile(tc.golden)
-		if err != nil {
-			t.Fatalf("read golden: %v", err)
-		}
-		if out.String() != string(want) {
+		if want := pinned(t, tc.golden, out.Bytes()); out.String() != string(want) {
 			t.Errorf("table %s differs from %s:\ngot:\n%s\nwant:\n%s",
 				tc.flag, tc.golden, out.String(), want)
 		}
@@ -47,8 +64,7 @@ func TestTableGolden(t *testing.T) {
 // TestSweepsGolden pins every registered sweep's report and the -series
 // view across commits, as TestTableGolden does the two tables: each
 // section of the golden file is the output of the command in its
-// header. Regenerate a section (with the reason stated in the PR) by
-// running that command.
+// header. Regenerate with `make goldens`, the reason stated in the PR.
 func TestSweepsGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-size sweeps in -short mode")
@@ -64,11 +80,7 @@ func TestSweepsGolden(t *testing.T) {
 		section("-sweep", sw.Name)
 	}
 	section("-series")
-	want, err := os.ReadFile("testdata/sweeps.golden")
-	if err != nil {
-		t.Fatalf("read golden: %v", err)
-	}
-	if !bytes.Equal(got.Bytes(), want) {
+	if want := pinned(t, "testdata/sweeps.golden", got.Bytes()); !bytes.Equal(got.Bytes(), want) {
 		gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
 		for i := 0; i < len(gotLines) && i < len(wantLines); i++ {
 			if gotLines[i] != wantLines[i] {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,6 +10,26 @@ import (
 
 	"kdp/internal/trace"
 )
+
+// update is set by `make goldens`, which reruns the pinned-output tests
+// to rewrite what they compare against.
+var update = flag.Bool("update", false, "rewrite the pinned outputs under testdata/")
+
+// pinned returns the contents of the golden file at path — under -update
+// after writing got there, so the caller's comparison holds.
+func pinned(t *testing.T, path string, got []byte) []byte {
+	t.Helper()
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden: %v", err)
+	}
+	return want
+}
 
 func TestTraceSmoke(t *testing.T) {
 	var out bytes.Buffer
@@ -86,8 +107,9 @@ func TestStatsMode(t *testing.T) {
 // scenario across all four engine/mode sections — including the poll
 // and readiness-dispatch counters the event engines introduce. The
 // simulation is fully deterministic, so a diff here means a behavior
-// change in the modeled kernel, not flakiness. Regenerate (alongside
-// kdpbench's table goldens) when the cost model shifts:
+// change in the modeled kernel, not flakiness. `make goldens`
+// regenerates it (alongside kdpbench's table goldens) when the cost
+// model shifts; by hand:
 //
 //	go run ./cmd/kdptrace -server 4 -stats > cmd/kdptrace/testdata/server_stats.golden
 func TestServerStatsGolden(t *testing.T) {
@@ -98,11 +120,7 @@ func TestServerStatsGolden(t *testing.T) {
 	if err := run([]string{"-server", "4", "-stats"}, &out); err != nil {
 		t.Fatalf("run -server 4 -stats: %v", err)
 	}
-	want, err := os.ReadFile("testdata/server_stats.golden")
-	if err != nil {
-		t.Fatalf("read golden: %v", err)
-	}
-	if out.String() != string(want) {
+	if want := pinned(t, "testdata/server_stats.golden", out.Bytes()); out.String() != string(want) {
 		t.Errorf("server stats differ from golden:\ngot:\n%s\nwant:\n%s", out.String(), want)
 	}
 	// The sections must pin the event-path counters, not just run.
@@ -117,7 +135,8 @@ func TestServerStatsGolden(t *testing.T) {
 // including the vm: line (faults, pageins, pageouts, COWs) the VM
 // subsystem introduces. The simulation is fully deterministic, so a
 // diff here means a behavior change in the modeled kernel, not
-// flakiness. Regenerate when the cost model shifts:
+// flakiness. `make goldens` regenerates it when the cost model shifts;
+// by hand:
 //
 //	go run ./cmd/kdptrace -disk RAM -kb 64 -mcp -stats > cmd/kdptrace/testdata/vm_stats.golden
 func TestVMStatsGolden(t *testing.T) {
@@ -125,11 +144,7 @@ func TestVMStatsGolden(t *testing.T) {
 	if err := run([]string{"-disk", "RAM", "-kb", "64", "-mcp", "-stats"}, &out); err != nil {
 		t.Fatalf("run -mcp -stats: %v", err)
 	}
-	want, err := os.ReadFile("testdata/vm_stats.golden")
-	if err != nil {
-		t.Fatalf("read golden: %v", err)
-	}
-	if out.String() != string(want) {
+	if want := pinned(t, "testdata/vm_stats.golden", out.Bytes()); out.String() != string(want) {
 		t.Errorf("vm stats differ from golden:\ngot:\n%s\nwant:\n%s", out.String(), want)
 	}
 	// The snapshot must pin the VM counters, not just run.
