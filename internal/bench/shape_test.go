@@ -114,10 +114,11 @@ func TestShapeVMSweep(t *testing.T) {
 		t.Errorf("RAM scp CPU busy %v not below mcp %v", scp.busy, mcp.busy)
 	}
 	// The faults are the priced mechanism: 8MB through a 256-frame
-	// pool must fault at least once per page of each file and page out
-	// the whole destination.
-	if mcp.faults < 2048 || mcp.pageins < 2048 || mcp.pageouts < 1024 {
-		t.Errorf("mcp VM activity too low: faults=%d pageins=%d pageouts=%d",
+	// pool must fault at least once per page of each file, read the
+	// source in — exactly that: an allocating write fault on the
+	// destination reads nothing — and page out the whole destination.
+	if mcp.faults < 2048 || mcp.pageins != 1024 || mcp.pageouts < 1024 {
+		t.Errorf("mcp VM activity wrong: faults=%d pageins=%d pageouts=%d",
 			mcp.faults, mcp.pageins, mcp.pageouts)
 	}
 	if cp.faults != 0 || scp.faults != 0 {

@@ -79,36 +79,35 @@ func (fl *File) MapSetSize(ctx kernel.Ctx, n int64) {
 // PageIn fills dst (one page, equal to the filesystem block size) with
 // the contents of logical block idx, returning the physical block the
 // page now aliases. Holes and pages past EOF read as zeros with no
-// block (0) — unless alloc is set, in which case the block is
-// allocated zero-filled first, exactly as the write path would: a
-// write fault on a shared mapping must have a block to page out to.
-func (fl *File) PageIn(ctx kernel.Ctx, idx int64, dst []byte, alloc bool) (int64, error) {
+// block (0) — unless alloc is set: a write fault on a shared mapping
+// must have a block to page out to, and gets one from the
+// non-zero-filling bmap a splice destination uses (§5.2). Such a block
+// is fresh: nothing was read, nothing entered the buffer cache, dst is
+// untouched, and the platter still holds the previous owner's bytes —
+// the caller's page is the block's only copy until it is paged out.
+func (fl *File) PageIn(ctx kernel.Ctx, idx int64, dst []byte, alloc bool) (blk int64, fresh bool, err error) {
 	ip := fl.ip
 	ip.lock(ctx)
 	defer ip.unlock()
 	pblk, err := ip.bmap(ctx, idx, false, false)
 	if err != nil {
-		return 0, err
+		return 0, false, err
 	}
 	if pblk == 0 {
-		if !alloc {
-			for i := range dst {
-				dst[i] = 0
-			}
-			return 0, nil
+		if alloc {
+			pblk, err = ip.bmap(ctx, idx, true, false)
+			return int64(pblk), err == nil, err
 		}
-		pblk, err = ip.bmap(ctx, idx, true, true)
-		if err != nil {
-			return 0, err
-		}
+		clear(dst)
+		return 0, false, nil
 	}
 	b, err := fl.fs.cache.Bread(ctx, fl.fs.dev, int64(pblk))
 	if err != nil {
-		return 0, err
+		return 0, false, err
 	}
 	copy(dst, b.Data)
 	fl.fs.cache.Brelse(ctx, b)
-	return int64(pblk), nil
+	return int64(pblk), false, nil
 }
 
 // PageOut writes a dirty mapped page back into the buffer cache as a

@@ -106,7 +106,7 @@ func TestMapRefKeepsInodeAcrossClose(t *testing.T) {
 		}
 		// The mapping reference keeps the backing usable after close.
 		got := make([]byte, testBlockSize)
-		if blk, err := fl.PageIn(ctx, 0, got, false); err != nil || blk == 0 {
+		if blk, _, err := fl.PageIn(ctx, 0, got, false); err != nil || blk == 0 {
 			t.Fatalf("pagein after close: blk=%d err=%v", blk, err)
 		}
 		if !bytes.Equal(got, data[:testBlockSize]) {
@@ -128,7 +128,7 @@ func TestPageInHoleAndAlloc(t *testing.T) {
 			t.Fatalf("write: %v", err)
 		}
 		page := pattern(testBlockSize, 13) // stale contents must be overwritten
-		blk, err := fl.PageIn(ctx, 1, page, false)
+		blk, _, err := fl.PageIn(ctx, 1, page, false)
 		if err != nil || blk != 0 {
 			t.Fatalf("pagein hole: blk=%d err=%v", blk, err)
 		}
@@ -137,15 +137,25 @@ func TestPageInHoleAndAlloc(t *testing.T) {
 				t.Fatalf("hole page[%d] = %d, want 0", i, b)
 			}
 		}
-		// alloc=true gives the hole a zero-filled block (write-fault path).
-		blk, err = fl.PageIn(ctx, 1, page, true)
-		if err != nil || blk == 0 {
-			t.Fatalf("pagein alloc: blk=%d err=%v", blk, err)
+		// alloc=true gives the hole a block as splice's bmap would: fresh,
+		// dst untouched, and no buffer — least of all a delayed write —
+		// enters the cache for it.
+		copy(page, pattern(testBlockSize, 13))
+		blk, fresh, err := fl.PageIn(ctx, 1, page, true)
+		if err != nil || blk == 0 || !fresh {
+			t.Fatalf("pagein alloc: blk=%d fresh=%v err=%v", blk, fresh, err)
 		}
-		// A second pagein sees the same block, no new allocation.
-		blk2, err := fl.PageIn(ctx, 1, page, false)
-		if err != nil || blk2 != blk {
-			t.Fatalf("pagein again: blk=%d want %d err=%v", blk2, blk, err)
+		if !bytes.Equal(page, pattern(testBlockSize, 13)) {
+			t.Error("pagein alloc touched dst")
+		}
+		if r.c.Peek(r.d, blk) != nil {
+			t.Error("pagein alloc left a buffer for the fresh block in the cache")
+		}
+		// A second pagein sees the same block, no new allocation, and
+		// reads it: it is an ordinary block from here on.
+		blk2, fresh, err := fl.PageIn(ctx, 1, page, false)
+		if err != nil || blk2 != blk || fresh {
+			t.Fatalf("pagein again: blk=%d want %d fresh=%v err=%v", blk2, blk, fresh, err)
 		}
 		_ = fl.Close(ctx)
 	})
@@ -166,7 +176,7 @@ func TestPageOutFlushRoundTrip(t *testing.T) {
 		if sz, _ := fl.MapSize(ctx); sz != testBlockSize {
 			t.Fatalf("MapSetSize shrank to %d", sz)
 		}
-		blk, err := fl.PageIn(ctx, 0, make([]byte, testBlockSize), true)
+		blk, _, err := fl.PageIn(ctx, 0, make([]byte, testBlockSize), true)
 		if err != nil || blk == 0 {
 			t.Fatalf("pagein alloc: blk=%d err=%v", blk, err)
 		}

@@ -1,5 +1,22 @@
 package vm
 
+import "kdp/internal/kernel"
+
+// WriteFault takes the fault a store to addr would take and stops short
+// of the store — a state no schedule reaches (the fault's charges are
+// kernel-mode, not preemptible) but the born-dirty rule is written for.
+func (v *Pool) WriteFault(p *kernel.Proc, addr int64) error {
+	m := v.findMapping(p.Pid(), addr, 1)
+	if m == nil {
+		return kernel.ErrInval
+	}
+	pg, err := v.touch(p, m, m.pgoff+(addr-m.addr)/int64(v.pageSize), true)
+	if err == nil {
+		v.unwire(pg)
+	}
+	return err
+}
+
 // Damage corrupts the pool's structures for invariant self-tests — this
 // package's, and machine_test.go's proof that machine.CheckInvariants
 // reaches the pool (an external test package sees this file). The

@@ -35,16 +35,16 @@ func (f *memFile) Write(kernel.Ctx, []byte, int64) (int, error) {
 	return 0, kernel.ErrOpNotSupp
 }
 
-func (f *memFile) PageIn(_ kernel.Ctx, idx int64, dst []byte, _ bool) (int64, error) {
+func (f *memFile) PageIn(_ kernel.Ctx, idx int64, dst []byte, _ bool) (int64, bool, error) {
 	if f.failNext {
 		f.failNext = false
 		for i := range dst[:len(dst)/2] {
 			dst[i] = 0xEE
 		}
-		return 0, errPageIn
+		return 0, false, errPageIn
 	}
 	copy(dst, f.pages[idx])
-	return idx + 1, nil
+	return idx + 1, false, nil
 }
 
 func (f *memFile) PageOut(_ kernel.Ctx, blk int64, src []byte) error {

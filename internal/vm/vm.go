@@ -52,9 +52,11 @@ type Backing interface {
 	// MapSetSize extends the file size (never shrinks it).
 	MapSetSize(ctx kernel.Ctx, n int64)
 	// PageIn fills dst with page idx, returning the physical block it
-	// aliases (0 for a hole/past-EOF zero page). With alloc set, holes
-	// are allocated zero-filled first (write faults need a block).
-	PageIn(ctx kernel.Ctx, idx int64, dst []byte, alloc bool) (int64, error)
+	// aliases (0 for a hole/past-EOF zero page). With alloc set a hole
+	// is given a block (write faults need one) and reported fresh: no
+	// block was read, dst is untouched, and the caller's page is the
+	// only copy of the block's contents until PageOut has written it.
+	PageIn(ctx kernel.Ctx, idx int64, dst []byte, alloc bool) (blk int64, fresh bool, err error)
 	// PageOut writes a page back into the cache as a delayed write on
 	// its aliased block.
 	PageOut(ctx kernel.Ctx, blk int64, src []byte) error
@@ -648,7 +650,9 @@ func (v *Pool) unwire(pg *page) {
 
 // residentPage returns object page idx resident and wired, paging it
 // in if needed. A page already mid-pagein by another process is waited
-// on rather than read twice.
+// on rather than read twice. With alloc set (a store through a shared
+// mapping) the page comes back with a block, a hole read in earlier
+// included.
 func (v *Pool) residentPage(p *kernel.Proc, obj *object, idx int64, alloc bool) (*page, error) {
 	ctx := p.Ctx()
 	for {
@@ -658,6 +662,13 @@ func (v *Pool) residentPage(p *kernel.Proc, obj *object, idx int64, alloc bool) 
 		}
 		if !pg.busy {
 			pg.wired++
+			if alloc && pg.blk == 0 {
+				if err := v.pageIn(p, pg, true); err != nil {
+					clear(pg.data) // other mappings still see the hole
+					v.unwire(pg)
+					return nil, err
+				}
+			}
 			return pg, nil
 		}
 		_ = ctx.Sleep(pg, kernel.PSWP+1)
@@ -667,22 +678,38 @@ func (v *Pool) residentPage(p *kernel.Proc, obj *object, idx int64, alloc bool) 
 		return nil, err
 	}
 	pg.obj, pg.idx = obj, idx
-	pg.busy = true
 	obj.pages[idx] = pg
-	blk, err := obj.backing.PageIn(ctx, idx, pg.data, alloc)
-	pg.busy = false
-	v.k.Wakeup(pg)
-	if err != nil {
+	if err := v.pageIn(p, pg, alloc); err != nil {
 		delete(obj.pages, idx)
 		v.unwire(pg)
 		v.freePage(pg) // never filled: the next fault overwrites it whole
 		return nil, err
 	}
-	pg.blk = blk
-	if blk != 0 {
-		v.k.TraceEmit(trace.KindVMPagein, p.Pid(), idx, blk, obj.dev)
-	}
 	return pg, nil
+}
+
+// pageIn fills pg from its object's backing store. A fresh block (an
+// allocating write fault on a hole) has no contents to read: the frame
+// is zero-filled here and the page is dirty from birth, because the
+// platter holds the block's previous owner's bytes until the page has
+// been paged out whole — no path that skips or drops a clean page may
+// take it before then.
+func (v *Pool) pageIn(p *kernel.Proc, pg *page, alloc bool) error {
+	pg.busy = true
+	blk, fresh, err := pg.obj.backing.PageIn(p.Ctx(), pg.idx, pg.data, alloc)
+	pg.busy = false
+	v.k.Wakeup(pg)
+	if err != nil {
+		return err
+	}
+	pg.blk = blk
+	if fresh {
+		clear(pg.data)
+		pg.dirty = true
+	} else if blk != 0 {
+		v.k.TraceEmit(trace.KindVMPagein, p.Pid(), pg.idx, blk, pg.obj.dev)
+	}
+	return nil
 }
 
 // ---- page pool / clock replacement ----
