@@ -115,11 +115,11 @@ func TestSweepDocs(t *testing.T) {
 }
 
 // TestExperimentsQuoteGoldens holds EXPERIMENTS.md's two headline tables
-// to the goldens: in the "## Table 1" and "## Table 2" sections, the bold
-// ("measured") cells of each disk's row must be that disk's golden row —
-// thousands separators apart, and Table 1's improvement cell reading
-// "factor (percent)" — so a golden that moves cannot leave a stale
-// number in the prose.
+// and Ablation I to the goldens: in the "## Table 1" and "## Table 2"
+// sections, the bold ("measured") cells of each disk's row must be that
+// disk's golden row — thousands separators apart, and Table 1's
+// improvement cell reading "factor (percent)" — so a golden that moves
+// cannot leave a stale number in the prose.
 func TestExperimentsQuoteGoldens(t *testing.T) {
 	text, err := os.ReadFile("../../EXPERIMENTS.md")
 	if err != nil {
@@ -162,6 +162,34 @@ func TestExperimentsQuoteGoldens(t *testing.T) {
 		if rows != 3 {
 			t.Errorf("%s: %d disk rows, want 3", tc.golden, rows)
 		}
+	}
+
+	// Ablation I quotes its whole table: the rows of the "## Ablation I"
+	// section, cell for cell, are the `-sweep vm` block of sweeps.golden.
+	_, section, ok := strings.Cut(string(text), "\n## Ablation I ")
+	if !ok {
+		t.Fatal("EXPERIMENTS.md has no Ablation I section")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	sweeps, err := os.ReadFile("testdata/sweeps.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, block, _ := strings.Cut(string(sweeps), "== kdpbench -sweep vm ==\n")
+	block, _, _ = strings.Cut(block, "\n== ")
+	var got, want [][]string
+	for _, line := range strings.Split(block, "\n")[2:] { // title, header, then the rows
+		if f := strings.Fields(line); len(f) > 0 {
+			want = append(want, f)
+		}
+	}
+	for _, docLine := range strings.Split(section, "\n") {
+		if f := strings.Fields(strings.ReplaceAll(docLine, "|", " ")); len(f) == 7 && slices.Contains([]string{"cp", "mcp", "scp"}, f[1]) {
+			got = append(got, f)
+		}
+	}
+	if len(want) != 9 || !slices.EqualFunc(got, want, slices.Equal[[]string]) {
+		t.Errorf("EXPERIMENTS.md Ablation I table:\n%v\nsweeps.golden's -sweep vm block (want 9 rows):\n%v", got, want)
 	}
 }
 

@@ -717,8 +717,8 @@ func (v *Pool) pageIn(p *kernel.Proc, pg *page, alloc bool) error {
 // allocPage takes a free frame, running the clock algorithm first when
 // the pool is full. The new page is born wired (the caller is about to
 // fill it) with its reference bit set; its memory holds whatever the
-// frame's last page left, which every caller overwrites whole (PageIn,
-// the copy-on-write copy).
+// frame's last page left, which every caller overwrites whole (PageIn
+// or pageIn's zero fill under a fresh block, the copy-on-write copy).
 func (v *Pool) allocPage(ctx kernel.Ctx) (*page, error) {
 	if v.resident >= v.nframes {
 		if err := v.reclaimFrame(ctx); err != nil {
