@@ -77,18 +77,26 @@ const (
 
 var stored = pattern(100, 17)
 
-// mapFresh creates /v/new, maps it shared-writable over four pages of
-// holes and stores 100 bytes in the middle of pages 0 and 2.
-func mapFresh(t *testing.T, p *kernel.Proc) (fd int, addr int64) {
+// mapNew creates /v/new and maps it shared-writable over npages pages,
+// all of them holes.
+func mapNew(t *testing.T, p *kernel.Proc, npages int64) (fd int, addr int64) {
 	t.Helper()
 	fd, err := p.Open("/v/new", kernel.OCreat|kernel.ORdWr)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	addr, err = p.Mmap(fd, 0, freshPages*bsize, kernel.ProtRead|kernel.ProtWrite, kernel.MapShared)
+	addr, err = p.Mmap(fd, 0, npages*bsize, kernel.ProtRead|kernel.ProtWrite, kernel.MapShared)
 	if err != nil {
 		t.Fatalf("mmap: %v", err)
 	}
+	return fd, addr
+}
+
+// mapFresh maps four pages of holes and stores 100 bytes in the middle
+// of pages 0 and 2.
+func mapFresh(t *testing.T, p *kernel.Proc) (fd int, addr int64) {
+	t.Helper()
+	fd, addr = mapNew(t, p, freshPages)
 	for _, pg := range []int64{0, 2} {
 		if err := p.MemWrite(addr+pg*bsize+storeOff, stored); err != nil {
 			t.Fatalf("store to page %d: %v", pg, err)
@@ -97,18 +105,15 @@ func mapFresh(t *testing.T, p *kernel.Proc) (fd int, addr int64) {
 	return fd, addr
 }
 
-// wantFresh is what the file must hold from then on: the stored bytes
-// and nothing else.
-func wantFresh() []byte {
-	want := make([]byte, freshPages*bsize)
-	copy(want[storeOff:], stored)
-	copy(want[2*bsize+storeOff:], stored)
-	return want
-}
-
-func checkFresh(t *testing.T, how string, got []byte) {
+// checkFile holds got to npages pages of zeros but for the stored bytes
+// in the middle of the pages named: what /v/new must hold, and nothing
+// of what its blocks held before.
+func checkFile(t *testing.T, how string, got []byte, npages int, pages ...int) {
 	t.Helper()
-	want := wantFresh()
+	want := make([]byte, npages*bsize)
+	for _, pg := range pages {
+		copy(want[pg*bsize+storeOff:], stored)
+	}
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d bytes, want %d", how, len(got), len(want))
 	}
@@ -137,7 +142,7 @@ func TestFreshBlockNeverDurableStale(t *testing.T) {
 		if _, err := m.Recover(p, 0); err != nil {
 			t.Fatalf("recover: %v", err)
 		}
-		checkFresh(t, "read after msync, power cut and recovery", readFile(t, p, "/v/new"))
+		checkFile(t, "read after msync, power cut and recovery", readFile(t, p, "/v/new"), freshPages, 0, 2)
 	})
 }
 
@@ -152,7 +157,7 @@ func TestFreshBlockEvictedAndRefaulted(t *testing.T) {
 				t.Fatalf("load page %d: %v", pg, err)
 			}
 		}
-		checkFresh(t, "loads after eviction", got)
+		checkFile(t, "loads after eviction", got, freshPages, 0, 2)
 	})
 	if n := m.K.Tracer().Metrics().VMPageouts; n != 2 {
 		t.Errorf("pageouts = %d, want 2 (pages 0 and 2 evicted dirty)", n)
@@ -165,7 +170,7 @@ func TestFreshBlockUnmappedWithoutMsync(t *testing.T) {
 		if err := p.Munmap(addr); err != nil {
 			t.Fatalf("munmap: %v", err)
 		}
-		checkFresh(t, "read after munmap", readFile(t, p, "/v/new"))
+		checkFile(t, "read after munmap", readFile(t, p, "/v/new"), freshPages, 0, 2)
 	})
 }
 
@@ -180,14 +185,7 @@ func TestFreshBlockUnmappedWithoutMsync(t *testing.T) {
 func TestFreshPageBornDirty(t *testing.T) {
 	var faulted, synced int // wait channels
 	m := staleVolume(t, 8, func(m *machine.Machine, p *kernel.Proc) {
-		fd, err := p.Open("/v/new", kernel.OCreat|kernel.ORdWr)
-		if err != nil {
-			t.Fatalf("open: %v", err)
-		}
-		addr, err := p.Mmap(fd, 0, bsize, kernel.ProtRead|kernel.ProtWrite, kernel.MapShared)
-		if err != nil {
-			t.Fatalf("mmap: %v", err)
-		}
+		_, addr := mapNew(t, p, 1)
 		m.K.Spawn("syncer", func(q *kernel.Proc) {
 			_ = q.Sleep(&faulted, kernel.PSLEP)
 			qfd, err := q.Open("/v/new", kernel.ORdWr)
@@ -200,10 +198,7 @@ func TestFreshPageBornDirty(t *testing.T) {
 			if n := m.K.Tracer().Metrics().VMPageouts; n != 1 {
 				t.Errorf("fsync between the fault and the store paged out %d pages, want 1", n)
 			}
-			got := readFile(t, q, "/v/new")
-			if !bytes.Equal(got, make([]byte, bsize)) {
-				t.Errorf("read() after that fsync: byte 0 = %#x, want a block of zeros", got[0])
-			}
+			checkFile(t, "read() after that fsync", readFile(t, q, "/v/new"), 1)
 			m.K.Wakeup(&synced)
 		})
 		p.Yield() // the syncer runs up to its sleep
@@ -218,11 +213,7 @@ func TestFreshPageBornDirty(t *testing.T) {
 		if err := p.Munmap(addr); err != nil {
 			t.Fatalf("munmap: %v", err)
 		}
-		want := make([]byte, bsize)
-		copy(want[storeOff:], stored)
-		if !bytes.Equal(readFile(t, p, "/v/new"), want) {
-			t.Error("file after the store and munmap: not the stored bytes in a block of zeros")
-		}
+		checkFile(t, "read after the store and munmap", readFile(t, p, "/v/new"), 1, 0)
 	})
 	if n := m.K.Tracer().Metrics().VMPageouts; n != 2 {
 		t.Errorf("pageouts = %d, want 2 (the zero page under fsync, the store at munmap)", n)
@@ -235,14 +226,7 @@ func TestFreshPageBornDirty(t *testing.T) {
 // go.
 func TestStoreToResidentHoleGetsABlock(t *testing.T) {
 	staleVolume(t, 8, func(m *machine.Machine, p *kernel.Proc) {
-		fd, err := p.Open("/v/new", kernel.OCreat|kernel.ORdWr)
-		if err != nil {
-			t.Fatalf("open: %v", err)
-		}
-		addr, err := p.Mmap(fd, 0, bsize, kernel.ProtRead|kernel.ProtWrite, kernel.MapShared)
-		if err != nil {
-			t.Fatalf("mmap: %v", err)
-		}
+		_, addr := mapNew(t, p, 1)
 		if err := p.MemRead(addr, make([]byte, 8)); err != nil {
 			t.Fatalf("load: %v", err)
 		}
@@ -255,30 +239,25 @@ func TestStoreToResidentHoleGetsABlock(t *testing.T) {
 		if err := p.Munmap(addr); err != nil {
 			t.Fatalf("munmap: %v", err)
 		}
-		want := make([]byte, bsize)
-		copy(want[storeOff:], stored)
-		if !bytes.Equal(readFile(t, p, "/v/new"), want) {
-			t.Error("store into a hole that was loaded first did not reach the file")
-		}
+		checkFile(t, "read after a store into a hole that was loaded first", readFile(t, p, "/v/new"), 1, 0)
 	})
 }
 
-// blockWrites records, per device, how many times each block was
-// written, and every vm.pageout's block.
+// blockWrites records, for one device, how many times each block was
+// written and every vm.pageout's block.
 type blockWrites struct {
-	writes   map[string]map[int64]int
-	pageouts map[string][]int64
+	dev      string
+	writes   map[int64]int
+	pageouts []int64
 }
 
 func (w *blockWrites) Emit(ev trace.Event) {
-	switch ev.Kind {
-	case trace.KindDiskWrite:
-		if w.writes[ev.Name] == nil {
-			w.writes[ev.Name] = map[int64]int{}
-		}
-		w.writes[ev.Name][ev.Arg1]++
-	case trace.KindVMPageout:
-		w.pageouts[ev.Name] = append(w.pageouts[ev.Name], ev.Arg2)
+	switch {
+	case ev.Name != w.dev:
+	case ev.Kind == trace.KindDiskWrite:
+		w.writes[ev.Arg1]++
+	case ev.Kind == trace.KindVMPageout:
+		w.pageouts = append(w.pageouts, ev.Arg2)
 	}
 }
 
@@ -296,7 +275,7 @@ func TestMappedCopyWritesEachBlockOnce(t *testing.T) {
 		spec.Disks = append(spec.Disks, machine.DiskSpec{Mount: d.mount, Params: dp, Inodes: 16})
 	}
 	m := machine.New(spec)
-	rec := &blockWrites{writes: map[string]map[int64]int{}, pageouts: map[string][]int64{}}
+	rec := &blockWrites{dev: "ram-b", writes: map[int64]int{}}
 	tr := m.K.StartTrace(rec)
 	m.K.Spawn("mcp", func(p *kernel.Proc) {
 		if err := m.Boot(p); err != nil {
@@ -320,11 +299,11 @@ func TestMappedCopyWritesEachBlockOnce(t *testing.T) {
 		t.Errorf("faults=%d pageins=%d pageouts=%d, want %d, %d, %d",
 			tm.VMFaults, tm.VMPageins, tm.VMPageouts, 2*npages, npages, npages)
 	}
-	if n := len(rec.pageouts["ram-b"]); n != npages {
+	if n := len(rec.pageouts); n != npages {
 		t.Fatalf("%d pageouts to the destination, want %d", n, npages)
 	}
-	for _, blk := range rec.pageouts["ram-b"] {
-		if n := rec.writes["ram-b"][blk]; n != 1 {
+	for _, blk := range rec.pageouts {
+		if n := rec.writes[blk]; n != 1 {
 			t.Errorf("destination block %d written %d times, want once", blk, n)
 		}
 	}
@@ -335,14 +314,7 @@ func TestMappedCopyWritesEachBlockOnce(t *testing.T) {
 // gets no buffer until it is paged out.
 func TestWriteFaultCreatesNoDelayedWrite(t *testing.T) {
 	staleVolume(t, 8, func(m *machine.Machine, p *kernel.Proc) {
-		fd, err := p.Open("/v/new", kernel.OCreat|kernel.ORdWr)
-		if err != nil {
-			t.Fatalf("open: %v", err)
-		}
-		addr, err := p.Mmap(fd, 0, bsize, kernel.ProtRead|kernel.ProtWrite, kernel.MapShared)
-		if err != nil {
-			t.Fatalf("mmap: %v", err)
-		}
+		_, addr := mapNew(t, p, 1)
 		before := m.Cache.Stats()
 		if err := p.MemWrite(addr+storeOff, stored); err != nil {
 			t.Fatalf("store: %v", err)
