@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt race check bench tables goldens cover linkcheck loc ci
+.PHONY: build test vet fmt race check bench tables goldens pins cover linkcheck loc ci
 
 build:
 	$(GO) build ./...
@@ -53,6 +53,52 @@ tables:
 # is the behaviour change; the commit that carries it says why, per file.
 goldens:
 	$(GO) test ./cmd/kdpbench ./cmd/kdptrace ./internal/simcheck -run 'Golden$$' -update
+
+# Prints one `sha256  command` line per pinned invocation — the CLIs
+# and examples are built once into $(PIN_DIR) and each command's stdout
+# is hashed (a nonzero exit is appended). `make pins > a` on two
+# commits, then `diff a b`, is the "byte-identical except ..." check.
+PIN_DIR = $(or $(TMPDIR),/tmp)/kdp-pins
+define PIN_CMDS
+kdpbench
+kdpbench -sweep quantum
+kdpbench -sweep watermark
+kdpbench -sweep sharing
+kdpbench -sweep filesize
+kdpbench -sweep socket
+kdpbench -sweep rate
+kdpbench -sweep layout
+kdpbench -sweep server
+kdpbench -sweep cache
+kdpbench -sweep vm
+kdpbench -sweep batch
+kdpbench -series
+kdpcheck -seeds 300
+kdpcheck -seeds 40 -ops 200 -workers 3
+kdpcheck -crash -seeds 100
+kdpcheck -faults -seeds 8 -ops 40
+kdptrace
+kdptrace -disk RAM -n -1
+kdptrace -server 4 -stats
+kdptrace -mcp -stats
+scp
+kdpfsck
+cpubound
+fileserver
+movieplayer
+netrelay
+quickstart
+streamserver
+endef
+export PIN_CMDS
+pins:
+	@mkdir -p $(PIN_DIR)
+	@$(GO) build -o $(PIN_DIR)/ ./cmd/... ./examples/...
+	@echo "$$PIN_CMDS" | while read -r cmd; do \
+		$(PIN_DIR)/$$cmd > $(PIN_DIR)/stdout 2> /dev/null; rc=$$?; \
+		sum=$$(sha256sum < $(PIN_DIR)/stdout | cut -c1-64); \
+		if [ $$rc -eq 0 ]; then echo "$$sum  $$cmd"; else echo "$$sum  $$cmd  (exit $$rc)"; fi; \
+	done
 
 # Coverage gate: the paper's own package, the endpoints it splices
 # (§5.1: devices and sockets) and the packages at the core of the
