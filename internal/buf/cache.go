@@ -43,9 +43,10 @@ type Cache struct {
 	werrN map[Device]int64
 
 	// Readahead budget: at most raMax asynchronous readahead fetches
-	// may be in flight at once, so a deep window cannot monopolize the
-	// pool and starve demand fetches. raPending counts in-flight
-	// readahead reads (issued, biodone not yet run).
+	// may be in flight at once — an eighth of the pool, at least two —
+	// so a deep window cannot monopolize the pool and starve demand
+	// fetches. raPending counts in-flight readahead reads (issued,
+	// biodone not yet run).
 	raMax     int
 	raPending int
 
@@ -82,7 +83,7 @@ func NewCache(k *kernel.Kernel, nbuf, blockSize int) *Cache {
 		werrs:     make(map[Device]error),
 		werrN:     make(map[Device]int64),
 		nbuf:      nbuf,
-		raMax:     defaultRaBudget(nbuf),
+		raMax:     max(nbuf/8, 2),
 	}
 	for i := range c.pool {
 		b := &c.pool[i]
@@ -120,33 +121,6 @@ func (c *Cache) NumBuffers() int { return c.nbuf }
 
 // FreeBuffers returns how many buffers are on the free list.
 func (c *Cache) FreeBuffers() int { return c.nfree }
-
-// defaultRaBudget derives the readahead budget from the pool size: an
-// eighth of the buffers (at least two) may be speculative at once.
-func defaultRaBudget(nbuf int) int {
-	n := nbuf / 8
-	if n < 2 {
-		n = 2
-	}
-	return n
-}
-
-// SetReadaheadBudget caps how many asynchronous readahead fetches may
-// be in flight at once. n <= 0 disables readahead issue entirely;
-// values above the pool size are clamped so demand fetches can always
-// find a buffer.
-func (c *Cache) SetReadaheadBudget(n int) {
-	if n < 0 {
-		n = 0
-	}
-	if n > c.nbuf/2 {
-		n = c.nbuf / 2
-	}
-	c.raMax = n
-}
-
-// ReadaheadBudget returns the in-flight readahead cap.
-func (c *Cache) ReadaheadBudget() int { return c.raMax }
 
 // ReadaheadPending returns how many readahead fetches are in flight.
 func (c *Cache) ReadaheadPending() int { return c.raPending }
@@ -439,8 +413,8 @@ func (c *Cache) Bread(ctx kernel.Ctx, dev Device, blkno int64) (*Buf, error) {
 // biodone, staying cached until a demand lookup consumes it. It never
 // sleeps. The return value reports whether the block is covered — true
 // when it is already cached or an async read was started, false when
-// the cache is out of readahead resources (budget exhausted, readahead
-// disabled, or no buffer reclaimable without sleeping); callers
+// the cache is out of readahead resources (budget exhausted, or no
+// buffer reclaimable without sleeping); callers
 // extending a window should stop at the first false.
 func (c *Cache) StartReadahead(ctx kernel.Ctx, dev Device, blkno int64) bool {
 	if dev == nil || blkno < 0 || blkno >= dev.DevBlocks() {
@@ -449,7 +423,7 @@ func (c *Cache) StartReadahead(ctx kernel.Ctx, dev Device, blkno int64) bool {
 	if c.Peek(dev, blkno) != nil {
 		return true
 	}
-	if c.raMax <= 0 || c.raPending >= c.raMax {
+	if c.raPending >= c.raMax {
 		return false
 	}
 	b, err := c.getblk(ctx, dev, blkno, false, true)

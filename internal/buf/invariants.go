@@ -113,7 +113,7 @@ func (c *Cache) CheckInvariants() error {
 	if inflightRA != c.raPending {
 		return kernel.Violation("buf-ra-pending", "raPending=%d but %d in-flight readahead buffers", c.raPending, inflightRA)
 	}
-	if c.raPending < 0 || (c.raMax > 0 && c.raPending > c.raMax) {
+	if c.raPending < 0 || c.raPending > c.raMax {
 		return kernel.Violation("buf-ra-budget", "raPending=%d outside [0, %d]", c.raPending, c.raMax)
 	}
 	return nil

@@ -19,30 +19,14 @@ func findEvents(col *trace.Collector, kind trace.Kind) []trace.Event {
 	return out
 }
 
-func TestSetReadaheadBudgetClamps(t *testing.T) {
-	f := newFixture(16)
-	f.c.SetReadaheadBudget(-5)
-	if got := f.c.ReadaheadBudget(); got != 0 {
-		t.Errorf("negative budget clamped to %d, want 0", got)
-	}
-	f.c.SetReadaheadBudget(1000)
-	if got := f.c.ReadaheadBudget(); got != 8 {
-		t.Errorf("huge budget clamped to %d, want nbuf/2 = 8", got)
-	}
-	f.c.SetReadaheadBudget(3)
-	if got := f.c.ReadaheadBudget(); got != 3 {
-		t.Errorf("in-range budget = %d, want 3", got)
-	}
-}
-
 // TestReadaheadBudgetExhaustion covers the window-larger-than-budget
-// case: issue stops (returns false) once raPending hits the cap, and
-// the in-flight count drains to zero when the device completes.
+// case: issue stops (returns false) once raPending hits the cap — two
+// for a 16-buffer pool — and the in-flight count drains to zero when
+// the device completes.
 func TestReadaheadBudgetExhaustion(t *testing.T) {
 	f := newFixture(16)
 	col := &trace.Collector{}
 	f.k.StartTrace(col)
-	f.c.SetReadaheadBudget(2)
 	f.runProc(t, func(p *kernel.Proc) {
 		ctx := p.Ctx()
 		if !f.c.StartReadahead(ctx, f.dev, 10) {
@@ -74,21 +58,6 @@ func TestReadaheadBudgetExhaustion(t *testing.T) {
 	}
 	if evs[0].Arg1 != 10 || evs[0].Arg2 != 1 || evs[1].Arg1 != 11 || evs[1].Arg2 != 2 {
 		t.Errorf("readahead events = %+v, want blks 10,11 with pending 1,2", evs)
-	}
-}
-
-// TestReadaheadDisabledRefuses: budget zero means StartReadahead never
-// issues (the fs layer relies on the first false to stop a window).
-func TestReadaheadDisabledRefuses(t *testing.T) {
-	f := newFixture(16)
-	f.c.SetReadaheadBudget(0)
-	f.runProc(t, func(p *kernel.Proc) {
-		if f.c.StartReadahead(p.Ctx(), f.dev, 5) {
-			t.Error("StartReadahead issued with readahead disabled")
-		}
-	})
-	if st := f.c.Stats(); st.RaIssued != 0 {
-		t.Errorf("RaIssued = %d, want 0", st.RaIssued)
 	}
 }
 

@@ -235,18 +235,16 @@ func TestSeekAfterScanCollapsesThenRegrows(t *testing.T) {
 	})
 }
 
-// TestWindowLargerThanBudget: a 32-block window against the default
-// budget (nbuf/8 = 8 in-flight) must never exceed the cap — issue
-// stops at the first refusal and the scan still completes correctly.
+// TestWindowLargerThanBudget: a 32-block window against the rig's
+// 64-buffer pool's budget (nbuf/8 = 8 in flight) must never exceed the
+// cap — issue stops at the first refusal and the scan still completes
+// correctly.
 func TestWindowLargerThanBudget(t *testing.T) {
 	r := newSlowRig(t, 512)
 	r.run(t, func(p *kernel.Proc, f *FS) {
 		ctx := p.Ctx()
 		f.SetReadahead(32)
-		budget := f.cache.ReadaheadBudget()
-		if budget >= 32 {
-			t.Fatalf("budget = %d, test wants window (32) > budget", budget)
-		}
+		const budget = 64 / 8
 		want := makeColdFile(t, p, f, "/big", 40)
 		fl, err := f.OpenFile(ctx, "/big", kernel.ORdOnly)
 		if err != nil {
