@@ -174,9 +174,6 @@ func run(args []string, out io.Writer) error {
 // pipeline, stream retransmits); without it, just the request totals.
 func runServer(clients int, stats bool, out io.Writer) error {
 	for _, path := range server.Paths {
-		if !path.Grid {
-			continue
-		}
 		col := &trace.Collector{}
 		cell, tr := bench.MeasureServer(clients, path.Engine, path.Mode, col)
 		fmt.Fprintf(out, "== %d clients, %s: %d request(s) ==\n",

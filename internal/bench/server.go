@@ -198,9 +198,6 @@ func sweepServer(b *strings.Builder, _ []DiskKind) {
 		"Clients", "Mode", "KB/s", "Avail", "p99(ms)", "Reqs")
 	for _, n := range []int{1, 2, 4, 8} {
 		for _, path := range server.Paths {
-			if !path.Grid {
-				continue
-			}
 			c, _ := MeasureServer(n, path.Engine, path.Mode, nil)
 			fmt.Fprintf(b, "%-8d %-6s %10.0f %9.1f%% %11.1f %9d\n",
 				c.Clients, path.Label,

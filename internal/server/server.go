@@ -32,11 +32,6 @@ const (
 	// ModeSplice serves with splice(file, conn): the data moves at
 	// interrupt level and never crosses the user boundary.
 	ModeSplice = workload.CopySplice
-	// ModeBatch serves with aggregated syscalls: the seek and a window
-	// of file reads cross the boundary in one Submit, and the blocks
-	// they return leave through one writev on the connection (see
-	// serveBatch).
-	ModeBatch = workload.CopyBatched
 )
 
 // Engine selects the server's process model.
@@ -61,24 +56,21 @@ type Path struct {
 	// Label names the pairing in sweeps and metrics: the data path's
 	// own name under EngineProcs, event/escp under the event loop.
 	Label string
-	// Grid marks the pairings of the server-scalability grid (copy vs
-	// splice on each engine), which kdpbench -sweep server and
-	// kdptrace -server range over.
-	Grid bool
 	// move answers one request under EngineProcs: file descriptor to
 	// connection descriptor, FileBytes bytes. The event loop drives its
 	// two paths from its own state machine instead (event.go).
 	move workload.Mover
 }
 
-// Paths is the one table of valid pairings. Start refuses a Config
-// whose (Engine, Mode) is not listed.
+// Paths is the one table of valid pairings — the server-scalability
+// grid (copy vs splice on each engine) that kdpbench -sweep server and
+// kdptrace -server range over. Start refuses a Config whose (Engine,
+// Mode) is not listed.
 var Paths = []Path{
-	{EngineProcs, ModeCopy, ModeCopy.String(), true, rewound(ModeCopy)},
-	{EngineProcs, ModeSplice, ModeSplice.String(), true, rewound(ModeSplice)},
-	{EngineEvent, ModeCopy, "event", true, nil},
-	{EngineEvent, ModeSplice, "escp", true, nil},
-	{EngineProcs, ModeBatch, ModeBatch.String(), false, serveBatch},
+	{EngineProcs, ModeCopy, ModeCopy.String(), rewound(ModeCopy)},
+	{EngineProcs, ModeSplice, ModeSplice.String(), rewound(ModeSplice)},
+	{EngineEvent, ModeCopy, "event", nil},
+	{EngineEvent, ModeSplice, "escp", nil},
 }
 
 // lookup returns the table entry for an engine/mode pair, or nil.
@@ -91,8 +83,8 @@ func lookup(e Engine, m Mode) *Path {
 	return nil
 }
 
-// ModeName returns the sweep label for an engine/mode pair: cp, scp,
-// bcp (process per connection) and event, escp (event loop); empty for
+// ModeName returns the sweep label for an engine/mode pair: cp, scp
+// (process per connection) and event, escp (event loop); empty for
 // a pair the server does not implement.
 func ModeName(e Engine, m Mode) string {
 	if path := lookup(e, m); path != nil {
@@ -217,48 +209,4 @@ func rewound(mode Mode) workload.Mover {
 		}
 		return move(p, src, cfd, size)
 	}
-}
-
-// serveBatch answers one request with aggregated syscalls: the rewind
-// lseek and a window of file reads cross the user/kernel boundary in a
-// single Submit, and the blocks they return leave through one writev
-// on the connection — 2 crossings per window where cp pays one per
-// block. Unlike workload's bcp the rewind rides in the first batch and
-// the data leaves by writev, so it is its own mover.
-func serveBatch(p *kernel.Proc, src, cfd int, size int64) (served int64, err error) {
-	const bsize = 8192
-	const vec = 4
-	bufs := make([][]byte, vec)
-	for i := range bufs {
-		bufs[i] = make([]byte, bsize)
-	}
-	rewind := true
-	for served < size {
-		ops := make([]kernel.BatchOp, 0, vec+1)
-		if rewind {
-			ops = append(ops, kernel.BatchOp{Code: kernel.BatchLseek, FD: src, Off: 0, Whence: kernel.SeekSet})
-			rewind = false
-		}
-		for i := 0; i < vec; i++ {
-			ops = append(ops, kernel.BatchOp{Code: kernel.BatchRead, FD: src, Buf: bufs[i]})
-		}
-		iovs := make([][]byte, 0, vec)
-		for i, r := range p.Submit(ops) {
-			if r.Err != nil {
-				return served, r.Err
-			}
-			if ops[i].Code == kernel.BatchRead && r.N > 0 {
-				iovs = append(iovs, ops[i].Buf[:r.N])
-			}
-		}
-		if len(iovs) == 0 {
-			break
-		}
-		w, err := p.Writev(cfd, iovs)
-		if err != nil {
-			return served, err
-		}
-		served += int64(w)
-	}
-	return served, nil
 }

@@ -12,6 +12,7 @@ import (
 	"kdp/internal/socket"
 	"kdp/internal/stream"
 	"kdp/internal/trace"
+	"kdp/internal/workload"
 )
 
 const (
@@ -176,7 +177,6 @@ func TestModeName(t *testing.T) {
 	}{
 		{EngineProcs, ModeCopy, "cp"},
 		{EngineProcs, ModeSplice, "scp"},
-		{EngineProcs, ModeBatch, "bcp"},
 		{EngineEvent, ModeCopy, "event"},
 		{EngineEvent, ModeSplice, "escp"},
 	} {
@@ -186,21 +186,20 @@ func TestModeName(t *testing.T) {
 	}
 }
 
-// TestStartRefusesUnimplementedPair: the event loop has no batched
-// path, and Start must say so rather than serve plain nonblocking
-// copies under the wrong label (ModeName has no label for the pair
-// either).
+// TestStartRefusesUnimplementedPair: the server has no batched path,
+// and Start must say so rather than serve plain nonblocking copies
+// under the wrong label (ModeName has no label for the pair either).
 func TestStartRefusesUnimplementedPair(t *testing.T) {
-	if name := ModeName(EngineEvent, ModeBatch); name != "" {
-		t.Errorf("ModeName(EngineEvent, ModeBatch) = %q, want none", name)
+	if name := ModeName(EngineEvent, workload.CopyBatched); name != "" {
+		t.Errorf("ModeName(EngineEvent, CopyBatched) = %q, want none", name)
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Start(EngineEvent, ModeBatch) did not panic")
+			t.Fatal("Start(EngineEvent, CopyBatched) did not panic")
 		}
 	}()
 	k := kernel.New(kernel.DefaultConfig())
-	Start(k, Config{Name: "fsrv", Engine: EngineEvent, Mode: ModeBatch})
+	Start(k, Config{Name: "fsrv", Engine: EngineEvent, Mode: workload.CopyBatched})
 }
 
 // TestComplPortFileOps pins the completion port's file contract: it
