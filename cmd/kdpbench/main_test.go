@@ -115,7 +115,7 @@ func TestSweepDocs(t *testing.T) {
 }
 
 // TestExperimentsQuoteGoldens holds EXPERIMENTS.md's two headline tables
-// and Ablation I to the goldens: in the "## Table 1" and "## Table 2"
+// and Ablations A and I to the goldens: in the "## Table 1" and "## Table 2"
 // sections, the bold ("measured") cells of each disk's row must be that
 // disk's golden row — thousands separators apart, and Table 1's
 // improvement cell reading "factor (percent)" — so a golden that moves
@@ -164,32 +164,43 @@ func TestExperimentsQuoteGoldens(t *testing.T) {
 		}
 	}
 
-	// Ablation I quotes its whole table: the rows of the "## Ablation I"
-	// section, cell for cell, are the `-sweep vm` block of sweeps.golden.
-	_, section, ok := strings.Cut(string(text), "\n## Ablation I ")
-	if !ok {
-		t.Fatal("EXPERIMENTS.md has no Ablation I section")
-	}
-	section, _, _ = strings.Cut(section, "\n## ")
+	// Ablations A and I quote their whole tables: the rows of the
+	// section, cell for cell, are the sweep's block of sweeps.golden. A
+	// row is a table line whose first cell opens a golden row.
 	sweeps, err := os.ReadFile("testdata/sweeps.golden")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, block, _ := strings.Cut(string(sweeps), "== kdpbench -sweep vm ==\n")
-	block, _, _ = strings.Cut(block, "\n== ")
-	var got, want [][]string
-	for _, line := range strings.Split(block, "\n")[2:] { // title, header, then the rows
-		if f := strings.Fields(line); len(f) > 0 {
-			want = append(want, f)
+	for _, tc := range []struct {
+		heading, sweep string
+		rows           int
+	}{
+		{"\n## Ablation A ", "quantum", 5},
+		{"\n## Ablation I ", "vm", 9},
+	} {
+		_, section, ok := strings.Cut(string(text), tc.heading)
+		if !ok {
+			t.Fatalf("EXPERIMENTS.md has no %q section", strings.TrimSpace(tc.heading))
 		}
-	}
-	for _, docLine := range strings.Split(section, "\n") {
-		if f := strings.Fields(strings.ReplaceAll(docLine, "|", " ")); len(f) == 7 && slices.Contains([]string{"cp", "mcp", "scp"}, f[1]) {
-			got = append(got, f)
+		section, _, _ = strings.Cut(section, "\n## ")
+		_, block, _ := strings.Cut(string(sweeps), "== kdpbench -sweep "+tc.sweep+" ==\n")
+		block, _, _ = strings.Cut(block, "\n== ")
+		var got, want [][]string
+		for _, line := range strings.Split(block, "\n")[2:] { // title, header, then the rows
+			if f := strings.Fields(line); len(f) > 0 {
+				want = append(want, f)
+			}
 		}
-	}
-	if len(want) != 9 || !slices.EqualFunc(got, want, slices.Equal[[]string]) {
-		t.Errorf("EXPERIMENTS.md Ablation I table:\n%v\nsweeps.golden's -sweep vm block (want 9 rows):\n%v", got, want)
+		for _, docLine := range strings.Split(section, "\n") {
+			f := strings.Fields(strings.ReplaceAll(docLine, "|", " "))
+			if strings.HasPrefix(docLine, "|") && len(f) > 0 && slices.ContainsFunc(want, func(w []string) bool { return w[0] == f[0] }) {
+				got = append(got, f)
+			}
+		}
+		if len(want) != tc.rows || !slices.EqualFunc(got, want, slices.Equal[[]string]) {
+			t.Errorf("EXPERIMENTS.md %s table:\n%v\nsweeps.golden's -sweep %s block (want %d rows):\n%v",
+				strings.TrimSpace(tc.heading), got, tc.sweep, tc.rows, want)
+		}
 	}
 }
 

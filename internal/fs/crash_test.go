@@ -545,10 +545,10 @@ func TestRollbackBlockAfterFailedBread(t *testing.T) {
 		ip := file.Inode()
 		const lblk = 14 // second block of the indirect range
 		ip.lock(ctx)
-		pblk, err := ip.bmap(ctx, lblk, true, true)
-		if err != nil {
+		pblk, fresh, err := ip.bmap(ctx, lblk, true, true)
+		if err != nil || !fresh {
 			ip.unlock()
-			t.Fatalf("bmap alloc: %v", err)
+			t.Fatalf("bmap alloc: fresh=%v, %v", fresh, err)
 		}
 		// Evict the fresh zero-filled buffer (flushing it out) so the
 		// read-back goes to the media, then fault the block: the exact
@@ -563,7 +563,7 @@ func TestRollbackBlockAfterFailedBread(t *testing.T) {
 			t.Fatalf("bread of faulted block = %v, want ErrIO", err)
 		}
 		file.rollbackBlock(ctx, lblk)
-		back, err := ip.bmap(ctx, lblk, false, false)
+		back, _, err := ip.bmap(ctx, lblk, false, false)
 		ip.unlock()
 		if err != nil || back != 0 {
 			t.Fatalf("after rollback bmap = %d, %v, want hole", back, err)

@@ -48,7 +48,7 @@ func (f *FS) ReadDir(ctx kernel.Ctx, path string) ([]DirEntry, error) {
 	bsize := int64(f.sb.BlockSize)
 	var entries []DirEntry
 	for off := int64(0); off < dp.size; off += DirentSize {
-		pblk, err := dp.bmap(ctx, off/bsize, false, false)
+		pblk, _, err := dp.bmap(ctx, off/bsize, false, false)
 		if err != nil {
 			return nil, err
 		}

@@ -74,7 +74,7 @@ func (fl *File) Read(ctx kernel.Ctx, p []byte, off int64) (int, error) {
 		if n > len(p)-done {
 			n = len(p) - done
 		}
-		pblk, err := ip.bmap(ctx, lblk, false, false)
+		pblk, _, err := ip.bmap(ctx, lblk, false, false)
 		if err != nil {
 			return done, err
 		}
@@ -163,40 +163,24 @@ func (fl *File) Write(ctx kernel.Ctx, p []byte, off int64) (int, error) {
 		}
 		full := boff == 0 && n == int(bsize)
 
+		// A full block is overwritten in place; a partial one preserves
+		// the existing contents, and a fresh partial block is zero-filled
+		// by the allocating bmap, matching the standard write path.
+		pblk, fresh, err := ip.bmap(ctx, lblk, true, !full)
+		if err != nil {
+			return done, err
+		}
 		var b *buf.Buf
 		if full {
-			pblk, err := ip.bmap(ctx, lblk, true, false)
-			if err != nil {
-				return done, err
-			}
 			b = fl.fs.cache.Getblk(ctx, fl.fs.dev, int64(pblk))
-		} else {
-			// Partial block: preserve existing contents. Fresh blocks
-			// are zero-filled by the allocating bmap, matching the
-			// standard write path.
-			existing, err := ip.bmap(ctx, lblk, false, false)
-			if err != nil {
-				return done, err
+		} else if b, err = fl.fs.cache.Bread(ctx, fl.fs.dev, int64(pblk)); err != nil {
+			if fresh {
+				// The block was allocated but no byte of it got
+				// written: roll it back rather than leave a dead block
+				// attached past the data actually written.
+				fl.rollbackBlock(ctx, lblk)
 			}
-			if existing == 0 {
-				pblk, err := ip.bmap(ctx, lblk, true, true)
-				if err != nil {
-					return done, err
-				}
-				b, err = fl.fs.cache.Bread(ctx, fl.fs.dev, int64(pblk))
-				if err != nil {
-					// The block was allocated but no byte of it got
-					// written: roll it back rather than leave a dead
-					// block attached past the data actually written.
-					fl.rollbackBlock(ctx, lblk)
-					return done, err
-				}
-			} else {
-				b, err = fl.fs.cache.Bread(ctx, fl.fs.dev, int64(existing))
-				if err != nil {
-					return done, err
-				}
-			}
+			return done, err
 		}
 		copy(b.Data[boff:], p[done:done+n])
 		fl.fs.cache.Bdwrite(ctx, b)
@@ -220,13 +204,9 @@ func (fl *File) Write(ctx kernel.Ctx, p []byte, off int64) (int, error) {
 // are ignored (the original error is what the caller reports; a block
 // left behind is still referenced, so the volume stays consistent).
 func (fl *File) rollbackBlock(ctx kernel.Ctx, lblk int64) {
-	ip := fl.ip
 	f := fl.fs
-	pblk, err := ip.bmap(ctx, lblk, false, false)
+	pblk, err := fl.ip.clearPtr(ctx, lblk)
 	if err != nil || pblk == 0 {
-		return
-	}
-	if err := ip.clearPtr(ctx, lblk); err != nil {
 		return
 	}
 	// Drop any cached copy before the block returns to the bitmap
@@ -289,7 +269,7 @@ func (fl *File) syncInode(ctx kernel.Ctx) error {
 	nblocks := (ip.size + bsize - 1) / bsize
 	blknos := make([]int64, 0, nblocks+2)
 	for l := int64(0); l < nblocks; l++ {
-		pblk, err := ip.bmap(ctx, l, false, false)
+		pblk, _, err := ip.bmap(ctx, l, false, false)
 		if err != nil {
 			return err
 		}
@@ -332,12 +312,13 @@ func (fl *File) Close(ctx kernel.Ctx) error {
 	return err
 }
 
-// ---- splice support (source/sink accessors) ----
-
-// SpliceSetSize extends the file size to n without touching data (the
-// destination of a whole-file splice is sized up front, when the block
-// table is built).
-func (fl *File) SpliceSetSize(ctx kernel.Ctx, n int64) {
+// Extend grows the file size to n without touching data; it never
+// shrinks a file. A splice destination is sized up front, when its
+// block table is built, and a writable shared mapping reaching past EOF
+// is sized at mmap, its blocks allocated lazily by the write faults
+// that dirty them. The size update is delayed metadata, made durable
+// by fsync/msync.
+func (fl *File) Extend(ctx kernel.Ctx, n int64) {
 	ip := fl.ip
 	ip.lock(ctx)
 	if n > ip.size {
@@ -347,40 +328,49 @@ func (fl *File) SpliceSetSize(ctx kernel.Ctx, n int64) {
 	ip.unlock()
 }
 
+// ---- splice support: block tables, built "by successive calls to
+// bmap()" (§5.2), one walk per block ----
+
 // SpliceMapRead builds the source block table: the physical block
-// numbers of the first nblocks logical blocks.
-func (fl *File) SpliceMapRead(ctx kernel.Ctx, nblocks int64) ([]uint32, error) {
+// numbers of logical blocks [first, end), 0 for a hole.
+func (fl *File) SpliceMapRead(ctx kernel.Ctx, first, end int64) ([]uint32, error) {
 	ip := fl.ip
 	ip.lock(ctx)
 	defer ip.unlock()
-	return ip.PhysicalBlocks(ctx, nblocks, false)
+	table := make([]uint32, end-first)
+	for i := range table {
+		pblk, _, err := ip.bmap(ctx, first+int64(i), false, false)
+		if err != nil {
+			return nil, err
+		}
+		table[i] = pblk
+	}
+	return table, nil
 }
 
-// SpliceMapWrite builds the destination block table, allocating missing
-// blocks with the special bmap that skips zero-fill delayed writes
-// (§5.2).
-func (fl *File) SpliceMapWrite(ctx kernel.Ctx, nblocks int64) ([]uint32, []bool, error) {
+// SpliceMapWrite builds the destination block table for logical blocks
+// [first, end), allocating holes with the special bmap that skips
+// zero-fill delayed writes (§5.2). fresh flags the blocks this call
+// allocated: the write engine must land a fresh block's unwritten tail
+// on disk as zeros, while a pre-existing block's tail beyond the
+// transfer must be preserved.
+func (fl *File) SpliceMapWrite(ctx kernel.Ctx, first, end int64) (table []uint32, fresh []bool, err error) {
 	ip := fl.ip
 	ip.lock(ctx)
 	defer ip.unlock()
-	// Probe before allocating: blocks that are holes now will be
-	// freshly allocated below, and the write engine must know — a fresh
-	// block's unwritten tail must land on disk as zeros, while a
-	// pre-existing block's tail beyond the transfer must be preserved.
-	pre, err := ip.PhysicalBlocks(ctx, nblocks, false)
-	if err != nil {
-		return nil, nil, err
+	table, fresh = make([]uint32, end-first), make([]bool, end-first)
+	blknos := make([]int64, 0, len(table))
+	for i := range table {
+		if table[i], fresh[i], err = ip.bmap(ctx, first+int64(i), true, false); err != nil {
+			break
+		}
+		blknos = append(blknos, int64(table[i]))
 	}
-	blocks, err := ip.PhysicalBlocks(ctx, nblocks, true)
 	if err == nil {
 		// The write engine bypasses the buffer cache (memory-less headers
 		// straight to the driver), so cached copies of the destination
 		// blocks must be purged now: a clean one would shadow the spliced
 		// data on later reads, a dirty one would overwrite it on flush.
-		blknos := make([]int64, 0, len(blocks))
-		for _, pb := range blocks {
-			blknos = append(blknos, int64(pb))
-		}
 		err = ip.fs.cache.InvalidateBlocks(ctx, ip.fs.dev, blknos)
 	}
 	if err != nil {
@@ -389,18 +379,14 @@ func (fl *File) SpliceMapWrite(ctx kernel.Ctx, nblocks int64) ([]uint32, []bool,
 		// past EOF: unwritten, they hold their previous owner's data, and
 		// a later partial write extending the file across them would
 		// read it in.
-		for l, pb := range pre {
-			if pb == 0 {
-				fl.rollbackBlock(ctx, int64(l))
+		for i, fr := range fresh {
+			if fr {
+				fl.rollbackBlock(ctx, first+int64(i))
 			}
 		}
 		return nil, nil, err
 	}
-	fresh := make([]bool, nblocks)
-	for i, pb := range pre {
-		fresh[i] = pb == 0 && blocks[i] != 0
-	}
-	return blocks, fresh, nil
+	return table, fresh, nil
 }
 
 var _ kernel.FileOps = (*File)(nil)

@@ -447,7 +447,7 @@ func (f *FS) dirLookup(ctx kernel.Ctx, dp *Inode, name string) (uint32, int64, e
 	bsize := int64(f.sb.BlockSize)
 	for off := int64(0); off < dp.size; off += DirentSize {
 		lblk := off / bsize
-		pblk, err := dp.bmap(ctx, lblk, false, false)
+		pblk, _, err := dp.bmap(ctx, lblk, false, false)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -482,7 +482,7 @@ func (f *FS) dirEnter(ctx kernel.Ctx, dp *Inode, name string, ino uint32) error 
 	bsize := int64(f.sb.BlockSize)
 	// Look for a free slot.
 	for off := int64(0); off < dp.size; off += DirentSize {
-		pblk, err := dp.bmap(ctx, off/bsize, false, false)
+		pblk, _, err := dp.bmap(ctx, off/bsize, false, false)
 		if err != nil {
 			return err
 		}
@@ -505,7 +505,7 @@ func (f *FS) dirEnter(ctx kernel.Ctx, dp *Inode, name string, ino uint32) error 
 	}
 	// Append at the end, allocating a new block if needed.
 	off := dp.size
-	pblk, err := dp.bmap(ctx, off/bsize, true, true)
+	pblk, _, err := dp.bmap(ctx, off/bsize, true, true)
 	if err != nil {
 		return err
 	}
@@ -533,7 +533,7 @@ func (f *FS) dirRemove(ctx kernel.Ctx, dp *Inode, name string) (uint32, error) {
 		return 0, err
 	}
 	bsize := int64(f.sb.BlockSize)
-	pblk, err := dp.bmap(ctx, off/bsize, false, false)
+	pblk, _, err := dp.bmap(ctx, off/bsize, false, false)
 	if err != nil {
 		return 0, err
 	}

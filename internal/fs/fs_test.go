@@ -415,7 +415,7 @@ func TestSyncPersistsAcrossRemount(t *testing.T) {
 	})
 }
 
-func TestPhysicalBlocksContiguousAllocation(t *testing.T) {
+func TestSpliceMapReadContiguousAllocation(t *testing.T) {
 	// Sequential writes from a fresh filesystem should allocate
 	// (mostly) contiguous physical blocks — the disk model rewards
 	// this, and the experiments depend on it.
@@ -425,7 +425,7 @@ func TestPhysicalBlocksContiguousAllocation(t *testing.T) {
 		fl, _ := f.OpenFile(ctx, "/seq", kernel.OCreat|kernel.ORdWr)
 		_, _ = fl.Write(ctx, pattern(16*testBlockSize, 5), 0)
 		file := fl.(*File)
-		table, err := file.SpliceMapRead(ctx, 16)
+		table, err := file.SpliceMapRead(ctx, 0, 16)
 		if err != nil {
 			t.Fatalf("map: %v", err)
 		}
@@ -448,7 +448,7 @@ func TestSpliceMapWriteAllocatesWithoutZeroFillIO(t *testing.T) {
 		ctx := p.Ctx()
 		fl, _ := f.OpenFile(ctx, "/dst", kernel.OCreat|kernel.ORdWr)
 		file := fl.(*File)
-		table, fresh, err := file.SpliceMapWrite(ctx, 32)
+		table, fresh, err := file.SpliceMapWrite(ctx, 0, 32)
 		if err != nil {
 			t.Fatalf("map write: %v", err)
 		}
@@ -485,7 +485,7 @@ func TestSpliceMapWriteRollsBackOnFailure(t *testing.T) {
 			t.Fatalf("write: %v", err)
 		}
 		free := f.Super().FreeBlocks
-		if _, _, err := file.SpliceMapWrite(ctx, 200); err != kernel.ErrNoSpace {
+		if _, _, err := file.SpliceMapWrite(ctx, 0, 200); err != kernel.ErrNoSpace {
 			t.Fatalf("mapping 200 blocks of a 64-block volume: %v, want ErrNoSpace", err)
 		}
 		// Only the indirect pointer block allocated on the way may stay:
@@ -493,7 +493,7 @@ func TestSpliceMapWriteRollsBackOnFailure(t *testing.T) {
 		if kept := free - f.Super().FreeBlocks; kept > 1 {
 			t.Errorf("failed mapping kept %d blocks", kept)
 		}
-		if blocks, err := file.ip.PhysicalBlocks(ctx, 12, false); err != nil || blocks[1] == 0 || blocks[2] != 0 || blocks[11] != 0 {
+		if blocks, err := file.SpliceMapRead(ctx, 0, 12); err != nil || blocks[1] == 0 || blocks[2] != 0 || blocks[11] != 0 {
 			t.Errorf("after rollback the file maps %v (%v), want its two written blocks only", blocks, err)
 		}
 		_ = fl.Close(ctx)

@@ -144,7 +144,7 @@ func TestFsckDetectsFreeReferencedBlock(t *testing.T) {
 		fl, _ := f.OpenFile(ctx, "/v", kernel.OCreat|kernel.ORdWr)
 		_, _ = fl.Write(ctx, pattern(testBlockSize, 3), 0)
 		file := fl.(*File)
-		table, _ := file.SpliceMapRead(ctx, 1)
+		table, _ := file.SpliceMapRead(ctx, 0, 1)
 		victim = table[0]
 		_ = fl.Close(ctx)
 	})

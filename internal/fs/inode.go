@@ -70,125 +70,146 @@ func (ip *Inode) unlock() {
 // ptrsPerBlock returns how many block pointers fit in one block.
 func (f *FS) ptrsPerBlock() int64 { return int64(f.sb.BlockSize) / 4 }
 
-// bmap translates a logical file block to a physical device block.
-// With alloc=false it returns 0 for holes (never allocating). With
-// alloc=true, missing blocks (and any needed indirect blocks) are
-// allocated; zeroFill additionally creates a zero-filled delayed-write
-// buffer for a freshly allocated data block, which is what the standard
-// write path does for partial blocks. The paper's "special version of
+// bmap translates logical file block lblk to its physical block. It is
+// the one walk of the pointer tree that every reader of the block map
+// takes, as 4.4BSD's ufs_bmaparray is. With alloc=false a hole maps to
+// 0 and nothing is allocated. With alloc=true a hole, and any pointer
+// block on the way to it, gets a block, and fresh reports that this
+// call allocated the data block: the platter still holds its previous
+// owner's bytes. zeroFill additionally gives a fresh block a
+// zero-filled delayed-write buffer, which is what the standard write
+// path does for partial blocks. The paper's "special version of
 // bmap()" used to map the splice destination is exactly bmap with
-// alloc=true, zeroFill=false (§5.2).
-func (ip *Inode) bmap(ctx kernel.Ctx, lblk int64, alloc, zeroFill bool) (uint32, error) {
-	f := ip.fs
-	if lblk < 0 {
-		return 0, kernel.ErrInval
+// alloc=true, zeroFill=false (§5.2), fresh telling the caller which
+// blocks it must write whole.
+func (ip *Inode) bmap(ctx kernel.Ctx, lblk int64, alloc, zeroFill bool) (pblk uint32, fresh bool, err error) {
+	s, ok, err := ip.walk(ctx, lblk, alloc)
+	if !ok {
+		return 0, false, err
 	}
-	ppb := f.ptrsPerBlock()
-	switch {
-	case lblk < NDirect:
-		pblk := ip.direct[lblk]
-		if pblk == 0 && alloc {
-			var err error
-			pblk, err = f.allocData(ctx, zeroFill)
-			if err != nil {
-				return 0, err
-			}
-			ip.direct[lblk] = pblk
-			ip.dirty = true
+	pblk = s.get()
+	if pblk == 0 && alloc {
+		if pblk, err = ip.fs.allocData(ctx, zeroFill); err != nil {
+			s.release(ctx)
+			return 0, false, err
 		}
-		return pblk, nil
+		s.set(pblk)
+		fresh = true
+	}
+	s.release(ctx)
+	return pblk, fresh, nil
+}
 
+// clearPtr makes logical block lblk a hole again and returns the block
+// it pointed at (0 if it already was a hole). Pointer blocks on the
+// path are left in place: the inode references them and the next
+// extension reuses them. Used by the write path's rollback.
+func (ip *Inode) clearPtr(ctx kernel.Ctx, lblk int64) (uint32, error) {
+	s, ok, err := ip.walk(ctx, lblk, false)
+	if !ok {
+		return 0, err
+	}
+	old := s.get()
+	if old != 0 {
+		s.set(0)
+	}
+	s.release(ctx)
+	return old, nil
+}
+
+// slot is where one block pointer lives: the inode's own pointer i (b
+// nil; see root) or entry i of pointer block b, which is held until
+// release — a delayed write if set changed it.
+type slot struct {
+	ip      *Inode
+	b       *buf.Buf
+	i       int64
+	changed bool
+}
+
+// root returns the inode's pointer i: direct block i below NDirect,
+// then the single- and the double-indirect block.
+func (ip *Inode) root(i int64) *uint32 {
+	switch i {
+	case NDirect:
+		return &ip.indir
+	case NDirect + 1:
+		return &ip.dindir
+	}
+	return &ip.direct[i]
+}
+
+func (s *slot) get() uint32 {
+	if s.b == nil {
+		return *s.ip.root(s.i)
+	}
+	return binary.LittleEndian.Uint32(s.b.Data[s.i*4:])
+}
+
+func (s *slot) set(p uint32) {
+	if s.b == nil {
+		*s.ip.root(s.i) = p
+		s.ip.dirty = true
+		return
+	}
+	binary.LittleEndian.PutUint32(s.b.Data[s.i*4:], p)
+	s.changed = true
+}
+
+func (s *slot) release(ctx kernel.Ctx) {
+	switch c := s.ip.fs.cache; {
+	case s.b == nil:
+	case s.changed:
+		c.Bdwrite(ctx, s.b)
+	default:
+		c.Brelse(ctx, s.b)
+	}
+	s.b, s.changed = nil, false
+}
+
+// walk descends the pointer tree to the slot holding lblk's block
+// pointer, reading one pointer block per level. A pointer block missing
+// on the way is allocated (zeroed) when alloc is set; otherwise ok is
+// false and lblk is a hole.
+func (ip *Inode) walk(ctx kernel.Ctx, lblk int64, alloc bool) (s slot, ok bool, err error) {
+	f := ip.fs
+	ppb := f.ptrsPerBlock()
+	s.ip = ip
+	var path [2]int64 // entry index in each pointer block below the root
+	var depth int
+	switch {
+	case lblk < 0:
+		return s, false, kernel.ErrInval
+	case lblk < NDirect:
+		s.i = lblk
 	case lblk < NDirect+ppb:
-		idx := lblk - NDirect
-		pblk, err := ip.indirectLookup(ctx, &ip.indir, idx, alloc, zeroFill)
-		return pblk, err
-
+		s.i, path[0], depth = NDirect, lblk-NDirect, 1
 	case lblk < NDirect+ppb+ppb*ppb:
 		idx := lblk - NDirect - ppb
-		// First level: which indirect block within the double-indirect.
-		l1 := idx / ppb
-		l2 := idx % ppb
-		// Resolve the level-1 pointer block.
-		if ip.dindir == 0 {
-			if !alloc {
-				return 0, nil
-			}
-			blk, err := f.allocPtrBlock(ctx)
-			if err != nil {
-				return 0, err
-			}
-			ip.dindir = blk
-			ip.dirty = true
-		}
-		l1ptr, err := f.ptrAt(ctx, ip.dindir, l1, alloc)
-		if err != nil || l1ptr == 0 {
-			return 0, err
-		}
-		var l1copy = l1ptr
-		return ip.indirectLookup(ctx, &l1copy, l2, alloc, zeroFill)
-
+		s.i, path[0], path[1], depth = NDirect+1, idx/ppb, idx%ppb, 2
 	default:
-		return 0, kernel.ErrFileTooBig
+		return s, false, kernel.ErrFileTooBig
 	}
-}
-
-// indirectLookup resolves index idx within the single-indirect block
-// *slot, allocating the pointer block and/or the data block as
-// requested. *slot is updated if the pointer block is allocated.
-func (ip *Inode) indirectLookup(ctx kernel.Ctx, slot *uint32, idx int64, alloc, zeroFill bool) (uint32, error) {
-	f := ip.fs
-	if *slot == 0 {
-		if !alloc {
-			return 0, nil
+	for _, next := range path[:depth] {
+		p := s.get()
+		if p == 0 {
+			if !alloc {
+				s.release(ctx)
+				return s, false, nil
+			}
+			if p, err = f.allocPtrBlock(ctx); err != nil {
+				s.release(ctx)
+				return s, false, err
+			}
+			s.set(p)
 		}
-		blk, err := f.allocPtrBlock(ctx)
-		if err != nil {
-			return 0, err
+		s.release(ctx)
+		if s.b, err = f.cache.Bread(ctx, f.dev, int64(p)); err != nil {
+			return s, false, err
 		}
-		*slot = blk
-		ip.dirty = true
+		s.i = next
 	}
-	b, err := f.cache.Bread(ctx, f.dev, int64(*slot))
-	if err != nil {
-		return 0, err
-	}
-	le := binary.LittleEndian
-	pblk := le.Uint32(b.Data[idx*4:])
-	if pblk == 0 && alloc {
-		pblk, err = f.allocData(ctx, zeroFill)
-		if err != nil {
-			f.cache.Brelse(ctx, b)
-			return 0, err
-		}
-		le.PutUint32(b.Data[idx*4:], pblk)
-		f.cache.Bdwrite(ctx, b)
-		return pblk, nil
-	}
-	f.cache.Brelse(ctx, b)
-	return pblk, nil
-}
-
-// ptrAt reads (allocating if requested) entry idx of the pointer block
-// blk, used for the double-indirect level-1 table.
-func (f *FS) ptrAt(ctx kernel.Ctx, blk uint32, idx int64, alloc bool) (uint32, error) {
-	b, err := f.cache.Bread(ctx, f.dev, int64(blk))
-	if err != nil {
-		return 0, err
-	}
-	le := binary.LittleEndian
-	p := le.Uint32(b.Data[idx*4:])
-	if p == 0 && alloc {
-		p, err = f.allocPtrBlock(ctx)
-		if err != nil {
-			f.cache.Brelse(ctx, b)
-			return 0, err
-		}
-		le.PutUint32(b.Data[idx*4:], p)
-		f.cache.Bdwrite(ctx, b)
-		return p, nil
-	}
-	f.cache.Brelse(ctx, b)
-	return p, nil
+	return s, true, nil
 }
 
 // bmapRange maps logical blocks [start, end] without allocating (holes
@@ -234,7 +255,7 @@ func (ip *Inode) bmapRange(ctx kernel.Ctx, start, end int64) ([]uint32, error) {
 			out = append(out, le.Uint32(held.Data[(l-NDirect)*4:]))
 		default:
 			release()
-			pblk, err := ip.bmap(ctx, l, false, false)
+			pblk, _, err := ip.bmap(ctx, l, false, false)
 			if err != nil {
 				return nil, err
 			}
@@ -243,48 +264,6 @@ func (ip *Inode) bmapRange(ctx kernel.Ctx, start, end int64) ([]uint32, error) {
 	}
 	release()
 	return out, nil
-}
-
-// clearPtr zeroes the inode's pointer to logical block lblk, making it
-// a hole again (pointer blocks on the path are left in place; they are
-// referenced by the inode and reused by the next extension). Used by
-// the write path's mid-call rollback.
-func (ip *Inode) clearPtr(ctx kernel.Ctx, lblk int64) error {
-	f := ip.fs
-	ppb := f.ptrsPerBlock()
-	switch {
-	case lblk < NDirect:
-		ip.direct[lblk] = 0
-		ip.dirty = true
-		return nil
-	case lblk < NDirect+ppb:
-		if ip.indir == 0 {
-			return nil
-		}
-		return f.zeroPtrAt(ctx, ip.indir, lblk-NDirect)
-	case lblk < NDirect+ppb+ppb*ppb:
-		idx := lblk - NDirect - ppb
-		if ip.dindir == 0 {
-			return nil
-		}
-		l1, err := f.ptrAt(ctx, ip.dindir, idx/ppb, false)
-		if err != nil || l1 == 0 {
-			return err
-		}
-		return f.zeroPtrAt(ctx, l1, idx%ppb)
-	}
-	return kernel.ErrInval
-}
-
-// zeroPtrAt clears entry idx of pointer block blk.
-func (f *FS) zeroPtrAt(ctx kernel.Ctx, blk uint32, idx int64) error {
-	b, err := f.cache.Bread(ctx, f.dev, int64(blk))
-	if err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint32(b.Data[idx*4:], 0)
-	f.cache.Bdwrite(ctx, b)
-	return nil
 }
 
 // allocData allocates a data block. When zeroFill is set the block gets
@@ -411,21 +390,4 @@ func (f *FS) collectPtrBlock(ctx kernel.Ctx, blk uint32, depth int, out []uint32
 		}
 	}
 	return append(out, blk), nil
-}
-
-// PhysicalBlocks returns the complete table of physical block numbers
-// backing the first nblocks logical blocks of the file — built, as the
-// paper describes, "by successive calls to bmap()" (§5.2). Holes map to
-// physical block 0. When alloc is set, missing destination blocks are
-// allocated with the special non-zero-filling bmap.
-func (ip *Inode) PhysicalBlocks(ctx kernel.Ctx, nblocks int64, alloc bool) ([]uint32, error) {
-	table := make([]uint32, nblocks)
-	for l := int64(0); l < nblocks; l++ {
-		pblk, err := ip.bmap(ctx, l, alloc, false)
-		if err != nil {
-			return nil, err
-		}
-		table[l] = pblk
-	}
-	return table, nil
 }

@@ -56,26 +56,6 @@ func (fl *File) MapKey() (dev string, ino uint32) {
 	return fl.fs.dev.DevName(), fl.ip.ino
 }
 
-// MapSize returns the current file size (mapped pages past EOF read as
-// zeros and are not written back).
-func (fl *File) MapSize(ctx kernel.Ctx) (int64, error) {
-	return fl.ip.size, nil
-}
-
-// MapSetSize extends the file size to n without touching data, for a
-// writable shared mapping that reaches past EOF: blocks under the new
-// size are allocated lazily, by the write faults that dirty them. The
-// size update is delayed metadata, made durable by msync/fsync.
-func (fl *File) MapSetSize(ctx kernel.Ctx, n int64) {
-	ip := fl.ip
-	ip.lock(ctx)
-	if n > ip.size {
-		ip.size = n
-		ip.dirty = true
-	}
-	ip.unlock()
-}
-
 // PageIn fills dst (one page, equal to the filesystem block size) with
 // the contents of logical block idx, returning the physical block the
 // page now aliases. Holes and pages past EOF read as zeros with no
@@ -89,15 +69,11 @@ func (fl *File) PageIn(ctx kernel.Ctx, idx int64, dst []byte, alloc bool) (blk i
 	ip := fl.ip
 	ip.lock(ctx)
 	defer ip.unlock()
-	pblk, err := ip.bmap(ctx, idx, false, false)
-	if err != nil {
-		return 0, false, err
+	pblk, fresh, err := ip.bmap(ctx, idx, alloc, false)
+	if err != nil || fresh {
+		return int64(pblk), fresh, err
 	}
 	if pblk == 0 {
-		if alloc {
-			pblk, err = ip.bmap(ctx, idx, true, false)
-			return int64(pblk), err == nil, err
-		}
 		clear(dst)
 		return 0, false, nil
 	}

@@ -97,8 +97,8 @@ func TestMapRefKeepsInodeAcrossClose(t *testing.T) {
 		if dev != r.d.DevName() || ino == 0 {
 			t.Errorf("MapKey = %q/%d", dev, ino)
 		}
-		if sz, err := fl.MapSize(ctx); err != nil || sz != int64(len(data)) {
-			t.Errorf("MapSize = %d, %v", sz, err)
+		if sz, err := fl.Size(ctx); err != nil || sz != int64(len(data)) {
+			t.Errorf("Size = %d, %v", sz, err)
 		}
 		fl.MapRef(ctx)
 		if err := fl.Close(ctx); err != nil {
@@ -167,14 +167,14 @@ func TestPageOutFlushRoundTrip(t *testing.T) {
 	r.run(t, func(p *kernel.Proc, f *FS) {
 		ctx := p.Ctx()
 		fl := openF(t, ctx, f, "/w.dat", kernel.OCreat|kernel.ORdWr)
-		fl.MapSetSize(ctx, testBlockSize)
-		if sz, _ := fl.MapSize(ctx); sz != testBlockSize {
-			t.Fatalf("MapSetSize: size = %d", sz)
+		fl.Extend(ctx, testBlockSize)
+		if sz, _ := fl.Size(ctx); sz != testBlockSize {
+			t.Fatalf("Extend: size = %d", sz)
 		}
-		// Shrinking through MapSetSize is ignored (extend-only).
-		fl.MapSetSize(ctx, 10)
-		if sz, _ := fl.MapSize(ctx); sz != testBlockSize {
-			t.Fatalf("MapSetSize shrank to %d", sz)
+		// Extend never shrinks.
+		fl.Extend(ctx, 10)
+		if sz, _ := fl.Size(ctx); sz != testBlockSize {
+			t.Fatalf("Extend shrank to %d", sz)
 		}
 		blk, _, err := fl.PageIn(ctx, 0, make([]byte, testBlockSize), true)
 		if err != nil || blk == 0 {

@@ -99,7 +99,7 @@ func (m *machine) doSpliceFile(p *kernel.Proc, o *op) {
 			return
 		}
 		// Splice overwrites the prefix; a longer destination keeps its
-		// tail (SpliceSetSize only ever extends).
+		// tail (Extend never shrinks).
 		if int64(len(odo.data)) < n {
 			odo.data = append(odo.data, make([]byte, n-int64(len(odo.data)))...)
 		}

@@ -130,7 +130,7 @@ func TestSpliceSourceFileWriteFaultAbortsCleanly(t *testing.T) {
 	m.run(t, func(p *kernel.Proc) {
 		dst, _ := p.Open("/d1/landing", kernel.OCreat|kernel.OWrOnly)
 		fdD, _ := p.FD(dst)
-		dtable, _, err := fdD.Ops().(FileLike).SpliceMapWrite(p.Ctx(), blocks)
+		dtable, _, err := fdD.Ops().(FileLike).SpliceMapWrite(p.Ctx(), 0, blocks)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -26,7 +26,7 @@ func TestSpliceReadFaultAbortsCleanly(t *testing.T) {
 		// Fail the physical block backing logical block 10.
 		fl, _ := p.Open("/d0/src", kernel.ORdOnly)
 		fd, _ := p.FD(fl)
-		table, err := fd.Ops().(FileLike).SpliceMapRead(p.Ctx(), blocks)
+		table, err := fd.Ops().(FileLike).SpliceMapRead(p.Ctx(), 0, blocks)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +58,7 @@ func TestSpliceWriteFaultAbortsCleanly(t *testing.T) {
 
 		dst, _ := p.Open("/d1/dst", kernel.OCreat|kernel.OWrOnly)
 		fdD, _ := p.FD(dst)
-		dtable, _, err := fdD.Ops().(FileLike).SpliceMapWrite(p.Ctx(), blocks)
+		dtable, _, err := fdD.Ops().(FileLike).SpliceMapWrite(p.Ctx(), 0, blocks)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +89,7 @@ func TestSpliceTransientFaultPartialData(t *testing.T) {
 		_ = m.cache.InvalidateDev(p.Ctx(), m.disks[0])
 		src, _ := p.Open("/d0/src", kernel.ORdOnly)
 		fd, _ := p.FD(src)
-		table, _ := fd.Ops().(FileLike).SpliceMapRead(p.Ctx(), blocks)
+		table, _ := fd.Ops().(FileLike).SpliceMapRead(p.Ctx(), 0, blocks)
 		m.k.Faults().Arm(kernel.FaultArm{Site: m.disks[0].ReadSite(), Every: 1, Match: int64(table[6]), Count: 1, Quiet: true})
 
 		dst, _ := p.Open("/d1/dst", kernel.OCreat|kernel.OWrOnly)
@@ -117,7 +117,7 @@ func TestReadWritePathReportsFault(t *testing.T) {
 		_ = m.cache.InvalidateDev(p.Ctx(), m.disks[0])
 		src, _ := p.Open("/d0/f", kernel.ORdOnly)
 		fd, _ := p.FD(src)
-		table, _ := fd.Ops().(FileLike).SpliceMapRead(p.Ctx(), 4)
+		table, _ := fd.Ops().(FileLike).SpliceMapRead(p.Ctx(), 0, 4)
 		m.k.Faults().Arm(kernel.FaultArm{Site: m.disks[0].ReadSite(), Every: 1, Match: int64(table[2]), Count: -1, Quiet: true})
 		buf := make([]byte, bsize)
 		var rerr error

@@ -60,12 +60,9 @@ func (r *blocks) open(ctx kernel.Ctx, size int64) (int64, error) {
 		return 0, nil
 	}
 	r.first = r.off / r.bsize
-	end := (r.off + size + r.bsize - 1) / r.bsize
-	full, err := r.file.SpliceMapRead(ctx, end)
-	if err != nil {
+	if r.table, err = r.file.SpliceMapRead(ctx, r.first, (r.off+size+r.bsize-1)/r.bsize); err != nil {
 		return 0, err
 	}
-	r.table = full[r.first:]
 	return size, nil
 }
 

@@ -111,13 +111,16 @@ type FileLike interface {
 	Dev() buf.Device
 	BufCache() *buf.Cache
 	Size(ctx kernel.Ctx) (int64, error)
-	SpliceMapRead(ctx kernel.Ctx, nblocks int64) ([]uint32, error)
-	// SpliceMapWrite maps (allocating as needed) the first nblocks
-	// logical blocks for writing. The second slice flags blocks that
-	// were freshly allocated by this call: their on-disk content is
-	// undefined, so a partial write into one must zero the remainder.
-	SpliceMapWrite(ctx kernel.Ctx, nblocks int64) ([]uint32, []bool, error)
-	SpliceSetSize(ctx kernel.Ctx, n int64)
+	// SpliceMapRead maps logical blocks [first, end) for reading, 0
+	// for a hole.
+	SpliceMapRead(ctx kernel.Ctx, first, end int64) ([]uint32, error)
+	// SpliceMapWrite maps (allocating as needed) logical blocks [first,
+	// end) for writing. The second slice flags blocks that were freshly
+	// allocated by this call: their on-disk content is undefined, so a
+	// partial write into one must zero the remainder.
+	SpliceMapWrite(ctx kernel.Ctx, first, end int64) ([]uint32, []bool, error)
+	// Extend grows the file size (never shrinks it).
+	Extend(ctx kernel.Ctx, n int64)
 }
 
 // Sink consumes spliced data at interrupt level: character devices,

@@ -35,15 +35,15 @@ func newFileOut(d *desc, f FileLike, fd *kernel.FDesc) fileOut {
 	return fileOut{d: d, file: f, cache: c, bsize: int64(c.BlockSize()), off: fd.Offset()}
 }
 
-// open maps (allocating) the destination blocks and sizes the file.
-func (o *fileOut) open(ctx kernel.Ctx, total int64) error {
-	start := o.off / o.bsize
-	full, fresh, err := o.file.SpliceMapWrite(ctx, start+(total+o.bsize-1)/o.bsize)
-	if err != nil {
+// open maps (allocating) exactly the blocks the transfer writes and
+// sizes the file; blocks before off are left as they are, holes
+// included.
+func (o *fileOut) open(ctx kernel.Ctx, total int64) (err error) {
+	first := o.off / o.bsize
+	if o.table, o.fresh, err = o.file.SpliceMapWrite(ctx, first, first+(total+o.bsize-1)/o.bsize); err != nil {
 		return err
 	}
-	o.table, o.fresh = full[start:], fresh[start:]
-	o.file.SpliceSetSize(ctx, o.off+total)
+	o.file.Extend(ctx, o.off+total)
 	return nil
 }
 

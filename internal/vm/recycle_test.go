@@ -15,19 +15,21 @@ type memFile struct {
 	pages    [][]byte
 	failNext bool // the next PageIn scribbles on half the frame, then fails
 	refs     int
+	// pageOut, if set, runs first in every PageOut — a place to sleep,
+	// as fs's PageOut can in getblk.
+	pageOut func(ctx kernel.Ctx)
 }
 
 var errPageIn = errors.New("pagein failed")
 
-func (f *memFile) MapRef(kernel.Ctx)                 { f.refs++ }
-func (f *memFile) MapUnref(kernel.Ctx) error         { f.refs--; return nil }
-func (f *memFile) MapKey() (string, uint32)          { return "mem", 1 }
-func (f *memFile) MapSize(kernel.Ctx) (int64, error) { return int64(len(f.pages)) * 512, nil }
-func (f *memFile) MapSetSize(kernel.Ctx, int64)      {}
-func (f *memFile) PageFlush(kernel.Ctx) error        { return nil }
-func (f *memFile) Size(kernel.Ctx) (int64, error)    { return f.MapSize(nil) }
-func (f *memFile) Sync(kernel.Ctx) error             { return nil }
-func (f *memFile) Close(kernel.Ctx) error            { return nil }
+func (f *memFile) MapRef(kernel.Ctx)              { f.refs++ }
+func (f *memFile) MapUnref(kernel.Ctx) error      { f.refs--; return nil }
+func (f *memFile) MapKey() (string, uint32)       { return "mem", 1 }
+func (f *memFile) Size(kernel.Ctx) (int64, error) { return int64(len(f.pages)) * 512, nil }
+func (f *memFile) Extend(kernel.Ctx, int64)       {}
+func (f *memFile) PageFlush(kernel.Ctx) error     { return nil }
+func (f *memFile) Sync(kernel.Ctx) error          { return nil }
+func (f *memFile) Close(kernel.Ctx) error         { return nil }
 func (f *memFile) Read(kernel.Ctx, []byte, int64) (int, error) {
 	return 0, kernel.ErrOpNotSupp
 }
@@ -47,7 +49,10 @@ func (f *memFile) PageIn(_ kernel.Ctx, idx int64, dst []byte, _ bool) (int64, bo
 	return idx + 1, false, nil
 }
 
-func (f *memFile) PageOut(_ kernel.Ctx, blk int64, src []byte) error {
+func (f *memFile) PageOut(ctx kernel.Ctx, blk int64, src []byte) error {
+	if f.pageOut != nil {
+		f.pageOut(ctx)
+	}
 	copy(f.pages[blk-1], src)
 	return nil
 }

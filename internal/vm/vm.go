@@ -47,10 +47,10 @@ type Backing interface {
 	MapUnref(ctx kernel.Ctx) error
 	// MapKey identifies the object: (device name, inode number).
 	MapKey() (dev string, ino uint32)
-	// MapSize returns the current file size.
-	MapSize(ctx kernel.Ctx) (int64, error)
-	// MapSetSize extends the file size (never shrinks it).
-	MapSetSize(ctx kernel.Ctx, n int64)
+	// Size returns the current file size.
+	Size(ctx kernel.Ctx) (int64, error)
+	// Extend grows the file size to n (never shrinks it).
+	Extend(ctx kernel.Ctx, n int64)
 	// PageIn fills dst with page idx, returning the physical block it
 	// aliases (0 for a hole/past-EOF zero page). With alloc set a hole
 	// is given a block (write faults need one) and reported fresh: no
@@ -255,12 +255,12 @@ func (v *Pool) Mmap(p *kernel.Proc, fd int, off, length int64, prot, flags int) 
 	}
 	ctx := p.Ctx()
 	if shared && prot&kernel.ProtWrite != 0 {
-		sz, serr := b.MapSize(ctx)
+		sz, serr := b.Size(ctx)
 		if serr != nil {
 			return 0, serr
 		}
 		if off+length > sz {
-			b.MapSetSize(ctx, off+length)
+			b.Extend(ctx, off+length)
 		}
 	}
 	dev, ino := b.MapKey()
@@ -676,6 +676,14 @@ func (v *Pool) residentPage(p *kernel.Proc, obj *object, idx int64, alloc bool) 
 	pg, err := v.allocPage(ctx)
 	if err != nil {
 		return nil, err
+	}
+	if obj.pages[idx] != nil {
+		// allocPage slept in reclaim's pageout and another fault paged
+		// idx in meanwhile: take that page, as fs.iget re-checks after
+		// its Bread, rather than install a second frame for the index.
+		v.unwire(pg)
+		v.freePage(pg)
+		return v.residentPage(p, obj, idx, alloc)
 	}
 	pg.obj, pg.idx = obj, idx
 	obj.pages[idx] = pg

@@ -382,7 +382,7 @@ func TestMsyncSurfacesPageoutWriteError(t *testing.T) {
 		if err != nil {
 			t.Fatalf("fd: %v", err)
 		}
-		blks, err := f.Ops().(*fs.File).Inode().PhysicalBlocks(p.Ctx(), 1, false)
+		blks, err := f.Ops().(*fs.File).SpliceMapRead(p.Ctx(), 0, 1)
 		if err != nil || blks[0] == 0 {
 			t.Fatalf("block table: %v %v", blks, err)
 		}
@@ -448,7 +448,7 @@ func TestPageoutDelayedWriteErrorLatch(t *testing.T) {
 			t.Fatalf("memwrite: %v", err)
 		}
 		f, _ := p.FD(fd)
-		blks, err := f.Ops().(*fs.File).Inode().PhysicalBlocks(p.Ctx(), 1, false)
+		blks, err := f.Ops().(*fs.File).SpliceMapRead(p.Ctx(), 0, 1)
 		if err != nil || blks[0] == 0 {
 			t.Fatalf("block table: %v %v", blks, err)
 		}
