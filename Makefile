@@ -23,12 +23,12 @@ race:
 
 # Bounded randomized simulation checking (see docs/CHECKING.md);
 # CHECK_SEEDS can be raised for a deeper sweep.
-CHECK_SEEDS ?= 80
+CHECK_SEEDS ?= 110
 check:
 	$(GO) run ./cmd/kdpcheck -seeds $(CHECK_SEEDS)
 
-# internal/machine holds BenchmarkCheckInvariants: ns and allocations
-# per probe (docs/CHECKING.md, "What a probe costs"), and
+# internal/machine holds BenchmarkCheckInvariants/{full,charge-only}: ns
+# and allocations per probe (docs/CHECKING.md, "What a probe costs"), and
 # BenchmarkBuildRelease/{cold,warm}: what it costs to stamp out
 # simcheck's machine with the slab recycler empty and with the last
 # machine's platters and buffer slab resting in it; internal/stream

@@ -56,12 +56,21 @@ type Device interface {
 // Splice* fields are the "new fields in the buffer header structure"
 // the paper adds (§5.4) so completion handlers can find the splice
 // descriptor and logical block a buffer belongs to.
+//
+// The fields the free-list and hash walks read come first and fill the
+// header's first 64 bytes, one cache line.
 type Buf struct {
-	Flags  int
-	Dev    Device
-	Blkno  int64 // physical block number on Dev
-	Bcount int   // transfer length in bytes
-	Resid  int   // bytes not transferred (error cases)
+	Flags    int
+	Dev      Device
+	Blkno    int64 // physical block number on Dev
+	hashNext *Buf
+	freePrev *Buf
+	freeNext *Buf
+	hashed   bool
+	onFree   bool
+
+	Bcount int // transfer length in bytes
+	Resid  int // bytes not transferred (error cases)
 	Data   []byte
 	Err    error
 
@@ -84,12 +93,7 @@ type Buf struct {
 	// whose data area it shares.
 	SplicePeer *Buf
 
-	pool     *Cache
-	hashNext *Buf
-	hashed   bool
-	freePrev *Buf
-	freeNext *Buf
-	onFree   bool
+	pool *Cache
 }
 
 func (b *Buf) String() string {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"kdp/internal/kernel"
 	"kdp/internal/sim"
@@ -268,4 +269,24 @@ func TestCacheCrashDropsDirtyAndClearsErrors(t *testing.T) {
 			t.Errorf("invariants after crash: %v", err)
 		}
 	})
+}
+
+// TestWalkFieldsFillOneLine pins Buf's layout: every field the free-list
+// and hash walks read sits in the header's first 64 bytes.
+func TestWalkFieldsFillOneLine(t *testing.T) {
+	var b Buf
+	for name, end := range map[string]uintptr{
+		"Flags":    unsafe.Offsetof(b.Flags) + unsafe.Sizeof(b.Flags),
+		"Dev":      unsafe.Offsetof(b.Dev) + unsafe.Sizeof(b.Dev),
+		"Blkno":    unsafe.Offsetof(b.Blkno) + unsafe.Sizeof(b.Blkno),
+		"hashNext": unsafe.Offsetof(b.hashNext) + unsafe.Sizeof(b.hashNext),
+		"freePrev": unsafe.Offsetof(b.freePrev) + unsafe.Sizeof(b.freePrev),
+		"freeNext": unsafe.Offsetof(b.freeNext) + unsafe.Sizeof(b.freeNext),
+		"hashed":   unsafe.Offsetof(b.hashed) + unsafe.Sizeof(b.hashed),
+		"onFree":   unsafe.Offsetof(b.onFree) + unsafe.Sizeof(b.onFree),
+	} {
+		if end > 64 {
+			t.Errorf("Buf.%s ends at byte %d, past the first 64", name, end)
+		}
+	}
 }

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"kdp/internal/sim"
@@ -200,6 +201,129 @@ func TestPreemptedChargeResumesWithRemainderOnce(t *testing.T) {
 	busy := 500*sim.Millisecond + k.Stats().Switching + k.Stats().Interrupt
 	if sim.Duration(k.Now()) != busy {
 		t.Fatalf("clock %v, want %v: every charged nanosecond exactly once", k.Now(), busy)
+	}
+}
+
+// watchChargeOnly installs a probe logging ChargeOnly at every boundary
+// of k. The returned during runs charge in process context and returns
+// what the boundaries it took logged: before and after, for a charge.
+func watchChargeOnly(k *Kernel) (during func(charge func()) []bool) {
+	var seen []bool
+	k.SetProbe(func() { seen = append(seen, k.ChargeOnly()) })
+	return func(charge func()) []bool {
+		n := len(seen)
+		charge()
+		return slices.Clone(seen[n:])
+	}
+}
+
+var quiet = []bool{false, true} // before the charge, then charge-only after it
+
+func TestChargeOnlyAfterQuietCharge(t *testing.T) {
+	k := testKernel()
+	during := watchChargeOnly(k)
+	k.Spawn("lone", func(p *Proc) {
+		for _, kernelMode := range []bool{true, false} {
+			if got := during(func() { p.Use(sim.Microsecond, kernelMode) }); !slices.Equal(got, quiet) {
+				t.Errorf("charge (kernel mode %v) with nothing due: boundaries %v, want %v", kernelMode, got, quiet)
+			}
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestChargeOnlyNotWhenAnEventFires(t *testing.T) {
+	k := testKernel()
+	during := watchChargeOnly(k)
+	nop := func() {}
+	k.Spawn("lone", func(p *Proc) {
+		for _, tc := range []struct {
+			what   string
+			charge func()
+		}{
+			{"a device completion due mid-charge", func() {
+				k.Engine().Schedule(5*sim.Microsecond, "biodone", nop)
+				p.UseK(10 * sim.Microsecond)
+			}},
+			{"a device completion due as the charge ends", func() {
+				k.Engine().Schedule(10*sim.Microsecond, "biodone", nop)
+				p.Compute(10 * sim.Microsecond)
+			}},
+			{"a callout due mid-charge", func() {
+				k.Timeout(nop, 1)
+				p.UseK(15 * sim.Millisecond)
+			}},
+		} {
+			if got := during(tc.charge); !slices.Equal(got, []bool{false, false}) {
+				t.Errorf("%s: boundaries %v, want neither charge-only", tc.what, got)
+			}
+			if got := during(func() { p.UseK(sim.Microsecond) }); !slices.Equal(got, quiet) {
+				t.Errorf("after %s, a quiet charge: boundaries %v, want %v", tc.what, got, quiet)
+			}
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestChargeOnlyNotAfterSignalHandler: a handler is process code and may
+// touch any layer, so a user-mode charge that runs one is not
+// charge-only. An ignored signal, or one left pending by a kernel-mode
+// charge, runs no code outside the kernel.
+func TestChargeOnlyNotAfterSignalHandler(t *testing.T) {
+	k := testKernel()
+	during := watchChargeOnly(k)
+	handled := 0
+	k.Spawn("sig", func(p *Proc) {
+		compute := func() { p.Compute(sim.Microsecond) }
+		k.Post(p, SIGALRM)
+		if got := during(compute); !slices.Equal(got, quiet) || p.SignalPending(SIGALRM) {
+			t.Errorf("ignored signal: boundaries %v, want %v", got, quiet)
+		}
+		p.SetSignalHandler(SIGIO, func(*Proc, Signal) { handled++ })
+		k.Post(p, SIGIO)
+		if got := during(func() { p.UseK(sim.Microsecond) }); !slices.Equal(got, quiet) || handled != 0 {
+			t.Errorf("kernel-mode charge, SIGIO pending: boundaries %v, %d handled; want %v, 0", got, handled, quiet)
+		}
+		if got := during(compute); !slices.Equal(got, []bool{false, false}) || handled != 1 {
+			t.Errorf("user-mode charge delivering SIGIO: boundaries %v, %d handled; want neither charge-only, 1", got, handled)
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestChargeOnlyNeverAtRunLoopBoundary(t *testing.T) {
+	k := testKernel()
+	charging, runLoop := false, 0
+	k.SetProbe(func() {
+		if !charging {
+			runLoop++
+			if k.ChargeOnly() {
+				t.Errorf("Run-loop boundary %d is charge-only", runLoop)
+			}
+		}
+	})
+	k.Spawn("napper", func(p *Proc) {
+		for i := 0; i < 5; i++ {
+			if k.ChargeOnly() {
+				t.Error("ChargeOnly outside a probe")
+			}
+			charging = true
+			p.UseK(sim.Microsecond)
+			charging = false
+			p.SleepFor(20 * sim.Millisecond)
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if runLoop < 5 || k.ChargeOnly() {
+		t.Fatalf("%d Run-loop boundaries, ChargeOnly after Run %v; want >= 5, false", runLoop, k.ChargeOnly())
 	}
 }
 

@@ -58,11 +58,13 @@ type Kernel struct {
 	pollRegs int // live poller registrations across every PollQueue
 	resumes  int // coroutine switches into a process (tests pin the in-place path with it)
 
-	tr       *trace.Tracer
-	probe    func() // invoked at every scheduling boundary (simcheck)
-	ckPass   uint64 // CheckInvariants pass counter (see Proc.ckRunq)
-	abortErr error  // set by Abort; Run returns it at the next boundary
-	stopErr  error  // what a boundary Proc.Use ran returned; Run returns it as its own
+	tr         *trace.Tracer
+	probe      func() // invoked at every scheduling boundary (simcheck)
+	chargeOnly bool   // inside a probe at a charge-only boundary (see ChargeOnly)
+	sigRuns    uint64 // signal handlers run (see activity)
+	ckPass     uint64 // CheckInvariants pass counter (see Proc.ckRunq)
+	abortErr   error  // set by Abort; Run returns it at the next boundary
+	stopErr    error  // what a boundary Proc.Use ran returned; Run returns it as its own
 
 	faults *FaultPlan // fault-site registry (see fault.go)
 }
@@ -333,7 +335,7 @@ func (k *Kernel) otherRunnable(pri int) bool {
 func (k *Kernel) Run() error {
 	k.startClock()
 	for {
-		if err := k.boundary(); err != nil {
+		if err := k.boundary(noCharge); err != nil {
 			return err
 		}
 		if k.alive == 0 && k.holds == 0 {
@@ -379,17 +381,36 @@ func (k *Kernel) Run() error {
 // boundary is one scheduling boundary: the watchdog test, every event
 // now due (at interrupt level, on whichever stack got here: Run's, or
 // that of the process Proc.Use is charging), the probe, and a pending
-// Abort. A non-nil error ends the run.
-func (k *Kernel) boundary() error {
+// Abort. A non-nil error ends the run. since is activity() as the CPU
+// charge this boundary ends began (noCharge for any other boundary): if
+// it has not moved, the probe runs charge-only.
+func (k *Kernel) boundary(since uint64) error {
 	if k.cfg.MaxRunTime > 0 && sim.Duration(k.engine.Now()) > k.cfg.MaxRunTime {
 		return ErrWatchdog
 	}
 	k.engine.RunDue()
 	if k.probe != nil {
+		k.chargeOnly = since == k.activity()
 		k.probe()
+		k.chargeOnly = false
 	}
 	return k.abortErr
 }
+
+// noCharge is the since of a boundary that ends no CPU charge.
+const noCharge = ^uint64(0)
+
+// activity counts what can move state outside the kernel while a
+// process is being charged: engine events fired and signal handlers run.
+// Both only grow, so an unchanged sum means neither ran.
+func (k *Kernel) activity() uint64 { return k.engine.Fired() + k.sigRuns }
+
+// ChargeOnly reports whether the running probe is charge-only: it ends a
+// Proc.Use charge during which no event fired and no signal handler ran,
+// so since the probe before the charge only the kernel's own state
+// (accounting, run queue, current process) and the trace have moved. A
+// probe may then re-check just those. False outside a probe.
+func (k *Kernel) ChargeOnly() bool { return k.chargeOnly }
 
 // anySignalsPending reports whether any live process has an undelivered
 // signal (which could still unblock an interruptible sleeper).

@@ -178,6 +178,8 @@ func (p *Proc) park() { p.yield(struct{}{}) }
 // process parks only when it has lost the CPU (serveUse preempted it:
 // Run takes the boundary and picks the next process) or when a boundary
 // ends the run (Run returns stopErr without taking the boundary again).
+// The boundary after the charge is charge-only (Kernel.ChargeOnly) when
+// no event fired and no signal handler ran in between.
 func (p *Proc) Use(d sim.Duration, kernelMode bool) {
 	if d <= 0 {
 		return
@@ -186,10 +188,11 @@ func (p *Proc) Use(d sim.Duration, kernelMode bool) {
 	p.useRem = d
 	p.useKernel = kernelMode
 	k := p.k
-	if k.stopErr = k.boundary(); k.stopErr == nil {
+	if k.stopErr = k.boundary(noCharge); k.stopErr == nil {
+		since := k.activity()
 		k.serveUse(p)
 		if k.current == p {
-			if k.stopErr = k.boundary(); k.stopErr == nil {
+			if k.stopErr = k.boundary(since); k.stopErr == nil {
 				return
 			}
 		}

@@ -10,6 +10,7 @@ import (
 	"kdp/internal/socket"
 	"kdp/internal/splice"
 	"kdp/internal/stream"
+	"kdp/internal/trace"
 	"kdp/internal/workload"
 )
 
@@ -18,9 +19,9 @@ import (
 // (ghosts on both transports) and a live one with unread data, a file
 // mapped shared and private with resident and copy-on-write pages, and
 // an asynchronous file-to-file splice in flight between two mechanical
-// disks. Nothing is scheduled while body runs, so every pass it makes
-// sees the same state.
-func onWarmMachine(tb testing.TB, body func(m *machine.Machine)) {
+// disks, with a trace checker fed since boot. Nothing is scheduled while
+// body runs, so every pass it makes sees the same state.
+func onWarmMachine(tb testing.TB, body func(m *machine.Machine, tchk *trace.Checker)) {
 	tb.Helper()
 	splice.EnableInvariants(true)
 	stream.EnableInvariants(true)
@@ -35,6 +36,8 @@ func onWarmMachine(tb testing.TB, body func(m *machine.Machine)) {
 		s.Disks = append(s.Disks, machine.DiskSpec{Mount: "/d" + string(rune('0'+i)), Params: p, Inodes: 64})
 	}
 	m := machine.New(s)
+	tchk := trace.NewChecker()
+	m.K.StartTrace(tchk)
 	net := socket.NewNet(m.K, socket.Loopback())
 	srv, err := stream.NewTransport(m.K, net, 80)
 	if err != nil {
@@ -118,7 +121,7 @@ func onWarmMachine(tb testing.TB, body func(m *machine.Machine)) {
 		case m.Pool.Resident() < 3:
 			tb.Errorf("rig: %d resident pages, want object and shadow pages", m.Pool.Resident())
 		default:
-			body(m)
+			body(m, tchk)
 		}
 
 		fail("splice wait", h.Wait(p))
@@ -134,38 +137,58 @@ func onWarmMachine(tb testing.TB, body func(m *machine.Machine)) {
 	}
 }
 
-// checks are the passes simcheck makes at every scheduling boundary
-// (the trace checker's share is a fixed-size array compare).
-func checks(m *machine.Machine) []struct {
-	name string
-	pass func() error
-} {
-	return []struct {
+// check is one catalog pass, and a probe the passes one boundary makes.
+type (
+	check struct {
 		name string
 		pass func() error
-	}{
-		{"machine.CheckInvariants", m.CheckInvariants},
-		{"stream.CheckInvariants", stream.CheckInvariants},
-		{"splice.CheckInvariants", splice.CheckInvariants},
+	}
+	probe struct {
+		name   string
+		checks []check
+	}
+)
+
+// probes are the two probes simcheck makes: the full one, and the
+// charge-only one at the boundary after a CPU charge during which
+// nothing else ran (the kernel catalog and the trace checks alone).
+func probes(m *machine.Machine, tchk *trace.Checker) []probe {
+	traced := check{"trace.Checker", func() error {
+		if err := tchk.Err(); err != nil {
+			return err
+		}
+		return tchk.CheckMetrics(m.K.Tracer().Metrics())
+	}}
+	return []probe{
+		{"full", []check{
+			{"machine.CheckInvariants", m.CheckInvariants},
+			{"stream.CheckInvariants", stream.CheckInvariants},
+			{"splice.CheckInvariants", splice.CheckInvariants},
+			traced,
+		}},
+		{"charge-only", []check{{"kernel.CheckInvariants", m.K.CheckInvariants}, traced}},
 	}
 }
 
 // TestChecksAllocateNothing is the guard for the rule in
 // docs/CHECKING.md ("What a probe costs"): a check that runs at every
 // scheduling boundary may not allocate on the passing path. Every layer
-// the machine owns, plus the stream and splice registries, is held to
-// zero allocations per pass on a machine with all of them busy.
+// the machine owns, the stream and splice registries and the trace
+// checks are held to zero allocations per pass, in both probes, on a
+// machine with all of them busy.
 func TestChecksAllocateNothing(t *testing.T) {
 	ran := false
-	onWarmMachine(t, func(m *machine.Machine) {
+	onWarmMachine(t, func(m *machine.Machine, tchk *trace.Checker) {
 		ran = true
-		for _, c := range checks(m) {
-			if err := c.pass(); err != nil {
-				t.Errorf("%s on the warm machine: %v", c.name, err)
-				continue
-			}
-			if n := testing.AllocsPerRun(50, func() { _ = c.pass() }); n != 0 {
-				t.Errorf("%s allocates %v times per passing pass, want 0", c.name, n)
+		for _, pr := range probes(m, tchk) {
+			for _, c := range pr.checks {
+				if err := c.pass(); err != nil {
+					t.Errorf("%s probe: %s on the warm machine: %v", pr.name, c.name, err)
+					continue
+				}
+				if n := testing.AllocsPerRun(50, func() { _ = c.pass() }); n != 0 {
+					t.Errorf("%s probe: %s allocates %v times per passing pass, want 0", pr.name, c.name, n)
+				}
 			}
 		}
 	})
@@ -174,23 +197,25 @@ func TestChecksAllocateNothing(t *testing.T) {
 	}
 }
 
-// BenchmarkCheckInvariants times one full probe's worth of checks on
-// the warm machine: what simcheck pays at every scheduling boundary
-// (the benchmark's simcheck.probe.invariants_us measures the same
-// passes on its own rig).
+// BenchmarkCheckInvariants times each probe's worth of checks on the
+// warm machine: full/ is what simcheck pays at most scheduling
+// boundaries, charge-only/ what it pays after a CPU charge nothing
+// interrupted (the benchmark's simcheck.probe.invariants_us measures
+// kernel, cache and stream passes on its own rig).
 func BenchmarkCheckInvariants(b *testing.B) {
-	onWarmMachine(b, func(m *machine.Machine) {
-		cs := checks(m)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, c := range cs {
-				if err := c.pass(); err != nil {
-					b.Error(err)
-					return
+	onWarmMachine(b, func(m *machine.Machine, tchk *trace.Checker) {
+		for _, pr := range probes(m, tchk) {
+			b.Run(pr.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					for _, c := range pr.checks {
+						if err := c.pass(); err != nil {
+							b.Error(err)
+							return
+						}
+					}
 				}
-			}
+			})
 		}
-		b.StopTimer()
 	})
 }

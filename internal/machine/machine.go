@@ -154,8 +154,13 @@ func (m *Machine) Devices() []buf.Device { return m.devs }
 // CheckInvariants validates every layer the machine owns — cache,
 // kernel, disks, mounted filesystems, page pool — and returns the first
 // violation. It does no I/O and never sleeps, so it can run at every
-// scheduling boundary.
+// scheduling boundary. In a charge-only probe (kernel.Kernel.ChargeOnly)
+// nothing but the kernel has moved since the last pass, so only the
+// kernel is checked.
 func (m *Machine) CheckInvariants() error {
+	if m.K.ChargeOnly() {
+		return m.K.CheckInvariants()
+	}
 	if err := m.Cache.CheckInvariants(); err != nil {
 		return err
 	}

@@ -20,7 +20,8 @@
 //     disk request queues (disk.CheckInvariants), in-core filesystem
 //     state (fs.CheckLive), live splice descriptors
 //     (splice.CheckInvariants), and live stream connections
-//     (stream.CheckInvariants).
+//     (stream.CheckInvariants); a charge-only probe
+//     (kernel.Kernel.ChargeOnly) re-validates the kernel and the trace.
 //  2. Oracle. Every generated op updates an in-memory model of expected
 //     file contents; reads verify against it inline and a final sweep
 //     re-reads every file. Disk-fault injection taints the affected
@@ -429,7 +430,9 @@ func (m *machine) probe() {
 	}
 }
 
-// checkInvariants validates every layer's invariants once.
+// checkInvariants validates every layer's invariants once; in a
+// charge-only probe, only the kernel and the trace (docs/CHECKING.md,
+// "What a probe costs").
 func (m *machine) checkInvariants() error {
 	if err := m.Machine.CheckInvariants(); err != nil {
 		return err
@@ -439,6 +442,9 @@ func (m *machine) checkInvariants() error {
 	}
 	if err := m.tchk.CheckMetrics(m.tr.Metrics()); err != nil {
 		return err
+	}
+	if m.K.ChargeOnly() {
+		return nil
 	}
 	if err := splice.CheckInvariants(); err != nil {
 		return err

@@ -2,11 +2,13 @@ package simcheck
 
 import (
 	"errors"
+	"regexp"
 	"runtime"
 	"slices"
 	"strings"
 	"testing"
 
+	"kdp/internal/buf"
 	"kdp/internal/kernel"
 )
 
@@ -103,6 +105,50 @@ func TestDamageTripsInvariants(t *testing.T) {
 				t.Errorf("damage %q: diagnostic does not carry the seed: %s", tc.damage, msg)
 			}
 		})
+	}
+}
+
+// TestDamageReportsPinned holds every planted cache damage, on seeds 1–4,
+// to the violation name, op and virtual time the harness reported before
+// charge-only probes skipped any catalog: the values below were printed
+// by Run(Config{Seed: s, Damage: kind, DamageAfter: 5}) on the tree
+// without them. The damage is planted between ops and checked at once
+// from process context, where ChargeOnly is false, so a difference means
+// the full pass lost a check or the run before the damage changed.
+func TestDamageReportsPinned(t *testing.T) {
+	at := map[uint64]struct{ op, t string }{
+		1: {"op 4", "0.248409s"},
+		2: {"op 2", "0.082618s"},
+		3: {"op 4", "0.630848s"},
+		4: {"op 15", "0.280843s"},
+	}
+	names := map[string][4]string{
+		"busy-on-freelist": {"buf-free-busy", "buf-free-busy", "buf-free-busy", "buf-free-busy"},
+		"delwri-undone":    {"buf-flag-delwri", "buf-flag-delwri", "buf-flag-delwri", "buf-flag-delwri"},
+		"hash-key":         {"buf-hash-key", "buf-hash-key", "buf-hash-key", "buf-hash-key"},
+		"ra-pending":       {"buf-ra-pending", "buf-ra-pending", "buf-ra-pending", "buf-ra-pending"},
+		"two-stage":        {"buf-flag-delwri", "buf-ra-pending", "buf-ra-pending", "buf-flag-delwri"},
+	}
+	where := regexp.MustCompile(`\(during (op \d+) .*, t=(\S+)\)$`)
+	for _, kind := range buf.DamageKinds() {
+		want, ok := names[kind]
+		if !ok {
+			t.Errorf("damage %q has no pinned reports", kind)
+			continue
+		}
+		for seed := uint64(1); seed <= 4; seed++ {
+			res := Run(Config{Seed: seed, Damage: kind, DamageAfter: 5})
+			if !res.Failed() {
+				t.Errorf("damage %q, seed %d went undetected", kind, seed)
+				continue
+			}
+			m := where.FindStringSubmatch(res.Violation.Error())
+			if name := kernel.ViolationName(res.Violation); name != want[seed-1] || m == nil ||
+				m[1] != at[seed].op || m[2] != at[seed].t {
+				t.Errorf("damage %q, seed %d: %v; want %s during %s at t=%s",
+					kind, seed, res.Violation, want[seed-1], at[seed].op, at[seed].t)
+			}
+		}
 	}
 }
 

@@ -23,6 +23,7 @@ import (
 // alone. simcheck installs one on every machine it builds.
 type Checker struct {
 	count [kindMax]int64
+	total int64 // running sum of count
 	lastT sim.Time
 	any   bool
 	open  map[int32][]string // per-pid stack of open syscalls
@@ -38,6 +39,7 @@ func NewChecker() *Checker {
 func (c *Checker) Emit(ev Event) {
 	if ev.Kind < kindMax {
 		c.count[ev.Kind]++
+		c.total++
 	}
 	c.check(ev)
 }
@@ -87,13 +89,7 @@ func (c *Checker) fail(ev Event, format string, args ...any) {
 func (c *Checker) Err() error { return c.err }
 
 // Events returns the checker's independent total event tally.
-func (c *Checker) Events() int64 {
-	var n int64
-	for _, v := range c.count {
-		n += v
-	}
-	return n
-}
+func (c *Checker) Events() int64 { return c.total }
 
 // CheckMetrics verifies that a Metrics aggregator fed from the same
 // stream agrees with the checker's independent per-kind tally — i.e.
@@ -120,16 +116,22 @@ func (c *Checker) CheckMetrics(m *Metrics) error {
 
 // CheckQuiesced verifies end-of-run conditions: no syscall is still
 // open on any process. Call after the machine has fully drained (it is
-// normal for syscalls to be open mid-run).
+// normal for syscalls to be open mid-run). Of several such processes it
+// reports the lowest pid, so a failing run replays to one diagnostic.
 func (c *Checker) CheckQuiesced() error {
 	if c.err != nil {
 		return c.err
 	}
+	first := int32(-1)
 	for pid, stack := range c.open {
-		if len(stack) > 0 {
-			return fmt.Errorf("trace: pid %d ended with %d unmatched syscall enter(s), innermost %q",
-				pid, len(stack), stack[len(stack)-1])
+		if len(stack) > 0 && (first < 0 || pid < first) {
+			first = pid
 		}
 	}
-	return nil
+	if first < 0 {
+		return nil
+	}
+	stack := c.open[first]
+	return fmt.Errorf("trace: pid %d ended with %d unmatched syscall enter(s), innermost %q",
+		first, len(stack), stack[len(stack)-1])
 }

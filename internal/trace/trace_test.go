@@ -174,6 +174,30 @@ func TestCheckerViolations(t *testing.T) {
 	}
 }
 
+// TestCheckQuiescedReportsLowestPid: with several processes left inside
+// a syscall the diagnostic names the lowest pid, whatever order the
+// checker's map yields them in, so a failing seed replays to one message.
+func TestCheckQuiescedReportsLowestPid(t *testing.T) {
+	const want = `trace: pid 4 ended with 1 unmatched syscall enter(s), innermost "read"`
+	for i := 0; i < 20; i++ {
+		c := NewChecker()
+		for _, ev := range []Event{
+			{T: 1, Kind: KindSyscallEnter, Pid: 9, Name: "pause"},
+			{T: 1, Kind: KindSyscallEnter, Pid: 2, Name: "open"},
+			{T: 2, Kind: KindSyscallExit, Pid: 2, Name: "open"},
+			{T: 2, Kind: KindSyscallEnter, Pid: 4, Name: "read"},
+		} {
+			c.Emit(ev)
+		}
+		if err := c.CheckQuiesced(); err == nil || err.Error() != want {
+			t.Fatalf("pass %d: CheckQuiesced = %v, want %s", i, err, want)
+		}
+		if c.Events() != 4 {
+			t.Fatalf("tally = %d, want 4", c.Events())
+		}
+	}
+}
+
 func TestCheckMetrics(t *testing.T) {
 	tr := New(nil)
 	c := NewChecker()
