@@ -176,96 +176,16 @@ func TestEnospcMidExtensionRollsBack(t *testing.T) {
 	})
 }
 
-// TestFsckRepairMatrix drives the repairing fsck over a matrix of media
-// corruptions. Every case must converge: repair reports and fixes the
-// damage, and the follow-up plain fsck finds a clean volume.
+// TestFsckRepairMatrix drives the repairing fsck over damageCases. Every
+// case must converge: repair reports and fixes the damage, and the
+// follow-up plain fsck finds a clean volume.
 func TestFsckRepairMatrix(t *testing.T) {
-	// Inode numbers are deterministic: ialloc scans from the bottom, so
-	// with root=1 the files below land at 2, 3 and the dir at 4.
-	const (
-		inoA   = 2
-		inoB   = 3
-		inoSub = 4
-	)
-	cases := []struct {
-		name string
-		// wantProblems=false marks damage fsck tolerates silently; all
-		// other cases must be detected and repaired.
-		wantProblems bool
-		corrupt      func(t *testing.T, r *rig)
-	}{
-		{"bad-pointer", true, func(t *testing.T, r *rig) {
-			di := r.readDinodeRaw(inoA)
-			di.Direct[0] = superRaw(r).TotalBlocks + 5
-			r.writeDinodeRaw(inoA, di)
-		}},
-		{"crosslink", true, func(t *testing.T, r *rig) {
-			a, b := r.readDinodeRaw(inoA), r.readDinodeRaw(inoB)
-			b.Direct[0] = a.Direct[0]
-			r.writeDinodeRaw(inoB, b)
-		}},
-		{"orphan-inode", true, func(t *testing.T, r *rig) {
-			r.writeDinodeRaw(20, dinode{Mode: ModeFile, Nlink: 1, Size: 0})
-		}},
-		{"torn-dir-size", true, func(t *testing.T, r *rig) {
-			di := r.readDinodeRaw(RootIno)
-			di.Size += 13
-			r.writeDinodeRaw(RootIno, di)
-		}},
-		{"bad-nlink", true, func(t *testing.T, r *rig) {
-			di := r.readDinodeRaw(inoA)
-			di.Nlink = 7
-			r.writeDinodeRaw(inoA, di)
-		}},
-		{"bad-mode", true, func(t *testing.T, r *rig) {
-			di := r.readDinodeRaw(inoB)
-			di.Mode = 0x1234
-			r.writeDinodeRaw(inoB, di)
-		}},
-		{"bitmap-both-ways", true, func(t *testing.T, r *rig) {
-			sb := superRaw(r)
-			r.flipBitmapRaw(sb.TotalBlocks-3, true) // spurious in-use
-			di := r.readDinodeRaw(inoA)
-			r.flipBitmapRaw(di.Direct[0], false) // used block marked free
-		}},
-		{"sb-counts", true, func(t *testing.T, r *rig) {
-			sb := superRaw(r)
-			sb.FreeBlocks += 17
-			sb.FreeInodes--
-			raw := make([]byte, sb.BlockSize)
-			r.d.ReadRaw(0, raw)
-			sb.encode(raw)
-			r.d.WriteRaw(0, raw)
-		}},
-		{"clean-volume", false, func(t *testing.T, r *rig) {}},
-	}
-	for _, tc := range cases {
+	for _, tc := range damageCases {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newRig(t, 512)
 			r.run(t, func(p *kernel.Proc, f *FS) {
 				ctx := p.Ctx()
-				for _, path := range []string{"/a", "/b"} {
-					fl, err := f.OpenFile(ctx, path, kernel.OCreat|kernel.ORdWr)
-					if err != nil {
-						t.Fatalf("create %s: %v", path, err)
-					}
-					if _, err := fl.Write(ctx, pattern(2*testBlockSize, 7), 0); err != nil {
-						t.Fatalf("write %s: %v", path, err)
-					}
-					if err := fl.Close(ctx); err != nil {
-						t.Fatalf("close %s: %v", path, err)
-					}
-				}
-				if err := f.Mkdir(ctx, "/sub"); err != nil {
-					t.Fatalf("mkdir: %v", err)
-				}
-				if err := f.SyncAll(ctx); err != nil {
-					t.Fatalf("syncall: %v", err)
-				}
-				if err := r.c.InvalidateDev(ctx, r.d); err != nil {
-					t.Fatalf("invalidate: %v", err)
-				}
-
+				damageBase(t, r, ctx, f)
 				tc.corrupt(t, r)
 
 				rep, err := FsckRepair(ctx, r.c, r.d)
@@ -308,7 +228,6 @@ func metaDigest(r *rig) uint64 {
 // first FsckRepair fixes compound damage, a second pass must find
 // nothing, fix nothing, and leave the on-media metadata byte-exact.
 func TestFsckRepairIdempotent(t *testing.T) {
-	const inoA = 2 // deterministic: first file created below root
 	r := newRig(t, 512)
 	r.run(t, func(p *kernel.Proc, f *FS) {
 		ctx := p.Ctx()

@@ -38,7 +38,9 @@ func (r *FsckReport) problemf(format string, args ...any) {
 //   - free counters in the superblock match the bitmap and inode table.
 //
 // Like the historical fsck it expects a quiescent volume (no open
-// writers).
+// writers), and like it each pass reads every metadata block once:
+// an inode-table block for all its inodes, a directory block for all its
+// entries, a bitmap block for all its bits.
 func Fsck(ctx kernel.Ctx, cache *buf.Cache, dev buf.Device) (*FsckReport, error) {
 	rep := &FsckReport{}
 
@@ -49,6 +51,9 @@ func Fsck(ctx kernel.Ctx, cache *buf.Cache, dev buf.Device) (*FsckReport, error)
 	var sb Superblock
 	err = sb.decode(sbuf.Data)
 	cache.Brelse(ctx, sbuf)
+	if err == nil {
+		err = sb.checkGeometry(dev)
+	}
 	if err != nil {
 		rep.problemf("superblock: %v", err)
 		return rep, nil
@@ -65,25 +70,58 @@ func Fsck(ctx kernel.Ctx, cache *buf.Cache, dev buf.Device) (*FsckReport, error)
 	refs := map[uint32]uint32{} // physical block → first referencing inode
 	links := map[uint32]int{}   // inode → directory references
 	allocated := map[uint32]*dinode{}
-	inoPerBlk := int(sb.BlockSize) / InodeSize
-	for ino := uint32(1); ino < sb.NInodes; ino++ {
-		blk := int64(sb.ITableStart) + int64(int(ino)/inoPerBlk)
-		b, err := cache.Bread(ctx, dev, blk)
+	checkRef := func(ino, pblk uint32, what string) {
+		if pblk == 0 {
+			return
+		}
+		if pblk < sb.DataStart || pblk >= sb.TotalBlocks {
+			rep.problemf("inode %d: %s block %d outside data region", ino, what, pblk)
+			return
+		}
+		if prev, dup := refs[pblk]; dup {
+			rep.problemf("inode %d: %s block %d already referenced by inode %d", ino, what, pblk, prev)
+			return
+		}
+		refs[pblk] = ino
+		rep.UsedBlocks++
+	}
+	var walk func(ino, blk uint32, what string, depth int)
+	walk = func(ino, blk uint32, what string, depth int) {
+		if blk == 0 {
+			return
+		}
+		checkRef(ino, blk, what)
+		if blk < sb.DataStart || blk >= sb.TotalBlocks {
+			return
+		}
+		pb, err := cache.Bread(ctx, dev, int64(blk))
 		if err != nil {
-			return nil, err
+			rep.problemf("inode %d: unreadable %s block %d", ino, what, blk)
+			return
 		}
-		var di dinode
-		di.decode(b.Data[(int(ino)%inoPerBlk)*InodeSize:])
-		cache.Brelse(ctx, b)
-		if di.Mode == ModeFree {
-			continue
+		le := binary.LittleEndian
+		ppb := int(sb.BlockSize) / 4
+		entries := make([]uint32, 0, 16)
+		for i := 0; i < ppb; i++ {
+			if p := le.Uint32(pb.Data[i*4:]); p != 0 {
+				entries = append(entries, p)
+			}
 		}
+		cache.Brelse(ctx, pb)
+		for _, p := range entries {
+			if depth > 1 {
+				walk(ino, p, "indirect", depth-1)
+			} else {
+				checkRef(ino, p, "data")
+			}
+		}
+	}
+	err = walkInodes(ctx, cache, dev, &sb, func(ino uint32, di *dinode) error {
 		if di.Mode != ModeFile && di.Mode != ModeDir {
 			rep.problemf("inode %d: invalid mode %d", ino, di.Mode)
-			continue
+			return nil
 		}
-		dcopy := di
-		allocated[ino] = &dcopy
+		allocated[ino] = di
 		rep.Inodes++
 		if di.Mode == ModeDir {
 			rep.Dirs++
@@ -93,57 +131,15 @@ func Fsck(ctx kernel.Ctx, cache *buf.Cache, dev buf.Device) (*FsckReport, error)
 		if di.Size < 0 {
 			rep.problemf("inode %d: negative size %d", ino, di.Size)
 		}
-		checkRef := func(pblk uint32, what string) {
-			if pblk == 0 {
-				return
-			}
-			if pblk < sb.DataStart || pblk >= sb.TotalBlocks {
-				rep.problemf("inode %d: %s block %d outside data region", ino, what, pblk)
-				return
-			}
-			if prev, dup := refs[pblk]; dup {
-				rep.problemf("inode %d: %s block %d already referenced by inode %d", ino, what, pblk, prev)
-				return
-			}
-			refs[pblk] = ino
-			rep.UsedBlocks++
-		}
 		for _, pblk := range di.Direct {
-			checkRef(pblk, "direct")
+			checkRef(ino, pblk, "direct")
 		}
-		var walk func(blk uint32, what string, depth int)
-		walk = func(blk uint32, what string, depth int) {
-			if blk == 0 {
-				return
-			}
-			checkRef(blk, what)
-			if blk < sb.DataStart || blk >= sb.TotalBlocks {
-				return
-			}
-			pb, err := cache.Bread(ctx, dev, int64(blk))
-			if err != nil {
-				rep.problemf("inode %d: unreadable %s block %d", ino, what, blk)
-				return
-			}
-			le := binary.LittleEndian
-			ppb := int(sb.BlockSize) / 4
-			entries := make([]uint32, 0, 16)
-			for i := 0; i < ppb; i++ {
-				if p := le.Uint32(pb.Data[i*4:]); p != 0 {
-					entries = append(entries, p)
-				}
-			}
-			cache.Brelse(ctx, pb)
-			for _, p := range entries {
-				if depth > 1 {
-					walk(p, "indirect", depth-1)
-				} else {
-					checkRef(p, "data")
-				}
-			}
-		}
-		walk(di.Indir, "indirect", 1)
-		walk(di.DIndir, "double-indirect", 2)
+		walk(ino, di.Indir, "indirect", 1)
+		walk(ino, di.DIndir, "double-indirect", 2)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Pass 2: directory connectivity and link counts, in inode order so
@@ -153,7 +149,18 @@ func Fsck(ctx kernel.Ctx, cache *buf.Cache, dev buf.Device) (*FsckReport, error)
 		if di.Mode != ModeDir {
 			continue
 		}
-		if err := fsckScanDir(ctx, cache, dev, &sb, ino, di, allocated, links, rep); err != nil {
+		err := walkDir(ctx, cache, dev, &sb, di, func(de dirent) bool {
+			if _, ok := allocated[de.Ino]; !ok {
+				rep.problemf("dir inode %d: entry %q points to unallocated inode %d", ino, de.Name, de.Ino)
+				return false
+			}
+			links[de.Ino]++
+			if len(de.Name) == 0 || len(de.Name) > MaxNameLen {
+				rep.problemf("dir inode %d: entry for inode %d has invalid name length %d", ino, de.Ino, len(de.Name))
+			}
+			return false
+		})
+		if err != nil {
 			return nil, err
 		}
 	}
@@ -169,27 +176,22 @@ func Fsck(ctx kernel.Ctx, cache *buf.Cache, dev buf.Device) (*FsckReport, error)
 	}
 
 	// Pass 3: bitmap cross-check.
-	bitsPerBlk := int(sb.BlockSize) * 8
 	usedInBitmap := uint32(0)
-	for blk := sb.DataStart; blk < sb.TotalBlocks; blk++ {
-		bmBlk := int64(sb.BitmapStart) + int64(int(blk)/bitsPerBlk)
-		b, err := cache.Bread(ctx, dev, bmBlk)
-		if err != nil {
-			return nil, err
-		}
-		bit := int(blk) % bitsPerBlk
-		marked := b.Data[bit/8]&(1<<uint(bit%8)) != 0
-		cache.Brelse(ctx, b)
-		_, referenced := refs[blk]
+	err = walkBitmap(ctx, cache, dev, &sb, sb.DataStart, sb.TotalBlocks, func(blk uint32, marked bool) bool {
+		owner, referenced := refs[blk]
 		if marked {
 			usedInBitmap++
 		}
 		if referenced && !marked {
-			rep.problemf("block %d: referenced by inode %d but free in bitmap", blk, refs[blk])
+			rep.problemf("block %d: referenced by inode %d but free in bitmap", blk, owner)
 		}
 		if !referenced && marked {
 			rep.problemf("block %d: marked in-use but unreferenced (leaked)", blk)
 		}
+		return marked
+	})
+	if err != nil {
+		return nil, err
 	}
 	dataBlocks := sb.TotalBlocks - sb.DataStart
 	if sb.FreeBlocks != dataBlocks-usedInBitmap {
@@ -202,22 +204,72 @@ func Fsck(ctx kernel.Ctx, cache *buf.Cache, dev buf.Device) (*FsckReport, error)
 	return rep, nil
 }
 
-// fsckScanDir validates one directory's entries.
-func fsckScanDir(ctx kernel.Ctx, cache *buf.Cache, dev buf.Device, sb *Superblock,
-	dirIno uint32, di *dinode, allocated map[uint32]*dinode, links map[uint32]int, rep *FsckReport) error {
-
-	bsize := int64(sb.BlockSize)
-	// Resolve the directory's logical blocks through its own pointers
-	// (directories small enough for direct blocks in practice, but
-	// follow the indirect chain for completeness).
-	lookup := func(lblk int64) uint32 {
-		if lblk < NDirect {
-			return di.Direct[lblk]
-		}
-		return 0 // directories beyond direct blocks are not produced by this fs
+// checkGeometry is what both checkers require of a superblock before
+// they address anything by it: the device's block size; the bitmap, the
+// inode table and the data region following the superblock in that
+// order, the data region starting on the device; a bitmap with a bit for
+// every device block; and an inode table that holds NInodes inodes.
+func (sb *Superblock) checkGeometry(dev buf.Device) error {
+	bsize, devBlocks := uint64(sb.BlockSize), uint64(dev.DevBlocks())
+	switch {
+	case int(sb.BlockSize) != dev.DevBlockSize():
+		return fmt.Errorf("block size %d, device's is %d", sb.BlockSize, dev.DevBlockSize())
+	case sb.BitmapStart == 0,
+		uint64(sb.BitmapStart)+uint64(sb.BitmapLen) > uint64(sb.ITableStart),
+		uint64(sb.ITableStart)+uint64(sb.ITableLen) > uint64(sb.DataStart),
+		uint64(sb.DataStart) >= devBlocks:
+		return fmt.Errorf("bitmap at %d+%d, inode table at %d+%d and data from %d are out of order or off the %d-block device",
+			sb.BitmapStart, sb.BitmapLen, sb.ITableStart, sb.ITableLen, sb.DataStart, devBlocks)
+	case uint64(sb.BitmapLen)*bsize*8 < devBlocks:
+		return fmt.Errorf("%d bitmap block(s) cannot map %d blocks", sb.BitmapLen, devBlocks)
+	case uint64(sb.NInodes) > uint64(sb.ITableLen)*(bsize/InodeSize):
+		return fmt.Errorf("%d inodes overflow %d inode-table block(s)", sb.NInodes, sb.ITableLen)
 	}
-	for off := int64(0); off < di.Size; off += DirentSize {
-		pblk := lookup(off / bsize)
+	return nil
+}
+
+// walkInodes reads the inode table one block at a time and calls fn, in
+// inode order, for every inode from 1 up that is not free, with a copy
+// decoded from its block. The block is released before fn runs, so fn
+// may read and write anything through the cache, the table included.
+func walkInodes(ctx kernel.Ctx, cache *buf.Cache, dev buf.Device, sb *Superblock, fn func(ino uint32, di *dinode) error) error {
+	per := sb.BlockSize / InodeSize
+	batch := make([]*dinode, per)
+	for ino := uint32(1); ino < sb.NInodes; {
+		first := ino - ino%per
+		b, err := cache.Bread(ctx, dev, int64(sb.ITableStart)+int64(first/per))
+		if err != nil {
+			return err
+		}
+		for ; ino < sb.NInodes && ino < first+per; ino++ {
+			p := b.Data[(ino-first)*InodeSize:]
+			if binary.LittleEndian.Uint16(p) != ModeFree {
+				batch[ino-first] = new(dinode)
+				batch[ino-first].decode(p)
+			}
+		}
+		cache.Brelse(ctx, b)
+		for i, di := range batch {
+			if di == nil {
+				continue
+			}
+			batch[i] = nil
+			if err := fn(first+uint32(i), di); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// walkDir reads each block of directory di once and calls fn, in offset
+// order, on every entry in use below di.Size. An entry fn returns true
+// for is cleared in place; a block with a cleared entry is written back
+// (delayed), any other released.
+func walkDir(ctx kernel.Ctx, cache *buf.Cache, dev buf.Device, sb *Superblock, di *dinode, fn func(de dirent) (clear bool)) error {
+	bsize := int64(sb.BlockSize)
+	for lblk := int64(0); lblk < NDirect && lblk*bsize < di.Size; lblk++ {
+		pblk := di.Direct[lblk] // directories never outgrow direct blocks in this fs
 		if pblk == 0 {
 			continue
 		}
@@ -225,20 +277,48 @@ func fsckScanDir(ctx kernel.Ctx, cache *buf.Cache, dev buf.Device, sb *Superbloc
 		if err != nil {
 			return err
 		}
-		de := decodeDirent(b.Data[off%bsize:])
-		cache.Brelse(ctx, b)
-		if de.Ino == 0 {
-			continue
+		cleared := false
+		for off := int64(0); off < bsize && lblk*bsize+off < di.Size; off += DirentSize {
+			de := decodeDirent(b.Data[off:])
+			if de.Ino != 0 && fn(de) {
+				encodeDirent(b.Data[off:], dirent{})
+				cleared = true
+			}
 		}
-		target, ok := allocated[de.Ino]
-		if !ok {
-			rep.problemf("dir inode %d: entry %q points to unallocated inode %d", dirIno, de.Name, de.Ino)
-			continue
+		if cleared {
+			cache.Bdwrite(ctx, b)
+		} else {
+			cache.Brelse(ctx, b)
 		}
-		_ = target
-		links[de.Ino]++
-		if len(de.Name) == 0 || len(de.Name) > MaxNameLen {
-			rep.problemf("dir inode %d: entry for inode %d has invalid name length %d", dirIno, de.Ino, len(de.Name))
+	}
+	return nil
+}
+
+// walkBitmap reads each bitmap block covering blocks [from, to) once and
+// calls fn, in block order, with every block number in the range and its
+// bit; fn returns the bit the block should have. A bitmap block whose
+// bits changed is written back (delayed), any other released.
+func walkBitmap(ctx kernel.Ctx, cache *buf.Cache, dev buf.Device, sb *Superblock, from, to uint32, fn func(blk uint32, marked bool) bool) error {
+	bits := int64(sb.BlockSize) * 8
+	for blk := int64(from); blk < int64(to); {
+		b, err := cache.Bread(ctx, dev, int64(sb.BitmapStart)+blk/bits)
+		if err != nil {
+			return err
+		}
+		changed := false
+		for end := min(int64(to), (blk/bits+1)*bits); blk < end; blk++ {
+			bit := blk % bits
+			mask := byte(1) << uint(bit%8)
+			marked := b.Data[bit/8]&mask != 0
+			if fn(uint32(blk), marked) != marked {
+				b.Data[bit/8] ^= mask
+				changed = true
+			}
+		}
+		if changed {
+			cache.Bdwrite(ctx, b)
+		} else {
+			cache.Brelse(ctx, b)
 		}
 	}
 	return nil

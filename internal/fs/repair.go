@@ -30,14 +30,16 @@ import (
 //     reachability set is stable; a missing root directory is
 //     recreated empty;
 //   - link counts are reset to the observed reference counts;
-//   - the allocation bitmap is rebuilt wholesale from the surviving
-//     reference walk, and the superblock free counters from the
-//     bitmap and inode table.
+//   - the allocation bitmap is rebuilt wholesale from the survivors'
+//     block claims, and the superblock free counters from the bitmap
+//     and inode table.
 //
 // Every repair is also recorded in the report's Problems list, and
 // Repaired counts the individual fixes applied. All writes go through
 // the cache and are flushed before return, so a follow-up Fsck sees a
-// clean volume. Like Fsck it expects a quiescent device.
+// clean volume. Like Fsck it expects a quiescent device and reads each
+// metadata block once per pass; only an inode it rewrites costs the
+// table block one more lookup.
 func FsckRepair(ctx kernel.Ctx, cache *buf.Cache, dev buf.Device) (*FsckReport, error) {
 	rep := &FsckReport{}
 
@@ -66,31 +68,73 @@ func FsckRepair(ctx kernel.Ctx, cache *buf.Cache, dev buf.Device) (*FsckReport, 
 		sbDirty = true
 		rep.Repaired++
 	}
-	if sb.DataStart >= sb.TotalBlocks || sb.BlockSize == 0 {
-		return nil, fmt.Errorf("fs: unrepairable superblock geometry (data start %d, %d blocks)", sb.DataStart, sb.TotalBlocks)
+	if err := sb.checkGeometry(dev); err != nil {
+		return nil, fmt.Errorf("fs: unrepairable superblock geometry: %v", err)
 	}
 
 	// Pass 1: sanitize every allocated inode's pointers. refs records
-	// which inode first claimed each block; claims by inodes that are
-	// later zapped are recomputed away in the final reference walk.
+	// which inode first claimed each block; the claims of inodes zapped
+	// later are dropped before the bitmap rebuild.
 	refs := map[uint32]uint32{}
 	allocated := map[uint32]*dinode{}
 	dirtyIno := map[uint32]bool{}
-	for ino := uint32(1); ino < sb.NInodes; ino++ {
-		di, err := readDinode(ctx, cache, dev, &sb, ino)
+	claim := func(ino, pblk uint32, what string) bool {
+		if pblk < sb.DataStart || pblk >= sb.TotalBlocks {
+			rep.problemf("inode %d: %s block %d outside data region (cleared)", ino, what, pblk)
+			return false
+		}
+		if prev, dup := refs[pblk]; dup {
+			rep.problemf("inode %d: %s block %d already referenced by inode %d (cleared)", ino, what, pblk, prev)
+			return false
+		}
+		refs[pblk] = ino
+		return true
+	}
+	// sanitizePtr claims a pointer block and scrubs its entries in
+	// place, returning false when the pointer to it must be cleared.
+	var sanitizePtr func(ino, blk uint32, what string, depth int) bool
+	sanitizePtr = func(ino, blk uint32, what string, depth int) bool {
+		if !claim(ino, blk, what) {
+			return false
+		}
+		pb, err := cache.Bread(ctx, dev, int64(blk))
 		if err != nil {
-			return nil, err
+			rep.problemf("inode %d: unreadable %s block %d (cleared)", ino, what, blk)
+			delete(refs, blk)
+			return false
 		}
-		if di.Mode == ModeFree {
-			continue
+		le := binary.LittleEndian
+		ppb := int(sb.BlockSize) / 4
+		modified := false
+		for i := 0; i < ppb; i++ {
+			p := le.Uint32(pb.Data[i*4:])
+			if p == 0 {
+				continue
+			}
+			keep := false
+			if depth > 1 {
+				keep = sanitizePtr(ino, p, "indirect", depth-1)
+			} else {
+				keep = claim(ino, p, "data")
+			}
+			if !keep {
+				le.PutUint32(pb.Data[i*4:], 0)
+				modified = true
+				rep.Repaired++
+			}
 		}
+		if modified {
+			cache.Bdwrite(ctx, pb)
+		} else {
+			cache.Brelse(ctx, pb)
+		}
+		return true
+	}
+	err = walkInodes(ctx, cache, dev, &sb, func(ino uint32, di *dinode) error {
 		if di.Mode != ModeFile && di.Mode != ModeDir {
 			rep.problemf("inode %d: invalid mode %d (zapped)", ino, di.Mode)
-			if err := writeDinode(ctx, cache, dev, &sb, ino, &dinode{}); err != nil {
-				return nil, err
-			}
 			rep.Repaired++
-			continue
+			return writeDinode(ctx, cache, dev, &sb, ino, &dinode{})
 		}
 		if di.Size < 0 {
 			rep.problemf("inode %d: negative size %d (reset)", ino, di.Size)
@@ -104,91 +148,49 @@ func FsckRepair(ctx kernel.Ctx, cache *buf.Cache, dev buf.Device) (*FsckReport, 
 			dirtyIno[ino] = true
 			rep.Repaired++
 		}
-		claim := func(pblk uint32, what string) bool {
-			if pblk < sb.DataStart || pblk >= sb.TotalBlocks {
-				rep.problemf("inode %d: %s block %d outside data region (cleared)", ino, what, pblk)
-				return false
-			}
-			if prev, dup := refs[pblk]; dup {
-				rep.problemf("inode %d: %s block %d already referenced by inode %d (cleared)", ino, what, pblk, prev)
-				return false
-			}
-			refs[pblk] = ino
-			return true
-		}
-		// sanitizePtr claims a pointer block and scrubs its entries in
-		// place, returning false when the pointer to it must be cleared.
-		var sanitizePtr func(blk uint32, what string, depth int) bool
-		sanitizePtr = func(blk uint32, what string, depth int) bool {
-			if !claim(blk, what) {
-				return false
-			}
-			pb, err := cache.Bread(ctx, dev, int64(blk))
-			if err != nil {
-				rep.problemf("inode %d: unreadable %s block %d (cleared)", ino, what, blk)
-				delete(refs, blk)
-				return false
-			}
-			le := binary.LittleEndian
-			ppb := int(sb.BlockSize) / 4
-			modified := false
-			for i := 0; i < ppb; i++ {
-				p := le.Uint32(pb.Data[i*4:])
-				if p == 0 {
-					continue
-				}
-				keep := false
-				if depth > 1 {
-					keep = sanitizePtr(p, "indirect", depth-1)
-				} else {
-					keep = claim(p, "data")
-				}
-				if !keep {
-					le.PutUint32(pb.Data[i*4:], 0)
-					modified = true
-					rep.Repaired++
-				}
-			}
-			if modified {
-				cache.Bdwrite(ctx, pb)
-			} else {
-				cache.Brelse(ctx, pb)
-			}
-			return true
-		}
 		for i := range di.Direct {
-			if di.Direct[i] != 0 && !claim(di.Direct[i], "direct") {
+			if di.Direct[i] != 0 && !claim(ino, di.Direct[i], "direct") {
 				di.Direct[i] = 0
 				dirtyIno[ino] = true
 				rep.Repaired++
 			}
 		}
-		if di.Indir != 0 && !sanitizePtr(di.Indir, "indirect", 1) {
+		if di.Indir != 0 && !sanitizePtr(ino, di.Indir, "indirect", 1) {
 			di.Indir = 0
 			dirtyIno[ino] = true
 			rep.Repaired++
 		}
-		if di.DIndir != 0 && !sanitizePtr(di.DIndir, "double-indirect", 2) {
+		if di.DIndir != 0 && !sanitizePtr(ino, di.DIndir, "double-indirect", 2) {
 			di.DIndir = 0
 			dirtyIno[ino] = true
 			rep.Repaired++
 		}
 		allocated[ino] = di
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// A volume must always come back mountable: if the root directory
-	// itself is gone, recreate it empty.
+	// itself is gone, recreate it empty, without what it claimed.
 	if di, ok := allocated[RootIno]; !ok || di.Mode != ModeDir {
 		rep.problemf("root inode missing or not a directory (recreated empty)")
 		allocated[RootIno] = &dinode{Mode: ModeDir, Nlink: 1}
 		dirtyIno[RootIno] = true
 		rep.Repaired++
+		for blk, ino := range refs {
+			if ino == RootIno {
+				delete(refs, blk)
+			}
+		}
 	}
 
 	// Pass 2: directory scrub and reachability, to a fixpoint. Each
 	// round clears entries naming inodes that are free or were zapped
-	// in an earlier round, then zaps inodes no surviving directory
-	// references (orphans). Zapping a directory can orphan its
+	// in an earlier round, or that carry an empty (mangled) name; valid
+	// entries feed the link counts. Then it zaps inodes no surviving
+	// directory references (orphans). Zapping a directory can orphan its
 	// children, hence the loop; it terminates because each round
 	// strictly shrinks the allocated set.
 	var links map[uint32]int
@@ -199,7 +201,21 @@ func FsckRepair(ctx kernel.Ctx, cache *buf.Cache, dev buf.Device) (*FsckReport, 
 			if di.Mode != ModeDir {
 				continue
 			}
-			if err := repairScanDir(ctx, cache, dev, &sb, ino, di, allocated, links, rep); err != nil {
+			err := walkDir(ctx, cache, dev, &sb, di, func(de dirent) bool {
+				_, ok := allocated[de.Ino]
+				switch {
+				case !ok:
+					rep.problemf("dir inode %d: entry %q points to unallocated inode %d (cleared)", ino, de.Name, de.Ino)
+				case len(de.Name) == 0:
+					rep.problemf("dir inode %d: entry for inode %d has invalid name (cleared)", ino, de.Ino)
+				default:
+					links[de.Ino]++
+					return false
+				}
+				rep.Repaired++
+				return true
+			})
+			if err != nil {
 				return nil, err
 			}
 		}
@@ -254,43 +270,34 @@ func FsckRepair(ctx kernel.Ctx, cache *buf.Cache, dev buf.Device) (*FsckReport, 
 		}
 	}
 
-	// Final reference walk over the survivors (their pointers are
-	// sanitized now, so this cannot fail on structure) feeds the
-	// wholesale bitmap rebuild.
-	refs = map[uint32]uint32{}
-	for _, ino := range sortedInos(allocated) {
-		if err := collectDinodeRefs(ctx, cache, dev, &sb, ino, allocated[ino], refs); err != nil {
-			return nil, err
+	// The survivors' pointers are sanitized, and each block they
+	// reference is one of the claims pass 1 accepted, so the claims of
+	// the inodes zapped since are all the reference walk must drop.
+	for blk, ino := range refs {
+		if _, ok := allocated[ino]; !ok {
+			delete(refs, blk)
 		}
 	}
 	rep.UsedBlocks = len(refs)
 
 	// Pass 3: rebuild the bitmap — a bit is set iff the block is
 	// metadata (below the data region) or referenced by a survivor.
-	bitsPerBlk := int(sb.BlockSize) * 8
-	for blk := uint32(0); blk < sb.TotalBlocks; blk++ {
-		bmBlk := int64(sb.BitmapStart) + int64(int(blk)/bitsPerBlk)
-		b, err := cache.Bread(ctx, dev, bmBlk)
-		if err != nil {
-			return nil, err
-		}
-		bit := int(blk) % bitsPerBlk
-		marked := b.Data[bit/8]&(1<<uint(bit%8)) != 0
-		_, referenced := refs[blk]
+	err = walkBitmap(ctx, cache, dev, &sb, 0, sb.TotalBlocks, func(blk uint32, marked bool) bool {
+		owner, referenced := refs[blk]
 		want := referenced || blk < sb.DataStart
-		if marked == want {
-			cache.Brelse(ctx, b)
-			continue
-		}
-		if want {
-			rep.problemf("block %d: referenced by inode %d but free in bitmap (marked)", blk, refs[blk])
-			b.Data[bit/8] |= 1 << uint(bit%8)
-		} else {
+		switch {
+		case marked == want:
+			return want
+		case want:
+			rep.problemf("block %d: referenced by inode %d but free in bitmap (marked)", blk, owner)
+		default:
 			rep.problemf("block %d: marked in-use but unreferenced (freed)", blk)
-			b.Data[bit/8] &^= 1 << uint(bit%8)
 		}
-		cache.Bdwrite(ctx, b)
 		rep.Repaired++
+		return want
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Superblock counters from the rebuilt state.
@@ -325,111 +332,6 @@ func FsckRepair(ctx kernel.Ctx, cache *buf.Cache, dev buf.Device) (*FsckReport, 
 	}
 	ctx.Kern().TraceEmit(trace.KindFSRepair, 0, int64(len(rep.Problems)), int64(rep.Repaired), dev.DevName())
 	return rep, nil
-}
-
-// repairScanDir scrubs one directory's entries in place: entries that
-// name free/out-of-range inodes or carry an empty (mangled) name are
-// cleared; valid entries feed the link counts. Idempotent, so the
-// reachability fixpoint can re-run it.
-func repairScanDir(ctx kernel.Ctx, cache *buf.Cache, dev buf.Device, sb *Superblock,
-	dirIno uint32, di *dinode, allocated map[uint32]*dinode, links map[uint32]int, rep *FsckReport) error {
-
-	bsize := int64(sb.BlockSize)
-	for off := int64(0); off < di.Size; off += DirentSize {
-		lblk := off / bsize
-		if lblk >= NDirect {
-			break // directories never outgrow direct blocks in this fs
-		}
-		pblk := di.Direct[lblk]
-		if pblk == 0 {
-			continue
-		}
-		b, err := cache.Bread(ctx, dev, int64(pblk))
-		if err != nil {
-			return err
-		}
-		de := decodeDirent(b.Data[off%bsize:])
-		if de.Ino == 0 {
-			cache.Brelse(ctx, b)
-			continue
-		}
-		_, ok := allocated[de.Ino]
-		switch {
-		case !ok:
-			rep.problemf("dir inode %d: entry %q points to unallocated inode %d (cleared)", dirIno, de.Name, de.Ino)
-		case len(de.Name) == 0:
-			rep.problemf("dir inode %d: entry for inode %d has invalid name (cleared)", dirIno, de.Ino)
-		default:
-			cache.Brelse(ctx, b)
-			links[de.Ino]++
-			continue
-		}
-		encodeDirent(b.Data[off%bsize:], dirent{})
-		cache.Bdwrite(ctx, b)
-		rep.Repaired++
-	}
-	return nil
-}
-
-// collectDinodeRefs records every block the (sanitized) inode
-// references into refs, pointer blocks before their entries — the same
-// claim order Fsck uses.
-func collectDinodeRefs(ctx kernel.Ctx, cache *buf.Cache, dev buf.Device, sb *Superblock,
-	ino uint32, di *dinode, refs map[uint32]uint32) error {
-
-	for _, pblk := range di.Direct {
-		if pblk != 0 {
-			refs[pblk] = ino
-		}
-	}
-	var walk func(blk uint32, depth int) error
-	walk = func(blk uint32, depth int) error {
-		if blk == 0 {
-			return nil
-		}
-		refs[blk] = ino
-		pb, err := cache.Bread(ctx, dev, int64(blk))
-		if err != nil {
-			return err
-		}
-		le := binary.LittleEndian
-		ppb := int(sb.BlockSize) / 4
-		entries := make([]uint32, 0, 16)
-		for i := 0; i < ppb; i++ {
-			if p := le.Uint32(pb.Data[i*4:]); p != 0 {
-				entries = append(entries, p)
-			}
-		}
-		cache.Brelse(ctx, pb)
-		for _, p := range entries {
-			if depth > 1 {
-				if err := walk(p, depth-1); err != nil {
-					return err
-				}
-			} else {
-				refs[p] = ino
-			}
-		}
-		return nil
-	}
-	if err := walk(di.Indir, 1); err != nil {
-		return err
-	}
-	return walk(di.DIndir, 2)
-}
-
-// readDinode fetches one on-disk inode image through the cache.
-func readDinode(ctx kernel.Ctx, cache *buf.Cache, dev buf.Device, sb *Superblock, ino uint32) (*dinode, error) {
-	inoPerBlk := int(sb.BlockSize) / InodeSize
-	blk := int64(sb.ITableStart) + int64(int(ino)/inoPerBlk)
-	b, err := cache.Bread(ctx, dev, blk)
-	if err != nil {
-		return nil, err
-	}
-	var di dinode
-	di.decode(b.Data[(int(ino)%inoPerBlk)*InodeSize:])
-	cache.Brelse(ctx, b)
-	return &di, nil
 }
 
 // writeDinode writes one on-disk inode image (delayed; the repair pass
