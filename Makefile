@@ -23,7 +23,7 @@ race:
 
 # Bounded randomized simulation checking (see docs/CHECKING.md);
 # CHECK_SEEDS can be raised for a deeper sweep.
-CHECK_SEEDS ?= 140
+CHECK_SEEDS ?= 160
 check:
 	$(GO) run ./cmd/kdpcheck -seeds $(CHECK_SEEDS)
 
@@ -136,8 +136,8 @@ loc:
 # trace is one table's exported event stream, schema-validated as well;
 # server, vm and batch are the sweep tables that exercise the stream
 # transport and server engines, demand paging, and aggregated crossings.
-CRASH_SEEDS ?= 160
-FAULT_SEEDS ?= 16
+CRASH_SEEDS ?= 190
+FAULT_SEEDS ?= 19
 FAULT_OPS ?= 40
 crash_gate  = $(GO) run ./cmd/kdpcheck -crash -seeds $(CRASH_SEEDS) > $(1)
 fault_gate  = $(GO) run ./cmd/kdpcheck -faults -seeds $(FAULT_SEEDS) -ops $(FAULT_OPS) > $(1)

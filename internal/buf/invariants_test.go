@@ -127,6 +127,27 @@ func TestCatalogTrips(t *testing.T) {
 	}
 }
 
+// TestFlagRulesNeedAPremise: CheckInvariants calls checkBufFlags only for
+// a buffer carrying one of flagPremises, which is exact only while every
+// rule there is conditional on one of them. Every combination of the low
+// 16 flag bits — the eleven flags and room for five more — without a
+// premise, with and without an Iodone handler, must pass; a rule added on
+// any other flag fails here until the mask is widened.
+func TestFlagRulesNeedAPremise(t *testing.T) {
+	iodone := func(*kernel.Kernel, *Buf) {}
+	for flags := 0; flags < 1<<16; flags++ {
+		if flags&flagPremises != 0 {
+			continue
+		}
+		for _, fn := range []func(*kernel.Kernel, *Buf){nil, iodone} {
+			b := &Buf{Flags: flags, Iodone: fn}
+			if err := checkBufFlags(b); err != nil {
+				t.Fatalf("flags %#x (no premise flag): %v", flags, err)
+			}
+		}
+	}
+}
+
 // TestFirstViolationIsDeterministic: with two buffers damaged, which
 // violation is reported (the one on the lower hash chain) and which
 // buffer Damage("hash-key") picks (the first hashed one in pool order)

@@ -168,6 +168,21 @@ var damageCases = []struct {
 		di.Mode = ModeFile
 		r.writeDinodeRaw(RootIno, di)
 	}},
+	{"dir-pointer-off-device", true, func(t *testing.T, r *rig) {
+		di := r.readDinodeRaw(inoSub)
+		di.Direct[0] = superRaw(r).TotalBlocks + 5
+		r.writeDinodeRaw(inoSub, di)
+	}},
+	{"total-blocks-past-device", true, func(t *testing.T, r *rig) {
+		// Far enough that a bitmap walk trusting it leaves the device:
+		// 512 blocks of 65 536 bits each map only 1<<25 blocks.
+		sb := superRaw(r)
+		sb.TotalBlocks = 1 << 26
+		raw := make([]byte, sb.BlockSize)
+		r.d.ReadRaw(0, raw)
+		sb.encode(raw)
+		r.d.WriteRaw(0, raw)
+	}},
 	{"clean-volume", false, func(t *testing.T, r *rig) {}},
 }
 
@@ -188,6 +203,8 @@ func reportText(rep *FsckReport) string {
 // and the census. The pins were generated at commit 0e35eb7, by the
 // checkers that made one cache lookup per inode, directory entry and
 // bitmap bit; reading each metadata block once must not change a word.
+// The two off-device cases, which panicked Fsck until it stopped reading
+// at the device's end, are pinned from the first checker to survive them.
 func TestFsckReportsPinned(t *testing.T) {
 	for _, tc := range damageCases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -404,6 +421,23 @@ block 24: marked in-use but unreferenced (freed)
 block 25: marked in-use but unreferenced (freed)
 superblock: free-block count 486, bitmap says 508 (fixed)
 superblock: free-inode count 121, table says 126 (fixed)
+`,
+	"dir-pointer-off-device": `fsck: inodes=6 dirs=2 files=4 used=21 repaired=0
+inode 4: direct block 517 outside data region
+inode 5: link count 1, referenced 0 time(s)
+block 9: marked in-use but unreferenced (leaked)
+repair: inodes=5 dirs=2 files=3 used=20 repaired=6
+inode 4: direct block 517 outside data region (cleared)
+inode 5: orphaned (zapped)
+block 9: marked in-use but unreferenced (freed)
+block 10: marked in-use but unreferenced (freed)
+superblock: free-block count 486, bitmap says 488 (fixed)
+superblock: free-inode count 121, table says 122 (fixed)
+`,
+	"total-blocks-past-device": `fsck: inodes=6 dirs=2 files=4 used=22 repaired=0
+superblock: claims 67108864 blocks, device has 512
+repair: inodes=6 dirs=2 files=4 used=22 repaired=1
+superblock: claims 67108864 blocks, device has 512
 `,
 	"clean-volume": `fsck: inodes=6 dirs=2 files=4 used=22 repaired=0
 repair: inodes=6 dirs=2 files=4 used=22 repaired=0

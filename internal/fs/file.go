@@ -79,10 +79,7 @@ func (fl *File) Read(ctx kernel.Ctx, p []byte, off int64) (int, error) {
 			return done, err
 		}
 		if pblk == 0 {
-			// Hole: zero fill.
-			for i := 0; i < n; i++ {
-				p[done+i] = 0
-			}
+			clear(p[done : done+n]) // hole: zero fill
 			done += n
 			continue
 		}

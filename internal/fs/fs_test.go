@@ -2,6 +2,8 @@ package fs
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 	"testing/quick"
 
@@ -80,6 +82,48 @@ func TestMkfsAndMount(t *testing.T) {
 			t.Error("root missing")
 		}
 	})
+}
+
+// TestMkfsMetadataPinned holds the metadata blocks Mkfs writes — the
+// superblock, every bitmap block and the inode table — to a sha256 per
+// geometry, generated at commit 08f91e5 by the formatter that visited
+// every bit of each bitmap block. The geometries are simcheck's two
+// volumes, the volume of bench.DefaultSetup(RZ58) (an 8 MB file
+// interleaved by 2, plus 64 blocks), this package's rig, a small-block
+// device whose second bitmap block maps only data, and one whose inode
+// table runs past the first bitmap block's 4 096 bits.
+func TestMkfsMetadataPinned(t *testing.T) {
+	for _, g := range []struct {
+		name    string
+		bsize   int
+		blocks  int64
+		ninodes int
+		sum     string
+	}{
+		{"simcheck-d0", 8192, 600, 64, "55d8c68d8e5c43d140e16c93eaf254c6970ef86fa2527260cd8d81804909909c"},
+		{"simcheck-d1", 8192, 220, 64, "61b4a72ee31dcc7acd89226db77697cb66c33a1873326021907b395e5f5e1320"},
+		{"bench-rz58", 8192, 2112, 64, "d33af50db3f965b99a84c8cb764183660e7dcfe78ce33dc0b885eb6ffbdbb9e7"},
+		{"fs-rig", 8192, 512, 128, "e916c1600913159316f792246aafaad735f4afaa97a8b5fa3f3d5482cb980e60"},
+		{"two-bitmap-blocks", 512, 5000, 128, "ab27325ddd97136bf42465ed80789abe3874174f60c276c22408c79514798dfb"},
+		{"itable-past-first-bitmap-block", 512, 20000, 16384, "af6390f60e97748c091601def42c50fda38c1e0972c5964f7e16074a4f093ba2"},
+	} {
+		t.Run(g.name, func(t *testing.T) {
+			d := disk.New(kernel.New(kernel.DefaultConfig()), disk.RAMDisk(g.blocks, g.bsize))
+			sb, err := Mkfs(d, g.ninodes)
+			if err != nil {
+				t.Fatalf("mkfs: %v", err)
+			}
+			h := sha256.New()
+			blk := make([]byte, g.bsize)
+			for b := int64(0); b < int64(sb.DataStart); b++ {
+				d.ReadRaw(b, blk)
+				h.Write(blk)
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != g.sum {
+				t.Errorf("metadata of %d blocks (data from %d) hashes to %s, want %s", g.blocks, sb.DataStart, got, g.sum)
+			}
+		})
+	}
 }
 
 func TestMountRejectsUnformatted(t *testing.T) {

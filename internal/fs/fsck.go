@@ -60,6 +60,8 @@ func Fsck(ctx kernel.Ctx, cache *buf.Cache, dev buf.Device) (*FsckReport, error)
 	}
 	if int64(sb.TotalBlocks) != dev.DevBlocks() {
 		rep.problemf("superblock: claims %d blocks, device has %d", sb.TotalBlocks, dev.DevBlocks())
+		// Check no further than the device reaches.
+		sb.TotalBlocks = min(sb.TotalBlocks, uint32(dev.DevBlocks()))
 	}
 	if sb.DataStart >= sb.TotalBlocks {
 		rep.problemf("superblock: data region starts beyond device (%d >= %d)", sb.DataStart, sb.TotalBlocks)
@@ -270,8 +272,8 @@ func walkDir(ctx kernel.Ctx, cache *buf.Cache, dev buf.Device, sb *Superblock, d
 	bsize := int64(sb.BlockSize)
 	for lblk := int64(0); lblk < NDirect && lblk*bsize < di.Size; lblk++ {
 		pblk := di.Direct[lblk] // directories never outgrow direct blocks in this fs
-		if pblk == 0 {
-			continue
+		if pblk < sb.DataStart || pblk >= sb.TotalBlocks {
+			continue // a hole, or a pointer pass 1 reported (or cleared)
 		}
 		b, err := cache.Bread(ctx, dev, int64(pblk))
 		if err != nil {

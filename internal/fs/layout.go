@@ -203,24 +203,18 @@ func Mkfs(dev RawDevice, ninodes int) (*Superblock, error) {
 
 	// Bitmap: metadata blocks marked used.
 	for i := 0; i < bitmapLen; i++ {
-		for j := range blk {
-			blk[j] = 0
-		}
+		clear(blk)
 		base := i * bitsPerBlk
-		for b := 0; b < bitsPerBlk; b++ {
-			abs := base + b
-			if abs < dataStart && abs < int(blocks) {
-				blk[b/8] |= 1 << uint(b%8)
-			}
+		for abs := base; abs < min(base+bitsPerBlk, dataStart, int(blocks)); abs++ {
+			b := abs - base
+			blk[b/8] |= 1 << uint(b%8)
 		}
 		dev.WriteRaw(int64(1+i), blk)
 	}
 
 	// Inode table: all free except the root.
 	for i := 0; i < itableLen; i++ {
-		for j := range blk {
-			blk[j] = 0
-		}
+		clear(blk)
 		if i == 0 {
 			root := dinode{Mode: ModeDir, Nlink: 1}
 			root.encode(blk[RootIno*InodeSize:])

@@ -191,11 +191,15 @@ func filePath(w, disk, slot int) string {
 }
 
 // pattern is the position-dependent test pattern for n bytes at off:
-// recognizable, cheap, and different for every (pat, offset).
+// recognizable, cheap, and different for every (pat, offset). It repeats
+// every 256 bytes, so one period is built and then doubled by copying.
 func pattern(n int, off int64, pat byte) []byte {
 	data := make([]byte, n)
-	for i := range data {
+	for i := range data[:min(n, 256)] {
 		data[i] = pat ^ byte(off+int64(i))
+	}
+	for i := 256; i < n; i *= 2 {
+		copy(data[i:], data[:i])
 	}
 	return data
 }

@@ -114,3 +114,54 @@ func TestOpDocs(t *testing.T) {
 		t.Errorf("docs/CHECKING.md lists %d ops, the table has %d", n, len(opTable))
 	}
 }
+
+// TestOracleMatchesByteLoops: pattern builds one 256-byte period and
+// copies it, and firstDiff compares in bulk before it scans; both must
+// return what the byte-at-a-time loops they replaced returned — across a
+// period boundary, at an offset about to wrap, and for inputs that first
+// differ at the first, a middle and the last byte.
+func TestOracleMatchesByteLoops(t *testing.T) {
+	bytePattern := func(n int, off int64, pat byte) []byte {
+		data := make([]byte, n)
+		for i := range data {
+			data[i] = pat ^ byte(off+int64(i))
+		}
+		return data
+	}
+	byteFirstDiff := func(a, b []byte) int {
+		for i := range a {
+			if a[i] != b[i] {
+				return i
+			}
+		}
+		return -1
+	}
+	for _, n := range []int{0, 1, 2, 255, 256, 257, 511, 512, 513, 1000, 8192, 8193} {
+		for _, off := range []int64{0, 1, 250, 255, 256, 8191, 1<<20 - 3} {
+			for _, pat := range []byte{0, 0x5a, 0xff} {
+				want := bytePattern(n, off, pat)
+				if got := pattern(n, off, pat); string(got) != string(want) {
+					t.Fatalf("pattern(%d, %d, %#x) differs from the byte loop", n, off, pat)
+				}
+			}
+		}
+		a := bytePattern(n, 3, 0x5a)
+		if got := firstDiff(a, bytePattern(n+7, 3, 0x5a)); got != -1 {
+			t.Errorf("n=%d: firstDiff against a longer equal prefix = %d, want -1", n, got)
+		}
+		diffs := []int{-1}
+		if n > 0 {
+			diffs = append(diffs, 0, n/2, n-1)
+		}
+		for _, at := range diffs {
+			b := append([]byte(nil), a...)
+			if at >= 0 {
+				b[at] ^= 0x80
+				b[n-1] ^= 0x01 // a later difference must not win
+			}
+			if got, want := firstDiff(a, b), byteFirstDiff(a, b); got != want || (at >= 0 && got != at) {
+				t.Errorf("n=%d, first difference at %d: firstDiff = %d, byte loop %d", n, at, got, want)
+			}
+		}
+	}
+}

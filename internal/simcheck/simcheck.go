@@ -41,6 +41,7 @@
 package simcheck
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
@@ -677,7 +678,11 @@ func diskOf(path string) int {
 }
 
 // firstDiff returns the index of the first differing byte, -1 if equal.
+// Reads almost always match, so one bulk compare settles the common case.
 func firstDiff(a, b []byte) int {
+	if bytes.Equal(a, b) {
+		return -1
+	}
 	for i := range a {
 		if a[i] != b[i] {
 			return i

@@ -101,10 +101,13 @@ func (c *Checker) CheckMetrics(m *Metrics) error {
 	if m == nil {
 		return fmt.Errorf("trace: CheckMetrics on nil Metrics")
 	}
-	for k := Kind(1); k < kindMax; k++ {
-		if m.EventCount[k] != c.count[k] {
-			return fmt.Errorf("trace: metrics drift on %v: aggregator=%d stream=%d",
-				k, m.EventCount[k], c.count[k])
+	// One compare of the whole arrays; the scan names the first drift.
+	if m.EventCount != c.count {
+		for k := Kind(1); k < kindMax; k++ {
+			if m.EventCount[k] != c.count[k] {
+				return fmt.Errorf("trace: metrics drift on %v: aggregator=%d stream=%d",
+					k, m.EventCount[k], c.count[k])
+			}
 		}
 	}
 	if total := c.Events(); m.Events() != total {
