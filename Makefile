@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt race check bench tables goldens pins cover linkcheck loc ci
+.PHONY: build test vet fmt race check bench tables goldens pins determinism reach cover linkcheck loc ci
 
 build:
 	$(GO) build ./...
@@ -58,6 +58,10 @@ goldens:
 # and examples are built once into $(PIN_DIR) and each command's stdout
 # is hashed (a nonzero exit is appended). `make pins > a` on two
 # commits, then `diff a b`, is the "byte-identical except ..." check.
+# The same list is the determinism gate and the reach report's input;
+# TestPinsCoverEverySurface fails unless every sweep, CLI and example
+# has a line. `-trace /dev/stdout` reopens the hashed file, so that
+# line's hash is the exported Chrome trace's bytes, not the table's.
 PIN_DIR = $(or $(TMPDIR),/tmp)/kdp-pins
 define PIN_CMDS
 kdpbench
@@ -73,16 +77,20 @@ kdpbench -sweep cache
 kdpbench -sweep vm
 kdpbench -sweep batch
 kdpbench -series
+kdpbench -table 2 -disks RAM -trace /dev/stdout
 kdpcheck -seeds 300
 kdpcheck -seeds 40 -ops 200 -workers 3
-kdpcheck -crash -seeds 100
-kdpcheck -faults -seeds 8 -ops 40
+kdpcheck -crash -seeds 190
+kdpcheck -faults -seeds 19 -ops 40
+kdpcheck -seed 3 -damage hash-key -minimize
 kdptrace
 kdptrace -disk RAM -n -1
 kdptrace -server 4 -stats
 kdptrace -mcp -stats
 scp
 kdpfsck
+kdpfsck -corrupt crosslink -repair
+kdpfsck -corrupt leak -repair
 cpubound
 fileserver
 movieplayer
@@ -99,6 +107,41 @@ pins:
 		sum=$$(sha256sum < $(PIN_DIR)/stdout | cut -c1-64); \
 		if [ $$rc -eq 0 ]; then echo "$$sum  $$cmd"; else echo "$$sum  $$cmd  (exit $$rc)"; fi; \
 	done
+
+# The determinism gate (docs/TRACING.md's contract): `make pins` twice
+# at once, the second under GOMAXPROCS=1, must print the same hashes,
+# and the trace line's export must pass the schema check.
+determinism:
+	@$(MAKE) -s --no-print-directory pins PIN_DIR=$(PIN_DIR)-a > $(PIN_DIR)-a.txt & \
+	GOMAXPROCS=1 $(MAKE) -s --no-print-directory pins PIN_DIR=$(PIN_DIR)-b > $(PIN_DIR)-b.txt; \
+	rc=$$?; wait $$! && [ $$rc -eq 0 ]
+	cmp $(PIN_DIR)-a.txt $(PIN_DIR)-b.txt
+	$(PIN_DIR)-a/kdpbench -table 2 -disks RAM -trace $(PIN_DIR)-a/trace.json > /dev/null
+	$(PIN_DIR)-a/kdpbench -validate $(PIN_DIR)-a/trace.json
+
+# The reach report (docs/CHECKING.md "What nothing reaches"): every pin
+# line, the trace export's schema check and one short benchmark pass,
+# run from binaries built with -cover, then every function outside
+# benchmark/ that none of them executed, and the lines those functions
+# and their doc comments span. On demand; not part of ci.
+reach:
+	@rm -rf $(PIN_DIR)-reach && mkdir -p $(PIN_DIR)-reach/cov
+	@GOFLAGS='-cover -coverpkg=kdp/...' GOCOVERDIR=$(PIN_DIR)-reach/cov \
+		$(MAKE) -s --no-print-directory pins PIN_DIR=$(PIN_DIR)-reach > /dev/null
+	@$(GO) build -cover -coverpkg=kdp/... -o $(PIN_DIR)-reach/ ./benchmark
+	@cd $(PIN_DIR)-reach && export GOCOVERDIR=$$PWD/cov && \
+		./kdpbench -table 2 -disks RAM -trace trace.json > /dev/null && \
+		./kdpbench -validate trace.json > /dev/null && \
+		./benchmark -seconds 0.5 -trace both -outdir bench > /dev/null
+	@$(GO) tool covdata textfmt -i=$(PIN_DIR)-reach/cov -o $(PIN_DIR)-reach/cover.out
+	@$(GO) tool cover -func=$(PIN_DIR)-reach/cover.out | awk '\
+		$$NF == "0.0%" && $$1 !~ /^kdp\/benchmark\// { \
+			print; n++; split($$1, at, ":"); f = substr(at[1], 5); s = at[2] + 0; \
+			if (!(f in nl)) { k = 0; while ((getline l < f) > 0) src[f, ++k] = l; close(f); nl[f] = k } \
+			e = s; if (src[f, s] !~ /}$$/) while (e < nl[f] && src[f, e] !~ /^}/) e++; \
+			b = s; while (src[f, b - 1] ~ /^\/\//) b--; \
+			lines += e - b + 1 } \
+		END { printf "%d functions, %d lines\n", n, lines }'
 
 # Coverage gate: the paper's own package, the endpoints it splices
 # (§5.1: devices and sockets) and the packages at the core of the
@@ -129,28 +172,4 @@ loc:
 	@find . -name '*.go' -not -path './benchmark/*' -not -name '*_test.go' | xargs cat | wc -l | xargs echo non-test
 	@find . -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l | xargs echo test
 
-# Determinism gates (docs/TRACING.md's contract): `make <gate>-ci` runs
-# the gate's command twice, the second time under GOMAXPROCS=1, and
-# requires the two outputs ($(1)) to be byte-identical. crash and fault
-# are bounded kdpcheck sweeps printing per-seed digests (docs/FAULTS.md);
-# trace is one table's exported event stream, schema-validated as well;
-# server, vm and batch are the sweep tables that exercise the stream
-# transport and server engines, demand paging, and aggregated crossings.
-CRASH_SEEDS ?= 190
-FAULT_SEEDS ?= 19
-FAULT_OPS ?= 40
-crash_gate  = $(GO) run ./cmd/kdpcheck -crash -seeds $(CRASH_SEEDS) > $(1)
-fault_gate  = $(GO) run ./cmd/kdpcheck -faults -seeds $(FAULT_SEEDS) -ops $(FAULT_OPS) > $(1)
-trace_gate  = $(GO) run ./cmd/kdpbench -table 2 -disks RAM -trace $(1) > /dev/null && $(GO) run ./cmd/kdpbench -validate $(1)
-server_gate = $(GO) run ./cmd/kdpbench -sweep server > $(1)
-vm_gate     = $(GO) run ./cmd/kdpbench -sweep vm > $(1)
-batch_gate  = $(GO) run ./cmd/kdpbench -sweep batch > $(1)
-GATES := crash-ci fault-ci trace-ci server-ci vm-ci batch-ci
-GATE_OUT = $(or $(TMPDIR),/tmp)/kdp-$*
-.PHONY: $(GATES)
-$(GATES): %-ci:
-	$(call $*_gate,$(GATE_OUT)-a)
-	GOMAXPROCS=1 $(call $*_gate,$(GATE_OUT)-b)
-	cmp $(GATE_OUT)-a $(GATE_OUT)-b
-
-ci: fmt vet build race check cover linkcheck $(GATES)
+ci: fmt vet build race cover linkcheck determinism

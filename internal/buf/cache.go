@@ -739,56 +739,6 @@ func (c *Cache) flushBufs(ctx kernel.Ctx, dirty []*Buf) (int, error) {
 	return len(dirty), nil
 }
 
-// StartFlushDaemon arms a periodic callout that pushes delayed-write
-// buffers to their devices asynchronously, like the BSD update daemon's
-// 30-second sync. It runs entirely at interrupt level (bawrite never
-// sleeps), so it needs no process. Returns a stop function.
-//
-// The paper's experiments do not run it (they force write-through
-// explicitly), but a production system would; it bounds how long dirty
-// data sits in memory.
-func (c *Cache) StartFlushDaemon(intervalTicks int) (stop func()) {
-	if intervalTicks < 1 {
-		intervalTicks = 1
-	}
-	stopped := false
-	var arm func()
-	arm = func() {
-		c.k.Timeout(func() {
-			if stopped {
-				return
-			}
-			c.flushDirtyAsync()
-			arm()
-		}, intervalTicks)
-	}
-	arm()
-	return func() { stopped = true }
-}
-
-// flushDirtyAsync starts an asynchronous write for every delayed-write
-// buffer currently on the free list.
-func (c *Cache) flushDirtyAsync() {
-	var dirty []*Buf
-	for b := c.freeHead; b != nil; b = b.freeNext {
-		if b.Flags&BDelwri != 0 {
-			dirty = append(dirty, b)
-		}
-	}
-	if len(dirty) == 0 {
-		return
-	}
-	c.flushes++
-	c.k.TraceEmit(trace.KindBufFlush, 0, int64(len(dirty)), 0, "")
-	c.clusterDirty(dirty)
-	ctx := c.k.IntrCtx()
-	for _, b := range dirty {
-		c.freeRemove(b)
-		b.Flags |= BBusy
-		c.Bawrite(ctx, b)
-	}
-}
-
 // InvalidateBlocks drops any cached copies of the given physical blocks
 // of dev, writing delayed-write data out first. The splice write engine
 // uses it on the destination's block table: spliced data reaches disk

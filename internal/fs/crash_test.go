@@ -59,34 +59,48 @@ func (r *rig) flipBitmapRaw(blk uint32, set bool) {
 	r.d.WriteRaw(bmBlk, raw)
 }
 
-// TestDaemonFlushedWriteErrorSurfacesAtFsync is the regression test for
-// the silently-dropped delayed-write error: a bdwrite buffer pushed out
-// by the flush daemon hits a media error at interrupt level, with no
-// process waiting to hear about it. The error must latch per-device and
-// surface at the next fsync — not vanish.
-func TestDaemonFlushedWriteErrorSurfacesAtFsync(t *testing.T) {
-	r := newRig(t, 512)
-	stop := r.c.StartFlushDaemon(5)
-	defer stop()
+// evictedWriteRig writes one block of /f as a delayed write, arms a
+// one-shot media error on it, then writes more blocks of /g than the
+// cache holds: getblk recycles the dirty buffer and pushes it out with
+// Bawrite, so the write fails at interrupt level with no process
+// waiting on it. It returns /f and /g, both still open: the latch is
+// per device, so the first of them to sync or close reports it.
+func evictedWriteRig(t *testing.T, r *rig, ctx kernel.Ctx, f *FS) (fl, g kernel.FileOps) {
+	t.Helper()
+	fl, err := f.OpenFile(ctx, "/f", kernel.OCreat|kernel.ORdWr)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	if _, err := fl.Write(ctx, pattern(testBlockSize, 9), 0); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	blk := fl.(*File).Inode().direct[0]
+	r.k.Faults().Arm(kernel.FaultArm{Site: r.d.WriteSite(), Every: 1, Match: int64(blk), Count: 1, Quiet: true})
+	g, err = f.OpenFile(ctx, "/g", kernel.OCreat|kernel.ORdWr)
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	if _, err := g.Write(ctx, pattern((r.c.NumBuffers()+4)*testBlockSize, 3), 0); err != nil {
+		t.Fatalf("write past the cache: %v", err)
+	}
+	if r.c.WriteError(r.d) == nil {
+		t.Fatal("the evicted delayed write's error did not latch on the device")
+	}
+	return fl, g
+}
+
+// TestEvictedWriteErrorSurfacesAtFsync is the regression test for the
+// silently dropped delayed-write error: a bdwrite buffer that getblk
+// recycles hits a media error at interrupt level, with no process
+// waiting to hear about it. The error must latch per device and surface
+// at the next fsync, not vanish.
+func TestEvictedWriteErrorSurfacesAtFsync(t *testing.T) {
+	r := newCacheRig(t, 512, 16)
 	r.run(t, func(p *kernel.Proc, f *FS) {
 		ctx := p.Ctx()
-		fl, err := f.OpenFile(ctx, "/f", kernel.OCreat|kernel.ORdWr)
-		if err != nil {
-			t.Fatalf("open: %v", err)
-		}
-		if _, err := fl.Write(ctx, pattern(testBlockSize, 9), 0); err != nil {
-			t.Fatalf("write: %v", err)
-		}
-		// Fail the physical block backing the delayed write, then let
-		// the daemon flush it asynchronously.
-		blk := fl.(*File).Inode().direct[0]
-		r.k.Faults().Arm(kernel.FaultArm{Site: r.d.WriteSite(), Every: 1, Match: int64(blk), Count: 1, Quiet: true})
-		p.SleepFor(200 * sim.Millisecond)
-		if r.c.WriteError(r.d) == nil {
-			t.Fatal("daemon flush error did not latch on the device")
-		}
+		fl, g := evictedWriteRig(t, r, ctx, f)
 		if err := fl.Sync(ctx); err != kernel.ErrIO {
-			t.Fatalf("fsync after daemon-flushed write error = %v, want ErrIO", err)
+			t.Fatalf("fsync after an evicted write's error = %v, want ErrIO", err)
 		}
 		// The error was consumed; the fault was one-shot, so rewriting
 		// and syncing again must succeed.
@@ -99,30 +113,25 @@ func TestDaemonFlushedWriteErrorSurfacesAtFsync(t *testing.T) {
 		if err := fl.Close(ctx); err != nil {
 			t.Fatalf("close: %v", err)
 		}
+		if err := g.Close(ctx); err != nil {
+			t.Fatalf("close: %v", err)
+		}
 	})
 }
 
-// TestDaemonFlushedWriteErrorSurfacesAtClose is the close-path variant:
-// with no intervening fsync, close is the last chance to report the
-// lost delayed write.
-func TestDaemonFlushedWriteErrorSurfacesAtClose(t *testing.T) {
-	r := newRig(t, 512)
-	stop := r.c.StartFlushDaemon(5)
-	defer stop()
+// TestEvictedWriteErrorSurfacesAtClose is the close-path variant: with
+// no intervening fsync, close is the last chance to report the lost
+// delayed write.
+func TestEvictedWriteErrorSurfacesAtClose(t *testing.T) {
+	r := newCacheRig(t, 512, 16)
 	r.run(t, func(p *kernel.Proc, f *FS) {
 		ctx := p.Ctx()
-		fl, err := f.OpenFile(ctx, "/f", kernel.OCreat|kernel.ORdWr)
-		if err != nil {
-			t.Fatalf("open: %v", err)
-		}
-		if _, err := fl.Write(ctx, pattern(testBlockSize, 3), 0); err != nil {
-			t.Fatalf("write: %v", err)
-		}
-		blk := fl.(*File).Inode().direct[0]
-		r.k.Faults().Arm(kernel.FaultArm{Site: r.d.WriteSite(), Every: 1, Match: int64(blk), Count: 1, Quiet: true})
-		p.SleepFor(200 * sim.Millisecond)
+		fl, g := evictedWriteRig(t, r, ctx, f)
 		if err := fl.Close(ctx); err != kernel.ErrIO {
-			t.Fatalf("close after daemon-flushed write error = %v, want ErrIO", err)
+			t.Fatalf("close after an evicted write's error = %v, want ErrIO", err)
+		}
+		if err := g.Close(ctx); err != nil {
+			t.Fatalf("close: %v", err)
 		}
 	})
 }

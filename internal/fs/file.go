@@ -13,9 +13,6 @@ type File struct {
 	closed bool
 }
 
-// FS returns the filesystem the file lives on.
-func (fl *File) FS() *FS { return fl.fs }
-
 // Inode returns the file's in-core inode.
 func (fl *File) Inode() *Inode { return fl.ip }
 
@@ -236,7 +233,7 @@ func (fl *File) Sync(ctx kernel.Ctx) error {
 	err := fl.syncInode(ctx)
 	// Consume the device latch in every case: a flush failure latched
 	// its error, and a flush with nothing dirty left can still owe the
-	// caller an earlier buffer-daemon write failure. Either way fsync
+	// caller an earlier evicted delayed write's failure. Either way fsync
 	// reports it exactly once.
 	if lerr := fl.fs.cache.TakeWriteError(fl.fs.dev); err == nil {
 		err = lerr

@@ -72,9 +72,6 @@ func Mount(ctx kernel.Ctx, cache *buf.Cache, dev buf.Device) (*FS, error) {
 // Cache returns the buffer cache the filesystem uses.
 func (f *FS) Cache() *buf.Cache { return f.cache }
 
-// Dev returns the underlying block device.
-func (f *FS) Dev() buf.Device { return f.dev }
-
 // Super returns a copy of the superblock.
 func (f *FS) Super() Superblock { return f.sb }
 
@@ -655,8 +652,8 @@ func (f *FS) Remove(ctx kernel.Ctx, path string) error {
 func (f *FS) SyncAll(ctx kernel.Ctx) error {
 	// Dirty mapped pages first: paging them out turns mmap stores into
 	// ordinary delayed writes, which the flush below then carries to
-	// the platter — the update daemon and sync() cover mmap I/O exactly
-	// as they cover write() I/O.
+	// the platter — sync() covers mmap I/O exactly as it covers
+	// write() I/O.
 	if f.pager != nil {
 		dev := f.dev.DevName()
 		for _, ino := range f.pager.DirtyInos(dev) {
@@ -687,7 +684,7 @@ func (f *FS) SyncAll(ctx kernel.Ctx) error {
 	}
 	n, err := f.cache.FlushDev(ctx, f.dev)
 	// Consume the sticky latch whether or not the flush itself failed:
-	// nothing dirty to flush can still mean a buffer-daemon write
+	// nothing dirty to flush can still mean an evicted delayed write
 	// failed since the last sync, and a flush failure latched its error
 	// for exactly this sync to take.
 	if lerr := f.cache.TakeWriteError(f.dev); err == nil {

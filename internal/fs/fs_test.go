@@ -25,10 +25,16 @@ type rig struct {
 // newRig formats and mounts a filesystem on a RAM disk.
 func newRig(t *testing.T, blocks int64) *rig {
 	t.Helper()
+	return newCacheRig(t, blocks, 64)
+}
+
+// newCacheRig is newRig with an nbuf-buffer cache.
+func newCacheRig(t *testing.T, blocks int64, nbuf int) *rig {
+	t.Helper()
 	cfg := kernel.DefaultConfig()
 	cfg.MaxRunTime = 1200 * sim.Second
 	k := kernel.New(cfg)
-	c := buf.NewCache(k, 64, testBlockSize)
+	c := buf.NewCache(k, nbuf, testBlockSize)
 	d := disk.New(k, disk.RAMDisk(blocks, testBlockSize))
 	d.SetCache(c)
 	if _, err := Mkfs(d, 128); err != nil {
@@ -508,7 +514,7 @@ func TestSpliceMapWriteAllocatesWithoutZeroFillIO(t *testing.T) {
 			if pblk == 0 {
 				t.Fatalf("block %d not allocated", i)
 			}
-			if b := f.Cache().Peek(f.Dev(), int64(pblk)); b != nil {
+			if b := f.Cache().Peek(r.d, int64(pblk)); b != nil {
 				t.Fatalf("data block %d (phys %d) got a cache buffer; zero-fill not skipped", i, pblk)
 			}
 		}

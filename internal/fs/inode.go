@@ -38,12 +38,6 @@ type Inode struct {
 // Ino returns the inode number.
 func (ip *Inode) Ino() uint32 { return ip.ino }
 
-// Size returns the file size in bytes.
-func (ip *Inode) Size() int64 { return ip.size }
-
-// IsDir reports whether the inode is a directory.
-func (ip *Inode) IsDir() bool { return ip.mode == ModeDir }
-
 // lock acquires the inode sleep lock (ILOCK).
 func (ip *Inode) lock(ctx kernel.Ctx) {
 	for ip.locked {

@@ -88,9 +88,9 @@ func (fl *File) PageIn(ctx kernel.Ctx, idx int64, dst []byte, alloc bool) (blk i
 
 // PageOut writes a dirty mapped page back into the buffer cache as a
 // delayed write on its aliased block — from here on it is
-// indistinguishable from write() data: the update daemon flushes it,
-// and an async write failure latches the sticky per-device error that
-// the next msync/fsync/close reports.
+// indistinguishable from write() data: a sync or getblk's recycling
+// writes it, and an async write failure latches the sticky per-device
+// error that the next msync/fsync/close reports.
 func (fl *File) PageOut(ctx kernel.Ctx, blk int64, src []byte) error {
 	b := fl.fs.cache.Getblk(ctx, fl.fs.dev, blk)
 	copy(b.Data, src)

@@ -85,7 +85,6 @@ type FaultPlan struct {
 	k      *Kernel
 	census map[FaultSite]int64
 	arms   map[FaultSite][]*FaultArm
-	fires  map[FaultSite]int64
 
 	// OnFire, when set, is invoked synchronously for every fire with
 	// the site and its argument — the hook harnesses use to switch into
@@ -98,7 +97,6 @@ func newFaultPlan(k *Kernel) *FaultPlan {
 		k:      k,
 		census: make(map[FaultSite]int64),
 		arms:   make(map[FaultSite][]*FaultArm),
-		fires:  make(map[FaultSite]int64),
 	}
 }
 
@@ -173,7 +171,6 @@ func (fp *FaultPlan) Hit(site FaultSite, arg int64) bool {
 				a.Count--
 			}
 			a.fired++
-			fp.fires[site]++
 			if !a.Quiet {
 				fp.k.TraceEmit(trace.KindFaultFire, 0, arg, a.seen, site)
 			}
@@ -186,27 +183,11 @@ func (fp *FaultPlan) Hit(site FaultSite, arg int64) bool {
 	return fired
 }
 
-// Seen returns how many occurrences of site have been reported,
-// eligible or not — the census an unarmed run collects.
-func (fp *FaultPlan) Seen(site FaultSite) int64 { return fp.census[site] }
-
 // ResetCensus clears the occurrence counts without touching the arms.
 // Harnesses call it at the boundary where fault exploration begins —
 // typically after boot — so setup-time occurrences (mkfs, mount) are
 // not sampled as injection points.
 func (fp *FaultPlan) ResetCensus() { fp.census = make(map[FaultSite]int64) }
-
-// Fired returns how many times any arm on site has fired.
-func (fp *FaultPlan) Fired(site FaultSite) int64 { return fp.fires[site] }
-
-// ArmCount returns the number of outstanding arms across all sites.
-func (fp *FaultPlan) ArmCount() int {
-	n := 0
-	for _, list := range fp.arms {
-		n += len(list)
-	}
-	return n
-}
 
 // SiteCount is one row of a census: a site and its occurrence count.
 type SiteCount struct {

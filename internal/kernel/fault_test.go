@@ -11,7 +11,7 @@ import (
 func TestFaultArmKthOccurrence(t *testing.T) {
 	k := testKernel()
 	fp := k.Faults()
-	fp.Arm(FaultArm{Site: "t.site", K: 3, Match: MatchAny})
+	a := fp.Arm(FaultArm{Site: "t.site", K: 3, Match: MatchAny})
 	var fires []int64
 	for i := int64(1); i <= 6; i++ {
 		if fp.Hit("t.site", i*10) {
@@ -21,11 +21,11 @@ func TestFaultArmKthOccurrence(t *testing.T) {
 	if len(fires) != 1 || fires[0] != 3 {
 		t.Fatalf("K=3 fired at occurrences %v, want [3]", fires)
 	}
-	if fp.Seen("t.site") != 6 {
-		t.Fatalf("census = %d, want 6", fp.Seen("t.site"))
+	if fp.census["t.site"] != 6 {
+		t.Fatalf("census = %d, want 6", fp.census["t.site"])
 	}
-	if fp.Fired("t.site") != 1 {
-		t.Fatalf("fires = %d, want 1", fp.Fired("t.site"))
+	if a.Fired() != 1 {
+		t.Fatalf("fires = %d, want 1", a.Fired())
 	}
 }
 
@@ -80,8 +80,8 @@ func TestFaultArmMatchFilters(t *testing.T) {
 		t.Fatal("did not fire on 2nd matching occurrence")
 	}
 	// Census counts every hit, matching or not.
-	if fp.Seen("t.match") != 7 {
-		t.Fatalf("census = %d, want 7", fp.Seen("t.match"))
+	if fp.census["t.match"] != 7 {
+		t.Fatalf("census = %d, want 7", fp.census["t.match"])
 	}
 }
 
@@ -113,8 +113,8 @@ func TestFaultRemoveDisarms(t *testing.T) {
 	if fp.Hit("t.rm", 0) {
 		t.Fatal("removed arm fired")
 	}
-	if fp.ArmCount() != 0 {
-		t.Fatalf("ArmCount = %d after removal, want 0", fp.ArmCount())
+	if len(fp.arms) != 0 {
+		t.Fatalf("%d site(s) still armed after removal, want 0", len(fp.arms))
 	}
 }
 
@@ -184,7 +184,7 @@ func TestFaultArmValidation(t *testing.T) {
 func TestSleepSignalFaultSite(t *testing.T) {
 	k := testKernel()
 	fp := k.Faults()
-	fp.Arm(FaultArm{Site: SiteSleepSignal, K: 1, Match: MatchAny})
+	arm := fp.Arm(FaultArm{Site: SiteSleepSignal, K: 1, Match: MatchAny})
 	var sleepErr error
 	var sawSIGIO bool
 	p := k.Spawn("victim", func(p *Proc) {
@@ -202,8 +202,8 @@ func TestSleepSignalFaultSite(t *testing.T) {
 	if !sawSIGIO {
 		t.Fatal("SIGIO was not pending after the fault fired")
 	}
-	if fp.Fired(SiteSleepSignal) != 1 {
-		t.Fatalf("site fired %d times, want 1", fp.Fired(SiteSleepSignal))
+	if arm.Fired() != 1 {
+		t.Fatalf("site fired %d times, want 1", arm.Fired())
 	}
 	if p.State() != ProcExited {
 		t.Fatalf("proc state = %v", p.State())

@@ -4,7 +4,6 @@ import (
 	"sort"
 	"strings"
 
-	"kdp/internal/sim"
 	"kdp/internal/trace"
 )
 
@@ -464,67 +463,4 @@ func (p *Proc) Unlink(path string) error {
 		return ErrInval
 	}
 	return fsys.Remove(p.Ctx(), rel)
-}
-
-// CopyCharge exposes the user/kernel copy cost for n bytes, for
-// subsystems (sockets) that move data to user space themselves.
-func (k *Kernel) CopyCharge(n int) sim.Duration { return k.cfg.CopyCost(n) }
-
-// StatInfo is the stat(2)-style result of Proc.Stat.
-type StatInfo struct {
-	Size  int64
-	IsDir bool
-}
-
-// StatFS is optionally implemented by mounted filesystems that can
-// report path metadata.
-type StatFS interface {
-	StatPath(ctx Ctx, path string) (StatInfo, error)
-}
-
-// RenameFS is optionally implemented by filesystems supporting rename.
-type RenameFS interface {
-	RenamePath(ctx Ctx, oldPath, newPath string) error
-}
-
-// Stat returns metadata for path.
-func (p *Proc) Stat(path string) (StatInfo, error) {
-	defer p.SyscallExit(p.SyscallEnter("stat"))
-	dev, fsys, rel, err := p.k.lookup(path)
-	if err != nil {
-		return StatInfo{}, err
-	}
-	if dev != nil {
-		return StatInfo{}, nil // device special files have no size
-	}
-	sf, ok := fsys.(StatFS)
-	if !ok {
-		return StatInfo{}, ErrOpNotSupp
-	}
-	return sf.StatPath(p.Ctx(), rel)
-}
-
-// Rename moves oldPath to newPath; both must live on the same mounted
-// filesystem (there is no cross-device rename, as on the real system).
-func (p *Proc) Rename(oldPath, newPath string) error {
-	defer p.SyscallExit(p.SyscallEnter("rename"))
-	dev1, fs1, rel1, err := p.k.lookup(oldPath)
-	if err != nil {
-		return err
-	}
-	dev2, fs2, rel2, err := p.k.lookup(newPath)
-	if err != nil {
-		return err
-	}
-	if dev1 != nil || dev2 != nil {
-		return ErrInval
-	}
-	if fs1 != fs2 {
-		return ErrInval // EXDEV
-	}
-	rf, ok := fs1.(RenameFS)
-	if !ok {
-		return ErrOpNotSupp
-	}
-	return rf.RenamePath(p.Ctx(), rel1, rel2)
 }

@@ -118,10 +118,6 @@ func (k *Kernel) StopTrace() { k.tr = nil }
 // Tracer returns the installed tracer, or nil.
 func (k *Kernel) Tracer() *trace.Tracer { return k.tr }
 
-// Tracing reports whether a tracer is installed. Subsystems with
-// event-argument computation that is itself costly may gate on it.
-func (k *Kernel) Tracing() bool { return k.tr != nil }
-
 // TraceEmit emits one structured event stamped with the current
 // virtual time. It is the emission point for every subsystem (buffer
 // cache, disks, network, splice); a no-op without a tracer.

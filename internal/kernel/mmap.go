@@ -49,9 +49,6 @@ type AddressSpaceProvider interface {
 // fail Mmap with ErrOpNotSupp, as a kernel built without VM would.
 func (k *Kernel) SetVM(v AddressSpaceProvider) { k.vm = v }
 
-// VM returns the registered address-space provider, or nil.
-func (k *Kernel) VM() AddressSpaceProvider { return k.vm }
-
 // Mmap maps length bytes of the file open on fd at offset off into the
 // process's address space and returns the virtual address. off must be
 // page-aligned; length is rounded up to whole pages.

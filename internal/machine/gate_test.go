@@ -8,6 +8,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"kdp/internal/bench"
 )
 
 // assemblyCalls are the calls that put a machine together. Outside this
@@ -89,6 +91,55 @@ func TestSingleAssembler(t *testing.T) {
 	for rel := range handRigs {
 		if _, err := os.Stat(filepath.Join("..", "..", filepath.FromSlash(rel))); err != nil {
 			t.Errorf("handRigs lists %s: %v", rel, err)
+		}
+	}
+}
+
+// TestPinsCoverEverySurface is the gate on the one determinism gate:
+// `make pins`, and with it `make determinism` and `make reach`, runs
+// only what the Makefile's PIN_CMDS lists. It fails unless every sweep
+// in bench.Sweeps, -series, every cmd/* binary and every examples/*
+// program has a line there.
+func TestPinsCoverEverySurface(t *testing.T) {
+	mk, err := os.ReadFile(filepath.Join("..", "..", "Makefile"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, body, _ := strings.Cut(string(mk), "define PIN_CMDS\n")
+	body, _, found := strings.Cut(body, "\nendef")
+	if !found {
+		t.Fatal("Makefile: no define PIN_CMDS ... endef block")
+	}
+	var pins []string // each line, space-padded so words match whole
+	for _, line := range strings.Split(body, "\n") {
+		pins = append(pins, " "+strings.Join(strings.Fields(line), " ")+" ")
+	}
+	// pinned reports whether a line runs prog with args among its words.
+	pinned := func(prog, args string) bool {
+		for _, line := range pins {
+			if strings.HasPrefix(line, " "+prog+" ") && (args == "" || strings.Contains(line, " "+args+" ")) {
+				return true
+			}
+		}
+		return false
+	}
+	for _, sw := range bench.Sweeps {
+		if !pinned("kdpbench", "-sweep "+sw.Name) {
+			t.Errorf("PIN_CMDS has no `kdpbench -sweep %s` line", sw.Name)
+		}
+	}
+	if !pinned("kdpbench", "-series") {
+		t.Error("PIN_CMDS has no `kdpbench -series` line")
+	}
+	for _, dir := range []string{"cmd", "examples"} {
+		progs, err := os.ReadDir(filepath.Join("..", "..", dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, prog := range progs {
+			if prog.IsDir() && !pinned(prog.Name(), "") {
+				t.Errorf("PIN_CMDS has no line running %s/%s", dir, prog.Name())
+			}
 		}
 	}
 }

@@ -31,10 +31,10 @@
 //     virtual time, matched syscall enter/exit pairs, counter snapshots
 //     consistent with event deltas), and a clean run must quiesce with
 //     no syscall left open.
-//  4. Replay. VerifyReplayConfig runs the same seed twice and asserts the
-//     event-log digest — which folds in the typed trace-stream digest —
-//     and CPU accounting are bit-identical, the property that makes
-//     "rerun the seed" a faithful repro.
+//  4. Replay. Replay runs a seed once more and asserts the event-log
+//     digest — which folds in the typed trace-stream digest — and CPU
+//     accounting are bit-identical, the property that makes "rerun the
+//     seed" a faithful repro.
 //
 // Not safe for concurrent use: splice invariant tracking is
 // process-global, so run one harness machine at a time.
@@ -216,13 +216,6 @@ func (cfg Config) normalize() Config {
 func Run(cfg Config) *Result {
 	cfg = cfg.normalize()
 	return execute(cfg, generate(cfg))
-}
-
-// VerifyReplayConfig runs cfg twice and verifies determinism: identical
-// event-log digests and identical CPU accounting.
-func VerifyReplayConfig(cfg Config) error {
-	cfg.Verbose = nil
-	return Replay(cfg, Run(cfg))
 }
 
 // Replay runs cfg once more, quietly, and compares the outcome with

@@ -50,7 +50,8 @@ func TestSeedSweepLargerWorkloads(t *testing.T) {
 // seed run twice yields bit-identical event logs and CPU accounting.
 func TestReplayIsDeterministic(t *testing.T) {
 	for seed := uint64(0); seed < 8; seed++ {
-		if err := VerifyReplayConfig(Config{Seed: seed}); err != nil {
+		cfg := Config{Seed: seed}
+		if err := Replay(cfg, Run(cfg)); err != nil {
 			t.Errorf("%v", err)
 		}
 	}
@@ -253,7 +254,8 @@ func TestCrashSweepDoesRealWork(t *testing.T) {
 // must replay to a bit-identical event log and CPU accounting.
 func TestCrashReplay(t *testing.T) {
 	for seed := uint64(0); seed < 4; seed++ {
-		if err := VerifyReplayConfig(Config{Seed: seed, Crash: true}); err != nil {
+		cfg := Config{Seed: seed, Crash: true}
+		if err := Replay(cfg, Run(cfg)); err != nil {
 			t.Errorf("%v", err)
 		}
 	}

@@ -10,8 +10,6 @@
 package socket
 
 import (
-	"fmt"
-
 	"kdp/internal/kernel"
 	"kdp/internal/sim"
 	"kdp/internal/trace"
@@ -319,13 +317,6 @@ func (s *Socket) Connect(port int) error {
 	}
 	s.peer = port
 	return nil
-}
-
-// Port returns the bound port.
-func (s *Socket) Port() int { return s.port }
-
-func (s *Socket) String() string {
-	return fmt.Sprintf("udp:%d", s.port)
 }
 
 // readable reports that a read would not block: a datagram or EOF.

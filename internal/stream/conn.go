@@ -111,9 +111,6 @@ func newConn(t *Transport, remote int, id uint32, st connState) *Conn {
 	return c
 }
 
-// Label identifies the connection in traces ("80->5001#1").
-func (c *Conn) Label() string { return c.label }
-
 // RemotePort returns the peer's socket port.
 func (c *Conn) RemotePort() int { return c.remote }
 

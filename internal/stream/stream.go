@@ -54,8 +54,6 @@ type Transport struct {
 	acceptq   []*Conn
 	acceptW   byte // Accept sleep channel
 	pollQ     kernel.PollQueue
-
-	accepted int64
 }
 
 // NewTransport binds a stream transport to port on net.
@@ -77,9 +75,6 @@ func NewTransport(k *kernel.Kernel, net *socket.Net, port int) (*Transport, erro
 
 // Port returns the bound port.
 func (t *Transport) Port() int { return t.port }
-
-// Accepted returns the number of connections handed out by Accept.
-func (t *Transport) Accepted() int64 { return t.accepted }
 
 // input is the protocol input routine, invoked at interrupt level for
 // every datagram arriving on the transport's port.
@@ -209,7 +204,6 @@ func (t *Transport) Accept(p *kernel.Proc) (int, *Conn, error) {
 	}
 	c := t.acceptq[0]
 	t.acceptq = t.acceptq[1:]
-	t.accepted++
 	fd := p.InstallFile(c, kernel.ORdWr)
 	return fd, c, nil
 }
@@ -227,7 +221,6 @@ func (t *Transport) AcceptNB(p *kernel.Proc) (int, *Conn, error) {
 	}
 	c := t.acceptq[0]
 	t.acceptq = t.acceptq[1:]
-	t.accepted++
 	fd := p.InstallFile(c, kernel.ORdWr)
 	return fd, c, nil
 }

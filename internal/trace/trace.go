@@ -404,15 +404,6 @@ func (d *Digester) Emit(ev Event) {
 // Sum returns the digest of everything emitted so far.
 func (d *Digester) Sum() uint64 { return d.h }
 
-// Digest hashes a slice of events (FNV-1a over all fields).
-func Digest(events []Event) uint64 {
-	d := NewDigester()
-	for _, ev := range events {
-		d.Emit(ev)
-	}
-	return d.Sum()
-}
-
 // Tee returns a sink duplicating every event to each of sinks (nils
 // are skipped).
 func Tee(sinks ...Sink) Sink {

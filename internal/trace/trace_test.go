@@ -86,6 +86,13 @@ func TestCollectorAndTee(t *testing.T) {
 }
 
 func TestDigest(t *testing.T) {
+	Digest := func(evs []Event) uint64 {
+		d := NewDigester()
+		for _, ev := range evs {
+			d.Emit(ev)
+		}
+		return d.Sum()
+	}
 	evs := []Event{
 		{T: 1, Kind: KindSyscallEnter, Pid: 1, Name: "read"},
 		{T: 2, Kind: KindBufHit, Arg1: 4, Name: "rz58-0"},
@@ -108,14 +115,6 @@ func TestDigest(t *testing.T) {
 	ac := []Event{{Kind: KindBufHit, Name: "a"}, {Kind: KindBufHit, Name: "bc"}}
 	if Digest(ab) == Digest(ac) {
 		t.Errorf("digest merges adjacent names")
-	}
-
-	d := NewDigester()
-	for _, ev := range evs {
-		d.Emit(ev)
-	}
-	if d.Sum() != Digest(evs) {
-		t.Errorf("incremental digest disagrees with Digest()")
 	}
 }
 

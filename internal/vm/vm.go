@@ -10,8 +10,8 @@
 // in through the ordinary buffer cache (a pagein is a Bread, so mapped
 // pages alias cache blocks and a shared-mapping read moves zero bytes
 // through user/kernel copies); a dirty mapped page goes back as a
-// delayed write, indistinguishable from write() data to the flush
-// daemon, fsync, and the sticky per-device error latch.
+// delayed write, indistinguishable from write() data to getblk's
+// recycling, fsync, and the sticky per-device error latch.
 //
 // There is no page-daemon process: kernel.Run exits when the last
 // process does, so a perpetual daemon would hang every machine.
@@ -748,10 +748,10 @@ func (v *Pool) allocPage(ctx kernel.Ctx) (*page, error) {
 // reclaimFrame is the modeled pagedaemon: a two-handed-clock sweep run
 // in the faulting process's context when the pool is tight. Referenced
 // pages get a second chance (ref bit cleared), dirty victims are paged
-// out (a delayed write — the update daemon carries it to the platter),
-// and the first clean unreferenced victim is evicted. Busy, wired and
-// anonymous pages are skipped: there is no swap, so COW pages stay
-// resident until their mapping goes away. ErrNoMem when two full
+// out (a delayed write — a sync or getblk's recycling carries it to
+// the platter), and the first clean unreferenced victim is evicted.
+// Busy, wired and anonymous pages are skipped: there is no swap, so COW
+// pages stay resident until their mapping goes away. ErrNoMem when two full
 // sweeps find nothing evictable.
 func (v *Pool) reclaimFrame(ctx kernel.Ctx) error {
 	limit := 2*v.resident + 2

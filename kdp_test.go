@@ -305,35 +305,6 @@ func TestFacadeDeterminism(t *testing.T) {
 	}
 }
 
-func TestFacadeStatAndRename(t *testing.T) {
-	m := twoDiskMachine(kdp.DiskRAM)
-	m.Spawn("main", func(p *kdp.Proc) {
-		fd, _ := p.Open("/d0/f", kdp.OCreat|kdp.OWrOnly)
-		_, _ = p.Write(fd, make([]byte, 5000))
-		_ = p.Close(fd)
-		info, err := p.Stat("/d0/f")
-		if err != nil || info.Size != 5000 || info.IsDir {
-			t.Errorf("stat: %+v err=%v", info, err)
-		}
-		if err := p.Rename("/d0/f", "/d0/g"); err != nil {
-			t.Errorf("rename: %v", err)
-		}
-		if _, err := p.Stat("/d0/f"); err != kdp.ErrNoEnt {
-			t.Errorf("stat old name: %v", err)
-		}
-		if info, err := p.Stat("/d0/g"); err != nil || info.Size != 5000 {
-			t.Errorf("stat new name: %+v err=%v", info, err)
-		}
-		// Cross-device rename is EXDEV-style invalid.
-		if err := p.Rename("/d0/g", "/d1/g"); err != kdp.ErrInval {
-			t.Errorf("cross-device rename: %v", err)
-		}
-	})
-	if err := m.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestFacadeStatsAccessors(t *testing.T) {
 	m := twoDiskMachine(kdp.DiskRAM)
 	m.Spawn("main", func(p *kdp.Proc) {
