@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt race check bench tables goldens pins determinism reach cover linkcheck loc ci
+.PHONY: build test vet fmt race bench tables goldens pins determinism reach cover linkcheck loc ci
 
 build:
 	$(GO) build ./...
@@ -20,12 +20,6 @@ test:
 
 race:
 	$(GO) test -race ./...
-
-# Bounded randomized simulation checking (see docs/CHECKING.md);
-# CHECK_SEEDS can be raised for a deeper sweep.
-CHECK_SEEDS ?= 160
-check:
-	$(GO) run ./cmd/kdpcheck -seeds $(CHECK_SEEDS)
 
 # internal/machine holds BenchmarkCheckInvariants/{full,charge-only}: ns
 # and allocations per probe (docs/CHECKING.md, "What a probe costs"), and
@@ -55,13 +49,14 @@ goldens:
 	$(GO) test ./cmd/kdpbench ./cmd/kdptrace ./internal/simcheck -run 'Golden$$' -update
 
 # Prints one `sha256  command` line per pinned invocation — the CLIs
-# and examples are built once into $(PIN_DIR) and each command's stdout
-# is hashed (a nonzero exit is appended). `make pins > a` on two
-# commits, then `diff a b`, is the "byte-identical except ..." check.
-# The same list is the determinism gate and the reach report's input;
-# TestPinsCoverEverySurface fails unless every sweep, CLI and example
-# has a line. `-trace /dev/stdout` reopens the hashed file, so that
-# line's hash is the exported Chrome trace's bytes, not the table's.
+# and examples are built once into $(PIN_DIR), each command's stdout
+# is hashed (a nonzero exit is appended) and kept as $(PIN_DIR)/out/<sha256>.
+# `make pins > a` on two commits, then `diff a b`, is the
+# "byte-identical except ..." check. The same list is the determinism
+# gate and the reach report's input; TestPinsCoverEverySurface fails
+# unless every sweep, CLI and example has a line. `-trace /dev/stdout`
+# reopens and truncates the hashed file after the table is printed, so
+# that line's hash and kept output are the exported Chrome trace.
 PIN_DIR = $(or $(TMPDIR),/tmp)/kdp-pins
 define PIN_CMDS
 kdpbench
@@ -100,38 +95,40 @@ streamserver
 endef
 export PIN_CMDS
 pins:
-	@mkdir -p $(PIN_DIR)
+	@rm -rf $(PIN_DIR)/out && mkdir -p $(PIN_DIR)/out
 	@$(GO) build -o $(PIN_DIR)/ ./cmd/... ./examples/...
 	@echo "$$PIN_CMDS" | while read -r cmd; do \
 		$(PIN_DIR)/$$cmd > $(PIN_DIR)/stdout 2> /dev/null; rc=$$?; \
-		sum=$$(sha256sum < $(PIN_DIR)/stdout | cut -c1-64); \
+		sum=$$(sha256sum < $(PIN_DIR)/stdout | cut -c1-64); mv $(PIN_DIR)/stdout $(PIN_DIR)/out/$$sum; \
 		if [ $$rc -eq 0 ]; then echo "$$sum  $$cmd"; else echo "$$sum  $$cmd  (exit $$rc)"; fi; \
 	done
 
 # The determinism gate (docs/TRACING.md's contract): `make pins` twice
-# at once, the second under GOMAXPROCS=1, must print the same hashes,
-# and the trace line's export must pass the schema check.
+# at once, the second under GOMAXPROCS=1, must print the same hashes;
+# every line but the planted kdpcheck failure, which must exit 1, must
+# exit 0; and the trace line's own output must pass the schema check.
 determinism:
 	@$(MAKE) -s --no-print-directory pins PIN_DIR=$(PIN_DIR)-a > $(PIN_DIR)-a.txt & \
 	GOMAXPROCS=1 $(MAKE) -s --no-print-directory pins PIN_DIR=$(PIN_DIR)-b > $(PIN_DIR)-b.txt; \
 	rc=$$?; wait $$! && [ $$rc -eq 0 ]
 	cmp $(PIN_DIR)-a.txt $(PIN_DIR)-b.txt
-	$(PIN_DIR)-a/kdpbench -table 2 -disks RAM -trace $(PIN_DIR)-a/trace.json > /dev/null
-	$(PIN_DIR)-a/kdpbench -validate $(PIN_DIR)-a/trace.json
+	@fails=$$(grep -F '(exit' $(PIN_DIR)-a.txt | cut -c67-); \
+	if [ "$$fails" != "kdpcheck -seed 3 -damage hash-key -minimize  (exit 1)" ]; then \
+		echo "pin lines must exit 0, but for the planted kdpcheck failure's exit 1; got:"; echo "$$fails"; exit 1; fi
+	$(PIN_DIR)-a/kdpbench -validate $(PIN_DIR)-a/out/$$(awk '/ -trace / { print $$1 }' $(PIN_DIR)-a.txt)
 
 # The reach report (docs/CHECKING.md "What nothing reaches"): every pin
-# line, the trace export's schema check and one short benchmark pass,
-# run from binaries built with -cover, then every function outside
-# benchmark/ that none of them executed, and the lines those functions
-# and their doc comments span. On demand; not part of ci.
+# line, the schema check of the trace line's output and one short
+# benchmark pass, run from binaries built with -cover, then every
+# function outside benchmark/ that none of them executed, and the lines
+# those functions and their doc comments span. On demand; not part of ci.
 reach:
 	@rm -rf $(PIN_DIR)-reach && mkdir -p $(PIN_DIR)-reach/cov
 	@GOFLAGS='-cover -coverpkg=kdp/...' GOCOVERDIR=$(PIN_DIR)-reach/cov \
-		$(MAKE) -s --no-print-directory pins PIN_DIR=$(PIN_DIR)-reach > /dev/null
+		$(MAKE) -s --no-print-directory pins PIN_DIR=$(PIN_DIR)-reach > $(PIN_DIR)-reach/pins.txt
 	@$(GO) build -cover -coverpkg=kdp/... -o $(PIN_DIR)-reach/ ./benchmark
 	@cd $(PIN_DIR)-reach && export GOCOVERDIR=$$PWD/cov && \
-		./kdpbench -table 2 -disks RAM -trace trace.json > /dev/null && \
-		./kdpbench -validate trace.json > /dev/null && \
+		./kdpbench -validate out/$$(awk '/ -trace / { print $$1 }' pins.txt) > /dev/null && \
 		./benchmark -seconds 0.5 -trace both -outdir bench > /dev/null
 	@$(GO) tool covdata textfmt -i=$(PIN_DIR)-reach/cov -o $(PIN_DIR)-reach/cover.out
 	@$(GO) tool cover -func=$(PIN_DIR)-reach/cover.out | awk '\
