@@ -124,6 +124,20 @@ func TestShapeVMSweep(t *testing.T) {
 	if cp.faults != 0 || scp.faults != 0 {
 		t.Errorf("cp/scp took page faults: %d/%d", cp.faults, scp.faults)
 	}
+	// On the RZ58 the drive sets the pace. The clock starts the write of
+	// each dirty page it evicts, so mcp's destination writes overlap its
+	// faults and it beats cp, whose delayed writes wait for the fsync;
+	// splice still leads. Each destination page becomes a delayed write
+	// exactly once.
+	cp = measureVMCell(RZ58, workload.CopyReadWrite)
+	mcp = measureVMCell(RZ58, workload.CopyMmap)
+	scp = measureVMCell(RZ58, workload.CopySplice)
+	if mcp.kbs <= cp.kbs || scp.kbs <= mcp.kbs {
+		t.Errorf("RZ58: want cp %.0f < mcp %.0f < scp %.0f KB/s", cp.kbs, mcp.kbs, scp.kbs)
+	}
+	if mcp.pageouts != 1024 {
+		t.Errorf("RZ58 mcp pageouts = %d, want 1024", mcp.pageouts)
+	}
 }
 
 func TestShapeFsyncMethodologyMatters(t *testing.T) {

@@ -7,7 +7,9 @@
 // interface exactly as the paper describes (§5.1): bread, getblk,
 // bawrite, brelse, plus non-blocking variants with the biowait calls
 // removed and a getblk variant that allocates a header but no data
-// memory.
+// memory. A buffer can also be held as the memory of a mapped file page
+// (Hold/Unhold): the page is the buffer, so there is one copy of the
+// block and one dirty set.
 package buf
 
 import (
@@ -36,6 +38,11 @@ const (
 	// readahead hit) or cleared when the buffer is recycled or
 	// invalidated unreferenced (counted as readahead waste).
 	BReadahead
+
+	// BHeld marks a buffer whose data is a resident mapped page (Hold):
+	// it stays hashed and, while idle, off the free list, so getblk never
+	// recycles it until the page lets go (Unhold).
+	BHeld
 )
 
 // Device is the block-device driver interface. Strategy enqueues the

@@ -26,7 +26,10 @@ import "kdp/internal/kernel"
 //	buf-flag-wanted      BWanted only while BBusy (someone holds the buffer)
 //	buf-flag-delwri      BDelwri implies BDone and not BInval (dirty data is valid)
 //	buf-flag-call        BCall implies a non-nil Iodone handler
-//	buf-pool-account     nbuf == free buffers + busy hashed buffers
+//	buf-pool-account     nbuf == free buffers + busy hashed buffers + idle
+//	                     held hashed buffers
+//	buf-held-free        a held buffer (a mapped page's memory) is never on
+//	                     the free list
 //	buf-header-hashed    header-only (BNoMem) buffers never enter the hash
 //	buf-ra-flag          BReadahead never on dirty or header-only buffers;
 //	                     an in-flight (not BDone) readahead is a busy async read
@@ -57,6 +60,9 @@ func (c *Cache) CheckInvariants() error {
 		if b.Flags&BBusy != 0 {
 			return kernel.Violation("buf-free-busy", "busy buffer on free list: %s", b)
 		}
+		if b.Flags&BHeld != 0 {
+			return kernel.Violation("buf-held-free", "held buffer on free list: %s", b)
+		}
 		if b.Flags&flagPremises != 0 {
 			if err := checkBufFlags(b); err != nil {
 				return err
@@ -72,8 +78,8 @@ func (c *Cache) CheckInvariants() error {
 	}
 
 	// Hash walk, bucket by bucket: chain keys, duplicate detection, busy
-	// accounting, in-flight readahead accounting.
-	busy := 0
+	// and held accounting, in-flight readahead accounting.
+	busy, held := 0, 0
 	inflightRA := 0
 	for i, head := range c.hash {
 		for b := head; b != nil; b = b.hashNext {
@@ -105,6 +111,8 @@ func (c *Cache) CheckInvariants() error {
 						return err
 					}
 				}
+			} else if b.Flags&BHeld != 0 {
+				held++
 			} else if !b.onFree {
 				return kernel.Violation("buf-pool-account", "idle hashed buffer not on free list: %s", b)
 			}
@@ -113,8 +121,8 @@ func (c *Cache) CheckInvariants() error {
 			}
 		}
 	}
-	if c.nfree+busy != c.nbuf {
-		return kernel.Violation("buf-pool-account", "free %d + busy %d != pool %d", c.nfree, busy, c.nbuf)
+	if c.nfree+busy+held != c.nbuf {
+		return kernel.Violation("buf-pool-account", "free %d + busy %d + held %d != pool %d", c.nfree, busy, held, c.nbuf)
 	}
 	if inflightRA != c.raPending {
 		return kernel.Violation("buf-ra-pending", "raPending=%d but %d in-flight readahead buffers", c.raPending, inflightRA)

@@ -103,6 +103,13 @@ func TestCatalogTrips(t *testing.T) {
 		{"buf-flag-delwri", func(f *fixture) { f.c.freeHead.Flags |= BDelwri }},
 		{"buf-flag-call", func(f *fixture) { f.c.freeHead.Flags |= BCall }},
 		{"buf-pool-account", func(f *fixture) { f.c.nbuf++ }},
+		// A held buffer the hash does not know: no walk counts it.
+		{"buf-pool-account", func(f *fixture) {
+			b := f.c.freeHead // never used: invalid, unhashed
+			f.c.freeRemove(b)
+			b.Flags |= BHeld
+		}},
+		{"buf-held-free", func(f *fixture) { hashedBuf(f.c).Flags |= BHeld }},
 		{"buf-header-hashed", func(f *fixture) { hashedBuf(f.c).Flags |= BNoMem }},
 		{"buf-ra-flag", func(f *fixture) { hashedBuf(f.c).Flags |= BReadahead | BDelwri }},
 		{"buf-ra-pending", func(f *fixture) { f.c.raPending++ }},
@@ -130,7 +137,7 @@ func TestCatalogTrips(t *testing.T) {
 // TestFlagRulesNeedAPremise: CheckInvariants calls checkBufFlags only for
 // a buffer carrying one of flagPremises, which is exact only while every
 // rule there is conditional on one of them. Every combination of the low
-// 16 flag bits — the eleven flags and room for five more — without a
+// 16 flag bits — the thirteen flags and room for three more — without a
 // premise, with and without an Iodone handler, must pass; a rule added on
 // any other flag fails here until the mask is widened.
 func TestFlagRulesNeedAPremise(t *testing.T) {

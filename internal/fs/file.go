@@ -243,18 +243,12 @@ func (fl *File) Sync(ctx kernel.Ctx) error {
 
 // syncInode is the body of Sync, shared with the VM layer's PageFlush
 // (a mapping outlives its descriptor, so msync must sync a file whose
-// fd is closed). Dirty mapped pages are paged out into the cache first
-// so fsync's durability contract covers stores made through mmap. The
-// sticky per-device write-error latch is deliberately not touched here:
-// whether a sync consumes the latch (fsync) or only observes it (msync)
-// is the caller's policy.
+// fd is closed). A store through a mapping made its page's held buffer
+// a delayed write, so the flush below covers mmap I/O as it covers
+// write() I/O. The sticky per-device write-error latch is deliberately
+// not touched here: whether a sync consumes the latch (fsync) or only
+// observes it (msync) is the caller's policy.
 func (fl *File) syncInode(ctx kernel.Ctx) error {
-	f := fl.fs
-	if f.pager != nil {
-		if err := f.pager.PageoutObject(ctx, f.dev.DevName(), fl.ip.ino); err != nil {
-			return err
-		}
-	}
 	ip := fl.ip
 	ip.lock(ctx)
 	defer ip.unlock()

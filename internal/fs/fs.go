@@ -23,7 +23,6 @@ type FS struct {
 	sbDirty    bool
 	interleave uint32 // allocation stride (FFS rotdelay layout); 1 = dense
 	raMax      int    // per-file readahead window cap, in blocks
-	pager      Pager  // VM writeback hook (see SetPager); nil without VM
 	siteAlloc  kernel.FaultSite
 
 	// CheckLive's view (invariants.go): the in-core inodes again, in
@@ -648,20 +647,9 @@ func (f *FS) Remove(ctx kernel.Ctx, path string) error {
 	return f.iput(ctx, ip)
 }
 
-// SyncAll flushes the superblock and every dirty buffer of the device.
+// SyncAll flushes the superblock and every dirty buffer of the device,
+// the held buffers of mapped pages included.
 func (f *FS) SyncAll(ctx kernel.Ctx) error {
-	// Dirty mapped pages first: paging them out turns mmap stores into
-	// ordinary delayed writes, which the flush below then carries to
-	// the platter — sync() covers mmap I/O exactly as it covers
-	// write() I/O.
-	if f.pager != nil {
-		dev := f.dev.DevName()
-		for _, ino := range f.pager.DirtyInos(dev) {
-			if err := f.pager.PageoutObject(ctx, dev, ino); err != nil {
-				return err
-			}
-		}
-	}
 	// Deterministic inode order: map iteration order must not leak
 	// into I/O issue order (it would show up in trace digests).
 	inos := make([]uint32, 0, len(f.inodes))

@@ -1,35 +1,22 @@
 package fs
 
 import (
+	"kdp/internal/buf"
 	"kdp/internal/kernel"
 )
 
-// VM backing-store hooks: internal/vm pages mapped files in and out
-// through these methods, which alias mapped pages with buffer-cache
-// blocks (a pagein is a Bread, a pageout is a delayed write). The two
-// packages meet structurally — *File satisfies vm.Backing and vm.Pool
-// satisfies fs.Pager — so neither imports the other, mirroring how the
-// real unified caches keep the VM and file systems at arm's length.
+// VM backing-store hooks: a resident page of a mapped file *is* its
+// block's cache buffer, held for the page (buf.Cache.Hold), so a pagein
+// is a Bread that keeps the buffer and a store makes it a delayed write
+// the cache's own flushes write. *File satisfies vm.Backing
+// structurally, so neither package imports the other.
 
-// Pager is the dirty-mapped-page writeback hook a VM page pool
-// implements (structurally: *vm.Pool). fsync and SyncAll call it so
-// stores made through shared mappings reach the platter under the same
-// durability contract as write().
-type Pager interface {
-	// PageoutObject writes every dirty resident page of the object
-	// (dev, ino) into the buffer cache as delayed writes.
-	PageoutObject(ctx kernel.Ctx, dev string, ino uint32) error
-	// DirtyInos returns the inode numbers on dev with dirty resident
-	// pages, ascending.
-	DirtyInos(dev string) []uint32
-}
+// Pager is what SetPager accepts, a VM page pool (*vm.Pool).
+type Pager interface{}
 
-// SetPager registers the VM writeback hook. Without one, fsync/SyncAll
-// cover only write() I/O, as a kernel built without VM would.
-func (f *FS) SetPager(p Pager) { f.pager = p }
-
-// Pager returns the registered VM writeback hook, or nil.
-func (f *FS) Pager() Pager { return f.pager }
+// SetPager does nothing: mapped stores are delayed writes in the cache,
+// which fsync and SyncAll flush. The benchmark's probes still call it.
+func (f *FS) SetPager(Pager) {}
 
 // MapRef takes a mapping reference on the file's inode. A mapping
 // outlives the descriptor it was created from (closing the fd must not
@@ -56,50 +43,61 @@ func (fl *File) MapKey() (dev string, ino uint32) {
 	return fl.fs.dev.DevName(), fl.ip.ino
 }
 
-// PageIn fills dst (one page, equal to the filesystem block size) with
-// the contents of logical block idx, returning the physical block the
-// page now aliases. Holes and pages past EOF read as zeros with no
-// block (0) — unless alloc is set: a write fault on a shared mapping
-// must have a block to page out to, and gets one from the
-// non-zero-filling bmap a splice destination uses (§5.2). Such a block
-// is fresh: nothing was read, nothing entered the buffer cache, dst is
-// untouched, and the platter still holds the previous owner's bytes —
-// the caller's page is the block's only copy until it is paged out.
-func (fl *File) PageIn(ctx kernel.Ctx, idx int64, dst []byte, alloc bool) (blk int64, fresh bool, err error) {
+// PageIn holds the buffer of logical block idx for a resident page and
+// returns the physical block and the buffer's memory, which is the
+// page from now until PageRelease. Holes and pages past EOF have no
+// block (0, nil) — unless alloc is set: a write fault on a shared
+// mapping gets a block from the non-zero-filling bmap a splice
+// destination uses (§5.2). Such a block is fresh: nothing is read, and
+// its buffer is zeroed and held as a delayed write from birth, because
+// the platter still holds the previous owner's bytes.
+func (fl *File) PageIn(ctx kernel.Ctx, idx int64, alloc bool) (blk int64, data []byte, fresh bool, err error) {
 	ip := fl.ip
 	ip.lock(ctx)
 	defer ip.unlock()
 	pblk, fresh, err := ip.bmap(ctx, idx, alloc, false)
-	if err != nil || fresh {
-		return int64(pblk), fresh, err
+	if err != nil || pblk == 0 {
+		return 0, nil, false, err
 	}
-	if pblk == 0 {
-		clear(dst)
-		return 0, false, nil
+	c := fl.fs.cache
+	var b *buf.Buf
+	if fresh {
+		b = c.Getblk(ctx, fl.fs.dev, int64(pblk))
+		clear(b.Data)
+	} else if b, err = c.Bread(ctx, fl.fs.dev, int64(pblk)); err != nil {
+		return 0, nil, false, err
 	}
-	b, err := fl.fs.cache.Bread(ctx, fl.fs.dev, int64(pblk))
-	if err != nil {
-		return 0, false, err
+	c.Hold(ctx, b)
+	if fresh {
+		c.Dirty(ctx, b)
 	}
-	copy(dst, b.Data)
-	fl.fs.cache.Brelse(ctx, b)
-	return int64(pblk), false, nil
+	return int64(pblk), b.Data, fresh, nil
 }
 
-// PageOut writes a dirty mapped page back into the buffer cache as a
-// delayed write on its aliased block — from here on it is
-// indistinguishable from write() data: a sync or getblk's recycling
-// writes it, and an async write failure latches the sticky per-device
-// error that the next msync/fsync/close reports.
-func (fl *File) PageOut(ctx kernel.Ctx, blk int64, src []byte) error {
-	b := fl.fs.cache.Getblk(ctx, fl.fs.dev, blk)
-	copy(b.Data, src)
-	fl.fs.cache.Bdwrite(ctx, b)
+// PageDirty makes the held buffer of blk a delayed write after a store
+// through its page, and reports whether it was clean. From here on it
+// is write() data to the flushes, getblk and the sticky error latch.
+func (fl *File) PageDirty(ctx kernel.Ctx, blk int64) bool {
+	return fl.fs.cache.Dirty(ctx, fl.fs.cache.Peek(fl.fs.dev, blk))
+}
+
+// PageRelease lets go of the held buffer of blk, which stays cached; with
+// evict set a delayed write starts now. It never sleeps.
+func (fl *File) PageRelease(ctx kernel.Ctx, blk int64, evict bool) {
+	fl.fs.cache.Unhold(ctx, fl.fs.cache.Peek(fl.fs.dev, blk), evict)
+}
+
+// PageBuffer returns the memory of blk's held buffer, or nil if no page
+// holds it: what the VM's invariant checker compares a page against.
+func (fl *File) PageBuffer(blk int64) []byte {
+	if b := fl.fs.cache.Peek(fl.fs.dev, blk); b != nil && b.Flags&buf.BHeld != 0 {
+		return b.Data
+	}
 	return nil
 }
 
 // PageFlush gives msync fsync's durability: every block of the file
-// (the pages the caller just paged out included), the inode, and the
+// (the dirty held buffers of its pages included), the inode, and the
 // inode-table block are forced to the platter, and any latched async
 // write error on the device is surfaced. Works on a mapping whose
 // descriptor is closed.

@@ -4,23 +4,9 @@ import (
 	"bytes"
 	"testing"
 
+	"kdp/internal/buf"
 	"kdp/internal/kernel"
 )
-
-// recordingPager is a test double for the vm.Pool side of the fs↔vm
-// seam: it records PageoutObject calls and can inject failures.
-type recordingPager struct {
-	calls []uint32
-	dirty map[string][]uint32
-	err   error
-}
-
-func (rp *recordingPager) PageoutObject(ctx kernel.Ctx, dev string, ino uint32) error {
-	rp.calls = append(rp.calls, ino)
-	return rp.err
-}
-
-func (rp *recordingPager) DirtyInos(dev string) []uint32 { return rp.dirty[dev] }
 
 // openF opens path and narrows the kernel.FileOps result to the
 // concrete *File, which carries the VM backing methods.
@@ -33,54 +19,48 @@ func openF(t *testing.T, ctx kernel.Ctx, f *FS, path string, flags int) *File {
 	return fo.(*File)
 }
 
-func TestPagerHookAccessors(t *testing.T) {
-	r := newRig(t, 256)
-	r.run(t, func(p *kernel.Proc, f *FS) {
-		if f.Pager() != nil {
-			t.Error("fresh mount has a pager")
-		}
-		rp := &recordingPager{}
-		f.SetPager(rp)
-		if f.Pager() != Pager(rp) {
-			t.Error("SetPager not reflected by Pager()")
-		}
-	})
-}
-
-func TestSyncCallsPageoutObject(t *testing.T) {
+// TestSyncWritesHeldBuffers: a store through a page makes its held
+// buffer a delayed write, and fsync and SyncAll write it like any other
+// — the page keeps its buffer through both.
+func TestSyncWritesHeldBuffers(t *testing.T) {
 	r := newRig(t, 256)
 	r.run(t, func(p *kernel.Proc, f *FS) {
 		ctx := p.Ctx()
-		rp := &recordingPager{dirty: map[string][]uint32{}}
-		f.SetPager(rp)
 		fl := openF(t, ctx, f, "/p.dat", kernel.OCreat|kernel.ORdWr)
-		if _, err := fl.Write(ctx, pattern(100, 1), 0); err != nil {
+		if _, err := fl.Write(ctx, pattern(testBlockSize, 1), 0); err != nil {
 			t.Fatalf("write: %v", err)
 		}
 		if err := fl.Sync(ctx); err != nil {
 			t.Fatalf("sync: %v", err)
 		}
-		want := fl.Inode().Ino()
-		if len(rp.calls) != 1 || rp.calls[0] != want {
-			t.Errorf("fsync pageout calls = %v, want [%d]", rp.calls, want)
+		blk, page, _, err := fl.PageIn(ctx, 0, false)
+		if err != nil || blk == 0 {
+			t.Fatalf("pagein: blk=%d err=%v", blk, err)
 		}
-		// A pager failure fails the fsync before any metadata flush.
-		rp.err = kernel.ErrIO
-		if err := fl.Sync(ctx); err != kernel.ErrIO {
-			t.Errorf("sync with failing pager = %v, want ErrIO", err)
+		for i, sync := range []func() error{
+			func() error { return fl.Sync(ctx) },
+			func() error { return f.SyncAll(ctx) },
+		} {
+			page[0] = byte(10 + i)
+			if !fl.PageDirty(ctx, blk) || fl.PageDirty(ctx, blk) {
+				t.Fatalf("sync %d: PageDirty: want true for a clean page, then false", i)
+			}
+			writes := r.d.Stats().Writes
+			if err := sync(); err != nil {
+				t.Fatalf("sync %d: %v", i, err)
+			}
+			if r.d.Stats().Writes == writes || r.c.Peek(r.d, blk).Flags&buf.BDelwri != 0 {
+				t.Errorf("sync %d left the held buffer unwritten", i)
+			}
+			if held := fl.PageBuffer(blk); len(held) == 0 || &held[0] != &page[0] {
+				t.Fatalf("sync %d took the buffer from its page", i)
+			}
 		}
-		rp.err = nil
+		fl.PageRelease(ctx, blk, false)
+		if fl.PageBuffer(blk) != nil {
+			t.Error("released buffer still held")
+		}
 		_ = fl.Close(ctx)
-
-		// SyncAll pages out every inode the pool reports dirty.
-		rp.calls = nil
-		rp.dirty[r.d.DevName()] = []uint32{want}
-		if err := f.SyncAll(ctx); err != nil {
-			t.Fatalf("syncall: %v", err)
-		}
-		if len(rp.calls) != 1 || rp.calls[0] != want {
-			t.Errorf("SyncAll pageout calls = %v, want [%d]", rp.calls, want)
-		}
 	})
 }
 
@@ -105,13 +85,14 @@ func TestMapRefKeepsInodeAcrossClose(t *testing.T) {
 			t.Fatalf("close: %v", err)
 		}
 		// The mapping reference keeps the backing usable after close.
-		got := make([]byte, testBlockSize)
-		if blk, _, err := fl.PageIn(ctx, 0, got, false); err != nil || blk == 0 {
+		blk, got, _, err := fl.PageIn(ctx, 0, false)
+		if err != nil || blk == 0 {
 			t.Fatalf("pagein after close: blk=%d err=%v", blk, err)
 		}
 		if !bytes.Equal(got, data[:testBlockSize]) {
 			t.Error("pagein content wrong")
 		}
+		fl.PageRelease(ctx, blk, false)
 		if err := fl.MapUnref(ctx); err != nil {
 			t.Fatalf("unref: %v", err)
 		}
@@ -127,41 +108,37 @@ func TestPageInHoleAndAlloc(t *testing.T) {
 		if _, err := fl.Write(ctx, pattern(100, 9), 3*testBlockSize); err != nil {
 			t.Fatalf("write: %v", err)
 		}
-		page := pattern(testBlockSize, 13) // stale contents must be overwritten
-		blk, _, err := fl.PageIn(ctx, 1, page, false)
-		if err != nil || blk != 0 {
-			t.Fatalf("pagein hole: blk=%d err=%v", blk, err)
-		}
-		for i, b := range page {
-			if b != 0 {
-				t.Fatalf("hole page[%d] = %d, want 0", i, b)
-			}
+		if blk, data, _, err := fl.PageIn(ctx, 1, false); err != nil || blk != 0 || data != nil {
+			t.Fatalf("pagein hole: blk=%d data=%v err=%v", blk, data != nil, err)
 		}
 		// alloc=true gives the hole a block as splice's bmap would: fresh,
-		// dst untouched, and no buffer — least of all a delayed write —
-		// enters the cache for it.
-		copy(page, pattern(testBlockSize, 13))
-		blk, fresh, err := fl.PageIn(ctx, 1, page, true)
+		// read from nowhere, its buffer zeroed and held dirty from birth.
+		reads := r.c.Stats().Reads
+		blk, data, fresh, err := fl.PageIn(ctx, 1, true)
 		if err != nil || blk == 0 || !fresh {
 			t.Fatalf("pagein alloc: blk=%d fresh=%v err=%v", blk, fresh, err)
 		}
-		if !bytes.Equal(page, pattern(testBlockSize, 13)) {
-			t.Error("pagein alloc touched dst")
+		if r.c.Stats().Reads != reads || !bytes.Equal(data, make([]byte, testBlockSize)) {
+			t.Error("pagein alloc read the block or left its buffer unzeroed")
 		}
-		if r.c.Peek(r.d, blk) != nil {
-			t.Error("pagein alloc left a buffer for the fresh block in the cache")
+		if b := r.c.Peek(r.d, blk); b == nil || b.Flags&(buf.BHeld|buf.BDelwri) != buf.BHeld|buf.BDelwri || &b.Data[0] != &data[0] {
+			t.Fatalf("pagein alloc: the page is not its block's held delayed write (%v)", b)
 		}
-		// A second pagein sees the same block, no new allocation, and
-		// reads it: it is an ordinary block from here on.
-		blk2, fresh, err := fl.PageIn(ctx, 1, page, false)
-		if err != nil || blk2 != blk || fresh {
+		// Let go, then page in again: the same block, no new allocation,
+		// and a cache hit on the buffer the first pagein left.
+		fl.PageRelease(ctx, blk, false)
+		blk2, data2, fresh, err := fl.PageIn(ctx, 1, false)
+		if err != nil || blk2 != blk || fresh || &data2[0] != &data[0] {
 			t.Fatalf("pagein again: blk=%d want %d fresh=%v err=%v", blk2, blk, fresh, err)
 		}
+		fl.PageRelease(ctx, blk2, false)
 		_ = fl.Close(ctx)
 	})
 }
 
-func TestPageOutFlushRoundTrip(t *testing.T) {
+// TestPageDirtyFlushRoundTrip: a store into a held page is read()'s data
+// at once, and PageFlush makes it durable like fsync.
+func TestPageDirtyFlushRoundTrip(t *testing.T) {
 	r := newRig(t, 256)
 	data := pattern(testBlockSize, 21)
 	r.run(t, func(p *kernel.Proc, f *FS) {
@@ -176,23 +153,20 @@ func TestPageOutFlushRoundTrip(t *testing.T) {
 		if sz, _ := fl.Size(ctx); sz != testBlockSize {
 			t.Fatalf("Extend shrank to %d", sz)
 		}
-		blk, _, err := fl.PageIn(ctx, 0, make([]byte, testBlockSize), true)
+		blk, page, _, err := fl.PageIn(ctx, 0, true)
 		if err != nil || blk == 0 {
 			t.Fatalf("pagein alloc: blk=%d err=%v", blk, err)
 		}
-		if err := fl.PageOut(ctx, blk, data); err != nil {
-			t.Fatalf("pageout: %v", err)
+		copy(page, data)
+		fl.PageDirty(ctx, blk)
+		got := make([]byte, len(data))
+		if n, err := fl.Read(ctx, got, 0); err != nil || n != len(data) || !bytes.Equal(got, data) {
+			t.Fatalf("read before any flush: n=%d err=%v, stored data visible=%v", n, err, bytes.Equal(got, data))
 		}
 		if err := fl.PageFlush(ctx); err != nil {
 			t.Fatalf("pageflush: %v", err)
 		}
-		got := make([]byte, len(data))
-		if n, err := fl.Read(ctx, got, 0); err != nil || n != len(data) {
-			t.Fatalf("read: n=%d err=%v", n, err)
-		}
-		if !bytes.Equal(got, data) {
-			t.Error("paged-out data not visible to read()")
-		}
+		fl.PageRelease(ctx, blk, false)
 		_ = fl.Close(ctx)
 
 		// PageFlush durability: the data survives a crash, like fsync.

@@ -18,7 +18,7 @@ import (
 // and mounts with Boot.
 var assemblyCalls = []string{
 	"buf.NewCache(", "vm.NewPool(", "disk.New(", ".SetCache(", ".SetVM(",
-	".SetPager(", "fs.Mkfs(", "fs.Mount(", "kernel.New(",
+	"fs.Mkfs(", "fs.Mount(", "kernel.New(",
 }
 
 // layerDirs are the packages internal/machine is built from. Their tests

@@ -2,11 +2,11 @@
 // together and taken apart: a kernel, a buffer cache, an optional page
 // pool, and disks that each carry a filesystem. The facade (package
 // kdp), the experiment harness (bench) and the checker (simcheck) all
-// build with New and mount with Boot, so the bring-up order and its
-// three cross-links — disk → cache (a disk is inert until attached),
-// kernel → pool, filesystem → pool (without it fsync stops covering
-// mmap stores) — are written here and nowhere else, as are the verbs on
-// a running machine: CheckInvariants, CheckDrained, PowerCut, Recover, Release.
+// build with New and mount with Boot, so the bring-up order and its two
+// cross-links — disk → cache (a disk is inert until attached) and
+// kernel → pool — are written here and nowhere else, as are the verbs
+// on a running machine: CheckInvariants, CheckDrained, PowerCut,
+// Recover, Release.
 package machine
 
 import (
@@ -21,8 +21,8 @@ import (
 )
 
 // BlockSize is the machine's one block size: filesystem blocks, cache
-// buffers and VM pages are all this big (pages alias cache blocks
-// one-to-one, and a filesystem refuses a cache of another size).
+// buffers and VM pages are all this big (a file page is its block's
+// cache buffer, and a filesystem refuses a cache of another size).
 const BlockSize = 8192
 
 // Spec describes a machine to build.
@@ -30,8 +30,9 @@ type Spec struct {
 	Kernel kernel.Config
 	// CacheBufs sizes the buffer cache in BlockSize buffers.
 	CacheBufs int
-	// VMPages sizes the page pool in BlockSize pages; 0 builds a kernel
-	// without VM (Mmap fails with ErrOpNotSupp).
+	// VMPages caps the pages the pool keeps resident; 0 builds a kernel
+	// without VM (Mmap fails with ErrOpNotSupp). A resident file page
+	// holds a cache buffer, so it must be below CacheBufs.
 	VMPages int
 	Disks   []DiskSpec
 }
@@ -70,8 +71,12 @@ type Machine struct {
 // New builds the machine: kernel, cache, page pool, then each disk
 // attached to the cache and formatted on the raw medium. Nothing runs
 // and nothing is scheduled, drawn or traced; mounting needs process
-// context and is Boot's job. It panics on a duplicate device name.
+// context and is Boot's job. It panics on a duplicate device name and
+// on a pool that could hold every cache buffer.
 func New(s Spec) *Machine {
+	if s.VMPages > 0 && s.VMPages >= s.CacheBufs {
+		panic(fmt.Sprintf("machine: VMPages %d must be below CacheBufs %d: a resident file page holds a cache buffer", s.VMPages, s.CacheBufs))
+	}
 	k := kernel.New(s.Kernel)
 	m := &Machine{
 		K:     k,
@@ -115,8 +120,8 @@ func (m *Machine) Boot(p *kernel.Proc) error {
 }
 
 // mount is the one mount path, for first boot and for recovery: read
-// the superblock, apply the disk's layout and readahead policy, attach
-// the pager, and (re)place the filesystem in the kernel's mount table.
+// the superblock, apply the disk's layout and readahead policy, and
+// (re)place the filesystem in the kernel's mount table.
 func (m *Machine) mount(p *kernel.Proc, i int) error {
 	f, err := fs.Mount(p.Ctx(), m.Cache, m.Disks[i])
 	if err != nil {
@@ -128,9 +133,6 @@ func (m *Machine) mount(p *kernel.Proc, i int) error {
 	}
 	if s.Readahead != 0 {
 		f.SetReadahead(s.Readahead)
-	}
-	if m.Pool != nil {
-		f.SetPager(m.Pool)
 	}
 	m.FSs[i] = f
 	m.K.Mount(s.Mount, f)
@@ -258,8 +260,8 @@ func (m *Machine) Repair(p *kernel.Proc, i int) (repair, check *fs.FsckReport, e
 
 // Recover brings disk i back after a power cut: repair, require the
 // follow-up fsck clean, and remount in place of the dead in-core
-// filesystem (pager re-attached by the one mount path). The repair
-// report is returned whenever the repair pass ran.
+// filesystem through the one mount path. The repair report is returned
+// whenever the repair pass ran.
 func (m *Machine) Recover(p *kernel.Proc, i int) (*fs.FsckReport, error) {
 	at := m.specs[i].Mount
 	rep, chk, err := m.Repair(p, i)

@@ -1,7 +1,7 @@
 package machine_test
 
 import (
-	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -44,6 +44,17 @@ func TestDuplicateDeviceNamePanics(t *testing.T) {
 	machine.New(spec(0, "ram", "ram"))
 }
 
+// TestPoolAsLargeAsCachePanics: a resident file page holds a cache
+// buffer, so a pool that could hold all of them is refused.
+func TestPoolAsLargeAsCachePanics(t *testing.T) {
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(r.(string), "VMPages 32 must be below CacheBufs 32") {
+			t.Fatalf("New with a 32-page pool over 32 buffers: recovered %v", r)
+		}
+	}()
+	machine.New(spec(32))
+}
+
 func TestBootMountsOnce(t *testing.T) {
 	m := machine.New(spec(8, "a", "b"))
 	run(t, m, func(p *kernel.Proc) {
@@ -60,9 +71,6 @@ func TestBootMountsOnce(t *testing.T) {
 		}
 		if got := m.Disks[0].Stats().Reads + m.Disks[1].Stats().Reads; got != reads {
 			t.Errorf("second Boot read the disks: %d reads, was %d", got, reads)
-		}
-		if m.FSs[0].Pager() == nil || m.FSs[1].Pager() == nil {
-			t.Error("Boot left a filesystem without its pager")
 		}
 		for _, path := range []string{"/d0/x", "/d1/x"} {
 			fd, err := p.Open(path, kernel.OCreat|kernel.OWrOnly)
@@ -106,8 +114,8 @@ func TestDisklessAndVMlessMachinesRun(t *testing.T) {
 		}
 		p.Close(fd)
 	})
-	if novm.Pool != nil || novm.FSs[0].Pager() != nil {
-		t.Error("VM-less machine has a pool or a pager")
+	if novm.Pool != nil {
+		t.Error("VM-less machine has a pool")
 	}
 	if err := novm.CheckInvariants(); err != nil {
 		t.Error(err)
@@ -117,106 +125,51 @@ func TestDisklessAndVMlessMachinesRun(t *testing.T) {
 	}
 }
 
-// TestRemountKeepsPager is the trap the package removes: a filesystem
-// remounted after a power cut must get the pager again, or fsync
-// silently stops covering stores made through a mapping.
-func TestRemountKeepsPager(t *testing.T) {
+// TestRecoverRemountsThroughTheOneMountPath: after a power cut, Recover
+// repairs the volume and mounts a fresh filesystem with the disk's own
+// layout and readahead, and a store msync'd through a mapping before
+// the cut is there to read.
+func TestRecoverRemountsThroughTheOneMountPath(t *testing.T) {
 	s := spec(8)
 	rz := disk.RZ58(256, machine.BlockSize)
 	s.Disks = []machine.DiskSpec{{Mount: "/d0", Params: rz, Inodes: 64, Interleave: 2, Readahead: 4}}
 	m := machine.New(s)
-	const path = "/d0/f"
-	size := int64(2 * machine.BlockSize)
-
-	// store writes data at the start of the file through a shared
-	// mapping and makes it durable with sync before unmapping.
-	store := func(p *kernel.Proc, data string, sync func(fd int, addr int64) error) {
-		t.Helper()
-		fd, err := p.Open(path, kernel.ORdWr)
-		if err != nil {
-			t.Fatalf("open: %v", err)
-		}
-		addr, err := p.Mmap(fd, 0, size, kernel.ProtRead|kernel.ProtWrite, kernel.MapShared)
-		if err != nil {
-			t.Fatalf("mmap: %v", err)
-		}
-		if err := p.MemWrite(addr, []byte(data)); err != nil {
-			t.Fatalf("store: %v", err)
-		}
-		if err := sync(fd, addr); err != nil {
-			t.Fatalf("sync: %v", err)
-		}
-		if err := p.Munmap(addr); err != nil {
-			t.Fatalf("munmap: %v", err)
-		}
-		p.Close(fd)
-	}
-	cutAndRecover := func(p *kernel.Proc) {
-		t.Helper()
-		cuts, err := m.PowerCut(p)
-		if err != nil || len(cuts) != 1 {
-			t.Fatalf("power cut: %v, %d report(s)", err, len(cuts))
-		}
-		dead := m.FSs[0]
-		rep, err := m.Recover(p, 0)
-		if err != nil || rep == nil {
-			t.Fatalf("recover: %v (report %v)", err, rep)
-		}
-		if m.FSs[0] == dead || m.FSs[0].Pager() == nil || m.FSs[0].Readahead() != 4 {
-			t.Fatal("Recover did not remount through the one mount path (fresh fs, pager, readahead)")
-		}
-	}
-	mapped := func(p *kernel.Proc, n int) string {
-		t.Helper()
-		fd, err := p.Open(path, kernel.ORdOnly)
-		if err != nil {
-			t.Fatalf("reopen: %v", err)
-		}
-		defer p.Close(fd)
-		addr, err := p.Mmap(fd, 0, size, kernel.ProtRead, kernel.MapShared)
-		if err != nil {
-			t.Fatalf("remap: %v", err)
-		}
-		got := make([]byte, n)
-		if err := p.MemRead(addr, got); err != nil {
-			t.Fatalf("load: %v", err)
-		}
-		if err := p.Munmap(addr); err != nil {
-			t.Fatalf("munmap: %v", err)
-		}
-		return string(got)
-	}
-
 	run(t, m, func(p *kernel.Proc) {
 		if err := m.Boot(p); err != nil {
 			t.Fatalf("boot: %v", err)
 		}
-		fd, err := p.Open(path, kernel.OCreat|kernel.ORdWr)
+		fd, err := p.Open("/d0/f", kernel.OCreat|kernel.ORdWr)
 		if err != nil {
 			t.Fatalf("create: %v", err)
 		}
-		if _, err := p.Write(fd, bytes.Repeat([]byte{'a'}, int(size))); err != nil {
-			t.Fatalf("write: %v", err)
+		addr, err := p.Mmap(fd, 0, machine.BlockSize, kernel.ProtRead|kernel.ProtWrite, kernel.MapShared)
+		if err != nil {
+			t.Fatalf("mmap: %v", err)
 		}
-		if err := p.Fsync(fd); err != nil {
-			t.Fatalf("fsync: %v", err)
+		if err := p.MemWrite(addr, []byte("first")); err != nil {
+			t.Fatalf("store: %v", err)
+		}
+		if err := errors.Join(p.Msync(addr), p.Munmap(addr), p.Close(fd)); err != nil {
+			t.Fatalf("msync, munmap, close: %v", err)
+		}
+		if cuts, err := m.PowerCut(p); err != nil || len(cuts) != 1 {
+			t.Fatalf("power cut: %v, %d report(s)", err, len(cuts))
+		}
+		dead := m.FSs[0]
+		if rep, err := m.Recover(p, 0); err != nil || rep == nil {
+			t.Fatalf("recover: %v (report %v)", err, rep)
+		}
+		if m.FSs[0] == dead || m.FSs[0].Readahead() != 4 {
+			t.Fatal("Recover did not remount through the one mount path (fresh fs, readahead)")
+		}
+		got := make([]byte, 5)
+		if fd, err = p.Open("/d0/f", kernel.ORdOnly); err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		if _, err := p.Read(fd, got); err != nil || string(got) != "first" {
+			t.Errorf("after msync and a power cut the file reads %q (%v), want %q", got, err, "first")
 		}
 		p.Close(fd)
-
-		store(p, "first", func(_ int, addr int64) error { return p.Msync(addr) })
-		cutAndRecover(p)
-		if got := mapped(p, 5); got != "first" {
-			t.Fatalf("after msync + power cut the mapping reads %q, want %q", got, "first")
-		}
-
-		// fsync covers the store only through the remounted filesystem's
-		// pager: without it the page is written back at munmap as a
-		// delayed write, which the second power cut discards.
-		store(p, "second", func(fd int, _ int64) error { return p.Fsync(fd) })
-		cutAndRecover(p)
-		if got := mapped(p, 6); got != "second" {
-			t.Fatalf("after fsync on the remounted volume + power cut the mapping reads %q, want %q", got, "second")
-		}
 	})
 	if err := m.CheckDrained(); err != nil {
 		t.Error(err)

@@ -122,7 +122,7 @@ const (
 	// name ("" for anonymous memory).
 	KindVMFault   // page fault taken; Pid = faulter, Arg1 = mapped page index, Arg2 = 1 write / 0 read
 	KindVMPagein  // fault filled from the backing file; Arg1 = page index, Arg2 = physical block
-	KindVMPageout // dirty mapped page written back; Arg1 = page index, Arg2 = physical block
+	KindVMPageout // mapped page's buffer became a delayed write; Arg1 = page index, Arg2 = physical block
 	KindVMCOW     // private store broke sharing; Pid = faulter, Arg1 = page index, Arg2 = bytes copied
 
 	// Syscall aggregation (internal/kernel readv/writev/submit).

@@ -17,23 +17,35 @@ func (v *Pool) WriteFault(p *kernel.Proc, addr int64) error {
 	return err
 }
 
+// PageData returns the memory of the object page that p's mapping
+// shows at addr, nil if it is not resident.
+func (v *Pool) PageData(p *kernel.Proc, addr int64) []byte {
+	m := v.findMapping(p.Pid(), addr, 1)
+	if m == nil {
+		return nil
+	}
+	if pg := m.obj.pages[m.pgoff+(addr-m.addr)/int64(v.pageSize)]; pg != nil {
+		return pg.data
+	}
+	return nil
+}
+
 // Damage corrupts the pool's structures for invariant self-tests — this
 // package's, and machine_test.go's proof that machine.CheckInvariants
 // reaches the pool (an external test package sees this file). The
 // kinds mirror the catalog: "ring-orphan" plants an unowned frame,
-// "dirty-unbacked" dirties a blockless page, "hand" pushes the clock
-// hand out of range, "refcount" skews an object's mapping count.
+// "page-buffer" gives a file page memory of its own, "hand" pushes the
+// clock hand out of range, "refcount" skews an object's mapping count.
 func (v *Pool) Damage(kind string) {
 	switch kind {
 	case "ring-orphan":
 		v.ringAdd(&page{data: make([]byte, v.pageSize)})
-	case "dirty-unbacked":
-		// dirty-unbacked needs an object page; a pool without one gets
-		// an orphan frame instead:
+	case "page-buffer":
+		// page-buffer needs a file page; a pool without one gets an
+		// orphan frame instead:
 		for _, obj := range v.objects {
 			for _, pg := range obj.pages {
-				pg.dirty = true
-				pg.blk = 0
+				pg.data = make([]byte, v.pageSize)
 				return
 			}
 		}

@@ -10,7 +10,7 @@ import "kdp/internal/kernel"
 //
 // Invariant catalog (virtual memory):
 //
-//	vm-frame-overcommit  resident pages never exceed the pool size
+//	vm-frame-overcommit  resident pages never exceed the pool's cap
 //	vm-clock-hand        the clock hand rests on a page of the ring (or
 //	                     past its newest page)
 //	vm-frame-dup         a page frame appears in the ring exactly once
@@ -20,8 +20,8 @@ import "kdp/internal/kernel"
 //	vm-frame-leak        owned pages (object-resident + COW shadows)
 //	                     account for every frame in the ring — no
 //	                     leaked and no unlisted frames
-//	vm-dirty-unbacked    a dirty object page aliases a real block
-//	                     (write faults allocate before dirtying)
+//	vm-page-buffer       a resident file page's memory is the held,
+//	                     hashed cache buffer of its block
 //	vm-wired-count       wire counts are never negative
 //	vm-cow-isolation     an anonymous page belongs to exactly one
 //	                     private mapping's shadow (COW means private)
@@ -128,7 +128,7 @@ func (v *Pool) CheckInvariants() error {
 		resident += len(obj.pages)
 	}
 
-	// Ring walk: ownership, duplicates, dirty discipline.
+	// Ring walk: ownership, duplicates, file pages' memory.
 	ring := 0
 	for pg := v.ringHead; pg != nil; pg = pg.next {
 		ring++
@@ -143,8 +143,10 @@ func (v *Pool) CheckInvariants() error {
 			if pg.obj.ck.pass != pass || pg.obj.pages[pg.idx] != pg {
 				return kernel.Violation("vm-frame-owner", "object page %s/%d idx=%d not indexed by its object", pg.obj.dev, pg.obj.ino, pg.idx)
 			}
-			if pg.dirty && pg.blk == 0 {
-				return kernel.Violation("vm-dirty-unbacked", "dirty page %s/%d idx=%d has no block", pg.obj.dev, pg.obj.ino, pg.idx)
+			if pg.blk != 0 {
+				if held := pg.obj.backing.PageBuffer(pg.blk); len(held) == 0 || len(pg.data) == 0 || &held[0] != &pg.data[0] {
+					return kernel.Violation("vm-page-buffer", "page %s/%d idx=%d is not the held buffer of block %d", pg.obj.dev, pg.obj.ino, pg.idx, pg.blk)
+				}
 			}
 		} else {
 			switch owners := pg.ck.count(pass); owners {

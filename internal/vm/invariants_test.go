@@ -13,7 +13,7 @@ import (
 
 // withMappings runs body in a process that holds two mappings of one
 // two-page file — a shared one with a dirty object page and a private
-// one with a copy-on-write shadow page — on a healthy 8-frame pool.
+// one with a copy-on-write shadow page — on a healthy 8-page pool.
 func withMappings(t *testing.T, body func(v *Pool, shared, private *mapping)) {
 	t.Helper()
 	const bsize = 8192
@@ -34,7 +34,6 @@ func withMappings(t *testing.T, body func(v *Pool, shared, private *mapping)) {
 			t.Errorf("mount: %v", err)
 			return
 		}
-		f.SetPager(v)
 		k.Mount("/v", f)
 		fd, err := p.Open("/v/f", kernel.OCreat|kernel.ORdWr)
 		if err != nil {
@@ -93,7 +92,8 @@ func TestCatalogTrips(t *testing.T) {
 		{"vm-frame-leak", func(v *Pool, _, _ *mapping) { v.ringTail.prev.next = nil }},
 		// A frame on the free list that its object still indexes.
 		{"vm-frame-leak", func(v *Pool, shared, _ *mapping) { v.freePage(objPage(shared)) }},
-		{"vm-dirty-unbacked", func(v *Pool, shared, _ *mapping) { objPage(shared).blk = 0 }},
+		// A file page with memory of its own, not its block's buffer.
+		{"vm-page-buffer", func(v *Pool, shared, _ *mapping) { objPage(shared).data = make([]byte, v.pageSize) }},
 		{"vm-wired-count", func(v *Pool, shared, _ *mapping) { objPage(shared).wired = -1 }},
 		{"vm-cow-isolation", func(v *Pool, shared, private *mapping) { private.shadow[0].obj = shared.obj }},
 		{"vm-shadow-private", func(v *Pool, shared, private *mapping) { shared.shadow = private.shadow }},
@@ -111,8 +111,8 @@ func TestCatalogTrips(t *testing.T) {
 			ran := false
 			withMappings(t, func(v *Pool, shared, private *mapping) {
 				ran = true
-				if !objPage(shared).dirty || private.shadow[0] == nil {
-					t.Error("rig: want a dirty object page and a shadow page")
+				if objPage(shared).blk == 0 || private.shadow[0] == nil {
+					t.Error("rig: want an object page with a block and a shadow page")
 					return
 				}
 				fault.plant(v, shared, private)

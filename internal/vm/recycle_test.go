@@ -9,18 +9,30 @@ import (
 	"kdp/internal/sim"
 )
 
-// memFile is a Backing held in memory, so a test decides which page-ins
-// fail. Block numbers are page index + 1.
+// memFile is a Backing held in memory: each page of the file is the
+// "buffer" a resident page holds, so a store lands in the file at once,
+// and a test decides which page-ins fail. Block numbers are page index
+// + 1.
 type memFile struct {
 	pages    [][]byte
-	failNext bool // the next PageIn scribbles on half the frame, then fails
+	failNext bool // the next PageIn fails
 	refs     int
-	// pageOut, if set, runs first in every PageOut — a place to sleep,
-	// as fs's PageOut can in getblk.
-	pageOut func(ctx kernel.Ctx)
+	held     map[int64]bool // blocks a resident page holds
+	pageins  map[int64]int  // PageIn calls per page index
+	// pageIn, if set, runs first in every PageIn — a place to sleep, as
+	// fs's PageIn can in Bread.
+	pageIn func()
 }
 
 var errPageIn = errors.New("pagein failed")
+
+func newMemFile(npages, ps int) *memFile {
+	f := &memFile{held: map[int64]bool{}, pageins: map[int64]int{}}
+	for i := 0; i < npages; i++ {
+		f.pages = append(f.pages, bytes.Repeat([]byte{byte(i + 1)}, ps))
+	}
+	return f
+}
 
 func (f *memFile) MapRef(kernel.Ctx)              { f.refs++ }
 func (f *memFile) MapUnref(kernel.Ctx) error      { f.refs--; return nil }
@@ -37,34 +49,46 @@ func (f *memFile) Write(kernel.Ctx, []byte, int64) (int, error) {
 	return 0, kernel.ErrOpNotSupp
 }
 
-func (f *memFile) PageIn(_ kernel.Ctx, idx int64, dst []byte, _ bool) (int64, bool, error) {
+func (f *memFile) PageIn(_ kernel.Ctx, idx int64, _ bool) (int64, []byte, bool, error) {
+	if f.pageIn != nil {
+		f.pageIn()
+	}
+	f.pageins[idx]++
 	if f.failNext {
 		f.failNext = false
-		for i := range dst[:len(dst)/2] {
-			dst[i] = 0xEE
-		}
-		return 0, false, errPageIn
+		return 0, nil, false, errPageIn
 	}
-	copy(dst, f.pages[idx])
-	return idx + 1, false, nil
+	if f.held[idx+1] {
+		panic("memFile: page held twice")
+	}
+	f.held[idx+1] = true
+	return idx + 1, f.pages[idx], false, nil
 }
 
-func (f *memFile) PageOut(ctx kernel.Ctx, blk int64, src []byte) error {
-	if f.pageOut != nil {
-		f.pageOut(ctx)
+func (f *memFile) PageDirty(kernel.Ctx, int64) bool { return false }
+
+func (f *memFile) PageRelease(_ kernel.Ctx, blk int64, _ bool) {
+	if !f.held[blk] {
+		panic("memFile: release of a page not held")
 	}
-	copy(f.pages[blk-1], src)
+	delete(f.held, blk)
+}
+
+func (f *memFile) PageBuffer(blk int64) []byte {
+	if f.held[blk] {
+		return f.pages[blk-1]
+	}
 	return nil
 }
 
 // TestRecycledFramesAgainstModel drives a four-frame pool over a
 // twelve-page file with seeded random loads and stores through a shared
-// and a private mapping, failed page-ins (which hand back a frame they
-// half filled), unmaps and remaps — beside a plain copy of the file and
-// of the private mapping's view. Every access must read what the
-// reference holds although every frame has been through many pages, the
-// invariant catalog must hold after every step, and the pool must never
-// own more frame memory than it has frames.
+// and a private mapping, failed page-ins, unmaps and remaps — beside a
+// plain copy of the file and of the private mapping's view. Every access
+// must read what the reference holds although every page record, and
+// the frame of every copy-on-write page, has been through many pages,
+// the invariant catalog must hold after every step, and the pool must
+// never own more frame memory than it caps resident pages.
 func TestRecycledFramesAgainstModel(t *testing.T) {
 	const (
 		ps     = 512
@@ -78,13 +102,13 @@ func TestRecycledFramesAgainstModel(t *testing.T) {
 		v := NewPool(k, frames, ps)
 		k.SetVM(v)
 		r := sim.NewRand(seed)
-		f := &memFile{}
+		f := newMemFile(npages, ps)
 		file := make([]byte, npages*ps) // the reference: what the file holds, mapped stores included
 		for i := range file {
 			file[i] = byte(r.Intn(256))
 		}
-		for i := 0; i < npages; i++ {
-			f.pages = append(f.pages, bytes.Clone(file[i*ps:(i+1)*ps]))
+		for i := range f.pages {
+			copy(f.pages[i], file[i*ps:])
 		}
 		seen := map[*byte]bool{} // every frame memory the pool ever used
 		failed := 0
@@ -149,10 +173,13 @@ func TestRecycledFramesAgainstModel(t *testing.T) {
 					if v.resident != 0 || v.hand != nil {
 						t.Fatalf("seed %d step %d: %d frames resident, hand %v after the last unmap", seed, step, v.resident, v.hand)
 					}
-					for i := range f.pages { // the last unmap paged every dirty page out
+					for i := range f.pages { // every store landed in the file itself
 						if !bytes.Equal(f.pages[i], file[i*ps:(i+1)*ps]) {
 							t.Fatalf("seed %d step %d: page %d never reached the file", seed, step, i)
 						}
+					}
+					if len(f.held) != 0 {
+						t.Fatalf("seed %d step %d: the last unmap left %d pages held", seed, step, len(f.held))
 					}
 					remap()
 				}
@@ -169,10 +196,14 @@ func TestRecycledFramesAgainstModel(t *testing.T) {
 					t.Fatalf("seed %d step %d: %v", seed, step, err)
 				}
 				for pg := v.ringHead; pg != nil; pg = pg.next {
-					seen[&pg.data[0]] = true
+					if pg.frame != nil {
+						seen[&pg.frame[0]] = true
+					}
 				}
 				for pg := v.free; pg != nil; pg = pg.next {
-					seen[&pg.data[0]] = true
+					if pg.frame != nil {
+						seen[&pg.frame[0]] = true
+					}
 				}
 			}
 			if err := errors.Join(p.Munmap(private), p.Munmap(shared)); err != nil {
@@ -185,8 +216,8 @@ func TestRecycledFramesAgainstModel(t *testing.T) {
 		if err := v.CheckDrained(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if len(seen) != frames || f.refs != 0 {
-			t.Fatalf("seed %d: the pool used %d frame memories for %d frames; backing refs %d", seed, len(seen), frames, f.refs)
+		if len(seen) == 0 || len(seen) > frames || f.refs != 0 {
+			t.Fatalf("seed %d: the pool used %d frame memories for %d resident pages; backing refs %d", seed, len(seen), frames, f.refs)
 		}
 		if failed < 20 {
 			t.Fatalf("seed %d: only %d page-ins failed: the error path was not exercised", seed, failed)

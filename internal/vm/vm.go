@@ -3,15 +3,17 @@
 // copy-on-write private mappings, and clock-algorithm page
 // replacement.
 //
-// The design mirrors the unified caches the paper's era was converging
-// on (SunOS 4, SVR4, later UVM): a mapped file is a single object per
-// (device, inode) no matter how many processes map it; a page fault is
-// a priced trap (Config.PageFaultCost + Config.PageMapCost) that pages
-// in through the ordinary buffer cache (a pagein is a Bread, so mapped
-// pages alias cache blocks and a shared-mapping read moves zero bytes
-// through user/kernel copies); a dirty mapped page goes back as a
-// delayed write, indistinguishable from write() data to getblk's
-// recycling, fsync, and the sticky per-device error latch.
+// The design is the unified cache of NetBSD's UBC: a mapped file is a
+// single object per (device, inode) no matter how many processes map
+// it; a page fault is a priced trap (Config.PageFaultCost +
+// Config.PageMapCost) that pages in through the ordinary buffer cache,
+// and a resident file page *is* its block's cache buffer, held for the
+// page — so a shared-mapping read moves zero bytes through user/kernel
+// copies, read() and write() see mapped stores at once, and a dirty
+// page is a delayed write, indistinguishable from write() data to the
+// flushes, getblk's recycling and the sticky per-device error latch.
+// The pool's own frames serve only pages with no block: a hole's zero
+// page and copy-on-write copies.
 //
 // There is no page-daemon process: kernel.Run exits when the last
 // process does, so a perpetual daemon would hang every machine.
@@ -22,8 +24,8 @@
 // preserved because it happens at a fixed point in the fault path.
 //
 // Layering: vm imports only kernel (and trace/sim). The filesystem
-// side of the contract is structural: *fs.File satisfies Backing and
-// *Pool satisfies fs.Pager, so neither package imports the other.
+// side of the contract is structural: *fs.File satisfies Backing, so
+// neither package imports the other.
 package vm
 
 import (
@@ -38,7 +40,7 @@ import (
 // Backing is the per-object backing store a mapped file provides
 // (implemented structurally by *fs.File). Pages are one filesystem
 // block: the pool's page size must equal the backing block size, which
-// is what lets a resident page alias its cache block.
+// is what lets a resident page be its block's buffer.
 type Backing interface {
 	// MapRef takes a mapping reference: the object must stay valid
 	// after the fd it was mapped from is closed.
@@ -51,35 +53,43 @@ type Backing interface {
 	Size(ctx kernel.Ctx) (int64, error)
 	// Extend grows the file size to n (never shrinks it).
 	Extend(ctx kernel.Ctx, n int64)
-	// PageIn fills dst with page idx, returning the physical block it
-	// aliases (0 for a hole/past-EOF zero page). With alloc set a hole
-	// is given a block (write faults need one) and reported fresh: no
-	// block was read, dst is untouched, and the caller's page is the
-	// only copy of the block's contents until PageOut has written it.
-	PageIn(ctx kernel.Ctx, idx int64, dst []byte, alloc bool) (blk int64, fresh bool, err error)
-	// PageOut writes a page back into the cache as a delayed write on
-	// its aliased block.
-	PageOut(ctx kernel.Ctx, blk int64, src []byte) error
+	// PageIn holds the buffer of page idx's block for the page and
+	// returns the block and the buffer's memory, which is the page until
+	// PageRelease. A hole or a page past EOF has no block (0, nil). With
+	// alloc set a hole is given one (write faults need one) and reported
+	// fresh: nothing was read, and the buffer is zeroed and dirty from
+	// birth.
+	PageIn(ctx kernel.Ctx, idx int64, alloc bool) (blk int64, data []byte, fresh bool, err error)
+	// PageDirty makes blk's held buffer a delayed write after a store
+	// through its page and reports whether it was clean.
+	PageDirty(ctx kernel.Ctx, blk int64) bool
+	// PageRelease lets go of blk's held buffer without sleeping; with
+	// evict set (the clock takes the page) a delayed write starts now.
+	PageRelease(ctx kernel.Ctx, blk int64, evict bool)
+	// PageBuffer returns the memory of blk's held buffer, nil if none:
+	// the invariant checker's view. It never sleeps or allocates.
+	PageBuffer(blk int64) []byte
 	// PageFlush forces the whole file (data, inode, inode table) to
 	// stable storage and surfaces any latched async write error:
 	// msync's durability is fsync's.
 	PageFlush(ctx kernel.Ctx) error
 }
 
-// page is one page frame. A page belongs either to an object (obj !=
-// nil: a cached page of a mapped file, aliasing cache block blk) or to
-// exactly one private mapping's shadow (obj == nil: an anonymous
-// copy-on-write page, never paged out — there is no swap device in the
+// page is one resident page. A page belongs either to an object (obj !=
+// nil: a cached page of a mapped file, whose memory is the held buffer
+// of block blk, or its record's frame while it is a hole) or to exactly
+// one private mapping's shadow (obj == nil: an anonymous copy-on-write
+// page in its frame, never paged out — there is no swap device in the
 // model, so anonymous pages are resident for the mapping's lifetime).
 type page struct {
 	obj   *object
-	idx   int64 // object page index (file offset / page size)
-	blk   int64 // aliased physical block; 0 = zero-fill page, no block
-	data  []byte
-	dirty bool
-	ref   bool // clock reference bit
-	busy  bool // pagein/pageout in flight; waiters sleep on the page
-	wired int  // transient pins held across scheduling points
+	idx   int64  // object page index (file offset / page size)
+	blk   int64  // the block whose held buffer is data; 0 = none
+	data  []byte // the page's memory
+	frame []byte // the pool's memory, made the first time the record needs it
+	ref   bool   // clock reference bit
+	busy  bool   // pagein in flight; waiters sleep on the page
+	wired int    // transient pins held across scheduling points
 
 	// Clock-ring links while resident (inRing); next alone threads the
 	// pool's free list otherwise.
@@ -150,17 +160,19 @@ type Pool struct {
 	hand               *page
 	resident           int
 
-	// free holds the frames no page is using. A frame's memory is
-	// allocated the first time the pool needs it and then stays with the
-	// pool, passing from an evicted or unmapped page to the next fault.
+	// free holds the page records no page is using. A record's frame is
+	// allocated the first time it backs a hole or a copy-on-write page
+	// and then stays with the record, passing from an evicted or unmapped
+	// page to the next fault.
 	free *page
 
 	ckPass uint64 // CheckInvariants pass counter (see stamp)
 }
 
-// NewPool builds a page pool of frames pages of pageSize bytes.
-// pageSize must equal the block size of every filesystem whose files
-// get mapped (pages alias cache blocks one-to-one).
+// NewPool builds a page pool of at most frames resident pages of
+// pageSize bytes. pageSize must equal the block size of every
+// filesystem whose files get mapped (a file page is its block's cache
+// buffer), and a resident file page holds one of the cache's buffers.
 func NewPool(k *kernel.Kernel, frames, pageSize int) *Pool {
 	if frames <= 0 || pageSize <= 0 {
 		panic("vm: NewPool with nonpositive geometry")
@@ -188,10 +200,10 @@ func (v *Pool) object(dev string, ino uint32) *object {
 	return nil
 }
 
-// Frames returns the total number of page frames in the pool.
+// Frames returns the most pages the pool keeps resident.
 func (v *Pool) Frames() int { return v.nframes }
 
-// Resident returns the number of frames currently in use.
+// Resident returns the number of pages currently resident.
 func (v *Pool) Resident() int { return v.resident }
 
 var _ kernel.AddressSpaceProvider = (*Pool)(nil)
@@ -217,7 +229,7 @@ func (v *Pool) releaseSpace(p *kernel.Proc) {
 	}
 	ctx := p.Ctx()
 	for len(as.maps) > 0 {
-		_ = v.unmap(ctx, p.Pid(), as, as.maps[0])
+		_ = v.unmap(ctx, as, as.maps[0])
 	}
 	if i := slices.Index(v.spaces, as); i >= 0 {
 		v.spaces = slices.Delete(v.spaces, i, i+1)
@@ -288,8 +300,8 @@ func (v *Pool) Mmap(p *kernel.Proc, fd int, off, length int64, prot, flags int) 
 
 // Munmap implements kernel.AddressSpaceProvider: whole mappings only
 // (addr must be a value Mmap returned), as in the original mmap
-// proposal. The last unmap of an object pages out its dirty pages as
-// delayed writes and drops its frames and inode reference.
+// proposal. The last unmap of an object lets go of its pages' buffers,
+// dirty ones staying delayed writes, and drops its inode reference.
 func (v *Pool) Munmap(p *kernel.Proc, addr int64) error {
 	as := v.space(p.Pid())
 	if as == nil {
@@ -297,19 +309,19 @@ func (v *Pool) Munmap(p *kernel.Proc, addr int64) error {
 	}
 	for _, m := range as.maps {
 		if m.addr == addr {
-			return v.unmap(p.Ctx(), p.Pid(), as, m)
+			return v.unmap(p.Ctx(), as, m)
 		}
 	}
 	return kernel.ErrInval
 }
 
 // unmap tears down one published mapping. Every step that can cross a
-// scheduling boundary — the priced pmap teardown and the pageout
-// quiesce of a last-mapping object — runs while the mapping is still
-// fully published, so an invariant probe between any two events never
-// observes a half-dismantled pool; the structural excision afterwards
-// sleeps nowhere.
-func (v *Pool) unmap(ctx kernel.Ctx, pid int, as *space, m *mapping) error {
+// scheduling boundary — the priced pmap teardown and waiting out the
+// pageins in flight on a last-mapping object — runs while the mapping
+// is still fully published, so an invariant probe between any two
+// events never observes a half-dismantled pool; the structural excision
+// afterwards sleeps nowhere.
+func (v *Pool) unmap(ctx kernel.Ctx, as *space, m *mapping) error {
 	// pmap teardown: one map manipulation per page entered.
 	n := 0
 	for _, entered := range m.valid {
@@ -326,12 +338,11 @@ func (v *Pool) unmap(ctx kernel.Ctx, pid int, as *space, m *mapping) error {
 		ctx.Use(v.k.Config().PageMapCost * sim.Duration(n))
 	}
 	obj := m.obj
-	var firstErr error
 	if obj.mappings == 1 {
-		// Last mapping: flush the object's dirty pages while it is
-		// still published. quiesceObject returns off a sleep-free final
-		// pass, so the pages are still clean and idle at the excision.
-		firstErr = v.quiesceObject(ctx, pid, obj)
+		// Last mapping: wait out pageins while the object is still
+		// published. waitIdle returns off a sleep-free final pass, so
+		// the pages are still idle at the excision.
+		v.waitIdle(ctx, obj)
 	}
 	if i := slices.Index(as.maps, m); i >= 0 {
 		as.maps = slices.Delete(as.maps, i, i+1)
@@ -346,62 +357,39 @@ func (v *Pool) unmap(ctx kernel.Ctx, pid int, as *space, m *mapping) error {
 	m.wok = nil
 	obj.mappings--
 	if obj.mappings > 0 {
-		return firstErr
+		return nil
 	}
 	for _, idx := range sortedPages(obj.pages) {
-		pg := obj.pages[idx]
-		delete(obj.pages, idx)
-		v.freePage(pg)
+		v.dropPage(ctx, obj.pages[idx], false)
 	}
 	if i := slices.Index(v.objects, obj); i >= 0 {
 		v.objects = slices.Delete(v.objects, i, i+1)
 	}
 	// Dropping the inode reference may write back metadata (and can
 	// sleep), but the object is fully gone from the pool by now.
-	if err := obj.backing.MapUnref(ctx); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	return firstErr
+	return obj.backing.MapUnref(ctx)
 }
 
-// quiesceObject pages out every dirty page of obj and waits out busy
-// ones, repeating until one full pass finds the object clean and idle
-// without sleeping. A pageout error is reported but the page is
-// surrendered (delayed-write error semantics): the unmap discards the
-// page either way, and retrying a failing device would never converge.
-func (v *Pool) quiesceObject(ctx kernel.Ctx, pid int, obj *object) error {
-	var firstErr error
-	for {
-		clean := true
+// waitIdle waits out obj's pageins in flight, repeating until one full
+// pass finds every page idle without sleeping.
+func (v *Pool) waitIdle(ctx kernel.Ctx, obj *object) {
+	for slept := true; slept; {
+		slept = false
 		for _, idx := range sortedPages(obj.pages) {
-			pg := obj.pages[idx]
-			for pg != nil && pg.busy {
-				clean = false
+			for pg := obj.pages[idx]; pg != nil && pg.busy; pg = obj.pages[idx] {
+				slept = true
 				_ = ctx.Sleep(pg, kernel.PSWP+1)
-				pg = obj.pages[idx] // may have been evicted while we slept
 			}
-			if pg == nil || !pg.dirty {
-				continue
-			}
-			clean = false
-			if err := v.pageoutPage(ctx, pid, pg); err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				pg.dirty = false
-			}
-		}
-		if clean {
-			return firstErr
 		}
 	}
 }
 
-// Msync implements kernel.AddressSpaceProvider: the mapping's object
-// is paged out and the backing file is synced in full (data, inode,
-// inode table), so an Msync'd mapping has exactly fsync's crash
-// durability — and, like fsync, Msync surfaces the sticky per-device
-// write error latched by any earlier failed async pageout.
+// Msync implements kernel.AddressSpaceProvider: the backing file is
+// synced in full (data, inode, inode table) — its dirty pages are
+// delayed writes in the cache, which the flush covers — so an Msync'd
+// mapping has exactly fsync's crash durability, and, like fsync, Msync
+// surfaces the sticky per-device write error latched by any earlier
+// failed async write.
 func (v *Pool) Msync(p *kernel.Proc, addr int64) error {
 	as := v.space(p.Pid())
 	if as == nil {
@@ -409,80 +397,10 @@ func (v *Pool) Msync(p *kernel.Proc, addr int64) error {
 	}
 	for _, m := range as.maps {
 		if m.addr == addr {
-			ctx := p.Ctx()
-			if err := v.pageoutObject(ctx, p.Pid(), m.obj); err != nil {
-				return err
-			}
-			return m.obj.backing.PageFlush(ctx)
+			return m.obj.backing.PageFlush(p.Ctx())
 		}
 	}
 	return kernel.ErrInval
-}
-
-// ---- fs.Pager (structural) ----
-
-// PageoutObject writes every dirty resident page of (dev, ino) into
-// the buffer cache as delayed writes. Implements fs.Pager, which is
-// how fsync and SyncAll reach mapped dirty data.
-func (v *Pool) PageoutObject(ctx kernel.Ctx, dev string, ino uint32) error {
-	obj := v.object(dev, ino)
-	if obj == nil {
-		return nil
-	}
-	return v.pageoutObject(ctx, 0, obj)
-}
-
-// DirtyInos implements fs.Pager: the inodes on dev with dirty resident
-// pages, ascending.
-func (v *Pool) DirtyInos(dev string) []uint32 {
-	var inos []uint32
-	for _, obj := range v.objects {
-		if obj.dev != dev {
-			continue
-		}
-		for _, pg := range obj.pages {
-			if pg.dirty {
-				inos = append(inos, obj.ino)
-				break
-			}
-		}
-	}
-	sort.Slice(inos, func(i, j int) bool { return inos[i] < inos[j] })
-	return inos
-}
-
-func (v *Pool) pageoutObject(ctx kernel.Ctx, pid int, obj *object) error {
-	for _, idx := range sortedPages(obj.pages) {
-		pg := obj.pages[idx]
-		for pg != nil && pg.busy {
-			_ = ctx.Sleep(pg, kernel.PSWP+1)
-			pg = obj.pages[idx] // may have been evicted while we slept
-		}
-		if pg == nil || !pg.dirty {
-			continue
-		}
-		if err := v.pageoutPage(ctx, pid, pg); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// pageoutPage writes one dirty page back as a delayed write. The dirty
-// bit is cleared before the write so a store landing while the cache
-// sleeps re-dirties the page rather than being lost.
-func (v *Pool) pageoutPage(ctx kernel.Ctx, pid int, pg *page) error {
-	pg.busy = true
-	pg.dirty = false
-	err := pg.obj.backing.PageOut(ctx, pg.blk, pg.data)
-	pg.busy = false
-	v.k.Wakeup(pg)
-	if err != nil {
-		pg.dirty = true
-		return err
-	}
-	v.k.TraceEmit(trace.KindVMPageout, pid, pg.idx, pg.blk, pg.obj.dev)
-	return nil
 }
 
 // ---- user memory access (fault handling) ----
@@ -520,8 +438,10 @@ func (v *Pool) MemRead(p *kernel.Proc, addr int64, dst []byte) error {
 }
 
 // MemWrite implements kernel.AddressSpaceProvider: user-mode stores.
-// The dirty bit is set after the bytes land so a concurrent pageout
-// can never lose a store.
+// A store through a shared mapping makes its page's buffer a delayed
+// write after the bytes land, waiting out a write in flight, so no
+// store is ever left clean; the store that dirties a clean page is its
+// vm.pageout.
 func (v *Pool) MemWrite(p *kernel.Proc, addr int64, src []byte) error {
 	if len(src) == 0 {
 		return nil
@@ -544,7 +464,9 @@ func (v *Pool) MemWrite(p *kernel.Proc, addr int64, src []byte) error {
 			return err
 		}
 		copy(pg.data[poff:poff+n], src[done:done+n])
-		pg.dirty = true
+		if pg.obj != nil && pg.obj.backing.PageDirty(p.Ctx(), pg.blk) {
+			v.k.TraceEmit(trace.KindVMPageout, p.Pid(), pg.idx, pg.blk, pg.obj.dev)
+		}
 		v.unwire(pg)
 		done += n
 	}
@@ -593,7 +515,7 @@ func (v *Pool) touch(p *kernel.Proc, m *mapping, idx int64, write bool) (*page, 
 	}
 	if m.valid[i] {
 		if pg := m.obj.pages[idx]; pg != nil && !pg.busy {
-			if !write || (m.wok[i] && !m.private()) {
+			if !write || (m.wok[i] && !m.private() && pg.blk != 0) {
 				pg.ref = true
 				pg.wired++
 				return pg, nil
@@ -609,8 +531,8 @@ func (v *Pool) touch(p *kernel.Proc, m *mapping, idx int64, write bool) (*page, 
 	}
 	v.k.TraceEmit(trace.KindVMFault, p.Pid(), idx, mode, m.obj.dev)
 	ctx.Use(cfg.PageFaultCost)
-	// A store through a shared mapping needs a block to page out to,
-	// so holes are allocated at write-fault time.
+	// A store through a shared mapping lands in a block's buffer, so
+	// holes are allocated at write-fault time.
 	pg, err := v.residentPage(p, m.obj, idx, write && !m.private())
 	if err != nil {
 		return nil, err
@@ -622,7 +544,7 @@ func (v *Pool) touch(p *kernel.Proc, m *mapping, idx int64, write bool) (*page, 
 			v.unwire(pg)
 			return nil, err
 		}
-		copy(npg.data, pg.data)
+		copy(v.useFrame(npg), pg.data)
 		v.unwire(pg)
 		ctx.Use(cfg.BcopyCost(v.pageSize))
 		npg.idx = idx
@@ -664,8 +586,7 @@ func (v *Pool) residentPage(p *kernel.Proc, obj *object, idx int64, alloc bool) 
 			pg.wired++
 			if alloc && pg.blk == 0 {
 				if err := v.pageIn(p, pg, true); err != nil {
-					clear(pg.data) // other mappings still see the hole
-					v.unwire(pg)
+					v.unwire(pg) // other mappings still see the hole
 					return nil, err
 				}
 			}
@@ -673,60 +594,66 @@ func (v *Pool) residentPage(p *kernel.Proc, obj *object, idx int64, alloc bool) 
 		}
 		_ = ctx.Sleep(pg, kernel.PSWP+1)
 	}
+	// allocPage never sleeps, so idx is still absent when the page is
+	// installed.
 	pg, err := v.allocPage(ctx)
 	if err != nil {
 		return nil, err
-	}
-	if obj.pages[idx] != nil {
-		// allocPage slept in reclaim's pageout and another fault paged
-		// idx in meanwhile: take that page, as fs.iget re-checks after
-		// its Bread, rather than install a second frame for the index.
-		v.unwire(pg)
-		v.freePage(pg)
-		return v.residentPage(p, obj, idx, alloc)
 	}
 	pg.obj, pg.idx = obj, idx
 	obj.pages[idx] = pg
 	if err := v.pageIn(p, pg, alloc); err != nil {
 		delete(obj.pages, idx)
 		v.unwire(pg)
-		v.freePage(pg) // never filled: the next fault overwrites it whole
+		v.freePage(pg)
 		return nil, err
 	}
 	return pg, nil
 }
 
-// pageIn fills pg from its object's backing store. A fresh block (an
-// allocating write fault on a hole) has no contents to read: the frame
-// is zero-filled here and the page is dirty from birth, because the
-// platter holds the block's previous owner's bytes until the page has
-// been paged out whole — no path that skips or drops a clean page may
-// take it before then.
+// pageIn makes pg's memory the held buffer of its block, or, for a
+// hole, its record's frame zero-filled. A fresh block (an allocating
+// write fault on a hole) has nothing to read: its buffer is zeroed and
+// dirty from birth, because the platter holds the block's previous
+// owner's bytes until the whole block has been written — that birth is
+// the page's vm.pageout.
 func (v *Pool) pageIn(p *kernel.Proc, pg *page, alloc bool) error {
 	pg.busy = true
-	blk, fresh, err := pg.obj.backing.PageIn(p.Ctx(), pg.idx, pg.data, alloc)
+	blk, data, fresh, err := pg.obj.backing.PageIn(p.Ctx(), pg.idx, alloc)
 	pg.busy = false
 	v.k.Wakeup(pg)
-	if err != nil {
+	switch {
+	case err != nil:
 		return err
-	}
-	pg.blk = blk
-	if fresh {
-		clear(pg.data)
-		pg.dirty = true
-	} else if blk != 0 {
+	case blk == 0:
+		clear(v.useFrame(pg))
+		return nil
+	case fresh:
+		v.k.TraceEmit(trace.KindVMPageout, p.Pid(), pg.idx, blk, pg.obj.dev)
+	default:
 		v.k.TraceEmit(trace.KindVMPagein, p.Pid(), pg.idx, blk, pg.obj.dev)
 	}
+	pg.blk, pg.data = blk, data
 	return nil
+}
+
+// useFrame makes pg's memory its record's frame, allocated the first
+// time the record needs one, and returns it. The frame holds whatever
+// its last page left: every caller overwrites it whole.
+func (v *Pool) useFrame(pg *page) []byte {
+	if pg.frame == nil {
+		pg.frame = make([]byte, v.pageSize)
+	}
+	pg.data = pg.frame
+	return pg.data
 }
 
 // ---- page pool / clock replacement ----
 
-// allocPage takes a free frame, running the clock algorithm first when
-// the pool is full. The new page is born wired (the caller is about to
-// fill it) with its reference bit set; its memory holds whatever the
-// frame's last page left, which every caller overwrites whole (PageIn
-// or pageIn's zero fill under a fresh block, the copy-on-write copy).
+// allocPage takes a free page record, running the clock algorithm first
+// when the pool is full; it never sleeps. The new page is born wired
+// (the caller is about to fill it) with its reference bit set, and has
+// no memory until pageIn or useFrame gives it some.
 func (v *Pool) allocPage(ctx kernel.Ctx) (*page, error) {
 	if v.resident >= v.nframes {
 		if err := v.reclaimFrame(ctx); err != nil {
@@ -735,10 +662,10 @@ func (v *Pool) allocPage(ctx kernel.Ctx) (*page, error) {
 	}
 	pg := v.free
 	if pg == nil {
-		pg = &page{data: make([]byte, v.pageSize)}
+		pg = &page{}
 	} else {
 		v.free = pg.next
-		*pg = page{data: pg.data}
+		*pg = page{frame: pg.frame}
 	}
 	pg.ref, pg.wired = true, 1
 	v.ringAdd(pg)
@@ -747,12 +674,12 @@ func (v *Pool) allocPage(ctx kernel.Ctx) (*page, error) {
 
 // reclaimFrame is the modeled pagedaemon: a two-handed-clock sweep run
 // in the faulting process's context when the pool is tight. Referenced
-// pages get a second chance (ref bit cleared), dirty victims are paged
-// out (a delayed write — a sync or getblk's recycling carries it to
-// the platter), and the first clean unreferenced victim is evicted.
-// Busy, wired and anonymous pages are skipped: there is no swap, so COW
-// pages stay resident until their mapping goes away. ErrNoMem when two full
-// sweeps find nothing evictable.
+// pages get a second chance (ref bit cleared), and the first
+// unreferenced victim is evicted: its buffer stays cached, and a dirty
+// one starts its write now. Busy, wired and anonymous pages are
+// skipped: there is no swap, so COW pages stay resident until their
+// mapping goes away. ErrNoMem when two full sweeps find nothing
+// evictable.
 func (v *Pool) reclaimFrame(ctx kernel.Ctx) error {
 	limit := 2*v.resident + 2
 	for scanned := 0; scanned < limit; scanned++ {
@@ -772,24 +699,20 @@ func (v *Pool) reclaimFrame(ctx kernel.Ctx) error {
 			v.advanceHand()
 			continue
 		}
-		if pg.dirty {
-			// The pageout sleeps in the cache and another fault's sweep
-			// may move the hand meanwhile: it advances from where it is
-			// then, not from pg.
-			if err := v.pageoutPage(ctx, 0, pg); err != nil {
-				v.advanceHand()
-				continue
-			}
-			if pg.busy || pg.wired > 0 || pg.ref || pg.dirty {
-				v.advanceHand()
-				continue
-			}
-		}
-		delete(pg.obj.pages, pg.idx)
-		v.freePage(pg)
+		v.dropPage(ctx, pg, true)
 		return nil
 	}
 	return kernel.ErrNoMem
+}
+
+// dropPage takes object page pg out of its object and frees it, letting
+// go of its buffer; with evict set a dirty buffer's write starts now.
+func (v *Pool) dropPage(ctx kernel.Ctx, pg *page, evict bool) {
+	delete(pg.obj.pages, pg.idx)
+	if pg.blk != 0 {
+		pg.obj.backing.PageRelease(ctx, pg.blk, evict)
+	}
+	v.freePage(pg)
 }
 
 // advanceHand moves the clock hand to the next newer page; past the
@@ -816,8 +739,8 @@ func (v *Pool) ringAdd(pg *page) {
 }
 
 // freePage takes pg, which nothing refers to any more, out of the clock
-// ring and returns its frame to the free list. A hand resting on pg moves
-// to the page after it.
+// ring and returns its record to the free list. A hand resting on pg
+// moves to the page after it.
 func (v *Pool) freePage(pg *page) {
 	if !pg.inRing {
 		panic("vm: freePage of page not in ring")

@@ -181,9 +181,11 @@ type Config struct {
 	Seed uint64
 	// MaxRunTime aborts runaway simulations; zero means unlimited.
 	MaxRunTime Duration
-	// VMPages sizes the page pool backing mmap'd file I/O in
+	// VMPages caps the pages resident for mmap'd file I/O, in
 	// block-size pages (default 256 = 2MB; negative disables the VM
 	// subsystem, making Mmap fail as a kernel built without VM would).
+	// A resident file page is a cache buffer, so New panics unless it
+	// is below the cache's buffer count.
 	VMPages int
 }
 

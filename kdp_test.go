@@ -446,9 +446,6 @@ func TestFacadeDefaultShape(t *testing.T) {
 		if got := m.FS(i).Super().NInodes; got != 256 {
 			t.Errorf("disk %d: %d inodes, want 256", i, got)
 		}
-		if m.FS(i).Pager() == nil {
-			t.Errorf("disk %d mounted without the pager", i)
-		}
 	}
 	if kdp.New(kdp.Config{VMPages: -1}).VMPool() != nil {
 		t.Error("VMPages < 0 still built a page pool")
