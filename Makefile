@@ -73,7 +73,7 @@ kdpbench -sweep vm
 kdpbench -sweep batch
 kdpbench -series
 kdpbench -table 2 -disks RAM -trace /dev/stdout
-kdpcheck -seeds 300
+kdpcheck -seeds 340
 kdpcheck -seeds 40 -ops 200 -workers 3
 kdpcheck -crash -seeds 190
 kdpcheck -faults -seeds 19 -ops 40

@@ -519,7 +519,15 @@ func (f *FS) dirEnter(ctx kernel.Ctx, dp *Inode, name string, ino uint32) error 
 	// directory inode (grown size, possibly a new block pointer). Until
 	// this lands a crash leaves the new inode orphaned — which repair
 	// zaps — never a reachable torn entry.
-	return f.iupdateSync(ctx, dp)
+	if err := f.iupdateSync(ctx, dp); err != nil {
+		// The create fails and frees the inode, so the entry must not
+		// stay reachable in core either: a later lookup would open the
+		// freed inode and each close would count it free again. The
+		// directory stays dirty; a new block past the size is harmless.
+		dp.size = off
+		return err
+	}
+	return nil
 }
 
 // dirRemove deletes name from directory dp.

@@ -123,13 +123,13 @@ func (k *Kernel) Untimeout(h Callout) bool {
 // PendingCallouts reports the number of queued callouts.
 func (k *Kernel) PendingCallouts() int { return k.callouts.n }
 
-// softclock fires every callout due this tick. Handlers run at
-// interrupt level: each dispatch charges CalloutDispatchCost as stolen
-// time, and handlers must not sleep.
-func (k *Kernel) softclock() {
+// softclock fires every callout due this tick and reports whether it
+// fired any. Handlers run at interrupt level: each dispatch charges
+// CalloutDispatchCost as stolen time, and handlers must not sleep.
+func (k *Kernel) softclock() bool {
 	cl := &k.callouts
 	if cl.head == nil {
-		return
+		return false
 	}
 	// One decrement per tick, as in 4.3BSD hardclock — but applied to
 	// the first entry with time remaining, not blindly to the head. A
@@ -168,4 +168,5 @@ func (k *Kernel) softclock() {
 		fn()
 	}
 	cl.due = due[:0]
+	return len(due) > 0
 }

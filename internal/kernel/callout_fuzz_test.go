@@ -1,0 +1,105 @@
+package kernel
+
+import "testing"
+
+// FuzzCalloutList decodes its input, two bytes per operation, into
+// Timeout, Untimeout and clock-tick operations on a bare kernel and
+// checks the callout list against a map model: every armed callout fires
+// exactly once, at the tick its Timeout asked for (the next tick for
+// ticks <= 0), unless it was cancelled first, and a handler's own Timeout
+// waits for a later tick. Each tick's softclock must report that it ran
+// a callout exactly when the model has one due: the quiet-tick count
+// Kernel.ChargeOnly rests on comes from that report.
+//
+// Operations (first byte mod 4, second byte the argument):
+//
+//	0  Timeout(arg%48 - 4)
+//	1  Untimeout of handle arg mod the handles armed so far
+//	2  arg%4 + 1 ticks
+//	3  Timeout(arg%16 - 2) whose handler arms Timeout(arg%5 - 1)
+//
+// `go test -fuzz=FuzzCalloutList ./internal/kernel` searches; plain `go
+// test` replays the seeds below and testdata/fuzz/FuzzCalloutList.
+func FuzzCalloutList(f *testing.F) {
+	f.Add([]byte{0, 5, 0, 5, 2, 3, 2, 3})                    // two timers due together
+	f.Add([]byte{0, 4, 0, 14, 1, 1, 2, 3, 2, 3, 2, 3})       // a zero-tick entry ahead of a cancelled timer
+	f.Add([]byte{3, 2, 3, 21, 2, 3, 1, 2, 2, 3, 2, 3, 2, 0}) // re-arming handlers, one child cancelled
+	f.Add([]byte{0, 0, 0, 47, 1, 0, 1, 0, 2, 1, 0, 9, 2, 3}) // a double cancel, a negative and a long timer
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if len(prog) > 512 {
+			prog = prog[:512]
+		}
+		k := New(DefaultConfig())
+		var (
+			handles []Callout
+			due     = map[int]int64{} // armed, not fired or cancelled: id -> tick
+			fired   []int             // ids fired by the tick in progress
+		)
+		const noChild = -100
+		var arm func(ticks, child int)
+		arm = func(ticks, child int) {
+			id := len(handles)
+			fn := func() { fired = append(fired, id) }
+			if child != noChild {
+				fn = func() {
+					fired = append(fired, id)
+					arm(child, noChild)
+				}
+			}
+			handles = append(handles, k.Timeout(fn, ticks))
+			due[id] = k.Ticks() + int64(max(ticks, 1))
+		}
+		tick := func() {
+			fired = fired[:0]
+			quiet := k.quietTicks
+			k.hardclockIntr()
+			now := k.Ticks()
+			for _, id := range fired {
+				if at, ok := due[id]; !ok || at != now {
+					t.Fatalf("tick %d: callout %d fired, due at %d (armed %v)", now, id, at, ok)
+				}
+				delete(due, id)
+			}
+			for id, at := range due {
+				if at <= now {
+					t.Fatalf("tick %d: callout %d due at %d did not fire", now, id, at)
+				}
+			}
+			if counted := k.quietTicks != quiet; counted != (len(fired) == 0) {
+				t.Fatalf("tick %d: %d callout(s) fired, counted quiet %v", now, len(fired), counted)
+			}
+		}
+		for i := 0; i+1 < len(prog); i += 2 {
+			arg := int(prog[i+1])
+			switch prog[i] % 4 {
+			case 0:
+				arm(arg%48-4, noChild)
+			case 1:
+				if len(handles) == 0 {
+					continue
+				}
+				id := arg % len(handles)
+				_, live := due[id]
+				if got := k.Untimeout(handles[id]); got != live {
+					t.Fatalf("Untimeout of callout %d = %v, want %v", id, got, live)
+				}
+				delete(due, id)
+			case 2:
+				for n := arg%4 + 1; n > 0; n-- {
+					tick()
+				}
+			case 3:
+				arm(arg%16-2, arg%5-1)
+			}
+			if k.PendingCallouts() != len(due) {
+				t.Fatalf("%d callouts pending, model has %d", k.PendingCallouts(), len(due))
+			}
+		}
+		for len(due) > 0 {
+			tick()
+		}
+		if k.PendingCallouts() != 0 {
+			t.Fatalf("%d callouts left after every armed one fired", k.PendingCallouts())
+		}
+	})
+}

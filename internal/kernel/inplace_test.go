@@ -297,33 +297,45 @@ func TestChargeOnlyNotAfterSignalHandler(t *testing.T) {
 	}
 }
 
-func TestChargeOnlyNeverAtRunLoopBoundary(t *testing.T) {
+// TestChargeOnlyAfterQuietTick: a clock tick that runs no callout moves
+// nothing outside the kernel, so the boundary after an idle step or a
+// charge over one is charge-only. A tick that runs a callout, or another
+// event at the tick's instant, makes it full; so does a process step,
+// which fires nothing but runs code no count sees.
+func TestChargeOnlyAfterQuietTick(t *testing.T) {
 	k := testKernel()
-	charging, runLoop := false, 0
-	k.SetProbe(func() {
-		if !charging {
-			runLoop++
-			if k.ChargeOnly() {
-				t.Errorf("Run-loop boundary %d is charge-only", runLoop)
+	during := watchChargeOnly(k)
+	tick := k.Config().TickDuration()
+	nop := func() {}
+	k.Spawn("napper", func(p *Proc) {
+		for _, tc := range []struct {
+			what string
+			arm  func()
+			want []bool // after the step that parks, then after each idle step
+		}{
+			{"idle steps over quiet ticks", nop, []bool{false, true, true, false}},
+			{"a tick that runs a callout", func() { k.Timeout(nop, 1) }, []bool{false, false, true, false}},
+			{"a tick and a device completion at one instant", func() {
+				k.Engine().Schedule(k.nextTick.Add(tick).Sub(k.Now()), "biodone", nop)
+			}, []bool{false, true, false, false}},
+		} {
+			// SleepFor's own callout runs at the third tick: its step is full.
+			if got := during(func() { tc.arm(); p.SleepFor(3 * tick) }); !slices.Equal(got, tc.want) {
+				t.Errorf("%s: boundaries %v, want %v", tc.what, got, tc.want)
 			}
 		}
-	})
-	k.Spawn("napper", func(p *Proc) {
-		for i := 0; i < 5; i++ {
-			if k.ChargeOnly() {
-				t.Error("ChargeOnly outside a probe")
-			}
-			charging = true
-			p.UseK(sim.Microsecond)
-			charging = false
-			p.SleepFor(20 * sim.Millisecond)
+		if got := during(func() { p.UseK(tick + tick/2) }); !slices.Equal(got, quiet) {
+			t.Errorf("a charge spanning a quiet tick: boundaries %v, want %v", got, quiet)
+		}
+		if k.ChargeOnly() {
+			t.Error("ChargeOnly outside a probe")
 		}
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if runLoop < 5 || k.ChargeOnly() {
-		t.Fatalf("%d Run-loop boundaries, ChargeOnly after Run %v; want >= 5, false", runLoop, k.ChargeOnly())
+	if k.ChargeOnly() {
+		t.Error("ChargeOnly after Run")
 	}
 }
 

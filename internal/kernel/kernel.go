@@ -62,6 +62,7 @@ type Kernel struct {
 	probe      func() // invoked at every scheduling boundary (simcheck)
 	chargeOnly bool   // inside a probe at a charge-only boundary (see ChargeOnly)
 	sigRuns    uint64 // signal handlers run (see activity)
+	quietTicks uint64 // hardclock events that ran no callout (see activity)
 	ckPass     uint64 // CheckInvariants pass counter (see Proc.ckRunq)
 	abortErr   error  // set by Abort; Run returns it at the next boundary
 	stopErr    error  // what a boundary Proc.Use ran returned; Run returns it as its own
@@ -328,10 +329,15 @@ func (k *Kernel) otherRunnable(pri int) bool {
 // kernel-side holds remain. It returns ErrDeadlock if live processes
 // are all asleep with nothing pending, or ErrWatchdog if MaxRunTime is
 // exceeded.
+//
+// The boundary after an idle step is handed the activity seen before
+// the step, like the one after a CPU charge: an idle step over a quiet
+// tick leaves it charge-only. The boundary after a process step is
+// never charge-only, since the process ran code no count sees.
 func (k *Kernel) Run() error {
 	k.startClock()
-	for {
-		if err := k.boundary(noCharge); err != nil {
+	for since := noCharge; ; {
+		if err := k.boundary(since); err != nil {
 			return err
 		}
 		if k.alive == 0 && k.holds == 0 {
@@ -341,6 +347,7 @@ func (k *Kernel) Run() error {
 		if p == nil {
 			p = k.pickNext()
 		}
+		since = k.activity()
 		if p == nil {
 			// Idle: advance to the next event. If the only pending
 			// event is our own hardclock and the callout list is
@@ -368,6 +375,7 @@ func (k *Kernel) Run() error {
 			continue
 		}
 		k.runStep(p)
+		since = noCharge
 		if k.stopErr != nil {
 			return k.stopErr
 		}
@@ -378,8 +386,8 @@ func (k *Kernel) Run() error {
 // now due (at interrupt level, on whichever stack got here: Run's, or
 // that of the process Proc.Use is charging), the probe, and a pending
 // Abort. A non-nil error ends the run. since is activity() as the CPU
-// charge this boundary ends began (noCharge for any other boundary): if
-// it has not moved, the probe runs charge-only.
+// charge or idle step this boundary ends began (noCharge for any other
+// boundary): if it has not moved, the probe runs charge-only.
 func (k *Kernel) boundary(since uint64) error {
 	if k.cfg.MaxRunTime > 0 && sim.Duration(k.engine.Now()) > k.cfg.MaxRunTime {
 		return ErrWatchdog
@@ -397,15 +405,19 @@ func (k *Kernel) boundary(since uint64) error {
 const noCharge = ^uint64(0)
 
 // activity counts what can move state outside the kernel while a
-// process is being charged: engine events fired and signal handlers run.
-// Both only grow, so an unchanged sum means neither ran.
-func (k *Kernel) activity() uint64 { return k.engine.Fired() + k.sigRuns }
+// process is charged or the CPU idles: engine events fired, less the
+// clock ticks that ran no callout, and signal handlers run. A quiet tick
+// adds one to both counts, so the sum only grows, and an unchanged sum
+// means nothing but quiet ticks ran.
+func (k *Kernel) activity() uint64 { return k.engine.Fired() - k.quietTicks + k.sigRuns }
 
 // ChargeOnly reports whether the running probe is charge-only: it ends a
-// Proc.Use charge during which no event fired and no signal handler ran,
-// so since the probe before the charge only the kernel's own state
-// (accounting, run queue, current process) and the trace have moved. A
-// probe may then re-check just those. False outside a probe.
+// Proc.Use charge or an idle step of Run during which no event fired but
+// clock ticks that ran no callout, and no signal handler ran. Since the
+// probe before, only the kernel's own state (accounting, run queue,
+// current process, tick count, quantum, callout deltas, the next tick)
+// and the trace have moved. A probe may then re-check just those, and
+// whatever reads Ticks. False outside a probe.
 func (k *Kernel) ChargeOnly() bool { return k.chargeOnly }
 
 // anySignalsPending reports whether any live process has an undelivered
@@ -577,10 +589,14 @@ func (k *Kernel) scheduleNextTick() {
 
 // hardclockIntr is the 100Hz (by default) clock interrupt: it advances
 // the tick count, runs softclock (the callout list), and implements
-// round-robin preemption for equal-priority user processes.
+// round-robin preemption for equal-priority user processes. A tick that
+// runs no callout is counted quiet: it touches nothing outside the
+// kernel (see activity).
 func (k *Kernel) hardclockIntr() {
 	k.ticks++
-	k.softclock()
+	if !k.softclock() {
+		k.quietTicks++
+	}
 	// Charge the quantum to whoever holds the CPU, in either mode (as
 	// 4.3BSD charges p_cpu); preemption itself still waits for the
 	// next user-mode boundary.

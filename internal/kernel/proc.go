@@ -179,7 +179,8 @@ func (p *Proc) park() { p.yield(struct{}{}) }
 // Run takes the boundary and picks the next process) or when a boundary
 // ends the run (Run returns stopErr without taking the boundary again).
 // The boundary after the charge is charge-only (Kernel.ChargeOnly) when
-// no event fired and no signal handler ran in between.
+// no event but clock ticks that ran no callout fired, and no signal
+// handler ran, in between.
 func (p *Proc) Use(d sim.Duration, kernelMode bool) {
 	if d <= 0 {
 		return

@@ -150,8 +150,9 @@ type (
 )
 
 // probes are the two probes simcheck makes: the full one, and the
-// charge-only one at the boundary after a CPU charge during which
-// nothing else ran (the kernel catalog and the trace checks alone).
+// charge-only one at the boundary after a CPU charge or an idle step
+// during which nothing but quiet clock ticks ran (the kernel catalog, the
+// trace checks and stream, which reads the tick count).
 func probes(m *machine.Machine, tchk *trace.Checker) []probe {
 	traced := check{"trace.Checker", func() error {
 		if err := tchk.Err(); err != nil {
@@ -166,7 +167,11 @@ func probes(m *machine.Machine, tchk *trace.Checker) []probe {
 			{"splice.CheckInvariants", splice.CheckInvariants},
 			traced,
 		}},
-		{"charge-only", []check{{"kernel.CheckInvariants", m.K.CheckInvariants}, traced}},
+		{"charge-only", []check{
+			{"kernel.CheckInvariants", m.K.CheckInvariants},
+			traced,
+			{"stream.CheckInvariants", stream.CheckInvariants},
+		}},
 	}
 }
 
@@ -199,9 +204,10 @@ func TestChecksAllocateNothing(t *testing.T) {
 
 // BenchmarkCheckInvariants times each probe's worth of checks on the
 // warm machine: full/ is what simcheck pays at most scheduling
-// boundaries, charge-only/ what it pays after a CPU charge nothing
-// interrupted (the benchmark's simcheck.probe.invariants_us measures
-// kernel, cache and stream passes on its own rig).
+// boundaries, charge-only/ what it pays after a CPU charge or an idle
+// step that only quiet ticks interrupted (the benchmark's
+// simcheck.probe.invariants_us measures kernel, cache and stream passes
+// on its own rig).
 func BenchmarkCheckInvariants(b *testing.B) {
 	onWarmMachine(b, func(m *machine.Machine, tchk *trace.Checker) {
 		for _, pr := range probes(m, tchk) {

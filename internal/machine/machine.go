@@ -157,7 +157,8 @@ func (m *Machine) Devices() []buf.Device { return m.devs }
 // kernel, disks, mounted filesystems, page pool — and returns the first
 // violation. It does no I/O and never sleeps, so it can run at every
 // scheduling boundary. In a charge-only probe (kernel.Kernel.ChargeOnly)
-// nothing but the kernel has moved since the last pass, so only the
+// nothing but the kernel, its tick count included, has moved since the
+// last pass, and no other layer here reads the tick count, so only the
 // kernel is checked.
 func (m *Machine) CheckInvariants() error {
 	if m.K.ChargeOnly() {

@@ -5,11 +5,16 @@ import (
 	"regexp"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
 	"kdp/internal/buf"
 	"kdp/internal/kernel"
+	"kdp/internal/sim"
+	"kdp/internal/socket"
+	"kdp/internal/stream"
+	"kdp/internal/trace"
 )
 
 // TestSeedSweep is the in-tree fuzz budget: a deterministic table of
@@ -53,6 +58,31 @@ func TestSeedSweepLargerWorkloads(t *testing.T) {
 func TestReadOnlyUnmapTakesTheLatch(t *testing.T) {
 	if res := Run(Config{Seed: 77, Ops: 200, Workers: 3}); res.Failed() {
 		t.Errorf("seed 77 (ops=200 workers=3): %v", res.Violation)
+	}
+}
+
+// TestFailedCreateLeavesNoEntry is seed 59's minimised run (`kdpcheck
+// -seed 59 -ops 60 -workers 1 -fault-site disk.rz58.wrerr -fault-k 17
+// -minimize`). Op 35's create appends an entry to /d0's root and the
+// armed error fails the write of the grown root inode. create freed the
+// new inode, but the root's in-core size still covered the entry, so op
+// 41 opened the freed inode and every close after it counted it free
+// again, until fs-super-counts saw 65 free inodes in a table of 64.
+func TestFailedCreateLeavesNoEntry(t *testing.T) {
+	cfg := Config{Seed: 59, Ops: 60, FaultSite: "disk.rz58.wrerr", FaultK: 17}.normalize()
+	full := generate(cfg)
+	var ops []*op
+	for _, i := range []int{13, 15, 29, 33, 35, 39, 41, 46, 50, 52} {
+		ops = append(ops, full[i])
+	}
+	res := execute(cfg, ops)
+	if res.Failed() {
+		t.Fatalf("seed 59, minimised: %v", res.Violation)
+	}
+	if res.FaultFired != 1 || !slices.ContainsFunc(res.Log, func(l string) bool {
+		return strings.HasPrefix(l, "op 35 ") && strings.Contains(l, "open: I/O error")
+	}) {
+		t.Errorf("the fault no longer fails op 35's create (fired %d): the run tests nothing", res.FaultFired)
 	}
 }
 
@@ -160,6 +190,70 @@ func TestDamageReportsPinned(t *testing.T) {
 					kind, seed, res.Violation, want[seed-1], at[seed].op, at[seed].t)
 			}
 		}
+	}
+}
+
+// TestGhostBoundTripsAtItsTick: stream-ghost-bound reads the tick count,
+// which a tick that runs no callout moves, so the charge-only pass after
+// such a tick checks stream too. Two connections' ghosts have their
+// expiry callouts disarmed on an otherwise idle machine; the violation
+// must come at the first tick past expires+1 and at the virtual time the
+// harness reported when every idle step took a full pass.
+func TestGhostBoundTripsAtItsTick(t *testing.T) {
+	m := &machine{cfg: Config{Seed: 1}, Machine: checkMachine(1), oracle: make(map[string]*ofile)}
+	defer m.Release()
+	m.tchk, m.tdig = trace.NewChecker(), trace.NewDigester()
+	m.tr = m.K.StartTrace(trace.Tee(m.tchk, m.tdig))
+	stream.EnableInvariants(true)
+	defer stream.EnableInvariants(false)
+	m.K.SetProbe(m.probe)
+	net := socket.NewNet(m.K, socket.Loopback())
+	srv, err := stream.NewTransport(m.K, net, 80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli, err := stream.NewTransport(m.K, net, 5001)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.K.Spawn("server", func(p *kernel.Proc) {
+		if err := srv.Listen(p); err != nil {
+			t.Error(err)
+		} else if fd, _, err := srv.Accept(p); err != nil {
+			t.Error(err)
+		} else if err := p.Close(fd); err != nil {
+			t.Error(err)
+		}
+	})
+	m.K.Spawn("client", func(p *kernel.Proc) {
+		fd, _, err := cli.Connect(p, srv.Port())
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if err := p.Close(fd); err != nil {
+			t.Error(err)
+		}
+		p.SleepFor(100 * sim.Millisecond) // both sides retire
+		if srv.Ghosts() != 1 || cli.Ghosts() != 1 {
+			t.Errorf("ghosts: server %d, client %d; want one each", srv.Ghosts(), cli.Ghosts())
+		}
+		srv.DisarmGhostReaps()
+		cli.DisarmGhostReaps()
+		p.SleepFor(100 * sim.Second) // past the retention window
+	})
+	_ = m.K.Run() // the violation aborts the run
+	if name := kernel.ViolationName(m.violation); name != "stream-ghost-bound" {
+		t.Fatalf("violation %v, want stream-ghost-bound", m.violation)
+	}
+	ticks := regexp.MustCompile(`expired at tick (\d+), still present at tick (\d+) .*, t=(\S+)\)$`).
+		FindStringSubmatch(m.violation.Error())
+	if ticks == nil {
+		t.Fatalf("violation %v: no ticks or time", m.violation)
+	}
+	expires, _ := strconv.Atoi(ticks[1])
+	if now, _ := strconv.Atoi(ticks[2]); now != expires+2 || ticks[3] != "79.020000s" {
+		t.Errorf("reported at tick %d, t=%s; want tick %d, t=79.020000s", now, ticks[3], expires+2)
 	}
 }
 

@@ -140,6 +140,17 @@ func (t *Transport) addGhost(key uint64, final int64) {
 	}, ttl)
 }
 
+// DisarmGhostReaps disarms the expiry callout of every retired-connection
+// record t holds: it still fires at its tick but reaps nothing, so each
+// record outlives its deadline. It is the planted fault with which the
+// checker's tests pin the tick stream-ghost-bound reports at; production
+// paths never call it.
+func (t *Transport) DisarmGhostReaps() {
+	for i := range t.ghosts {
+		t.ghosts[i].gen = 0 // generations start at 1
+	}
+}
+
 // ghost returns the retired-connection record for key, or nil. The
 // list is scanned: it holds one entry per connection retired inside the
 // TTL window, which is the client count (8 to 16) on the server

@@ -26,6 +26,7 @@ package trace
 
 import (
 	"fmt"
+	"math/bits"
 
 	"kdp/internal/sim"
 )
@@ -429,14 +430,27 @@ const (
 	fnvPrime  = 1099511628211
 )
 
+// fnvPrimePow[n] is fnvPrime to the n-th power (mod 2⁶⁴).
+var fnvPrimePow = func() (p [9]uint64) {
+	p[0] = 1
+	for n := 1; n < len(p); n++ {
+		p[n] = p[n-1] * fnvPrime
+	}
+	return p
+}()
+
+// fnvInt folds v's eight bytes, low byte first, into h. A zero byte's
+// xor is a no-op, so the high zero bytes fold into one multiply by the
+// matching power of the prime: the same sum as eight xor-multiply steps.
 func fnvInt(h uint64, v int64) uint64 {
 	u := uint64(v)
-	for i := 0; i < 8; i++ {
+	n := (bits.Len64(u) + 7) / 8
+	for i := 0; i < n; i++ {
 		h ^= u & 0xff
 		h *= fnvPrime
 		u >>= 8
 	}
-	return h
+	return h * fnvPrimePow[8-n]
 }
 
 func fnvString(h uint64, s string) uint64 {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -115,6 +116,34 @@ func TestDigest(t *testing.T) {
 	ac := []Event{{Kind: KindBufHit, Name: "a"}, {Kind: KindBufHit, Name: "bc"}}
 	if Digest(ab) == Digest(ac) {
 		t.Errorf("digest merges adjacent names")
+	}
+}
+
+// TestFnvIntMatchesByteLoop holds fnvInt's folded zero bytes to the
+// plain FNV-1a loop over all eight bytes, which every pinned digest was
+// computed with: at each byte-length boundary, the sign and extreme
+// values, and random values of every length.
+func TestFnvIntMatchesByteLoop(t *testing.T) {
+	byteLoop := func(h uint64, v int64) uint64 {
+		u := uint64(v)
+		for i := 0; i < 8; i++ {
+			h ^= u & 0xff
+			h *= fnvPrime
+			u >>= 8
+		}
+		return h
+	}
+	vals := []int64{0, 1, 255, 256, 1<<56 - 1, 1 << 56, -1, math.MinInt64, math.MaxInt64}
+	r := sim.NewRand(1)
+	for i := 0; i < 1000; i++ {
+		vals = append(vals, int64(r.Uint64()>>(i%64)))
+	}
+	for _, h := range []uint64{fnvOffset, 0, 0x5a5a5a5a5a5a5a5a} {
+		for _, v := range vals {
+			if got, want := fnvInt(h, v), byteLoop(h, v); got != want {
+				t.Fatalf("fnvInt(%#x, %d) = %#x, want %#x", h, v, got, want)
+			}
+		}
 	}
 }
 
