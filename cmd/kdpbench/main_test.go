@@ -114,8 +114,8 @@ func TestSweepDocs(t *testing.T) {
 	}
 }
 
-// TestExperimentsQuoteGoldens holds EXPERIMENTS.md's two headline tables
-// and Ablations A and I to the goldens: in the "## Table 1" and "## Table 2"
+// TestExperimentsQuoteGoldens holds EXPERIMENTS.md's two headline tables,
+// Ablations A and I and the server table to the goldens: in the "## Table 1" and "## Table 2"
 // sections, the bold ("measured") cells of each disk's row must be that
 // disk's golden row — thousands separators apart, and Table 1's
 // improvement cell reading "factor (percent)" — so a golden that moves
@@ -164,7 +164,7 @@ func TestExperimentsQuoteGoldens(t *testing.T) {
 		}
 	}
 
-	// Ablations A and I quote their whole tables: the rows of the
+	// Ablations A and I and the server table quote their whole tables: the rows of the
 	// section, cell for cell, are the sweep's block of sweeps.golden. A
 	// row is a table line whose first cell opens a golden row.
 	sweeps, err := os.ReadFile("testdata/sweeps.golden")
@@ -173,10 +173,11 @@ func TestExperimentsQuoteGoldens(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		heading, sweep string
-		rows           int
+		head, rows     int // lines before the rows (title, header), rows
 	}{
-		{"\n## Ablation A ", "quantum", 5},
-		{"\n## Ablation I ", "vm", 9},
+		{"\n## Ablation A ", "quantum", 2, 5},
+		{"\n## Ablation I ", "vm", 2, 9},
+		{"\n## Server scalability ", "server", 3, 16},
 	} {
 		_, section, ok := strings.Cut(string(text), tc.heading)
 		if !ok {
@@ -186,7 +187,7 @@ func TestExperimentsQuoteGoldens(t *testing.T) {
 		_, block, _ := strings.Cut(string(sweeps), "== kdpbench -sweep "+tc.sweep+" ==\n")
 		block, _, _ = strings.Cut(block, "\n== ")
 		var got, want [][]string
-		for _, line := range strings.Split(block, "\n")[2:] { // title, header, then the rows
+		for _, line := range strings.Split(block, "\n")[tc.head:] {
 			if f := strings.Fields(line); len(f) > 0 {
 				want = append(want, f)
 			}

@@ -73,11 +73,16 @@ type Conn struct {
 
 	// Receiver. rcv holds in-order bytes awaiting the consumer;
 	// reasm holds out-of-order segments in start-offset order; advWnd
-	// is the window last advertised to the peer.
+	// is the window last advertised to the peer and rcvAdv its right
+	// edge (rcvNxt+advWnd at that send); delack is set while an ACK of
+	// in-order data is owed and the connection waits on its transport's
+	// fast timeout.
 	rcvNxt    int64
 	rcv       kernel.FIFO
 	reasm     []reasmSeg
 	advWnd    int64
+	rcvAdv    int64
+	delack    bool
 	remoteFin int64 // FIN offset announced by the peer; -1 until seen
 	rcvClosed bool
 
@@ -105,6 +110,7 @@ func newConn(t *Transport, remote int, id uint32, st connState) *Conn {
 		remoteFin: -1,
 		rtoTicks:  initialRTO,
 		advWnd:    rcvCap,
+		rcvAdv:    rcvCap,
 	}
 	c.rtxFn = c.rtxFire
 	registerConn(c)
@@ -144,10 +150,15 @@ func (c *Conn) seqEnd() int64 {
 // ---- sending ----
 
 // sendSeg emits one segment toward the peer, piggybacking the current
-// cumulative ack and receive window. Its payload is the n bytes of the
-// send buffer from off on, copied straight into the packet.
+// cumulative ack and receive window, which settles any delayed ACK. Its
+// payload is the n bytes of the send buffer from off on, copied straight
+// into the packet.
 func (c *Conn) sendSeg(typ byte, seq int64, off, n int) {
 	c.advWnd = c.freeWnd()
+	c.rcvAdv = c.rcvNxt + c.advWnd
+	if c.delack {
+		c.t.dropDelack(c)
+	}
 	seg := segment{
 		typ:    typ,
 		connID: c.id,
@@ -326,8 +337,11 @@ func (c *Conn) handleSegment(seg segment) {
 
 	switch seg.typ {
 	case segDATA:
-		c.acceptData(seg.seq, seg.payload)
-		c.sendCtl(segACK, 0) // receivers always answer, even duplicates
+		// In-order data waits for the fast timeout or a segment to carry
+		// its ACK; anything else is answered now, duplicates included.
+		if !c.acceptData(seg.seq, seg.payload) {
+			c.sendCtl(segACK, 0)
+		}
 	case segFIN:
 		if c.remoteFin < 0 {
 			c.remoteFin = seg.seq
@@ -338,33 +352,43 @@ func (c *Conn) handleSegment(seg segment) {
 	c.maybeGhost()
 }
 
-// acceptData admits payload at offset seq. In-order data is accepted
-// while receive space remains (one segment of overshoot is allowed, so
-// a window probe never wedges at an exact boundary); out-of-order data
-// is stashed for reassembly within a bounded horizon.
-func (c *Conn) acceptData(seq int64, payload []byte) {
+// acceptData admits payload at offset seq and reports whether its ACK
+// may be delayed. In-order data is accepted while receive space remains
+// (one segment of overshoot is allowed, so a window probe never wedges
+// at an exact boundary); out-of-order data is stashed for reassembly
+// within a bounded horizon. As in 4.3BSD's tcp_input, only in-order data
+// that finds the reassembly queue empty and completes no FIN queues a
+// delayed ACK, before the reader is served, so a window update the
+// drain sends carries it.
+func (c *Conn) acceptData(seq int64, payload []byte) (delayed bool) {
 	if len(payload) == 0 {
-		return
+		return false
 	}
 	end := seq + int64(len(payload))
 	switch {
 	case end <= c.rcvNxt:
-		return // entirely duplicate
+		return false // entirely duplicate
 	case seq <= c.rcvNxt:
 		if c.freeWnd() == 0 {
-			return // window closed: acknowledge only
+			return false // window closed: acknowledge only
 		}
+		delayed = len(c.reasm) == 0
 		c.rcv.Push(payload[c.rcvNxt-seq:])
 		c.rcvNxt = end
 		c.drainReasm()
 		c.tryConsumeFin()
+		if delayed = delayed && !c.rcvClosed; delayed {
+			c.t.queueDelack(c)
+		}
 		c.serveReader()
+		return delayed
 	case seq <= c.rcvNxt+reasmLimit:
 		i, dup := slices.BinarySearchFunc(c.reasm, seq, func(s reasmSeg, off int64) int { return cmp.Compare(s.off, off) })
 		if !dup {
 			c.reasm = slices.Insert(c.reasm, i, reasmSeg{seq, append([]byte(nil), payload...)})
 		}
 	}
+	return false
 }
 
 // reasmSeg is one stashed out-of-order segment.
@@ -429,12 +453,16 @@ func (c *Conn) take(max int) (data []byte, eof bool) {
 }
 
 // drained drops the n bytes the consumer took, sends a window update
-// when that opens enough new credit to matter (a full segment, or any
-// space after the window was closed) and reports end of stream.
+// when that moves the advertised right edge far enough to matter and
+// reports end of stream. The rule is 4.3BSD tcp_output's: an advance of
+// two segments or 35 % of the buffer, or any space after the window
+// was closed.
 func (c *Conn) drained(n int) (eof bool) {
 	c.rcv.Drop(n)
 	if c.state == stateEstablished && !c.rcvClosed {
-		if f := c.freeWnd(); f-c.advWnd >= MaxSeg || (c.advWnd == 0 && f > 0) {
+		f := c.freeWnd()
+		adv := c.rcvNxt + f - c.rcvAdv
+		if adv >= 2*MaxSeg || 100*adv >= 35*rcvCap || (c.advWnd == 0 && f > 0) {
 			c.sendCtl(segACK, 0)
 		}
 	}
@@ -450,10 +478,19 @@ func (c *Conn) maybeGhost() {
 	if c.state != stateEstablished || !c.finAcked || !c.rcvClosed {
 		return
 	}
+	c.retire()
+	c.t.addGhost(c.key(), c.rcvNxt)
+}
+
+// retire closes the connection and forgets it: no timer, no owed ACK,
+// no place in the transport's table or the checker's registry.
+func (c *Conn) retire() {
 	c.state = stateClosed
 	c.stopRtx()
+	if c.delack {
+		c.t.dropDelack(c)
+	}
 	delete(c.t.conns, c.key())
-	c.t.addGhost(c.key(), c.rcvNxt)
 	unregisterConn(c)
 }
 
@@ -464,10 +501,7 @@ func (c *Conn) fail(err error) {
 		return
 	}
 	c.failed = err
-	c.state = stateClosed
-	c.stopRtx()
-	delete(c.t.conns, c.key())
-	unregisterConn(c)
+	c.retire()
 	c.snd.Abort(err)
 	c.rd.Fail(err)
 	c.t.k.Wakeup(&c.connW)

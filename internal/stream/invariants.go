@@ -37,6 +37,12 @@ import (
 //	                       out of the ghost table must not re-create a
 //	                       connection (only a fresh SYN may, and
 //	                       handleSYN deletes the ghost first)
+//	stream-delack-bound    a connection that owes a delayed ACK is
+//	                       queued on its transport, every queued
+//	                       connection owes one, and while the queue is
+//	                       non-empty the fast timeout is armed and due
+//	                       within fastTicks (every in-order byte is
+//	                       acknowledged within 200 ms of arriving)
 //	stream-conn-leak       (CheckDrained) once a machine has run to
 //	                       idle, every live connection is quiescent:
 //	                       no unacknowledged or unadmitted send data,
@@ -86,6 +92,30 @@ func CheckInvariants() error {
 		if err := t.checkGhosts(); err != nil {
 			return err
 		}
+		if err := t.checkDelacks(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkDelacks verifies the delayed-ACK queue against its connections
+// and its timer: the fast timeout that will send the queue is pending,
+// and due no later than the next 200 ms boundary.
+func (t *Transport) checkDelacks() error {
+	if len(t.delacks) == 0 {
+		return nil
+	}
+	for _, c := range t.delacks {
+		if !c.delack || c.state == stateClosed {
+			return kernel.Violation("stream-delack-bound",
+				"port %d: %s queued for a delayed ACK it does not owe", t.port, c.label)
+		}
+	}
+	if now := t.k.Ticks(); t.fast == (kernel.Callout{}) || t.fastDue <= now || t.fastDue-now > fastTicks {
+		return kernel.Violation("stream-delack-bound",
+			"port %d: %d delayed ACK(s) queued, fast timeout armed=%v due at tick %d, now %d",
+			t.port, len(t.delacks), t.fast != (kernel.Callout{}), t.fastDue, now)
 	}
 	return nil
 }
@@ -167,6 +197,9 @@ func (c *Conn) check() error {
 	}
 	if c.probes > maxRetries {
 		return kernel.Violation("stream-probe-bound", "%s: %d consecutive zero-window probes", c.label, c.probes)
+	}
+	if c.delack && !slices.Contains(c.t.delacks, c) {
+		return kernel.Violation("stream-delack-bound", "%s: owes a delayed ACK but is not queued on port %d", c.label, c.t.port)
 	}
 	return nil
 }

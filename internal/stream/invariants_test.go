@@ -54,6 +54,10 @@ func TestCatalogTrips(t *testing.T) {
 		{"stream-probe-bound", func(r *checkRig) { r.c.probes = maxRetries + 1 }},
 		{"stream-ghost-bound", func(r *checkRig) { r.srv.ghost(r.ghostKey).expires = r.srv.k.Ticks() - 2 }},
 		{"stream-ghost-no-resurrect", func(r *checkRig) { r.srv.conns[r.ghostKey] = r.c }},
+		{"stream-delack-bound", func(r *checkRig) { r.c.delack = true }},                                             // owed, not queued
+		{"stream-delack-bound", func(r *checkRig) { r.c.delack = true; r.srv.delacks = append(r.srv.delacks, r.c) }}, // never armed
+		{"stream-delack-bound", func(r *checkRig) { r.srv.queueDelack(r.c); r.srv.fastDue += fastTicks }},            // due too late
+		{"stream-delack-bound", func(r *checkRig) { r.srv.queueDelack(r.c); r.c.delack = false }},                    // queued, not owed
 		{"stream-conn-leak", func(r *checkRig) { r.c.rcv.Push([]byte{1}) }},
 	}
 	for _, fault := range faults {
@@ -75,11 +79,13 @@ func TestCatalogTrips(t *testing.T) {
 }
 
 // TestCheckAllocatesNothing: a passing pass over live connections, a
-// stashed out-of-order segment and ghosts allocates nothing — it runs
-// at every scheduling boundary of a simcheck machine.
+// stashed out-of-order segment, a queued delayed ACK and ghosts
+// allocates nothing — it runs at every scheduling boundary of a simcheck
+// machine.
 func TestCheckAllocatesNothing(t *testing.T) {
 	r := newCheckRig(t)
 	r.c.reasm = []reasmSeg{{off: r.c.rcvNxt + 100, data: []byte{1}}}
+	r.srv.queueDelack(r.c)
 	r.cli.addGhost(connKey(80, 3), 7)
 	if n := testing.AllocsPerRun(100, func() {
 		if err := CheckInvariants(); err != nil {

@@ -21,6 +21,7 @@ import (
 
 	"kdp/internal/kernel"
 	"kdp/internal/socket"
+	"kdp/internal/trace"
 )
 
 // connKey identifies a connection by peer port and initiator-chosen id,
@@ -50,6 +51,15 @@ type Transport struct {
 	ghosts   []ghostEntry
 	ghostGen uint64
 
+	// delacks holds the connections that owe a delayed ACK, in the order
+	// they queued; its array is reused. fast is the fast timeout that
+	// sends them, armed only while the list is non-empty and due at tick
+	// fastDue, a multiple of fastTicks (4.3BSD's tcp_fasttimo).
+	delacks []*Conn
+	fast    kernel.Callout
+	fastDue int64
+	fastFn  func() // fastTimo, bound once
+
 	listening bool
 	acceptq   []*Conn
 	acceptW   byte // Accept sleep channel
@@ -68,6 +78,7 @@ func NewTransport(k *kernel.Kernel, net *socket.Net, port int) (*Transport, erro
 		port:  port,
 		conns: make(map[uint64]*Conn),
 	}
+	t.fastFn = t.fastTimo
 	registerTransport(t)
 	s.SetHandler(t.input)
 	return t, nil
@@ -97,6 +108,51 @@ func (t *Transport) input(data []byte, from int, eof bool) {
 		// answer with the recorded cumulative ack.
 		reply := segment{typ: segACK, connID: seg.connID, ack: e.final}
 		t.sock.SendTo(from, reply.encode(t.sock.PacketBuf(hdrBytes)), nil)
+	}
+}
+
+// fastTicks is the fast timeout's period: 200 ms of 10 ms ticks
+// (PR_FASTHZ 5).
+const fastTicks = 20
+
+// queueDelack records that c owes the peer an ACK and arms the fast
+// timeout for the next 200 ms boundary of the tick clock if it is not
+// already pending.
+func (t *Transport) queueDelack(c *Conn) {
+	if c.delack {
+		return
+	}
+	c.delack = true
+	t.delacks = append(t.delacks, c)
+	if t.fast == (kernel.Callout{}) {
+		n := fastTicks - int(t.k.Ticks()%fastTicks)
+		t.fast = t.k.Timeout(t.fastFn, n)
+		t.fastDue = t.k.Ticks() + int64(n)
+	}
+}
+
+// dropDelack takes c off the list once a segment has carried its ACK,
+// and disarms the fast timeout when nobody else owes one.
+func (t *Transport) dropDelack(c *Conn) {
+	c.delack = false
+	if i := slices.Index(t.delacks, c); i >= 0 {
+		t.delacks = slices.Delete(t.delacks, i, i+1)
+	}
+	if len(t.delacks) == 0 {
+		t.k.Untimeout(t.fast)
+		t.fast = kernel.Callout{}
+	}
+}
+
+// fastTimo is the fast timeout: it sends every ACK still owed, in the
+// order the connections queued. Each send takes its connection off the
+// list.
+func (t *Transport) fastTimo() {
+	t.fast = kernel.Callout{}
+	for len(t.delacks) > 0 {
+		c := t.delacks[0]
+		t.k.TraceEmit(trace.KindStreamDelack, 0, c.rcvNxt, 0, c.label)
+		c.sendCtl(segACK, 0)
 	}
 }
 

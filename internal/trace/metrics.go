@@ -439,9 +439,9 @@ func (m *Metrics) Format(w io.Writer) {
 			m.EventCount[KindSpliceStall], m.SplicePeakReads, m.SplicePeakWrites)
 	}
 
-	if m.EventCount[KindStreamAck]+m.EventCount[KindStreamRetx]+m.EventCount[KindStreamStall] > 0 {
-		fmt.Fprintf(w, "stream: acks=%d retransmits=%d (peak tries=%d) stalls=%d\n",
-			m.EventCount[KindStreamAck], m.EventCount[KindStreamRetx],
+	if m.EventCount[KindStreamAck]+m.EventCount[KindStreamRetx]+m.EventCount[KindStreamStall]+m.EventCount[KindStreamDelack] > 0 {
+		fmt.Fprintf(w, "stream: acks=%d delayed=%d retransmits=%d (peak tries=%d) stalls=%d\n",
+			m.EventCount[KindStreamAck], m.EventCount[KindStreamDelack], m.EventCount[KindStreamRetx],
 			m.StreamRetxPeakTries, m.EventCount[KindStreamStall])
 	}
 	if n := m.EventCount[KindServerAccept]; n > 0 {

@@ -133,6 +133,9 @@ const (
 	KindFaultArm  // a plan armed a site; Arg1 = k (occurrence to hit), Arg2 = every-n period (0 when unused)
 	KindFaultFire // an armed fault fired; Arg1 = site argument (blkno, ordinal, pid), Arg2 = occurrence index that fired
 
+	// Delayed acknowledgement (internal/stream). Name = connection label.
+	KindStreamDelack // the fast timeout sent a delayed ACK; Arg1 = acked byte offset
+
 	kindMax // count sentinel; keep last
 )
 
@@ -192,6 +195,7 @@ var kindNames = [kindMax]string{
 	KindKernelBatch:     "kernel.batch",
 	KindFaultArm:        "fault.arm",
 	KindFaultFire:       "fault.fire",
+	KindStreamDelack:    "stream.delack",
 }
 
 // String returns the kind's canonical dotted name.
@@ -282,6 +286,8 @@ func (ev Event) String() string {
 		return fmt.Sprintf("stream.ack %s acked=%d wnd=%d", ev.Name, ev.Arg1, ev.Arg2)
 	case KindStreamStall:
 		return fmt.Sprintf("stream.stall %s waiting=%d inflight=%d", ev.Name, ev.Arg1, ev.Arg2)
+	case KindStreamDelack:
+		return fmt.Sprintf("stream.delack %s acked=%d", ev.Name, ev.Arg1)
 	case KindServerAccept:
 		return fmt.Sprintf("server.accept %s conn=%d total=%d", ev.Name, ev.Arg1, ev.Arg2)
 	case KindFSCrash:
