@@ -56,7 +56,9 @@ goldens:
 # gate and the reach report's input; TestPinsCoverEverySurface fails
 # unless every sweep, CLI and example has a line. `-trace /dev/stdout`
 # reopens and truncates the hashed file after the table is printed, so
-# that line's hash and kept output are the exported Chrome trace.
+# that line's hash and kept output are the exported Chrome trace. Under
+# GOCOVERDIR (as `make reach` runs it) line n writes its coverage
+# counters to $GOCOVERDIR/n.
 PIN_DIR = $(or $(TMPDIR),/tmp)/kdp-pins
 define PIN_CMDS
 kdpbench
@@ -97,8 +99,9 @@ export PIN_CMDS
 pins:
 	@rm -rf $(PIN_DIR)/out && mkdir -p $(PIN_DIR)/out
 	@$(GO) build -o $(PIN_DIR)/ ./cmd/... ./examples/...
-	@echo "$$PIN_CMDS" | while read -r cmd; do \
-		$(PIN_DIR)/$$cmd > $(PIN_DIR)/stdout 2> /dev/null; rc=$$?; \
+	@n=0; echo "$$PIN_CMDS" | while read -r cmd; do n=$$((n + 1)); \
+		cov=$${GOCOVERDIR:+$$GOCOVERDIR/$$n}; [ -z "$$cov" ] || mkdir -p $$cov; \
+		GOCOVERDIR=$$cov $(PIN_DIR)/$$cmd > $(PIN_DIR)/stdout 2> /dev/null; rc=$$?; \
 		sum=$$(sha256sum < $(PIN_DIR)/stdout | cut -c1-64); mv $(PIN_DIR)/stdout $(PIN_DIR)/out/$$sum; \
 		if [ $$rc -eq 0 ]; then echo "$$sum  $$cmd"; else echo "$$sum  $$cmd  (exit $$rc)"; fi; \
 	done
@@ -119,26 +122,45 @@ determinism:
 
 # The reach report (docs/CHECKING.md "What nothing reaches"): every pin
 # line, the schema check of the trace line's output and one short
-# benchmark pass, run from binaries built with -cover, then every
-# function outside benchmark/ that none of them executed, and the lines
-# those functions and their doc comments span. On demand; not part of ci.
+# benchmark pass, run from binaries built with -cover, each pin line
+# into a counter directory of its own and the other two into cov/bench.
+# It prints every function outside benchmark/ that none of them
+# executed, with the lines those functions and their doc comments span,
+# then, for each pin line and for the bench pass, the functions that it
+# alone executed (its exclusive code) and their lines. On demand; not
+# part of ci.
 reach:
-	@rm -rf $(PIN_DIR)-reach && mkdir -p $(PIN_DIR)-reach/cov
+	@rm -rf $(PIN_DIR)-reach && mkdir -p $(PIN_DIR)-reach/cov/bench
 	@GOFLAGS='-cover -coverpkg=kdp/...' GOCOVERDIR=$(PIN_DIR)-reach/cov \
 		$(MAKE) -s --no-print-directory pins PIN_DIR=$(PIN_DIR)-reach > $(PIN_DIR)-reach/pins.txt
 	@$(GO) build -cover -coverpkg=kdp/... -o $(PIN_DIR)-reach/ ./benchmark
-	@cd $(PIN_DIR)-reach && export GOCOVERDIR=$$PWD/cov && \
+	@cd $(PIN_DIR)-reach && export GOCOVERDIR=$$PWD/cov/bench && \
 		./kdpbench -validate out/$$(awk '/ -trace / { print $$1 }' pins.txt) > /dev/null && \
 		./benchmark -seconds 0.5 -trace both -outdir bench > /dev/null
-	@$(GO) tool covdata textfmt -i=$(PIN_DIR)-reach/cov -o $(PIN_DIR)-reach/cover.out
-	@$(GO) tool cover -func=$(PIN_DIR)-reach/cover.out | awk '\
-		$$NF == "0.0%" && $$1 !~ /^kdp\/benchmark\// { \
-			print; n++; split($$1, at, ":"); f = substr(at[1], 5); s = at[2] + 0; \
+	@cd $(PIN_DIR)-reach && $(GO) tool covdata textfmt -i=$$(ls -d cov/* | paste -sd, -) -o cover.out
+	@$(GO) tool cover -func=$(PIN_DIR)-reach/cover.out > $(PIN_DIR)-reach/all.txt
+	@for d in $$(ls $(PIN_DIR)-reach/cov); do \
+		$(GO) tool covdata textfmt -i=$(PIN_DIR)-reach/cov/$$d -o $(PIN_DIR)-reach/$$d.out && \
+		$(GO) tool cover -func=$(PIN_DIR)-reach/$$d.out | sed "s|^|$$d |"; \
+	done > $(PIN_DIR)-reach/lines.txt
+	@awk '\
+		function span(loc,   at, f, s, e, b, k, l) { \
+			split(loc, at, ":"); f = substr(at[1], 5); s = at[2] + 0; \
 			if (!(f in nl)) { k = 0; while ((getline l < f) > 0) src[f, ++k] = l; close(f); nl[f] = k } \
 			e = s; if (src[f, s] !~ /}$$/) while (e < nl[f] && src[f, e] !~ /^}/) e++; \
 			b = s; while (src[f, b - 1] ~ /^\/\//) b--; \
-			lines += e - b + 1 } \
-		END { printf "%d functions, %d lines\n", n, lines }'
+			return e - b + 1 } \
+		FNR == 1 { part++ } \
+		part == 1 && $$NF == "0.0%" && $$1 !~ /^kdp\/benchmark\// { print; n++; lines += span($$1) } \
+		part == 2 { name[FNR] = substr($$0, 67); np = FNR } \
+		part == 3 && $$NF != "0.0%" && $$2 != "total:" && $$2 !~ /^kdp\/benchmark\// { \
+			k = $$2 " " $$3; if (!(k in hits)) key[++nk] = k; hits[k]++; by[k] = $$1 } \
+		END { printf "%d functions, %d lines\n", n, lines; name["bench"] = "benchmark pass and kdpbench -validate"; \
+			for (i = 1; i <= np + 1; i++) { d = (i <= np) ? (i "") : "bench"; fn = 0; ln = 0; list = ""; \
+				for (j = 1; j <= nk; j++) if (hits[key[j]] == 1 && by[key[j]] == d) { \
+					split(key[j], kw, " "); s = span(kw[1]); fn++; ln += s; list = list "    " key[j] " " s "\n" } \
+				printf "only %s: %d functions, %d lines\n%s", name[d], fn, ln, list } }' \
+		$(PIN_DIR)-reach/all.txt $(PIN_DIR)-reach/pins.txt $(PIN_DIR)-reach/lines.txt
 
 # Coverage gate: the paper's own package, the endpoints it splices
 # (§5.1: devices and sockets) and the packages at the core of the

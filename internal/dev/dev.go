@@ -43,12 +43,6 @@ func (n *Null) Write(ctx kernel.Ctx, p []byte, off int64) (int, error) {
 	return len(p), nil
 }
 
-// Size implements kernel.FileOps.
-func (n *Null) Size(ctx kernel.Ctx) (int64, error) { return 0, nil }
-
-// Sync implements kernel.FileOps.
-func (n *Null) Sync(ctx kernel.Ctx) error { return nil }
-
 // Close implements kernel.FileOps.
 func (n *Null) Close(ctx kernel.Ctx) error { return nil }
 
@@ -102,6 +96,8 @@ type DAC struct {
 	underruns int64
 }
 
+var _ kernel.SyncOps = (*DAC)(nil)
+
 // NewDAC creates the device and registers its special file.
 func NewDAC(k *kernel.Kernel, p DACParams) *DAC {
 	if p.Rate <= 0 {
@@ -112,6 +108,7 @@ func NewDAC(k *kernel.Kernel, p DACParams) *DAC {
 	}
 	d := &DAC{k: k, p: p}
 	k.RegisterDev(p.Path, func(ctx kernel.Ctx) (kernel.FileOps, error) {
+		d.closed = false // a close ended its descriptor's use, not the device's
 		return d, nil
 	})
 	return d
@@ -199,10 +196,7 @@ func (d *DAC) Write(ctx kernel.Ctx, p []byte, off int64) (int, error) {
 	return len(p), nil
 }
 
-// Size implements kernel.FileOps.
-func (d *DAC) Size(ctx kernel.Ctx) (int64, error) { return 0, nil }
-
-// Sync implements kernel.FileOps: waits for the buffer to drain.
+// Sync implements kernel.SyncOps: waits for the buffer to drain.
 func (d *DAC) Sync(ctx kernel.Ctx) error {
 	for d.queued > 0 {
 		if err := ctx.Sleep(d, kernel.PSOCK); err != nil {
@@ -212,7 +206,8 @@ func (d *DAC) Sync(ctx kernel.Ctx) error {
 	return nil
 }
 
-// Close implements kernel.FileOps.
+// Close implements kernel.FileOps. Writes and splice writes fail from
+// here until the next open.
 func (d *DAC) Close(ctx kernel.Ctx) error {
 	d.closed = true
 	return nil

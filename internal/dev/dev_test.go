@@ -66,6 +66,43 @@ func TestDACDrainsAtPlaybackRate(t *testing.T) {
 	}
 }
 
+// TestDACReopens pins that a close ends its descriptor's use of the DAC,
+// not the device: a later open writes and drains again. A splice write
+// after the last close still fails.
+func TestDACReopens(t *testing.T) {
+	k := newK()
+	d := NewDAC(k, DACParams{Path: "/dev/speaker", Rate: 1e6})
+	k.Spawn("player", func(p *kernel.Proc) {
+		for i := 0; i < 2; i++ {
+			fd, err := p.Open("/dev/speaker", kernel.OWrOnly)
+			if err != nil {
+				t.Errorf("open %d: %v", i, err)
+				return
+			}
+			if _, err := p.Write(fd, make([]byte, 1000)); err != nil {
+				t.Errorf("open %d: write: %v", i, err)
+			}
+			if err := p.Fsync(fd); err != nil {
+				t.Errorf("open %d: drain: %v", i, err)
+			}
+			if err := p.Close(fd); err != nil {
+				t.Errorf("open %d: close: %v", i, err)
+			}
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if d.Played() != 2000 {
+		t.Errorf("played %d bytes, want 2000", d.Played())
+	}
+	var err error
+	d.SpliceWrite([]byte{1}, func(e error) { err = e })
+	if err != kernel.ErrBadFD {
+		t.Errorf("splice write after the last close: %v, want ErrBadFD", err)
+	}
+}
+
 func TestDACBackpressureBlocksWriter(t *testing.T) {
 	k := newK()
 	NewDAC(k, DACParams{Path: "/dev/slow", Rate: 1000, BufBytes: 2000})

@@ -131,12 +131,6 @@ func (fb *Framebuffer) Write(ctx kernel.Ctx, p []byte, off int64) (int, error) {
 	return 0, kernel.ErrOpNotSupp
 }
 
-// Size implements kernel.FileOps.
-func (fb *Framebuffer) Size(ctx kernel.Ctx) (int64, error) { return 0, nil }
-
-// Sync implements kernel.FileOps.
-func (fb *Framebuffer) Sync(ctx kernel.Ctx) error { return nil }
-
 // Close implements kernel.FileOps. The capture engine keeps running
 // (screen refresh does not stop because a reader closed).
 func (fb *Framebuffer) Close(ctx kernel.Ctx) error { return nil }

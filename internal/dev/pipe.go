@@ -135,12 +135,6 @@ func (pp *Pipe) Write(ctx kernel.Ctx, b []byte, off int64) (int, error) {
 	return kernel.AwaitWrite(ctx, b, pp.SpliceWrite)
 }
 
-// Size implements kernel.FileOps.
-func (pp *Pipe) Size(ctx kernel.Ctx) (int64, error) { return int64(pp.q.Len()), nil }
-
-// Sync implements kernel.FileOps.
-func (pp *Pipe) Sync(ctx kernel.Ctx) error { return nil }
-
 // Close implements kernel.FileOps: closing the descriptor ends the
 // write side.
 func (pp *Pipe) Close(ctx kernel.Ctx) error {

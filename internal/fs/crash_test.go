@@ -99,7 +99,7 @@ func TestEvictedWriteErrorSurfacesAtFsync(t *testing.T) {
 	r.run(t, func(p *kernel.Proc, f *FS) {
 		ctx := p.Ctx()
 		fl, g := evictedWriteRig(t, r, ctx, f)
-		if err := fl.Sync(ctx); err != kernel.ErrIO {
+		if err := fl.(*File).Sync(ctx); err != kernel.ErrIO {
 			t.Fatalf("fsync after an evicted write's error = %v, want ErrIO", err)
 		}
 		// The error was consumed; the fault was one-shot, so rewriting
@@ -107,7 +107,7 @@ func TestEvictedWriteErrorSurfacesAtFsync(t *testing.T) {
 		if _, err := fl.Write(ctx, pattern(testBlockSize, 9), 0); err != nil {
 			t.Fatalf("rewrite: %v", err)
 		}
-		if err := fl.Sync(ctx); err != nil {
+		if err := fl.(*File).Sync(ctx); err != nil {
 			t.Fatalf("fsync after repair write = %v, want nil", err)
 		}
 		if err := fl.Close(ctx); err != nil {
@@ -322,7 +322,7 @@ func TestCrashRecoverySyncedFileSurvives(t *testing.T) {
 		if _, err := fl.Write(ctx, want, 0); err != nil {
 			t.Fatalf("write: %v", err)
 		}
-		if err := fl.Sync(ctx); err != nil {
+		if err := fl.(*File).Sync(ctx); err != nil {
 			t.Fatalf("fsync: %v", err)
 		}
 		if err := fl.Close(ctx); err != nil {
@@ -412,7 +412,7 @@ func TestErrIOMidExtensionLeavesCleanFsck(t *testing.T) {
 		if _, err := fl.Write(ctx, pattern(13*testBlockSize, 2), 0); err != nil {
 			t.Fatalf("seed write: %v", err)
 		}
-		if err := fl.Sync(ctx); err != nil {
+		if err := fl.(*File).Sync(ctx); err != nil {
 			t.Fatalf("sync: %v", err)
 		}
 		indir := int64(fl.(*File).Inode().indir)
@@ -466,7 +466,7 @@ func TestRollbackBlockAfterFailedBread(t *testing.T) {
 		if _, err := fl.Write(ctx, pattern(13*testBlockSize, 4), 0); err != nil {
 			t.Fatalf("seed write: %v", err)
 		}
-		if err := fl.Sync(ctx); err != nil {
+		if err := fl.(*File).Sync(ctx); err != nil {
 			t.Fatalf("sync: %v", err)
 		}
 		file := fl.(*File)

@@ -213,7 +213,7 @@ func (fl *File) rollbackBlock(ctx kernel.Ctx, lblk int64) {
 	_ = f.freeBlock(ctx, pblk)
 }
 
-// Size implements kernel.FileOps.
+// Size implements kernel.SizeOps.
 func (fl *File) Size(ctx kernel.Ctx) (int64, error) {
 	if fl.closed {
 		return 0, kernel.ErrBadFD
@@ -221,7 +221,7 @@ func (fl *File) Size(ctx kernel.Ctx) (int64, error) {
 	return fl.ip.size, nil
 }
 
-// Sync implements kernel.FileOps: every dirty block of this file is
+// Sync implements kernel.SyncOps: every dirty block of this file is
 // forced to the device (writes issued back to back, then awaited) and
 // the inode is written back. Any latched async write error on the
 // device is consumed and reported — fsync is the call the latch exists
@@ -377,4 +377,8 @@ func (fl *File) SpliceMapWrite(ctx kernel.Ctx, first, end int64) (table []uint32
 	return table, fresh, nil
 }
 
-var _ kernel.FileOps = (*File)(nil)
+var (
+	_ kernel.FileOps = (*File)(nil)
+	_ kernel.SizeOps = (*File)(nil)
+	_ kernel.SyncOps = (*File)(nil)
+)

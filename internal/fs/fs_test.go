@@ -170,7 +170,7 @@ func TestCreateWriteReadRoundTrip(t *testing.T) {
 		if !bytes.Equal(got, data) {
 			t.Fatal("read data differs from written data")
 		}
-		if sz, _ := fl.Size(ctx); sz != int64(len(data)) {
+		if sz, _ := fl.(*File).Size(ctx); sz != int64(len(data)) {
 			t.Fatalf("size = %d, want %d", sz, len(data))
 		}
 		_ = fl.Close(ctx)
@@ -279,7 +279,7 @@ func TestLargeFileIndirectBlocks(t *testing.T) {
 				t.Fatalf("block %d marker = %d", i, got[0])
 			}
 		}
-		if sz, _ := fl.Size(ctx); sz != size {
+		if sz, _ := fl.(*File).Size(ctx); sz != size {
 			t.Fatalf("size = %d, want %d", sz, size)
 		}
 		_ = fl.Close(ctx)
@@ -336,7 +336,7 @@ func TestOTruncFreesBlocks(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reopen: %v", err)
 		}
-		if sz, _ := fl2.Size(ctx); sz != 0 {
+		if sz, _ := fl2.(*File).Size(ctx); sz != 0 {
 			t.Fatalf("size after O_TRUNC = %d", sz)
 		}
 		if got := f.Super().FreeBlocks; got <= freeBefore {
@@ -434,7 +434,7 @@ func TestSyncPersistsAcrossRemount(t *testing.T) {
 		ctx := p.Ctx()
 		fl, _ := f.OpenFile(ctx, "/persist", kernel.OCreat|kernel.ORdWr)
 		_, _ = fl.Write(ctx, data, 0)
-		if err := fl.Sync(ctx); err != nil {
+		if err := fl.(*File).Sync(ctx); err != nil {
 			t.Fatalf("sync: %v", err)
 		}
 		_ = fl.Close(ctx)

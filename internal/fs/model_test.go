@@ -95,7 +95,7 @@ func runModelSequence(t *testing.T, seed uint64, steps int) {
 				if rn != len(want) || !bytes.Equal(got[:rn], want) {
 					t.Fatalf("step %d: read %s @%d: got %d bytes, want %d", step, name, off, rn, len(want))
 				}
-				if sz, _ := fl.Size(ctx); sz != int64(len(ref)) {
+				if sz, _ := fl.(*File).Size(ctx); sz != int64(len(ref)) {
 					t.Fatalf("step %d: size %s = %d, want %d", step, name, sz, len(ref))
 				}
 				_ = fl.Close(ctx)

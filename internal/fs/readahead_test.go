@@ -41,7 +41,7 @@ func makeColdFile(t *testing.T, p *kernel.Proc, f *FS, path string, nblocks int)
 	if _, err := fl.Write(ctx, data, 0); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	if err := fl.Sync(ctx); err != nil {
+	if err := fl.(*File).Sync(ctx); err != nil {
 		t.Fatalf("sync: %v", err)
 	}
 	if err := fl.Close(ctx); err != nil {
@@ -122,7 +122,7 @@ func TestReadaheadStopsAtEOF(t *testing.T) {
 		if _, err := fl.Write(ctx, data, 0); err != nil {
 			t.Fatalf("write: %v", err)
 		}
-		if err := fl.Sync(ctx); err != nil {
+		if err := fl.(*File).Sync(ctx); err != nil {
 			t.Fatalf("sync: %v", err)
 		}
 		if err := f.cache.InvalidateDev(ctx, f.dev); err != nil {
@@ -387,7 +387,7 @@ func TestClusteredFlushAcrossFaultBoundary(t *testing.T) {
 		}
 		// Fault the write of a block in the middle of the cluster.
 		r.k.Faults().Arm(kernel.FaultArm{Site: r.d.WriteSite(), Every: 1, Match: int64(ip.direct[2]), Count: 1, Quiet: true})
-		if err := fl.Sync(ctx); err == nil {
+		if err := fl.(*File).Sync(ctx); err == nil {
 			t.Fatal("fsync across the fault succeeded, want error")
 		}
 		if err := f.cache.CheckInvariants(); err != nil {
@@ -406,7 +406,7 @@ func TestClusteredFlushAcrossFaultBoundary(t *testing.T) {
 		if _, err := fl.Write(ctx, data[2*testBlockSize:3*testBlockSize], 2*testBlockSize); err != nil {
 			t.Fatalf("rewrite: %v", err)
 		}
-		if err := fl.Sync(ctx); err != nil {
+		if err := fl.(*File).Sync(ctx); err != nil {
 			t.Fatalf("fsync retry: %v", err)
 		}
 		if err := fl.Close(ctx); err != nil {

@@ -252,9 +252,7 @@ func (f *sleepyFile) Write(ctx Ctx, b []byte, off int64) (int, error) {
 	f.writes++
 	return len(b), nil
 }
-func (f *sleepyFile) Size(ctx Ctx) (int64, error) { return 0, nil }
-func (f *sleepyFile) Sync(ctx Ctx) error          { return nil }
-func (f *sleepyFile) Close(ctx Ctx) error         { return nil }
+func (f *sleepyFile) Close(ctx Ctx) error { return nil }
 
 func TestBatchSignalStopsAtOpBoundary(t *testing.T) {
 	k := testKernel()

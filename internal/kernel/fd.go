@@ -37,6 +37,10 @@ const (
 	ORdWr   = 0x2
 	OCreat  = 0x100
 	OTrunc  = 0x200
+
+	// OAppend starts every write, writev and batched write at end of
+	// file, wherever the descriptor's offset was left (4.3BSD's
+	// IO_APPEND). Splice does not: it moves data at the offset.
 	OAppend = 0x400
 
 	FSetFL = 1 // fcntl: set status flags
@@ -53,6 +57,10 @@ const (
 // FileOps is the per-object file interface: regular files, character
 // devices and sockets all implement it. Offsets are managed by the
 // descriptor layer; objects that have no notion of offset ignore it.
+// Like 4.3BSD's struct fileops it holds only what the kernel calls on
+// every object; what some objects have and others lack is an optional
+// interface the kernel type-asserts (SizeOps, SyncOps, PollOps,
+// ReadvOps, WritevOps).
 //
 // Read/Write move bytes between the caller's buffer and the object,
 // charging device and cache costs internally; the user<->kernel copy
@@ -60,9 +68,31 @@ const (
 type FileOps interface {
 	Read(ctx Ctx, b []byte, off int64) (int, error)
 	Write(ctx Ctx, b []byte, off int64) (int, error)
-	Size(ctx Ctx) (int64, error)
-	Sync(ctx Ctx) error
 	Close(ctx Ctx) error
+}
+
+// SizeOps is implemented by objects with a size (regular files): fstat
+// reports it, and lseek(SEEK_END) and an OAppend write start from it. An
+// object without one has size 0, as 4.3BSD's soo_stat reported for a
+// socket.
+type SizeOps interface {
+	Size(ctx Ctx) (int64, error)
+}
+
+// SyncOps is implemented by objects with state fsync can force out: a
+// regular file's dirty blocks, a DAC's queued samples. fsync on any
+// other object fails with ErrInval, as 4.3BSD's did on a descriptor
+// that names no inode.
+type SyncOps interface {
+	Sync(ctx Ctx) error
+}
+
+// sizeOf returns the size of ops, 0 for an object without one.
+func sizeOf(ctx Ctx, ops FileOps) (int64, error) {
+	if s, ok := ops.(SizeOps); ok {
+		return s.Size(ctx)
+	}
+	return 0, nil
 }
 
 // FDesc is an open-file descriptor table entry.
@@ -117,8 +147,6 @@ type FileSystem interface {
 	OpenFile(ctx Ctx, path string, flags int) (FileOps, error)
 	// Remove unlinks a file.
 	Remove(ctx Ctx, path string) error
-	// SyncAll flushes all dirty state to the underlying device.
-	SyncAll(ctx Ctx) error
 }
 
 type mountEntry struct {
@@ -180,8 +208,11 @@ func (k *Kernel) lookup(path string) (dev *devEntry, fs FileSystem, rel string, 
 	return nil, nil, "", ErrNoEnt
 }
 
-// installFD places ops in the lowest free descriptor slot.
-func (p *Proc) installFD(ops FileOps, flags int) int {
+// InstallFile places ops in the lowest free descriptor slot and returns
+// the descriptor: the last step of Open, and how an object opened some
+// other way (a socket, an accepted connection, a test fixture) enters
+// the table.
+func (p *Proc) InstallFile(ops FileOps, flags int) int {
 	for i, f := range p.fds {
 		if f == nil {
 			p.fds[i] = &FDesc{ops: ops, flags: flags}
@@ -198,12 +229,6 @@ func (p *Proc) FD(fd int) (*FDesc, error) {
 		return nil, ErrBadFD
 	}
 	return p.fds[fd], nil
-}
-
-// InstallFile installs an already-open file object (sockets, test
-// fixtures) into the descriptor table and returns its fd.
-func (p *Proc) InstallFile(ops FileOps, flags int) int {
-	return p.installFD(ops, flags)
 }
 
 // ReleaseFD removes fd from the descriptor table without closing the
@@ -268,13 +293,7 @@ func (p *Proc) Open(path string, flags int) (int, error) {
 	if err != nil {
 		return -1, err
 	}
-	fd := p.installFD(ops, flags&^(OCreat|OTrunc))
-	if flags&OAppend != 0 {
-		if sz, serr := ops.Size(p.Ctx()); serr == nil {
-			p.fds[fd].offset = sz
-		}
-	}
-	return fd, nil
+	return p.InstallFile(ops, flags&^(OCreat|OTrunc)), nil
 }
 
 // Close closes a descriptor.
@@ -295,9 +314,10 @@ func (k *Kernel) closeFD(p *Proc, fd int) error {
 // ioFD is the prelude of every data-moving call: look fd up, refuse the
 // access mode that forbids the direction (wrong is OWrOnly for a read,
 // ORdOnly for a write), surface an error latched by an earlier partial
-// transfer, and pick the execution context — nonblocking only when
-// ONonblock is set and the object is pollable (regular files keep
-// blocking disk I/O under ONonblock, as in BSD).
+// transfer, move an OAppend write to end of file, and pick the execution
+// context — nonblocking only when ONonblock is set and the object is
+// pollable (regular files keep blocking disk I/O under ONonblock, as in
+// BSD).
 func (p *Proc) ioFD(fd, wrong int) (*FDesc, Ctx, error) {
 	f, err := p.FD(fd)
 	if err == nil && f.flags&0x3 == wrong {
@@ -305,6 +325,9 @@ func (p *Proc) ioFD(fd, wrong int) (*FDesc, Ctx, error) {
 	}
 	if err == nil {
 		err = f.takeLatched()
+	}
+	if err == nil && wrong == ORdOnly && f.flags&OAppend != 0 {
+		_, err = p.lseek(fd, 0, SeekEnd)
 	}
 	if err != nil {
 		return nil, nil, err
@@ -394,7 +417,7 @@ func (p *Proc) lseek(fd int, off int64, whence int) (int64, error) {
 	case SeekCur:
 		base = f.offset
 	case SeekEnd:
-		sz, serr := f.ops.Size(p.Ctx())
+		sz, serr := sizeOf(p.Ctx(), f.ops)
 		if serr != nil {
 			return 0, serr
 		}
@@ -428,7 +451,9 @@ func (p *Proc) Fcntl(fd int, cmd int, arg int) (int, error) {
 	}
 }
 
-// Fsync forces the file's dirty blocks to stable storage and waits.
+// Fsync forces the object's state to stable storage and waits: a file's
+// dirty blocks, a DAC's queued samples. On an object without SyncOps it
+// fails with ErrInval.
 func (p *Proc) Fsync(fd int) error {
 	defer p.SyscallExit(p.SyscallEnter("fsync"))
 	return p.fsync(fd)
@@ -439,17 +464,22 @@ func (p *Proc) fsync(fd int) error {
 	if err != nil {
 		return err
 	}
-	return f.ops.Sync(p.Ctx())
+	s, ok := f.ops.(SyncOps)
+	if !ok {
+		return ErrInval
+	}
+	return s.Sync(p.Ctx())
 }
 
-// FileSize returns the current size of the open file (fstat st_size).
+// FileSize returns the current size of the open file (fstat st_size),
+// 0 for an object without SizeOps.
 func (p *Proc) FileSize(fd int) (int64, error) {
 	defer p.SyscallExit(p.SyscallEnter("fstat"))
 	f, err := p.FD(fd)
 	if err != nil {
 		return 0, err
 	}
-	return f.ops.Size(p.Ctx())
+	return sizeOf(p.Ctx(), f.ops)
 }
 
 // Unlink removes a file by path.

@@ -72,8 +72,6 @@ func (f *memFS) Remove(ctx Ctx, path string) error {
 	return nil
 }
 
-func (f *memFS) SyncAll(ctx Ctx) error { return nil }
-
 func newFDRig() (*Kernel, *memFS) {
 	cfg := DefaultConfig()
 	cfg.MaxRunTime = 60 * sim.Second
@@ -161,6 +159,33 @@ func TestOpenAppendPositionsAtEnd(t *testing.T) {
 			t.Fatalf("append produced %q", buf[:n])
 		}
 	})
+}
+
+// TestAppendWritesAtEnd pins 4.3BSD's IO_APPEND: every write, writev and
+// batched write on an OAppend descriptor starts at end of file, wherever
+// the descriptor's offset was left by another appender's write or by an
+// lseek.
+func TestAppendWritesAtEnd(t *testing.T) {
+	k, fsys := newFDRig()
+	runFD(t, k, func(p *Proc) {
+		a, _ := p.Open("/m/log", OCreat|OWrOnly|OAppend)
+		b, _ := p.Open("/m/log", OWrOnly|OAppend)
+		if _, err := p.Write(a, []byte("one ")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Writev(b, [][]byte{[]byte("two"), []byte(" ")}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Lseek(a, 0, SeekSet); err != nil {
+			t.Fatal(err)
+		}
+		if res := p.Submit([]BatchOp{{Code: BatchWrite, FD: a, Buf: []byte("three")}}); res[0].Err != nil {
+			t.Fatal(res[0].Err)
+		}
+	})
+	if got := string(fsys.files["/log"].data); got != "one two three" {
+		t.Fatalf("appends left %q, want %q", got, "one two three")
+	}
 }
 
 func TestAccessModeEnforcement(t *testing.T) {

@@ -15,8 +15,6 @@ type pollable struct {
 
 func (f *pollable) Read(ctx Ctx, b []byte, off int64) (int, error)  { return 0, ErrOpNotSupp }
 func (f *pollable) Write(ctx Ctx, b []byte, off int64) (int, error) { return 0, ErrOpNotSupp }
-func (f *pollable) Size(ctx Ctx) (int64, error)                     { return 0, nil }
-func (f *pollable) Sync(ctx Ctx) error                              { return nil }
 func (f *pollable) Close(ctx Ctx) error                             { return nil }
 
 func (f *pollable) PollReady(events int) int {

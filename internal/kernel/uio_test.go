@@ -45,9 +45,7 @@ func (f *flakyFile) Write(ctx Ctx, b []byte, off int64) (int, error) {
 	return len(b), nil
 }
 
-func (f *flakyFile) Size(ctx Ctx) (int64, error) { return int64(len(f.data)), nil }
-func (f *flakyFile) Sync(ctx Ctx) error          { return nil }
-func (f *flakyFile) Close(ctx Ctx) error         { return nil }
+func (f *flakyFile) Close(ctx Ctx) error { return nil }
 
 func TestReadvWritevSingleCrossing(t *testing.T) {
 	k, _ := newFDRig()

@@ -68,12 +68,6 @@ func (cp *complPort) Write(ctx kernel.Ctx, b []byte, off int64) (int, error) {
 	return 0, kernel.ErrOpNotSupp
 }
 
-// Size implements kernel.FileOps.
-func (cp *complPort) Size(ctx kernel.Ctx) (int64, error) { return 0, nil }
-
-// Sync implements kernel.FileOps.
-func (cp *complPort) Sync(ctx kernel.Ctx) error { return nil }
-
 // Close implements kernel.FileOps.
 func (cp *complPort) Close(ctx kernel.Ctx) error { return nil }
 

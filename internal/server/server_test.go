@@ -213,12 +213,6 @@ func TestComplPortFileOps(t *testing.T) {
 	if _, err := cp.Write(nil, []byte{1}, 0); err != kernel.ErrOpNotSupp {
 		t.Errorf("Write err = %v, want ErrOpNotSupp", err)
 	}
-	if sz, err := cp.Size(nil); sz != 0 || err != nil {
-		t.Errorf("Size = %d, %v, want 0, nil", sz, err)
-	}
-	if err := cp.Sync(nil); err != nil {
-		t.Errorf("Sync err = %v", err)
-	}
 	if err := cp.Close(nil); err != nil {
 		t.Errorf("Close err = %v", err)
 	}

@@ -461,12 +461,6 @@ func (s *Socket) Writev(ctx kernel.Ctx, iovs [][]byte, off int64) (int, error) {
 	return s.Write(ctx, u.Gather(), 0)
 }
 
-// Size implements kernel.FileOps.
-func (s *Socket) Size(ctx kernel.Ctx) (int64, error) { return 0, nil }
-
-// Sync implements kernel.FileOps.
-func (s *Socket) Sync(ctx kernel.Ctx) error { return nil }
-
 // Close implements kernel.FileOps: the port is released and an EOF
 // marker is sent to the connected peer so spliced relays terminate.
 func (s *Socket) Close(ctx kernel.Ctx) error {

@@ -320,8 +320,6 @@ type failingSink struct{ err error }
 
 func (s *failingSink) Read(kernel.Ctx, []byte, int64) (int, error)  { return 0, kernel.ErrOpNotSupp }
 func (s *failingSink) Write(kernel.Ctx, []byte, int64) (int, error) { return 0, s.err }
-func (s *failingSink) Size(kernel.Ctx) (int64, error)               { return 0, nil }
-func (s *failingSink) Sync(kernel.Ctx) error                        { return nil }
 func (s *failingSink) Close(kernel.Ctx) error                       { return nil }
 func (s *failingSink) SpliceWrite(_ []byte, done func(error))       { done(s.err) }
 

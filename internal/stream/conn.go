@@ -558,12 +558,6 @@ func (c *Conn) Writev(ctx kernel.Ctx, iovs [][]byte, off int64) (int, error) {
 	return c.Write(ctx, u.Gather(), 0)
 }
 
-// Size implements kernel.FileOps.
-func (c *Conn) Size(ctx kernel.Ctx) (int64, error) { return 0, nil }
-
-// Sync implements kernel.FileOps.
-func (c *Conn) Sync(ctx kernel.Ctx) error { return nil }
-
 // ---- kernel.PollOps ----
 
 // PollReady implements kernel.PollOps: readable when in-order bytes,

@@ -295,7 +295,7 @@ func (t *Transport) AcceptNB(p *kernel.Proc) (int, *Conn, error) {
 // listenFile adapts the transport's accept queue to the descriptor
 // layer so it can sit in a poll set: readable exactly when an accepted
 // connection is waiting. Data transfer goes through connections, so
-// the FileOps proper are stubs.
+// read and write on it are refused.
 type listenFile struct{ t *Transport }
 
 func (lf listenFile) Read(ctx kernel.Ctx, b []byte, off int64) (int, error) {
@@ -304,9 +304,7 @@ func (lf listenFile) Read(ctx kernel.Ctx, b []byte, off int64) (int, error) {
 func (lf listenFile) Write(ctx kernel.Ctx, b []byte, off int64) (int, error) {
 	return 0, kernel.ErrOpNotSupp
 }
-func (lf listenFile) Size(ctx kernel.Ctx) (int64, error) { return 0, nil }
-func (lf listenFile) Sync(ctx kernel.Ctx) error          { return nil }
-func (lf listenFile) Close(ctx kernel.Ctx) error         { return nil }
+func (lf listenFile) Close(ctx kernel.Ctx) error { return nil }
 
 // PollReady implements kernel.PollOps: readable when Accept would not
 // block.

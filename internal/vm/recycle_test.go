@@ -40,7 +40,6 @@ func (f *memFile) MapKey() (string, uint32)       { return "mem", 1 }
 func (f *memFile) Size(kernel.Ctx) (int64, error) { return int64(len(f.pages)) * 512, nil }
 func (f *memFile) Extend(kernel.Ctx, int64)       {}
 func (f *memFile) PageFlush(kernel.Ctx) error     { return nil }
-func (f *memFile) Sync(kernel.Ctx) error          { return nil }
 func (f *memFile) Close(kernel.Ctx) error         { return nil }
 func (f *memFile) Read(kernel.Ctx, []byte, int64) (int, error) {
 	return 0, kernel.ErrOpNotSupp

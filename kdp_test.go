@@ -237,6 +237,83 @@ func TestFacadeFramebuffer(t *testing.T) {
 	}
 }
 
+// TestDescriptorContract pins what fsync, fstat and lseek(SEEK_END) do
+// on each kind of descriptor object. Only a regular file has a size;
+// any other object reports 0, as 4.3BSD's soo_stat did for a socket.
+// Only a file and the DAC have state fsync can force out; on any other
+// object fsync fails with ErrInval, as 4.3BSD's did on a descriptor
+// that names no inode.
+func TestDescriptorContract(t *testing.T) {
+	m := kdp.New(kdp.Config{
+		Disks:      []kdp.DiskSpec{{Mount: "/d", Kind: kdp.DiskRAM}},
+		MaxRunTime: 600 * kdp.Second,
+	})
+	m.AddNull()
+	m.AddPipe("/dev/pipe", 0)
+	m.AddDAC(kdp.DACConfig{Path: "/dev/dac", Rate: 1e6})
+	m.AddFramebuffer(kdp.FramebufferConfig{Path: "/dev/fb", FrameBytes: 512, FPS: 100, Frames: 1})
+	net := m.AddNet(kdp.NetLoopback)
+	sock, _ := net.NewSocket(1)
+	srv, _ := m.AddStreamTransport(net, 80)
+	cli, _ := m.AddStreamTransport(net, 81)
+	open := func(path string, flags int) func(*kdp.Proc) (int, error) {
+		return func(p *kdp.Proc) (int, error) { return p.Open(path, flags) }
+	}
+	// written opens path and writes 1000 bytes into it.
+	written := func(path string, flags int) func(*kdp.Proc) (int, error) {
+		return func(p *kdp.Proc) (int, error) {
+			fd, err := p.Open(path, flags)
+			if err == nil {
+				_, err = p.Write(fd, make([]byte, 1000))
+			}
+			return fd, err
+		}
+	}
+	cases := []struct {
+		name string
+		open func(*kdp.Proc) (int, error)
+		sync error // fsync's result
+		size int64 // fstat's size, and the offset lseek(0, SEEK_END) sets
+	}{
+		{"null", open("/dev/null", kdp.ORdWr), kdp.ErrInval, 0},
+		{"pipe", open("/dev/pipe", kdp.ORdWr), kdp.ErrInval, 0},
+		{"framebuffer", open("/dev/fb", kdp.ORdOnly), kdp.ErrInval, 0},
+		{"dac", written("/dev/dac", kdp.OWrOnly), nil, 0}, // fsync drains the bytes
+		{"datagram socket", func(p *kdp.Proc) (int, error) {
+			return p.InstallFile(sock, kdp.ORdWr), nil
+		}, kdp.ErrInval, 0},
+		{"stream listener", func(p *kdp.Proc) (int, error) {
+			return p.InstallFile(srv.File(), kdp.ORdOnly), srv.Listen(p)
+		}, kdp.ErrInval, 0},
+		{"stream connection", func(p *kdp.Proc) (int, error) {
+			fd, _, err := cli.Connect(p, 80)
+			return fd, err
+		}, kdp.ErrInval, 0},
+		{"file", written("/d/f", kdp.OCreat|kdp.ORdWr), nil, 1000},
+	}
+	m.Spawn("main", func(p *kdp.Proc) {
+		for _, c := range cases {
+			fd, err := c.open(p)
+			if err != nil {
+				t.Errorf("%s: open: %v", c.name, err)
+				continue
+			}
+			if err := p.Fsync(fd); err != c.sync {
+				t.Errorf("%s: fsync = %v, want %v", c.name, err, c.sync)
+			}
+			if sz, err := p.FileSize(fd); sz != c.size || err != nil {
+				t.Errorf("%s: fstat size = %d, %v, want %d", c.name, sz, err, c.size)
+			}
+			if off, err := p.Lseek(fd, 0, kdp.SeekEnd); off != c.size || err != nil {
+				t.Errorf("%s: lseek(0, SEEK_END) = %d, %v, want %d", c.name, off, err, c.size)
+			}
+		}
+	})
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestFacadeChainedSpliceThroughPipe(t *testing.T) {
 	m := kdp.New(kdp.Config{
 		Disks:      []kdp.DiskSpec{{Mount: "/d", Kind: kdp.DiskRAM}},
