@@ -150,6 +150,10 @@ type Queue[T any] struct {
 // Len returns the number of queued values.
 func (q *Queue[T]) Len() int { return len(q.items) - q.head }
 
+// Grow sizes an empty queue's backing array for n values, so that its
+// owner can size it at construction rather than on the first busy path.
+func (q *Queue[T]) Grow(n int) { q.items = make([]T, 0, n) }
+
 // Push adds v at the back. A queue that never empties reclaims its popped
 // slots here, once they are most of a full array, rather than growing.
 func (q *Queue[T]) Push(v T) {

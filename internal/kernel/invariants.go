@@ -3,6 +3,7 @@ package kernel
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // This file holds the invariant contract every layer's checker raises
@@ -21,7 +22,7 @@ import (
 //	kern-proc-account    alive matches the number of non-exited processes
 //	kern-holds           the keepalive hold count is non-negative
 //	poll-reg-count       live poller registrations never go negative
-//	poll-leak            (CheckPollDrained) once a machine has run to
+//	poll-leak            (CheckDrained) once a machine has run to
 //	                     idle, no poller is still registered on any
 //	                     object's queue and nobody sleeps on a poll
 //	                     waiter — a leftover registration means a
@@ -56,9 +57,30 @@ func ViolationName(err error) string {
 	return ""
 }
 
+// Checked is kernel-resident state that no descriptor table reaches (a
+// splice descriptor, a stream transport), checked with the kernel that
+// holds it: CheckInvariants in every pass, never sleeping, and
+// CheckDrained once the machine has run to idle.
+type Checked interface {
+	CheckInvariants() error
+	CheckDrained() error
+}
+
+// Track adds c to the objects the kernel's checks walk, after those
+// already tracked: registration order makes which violation is reported
+// first replay deterministically. Pair with Untrack.
+func (k *Kernel) Track(c Checked) { k.tracked = append(k.tracked, c) }
+
+// Untrack removes c, if tracked, from the tracked objects.
+func (k *Kernel) Untrack(c Checked) {
+	if i := slices.Index(k.tracked, c); i >= 0 {
+		k.tracked = slices.Delete(k.tracked, i, i+1)
+	}
+}
+
 // CheckInvariants verifies the scheduler, sleep queues and callout list,
-// returning the first violation found (nil when consistent). It never
-// sleeps, so it is callable from any context.
+// then every tracked object, returning the first violation found (nil
+// when consistent). It never sleeps, so it is callable from any context.
 func (k *Kernel) CheckInvariants() error {
 	// Callout delta list.
 	n := 0
@@ -142,19 +164,30 @@ func (k *Kernel) CheckInvariants() error {
 	if k.pollRegs < 0 {
 		return Violation("poll-reg-count", "negative poller registration count %d", k.pollRegs)
 	}
+	for _, c := range k.tracked {
+		if err := c.CheckInvariants(); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
-// CheckPollDrained verifies that an idle machine holds no poll state:
+// CheckDrained verifies that an idle machine holds no poll state —
 // every poller registration has been dropped (by Notify, timeout, or
-// the poller's own unwind) and no process is parked on a poll waiter.
-func (k *Kernel) CheckPollDrained() error {
+// the poller's own unwind) and no process is parked on a poll waiter —
+// and that every tracked object is at rest.
+func (k *Kernel) CheckDrained() error {
 	if k.pollRegs != 0 {
 		return Violation("poll-leak", "%d poller registration(s) outstanding at drain", k.pollRegs)
 	}
 	for wchan, q := range k.sleepq {
 		if _, ok := wchan.(*pollWaiter); ok && q.head != nil {
 			return Violation("poll-leak", "proc %q still sleeping in poll at drain", q.head.name)
+		}
+	}
+	for _, c := range k.tracked {
+		if err := c.CheckDrained(); err != nil {
+			return err
 		}
 	}
 	return nil

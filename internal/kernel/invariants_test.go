@@ -85,7 +85,7 @@ func TestCatalogTrips(t *testing.T) {
 			undo := fault.plant(k, sleeper)
 			err := k.CheckInvariants()
 			if fault.name == "poll-leak" { // the drain-time check
-				err = k.CheckPollDrained()
+				err = k.CheckDrained()
 			}
 			if ViolationName(err) != fault.name {
 				t.Errorf("CheckInvariants = %v, want a %s violation", err, fault.name)

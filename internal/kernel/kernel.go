@@ -67,7 +67,8 @@ type Kernel struct {
 	abortErr   error  // set by Abort; Run returns it at the next boundary
 	stopErr    error  // what a boundary Proc.Use ran returned; Run returns it as its own
 
-	faults *FaultPlan // fault-site registry (see fault.go)
+	faults  *FaultPlan // fault-site registry (see fault.go)
+	tracked []Checked  // kernel-resident state no descriptor table reaches (see Track)
 }
 
 // New builds a kernel from the given configuration.

@@ -121,7 +121,7 @@ func TestInvariantsCleanAndAbort(t *testing.T) {
 	if probed == 0 {
 		t.Error("probe never invoked")
 	}
-	if err := k.CheckPollDrained(); err != nil {
+	if err := k.CheckDrained(); err != nil {
 		t.Errorf("drained kernel: %v", err)
 	}
 

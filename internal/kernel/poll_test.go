@@ -43,7 +43,7 @@ func runPoll(t *testing.T, k *Kernel, fn func(*Proc)) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if err := k.CheckPollDrained(); err != nil {
+	if err := k.CheckDrained(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -166,7 +166,7 @@ func TestPollNotifyMaskTargetsWaiters(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if err := k.CheckPollDrained(); err != nil {
+	if err := k.CheckDrained(); err != nil {
 		t.Fatal(err)
 	}
 	// The writer must wake on the first notification, the reader only
@@ -218,7 +218,7 @@ func TestPollSignalInterrupts(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if err := k.CheckPollDrained(); err != nil {
+	if err := k.CheckDrained(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,6 +1,9 @@
 package machine_test
 
 import (
+	"errors"
+	"strings"
+	"sync"
 	"testing"
 
 	"kdp/internal/disk"
@@ -19,15 +22,14 @@ import (
 // (ghosts on both transports) and a live one with unread data, a file
 // mapped shared and private with resident and copy-on-write pages, and
 // an asynchronous file-to-file splice in flight between two mechanical
-// disks, with a trace checker fed since boot. Nothing is scheduled while
-// body runs, so every pass it makes sees the same state.
-func onWarmMachine(tb testing.TB, body func(m *machine.Machine, tchk *trace.Checker)) {
+// disks, with a trace checker fed since boot. The server listens on
+// port and the client binds port+1. The machine's invariants are
+// checked at every scheduling boundary on the way. Nothing is scheduled
+// while body runs, so every pass it makes sees the same state. It
+// reports failures with Errorf alone, so it may run off the test's
+// goroutine.
+func onWarmMachine(tb testing.TB, port int, body func(m *machine.Machine, tchk *trace.Checker)) {
 	tb.Helper()
-	splice.EnableInvariants(true)
-	stream.EnableInvariants(true)
-	defer splice.EnableInvariants(false)
-	defer stream.EnableInvariants(false)
-
 	s := machine.Spec{Kernel: kernel.DefaultConfig(), CacheBufs: 64, VMPages: 16}
 	s.Kernel.MaxRunTime = 60 * sim.Second
 	for i, name := range []string{"rza", "rzb"} {
@@ -38,20 +40,25 @@ func onWarmMachine(tb testing.TB, body func(m *machine.Machine, tchk *trace.Chec
 	m := machine.New(s)
 	tchk := trace.NewChecker()
 	m.K.StartTrace(tchk)
-	net := socket.NewNet(m.K, socket.Loopback())
-	srv, err := stream.NewTransport(m.K, net, 80)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	cli, err := stream.NewTransport(m.K, net, 5001)
-	if err != nil {
-		tb.Fatal(err)
-	}
+	m.K.SetProbe(func() {
+		if err := m.CheckInvariants(); err != nil {
+			m.K.Abort(err)
+		}
+	})
 	fail := func(what string, err error) bool {
 		if err != nil {
 			tb.Errorf("%s: %v", what, err)
 		}
 		return err != nil
+	}
+	net := socket.NewNet(m.K, socket.Loopback())
+	srv, err := stream.NewTransport(m.K, net, port)
+	if fail("listen transport", err) {
+		return
+	}
+	cli, err := stream.NewTransport(m.K, net, port+1)
+	if fail("client transport", err) {
+		return
 	}
 
 	// The server closes its first connection at once and sits on the second.
@@ -74,11 +81,11 @@ func onWarmMachine(tb testing.TB, body func(m *machine.Machine, tchk *trace.Chec
 		if fail("boot", m.Boot(p)) || fail("makefile", workload.MakeFile(p, "/d0/src", 48*machine.BlockSize, 1)) {
 			return
 		}
-		fd, _, err := cli.Connect(p, 80)
+		fd, _, err := cli.Connect(p, port)
 		if fail("connect", err) || fail("close", p.Close(fd)) {
 			return
 		}
-		live, _, err := cli.Connect(p, 80)
+		live, _, err := cli.Connect(p, port)
 		if fail("second connect", err) {
 			return
 		}
@@ -112,11 +119,11 @@ func onWarmMachine(tb testing.TB, body func(m *machine.Machine, tchk *trace.Chec
 		}
 
 		switch {
-		case h.Done() || splice.CheckDrained() == nil:
+		case h.Done():
 			tb.Error("rig: the splice is not in flight")
 		case srv.Ghosts() == 0 || cli.Ghosts() == 0:
 			tb.Error("rig: the first connection left no ghosts")
-		case stream.CheckDrained() == nil:
+		case srv.CheckDrained() == nil:
 			tb.Error("rig: no live connection holds unread data")
 		case m.Pool.Resident() < 3:
 			tb.Errorf("rig: %d resident pages, want object and shadow pages", m.Pool.Resident())
@@ -132,9 +139,7 @@ func onWarmMachine(tb testing.TB, body func(m *machine.Machine, tchk *trace.Chec
 			fail("close", p.Close(fd))
 		}
 	})
-	if err := m.K.Run(); err != nil {
-		tb.Fatalf("run: %v", err)
-	}
+	fail("run", m.K.Run())
 }
 
 // check is one catalog pass, and a probe the passes one boundary makes.
@@ -151,8 +156,9 @@ type (
 
 // probes are the two probes simcheck makes: the full one, and the
 // charge-only one at the boundary after a CPU charge or an idle step
-// during which nothing but quiet clock ticks ran (the kernel catalog, the
-// trace checks and stream, which reads the tick count).
+// during which nothing but quiet clock ticks ran (the kernel catalog,
+// with the stream transports it tracks, which read the tick count, and
+// the trace checks).
 func probes(m *machine.Machine, tchk *trace.Checker) []probe {
 	traced := check{"trace.Checker", func() error {
 		if err := tchk.Err(); err != nil {
@@ -161,29 +167,20 @@ func probes(m *machine.Machine, tchk *trace.Checker) []probe {
 		return tchk.CheckMetrics(m.K.Tracer().Metrics())
 	}}
 	return []probe{
-		{"full", []check{
-			{"machine.CheckInvariants", m.CheckInvariants},
-			{"stream.CheckInvariants", stream.CheckInvariants},
-			{"splice.CheckInvariants", splice.CheckInvariants},
-			traced,
-		}},
-		{"charge-only", []check{
-			{"kernel.CheckInvariants", m.K.CheckInvariants},
-			traced,
-			{"stream.CheckInvariants", stream.CheckInvariants},
-		}},
+		{"full", []check{{"machine.CheckInvariants", m.CheckInvariants}, traced}},
+		{"charge-only", []check{{"kernel.CheckInvariants", m.K.CheckInvariants}, traced}},
 	}
 }
 
 // TestChecksAllocateNothing is the guard for the rule in
 // docs/CHECKING.md ("What a probe costs"): a check that runs at every
 // scheduling boundary may not allocate on the passing path. Every layer
-// the machine owns, the stream and splice registries and the trace
-// checks are held to zero allocations per pass, in both probes, on a
-// machine with all of them busy.
+// the machine owns, the splice descriptors and stream transports its
+// kernel tracks, and the trace checks are held to zero allocations per
+// pass, in both probes, on a machine with all of them busy.
 func TestChecksAllocateNothing(t *testing.T) {
 	ran := false
-	onWarmMachine(t, func(m *machine.Machine, tchk *trace.Checker) {
+	onWarmMachine(t, 80, func(m *machine.Machine, tchk *trace.Checker) {
 		ran = true
 		for _, pr := range probes(m, tchk) {
 			for _, c := range pr.checks {
@@ -209,7 +206,7 @@ func TestChecksAllocateNothing(t *testing.T) {
 // simcheck.probe.invariants_us measures kernel, cache and stream passes
 // on its own rig).
 func BenchmarkCheckInvariants(b *testing.B) {
-	onWarmMachine(b, func(m *machine.Machine, tchk *trace.Checker) {
+	onWarmMachine(b, 80, func(m *machine.Machine, tchk *trace.Checker) {
 		for _, pr := range probes(m, tchk) {
 			b.Run(pr.name, func(b *testing.B) {
 				b.ReportAllocs()
@@ -224,4 +221,61 @@ func BenchmarkCheckInvariants(b *testing.B) {
 			})
 		}
 	})
+}
+
+// TestMachinesShareNoCheckerState: every checked object is found through
+// its machine's kernel, so machines in one process share no checker
+// state. Two warm machines run from two goroutines at once, each probing
+// its own invariants at every scheduling boundary. While A sits with its
+// splice in flight and unread data on its connection, B runs to idle:
+// B's checks must come back clean, and each drain check mid-flight must
+// name its own machine's connection.
+func TestMachinesShareNoCheckerState(t *testing.T) {
+	aWarm, bDone := make(chan struct{}), make(chan struct{})
+	var aLeak, bLeak, bIdle, bInv error
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		warm := false
+		defer func() {
+			if !warm {
+				close(aWarm)
+			}
+		}()
+		onWarmMachine(t, 80, func(m *machine.Machine, _ *trace.Checker) {
+			warm = true
+			close(aWarm)
+			<-bDone
+			aLeak = m.CheckDrained()
+		})
+	}()
+	go func() {
+		defer wg.Done()
+		defer close(bDone)
+		var b *machine.Machine
+		onWarmMachine(t, 90, func(m *machine.Machine, _ *trace.Checker) {
+			<-aWarm
+			b, bLeak = m, m.CheckDrained()
+		})
+		if b != nil {
+			bIdle, bInv = b.CheckDrained(), b.CheckInvariants()
+		}
+	}()
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for _, c := range []struct {
+		name, prefix string
+		err          error
+	}{{"A", "80->81#", aLeak}, {"B", "90->91#", bLeak}} {
+		var ie *kernel.InvariantError
+		if !errors.As(c.err, &ie) || ie.Name != "stream-conn-leak" || !strings.HasPrefix(ie.Detail, c.prefix) {
+			t.Errorf("%s's drain check mid-flight = %v, want stream-conn-leak on its own connection %s…", c.name, c.err, c.prefix)
+		}
+	}
+	if bIdle != nil || bInv != nil {
+		t.Errorf("B at idle, A's splice and unread data live: CheckDrained = %v, CheckInvariants = %v; want both nil", bIdle, bInv)
+	}
 }

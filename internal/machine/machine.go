@@ -154,7 +154,8 @@ func (m *Machine) Release() {
 func (m *Machine) Devices() []buf.Device { return m.devs }
 
 // CheckInvariants validates every layer the machine owns — cache,
-// kernel, disks, mounted filesystems, page pool — and returns the first
+// kernel (with the splice descriptors and stream transports it tracks),
+// disks, mounted filesystems, page pool — and returns the first
 // violation. It does no I/O and never sleeps, so it can run at every
 // scheduling boundary. In a charge-only probe (kernel.Kernel.ChargeOnly)
 // nothing but the kernel, its tick count included, has moved since the
@@ -189,9 +190,13 @@ func (m *Machine) CheckInvariants() error {
 	return nil
 }
 
-// CheckDrained verifies the page pool is at rest: every mapping
-// unmapped, every object released, every frame free.
+// CheckDrained verifies that a machine run to idle is at rest: the
+// kernel's poll state and tracked objects (kernel.Kernel.CheckDrained),
+// then the page pool (every mapping unmapped, object released, frame free).
 func (m *Machine) CheckDrained() error {
+	if err := m.K.CheckDrained(); err != nil {
+		return err
+	}
 	if m.Pool == nil {
 		return nil
 	}
@@ -221,8 +226,10 @@ func (m *Machine) PowerCut(p *kernel.Proc) ([]Cut, error) {
 			return nil, fmt.Errorf("%s not quiescent: %d in-core inode(s) held", m.specs[i].Mount, n)
 		}
 	}
-	if err := m.CheckDrained(); err != nil {
-		return nil, fmt.Errorf("page pool not quiescent: %w", err)
+	if m.Pool != nil {
+		if err := m.Pool.CheckDrained(); err != nil {
+			return nil, fmt.Errorf("page pool not quiescent: %w", err)
+		}
 	}
 	cuts := make([]Cut, len(m.Disks))
 	for i, d := range m.Disks {

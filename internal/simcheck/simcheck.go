@@ -14,15 +14,13 @@
 // Four layers of checking:
 //
 //  1. Invariant hooks. At every scheduling boundary the kernel probe
-//     (kernel.SetProbe) re-validates the buffer cache
-//     (buf.CheckInvariants, including the readahead flag/budget
-//     discipline), scheduler/callouts (kernel.CheckInvariants), the
-//     disk request queues (disk.CheckInvariants), in-core filesystem
-//     state (fs.CheckLive), live splice descriptors
-//     (splice.CheckInvariants), and live stream connections
-//     (stream.CheckInvariants); a charge-only probe
-//     (kernel.Kernel.ChargeOnly) re-validates the kernel, the trace and
-//     stream.
+//     (kernel.SetProbe) re-validates the whole machine
+//     (machine.CheckInvariants): the buffer cache (including the
+//     readahead flag/budget discipline), the kernel's scheduler and
+//     callouts with the splice descriptors and stream transports it
+//     tracks, the disk request queues, in-core filesystem state and the
+//     page pool. A charge-only probe (kernel.Kernel.ChargeOnly)
+//     re-validates the kernel and the trace.
 //  2. Oracle. Every generated op updates an in-memory model of expected
 //     file contents; reads verify against it inline and a final sweep
 //     re-reads every file. Disk-fault injection taints the affected
@@ -37,8 +35,8 @@
 //     accounting are bit-identical, the property that makes "rerun the
 //     seed" a faithful repro.
 //
-// Not safe for concurrent use: splice invariant tracking is
-// process-global, so run one harness machine at a time.
+// Every checked object is found through the run's own kernel, so the
+// checker keeps no state outside the machine it checks.
 package simcheck
 
 import (
@@ -54,8 +52,6 @@ import (
 	mach "kdp/internal/machine"
 	"kdp/internal/sim"
 	"kdp/internal/socket"
-	"kdp/internal/splice"
-	"kdp/internal/stream"
 	"kdp/internal/trace"
 )
 
@@ -306,10 +302,6 @@ func execute(cfg Config, ops []*op) *Result {
 
 	var arm *kernel.FaultArm
 
-	splice.EnableInvariants(true)
-	defer splice.EnableInvariants(false)
-	stream.EnableInvariants(true)
-	defer stream.EnableInvariants(false)
 	m.K.SetProbe(m.probe)
 
 	perWorker := make([][]*op, cfg.Workers)
@@ -426,9 +418,9 @@ func (m *machine) probe() {
 }
 
 // checkInvariants validates every layer's invariants once; in a
-// charge-only probe, only the kernel, the trace and stream, whose
-// stream-ghost-bound reads the tick count a quiet tick moves
-// (docs/CHECKING.md, "What a probe costs").
+// charge-only probe, only the kernel (stream's transports included,
+// whose stream-ghost-bound reads the tick count a quiet tick moves) and
+// the trace (docs/CHECKING.md, "What a probe costs").
 func (m *machine) checkInvariants() error {
 	if err := m.Machine.CheckInvariants(); err != nil {
 		return err
@@ -436,15 +428,7 @@ func (m *machine) checkInvariants() error {
 	if err := m.tchk.Err(); err != nil {
 		return err
 	}
-	if err := m.tchk.CheckMetrics(m.tr.Metrics()); err != nil {
-		return err
-	}
-	if !m.K.ChargeOnly() {
-		if err := splice.CheckInvariants(); err != nil {
-			return err
-		}
-	}
-	return stream.CheckInvariants()
+	return m.tchk.CheckMetrics(m.tr.Metrics())
 }
 
 // doTraceSnap folds the current counter snapshot into the event log:
@@ -600,13 +584,11 @@ func (m *machine) finalVerify(p *kernel.Proc) {
 	}
 
 	// At rest: every mapping was unmapped by its op (a surviving page or
-	// address space is a leaked reference), the splice and stream
-	// registries have drained, and no poller is still registered or
-	// asleep in poll (a leftover registration is a leaked wakeup path).
-	for _, check := range []func() error{
-		m.CheckDrained, splice.CheckDrained, stream.CheckDrained,
-		m.K.CheckPollDrained, m.checkInvariants,
-	} {
+	// address space is a leaked reference), no splice descriptor or
+	// unquiet stream connection is left on the kernel, and no poller is
+	// still registered or asleep in poll (a leftover registration is a
+	// leaked wakeup path).
+	for _, check := range []func() error{m.CheckDrained, m.checkInvariants} {
 		if err := check(); err != nil {
 			m.fail(err)
 			return

@@ -204,8 +204,6 @@ func TestGhostBoundTripsAtItsTick(t *testing.T) {
 	defer m.Release()
 	m.tchk, m.tdig = trace.NewChecker(), trace.NewDigester()
 	m.tr = m.K.StartTrace(trace.Tee(m.tchk, m.tdig))
-	stream.EnableInvariants(true)
-	defer stream.EnableInvariants(false)
 	m.K.SetProbe(m.probe)
 	net := socket.NewNet(m.K, socket.Loopback())
 	srv, err := stream.NewTransport(m.K, net, 80)

@@ -25,7 +25,8 @@ func datagram(b []byte, id byte) []byte {
 // an echo in a buffer from that list. A buffer recycled before its
 // last delivery would be scribbled on or reused while still owed to a
 // handler, and one recycled twice or never would leave the free list
-// larger or smaller than the number of buffers ever handed out.
+// larger or smaller than the number of buffers the net ever owned: those
+// it was built with and those PacketBuf made.
 func TestPacketBuffersRecycledAfterLastDelivery(t *testing.T) {
 	k := newK()
 	n := NewNet(k, Loopback())
@@ -36,10 +37,13 @@ func TestPacketBuffersRecycledAfterLastDelivery(t *testing.T) {
 	b, _ := n.NewSocket(2)
 
 	const size = 64
-	handedOut := map[*byte]bool{}
+	owned := map[*byte]bool{}
+	for _, f := range n.free[0] {
+		owned[&f[:1][0]] = true
+	}
 	build := func(s *Socket, id byte) []byte {
 		buf := s.PacketBuf(size)
-		handedOut[&buf[0]] = true
+		owned[&buf[0]] = true
 		return datagram(buf, id)
 	}
 	scribble := func() {
@@ -90,15 +94,15 @@ func TestPacketBuffersRecycledAfterLastDelivery(t *testing.T) {
 	if want := []byte{101, 102, 102, 104, 105, 106, 111, 112, 113, 114, 115, 116}; !bytes.Equal(atA, want) {
 		t.Errorf("a saw echoes %v, want %v", atA, want)
 	}
-	if resting != len(handedOut) || len(n.free[0]) != resting || len(n.free[1]) != 0 {
-		t.Errorf("free list holds %d buffers after the first burst and %d at the end; %d were ever handed out",
-			resting, len(n.free[0]), len(handedOut))
+	if resting != len(owned) || len(n.free[0]) != resting || len(n.free[1]) != 0 {
+		t.Errorf("free list holds %d buffers after the first burst and %d at the end; the net ever owned %d",
+			resting, len(n.free[0]), len(owned))
 	}
 	for _, f := range n.free[0] {
-		if p := &f[:1][0]; !handedOut[p] {
-			t.Errorf("free list holds a buffer twice, or one PacketBuf never handed out")
+		if p := &f[:1][0]; !owned[p] {
+			t.Errorf("free list holds a buffer twice, or one the net never owned")
 		} else {
-			delete(handedOut, p)
+			delete(owned, p)
 		}
 	}
 }

@@ -125,8 +125,23 @@ func NewNet(k *kernel.Kernel, p NetParams) *Net {
 		siteReorder: "net." + name + ".reorder",
 	}
 	n.onSent, n.onArrive = n.txDone, n.rxArrive
+	n.txq.Grow(netRecords)
+	n.flying.Grow(netRecords)
+	n.free[0] = make([][]byte, netRecords)
+	slab := make([]byte, netRecords*smallPacket)
+	for i := range n.free[0] {
+		n.free[0][i] = slab[i*smallPacket : i*smallPacket : (i+1)*smallPacket]
+	}
 	return n
 }
+
+// netRecords sizes a net's link and propagation queues and its stock of
+// small packet buffers at construction, so that a busy net does not
+// allocate when it reaches a new high-water mark. A megabyte over one
+// stream connection peaks at 4 queued datagrams, 3 in propagation and 4
+// small buffers; a queue reclaims its popped slots only once they are
+// most of its array, hence the margin.
+const netRecords = 16
 
 // DropSite returns the net's datagram-loss fault site ID.
 func (n *Net) DropSite() kernel.FaultSite { return n.siteDrop }

@@ -167,9 +167,7 @@ func TestSpliceSocketToSocket(t *testing.T) {
 			}
 		}
 	})
-	if err := m.k.Run(); err != nil {
-		t.Fatal(err)
-	}
+	m.drive(t)
 	if len(received) != ndgrams {
 		t.Fatalf("consumer got %d datagrams, want %d", len(received), ndgrams)
 	}
@@ -216,9 +214,7 @@ func TestSpliceSocketRelayUntilEOF(t *testing.T) {
 			}
 		}
 	})
-	if err := m.k.Run(); err != nil {
-		t.Fatal(err)
-	}
+	m.drive(t)
 	if relayed != 5*700 {
 		t.Fatalf("relayed %d bytes, want %d", relayed, 5*700)
 	}
@@ -268,9 +264,7 @@ func TestSpliceFramebufferToSocket(t *testing.T) {
 		}
 		_ = p.Close(outFD) // let the viewer finish
 	})
-	if err := m.k.Run(); err != nil {
-		t.Fatal(err)
-	}
+	m.drive(t)
 	if frames != 12 {
 		t.Fatalf("viewer saw %d frames, want 12", frames)
 	}

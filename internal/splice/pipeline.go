@@ -118,11 +118,11 @@ func (d *desc) setup(p *kernel.Proc, size int64) error {
 		// be resumed." (§5.2)
 		d.began = d.k.Now()
 		d.k.Hold()
+		d.k.Track(d)
 		if d.async {
 			d.advance(total)
 		}
 		d.rd.start(ctx)
-		registerDesc(d)
 	}
 	d.k.TraceEmit(trace.KindSpliceStart, p.Pid(), d.total, 0, d.label)
 	return nil
@@ -272,7 +272,7 @@ func (d *desc) complete() {
 		errFlag = 1
 	}
 	d.k.TraceEmit(trace.KindSpliceDone, 0, d.moved, errFlag, d.label)
-	unregisterDesc(d)
+	d.k.Untrack(d)
 	d.k.Release()
 	if d.async && d.opts.OnDone == nil {
 		d.k.Post(d.caller, kernel.SIGIO)

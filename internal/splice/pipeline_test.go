@@ -19,40 +19,31 @@ func pipes(m *machine) {
 	dev.NewPipe(m.k, "/dev/p2", 64<<10)
 }
 
-// withInvariants runs fn with descriptor tracking on.
-func withInvariants(fn func()) {
-	EnableInvariants(true)
-	defer EnableInvariants(false)
-	fn()
-}
-
 func TestZeroLengthTransfers(t *testing.T) {
 	// Every pairing treats size 0 alike: (0, nil), no live descriptor —
 	// and no kernel hold, or the machine would idle into its watchdog.
-	withInvariants(func() {
-		m := newMachine(t, disk.RAMDisk)
-		pipes(m)
-		m.run(t, func(p *kernel.Proc) {
-			makeFile(t, p, "/d0/src", 2*bsize, 1)
-			file, _ := p.Open("/d0/src", kernel.ORdOnly)
-			out, _ := p.Open("/d1/dst", kernel.OCreat|kernel.OWrOnly)
-			pin, _ := p.Open("/dev/p1", kernel.OWrOnly)
-			pout, _ := p.Open("/dev/p2", kernel.ORdOnly)
-			for _, pair := range []struct {
-				name     string
-				src, dst int
-			}{{"file-file", file, out}, {"file-sink", file, pin}, {"source-sink", pout, pin}, {"source-file", pout, out}} {
-				n, h, err := SpliceOpts(p, pair.src, pair.dst, 0, Options{})
-				if n != 0 || err != nil {
-					t.Errorf("%s: zero-length splice = (%d, %v), want (0, nil)", pair.name, n, err)
-				} else if !h.Done() || h.Err() != nil {
-					t.Errorf("%s: zero-length splice not complete: done=%v err=%v", pair.name, h.Done(), h.Err())
-				}
-				if len(liveDescs) != 0 {
-					t.Errorf("%s: zero-length splice left a live descriptor", pair.name)
-				}
+	m := newMachine(t, disk.RAMDisk)
+	pipes(m)
+	m.run(t, func(p *kernel.Proc) {
+		makeFile(t, p, "/d0/src", 2*bsize, 1)
+		file, _ := p.Open("/d0/src", kernel.ORdOnly)
+		out, _ := p.Open("/d1/dst", kernel.OCreat|kernel.OWrOnly)
+		pin, _ := p.Open("/dev/p1", kernel.OWrOnly)
+		pout, _ := p.Open("/dev/p2", kernel.ORdOnly)
+		for _, pair := range []struct {
+			name     string
+			src, dst int
+		}{{"file-file", file, out}, {"file-sink", file, pin}, {"source-sink", pout, pin}, {"source-file", pout, out}} {
+			n, h, err := SpliceOpts(p, pair.src, pair.dst, 0, Options{})
+			if n != 0 || err != nil {
+				t.Errorf("%s: zero-length splice = (%d, %v), want (0, nil)", pair.name, n, err)
+			} else if !h.Done() || h.Err() != nil {
+				t.Errorf("%s: zero-length splice not complete: done=%v err=%v", pair.name, h.Done(), h.Err())
 			}
-		})
+			if err := m.k.CheckDrained(); err != nil {
+				t.Errorf("%s: zero-length splice left a live descriptor: %v", pair.name, err)
+			}
+		}
 	})
 }
 
@@ -129,84 +120,82 @@ func TestDamageTripsInvariants(t *testing.T) {
 	// One corruption of a live descriptor per catalog row; each must be
 	// reported under exactly its own name, and undoing it must leave the
 	// checker clean again.
-	withInvariants(func() {
-		m := newMachine(t, disk.RZ56)
-		pipes(m)
-		m.run(t, func(p *kernel.Proc) {
-			makeFile(t, p, "/d0/src", 40*bsize, 4)
-			_ = m.cache.InvalidateDev(p.Ctx(), m.disks[0])
-			src, _ := p.Open("/d0/src", kernel.ORdOnly)
-			dst, _ := p.Open("/d1/dst", kernel.OCreat|kernel.OWrOnly)
-			_, _ = p.Fcntl(src, kernel.FSetFL, kernel.FAsync)
-			_, h, err := SpliceOpts(p, src, dst, EOF, Options{})
-			if err != nil {
-				t.Fatalf("splice: %v", err)
-			}
-			d, a := h.d, h.d.wr.(*alias)
-			for len(a.live) == 0 && !d.done {
-				p.SleepFor(sim.Millisecond)
-			}
-			if len(a.live) == 0 {
-				t.Fatal("no write header in flight to corrupt")
-			}
-			hdr := a.live[0]
-			shared := hdr.Data
+	m := newMachine(t, disk.RZ56)
+	pipes(m)
+	m.run(t, func(p *kernel.Proc) {
+		makeFile(t, p, "/d0/src", 40*bsize, 4)
+		_ = m.cache.InvalidateDev(p.Ctx(), m.disks[0])
+		src, _ := p.Open("/d0/src", kernel.ORdOnly)
+		dst, _ := p.Open("/d1/dst", kernel.OCreat|kernel.OWrOnly)
+		_, _ = p.Fcntl(src, kernel.FSetFL, kernel.FAsync)
+		_, h, err := SpliceOpts(p, src, dst, EOF, Options{})
+		if err != nil {
+			t.Fatalf("splice: %v", err)
+		}
+		d, a := h.d, h.d.wr.(*alias)
+		for len(a.live) == 0 && !d.done {
+			p.SleepFor(sim.Millisecond)
+		}
+		if len(a.live) == 0 {
+			t.Fatal("no write header in flight to corrupt")
+		}
+		hdr := a.live[0]
+		shared := hdr.Data
 
-			// An idle source reader, for the other pending-read bound.
-			pout, _ := p.Open("/dev/p1", kernel.ORdOnly)
-			pin, _ := p.Open("/dev/p2", kernel.OWrOnly)
-			_, _ = p.Fcntl(pout, kernel.FSetFL, kernel.FAsync)
-			_, hs, err := SpliceOpts(p, pout, pin, EOF, Options{})
-			if err != nil {
-				t.Fatalf("pipe splice: %v", err)
-			}
+		// An idle source reader, for the other pending-read bound.
+		pout, _ := p.Open("/dev/p1", kernel.ORdOnly)
+		pin, _ := p.Open("/dev/p2", kernel.OWrOnly)
+		_, _ = p.Fcntl(pout, kernel.FSetFL, kernel.FAsync)
+		_, hs, err := SpliceOpts(p, pout, pin, EOF, Options{})
+		if err != nil {
+			t.Fatalf("pipe splice: %v", err)
+		}
 
-			for _, dmg := range []struct {
-				name       string
-				do, revert func()
-			}{
-				{"splice-pending-neg", func() { d.pendingWrites -= 100 }, func() { d.pendingWrites += 100 }},
-				{"splice-pending-bound", func() { d.pendingReads += 100 }, func() { d.pendingReads -= 100 }},
-				{"splice-pending-bound", func() { d.pendingWrites += 100 }, func() { d.pendingWrites -= 100 }},
-				{"splice-pending-bound", func() { hs.d.pendingReads++ }, func() { hs.d.pendingReads-- }},
-				{"splice-moved-bound", func() { d.moved += d.total + 1 }, func() { d.moved -= d.total + 1 }},
-				{"splice-hdr-alias", func() { hdr.Data = make([]byte, bsize) }, func() { hdr.Data = shared }},
-				{"splice-done-live", func() { d.done = true }, func() { d.done = false }},
-			} {
-				if err := CheckInvariants(); err != nil {
-					t.Fatalf("dirty before %s damage: %v", dmg.name, err)
-				}
-				dmg.do()
-				if err := CheckInvariants(); !violates(err, dmg.name) {
-					t.Errorf("damage not reported as %s: %v", dmg.name, err)
-				}
-				dmg.revert()
+		for _, dmg := range []struct {
+			name       string
+			do, revert func()
+		}{
+			{"splice-pending-neg", func() { d.pendingWrites -= 100 }, func() { d.pendingWrites += 100 }},
+			{"splice-pending-bound", func() { d.pendingReads += 100 }, func() { d.pendingReads -= 100 }},
+			{"splice-pending-bound", func() { d.pendingWrites += 100 }, func() { d.pendingWrites -= 100 }},
+			{"splice-pending-bound", func() { hs.d.pendingReads++ }, func() { hs.d.pendingReads-- }},
+			{"splice-moved-bound", func() { d.moved += d.total + 1 }, func() { d.moved -= d.total + 1 }},
+			{"splice-hdr-alias", func() { hdr.Data = make([]byte, bsize) }, func() { hdr.Data = shared }},
+			{"splice-done-live", func() { d.done = true }, func() { d.done = false }},
+		} {
+			if err := m.k.CheckInvariants(); err != nil {
+				t.Fatalf("dirty before %s damage: %v", dmg.name, err)
 			}
+			dmg.do()
+			if err := m.k.CheckInvariants(); !violates(err, dmg.name) {
+				t.Errorf("damage not reported as %s: %v", dmg.name, err)
+			}
+			dmg.revert()
+		}
 
-			// With both descriptors damaged the report is the first
-			// registered one's, every time: a replayed failing seed must
-			// name the same violation.
-			d.moved += d.total + 1
-			hs.d.pendingReads++
-			for i := 0; i < 20; i++ {
-				if err := CheckInvariants(); !violates(err, "splice-moved-bound") {
-					t.Fatalf("check %d with two damaged descriptors: %v, want the first-registered descriptor's splice-moved-bound", i, err)
-				}
+		// With both descriptors damaged the report is the first
+		// registered one's, every time: a replayed failing seed must
+		// name the same violation.
+		d.moved += d.total + 1
+		hs.d.pendingReads++
+		for i := 0; i < 20; i++ {
+			if err := m.k.CheckInvariants(); !violates(err, "splice-moved-bound") {
+				t.Fatalf("check %d with two damaged descriptors: %v, want the first-registered descriptor's splice-moved-bound", i, err)
 			}
-			d.moved -= d.total + 1
-			hs.d.pendingReads--
-			if err := CheckDrained(); !violates(err, "splice-desc-leak") {
-				t.Errorf("live descriptors not reported as splice-desc-leak: %v", err)
-			}
+		}
+		d.moved -= d.total + 1
+		hs.d.pendingReads--
+		if err := m.k.CheckDrained(); !violates(err, "splice-desc-leak") {
+			t.Errorf("live descriptors not reported as splice-desc-leak: %v", err)
+		}
 
-			hs.d.stop() // the pipe never delivers
-			if err := h.Wait(p); err != nil {
-				t.Fatalf("wait: %v", err)
-			}
-			if err := CheckDrained(); err != nil {
-				t.Errorf("after both transfers finished: %v", err)
-			}
-		})
+		hs.d.stop() // the pipe never delivers
+		if err := h.Wait(p); err != nil {
+			t.Fatalf("wait: %v", err)
+		}
+		if err := m.k.CheckDrained(); err != nil {
+			t.Errorf("after both transfers finished: %v", err)
+		}
 	})
 }
 
@@ -327,34 +316,32 @@ func TestSinkFailureFlushesParkedBlocks(t *testing.T) {
 	// Block 0 comes off the disk while blocks 1-4 are cache hits, so they
 	// park behind it; the sink then fails block 0. Every parked buffer
 	// must come back and the splice must report the sink's error.
-	withInvariants(func() {
-		m := newMachine(t, disk.RZ58)
-		boom := errors.New("sink on fire")
-		m.run(t, func(p *kernel.Proc) {
-			makeFile(t, p, "/d0/src", 6*bsize, 5)
-			_ = m.cache.InvalidateDev(p.Ctx(), m.disks[0])
-			src, _ := p.Open("/d0/src", kernel.ORdOnly)
-			_, _ = p.Lseek(src, bsize, kernel.SeekSet)
-			for i := 0; i < 5; i++ {
-				_, _ = p.Read(src, make([]byte, bsize))
-			}
-			_, _ = p.Lseek(src, 0, kernel.SeekSet)
-			snk := p.InstallFile(&failingSink{err: boom}, kernel.OWrOnly)
-			free := m.cache.FreeBuffers()
+	m := newMachine(t, disk.RZ58)
+	boom := errors.New("sink on fire")
+	m.run(t, func(p *kernel.Proc) {
+		makeFile(t, p, "/d0/src", 6*bsize, 5)
+		_ = m.cache.InvalidateDev(p.Ctx(), m.disks[0])
+		src, _ := p.Open("/d0/src", kernel.ORdOnly)
+		_, _ = p.Lseek(src, bsize, kernel.SeekSet)
+		for i := 0; i < 5; i++ {
+			_, _ = p.Read(src, make([]byte, bsize))
+		}
+		_, _ = p.Lseek(src, 0, kernel.SeekSet)
+		snk := p.InstallFile(&failingSink{err: boom}, kernel.OWrOnly)
+		free := m.cache.FreeBuffers()
 
-			n, h, err := SpliceOpts(p, src, snk, EOF, Options{})
-			if n != 0 || err != boom {
-				t.Fatalf("splice = (%d, %v), want (0, %v)", n, err, boom)
-			}
-			if st := h.Stats(); st.WritesIssued != 1 || st.CacheHits < 4 {
-				t.Errorf("blocks were not parked behind block 0: %+v", st)
-			}
-			if got := m.cache.FreeBuffers(); got != free {
-				t.Errorf("%d free buffers after the failed splice, want %d", got, free)
-			}
-			if err := CheckDrained(); err != nil {
-				t.Error(err)
-			}
-		})
+		n, h, err := SpliceOpts(p, src, snk, EOF, Options{})
+		if n != 0 || err != boom {
+			t.Fatalf("splice = (%d, %v), want (0, %v)", n, err, boom)
+		}
+		if st := h.Stats(); st.WritesIssued != 1 || st.CacheHits < 4 {
+			t.Errorf("blocks were not parked behind block 0: %+v", st)
+		}
+		if got := m.cache.FreeBuffers(); got != free {
+			t.Errorf("%d free buffers after the failed splice, want %d", got, free)
+		}
+		if err := m.k.CheckDrained(); err != nil {
+			t.Error(err)
+		}
 	})
 }

@@ -66,8 +66,18 @@ func (m *machine) run(t *testing.T, fn func(p *kernel.Proc)) {
 		}
 		fn(p)
 	})
+	m.drive(t)
+}
+
+// drive runs the machine to idle and requires that it drained: no
+// splice descriptor still live, no poller still registered.
+func (m *machine) drive(t *testing.T) {
+	t.Helper()
 	if err := m.k.Run(); err != nil {
 		t.Fatalf("kernel: %v", err)
+	}
+	if err := m.k.CheckDrained(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -506,9 +516,7 @@ func TestSpliceSurvivesCallerExit(t *testing.T) {
 			t.Error("data incomplete after caller exit")
 		}
 	})
-	if err := m.k.Run(); err != nil {
-		t.Fatal(err)
-	}
+	m.drive(t)
 }
 
 func TestSpliceOnMechanicalDisksDataIntegrity(t *testing.T) {

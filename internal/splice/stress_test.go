@@ -139,15 +139,11 @@ func TestSpliceWhileReadersActive(t *testing.T) {
 			_ = p.Close(fd)
 		}
 	})
-	if err := m.k.Run(); err != nil {
-		t.Fatal(err)
-	}
+	m.drive(t)
 	m.k.Spawn("verify", func(p *kernel.Proc) {
 		if !bytes.Equal(readAll(t, p, "/d1/copy"), want) {
 			t.Error("spliced copy corrupted")
 		}
 	})
-	if err := m.k.Run(); err != nil {
-		t.Fatal(err)
-	}
+	m.drive(t)
 }

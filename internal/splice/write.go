@@ -116,7 +116,7 @@ type alias struct {
 	fileOut
 	holdsNothing
 	// live tracks in-flight write headers, in issue order, for the
-	// invariant checker; untouched unless EnableInvariants is in effect.
+	// invariant checker.
 	live []*buf.Buf
 }
 
@@ -141,9 +141,7 @@ func (a *alias) writeBlock(b *buf.Buf, data []byte) {
 		d.stats.Shared++
 	}
 	hdr.SplicePeer = b
-	if invariantsOn {
-		a.live = append(a.live, hdr)
-	}
+	a.live = append(a.live, hdr)
 	if pg := a.cache.Peek(hdr.Dev, hdr.Blkno); pg != nil && pg.Flags&buf.BHeld != 0 {
 		// A mapped page is the destination block's buffer, which open
 		// left in place: the write goes through it too, so the mapping

@@ -54,8 +54,6 @@ func TestCloseWithCalloutsInFlight(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			EnableInvariants(true)
-			defer EnableInvariants(false)
 			k := newK()
 			n := socket.NewNet(k, socket.Loopback())
 			srv, _ := NewTransport(k, n, 80)
@@ -153,7 +151,7 @@ func TestCloseWithCalloutsInFlight(t *testing.T) {
 					t.Fatalf("server addGhost calls = %d, want 1", got)
 				}
 			}
-			if err := CheckInvariants(); err != nil {
+			if err := k.CheckInvariants(); err != nil {
 				t.Fatalf("invariants after teardown: %v", err)
 			}
 		})

@@ -113,7 +113,7 @@ func newConn(t *Transport, remote int, id uint32, st connState) *Conn {
 		rcvAdv:    rcvCap,
 	}
 	c.rtxFn = c.rtxFire
-	registerConn(c)
+	t.live = append(t.live, c)
 	return c
 }
 
@@ -483,7 +483,7 @@ func (c *Conn) maybeGhost() {
 }
 
 // retire closes the connection and forgets it: no timer, no owed ACK,
-// no place in the transport's table or the checker's registry.
+// no place in the transport's table or its live list.
 func (c *Conn) retire() {
 	c.state = stateClosed
 	c.stopRtx()
@@ -491,7 +491,9 @@ func (c *Conn) retire() {
 		c.t.dropDelack(c)
 	}
 	delete(c.t.conns, c.key())
-	unregisterConn(c)
+	if i := slices.Index(c.t.live, c); i >= 0 {
+		c.t.live = slices.Delete(c.t.live, i, i+1)
+	}
 }
 
 // fail tears the connection down on retry exhaustion, erroring every

@@ -20,14 +20,12 @@ func owed(c *Conn) bool { return c.rcvAdv-c.advWnd < c.rcvNxt }
 // followed by watch when it is not nil.
 func delackRig(t *testing.T, p socket.NetParams, watch func()) (k *kernel.Kernel, n *socket.Net, srv, cli *Transport) {
 	t.Helper()
-	EnableInvariants(true)
-	t.Cleanup(func() { EnableInvariants(false) })
 	k = newK()
 	n = socket.NewNet(k, p)
 	srv, _ = NewTransport(k, n, 80)
 	cli, _ = NewTransport(k, n, 5001)
 	k.SetProbe(func() {
-		if err := CheckInvariants(); err != nil {
+		if err := k.CheckInvariants(); err != nil {
 			k.Abort(err)
 		}
 		if watch != nil {

@@ -332,8 +332,6 @@ func leaks(err error, what string) bool {
 // stream-conn-leak invariant seeing a parked read and a queued write
 // through the shared types' accessors.
 func TestConnSpliceWiring(t *testing.T) {
-	EnableInvariants(true)
-	defer EnableInvariants(false)
 	k := newK()
 	n := socket.NewNet(k, socket.Loopback())
 	srv, _ := NewTransport(k, n, 80)
@@ -368,8 +366,8 @@ func TestConnSpliceWiring(t *testing.T) {
 		}
 		c.SpliceRead(3, deliver("a")) // parks
 		c.SpliceRead(3, deliver("b")) // refused; a stays parked
-		if !leaks(CheckDrained(), "splice read still parked") {
-			t.Errorf("CheckDrained with a parked read: %v", CheckDrained())
+		if !leaks(cli.CheckDrained(), "splice read still parked") {
+			t.Errorf("CheckDrained with a parked read: %v", cli.CheckDrained())
 		}
 		if !c.CancelSpliceRead() || c.CancelSpliceRead() {
 			t.Error("CancelSpliceRead did not withdraw the parked read exactly once")
@@ -388,8 +386,8 @@ func TestConnSpliceWiring(t *testing.T) {
 			t.Errorf("nonblocking write into a full send buffer = (%d, %v)", wn, err)
 		}
 		c.SpliceWrite(make([]byte, 100), func(err error) { log = append(log, fmt.Sprintf("w:%v", err)) })
-		if !leaks(CheckDrained(), "1 write(s) never admitted") {
-			t.Errorf("CheckDrained with a queued write: %v", CheckDrained())
+		if !leaks(cli.CheckDrained(), "1 write(s) never admitted") {
+			t.Errorf("CheckDrained with a queued write: %v", cli.CheckDrained())
 		}
 		if err := p.Close(fd); err != nil { // force-admits the queued write under the FIN
 			t.Errorf("close: %v", err)
@@ -410,7 +408,7 @@ func TestConnSpliceWiring(t *testing.T) {
 	if received != sndCap+100 {
 		t.Errorf("server received %d bytes, want %d", received, sndCap+100)
 	}
-	if err := CheckDrained(); err != nil {
+	if err := k.CheckDrained(); err != nil {
 		t.Errorf("after both closes: %v", err)
 	}
 }

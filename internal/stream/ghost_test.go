@@ -50,8 +50,6 @@ func runConn(t *testing.T, k *kernel.Kernel, srv, cli *Transport, srvPort int) {
 // reused, which for one-shot port pairs was forever. Every ghost must
 // now be reaped by its expiry callout.
 func TestGhostEntriesExpire(t *testing.T) {
-	EnableInvariants(true)
-	defer EnableInvariants(false)
 	k := newK()
 	n := socket.NewNet(k, socket.Loopback())
 	srv, _ := NewTransport(k, n, 80)
@@ -61,7 +59,7 @@ func TestGhostEntriesExpire(t *testing.T) {
 	if srv.Ghosts()+cli.Ghosts() == 0 {
 		t.Fatal("no ghost entries after a clean close; nothing to test")
 	}
-	if err := CheckInvariants(); err != nil {
+	if err := k.CheckInvariants(); err != nil {
 		t.Fatalf("fresh ghosts flagged: %v", err)
 	}
 
@@ -76,7 +74,7 @@ func TestGhostEntriesExpire(t *testing.T) {
 	if got := srv.Ghosts() + cli.Ghosts(); got != 0 {
 		t.Errorf("%d ghost entr(ies) outlived the retention window", got)
 	}
-	if err := CheckInvariants(); err != nil {
+	if err := k.CheckInvariants(); err != nil {
 		t.Errorf("invariants after expiry: %v", err)
 	}
 }
@@ -88,8 +86,6 @@ func TestGhostEntriesExpire(t *testing.T) {
 // reset (the reaping deadline set at retirement stands), and a pure
 // ACK draws no reply at all.
 func TestGhostAnswersLateSegmentWithoutResurrecting(t *testing.T) {
-	EnableInvariants(true)
-	defer EnableInvariants(false)
 	k := newK()
 	n := socket.NewNet(k, socket.Loopback())
 	tr, err := NewTransport(k, n, 80)
@@ -143,7 +139,7 @@ func TestGhostAnswersLateSegmentWithoutResurrecting(t *testing.T) {
 		if len(tr.conns) != conns0 {
 			t.Errorf("late segment resurrected connection state: %d conn(s), want %d", len(tr.conns), conns0)
 		}
-		if err := CheckInvariants(); err != nil {
+		if err := k.CheckInvariants(); err != nil {
 			t.Errorf("invariants after late segments: %v", err)
 		}
 

@@ -6,11 +6,11 @@ import (
 	"kdp/internal/kernel"
 )
 
-// Invariant checker for the simcheck harness, mirroring the splice
-// one: registries of live connections and transports, in registration
-// order, are maintained only while EnableInvariants(true) is in effect,
-// so production runs pay nothing and which violation is reported when
-// several connections are damaged replays deterministically.
+// Invariant checker: NewTransport tracks each transport on its kernel
+// (kernel.Kernel.Track), and each transport keeps its live connections
+// in registration order, so the kernel's own CheckInvariants and
+// CheckDrained reach every connection, and which violation is reported
+// when several connections are damaged replays deterministically.
 //
 // Invariant catalog (stream):
 //
@@ -48,55 +48,48 @@ import (
 //	                       no unacknowledged or unadmitted send data,
 //	                       no undelivered receive data, no parked
 //	                       splice read, no half-finished handshake
+
+// The benchmark's shim, the package's only checker state: while
+// EnableInvariants(true) is in effect NewTransport also records each
+// transport here, for the package-level CheckInvariants. Nothing but
+// the benchmark calls either; the simulator checks through the kernel.
 var (
-	invariantsOn   bool
-	liveConns      []*Conn
-	liveTransports []*Transport
+	benchOn         bool
+	benchTransports []*Transport
 )
 
-// EnableInvariants switches connection tracking on or off. Not safe to
-// toggle while a machine is running.
+// EnableInvariants switches the benchmark's transport list on or off.
+// Not safe to toggle while a machine is running.
 func EnableInvariants(on bool) {
-	invariantsOn = on
-	liveConns, liveTransports = nil, nil
+	benchOn = on
+	benchTransports = nil
 }
 
-func registerTransport(t *Transport) {
-	if invariantsOn {
-		liveTransports = append(liveTransports, t)
-	}
-}
-
-func registerConn(c *Conn) {
-	if invariantsOn {
-		liveConns = append(liveConns, c)
-	}
-}
-
-func unregisterConn(c *Conn) {
-	if i := slices.Index(liveConns, c); i >= 0 {
-		liveConns = slices.Delete(liveConns, i, i+1)
-	}
-}
-
-// CheckInvariants verifies every live connection, returning the first
-// violation found (nil when consistent, or when tracking is disabled).
-// It never sleeps.
+// CheckInvariants verifies every transport recorded while
+// EnableInvariants(true) was in effect, returning the first violation
+// found. It never sleeps.
 func CheckInvariants() error {
-	for _, c := range liveConns {
-		if err := c.check(); err != nil {
-			return err
-		}
-	}
-	for _, t := range liveTransports {
-		if err := t.checkGhosts(); err != nil {
-			return err
-		}
-		if err := t.checkDelacks(); err != nil {
+	for _, t := range benchTransports {
+		if err := t.CheckInvariants(); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// CheckInvariants verifies the transport's live connections, then its
+// ghost table and delayed-ACK queue, returning the first violation
+// found. It never sleeps.
+func (t *Transport) CheckInvariants() error {
+	for _, c := range t.live {
+		if err := c.check(); err != nil {
+			return err
+		}
+	}
+	if err := t.checkGhosts(); err != nil {
+		return err
+	}
+	return t.checkDelacks()
 }
 
 // checkDelacks verifies the delayed-ACK queue against its connections
@@ -142,12 +135,12 @@ func (t *Transport) checkGhosts() error {
 	return nil
 }
 
-// CheckDrained verifies that every connection still registered once a
+// CheckDrained verifies that every connection still live once a
 // machine has run to idle is quiescent — nothing unsent, unacked,
 // undelivered, or parked. Retired (ghosted) and failed connections
-// unregister themselves.
-func CheckDrained() error {
-	for _, c := range liveConns {
+// leave the list themselves.
+func (t *Transport) CheckDrained() error {
+	for _, c := range t.live {
 		switch {
 		case c.state == stateSynSent:
 			return kernel.Violation("stream-conn-leak", "%s: handshake never completed", c.label)

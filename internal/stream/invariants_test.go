@@ -8,7 +8,7 @@ import (
 )
 
 // checkRig is two transports with one established connection and one
-// ghost on the server side, all registered with the checker.
+// ghost on the server side, all tracked by their kernel.
 type checkRig struct {
 	srv, cli *Transport
 	c        *Conn
@@ -17,8 +17,6 @@ type checkRig struct {
 
 func newCheckRig(t *testing.T) *checkRig {
 	t.Helper()
-	EnableInvariants(true)
-	t.Cleanup(func() { EnableInvariants(false) })
 	k := newK()
 	n := socket.NewNet(k, socket.Loopback())
 	srv, err := NewTransport(k, n, 80)
@@ -33,7 +31,7 @@ func newCheckRig(t *testing.T) *checkRig {
 	r.c = newConn(srv, 5001, 1, stateEstablished)
 	srv.conns[r.c.key()] = r.c
 	srv.addGhost(r.ghostKey, 123)
-	if err := CheckInvariants(); err != nil {
+	if err := k.CheckInvariants(); err != nil {
 		t.Fatalf("invariants dirty before the fault: %v", err)
 	}
 	return r
@@ -64,12 +62,12 @@ func TestCatalogTrips(t *testing.T) {
 		t.Run(fault.name, func(t *testing.T) {
 			r := newCheckRig(t)
 			fault.plant(r)
-			err := CheckInvariants()
+			err := r.srv.k.CheckInvariants()
 			if fault.name == "stream-conn-leak" { // the drain-time check
 				if err != nil {
 					t.Fatalf("CheckInvariants = %v, want nil: unread data is legal mid-run", err)
 				}
-				err = CheckDrained()
+				err = r.srv.k.CheckDrained()
 			}
 			if kernel.ViolationName(err) != fault.name {
 				t.Fatalf("CheckInvariants = %v, want a %s violation", err, fault.name)
@@ -88,7 +86,7 @@ func TestCheckAllocatesNothing(t *testing.T) {
 	r.srv.queueDelack(r.c)
 	r.cli.addGhost(connKey(80, 3), 7)
 	if n := testing.AllocsPerRun(100, func() {
-		if err := CheckInvariants(); err != nil {
+		if err := r.srv.k.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {

@@ -40,6 +40,9 @@ type Transport struct {
 
 	nextID uint32
 	conns  map[uint64]*Conn
+	// live holds the connections not yet retired, in the order they
+	// were created, for the invariant checker (see CheckInvariants).
+	live []*Conn
 	// ghosts records retired connection keys with their final
 	// cumulative ack, oldest first. A FIN retransmitted after both
 	// sides finished still earns an acknowledgement from here. Entries
@@ -79,7 +82,10 @@ func NewTransport(k *kernel.Kernel, net *socket.Net, port int) (*Transport, erro
 		conns: make(map[uint64]*Conn),
 	}
 	t.fastFn = t.fastTimo
-	registerTransport(t)
+	k.Track(t)
+	if benchOn {
+		benchTransports = append(benchTransports, t)
+	}
 	s.SetHandler(t.input)
 	return t, nil
 }

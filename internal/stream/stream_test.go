@@ -328,8 +328,6 @@ func TestStreamWindowStallAndProbe(t *testing.T) {
 }
 
 func TestStreamInvariantsCleanRun(t *testing.T) {
-	EnableInvariants(true)
-	defer EnableInvariants(false)
 	k := newK()
 	n := lossyNet(k, 6)
 	srv, _ := NewTransport(k, n, 80)
@@ -357,17 +355,17 @@ func TestStreamInvariantsCleanRun(t *testing.T) {
 		_ = p.Close(fd)
 	})
 	k.SetProbe(func() {
-		if err := CheckInvariants(); err != nil {
+		if err := k.CheckInvariants(); err != nil {
 			k.Abort(err)
 		}
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if err := CheckInvariants(); err != nil {
+	if err := k.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if err := CheckDrained(); err != nil {
+	if err := k.CheckDrained(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -28,8 +28,6 @@ func longPattern(n int) []byte {
 // held-back segment goes through reassembly into a receive window that
 // has, and the invariants are checked at every scheduling boundary.
 func TestStreamMegabyteOverLossyReorderingLink(t *testing.T) {
-	EnableInvariants(true)
-	defer EnableInvariants(false)
 	k := newK()
 	n := socket.NewNet(k, socket.Loopback())
 	k.Faults().Arm(kernel.FaultArm{Site: n.DropSite(), Every: 7, Match: kernel.MatchAny, Count: -1, Quiet: true})
@@ -87,7 +85,7 @@ func TestStreamMegabyteOverLossyReorderingLink(t *testing.T) {
 		}
 	})
 	k.SetProbe(func() {
-		if err := CheckInvariants(); err != nil {
+		if err := k.CheckInvariants(); err != nil {
 			k.Abort(err)
 		}
 	})
@@ -104,7 +102,7 @@ func TestStreamMegabyteOverLossyReorderingLink(t *testing.T) {
 	if sender.Retransmits() == 0 || reorder.Fired() == 0 {
 		t.Fatalf("%d retransmissions, %d reorderings: the link was meant to cause both", sender.Retransmits(), reorder.Fired())
 	}
-	if err := CheckDrained(); err != nil {
+	if err := k.CheckDrained(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -112,9 +110,10 @@ func TestStreamMegabyteOverLossyReorderingLink(t *testing.T) {
 // transferMeasured moves size bytes from a client to a server over
 // 10 Mb Ethernet in 8 KB writes and reads, checking them as they
 // arrive, and returns what the runtime allocated meanwhile, in bytes and
-// in objects. A 128 KB warm-up goes first, so both windows, the net's
-// packet free list and the kernel's callout and event records have
-// reached their working size before the count starts.
+// in objects. A 128 KB warm-up goes first, so both windows and the
+// kernel's callout and event records have reached their working size
+// before the count starts; the net's queues, small packet buffers and
+// free lists are sized at construction (socket.netRecords).
 func transferMeasured(tb testing.TB, size int) (allocated, objects uint64) {
 	k := newK()
 	n := socket.NewNet(k, socket.Ethernet10())
@@ -174,7 +173,10 @@ func transferMeasured(tb testing.TB, size int) (allocated, objects uint64) {
 // packet reuses a record. The count is the whole runtime's, so a few
 // objects are allowed for what the test binary does in the background
 // (it reads 0 run alone, and 1 or 2 now and then under the race
-// detector); one allocation per segment would read 128 or more.
+// detector); one allocation per segment would read 128 or more. A pool
+// that reaches a new high-water mark inside the measured megabyte reads
+// as an allocation too: the net's records are sized at construction
+// for that reason.
 func TestStreamTransferAllocBudget(t *testing.T) {
 	const payload = 1 << 20
 	if bytes, objects := transferMeasured(t, payload); objects > payload/MaxSeg/16 {

@@ -546,10 +546,12 @@ func (v *Pool) touch(p *kernel.Proc, m *mapping, idx int64, write bool) (*page, 
 		}
 		copy(v.useFrame(npg), pg.data)
 		v.unwire(pg)
-		ctx.Use(cfg.BcopyCost(v.pageSize))
+		// Owned by its shadow slot before the copy is charged: the
+		// charge can end at a scheduling boundary.
 		npg.idx = idx
 		m.shadow[i] = npg
 		m.valid[i] = true
+		ctx.Use(cfg.BcopyCost(v.pageSize))
 		v.k.TraceEmit(trace.KindVMCOW, p.Pid(), idx, int64(v.pageSize), m.obj.dev)
 		ctx.Use(cfg.PageMapCost)
 		return npg, nil

@@ -834,3 +834,39 @@ func BenchmarkPageFaultWarm(b *testing.B) {
 		}
 	})
 }
+
+// TestCOWPageOwnedWhileItsCopyIsCharged: the store that breaks sharing
+// charges the page copy, and a CPU charge begins and ends at a
+// scheduling boundary, where a probe checks the pool. The anonymous page
+// must already sit in its mapping's shadow there; it used to be
+// installed after the charge, so every copy-on-write fault under a
+// probe tripped vm-frame-owner.
+func TestCOWPageOwnedWhileItsCopyIsCharged(t *testing.T) {
+	r := newRig(t, 8)
+	r.k.SetProbe(func() {
+		if err := r.pool.CheckInvariants(); err != nil {
+			r.k.Abort(err)
+		}
+	})
+	r.run(t, "cow", func(p *kernel.Proc) {
+		writeFile(t, p, "/v/f", pattern(bsize, 3))
+		fd, err := p.Open("/v/f", kernel.ORdWr)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		addr, err := p.Mmap(fd, 0, bsize, kernel.ProtRead|kernel.ProtWrite, kernel.MapPrivate)
+		if err != nil {
+			t.Fatalf("mmap: %v", err)
+		}
+		if err := p.MemWrite(addr, []byte{9}); err != nil {
+			t.Fatalf("store: %v", err)
+		}
+		if err := p.Munmap(addr); err != nil {
+			t.Fatalf("munmap: %v", err)
+		}
+		_ = p.Close(fd)
+	})
+	if n := r.tr.Metrics().VMCows; n != 1 {
+		t.Fatalf("%d copy-on-write faults, want 1", n)
+	}
+}
