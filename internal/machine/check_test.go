@@ -17,6 +17,32 @@ import (
 	"kdp/internal/workload"
 )
 
+// warm is a machine in the middle of everything a probe has to look at,
+// seen from its process "main", with the trace checker fed since boot.
+type warm struct {
+	m    *machine.Machine
+	p    *kernel.Proc
+	tchk *trace.Checker
+	// atChargeOnly, when set, is run once by the probe at the next
+	// charge-only boundary (kernel.Kernel.ChargeOnly), after its checks.
+	atChargeOnly func()
+}
+
+// chargeOnly runs fn inside a probe at a charge-only boundary: it charges
+// the process a microsecond of kernel time until a charge ends with
+// nothing but quiet clock ticks run since it began.
+func (w *warm) chargeOnly(tb testing.TB, fn func()) {
+	tb.Helper()
+	w.atChargeOnly = fn
+	for i := 0; i < 100 && w.atChargeOnly != nil; i++ {
+		w.p.Use(sim.Microsecond, true)
+	}
+	if w.atChargeOnly != nil {
+		w.atChargeOnly = nil
+		tb.Error("rig: 100 charges of a microsecond reached no charge-only boundary")
+	}
+}
+
 // onWarmMachine runs body in process context on a booted machine in the
 // middle of everything a probe has to look at: a retired connection
 // (ghosts on both transports) and a live one with unread data, a file
@@ -25,10 +51,10 @@ import (
 // disks, with a trace checker fed since boot. The server listens on
 // port and the client binds port+1. The machine's invariants are
 // checked at every scheduling boundary on the way. Nothing is scheduled
-// while body runs, so every pass it makes sees the same state. It
-// reports failures with Errorf alone, so it may run off the test's
+// while body runs, unless it charges the process (warm.chargeOnly), so
+// every pass it makes sees the same state. It reports failures with Errorf alone, so it may run off the test's
 // goroutine.
-func onWarmMachine(tb testing.TB, port int, body func(m *machine.Machine, tchk *trace.Checker)) {
+func onWarmMachine(tb testing.TB, port int, body func(w *warm)) {
 	tb.Helper()
 	s := machine.Spec{Kernel: kernel.DefaultConfig(), CacheBufs: 64, VMPages: 16}
 	s.Kernel.MaxRunTime = 60 * sim.Second
@@ -40,9 +66,15 @@ func onWarmMachine(tb testing.TB, port int, body func(m *machine.Machine, tchk *
 	m := machine.New(s)
 	tchk := trace.NewChecker()
 	m.K.StartTrace(tchk)
+	w := &warm{m: m, tchk: tchk}
 	m.K.SetProbe(func() {
 		if err := m.CheckInvariants(); err != nil {
 			m.K.Abort(err)
+			return
+		}
+		if fn := w.atChargeOnly; fn != nil && m.K.ChargeOnly() {
+			w.atChargeOnly = nil
+			fn()
 		}
 	})
 	fail := func(what string, err error) bool {
@@ -77,6 +109,7 @@ func onWarmMachine(tb testing.TB, port int, body func(m *machine.Machine, tchk *
 		}
 	})
 	m.K.Spawn("main", func(p *kernel.Proc) {
+		w.p = p
 		defer m.K.Wakeup(&release)
 		if fail("boot", m.Boot(p)) || fail("makefile", workload.MakeFile(p, "/d0/src", 48*machine.BlockSize, 1)) {
 			return
@@ -128,7 +161,7 @@ func onWarmMachine(tb testing.TB, port int, body func(m *machine.Machine, tchk *
 		case m.Pool.Resident() < 3:
 			tb.Errorf("rig: %d resident pages, want object and shadow pages", m.Pool.Resident())
 		default:
-			body(m, tchk)
+			body(w)
 		}
 
 		fail("splice wait", h.Wait(p))
@@ -149,27 +182,45 @@ type (
 		pass func() error
 	}
 	probe struct {
-		name   string
-		checks []check
+		name       string
+		chargeOnly bool // the passes run at a charge-only boundary
+		checks     []check
 	}
 )
 
 // probes are the two probes simcheck makes: the full one, and the
 // charge-only one at the boundary after a CPU charge or an idle step
-// during which nothing but quiet clock ticks ran (the kernel catalog,
-// with the stream transports it tracks, which read the tick count, and
-// the trace checks).
-func probes(m *machine.Machine, tchk *trace.Checker) []probe {
-	traced := check{"trace.Checker", func() error {
-		if err := tchk.Err(); err != nil {
-			return err
-		}
-		return tchk.CheckMetrics(m.K.Tracer().Metrics())
-	}}
-	return []probe{
-		{"full", []check{{"machine.CheckInvariants", m.CheckInvariants}, traced}},
-		{"charge-only", []check{{"kernel.CheckInvariants", m.K.CheckInvariants}, traced}},
+// during which nothing but quiet clock ticks ran. Both make the same
+// calls; at a charge-only boundary the machine's pass reduces to the
+// kernel catalog, with the stream transports it tracks, which read the
+// tick count (its splice descriptors return at once).
+func probes(w *warm) []probe {
+	checks := []check{
+		{"machine.CheckInvariants", w.m.CheckInvariants},
+		{"trace.Checker", func() error {
+			if err := w.tchk.Err(); err != nil {
+				return err
+			}
+			return w.tchk.CheckMetrics(w.m.K.Tracer().Metrics())
+		}},
 	}
+	return []probe{{"full", false, checks}, {"charge-only", true, checks}}
+}
+
+// at runs fn where the probe's passes run: directly for the full probe,
+// which is not charge-only, or inside a charge-only probe.
+func (pr probe) at(tb testing.TB, w *warm, fn func()) {
+	tb.Helper()
+	if !pr.chargeOnly {
+		fn()
+		return
+	}
+	w.chargeOnly(tb, func() {
+		if !w.m.K.ChargeOnly() {
+			tb.Error("rig: the charge-only probe's passes run outside a charge-only boundary")
+		}
+		fn()
+	})
 }
 
 // TestChecksAllocateNothing is the guard for the rule in
@@ -180,18 +231,20 @@ func probes(m *machine.Machine, tchk *trace.Checker) []probe {
 // pass, in both probes, on a machine with all of them busy.
 func TestChecksAllocateNothing(t *testing.T) {
 	ran := false
-	onWarmMachine(t, 80, func(m *machine.Machine, tchk *trace.Checker) {
+	onWarmMachine(t, 80, func(w *warm) {
 		ran = true
-		for _, pr := range probes(m, tchk) {
-			for _, c := range pr.checks {
-				if err := c.pass(); err != nil {
-					t.Errorf("%s probe: %s on the warm machine: %v", pr.name, c.name, err)
-					continue
+		for _, pr := range probes(w) {
+			pr.at(t, w, func() {
+				for _, c := range pr.checks {
+					if err := c.pass(); err != nil {
+						t.Errorf("%s probe: %s on the warm machine: %v", pr.name, c.name, err)
+						continue
+					}
+					if n := testing.AllocsPerRun(50, func() { _ = c.pass() }); n != 0 {
+						t.Errorf("%s probe: %s allocates %v times per passing pass, want 0", pr.name, c.name, n)
+					}
 				}
-				if n := testing.AllocsPerRun(50, func() { _ = c.pass() }); n != 0 {
-					t.Errorf("%s probe: %s allocates %v times per passing pass, want 0", pr.name, c.name, n)
-				}
-			}
+			})
 		}
 	})
 	if !ran && !t.Failed() {
@@ -201,23 +254,25 @@ func TestChecksAllocateNothing(t *testing.T) {
 
 // BenchmarkCheckInvariants times each probe's worth of checks on the
 // warm machine: full/ is what simcheck pays at most scheduling
-// boundaries, charge-only/ what it pays after a CPU charge or an idle
-// step that only quiet ticks interrupted (the benchmark's
-// simcheck.probe.invariants_us measures kernel, cache and stream passes
-// on its own rig).
+// boundaries, charge-only/ what it pays, inside a charge-only probe,
+// after a CPU charge or an idle step that only quiet ticks interrupted
+// (the benchmark's simcheck.probe.invariants_us measures kernel, cache
+// and stream passes on its own rig).
 func BenchmarkCheckInvariants(b *testing.B) {
-	onWarmMachine(b, 80, func(m *machine.Machine, tchk *trace.Checker) {
-		for _, pr := range probes(m, tchk) {
-			b.Run(pr.name, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					for _, c := range pr.checks {
-						if err := c.pass(); err != nil {
-							b.Error(err)
-							return
+	onWarmMachine(b, 80, func(w *warm) {
+		for _, pr := range probes(w) {
+			pr.at(b, w, func() {
+				b.Run(pr.name, func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						for _, c := range pr.checks {
+							if err := c.pass(); err != nil {
+								b.Error(err)
+								return
+							}
 						}
 					}
-				}
+				})
 			})
 		}
 	})
@@ -237,26 +292,26 @@ func TestMachinesShareNoCheckerState(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		warm := false
+		reached := false
 		defer func() {
-			if !warm {
+			if !reached {
 				close(aWarm)
 			}
 		}()
-		onWarmMachine(t, 80, func(m *machine.Machine, _ *trace.Checker) {
-			warm = true
+		onWarmMachine(t, 80, func(w *warm) {
+			reached = true
 			close(aWarm)
 			<-bDone
-			aLeak = m.CheckDrained()
+			aLeak = w.m.CheckDrained()
 		})
 	}()
 	go func() {
 		defer wg.Done()
 		defer close(bDone)
 		var b *machine.Machine
-		onWarmMachine(t, 90, func(m *machine.Machine, _ *trace.Checker) {
+		onWarmMachine(t, 90, func(w *warm) {
 			<-aWarm
-			b, bLeak = m, m.CheckDrained()
+			b, bLeak = w.m, w.m.CheckDrained()
 		})
 		if b != nil {
 			bIdle, bInv = b.CheckDrained(), b.CheckInvariants()

@@ -136,11 +136,13 @@ func NewNet(k *kernel.Kernel, p NetParams) *Net {
 }
 
 // netRecords sizes a net's link and propagation queues and its stock of
-// small packet buffers at construction, so that a busy net does not
-// allocate when it reaches a new high-water mark. A megabyte over one
-// stream connection peaks at 4 queued datagrams, 3 in propagation and 4
-// small buffers; a queue reclaims its popped slots only once they are
-// most of its array, hence the margin.
+// small packet buffers at construction. It is measured on one stream
+// connection moving a megabyte (stream's TestStreamTransferAllocBudget),
+// which peaks at 4 queued datagrams, 3 in propagation and 4 small
+// buffers, so that traffic reaches no new high-water mark after its
+// warm-up; a queue reclaims its popped slots only once they are most of
+// its array, hence the margin. Busier traffic, such as many connections
+// at once, may still grow the queues and the stock past it.
 const netRecords = 16
 
 // DropSite returns the net's datagram-loss fault site ID.

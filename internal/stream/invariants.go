@@ -49,33 +49,14 @@ import (
 //	                       no undelivered receive data, no parked
 //	                       splice read, no half-finished handshake
 
-// The benchmark's shim, the package's only checker state: while
-// EnableInvariants(true) is in effect NewTransport also records each
-// transport here, for the package-level CheckInvariants. Nothing but
-// the benchmark calls either; the simulator checks through the kernel.
-var (
-	benchOn         bool
-	benchTransports []*Transport
-)
+// EnableInvariants is a no-op kept for the benchmark's probe, which
+// toggles it around its checks: every transport is tracked on its
+// kernel from NewTransport on, whatever the toggle says.
+func EnableInvariants(bool) {}
 
-// EnableInvariants switches the benchmark's transport list on or off.
-// Not safe to toggle while a machine is running.
-func EnableInvariants(on bool) {
-	benchOn = on
-	benchTransports = nil
-}
-
-// CheckInvariants verifies every transport recorded while
-// EnableInvariants(true) was in effect, returning the first violation
-// found. It never sleeps.
-func CheckInvariants() error {
-	for _, t := range benchTransports {
-		if err := t.CheckInvariants(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// CheckInvariants is a no-op kept for the benchmark's probe: the
+// kernel's own CheckInvariants already walks every transport it tracks.
+func CheckInvariants() error { return nil }
 
 // CheckInvariants verifies the transport's live connections, then its
 // ghost table and delayed-ACK queue, returning the first violation

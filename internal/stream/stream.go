@@ -83,9 +83,6 @@ func NewTransport(k *kernel.Kernel, net *socket.Net, port int) (*Transport, erro
 	}
 	t.fastFn = t.fastTimo
 	k.Track(t)
-	if benchOn {
-		benchTransports = append(benchTransports, t)
-	}
 	s.SetHandler(t.input)
 	return t, nil
 }
