@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -224,8 +225,8 @@ func TestMachineShapes(t *testing.T) {
 	if nbuf != 400 || strings.Join(names, ",") != "rz58-0,rz58-1" || inodes[0] != 64 || inodes[1] != 64 {
 		t.Errorf("paper machine: %d buffers, disks %v, inodes %v", nbuf, names, inodes)
 	}
-	if paper.Pool == nil || paper.Pool.Frames() != 256 {
-		t.Error("paper machine: want a 256-page pool")
+	if paper.Pool.Frames() != 50 {
+		t.Errorf("paper machine: %d-page pool, want an eighth of 400 buffers", paper.Pool.Frames())
 	}
 	if got := paper.Disks[0].DevBlocks(); got != 8<<20/BlockSize*2+64 {
 		t.Errorf("paper machine: %d blocks per disk", got)
@@ -233,7 +234,44 @@ func TestMachineShapes(t *testing.T) {
 
 	srv := serverMachine()
 	nbuf, names, inodes = shape(t, srv, "/srv")
-	if nbuf != 400 || strings.Join(names, ",") != "ram" || inodes[0] != 64 || srv.Pool != nil {
-		t.Errorf("server machine: %d buffers, disks %v, inodes %v, pool %v", nbuf, names, inodes, srv.Pool)
+	if nbuf != 400 || strings.Join(names, ",") != "ram" || inodes[0] != 64 || srv.Pool.Frames() != 50 {
+		t.Errorf("server machine: %d buffers, disks %v, inodes %v, %d-page pool", nbuf, names, inodes, srv.Pool.Frames())
+	}
+}
+
+// TestServerMachineMapsPastItsPool: the server machine's Spec names no
+// page pool, yet it gets one, an eighth of its cache, and a file larger
+// than that pool maps and reads back, the clock evicting as it goes.
+func TestServerMachineMapsPastItsPool(t *testing.T) {
+	m := serverMachine()
+	defer m.Release()
+	npages := m.Pool.Frames() + 14
+	want := make([]byte, npages*BlockSize)
+	for i := range want {
+		want[i] = byte(i % 251)
+	}
+	got := make([]byte, len(want))
+	tr := m.K.StartTrace(nil)
+	m.K.Spawn("mapper", func(p *kernel.Proc) {
+		Must(m.Boot(p))
+		fd, err := p.Open("/srv/big", kernel.OCreat|kernel.ORdWr)
+		Must(err)
+		_, err = p.Write(fd, want)
+		Must(err)
+		addr, err := p.Mmap(fd, 0, int64(len(want)), kernel.ProtRead, kernel.MapShared)
+		Must(err)
+		Must(p.MemRead(addr, got))
+		Must(p.Munmap(addr))
+		Must(p.Close(fd))
+	})
+	Must(m.K.Run())
+	if !bytes.Equal(got, want) {
+		t.Error("a file larger than the pool reads back wrong through its mapping")
+	}
+	if faults := tr.Metrics().VMFaults; faults < int64(npages) {
+		t.Errorf("%d faults over %d pages", faults, npages)
+	}
+	if err := m.CheckDrained(); err != nil {
+		t.Error(err)
 	}
 }

@@ -81,13 +81,10 @@ func DefaultSetup(k DiskKind) Setup {
 // BlockSize is the filesystem and buffer-cache block size.
 const BlockSize = machine.BlockSize
 
-// The measured machine's memory: a 3.2MB buffer cache, and a 2MB page
-// pool for mmap'd file I/O — well under the 8MB working set, so the
-// clock pageout is exercised.
-const (
-	cacheBufs = 400
-	vmPages   = 256
-)
+// cacheBufs is the measured machine's memory: a 3.2MB buffer cache, an
+// eighth of which is the page pool for mmap'd file I/O (machine.New) —
+// well under the 8MB working set, so the clock pageout is exercised.
+const cacheBufs = 400
 
 // Machine is an experiment machine: two disks with a filesystem each,
 // mounted at /src and /dst by Boot (which must be called from the first
@@ -101,7 +98,7 @@ type Machine struct {
 // NewMachine builds and formats the machine (filesystems are created on
 // the raw media; mounting happens in Boot).
 func NewMachine(s Setup) *Machine {
-	spec := machine.Spec{Kernel: kernel.DefaultConfig(), CacheBufs: cacheBufs, VMPages: vmPages}
+	spec := machine.Spec{Kernel: kernel.DefaultConfig(), CacheBufs: cacheBufs}
 	spec.Kernel.Seed = s.Seed
 	spec.Kernel.MaxRunTime = 0
 	// Each disk holds the file plus slack. Mechanical disks use the

@@ -113,7 +113,7 @@ func TestShapeVMSweep(t *testing.T) {
 	if scp.busy >= mcp.busy {
 		t.Errorf("RAM scp CPU busy %v not below mcp %v", scp.busy, mcp.busy)
 	}
-	// The faults are the priced mechanism: 8MB through a 256-frame
+	// The faults are the priced mechanism: 8MB through a 50-frame
 	// pool must fault at least once per page of each file, read the
 	// source in — exactly that: an allocating write fault on the
 	// destination reads nothing — and page out the whole destination.

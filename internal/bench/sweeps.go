@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"kdp/internal/buf"
 	"kdp/internal/kernel"
 	"kdp/internal/sim"
 	"kdp/internal/socket"
@@ -35,7 +36,7 @@ var Sweeps = []Sweep{
 	{"layout", "Ablation G: FFS allocation layout (4MB file, RZ58)", sweepLayout},
 	{"server", "Server scalability (128 KB cached file, 10Mb Ethernet, concurrent test program)", sweepServer},
 	{"cache", "Ablation H: adaptive readahead (4MB file, RZ58, cold cache)", sweepCache},
-	{"vm", "Ablation I: mmap vs read vs splice (8MB file, cold cache, 256-frame page pool)", sweepVM},
+	{"vm", fmt.Sprintf("Ablation I: mmap vs read vs splice (8MB file, cold cache, %d-frame page pool)", buf.HoldBudget(cacheBufs)), sweepVM},
 	{"batch", "Ablation J: syscall aggregation (4MB file, RZ58, cold cache)", sweepBatch},
 }
 

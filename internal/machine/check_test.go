@@ -56,7 +56,7 @@ func (w *warm) chargeOnly(tb testing.TB, fn func()) {
 // goroutine.
 func onWarmMachine(tb testing.TB, port int, body func(w *warm)) {
 	tb.Helper()
-	s := machine.Spec{Kernel: kernel.DefaultConfig(), CacheBufs: 64, VMPages: 16}
+	s := machine.Spec{Kernel: kernel.DefaultConfig(), CacheBufs: 64}
 	s.Kernel.MaxRunTime = 60 * sim.Second
 	for i, name := range []string{"rza", "rzb"} {
 		p := disk.RZ58(256, machine.BlockSize)

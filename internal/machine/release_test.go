@@ -16,7 +16,7 @@ import (
 // checkSpec is simcheck's machine: a 64-buffer cache, 8 page frames, a
 // 600-block RZ58 and a 220-block RZ56, both running the elevator.
 func checkSpec() machine.Spec {
-	s := machine.Spec{Kernel: kernel.DefaultConfig(), CacheBufs: 64, VMPages: 8}
+	s := machine.Spec{Kernel: kernel.DefaultConfig(), CacheBufs: 64}
 	s.Kernel.MaxRunTime = 600 * sim.Second
 	for i, p := range []disk.Params{disk.RZ58(600, machine.BlockSize), disk.RZ56(220, machine.BlockSize)} {
 		p.Elevator = true
@@ -79,7 +79,7 @@ func firstNonZero(p []byte) int {
 // check by name, its devices and cache refuse service, and it cannot
 // be released again.
 func TestReleasedMachineIsDead(t *testing.T) {
-	m := machine.New(spec(8, "ram"))
+	m := machine.New(spec("ram"))
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestReleasedMachineIsDead(t *testing.T) {
 		}()
 	}
 	// With no disk to refuse first, the cache refuses the second Release.
-	bare := machine.New(spec(0))
+	bare := machine.New(spec())
 	bare.Release()
 	func() {
 		defer func() {
@@ -160,7 +160,7 @@ func TestRebuiltMachineAllocatesNoVolumeMemory(t *testing.T) {
 // recycler's bound.
 func TestRecyclerConcurrent(t *testing.T) {
 	sim.TakeSlabs()
-	small := spec(4, "a", "b")
+	small := spec("a", "b")
 	large := checkSpec()
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {

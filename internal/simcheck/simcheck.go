@@ -57,7 +57,10 @@ import (
 
 // Machine geometry. Small on purpose: a 64-buffer cache and a nearly
 // full second disk reach eviction, reclaim and ENOSPC paths that a
-// roomy machine never exercises.
+// roomy machine never exercises. The cache's eighth is an 8-frame page
+// pool, smaller than a single mapped file (files reach 80KB, ten
+// pages), so every mmap op runs the clock pageout and reclaim paths,
+// not just demand paging.
 const (
 	blockSize  = mach.BlockSize
 	cacheBufs  = 64
@@ -65,10 +68,6 @@ const (
 	d1Blocks   = 220 // tight volume, RZ56 (ENOSPC under load)
 	ninodes    = 64
 	slotsPerWk = 4
-	// vmFrames keeps the page pool smaller than a single mapped file
-	// (files reach 80KB, ten pages), so every mmap op runs the clock
-	// pageout and reclaim paths, not just demand paging.
-	vmFrames = 8
 )
 
 // Config selects one harness run.
@@ -261,7 +260,7 @@ func firstLogDiff(a, b []string) string {
 // pick path that keeps clustered delayed-write runs contiguous at the
 // platter is fuzzed alongside everything else.
 func checkMachine(seed uint64) *mach.Machine {
-	spec := mach.Spec{Kernel: kernel.DefaultConfig(), CacheBufs: cacheBufs, VMPages: vmFrames}
+	spec := mach.Spec{Kernel: kernel.DefaultConfig(), CacheBufs: cacheBufs}
 	spec.Kernel.Name = fmt.Sprintf("simcheck-%d", seed)
 	spec.Kernel.Seed = seed
 	spec.Kernel.MaxRunTime = 600 * sim.Second // watchdog: fuzz runs finish in simulated seconds

@@ -26,13 +26,13 @@ import (
 
 const stale = 0xA5
 
-// staleVolume builds a one-disk machine mounted at /v and runs body on
-// it after filling the volume with a file of 0xA5 bytes, fsyncing and
+// staleVolume builds a one-disk machine of cacheBufs buffers (and so
+// of a pool an eighth that size) mounted at /v and runs body on it after filling the volume with a file of 0xA5 bytes, fsyncing and
 // unlinking it: the blocks return to the bitmap un-zeroed, and their
 // buffers stay in the cache.
-func staleVolume(t *testing.T, frames int, body func(m *machine.Machine, p *kernel.Proc)) *machine.Machine {
+func staleVolume(t *testing.T, cacheBufs int, body func(m *machine.Machine, p *kernel.Proc)) *machine.Machine {
 	t.Helper()
-	spec := machine.Spec{Kernel: kernel.DefaultConfig(), CacheBufs: 32, VMPages: frames,
+	spec := machine.Spec{Kernel: kernel.DefaultConfig(), CacheBufs: cacheBufs,
 		Disks: []machine.DiskSpec{{Mount: "/v", Params: disk.RAMDisk(96, machine.BlockSize), Inodes: 16}}}
 	spec.Kernel.MaxRunTime = 600 * sim.Second
 	m := machine.New(spec)
@@ -129,7 +129,7 @@ func checkFile(t *testing.T, how string, got []byte, npages int, pages ...int) {
 }
 
 func TestFreshBlockNeverDurableStale(t *testing.T) {
-	staleVolume(t, 8, func(m *machine.Machine, p *kernel.Proc) {
+	staleVolume(t, 64, func(m *machine.Machine, p *kernel.Proc) {
 		fd, addr := mapFresh(t, p)
 		if err := p.Msync(addr); err != nil {
 			t.Fatalf("msync: %v", err)
@@ -151,7 +151,7 @@ func TestFreshBlockNeverDurableStale(t *testing.T) {
 }
 
 func TestFreshBlockEvictedAndRefaulted(t *testing.T) {
-	m := staleVolume(t, 2, func(m *machine.Machine, p *kernel.Proc) {
+	m := staleVolume(t, 16, func(m *machine.Machine, p *kernel.Proc) {
 		_, addr := mapFresh(t, p)
 		// Two frames, four pages: loading pages 1 and 3 makes the clock
 		// evict 0 and 2, starting their writes, and they fault back in.
@@ -169,7 +169,7 @@ func TestFreshBlockEvictedAndRefaulted(t *testing.T) {
 }
 
 func TestFreshBlockUnmappedWithoutMsync(t *testing.T) {
-	staleVolume(t, 8, func(m *machine.Machine, p *kernel.Proc) {
+	staleVolume(t, 64, func(m *machine.Machine, p *kernel.Proc) {
 		_, addr := mapFresh(t, p)
 		if err := p.Munmap(addr); err != nil {
 			t.Fatalf("munmap: %v", err)
@@ -188,7 +188,7 @@ func TestFreshBlockUnmappedWithoutMsync(t *testing.T) {
 // on the platter, for whoever reads it after a crash.
 func TestFreshPageBornDirty(t *testing.T) {
 	var faulted, synced int // wait channels
-	m := staleVolume(t, 8, func(m *machine.Machine, p *kernel.Proc) {
+	m := staleVolume(t, 64, func(m *machine.Machine, p *kernel.Proc) {
 		_, addr := mapNew(t, p, 1)
 		m.K.Spawn("syncer", func(q *kernel.Proc) {
 			_ = q.Sleep(&faulted, kernel.PSLEP)
@@ -232,7 +232,7 @@ func TestFreshPageBornDirty(t *testing.T) {
 // follows must give it one rather than dirty a page that has nowhere to
 // go.
 func TestStoreToResidentHoleGetsABlock(t *testing.T) {
-	staleVolume(t, 8, func(m *machine.Machine, p *kernel.Proc) {
+	staleVolume(t, 64, func(m *machine.Machine, p *kernel.Proc) {
 		_, addr := mapNew(t, p, 1)
 		if err := p.MemRead(addr, make([]byte, 8)); err != nil {
 			t.Fatalf("load: %v", err)
@@ -274,7 +274,7 @@ func (w *blockWrites) Emit(ev trace.Event) {
 // zero-filled twin precedes it.
 func TestMappedCopyWritesEachBlockOnce(t *testing.T) {
 	const npages = 16
-	spec := machine.Spec{Kernel: kernel.DefaultConfig(), CacheBufs: 128, VMPages: 64}
+	spec := machine.Spec{Kernel: kernel.DefaultConfig(), CacheBufs: 512} // a 64-frame pool
 	spec.Kernel.MaxRunTime = 600 * sim.Second
 	for _, d := range []struct{ mount, name string }{{"/a", "ram-a"}, {"/b", "ram-b"}} {
 		dp := disk.RAMDisk(128, machine.BlockSize)
@@ -320,7 +320,7 @@ func TestMappedCopyWritesEachBlockOnce(t *testing.T) {
 // block, and the block it is given reaches the platter once — msync
 // writes it, and neither the unmap nor a sync after it writes it again.
 func TestWriteFaultReadsNothingWritesOnce(t *testing.T) {
-	staleVolume(t, 8, func(m *machine.Machine, p *kernel.Proc) {
+	staleVolume(t, 64, func(m *machine.Machine, p *kernel.Proc) {
 		_, addr := mapNew(t, p, 1)
 		rec := &blockWrites{dev: m.Disks[0].DevName(), writes: map[int64]int{}}
 		tr := m.K.StartTrace(rec)
@@ -368,7 +368,7 @@ func blockOf(t *testing.T, p *kernel.Proc, fd int, lblk int64) int64 {
 // a store through a shared mapping is read()'s data before any msync or
 // unmap, and a write() to a resident page is the mapping's next load.
 func TestMappedStoresAndWritesAreCoherent(t *testing.T) {
-	staleVolume(t, 8, func(m *machine.Machine, p *kernel.Proc) {
+	staleVolume(t, 64, func(m *machine.Machine, p *kernel.Proc) {
 		fd, addr := mapNew(t, p, 2)
 		if err := p.MemWrite(addr+storeOff, stored); err != nil {
 			t.Fatalf("store: %v", err)
@@ -405,7 +405,7 @@ func TestMappedStoresAndWritesAreCoherent(t *testing.T) {
 // dirty page starts its block's write at once — the disk.write comes
 // before any msync, unmap or sync.
 func TestEvictionStartsTheWrite(t *testing.T) {
-	staleVolume(t, 2, func(m *machine.Machine, p *kernel.Proc) {
+	staleVolume(t, 16, func(m *machine.Machine, p *kernel.Proc) {
 		fd, addr := mapNew(t, p, 3)
 		if err := p.MemWrite(addr+storeOff, stored); err != nil {
 			t.Fatalf("store: %v", err)
@@ -431,7 +431,7 @@ func TestEvictionStartsTheWrite(t *testing.T) {
 // TestFilePageIsTheBuffer: a resident file page's memory is the very
 // array of its block's cache buffer — one copy, not two.
 func TestFilePageIsTheBuffer(t *testing.T) {
-	staleVolume(t, 8, func(m *machine.Machine, p *kernel.Proc) {
+	staleVolume(t, 64, func(m *machine.Machine, p *kernel.Proc) {
 		writeFile(t, p, "/v/one", pattern(bsize, 5))
 		fd, err := p.Open("/v/one", kernel.ORdOnly)
 		if err != nil {
@@ -462,7 +462,7 @@ func TestFilePageIsTheBuffer(t *testing.T) {
 // return the spliced bytes, and the platter does too.
 func TestSpliceIntoMappedBlock(t *testing.T) {
 	spliced := pattern(bsize, 9)
-	staleVolume(t, 8, func(m *machine.Machine, p *kernel.Proc) {
+	staleVolume(t, 64, func(m *machine.Machine, p *kernel.Proc) {
 		writeFile(t, p, "/v/dst", pattern(bsize, 1))
 		writeFile(t, p, "/v/src", spliced)
 		fd, err := p.Open("/v/dst", kernel.ORdOnly)
@@ -524,7 +524,7 @@ func TestSpliceStagesIntoMappedBlock(t *testing.T) {
 	const n = 1000 // < storeOff
 	old, spliced := pattern(bsize, 1), pattern(n, 9)
 	want := append(append([]byte{}, spliced...), old[n:]...)
-	staleVolume(t, 8, func(m *machine.Machine, p *kernel.Proc) {
+	staleVolume(t, 64, func(m *machine.Machine, p *kernel.Proc) {
 		dev.NewPipe(m.K, "/dev/pipe", 2*bsize)
 		writeFile(t, p, "/v/dst", old)
 		fd, err := p.Open("/v/dst", kernel.ORdWr)

@@ -16,7 +16,7 @@ import (
 // own tests cannot.
 func TestMachineCheckReachesThePool(t *testing.T) {
 	m := machine.New(machine.Spec{
-		Kernel: kernel.DefaultConfig(), CacheBufs: 32, VMPages: 8,
+		Kernel: kernel.DefaultConfig(), CacheBufs: 32,
 		Disks: []machine.DiskSpec{{Mount: "/d0", Params: disk.RAMDisk(64, machine.BlockSize), Inodes: 64}},
 	})
 	if err := m.CheckInvariants(); err != nil {

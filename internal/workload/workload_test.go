@@ -12,12 +12,12 @@ import (
 )
 
 // rig is a machine with two 8MB disks of one model, mounted at /a and
-// /b, and a 64-page pool.
+// /b, and a 400-buffer cache (so a 50-page pool).
 type rig struct{ *machine.Machine }
 
 func newRig(t *testing.T, mk func(int64, int) disk.Params) *rig {
 	t.Helper()
-	spec := machine.Spec{Kernel: kernel.DefaultConfig(), CacheBufs: 400, VMPages: 64}
+	spec := machine.Spec{Kernel: kernel.DefaultConfig(), CacheBufs: 400}
 	spec.Kernel.MaxRunTime = 3600 * sim.Second
 	for i, mount := range []string{"/a", "/b"} {
 		dp := mk(1024, 8192)

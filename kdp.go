@@ -181,12 +181,6 @@ type Config struct {
 	Seed uint64
 	// MaxRunTime aborts runaway simulations; zero means unlimited.
 	MaxRunTime Duration
-	// VMPages caps the pages resident for mmap'd file I/O, in
-	// block-size pages (default 256 = 2MB; negative disables the VM
-	// subsystem, making Mmap fail as a kernel built without VM would).
-	// A resident file page is a cache buffer, so New panics unless it
-	// is below the cache's buffer count.
-	VMPages int
 }
 
 // BlockSize is the filesystem and buffer-cache block size.
@@ -211,13 +205,6 @@ func New(cfg Config) *Machine {
 		cacheMB = 3.2
 	}
 	spec.CacheBufs = int(cacheMB * 1024 * 1024 / BlockSize)
-
-	switch {
-	case cfg.VMPages == 0:
-		spec.VMPages = 256
-	case cfg.VMPages > 0:
-		spec.VMPages = cfg.VMPages
-	}
 
 	for i, d := range cfg.Disks {
 		mb := d.MB
@@ -276,8 +263,8 @@ func (m *Machine) Disk(i int) *disk.Disk { return m.m.Disks[i] }
 // FS returns the filesystem mounted from the i'th disk.
 func (m *Machine) FS(i int) *fs.FS { return m.m.FSs[i] }
 
-// VMPool exposes the machine's page pool (nil when Config.VMPages is
-// negative).
+// VMPool exposes the machine's page pool, which keeps an eighth of the
+// cache's buffers resident as mapped file pages (buf.HoldBudget).
 func (m *Machine) VMPool() *vm.Pool { return m.m.Pool }
 
 // ColdCaches flushes and invalidates every cached disk block, giving
