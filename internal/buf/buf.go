@@ -85,7 +85,7 @@ type Buf struct {
 	// BCall is set.
 	Iodone func(k *kernel.Kernel, b *Buf)
 
-	// SpliceDesc links the buffer to its splice descriptor.
+	// SpliceDesc is the splice descriptor holding the buffer, if any.
 	SpliceDesc any
 	// SpliceLblk is the logical block number within the spliced file.
 	SpliceLblk int64

@@ -353,7 +353,7 @@ func (s *stage) writeChunk(data []byte) {
 				d.armRetry()
 				return
 			}
-			s.hdr, s.fill = hdr, 0
+			s.hdr, s.fill, hdr.SpliceDesc = hdr, 0, d
 		}
 		n := copy(s.hdr.Data[s.fill:], data)
 		d.k.StealCPU(d.k.Config().BcopyCost(n)) // mbuf → cache buffer
