@@ -33,10 +33,11 @@ race:
 # timer cost the host; internal/sim, internal/socket and internal/vm hold
 # BenchmarkScheduleRun, BenchmarkDatagram and BenchmarkPageFaultWarm: an
 # event, a datagram end to end and a fault in a full pool (each 0 allocs,
-# docs/ARCHITECTURE.md "Who owns which memory").
+# docs/ARCHITECTURE.md "Who owns which memory"); internal/simcheck holds
+# BenchmarkSeed/1-8: what one 60-op seed costs, machine included.
 bench:
 	$(GO) test -run '^$$' -bench=. -benchmem ./internal/bench/ ./internal/machine/ ./internal/stream/ ./internal/kernel/ \
-		./internal/sim/ ./internal/socket/ ./internal/vm/
+		./internal/sim/ ./internal/socket/ ./internal/vm/ ./internal/simcheck/
 
 tables:
 	$(GO) run ./cmd/kdpbench

@@ -55,7 +55,7 @@ func (m *machine) doCrash(p *kernel.Proc, o *op) {
 func (m *machine) postCrashOracle() {
 	for _, of := range m.oracle {
 		if of.syncedOK {
-			of.data = append([]byte(nil), of.synced...)
+			of.data = append(of.data[:0], of.synced...)
 			of.tainted = false
 		} else {
 			of.tainted = true
@@ -84,7 +84,7 @@ func (m *machine) verifyDurable(p *kernel.Proc, o *op) {
 			p.Close(fd)
 			continue
 		}
-		got := make([]byte, len(of.data)+1)
+		got := m.ioBuf(o.worker, len(of.data)+1)
 		n, rerr := p.Read(fd, got)
 		p.Close(fd)
 		if rerr != nil {

@@ -140,7 +140,7 @@ func TestOracleMatchesByteLoops(t *testing.T) {
 		for _, off := range []int64{0, 1, 250, 255, 256, 8191, 1<<20 - 3} {
 			for _, pat := range []byte{0, 0x5a, 0xff} {
 				want := bytePattern(n, off, pat)
-				if got := pattern(n, off, pat); string(got) != string(want) {
+				if got := pattern(make([]byte, n), off, pat); string(got) != string(want) {
 					t.Fatalf("pattern(%d, %d, %#x) differs from the byte loop", n, off, pat)
 				}
 			}

@@ -138,6 +138,9 @@ type machine struct {
 
 	oracle map[string]*ofile
 	log    []string
+	// bufs holds each worker's I/O buffer (ioBuf), by worker index;
+	// finalVerify, which runs after the workers, uses worker 0's.
+	bufs [][]byte
 
 	// Structured tracing runs on every harness machine: the checker
 	// validates stream invariants (nondecreasing time, matched syscall
@@ -283,6 +286,7 @@ func execute(cfg Config, ops []*op) *Result {
 		cfg:         cfg,
 		Machine:     checkMachine(cfg.Seed),
 		oracle:      make(map[string]*ofile),
+		bufs:        make([][]byte, cfg.Workers),
 		blockFaults: make(map[[2]int64]*kernel.FaultArm),
 	}
 	defer m.Release() // the Result below holds nothing of the volumes
@@ -537,7 +541,7 @@ func (m *machine) finalVerify(p *kernel.Proc) {
 			m.violate("oracle-exists", "final open %s: %v (oracle has %d bytes)", path, err, len(of.data))
 			return
 		}
-		got := make([]byte, len(of.data)+1)
+		got := m.ioBuf(0, len(of.data)+1)
 		n, err := p.Read(fd, got)
 		p.Close(fd)
 		if err != nil {

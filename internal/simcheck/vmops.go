@@ -33,7 +33,7 @@ func fetchMmap(m *machine, p *kernel.Proc, fd int, o *op) ([]byte, string, error
 		m.violate("mmap-read", "mmap %s: %v", o.path(), merr)
 		return nil, "", nil
 	}
-	got := make([]byte, size)
+	got := m.ioBuf(o.worker, int(size))
 	rerr := p.MemRead(addr, got)
 	uerr := p.Munmap(addr)
 	if rerr != nil {
