@@ -55,7 +55,7 @@ func (m *machine) doCrash(p *kernel.Proc, o *op) {
 func (m *machine) postCrashOracle() {
 	for _, of := range m.oracle {
 		if of.syncedOK {
-			of.data = append(of.data[:0], of.synced...)
+			of.data = of.synced.share()
 			of.tainted = false
 		} else {
 			of.tainted = true
@@ -84,20 +84,20 @@ func (m *machine) verifyDurable(p *kernel.Proc, o *op) {
 			p.Close(fd)
 			continue
 		}
-		got := m.ioBuf(o.worker, len(of.data)+1)
+		got := m.ioBuf(o.worker, of.data.size+1)
 		n, rerr := p.Read(fd, got)
 		p.Close(fd)
 		if rerr != nil {
 			m.violate("crash-content", "read %s after recovery: %v", path, rerr)
 			return
 		}
-		if n != len(of.data) {
-			m.violate("crash-size", "%s has %d bytes after recovery, fsync promised %d", path, n, len(of.data))
+		if n != of.data.size {
+			m.violate("crash-size", "%s has %d bytes after recovery, fsync promised %d", path, n, of.data.size)
 			return
 		}
-		if i := firstDiff(got[:n], of.data); i >= 0 {
+		if i := of.data.diff(0, got[:n]); i >= 0 {
 			m.violate("crash-content", "%s differs at byte %d after recovery: disk %#02x, fsync promised %#02x",
-				path, i, got[i], of.data[i])
+				path, i, got[i], of.data.span(i)[0])
 			return
 		}
 		synced++

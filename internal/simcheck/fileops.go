@@ -96,7 +96,7 @@ func (m *machine) openChecked(p *kernel.Proc, o *op) (of *ofile, fd int, ok bool
 // knows the file exists, otherwise the expected outcome.
 func (m *machine) absent(o *op, of *ofile, err error) {
 	if of != nil && !of.tainted && m.checkable(o.disk) {
-		m.violate("oracle-exists", "%s: %v, but oracle has %d bytes", o.path(), err, len(of.data))
+		m.violate("oracle-exists", "%s: %v, but oracle has %d bytes", o.path(), err, of.data.size)
 		return
 	}
 	m.opLog(o, "absent")
@@ -109,29 +109,22 @@ func (m *machine) verifyRange(o *op, of *ofile, got []byte, whole bool, note str
 		m.opLog(o, "n=%d (unchecked)", len(got))
 		return
 	}
-	var off int64
-	want := of.data
+	off, want := 0, of.data.size
 	if !whole {
-		off, want = o.off, nil
-		if off < int64(len(of.data)) {
-			want = of.data[off:]
-			if len(want) > o.size {
-				want = want[:o.size]
-			}
-		}
+		off, want = int(o.off), min(max(of.data.size-int(o.off), 0), o.size)
 	}
-	if len(got) != len(want) {
+	if len(got) != want {
 		m.violate("oracle-size", "%s %s off=%d returned %d bytes, oracle expects %d",
-			o.row.name, o.path(), off, len(got), len(want))
+			o.row.name, o.path(), off, len(got), want)
 		return
 	}
 	if len(got) == 0 && !whole {
 		m.opLog(o, "ok n=0 (past eof)")
 		return
 	}
-	if i := firstDiff(got, want); i >= 0 {
+	if i := of.data.diff(off, got); i >= 0 {
 		m.violate("oracle-content", "%s %s differs at byte %d: got %#02x, oracle %#02x",
-			o.row.name, o.path(), off+int64(i), got[i], want[i])
+			o.row.name, o.path(), off+i, got[i], of.data.span(off + i)[0])
 		return
 	}
 	m.opLog(o, "ok n=%d%s", len(got), note)
@@ -165,7 +158,7 @@ func fetchSeq(m *machine, p *kernel.Proc, fd int, o *op) ([]byte, string, error)
 	chunk := 1 + o.size/4
 	size := 0
 	if of := m.oracle[o.path()]; of != nil {
-		size = len(of.data)
+		size = of.data.size
 	}
 	got := m.ioBuf(o.worker, size+chunk)[:0]
 	for {
@@ -322,7 +315,7 @@ func rangeWrite(store storeFunc) opFunc {
 			m.opLog(o, "%v", err)
 			return
 		}
-		of.apply(o.off, data)
+		of.data.write(int(o.off), data)
 		if durable {
 			of.markDurable()
 		}
@@ -330,22 +323,13 @@ func rangeWrite(store storeFunc) opFunc {
 	}
 }
 
-// apply folds a completed store of data at off into the model,
-// zero-filling any gap past the old end of file.
-func (of *ofile) apply(off int64, data []byte) {
-	end := off + int64(len(data))
-	if int64(len(of.data)) < end {
-		of.data = append(of.data, make([]byte, end-int64(len(of.data)))...)
-	}
-	copy(of.data[off:end], data)
-}
-
 // markDurable is the contract under test: a successful sync makes this
 // exact content durable, surviving any later crash byte-exact. A
-// tainted file has no known content to promise.
+// tainted file has no known content to promise. The snapshot shares the
+// content's blocks: the next store copies the ones it touches.
 func (of *ofile) markDurable() {
 	if !of.tainted {
-		of.synced = append(of.synced[:0], of.data...)
+		of.synced = of.data.share()
 		of.syncedOK = true
 	}
 }

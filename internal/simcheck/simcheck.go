@@ -43,6 +43,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -174,14 +175,105 @@ type machine struct {
 // ordered-metadata discipline writes inode then dirent synchronously);
 // synced/syncedOK snapshot the content at the last successful fsync,
 // valid until the next modification. After a crash the oracle collapses
-// to this durable view (see postCrashOracle).
+// to this durable view (see postCrashOracle). The snapshot shares data's
+// blocks, and the restore shares the snapshot's.
 type ofile struct {
-	data    []byte
+	data    image
 	tainted bool
 
 	created  bool
-	synced   []byte
+	synced   image
 	syncedOK bool
+}
+
+// image is a file's bytes as the oracle holds them: a length and the
+// blockSize blocks under it. A nil block, or one past the end of
+// blocks, reads as zeros, and so does every byte past size, so a gap a
+// store leaves past end of file costs nothing. Images share blocks
+// (share, adopt); a store copies a block it does not own before its
+// first write to it, so no image ever sees another's stores.
+type image struct {
+	size   int
+	blocks [][]byte
+	// mine[i] says blocks[i] is this image's alone. It is nil while the
+	// blocks slice itself is shared, and then nothing is.
+	mine []bool
+}
+
+// zeroBlock is what a nil block reads as. Nothing writes it.
+var zeroBlock [blockSize]byte
+
+// share returns a second image of im's bytes on the same blocks. From
+// here on neither writes a block of the other's in place.
+func (im *image) share() image {
+	im.mine = nil
+	return image{size: im.size, blocks: im.blocks}
+}
+
+// adopt returns an image of p that takes p's memory over as its
+// blocks, so the caller must not write p again. p's capacity must reach
+// the end of its last block; adopt zeroes what lies there past len(p).
+func adopt(p []byte) image {
+	n := len(p)
+	p = p[:(n+blockSize-1)/blockSize*blockSize]
+	clear(p[n:])
+	im := image{size: n, blocks: make([][]byte, len(p)/blockSize)}
+	for i := range im.blocks {
+		im.blocks[i] = p[i*blockSize : (i+1)*blockSize : (i+1)*blockSize]
+	}
+	im.mine = slices.Repeat([]bool{true}, len(im.blocks))
+	return im
+}
+
+// write stores p at off, allocating or copying only the blocks it
+// touches, and extends size to cover it.
+func (im *image) write(off int, p []byte) {
+	end := off + len(p)
+	nb := max(len(im.blocks), (end+blockSize-1)/blockSize)
+	switch {
+	case im.mine == nil:
+		blocks := make([][]byte, nb)
+		copy(blocks, im.blocks)
+		im.blocks, im.mine = blocks, make([]bool, nb)
+	case nb > len(im.blocks):
+		im.blocks = append(im.blocks, make([][]byte, nb-len(im.blocks))...)
+		im.mine = append(im.mine, make([]bool, nb-len(im.mine))...)
+	}
+	for len(p) > 0 {
+		i := off / blockSize
+		if !im.mine[i] {
+			b := make([]byte, blockSize)
+			copy(b, im.blocks[i])
+			im.blocks[i], im.mine[i] = b, true
+		}
+		n := copy(im.blocks[i][off%blockSize:], p)
+		off, p = off+n, p[n:]
+	}
+	im.size = max(im.size, end)
+}
+
+// span returns the image's bytes from off to the end of the block that
+// holds off: the one place a reader of an image finds its bytes.
+func (im *image) span(off int) []byte {
+	i, o := off/blockSize, off%blockSize
+	if i < len(im.blocks) && im.blocks[i] != nil {
+		return im.blocks[i][o:]
+	}
+	return zeroBlock[o:]
+}
+
+// diff returns the index of the first byte of got that differs from the
+// image's bytes at off, -1 if none does.
+func (im *image) diff(off int, got []byte) int {
+	for i := 0; i < len(got); {
+		b := im.span(off + i)
+		b = b[:min(len(b), len(got)-i)]
+		if j := firstDiff(got[i:i+len(b)], b); j >= 0 {
+			return i + j
+		}
+		i += len(b)
+	}
+	return -1
 }
 
 // normalize resolves cfg's defaults and the single-worker rules, so
@@ -538,10 +630,10 @@ func (m *machine) finalVerify(p *kernel.Proc) {
 				m.logf("verify %s skipped: open failed after mid-verify fault (%v)", path, err)
 				continue
 			}
-			m.violate("oracle-exists", "final open %s: %v (oracle has %d bytes)", path, err, len(of.data))
+			m.violate("oracle-exists", "final open %s: %v (oracle has %d bytes)", path, err, of.data.size)
 			return
 		}
-		got := m.ioBuf(0, len(of.data)+1)
+		got := m.ioBuf(0, of.data.size+1)
 		n, err := p.Read(fd, got)
 		p.Close(fd)
 		if err != nil {
@@ -552,12 +644,12 @@ func (m *machine) finalVerify(p *kernel.Proc) {
 			m.violate("final-read", "%s: %v", path, err)
 			return
 		}
-		if n != len(of.data) {
-			m.violate("oracle-size", "%s has %d bytes, oracle expects %d", path, n, len(of.data))
+		if n != of.data.size {
+			m.violate("oracle-size", "%s has %d bytes, oracle expects %d", path, n, of.data.size)
 			return
 		}
-		if i := firstDiff(got[:n], of.data); i >= 0 {
-			m.violate("oracle-content", "%s differs at byte %d: disk %#02x, oracle %#02x", path, i, got[i], of.data[i])
+		if i := of.data.diff(0, got[:n]); i >= 0 {
+			m.violate("oracle-content", "%s differs at byte %d: disk %#02x, oracle %#02x", path, i, got[i], of.data.span(i)[0])
 			return
 		}
 		m.logf("verify %s ok (%d bytes)", path, n)

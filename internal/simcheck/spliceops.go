@@ -83,7 +83,7 @@ func (m *machine) doSpliceFile(p *kernel.Proc, o *op) {
 	case serr != nil:
 		// Interrupted or failed: the destination prefix is whatever
 		// drained before the stop — but nothing foreign.
-		if srcKnown && !odo.tainted && !m.checkNoStale(p, dst, oso.data, odo.data) {
+		if srcKnown && !odo.tainted && !m.checkNoStale(p, dst, &oso.data, &odo.data) {
 			return
 		}
 		odo.tainted = true
@@ -94,16 +94,19 @@ func (m *machine) doSpliceFile(p *kernel.Proc, o *op) {
 		}
 		m.opLog(o, "moved=%d (src unchecked, dst tainted)", n)
 	default:
-		if n != int64(len(oso.data)) && m.checkable(o.disk2) {
-			m.violate("oracle-splice", "%s -> %s moved %d bytes, oracle expects %d", src, dst, n, len(oso.data))
+		if n != int64(oso.data.size) && m.checkable(o.disk2) {
+			m.violate("oracle-splice", "%s -> %s moved %d bytes, oracle expects %d", src, dst, n, oso.data.size)
 			return
 		}
-		// Splice overwrites the prefix; a longer destination keeps its
-		// tail (Extend never shrinks).
-		if int64(len(odo.data)) < n {
-			odo.data = append(odo.data, make([]byte, n-int64(len(odo.data)))...)
+		// Splice overwrites the prefix, block by block; a longer
+		// destination keeps its tail (Extend never shrinks).
+		for off := 0; off < min(int(n), oso.data.size); {
+			b := oso.data.span(off)
+			b = b[:min(len(b), oso.data.size-off)]
+			odo.data.write(off, b)
+			off += len(b)
 		}
-		copy(odo.data[:n], oso.data)
+		odo.data.size = max(odo.data.size, int(n))
 		m.opLog(o, "ok moved=%d", n)
 	}
 }
@@ -115,7 +118,7 @@ func (m *machine) doSpliceFile(p *kernel.Proc, o *op) {
 // the transfer allocated and did not write would otherwise surface its
 // previous owner's data. It reports false after raising the violation;
 // a faulted volume, or a read-back that itself fails, is not judged.
-func (m *machine) checkNoStale(p *kernel.Proc, path string, fresh, prev []byte) bool {
+func (m *machine) checkNoStale(p *kernel.Proc, path string, fresh, prev *image) bool {
 	d := diskOf(path)
 	if !m.checkable(d) {
 		return true
@@ -124,19 +127,24 @@ func (m *machine) checkNoStale(p *kernel.Proc, path string, fresh, prev []byte) 
 	if err != nil {
 		return true
 	}
-	got := make([]byte, max(len(fresh), len(prev))+blockSize+1)
+	got := make([]byte, max(fresh.size, prev.size)+blockSize+1)
 	n, err := p.Read(fd, got)
 	p.Close(fd)
 	if err != nil || !m.checkable(d) {
 		return true
 	}
-	for i, b := range got[:n] {
-		if b == 0 || i < len(fresh) && b == fresh[i] || i < len(prev) && b == prev[i] {
-			continue
+	// Past its size an image reads as zero, which the rule allows anyway.
+	for i := 0; i < n; {
+		f, q := fresh.span(i), prev.span(i)
+		for j, b := range got[i:min(n, i+len(f))] {
+			if b == 0 || b == f[j] || b == q[j] {
+				continue
+			}
+			m.violate("oracle-stale", "%s byte %d (block %d) is %#02x after a short splice: not the payload's, the file's previous, or zero",
+				path, i+j, (i+j)/blockSize, b)
+			return false
 		}
-		m.violate("oracle-stale", "%s byte %d (block %d) is %#02x after a short splice: not the payload's, the file's previous, or zero",
-			path, i, i/blockSize, b)
-		return false
+		i += len(f)
 	}
 	return true
 }
@@ -220,8 +228,8 @@ func (m *machine) checkDrained(o *op, sink string, moved, n int64, serr error, g
 	case moved != n || int64(len(got)) != n:
 		m.violate("oracle-drain", "%s -> %s moved %d, drained %d, want %d", src, sink, moved, len(got), n)
 	default:
-		if i := firstDiff(got, of.data[:n]); i >= 0 {
-			m.violate("oracle-drain-content", "%s -> %s differs at byte %d: got %#02x, oracle %#02x", src, sink, i, got[i], of.data[i])
+		if i := of.data.diff(0, got); i >= 0 {
+			m.violate("oracle-drain-content", "%s -> %s differs at byte %d: got %#02x, oracle %#02x", src, sink, i, got[i], of.data.span(i)[0])
 			return
 		}
 		m.opLog(o, "ok moved=%d", moved)
@@ -294,8 +302,9 @@ func (m *machine) doPipeSplice(p *kernel.Proc, o *op) {
 	pfd := p.InstallFile(pipe, kernel.ORdOnly)
 
 	// The feeder is not awaited, so it writes bytes of its own: the ones
-	// the oracle keeps once the splice has moved them all.
-	want := pattern(make([]byte, o.size), 0, o.pat)
+	// the oracle adopts as the file's blocks once the splice has moved
+	// them all, its capacity rounded up to a block so none is copied.
+	want := pattern(make([]byte, o.size, (o.size+blockSize-1)/blockSize*blockSize), 0, o.pat)
 	m.K.Spawn(fmt.Sprintf("feed%d", o.idx), func(wp *kernel.Proc) {
 		wfd := wp.InstallFile(pipe, kernel.OWrOnly)
 		wp.Write(wfd, want)
@@ -308,16 +317,17 @@ func (m *machine) doPipeSplice(p *kernel.Proc, o *op) {
 	of := m.ensure(dst)
 	of.created = true
 	of.syncedOK = false
+	img := adopt(want)
 	if serr != nil || moved != n {
 		// The file was truncated at open, so it held nothing before.
-		if !m.checkNoStale(p, dst, want, nil) {
+		if !m.checkNoStale(p, dst, &img, &image{}) {
 			return
 		}
 		of.tainted = true
 		m.opLog(o, "moved=%d err=%v (tainted)", moved, serr)
 		return
 	}
-	of.data = want
+	of.data = img
 	of.tainted = false
 	m.opLog(o, "ok moved=%d", moved)
 }
