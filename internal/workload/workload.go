@@ -6,8 +6,6 @@
 package workload
 
 import (
-	"encoding/binary"
-
 	"kdp/internal/buf"
 	"kdp/internal/kernel"
 	"kdp/internal/sim"
@@ -33,24 +31,16 @@ func MakeFile(p *kernel.Proc, path string, n int64, seed byte) error {
 	if err != nil {
 		return err
 	}
-	// Byte v of the file is byte(v>>8) ^ byte(v)*5 ^ seed: one fixed
-	// 256-byte row (the byte(v)*5 term) XORed with a constant per row,
-	// so the row is built once and folded in eight bytes at a time.
-	const chunk, rowLen = 8192, 256
-	var row [rowLen / 8]uint64
-	for l := 0; l < rowLen; l++ {
-		row[l/8] |= uint64(byte(l)*5) << (8 * (l % 8))
+	// Byte v of the file is byte(v>>8) ^ byte(v)*5 ^ seed, which repeats
+	// every 64 KB, a multiple of the write size: the period is built
+	// once and each write is a slice of it.
+	const chunk, period = 8192, 1 << 16
+	pat := make([]byte, min(n, period))
+	for v := range pat {
+		pat[v] = byte(v>>8) ^ byte(v)*5 ^ seed
 	}
-	buf := make([]byte, chunk)
 	for off := int64(0); off < n && err == nil; off += chunk {
-		m := min(chunk, n-off)
-		for r := int64(0); r < m; r += rowLen {
-			k := uint64(byte((off+r)>>8)^seed) * 0x0101010101010101
-			for w, pat := range row {
-				binary.LittleEndian.PutUint64(buf[r+int64(w)*8:], pat^k)
-			}
-		}
-		_, err = p.Write(fd, buf[:m])
+		_, err = p.Write(fd, pat[off%period:][:min(chunk, n-off)])
 	}
 	if err == nil {
 		err = p.Fsync(fd)

@@ -54,9 +54,9 @@ func TestMakeFileDeterministicContents(t *testing.T) {
 		if sz, _ := p.FileSize(fd); sz != 100000 {
 			t.Fatalf("size = %d", sz)
 		}
-		// The whole file, so the row-at-a-time fill is held to the
-		// per-byte definition across row and chunk boundaries and in the
-		// ragged tail.
+		// The whole file, so the writes cut from one 64 KB period are held
+		// to the per-byte definition across chunk boundaries, past the
+		// period's end and in the ragged tail.
 		buf := make([]byte, 100000)
 		if n, err := p.Read(fd, buf); err != nil || n != len(buf) {
 			t.Fatalf("read = (%d, %v)", n, err)
