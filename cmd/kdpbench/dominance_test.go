@@ -1,0 +1,217 @@
+package main
+
+import (
+	"fmt"
+	"os"
+	"regexp"
+	"strconv"
+	"strings"
+	"testing"
+	"time"
+
+	"kdp/internal/kernel"
+)
+
+// The paper's dominance claims as checked relations (ROADMAP item
+// 8(c)): on every sweeps.golden row that prints cp and scp, scp moves at
+// least as many KB/s, keeps the CPU busy for less time, and leaves the
+// test program at least as much of it. They read the golden, so they
+// cost no simulation.
+
+// relation is one claim, keyed by the name of the column it reads: a
+// row-per-mode table's own column ("KB/s"), or a side-by-side table's
+// with its "SCP " and "CP " prefixes cut ("environment" is -series's
+// per-window share of the CPU the test program got, its availability).
+type relation struct {
+	name  string
+	holds func(cp, scp float64) bool
+	says  string
+}
+
+var relations = map[string]relation{
+	"KB/s":        {"perf-scp-kbs", func(cp, scp float64) bool { return scp >= cp }, "scp moves fewer KB/s than cp"},
+	"CPU busy":    {"perf-scp-cpu", func(cp, scp float64) bool { return scp < cp }, "scp keeps the CPU busy no less than cp"},
+	"Avail":       {"perf-scp-avail", func(cp, scp float64) bool { return scp >= cp }, "scp leaves less of the CPU available than cp"},
+	"environment": {"perf-scp-avail", func(cp, scp float64) bool { return scp >= cp }, "scp leaves less of the CPU available than cp"},
+}
+
+// A column name is words joined by single spaces; columns are at least
+// two spaces apart.
+var (
+	columnRE = regexp.MustCompile(`\S+(?: \S+)*`)
+	fieldRE  = regexp.MustCompile(`\S+`)
+)
+
+type column struct {
+	name       string
+	start, end int
+}
+
+// cell returns the field of line that overlaps col, whose header is
+// left- or right-aligned with it, or "".
+func cell(line string, col column) string {
+	for _, f := range fieldRE.FindAllStringIndex(line, -1) {
+		if f[0] < col.end && f[1] > col.start {
+			return line[f[0]:f[1]]
+		}
+	}
+	return ""
+}
+
+// value reads a cell as a number: a duration in seconds, a percentage
+// without its sign, or a plain count.
+func value(s string) (float64, error) {
+	if d, err := time.ParseDuration(s); err == nil {
+		return d.Seconds(), nil
+	}
+	return strconv.ParseFloat(strings.TrimSuffix(s, "%"), 64)
+}
+
+// dominance checks every relation on every cp/scp pair in golden, the
+// text of sweeps.golden, and returns how many pairs each relation
+// checked and the first one broken, as a kernel.Violation. A table with
+// a Mode column pairs its cp and scp rows by the cells left of Mode; a
+// table with "SCP x" and "CP x" columns pairs them within each row. A
+// blank line ends a table.
+func dominance(golden string) (map[string]int, error) {
+	checked := map[string]int{}
+	var cols []column
+	mode := -1
+	cps := map[string][]string{} // a row-per-mode table's cp rows, by key
+	for n, line := range strings.Split(golden, "\n") {
+		at := fmt.Sprintf("sweeps.golden:%d", n+1)
+		var head []column
+		isHead := false
+		for _, ix := range columnRE.FindAllStringIndex(line, -1) {
+			c := column{line[ix[0]:ix[1]], ix[0], ix[1]}
+			head = append(head, c)
+			isHead = isHead || c.name == "Mode" || strings.HasPrefix(c.name, "SCP ")
+		}
+		switch {
+		case strings.TrimSpace(line) == "" || strings.HasPrefix(line, "== "):
+			cols = nil
+			continue
+		case isHead:
+			cols, mode = head, -1
+			clear(cps)
+			for i, c := range cols {
+				if c.name == "Mode" {
+					mode = i
+				}
+			}
+			continue
+		case cols == nil:
+			continue
+		}
+		check := func(base, cpCell, scpCell string) error {
+			r, ok := relations[base]
+			if !ok {
+				return nil
+			}
+			cp, err1 := value(cpCell)
+			scp, err2 := value(scpCell)
+			if err1 != nil || err2 != nil {
+				return fmt.Errorf("%s: %s column: cp %q, scp %q: not numbers", at, base, cpCell, scpCell)
+			}
+			checked[r.name]++
+			if !r.holds(cp, scp) {
+				return kernel.Violation(r.name, "%s: %s: cp %s, scp %s (%s)", at, r.says, cpCell, scpCell, strings.Join(strings.Fields(line), " "))
+			}
+			return nil
+		}
+		if mode < 0 {
+			for _, s := range cols {
+				base, ok := strings.CutPrefix(s.name, "SCP ")
+				if !ok {
+					continue
+				}
+				for _, c := range cols {
+					if c.name == "CP "+base {
+						if err := check(base, cell(line, c), cell(line, s)); err != nil {
+							return checked, err
+						}
+					}
+				}
+			}
+			continue
+		}
+		key := strings.Join(strings.Fields(line[:min(len(line), cols[mode].start)]), " ")
+		cells := make([]string, len(cols))
+		for i, c := range cols {
+			cells[i] = cell(line, c)
+		}
+		switch cells[mode] {
+		case "cp":
+			cps[key] = cells
+		case "scp":
+			cp, ok := cps[key]
+			if !ok {
+				return checked, fmt.Errorf("%s: an scp row with no cp row before it", at)
+			}
+			for i, c := range cols {
+				if err := check(c.name, cp[i], cells[i]); err != nil {
+					return checked, err
+				}
+			}
+		}
+	}
+	return checked, nil
+}
+
+// TestDominance holds today's sweeps.golden to the three relations. The
+// counts are the pairs each must find, so a golden whose layout drifts
+// away from the parser fails here instead of passing unread: KB/s on
+// Ablations D (15 rows), G (3), I (3) and J (1) and the server sweep
+// (4), busy CPU on I and J, availability on the server sweep and
+// -series's 30 windows.
+func TestDominance(t *testing.T) {
+	golden, err := os.ReadFile("testdata/sweeps.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked, err := dominance(string(golden))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int{"perf-scp-kbs": 26, "perf-scp-cpu": 4, "perf-scp-avail": 34}
+	for name, n := range want {
+		if checked[name] != n {
+			t.Errorf("%s checked %d cp/scp pairs, want %d", name, checked[name], n)
+		}
+	}
+}
+
+// TestDominanceTrips plants one broken relation of each kind in a copy
+// of the golden: the check must name it. It also holds docs/CHECKING.md
+// to the names, which TestInvariantCatalog does not read in test code.
+func TestDominanceTrips(t *testing.T) {
+	golden, err := os.ReadFile("testdata/sweeps.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := os.ReadFile("../../docs/CHECKING.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ name, row, planted string }{
+		// Ablation D: RZ58 at 8 MB, scp slower than cp.
+		{"perf-scp-kbs", "RZ58          8            919            783", "RZ58          8            719            783"},
+		// Ablation I: RZ58 scp as busy as cp.
+		{"perf-scp-cpu", "RZ58   scp            919        1.95s", "RZ58   scp            919        5.70s"},
+		// The server sweep: 8 clients, scp's availability under cp's.
+		{"perf-scp-avail", "8        scp           335      87.2%", "8        scp           335      67.2%"},
+		// -series: one RZ56 window where the test program got less under scp.
+		{"perf-scp-avail", "7           62% ############             98% ####################", "7           62% ############             60% ############"},
+	} {
+		if strings.Count(string(golden), tc.row) != 1 {
+			t.Fatalf("sweeps.golden holds %q %d times, want once", tc.row, strings.Count(string(golden), tc.row))
+		}
+		_, err := dominance(strings.Replace(string(golden), tc.row, tc.planted, 1))
+		if got := kernel.ViolationName(err); got != tc.name {
+			t.Errorf("planted %q: got %v, want %s", tc.planted, err, tc.name)
+		}
+		if !strings.Contains(string(doc), "`"+tc.name+"`") {
+			t.Errorf("docs/CHECKING.md does not list %s", tc.name)
+		}
+	}
+}
