@@ -14,10 +14,10 @@ import (
 func (r *rig) readDinodeRaw(ino uint32) dinode {
 	sb := superRaw(r)
 	raw := make([]byte, sb.BlockSize)
-	per := int(sb.BlockSize) / InodeSize
-	r.d.ReadRaw(int64(sb.ITableStart)+int64(int(ino)/per), raw)
+	blk, off := sb.inodeBlock(ino)
+	r.d.ReadRaw(blk, raw)
 	var di dinode
-	di.decode(raw[(int(ino)%per)*InodeSize:])
+	di.decode(raw[off:])
 	return di
 }
 
@@ -25,10 +25,9 @@ func (r *rig) readDinodeRaw(ino uint32) dinode {
 func (r *rig) writeDinodeRaw(ino uint32, di dinode) {
 	sb := superRaw(r)
 	raw := make([]byte, sb.BlockSize)
-	per := int(sb.BlockSize) / InodeSize
-	blk := int64(sb.ITableStart) + int64(int(ino)/per)
+	blk, off := sb.inodeBlock(ino)
 	r.d.ReadRaw(blk, raw)
-	di.encode(raw[(int(ino)%per)*InodeSize:])
+	di.encode(raw[off:])
 	r.d.WriteRaw(blk, raw)
 }
 
@@ -195,7 +194,7 @@ func TestFsckRepairMatrix(t *testing.T) {
 			r.run(t, func(p *kernel.Proc, f *FS) {
 				ctx := p.Ctx()
 				damageBase(t, r, ctx, f)
-				tc.corrupt(t, r)
+				tc.corrupt(t, r, ctx, f)
 
 				rep, err := FsckRepair(ctx, r.c, r.d)
 				if err != nil {
@@ -264,10 +263,10 @@ func TestFsckRepairIdempotent(t *testing.T) {
 		// orphan inode, a spurious bitmap bit, and skewed superblock
 		// counters.
 		di := r.readDinodeRaw(inoA)
-		di.Nlink = 9
-		di.Direct[1] = superRaw(r).TotalBlocks + 4
+		di.nlink = 9
+		di.direct[1] = superRaw(r).TotalBlocks + 4
 		r.writeDinodeRaw(inoA, di)
-		r.writeDinodeRaw(20, dinode{Mode: ModeFile, Nlink: 1, Size: 0})
+		r.writeDinodeRaw(20, dinode{mode: ModeFile, nlink: 1, size: 0})
 		sb := superRaw(r)
 		r.flipBitmapRaw(sb.TotalBlocks-2, true)
 		sb.FreeBlocks += 5

@@ -18,6 +18,8 @@ const (
 	inoSub = 4
 	inoC   = 5
 	inoBig = 6
+	// inoDeep is /deep, which deepBase adds.
+	inoDeep = 7
 )
 
 // damageBase builds the volume every damage case starts from: /a and /b
@@ -53,21 +55,59 @@ func damageBase(t *testing.T, r *rig, ctx kernel.Ctx, f *FS) {
 	}
 }
 
+// deepBase writes /deep on a mounted volume, syncs and empties the
+// cache: a sparse file whose two blocks sit under its double-indirect
+// block, one in each of the first two indirect blocks it points to, so
+// its pointer tree is three levels deep in five blocks.
+func deepBase(t *testing.T, r *rig, ctx kernel.Ctx, f *FS) {
+	t.Helper()
+	fl, err := f.OpenFile(ctx, "/deep", kernel.OCreat|kernel.ORdWr)
+	if err != nil {
+		t.Fatalf("create /deep: %v", err)
+	}
+	ppb := int64(testBlockSize / 4)
+	for _, lblk := range []int64{NDirect + ppb, NDirect + 2*ppb + 1} {
+		if _, err := fl.Write(ctx, pattern(testBlockSize, 9), lblk*testBlockSize); err != nil {
+			t.Fatalf("write /deep block %d: %v", lblk, err)
+		}
+	}
+	if err := fl.Close(ctx); err != nil {
+		t.Fatalf("close /deep: %v", err)
+	}
+	if err := f.SyncAll(ctx); err != nil {
+		t.Fatalf("syncall: %v", err)
+	}
+	if err := r.c.InvalidateDev(ctx, r.d); err != nil {
+		t.Fatalf("invalidate: %v", err)
+	}
+}
+
+// ptrRaw returns entry i of pointer block blk, off the media.
+func (r *rig) ptrRaw(blk uint32, i int) uint32 {
+	raw := make([]byte, testBlockSize)
+	r.d.ReadRaw(int64(blk), raw)
+	return binary.LittleEndian.Uint32(raw[4*i:])
+}
+
+// setPtrRaw stores p in entry i of pointer block blk, on the media.
+func (r *rig) setPtrRaw(blk uint32, i int, p uint32) {
+	raw := make([]byte, testBlockSize)
+	r.d.ReadRaw(int64(blk), raw)
+	binary.LittleEndian.PutUint32(raw[4*i:], p)
+	r.d.WriteRaw(int64(blk), raw)
+}
+
 // setIndirRaw stores p in entry i of inode ino's indirect block, on the
 // media.
 func (r *rig) setIndirRaw(ino uint32, i int, p uint32) {
-	raw := make([]byte, testBlockSize)
-	blk := int64(r.readDinodeRaw(ino).Indir)
-	r.d.ReadRaw(blk, raw)
-	binary.LittleEndian.PutUint32(raw[4*i:], p)
-	r.d.WriteRaw(blk, raw)
+	r.setPtrRaw(r.readDinodeRaw(ino).indir, i, p)
 }
 
 // editDirentRaw applies edit to the entry naming ino in directory dir's
 // first block, on the media.
 func (r *rig) editDirentRaw(dir, ino uint32, edit func(p []byte)) {
 	raw := make([]byte, testBlockSize)
-	blk := int64(r.readDinodeRaw(dir).Direct[0])
+	blk := int64(r.readDinodeRaw(dir).direct[0])
 	r.d.ReadRaw(blk, raw)
 	for off := 0; off < testBlockSize; off += DirentSize {
 		if binary.LittleEndian.Uint32(raw[off:]) == ino {
@@ -83,48 +123,48 @@ func (r *rig) editDirentRaw(dir, ino uint32, edit func(p []byte)) {
 var damageCases = []struct {
 	name         string
 	wantProblems bool
-	corrupt      func(t *testing.T, r *rig)
+	corrupt      func(t *testing.T, r *rig, ctx kernel.Ctx, f *FS)
 }{
-	{"bad-pointer", true, func(t *testing.T, r *rig) {
+	{"bad-pointer", true, func(t *testing.T, r *rig, ctx kernel.Ctx, f *FS) {
 		di := r.readDinodeRaw(inoA)
-		di.Direct[0] = superRaw(r).TotalBlocks + 5
+		di.direct[0] = superRaw(r).TotalBlocks + 5
 		r.writeDinodeRaw(inoA, di)
 	}},
-	{"crosslink", true, func(t *testing.T, r *rig) {
+	{"crosslink", true, func(t *testing.T, r *rig, ctx kernel.Ctx, f *FS) {
 		a, b := r.readDinodeRaw(inoA), r.readDinodeRaw(inoB)
-		b.Direct[0] = a.Direct[0]
+		b.direct[0] = a.direct[0]
 		r.writeDinodeRaw(inoB, b)
 	}},
-	{"orphan-inode", true, func(t *testing.T, r *rig) {
-		r.writeDinodeRaw(20, dinode{Mode: ModeFile, Nlink: 1, Size: 0})
+	{"orphan-inode", true, func(t *testing.T, r *rig, ctx kernel.Ctx, f *FS) {
+		r.writeDinodeRaw(20, dinode{mode: ModeFile, nlink: 1, size: 0})
 	}},
-	{"torn-dir-size", true, func(t *testing.T, r *rig) {
+	{"torn-dir-size", true, func(t *testing.T, r *rig, ctx kernel.Ctx, f *FS) {
 		di := r.readDinodeRaw(RootIno)
-		di.Size += 13
+		di.size += 13
 		r.writeDinodeRaw(RootIno, di)
 	}},
-	{"bad-nlink", true, func(t *testing.T, r *rig) {
+	{"bad-nlink", true, func(t *testing.T, r *rig, ctx kernel.Ctx, f *FS) {
 		di := r.readDinodeRaw(inoA)
-		di.Nlink = 7
+		di.nlink = 7
 		r.writeDinodeRaw(inoA, di)
 	}},
-	{"bad-mode", true, func(t *testing.T, r *rig) {
+	{"bad-mode", true, func(t *testing.T, r *rig, ctx kernel.Ctx, f *FS) {
 		di := r.readDinodeRaw(inoB)
-		di.Mode = 0x1234
+		di.mode = 0x1234
 		r.writeDinodeRaw(inoB, di)
 	}},
-	{"negative-size", true, func(t *testing.T, r *rig) {
+	{"negative-size", true, func(t *testing.T, r *rig, ctx kernel.Ctx, f *FS) {
 		di := r.readDinodeRaw(inoC)
-		di.Size = -5
+		di.size = -5
 		r.writeDinodeRaw(inoC, di)
 	}},
-	{"bitmap-both-ways", true, func(t *testing.T, r *rig) {
+	{"bitmap-both-ways", true, func(t *testing.T, r *rig, ctx kernel.Ctx, f *FS) {
 		sb := superRaw(r)
 		r.flipBitmapRaw(sb.TotalBlocks-3, true) // spurious in-use
 		di := r.readDinodeRaw(inoA)
-		r.flipBitmapRaw(di.Direct[0], false) // used block marked free
+		r.flipBitmapRaw(di.direct[0], false) // used block marked free
 	}},
-	{"sb-counts", true, func(t *testing.T, r *rig) {
+	{"sb-counts", true, func(t *testing.T, r *rig, ctx kernel.Ctx, f *FS) {
 		sb := superRaw(r)
 		sb.FreeBlocks += 17
 		sb.FreeInodes--
@@ -133,47 +173,47 @@ var damageCases = []struct {
 		sb.encode(raw)
 		r.d.WriteRaw(0, raw)
 	}},
-	{"dangling-dirent", true, func(t *testing.T, r *rig) {
+	{"dangling-dirent", true, func(t *testing.T, r *rig, ctx kernel.Ctx, f *FS) {
 		r.writeDinodeRaw(inoA, dinode{})
 	}},
-	{"empty-name", true, func(t *testing.T, r *rig) {
+	{"empty-name", true, func(t *testing.T, r *rig, ctx kernel.Ctx, f *FS) {
 		r.editDirentRaw(RootIno, inoSub, func(p []byte) {
 			binary.LittleEndian.PutUint16(p[4:], 0)
 		})
 	}},
-	{"indirect-out-of-range", true, func(t *testing.T, r *rig) {
+	{"indirect-out-of-range", true, func(t *testing.T, r *rig, ctx kernel.Ctx, f *FS) {
 		r.setIndirRaw(inoBig, 1, superRaw(r).TotalBlocks+7)
 	}},
-	{"indirect-crosslink", true, func(t *testing.T, r *rig) {
-		r.setIndirRaw(inoBig, 0, r.readDinodeRaw(inoC).Direct[0])
+	{"indirect-crosslink", true, func(t *testing.T, r *rig, ctx kernel.Ctx, f *FS) {
+		r.setIndirRaw(inoBig, 0, r.readDinodeRaw(inoC).direct[0])
 	}},
-	{"shared-indirect", true, func(t *testing.T, r *rig) {
+	{"shared-indirect", true, func(t *testing.T, r *rig, ctx kernel.Ctx, f *FS) {
 		b := r.readDinodeRaw(inoB)
-		b.Indir = r.readDinodeRaw(inoBig).Indir
+		b.indir = r.readDinodeRaw(inoBig).indir
 		r.writeDinodeRaw(inoB, b)
 	}},
-	{"unreadable-indirect", true, func(t *testing.T, r *rig) {
+	{"unreadable-indirect", true, func(t *testing.T, r *rig, ctx kernel.Ctx, f *FS) {
 		// Two failed reads: one for Fsck, one for the FsckRepair after it.
-		indir := int64(r.readDinodeRaw(inoBig).Indir)
+		indir := int64(r.readDinodeRaw(inoBig).indir)
 		r.k.Faults().Arm(kernel.FaultArm{Site: r.d.ReadSite(), Every: 1, Match: indir, Count: 2, Quiet: true})
 	}},
-	{"orphan-with-indirect", true, func(t *testing.T, r *rig) {
+	{"orphan-with-indirect", true, func(t *testing.T, r *rig, ctx kernel.Ctx, f *FS) {
 		r.editDirentRaw(RootIno, inoBig, func(p []byte) { clear(p) })
 	}},
-	{"orphan-subtree", true, func(t *testing.T, r *rig) {
+	{"orphan-subtree", true, func(t *testing.T, r *rig, ctx kernel.Ctx, f *FS) {
 		r.editDirentRaw(RootIno, inoSub, func(p []byte) { clear(p) })
 	}},
-	{"root-not-dir", true, func(t *testing.T, r *rig) {
+	{"root-not-dir", true, func(t *testing.T, r *rig, ctx kernel.Ctx, f *FS) {
 		di := r.readDinodeRaw(RootIno)
-		di.Mode = ModeFile
+		di.mode = ModeFile
 		r.writeDinodeRaw(RootIno, di)
 	}},
-	{"dir-pointer-off-device", true, func(t *testing.T, r *rig) {
+	{"dir-pointer-off-device", true, func(t *testing.T, r *rig, ctx kernel.Ctx, f *FS) {
 		di := r.readDinodeRaw(inoSub)
-		di.Direct[0] = superRaw(r).TotalBlocks + 5
+		di.direct[0] = superRaw(r).TotalBlocks + 5
 		r.writeDinodeRaw(inoSub, di)
 	}},
-	{"total-blocks-past-device", true, func(t *testing.T, r *rig) {
+	{"total-blocks-past-device", true, func(t *testing.T, r *rig, ctx kernel.Ctx, f *FS) {
 		// Far enough that a bitmap walk trusting it leaves the device:
 		// 512 blocks of 65 536 bits each map only 1<<25 blocks.
 		sb := superRaw(r)
@@ -183,7 +223,17 @@ var damageCases = []struct {
 		sb.encode(raw)
 		r.d.WriteRaw(0, raw)
 	}},
-	{"clean-volume", false, func(t *testing.T, r *rig) {}},
+	{"double-indirect-out-of-range", true, func(t *testing.T, r *rig, ctx kernel.Ctx, f *FS) {
+		// One bad entry at each level under the double-indirect block:
+		// an indirect pointer in it, a data pointer in the indirect
+		// block its first entry names.
+		deepBase(t, r, ctx, f)
+		end := superRaw(r).TotalBlocks
+		dind := r.readDinodeRaw(inoDeep).dindir
+		r.setPtrRaw(dind, 2, end+9)
+		r.setPtrRaw(r.ptrRaw(dind, 0), 5, end+11)
+	}},
+	{"clean-volume", false, func(t *testing.T, r *rig, ctx kernel.Ctx, f *FS) {}},
 }
 
 // reportText renders every field of a report, one problem a line.
@@ -204,7 +254,9 @@ func reportText(rep *FsckReport) string {
 // checkers that made one cache lookup per inode, directory entry and
 // bitmap bit; reading each metadata block once must not change a word.
 // The two off-device cases, which panicked Fsck until it stopped reading
-// at the device's end, are pinned from the first checker to survive them.
+// at the device's end, are pinned from the first checker to survive them;
+// the double-indirect case from the separate fsck, repair and truncate
+// walkers that walkTree replaced.
 func TestFsckReportsPinned(t *testing.T) {
 	for _, tc := range damageCases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -213,7 +265,7 @@ func TestFsckReportsPinned(t *testing.T) {
 			r.run(t, func(p *kernel.Proc, f *FS) {
 				ctx := p.Ctx()
 				damageBase(t, r, ctx, f)
-				tc.corrupt(t, r)
+				tc.corrupt(t, r, ctx, f)
 				chk, err := Fsck(ctx, r.c, r.d)
 				if err != nil {
 					t.Fatalf("fsck: %v", err)
@@ -439,6 +491,13 @@ superblock: claims 67108864 blocks, device has 512
 repair: inodes=6 dirs=2 files=4 used=22 repaired=1
 superblock: claims 67108864 blocks, device has 512
 `,
+	"double-indirect-out-of-range": `fsck: inodes=7 dirs=2 files=5 used=27 repaired=0
+inode 7: data block 523 outside data region
+inode 7: indirect block 521 outside data region
+repair: inodes=7 dirs=2 files=5 used=27 repaired=2
+inode 7: data block 523 outside data region (cleared)
+inode 7: indirect block 521 outside data region (cleared)
+`,
 	"clean-volume": `fsck: inodes=6 dirs=2 files=4 used=22 repaired=0
 repair: inodes=6 dirs=2 files=4 used=22 repaired=0
 `,
@@ -447,19 +506,30 @@ repair: inodes=6 dirs=2 files=4 used=22 repaired=0
 // metaBlocks counts, off the media, the distinct blocks a check of the
 // volume reads through the cache: the superblock, the bitmap blocks
 // mapping the data region, the inode-table blocks holding inodes 1 and
-// up, every directory block and every indirect block (the volumes here
-// have no double-indirect one). dirBlocks is the directory share.
+// up, every directory block and every pointer block, double-indirect
+// blocks and the indirect blocks under them included. dirBlocks is the
+// directory share.
 func metaBlocks(r *rig) (all, dirBlocks int) {
 	sb := superRaw(r)
 	bits, per := sb.BlockSize*8, sb.BlockSize/InodeSize
 	all = 1 + int((sb.TotalBlocks-1)/bits-sb.DataStart/bits+1) + int((sb.NInodes-1)/per-1/per+1)
 	for ino := uint32(1); ino < sb.NInodes; ino++ {
 		di := r.readDinodeRaw(ino)
-		if di.Indir != 0 {
+		if di.indir != 0 {
 			all++
 		}
-		for i, p := range di.Direct {
-			if di.Mode == ModeDir && p != 0 && int64(i)*int64(sb.BlockSize) < di.Size {
+		if di.dindir != 0 {
+			all++
+			raw := make([]byte, sb.BlockSize)
+			r.d.ReadRaw(int64(di.dindir), raw)
+			for i := 0; i < len(raw); i += 4 {
+				if binary.LittleEndian.Uint32(raw[i:]) != 0 {
+					all++
+				}
+			}
+		}
+		for i, p := range di.direct {
+			if di.mode == ModeDir && p != 0 && int64(i)*int64(sb.BlockSize) < di.size {
 				dirBlocks++
 			}
 		}
@@ -477,6 +547,7 @@ func TestFsckReadsEachBlockOnce(t *testing.T) {
 	r.run(t, func(p *kernel.Proc, f *FS) {
 		ctx := p.Ctx()
 		damageBase(t, r, ctx, f)
+		deepBase(t, r, ctx, f)
 		want, dirBlocks := metaBlocks(r)
 		lookups := func(check func(kernel.Ctx, *buf.Cache, buf.Device) (*FsckReport, error)) int {
 			if err := r.c.InvalidateDev(ctx, r.d); err != nil {
@@ -501,12 +572,45 @@ func TestFsckReadsEachBlockOnce(t *testing.T) {
 		if err := r.c.InvalidateDev(ctx, r.d); err != nil {
 			t.Fatalf("invalidate: %v", err)
 		}
-		r.writeDinodeRaw(20, dinode{Mode: ModeFile, Nlink: 1})
+		r.writeDinodeRaw(20, dinode{mode: ModeFile, nlink: 1})
 		di := r.readDinodeRaw(inoA)
-		di.Nlink = 7
+		di.nlink = 7
 		r.writeDinodeRaw(inoA, di)
 		if n, bound := lookups(FsckRepair), want+dirBlocks+2; n > bound {
 			t.Errorf("repair of an orphan and a bad link count: %d lookups, want at most %d", n, bound)
+		}
+	})
+}
+
+// TestTruncateFreesDeepTree: truncating /deep gives back its data
+// blocks and every pointer block of its double-indirect tree, so the
+// superblock's free count returns to its value before the file was
+// written, and the volume stays clean.
+func TestTruncateFreesDeepTree(t *testing.T) {
+	r := newRig(t, 512)
+	r.run(t, func(p *kernel.Proc, f *FS) {
+		ctx := p.Ctx()
+		damageBase(t, r, ctx, f)
+		before := f.Super().FreeBlocks
+		deepBase(t, r, ctx, f)
+		if got := f.Super().FreeBlocks; got != before-5 {
+			t.Fatalf("/deep took %d blocks, want 5", before-got)
+		}
+		fl, err := f.OpenFile(ctx, "/deep", kernel.ORdWr|kernel.OTrunc)
+		if err != nil {
+			t.Fatalf("truncate /deep: %v", err)
+		}
+		if err := fl.Close(ctx); err != nil {
+			t.Fatalf("close /deep: %v", err)
+		}
+		if got := f.Super().FreeBlocks; got != before {
+			t.Errorf("free blocks %d after truncating /deep, %d before it was written", got, before)
+		}
+		if err := f.SyncAll(ctx); err != nil {
+			t.Fatalf("syncall: %v", err)
+		}
+		if rep, err := Fsck(ctx, r.c, r.d); err != nil || !rep.Clean() {
+			t.Errorf("fsck after truncate = %v, %v", rep, err)
 		}
 	})
 }

@@ -279,7 +279,7 @@ func (fl *File) syncInode(ctx kernel.Ctx) error {
 	// Include the inode-table block so the inode image itself (size,
 	// pointers — dirtied by this file or flushed lazily by an earlier
 	// close) is durable when fsync returns: that is the crash contract.
-	itblk, _ := fl.fs.itableBlock(ip.ino)
+	itblk, _ := fl.fs.sb.inodeBlock(ip.ino)
 	blknos = append(blknos, itblk)
 	_, err := fl.fs.cache.FlushBlocks(ctx, fl.fs.dev, blknos)
 	return err

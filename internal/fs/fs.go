@@ -1,6 +1,7 @@
 package fs
 
 import (
+	"encoding/binary"
 	"slices"
 	"sort"
 	"strings"
@@ -210,13 +211,6 @@ func (f *FS) freeBlock(ctx kernel.Ctx, blk uint32) error {
 
 // ---- inode table ----
 
-func (f *FS) inodesPerBlock() int { return int(f.sb.BlockSize) / InodeSize }
-
-func (f *FS) itableBlock(ino uint32) (blk int64, off int) {
-	per := f.inodesPerBlock()
-	return int64(f.sb.ITableStart) + int64(int(ino)/per), (int(ino) % per) * InodeSize
-}
-
 // iget returns the in-core inode for ino, reading it from the inode
 // table if necessary. The reference count is incremented; pair with
 // iput.
@@ -228,7 +222,7 @@ func (f *FS) iget(ctx kernel.Ctx, ino uint32) (*Inode, error) {
 		ip.refs++
 		return ip, nil
 	}
-	blk, off := f.itableBlock(ino)
+	blk, off := f.sb.inodeBlock(ino)
 	b, err := f.cache.Bread(ctx, f.dev, blk)
 	if err != nil {
 		return nil, err
@@ -242,16 +236,9 @@ func (f *FS) iget(ctx kernel.Ctx, ino uint32) (*Inode, error) {
 		ip.refs++
 		return ip, nil
 	}
-	var di dinode
-	di.decode(b.Data[off:])
+	ip := &Inode{fs: f, ino: ino, refs: 1}
+	ip.decode(b.Data[off:])
 	f.cache.Brelse(ctx, b)
-	ip := &Inode{
-		fs: f, ino: ino,
-		mode: di.Mode, nlink: di.Nlink, size: di.Size,
-		indir: di.Indir, dindir: di.DIndir,
-		refs: 1,
-	}
-	ip.direct = di.Direct
 	f.inodes[ino] = ip
 	f.live = append(f.live, ip)
 	return ip, nil
@@ -272,7 +259,7 @@ func (f *FS) iput(ctx kernel.Ctx, ip *Inode) error {
 		// with a block reallocated (and fsync'd) by another file.
 		ip.mode = ModeFree
 		ip.dirty = true
-		err = ip.truncate(ctx, 0)
+		err = ip.truncate(ctx)
 		f.sb.FreeInodes++
 		f.sbDirty = true
 	}
@@ -290,17 +277,9 @@ func (f *FS) iput(ctx kernel.Ctx, ip *Inode) error {
 
 // iupdate writes the inode back to the inode table (delayed write).
 func (f *FS) iupdate(ctx kernel.Ctx, ip *Inode) error {
-	blk, off := f.itableBlock(ip.ino)
-	b, err := f.cache.Bread(ctx, f.dev, blk)
-	if err != nil {
+	if err := writeDinode(ctx, f.cache, f.dev, &f.sb, ip.ino, &ip.dinode, false); err != nil {
 		return err
 	}
-	di := dinode{
-		Mode: ip.mode, Nlink: ip.nlink, Size: ip.size,
-		Direct: ip.direct, Indir: ip.indir, DIndir: ip.dindir,
-	}
-	di.encode(b.Data[off:])
-	f.cache.Bdwrite(ctx, b)
 	ip.dirty = false
 	return nil
 }
@@ -312,17 +291,7 @@ func (f *FS) iupdate(ctx kernel.Ctx, ip *Inode) error {
 // a crash at any instant leaves a volume the repairing fsck provably
 // converges on without touching any fsync'd file's content.
 func (f *FS) iupdateSync(ctx kernel.Ctx, ip *Inode) error {
-	blk, off := f.itableBlock(ip.ino)
-	b, err := f.cache.Bread(ctx, f.dev, blk)
-	if err != nil {
-		return err
-	}
-	di := dinode{
-		Mode: ip.mode, Nlink: ip.nlink, Size: ip.size,
-		Direct: ip.direct, Indir: ip.indir, DIndir: ip.dindir,
-	}
-	di.encode(b.Data[off:])
-	if err := f.cache.Bwrite(ctx, b); err != nil {
+	if err := writeDinode(ctx, f.cache, f.dev, &f.sb, ip.ino, &ip.dinode, true); err != nil {
 		return err
 	}
 	ip.dirty = false
@@ -349,7 +318,7 @@ func (f *FS) ialloc(ctx kernel.Ctx, mode uint16) (*Inode, error) {
 		if _, inCore := f.inodes[ino]; inCore {
 			continue
 		}
-		blk, off := f.itableBlock(ino)
+		blk, off := f.sb.inodeBlock(ino)
 		if b == nil || b.Blkno != blk {
 			if b != nil {
 				f.cache.Brelse(ctx, b)
@@ -359,20 +328,16 @@ func (f *FS) ialloc(ctx kernel.Ctx, mode uint16) (*Inode, error) {
 				return nil, err
 			}
 		}
-		var di dinode
-		di.decode(b.Data[off:])
-		if di.Mode != ModeFree {
+		if binary.LittleEndian.Uint16(b.Data[off:]) != ModeFree {
 			continue
 		}
-		di = dinode{Mode: mode, Nlink: 1}
-		di.encode(b.Data[off:])
+		ip := &Inode{fs: f, dinode: dinode{mode: mode, nlink: 1}, ino: ino, refs: 1}
 		// Ordered metadata: the initialized inode must be on the platter
 		// before the directory entry naming it can be written, so a
 		// crash never leaves a durable dirent pointing at a free inode.
-		if err := f.cache.Bwrite(ctx, b); err != nil {
+		if err := putDinode(ctx, f.cache, b, off, &ip.dinode, true); err != nil {
 			return nil, err
 		}
-		ip := &Inode{fs: f, ino: ino, mode: mode, nlink: 1, refs: 1}
 		f.inodes[ino] = ip
 		f.live = append(f.live, ip)
 		f.inoRotor = ino + 1
@@ -384,6 +349,30 @@ func (f *FS) ialloc(ctx kernel.Ctx, mode uint16) (*Inode, error) {
 		f.cache.Brelse(ctx, b)
 	}
 	return nil, kernel.ErrNoSpace
+}
+
+// writeDinode encodes di into inode ino's slot of the inode table and
+// writes the table block back: synchronously when sync is set (the
+// ordered-metadata writes), otherwise delayed (the repair pass flushes
+// everything at its end).
+func writeDinode(ctx kernel.Ctx, cache *buf.Cache, dev buf.Device, sb *Superblock, ino uint32, di *dinode, sync bool) error {
+	blk, off := sb.inodeBlock(ino)
+	b, err := cache.Bread(ctx, dev, blk)
+	if err != nil {
+		return err
+	}
+	return putDinode(ctx, cache, b, off, di, sync)
+}
+
+// putDinode is writeDinode on a table block the caller already holds,
+// as ialloc's scan does.
+func putDinode(ctx kernel.Ctx, cache *buf.Cache, b *buf.Buf, off int, di *dinode, sync bool) error {
+	di.encode(b.Data[off:])
+	if sync {
+		return cache.Bwrite(ctx, b)
+	}
+	cache.Bdwrite(ctx, b)
+	return nil
 }
 
 // ---- path resolution ----
@@ -597,7 +586,7 @@ func (f *FS) OpenFile(ctx kernel.Ctx, path string, flags int) (kernel.FileOps, e
 	}
 	if flags&kernel.OTrunc != 0 && ip.mode == ModeFile {
 		ip.lock(ctx)
-		err = ip.truncate(ctx, 0)
+		err = ip.truncate(ctx)
 		ip.unlock()
 		if err != nil {
 			_ = f.iput(ctx, ip)

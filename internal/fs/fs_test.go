@@ -603,9 +603,9 @@ func TestDinodeEncodeDecodeProperty(t *testing.T) {
 		if size < 0 {
 			size = -size
 		}
-		in := dinode{Mode: mode, Nlink: nlink, Size: size, Indir: ind, DIndir: dind}
-		in.Direct[0] = d0
-		in.Direct[11] = d11
+		in := dinode{mode: mode, nlink: nlink, size: size, indir: ind, dindir: dind}
+		in.direct[0] = d0
+		in.direct[11] = d11
 		blk := make([]byte, InodeSize)
 		in.encode(blk)
 		var out dinode

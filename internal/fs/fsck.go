@@ -73,9 +73,6 @@ func Fsck(ctx kernel.Ctx, cache *buf.Cache, dev buf.Device) (*FsckReport, error)
 	links := map[uint32]int{}   // inode → directory references
 	allocated := map[uint32]*dinode{}
 	checkRef := func(ino, pblk uint32, what string) {
-		if pblk == 0 {
-			return
-		}
 		if pblk < sb.DataStart || pblk >= sb.TotalBlocks {
 			rep.problemf("inode %d: %s block %d outside data region", ino, what, pblk)
 			return
@@ -87,57 +84,29 @@ func Fsck(ctx kernel.Ctx, cache *buf.Cache, dev buf.Device) (*FsckReport, error)
 		refs[pblk] = ino
 		rep.UsedBlocks++
 	}
-	var walk func(ino, blk uint32, what string, depth int)
-	walk = func(ino, blk uint32, what string, depth int) {
-		if blk == 0 {
-			return
-		}
-		checkRef(ino, blk, what)
-		if blk < sb.DataStart || blk >= sb.TotalBlocks {
-			return
-		}
-		pb, err := cache.Bread(ctx, dev, int64(blk))
-		if err != nil {
-			rep.problemf("inode %d: unreadable %s block %d", ino, what, blk)
-			return
-		}
-		le := binary.LittleEndian
-		ppb := int(sb.BlockSize) / 4
-		entries := make([]uint32, 0, 16)
-		for i := 0; i < ppb; i++ {
-			if p := le.Uint32(pb.Data[i*4:]); p != 0 {
-				entries = append(entries, p)
-			}
-		}
-		cache.Brelse(ctx, pb)
-		for _, p := range entries {
-			if depth > 1 {
-				walk(ino, p, "indirect", depth-1)
-			} else {
-				checkRef(ino, p, "data")
-			}
-		}
-	}
 	err = walkInodes(ctx, cache, dev, &sb, func(ino uint32, di *dinode) error {
-		if di.Mode != ModeFile && di.Mode != ModeDir {
-			rep.problemf("inode %d: invalid mode %d", ino, di.Mode)
+		if di.mode != ModeFile && di.mode != ModeDir {
+			rep.problemf("inode %d: invalid mode %d", ino, di.mode)
 			return nil
 		}
 		allocated[ino] = di
 		rep.Inodes++
-		if di.Mode == ModeDir {
+		if di.mode == ModeDir {
 			rep.Dirs++
 		} else {
 			rep.Files++
 		}
-		if di.Size < 0 {
-			rep.problemf("inode %d: negative size %d", ino, di.Size)
+		if di.size < 0 {
+			rep.problemf("inode %d: negative size %d", ino, di.size)
 		}
-		for _, pblk := range di.Direct {
-			checkRef(ino, pblk, "direct")
-		}
-		walk(ino, di.Indir, "indirect", 1)
-		walk(ino, di.DIndir, "double-indirect", 2)
+		walkTree(ctx, cache, dev, &sb, di, func(blk uint32, what string, err error) bool {
+			if err != nil {
+				rep.problemf("inode %d: unreadable %s block %d", ino, what, blk)
+			} else {
+				checkRef(ino, blk, what)
+			}
+			return true
+		})
 		return nil
 	})
 	if err != nil {
@@ -148,7 +117,7 @@ func Fsck(ctx kernel.Ctx, cache *buf.Cache, dev buf.Device) (*FsckReport, error)
 	// the problem list is deterministic.
 	for _, ino := range sortedInos(allocated) {
 		di := allocated[ino]
-		if di.Mode != ModeDir {
+		if di.mode != ModeDir {
 			continue
 		}
 		err := walkDir(ctx, cache, dev, &sb, di, func(de dirent) bool {
@@ -172,8 +141,8 @@ func Fsck(ctx kernel.Ctx, cache *buf.Cache, dev buf.Device) (*FsckReport, error)
 		if ino == RootIno {
 			want++ // the root is referenced by convention, not a dirent
 		}
-		if int(di.Nlink) != want {
-			rep.problemf("inode %d: link count %d, referenced %d time(s)", ino, di.Nlink, want)
+		if int(di.nlink) != want {
+			rep.problemf("inode %d: link count %d, referenced %d time(s)", ino, di.nlink, want)
 		}
 	}
 
@@ -235,23 +204,26 @@ func (sb *Superblock) checkGeometry(dev buf.Device) error {
 // decoded from its block. The block is released before fn runs, so fn
 // may read and write anything through the cache, the table included.
 func walkInodes(ctx kernel.Ctx, cache *buf.Cache, dev buf.Device, sb *Superblock, fn func(ino uint32, di *dinode) error) error {
-	per := sb.BlockSize / InodeSize
-	batch := make([]*dinode, per)
+	batch := make([]*dinode, sb.BlockSize/InodeSize)
 	for ino := uint32(1); ino < sb.NInodes; {
-		first := ino - ino%per
-		b, err := cache.Bread(ctx, dev, int64(sb.ITableStart)+int64(first/per))
+		blk, _ := sb.inodeBlock(ino)
+		b, err := cache.Bread(ctx, dev, blk)
 		if err != nil {
 			return err
 		}
-		for ; ino < sb.NInodes && ino < first+per; ino++ {
-			p := b.Data[(ino-first)*InodeSize:]
-			if binary.LittleEndian.Uint16(p) != ModeFree {
+		first := ino
+		for ; ino < sb.NInodes; ino++ {
+			at, off := sb.inodeBlock(ino)
+			if at != blk {
+				break
+			}
+			if binary.LittleEndian.Uint16(b.Data[off:]) != ModeFree {
 				batch[ino-first] = new(dinode)
-				batch[ino-first].decode(p)
+				batch[ino-first].decode(b.Data[off:])
 			}
 		}
 		cache.Brelse(ctx, b)
-		for i, di := range batch {
+		for i, di := range batch[:ino-first] {
 			if di == nil {
 				continue
 			}
@@ -264,14 +236,69 @@ func walkInodes(ctx kernel.Ctx, cache *buf.Cache, dev buf.Device, sb *Superblock
 	return nil
 }
 
+// walkTree visits every nonzero block pointer of di depth first, in
+// pointer order, each pointer block before its entries: the direct
+// pointers, the indirect block and its data pointers, then the
+// double-indirect block, each indirect block it names and their data
+// pointers. what names the pointer in a report ("direct", "indirect",
+// "double-indirect" or "data"). visit returns whether to keep it: a
+// dropped pointer is zeroed, in di or in its pointer block, and nothing
+// under it is read. A kept pointer block inside the data region is read
+// and held while its entries are visited, then written back (delayed)
+// if one was dropped, else released; if the read fails, visit is asked
+// again with the error, and its answer stands. It is the one walk over
+// a whole tree, as fsck's ckinode and iblock are in 4.4BSD: Fsck's
+// visitor keeps and reports, FsckRepair's keeps what it can claim, and
+// truncate's collects.
+func walkTree(ctx kernel.Ctx, cache *buf.Cache, dev buf.Device, sb *Superblock, di *dinode, visit func(blk uint32, what string, err error) (keep bool)) {
+	le := binary.LittleEndian
+	var tree func(blk uint32, what string, level int) bool
+	tree = func(blk uint32, what string, level int) bool {
+		if !visit(blk, what, nil) {
+			return false
+		}
+		if level == 0 || blk < sb.DataStart || blk >= sb.TotalBlocks {
+			return true
+		}
+		b, err := cache.Bread(ctx, dev, int64(blk))
+		if err != nil {
+			return visit(blk, what, err)
+		}
+		entry := "data"
+		if level == 2 {
+			entry = "indirect"
+		}
+		dropped := false
+		for i := 0; i < int(sb.BlockSize); i += 4 {
+			if p := le.Uint32(b.Data[i:]); p != 0 && !tree(p, entry, level-1) {
+				le.PutUint32(b.Data[i:], 0)
+				dropped = true
+			}
+		}
+		if dropped {
+			cache.Bdwrite(ctx, b)
+		} else {
+			cache.Brelse(ctx, b)
+		}
+		return true
+	}
+	roots := [...]string{"direct", "indirect", "double-indirect"} // by level
+	for i := int64(0); i < NDirect+2; i++ {
+		level := max(int(i)-NDirect+1, 0)
+		if p := di.root(i); *p != 0 && !tree(*p, roots[level], level) {
+			*p = 0
+		}
+	}
+}
+
 // walkDir reads each block of directory di once and calls fn, in offset
-// order, on every entry in use below di.Size. An entry fn returns true
+// order, on every entry in use below di.size. An entry fn returns true
 // for is cleared in place; a block with a cleared entry is written back
 // (delayed), any other released.
 func walkDir(ctx kernel.Ctx, cache *buf.Cache, dev buf.Device, sb *Superblock, di *dinode, fn func(de dirent) (clear bool)) error {
 	bsize := int64(sb.BlockSize)
-	for lblk := int64(0); lblk < NDirect && lblk*bsize < di.Size; lblk++ {
-		pblk := di.Direct[lblk] // directories never outgrow direct blocks in this fs
+	for lblk := int64(0); lblk < NDirect && lblk*bsize < di.size; lblk++ {
+		pblk := di.direct[lblk] // directories never outgrow direct blocks in this fs
 		if pblk < sb.DataStart || pblk >= sb.TotalBlocks {
 			continue // a hole, or a pointer pass 1 reported (or cleared)
 		}
@@ -280,7 +307,7 @@ func walkDir(ctx kernel.Ctx, cache *buf.Cache, dev buf.Device, sb *Superblock, d
 			return err
 		}
 		cleared := false
-		for off := int64(0); off < bsize && lblk*bsize+off < di.Size; off += DirentSize {
+		for off := int64(0); off < bsize && lblk*bsize+off < di.size; off += DirentSize {
 			de := decodeDirent(b.Data[off:])
 			if de.Ino != 0 && fn(de) {
 				encodeDirent(b.Data[off:], dirent{})

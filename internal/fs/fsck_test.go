@@ -165,7 +165,7 @@ func TestFsckDetectsCrossLinkedBlock(t *testing.T) {
 		var x, y dinode
 		x.decode(raw[2*InodeSize:])
 		y.decode(raw[3*InodeSize:])
-		y.Direct[0] = x.Direct[0]
+		y.direct[0] = x.direct[0]
 		y.encode(raw[3*InodeSize:])
 		r.d.WriteRaw(2, raw)
 	}, func(p *kernel.Proc, f *FS) {
@@ -215,7 +215,7 @@ func TestFsckDetectsBadLinkCount(t *testing.T) {
 		r.d.ReadRaw(2, raw)
 		var di dinode
 		di.decode(raw[2*InodeSize:])
-		di.Nlink = 7
+		di.nlink = 7
 		di.encode(raw[2*InodeSize:])
 		r.d.WriteRaw(2, raw)
 	}, func(p *kernel.Proc, f *FS) {

@@ -1,33 +1,29 @@
 package fs
 
 import (
+	"cmp"
 	"encoding/binary"
 
 	"kdp/internal/buf"
 	"kdp/internal/kernel"
 )
 
-// Inode is the in-core inode: the on-disk fields plus reference count,
+// Inode is the in-core inode: its on-disk image, plus reference count,
 // dirty flag, and a sleep lock serialising modifications across the
-// blocking points inside filesystem operations.
+// blocking points inside filesystem operations. Fields are ordered so
+// the struct stays 128 bytes (TestInodeSize).
 type Inode struct {
-	fs     *FS
-	ino    uint32
-	mode   uint16
-	nlink  uint16
-	size   int64
-	direct [NDirect]uint32
-	indir  uint32
-	dindir uint32
-
-	refs   int
-	dirty  bool
-	locked bool
+	fs *FS
+	dinode
+	ino uint32
 	// mods counts a directory's changes: dirEnter and dirRemove bump it
-	// once the entry, and the size it grew to, are in place. It sits in
-	// what would be padding; a creator compares it only for equality.
+	// once the entry, and the size it grew to, are in place. A creator
+	// compares it only for equality.
 	mods    uint32
-	lockers int
+	refs    int32
+	lockers int32
+	dirty   bool
+	locked  bool
 
 	// Adaptive readahead state (see File.Read). raNext is the byte
 	// offset where the last read ended — a read starting there is
@@ -123,18 +119,6 @@ type slot struct {
 	b       *buf.Buf
 	i       int64
 	changed bool
-}
-
-// root returns the inode's pointer i: direct block i below NDirect,
-// then the single- and the double-indirect block.
-func (ip *Inode) root(i int64) *uint32 {
-	switch i {
-	case NDirect:
-		return &ip.indir
-	case NDirect + 1:
-		return &ip.dindir
-	}
-	return &ip.direct[i]
 }
 
 func (s *slot) get() uint32 {
@@ -297,28 +281,28 @@ func (f *FS) allocPtrBlock(ctx kernel.Ctx) (uint32, error) {
 	return blk, nil
 }
 
-// truncate frees every data and indirect block beyond size newSize
-// (only newSize==0 is used today, by unlink and O_TRUNC). Ordered
-// metadata: the block list is gathered first, then the cleared inode
-// is written synchronously, and only then do the blocks return to the
-// bitmap — the platter never carries a stale claim on a block another
-// file could reallocate, which is what lets the repairing fsck keep
-// every fsync'd file byte-exact after a crash.
-func (ip *Inode) truncate(ctx kernel.Ctx, newSize int64) error {
+// truncate frees every data and indirect block of the file (unlink and
+// O_TRUNC). Ordered metadata: the block list is gathered first, then
+// the cleared inode is written synchronously, and only then do the
+// blocks return to the bitmap — the platter never carries a stale claim
+// on a block another file could reallocate, which is what lets the
+// repairing fsck keep every fsync'd file byte-exact after a crash.
+func (ip *Inode) truncate(ctx kernel.Ctx) error {
 	f := ip.fs
-	if newSize != 0 {
-		return kernel.ErrInval
-	}
-	blocks, err := ip.collectBlocks(ctx)
+	var blocks []uint32
+	var err error
+	walkTree(ctx, f.cache, f.dev, &f.sb, &ip.dinode, func(blk uint32, _ string, rerr error) bool {
+		if rerr != nil {
+			err = cmp.Or(err, rerr)
+		} else {
+			blocks = append(blocks, blk)
+		}
+		return true
+	})
 	if err != nil {
 		return err
 	}
-	for i := range ip.direct {
-		ip.direct[i] = 0
-	}
-	ip.indir = 0
-	ip.dindir = 0
-	ip.size = 0
+	ip.dinode = dinode{mode: ip.mode, nlink: ip.nlink}
 	ip.dirty = true
 	// The file's contents are gone; any sequential-access history is
 	// meaningless (and raAhead could point past the new EOF).
@@ -334,58 +318,4 @@ func (ip *Inode) truncate(ctx kernel.Ctx, newSize int64) error {
 		}
 	}
 	return nil
-}
-
-// collectBlocks gathers every physical block the inode owns — data,
-// single- and double-indirect pointer blocks — in deterministic walk
-// order.
-func (ip *Inode) collectBlocks(ctx kernel.Ctx) ([]uint32, error) {
-	f := ip.fs
-	var out []uint32
-	for _, blk := range ip.direct {
-		if blk != 0 {
-			out = append(out, blk)
-		}
-	}
-	var err error
-	if ip.indir != 0 {
-		if out, err = f.collectPtrBlock(ctx, ip.indir, 1, out); err != nil {
-			return nil, err
-		}
-	}
-	if ip.dindir != 0 {
-		if out, err = f.collectPtrBlock(ctx, ip.dindir, 2, out); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// collectPtrBlock appends a pointer block and everything below it
-// (depth 1 = entries are data blocks; depth 2 = entries are pointer
-// blocks) to out.
-func (f *FS) collectPtrBlock(ctx kernel.Ctx, blk uint32, depth int, out []uint32) ([]uint32, error) {
-	b, err := f.cache.Bread(ctx, f.dev, int64(blk))
-	if err != nil {
-		return nil, err
-	}
-	le := binary.LittleEndian
-	ppb := f.ptrsPerBlock()
-	entries := make([]uint32, 0, 32)
-	for i := int64(0); i < ppb; i++ {
-		if p := le.Uint32(b.Data[i*4:]); p != 0 {
-			entries = append(entries, p)
-		}
-	}
-	f.cache.Brelse(ctx, b)
-	for _, p := range entries {
-		if depth > 1 {
-			if out, err = f.collectPtrBlock(ctx, p, depth-1, out); err != nil {
-				return nil, err
-			}
-		} else {
-			out = append(out, p)
-		}
-	}
-	return append(out, blk), nil
 }

@@ -2,6 +2,7 @@ package fs
 
 import (
 	"testing"
+	"unsafe"
 
 	"kdp/internal/kernel"
 )
@@ -90,4 +91,13 @@ func TestCheckLiveAllocatesNothing(t *testing.T) {
 			t.Errorf("CheckLive allocates %v times per passing pass, want 0", n)
 		}
 	})
+}
+
+// TestInodeSize: the in-core inode, its embedded on-disk image included,
+// stays 128 bytes, one allocation size class below the 144 a careless
+// field order costs on every iget.
+func TestInodeSize(t *testing.T) {
+	if n := unsafe.Sizeof(Inode{}); n != 128 {
+		t.Errorf("Inode is %d bytes, want 128", n)
+	}
 }

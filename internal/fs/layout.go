@@ -80,6 +80,13 @@ func (sb *Superblock) encode(p []byte) {
 	le.PutUint32(p[40:], sb.FreeInodes)
 }
 
+// inodeBlock returns the inode-table block holding inode ino and the
+// inode's byte offset in it.
+func (sb *Superblock) inodeBlock(ino uint32) (blk int64, off int) {
+	per := sb.BlockSize / InodeSize
+	return int64(sb.ITableStart) + int64(ino/per), int(ino%per) * InodeSize
+}
+
 func (sb *Superblock) decode(p []byte) error {
 	le := binary.LittleEndian
 	sb.Magic = le.Uint32(p[0:])
@@ -99,38 +106,51 @@ func (sb *Superblock) decode(p []byte) error {
 	return nil
 }
 
-// dinode is the on-disk inode image.
+// dinode is the on-disk inode image. The in-core Inode embeds it, so
+// iget decodes straight into the inode and iupdate encodes from it.
 type dinode struct {
-	Mode   uint16
-	Nlink  uint16
-	Size   int64
-	Direct [NDirect]uint32
-	Indir  uint32
-	DIndir uint32
+	mode   uint16
+	nlink  uint16
+	size   int64
+	direct [NDirect]uint32
+	indir  uint32
+	dindir uint32
 }
 
 func (di *dinode) encode(p []byte) {
 	le := binary.LittleEndian
-	le.PutUint16(p[0:], di.Mode)
-	le.PutUint16(p[2:], di.Nlink)
-	le.PutUint64(p[4:], uint64(di.Size))
-	for i, d := range di.Direct {
+	le.PutUint16(p[0:], di.mode)
+	le.PutUint16(p[2:], di.nlink)
+	le.PutUint64(p[4:], uint64(di.size))
+	for i, d := range di.direct {
 		le.PutUint32(p[12+4*i:], d)
 	}
-	le.PutUint32(p[12+4*NDirect:], di.Indir)
-	le.PutUint32(p[16+4*NDirect:], di.DIndir)
+	le.PutUint32(p[12+4*NDirect:], di.indir)
+	le.PutUint32(p[16+4*NDirect:], di.dindir)
 }
 
 func (di *dinode) decode(p []byte) {
 	le := binary.LittleEndian
-	di.Mode = le.Uint16(p[0:])
-	di.Nlink = le.Uint16(p[2:])
-	di.Size = int64(le.Uint64(p[4:]))
-	for i := range di.Direct {
-		di.Direct[i] = le.Uint32(p[12+4*i:])
+	di.mode = le.Uint16(p[0:])
+	di.nlink = le.Uint16(p[2:])
+	di.size = int64(le.Uint64(p[4:]))
+	for i := range di.direct {
+		di.direct[i] = le.Uint32(p[12+4*i:])
 	}
-	di.Indir = le.Uint32(p[12+4*NDirect:])
-	di.DIndir = le.Uint32(p[16+4*NDirect:])
+	di.indir = le.Uint32(p[12+4*NDirect:])
+	di.dindir = le.Uint32(p[16+4*NDirect:])
+}
+
+// root returns the inode's block pointer i: direct block i below
+// NDirect, then the single- and the double-indirect block.
+func (di *dinode) root(i int64) *uint32 {
+	switch i {
+	case NDirect:
+		return &di.indir
+	case NDirect + 1:
+		return &di.dindir
+	}
+	return &di.direct[i]
 }
 
 // dirent is a fixed-size directory entry: ino(4) nameLen(2) name(58).
@@ -216,7 +236,7 @@ func Mkfs(dev RawDevice, ninodes int) (*Superblock, error) {
 	for i := 0; i < itableLen; i++ {
 		clear(blk)
 		if i == 0 {
-			root := dinode{Mode: ModeDir, Nlink: 1}
+			root := dinode{mode: ModeDir, nlink: 1}
 			root.encode(blk[RootIno*InodeSize:])
 		}
 		dev.WriteRaw(int64(1+bitmapLen+i), blk)

@@ -1,7 +1,6 @@
 package fs
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -90,80 +89,40 @@ func FsckRepair(ctx kernel.Ctx, cache *buf.Cache, dev buf.Device) (*FsckReport, 
 		refs[pblk] = ino
 		return true
 	}
-	// sanitizePtr claims a pointer block and scrubs its entries in
-	// place, returning false when the pointer to it must be cleared.
-	var sanitizePtr func(ino, blk uint32, what string, depth int) bool
-	sanitizePtr = func(ino, blk uint32, what string, depth int) bool {
-		if !claim(ino, blk, what) {
-			return false
-		}
-		pb, err := cache.Bread(ctx, dev, int64(blk))
-		if err != nil {
-			rep.problemf("inode %d: unreadable %s block %d (cleared)", ino, what, blk)
-			delete(refs, blk)
-			return false
-		}
-		le := binary.LittleEndian
-		ppb := int(sb.BlockSize) / 4
-		modified := false
-		for i := 0; i < ppb; i++ {
-			p := le.Uint32(pb.Data[i*4:])
-			if p == 0 {
-				continue
-			}
-			keep := false
-			if depth > 1 {
-				keep = sanitizePtr(ino, p, "indirect", depth-1)
-			} else {
-				keep = claim(ino, p, "data")
-			}
-			if !keep {
-				le.PutUint32(pb.Data[i*4:], 0)
-				modified = true
-				rep.Repaired++
-			}
-		}
-		if modified {
-			cache.Bdwrite(ctx, pb)
-		} else {
-			cache.Brelse(ctx, pb)
-		}
-		return true
-	}
 	err = walkInodes(ctx, cache, dev, &sb, func(ino uint32, di *dinode) error {
-		if di.Mode != ModeFile && di.Mode != ModeDir {
-			rep.problemf("inode %d: invalid mode %d (zapped)", ino, di.Mode)
+		if di.mode != ModeFile && di.mode != ModeDir {
+			rep.problemf("inode %d: invalid mode %d (zapped)", ino, di.mode)
 			rep.Repaired++
-			return writeDinode(ctx, cache, dev, &sb, ino, &dinode{})
+			return writeDinode(ctx, cache, dev, &sb, ino, &dinode{}, false)
 		}
-		if di.Size < 0 {
-			rep.problemf("inode %d: negative size %d (reset)", ino, di.Size)
-			di.Size = 0
+		if di.size < 0 {
+			rep.problemf("inode %d: negative size %d (reset)", ino, di.size)
+			di.size = 0
 			dirtyIno[ino] = true
 			rep.Repaired++
 		}
-		if di.Mode == ModeDir && di.Size%DirentSize != 0 {
-			rep.problemf("dir inode %d: torn size %d (truncated)", ino, di.Size)
-			di.Size -= di.Size % DirentSize
+		if di.mode == ModeDir && di.size%DirentSize != 0 {
+			rep.problemf("dir inode %d: torn size %d (truncated)", ino, di.size)
+			di.size -= di.size % DirentSize
 			dirtyIno[ino] = true
 			rep.Repaired++
 		}
-		for i := range di.Direct {
-			if di.Direct[i] != 0 && !claim(ino, di.Direct[i], "direct") {
-				di.Direct[i] = 0
-				dirtyIno[ino] = true
-				rep.Repaired++
+		// Keep only the pointers this inode can claim; an unreadable
+		// pointer block gives its claim back, and is cleared with
+		// everything under it.
+		scanned := *di
+		walkTree(ctx, cache, dev, &sb, di, func(blk uint32, what string, err error) bool {
+			if err != nil {
+				rep.problemf("inode %d: unreadable %s block %d (cleared)", ino, what, blk)
+				delete(refs, blk)
+			} else if claim(ino, blk, what) {
+				return true
 			}
-		}
-		if di.Indir != 0 && !sanitizePtr(ino, di.Indir, "indirect", 1) {
-			di.Indir = 0
-			dirtyIno[ino] = true
 			rep.Repaired++
-		}
-		if di.DIndir != 0 && !sanitizePtr(ino, di.DIndir, "double-indirect", 2) {
-			di.DIndir = 0
+			return false
+		})
+		if *di != scanned {
 			dirtyIno[ino] = true
-			rep.Repaired++
 		}
 		allocated[ino] = di
 		return nil
@@ -174,9 +133,9 @@ func FsckRepair(ctx kernel.Ctx, cache *buf.Cache, dev buf.Device) (*FsckReport, 
 
 	// A volume must always come back mountable: if the root directory
 	// itself is gone, recreate it empty, without what it claimed.
-	if di, ok := allocated[RootIno]; !ok || di.Mode != ModeDir {
+	if di, ok := allocated[RootIno]; !ok || di.mode != ModeDir {
 		rep.problemf("root inode missing or not a directory (recreated empty)")
-		allocated[RootIno] = &dinode{Mode: ModeDir, Nlink: 1}
+		allocated[RootIno] = &dinode{mode: ModeDir, nlink: 1}
 		dirtyIno[RootIno] = true
 		rep.Repaired++
 		for blk, ino := range refs {
@@ -198,7 +157,7 @@ func FsckRepair(ctx kernel.Ctx, cache *buf.Cache, dev buf.Device) (*FsckReport, 
 		links = map[uint32]int{}
 		for _, ino := range sortedInos(allocated) {
 			di := allocated[ino]
-			if di.Mode != ModeDir {
+			if di.mode != ModeDir {
 				continue
 			}
 			err := walkDir(ctx, cache, dev, &sb, di, func(de dirent) bool {
@@ -226,7 +185,7 @@ func FsckRepair(ctx kernel.Ctx, cache *buf.Cache, dev buf.Device) (*FsckReport, 
 			}
 			if links[ino] == 0 {
 				rep.problemf("inode %d: orphaned (zapped)", ino)
-				if err := writeDinode(ctx, cache, dev, &sb, ino, &dinode{}); err != nil {
+				if err := writeDinode(ctx, cache, dev, &sb, ino, &dinode{}, false); err != nil {
 					return nil, err
 				}
 				delete(allocated, ino)
@@ -247,14 +206,14 @@ func FsckRepair(ctx kernel.Ctx, cache *buf.Cache, dev buf.Device) (*FsckReport, 
 		if ino == RootIno {
 			want++ // the root is referenced by convention, not a dirent
 		}
-		if int(di.Nlink) != want {
-			rep.problemf("inode %d: link count %d, referenced %d time(s) (fixed)", ino, di.Nlink, want)
-			di.Nlink = uint16(want)
+		if int(di.nlink) != want {
+			rep.problemf("inode %d: link count %d, referenced %d time(s) (fixed)", ino, di.nlink, want)
+			di.nlink = uint16(want)
 			dirtyIno[ino] = true
 			rep.Repaired++
 		}
 		rep.Inodes++
-		if di.Mode == ModeDir {
+		if di.mode == ModeDir {
 			rep.Dirs++
 		} else {
 			rep.Files++
@@ -264,7 +223,7 @@ func FsckRepair(ctx kernel.Ctx, cache *buf.Cache, dev buf.Device) (*FsckReport, 
 	// Write back every repaired inode.
 	for _, ino := range sortedInos(allocated) {
 		if dirtyIno[ino] {
-			if err := writeDinode(ctx, cache, dev, &sb, ino, allocated[ino]); err != nil {
+			if err := writeDinode(ctx, cache, dev, &sb, ino, allocated[ino], false); err != nil {
 				return nil, err
 			}
 		}
@@ -332,20 +291,6 @@ func FsckRepair(ctx kernel.Ctx, cache *buf.Cache, dev buf.Device) (*FsckReport, 
 	}
 	ctx.Kern().TraceEmit(trace.KindFSRepair, 0, int64(len(rep.Problems)), int64(rep.Repaired), dev.DevName())
 	return rep, nil
-}
-
-// writeDinode writes one on-disk inode image (delayed; the repair pass
-// flushes everything at the end).
-func writeDinode(ctx kernel.Ctx, cache *buf.Cache, dev buf.Device, sb *Superblock, ino uint32, di *dinode) error {
-	inoPerBlk := int(sb.BlockSize) / InodeSize
-	blk := int64(sb.ITableStart) + int64(int(ino)/inoPerBlk)
-	b, err := cache.Bread(ctx, dev, blk)
-	if err != nil {
-		return err
-	}
-	di.encode(b.Data[(int(ino)%inoPerBlk)*InodeSize:])
-	cache.Bdwrite(ctx, b)
-	return nil
 }
 
 func sortedInos(m map[uint32]*dinode) []uint32 {

@@ -66,10 +66,6 @@ type Config struct {
 	// cost per getblk/brelse pair.
 	BufHashCost sim.Duration
 
-	// SleepWakeupCost is the scheduler cost of one sleep/wakeup pair
-	// (enqueue, dequeue, priority computation).
-	SleepWakeupCost sim.Duration
-
 	// PollFdCost is charged per descriptor scanned by poll (readiness
 	// query plus waiter registration — the selscan/selrecord work).
 	PollFdCost sim.Duration
@@ -114,7 +110,6 @@ func DefaultConfig() Config {
 		CopyPerCallCost:     25 * sim.Microsecond,
 		BcopyBytesPerSec:    8.0e6,
 		BufHashCost:         18 * sim.Microsecond,
-		SleepWakeupCost:     45 * sim.Microsecond,
 		PollFdCost:          8 * sim.Microsecond,
 		SpliceHandlerCost:   30 * sim.Microsecond,
 		PageFaultCost:       60 * sim.Microsecond,
