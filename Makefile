@@ -21,7 +21,7 @@ test:
 race:
 	$(GO) test -race ./...
 
-# internal/machine holds BenchmarkCheckInvariants/{full,charge-only}: ns
+# internal/machine holds BenchmarkCheckInvariants/{audited,skip}: ns
 # and allocations per probe (docs/CHECKING.md, "What a probe costs"), and
 # BenchmarkBuildRelease/{cold,warm}: what it costs to stamp out
 # simcheck's machine with the slab recycler empty and with the last
@@ -34,10 +34,13 @@ race:
 # BenchmarkScheduleRun, BenchmarkDatagram and BenchmarkPageFaultWarm: an
 # event, a datagram end to end and a fault in a full pool (each 0 allocs,
 # docs/ARCHITECTURE.md "Who owns which memory"); internal/simcheck holds
-# BenchmarkSeed/1-8: what one 60-op seed costs, machine included.
+# BenchmarkSeed/1-8: what one 60-op seed costs, machine included; and
+# each catalog owner (buf, kernel, stream, splice, disk, fs, vm) holds
+# BenchmarkCatalogWalk: one full walk of its catalog, none skipped.
 bench:
 	$(GO) test -run '^$$' -bench=. -benchmem ./internal/bench/ ./internal/machine/ ./internal/stream/ ./internal/kernel/ \
-		./internal/sim/ ./internal/socket/ ./internal/vm/ ./internal/simcheck/
+		./internal/sim/ ./internal/socket/ ./internal/vm/ ./internal/simcheck/ \
+		./internal/buf/ ./internal/splice/ ./internal/disk/ ./internal/fs/
 
 tables:
 	$(GO) run ./cmd/kdpbench

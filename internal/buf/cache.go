@@ -50,6 +50,8 @@ type Cache struct {
 	raMax     int
 	raPending int
 
+	gen kernel.Gen // the catalog's generation (invariants.go)
+
 	// Stats
 	hits          int64
 	misses        int64
@@ -108,6 +110,7 @@ func (c *Cache) Release() {
 	clear(c.slab)
 	sim.PutSlab(c.slab)
 	c.slab = nil
+	c.gen.Bump()
 }
 
 // hashSize is the smallest power of two holding nbuf chains.
@@ -283,7 +286,7 @@ func (c *Cache) getblk(ctx kernel.Ctx, dev Device, blkno int64, canSleep, quiet 
 				if !canSleep {
 					return nil, kernel.ErrWouldBlock
 				}
-				b.Flags |= BWanted
+				c.want(b)
 				if err := ctx.Sleep(b, kernel.PRIBIO+1); err != nil {
 					return nil, err
 				}
@@ -330,6 +333,7 @@ func (c *Cache) getblk(ctx kernel.Ctx, dev Device, blkno int64, canSleep, quiet 
 		b.SpliceLblk = 0
 		b.SplicePeer = nil
 		c.hashInsert(b)
+		c.gen.Bump() // covers Bread, StartRead and StartReadahead setting up the read
 		return b, nil
 	}
 }
@@ -371,6 +375,13 @@ func (c *Cache) claim(b *Buf) {
 		c.freeRemove(b)
 	}
 	b.Flags |= BBusy
+	c.gen.Bump()
+}
+
+// want marks busy b as waited for, before its caller sleeps on it.
+func (c *Cache) want(b *Buf) {
+	b.Flags |= BWanted
+	c.gen.Bump()
 }
 
 // Brelse unlocks the buffer and returns it to the free list, waking any
@@ -387,6 +398,7 @@ func (c *Cache) Brelse(ctx kernel.Ctx, b *Buf) {
 		b.Flags &^= BWanted
 		c.k.Wakeup(b)
 	}
+	c.gen.Bump()
 	b.SpliceDesc = nil
 	if b.Flags&BHeld != 0 {
 		// A page's memory stays cached, and whole, whatever the transfer
@@ -487,6 +499,7 @@ func (c *Cache) retireRA(b *Buf) {
 // releases the buffer.
 func (c *Cache) Bwrite(ctx kernel.Ctx, b *Buf) error {
 	b.Flags &^= BRead | BDelwri | BDone | BAsync
+	c.gen.Bump()
 	c.writes++
 	b.Dev.Strategy(b)
 	err := c.Biowait(ctx, b)
@@ -499,6 +512,7 @@ func (c *Cache) Bwrite(ctx kernel.Ctx, b *Buf) error {
 func (c *Cache) Bawrite(ctx kernel.Ctx, b *Buf) {
 	b.Flags &^= BRead | BDelwri | BDone
 	b.Flags |= BAsync
+	c.gen.Bump()
 	c.writes++
 	b.Dev.Strategy(b)
 }
@@ -527,13 +541,14 @@ func (c *Cache) Hold(ctx kernel.Ctx, b *Buf) {
 // flight, and reports whether b was clean.
 func (c *Cache) Dirty(ctx kernel.Ctx, b *Buf) bool {
 	for b.Flags&BBusy != 0 {
-		b.Flags |= BWanted
+		c.want(b)
 		_ = ctx.Sleep(b, kernel.PRIBIO+1)
 	}
 	if b.Flags&BDelwri != 0 {
 		return false
 	}
 	b.Flags |= BDelwri | BDone
+	c.gen.Bump()
 	c.delwrites++
 	return true
 }
@@ -544,6 +559,7 @@ func (c *Cache) Dirty(ctx kernel.Ctx, b *Buf) bool {
 // evicting a dirty page.
 func (c *Cache) Unhold(ctx kernel.Ctx, b *Buf, write bool) {
 	b.Flags &^= BHeld
+	c.gen.Bump()
 	switch {
 	case b.Flags&BBusy != 0:
 	case write && b.Flags&BDelwri != 0:
@@ -581,6 +597,7 @@ func (c *Cache) Biodone(b *Buf) {
 		panic("buf: biodone on already-done buffer " + b.String())
 	}
 	b.Flags |= BDone
+	c.gen.Bump()
 	if b.Flags&BReadahead != 0 {
 		// A readahead fetch completed (or was dropped with an error by
 		// a crash); it no longer holds a slot of the budget. The flag
@@ -687,6 +704,24 @@ func (c *Cache) ReleaseHeader(b *Buf) {
 	c.emptyHdrs = b
 }
 
+// PrepareWrite readies busy b, a pooled buffer or a header, for an
+// asynchronous write whose completion runs iodone at interrupt level:
+// the splice write side's buffers.
+func (c *Cache) PrepareWrite(b *Buf, iodone func(*kernel.Kernel, *Buf)) {
+	b.Flags &^= BRead | BDone | BDelwri // a staged page's buffer may be dirty
+	b.Flags |= BCall
+	b.Iodone = iodone
+	c.gen.Bump()
+}
+
+// SetFlags sets flags on b, which its caller holds busy: a writer
+// outside this package changes what the invariant catalog reads only
+// through here.
+func (c *Cache) SetFlags(b *Buf, flags int) {
+	b.Flags |= flags
+	c.gen.Bump()
+}
+
 // ---- flushing / invalidation ----
 
 // FlushDev writes out every idle delayed-write buffer belonging to dev,
@@ -744,7 +779,7 @@ func (c *Cache) FlushBlocks(ctx kernel.Ctx, dev Device, blknos []int64) (n int, 
 			return n, nil
 		}
 		if b := c.Peek(dev, owed[0]); owes(b) {
-			b.Flags |= BWanted
+			c.want(b)
 			if err := ctx.Sleep(b, kernel.PRIBIO+1); err != nil {
 				return 0, err
 			}
@@ -804,7 +839,7 @@ func (c *Cache) flushBufs(ctx kernel.Ctx, dirty []*Buf) (int, error) {
 	// the free list by biodone, clearing BDelwri on the way out.
 	for _, b := range dirty {
 		for b.Flags&BBusy != 0 {
-			b.Flags |= BWanted
+			c.want(b)
 			if err := ctx.Sleep(b, kernel.PRIBIO+1); err != nil {
 				return 0, err
 			}
@@ -849,7 +884,7 @@ func (c *Cache) InvalidateBlocks(ctx kernel.Ctx, dev Device, blknos []int64) err
 				break
 			}
 			if b.Flags&BBusy != 0 {
-				b.Flags |= BWanted
+				c.want(b)
 				if err := ctx.Sleep(b, kernel.PRIBIO+1); err != nil {
 					return err
 				}
@@ -935,4 +970,5 @@ func (c *Cache) drop(b *Buf) {
 	c.retireRA(b)
 	b.Flags, b.Dev, b.Err = BInval, nil, nil
 	c.freePush(b, true)
+	c.gen.Bump()
 }

@@ -66,7 +66,7 @@ func newFixture(nbuf int) *fixture {
 }
 
 // runProc runs fn as a single process to completion.
-func (f *fixture) runProc(t *testing.T, fn func(p *kernel.Proc)) {
+func (f *fixture) runProc(t testing.TB, fn func(p *kernel.Proc)) {
 	t.Helper()
 	f.k.Spawn("test", fn)
 	if err := f.k.Run(); err != nil {

@@ -33,7 +33,7 @@ func (d *badDevice) Strategy(b *Buf) {
 
 // warmFixture returns a cache whose first three pool buffers hold blocks
 // 5, 1 and 9 (in that order), released and valid.
-func warmFixture(t *testing.T) *fixture {
+func warmFixture(t testing.TB) *fixture {
 	t.Helper()
 	f := newFixture(8)
 	f.runProc(t, func(p *kernel.Proc) {
@@ -129,8 +129,26 @@ func TestCatalogTrips(t *testing.T) {
 		t.Run(fault.name, func(t *testing.T) {
 			f := warmFixture(t)
 			fault.plant(f)
+			f.c.gen.Bump() // a planted write is a modification
 			wantTrip(t, f.c.CheckInvariants(), fault.name)
 		})
+	}
+}
+
+// TestAuditReportsUnbumpedWrite: with the audit on, a write the catalog
+// passes but no bump covered (a free buffer aged by hand) is reported
+// as the cache's.
+func TestAuditReportsUnbumpedWrite(t *testing.T) {
+	kernel.SetAudit(true)
+	defer kernel.SetAudit(false)
+	f := warmFixture(t)
+	if err := f.c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	f.c.freeHead.Flags |= BAge
+	var ae *kernel.AuditError
+	if err := f.c.CheckInvariants(); !errors.As(err, &ae) || ae.Owner != "buf" {
+		t.Errorf("CheckInvariants = %v, want the audit to report buf", err)
 	}
 }
 
@@ -315,6 +333,20 @@ func TestWalkFieldsFillOneLine(t *testing.T) {
 	} {
 		if end > 64 {
 			t.Errorf("Buf.%s ends at byte %d, past the first 64", name, end)
+		}
+	}
+}
+
+// BenchmarkCatalogWalk times one full walk of the cache's catalog, the
+// generation bumped before each so that none is skipped.
+func BenchmarkCatalogWalk(b *testing.B) {
+	f := warmFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.c.gen.Bump()
+		if err := f.c.CheckInvariants(); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -187,6 +187,7 @@ type Disk struct {
 	dirty  []uint64 // one bit per block written to: what Release zeroes again
 	queue  []*buf.Buf
 	active bool
+	gen    kernel.Gen // the catalog's generation (invariants.go)
 	// The drive services one request at a time: cur is the one whose
 	// completion event is scheduled, onComplete the handler of every
 	// such event, bound once.
@@ -334,6 +335,7 @@ func (d *Disk) Strategy(b *buf.Buf) {
 		return
 	}
 	d.queue = append(d.queue, b)
+	d.gen.Bump()
 	if n := len(d.queue); n > d.maxQueueObserved {
 		d.maxQueueObserved = n
 	}
@@ -423,6 +425,7 @@ func (d *Disk) elevatorPick() int {
 func (d *Disk) complete() {
 	b := d.cur
 	d.cur = nil
+	d.gen.Bump() // the queue shrinks below, or the drive goes idle
 	d.transfer(b)
 	d.headBlk = b.Blkno + 1
 	d.noteRun(b.Blkno)
@@ -469,7 +472,11 @@ func (d *Disk) Busy() bool { return d.active }
 func (d *Disk) Crash() int {
 	dropped := d.queue
 	d.queue = nil
+	d.gen.Bump()
 	for _, b := range dropped {
+		// BError and Resid are read by no invariant catalog: these
+		// writes need no generation bump (Biodone below bumps the
+		// cache's anyway).
 		b.Flags |= buf.BError
 		b.Err = kernel.ErrIO
 		b.Resid = b.Bcount

@@ -37,7 +37,8 @@ func (d *Disk) checkFault(b *buf.Buf) bool {
 	return false
 }
 
-// failTransfer completes b with an I/O error.
+// failTransfer completes b with an I/O error. BError and Resid are read
+// by no invariant catalog, so these writes need no generation bump.
 func (d *Disk) failTransfer(b *buf.Buf) {
 	b.Flags |= buf.BError
 	b.Err = kernel.ErrIO

@@ -182,6 +182,7 @@ func (fl *File) Write(ctx kernel.Ctx, p []byte, off int64) (int, error) {
 		if pos+int64(n) > ip.size {
 			ip.size = pos + int64(n)
 			ip.dirty = true
+			fl.fs.gen.Bump()
 		}
 	}
 	return done, nil
@@ -312,6 +313,7 @@ func (fl *File) Extend(ctx kernel.Ctx, n int64) {
 	if n > ip.size {
 		ip.size = n
 		ip.dirty = true
+		fl.fs.gen.Bump()
 	}
 	ip.unlock()
 }

@@ -32,6 +32,7 @@ type FS struct {
 	live   []*Inode
 	claims []claim
 	ckPass uint64
+	gen    kernel.Gen // CheckLive's generation: inode and superblock writes bump it
 }
 
 // DefaultReadahead is the default cap on a file's readahead window, in
@@ -138,6 +139,7 @@ func (f *FS) allocBlock(ctx kernel.Ctx) (uint32, error) {
 	}
 	f.sb.FreeBlocks--
 	f.sbDirty = true
+	f.gen.Bump()
 	f.blkRotor = blk + stride
 	if f.blkRotor >= f.sb.TotalBlocks {
 		f.blkRotor = f.sb.DataStart
@@ -206,6 +208,7 @@ func (f *FS) freeBlock(ctx kernel.Ctx, blk uint32) error {
 	f.cache.Bdwrite(ctx, b)
 	f.sb.FreeBlocks++
 	f.sbDirty = true
+	f.gen.Bump()
 	return nil
 }
 
@@ -220,6 +223,7 @@ func (f *FS) iget(ctx kernel.Ctx, ino uint32) (*Inode, error) {
 	}
 	if ip, ok := f.inodes[ino]; ok {
 		ip.refs++
+		f.gen.Bump()
 		return ip, nil
 	}
 	blk, off := f.sb.inodeBlock(ino)
@@ -234,6 +238,7 @@ func (f *FS) iget(ctx kernel.Ctx, ino uint32) (*Inode, error) {
 	if ip, ok := f.inodes[ino]; ok {
 		f.cache.Brelse(ctx, b)
 		ip.refs++
+		f.gen.Bump()
 		return ip, nil
 	}
 	ip := &Inode{fs: f, ino: ino, refs: 1}
@@ -241,6 +246,7 @@ func (f *FS) iget(ctx kernel.Ctx, ino uint32) (*Inode, error) {
 	f.cache.Brelse(ctx, b)
 	f.inodes[ino] = ip
 	f.live = append(f.live, ip)
+	f.gen.Bump()
 	return ip, nil
 }
 
@@ -248,6 +254,7 @@ func (f *FS) iget(ctx kernel.Ctx, ino uint32) (*Inode, error) {
 // removes unlinked inodes entirely.
 func (f *FS) iput(ctx kernel.Ctx, ip *Inode) error {
 	ip.refs--
+	f.gen.Bump()
 	if ip.refs > 0 {
 		return nil
 	}
@@ -262,6 +269,7 @@ func (f *FS) iput(ctx kernel.Ctx, ip *Inode) error {
 		err = ip.truncate(ctx)
 		f.sb.FreeInodes++
 		f.sbDirty = true
+		f.gen.Bump()
 	}
 	if ip.dirty {
 		if werr := f.iupdate(ctx, ip); werr != nil && err == nil {
@@ -272,6 +280,7 @@ func (f *FS) iput(ctx kernel.Ctx, ip *Inode) error {
 	if i := slices.Index(f.live, ip); i >= 0 {
 		f.live = slices.Delete(f.live, i, i+1)
 	}
+	f.gen.Bump()
 	return err
 }
 
@@ -343,6 +352,7 @@ func (f *FS) ialloc(ctx kernel.Ctx, mode uint16) (*Inode, error) {
 		f.inoRotor = ino + 1
 		f.sb.FreeInodes--
 		f.sbDirty = true
+		f.gen.Bump()
 		return ip, nil
 	}
 	if b != nil {
@@ -523,6 +533,7 @@ func (f *FS) dirEnter(ctx kernel.Ctx, dp *Inode, name string, ino uint32, off in
 	dp.size = off + DirentSize
 	dp.dirty = true
 	dp.mods++
+	f.gen.Bump()
 	// The entry block is durable; now make it reachable by writing the
 	// directory inode (grown size, possibly a new block pointer). Until
 	// this lands a crash leaves the new inode orphaned — which repair
@@ -533,6 +544,7 @@ func (f *FS) dirEnter(ctx kernel.Ctx, dp *Inode, name string, ino uint32, off in
 		// freed inode and each close would count it free again. The
 		// directory stays dirty; a new block past the size is harmless.
 		dp.size = off
+		f.gen.Bump()
 		return err
 	}
 	return nil

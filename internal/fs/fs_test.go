@@ -23,13 +23,13 @@ type rig struct {
 }
 
 // newRig formats and mounts a filesystem on a RAM disk.
-func newRig(t *testing.T, blocks int64) *rig {
+func newRig(t testing.TB, blocks int64) *rig {
 	t.Helper()
 	return newCacheRig(t, blocks, 64)
 }
 
 // newCacheRig is newRig with an nbuf-buffer cache.
-func newCacheRig(t *testing.T, blocks int64, nbuf int) *rig {
+func newCacheRig(t testing.TB, blocks int64, nbuf int) *rig {
 	t.Helper()
 	cfg := kernel.DefaultConfig()
 	cfg.MaxRunTime = 1200 * sim.Second
@@ -45,7 +45,7 @@ func newCacheRig(t *testing.T, blocks int64, nbuf int) *rig {
 }
 
 // run mounts (once) and executes fn in a process.
-func (r *rig) run(t *testing.T, fn func(p *kernel.Proc, f *FS)) {
+func (r *rig) run(t testing.TB, fn func(p *kernel.Proc, f *FS)) {
 	t.Helper()
 	r.k.Spawn("test", func(p *kernel.Proc) {
 		if r.fsy == nil {

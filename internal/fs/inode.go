@@ -132,6 +132,7 @@ func (s *slot) set(p uint32) {
 	if s.b == nil {
 		*s.ip.root(s.i) = p
 		s.ip.dirty = true
+		s.ip.fs.gen.Bump()
 		return
 	}
 	binary.LittleEndian.PutUint32(s.b.Data[s.i*4:], p)
@@ -304,6 +305,7 @@ func (ip *Inode) truncate(ctx kernel.Ctx) error {
 	}
 	ip.dinode = dinode{mode: ip.mode, nlink: ip.nlink}
 	ip.dirty = true
+	f.gen.Bump()
 	// The file's contents are gone; any sequential-access history is
 	// meaningless (and raAhead could point past the new EOF).
 	ip.raNext = 0

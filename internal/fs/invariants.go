@@ -33,8 +33,13 @@ type claim struct {
 // CheckLive verifies the in-core filesystem invariants, returning the
 // first violation found (nil when consistent). It performs no I/O and,
 // once its per-block scratch exists, allocates nothing; inodes are
-// visited in iget order.
+// visited in iget order. It walks when the filesystem's generation
+// moved since its last passing walk (kernel.Gen).
 func (f *FS) CheckLive() error {
+	return f.gen.Check("fs", 0, f.checkLive, f.digest)
+}
+
+func (f *FS) checkLive() error {
 	if len(f.live) != len(f.inodes) {
 		return kernel.Violation("fs-inode-key", "inode table holds %d inodes, the in-core list %d", len(f.inodes), len(f.live))
 	}
@@ -82,6 +87,29 @@ func (f *FS) CheckLive() error {
 		return kernel.Violation("fs-super-counts", "free inodes %d exceed table size %d", f.sb.FreeInodes, f.sb.NInodes)
 	}
 	return nil
+}
+
+// digest folds in what checkLive reads.
+func (f *FS) digest(d *kernel.Digest) {
+	d.Int(int64(len(f.inodes)))
+	for _, ip := range f.live {
+		kernel.Ptr(d, ip)
+		d.Int(int64(ip.ino))
+		d.Bool(f.inodes[ip.ino] == ip)
+		d.Int(int64(ip.refs))
+		d.Int(int64(ip.mode))
+		d.Int(ip.size)
+		for _, p := range ip.direct {
+			d.Int(int64(p))
+		}
+		d.Int(int64(ip.indir))
+		d.Int(int64(ip.dindir))
+	}
+	d.Int(int64(f.sb.DataStart))
+	d.Int(int64(f.sb.TotalBlocks))
+	d.Int(int64(f.sb.FreeBlocks))
+	d.Int(int64(f.sb.FreeInodes))
+	d.Int(int64(f.sb.NInodes))
 }
 
 // checkPtr validates one block pointer of inode ino and claims the

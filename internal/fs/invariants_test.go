@@ -1,6 +1,7 @@
 package fs
 
 import (
+	"errors"
 	"testing"
 	"unsafe"
 
@@ -9,7 +10,7 @@ import (
 
 // withOpenFiles runs body with two three-block files held open, so two
 // inodes with block pointers are in core; a and b are those inodes.
-func withOpenFiles(t *testing.T, body func(f *FS, a, b *Inode)) {
+func withOpenFiles(t testing.TB, body func(f *FS, a, b *Inode)) {
 	t.Helper()
 	r := newRig(t, 512)
 	r.run(t, func(p *kernel.Proc, f *FS) {
@@ -61,12 +62,14 @@ func TestCatalogTrips(t *testing.T) {
 				ran = true
 				savedA, savedB, savedSB := *a, *b, f.sb
 				fault.plant(f, a, b)
+				f.gen.Bump() // a planted write is a modification
 				err := f.CheckLive()
 				if kernel.ViolationName(err) != fault.name {
 					t.Errorf("CheckLive = %v, want a %s violation", err, fault.name)
 				}
 				*a, *b, f.sb = savedA, savedB, savedSB
 				f.inodes[a.ino] = a
+				f.gen.Bump()
 				if err := f.CheckLive(); err != nil {
 					t.Errorf("after undoing the fault: %v", err)
 				}
@@ -100,4 +103,37 @@ func TestInodeSize(t *testing.T) {
 	if n := unsafe.Sizeof(Inode{}); n != 128 {
 		t.Errorf("Inode is %d bytes, want 128", n)
 	}
+}
+
+// TestAuditReportsUnbumpedWrite: with the audit on, an in-core inode's
+// size moved by hand without a bump is reported as the filesystem's.
+func TestAuditReportsUnbumpedWrite(t *testing.T) {
+	kernel.SetAudit(true)
+	defer kernel.SetAudit(false)
+	withOpenFiles(t, func(f *FS, a, b *Inode) {
+		if err := f.CheckLive(); err != nil {
+			t.Fatal(err)
+		}
+		a.size++
+		var ae *kernel.AuditError
+		if err := f.CheckLive(); !errors.As(err, &ae) || ae.Owner != "fs" {
+			t.Errorf("CheckLive = %v, want the audit to report fs", err)
+		}
+		a.size--
+	})
+}
+
+// BenchmarkCatalogWalk times one full walk of CheckLive with two open
+// three-block files, the generation bumped before each.
+func BenchmarkCatalogWalk(b *testing.B) {
+	withOpenFiles(b, func(f *FS, _, _ *Inode) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			f.gen.Bump()
+			if err := f.CheckLive(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -24,6 +24,7 @@ func (f *FS) SetPager(Pager) {}
 // Mmap until the last Munmap.
 func (fl *File) MapRef(ctx kernel.Ctx) {
 	fl.ip.refs++
+	fl.fs.gen.Bump()
 }
 
 // MapUnref drops the mapping reference taken by MapRef; the last drop

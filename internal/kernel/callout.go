@@ -69,6 +69,7 @@ func (k *Kernel) Timeout(fn func(), ticks int) Callout {
 	c.fn, c.queued = fn, true
 	c.gen++
 	cl.n++
+	k.gen.Bump()
 
 	// Insert into the delta list.
 	var prev *callout
@@ -115,6 +116,7 @@ func (k *Kernel) Untimeout(h Callout) bool {
 		}
 		cl.n--
 		cl.release(c)
+		k.gen.Bump()
 		return true
 	}
 	return false
@@ -123,13 +125,13 @@ func (k *Kernel) Untimeout(h Callout) bool {
 // PendingCallouts reports the number of queued callouts.
 func (k *Kernel) PendingCallouts() int { return k.callouts.n }
 
-// softclock fires every callout due this tick and reports whether it
-// fired any. Handlers run at interrupt level: each dispatch charges
-// CalloutDispatchCost as stolen time, and handlers must not sleep.
-func (k *Kernel) softclock() bool {
+// softclock fires every callout due this tick. Handlers run at
+// interrupt level: each dispatch charges CalloutDispatchCost as stolen
+// time, and handlers must not sleep.
+func (k *Kernel) softclock() {
 	cl := &k.callouts
 	if cl.head == nil {
-		return false
+		return
 	}
 	// One decrement per tick, as in 4.3BSD hardclock — but applied to
 	// the first entry with time remaining, not blindly to the head. A
@@ -151,6 +153,11 @@ func (k *Kernel) softclock() bool {
 	// may queue new callouts; those are inserted for future ticks and
 	// must not fire in this pass, so detach first.
 	due := cl.due[:0]
+	if cl.head.delta == 0 {
+		// Entries leave the list. The decrement above needs no bump:
+		// a positive delta stays non-negative, all the catalog asks.
+		k.gen.Bump()
+	}
 	for cl.head != nil && cl.head.delta == 0 {
 		c := cl.head
 		cl.head = c.next
@@ -168,5 +175,4 @@ func (k *Kernel) softclock() bool {
 		fn()
 	}
 	cl.due = due[:0]
-	return len(due) > 0
 }

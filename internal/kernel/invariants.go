@@ -81,7 +81,23 @@ func (k *Kernel) Untrack(c Checked) {
 // CheckInvariants verifies the scheduler, sleep queues and callout list,
 // then every tracked object, returning the first violation found (nil
 // when consistent). It never sleeps, so it is callable from any context.
+// The scheduler catalog runs when the kernel's generation moved; each
+// tracked object keeps a generation of its own.
 func (k *Kernel) CheckInvariants() error {
+	if err := k.gen.Check("kernel", 0, k.checkSched, k.digestSched); err != nil {
+		return err
+	}
+	for _, c := range k.tracked {
+		if err := c.CheckInvariants(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkSched is the scheduler catalog: callouts, run queue, sleep
+// queues and the counts.
+func (k *Kernel) checkSched() error {
 	// Callout delta list.
 	n := 0
 	for c := k.callouts.head; c != nil; c = c.next {
@@ -164,12 +180,37 @@ func (k *Kernel) CheckInvariants() error {
 	if k.pollRegs < 0 {
 		return Violation("poll-reg-count", "negative poller registration count %d", k.pollRegs)
 	}
-	for _, c := range k.tracked {
-		if err := c.CheckInvariants(); err != nil {
-			return err
+	return nil
+}
+
+// digestSched folds in what checkSched reads.
+func (k *Kernel) digestSched(d *Digest) {
+	for c := k.callouts.head; c != nil; c = c.next {
+		Ptr(d, c)
+		d.Bool(c.delta < 0) // the check reads a delta's sign alone
+		d.Bool(c.queued)
+	}
+	d.Int(int64(k.callouts.n))
+	Ptr(d, k.current)
+	for _, p := range k.runq {
+		Ptr(d, p)
+		d.Int(int64(p.state))
+	}
+	for _, p := range k.procs {
+		Ptr(d, p)
+		d.Int(int64(p.state))
+		if p.state == ProcSleeping {
+			for q := k.sleepq[p.wchan].head; q != nil; q = q.sleepNext {
+				Ptr(d, q)
+				d.Int(int64(q.state))
+				d.Bool(q.wchan == p.wchan)
+			}
 		}
 	}
-	return nil
+	d.Int(int64(len(k.sleepq)))
+	d.Int(int64(k.alive))
+	d.Int(int64(k.holds))
+	d.Int(int64(k.pollRegs))
 }
 
 // CheckDrained verifies that an idle machine holds no poll state —

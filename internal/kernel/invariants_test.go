@@ -12,6 +12,8 @@ import (
 // invariant catalog — on a kernel with a sleeper, a queued runnable
 // process and a pending callout — and requires the same-named check to
 // report each; the fault is undone afterwards so the machine can finish.
+// A planted write is a modification like any other, so planting and
+// undoing bump the kernel's generation.
 func TestCatalogTrips(t *testing.T) {
 	var wchan, stray byte
 	faults := []struct {
@@ -83,6 +85,7 @@ func TestCatalogTrips(t *testing.T) {
 				break
 			}
 			undo := fault.plant(k, sleeper)
+			k.gen.Bump()
 			err := k.CheckInvariants()
 			if fault.name == "poll-leak" { // the drain-time check
 				err = k.CheckDrained()
@@ -91,10 +94,35 @@ func TestCatalogTrips(t *testing.T) {
 				t.Errorf("CheckInvariants = %v, want a %s violation", err, fault.name)
 			}
 			undo()
+			k.gen.Bump()
 		}
 		k.Wakeup(&wchan)
 	})
 	k.Spawn("runner", func(p *Proc) {})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAuditReportsUnbumpedWrite: a write the catalog would pass but no
+// bump covered is what the audit exists to find. With the audit on, a
+// hold taken by hand without a bump must be reported as the kernel's.
+func TestAuditReportsUnbumpedWrite(t *testing.T) {
+	SetAudit(true)
+	defer SetAudit(false)
+	k := testKernel()
+	k.Spawn("driver", func(p *Proc) {
+		k.Timeout(func() {}, 5)
+		if err := k.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		k.holds++
+		var ae *AuditError
+		if err := k.CheckInvariants(); !errors.As(err, &ae) || ae.Owner != "kernel" {
+			t.Errorf("CheckInvariants = %v, want the audit to report the kernel", err)
+		}
+		k.holds--
+	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -159,5 +187,30 @@ func TestViolationFormat(t *testing.T) {
 		if errors.As(tc.err, &ie) != (tc.name != "") || ie != nil && (ie.Name != tc.name || ie.Detail == "") {
 			t.Errorf("errors.As(%v) found %+v, want name %q", tc.err, ie, tc.name)
 		}
+	}
+}
+
+// BenchmarkCatalogWalk times one full walk of the scheduler catalog, with
+// a sleeper, a run queue and a callout, the generation bumped before
+// each so that none is skipped.
+func BenchmarkCatalogWalk(b *testing.B) {
+	var wchan byte
+	k, _ := newFDRig()
+	k.Spawn("sleeper", func(p *Proc) { _ = p.Sleep(&wchan, PWAIT) })
+	k.Spawn("driver", func(p *Proc) {
+		k.Timeout(func() {}, 5)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			k.gen.Bump()
+			if err := k.CheckInvariants(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		k.Wakeup(&wchan)
+	})
+	k.Spawn("runner", func(p *Proc) {})
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
 	}
 }

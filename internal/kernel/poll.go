@@ -84,6 +84,7 @@ func (q *PollQueue) register(w *pollWaiter, events int) {
 	}
 	q.regs = append(q.regs, pollReg{w: w, events: events})
 	w.k.pollRegs++
+	w.k.gen.Bump()
 }
 
 // unregister removes w from the queue if present.
@@ -92,6 +93,7 @@ func (q *PollQueue) unregister(w *pollWaiter) {
 		if q.regs[i].w == w {
 			q.regs = slices.Delete(q.regs, i, i+1)
 			w.k.pollRegs--
+			w.k.gen.Bump()
 			return
 		}
 	}
@@ -115,6 +117,7 @@ func (q *PollQueue) Notify(events int) {
 			continue
 		}
 		r.w.k.pollRegs--
+		r.w.k.gen.Bump()
 		r.w.ready = true
 		r.w.k.Wakeup(r.w)
 	}

@@ -178,9 +178,6 @@ func (p *Proc) park() { p.yield(struct{}{}) }
 // process parks only when it has lost the CPU (serveUse preempted it:
 // Run takes the boundary and picks the next process) or when a boundary
 // ends the run (Run returns stopErr without taking the boundary again).
-// The boundary after the charge is charge-only (Kernel.ChargeOnly) when
-// no event but clock ticks that ran no callout fired, and no signal
-// handler ran, in between.
 func (p *Proc) Use(d sim.Duration, kernelMode bool) {
 	if d <= 0 {
 		return
@@ -189,11 +186,10 @@ func (p *Proc) Use(d sim.Duration, kernelMode bool) {
 	p.useRem = d
 	p.useKernel = kernelMode
 	k := p.k
-	if k.stopErr = k.boundary(noCharge); k.stopErr == nil {
-		since := k.activity()
+	if k.stopErr = k.boundary(); k.stopErr == nil {
 		k.serveUse(p)
 		if k.current == p {
-			if k.stopErr = k.boundary(since); k.stopErr == nil {
+			if k.stopErr = k.boundary(); k.stopErr == nil {
 				return
 			}
 		}

@@ -69,7 +69,6 @@ func (k *Kernel) deliverSignals(p *Proc) {
 		p.sigPending &^= bit
 		k.TraceEmit(trace.KindSignalDeliver, p.pid, int64(sig), 0, sig.String())
 		if h := p.sigHandler[sig]; h != nil {
-			k.sigRuns++
 			h(p, sig)
 		}
 	}

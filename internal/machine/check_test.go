@@ -23,24 +23,6 @@ type warm struct {
 	m    *machine.Machine
 	p    *kernel.Proc
 	tchk *trace.Checker
-	// atChargeOnly, when set, is run once by the probe at the next
-	// charge-only boundary (kernel.Kernel.ChargeOnly), after its checks.
-	atChargeOnly func()
-}
-
-// chargeOnly runs fn inside a probe at a charge-only boundary: it charges
-// the process a microsecond of kernel time until a charge ends with
-// nothing but quiet clock ticks run since it began.
-func (w *warm) chargeOnly(tb testing.TB, fn func()) {
-	tb.Helper()
-	w.atChargeOnly = fn
-	for i := 0; i < 100 && w.atChargeOnly != nil; i++ {
-		w.p.Use(sim.Microsecond, true)
-	}
-	if w.atChargeOnly != nil {
-		w.atChargeOnly = nil
-		tb.Error("rig: 100 charges of a microsecond reached no charge-only boundary")
-	}
 }
 
 // onWarmMachine runs body in process context on a booted machine in the
@@ -51,8 +33,7 @@ func (w *warm) chargeOnly(tb testing.TB, fn func()) {
 // disks, with a trace checker fed since boot. The server listens on
 // port and the client binds port+1. The machine's invariants are
 // checked at every scheduling boundary on the way. Nothing is scheduled
-// while body runs, unless it charges the process (warm.chargeOnly), so
-// every pass it makes sees the same state. It reports failures with Errorf alone, so it may run off the test's
+// while body runs, so every pass it makes sees the same state. It reports failures with Errorf alone, so it may run off the test's
 // goroutine.
 func onWarmMachine(tb testing.TB, port int, body func(w *warm)) {
 	tb.Helper()
@@ -70,11 +51,6 @@ func onWarmMachine(tb testing.TB, port int, body func(w *warm)) {
 	m.K.SetProbe(func() {
 		if err := m.CheckInvariants(); err != nil {
 			m.K.Abort(err)
-			return
-		}
-		if fn := w.atChargeOnly; fn != nil && m.K.ChargeOnly() {
-			w.atChargeOnly = nil
-			fn()
 		}
 	})
 	fail := func(what string, err error) bool {
@@ -182,18 +158,16 @@ type (
 		pass func() error
 	}
 	probe struct {
-		name       string
-		chargeOnly bool // the passes run at a charge-only boundary
-		checks     []check
+		name    string
+		audited bool // the passes run under kernel.SetAudit
+		checks  []check
 	}
 )
 
-// probes are the two probes simcheck makes: the full one, and the
-// charge-only one at the boundary after a CPU charge or an idle step
-// during which nothing but quiet clock ticks ran. Both make the same
-// calls; at a charge-only boundary the machine's pass reduces to the
-// kernel catalog, with the stream transports it tracks, which read the
-// tick count (its splice descriptors return at once).
+// probes are simcheck's probe made two ways. Unchanged state makes
+// every catalog skip (kernel.Gen), which is what most probes cost; under
+// the audit every catalog walks in full and digests what it read, which
+// bounds what a probe after a change to every owner costs.
 func probes(w *warm) []probe {
 	checks := []check{
 		{"machine.CheckInvariants", w.m.CheckInvariants},
@@ -204,23 +178,14 @@ func probes(w *warm) []probe {
 			return w.tchk.CheckMetrics(w.m.K.Tracer().Metrics())
 		}},
 	}
-	return []probe{{"full", false, checks}, {"charge-only", true, checks}}
+	return []probe{{"audited", true, checks}, {"skip", false, checks}}
 }
 
-// at runs fn where the probe's passes run: directly for the full probe,
-// which is not charge-only, or inside a charge-only probe.
-func (pr probe) at(tb testing.TB, w *warm, fn func()) {
-	tb.Helper()
-	if !pr.chargeOnly {
-		fn()
-		return
-	}
-	w.chargeOnly(tb, func() {
-		if !w.m.K.ChargeOnly() {
-			tb.Error("rig: the charge-only probe's passes run outside a charge-only boundary")
-		}
-		fn()
-	})
+// at runs fn with the audit set as the probe makes it.
+func (pr probe) at(fn func()) {
+	kernel.SetAudit(pr.audited)
+	defer kernel.SetAudit(false)
+	fn()
 }
 
 // TestChecksAllocateNothing is the guard for the rule in
@@ -228,13 +193,14 @@ func (pr probe) at(tb testing.TB, w *warm, fn func()) {
 // scheduling boundary may not allocate on the passing path. Every layer
 // the machine owns, the splice descriptors and stream transports its
 // kernel tracks, and the trace checks are held to zero allocations per
-// pass, in both probes, on a machine with all of them busy.
+// pass, walking (under the audit) and skipping, on a machine with all
+// of them busy.
 func TestChecksAllocateNothing(t *testing.T) {
 	ran := false
 	onWarmMachine(t, 80, func(w *warm) {
 		ran = true
 		for _, pr := range probes(w) {
-			pr.at(t, w, func() {
+			pr.at(func() {
 				for _, c := range pr.checks {
 					if err := c.pass(); err != nil {
 						t.Errorf("%s probe: %s on the warm machine: %v", pr.name, c.name, err)
@@ -253,15 +219,15 @@ func TestChecksAllocateNothing(t *testing.T) {
 }
 
 // BenchmarkCheckInvariants times each probe's worth of checks on the
-// warm machine: full/ is what simcheck pays at most scheduling
-// boundaries, charge-only/ what it pays, inside a charge-only probe,
-// after a CPU charge or an idle step that only quiet ticks interrupted
-// (the benchmark's simcheck.probe.invariants_us measures kernel, cache
-// and stream passes on its own rig).
+// warm machine: skip/ is a probe at which no owner moved, audited/ one
+// at which every catalog walks and digests what it read (each package's
+// BenchmarkCatalogWalk times its walk alone; the benchmark's
+// simcheck.probe.invariants_us times kernel, cache and stream passes on
+// its own rig, unchanged state, so the skip path).
 func BenchmarkCheckInvariants(b *testing.B) {
 	onWarmMachine(b, 80, func(w *warm) {
 		for _, pr := range probes(w) {
-			pr.at(b, w, func() {
+			pr.at(func() {
 				b.Run(pr.name, func(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {

@@ -149,14 +149,9 @@ func (m *Machine) Devices() []buf.Device { return m.devs }
 // kernel (with the splice descriptors and stream transports it tracks),
 // disks, mounted filesystems, page pool — and returns the first
 // violation. It does no I/O and never sleeps, so it can run at every
-// scheduling boundary. In a charge-only probe (kernel.Kernel.ChargeOnly)
-// nothing but the kernel, its tick count included, has moved since the
-// last pass, and no other layer here reads the tick count, so only the
-// kernel is checked.
+// scheduling boundary. Each catalog walks only when a generation it
+// reads moved since its owner's last passing walk (kernel.Gen).
 func (m *Machine) CheckInvariants() error {
-	if m.K.ChargeOnly() {
-		return m.K.CheckInvariants()
-	}
 	if err := m.Cache.CheckInvariants(); err != nil {
 		return err
 	}

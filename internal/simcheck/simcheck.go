@@ -19,8 +19,8 @@
 //     readahead flag/budget discipline), the kernel's scheduler and
 //     callouts with the splice descriptors and stream transports it
 //     tracks, the disk request queues, in-core filesystem state and the
-//     page pool. A charge-only probe (kernel.Kernel.ChargeOnly)
-//     re-validates the kernel and the trace.
+//     page pool. A catalog whose owner's generation has not moved since
+//     its last passing walk is skipped (kernel.Gen).
 //  2. Oracle. Every generated op updates an in-memory model of expected
 //     file contents; reads verify against it inline and a final sweep
 //     re-reads every file. Disk-fault injection taints the affected
@@ -512,10 +512,9 @@ func (m *machine) probe() {
 	}
 }
 
-// checkInvariants validates every layer's invariants once; in a
-// charge-only probe, only the kernel (stream's transports included,
-// whose stream-ghost-bound reads the tick count a quiet tick moves) and
-// the trace (docs/CHECKING.md, "What a probe costs").
+// checkInvariants validates every layer's invariants once, each catalog
+// walking only if its owner moved (docs/CHECKING.md, "What a probe
+// costs"), and the trace.
 func (m *machine) checkInvariants() error {
 	if err := m.Machine.CheckInvariants(); err != nil {
 		return err

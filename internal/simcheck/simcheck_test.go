@@ -151,11 +151,12 @@ func TestDamageTripsInvariants(t *testing.T) {
 
 // TestDamageReportsPinned holds every planted cache damage, on seeds 1–4,
 // to the violation name, op and virtual time the harness reported before
-// charge-only probes skipped any catalog: the values below were printed
-// by Run(Config{Seed: s, Damage: kind, DamageAfter: 5}) on the tree
-// without them. The damage is planted between ops and checked at once
-// from process context, where ChargeOnly is false, so a difference means
-// the full pass lost a check or the run before the damage changed.
+// any probe skipped a catalog: the values below were printed by
+// Run(Config{Seed: s, Damage: kind, DamageAfter: 5}) on the tree without
+// skips. The damage is planted between ops, bumps the cache's generation
+// as any write to what its catalog reads does, and is checked at once,
+// so a difference means the pass lost a check or the run before the
+// damage changed.
 func TestDamageReportsPinned(t *testing.T) {
 	at := map[uint64]struct{ op, t string }{
 		1: {"op 4", "0.248391s"},
@@ -194,8 +195,9 @@ func TestDamageReportsPinned(t *testing.T) {
 }
 
 // TestGhostBoundTripsAtItsTick: stream-ghost-bound reads the tick count,
-// which a tick that runs no callout moves, so the charge-only pass after
-// such a tick checks stream too. Two connections' ghosts have their
+// which moves while no transport's generation does, so an unmoved
+// transport walks once the tick passes its earliest ghost expiry plus
+// one (Transport.CheckInvariants). Two connections' ghosts have their
 // expiry callouts disarmed on an otherwise idle machine; the violation
 // must come at the first tick past expires+1 and at the virtual time the
 // harness reported when every idle step took a full pass.

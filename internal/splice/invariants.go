@@ -1,6 +1,9 @@
 package splice
 
-import "kdp/internal/kernel"
+import (
+	"kdp/internal/buf"
+	"kdp/internal/kernel"
+)
 
 // This file implements the splice invariant checker. Splice descriptors
 // live entirely inside the kernel (no process holds them), so setup
@@ -28,12 +31,13 @@ func (d *desc) CheckDrained() error {
 	return kernel.Violation("splice-desc-leak", "splice %s still live after drain (moved=%d)", d.label, d.moved)
 }
 
-// CheckInvariants verifies the descriptor. Nothing it reads moves on a
-// charge-only boundary, so it returns nil there at once.
+// CheckInvariants verifies the descriptor when its generation moved
+// since its last passing walk (kernel.Gen).
 func (d *desc) CheckInvariants() error {
-	if d.k.ChargeOnly() {
-		return nil
-	}
+	return d.gen.Check("splice", 0, d.check, d.digest)
+}
+
+func (d *desc) check() error {
 	if d.done {
 		return kernel.Violation("splice-done-live", "completed descriptor still tracked (moved=%d)", d.moved)
 	}
@@ -47,4 +51,26 @@ func (d *desc) CheckInvariants() error {
 		return err
 	}
 	return d.wr.check()
+}
+
+// digest folds in what check reads: the counts, and each in-flight
+// write header's memory, peer and owner.
+func (d *desc) digest(g *kernel.Digest) {
+	g.Bool(d.done)
+	g.Int(int64(d.pendingReads))
+	g.Int(int64(d.pendingWrites))
+	g.Int(d.total)
+	g.Int(d.moved)
+	if a, ok := d.wr.(*alias); ok {
+		for _, hdr := range a.live {
+			kernel.Ptr(g, hdr)
+			g.Bool(hdr.Flags&buf.BNoMem != 0)
+			g.Bytes(hdr.Data)
+			kernel.Ptr(g, hdr.SplicePeer)
+			if hdr.SplicePeer != nil {
+				g.Bytes(hdr.SplicePeer.Data)
+			}
+			g.Bool(hdr.SpliceDesc == any(d))
+		}
+	}
 }

@@ -151,6 +151,7 @@ func TestDamageTripsInvariants(t *testing.T) {
 			t.Fatalf("pipe splice: %v", err)
 		}
 
+		bump := func() { d.gen.Bump(); hs.d.gen.Bump() }
 		for _, dmg := range []struct {
 			name       string
 			do, revert func()
@@ -167,10 +168,12 @@ func TestDamageTripsInvariants(t *testing.T) {
 				t.Fatalf("dirty before %s damage: %v", dmg.name, err)
 			}
 			dmg.do()
+			bump() // a planted write is a modification
 			if err := m.k.CheckInvariants(); !violates(err, dmg.name) {
 				t.Errorf("damage not reported as %s: %v", dmg.name, err)
 			}
 			dmg.revert()
+			bump()
 		}
 
 		// With both descriptors damaged the report is the first
@@ -178,6 +181,7 @@ func TestDamageTripsInvariants(t *testing.T) {
 		// name the same violation.
 		d.moved += d.total + 1
 		hs.d.pendingReads++
+		bump()
 		for i := 0; i < 20; i++ {
 			if err := m.k.CheckInvariants(); !violates(err, "splice-moved-bound") {
 				t.Fatalf("check %d with two damaged descriptors: %v, want the first-registered descriptor's splice-moved-bound", i, err)
@@ -185,6 +189,20 @@ func TestDamageTripsInvariants(t *testing.T) {
 		}
 		d.moved -= d.total + 1
 		hs.d.pendingReads--
+		bump()
+
+		// Planted without a bump, a write is the audit's to report.
+		kernel.SetAudit(true)
+		if err := m.k.CheckInvariants(); err != nil {
+			t.Errorf("audited check before the unbumped write: %v", err)
+		}
+		d.moved--
+		var ae *kernel.AuditError
+		if err := m.k.CheckInvariants(); !errors.As(err, &ae) || ae.Owner != "splice" {
+			t.Errorf("unbumped write: %v, want the audit to report splice", err)
+		}
+		d.moved++
+		kernel.SetAudit(false)
 		if err := m.k.CheckDrained(); !violates(err, "splice-desc-leak") {
 			t.Errorf("live descriptors not reported as splice-desc-leak: %v", err)
 		}
@@ -342,6 +360,39 @@ func TestSinkFailureFlushesParkedBlocks(t *testing.T) {
 		}
 		if err := m.k.CheckDrained(); err != nil {
 			t.Error(err)
+		}
+	})
+}
+
+// BenchmarkCatalogWalk times one full walk of a descriptor's catalog,
+// an asynchronous file-to-file splice with write headers in flight, the
+// generation bumped before each so that none is skipped.
+func BenchmarkCatalogWalk(b *testing.B) {
+	m := newMachine(b, disk.RZ56)
+	m.run(b, func(p *kernel.Proc) {
+		makeFile(b, p, "/d0/src", 40*bsize, 4)
+		_ = m.cache.InvalidateDev(p.Ctx(), m.disks[0])
+		src, _ := p.Open("/d0/src", kernel.ORdOnly)
+		dst, _ := p.Open("/d1/dst", kernel.OCreat|kernel.OWrOnly)
+		_, _ = p.Fcntl(src, kernel.FSetFL, kernel.FAsync)
+		_, h, err := SpliceOpts(p, src, dst, EOF, Options{})
+		if err != nil {
+			b.Fatalf("splice: %v", err)
+		}
+		for a := h.d.wr.(*alias); len(a.live) == 0 && !h.d.done; {
+			p.SleepFor(sim.Millisecond)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			h.d.gen.Bump()
+			if err := h.d.CheckInvariants(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		for !h.d.done {
+			p.SleepFor(sim.Millisecond)
 		}
 	})
 }

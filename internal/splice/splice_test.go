@@ -44,13 +44,13 @@ func assemble(inodes int, params ...disk.Params) *machine {
 // newMachine is the usual rig, mirroring the paper's experimental setup
 // of copying between filesystems on different physical disks: two 16MB
 // disks of one model.
-func newMachine(t *testing.T, mkParams func(blocks int64, bs int) disk.Params) *machine {
+func newMachine(t testing.TB, mkParams func(blocks int64, bs int) disk.Params) *machine {
 	t.Helper()
 	return assemble(64, mkParams(2048, bsize), mkParams(2048, bsize))
 }
 
 // boot mounts the filesystems from inside the init process.
-func (m *machine) boot(t *testing.T, p *kernel.Proc) {
+func (m *machine) boot(t testing.TB, p *kernel.Proc) {
 	t.Helper()
 	if err := m.mount(p); err != nil {
 		t.Fatalf("mount: %v", err)
@@ -58,7 +58,7 @@ func (m *machine) boot(t *testing.T, p *kernel.Proc) {
 }
 
 // run spawns fn as the only process and drives the machine.
-func (m *machine) run(t *testing.T, fn func(p *kernel.Proc)) {
+func (m *machine) run(t testing.TB, fn func(p *kernel.Proc)) {
 	t.Helper()
 	m.k.Spawn("test", func(p *kernel.Proc) {
 		if m.fsys[0] == nil {
@@ -71,7 +71,7 @@ func (m *machine) run(t *testing.T, fn func(p *kernel.Proc)) {
 
 // drive runs the machine to idle and requires that it drained: no
 // splice descriptor still live, no poller still registered.
-func (m *machine) drive(t *testing.T) {
+func (m *machine) drive(t testing.TB) {
 	t.Helper()
 	if err := m.k.Run(); err != nil {
 		t.Fatalf("kernel: %v", err)
@@ -82,7 +82,7 @@ func (m *machine) drive(t *testing.T) {
 }
 
 // makeFile creates path with deterministic contents of n bytes.
-func makeFile(t *testing.T, p *kernel.Proc, path string, n int, seed byte) []byte {
+func makeFile(t testing.TB, p *kernel.Proc, path string, n int, seed byte) []byte {
 	t.Helper()
 	data := make([]byte, n)
 	for i := range data {

@@ -154,6 +154,7 @@ func (c *Conn) seqEnd() int64 {
 // payload is the n bytes of the send buffer from off on, copied straight
 // into the packet.
 func (c *Conn) sendSeg(typ byte, seq int64, off, n int) {
+	c.t.gen.Bump() // covers the caller's writes after the send too
 	c.advWnd = c.freeWnd()
 	c.rcvAdv = c.rcvNxt + c.advWnd
 	if c.delack {
@@ -236,6 +237,7 @@ func (c *Conn) armRtx() {
 // probes while advertising zero forever.
 func (c *Conn) rtxFire() {
 	c.rtx = kernel.Callout{}
+	c.t.gen.Bump()
 	if c.state == stateClosed {
 		return
 	}
@@ -459,6 +461,7 @@ func (c *Conn) take(max int) (data []byte, eof bool) {
 // was closed.
 func (c *Conn) drained(n int) (eof bool) {
 	c.rcv.Drop(n)
+	c.t.gen.Bump()
 	if c.state == stateEstablished && !c.rcvClosed {
 		f := c.freeWnd()
 		adv := c.rcvNxt + f - c.rcvAdv
@@ -542,6 +545,7 @@ func (c *Conn) Write(ctx kernel.Ctx, b []byte, off int64) (int, error) {
 	}
 	if !ctx.CanSleep() {
 		n, err := c.snd.TryWrite(b)
+		c.t.gen.Bump()
 		if err == nil {
 			c.pump()
 		}
@@ -600,6 +604,7 @@ func (c *Conn) Close(ctx kernel.Ctx) error {
 	}
 	c.snd.Flush() // the FIN covers writes still waiting for room
 	c.finAt = c.dataEnd()
+	c.t.gen.Bump()
 	c.pump()
 	settled := func() bool { return c.finAcked || c.failed != nil }
 	if err := kernel.SleepUntil(ctx, &c.clW, kernel.PSOCK, settled); err != nil {
@@ -627,6 +632,7 @@ func (c *Conn) SpliceWrite(data []byte, done func(error)) {
 	}
 	c.snd.Queue(data, done)
 	c.snd.Admit()
+	c.t.gen.Bump()
 	c.pump()
 }
 

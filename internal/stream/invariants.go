@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"math"
 	"slices"
 
 	"kdp/internal/kernel"
@@ -60,8 +61,25 @@ func CheckInvariants() error { return nil }
 
 // CheckInvariants verifies the transport's live connections, then its
 // ghost table and delayed-ACK queue, returning the first violation
-// found. It never sleeps.
+// found. It never sleeps. It walks when the transport's generation moved
+// (kernel.Gen), or when the clock alone would fail an unmoved transport:
+// stream-ghost-bound once the tick count passes the earliest ghost
+// expiry plus one, stream-delack-bound once it reaches the fast
+// timeout's due tick, a delayed ACK being queued. Everything else the
+// two checks read passed the last walk unchanged, so the earlier of
+// those two ticks (due) is their whole verdict.
 func (t *Transport) CheckInvariants() error {
+	if t.k.Ticks() >= t.due {
+		t.gen.Bump()
+	}
+	return t.gen.Check("stream", 0, t.check, t.digest)
+}
+
+func (t *Transport) check() error {
+	t.due = math.MaxInt64
+	if len(t.delacks) > 0 {
+		t.due = t.fastDue
+	}
 	for _, c := range t.live {
 		if err := c.check(); err != nil {
 			return err
@@ -104,6 +122,7 @@ func (t *Transport) checkDelacks() error {
 func (t *Transport) checkGhosts() error {
 	now := t.k.Ticks()
 	for _, e := range t.ghosts {
+		t.due = min(t.due, e.expires+2)
 		if now > e.expires+1 {
 			return kernel.Violation("stream-ghost-bound",
 				"port %d: ghost %#x expired at tick %d, still present at tick %d", t.port, e.key, e.expires, now)
@@ -114,6 +133,39 @@ func (t *Transport) checkGhosts() error {
 		}
 	}
 	return nil
+}
+
+// digest folds in what check reads but the tick count.
+func (t *Transport) digest(d *kernel.Digest) {
+	for _, c := range t.live {
+		kernel.Ptr(d, c)
+		d.Int(c.sndUna)
+		d.Int(c.sndNxt)
+		d.Int(c.seqEnd())
+		d.Int(c.rcvNxt)
+		d.Int(c.peerWnd)
+		d.Int(c.advWnd)
+		d.Int(int64(c.rcv.Len()))
+		for _, s := range c.reasm {
+			d.Int(s.off)
+		}
+		d.Int(c.retries)
+		d.Int(c.probes)
+		d.Bool(c.delack)
+	}
+	for _, e := range t.ghosts {
+		d.Int(int64(e.key))
+		d.Int(e.expires)
+		_, live := t.conns[e.key]
+		d.Bool(live)
+	}
+	for _, c := range t.delacks {
+		kernel.Ptr(d, c)
+		d.Bool(c.delack)
+		d.Int(int64(c.state))
+	}
+	d.Bool(t.fast == (kernel.Callout{}))
+	d.Int(t.fastDue)
 }
 
 // CheckDrained verifies that every connection still live once a

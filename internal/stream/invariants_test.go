@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"errors"
 	"testing"
 
 	"kdp/internal/kernel"
@@ -15,7 +16,7 @@ type checkRig struct {
 	ghostKey uint64
 }
 
-func newCheckRig(t *testing.T) *checkRig {
+func newCheckRig(t testing.TB) *checkRig {
 	t.Helper()
 	k := newK()
 	n := socket.NewNet(k, socket.Loopback())
@@ -62,6 +63,7 @@ func TestCatalogTrips(t *testing.T) {
 		t.Run(fault.name, func(t *testing.T) {
 			r := newCheckRig(t)
 			fault.plant(r)
+			r.srv.gen.Bump() // a planted write is a modification
 			err := r.srv.k.CheckInvariants()
 			if fault.name == "stream-conn-leak" { // the drain-time check
 				if err != nil {
@@ -91,5 +93,32 @@ func TestCheckAllocatesNothing(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("CheckInvariants allocates %v times per passing pass, want 0", n)
+	}
+}
+
+// TestAuditReportsUnbumpedWrite: with the audit on, a connection's retry
+// count moved by hand without a bump is reported as the transport's.
+func TestAuditReportsUnbumpedWrite(t *testing.T) {
+	kernel.SetAudit(true)
+	defer kernel.SetAudit(false)
+	r := newCheckRig(t)
+	r.c.retries++
+	var ae *kernel.AuditError
+	if err := r.srv.k.CheckInvariants(); !errors.As(err, &ae) || ae.Owner != "stream" {
+		t.Errorf("CheckInvariants = %v, want the audit to report stream", err)
+	}
+}
+
+// BenchmarkCatalogWalk times one full walk of a transport's catalog with
+// one live connection and one ghost, the generation bumped before each.
+func BenchmarkCatalogWalk(b *testing.B) {
+	r := newCheckRig(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.srv.gen.Bump()
+		if err := r.srv.CheckInvariants(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

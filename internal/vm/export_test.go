@@ -37,6 +37,7 @@ func (v *Pool) PageData(p *kernel.Proc, addr int64) []byte {
 // "page-buffer" gives a file page memory of its own, "hand" pushes the
 // clock hand out of range, "refcount" skews an object's mapping count.
 func (v *Pool) Damage(kind string) {
+	defer v.gen.Bump() // a planted write is a modification
 	switch kind {
 	case "ring-orphan":
 		v.ringAdd(&page{data: make([]byte, v.pageSize)})

@@ -60,8 +60,16 @@ func (s *stamp) count(pass uint64) int {
 // the first violation found (nil if consistent). It never sleeps,
 // performs no I/O and allocates nothing, so the simcheck probe can run
 // it at every scheduling boundary; spaces, objects and frames are
-// visited in first-mmap, first-mapping and clock order.
+// visited in first-mmap, first-mapping and clock order. It walks when
+// the pool's generation moved since its last passing walk (kernel.Gen).
+// vm-page-buffer also reads the cache's held buffers, but a held
+// buffer changes only through this pool's PageIn and PageRelease calls,
+// which bump it; the audit's digest holds that to account.
 func (v *Pool) CheckInvariants() error {
+	return v.gen.Check("vm", 0, v.check, v.digest)
+}
+
+func (v *Pool) check() error {
 	if v.resident > v.nframes {
 		return kernel.Violation("vm-frame-overcommit", "%d resident pages in a %d-frame pool", v.resident, v.nframes)
 	}
@@ -172,6 +180,51 @@ func (v *Pool) CheckInvariants() error {
 		}
 	}
 	return nil
+}
+
+// digest folds in what check reads.
+func (v *Pool) digest(d *kernel.Digest) {
+	d.Int(int64(v.resident))
+	d.Int(int64(v.nframes))
+	kernel.Ptr(d, v.hand)
+	if v.hand != nil {
+		d.Bool(v.hand.inRing)
+	}
+	for _, obj := range v.objects {
+		kernel.Ptr(d, obj)
+		d.Int(int64(obj.mappings))
+		d.Int(int64(len(obj.pages)))
+		d.Bool(v.object(obj.dev, obj.ino) == obj)
+	}
+	for _, as := range v.spaces {
+		d.Int(as.brk)
+		for _, m := range as.maps {
+			d.Int(m.addr)
+			d.Int(m.npages)
+			d.Bool(m.private())
+			kernel.Ptr(d, m.obj)
+			for i := range m.valid {
+				d.Bool(m.valid[i])
+				d.Bool(m.wok[i])
+			}
+			for _, pg := range m.shadow {
+				kernel.Ptr(d, pg)
+			}
+		}
+	}
+	for pg := v.ringHead; pg != nil; pg = pg.next {
+		kernel.Ptr(d, pg)
+		d.Int(int64(pg.wired))
+		d.Int(pg.idx)
+		if kernel.Ptr(d, pg.obj); pg.obj != nil {
+			kernel.Ptr(d, pg.obj.pages[pg.idx])
+			d.Int(pg.blk)
+			d.Bytes(pg.data)
+			if pg.blk != 0 {
+				d.Bytes(pg.obj.backing.PageBuffer(pg.blk))
+			}
+		}
+	}
 }
 
 // CheckDrained verifies the quiescent end-of-run state: every mapping

@@ -14,7 +14,7 @@ import (
 // withMappings runs body in a process that holds two mappings of one
 // two-page file — a shared one with a dirty object page and a private
 // one with a copy-on-write shadow page — on a healthy 8-page pool.
-func withMappings(t *testing.T, body func(v *Pool, shared, private *mapping)) {
+func withMappings(t testing.TB, body func(v *Pool, shared, private *mapping)) {
 	t.Helper()
 	const bsize = 8192
 	cfg := kernel.DefaultConfig()
@@ -116,6 +116,7 @@ func TestCatalogTrips(t *testing.T) {
 					return
 				}
 				fault.plant(v, shared, private)
+				v.gen.Bump() // a planted write is a modification
 				err := v.CheckInvariants()
 				if fault.name == "vm-map-leak" { // the drain-time check
 					if err != nil {
@@ -133,4 +134,38 @@ func TestCatalogTrips(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestAuditReportsUnbumpedWrite: with the audit on, a page wired by hand
+// without a bump is reported as the pool's.
+func TestAuditReportsUnbumpedWrite(t *testing.T) {
+	kernel.SetAudit(true)
+	defer kernel.SetAudit(false)
+	withMappings(t, func(v *Pool, shared, _ *mapping) {
+		if err := v.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		shared.obj.pages[0].wired++
+		var ae *kernel.AuditError
+		if err := v.CheckInvariants(); !errors.As(err, &ae) || ae.Owner != "vm" {
+			t.Errorf("CheckInvariants = %v, want the audit to report vm", err)
+		}
+		shared.obj.pages[0].wired--
+	})
+}
+
+// BenchmarkCatalogWalk times one full walk of the pool's catalog with a
+// shared and a private mapping resident, the generation bumped before
+// each.
+func BenchmarkCatalogWalk(b *testing.B) {
+	withMappings(b, func(v *Pool, _, _ *mapping) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			v.gen.Bump()
+			if err := v.CheckInvariants(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

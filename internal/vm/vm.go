@@ -166,7 +166,8 @@ type Pool struct {
 	// page to the next fault.
 	free *page
 
-	ckPass uint64 // CheckInvariants pass counter (see stamp)
+	ckPass uint64     // CheckInvariants pass counter (see stamp)
+	gen    kernel.Gen // the catalog's generation (invariants.go)
 }
 
 // NewPool builds a page pool of at most frames resident pages of
@@ -233,6 +234,7 @@ func (v *Pool) releaseSpace(p *kernel.Proc) {
 	}
 	if i := slices.Index(v.spaces, as); i >= 0 {
 		v.spaces = slices.Delete(v.spaces, i, i+1)
+		v.gen.Bump()
 	}
 }
 
@@ -295,6 +297,7 @@ func (v *Pool) Mmap(p *kernel.Proc, fd int, off, length int64, prot, flags int) 
 	}
 	as.brk += (npages + 1) * ps // guard page between regions
 	as.maps = append(as.maps, m)
+	v.gen.Bump()
 	return m.addr, nil
 }
 
@@ -356,6 +359,7 @@ func (v *Pool) unmap(ctx kernel.Ctx, as *space, m *mapping) error {
 	m.valid = nil
 	m.wok = nil
 	obj.mappings--
+	v.gen.Bump() // the excision from here on sleeps nowhere
 	if obj.mappings > 0 {
 		return nil
 	}
@@ -510,6 +514,7 @@ func (v *Pool) touch(p *kernel.Proc, m *mapping, idx int64, write bool) (*page, 
 		if pg := m.shadow[i]; pg != nil {
 			pg.ref = true
 			pg.wired++
+			v.gen.Bump()
 			return pg, nil
 		}
 	}
@@ -518,6 +523,7 @@ func (v *Pool) touch(p *kernel.Proc, m *mapping, idx int64, write bool) (*page, 
 			if !write || (m.wok[i] && !m.private() && pg.blk != 0) {
 				pg.ref = true
 				pg.wired++
+				v.gen.Bump()
 				return pg, nil
 			}
 		}
@@ -567,6 +573,7 @@ func (v *Pool) touch(p *kernel.Proc, m *mapping, idx int64, write bool) (*page, 
 
 func (v *Pool) unwire(pg *page) {
 	pg.wired--
+	v.gen.Bump()
 	if pg.wired < 0 {
 		panic("vm: unwire of unwired page")
 	}
@@ -586,6 +593,7 @@ func (v *Pool) residentPage(p *kernel.Proc, obj *object, idx int64, alloc bool) 
 		}
 		if !pg.busy {
 			pg.wired++
+			v.gen.Bump()
 			if alloc && pg.blk == 0 {
 				if err := v.pageIn(p, pg, true); err != nil {
 					v.unwire(pg) // other mappings still see the hole
@@ -604,6 +612,7 @@ func (v *Pool) residentPage(p *kernel.Proc, obj *object, idx int64, alloc bool) 
 	}
 	pg.obj, pg.idx = obj, idx
 	obj.pages[idx] = pg
+	v.gen.Bump()
 	if err := v.pageIn(p, pg, alloc); err != nil {
 		delete(obj.pages, idx)
 		v.unwire(pg)
@@ -636,6 +645,7 @@ func (v *Pool) pageIn(p *kernel.Proc, pg *page, alloc bool) error {
 		v.k.TraceEmit(trace.KindVMPagein, p.Pid(), pg.idx, blk, pg.obj.dev)
 	}
 	pg.blk, pg.data = blk, data
+	v.gen.Bump()
 	return nil
 }
 
@@ -647,6 +657,7 @@ func (v *Pool) useFrame(pg *page) []byte {
 		pg.frame = make([]byte, v.pageSize)
 	}
 	pg.data = pg.frame
+	v.gen.Bump()
 	return pg.data
 }
 
@@ -683,6 +694,7 @@ func (v *Pool) allocPage(ctx kernel.Ctx) (*page, error) {
 // mapping goes away. ErrNoMem when two full sweeps find nothing
 // evictable.
 func (v *Pool) reclaimFrame(ctx kernel.Ctx) error {
+	v.gen.Bump() // the sweep moves the hand and sleeps nowhere
 	limit := 2*v.resident + 2
 	for scanned := 0; scanned < limit; scanned++ {
 		if v.resident == 0 {
