@@ -36,7 +36,9 @@ race:
 # docs/ARCHITECTURE.md "Who owns which memory"); internal/simcheck holds
 # BenchmarkSeed/1-8: what one 60-op seed costs, machine included; and
 # each catalog owner (buf, kernel, stream, splice, disk, fs, vm) holds
-# BenchmarkCatalogWalk: one full walk of its catalog, none skipped.
+# BenchmarkCatalogWalk: one full walk of its catalog, none skipped; buf
+# also BenchmarkTouchedWalk: a cache hit, then its touched walk or a
+# full one.
 bench:
 	$(GO) test -run '^$$' -bench=. -benchmem ./internal/bench/ ./internal/machine/ ./internal/stream/ ./internal/kernel/ \
 		./internal/sim/ ./internal/socket/ ./internal/vm/ ./internal/simcheck/ \
@@ -82,6 +84,7 @@ kdpbench -table 2 -disks RAM -trace /dev/stdout
 kdpcheck -seeds 340
 kdpcheck -seeds 40 -ops 200 -workers 3
 kdpcheck -crash -seeds 190
+kdpcheck -crash -seeds 190 -j 4
 kdpcheck -faults -seeds 19 -ops 40
 kdpcheck -seed 3 -damage hash-key -minimize
 kdptrace
@@ -112,13 +115,17 @@ pins:
 
 # The determinism gate (docs/TRACING.md's contract): `make pins` twice
 # at once, the second under GOMAXPROCS=1, must print the same hashes;
-# every line but the planted kdpcheck failure, which must exit 1, must
-# exit 0; and the trace line's own output must pass the schema check.
+# the crash sweep at -j 4 must print what it prints at its default -j
+# (one seed at a time on one CPU); every line but the planted kdpcheck
+# failure, which must exit 1, must exit 0; and the trace line's own
+# output must pass the schema check.
 determinism:
 	@$(MAKE) -s --no-print-directory pins PIN_DIR=$(PIN_DIR)-a > $(PIN_DIR)-a.txt & \
 	GOMAXPROCS=1 $(MAKE) -s --no-print-directory pins PIN_DIR=$(PIN_DIR)-b > $(PIN_DIR)-b.txt; \
 	rc=$$?; wait $$! && [ $$rc -eq 0 ]
 	cmp $(PIN_DIR)-a.txt $(PIN_DIR)-b.txt
+	@[ $$(grep -E ' kdpcheck -crash -seeds 190( -j 4)?$$' $(PIN_DIR)-a.txt | cut -c1-64 | sort -u | wc -l) -eq 1 ] || \
+		{ echo "kdpcheck -crash -seeds 190 prints another sweep at -j 4"; exit 1; }
 	@fails=$$(grep -F '(exit' $(PIN_DIR)-a.txt | cut -c67-); \
 	if [ "$$fails" != "kdpcheck -seed 3 -damage hash-key -minimize  (exit 1)" ]; then \
 		echo "pin lines must exit 0, but for the planted kdpcheck failure's exit 1; got:"; echo "$$fails"; exit 1; fi

@@ -15,6 +15,11 @@
 //	kdpcheck -crash -seeds 100     # crash sweep: power cut + repair + remount per seed
 //	kdpcheck -faults -seeds 50     # fault sweep: census each seed, re-run per (site, k)
 //	kdpcheck -seed 7 -fault-site disk.rz56.wrerr -fault-k 3 -v   # one armed run
+//	kdpcheck -seeds 1000 -j 4      # four seeds at a time (default: one per CPU)
+//
+// A sweep checks -j seeds at a time, each on a machine of its own, and
+// prints every seed's lines in seed order, so its output is the same
+// for every -j.
 //
 // A failing seed prints the violated invariant, the minimal failing op
 // subsequence (ddmin bisection), and the exact command to reproduce it.
@@ -22,14 +27,17 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"kdp/internal/buf"
 	"kdp/internal/simcheck"
@@ -76,6 +84,7 @@ func run(args []string, out io.Writer) error {
 		faults    = fl.Bool("faults", false, "fault sweep: census each seed's fault sites, then re-run once per (site, k) sample with a single-shot fault armed")
 		faultSite = fl.String("fault-site", "", "with -seed: arm a single-shot fault at this site (see docs/FAULTS.md for site IDs)")
 		faultK    = fl.Int64("fault-k", 1, "with -fault-site: fire at the k-th eligible occurrence")
+		jobs      = fl.Int("j", runtime.NumCPU(), "sweep this many seeds at once; the output is the same for every -j")
 	)
 	if err := fl.Parse(args); err != nil {
 		return err
@@ -86,6 +95,9 @@ func run(args []string, out io.Writer) error {
 
 	if *ops <= 0 {
 		return fmt.Errorf("-ops must be positive (got %d)", *ops)
+	}
+	if *jobs <= 0 {
+		return fmt.Errorf("-j must be positive (got %d)", *jobs)
 	}
 	if *damage != "" && !slices.Contains(kinds, *damage) {
 		return fmt.Errorf("unknown damage kind %q (%s)", *damage, damageKinds)
@@ -115,7 +127,7 @@ func run(args []string, out io.Writer) error {
 		if *seed >= 0 {
 			first, n = uint64(*seed), 1
 		}
-		return runFaultSweep(first, n, *ops, *verbose, !*noReplay, out)
+		return runFaultSweep(first, n, *ops, *jobs, *verbose, !*noReplay, out)
 	}
 
 	if *seed >= 0 {
@@ -130,7 +142,34 @@ func run(args []string, out io.Writer) error {
 		replay := !*noReplay && *damage == ""
 		return runOne(cfg, *minimize, replay, out)
 	}
-	return runSweep(*start, n, *ops, *workers, *crash, *verbose, !*noReplay, out)
+	return runSweep(*start, n, *ops, *workers, *jobs, *crash, *verbose, !*noReplay, out)
+}
+
+// inOrder calls do(i) for every i in [0, n), on j goroutines that each
+// take the next i in turn, and hands the results to emit in order of i,
+// each as soon as those before it have been handed on.
+func inOrder[R any](n, j int, do func(i int) R, emit func(R)) {
+	results := make([]chan R, n)
+	for i := range results {
+		results[i] = make(chan R, 1)
+	}
+	var next atomic.Int64
+	for range min(j, n) {
+		go func() {
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				results[i] <- do(i)
+			}
+		}()
+	}
+	for _, r := range results {
+		emit(<-r)
+	}
+}
+
+// seedLines is what one seed of a sweep prints, and whether it failed.
+type seedLines struct {
+	bytes.Buffer
+	failed bool
 }
 
 // modeName is how a summary line says whether seeds were replayed.
@@ -173,35 +212,46 @@ func runOne(cfg simcheck.Config, minimize, replay bool, out io.Writer) error {
 // different GOMAXPROCS) compare line-by-line. The sweep also requires
 // every censused site to have fired at least once across the whole
 // seed range — a site that never fires is dead fault-injection code.
-func runFaultSweep(start uint64, n, ops int, verbose, replay bool, out io.Writer) error {
+func runFaultSweep(start uint64, n, ops, jobs int, verbose, replay bool, out io.Writer) error {
+	type seedResult struct {
+		seedLines
+		runs []simcheck.FaultRun
+	}
 	failed := 0
 	totalRuns := 0
 	fired := make(map[string]int64)
-	for i := 0; i < n; i++ {
+	inOrder(n, jobs, func(i int) *seedResult {
+		r := &seedResult{}
 		s := start + uint64(i)
 		cfg := simcheck.Config{Seed: s, Ops: ops}
 		if verbose {
-			cfg.Verbose = out
+			cfg.Verbose = &r.Buffer
 		}
 		res := simcheck.FaultSweepSeed(cfg, replay)
-		if res.Failed() {
-			failed++
-			fmt.Fprintf(out, "seed %d FAULT SWEEP FAILED: %v\n", s, res.Violation)
+		if r.failed = res.Failed(); r.failed {
+			fmt.Fprintf(r, "seed %d FAULT SWEEP FAILED: %v\n", s, res.Violation)
 			if res.FailedConfig.FaultSite != "" {
 				min, idx := simcheck.Minimize(res.FailedConfig)
-				fmt.Fprintf(out, "  minimized to %d op(s), original indices %v\n", min.Ops, idx)
-				fmt.Fprintf(out, "  minimal-run violation: %v\n", min.Violation)
+				fmt.Fprintf(r, "  minimized to %d op(s), original indices %v\n", min.Ops, idx)
+				fmt.Fprintf(r, "  minimal-run violation: %v\n", min.Violation)
 			}
-			fmt.Fprintf(out, "  repro: %s\n", simcheck.ReproCommand(res.FailedConfig))
-			continue
+			fmt.Fprintf(r, "  repro: %s\n", simcheck.ReproCommand(res.FailedConfig))
+			return r
 		}
-		for _, run := range res.Runs {
+		r.runs = res.Runs
+		fmt.Fprintf(r, "seed %d: %d site(s), %d armed run(s), digest %016x\n",
+			s, len(res.Census), len(res.Runs), res.Digest())
+		return r
+	}, func(r *seedResult) {
+		r.WriteTo(out)
+		if r.failed {
+			failed++
+		}
+		for _, run := range r.runs {
 			fired[run.Site] += run.Fired
 		}
-		totalRuns += len(res.Runs)
-		fmt.Fprintf(out, "seed %d: %d site(s), %d armed run(s), digest %016x\n",
-			s, len(res.Census), len(res.Runs), res.Digest())
-	}
+		totalRuns += len(r.runs)
+	})
 	if failed > 0 {
 		fmt.Fprintf(out, "FAIL: %d of %d seed(s) failed the fault sweep\n", failed, n)
 		return errFailed
@@ -225,34 +275,39 @@ func runFaultSweep(start uint64, n, ops int, verbose, replay bool, out io.Writer
 // not hide another. In crash mode every seed's digest is printed, so
 // two sweeps (e.g. under different GOMAXPROCS) can be compared
 // line-by-line for cross-process determinism.
-func runSweep(start uint64, n, ops, workers int, crash, verbose, replay bool, out io.Writer) error {
+func runSweep(start uint64, n, ops, workers, jobs int, crash, verbose, replay bool, out io.Writer) error {
 	failed := 0
-	for i := 0; i < n; i++ {
+	inOrder(n, jobs, func(i int) *seedLines {
+		r := &seedLines{}
 		s := start + uint64(i)
 		cfg := simcheck.Config{Seed: s, Ops: ops, Workers: workers, Crash: crash}
 		if verbose {
-			cfg.Verbose = out
+			cfg.Verbose = &r.Buffer
 		}
 		res := simcheck.Run(cfg)
-		if res.Failed() {
-			failed++
-			fmt.Fprintf(out, "seed %d FAILED: %v\n", s, res.Violation)
+		if r.failed = res.Failed(); r.failed {
+			fmt.Fprintf(r, "seed %d FAILED: %v\n", s, res.Violation)
 			min, idx := simcheck.Minimize(cfg)
-			fmt.Fprintf(out, "  minimized to %d op(s), original indices %v\n", min.Ops, idx)
-			fmt.Fprintf(out, "  repro: %s\n", simcheck.ReproCommand(cfg))
-			continue
+			fmt.Fprintf(r, "  minimized to %d op(s), original indices %v\n", min.Ops, idx)
+			fmt.Fprintf(r, "  repro: %s\n", simcheck.ReproCommand(cfg))
+			return r
 		}
 		if crash {
-			fmt.Fprintf(out, "seed %d digest %016x\n", s, res.Digest)
+			fmt.Fprintf(r, "seed %d digest %016x\n", s, res.Digest)
 		}
 		if replay {
 			if err := simcheck.Replay(cfg, res); err != nil {
-				failed++
-				fmt.Fprintf(out, "seed %d REPLAY FAILED: %v\n", s, err)
-				continue
+				r.failed = true
+				fmt.Fprintf(r, "seed %d REPLAY FAILED: %v\n", s, err)
 			}
 		}
-	}
+		return r
+	}, func(r *seedLines) {
+		r.WriteTo(out)
+		if r.failed {
+			failed++
+		}
+	})
 	if failed > 0 {
 		fmt.Fprintf(out, "FAIL: %d of %d seed(s) failed\n", failed, n)
 		return errFailed

@@ -19,6 +19,30 @@ func TestSweepSmoke(t *testing.T) {
 	}
 }
 
+// TestJobsDoNotChangeOutput: a sweep prints the same bytes at -j 1 and
+// -j 4, standard, crash and fault sweeps alike, verbose too. Under the
+// race detector this is also the check that seeds checked at once
+// share nothing.
+func TestJobsDoNotChangeOutput(t *testing.T) {
+	for _, args := range [][]string{
+		{"-seeds", "12"},
+		{"-crash", "-seeds", "6"},
+		{"-faults", "-seeds", "2", "-ops", "25", "-noreplay"},
+		{"-seeds", "3", "-ops", "20", "-v", "-noreplay"},
+	} {
+		var one, four strings.Builder
+		if err := run(append(args, "-j", "1"), &one); err != nil {
+			t.Fatalf("%v -j 1: %v\n%s", args, err, one.String())
+		}
+		if err := run(append(args, "-j", "4"), &four); err != nil {
+			t.Fatalf("%v -j 4: %v\n%s", args, err, four.String())
+		}
+		if one.String() != four.String() {
+			t.Errorf("%v prints differently at -j 4:\n%s\nagainst -j 1:\n%s", args, four.String(), one.String())
+		}
+	}
+}
+
 func TestSingleSeedVerbose(t *testing.T) {
 	var out strings.Builder
 	if err := run([]string{"-seed", "3", "-v", "-noreplay"}, &out); err != nil {

@@ -7,6 +7,9 @@ import (
 
 	"kdp/internal/fs"
 	"kdp/internal/kernel"
+	"kdp/internal/server"
+	"kdp/internal/socket"
+	"kdp/internal/stream"
 	"kdp/internal/trace"
 	"kdp/internal/workload"
 )
@@ -14,7 +17,8 @@ import (
 // I/O amplification is 1 (ROADMAP item 8(a)), as a checked relation: on
 // a cold cache every data path writes each block of the destination
 // file to the device exactly once and reads each block of the source
-// file at most once.
+// file at most once. A server's destination is a socket, so for its
+// paths only the read half applies, per request.
 
 // ioAmp counts device transfers per block: reads on the source device,
 // writes on the destination device. It is a trace sink.
@@ -81,18 +85,76 @@ func ioAmpCopy(s Setup, mode workload.CopyMode) (err error) {
 	return err
 }
 
+// ioAmpServe serves the server sweep's file once, along path, to one
+// client from a cold cache, counting from the cold start on, and checks
+// the read half of the relation: the request reads each block of the
+// file at most once.
+func ioAmpServe(path server.Path) (err error) {
+	m := serverMachine()
+	defer m.Release()
+	k := m.K
+	amp := &ioAmp{src: m.Disks[0].DevName(), reads: map[int64]int{}}
+	net := socket.NewNet(k, socket.Ethernet10())
+	st, err := stream.NewTransport(k, net, serverPort)
+	Must(err)
+	ct, err := stream.NewTransport(k, net, 5001)
+	Must(err)
+	k.Spawn("boot", func(p *kernel.Proc) {
+		Must(m.Boot(p))
+		Must(workload.MakeFile(p, serverFile, serverFileBytes, 1))
+		Must(workload.ColdStart(p, m.Cache, m.Disks[0]))
+		k.StartTrace(amp)
+		server.Start(k, server.Config{
+			Name: "fsrv", Transport: st, Path: serverFile, FileBytes: serverFileBytes,
+			Mode: path.Mode, Engine: path.Engine, Conns: 1,
+		})
+		fd, _, err := ct.Connect(p, serverPort)
+		Must(err)
+		_, err = p.Write(fd, []byte{1})
+		Must(err)
+		buf := make([]byte, BlockSize)
+		for got := 0; got < serverFileBytes; {
+			n, err := p.Read(fd, buf)
+			Must(err)
+			if n == 0 {
+				break
+			}
+			got += n
+		}
+		Must(p.Close(fd))
+		src, serr := dataBlocks(p, serverFile, serverFileBytes/BlockSize)
+		if err = serr; err == nil {
+			err = amp.check("server "+path.Label, src, nil)
+		}
+		for _, b := range src {
+			if err == nil && amp.reads[int64(b)] == 0 {
+				err = fmt.Errorf("server %s: block %d was never read: the cache was not cold", path.Label, b)
+			}
+		}
+	})
+	Must(k.Run())
+	return err
+}
+
 // TestIOAmplification holds every copy path to the relation on the
 // paper's 8 MB file, on a RAM disk and on an RZ58, whose readahead and
-// elevator are where a second read or write of a block would come from.
-// The file is larger than the page pool, so mcp's pageouts run during
-// the copy: before mcp's destination blocks stopped being zero-filled
-// at allocation, this failed with a destination block written twice.
+// elevator are where a second read or write of a block would come from,
+// and every server path (engine and data path, server.Paths) to its read
+// half. The file is larger than the page pool, so mcp's pageouts run
+// during the copy: before mcp's destination blocks stopped being
+// zero-filled at allocation, this failed with a destination block
+// written twice.
 func TestIOAmplification(t *testing.T) {
 	for _, kind := range []DiskKind{RAM, RZ58} {
 		for mode := workload.CopyReadWrite; mode <= workload.CopyBatched; mode++ {
 			if err := ioAmpCopy(DefaultSetup(kind), mode); err != nil {
 				t.Error(err)
 			}
+		}
+	}
+	for _, path := range server.Paths {
+		if err := ioAmpServe(path); err != nil {
+			t.Error(err)
 		}
 	}
 }

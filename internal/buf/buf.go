@@ -75,6 +75,12 @@ type Buf struct {
 	freeNext *Buf
 	hashed   bool
 	onFree   bool
+	// slot is 1 + the buffer's index in its cache's pool, 0 for a header:
+	// its bit in the touched set (touched.go).
+	slot uint16
+	// stamp orders the free list for the touched walk: it increases from
+	// freeHead to freeTail (freePush hands it out).
+	stamp int32
 
 	Bcount int // transfer length in bytes
 	Resid  int // bytes not transferred (error cases)
@@ -104,11 +110,15 @@ type Buf struct {
 }
 
 func (b *Buf) String() string {
-	dev := "?"
-	if b.Dev != nil {
-		dev = b.Dev.DevName()
+	return fmt.Sprintf("buf{%s#%d flags=%#x n=%d}", devName(b.Dev), b.Blkno, b.Flags, b.Bcount)
+}
+
+// devName is d's name, "?" for none.
+func devName(d Device) string {
+	if d == nil {
+		return "?"
 	}
-	return fmt.Sprintf("buf{%s#%d flags=%#x n=%d}", dev, b.Blkno, b.Flags, b.Bcount)
+	return d.DevName()
 }
 
 // HasFlags reports whether all the given flags are set.

@@ -51,6 +51,10 @@ type Cache struct {
 	raPending int
 
 	gen kernel.Gen // the catalog's generation (invariants.go)
+	// ck is the touched walk's state (touched.go), made by the first
+	// check: until then nothing reads what touch records, and a cache
+	// nobody checks carries no shadow.
+	ck *walker
 
 	// Stats
 	hits          int64
@@ -73,6 +77,9 @@ func NewCache(k *kernel.Kernel, nbuf, blockSize int) *Cache {
 	if nbuf < 4 {
 		panic("buf: cache needs at least 4 buffers")
 	}
+	if nbuf > maxPool {
+		panic("buf: cache holds at most 65535 buffers")
+	}
 	if blockSize <= 0 {
 		panic("buf: blockSize must be positive")
 	}
@@ -90,6 +97,7 @@ func NewCache(k *kernel.Kernel, nbuf, blockSize int) *Cache {
 	for i := range c.pool {
 		b := &c.pool[i]
 		b.pool, b.Data, b.Flags = c, c.slab[i*blockSize:][:blockSize:blockSize], BInval
+		b.slot = uint16(i + 1)
 		c.freePush(b, false)
 	}
 	return c
@@ -109,7 +117,11 @@ func (c *Cache) Release() {
 	}
 	clear(c.slab)
 	sim.PutSlab(c.slab)
-	c.slab = nil
+	if w := c.ck; w != nil {
+		clear(w.mem)
+		sim.PutSlab(w.mem)
+	}
+	c.slab, c.ck = nil, nil
 	c.gen.Bump()
 }
 
@@ -163,12 +175,20 @@ func (c *Cache) Stats() Stats {
 
 // ---- free list management ----
 
+// The list and hash primitives mark every buffer whose links they
+// write: b and its free-list neighbours are touched, b and its hash
+// predecessor rehashed (touched.go).
+
 func (c *Cache) freePush(b *Buf, front bool) {
 	if b.onFree {
 		panic("buf: freePush of buffer already on free list")
 	}
 	b.onFree = true
 	c.nfree++
+	c.touch(b)
+	if w := c.ck; w != nil {
+		b.stamp = w.nextStamp(front)
+	}
 	if c.freeHead == nil {
 		c.freeHead, c.freeTail = b, b
 		return
@@ -176,10 +196,12 @@ func (c *Cache) freePush(b *Buf, front bool) {
 	if front {
 		b.freeNext = c.freeHead
 		c.freeHead.freePrev = b
+		c.touch(c.freeHead)
 		c.freeHead = b
 	} else {
 		b.freePrev = c.freeTail
 		c.freeTail.freeNext = b
+		c.touch(c.freeTail)
 		c.freeTail = b
 	}
 }
@@ -190,41 +212,56 @@ func (c *Cache) freeRemove(b *Buf) {
 	}
 	if b.freePrev != nil {
 		b.freePrev.freeNext = b.freeNext
+		c.touch(b.freePrev)
 	} else {
 		c.freeHead = b.freeNext
 	}
 	if b.freeNext != nil {
 		b.freeNext.freePrev = b.freePrev
+		c.touch(b.freeNext)
 	} else {
 		c.freeTail = b.freePrev
 	}
 	b.freePrev, b.freeNext = nil, nil
 	b.onFree = false
 	c.nfree--
+	c.touch(b)
 }
 
 // bucket returns the index of the hash chain block blkno lives on.
 func (c *Cache) bucket(blkno int64) int { return int(blkno) & (len(c.hash) - 1) }
 
 func (c *Cache) hashInsert(b *Buf) {
-	head := &c.hash[c.bucket(b.Blkno)]
-	b.hashNext = *head
-	*head = b
+	i := c.bucket(b.Blkno)
+	b.hashNext = c.hash[i]
+	c.hash[i] = b
 	b.hashed = true
+	c.rehash(b)
+	c.touchChain(i)
 }
 
 func (c *Cache) hashRemove(b *Buf) {
 	if !b.hashed {
 		return
 	}
-	for link := &c.hash[c.bucket(b.Blkno)]; *link != nil; link = &(*link).hashNext {
-		if *link == b {
-			*link = b.hashNext
-			break
+	i := c.bucket(b.Blkno)
+	var pred *Buf
+	for x := c.hash[i]; x != nil; pred, x = x, x.hashNext {
+		if x != b {
+			continue
 		}
+		if pred == nil {
+			c.hash[i] = b.hashNext
+			c.touchChain(i)
+		} else {
+			pred.hashNext = b.hashNext
+			c.rehash(pred)
+		}
+		break
 	}
 	b.hashNext = nil
 	b.hashed = false
+	c.rehash(b)
 }
 
 // Peek returns the cached buffer for (dev, blkno) without claiming it,
@@ -332,8 +369,7 @@ func (c *Cache) getblk(ctx kernel.Ctx, dev Device, blkno int64, canSleep, quiet 
 		b.SpliceDesc = nil
 		b.SpliceLblk = 0
 		b.SplicePeer = nil
-		c.hashInsert(b)
-		c.gen.Bump() // covers Bread, StartRead and StartReadahead setting up the read
+		c.hashInsert(b) // its mark covers Bread, StartRead and StartReadahead setting up the read
 		return b, nil
 	}
 }
@@ -375,13 +411,13 @@ func (c *Cache) claim(b *Buf) {
 		c.freeRemove(b)
 	}
 	b.Flags |= BBusy
-	c.gen.Bump()
+	c.touch(b)
 }
 
 // want marks busy b as waited for, before its caller sleeps on it.
 func (c *Cache) want(b *Buf) {
 	b.Flags |= BWanted
-	c.gen.Bump()
+	c.touch(b)
 }
 
 // Brelse unlocks the buffer and returns it to the free list, waking any
@@ -398,11 +434,14 @@ func (c *Cache) Brelse(ctx kernel.Ctx, b *Buf) {
 		b.Flags &^= BWanted
 		c.k.Wakeup(b)
 	}
-	c.gen.Bump()
+	c.touch(b)
 	b.SpliceDesc = nil
 	if b.Flags&BHeld != 0 {
 		// A page's memory stays cached, and whole, whatever the transfer
 		// did: a failed write latched its error in Biodone.
+		if b.Flags&BInval != 0 {
+			c.rehash(b) // valid again: a duplicate check's premise
+		}
 		b.Flags &^= BBusy | BAsync | BAge | BError | BInval
 		b.Err = nil
 		b.Bcount = c.blockSize
@@ -499,7 +538,7 @@ func (c *Cache) retireRA(b *Buf) {
 // releases the buffer.
 func (c *Cache) Bwrite(ctx kernel.Ctx, b *Buf) error {
 	b.Flags &^= BRead | BDelwri | BDone | BAsync
-	c.gen.Bump()
+	c.touch(b)
 	c.writes++
 	b.Dev.Strategy(b)
 	err := c.Biowait(ctx, b)
@@ -512,7 +551,7 @@ func (c *Cache) Bwrite(ctx kernel.Ctx, b *Buf) error {
 func (c *Cache) Bawrite(ctx kernel.Ctx, b *Buf) {
 	b.Flags &^= BRead | BDelwri | BDone
 	b.Flags |= BAsync
-	c.gen.Bump()
+	c.touch(b)
 	c.writes++
 	b.Dev.Strategy(b)
 }
@@ -548,7 +587,7 @@ func (c *Cache) Dirty(ctx kernel.Ctx, b *Buf) bool {
 		return false
 	}
 	b.Flags |= BDelwri | BDone
-	c.gen.Bump()
+	c.touch(b)
 	c.delwrites++
 	return true
 }
@@ -559,7 +598,7 @@ func (c *Cache) Dirty(ctx kernel.Ctx, b *Buf) bool {
 // evicting a dirty page.
 func (c *Cache) Unhold(ctx kernel.Ctx, b *Buf, write bool) {
 	b.Flags &^= BHeld
-	c.gen.Bump()
+	c.touch(b)
 	switch {
 	case b.Flags&BBusy != 0:
 	case write && b.Flags&BDelwri != 0:
@@ -597,7 +636,7 @@ func (c *Cache) Biodone(b *Buf) {
 		panic("buf: biodone on already-done buffer " + b.String())
 	}
 	b.Flags |= BDone
-	c.gen.Bump()
+	c.touch(b)
 	if b.Flags&BReadahead != 0 {
 		// A readahead fetch completed (or was dropped with an error by
 		// a crash); it no longer holds a slot of the budget. The flag
@@ -711,7 +750,7 @@ func (c *Cache) PrepareWrite(b *Buf, iodone func(*kernel.Kernel, *Buf)) {
 	b.Flags &^= BRead | BDone | BDelwri // a staged page's buffer may be dirty
 	b.Flags |= BCall
 	b.Iodone = iodone
-	c.gen.Bump()
+	c.touch(b)
 }
 
 // SetFlags sets flags on b, which its caller holds busy: a writer
@@ -719,7 +758,11 @@ func (c *Cache) PrepareWrite(b *Buf, iodone func(*kernel.Kernel, *Buf)) {
 // through here.
 func (c *Cache) SetFlags(b *Buf, flags int) {
 	b.Flags |= flags
-	c.gen.Bump()
+	if flags&placeFlags != 0 {
+		c.rehash(b)
+	} else {
+		c.touch(b)
+	}
 }
 
 // ---- flushing / invalidation ----
@@ -969,6 +1012,5 @@ func (c *Cache) drop(b *Buf) {
 	c.hashRemove(b)
 	c.retireRA(b)
 	b.Flags, b.Dev, b.Err = BInval, nil, nil
-	c.freePush(b, true)
-	c.gen.Bump()
+	c.freePush(b, true) // touches b
 }

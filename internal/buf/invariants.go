@@ -9,6 +9,8 @@ import "kdp/internal/kernel"
 // scheduling loop between events. A passing pass allocates nothing and
 // visits buffers in a fixed order (free list, then hash buckets), so
 // the violation reported for a given state is always the same one.
+// Most passes check only what moved since the last (touched.go), and
+// hand anything they fail to the full walk here, which reports.
 //
 // Invariant catalog (buffer cache):
 //
@@ -16,7 +18,8 @@ import "kdp/internal/kernel"
 //	buf-free-link        free list forward/back pointers agree, count == nfree
 //	buf-free-busy        no buffer is both BBusy and on the free list
 //	buf-free-flag        onFree matches actual free-list membership
-//	buf-hash-key         a hashed buffer is on the chain its Blkno selects
+//	buf-hash-key         a hashed buffer is on the chain its Blkno selects,
+//	                     and no chain loops back on itself
 //	                     (chains are indexed by Blkno alone and a lookup
 //	                     compares (Dev, Blkno) down the chain, so a changed
 //	                     Dev, or a Blkno moved by a multiple of the table
@@ -39,7 +42,8 @@ import "kdp/internal/kernel"
 // CheckInvariants verifies the cache's structural invariants, returning
 // the first violation found (nil if the cache is consistent). It never
 // sleeps and performs no I/O, and walks only when the cache's generation
-// moved since its last passing walk (kernel.Gen).
+// moved since its last passing walk (kernel.Gen), and then, when it can,
+// only what moved (touched.go).
 func (c *Cache) CheckInvariants() error {
 	return c.gen.Check("buf", 0, c.check, c.digest)
 }
@@ -47,7 +51,11 @@ func (c *Cache) CheckInvariants() error {
 // Gen is the cache's generation, for a catalog that reads buffer fields.
 func (c *Cache) Gen() uint32 { return c.gen.N() }
 
-func (c *Cache) check() error {
+// checkFull is the full walk, the touched walk's reference: the free
+// list, then the hash chains in bucket order, then the counts. It notes
+// each chain's counts, and the chain and class of each member, in the
+// shadow if there is one.
+func (c *Cache) checkFull() error {
 	if c.slab == nil {
 		return kernel.Violation("buf-released", "cache checked after Release")
 	}
@@ -85,48 +93,21 @@ func (c *Cache) check() error {
 		return kernel.Violation("buf-free-link", "free list holds %d buffers, nfree says %d", n, c.nfree)
 	}
 
-	// Hash walk, bucket by bucket: chain keys, duplicate detection, busy
-	// and held accounting, in-flight readahead accounting.
-	busy, held := 0, 0
-	inflightRA := 0
-	for i, head := range c.hash {
-		for b := head; b != nil; b = b.hashNext {
-			if !b.hashed {
-				return kernel.Violation("buf-hash-key", "%s on chain %d with hashed=false", b, i)
-			}
-			if b.Flags&BNoMem != 0 {
-				return kernel.Violation("buf-header-hashed", "header-only buffer in hash: %s", b)
-			}
-			if c.bucket(b.Blkno) != i {
-				return kernel.Violation("buf-hash-key", "%s hashed under chain %d", b, i)
-			}
-			if b.Flags&BInval == 0 {
-				for dup := head; dup != b; dup = dup.hashNext {
-					// Blkno first: it settles most pairs without the
-					// costlier interface compare of Dev.
-					if dup.Blkno == b.Blkno && dup.Dev == b.Dev && dup.Flags&BInval == 0 {
-						return kernel.Violation("buf-hash-dup", "blocks %s and %s both valid for %s#%d", dup, b, b.Dev.DevName(), b.Blkno)
-					}
-				}
-			}
-			if b.Flags&BBusy != 0 {
-				busy++
-				if b.onFree {
-					return kernel.Violation("buf-free-busy", "busy hashed buffer claims free-list membership: %s", b)
-				}
-				if b.Flags&flagPremises != 0 {
-					if err := checkBufFlags(b); err != nil {
-						return err
-					}
-				}
-			} else if b.Flags&BHeld != 0 {
-				held++
-			} else if !b.onFree {
-				return kernel.Violation("buf-pool-account", "idle hashed buffer not on free list: %s", b)
-			}
-			if b.Flags&BReadahead != 0 && b.Flags&BDone == 0 {
-				inflightRA++
-			}
+	busy, held, inflightRA := 0, 0, 0
+	w := c.ck
+	if w != nil {
+		for i := range w.bufs {
+			w.bufs[i].chain = 0 // set again for every buffer a chain holds
+		}
+	}
+	for i := range c.hash {
+		t, _, err := c.checkChain(i, w)
+		if err != nil {
+			return err
+		}
+		busy, held, inflightRA = busy+int(t.busy), held+int(t.held), inflightRA+int(t.ra)
+		if w != nil {
+			w.heads[i] = t
 		}
 	}
 	if c.nfree+busy+held != c.nbuf {
@@ -141,33 +122,86 @@ func (c *Cache) check() error {
 	return nil
 }
 
-// digest folds in what check reads. BError is read by no check, so the
-// driver's writes of it (and of Resid) need no bump and are left out.
-func (c *Cache) digest(d *kernel.Digest) {
-	d.Bool(c.slab == nil)
-	for b := c.freeHead; b != nil; b = b.freeNext {
-		kernel.Ptr(d, b)
-		kernel.Ptr(d, b.freePrev)
-		d.Bool(b.onFree)
-		d.Int(int64(b.Flags &^ BError))
-		d.Bool(b.Iodone == nil)
-	}
-	kernel.Ptr(d, c.freeTail)
-	d.Int(int64(c.nfree))
-	for _, b := range c.hash {
-		for ; b != nil; b = b.hashNext {
-			kernel.Ptr(d, b)
-			d.Bool(b.hashed)
-			d.Bool(b.onFree)
-			d.Int(int64(b.Flags &^ BError))
-			d.Int(b.Blkno)
-			d.Bool(b.Iodone == nil)
-			if b.Dev != nil {
-				d.Str(b.Dev.DevName())
+// checkChain walks hash chain i, for both walks: chain keys, duplicate
+// detection, each member's own checks, and the chain's counts. Only
+// pool buffers are ever hashed, so a chain longer than the pool has
+// looped. With a walker it records each pool member's chain and class,
+// and kept counts the members it had recorded on this chain already.
+func (c *Cache) checkChain(i int, w *walker) (t chainShadow, kept int, err error) {
+	head := c.hash[i]
+	for b := head; b != nil; b = b.hashNext {
+		if t.n++; int(t.n) > len(c.pool) {
+			return t, kept, kernel.Violation("buf-hash-key", "chain %d loops back to %s", i, b)
+		}
+		if !b.hashed {
+			return t, kept, kernel.Violation("buf-hash-key", "%s on chain %d with hashed=false", b, i)
+		}
+		if b.Flags&BNoMem != 0 {
+			return t, kept, kernel.Violation("buf-header-hashed", "header-only buffer in hash: %s", b)
+		}
+		if c.bucket(b.Blkno) != i {
+			return t, kept, kernel.Violation("buf-hash-key", "%s hashed under chain %d", b, i)
+		}
+		if b.Flags&BInval == 0 {
+			for dup := head; dup != b; dup = dup.hashNext {
+				// Blkno first: it settles most pairs without the
+				// costlier interface compare of Dev.
+				if dup.Blkno == b.Blkno && dup.Dev == b.Dev && dup.Flags&BInval == 0 {
+					return t, kept, kernel.Violation("buf-hash-dup", "blocks %s and %s both valid for %s#%d", dup, b, devName(b.Dev), b.Blkno)
+				}
 			}
 		}
-		d.Int(-1)
+		cls, err := checkMember(b)
+		if err != nil {
+			return t, kept, err
+		}
+		t.add(cls, 1)
+		if b.slot == 0 {
+			t.foreign++
+		} else if w != nil {
+			s := &w.bufs[b.slot-1]
+			if s.chain == uint16(i+1) {
+				kept++
+			}
+			s.chain, s.class = uint16(i+1), cls
+		}
 	}
+	return t, kept, nil
+}
+
+// checkMember checks hashed buffer b's own state — all the hash walk
+// checks of it but its place on its chain — and returns the class it
+// counts in: a busy buffer is off the free list, an idle one that is
+// not held is on it.
+func checkMember(b *Buf) (cls uint8, err error) {
+	if b.Flags&BBusy != 0 {
+		if b.onFree {
+			return 0, kernel.Violation("buf-free-busy", "busy hashed buffer claims free-list membership: %s", b)
+		}
+		if b.Flags&flagPremises != 0 {
+			if err := checkBufFlags(b); err != nil {
+				return 0, err
+			}
+		}
+		cls = classBusy
+	} else if b.Flags&BHeld != 0 {
+		cls = classHeld
+	} else if !b.onFree {
+		return 0, kernel.Violation("buf-pool-account", "idle hashed buffer not on free list: %s", b)
+	}
+	if b.Flags&BReadahead != 0 && b.Flags&BDone == 0 {
+		cls |= classRA
+	}
+	return cls, nil
+}
+
+// digest folds in what the walks read of the cache itself; the audit
+// holds each buffer and chain head to account on its own (resum).
+func (c *Cache) digest(d *kernel.Digest) {
+	d.Bool(c.slab == nil)
+	kernel.Ptr(d, c.freeHead)
+	kernel.Ptr(d, c.freeTail)
+	d.Int(int64(c.nfree))
 	d.Int(int64(c.nbuf))
 	d.Int(int64(c.raPending))
 	d.Int(int64(c.raMax))
@@ -215,15 +249,17 @@ var damages = []struct {
 }{
 	// set BBusy on the head of the free list
 	{"busy-on-freelist", func(c *Cache) {
-		if c.freeHead != nil {
-			c.freeHead.Flags |= BBusy
+		if b := c.freeHead; b != nil {
+			b.Flags |= BBusy
+			c.touch(b)
 		}
 	}},
 	// set BDelwri without BDone on a free buffer
 	{"delwri-undone", func(c *Cache) {
-		if c.freeHead != nil {
-			c.freeHead.Flags |= BDelwri
-			c.freeHead.Flags &^= BDone
+		if b := c.freeHead; b != nil {
+			b.Flags |= BDelwri
+			b.Flags &^= BDone
+			c.touch(b)
 		}
 	}},
 	// change the first hashed buffer's Blkno without rehashing
@@ -231,6 +267,7 @@ var damages = []struct {
 		for i := range c.pool {
 			if b := &c.pool[i]; b.hashed {
 				b.Blkno++
+				c.rehash(b)
 				break
 			}
 		}
@@ -243,6 +280,7 @@ var damages = []struct {
 		c.raPending++
 		if b := c.freeTail; b != nil && b.Flags&BDelwri != 0 {
 			b.Flags |= BInval
+			c.rehash(b)
 		}
 	}},
 }
@@ -263,7 +301,7 @@ func (c *Cache) Damage(kind string) {
 	for _, d := range damages {
 		if d.kind == kind {
 			d.apply(c)
-			c.gen.Bump() // a planted write is a modification too
+			c.gen.Bump() // a planted write is a modification too, touched where it is a buffer's
 			return
 		}
 	}

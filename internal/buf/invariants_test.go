@@ -31,11 +31,17 @@ func (d *badDevice) Strategy(b *Buf) {
 	})
 }
 
-// warmFixture returns a cache whose first three pool buffers hold blocks
-// 5, 1 and 9 (in that order), released and valid.
+// warmFixture returns an 8-buffer cache whose first three pool buffers
+// hold blocks 5, 1 and 9 (in that order), released and valid.
 func warmFixture(t testing.TB) *fixture {
 	t.Helper()
-	f := newFixture(8)
+	return warmCache(t, 8)
+}
+
+// warmCache is warmFixture with nbuf buffers.
+func warmCache(t testing.TB, nbuf int) *fixture {
+	t.Helper()
+	f := newFixture(nbuf)
 	f.runProc(t, func(p *kernel.Proc) {
 		ctx := p.Ctx()
 		for _, blk := range []int64{5, 1, 9} {
@@ -81,27 +87,64 @@ func TestDamageTripsInvariants(t *testing.T) {
 }
 
 // TestCatalogTrips plants one hand-made fault per name in the invariant
-// catalog and requires the same-named check to report it.
+// catalog, marking what it writes, and requires the same-named check to
+// report it. The 64-buffer cache keeps every plant's touched set
+// small, so the touched walk checks it first and must fail it; the full
+// walk, which then reports, must name it on its own too.
 func TestCatalogTrips(t *testing.T) {
 	// hashedBuf is the first hashed buffer in pool order (block 5, idle).
 	hashedBuf := func(c *Cache) *Buf { return &c.pool[0] }
+	// mark sets flags on b, touched.
+	mark := func(c *Cache, b *Buf, flags int) {
+		b.Flags |= flags
+		c.touch(b)
+	}
 	faults := []struct {
 		name  string
 		plant func(f *fixture)
 	}{
 		{"buf-released", func(f *fixture) { f.c.Release() }},
-		{"buf-free-link", func(f *fixture) { f.c.freeHead.freeNext.freePrev = nil }},
-		{"buf-free-busy", func(f *fixture) { f.c.freeHead.Flags |= BBusy }},
-		{"buf-free-flag", func(f *fixture) { f.c.freeHead.onFree = false }},
-		{"buf-hash-key", func(f *fixture) { hashedBuf(f.c).hashed = false }},
+		{"buf-free-link", func(f *fixture) {
+			b := f.c.freeHead.freeNext
+			b.freePrev = nil
+			f.c.touch(b)
+		}},
+		// Two free buffers taken off the list into a cycle of their own,
+		// nfree kept: every link checks out locally, and only the stamps
+		// (or a walk of the whole list) tell.
+		{"buf-free-link", func(f *fixture) {
+			a := f.c.freeHead.freeNext
+			b := a.freeNext
+			p, n := a.freePrev, b.freeNext
+			p.freeNext, n.freePrev = n, p
+			a.freePrev, b.freeNext = b, a
+			for _, x := range []*Buf{p, a, b, n} {
+				f.c.touch(x)
+			}
+		}},
+		{"buf-free-busy", func(f *fixture) { mark(f.c, f.c.freeHead, BBusy) }},
+		{"buf-free-flag", func(f *fixture) {
+			f.c.freeHead.onFree = false
+			f.c.touch(f.c.freeHead)
+		}},
+		{"buf-hash-key", func(f *fixture) {
+			hashedBuf(f.c).hashed = false
+			f.c.rehash(hashedBuf(f.c))
+		}},
 		{"buf-hash-dup", func(f *fixture) {
 			twin := f.c.freeHead // never used: invalid, unhashed
 			twin.Dev, twin.Blkno, twin.Flags = f.dev, 5, BDone
 			f.c.hashInsert(twin)
 		}},
-		{"buf-flag-wanted", func(f *fixture) { f.c.freeHead.Flags |= BWanted }},
-		{"buf-flag-delwri", func(f *fixture) { f.c.freeHead.Flags |= BDelwri }},
-		{"buf-flag-call", func(f *fixture) { f.c.freeHead.Flags |= BCall }},
+		{"buf-flag-wanted", func(f *fixture) { mark(f.c, f.c.freeHead, BWanted) }},
+		{"buf-flag-delwri", func(f *fixture) { mark(f.c, f.c.freeHead, BDelwri) }},
+		{"buf-flag-call", func(f *fixture) { mark(f.c, f.c.freeHead, BCall) }},
+		// On a busy buffer, off the free list: only its chain's checks see it.
+		{"buf-flag-call", func(f *fixture) {
+			b := hashedBuf(f.c)
+			f.c.claim(b)
+			mark(f.c, b, BCall)
+		}},
 		{"buf-pool-account", func(f *fixture) { f.c.nbuf++ }},
 		// A held buffer the hash does not know: no walk counts it.
 		{"buf-pool-account", func(f *fixture) {
@@ -109,9 +152,12 @@ func TestCatalogTrips(t *testing.T) {
 			f.c.freeRemove(b)
 			b.Flags |= BHeld
 		}},
-		{"buf-held-free", func(f *fixture) { hashedBuf(f.c).Flags |= BHeld }},
-		{"buf-header-hashed", func(f *fixture) { hashedBuf(f.c).Flags |= BNoMem }},
-		{"buf-ra-flag", func(f *fixture) { hashedBuf(f.c).Flags |= BReadahead | BDelwri }},
+		{"buf-held-free", func(f *fixture) { mark(f.c, hashedBuf(f.c), BHeld) }},
+		{"buf-header-hashed", func(f *fixture) {
+			hashedBuf(f.c).Flags |= BNoMem
+			f.c.rehash(hashedBuf(f.c))
+		}},
+		{"buf-ra-flag", func(f *fixture) { mark(f.c, hashedBuf(f.c), BReadahead|BDelwri) }},
 		{"buf-ra-pending", func(f *fixture) { f.c.raPending++ }},
 		{"buf-ra-budget", func(f *fixture) {
 			// Two well-formed in-flight readaheads against a budget of one.
@@ -127,10 +173,19 @@ func TestCatalogTrips(t *testing.T) {
 	}
 	for _, fault := range faults {
 		t.Run(fault.name, func(t *testing.T) {
-			f := warmFixture(t)
+			f := warmCache(t, 64)
 			fault.plant(f)
 			f.c.gen.Bump() // a planted write is a modification
+			if w := f.c.ck; w != nil {
+				if !w.seeded || !w.small(len(f.c.pool)) {
+					t.Fatal("the plant is not the touched walk's to check")
+				}
+				if f.c.walkTouched(w) {
+					t.Error("the touched walk passed the plant")
+				}
+			}
 			wantTrip(t, f.c.CheckInvariants(), fault.name)
+			wantTrip(t, f.c.checkFull(), fault.name)
 		})
 	}
 }
@@ -149,6 +204,37 @@ func TestAuditReportsUnbumpedWrite(t *testing.T) {
 	var ae *kernel.AuditError
 	if err := f.c.CheckInvariants(); !errors.As(err, &ae) || ae.Owner != "buf" {
 		t.Errorf("CheckInvariants = %v, want the audit to report buf", err)
+	}
+}
+
+// TestAuditReportsUntouchedWrite: with the audit on, a write the
+// generation saw but no touch recorded is reported with the buffer it
+// moved, and so is a chain head written without its mark.
+func TestAuditReportsUntouchedWrite(t *testing.T) {
+	kernel.SetAudit(true)
+	defer kernel.SetAudit(false)
+	for _, plant := range []struct {
+		name, detail string
+		write        func(c *Cache)
+	}{
+		{"a buffer", "mem0#5 ", func(c *Cache) { c.pool[0].Flags |= BAge }},
+		{"a chain head", "chain head", func(c *Cache) {
+			b := &c.pool[0] // block 5, alone on its chain
+			c.hash[5] = nil
+			c.freeRemove(b)
+			c.freePush(b, false) // b is touched; the chain is not marked
+		}},
+	} {
+		f := warmCache(t, 64)
+		if err := f.c.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		plant.write(f.c)
+		f.c.gen.Bump()
+		var ae *kernel.AuditError
+		if err := f.c.CheckInvariants(); !errors.As(err, &ae) || ae.Owner != "buf" || !strings.Contains(ae.Detail, plant.detail) {
+			t.Errorf("%s: CheckInvariants = %v, want the audit to report buf naming %q", plant.name, err, plant.detail)
+		}
 	}
 }
 
@@ -338,15 +424,44 @@ func TestWalkFieldsFillOneLine(t *testing.T) {
 }
 
 // BenchmarkCatalogWalk times one full walk of the cache's catalog, the
-// generation bumped before each so that none is skipped.
+// touched walk's reference, on the 8-buffer fixture.
 func BenchmarkCatalogWalk(b *testing.B) {
 	f := warmFixture(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.c.gen.Bump()
-		if err := f.c.CheckInvariants(); err != nil {
+		if err := f.c.checkFull(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkTouchedWalk times the commonest stretch between two probes on
+// simcheck's 64-buffer cache, a hit: a cached buffer claimed off the
+// free list and released to its tail, then the pass, by each walk. The
+// pass's cost is the difference from op, the stretch alone.
+func BenchmarkTouchedWalk(b *testing.B) {
+	for _, walk := range []struct {
+		name string
+		pass func(c *Cache) error
+	}{
+		{"op", func(*Cache) error { return nil }},
+		{"touched", (*Cache).CheckInvariants},
+		{"full", (*Cache).checkFull},
+	} {
+		b.Run(walk.name, func(b *testing.B) {
+			f := warmCache(b, 64)
+			ctx := f.k.IntrCtx()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				x := &f.c.pool[i%3] // blocks 5, 1 and 9
+				f.c.claim(x)
+				f.c.Brelse(ctx, x)
+				if err := walk.pass(f.c); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

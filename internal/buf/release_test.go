@@ -33,22 +33,26 @@ func TestBufferMemoryIsOneSlab(t *testing.T) {
 
 // TestReleaseClearsAndRestsTheSlab: every buffer is scribbled on — the
 // cached ones through the device, the rest directly — and after Release
-// the slab rests all-zero and the next cache of that size draws it.
+// the slab rests all-zero and the next cache of that size draws it. The
+// fixture's checks made the touched walk's shadow, which rests beside
+// it, cleared too.
 func TestReleaseClearsAndRestsTheSlab(t *testing.T) {
 	sim.TakeSlabs()
 	f := warmFixture(t)
 	for i := range f.c.pool {
 		f.c.pool[i].Data[8191] = 0x5A
 	}
-	slab := &f.c.slab[0]
+	slab, shadow := &f.c.slab[0], &f.c.ck.mem[0]
 	f.c.Release()
 	slabs := sim.TakeSlabs()
-	if len(slabs) != 1 || &slabs[0][0] != slab {
-		t.Fatalf("%d slabs rest, want the cache's alone", len(slabs))
+	if len(slabs) != 2 || &slabs[0][0] != slab || &slabs[1][0] != shadow {
+		t.Fatalf("%d slabs rest, want the cache's and its shadow's", len(slabs))
 	}
-	for i, c := range slabs[0] {
-		if c != 0 {
-			t.Fatalf("resting slab has byte %#x at %d", c, i)
+	for _, s := range slabs {
+		for i, c := range s {
+			if c != 0 {
+				t.Fatalf("resting slab has byte %#x at %d", c, i)
+			}
 		}
 	}
 	sim.PutSlab(slabs[0])

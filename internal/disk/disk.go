@@ -187,7 +187,10 @@ type Disk struct {
 	dirty  []uint64 // one bit per block written to: what Release zeroes again
 	queue  []*buf.Buf
 	active bool
-	gen    kernel.Gen // the catalog's generation (invariants.go)
+	// maxQueue is the deepest the queue has been, beside active so that
+	// the two share a word and Disk stays in its size class (TestDiskSize).
+	maxQueue int32
+	gen      kernel.Gen // the catalog's generation (invariants.go)
 	// The drive services one request at a time: cur is the one whose
 	// completion event is scheduled, onComplete the handler of every
 	// such event, bound once.
@@ -211,7 +214,6 @@ type Disk struct {
 	nerrors           int64
 	busyTime          sim.Duration
 	lastComplete      sim.Time
-	maxQueueObserved  int
 	totalQueueSamples int64
 
 	// Contiguous completion-run accounting: runBlk is the block number
@@ -302,7 +304,7 @@ func (d *Disk) Stats() Stats {
 		ReadBytes: d.readBytes, WriteBytes: d.writeBytes,
 		Seeks:     d.seeks,
 		CacheHits: d.cacheHits, CacheMisses: d.cacheMisses,
-		Busy: d.busyTime, MaxQueue: d.maxQueueObserved,
+		Busy: d.busyTime, MaxQueue: int(d.maxQueue),
 		ContigBlocks: d.contigBlocks, LongestRun: d.longestRun,
 	}
 }
@@ -336,8 +338,8 @@ func (d *Disk) Strategy(b *buf.Buf) {
 	}
 	d.queue = append(d.queue, b)
 	d.gen.Bump()
-	if n := len(d.queue); n > d.maxQueueObserved {
-		d.maxQueueObserved = n
+	if n := int32(len(d.queue)); n > d.maxQueue {
+		d.maxQueue = n
 	}
 	d.k.TraceEmit(trace.KindDiskQueue, 0, b.Blkno, int64(len(d.queue)), d.p.Name)
 	if !d.active {

@@ -5,6 +5,8 @@ import (
 	"testing"
 	"unsafe"
 
+	"kdp/internal/buf"
+	"kdp/internal/disk"
 	"kdp/internal/kernel"
 )
 
@@ -102,6 +104,26 @@ func TestCheckLiveAllocatesNothing(t *testing.T) {
 func TestInodeSize(t *testing.T) {
 	if n := unsafe.Sizeof(Inode{}); n != 128 {
 		t.Errorf("Inode is %d bytes, want 128", n)
+	}
+}
+
+// TestSizeClasses: the other per-machine records the generation rule
+// and the touched walk widened stay in their allocation size classes —
+// the disk in 448 bytes, the cache in 288 (its touched set and shadow
+// live behind one pointer) — and a buffer header in 176 (the touched
+// walk's slot and stamp fill padding).
+func TestSizeClasses(t *testing.T) {
+	for _, r := range []struct {
+		name      string
+		size, max uintptr
+	}{
+		{"disk.Disk", unsafe.Sizeof(disk.Disk{}), 448},
+		{"buf.Cache", unsafe.Sizeof(buf.Cache{}), 288},
+		{"buf.Buf", unsafe.Sizeof(buf.Buf{}), 176},
+	} {
+		if r.size > r.max {
+			t.Errorf("%s is %d bytes, want at most %d", r.name, r.size, r.max)
+		}
 	}
 }
 

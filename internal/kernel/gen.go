@@ -60,10 +60,15 @@ func (g *Gen) check(owner string, other uint32, walk func() error, digest func(*
 }
 
 // AuditError is the audit's report of state an owner's catalog reads
-// that moved while the owner's generation did not: a missing bump.
-type AuditError struct{ Owner string }
+// that moved while the owner's generation did not: a missing bump. An
+// owner that audits finer than the generation (the buffer cache, which
+// records the buffers it touches) says what moved in Detail.
+type AuditError struct{ Owner, Detail string }
 
 func (e *AuditError) Error() string {
+	if e.Detail != "" {
+		return "audit: " + e.Owner + ": " + e.Detail
+	}
 	return "audit: " + e.Owner + " state moved without a generation bump"
 }
 
@@ -71,8 +76,9 @@ func (e *AuditError) Error() string {
 // took, and the scratch a digest is taken in, so that taking one
 // allocates nothing.
 var (
-	auditSums map[*Gen]uint64
-	auditD    Digest
+	auditSums  map[*Gen]uint64
+	auditD     Digest
+	auditEpoch uint32
 )
 
 // SetAudit turns the generation rule's audit on, forgetting every digest
@@ -84,7 +90,18 @@ func SetAudit(on bool) {
 	auditSums = nil
 	if on {
 		auditSums = map[*Gen]uint64{}
+		auditEpoch++
 	}
+}
+
+// AuditEpoch is 0 while the audit is off, and otherwise names the
+// SetAudit(true) that turned it on, so that an owner keeping audit
+// records of its own knows when to forget them.
+func AuditEpoch() uint32 {
+	if auditSums == nil {
+		return 0
+	}
+	return auditEpoch
 }
 
 // Digest folds the values a catalog reads into one word (FNV-1a over
@@ -96,6 +113,9 @@ func auditDigest(fold func(*Digest)) uint64 {
 	fold(&auditD)
 	return auditD.h
 }
+
+// Sum is what has been folded in so far.
+func (d *Digest) Sum() uint64 { return d.h }
 
 // Int folds in one integer.
 func (d *Digest) Int(v int64) { d.h = (d.h ^ uint64(v)) * 1099511628211 }

@@ -22,15 +22,6 @@ var auditSweeps = []struct {
 	{"faults", 19, 40, 0, false, true},
 }
 
-// TestAuditFindsNoMissingBump runs the generation rule's audit
-// (kernel.SetAudit) over every seed the kdpcheck pin lines sweep: at
-// each pass the rule skips, every skipped catalog walks anyway and must
-// pass, and a digest of exactly what it reads must equal the one taken
-// at its owner's last walk. A write no bump covered fails the seed with
-// an AuditError naming the owner; the first failing seed ends the test.
-// Under the race detector, which the audit's sequential checks do not
-// need, it audits the digest corpus alone (standard seeds 1–7 and crash
-// seeds 1–3 at 60 ops).
 // inCorpus reports whether seed s of a standard or crash sweep is one
 // digests.golden pins.
 func inCorpus(crash bool, s uint64) bool {
@@ -42,6 +33,17 @@ func inCorpus(crash bool, s uint64) bool {
 	return false
 }
 
+// TestAuditFindsNoMissingBump runs the generation rule's audit
+// (kernel.SetAudit) over every seed the kdpcheck pin lines sweep: at
+// each pass the rule skips, every skipped catalog walks anyway and must
+// pass, and a digest of exactly what it reads must equal the one taken
+// at its owner's last walk. The buffer cache audits every pass finer:
+// each buffer it did not mark must be as at its last walk, and its
+// touched and full walks must agree. A write no bump or mark covered
+// fails the seed with an AuditError naming the owner; the first failing
+// seed ends the test. Under the race detector, which the audit's
+// sequential checks do not need, it audits the digest corpus alone
+// (standard seeds 1–7 and crash seeds 1–3 at 60 ops).
 func TestAuditFindsNoMissingBump(t *testing.T) {
 	if testing.Short() {
 		t.Skip("audits 589 seeds")

@@ -82,8 +82,8 @@ func TestReleaseLeavesMemoryZero(t *testing.T) {
 		}
 	}
 	slabs := sim.TakeSlabs()
-	if len(slabs) != 3 {
-		t.Fatalf("%d slabs rest after the sweep, want one machine's: two platters and a buffer slab", len(slabs))
+	if len(slabs) != 4 {
+		t.Fatalf("%d slabs rest after the sweep, want one machine's: two platters, a buffer slab and its shadow", len(slabs))
 	}
 	for _, s := range slabs {
 		if len(s) == d1Blocks*blockSize {

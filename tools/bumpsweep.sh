@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
 # bumpsweep.sh is the mutation sweep over the generation rule's bump
-# sites (docs/CHECKING.md, "What a probe costs"). For every
-# `gen.Bump()` call in the non-test sources it deletes that one line in
-# a scratch copy of the tree and runs the audit
+# sites and the buffer cache's marks (docs/CHECKING.md, "What a probe
+# costs"). For every `gen.Bump()` call, and every call of the cache's
+# touch, rehash and touchChain, in the non-test sources it deletes that
+# one line in a scratch copy of the tree and runs the audit
 # (TestAuditFindsNoMissingBump: every seed of the four kdpcheck pin
 # lines, the digest corpus among them) with the damage and ghost-tick
 # pins. Each site prints KILLED when a test fails without it, SURVIVED
-# when none does: another bump in the same stretch between scheduling
-# boundaries covers it.
+# when none does: another bump or mark in the same stretch between
+# scheduling boundaries covers it.
 #
 # Usage, from the repository root:
 #
@@ -38,5 +39,6 @@ while IFS=: read -r file line _; do
 		killed=$((killed + 1))
 	fi
 	cp "$file" "$work/$file"
-done < <(git grep -n 'gen\.Bump()' -- '*.go' ':!*_test.go' | grep -E "$filter")
-echo "bump sites: $((killed + survived)), killed $killed, survived $survived"
+done < <(git grep -n -E 'gen\.Bump\(\)|\<c\.(touch|rehash|touchChain)\(' -- '*.go' ':!*_test.go' |
+	grep -v -E '^[^:]*:[0-9]+:func ' | grep -E "$filter")
+echo "bump and mark sites: $((killed + survived)), killed $killed, survived $survived"
