@@ -18,16 +18,24 @@ func datagram(b []byte, id byte) []byte {
 	return b
 }
 
-// TestPacketBuffersRecycledAfterLastDelivery sends patterned datagrams
-// between two handler sockets with dup and reorder armed on the same
-// arrival and drop on the next one. Every handler call copies what it
+// TestPacketBuffersRecycledAfterLastDelivery holds the net to handing
+// every packet buffer back exactly once, after its last delivery, and
+// never while a delivery keeps it.
+func TestPacketBuffersRecycledAfterLastDelivery(t *testing.T) {
+	t.Run("handlers", testRecycledBetweenHandlers)
+	t.Run("kept-then-duplicate-refused", testRecycledRefusedDuplicate)
+}
+
+// testRecycledBetweenHandlers sends patterned datagrams between two
+// handler sockets with dup and reorder armed on the same arrival and
+// drop on the next one. Every handler call copies what it
 // was lent, scribbles over every buffer on the free list, then builds
 // an echo in a buffer from that list. A buffer recycled before its
 // last delivery would be scribbled on or reused while still owed to a
 // handler, and one recycled twice or never would leave the free list
 // larger or smaller than the number of buffers the net ever owned: those
 // it was built with and those PacketBuf made.
-func TestPacketBuffersRecycledAfterLastDelivery(t *testing.T) {
+func testRecycledBetweenHandlers(t *testing.T) {
 	k := newK()
 	n := NewNet(k, Loopback())
 	k.Faults().Arm(kernel.FaultArm{Site: n.DupSite(), K: 1, Match: 2})
@@ -63,11 +71,12 @@ func TestPacketBuffersRecycledAfterLastDelivery(t *testing.T) {
 		}
 		*ids = append(*ids, kept[0])
 	}
-	b.SetHandler(func(data []byte, from int, eof bool) {
+	b.SetHandler(func(data []byte, from int, eof bool) bool {
 		see(&atB, data)
 		b.SendTo(from, build(b, data[0]+100), nil)
+		return false
 	})
-	a.SetHandler(func(data []byte, from int, eof bool) { see(&atA, data) })
+	a.SetHandler(func(data []byte, from int, eof bool) bool { see(&atA, data); return false })
 
 	burst := func(first byte) {
 		for id := first; id < first+6; id++ { // back to back: all in flight together
@@ -97,6 +106,146 @@ func TestPacketBuffersRecycledAfterLastDelivery(t *testing.T) {
 	if resting != len(owned) || len(n.free[0]) != resting || len(n.free[1]) != 0 {
 		t.Errorf("free list holds %d buffers after the first burst and %d at the end; the net ever owned %d",
 			resting, len(n.free[0]), len(owned))
+	}
+	for _, f := range n.free[0] {
+		if p := &f[:1][0]; !owned[p] {
+			t.Errorf("free list holds a buffer twice, or one the net never owned")
+		} else {
+			delete(owned, p)
+		}
+	}
+}
+
+// testRecycledRefusedDuplicate: a queued socket with room for one
+// datagram keeps the first delivery of a duplicated one and refuses its
+// twin. The twin's buffer goes back to the free list, and the read that
+// copies the kept one out returns that one: the free list ends holding
+// every buffer the net ever owned.
+func testRecycledRefusedDuplicate(t *testing.T) {
+	const size = 64
+	k := newK()
+	p := Loopback()
+	p.RcvBufBytes = size
+	n := NewNet(k, p)
+	k.Faults().Arm(kernel.FaultArm{Site: n.DupSite(), K: 1, Match: kernel.MatchAny})
+	a, _ := n.NewSocket(1)
+	b, _ := n.NewSocket(2)
+	owned := len(n.free[0])
+	k.Spawn("rx", func(p *kernel.Proc) {
+		got := make([]byte, size)
+		if m, err := b.Read(p.Ctx(), got, 0); m != size || err != nil || !bytes.Equal(got, datagram(make([]byte, size), 1)) {
+			t.Errorf("read = (%d, %v) %v, want datagram 1", m, err, got)
+		}
+	})
+	k.Spawn("tx", func(p *kernel.Proc) {
+		a.SendTo(2, datagram(a.PacketBuf(size), 1), nil)
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, dropped := n.Stats(); dropped != 1 {
+		t.Fatalf("%d datagrams dropped, want the twin alone", dropped)
+	}
+	if len(n.free[0]) != owned {
+		t.Errorf("free list holds %d buffers at the end; the net ever owned %d", len(n.free[0]), owned)
+	}
+}
+
+// TestHandlerKeepsUntilRecycle drives a handler that keeps every other
+// datagram it is handed: one of each two it returns through Recycle
+// several arrivals later, the other before it returns. Drop, dup and
+// reorder are armed at intervals, and every arrival draws an echo off
+// the free list. Every call scribbles over the free list: a kept buffer
+// that the net recycled as well, or copied from for the twin of a
+// duplicate after its keeper gave it back, would be scribbled on or
+// reused. At the end the free list must hold each buffer the net ever
+// owned once.
+func TestHandlerKeepsUntilRecycle(t *testing.T) {
+	k := newK()
+	n := NewNet(k, Loopback())
+	k.Faults().Arm(kernel.FaultArm{Site: n.DropSite(), Every: 7, Match: kernel.MatchAny, Count: -1, Quiet: true})
+	k.Faults().Arm(kernel.FaultArm{Site: n.DupSite(), Every: 3, Match: kernel.MatchAny, Count: -1, Quiet: true})
+	k.Faults().Arm(kernel.FaultArm{Site: n.ReorderSite(), Every: 5, Match: kernel.MatchAny, Count: -1, Quiet: true})
+	a, _ := n.NewSocket(1)
+	b, _ := n.NewSocket(2)
+
+	const size = 64
+	owned := map[*byte]bool{}
+	own := func(buf []byte) { owned[&buf[:1][0]] = true }
+	for _, f := range n.free[0] {
+		own(f)
+	}
+	scribble := func() {
+		for _, f := range n.free[0] {
+			f = f[:cap(f)]
+			for i := range f {
+				f[i] = 0xDB
+			}
+		}
+	}
+	type keptBuf struct {
+		data []byte
+		id   byte
+	}
+	var held []keptBuf
+	giveBack := func() {
+		h := held[0]
+		held = held[1:]
+		if !bytes.Equal(h.data, datagram(make([]byte, size), h.id)) {
+			t.Errorf("kept datagram %d was written to while kept: %v", h.id, h.data)
+		}
+		b.Recycle(h.data)
+	}
+	calls, seen := 0, 0
+	b.SetHandler(func(data []byte, from int, eof bool) bool {
+		own(data)
+		scribble()
+		id := data[0]
+		if len(data) != size || !bytes.Equal(data, datagram(make([]byte, size), id)) {
+			t.Errorf("datagram %d arrived damaged: %v", id, data)
+		}
+		seen++
+		echo := a.PacketBuf(size)
+		own(echo)
+		b.SendTo(1, datagram(echo, id+100), nil)
+		switch calls++; calls % 4 {
+		case 1, 3:
+			return false
+		case 0: // kept and given back at once, as by a reader waiting for it
+			b.Recycle(data)
+			scribble()
+			return true
+		}
+		held = append(held, keptBuf{data, id})
+		if len(held) > 3 {
+			giveBack()
+		}
+		return true
+	})
+	a.SetHandler(func(data []byte, from int, eof bool) bool { own(data); return false })
+
+	k.Spawn("tx", func(p *kernel.Proc) {
+		for id := byte(1); id <= 60; id++ {
+			buf := a.PacketBuf(size)
+			own(buf)
+			a.SendTo(2, datagram(buf, id), nil)
+			if id%6 == 0 {
+				p.SleepFor(5 * sim.Millisecond)
+			}
+		}
+		p.SleepFor(20 * sim.Millisecond)
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for len(held) > 0 {
+		giveBack()
+	}
+	if _, _, dropped := n.Stats(); dropped == 0 || seen <= 60-int(dropped) {
+		t.Fatalf("b saw %d datagrams with %d dropped: the link was meant to drop and duplicate", seen, dropped)
+	}
+	if len(n.free[0]) != len(owned) || len(n.free[1]) != 0 {
+		t.Errorf("free list holds %d buffers at the end; the net ever owned %d", len(n.free[0]), len(owned))
 	}
 	for _, f := range n.free[0] {
 		if p := &f[:1][0]; !owned[p] {

@@ -138,11 +138,13 @@ func NewNet(k *kernel.Kernel, p NetParams) *Net {
 // netRecords sizes a net's link and propagation queues and its stock of
 // small packet buffers at construction. It is measured on one stream
 // connection moving a megabyte (stream's TestStreamTransferAllocBudget),
-// which peaks at 4 queued datagrams, 3 in propagation and 4 small
-// buffers, so that traffic reaches no new high-water mark after its
-// warm-up; a queue reclaims its popped slots only once they are most of
-// its array, hence the margin. Busier traffic, such as many connections
-// at once, may still grow the queues and the stock past it.
+// which peaks at 3 queued datagrams, 3 in propagation and 3 small
+// buffers out (3, 4 and 4 on its lossy link), counting the packets the
+// receiving connection keeps, so that traffic reaches no new high-water
+// mark after its warm-up; a queue reclaims its popped slots only once
+// they are most of its array, hence the margin. Busier traffic, such as
+// many connections at once, may still grow the queues and the stock
+// past it.
 const netRecords = 16
 
 // DropSite returns the net's datagram-loss fault site ID.
@@ -245,27 +247,31 @@ func (n *Net) deliver(port int, pkt packet) {
 	n.arrive(port, pkt, dup)
 }
 
-// arrive delivers pkt — twice under dup — and recycles its buffer after
-// the last delivery, unless a reader's queue has taken the bytes (the
-// read that empties it out recycles it then).
+// arrive delivers pkt — twice under dup — and recycles each buffer a
+// delivery did not keep. A kept buffer is its keeper's alone: a receive
+// queue's until the read that empties it, a handler's until it calls
+// Recycle, which it may do before it returns. So a duplicate gets a
+// buffer of its own before the first delivery, while the bytes are
+// still the net's.
 func (n *Net) arrive(port int, pkt packet, dup bool) {
-	kept := n.deliverTo(port, pkt)
+	twin := pkt
+	if dup {
+		twin.data = append(n.packetBuf(len(pkt.data))[:0], pkt.data...)
+	}
+	if !n.deliverTo(port, pkt) {
+		n.recycle(pkt.data)
+	}
 	if dup {
 		n.k.StealCPU(n.p.PerPacketCost)
-		if kept {
-			// A queued datagram owns its buffer alone.
-			pkt.data = append(n.packetBuf(len(pkt.data))[:0], pkt.data...)
+		if !n.deliverTo(port, twin) {
+			n.recycle(twin.data)
 		}
-		kept = n.deliverTo(port, pkt) || kept
-	}
-	if !kept {
-		n.recycle(pkt.data)
 	}
 }
 
 // deliverTo hands pkt to the socket bound to port and reports whether
-// that socket's receive queue now holds pkt.data (a handler has finished
-// with the bytes when it returns).
+// that socket kept pkt.data: its receive queue holds it, or its handler
+// said so.
 func (n *Net) deliverTo(port int, pkt packet) (kept bool) {
 	s, ok := n.socks[port]
 	if !ok || s.closed {
@@ -274,13 +280,12 @@ func (n *Net) deliverTo(port int, pkt packet) (kept bool) {
 		return false
 	}
 	if s.handler != nil {
-		// Protocol input processing: the handler consumes the packet
-		// immediately at interrupt level, so no receive queue (and no
-		// receive-buffer bound) is involved.
+		// Protocol input processing: the handler takes the packet at
+		// interrupt level, so no receive queue (and no receive-buffer
+		// bound) is involved.
 		n.delivered++
 		n.k.TraceEmit(trace.KindNetRx, 0, int64(len(pkt.data)), int64(port), "")
-		s.handler(pkt.data, pkt.from, pkt.eof)
-		return false
+		return s.handler(pkt.data, pkt.from, pkt.eof)
 	}
 	if s.rcvBytes+len(pkt.data) > n.p.RcvBufBytes {
 		n.dropped++
@@ -307,7 +312,7 @@ type Socket struct {
 
 	// handler, when set, receives every arriving packet at interrupt
 	// level instead of the receive queue (see SetHandler).
-	handler func(data []byte, from int, eof bool)
+	handler func(data []byte, from int, eof bool) (kept bool)
 
 	rd kernel.ParkedRead
 
@@ -373,13 +378,24 @@ func (s *Socket) takeDatagram(max int) (data []byte, eof bool) {
 // arriving for this socket is handed to fn directly — with the sending
 // port, as protocol input routines need — instead of being queued for
 // readers. A handler socket has no receive-buffer bound (the handler
-// consumes each packet as it arrives). The stream transport uses this
-// to demultiplex segments onto connections. Pass nil to restore queued
-// delivery. data is lent for the call only — the net reuses the buffer
-// once the handler has returned — so a handler copies what it keeps.
-func (s *Socket) SetHandler(fn func(data []byte, from int, eof bool)) {
+// takes each packet as it arrives). The stream transport uses this to
+// demultiplex segments onto connections. Pass nil to restore queued
+// delivery.
+//
+// data is the packet buffer itself. fn returns kept = false to lend it
+// back: the net reuses it once fn has returned. It returns kept = true
+// to take it over, as 4.3BSD's sbappend links an mbuf into a socket
+// buffer: the buffer is then its keeper's until handed back, whole as fn
+// received it, through Recycle, which may happen before fn returns. A
+// duplicated datagram reaches fn twice in buffers of its own, so keeping
+// one never shares the other.
+func (s *Socket) SetHandler(fn func(data []byte, from int, eof bool) (kept bool)) {
 	s.handler = fn
 }
+
+// Recycle hands back a packet buffer a handler kept (see SetHandler),
+// once nothing refers to it any more.
+func (s *Socket) Recycle(data []byte) { s.net.recycle(data) }
 
 // PacketBuf returns an n-byte buffer of unspecified content to build a
 // datagram for SendTo in, off the net's free list when that has one.

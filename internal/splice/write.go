@@ -242,6 +242,11 @@ func (s *sink) open(kernel.Ctx, int64) error { return nil }
 func (s *sink) ready() bool { return true }
 
 func (s *sink) writeBlock(b *buf.Buf, data []byte) {
+	if b.SpliceLblk == s.next && len(s.parked) == 0 {
+		s.next++
+		s.handOver(b, data) // in order: the map is for the others
+		return
+	}
 	if s.parked == nil {
 		s.parked = make(map[int64]parkedBlock)
 	}
@@ -249,11 +254,16 @@ func (s *sink) writeBlock(b *buf.Buf, data []byte) {
 	for pb, ok := s.parked[s.next]; ok; pb, ok = s.parked[s.next] {
 		delete(s.parked, s.next)
 		s.next++
-		// The sink sees a slice of the read-side buffer's data area; the
-		// buffer is released when the sink signals completion.
-		s.d.stats.Shared++
-		s.send(pb.b, pb.data, pb.b.SpliceLblk)
+		s.handOver(pb.b, pb.data)
 	}
+}
+
+// handOver sends block b, the next in order, to the Sink. The sink sees
+// a slice of the read-side buffer's data area; the buffer is released
+// when the sink signals completion.
+func (s *sink) handOver(b *buf.Buf, data []byte) {
+	s.d.stats.Shared++
+	s.send(b, data, b.SpliceLblk)
 }
 
 func (s *sink) writeChunk(data []byte) {

@@ -26,7 +26,8 @@ const (
 	// before the connection is declared dead.
 	maxRetries = 12
 	// reasmLimit bounds how far past rcvNxt an out-of-order segment may
-	// be stashed for reassembly.
+	// be stashed for reassembly (stream-reasm-bound); acceptData stashes
+	// only inside the receive window, well short of it.
 	reasmLimit = 2 * rcvCap
 )
 
@@ -71,14 +72,15 @@ type Conn struct {
 	stalled  bool
 	failed   error
 
-	// Receiver. rcv holds in-order bytes awaiting the consumer;
-	// reasm holds out-of-order segments in start-offset order; advWnd
+	// Receiver. rcv holds in-order bytes awaiting the consumer, in the
+	// packets that brought them; reasm holds out-of-order segments, in
+	// their packets too, in start-offset order; advWnd
 	// is the window last advertised to the peer and rcvAdv its right
 	// edge (rcvNxt+advWnd at that send); delack is set while an ACK of
 	// in-order data is owed and the connection waits on its transport's
 	// fast timeout.
 	rcvNxt    int64
-	rcv       kernel.FIFO
+	rcv       rcvQueue
 	reasm     []reasmSeg
 	advWnd    int64
 	rcvAdv    int64
@@ -287,14 +289,16 @@ func (c *Conn) stopRtx() {
 // ---- segment input (interrupt level) ----
 
 // handleSegment is the protocol input routine, called from the
-// transport demultiplexer at interrupt level.
-func (c *Conn) handleSegment(seg segment) {
+// transport demultiplexer at interrupt level with the packet that
+// carried seg. It reports whether the connection kept the packet (see
+// acceptData).
+func (c *Conn) handleSegment(seg segment, pkt []byte) (kept bool) {
 	if c.state == stateClosed {
-		return
+		return false
 	}
 	if c.state == stateSynSent {
 		if seg.typ != segSYNACK {
-			return
+			return false
 		}
 		c.state = stateEstablished
 		c.peerWnd = seg.wnd
@@ -303,7 +307,7 @@ func (c *Conn) handleSegment(seg segment) {
 		c.rtoTicks = initialRTO
 		c.t.k.Wakeup(&c.connW)
 		c.pollQ.Notify(kernel.PollOut) // now writable
-		return
+		return false
 	}
 
 	// Acknowledgement and window processing (every segment carries
@@ -341,7 +345,8 @@ func (c *Conn) handleSegment(seg segment) {
 	case segDATA:
 		// In-order data waits for the fast timeout or a segment to carry
 		// its ACK; anything else is answered now, duplicates included.
-		if !c.acceptData(seg.seq, seg.payload) {
+		var delayed bool
+		if delayed, kept = c.acceptData(seg.seq, seg.payload, pkt); !delayed {
 			c.sendCtl(segACK, 0)
 		}
 	case segFIN:
@@ -352,30 +357,37 @@ func (c *Conn) handleSegment(seg segment) {
 		c.sendCtl(segACK, 0)
 	}
 	c.maybeGhost()
+	return kept
 }
 
-// acceptData admits payload at offset seq and reports whether its ACK
-// may be delayed. In-order data is accepted while receive space remains
-// (one segment of overshoot is allowed, so a window probe never wedges
-// at an exact boundary); out-of-order data is stashed for reassembly
-// within a bounded horizon. As in 4.3BSD's tcp_input, only in-order data
-// that finds the reassembly queue empty and completes no FIN queues a
-// delayed ACK, before the reader is served, so a window update the
-// drain sends carries it.
-func (c *Conn) acceptData(seq int64, payload []byte) (delayed bool) {
+// acceptData admits payload at offset seq, a window of the packet pkt,
+// and reports whether its ACK may be delayed and whether the connection
+// kept pkt. In-order data is accepted while receive space remains (one
+// segment of overshoot is allowed, so a window probe never wedges at an
+// exact boundary); out-of-order data is stashed for reassembly when it
+// ends inside the receive window. The right edge of the window never
+// moves left, and a sender sends past the edge it last heard only a
+// probe at rcvNxt, so this turns away only a peer that ignores the
+// window; its stash would carry the buffer past stream-rcv-bound once
+// the hole filled. Either way the packet itself is queued, not a copy
+// of its bytes. As in 4.3BSD's tcp_input, only in-order data that finds
+// the reassembly queue empty and completes no FIN queues a delayed ACK,
+// before the reader is served, so a window update the drain sends
+// carries it.
+func (c *Conn) acceptData(seq int64, payload, pkt []byte) (delayed, kept bool) {
 	if len(payload) == 0 {
-		return false
+		return false, false
 	}
 	end := seq + int64(len(payload))
 	switch {
 	case end <= c.rcvNxt:
-		return false // entirely duplicate
+		return false, false // entirely duplicate
 	case seq <= c.rcvNxt:
 		if c.freeWnd() == 0 {
-			return false // window closed: acknowledge only
+			return false, false // window closed: acknowledge only
 		}
 		delayed = len(c.reasm) == 0
-		c.rcv.Push(payload[c.rcvNxt-seq:])
+		c.rcv.push(pkt, payload[c.rcvNxt-seq:])
 		c.rcvNxt = end
 		c.drainReasm()
 		c.tryConsumeFin()
@@ -383,32 +395,37 @@ func (c *Conn) acceptData(seq int64, payload []byte) (delayed bool) {
 			c.t.queueDelack(c)
 		}
 		c.serveReader()
-		return delayed
-	case seq <= c.rcvNxt+reasmLimit:
+		return delayed, true
+	case end <= c.rcvNxt+c.freeWnd():
 		i, dup := slices.BinarySearchFunc(c.reasm, seq, func(s reasmSeg, off int64) int { return cmp.Compare(s.off, off) })
 		if !dup {
-			c.reasm = slices.Insert(c.reasm, i, reasmSeg{seq, append([]byte(nil), payload...)})
+			c.reasm = slices.Insert(c.reasm, i, reasmSeg{seq, pkt, payload})
+			return false, true
 		}
 	}
-	return false
+	return false, false
 }
 
-// reasmSeg is one stashed out-of-order segment.
+// reasmSeg is one stashed out-of-order segment, data a window of the
+// packet pkt.
 type reasmSeg struct {
-	off  int64
-	data []byte
+	off       int64
+	pkt, data []byte
 }
 
 // drainReasm folds stashed out-of-order segments into the in-order
 // buffer, lowest offset first, so reassembly is deterministic
-// regardless of arrival interleaving.
+// regardless of arrival interleaving. A segment the in-order data has
+// overtaken whole goes back to the net.
 func (c *Conn) drainReasm() {
 	n := 0
 	for ; n < len(c.reasm) && c.reasm[n].off <= c.rcvNxt; n++ {
 		s := c.reasm[n]
 		if end := s.off + int64(len(s.data)); end > c.rcvNxt {
-			c.rcv.Push(s.data[c.rcvNxt-s.off:])
+			c.rcv.push(s.pkt, s.data[c.rcvNxt-s.off:])
 			c.rcvNxt = end
+		} else {
+			c.t.sock.Recycle(s.pkt)
 		}
 	}
 	c.reasm = append(c.reasm[:0], c.reasm[n:]...)
@@ -449,18 +466,17 @@ func (c *Conn) serveReader() {
 func (c *Conn) take(max int) (data []byte, eof bool) {
 	if n := min(c.rcv.Len(), max); n > 0 {
 		data = make([]byte, n)
-		c.rcv.CopyOut(data, 0)
+		c.rcv.read(data, c.t.sock)
 	}
-	return data, c.drained(len(data))
+	return data, c.drained()
 }
 
-// drained drops the n bytes the consumer took, sends a window update
-// when that moves the advertised right edge far enough to matter and
-// reports end of stream. The rule is 4.3BSD tcp_output's: an advance of
-// two segments or 35 % of the buffer, or any space after the window
-// was closed.
-func (c *Conn) drained(n int) (eof bool) {
-	c.rcv.Drop(n)
+// drained follows the consumer's read of the receive buffer: it sends a
+// window update when the read moved the advertised right edge far
+// enough to matter and reports end of stream. The rule is 4.3BSD
+// tcp_output's: an advance of two segments or 35 % of the buffer, or
+// any space after the window was closed.
+func (c *Conn) drained() (eof bool) {
 	c.t.gen.Bump()
 	if c.state == stateEstablished && !c.rcvClosed {
 		f := c.freeWnd()
@@ -526,8 +542,8 @@ func (c *Conn) Read(ctx kernel.Ctx, b []byte, off int64) (int, error) {
 	if c.rcv.Len() == 0 {
 		return 0, c.failed // the terminal error, or nil at EOF
 	}
-	n := c.rcv.CopyOut(b, 0)
-	c.drained(n)
+	n := c.rcv.read(b, c.t.sock)
+	c.drained()
 	return n, nil
 }
 

@@ -113,17 +113,17 @@ func TestDelayedAckEconomy(t *testing.T) {
 		col := &trace.Collector{}
 		k.StartTrace(col)
 		var data, acks int
-		srv.sock.SetHandler(func(b []byte, from int, eof bool) {
+		srv.sock.SetHandler(func(b []byte, from int, eof bool) bool {
 			if seg, ok := decodeSegment(b); ok && seg.typ == segDATA {
 				data++
 			}
-			srv.input(b, from, eof)
+			return srv.input(b, from, eof)
 		})
-		cli.sock.SetHandler(func(b []byte, from int, eof bool) {
+		cli.sock.SetHandler(func(b []byte, from int, eof bool) bool {
 			if seg, ok := decodeSegment(b); ok && seg.typ == segACK {
 				acks++
 			}
-			cli.input(b, from, eof)
+			return cli.input(b, from, eof)
 		})
 		msg := longPattern(1 << 20)
 		var got []byte
@@ -160,12 +160,11 @@ func TestDelayedAckEconomy(t *testing.T) {
 		k.Faults().Arm(kernel.FaultArm{Site: n.ReorderSite(), Every: 5, Match: kernel.MatchAny, Count: -1, Quiet: true})
 		k.Faults().Arm(kernel.FaultArm{Site: n.DupSite(), Every: 7, Match: kernel.MatchAny, Count: -1, Quiet: true})
 		seen := map[string]int{}
-		srv.sock.SetHandler(func(b []byte, from int, eof bool) {
+		srv.sock.SetHandler(func(b []byte, from int, eof bool) bool {
 			seg, ok := decodeSegment(b)
 			c := srv.conns[connKey(from, seg.connID)]
 			if !ok || eof || c == nil {
-				srv.input(b, from, eof)
-				return
+				return srv.input(b, from, eof)
 			}
 			class := ""
 			switch end := seg.seq + int64(len(seg.payload)); {
@@ -177,14 +176,15 @@ func TestDelayedAckEconomy(t *testing.T) {
 			case seg.seq <= c.rcvNxt && len(c.reasm) > 0:
 				class = "held-back segment"
 			}
-			srv.input(b, from, eof)
+			kept := srv.input(b, from, eof)
 			if class == "" {
-				return
+				return kept
 			}
 			seen[class]++
 			if owed(c) || c.delack {
 				t.Errorf("a %s at offset %d left its ACK owed", class, seg.seq)
 			}
+			return kept
 		})
 		msg := longPattern(256 << 10)
 		var got []byte

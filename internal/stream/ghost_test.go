@@ -97,10 +97,11 @@ func TestGhostAnswersLateSegmentWithoutResurrecting(t *testing.T) {
 		t.Fatal(err)
 	}
 	var replies []segment
-	peer.SetHandler(func(data []byte, from int, eof bool) {
+	peer.SetHandler(func(data []byte, from int, eof bool) bool {
 		if s, ok := decodeSegment(data); ok && !eof {
 			replies = append(replies, s)
 		}
+		return false
 	})
 
 	const id = 7

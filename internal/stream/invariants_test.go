@@ -47,7 +47,7 @@ func TestCatalogTrips(t *testing.T) {
 	}{
 		{"stream-seq-order", func(r *checkRig) { r.c.sndUna = r.c.sndNxt + 1 }},
 		{"stream-wnd-neg", func(r *checkRig) { r.c.peerWnd = -1 }},
-		{"stream-rcv-bound", func(r *checkRig) { r.c.rcv.Push(make([]byte, rcvCap+MaxSeg+1)) }},
+		{"stream-rcv-bound", func(r *checkRig) { b := make([]byte, rcvCap+MaxSeg+1); r.c.rcv.push(b, b) }},
 		{"stream-reasm-bound", func(r *checkRig) { r.c.reasm = []reasmSeg{{off: r.c.rcvNxt}} }},
 		{"stream-retry-bound", func(r *checkRig) { r.c.retries = maxRetries + 1 }},
 		{"stream-probe-bound", func(r *checkRig) { r.c.probes = maxRetries + 1 }},
@@ -57,7 +57,7 @@ func TestCatalogTrips(t *testing.T) {
 		{"stream-delack-bound", func(r *checkRig) { r.c.delack = true; r.srv.delacks = append(r.srv.delacks, r.c) }}, // never armed
 		{"stream-delack-bound", func(r *checkRig) { r.srv.queueDelack(r.c); r.srv.fastDue += fastTicks }},            // due too late
 		{"stream-delack-bound", func(r *checkRig) { r.srv.queueDelack(r.c); r.c.delack = false }},                    // queued, not owed
-		{"stream-conn-leak", func(r *checkRig) { r.c.rcv.Push([]byte{1}) }},
+		{"stream-conn-leak", func(r *checkRig) { b := []byte{1}; r.c.rcv.push(b, b) }},
 	}
 	for _, fault := range faults {
 		t.Run(fault.name, func(t *testing.T) {

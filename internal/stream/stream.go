@@ -96,21 +96,21 @@ func NewTransport(k *kernel.Kernel, net *socket.Net, port int) (*Transport, erro
 func (t *Transport) Port() int { return t.port }
 
 // input is the protocol input routine, invoked at interrupt level for
-// every datagram arriving on the transport's port.
-func (t *Transport) input(data []byte, from int, eof bool) {
+// every datagram arriving on the transport's port. It keeps the packet
+// when a connection queued its payload (socket.SetHandler).
+func (t *Transport) input(data []byte, from int, eof bool) (kept bool) {
 	seg, ok := decodeSegment(data)
 	if !ok || eof {
-		return
+		return false
 	}
 	t.gen.Bump() // input runs at interrupt level: one bump covers it
 	key := connKey(from, seg.connID)
 	if seg.typ == segSYN {
 		t.handleSYN(key, from, seg)
-		return
+		return false
 	}
 	if c, live := t.conns[key]; live {
-		c.handleSegment(seg)
-		return
+		return c.handleSegment(seg, data)
 	}
 	if e := t.ghost(key); e != nil && seg.typ != segACK {
 		// A lost final ACK left the peer retransmitting its FIN:
@@ -118,6 +118,7 @@ func (t *Transport) input(data []byte, from int, eof bool) {
 		reply := segment{typ: segACK, connID: seg.connID, ack: e.final}
 		t.sock.SendTo(from, reply.encode(t.sock.PacketBuf(hdrBytes)), nil)
 	}
+	return false
 }
 
 // fastTicks is the fast timeout's period: 200 ms of 10 ms ticks

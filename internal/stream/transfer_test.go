@@ -113,10 +113,20 @@ func TestStreamMegabyteOverLossyReorderingLink(t *testing.T) {
 // in objects. A 128 KB warm-up goes first, so both windows and the
 // kernel's callout and event records have reached their working size
 // before the count starts; the net's queues, small packet buffers and
-// free lists are sized at construction (socket.netRecords).
-func transferMeasured(tb testing.TB, size int) (allocated, objects uint64) {
+// free lists are sized at construction (socket.netRecords). A lossy
+// link drops, duplicates and holds back arrivals at fixed intervals.
+func transferMeasured(tb testing.TB, size int, lossy bool) (allocated, objects uint64) {
 	k := newK()
 	n := socket.NewNet(k, socket.Ethernet10())
+	var arms []*kernel.FaultArm
+	if lossy {
+		arm := func(site kernel.FaultSite, every int64) {
+			arms = append(arms, k.Faults().Arm(kernel.FaultArm{Site: site, Every: every, Match: kernel.MatchAny, Count: -1, Quiet: true}))
+		}
+		arm(n.DropSite(), 13)
+		arm(n.DupSite(), 7)
+		arm(n.ReorderSite(), 5)
+	}
 	srv, _ := NewTransport(k, n, 80)
 	cli, _ := NewTransport(k, n, 5001)
 	const warm = 128 << 10
@@ -162,6 +172,11 @@ func transferMeasured(tb testing.TB, size int) (allocated, objects uint64) {
 	if err := k.Run(); err != nil {
 		tb.Fatal(err)
 	}
+	for _, a := range arms {
+		if a.Fired() == 0 {
+			tb.Errorf("%s never fired: the link was meant to be lossy", a.Site)
+		}
+	}
 	return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
 }
 
@@ -176,11 +191,16 @@ func transferMeasured(tb testing.TB, size int) (allocated, objects uint64) {
 // detector); one allocation per segment would read 128 or more. A pool
 // that reaches a new high-water mark inside the measured megabyte reads
 // as an allocation too: the net's records are sized at construction
-// for that reason.
+// for that reason. The lossy run holds the receive window's kept
+// packets to the same budget through duplicates, reassembly and
+// retransmissions: a kept packet never handed back would read as
+// allocation, one handed back twice as wrong bytes.
 func TestStreamTransferAllocBudget(t *testing.T) {
 	const payload = 1 << 20
-	if bytes, objects := transferMeasured(t, payload); objects > payload/MaxSeg/16 {
-		t.Fatalf("a warm %d-byte transfer allocated %d objects (%d bytes), want none per segment", payload, objects, bytes)
+	for _, lossy := range []bool{false, true} {
+		if bytes, objects := transferMeasured(t, payload, lossy); objects > payload/MaxSeg/16 {
+			t.Fatalf("a warm %d-byte transfer (lossy %v) allocated %d objects (%d bytes), want none per segment", payload, lossy, objects, bytes)
+		}
 	}
 }
 
@@ -191,6 +211,6 @@ func BenchmarkStreamTransfer(b *testing.B) {
 	b.SetBytes(1 << 20)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_, _ = transferMeasured(b, 1<<20)
+		_, _ = transferMeasured(b, 1<<20, false)
 	}
 }
