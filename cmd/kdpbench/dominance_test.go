@@ -195,9 +195,9 @@ func TestDominanceTrips(t *testing.T) {
 	}
 	for _, tc := range []struct{ name, row, planted string }{
 		// Ablation D: RZ58 at 8 MB, scp slower than cp.
-		{"perf-scp-kbs", "RZ58          8            919            783", "RZ58          8            719            783"},
+		{"perf-scp-kbs", "RZ58          8            925            783", "RZ58          8            719            783"},
 		// Ablation I: RZ58 scp as busy as cp.
-		{"perf-scp-cpu", "RZ58   scp            919        1.95s", "RZ58   scp            919        5.70s"},
+		{"perf-scp-cpu", "RZ58   scp            925        1.97s", "RZ58   scp            925        5.70s"},
 		// The server sweep: 8 clients, scp's availability under cp's.
 		{"perf-scp-avail", "8        scp           335      87.2%", "8        scp           335      67.2%"},
 		// -series: one RZ56 window where the test program got less under scp.

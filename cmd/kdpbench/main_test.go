@@ -115,11 +115,12 @@ func TestSweepDocs(t *testing.T) {
 }
 
 // TestExperimentsQuoteGoldens holds EXPERIMENTS.md's two headline tables,
-// Ablations A and I and the server table to the goldens: in the "## Table 1" and "## Table 2"
-// sections, the bold ("measured") cells of each disk's row must be that
-// disk's golden row — thousands separators apart, and Table 1's
-// improvement cell reading "factor (percent)" — so a golden that moves
-// cannot leave a stale number in the prose.
+// Ablations A, D, F, G, H, I and J and the server table to the goldens:
+// in the "## Table 1" and "## Table 2" sections, the bold ("measured")
+// cells of each disk's row must be that disk's golden row — thousands
+// separators apart, and Table 1's improvement cell reading "factor
+// (percent)" — so a golden that moves cannot leave a stale number in
+// the prose.
 func TestExperimentsQuoteGoldens(t *testing.T) {
 	text, err := os.ReadFile("../../EXPERIMENTS.md")
 	if err != nil {
@@ -164,9 +165,10 @@ func TestExperimentsQuoteGoldens(t *testing.T) {
 		}
 	}
 
-	// Ablations A and I and the server table quote their whole tables: the rows of the
-	// section, cell for cell, are the sweep's block of sweeps.golden. A
-	// row is a table line whose first cell opens a golden row.
+	// The ablations and the server table quote their whole tables: the
+	// rows of the section, cell for cell, are the sweep's block of
+	// sweeps.golden. A row is a table line whose first cell opens a
+	// golden row.
 	sweeps, err := os.ReadFile("testdata/sweeps.golden")
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +178,12 @@ func TestExperimentsQuoteGoldens(t *testing.T) {
 		head, rows     int // lines before the rows (title, header), rows
 	}{
 		{"\n## Ablation A ", "quantum", 2, 5},
+		{"\n## Ablation D ", "filesize", 2, 15},
+		{"\n## Ablation F ", "rate", 2, 5},
+		{"\n## Ablation G ", "layout", 2, 3},
+		{"\n## Ablation H ", "cache", 2, 6},
 		{"\n## Ablation I ", "vm", 2, 9},
+		{"\n## Ablation J ", "batch", 2, 4},
 		{"\n## Server scalability ", "server", 3, 16},
 	} {
 		_, section, ok := strings.Cut(string(text), tc.heading)

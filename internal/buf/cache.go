@@ -832,8 +832,8 @@ func (c *Cache) FlushBlocks(ctx kernel.Ctx, dev Device, blknos []int64) (n int, 
 }
 
 // clusterDirty orders a dirty batch by (device, block number) so that
-// adjacent dirty blocks reach the driver back to back — with the
-// device's elevator they then service as one contiguous sweep — and
+// adjacent dirty blocks reach the driver back to back — the device's
+// C-LOOK elevator then services them as one contiguous sweep — and
 // emits a disk.cluster event for every run of two or more adjacent
 // blocks.
 func (c *Cache) clusterDirty(dirty []*Buf) {

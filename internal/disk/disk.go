@@ -6,14 +6,11 @@
 // device).
 //
 // A device accepts requests through the buf.Device Strategy interface,
-// services them one at a time in virtual time — FIFO by default, or
-// C-LOOK elevator order when Params.Elevator is set, which keeps the
-// buffer cache's clustered dirty runs contiguous at the head — and
+// services them one at a time in virtual time in C-LOOK elevator order
+// (as 4.3BSD's disksort sorted every drive queue), which keeps the
+// buffer cache's clustered dirty runs contiguous at the head, and
 // completes each by raising a device interrupt that runs buf.Biodone,
-// which is where splice's B_CALL handlers execute. Contiguous
-// completion runs are tracked in Stats (ContigBlocks, LongestRun) so
-// experiments can observe how much of the workload the clustering and
-// elevator actually made sequential.
+// which is where splice's B_CALL handlers execute.
 package disk
 
 import (
@@ -49,13 +46,6 @@ type Params struct {
 
 	// Fixed controller/request overhead (command decode, DMA setup).
 	Overhead sim.Duration
-
-	// Elevator enables C-LOOK request scheduling: the drive services
-	// the queued request with the lowest block number at or above the
-	// head position, wrapping to the lowest outstanding block when the
-	// sweep completes. FIFO otherwise (the Ultrix sd driver's default
-	// behaviour for the short queues of these experiments).
-	Elevator bool
 
 	// SyncCPU marks a pseudo-device whose strategy routine moves the
 	// data synchronously with the CPU (the paper's RAM disk driver: a
@@ -187,10 +177,7 @@ type Disk struct {
 	dirty  []uint64 // one bit per block written to: what Release zeroes again
 	queue  []*buf.Buf
 	active bool
-	// maxQueue is the deepest the queue has been, beside active so that
-	// the two share a word and Disk stays in its size class (TestDiskSize).
-	maxQueue int32
-	gen      kernel.Gen // the catalog's generation (invariants.go)
+	gen    kernel.Gen // the catalog's generation (invariants.go)
 	// The drive services one request at a time: cur is the one whose
 	// completion event is scheduled, onComplete the handler of every
 	// such event, bound once.
@@ -205,23 +192,11 @@ type Disk struct {
 	label          string // "disk:<name>", the label of every completion event
 
 	// Stats
-	nreads, nwrites   int64
-	readBytes         int64
-	writeBytes        int64
-	seeks             int64
-	cacheHits         int64
-	cacheMisses       int64
-	nerrors           int64
-	busyTime          sim.Duration
-	lastComplete      sim.Time
-	totalQueueSamples int64
-
-	// Contiguous completion-run accounting: runBlk is the block number
-	// that would extend the current run (-1 = no run yet).
-	runBlk       int64
-	runLen       int64
-	longestRun   int64
-	contigBlocks int64
+	nreads, nwrites int64
+	seeks           int64
+	cacheHits       int64
+	nerrors         int64
+	busyTime        sim.Duration
 }
 
 // raSegment is one read-ahead segment of the drive cache: after a media
@@ -248,7 +223,6 @@ func New(k *kernel.Kernel, p Params) *Disk {
 		p:      p,
 		data:   sim.GetSlab(int(p.Blocks) * p.BlockSize),
 		dirty:  make([]uint64, (p.Blocks+63)/64),
-		runBlk: -1,
 		siteRd: "disk." + p.Name + ".rderr",
 		siteWr: "disk." + p.Name + ".wrerr",
 		label:  "disk:" + p.Name,
@@ -278,55 +252,28 @@ func (d *Disk) DevBlocks() int64 { return d.p.Blocks }
 // QueueLen returns the number of requests waiting (excluding active).
 func (d *Disk) QueueLen() int { return len(d.queue) }
 
-// Stats describes device activity.
+// Stats describes device activity. Bytes moved and queue depth are in
+// the trace: trace.Metrics derives them from the disk.* events.
 type Stats struct {
-	Reads, Writes          int64
-	ReadBytes, WriteBytes  int64
-	Seeks                  int64
-	CacheHits, CacheMisses int64
-	Busy                   sim.Duration
-	MaxQueue               int
-
-	// ContigBlocks counts completions that extended a contiguous run
-	// (serviced the block immediately after the previous completion);
-	// LongestRun is the longest such run observed, in blocks. Together
-	// they measure how sequential the serviced workload actually was —
-	// the property the cache's write clustering and the C-LOOK elevator
-	// exist to maximize.
-	ContigBlocks int64
-	LongestRun   int64
+	Reads, Writes int64
+	Seeks         int64
+	CacheHits     int64
+	Busy          sim.Duration
 }
 
 // Stats returns a snapshot of device counters.
 func (d *Disk) Stats() Stats {
 	return Stats{
 		Reads: d.nreads, Writes: d.nwrites,
-		ReadBytes: d.readBytes, WriteBytes: d.writeBytes,
 		Seeks:     d.seeks,
-		CacheHits: d.cacheHits, CacheMisses: d.cacheMisses,
-		Busy: d.busyTime, MaxQueue: int(d.maxQueue),
-		ContigBlocks: d.contigBlocks, LongestRun: d.longestRun,
+		CacheHits: d.cacheHits,
+		Busy:      d.busyTime,
 	}
-}
-
-// noteRun updates the contiguous completion-run accounting for a
-// transfer that just serviced blkno.
-func (d *Disk) noteRun(blkno int64) {
-	if blkno == d.runBlk {
-		d.runLen++
-		d.contigBlocks++
-	} else {
-		d.runLen = 1
-	}
-	if d.runLen > d.longestRun {
-		d.longestRun = d.runLen
-	}
-	d.runBlk = blkno + 1
 }
 
 // Strategy implements buf.Device: the request is queued and serviced in
-// FIFO order; completion raises a device interrupt that calls
-// buf.Biodone.
+// C-LOOK order (startNext); completion raises a device interrupt that
+// calls buf.Biodone. A SyncCPU device completes it inline instead.
 func (d *Disk) Strategy(b *buf.Buf) {
 	if b.Bcount <= 0 || b.Bcount > d.p.BlockSize {
 		panic(fmt.Sprintf("disk %s: bad bcount %d", d.p.Name, b.Bcount))
@@ -338,9 +285,6 @@ func (d *Disk) Strategy(b *buf.Buf) {
 	}
 	d.queue = append(d.queue, b)
 	d.gen.Bump()
-	if n := int32(len(d.queue)); n > d.maxQueue {
-		d.maxQueue = n
-	}
 	d.k.TraceEmit(trace.KindDiskQueue, 0, b.Blkno, int64(len(d.queue)), d.p.Name)
 	if !d.active {
 		d.active = true
@@ -358,9 +302,7 @@ func (d *Disk) completeSync(b *buf.Buf) {
 	d.k.StealCPU(svc)
 	d.busyTime += svc
 	d.transfer(b)
-	d.noteRun(b.Blkno)
 	d.traceCompletion(b)
-	d.lastComplete = d.k.Now()
 	if d.cache == nil {
 		panic("disk: no buffer cache attached")
 	}
@@ -376,21 +318,16 @@ func (d *Disk) transfer(b *buf.Buf) {
 	case b.Flags&buf.BRead != 0:
 		d.ReadRaw(b.Blkno, b.Data[:b.Bcount])
 		d.nreads++
-		d.readBytes += int64(b.Bcount)
 	default:
 		d.WriteRaw(b.Blkno, b.Data[:b.Bcount])
 		d.nwrites++
-		d.writeBytes += int64(b.Bcount)
 	}
 }
 
-// startNext begins servicing the next request — FIFO, or the C-LOOK
-// elevator choice when enabled — and schedules its completion event.
+// startNext begins servicing the C-LOOK elevator's choice of the
+// waiting requests and schedules its completion event.
 func (d *Disk) startNext() {
-	idx := 0
-	if d.p.Elevator && len(d.queue) > 1 {
-		idx = d.elevatorPick()
-	}
+	idx := d.elevatorPick()
 	b := d.queue[idx]
 	d.queue = slices.Delete(d.queue, idx, idx+1)
 	svc := d.serviceTime(b)
@@ -430,9 +367,7 @@ func (d *Disk) complete() {
 	d.gen.Bump() // the queue shrinks below, or the drive goes idle
 	d.transfer(b)
 	d.headBlk = b.Blkno + 1
-	d.noteRun(b.Blkno)
 	d.traceCompletion(b)
-	d.lastComplete = d.k.Now()
 	d.k.Interrupt(func() {
 		if d.cache == nil {
 			panic("disk: no buffer cache attached")

@@ -9,17 +9,13 @@ import (
 )
 
 // queueMixed enqueues async reads of the given blocks back to back and
-// returns the completion order and total elapsed time.
-func queueMixed(t *testing.T, elevator bool, blocks []int64) ([]int64, sim.Duration) {
+// returns the completion order.
+func queueMixed(t *testing.T, blocks []int64) []int64 {
 	t.Helper()
-	p := RZ56(8192, 8192)
-	p.Elevator = elevator
-	k, c, d := newRig(p)
+	k, c, d := newRig(RZ56(8192, 8192))
 	var order []int64
-	var elapsed sim.Duration
 	run(t, k, func(pr *kernel.Proc) {
 		ctx := pr.Ctx()
-		t0 := pr.Now()
 		for _, blk := range blocks {
 			b, err := c.GetblkNB(ctx, d, blk)
 			if err != nil {
@@ -37,14 +33,13 @@ func queueMixed(t *testing.T, elevator bool, blocks []int64) ([]int64, sim.Durat
 		for len(order) < len(blocks) {
 			pr.SleepFor(20 * sim.Millisecond)
 		}
-		elapsed = pr.Now().Sub(t0)
 	})
-	return order, elapsed
+	return order
 }
 
 func TestElevatorOrdersByBlock(t *testing.T) {
 	blocks := []int64{4000, 100, 7000, 2000, 5000}
-	order, _ := queueMixed(t, true, blocks)
+	order := queueMixed(t, blocks)
 	if len(order) != len(blocks) {
 		t.Fatalf("completed %d of %d", len(order), len(blocks))
 	}
@@ -70,26 +65,6 @@ func minBlk(blocks []int64) int64 {
 	return m
 }
 
-func TestFIFOOrdersByArrival(t *testing.T) {
-	blocks := []int64{4000, 100, 7000, 2000, 5000}
-	order, _ := queueMixed(t, false, blocks)
-	for i, blk := range order {
-		if blk != blocks[i] {
-			t.Fatalf("FIFO order violated: %v", order)
-		}
-	}
-}
-
-func TestElevatorReducesScatteredSeekTime(t *testing.T) {
-	// A scattered batch completes faster under C-LOOK than FIFO.
-	blocks := []int64{7000, 200, 6400, 900, 5800, 1500, 5000, 2200, 4400, 3000}
-	_, fifoTime := queueMixed(t, false, blocks)
-	_, elevTime := queueMixed(t, true, blocks)
-	if elevTime >= fifoTime {
-		t.Fatalf("elevator (%v) not faster than FIFO (%v) on scattered I/O", elevTime, fifoTime)
-	}
-}
-
 // TestQueueForgetsServicedRequests: a request taken off the queue — out
 // of the middle, under the elevator — leaves no pointer behind in the
 // queue's backing array, and the drive lets go of the active request
@@ -97,9 +72,7 @@ func TestElevatorReducesScatteredSeekTime(t *testing.T) {
 // or found again, through the disk.
 func TestQueueForgetsServicedRequests(t *testing.T) {
 	blocks := []int64{4000, 100, 7000, 2000, 5000, 300}
-	p := RZ56(8192, 8192)
-	p.Elevator = true
-	k, c, d := newRig(p)
+	k, c, d := newRig(RZ56(8192, 8192))
 	completed := map[*buf.Buf]bool{}
 	check := func(when string) {
 		if d.cur != nil && completed[d.cur] {

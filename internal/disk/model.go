@@ -45,7 +45,6 @@ func (d *Disk) readTime(blkno, n int64) sim.Duration {
 		return d.p.Overhead + wait + bus
 	}
 	// Miss: mechanical access, then start a fresh read-ahead segment.
-	d.cacheMisses++
 	svc := d.p.Overhead + d.mechanical(blkno) + sim.BytesAt(n, d.p.MediaRate)
 	d.startSegment(blkno, now.Add(svc))
 	return svc

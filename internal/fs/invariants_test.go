@@ -109,7 +109,7 @@ func TestInodeSize(t *testing.T) {
 
 // TestSizeClasses: the other per-machine records the generation rule
 // and the touched walk widened stay in their allocation size classes —
-// the disk in 448 bytes, the cache in 288 (its touched set and shadow
+// the disk in 384 bytes, the cache in 288 (its touched set and shadow
 // live behind one pointer) — and a buffer header in 176 (the touched
 // walk's slot and stamp fill padding).
 func TestSizeClasses(t *testing.T) {
@@ -117,7 +117,7 @@ func TestSizeClasses(t *testing.T) {
 		name      string
 		size, max uintptr
 	}{
-		{"disk.Disk", unsafe.Sizeof(disk.Disk{}), 448},
+		{"disk.Disk", unsafe.Sizeof(disk.Disk{}), 384},
 		{"buf.Cache", unsafe.Sizeof(buf.Cache{}), 288},
 		{"buf.Buf", unsafe.Sizeof(buf.Buf{}), 176},
 	} {

@@ -14,12 +14,11 @@ import (
 )
 
 // checkSpec is simcheck's machine: a 64-buffer cache, 8 page frames, a
-// 600-block RZ58 and a 220-block RZ56, both running the elevator.
+// 600-block RZ58 and a 220-block RZ56.
 func checkSpec() machine.Spec {
 	s := machine.Spec{Kernel: kernel.DefaultConfig(), CacheBufs: 64}
 	s.Kernel.MaxRunTime = 600 * sim.Second
 	for i, p := range []disk.Params{disk.RZ58(600, machine.BlockSize), disk.RZ56(220, machine.BlockSize)} {
-		p.Elevator = true
 		s.Disks = append(s.Disks, machine.DiskSpec{Mount: "/d" + string(rune('0'+i)), Params: p, Inodes: 64})
 	}
 	return s

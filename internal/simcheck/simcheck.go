@@ -351,9 +351,7 @@ func firstLogDiff(a, b []string) string {
 // checkMachine assembles the harness machine for seed: the roomy RZ58
 // at /d0 and the tight RZ56 at /d1. The disks keep their bare model
 // names — the disk.rz58.* / disk.rz56.* fault sites and onFire's prefix
-// match are spelled with them — and run the elevator, so the C-LOOK
-// pick path that keeps clustered delayed-write runs contiguous at the
-// platter is fuzzed alongside everything else.
+// match are spelled with them.
 func checkMachine(seed uint64) *mach.Machine {
 	spec := mach.Spec{Kernel: kernel.DefaultConfig(), CacheBufs: cacheBufs}
 	spec.Kernel.Name = fmt.Sprintf("simcheck-%d", seed)
@@ -363,7 +361,6 @@ func checkMachine(seed uint64) *mach.Machine {
 		disk.RZ58(d0Blocks, blockSize),
 		disk.RZ56(d1Blocks, blockSize),
 	} {
-		params.Elevator = true
 		spec.Disks = append(spec.Disks, mach.DiskSpec{
 			Mount: fmt.Sprintf("/d%d", i), Params: params, Inodes: ninodes,
 		})

@@ -379,7 +379,7 @@ func TestFaultedVolumeStillChecked(t *testing.T) {
 }
 
 // TestCheckMachineShape pins what the harness asks the one assembler
-// for: the small cache and pool, the two bare-named elevator disks (the
+// for: the small cache and pool, the two bare-named disks (the
 // fault-site IDs depend on the names) and their mount points.
 func TestCheckMachineShape(t *testing.T) {
 	m := checkMachine(3)
@@ -391,8 +391,8 @@ func TestCheckMachineShape(t *testing.T) {
 		blocks int64
 	}{{"rz58", 600}, {"rz56", 220}} {
 		d := m.Disks[i]
-		if d.DevName() != want.name || d.DevBlocks() != want.blocks || !d.Params().Elevator {
-			t.Errorf("disk %d: %s, %d blocks, elevator=%v", i, d.DevName(), d.DevBlocks(), d.Params().Elevator)
+		if d.DevName() != want.name || d.DevBlocks() != want.blocks {
+			t.Errorf("disk %d: %s, %d blocks", i, d.DevName(), d.DevBlocks())
 		}
 	}
 	m.K.Spawn("boot", func(p *kernel.Proc) {

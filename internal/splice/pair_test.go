@@ -16,7 +16,11 @@ import (
 // The constants were printed by this test body running against the
 // four-engine implementation this pipeline replaced (commit f7749f6): a
 // reordered event or a shifted charge in any pairing fails here, not
-// minutes later in a kdpcheck sweep.
+// minutes later in a kdpcheck sweep. One was regenerated since, when
+// the disk began scheduling every queue C-LOOK: in "file-file
+// hole+partial" the destination's writes of blocks 4, 6 and 7 wait
+// behind block 5, and the drive now takes them 6, 7, 4 from the head
+// instead of in arrival order.
 func TestPairTraceDigests(t *testing.T) {
 	fill := func(p *kernel.Proc, fd, n int) {
 		if _, err := p.Write(fd, makeRef(n, 7)); err != nil {
@@ -29,7 +33,7 @@ func TestPairTraceDigests(t *testing.T) {
 		moved  int64
 		splice func(m *machine, p *kernel.Proc) (src, dst int, size int64)
 	}{
-		{"file-file hole+partial", 0x3c9295655ad3baab, 3*bsize + 1234, func(m *machine, p *kernel.Proc) (int, int, int64) {
+		{"file-file hole+partial", 0x9716f756b1770e6f, 3*bsize + 1234, func(m *machine, p *kernel.Proc) (int, int, int64) {
 			// Blocks 0 and 2 written, 1 a hole, 1234 bytes in block 3.
 			fd, _ := p.Open("/d0/src", kernel.OCreat|kernel.ORdWr)
 			fill(p, fd, bsize)
