@@ -197,7 +197,7 @@ func TestDominanceTrips(t *testing.T) {
 		// Ablation D: RZ58 at 8 MB, scp slower than cp.
 		{"perf-scp-kbs", "RZ58          8            925            783", "RZ58          8            719            783"},
 		// Ablation I: RZ58 scp as busy as cp.
-		{"perf-scp-cpu", "RZ58   scp            925        1.97s", "RZ58   scp            925        5.70s"},
+		{"perf-scp-cpu", "RZ58   scp            925        2.36s", "RZ58   scp            925        5.95s"},
 		// The server sweep: 8 clients, scp's availability under cp's.
 		{"perf-scp-avail", "8        scp           335      87.2%", "8        scp           335      67.2%"},
 		// -series: one RZ56 window where the test program got less under scp.

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"kdp/internal/kernel"
 	"kdp/internal/sim"
 )
 
@@ -77,9 +76,7 @@ func TestReleasedCacheIsDead(t *testing.T) {
 		{"Getblk", func() { f.c.Getblk(ctx, f.dev, 5) }},
 		{"GetblkNB", func() { _, _ = f.c.GetblkNB(ctx, f.dev, 2) }},
 		{"StartReadahead", func() { f.c.StartReadahead(ctx, f.dev, 3) }},
-		{"StartRead", func() {
-			_, _ = f.c.StartRead(ctx, f.dev, 4, nil, 0, func(*kernel.Kernel, *Buf) {})
-		}},
+		{"ClaimRead", func() { _, _ = f.c.ClaimRead(ctx, f.dev, 4) }},
 		{"Release", f.c.Release},
 	} {
 		func() {
