@@ -102,14 +102,14 @@ func run(args []string, out io.Writer) error {
 		st = h.Stats()
 	})
 
+	mm := tr.Metrics()
 	if *mcp {
-		mm := tr.Metrics()
 		fmt.Fprintf(out, "mcp of %dKB on %s: bytes=%d faults=%d pageins=%d pageouts=%d cows=%d\n",
 			*kb, kind, res.Bytes, mm.VMFaults, mm.VMPageins, mm.VMPageouts, mm.VMCows)
 	} else {
 		fmt.Fprintf(out, "splice of %dKB on %s: reads=%d writes=%d shared=%d callouts=%d peak=%d/%d\n",
-			*kb, kind, st.ReadsIssued, st.WritesIssued, st.Shared,
-			st.Callouts, st.PeakReads, st.PeakWrites)
+			*kb, kind, mm.EventCount[trace.KindSpliceRead], mm.EventCount[trace.KindSpliceWrite],
+			st.Shared, st.Callouts, mm.SplicePeakReads, mm.SplicePeakWrites)
 	}
 	kst := m.K.Stats()
 	fmt.Fprintf(out, "process rusage: user=%v sys=%v syscalls=%d ctxsw=%d/%d (vol/invol)\n",

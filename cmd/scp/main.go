@@ -15,6 +15,7 @@ import (
 
 	"kdp/internal/bench"
 	"kdp/internal/disk"
+	"kdp/internal/trace"
 	"kdp/internal/workload"
 )
 
@@ -61,13 +62,13 @@ func run(args []string, out io.Writer) error {
 	s.FileBytes = *mb << 20
 
 	for _, m := range modes {
-		res := bench.MeasureThroughput(s, m)
+		mt, res := bench.MeasureCopy(s, m)
 		fmt.Fprintf(out, "%-4s %2dMB on %-5s: %10v  %8.0f KB/s",
 			m, *mb, kind, res.Elapsed, res.ThroughputKBs())
 		if m == workload.CopySplice {
-			st := res.Splice
 			fmt.Fprintf(out, "  (reads=%d writes=%d shared=%d callouts=%d)",
-				st.ReadsIssued, st.WritesIssued, st.Shared, st.Callouts)
+				mt.EventCount[trace.KindSpliceRead], mt.EventCount[trace.KindSpliceWrite],
+				res.Splice.Shared, res.Splice.Callouts)
 		}
 		fmt.Fprintln(out)
 	}

@@ -10,6 +10,7 @@ import (
 	"log"
 
 	"kdp"
+	"kdp/internal/trace"
 )
 
 func main() {
@@ -46,7 +47,9 @@ func main() {
 			log.Fatal(err)
 		}
 
-		// The in-kernel copy: one system call, no user buffer.
+		// The in-kernel copy: one system call, no user buffer. The
+		// kernel's trace counts the block reads and writes it issues.
+		mt := m.Kernel().StartTrace(nil).Metrics()
 		src, _ := p.Open("/d0/data", kdp.ORdOnly)
 		dst, _ := p.Open("/d1/copy", kdp.OCreat|kdp.OWrOnly)
 		t0 := p.Now()
@@ -59,7 +62,8 @@ func main() {
 		fmt.Printf("spliced %d bytes in %v (%.0f KB/s virtual)\n",
 			n, elapsed, float64(n)/1024/elapsed.Seconds())
 		fmt.Printf("reads=%d writes=%d shared-buffers=%d copies=%d callout-dispatches=%d\n",
-			st.ReadsIssued, st.WritesIssued, st.Shared, st.Copied, st.Callouts)
+			mt.EventCount[trace.KindSpliceRead], mt.EventCount[trace.KindSpliceWrite],
+			st.Shared, st.Copied, st.Callouts)
 		_ = p.Close(src)
 		_ = p.Close(dst)
 

@@ -162,6 +162,7 @@ func measureCacheCell(pattern string, ra int) cacheCell {
 	s.Label = fmt.Sprintf("cache/%s/ra=%d", pattern, ra)
 	m := NewMachine(s)
 	defer m.Release()
+	mt := m.metrics().Metrics()
 	var res workload.CopyResult
 	m.ColdRun("bench", 3, func(p *kernel.Proc) {
 		for _, cp := range cachePatterns {
@@ -174,8 +175,7 @@ func measureCacheCell(pattern string, ra int) cacheCell {
 		}
 		panic("bench: unknown cache pattern " + pattern)
 	})
-	cs := m.Cache.Stats()
-	return cacheCell{kbs: res.ThroughputKBs(), busy: m.busy(), raHits: cs.RaHits, raWaste: cs.RaWaste}
+	return cacheCell{kbs: res.ThroughputKBs(), busy: m.busy(), raHits: mt.BufRaHits, raWaste: mt.BufRaWaste}
 }
 
 // sweepCache measures the adaptive readahead engine: each access
@@ -335,10 +335,10 @@ func sweepWatermark(b *strings.Builder, _ []DiskKind) {
 		{ReadWatermark: 6, WriteWatermark: 10, RefillBatch: 10},
 		{ReadWatermark: 12, WriteWatermark: 20, RefillBatch: 20},
 	} {
-		res := MeasureThroughputOpts(DefaultSetup(RAM), o)
+		mt, res := spliceCopy(DefaultSetup(RAM), o)
 		fmt.Fprintf(b, "%2d/%2d/%2d           %14.0f %12d %12d\n",
 			o.ReadWatermark, o.WriteWatermark, o.RefillBatch,
-			res.ThroughputKBs(), res.Splice.PeakReads, res.Splice.PeakWrites)
+			res.ThroughputKBs(), mt.SplicePeakReads, mt.SplicePeakWrites)
 	}
 }
 
@@ -361,8 +361,8 @@ func sweepSharing(b *strings.Builder, _ []DiskKind) {
 }
 
 // spliceCopy runs one cold splice copy on s with explicit splice
-// options, returning the run's CPU accounting with the result.
-func spliceCopy(s Setup, o splice.Options) (kernel.CPUStats, workload.CopyResult) {
+// options, returning the run's trace counters with the result.
+func spliceCopy(s Setup, o splice.Options) (*trace.Metrics, workload.CopyResult) {
 	spec := workload.DefaultCopySpec(SrcPath, DstPath, workload.CopySplice)
 	spec.SpliceOptions = o
 	return coldCopy(s, spec.Mode.String(), 3, spec)
@@ -372,8 +372,8 @@ func spliceCopy(s Setup, o splice.Options) (kernel.CPUStats, workload.CopyResult
 // without write-side data aliasing, returning the copy result and the
 // machine's total interrupt-level CPU time.
 func MeasureSharingVariant(noShare bool) (workload.CopyResult, sim.Duration) {
-	st, res := spliceCopy(DefaultSetup(RAM), splice.Options{NoShare: noShare})
-	return res, st.Interrupt
+	mt, res := spliceCopy(DefaultSetup(RAM), splice.Options{NoShare: noShare})
+	return res, mt.CPUIntr
 }
 
 // MeasureThroughputOpts is MeasureThroughput for splice copies with

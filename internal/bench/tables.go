@@ -6,6 +6,7 @@ import (
 
 	"kdp/internal/kernel"
 	"kdp/internal/sim"
+	"kdp/internal/trace"
 	"kdp/internal/workload"
 )
 
@@ -44,13 +45,14 @@ func (m *Machine) ColdRun(name string, fileSeed byte, body func(p *kernel.Proc))
 }
 
 // coldCopy is ColdRun with one copy as its body, on a machine built for
-// it and released after: the run's CPU accounting and the copy's result.
-func coldCopy(s Setup, name string, fileSeed byte, spec workload.CopySpec) (kernel.CPUStats, workload.CopyResult) {
+// it and released after: the run's trace counters and the copy's result.
+func coldCopy(s Setup, name string, fileSeed byte, spec workload.CopySpec) (*trace.Metrics, workload.CopyResult) {
 	m := NewMachine(s)
 	defer m.Release()
+	mt := m.metrics().Metrics()
 	var res workload.CopyResult
 	m.ColdRun(name, fileSeed, func(p *kernel.Proc) { res = mustCopy(p, spec) })
-	return m.K.Stats(), res
+	return mt, res
 }
 
 // availRun is the Table 1 environment: a copier process boots the
@@ -124,11 +126,16 @@ func MeasureAvailability(s Setup, mode workload.CopyMode) AvailabilityResult {
 // MeasureThroughput performs a single cold-cache copy on an otherwise
 // idle machine and reports the achieved throughput — one Table 2 cell.
 func MeasureThroughput(s Setup, mode workload.CopyMode) workload.CopyResult {
+	_, res := MeasureCopy(s, mode)
+	return res
+}
+
+// MeasureCopy is MeasureThroughput with the run's trace counters.
+func MeasureCopy(s Setup, mode workload.CopyMode) (*trace.Metrics, workload.CopyResult) {
 	if s.Label == "" {
 		s.Label = fmt.Sprintf("thrput/%s/%s", mode, s.Disk)
 	}
-	_, res := coldCopy(s, "copier", 7, workload.DefaultCopySpec(SrcPath, DstPath, mode))
-	return res
+	return coldCopy(s, "copier", 7, workload.DefaultCopySpec(SrcPath, DstPath, mode))
 }
 
 // Table1Row is one row of "CPU Availability Factors (Copying 8 MB

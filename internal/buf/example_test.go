@@ -18,6 +18,7 @@ func Example() {
 	c := buf.NewCache(k, 16, 8192)
 	d := disk.New(k, disk.RAMDisk(256, 8192))
 	d.SetCache(c)
+	mt := k.StartTrace(nil).Metrics() // counts the lookups and readahead
 
 	k.Spawn("demo", func(p *kernel.Proc) {
 		ctx := p.Ctx()
@@ -26,7 +27,7 @@ func Example() {
 		b := c.Getblk(ctx, d, 10)
 		copy(b.Data, []byte("hello"))
 		c.Bdwrite(ctx, b)
-		fmt.Println("delayed writes:", c.Stats().DelayedWrites)
+		fmt.Println("delayed write:", c.Peek(d, 10).Flags&buf.BDelwri != 0)
 
 		// A read of the same block is a pure cache hit.
 		b, _ = c.Bread(ctx, d, 10)
@@ -42,14 +43,13 @@ func Example() {
 		c.StartReadahead(ctx, d, 11)
 		b, _ = c.Bread(ctx, d, 11)
 		c.Brelse(ctx, b)
-		st := c.Stats()
-		fmt.Printf("readahead issued=%d hits=%d\n", st.RaIssued, st.RaHits)
+		fmt.Printf("readahead issued=%d hits=%d\n", mt.BufRaIssued, mt.BufRaHits)
 	})
 	if err := k.Run(); err != nil {
 		fmt.Println("run:", err)
 	}
 	// Output:
-	// delayed writes: 1
+	// delayed write: true
 	// cached data: hello
 	// flushed: 1
 	// readahead issued=1 hits=1

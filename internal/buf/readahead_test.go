@@ -26,7 +26,7 @@ func findEvents(col *trace.Collector, kind trace.Kind) []trace.Event {
 func TestReadaheadBudgetExhaustion(t *testing.T) {
 	f := newFixture(16)
 	col := &trace.Collector{}
-	f.k.StartTrace(col)
+	mt := f.k.StartTrace(col).Metrics()
 	f.runProc(t, func(p *kernel.Proc) {
 		ctx := p.Ctx()
 		if !f.c.StartReadahead(ctx, f.dev, 10) {
@@ -49,8 +49,8 @@ func TestReadaheadBudgetExhaustion(t *testing.T) {
 			t.Errorf("pending after completion = %d, want 0", got)
 		}
 	})
-	if st := f.c.Stats(); st.RaIssued != 2 {
-		t.Errorf("RaIssued = %d, want 2", st.RaIssued)
+	if mt.BufRaIssued != 2 {
+		t.Errorf("RaIssued = %d, want 2", mt.BufRaIssued)
 	}
 	evs := findEvents(col, trace.KindBufReadahead)
 	if len(evs) != 2 {
@@ -67,7 +67,7 @@ func TestReadaheadBudgetExhaustion(t *testing.T) {
 func TestReadaheadHitConsumed(t *testing.T) {
 	f := newFixture(16)
 	col := &trace.Collector{}
-	f.k.StartTrace(col)
+	mt := f.k.StartTrace(col).Metrics()
 	for i := range f.dev.data[5*8192 : 5*8192+8192] {
 		f.dev.data[5*8192+i] = byte(i % 13)
 	}
@@ -93,9 +93,8 @@ func TestReadaheadHitConsumed(t *testing.T) {
 		}
 		f.c.Brelse(ctx, b)
 	})
-	st := f.c.Stats()
-	if st.RaHits != 1 || st.RaWaste != 0 {
-		t.Errorf("RaHits=%d RaWaste=%d, want 1/0", st.RaHits, st.RaWaste)
+	if mt.BufRaHits != 1 || mt.BufRaWaste != 0 {
+		t.Errorf("RaHits=%d RaWaste=%d, want 1/0", mt.BufRaHits, mt.BufRaWaste)
 	}
 	hits := findEvents(col, trace.KindBufHit)
 	if len(hits) != 1 || hits[0].Arg1 != 5 || hits[0].Arg2 != 1 {
@@ -109,7 +108,7 @@ func TestReadaheadHitConsumed(t *testing.T) {
 func TestReadaheadWasteOnInvalidate(t *testing.T) {
 	f := newFixture(16)
 	col := &trace.Collector{}
-	f.k.StartTrace(col)
+	mt := f.k.StartTrace(col).Metrics()
 	f.runProc(t, func(p *kernel.Proc) {
 		ctx := p.Ctx()
 		if !f.c.StartReadahead(ctx, f.dev, 9) {
@@ -123,9 +122,8 @@ func TestReadaheadWasteOnInvalidate(t *testing.T) {
 			t.Errorf("invariants after invalidate: %v", err)
 		}
 	})
-	st := f.c.Stats()
-	if st.RaWaste != 1 || st.RaHits != 0 {
-		t.Errorf("RaWaste=%d RaHits=%d, want 1/0", st.RaWaste, st.RaHits)
+	if mt.BufRaWaste != 1 || mt.BufRaHits != 0 {
+		t.Errorf("RaWaste=%d RaHits=%d, want 1/0", mt.BufRaWaste, mt.BufRaHits)
 	}
 	var retired bool
 	for _, ev := range findEvents(col, trace.KindBufReadahead) {
@@ -142,6 +140,7 @@ func TestReadaheadWasteOnInvalidate(t *testing.T) {
 // covered without issuing a device read or spending budget.
 func TestReadaheadIncoreCovered(t *testing.T) {
 	f := newFixture(16)
+	mt := f.metrics()
 	f.runProc(t, func(p *kernel.Proc) {
 		ctx := p.Ctx()
 		b, err := f.c.Bread(ctx, f.dev, 3)
@@ -156,13 +155,14 @@ func TestReadaheadIncoreCovered(t *testing.T) {
 			t.Errorf("pending = %d, want 0 (no issue for cached block)", got)
 		}
 	})
-	if st := f.c.Stats(); st.RaIssued != 0 {
-		t.Errorf("RaIssued = %d, want 0", st.RaIssued)
+	if mt.BufRaIssued != 0 {
+		t.Errorf("RaIssued = %d, want 0", mt.BufRaIssued)
 	}
 }
 
 func TestReadaheadRejectsOutOfRange(t *testing.T) {
 	f := newFixture(16)
+	mt := f.metrics()
 	f.runProc(t, func(p *kernel.Proc) {
 		ctx := p.Ctx()
 		if f.c.StartReadahead(ctx, f.dev, -1) {
@@ -175,8 +175,8 @@ func TestReadaheadRejectsOutOfRange(t *testing.T) {
 			t.Error("nil device accepted")
 		}
 	})
-	if st := f.c.Stats(); st.RaIssued != 0 {
-		t.Errorf("RaIssued = %d, want 0", st.RaIssued)
+	if mt.BufRaIssued != 0 {
+		t.Errorf("RaIssued = %d, want 0", mt.BufRaIssued)
 	}
 }
 
@@ -186,7 +186,7 @@ func TestReadaheadRejectsOutOfRange(t *testing.T) {
 func TestClusteredFlushEmission(t *testing.T) {
 	f := newFixture(16)
 	col := &trace.Collector{}
-	f.k.StartTrace(col)
+	mt := f.k.StartTrace(col).Metrics()
 	f.runProc(t, func(p *kernel.Proc) {
 		ctx := p.Ctx()
 		for _, blk := range []int64{12, 10, 20, 11} {
@@ -204,9 +204,8 @@ func TestClusteredFlushEmission(t *testing.T) {
 			t.Errorf("flushed %d blocks, want 4", n)
 		}
 	})
-	st := f.c.Stats()
-	if st.ClusterRuns != 1 || st.ClusterBlocks != 3 {
-		t.Errorf("ClusterRuns=%d ClusterBlocks=%d, want 1/3", st.ClusterRuns, st.ClusterBlocks)
+	if runs, blocks := mt.EventCount[trace.KindDiskCluster], mt.ClusterLen(); runs != 1 || blocks != 3 {
+		t.Errorf("cluster runs=%d blocks=%d, want 1/3", runs, blocks)
 	}
 	evs := findEvents(col, trace.KindDiskCluster)
 	if len(evs) != 1 || evs[0].Arg1 != 10 || evs[0].Arg2 != 3 {

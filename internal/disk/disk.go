@@ -191,12 +191,10 @@ type Disk struct {
 	siteRd, siteWr kernel.FaultSite
 	label          string // "disk:<name>", the label of every completion event
 
-	// Stats
-	nreads, nwrites int64
-	seeks           int64
-	cacheHits       int64
-	nerrors         int64
-	busyTime        sim.Duration
+	// Counters no event carries; the trace counts the rest.
+	seeks     int64
+	cacheHits int64
+	nerrors   int64
 }
 
 // raSegment is one read-ahead segment of the drive cache: after a media
@@ -252,23 +250,18 @@ func (d *Disk) DevBlocks() int64 { return d.p.Blocks }
 // QueueLen returns the number of requests waiting (excluding active).
 func (d *Disk) QueueLen() int { return len(d.queue) }
 
-// Stats describes device activity. Bytes moved and queue depth are in
-// the trace: trace.Metrics derives them from the disk.* events.
+// Stats describes what no event carries: the seeks the head made and
+// the reads the drive's cache served. Transfers, bytes, busy time and
+// queue depth are in the trace: trace.Metrics derives them from the
+// disk.* events.
 type Stats struct {
-	Reads, Writes int64
-	Seeks         int64
-	CacheHits     int64
-	Busy          sim.Duration
+	Seeks     int64
+	CacheHits int64
 }
 
 // Stats returns a snapshot of device counters.
 func (d *Disk) Stats() Stats {
-	return Stats{
-		Reads: d.nreads, Writes: d.nwrites,
-		Seeks:     d.seeks,
-		CacheHits: d.cacheHits,
-		Busy:      d.busyTime,
-	}
+	return Stats{Seeks: d.seeks, CacheHits: d.cacheHits}
 }
 
 // Strategy implements buf.Device: the request is queued and serviced in
@@ -300,7 +293,6 @@ func (d *Disk) completeSync(b *buf.Buf) {
 	svc := d.p.Overhead + sim.BytesAt(int64(b.Bcount), d.p.CPUCopyRate)
 	d.k.TraceEmit(trace.KindDiskStart, 0, b.Blkno, int64(svc), d.p.Name)
 	d.k.StealCPU(svc)
-	d.busyTime += svc
 	d.transfer(b)
 	d.traceCompletion(b)
 	if d.cache == nil {
@@ -309,18 +301,16 @@ func (d *Disk) completeSync(b *buf.Buf) {
 	d.cache.Biodone(b)
 }
 
-// transfer moves the request's data between buffer and platter and
-// counts it, or fails it if its fault site fires.
+// transfer moves the request's data between buffer and platter, or
+// fails it if its fault site fires.
 func (d *Disk) transfer(b *buf.Buf) {
 	switch {
 	case d.checkFault(b):
 		d.failTransfer(b)
 	case b.Flags&buf.BRead != 0:
 		d.ReadRaw(b.Blkno, b.Data[:b.Bcount])
-		d.nreads++
 	default:
 		d.WriteRaw(b.Blkno, b.Data[:b.Bcount])
-		d.nwrites++
 	}
 }
 
@@ -331,7 +321,6 @@ func (d *Disk) startNext() {
 	b := d.queue[idx]
 	d.queue = slices.Delete(d.queue, idx, idx+1)
 	svc := d.serviceTime(b)
-	d.busyTime += svc
 	d.k.TraceEmit(trace.KindDiskStart, 0, b.Blkno, int64(svc), d.p.Name)
 	d.cur = b
 	d.k.Engine().Schedule(svc, d.label, d.onComplete)

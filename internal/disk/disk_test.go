@@ -1,11 +1,13 @@
 package disk
 
 import (
+	"slices"
 	"testing"
 
 	"kdp/internal/buf"
 	"kdp/internal/kernel"
 	"kdp/internal/sim"
+	"kdp/internal/trace"
 )
 
 func newRig(p Params) (*kernel.Kernel, *buf.Cache, *Disk) {
@@ -150,6 +152,7 @@ func measureReadPattern(t *testing.T, random bool) sim.Duration {
 
 func TestSequentialWritesAvoidSeeks(t *testing.T) {
 	k, c, d := newRig(RZ58(4096, 8192))
+	mt := k.StartTrace(nil).Metrics()
 	run(t, k, func(p *kernel.Proc) {
 		ctx := p.Ctx()
 		for blk := int64(0); blk < 64; blk++ {
@@ -165,8 +168,8 @@ func TestSequentialWritesAvoidSeeks(t *testing.T) {
 	if st.Seeks > 3 {
 		t.Fatalf("sequential writes performed %d seeks", st.Seeks)
 	}
-	if st.Writes != 64 {
-		t.Fatalf("writes = %d, want 64", st.Writes)
+	if n := mt.EventCount[trace.KindDiskWrite]; n != 64 {
+		t.Fatalf("writes = %d, want 64", n)
 	}
 }
 
@@ -216,13 +219,19 @@ func TestRZ58FourSegmentsSupportInterleavedStreams(t *testing.T) {
 	}
 }
 
-func TestDiskQueueFIFOAndBusyAccounting(t *testing.T) {
-	k, c, d := newRig(RAMDisk(2048, 8192))
+// TestDiskQueueCLOOKAndBusyAccounting: writes queued behind one in
+// service on a mechanical disk complete in C-LOOK order, not in arrival
+// order, and the busy time the trace sums from disk.start is the time
+// each request held the drive.
+func TestDiskQueueCLOOKAndBusyAccounting(t *testing.T) {
+	k, c, d := newRig(RZ58(4096, 8192))
+	col := &trace.Collector{}
+	mt := k.StartTrace(col).Metrics()
 	var order []int64
 	run(t, k, func(p *kernel.Proc) {
 		ctx := p.Ctx()
-		// Queue several async writes back to back.
-		for blk := int64(0); blk < 8; blk++ {
+		// Block 100 goes into service at once; the rest queue behind it.
+		for _, blk := range []int64{100, 50, 300, 10, 200} {
 			b := c.Getblk(ctx, d, blk)
 			b.Iodone = func(kk *kernel.Kernel, bb *buf.Buf) {
 				order = append(order, bb.Blkno)
@@ -232,18 +241,27 @@ func TestDiskQueueFIFOAndBusyAccounting(t *testing.T) {
 			b.Flags &^= buf.BRead | buf.BDone
 			d.Strategy(b)
 		}
-		p.SleepFor(100 * sim.Millisecond)
+		p.SleepFor(500 * sim.Millisecond)
 	})
-	if len(order) != 8 {
-		t.Fatalf("completions = %d, want 8", len(order))
+	if want := []int64{100, 200, 300, 10, 50}; !slices.Equal(order, want) {
+		t.Fatalf("completion order %v, want C-LOOK's %v", order, want)
 	}
-	for i, blk := range order {
-		if blk != int64(i) {
-			t.Fatalf("completion order %v not FIFO", order)
+	var busy sim.Duration
+	var started trace.Event
+	for _, ev := range col.Events {
+		switch ev.Kind {
+		case trace.KindDiskStart:
+			started = ev
+			busy += sim.Duration(ev.Arg2)
+		case trace.KindDiskWrite:
+			if held := ev.T.Sub(started.T); ev.Arg1 != started.Arg1 || held != sim.Duration(started.Arg2) {
+				t.Errorf("block %d held the drive %v from the start of block %d, which accounted %v",
+					ev.Arg1, held, started.Arg1, sim.Duration(started.Arg2))
+			}
 		}
 	}
-	if d.Stats().Busy <= 0 {
-		t.Fatal("busy time not accounted")
+	if n := mt.EventCount[trace.KindDiskStart]; n != 5 || busy <= 0 {
+		t.Fatalf("%d disk.start event(s) summing to %v busy, want 5 and a positive sum", n, busy)
 	}
 }
 

@@ -152,7 +152,8 @@ func TestUnmarkedWriteSurvivesRelease(t *testing.T) {
 // panics naming the device, rather than reading what may by then be
 // another machine's volume.
 func TestReleasedDiskIsDead(t *testing.T) {
-	_, _, d := newRig(RZ58(64, 8192))
+	k, _, d := newRig(RZ58(64, 8192))
+	mt := k.StartTrace(nil).Metrics()
 	d.Release()
 	block := make([]byte, 8192)
 	for _, use := range []struct {
@@ -171,7 +172,7 @@ func TestReleasedDiskIsDead(t *testing.T) {
 	} {
 		wantPanic(t, use.name, use.fn, "disk: rz58: used after Release")
 	}
-	if st := d.Stats(); st.Reads != 0 || st.Writes != 0 {
-		t.Errorf("a released disk counted transfers: %+v", st)
+	if n := mt.Events(); n != 0 {
+		t.Errorf("a released disk traced %d event(s)", n)
 	}
 }

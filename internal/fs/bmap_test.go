@@ -4,14 +4,24 @@ import (
 	"testing"
 
 	"kdp/internal/kernel"
+	"kdp/internal/trace"
 )
 
-// lookups is the buffer cache's demand-lookup count: every pointer
-// block a walk reads is one, and so is the bitmap block an allocation
-// reads.
+// metrics returns the rig's trace counters, starting the trace on the
+// first call: it counts from there on.
+func (r *rig) metrics() *trace.Metrics {
+	if tr := r.k.Tracer(); tr != nil {
+		return tr.Metrics()
+	}
+	return r.k.StartTrace(nil).Metrics()
+}
+
+// lookups is the buffer cache's demand-lookup count since the first
+// call: every pointer block a walk reads is one, and so is the bitmap
+// block an allocation reads.
 func (r *rig) lookups() int64 {
-	st := r.c.Stats()
-	return st.Hits + st.Misses
+	mt := r.metrics()
+	return mt.BufHits + mt.BufMisses
 }
 
 // TestBmapWalk drives the one walker over a direct, a single-indirect

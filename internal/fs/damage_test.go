@@ -553,12 +553,11 @@ func TestFsckReadsEachBlockOnce(t *testing.T) {
 			if err := r.c.InvalidateDev(ctx, r.d); err != nil {
 				t.Fatalf("invalidate: %v", err)
 			}
-			before := r.c.Stats()
+			before := r.lookups()
 			if _, err := check(ctx, r.c, r.d); err != nil {
 				t.Fatalf("check: %v", err)
 			}
-			after := r.c.Stats()
-			return int(after.Hits + after.Misses - before.Hits - before.Misses)
+			return int(r.lookups() - before)
 		}
 		if n := lookups(Fsck); n != want {
 			t.Errorf("fsck: %d lookups for %d metadata blocks", n, want)

@@ -8,6 +8,7 @@ import (
 	"kdp/internal/disk"
 	"kdp/internal/kernel"
 	"kdp/internal/sim"
+	"kdp/internal/trace"
 )
 
 // newSlowRig formats a filesystem on an RZ58 model so device latency
@@ -59,6 +60,7 @@ func makeColdFile(t *testing.T, p *kernel.Proc, f *FS, path string, nblocks int)
 // so every speculated block is warm by the time the scan reaches it).
 func TestSequentialReadGrowsWindow(t *testing.T) {
 	r := newRig(t, 512)
+	mt := r.metrics()
 	r.run(t, func(p *kernel.Proc, f *FS) {
 		ctx := p.Ctx()
 		f.SetReadahead(8)
@@ -91,12 +93,11 @@ func TestSequentialReadGrowsWindow(t *testing.T) {
 		if err := fl.Close(ctx); err != nil {
 			t.Fatalf("close: %v", err)
 		}
-		st := f.cache.Stats()
-		if st.RaIssued == 0 || st.RaHits == 0 {
-			t.Errorf("RaIssued=%d RaHits=%d, want both > 0", st.RaIssued, st.RaHits)
+		if mt.BufRaIssued == 0 || mt.BufRaHits == 0 {
+			t.Errorf("RaIssued=%d RaHits=%d, want both > 0", mt.BufRaIssued, mt.BufRaHits)
 		}
-		if st.RaWaste != 0 {
-			t.Errorf("RaWaste = %d, want 0 for a clean scan", st.RaWaste)
+		if mt.BufRaWaste != 0 {
+			t.Errorf("RaWaste = %d, want 0 for a clean scan", mt.BufRaWaste)
 		}
 		if err := f.cache.CheckInvariants(); err != nil {
 			t.Errorf("invariants: %v", err)
@@ -109,6 +110,7 @@ func TestSequentialReadGrowsWindow(t *testing.T) {
 // the end (which would waste budget on blocks of other files).
 func TestReadaheadStopsAtEOF(t *testing.T) {
 	r := newRig(t, 512)
+	mt := r.metrics()
 	r.run(t, func(p *kernel.Proc, f *FS) {
 		ctx := p.Ctx()
 		f.SetReadahead(8)
@@ -143,13 +145,12 @@ func TestReadaheadStopsAtEOF(t *testing.T) {
 		if err := fl.Close(ctx); err != nil {
 			t.Fatalf("close: %v", err)
 		}
-		st := f.cache.Stats()
 		// Only blocks 1 and 2 can ever be speculated; nothing past EOF.
-		if st.RaIssued > 2 {
-			t.Errorf("RaIssued = %d, want <= 2 (no speculation past EOF)", st.RaIssued)
+		if mt.BufRaIssued > 2 {
+			t.Errorf("RaIssued = %d, want <= 2 (no speculation past EOF)", mt.BufRaIssued)
 		}
-		if st.RaWaste != 0 {
-			t.Errorf("RaWaste = %d, want 0", st.RaWaste)
+		if mt.BufRaWaste != 0 {
+			t.Errorf("RaWaste = %d, want 0", mt.BufRaWaste)
 		}
 		if err := f.cache.CheckInvariants(); err != nil {
 			t.Errorf("invariants: %v", err)
@@ -162,6 +163,7 @@ func TestReadaheadStopsAtEOF(t *testing.T) {
 // readahead.
 func TestRandomAccessCollapsesWindow(t *testing.T) {
 	r := newRig(t, 512)
+	mt := r.metrics()
 	r.run(t, func(p *kernel.Proc, f *FS) {
 		ctx := p.Ctx()
 		f.SetReadahead(8)
@@ -189,8 +191,8 @@ func TestRandomAccessCollapsesWindow(t *testing.T) {
 		if err := fl.Close(ctx); err != nil {
 			t.Fatalf("close: %v", err)
 		}
-		if st := f.cache.Stats(); st.RaIssued != 0 {
-			t.Errorf("RaIssued = %d, want 0 for random access", st.RaIssued)
+		if mt.BufRaIssued != 0 {
+			t.Errorf("RaIssued = %d, want 0 for random access", mt.BufRaIssued)
 		}
 	})
 }
@@ -241,6 +243,7 @@ func TestSeekAfterScanCollapsesThenRegrows(t *testing.T) {
 // correctly.
 func TestWindowLargerThanBudget(t *testing.T) {
 	r := newSlowRig(t, 512)
+	mt := r.metrics()
 	r.run(t, func(p *kernel.Proc, f *FS) {
 		ctx := p.Ctx()
 		f.SetReadahead(32)
@@ -273,7 +276,7 @@ func TestWindowLargerThanBudget(t *testing.T) {
 		if err := fl.Close(ctx); err != nil {
 			t.Fatalf("close: %v", err)
 		}
-		if st := f.cache.Stats(); st.RaIssued == 0 {
+		if mt.BufRaIssued == 0 {
 			t.Error("no readaheads issued")
 		}
 		if err := f.cache.CheckInvariants(); err != nil {
@@ -291,6 +294,7 @@ func TestWindowLargerThanBudget(t *testing.T) {
 // (they were reads). The durable file data stays readable afterwards.
 func TestReadaheadRacingCrash(t *testing.T) {
 	r := newSlowRig(t, 512)
+	mt := r.metrics()
 	r.run(t, func(p *kernel.Proc, f *FS) {
 		ctx := p.Ctx()
 		f.SetReadahead(8)
@@ -317,8 +321,7 @@ func TestReadaheadRacingCrash(t *testing.T) {
 		for f.cache.ReadaheadPending() > 0 || r.d.Busy() {
 			p.SleepFor(5 * sim.Millisecond)
 		}
-		st := f.cache.Stats()
-		if dropped > 0 && st.RaWaste == 0 {
+		if dropped > 0 && mt.BufRaWaste == 0 {
 			t.Errorf("dropped %d requests but RaWaste = 0", dropped)
 		}
 		// A failed readahead is a failed *read*: it must not latch the
@@ -369,6 +372,7 @@ func TestReadaheadRacingCrash(t *testing.T) {
 // retry lands everything.
 func TestClusteredFlushAcrossFaultBoundary(t *testing.T) {
 	r := newRig(t, 512)
+	mt := r.metrics()
 	r.run(t, func(p *kernel.Proc, f *FS) {
 		ctx := p.Ctx()
 		data := pattern(4*testBlockSize, 7)
@@ -396,10 +400,9 @@ func TestClusteredFlushAcrossFaultBoundary(t *testing.T) {
 		if err := r.d.CheckInvariants(); err != nil {
 			t.Errorf("disk invariants after faulted flush: %v", err)
 		}
-		st := f.cache.Stats()
-		if st.ClusterRuns == 0 || st.ClusterBlocks < 2 {
-			t.Errorf("ClusterRuns=%d ClusterBlocks=%d, want a run of the adjacent dirty blocks",
-				st.ClusterRuns, st.ClusterBlocks)
+		if runs := mt.EventCount[trace.KindDiskCluster]; runs == 0 || mt.ClusterLen() < 2 {
+			t.Errorf("cluster runs=%d blocks=%d, want a run of the adjacent dirty blocks",
+				runs, mt.ClusterLen())
 		}
 		// The fault was one-shot: rewrite the failed block and sync
 		// again; everything must now be durable.

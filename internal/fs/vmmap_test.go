@@ -6,6 +6,7 @@ import (
 
 	"kdp/internal/buf"
 	"kdp/internal/kernel"
+	"kdp/internal/trace"
 )
 
 // openF opens path and narrows the kernel.FileOps result to the
@@ -45,11 +46,11 @@ func TestSyncWritesHeldBuffers(t *testing.T) {
 			if !fl.PageDirty(ctx, blk) || fl.PageDirty(ctx, blk) {
 				t.Fatalf("sync %d: PageDirty: want true for a clean page, then false", i)
 			}
-			writes := r.d.Stats().Writes
+			writes := r.metrics().EventCount[trace.KindDiskWrite]
 			if err := sync(); err != nil {
 				t.Fatalf("sync %d: %v", i, err)
 			}
-			if r.d.Stats().Writes == writes || r.c.Peek(r.d, blk).Flags&buf.BDelwri != 0 {
+			if r.metrics().EventCount[trace.KindDiskWrite] == writes || r.c.Peek(r.d, blk).Flags&buf.BDelwri != 0 {
 				t.Errorf("sync %d left the held buffer unwritten", i)
 			}
 			if held := fl.PageBuffer(blk); len(held) == 0 || &held[0] != &page[0] {
@@ -113,12 +114,12 @@ func TestPageInHoleAndAlloc(t *testing.T) {
 		}
 		// alloc=true gives the hole a block as splice's bmap would: fresh,
 		// read from nowhere, its buffer zeroed and held dirty from birth.
-		reads := r.c.Stats().Reads
+		reads := r.metrics().EventCount[trace.KindDiskRead]
 		blk, data, fresh, err := fl.PageIn(ctx, 1, true)
 		if err != nil || blk == 0 || !fresh {
 			t.Fatalf("pagein alloc: blk=%d fresh=%v err=%v", blk, fresh, err)
 		}
-		if r.c.Stats().Reads != reads || !bytes.Equal(data, make([]byte, testBlockSize)) {
+		if r.metrics().EventCount[trace.KindDiskRead] != reads || !bytes.Equal(data, make([]byte, testBlockSize)) {
 			t.Error("pagein alloc read the block or left its buffer unzeroed")
 		}
 		if b := r.c.Peek(r.d, blk); b == nil || b.Flags&(buf.BHeld|buf.BDelwri) != buf.BHeld|buf.BDelwri || &b.Data[0] != &data[0] {

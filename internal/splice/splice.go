@@ -145,17 +145,15 @@ type Source interface {
 	CancelSpliceRead() bool
 }
 
-// Stats describes the activity of one splice.
+// Stats describes what no event carries of one splice's activity. The
+// trace counts the rest: reads and writes issued (splice.read,
+// splice.write), the peaks in flight (trace.Metrics' SplicePeak*), and
+// the bytes moved (splice.done, or Handle.Moved).
 type Stats struct {
-	BytesMoved   int64
-	ReadsIssued  int64
-	WritesIssued int64
-	CacheHits    int64 // source blocks found valid in the buffer cache
-	Shared       int64 // write buffers that aliased read-side data
-	Copied       int64 // write buffers that required a kernel copy
-	Callouts     int64 // write-side dispatches through the callout list
-	PeakReads    int   // maximum reads in flight at once
-	PeakWrites   int   // maximum writes in flight at once
+	CacheHits int64 // source blocks found valid in the buffer cache
+	Shared    int64 // write buffers that aliased read-side data
+	Copied    int64 // write buffers that required a kernel copy
+	Callouts  int64 // write-side dispatches through the callout list
 }
 
 // Splice implements the system call: move size bytes (or EOF for the

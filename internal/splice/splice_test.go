@@ -11,6 +11,7 @@ import (
 	"kdp/internal/kernel"
 	mach "kdp/internal/machine"
 	"kdp/internal/sim"
+	"kdp/internal/trace"
 )
 
 const bsize = 8192
@@ -315,21 +316,20 @@ func TestSpliceFlowControlWatermarks(t *testing.T) {
 		}
 		src, _ := p.Open("/d0/src", kernel.ORdOnly)
 		dst, _ := p.Open("/d1/dst", kernel.OCreat|kernel.OWrOnly)
-		_, h, err := SpliceOpts(p, src, dst, EOF, Options{})
-		if err != nil {
+		mt := m.k.StartTrace(nil).Metrics()
+		if _, err := Splice(p, src, dst, EOF); err != nil {
 			t.Fatalf("splice: %v", err)
 		}
-		st := h.Stats()
 		// Reads are issued in refill batches of at most 5; pending
 		// reads can reach watermark-1 + batch = 2 + 5 = 7 but no more.
-		if st.PeakReads > DefaultReadWatermark-1+DefaultRefillBatch {
-			t.Fatalf("peak pending reads = %d, exceeds flow-control bound", st.PeakReads)
+		if mt.SplicePeakReads > DefaultReadWatermark-1+DefaultRefillBatch {
+			t.Fatalf("peak pending reads = %d, exceeds flow-control bound", mt.SplicePeakReads)
 		}
-		if st.PeakWrites > DefaultWriteWatermark-1+DefaultRefillBatch {
-			t.Fatalf("peak pending writes = %d, exceeds flow-control bound", st.PeakWrites)
+		if mt.SplicePeakWrites > DefaultWriteWatermark-1+DefaultRefillBatch {
+			t.Fatalf("peak pending writes = %d, exceeds flow-control bound", mt.SplicePeakWrites)
 		}
-		if st.ReadsIssued != blocks || st.WritesIssued != blocks {
-			t.Fatalf("reads=%d writes=%d, want %d each", st.ReadsIssued, st.WritesIssued, blocks)
+		if r, w := mt.EventCount[trace.KindSpliceRead], mt.EventCount[trace.KindSpliceWrite]; r != blocks || w != blocks {
+			t.Fatalf("reads=%d writes=%d, want %d each", r, w, blocks)
 		}
 	})
 }
@@ -548,18 +548,18 @@ func TestSpliceCustomWatermarks(t *testing.T) {
 		makeFile(t, p, "/d0/src", blocks*bsize, 24)
 		src, _ := p.Open("/d0/src", kernel.ORdOnly)
 		dst, _ := p.Open("/d1/dst", kernel.OCreat|kernel.OWrOnly)
+		mt := m.k.StartTrace(nil).Metrics()
 		_, h, err := SpliceOpts(p, src, dst, EOF, Options{
 			ReadWatermark: 1, WriteWatermark: 1, RefillBatch: 1,
 		})
 		if err != nil {
 			t.Fatalf("splice: %v", err)
 		}
-		st := h.Stats()
-		if st.PeakReads > 1 || st.PeakWrites > 1 {
-			t.Fatalf("watermark-1 splice had %d/%d in flight", st.PeakReads, st.PeakWrites)
+		if mt.SplicePeakReads > 1 || mt.SplicePeakWrites > 1 {
+			t.Fatalf("watermark-1 splice had %d/%d in flight", mt.SplicePeakReads, mt.SplicePeakWrites)
 		}
-		if st.BytesMoved != blocks*bsize {
-			t.Fatalf("moved %d", st.BytesMoved)
+		if h.Moved() != blocks*bsize || mt.SpliceBytes != blocks*bsize {
+			t.Fatalf("moved %d, traced %d", h.Moved(), mt.SpliceBytes)
 		}
 	})
 }

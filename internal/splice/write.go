@@ -65,7 +65,6 @@ func (o *fileOut) issue(hdr *buf.Buf, blk int64, n int, tag int64) {
 	hdr.SpliceLblk = blk
 	hdr.SpliceDesc = d
 	o.cache.PrepareWrite(hdr, d.onWriteDone)
-	d.stats.WritesIssued++
 	d.k.TraceEmit(trace.KindSpliceWrite, 0, tag, int64(d.pendingWrites), "")
 	o.file.Dev().Strategy(hdr)
 }
@@ -290,7 +289,6 @@ func (s *sink) sendChunk() {
 // send passes data to the Sink; b, if any, is the buffer behind it.
 func (s *sink) send(b *buf.Buf, data []byte, tag int64) {
 	d := s.d
-	d.stats.WritesIssued++
 	d.k.TraceEmit(trace.KindSpliceWrite, 0, tag, int64(d.pendingWrites), "")
 	w := s.spare
 	if w == nil {
@@ -396,7 +394,6 @@ func (s *stage) flush() {
 	d.pendingWrites++
 	d.gen.Bump()
 	d.stats.Copied++
-	d.stats.PeakWrites = max(d.stats.PeakWrites, int(d.pendingWrites))
 	s.issue(hdr, blk, n, int64(n))
 }
 

@@ -324,11 +324,11 @@ func TestWriteFaultReadsNothingWritesOnce(t *testing.T) {
 		_, addr := mapNew(t, p, 1)
 		rec := &blockWrites{dev: m.Disks[0].DevName(), writes: map[int64]int{}}
 		tr := m.K.StartTrace(rec)
-		reads := m.Cache.Stats().Reads
+		reads := tr.Metrics().EventCount[trace.KindDiskRead]
 		if err := p.MemWrite(addr+storeOff, stored); err != nil {
 			t.Fatalf("store: %v", err)
 		}
-		if n := m.Cache.Stats().Reads - reads; n != 0 {
+		if n := tr.Metrics().EventCount[trace.KindDiskRead] - reads; n != 0 {
 			t.Errorf("a write fault on a hole read %d blocks", n)
 		}
 		if err := p.Msync(addr); err != nil {

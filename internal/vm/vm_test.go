@@ -651,11 +651,11 @@ func TestMsyncDurabilityEqualsFsync(t *testing.T) {
 		}
 		// fsync durability: everything on the platter. The unmap writes
 		// nothing more, and a power cut after it loses nothing.
-		writes := r.d.Stats().Writes
+		writes := r.tr.Metrics().EventCount[trace.KindDiskWrite]
 		if err := p.Munmap(addr); err != nil {
 			t.Fatalf("munmap: %v", err)
 		}
-		if n := r.d.Stats().Writes - writes; n != 0 {
+		if n := r.tr.Metrics().EventCount[trace.KindDiskWrite] - writes; n != 0 {
 			t.Fatalf("munmap after msync wrote %d blocks", n)
 		}
 		r.d.Crash()

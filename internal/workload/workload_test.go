@@ -9,6 +9,7 @@ import (
 	"kdp/internal/kernel"
 	"kdp/internal/machine"
 	"kdp/internal/sim"
+	"kdp/internal/trace"
 )
 
 // rig is a machine with two 8MB disks of one model, mounted at /a and
@@ -186,12 +187,12 @@ func TestColdStartForcesDeviceReads(t *testing.T) {
 		if err := ColdStart(p, r.Cache, r.Disks[0]); err != nil {
 			t.Fatal(err)
 		}
-		before := r.Disks[0].Stats().Reads
+		mt := p.Kernel().StartTrace(nil).Metrics()
 		fd, _ := p.Open("/a/src", kernel.ORdOnly)
 		buf := make([]byte, 8192)
 		_, _ = p.Read(fd, buf)
 		_ = p.Close(fd)
-		if r.Disks[0].Stats().Reads == before {
+		if mt.EventCount[trace.KindDiskRead] == 0 {
 			t.Fatal("read after cold start did not touch the device")
 		}
 	})

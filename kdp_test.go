@@ -480,6 +480,7 @@ func TestFacadeDeterminism(t *testing.T) {
 
 func TestFacadeStatsAccessors(t *testing.T) {
 	m := twoDiskMachine(kdp.DiskRAM)
+	mt := m.Kernel().StartTrace(nil).Metrics()
 	m.Spawn("main", func(p *kdp.Proc) {
 		fd, _ := p.Open("/d0/f", kdp.OCreat|kdp.OWrOnly)
 		_, _ = p.Write(fd, make([]byte, kdp.BlockSize))
@@ -492,10 +493,10 @@ func TestFacadeStatsAccessors(t *testing.T) {
 	if m.BufferCache().NumBuffers() != 409 {
 		t.Fatalf("cache buffers = %d", m.BufferCache().NumBuffers())
 	}
-	if m.Disk(0).Stats().Writes == 0 && m.BufferCache().Stats().DelayedWrites == 0 {
-		t.Fatal("no write activity recorded anywhere")
+	if mt.BufMisses == 0 || m.BufferCache().Stats().Recycles == 0 {
+		t.Fatal("no cache activity recorded")
 	}
-	if m.FS(0) == nil || m.Kernel() == nil {
+	if m.FS(0) == nil || m.Kernel() == nil || m.Disk(0) == nil {
 		t.Fatal("accessors returned nil")
 	}
 }
