@@ -213,6 +213,26 @@ func (k *Kernel) digestSched(d *Digest) {
 	d.Int(int64(k.pollRegs))
 }
 
+// CheckClock verifies the CPU identity on the installed trace: user +
+// sys + intr + switch + idle is the virtual time elapsed since the trace
+// started, to the nanosecond, because every advance of the clock is
+// charged to exactly one class. It holds whenever no charge is in
+// progress (between runs, or in a process's own code), not at a
+// scheduling boundary, so it is an end-of-run check. Without a trace it
+// checks nothing.
+func (k *Kernel) CheckClock() error {
+	mt := k.tr.Metrics()
+	if mt == nil {
+		return nil
+	}
+	sum := mt.CPUUser + mt.CPUSys + mt.CPUIntr + mt.CPUSwitch + mt.CPUIdle
+	if elapsed := k.engine.Now().Sub(k.trStart); sum != elapsed {
+		return Violation("kern-cpu-identity", "user %v + sys %v + intr %v + switch %v + idle %v = %v, but %v elapsed",
+			mt.CPUUser, mt.CPUSys, mt.CPUIntr, mt.CPUSwitch, mt.CPUIdle, sum, elapsed)
+	}
+	return nil
+}
+
 // CheckDrained verifies that an idle machine holds no poll state —
 // every poller registration has been dropped (by Notify, timeout, or
 // the poller's own unwind) and no process is parked on a poll waiter —

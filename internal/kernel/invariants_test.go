@@ -73,22 +73,31 @@ func TestCatalogTrips(t *testing.T) {
 			k.pollRegs = 1
 			return func() { k.pollRegs = 0 }
 		}},
+		{"kern-cpu-identity", func(k *Kernel, _ *Proc) func() { // an interrupt's span counted as idle too
+			mt, span := k.tr.Metrics(), k.cfg.InterruptCost
+			mt.CPUIdle += span
+			return func() { mt.CPUIdle -= span }
+		}},
 	}
 	k, _ := newFDRig()
+	k.StartTrace(nil)
 	sleeper := k.Spawn("sleeper", func(p *Proc) { _ = p.Sleep(&wchan, PWAIT) })
 	k.Spawn("sleeper2", func(p *Proc) { _ = p.Sleep(&wchan, PWAIT) })
 	k.Spawn("driver", func(p *Proc) {
 		k.Timeout(func() {}, 5)
 		for _, fault := range faults {
-			if err := k.CheckInvariants(); err != nil {
+			if err := errors.Join(k.CheckInvariants(), k.CheckClock()); err != nil {
 				t.Errorf("before %s: %v", fault.name, err)
 				break
 			}
 			undo := fault.plant(k, sleeper)
 			k.gen.Bump()
 			err := k.CheckInvariants()
-			if fault.name == "poll-leak" { // the drain-time check
+			switch fault.name { // the end-of-run checks
+			case "poll-leak":
 				err = k.CheckDrained()
+			case "kern-cpu-identity":
+				err = k.CheckClock()
 			}
 			if ViolationName(err) != fault.name {
 				t.Errorf("CheckInvariants = %v, want a %s violation", err, fault.name)
