@@ -127,9 +127,11 @@ func NewMachine(s Setup) *Machine {
 }
 
 // Run drives the machine to completion, panicking on simulator errors
-// (experiments must not deadlock).
+// (experiments must not deadlock) and, on a traced machine, unless the
+// trace's CPU classes add up to the run's virtual time.
 func (m *Machine) Run() {
 	if err := m.K.Run(); err != nil {
 		panic("bench: " + err.Error())
 	}
+	Must(m.K.CheckClock())
 }
