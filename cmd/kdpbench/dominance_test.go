@@ -199,7 +199,7 @@ func TestDominanceTrips(t *testing.T) {
 		// Ablation I: RZ58 scp as busy as cp.
 		{"perf-scp-cpu", "RZ58   scp            925        2.36s", "RZ58   scp            925        5.95s"},
 		// The server sweep: 8 clients, scp's availability under cp's.
-		{"perf-scp-avail", "8        scp           335      87.2%", "8        scp           335      67.2%"},
+		{"perf-scp-avail", "8        scp           336      87.5%", "8        scp           336      67.5%"},
 		// -series: one RZ56 window where the test program got less under scp.
 		{"perf-scp-avail", "7           62% ############             98% ####################", "7           62% ############             60% ############"},
 	} {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"unsafe"
 
 	"kdp/internal/kernel"
 	"kdp/internal/sim"
@@ -33,6 +34,9 @@ type Cache struct {
 	// Empty headers for AllocHeader, linked through freeNext (4.3BSD's
 	// BQ_EMPTY, the list the paper's modified getblk draws from).
 	emptyHdrs *Buf
+	// ZeroBlock's first byte, made by its first call: a pointer, not a
+	// slice, keeps Cache in its allocation size class.
+	zero *byte
 
 	// Sticky per-device write errors: a failed asynchronous write has
 	// no caller left to report to (biodone's brelse invalidates the
@@ -254,7 +258,7 @@ func (c *Cache) Peek(dev Device, blkno int64) *Buf {
 // out a delayed write first if necessary — and returned with BDone
 // clear. May sleep; the ctx must allow sleeping.
 func (c *Cache) Getblk(ctx kernel.Ctx, dev Device, blkno int64) *Buf {
-	b, err := c.getblk(ctx, dev, blkno, true, false)
+	b, _, err := c.getblk(ctx, dev, blkno, true, false)
 	if err != nil {
 		panic("buf: blocking getblk returned error: " + err.Error())
 	}
@@ -262,16 +266,21 @@ func (c *Cache) Getblk(ctx kernel.Ctx, dev Device, blkno int64) *Buf {
 }
 
 // GetblkNB is the non-blocking getblk used at interrupt level (splice):
-// it returns kernel.ErrWouldBlock instead of sleeping when the buffer
-// is busy or no buffer can be recycled without waiting.
-func (c *Cache) GetblkNB(ctx kernel.Ctx, dev Device, blkno int64) (*Buf, error) {
+// where getblk would sleep it returns kernel.ErrWouldBlock instead, with
+// the channel it would have slept on, for the caller to wait on without
+// sleeping (kernel.Park): the busy buffer, marked BWanted so that its
+// Brelse wakes the channel, or the free list when no buffer can be
+// recycled without waiting, which every Brelse wakes.
+func (c *Cache) GetblkNB(ctx kernel.Ctx, dev Device, blkno int64) (b *Buf, wchan any, err error) {
 	return c.getblk(ctx, dev, blkno, false, false)
 }
 
 // getblk claims a buffer for (dev, blkno). quiet suppresses hit/miss
 // accounting and trace events: the readahead issue path uses it so
-// speculative fetches do not masquerade as demand lookups.
-func (c *Cache) getblk(ctx kernel.Ctx, dev Device, blkno int64, canSleep, quiet bool) (*Buf, error) {
+// speculative fetches do not masquerade as demand lookups. Where it may
+// not sleep, it returns ErrWouldBlock and the channel it would have
+// slept on.
+func (c *Cache) getblk(ctx kernel.Ctx, dev Device, blkno int64, canSleep, quiet bool) (*Buf, any, error) {
 	if dev == nil {
 		panic("buf: getblk on nil device")
 	}
@@ -291,12 +300,12 @@ func (c *Cache) getblk(ctx kernel.Ctx, dev Device, blkno int64, canSleep, quiet 
 	for {
 		if b := c.Peek(dev, blkno); b != nil {
 			if b.Flags&BBusy != 0 {
-				if !canSleep {
-					return nil, kernel.ErrWouldBlock
-				}
 				c.want(b)
+				if !canSleep {
+					return nil, b, kernel.ErrWouldBlock
+				}
 				if err := ctx.Sleep(b, kernel.PRIBIO+1); err != nil {
-					return nil, err
+					return nil, nil, err
 				}
 				continue // re-lookup: the buffer may have been recycled
 			}
@@ -312,15 +321,18 @@ func (c *Cache) getblk(ctx kernel.Ctx, dev Device, blkno int64, canSleep, quiet 
 				}
 				c.k.TraceEmit(trace.KindBufHit, 0, blkno, ra, dev.DevName())
 			}
-			return b, nil
+			return b, nil, nil
 		}
 		// Miss: recycle from the head of the free list.
 		if !quiet {
 			c.k.TraceEmit(trace.KindBufMiss, 0, blkno, 0, dev.DevName())
 		}
 		b, err := c.reclaim(ctx, canSleep)
+		if err == kernel.ErrWouldBlock {
+			return nil, &c.freeHead, err
+		}
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if b == nil {
 			continue // slept waiting for a free buffer; retry lookup
@@ -338,7 +350,7 @@ func (c *Cache) getblk(ctx kernel.Ctx, dev Device, blkno int64, canSleep, quiet 
 		b.SpliceLblk = 0
 		b.SplicePeer = nil
 		c.hashInsert(b) // its mark covers Bread, StartRead and StartReadahead setting up the read
-		return b, nil
+		return b, nil, nil
 	}
 }
 
@@ -468,7 +480,7 @@ func (c *Cache) StartReadahead(ctx kernel.Ctx, dev Device, blkno int64) bool {
 	if c.raPending >= c.raMax {
 		return false
 	}
-	b, err := c.getblk(ctx, dev, blkno, false, true)
+	b, _, err := c.getblk(ctx, dev, blkno, false, true)
 	if err != nil {
 		return false
 	}
@@ -653,9 +665,10 @@ func (c *Cache) TakeWriteError(dev Device) error {
 // ---- splice support ----
 
 // ClaimRead claims the buffer StartRead reads (dev, blkno) into. It
-// sleeps only if ctx can: at interrupt level it returns ErrWouldBlock
-// if no buffer is available.
-func (c *Cache) ClaimRead(ctx kernel.Ctx, dev Device, blkno int64) (*Buf, error) {
+// sleeps only if ctx can: at interrupt level, where no buffer is
+// available, it returns ErrWouldBlock and the channel to wait on, as
+// GetblkNB does.
+func (c *Cache) ClaimRead(ctx kernel.Ctx, dev Device, blkno int64) (b *Buf, wchan any, err error) {
 	return c.getblk(ctx, dev, blkno, ctx.CanSleep(), false)
 }
 
@@ -692,6 +705,16 @@ func (c *Cache) AllocHeader(dev Device, blkno int64) *Buf {
 	}
 	b.Flags, b.Dev, b.Blkno, b.Bcount = BBusy|BNoMem, dev, blkno, c.blockSize
 	return b
+}
+
+// ZeroBlock returns one block of zeros, the same memory at every call
+// on this cache: the data area of a header that stands for a hole or
+// zero-writes a block. It is read-only; nothing may write through it.
+func (c *Cache) ZeroBlock() []byte {
+	if c.zero == nil {
+		c.zero = &make([]byte, c.blockSize)[0]
+	}
+	return unsafe.Slice(c.zero, c.blockSize)
 }
 
 // ReleaseHeader returns a header obtained from AllocHeader to the empty

@@ -304,11 +304,14 @@ func TestGetblkNBWouldBlockOnBusy(t *testing.T) {
 	f.runProc(t, func(p *kernel.Proc) {
 		ctx := p.Ctx()
 		b := f.c.Getblk(ctx, f.dev, 9)
-		_, err := f.c.GetblkNB(f.k.IntrCtx(), f.dev, 9)
-		if err != kernel.ErrWouldBlock {
-			t.Errorf("GetblkNB on busy buffer: err=%v, want ErrWouldBlock", err)
+		_, wchan, err := f.c.GetblkNB(f.k.IntrCtx(), f.dev, 9)
+		if err != kernel.ErrWouldBlock || wchan != any(b) || b.Flags&BWanted == 0 {
+			t.Errorf("GetblkNB on busy buffer: err=%v, wchan=%v, flags %s; want ErrWouldBlock, the buffer, BWanted", err, wchan, b)
 		}
 		f.c.Brelse(ctx, b)
+		if b.Flags&BWanted != 0 {
+			t.Errorf("Brelse left BWanted set: %s", b)
+		}
 	})
 }
 
@@ -321,9 +324,9 @@ func TestFreeListExhaustionBlocks(t *testing.T) {
 			held = append(held, f.c.Getblk(ctx, f.dev, blk))
 		}
 		// Non-blocking path must refuse.
-		_, err := f.c.GetblkNB(f.k.IntrCtx(), f.dev, 100)
-		if err != kernel.ErrWouldBlock {
-			t.Errorf("GetblkNB with exhausted pool: %v, want ErrWouldBlock", err)
+		_, wchan, err := f.c.GetblkNB(f.k.IntrCtx(), f.dev, 100)
+		if err != kernel.ErrWouldBlock || wchan != any(&f.c.freeHead) {
+			t.Errorf("GetblkNB with exhausted pool: %v on %v, want ErrWouldBlock on the free list", err, wchan)
 		}
 		// Release one after a delay from a callout; blocking getblk
 		// must then succeed.
@@ -347,7 +350,7 @@ func TestStartReadInvokesHandler(t *testing.T) {
 	f.runProc(t, func(p *kernel.Proc) {
 		done := false
 		var got *Buf
-		b, err := f.c.ClaimRead(p.Ctx(), f.dev, 2)
+		b, _, err := f.c.ClaimRead(p.Ctx(), f.dev, 2)
 		if err != nil {
 			t.Errorf("ClaimRead: %v", err)
 			return
@@ -387,7 +390,7 @@ func TestStartReadCacheHitImmediate(t *testing.T) {
 		}
 		f.c.Brelse(ctx, b)
 		ran := false
-		b, err = f.c.ClaimRead(ctx, f.dev, 4)
+		b, _, err = f.c.ClaimRead(ctx, f.dev, 4)
 		if err != nil {
 			t.Fatalf("ClaimRead: %v", err)
 		}

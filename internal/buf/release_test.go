@@ -74,9 +74,9 @@ func TestReleasedCacheIsDead(t *testing.T) {
 		fn   func()
 	}{
 		{"Getblk", func() { f.c.Getblk(ctx, f.dev, 5) }},
-		{"GetblkNB", func() { _, _ = f.c.GetblkNB(ctx, f.dev, 2) }},
+		{"GetblkNB", func() { _, _, _ = f.c.GetblkNB(ctx, f.dev, 2) }},
 		{"StartReadahead", func() { f.c.StartReadahead(ctx, f.dev, 3) }},
-		{"ClaimRead", func() { _, _ = f.c.ClaimRead(ctx, f.dev, 4) }},
+		{"ClaimRead", func() { _, _, _ = f.c.ClaimRead(ctx, f.dev, 4) }},
 		{"Release", f.c.Release},
 	} {
 		func() {

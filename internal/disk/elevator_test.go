@@ -17,7 +17,7 @@ func queueMixed(t *testing.T, blocks []int64) []int64 {
 	run(t, k, func(pr *kernel.Proc) {
 		ctx := pr.Ctx()
 		for _, blk := range blocks {
-			b, err := c.GetblkNB(ctx, d, blk)
+			b, _, err := c.GetblkNB(ctx, d, blk)
 			if err != nil {
 				t.Errorf("getblk %d: %v", blk, err)
 				return
@@ -89,7 +89,7 @@ func TestQueueForgetsServicedRequests(t *testing.T) {
 	}
 	run(t, k, func(pr *kernel.Proc) {
 		for _, blk := range blocks {
-			b, err := c.GetblkNB(pr.Ctx(), d, blk)
+			b, _, err := c.GetblkNB(pr.Ctx(), d, blk)
 			if err != nil {
 				t.Errorf("getblk %d: %v", blk, err)
 				return

@@ -63,6 +63,37 @@ func TestSleepWakeupAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestParkWakeFireAllocatesNothing: a callout parked on a channel,
+// moved to the callout list by the channel's wakeup and fired by
+// softclock takes its record off the free list, and its channel's entry
+// reuses the sleep table's storage.
+func TestParkWakeFireAllocatesNothing(t *testing.T) {
+	k := New(DefaultConfig())
+	var ch byte
+	fired, allocs := 0, -1.0
+	fn := func() { fired++ }
+	round := func(p *Proc) {
+		for i := 0; i < 32; i++ {
+			k.Park(&ch, fn)
+		}
+		k.Wakeup(&ch)
+		p.SleepFor(k.cfg.TickDuration())
+	}
+	k.Spawn("waker", func(p *Proc) {
+		round(p) // warm-up: fills the callout free list
+		allocs = testing.AllocsPerRun(50, func() { round(p) })
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := 52 * 32; fired != want {
+		t.Fatalf("%d parked callouts fired, want %d", fired, want)
+	}
+	if allocs != 0 {
+		t.Fatalf("parking, waking and firing 32 callouts allocated %.1f times, want 0", allocs)
+	}
+}
+
 // TestStaleCalloutHandle: a handle kept past the firing, or the
 // cancellation, of its callout names a record that later timers reuse.
 // Untimeout on it must return false and leave those timers alone.

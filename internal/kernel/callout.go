@@ -17,12 +17,18 @@ import "kdp/internal/trace"
 // kernel's free list (4.3BSD's callfree): softclock and Untimeout return
 // them, Timeout takes one, so arming a timer allocates nothing once the
 // list has held its working set.
+//
+// A record parked on a wait channel (Park) is off the list: it hangs
+// from the channel's entry in the sleep table, linked through next in
+// park order, until Wakeup moves it to the head of the list.
 type callout struct {
 	fn     func()
 	delta  int // ticks after the previous entry
 	next   *callout
+	wchan  any    // the channel it is parked on; nil when not parked
 	queued bool   // on the callout list (not fired, cancelled or free)
 	gen    uint64 // bumped each time the record is armed
+	ck     uint64 // the CheckInvariants pass that last reached it parked
 }
 
 // Callout is a handle to a queued callout; it can be cancelled with
@@ -40,34 +46,67 @@ type calloutList struct {
 	n    int
 	free *callout   // recycled records, linked through next
 	due  []*callout // softclock's batch, kept for its backing array
+	all  []*callout // every record ever made, for the catalog's parked walk
 }
 
 func (cl *calloutList) empty() bool { return cl.head == nil }
 
-// release returns a record that has left the list to the free list.
+// arm takes a record off the free list, making one only when the list
+// is empty, and binds fn to it under a new generation.
+func (cl *calloutList) arm(fn func()) *callout {
+	if fn == nil {
+		panic("kernel: callout with nil fn")
+	}
+	c := cl.free
+	if c == nil {
+		c = &callout{}
+		cl.all = append(cl.all, c)
+	} else {
+		cl.free = c.next
+	}
+	c.fn, c.next = fn, nil
+	c.gen++
+	return c
+}
+
+// release returns a record that has left the list, or its channel, to
+// the free list.
 func (cl *calloutList) release(c *callout) {
-	c.fn, c.queued = nil, false
+	c.fn, c.queued, c.wchan = nil, false, nil
 	c.next, cl.free = cl.free, c
+}
+
+// requeue moves the chain first..last of records parked on one channel,
+// in park order, to the head of the list: behind the entries already due
+// (delta 0), as Timeout(fn, 0) queues, so they fire at the next
+// softclock.
+func (cl *calloutList) requeue(first, last *callout) {
+	var prev *callout
+	cur := cl.head
+	for cur != nil && cur.delta == 0 {
+		prev, cur = cur, cur.next
+	}
+	for c := first; c != nil; c = c.next {
+		c.wchan, c.delta, c.queued = nil, 0, true
+		cl.n++
+	}
+	last.next = cur
+	if prev == nil {
+		cl.head = first
+	} else {
+		prev.next = first
+	}
 }
 
 // Timeout queues fn to run from softclock after ticks clock ticks.
 // ticks <= 0 means the next softclock (the head of the callout list).
 func (k *Kernel) Timeout(fn func(), ticks int) Callout {
-	if fn == nil {
-		panic("kernel: Timeout with nil fn")
-	}
 	if ticks < 0 {
 		ticks = 0
 	}
 	cl := &k.callouts
-	c := cl.free
-	if c == nil {
-		c = &callout{}
-	} else {
-		cl.free = c.next
-	}
-	c.fn, c.queued = fn, true
-	c.gen++
+	c := cl.arm(fn)
+	c.queued = true
 	cl.n++
 	k.gen.Bump()
 
@@ -93,11 +132,64 @@ func (k *Kernel) Timeout(fn func(), ticks int) Callout {
 	return Callout{c, c.gen}
 }
 
-// Untimeout cancels a queued callout. Returns false if it already fired
-// or was already cancelled.
+// Park is the interrupt-level sleep: it parks fn on wchan, in the sleep
+// table beside any process sleeping there, and the next Wakeup(wchan)
+// moves it to the head of the callout list, so that it runs from the
+// following softclock — at interrupt level, like every callout. A
+// handler that cannot proceed without sleeping parks its retry on the
+// channel it would have slept on, instead of polling for the condition
+// every tick. Wakeup wakes every waiter, so fn must test its condition
+// again. Untimeout cancels it, parked or queued.
+func (k *Kernel) Park(wchan any, fn func()) Callout {
+	if wchan == nil {
+		panic("kernel: Park on nil wchan")
+	}
+	c := k.callouts.arm(fn)
+	c.wchan = wchan
+	q := k.sleepq[wchan]
+	if q.lastCallout == nil {
+		q.callouts = c
+	} else {
+		q.lastCallout.next = c
+	}
+	q.lastCallout = c
+	k.sleepq[wchan] = q
+	k.gen.Bump()
+	return Callout{c, c.gen}
+}
+
+// unpark removes parked record c from its channel's chain, dropping the
+// channel from the sleep table once nothing waits on it.
+func (k *Kernel) unpark(c *callout) {
+	q := k.sleepq[c.wchan]
+	var prev *callout
+	for cur := q.callouts; cur != c; prev, cur = cur, cur.next {
+	}
+	if prev == nil {
+		q.callouts = c.next
+	} else {
+		prev.next = c.next
+	}
+	if q.lastCallout == c {
+		q.lastCallout = prev
+	}
+	k.storeSleepq(c.wchan, q)
+}
+
+// Untimeout cancels a queued or parked callout. Returns false if it
+// already fired or was already cancelled.
 func (k *Kernel) Untimeout(h Callout) bool {
 	c := h.c
-	if c == nil || c.gen != h.gen || !c.queued {
+	if c == nil || c.gen != h.gen {
+		return false
+	}
+	if c.wchan != nil {
+		k.unpark(c)
+		k.callouts.release(c)
+		k.gen.Bump()
+		return true
+	}
+	if !c.queued {
 		return false
 	}
 	cl := &k.callouts
@@ -122,7 +214,8 @@ func (k *Kernel) Untimeout(h Callout) bool {
 	return false
 }
 
-// PendingCallouts reports the number of queued callouts.
+// PendingCallouts reports the number of queued callouts; a parked one
+// counts from its wakeup.
 func (k *Kernel) PendingCallouts() int { return k.callouts.n }
 
 // softclock fires every callout due this tick. Handlers run at

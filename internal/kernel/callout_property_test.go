@@ -2,6 +2,8 @@ package kernel
 
 import (
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 
 	"kdp/internal/sim"
@@ -150,5 +152,61 @@ func TestZeroTickCalloutsDoNotStarveTimers(t *testing.T) {
 	}
 	if firedAt != want {
 		t.Fatalf("timer fired at tick %d, want %d (starved by zero-tick callouts)", firedAt, want)
+	}
+}
+
+// TestWakeupQueuesParkedCallouts: Wakeup moves every callout parked on
+// its channel to the head of the callout list, in park order and behind
+// the entries already due, so they fire at the next softclock; a process
+// sleeping on the channel is made runnable at once, and callouts parked
+// on other channels stay parked. Untimeout cancels a parked callout, and a
+// woken one still on the list.
+func TestWakeupQueuesParkedCallouts(t *testing.T) {
+	k := testKernel()
+	var ch, other byte
+	var log []string
+	note := func(s string) func() { return func() { log = append(log, s+"@"+strconv.FormatInt(k.Ticks(), 10)) } }
+	k.Spawn("sleeper", func(p *Proc) {
+		_ = p.Sleep(&ch, PWAIT)
+		log = append(log, "sleeper@"+strconv.FormatInt(k.Ticks(), 10))
+	})
+	k.Spawn("waker", func(p *Proc) {
+		tick := k.cfg.TickDuration()
+		p.SleepFor(tick) // the sleeper is asleep, at tick 1
+		k.Timeout(note("due"), 0)
+		k.Timeout(note("late"), 3)
+		k.Park(&ch, note("b1"))
+		stray := k.Park(&other, note("stray"))
+		cancelled := k.Park(&ch, note("cancelled"))
+		k.Park(&ch, note("b2"))
+		if !k.Untimeout(cancelled) || k.Untimeout(cancelled) {
+			t.Error("Untimeout did not cancel a parked callout exactly once")
+		}
+		if k.PendingCallouts() != 2 {
+			t.Errorf("%d callouts pending before the wakeup, want 2 (parked ones are not queued)", k.PendingCallouts())
+		}
+		k.Wakeup(&ch)
+		if k.PendingCallouts() != 4 {
+			t.Errorf("%d callouts pending after the wakeup, want 4", k.PendingCallouts())
+		}
+		woken := k.Park(&ch, note("woken-cancelled"))
+		k.Wakeup(&ch)
+		if !k.Untimeout(woken) {
+			t.Error("Untimeout did not cancel a woken callout on the list")
+		}
+		if err := k.CheckInvariants(); err != nil {
+			t.Error(err)
+		}
+		p.SleepFor(5 * tick)
+		if !k.Untimeout(stray) || len(k.sleepq) != 0 {
+			t.Errorf("the callout parked on another channel was not left parked, or the table kept %d channel(s)", len(k.sleepq))
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := "sleeper@1 due@2 b1@2 b2@2 late@4"
+	if got := strings.Join(log, " "); got != want {
+		t.Fatalf("fired %s, want %s", got, want)
 	}
 }

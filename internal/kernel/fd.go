@@ -10,7 +10,8 @@ import (
 // Errno-style errors shared across the I/O stack. They are constants so
 // that returning one as an error converts static data and allocates
 // nothing: a refused nonblocking call is the common case at interrupt
-// level (splice retries on ErrWouldBlock every tick it is stalled).
+// level (a splice side gets ErrWouldBlock each time it finds its buffer
+// busy, and parks its retry until the buffer is released).
 const (
 	ErrNoEnt       = errorString("no such file or directory")
 	ErrBadFD       = errorString("bad file descriptor")

@@ -19,6 +19,9 @@ import (
 //	                     duplicates and without the current process
 //	kern-sleepq-state    every sleep-queue entry is ProcSleeping and its
 //	                     wchan matches the queue it sits on
+//	kern-callout-park    a parked callout is on exactly one channel's
+//	                     chain, the one it names, and not on the
+//	                     callout list
 //	kern-proc-account    alive matches the number of non-exited processes
 //	kern-holds           the keepalive hold count is non-negative
 //	poll-reg-count       live poller registrations never go negative
@@ -107,6 +110,9 @@ func (k *Kernel) checkSched() error {
 		if !c.queued {
 			return Violation("kern-callout-delta", "fired/cancelled entry still queued at %d", n)
 		}
+		if c.wchan != nil {
+			return Violation("kern-callout-park", "callout list entry %d is parked too", n)
+		}
 		n++
 		if n > k.callouts.n {
 			return Violation("kern-callout-delta", "list longer than count %d", k.callouts.n)
@@ -137,9 +143,11 @@ func (k *Kernel) checkSched() error {
 	// spawn order: the first sleeper met on a queue walks the whole of
 	// the queue its wchan names and stamps every entry, so each queue is
 	// walked once and a sleeper the walk did not reach is on the wrong
-	// queue. Queues holding no sleeper of their own — left behind empty,
-	// or holding only strays — show as the table having more queues
-	// than were walked.
+	// queue. Then the parked callouts, from the record table: one whose
+	// channel no sleeper led to walks that channel's chain. Queues
+	// holding neither a sleeper nor a parked callout of their own — left
+	// behind empty, or holding only strays — show as the table having
+	// more queues than were walked.
 	live, queues := 0, 0
 	for _, p := range k.procs {
 		if p.state != ProcExited {
@@ -167,9 +175,26 @@ func (k *Kernel) checkSched() error {
 		if p.ckSleep != k.ckPass {
 			return Violation("kern-sleepq-state", "proc %q sleeping on wrong queue", p.name)
 		}
+		if err := k.checkParked(p.wchan); err != nil {
+			return err
+		}
+	}
+	for _, c := range k.callouts.all {
+		if c.wchan == nil || c.ck == k.ckPass {
+			continue
+		}
+		if k.sleepq[c.wchan].head == nil { // no sleeper led the walk to its chain
+			queues++
+			if err := k.checkParked(c.wchan); err != nil {
+				return err
+			}
+		}
+		if c.ck != k.ckPass {
+			return Violation("kern-callout-park", "callout parked off the chain of its channel")
+		}
 	}
 	if queues != len(k.sleepq) {
-		return Violation("kern-sleepq-state", "%d sleep queues but only %d hold a sleeper", len(k.sleepq), queues)
+		return Violation("kern-sleepq-state", "%d sleep queues but only %d hold a sleeper or parked callout", len(k.sleepq), queues)
 	}
 	if live != k.alive {
 		return Violation("kern-proc-account", "%d live procs, alive says %d", live, k.alive)
@@ -183,12 +208,40 @@ func (k *Kernel) checkSched() error {
 	return nil
 }
 
+// checkParked walks the chain of callouts parked on wchan, stamping
+// each: every one must be parked on wchan, and met once.
+func (k *Kernel) checkParked(wchan any) error {
+	for c := k.sleepq[wchan].callouts; c != nil; c = c.next {
+		if c.ck == k.ckPass {
+			return Violation("kern-callout-park", "callout parked twice")
+		}
+		if c.wchan != wchan || c.queued {
+			return Violation("kern-callout-park", "callout on a channel's chain not parked there (queued %v)", c.queued)
+		}
+		c.ck = k.ckPass
+	}
+	return nil
+}
+
 // digestSched folds in what checkSched reads.
 func (k *Kernel) digestSched(d *Digest) {
 	for c := k.callouts.head; c != nil; c = c.next {
 		Ptr(d, c)
 		d.Bool(c.delta < 0) // the check reads a delta's sign alone
 		d.Bool(c.queued)
+		d.Bool(c.wchan != nil)
+	}
+	for _, c := range k.callouts.all {
+		d.Bool(c.wchan != nil)
+		if c.wchan != nil {
+			q := k.sleepq[c.wchan]
+			d.Bool(q.head != nil)
+			for p := q.callouts; p != nil; p = p.next {
+				Ptr(d, p)
+				d.Bool(p.queued)
+				d.Bool(p.wchan == c.wchan)
+			}
+		}
 	}
 	d.Int(int64(k.callouts.n))
 	Ptr(d, k.current)

@@ -9,8 +9,9 @@ import (
 )
 
 // TestCatalogTrips plants hand-made faults for every name in the
-// invariant catalog — on a kernel with a sleeper, a queued runnable
-// process and a pending callout — and requires the same-named check to
+// invariant catalog — on a kernel with two sleepers and a callout parked
+// on one channel, a queued runnable process and a pending callout — and
+// requires the same-named check to
 // report each; the fault is undone afterwards so the machine can finish.
 // A planted write is a modification like any other, so planting and
 // undoing bump the kernel's generation.
@@ -56,6 +57,29 @@ func TestCatalogTrips(t *testing.T) {
 			k.sleepq[&stray] = sleepQueue{head: k.runq[0], tail: k.runq[0]}
 			return func() { delete(k.sleepq, &stray) }
 		}},
+		{"kern-callout-park", func(k *Kernel, _ *Proc) func() { // a parked callout naming another channel
+			c := k.sleepq[&wchan].callouts
+			c.wchan = &stray
+			return func() { c.wchan = &wchan }
+		}},
+		{"kern-callout-park", func(k *Kernel, _ *Proc) func() { // a callout-list entry parked too
+			c := k.callouts.head
+			c.wchan = &wchan
+			return func() { c.wchan = nil }
+		}},
+		{"kern-callout-park", func(k *Kernel, _ *Proc) func() { // a parked callout missing from its channel's chain
+			q := k.sleepq[&wchan]
+			c := q.callouts
+			q.callouts, q.lastCallout = nil, nil
+			k.sleepq[&wchan] = q
+			return func() { q.callouts, q.lastCallout = c, c; k.sleepq[&wchan] = q }
+		}},
+		{"kern-callout-park", func(k *Kernel, _ *Proc) func() { // parked on a channel nobody sleeps on, and off its chain
+			c := k.sleepq[&wchan].callouts
+			c.wchan = &stray
+			k.sleepq[&stray] = sleepQueue{}
+			return func() { c.wchan = &wchan; delete(k.sleepq, &stray) }
+		}},
 		{"kern-proc-account", func(k *Kernel, _ *Proc) func() {
 			k.alive++
 			return func() { k.alive-- }
@@ -83,8 +107,10 @@ func TestCatalogTrips(t *testing.T) {
 	k.StartTrace(nil)
 	sleeper := k.Spawn("sleeper", func(p *Proc) { _ = p.Sleep(&wchan, PWAIT) })
 	k.Spawn("sleeper2", func(p *Proc) { _ = p.Sleep(&wchan, PWAIT) })
+	fired := false
 	k.Spawn("driver", func(p *Proc) {
 		k.Timeout(func() {}, 5)
+		k.Park(&wchan, func() { fired = true })
 		for _, fault := range faults {
 			if err := errors.Join(k.CheckInvariants(), k.CheckClock()); err != nil {
 				t.Errorf("before %s: %v", fault.name, err)
@@ -106,10 +132,14 @@ func TestCatalogTrips(t *testing.T) {
 			k.gen.Bump()
 		}
 		k.Wakeup(&wchan)
+		p.SleepFor(k.cfg.TickDuration())
 	})
 	k.Spawn("runner", func(p *Proc) {})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
+	}
+	if !fired {
+		t.Error("the parked callout did not fire after its channel's wakeup")
 	}
 }
 

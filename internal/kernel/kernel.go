@@ -230,9 +230,24 @@ func (k *Kernel) Interrupt(fn func()) {
 	fn()
 }
 
-// sleepQueue is the processes blocked on one wchan, longest sleeper
-// first, threaded through Proc.sleepNext (4.3BSD's p_link).
-type sleepQueue struct{ head, tail *Proc }
+// sleepQueue is what waits on one wchan: the processes blocked on it,
+// longest sleeper first, threaded through Proc.sleepNext (4.3BSD's
+// p_link), and the callouts parked on it (Park), in park order,
+// threaded through callout.next.
+type sleepQueue struct {
+	head, tail            *Proc
+	callouts, lastCallout *callout
+}
+
+// storeSleepq writes back the queue of wchan, or drops the entry once
+// nothing waits on it.
+func (k *Kernel) storeSleepq(wchan any, q sleepQueue) {
+	if q.head == nil && q.callouts == nil {
+		delete(k.sleepq, wchan)
+	} else {
+		k.sleepq[wchan] = q
+	}
+}
 
 // enqueueSleeper puts p at the tail of the queue its wchan names.
 func (k *Kernel) enqueueSleeper(p *Proc) {
@@ -247,7 +262,8 @@ func (k *Kernel) enqueueSleeper(p *Proc) {
 }
 
 // Wakeup makes every process sleeping on wchan runnable, as 4.3BSD
-// wakeup(). Safe to call from any context.
+// wakeup(), and moves every callout parked on it to the head of the
+// callout list. Safe to call from any context.
 func (k *Kernel) Wakeup(wchan any) {
 	q, ok := k.sleepq[wchan]
 	if !ok {
@@ -259,6 +275,10 @@ func (k *Kernel) Wakeup(wchan any) {
 		p.sleepNext = nil
 		k.makeRunnable(p, p.sleepPri)
 		p = next
+	}
+	if q.callouts != nil {
+		k.callouts.requeue(q.callouts, q.lastCallout)
+		k.gen.Bump()
 	}
 }
 
@@ -296,11 +316,7 @@ func (k *Kernel) unsleep(p *Proc) {
 		q.tail = prev
 	}
 	p.sleepNext = nil
-	if q.head == nil {
-		delete(k.sleepq, p.wchan)
-	} else {
-		k.sleepq[p.wchan] = q
-	}
+	k.storeSleepq(p.wchan, q)
 }
 
 // pickNext removes and returns the best runnable process: lowest

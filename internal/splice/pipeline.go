@@ -34,12 +34,13 @@ type desc struct {
 	pendingReads  int32
 	pendingWrites int32
 
-	err        error
-	stopped    bool // no further reads (error or interrupt)
-	done       bool
-	retryArmed bool
-	scrubbing  bool // inside wr.scrub: a synchronous device settles re-entrantly
-	async      bool
+	err       error
+	stopped   bool // no further reads (error or interrupt)
+	done      bool
+	scrubbing bool // inside wr.scrub: a synchronous device settles re-entrantly
+	async     bool
+
+	retrying kernel.Callout // the armed retry, parked or queued; zero when none
 
 	caller *kernel.Proc
 
@@ -156,21 +157,27 @@ func (d *desc) callout(fn func()) {
 	d.k.Timeout(fn, 0)
 }
 
-// armRetry schedules a flow-control retry on the next clock tick, for a
-// side that could not proceed without sleeping (no buffer, or over the
-// pacing budget).
-func (d *desc) armRetry() {
-	if d.retryArmed || d.stopped {
+// armRetry arms the retry of a side that could not proceed without
+// sleeping. A side that wants a buffer parks the retry on wchan, the
+// channel ClaimRead or GetblkNB would have slept on, and the buffer's
+// release moves it to the head of the callout list: the getblk/brelse
+// protocol, at interrupt level. Over the pacing budget (nil wchan) the
+// wait is for time to pass, and the retry is the next tick's.
+func (d *desc) armRetry(wchan any) {
+	if d.retrying != (kernel.Callout{}) || d.stopped {
 		return
 	}
-	d.retryArmed = true
 	d.k.TraceEmit(trace.KindSpliceStall, 0, int64(d.pendingReads), int64(d.pendingWrites), "")
-	d.k.Timeout(d.onRetry, 1)
+	if wchan == nil {
+		d.retrying = d.k.Timeout(d.onRetry, 1)
+	} else {
+		d.retrying = d.k.Park(wchan, d.onRetry)
+	}
 }
 
-// retry is the callout armRetry queued.
+// retry is the callout armRetry armed.
 func (d *desc) retry() {
-	d.retryArmed = false
+	d.retrying = kernel.Callout{}
 	d.wr.resume()
 	d.rd.start(d.k.IntrCtx())
 	d.settle()
@@ -236,7 +243,7 @@ func (d *desc) fail(err error) {
 	if d.err == nil {
 		d.err = err
 	}
-	d.stopped = true
+	d.halt()
 	d.wr.abandon()
 	d.settle()
 }
@@ -244,10 +251,19 @@ func (d *desc) fail(err error) {
 // stop is the interrupt path: issue nothing more, cancel work that
 // would otherwise never complete, and let in-flight I/O drain.
 func (d *desc) stop() {
-	d.stopped = true
+	d.halt()
 	d.rd.cancel()
 	d.wr.abandon()
 	d.settle()
+}
+
+// halt stops issuing new work and cancels an armed retry, which would
+// find nothing to do: a parked one might otherwise wait on its channel
+// past the descriptor's end.
+func (d *desc) halt() {
+	d.stopped = true
+	d.k.Untimeout(d.retrying)
+	d.retrying = kernel.Callout{}
 }
 
 // settle is the one place that decides the transfer is over: nothing in

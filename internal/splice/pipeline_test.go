@@ -225,7 +225,7 @@ func hogBuffers(m *machine, p *kernel.Proc) (release func()) {
 	}
 	var held []*buf.Buf
 	for blk := m.disks[0].DevBlocks() - 1; ; blk-- {
-		b, err := m.cache.GetblkNB(p.Ctx(), m.disks[0], blk)
+		b, _, err := m.cache.GetblkNB(p.Ctx(), m.disks[0], blk)
 		if err != nil {
 			break
 		}
@@ -250,8 +250,8 @@ func stalls(c *trace.Collector) (n int) {
 
 func TestBufferStarvationStallsAndRetries(t *testing.T) {
 	// With every cache buffer busy, a side that needs one at interrupt
-	// level cannot sleep for it: it emits splice.stall, retries from the
-	// callout list each tick, and finishes once buffers come back.
+	// level cannot sleep for it: it emits splice.stall, parks its retry
+	// on the free list, and finishes once buffers come back.
 	t.Run("source-file", func(t *testing.T) {
 		m := newMachine(t, disk.RZ58)
 		pipes(m)
@@ -271,8 +271,8 @@ func TestBufferStarvationStallsAndRetries(t *testing.T) {
 			m.k.StartTrace(col)
 			_, _ = p.Write(pin, want) // delivered to the parked read: no staging buffer
 			p.SleepFor(30 * sim.Millisecond)
-			if n := stalls(col); n < 2 || h.Done() || h.Moved() != 0 {
-				t.Errorf("starved splice: %d stall(s), done=%v moved=%d; want repeated stalls and no progress", n, h.Done(), h.Moved())
+			if n := stalls(col); n != 1 || h.Done() || h.Moved() != 0 {
+				t.Errorf("starved splice: %d stall(s), done=%v moved=%d; want one stall, for its one wait, and no progress", n, h.Done(), h.Moved())
 			}
 			release()
 			m.k.StopTrace()

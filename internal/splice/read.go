@@ -88,7 +88,7 @@ func (r *blocks) start(ctx kernel.Ctx) {
 		lblk := r.next
 		if lo, hi := r.span(lblk); d.opts.RateBytesPerSec > 0 && !r.admit(hi-lo) {
 			// Pacing: over budget; the callout list retries next tick.
-			d.armRetry()
+			d.armRetry(nil)
 			return
 		}
 		pblk := r.table[lblk]
@@ -98,24 +98,26 @@ func (r *blocks) start(ctx kernel.Ctx) {
 		if pblk == 0 {
 			// Hole in the source: synthesize a zero-filled block. The
 			// header is not part of the cache pool, so it is released
-			// through the header path. The data area is a full block: the
-			// write side transfers whole blocks.
+			// through the header path. The data area is a full block,
+			// the cache's one read-only zero block: the write side
+			// transfers whole blocks, and only reads them.
 			d.issued(lblk)
 			hdr := r.cache.AllocHeader(r.file.Dev(), 0)
-			hdr.Data = make([]byte, r.bsize)
+			hdr.Data = r.cache.ZeroBlock()
 			r.cache.SetFlags(hdr, buf.BDone)
 			hdr.SpliceDesc = d
 			hdr.SpliceLblk = lblk
 			r.readDone(d.k, hdr)
 			continue
 		}
-		b, err := r.cache.ClaimRead(ctx, r.file.Dev(), int64(pblk))
+		b, wchan, err := r.cache.ClaimRead(ctx, r.file.Dev(), int64(pblk))
 		if err != nil {
-			// No buffer available without sleeping: back off and retry
-			// from the callout list next tick. Nothing was issued.
+			// No buffer available without sleeping: back off until the
+			// buffer wanted, or any buffer, is released. Nothing was
+			// issued.
 			r.next--
 			d.pendingReads--
-			d.armRetry()
+			d.armRetry(wchan)
 			return
 		}
 		d.issued(lblk)

@@ -353,6 +353,49 @@ func TestSpliceUsesCalloutList(t *testing.T) {
 	})
 }
 
+// handoffLog is a trace sink noting, per logical block, the clock tick
+// of its splice.read-done and of its splice.write.
+type handoffLog struct {
+	k           *kernel.Kernel
+	done, write map[int64]int64
+}
+
+func (l *handoffLog) Emit(ev trace.Event) {
+	switch ev.Kind {
+	case trace.KindSpliceReadDone:
+		l.done[ev.Arg1] = l.k.Ticks()
+	case trace.KindSpliceWrite:
+		l.write[ev.Arg1] = l.k.Ticks()
+	}
+}
+
+// TestHandoffAtNextSoftclock: the read handler places the write side at
+// the head of the callout list (§5.3), so each block's write is issued
+// at the first softclock after its read completes — not a tick later.
+func TestHandoffAtNextSoftclock(t *testing.T) {
+	m := newMachine(t, disk.RZ58)
+	const blocks = 12
+	m.run(t, func(p *kernel.Proc) {
+		makeFile(t, p, "/d0/src", blocks*bsize, 5)
+		_ = m.cache.InvalidateDev(p.Ctx(), m.disks[0]) // reads complete at interrupt level, between ticks
+		src, _ := p.Open("/d0/src", kernel.ORdOnly)
+		snk := p.InstallFile(nullSink{}, kernel.OWrOnly)
+		log := &handoffLog{k: m.k, done: map[int64]int64{}, write: map[int64]int64{}}
+		m.k.StartTrace(log)
+		if n, err := Splice(p, src, snk, EOF); n != blocks*bsize || err != nil {
+			t.Fatalf("splice moved %d, %v", n, err)
+		}
+		m.k.StopTrace()
+		for lblk := int64(0); lblk < blocks; lblk++ {
+			done, ok1 := log.done[lblk]
+			write, ok2 := log.write[lblk]
+			if !ok1 || !ok2 || write != done+1 {
+				t.Errorf("block %d: read done at tick %d (%v), write issued at tick %d (%v); want the next tick", lblk, done, ok1, write, ok2)
+			}
+		}
+	})
+}
+
 func TestSpliceSourceHoleWritesZeros(t *testing.T) {
 	m := newMachine(t, disk.RAMDisk)
 	m.run(t, func(p *kernel.Proc) {

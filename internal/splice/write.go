@@ -26,8 +26,7 @@ type fileOut struct {
 	// block must preserve it; and a transfer that ends short must not
 	// leave a fresh block readable (scrub).
 	fresh    []bool
-	scrubbed int    // blocks below this index have been seen by scrub
-	zeros    []byte // the one zero block every scrub header points at
+	scrubbed int // blocks below this index have been seen by scrub
 }
 
 func newFileOut(d *desc, f FileLike, fd *kernel.FDesc) fileOut {
@@ -84,7 +83,7 @@ func (o *fileOut) wrote(hdr *buf.Buf) {
 // read as its blocks' previous owner. Zeroing rather than trimming the
 // size and freeing the blocks because it needs no process context: the
 // writes are ordinary asynchronous device writes, a memory-less header
-// each over one shared zero block, issued up to the write watermark at
+// each over the cache's zero block, issued up to the write watermark at
 // a time and drained through the same completion handler as payload,
 // so a FASYNC transfer finishing at interrupt level is covered by the
 // mechanism a blocked caller is. Each fresh block is tried once.
@@ -94,12 +93,9 @@ func (o *fileOut) scrub() {
 		if !o.fresh[o.scrubbed] {
 			continue
 		}
-		if o.zeros == nil {
-			o.zeros = make([]byte, o.bsize)
-		}
 		blk := int64(o.scrubbed)
 		hdr := o.cache.AllocHeader(o.file.Dev(), int64(o.table[blk]))
-		hdr.Data = o.zeros
+		hdr.Data = o.cache.ZeroBlock()
 		d.pendingWrites++
 		d.gen.Bump()
 		o.issue(hdr, blk, 0, blk)
@@ -356,11 +352,12 @@ func (s *stage) writeChunk(data []byte) {
 	d := s.d
 	for len(data) > 0 && !d.stopped {
 		if s.hdr == nil {
-			hdr, err := s.cache.GetblkNB(d.k.IntrCtx(), s.file.Dev(), int64(s.table[s.staged/s.bsize]))
+			hdr, wchan, err := s.cache.GetblkNB(d.k.IntrCtx(), s.file.Dev(), int64(s.table[s.staged/s.bsize]))
 			if err != nil {
-				// No buffer without sleeping: stash and retry next tick.
+				// No buffer without sleeping: stash, and retry once
+				// the buffer wanted, or any buffer, is released.
 				s.stash = append(s.stash, data...)
-				d.armRetry()
+				d.armRetry(wchan)
 				return
 			}
 			s.hdr, s.fill, hdr.SpliceDesc = hdr, 0, d
