@@ -16,6 +16,7 @@ import (
 	"fmt"
 
 	"kdp/internal/kernel"
+	"kdp/internal/sim"
 )
 
 // Buffer flags, following the 4.2BSD names.
@@ -57,6 +58,10 @@ type Device interface {
 	DevBlocks() int64
 	// DevName identifies the device in traces and errors.
 	DevName() string
+	// PlatterBlock returns the block the device's platter holds at
+	// blkno, shared with whatever buffer last read or wrote it, or nil
+	// if none is shared (a device that copies).
+	PlatterBlock(blkno int64) *sim.Block
 }
 
 // Buf is a buffer header, possibly with attached data memory. The
@@ -83,9 +88,12 @@ type Buf struct {
 	stamp int32
 
 	Bcount int // transfer length in bytes
-	Resid  int // bytes not transferred (error cases)
-	Data   []byte
-	Err    error
+	// Data is blk's bytes: read it freely, store into it only through
+	// Cache.Store. A header borrows the block it shares (Cache.Share)
+	// and holds no reference; a pool buffer holds one.
+	Data []byte
+	blk  *sim.Block
+	Err  error
 
 	// Iodone is invoked at interrupt level when the I/O completes and
 	// BCall is set.

@@ -20,6 +20,9 @@ type memDevice struct {
 	latency sim.Duration
 	nreads  int
 	nwrites int
+	// shared stands in for a platter that shares blocks (PlatterBlock):
+	// this device copies, so it is nil but in a planted fault.
+	shared map[int64]*sim.Block
 }
 
 func newMemDevice(k *kernel.Kernel, name string, blocks int64, bsize int, latency sim.Duration) *memDevice {
@@ -34,12 +37,14 @@ func (d *memDevice) DevName() string   { return d.name }
 func (d *memDevice) DevBlockSize() int { return d.bsize }
 func (d *memDevice) DevBlocks() int64  { return d.blocks }
 
+func (d *memDevice) PlatterBlock(blkno int64) *sim.Block { return d.shared[blkno] }
+
 func (d *memDevice) Strategy(b *Buf) {
 	d.k.Hold()
 	d.k.Engine().Schedule(d.latency, "memdev", func() {
 		off := b.Blkno * int64(d.bsize)
 		if b.Flags&BRead != 0 {
-			copy(b.Data[:b.Bcount], d.data[off:])
+			copy(d.c.Store(b, b.Bcount == d.bsize)[:b.Bcount], d.data[off:])
 			d.nreads++
 		} else {
 			copy(d.data[off:off+int64(b.Bcount)], b.Data[:b.Bcount])
@@ -121,7 +126,7 @@ func TestBwriteRoundTrip(t *testing.T) {
 	f.runProc(t, func(p *kernel.Proc) {
 		ctx := p.Ctx()
 		b := f.c.Getblk(ctx, f.dev, 7)
-		for i := range b.Data {
+		for i := range f.c.Store(b, true) {
 			b.Data[i] = 0xAB
 		}
 		if err := f.c.Bwrite(ctx, b); err != nil {
@@ -138,7 +143,7 @@ func TestBdwriteDefersDeviceIO(t *testing.T) {
 	f.runProc(t, func(p *kernel.Proc) {
 		ctx := p.Ctx()
 		b := f.c.Getblk(ctx, f.dev, 3)
-		b.Data[0] = 0x55
+		f.c.Store(b, false)[0] = 0x55
 		f.c.Bdwrite(ctx, b)
 		if f.dev.nwrites != 0 || b.Flags&BDelwri == 0 {
 			t.Error("bdwrite did not leave a delayed write")
@@ -159,7 +164,7 @@ func TestDelayedWritePushedOnRecycle(t *testing.T) {
 	f.runProc(t, func(p *kernel.Proc) {
 		ctx := p.Ctx()
 		b := f.c.Getblk(ctx, f.dev, 0)
-		b.Data[0] = 0x77
+		f.c.Store(b, false)[0] = 0x77
 		f.c.Bdwrite(ctx, b)
 		// Touch enough other blocks to force the dirty buffer out.
 		for blk := int64(1); blk <= 8; blk++ {
@@ -212,7 +217,7 @@ func TestFlushBlocksWaitsOutBusyDelayedWrite(t *testing.T) {
 	f.k.Spawn("holder", func(p *kernel.Proc) {
 		ctx := p.Ctx()
 		b := f.c.Getblk(ctx, f.dev, 5)
-		b.Data[0] = 0x5A
+		f.c.Store(b, false)[0] = 0x5A
 		b.SpliceDesc = "desc" // a splice held it once; the release ends that
 		f.c.Bdwrite(ctx, b)
 		b = f.c.Getblk(ctx, f.dev, 5) // a hit: still a delayed write, now busy
@@ -419,9 +424,10 @@ func TestAllocHeaderSharesData(t *testing.T) {
 		if hdr.Data != nil {
 			t.Error("AllocHeader allocated data memory")
 		}
-		// Alias, as the splice write side does.
-		hdr.Data = src.Data
-		src.Data[0] = 0xEE
+		// Alias, as the splice write side does, a block src owns.
+		f.c.Store(src, false)
+		f.c.Share(hdr, src)
+		f.c.Store(src, false)[0] = 0xEE
 		if hdr.Data[0] != 0xEE {
 			t.Error("aliased header does not share the data area")
 		}
@@ -482,7 +488,7 @@ func TestInvalidateDevColdStart(t *testing.T) {
 		}
 		// Dirty one block too.
 		b := f.c.Getblk(ctx, f.dev, 2)
-		b.Data[0] = 0x99
+		f.c.Store(b, false)[0] = 0x99
 		f.c.Bdwrite(ctx, b)
 
 		if err := f.c.InvalidateDev(ctx, f.dev); err != nil {
@@ -621,7 +627,8 @@ func TestHeldBufferLifecycle(t *testing.T) {
 			t.Fatal("Getblk missed the held buffer")
 		}
 		b.Bcount = 100
-		b.Data[0], b.Data[200] = 7, 7
+		data := f.c.Store(b, false)
+		data[0], data[200] = 7, 7
 		f.c.Bdwrite(ctx, b)
 		check("written")
 		if b.Bcount != 8192 {
@@ -636,13 +643,13 @@ func TestHeldBufferLifecycle(t *testing.T) {
 		if !f.c.Dirty(ctx, b) || f.c.Dirty(ctx, b) {
 			t.Fatal("Dirty: want true for a clean buffer, then false")
 		}
-		b.Data[0] = 8
+		f.c.Store(b, false)[0] = 8
 		if err := f.c.InvalidateDev(ctx, f.dev); err != nil || f.c.Peek(f.dev, 1) != b || f.dev.data[8192] != 8 {
 			t.Fatalf("InvalidateDev: %v; want the held buffer written and kept", err)
 		}
 		check("invalidated")
 		f.c.Dirty(ctx, b)
-		b.Data[0] = 9
+		f.c.Store(b, false)[0] = 9
 		// A power cut with a page mapped is a harness error, like one with
 		// a transfer in flight: Crash panics before discarding anything.
 		func() {

@@ -25,7 +25,7 @@ func Example() {
 
 		// Delayed write: the block is dirty in the cache only.
 		b := c.Getblk(ctx, d, 10)
-		copy(b.Data, []byte("hello"))
+		copy(c.Store(b, false), []byte("hello"))
 		c.Bdwrite(ctx, b)
 		fmt.Println("delayed write:", c.Peek(d, 10).Flags&buf.BDelwri != 0)
 

@@ -38,6 +38,10 @@ import "kdp/internal/kernel"
 //	                     an in-flight (not BDone) readahead is a busy async read
 //	buf-ra-pending       raPending == number of in-flight readahead buffers
 //	buf-ra-budget        0 <= raPending <= the readahead budget
+//	buf-block-owned      a delayed write's or a held page's block is not
+//	                     the block its platter holds for it: a store
+//	                     into a shared block went in place (the sharing
+//	                     rule, cache.go "block sharing")
 
 // CheckInvariants verifies the cache's structural invariants, returning
 // the first violation found (nil if the cache is consistent). It never
@@ -56,7 +60,7 @@ func (c *Cache) Gen() uint32 { return c.gen.N() }
 // each chain's counts, and the chain and class of each member, in the
 // shadow if there is one.
 func (c *Cache) checkFull() error {
-	if c.slab == nil {
+	if c.zero == nil {
 		return kernel.Violation("buf-released", "cache checked after Release")
 	}
 	// Free-list walk: link integrity, counts, flags. Only pool buffers
@@ -174,6 +178,9 @@ func (c *Cache) checkChain(i int, w *walker) (t chainShadow, kept int, err error
 // counts in: a busy buffer is off the free list, an idle one that is
 // not held is on it.
 func checkMember(b *Buf) (cls uint8, err error) {
+	if ownsShared(b) {
+		return 0, kernel.Violation("buf-block-owned", "%s stores into a block it shares", b)
+	}
 	if b.Flags&BBusy != 0 {
 		if b.onFree {
 			return 0, kernel.Violation("buf-free-busy", "busy hashed buffer claims free-list membership: %s", b)
@@ -195,10 +202,16 @@ func checkMember(b *Buf) (cls uint8, err error) {
 	return cls, nil
 }
 
+// ownsShared reports whether b, a delayed write or a held page, which
+// must own its block, shares its platter's.
+func ownsShared(b *Buf) bool {
+	return b.Flags&(BDelwri|BHeld) != 0 && b.blk != nil && b.Dev != nil && b.blk == b.Dev.PlatterBlock(b.Blkno)
+}
+
 // digest folds in what the walks read of the cache itself; the audit
 // holds each buffer and chain head to account on its own (resum).
 func (c *Cache) digest(d *kernel.Digest) {
-	d.Bool(c.slab == nil)
+	d.Bool(c.zero == nil)
 	kernel.Ptr(d, c.freeHead)
 	kernel.Ptr(d, c.freeTail)
 	d.Int(int64(c.nfree))
@@ -223,6 +236,9 @@ func checkBufFlags(b *Buf) error {
 		}
 		if b.Flags&BInval != 0 {
 			return kernel.Violation("buf-flag-delwri", "BDelwri on invalid buffer: %s", b)
+		}
+		if ownsShared(b) {
+			return kernel.Violation("buf-block-owned", "%s stores into a block it shares", b)
 		}
 	}
 	if b.Flags&BCall != 0 && b.Iodone == nil {

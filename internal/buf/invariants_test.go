@@ -25,7 +25,6 @@ func (d *badDevice) Strategy(b *Buf) {
 	d.k.Engine().Schedule(d.latency, "baddev", func() {
 		b.Flags |= BError
 		b.Err = kernel.ErrIO
-		b.Resid = b.Bcount
 		d.k.Interrupt(func() { d.c.Biodone(b) })
 		d.k.Release()
 	})
@@ -158,6 +157,21 @@ func TestCatalogTrips(t *testing.T) {
 			f.c.rehash(hashedBuf(f.c))
 		}},
 		{"buf-ra-flag", func(f *fixture) { mark(f.c, hashedBuf(f.c), BReadahead|BDelwri) }},
+		// A delayed write on the block its platter holds: its store went
+		// in place, past Store's copy.
+		{"buf-block-owned", func(f *fixture) {
+			b := hashedBuf(f.c)
+			f.dev.shared = map[int64]*sim.Block{b.Blkno: b.blk}
+			mark(f.c, b, BDelwri)
+		}},
+		// A held page on its platter's block: the VM's stores would
+		// reach the platter too.
+		{"buf-block-owned", func(f *fixture) {
+			b := hashedBuf(f.c)
+			f.dev.shared = map[int64]*sim.Block{b.Blkno: b.blk}
+			f.c.freeRemove(b)
+			mark(f.c, b, BHeld)
+		}},
 		{"buf-ra-pending", func(f *fixture) { f.c.raPending++ }},
 		{"buf-ra-budget", func(f *fixture) {
 			// Two well-formed in-flight readaheads against a budget of one.
@@ -312,7 +326,7 @@ func TestAsyncWriteErrorLatches(t *testing.T) {
 	f.runProc(t, func(p *kernel.Proc) {
 		ctx := p.Ctx()
 		b := f.c.Getblk(ctx, bad, 5)
-		b.Data[0] = 1
+		f.c.Store(b, false)[0] = 1
 		f.c.Bawrite(ctx, b)
 		p.SleepFor(10 * sim.Millisecond)
 		if f.c.WriteError(bad) == nil {
@@ -338,7 +352,7 @@ func TestInvalidateBlocksDropsListed(t *testing.T) {
 		ctx := p.Ctx()
 		for _, blk := range []int64{1, 2, 3} {
 			b := f.c.Getblk(ctx, f.dev, blk)
-			b.Data[0] = byte(blk)
+			f.c.Store(b, false)[0] = byte(blk)
 			f.c.Bdwrite(ctx, b)
 		}
 		if err := f.c.InvalidateBlocks(ctx, f.dev, []int64{1, 2}); err != nil {

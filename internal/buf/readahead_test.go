@@ -191,7 +191,7 @@ func TestClusteredFlushEmission(t *testing.T) {
 		ctx := p.Ctx()
 		for _, blk := range []int64{12, 10, 20, 11} {
 			b := f.c.Getblk(ctx, f.dev, blk)
-			for i := range b.Data {
+			for i := range f.c.Store(b, true) {
 				b.Data[i] = byte(blk)
 			}
 			f.c.Bdwrite(ctx, b)

@@ -87,7 +87,7 @@ func TestCacheRandomOpsInvariants(t *testing.T) {
 						break
 					}
 					i := r.Intn(len(held))
-					held[i].Data[0] = byte(step)
+					f.c.Store(held[i], false)[0] = byte(step)
 					f.c.Bdwrite(ctx, held[i])
 					held = append(held[:i], held[i+1:]...)
 				case 7: // async write
@@ -130,8 +130,9 @@ func TestCacheDataIntegrityUnderPressure(t *testing.T) {
 		ctx := p.Ctx()
 		for blk := int64(0); blk < blocks; blk++ {
 			b := f.c.Getblk(ctx, f.dev, blk)
+			data := f.c.Store(b, false)
 			for i := 0; i < 16; i++ {
-				b.Data[i] = byte(blk) ^ byte(i*7)
+				data[i] = byte(blk) ^ byte(i*7)
 			}
 			f.c.Bdwrite(ctx, b)
 		}

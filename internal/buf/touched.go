@@ -54,11 +54,11 @@ const maxPool = 1<<16 - 1
 const touchedShare = 4
 
 // walker is the touched walk's state. Its arrays hold no pointers, so
-// they are cut from one byte slab, mem, which Release rests in sim's
-// slab recycler beside the buffers' own: a machine rebuilt from the
+// they are cut from one block of bytes, mem, which Release rests in
+// sim's recycler beside the buffers' blocks: a machine rebuilt from the
 // recycler allocates only this header.
 type walker struct {
-	mem      []byte        // the slab the arrays below are cut from
+	mem      *sim.Block    // the block the arrays below are cut from
 	touched  []uint64      // pool buffers written since the last walk, by index
 	rehashed []uint64      // of those, the ones whose place in the hash was written
 	chains   []uint64      // hash chains whose head was written since the last walk
@@ -131,7 +131,7 @@ func shadowBytes(nbuf, nhash int) int {
 }
 
 // carve returns the first n records of type T in *mem, which it
-// advances past them. T must hold no pointers: mem is a byte slab.
+// advances past them. T must hold no pointers: mem is plain bytes.
 func carve[T any](mem *[]byte, n int) []T {
 	s := unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(*mem))), n)
 	*mem = (*mem)[n*int(unsafe.Sizeof(s[0])):]
@@ -141,8 +141,8 @@ func carve[T any](mem *[]byte, n int) []T {
 // walker returns the cache's walker, making it at the first check.
 func (c *Cache) walker() *walker {
 	if c.ck == nil {
-		w := &walker{mem: sim.GetSlab(shadowBytes(len(c.pool), len(c.hash)))}
-		mem := w.mem // the bitsets first: a fresh slab is word-aligned
+		w := &walker{mem: sim.NewBlock(shadowBytes(len(c.pool), len(c.hash)))}
+		mem := w.mem.Bytes // the bitsets first: a fresh block is word-aligned
 		w.touched, w.rehashed = carve[uint64](&mem, words(len(c.pool))), carve[uint64](&mem, words(len(c.pool)))
 		w.chains = carve[uint64](&mem, words(len(c.hash)))
 		w.bufs, w.heads = carve[bufShadow](&mem, len(c.pool)), carve[chainShadow](&mem, len(c.hash))
@@ -227,7 +227,7 @@ func slotOf(b *Buf) uint16 {
 // seeded and the marked set small, the full walk otherwise or when the
 // touched walk fails.
 func (c *Cache) check() error {
-	if c.slab == nil {
+	if c.zero == nil {
 		return c.checkFull()
 	}
 	w := c.walker()
@@ -475,7 +475,7 @@ const placeFlags = BInval | BNoMem
 
 // bufSums folds in what the walks read of b: its place in the hash, and
 // the rest. BError is read by no check, so the driver's writes of it
-// (and of Resid) need no mark and are left out.
+// need no mark and are left out.
 func bufSums(b *Buf) (place, rest uint64) {
 	var d kernel.Digest
 	kernel.Ptr(&d, b.hashNext)
@@ -493,5 +493,6 @@ func bufSums(b *Buf) (place, rest uint64) {
 	d.Int(int64(b.Flags &^ (BError | placeFlags)))
 	d.Int(int64(b.stamp))
 	d.Bool(b.Iodone == nil)
+	d.Bool(ownsShared(b))
 	return place, d.Sum()
 }

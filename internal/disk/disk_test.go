@@ -33,7 +33,7 @@ func TestRAMDiskRoundTrip(t *testing.T) {
 	run(t, k, func(p *kernel.Proc) {
 		ctx := p.Ctx()
 		b := c.Getblk(ctx, d, 10)
-		for i := range b.Data {
+		for i := range c.Store(b, true) {
 			b.Data[i] = byte(i)
 		}
 		if err := c.Bwrite(ctx, b); err != nil {

@@ -176,7 +176,7 @@ func (fl *File) Write(ctx kernel.Ctx, p []byte, off int64) (int, error) {
 			}
 			return done, err
 		}
-		copy(b.Data[boff:], p[done:done+n])
+		copy(fl.fs.cache.Store(b, full)[boff:], p[done:done+n])
 		fl.fs.cache.Bdwrite(ctx, b)
 		done += n
 		if pos+int64(n) > ip.size {

@@ -271,7 +271,7 @@ func walkTree(ctx kernel.Ctx, cache *buf.Cache, dev buf.Device, sb *Superblock, 
 		dropped := false
 		for i := 0; i < int(sb.BlockSize); i += 4 {
 			if p := le.Uint32(b.Data[i:]); p != 0 && !tree(p, entry, level-1) {
-				le.PutUint32(b.Data[i:], 0)
+				le.PutUint32(cache.Store(b, false)[i:], 0)
 				dropped = true
 			}
 		}
@@ -310,7 +310,7 @@ func walkDir(ctx kernel.Ctx, cache *buf.Cache, dev buf.Device, sb *Superblock, d
 		for off := int64(0); off < bsize && lblk*bsize+off < di.size; off += DirentSize {
 			de := decodeDirent(b.Data[off:])
 			if de.Ino != 0 && fn(de) {
-				encodeDirent(b.Data[off:], dirent{})
+				encodeDirent(cache.Store(b, false)[off:], dirent{})
 				cleared = true
 			}
 		}
@@ -340,7 +340,7 @@ func walkBitmap(ctx kernel.Ctx, cache *buf.Cache, dev buf.Device, sb *Superblock
 			mask := byte(1) << uint(bit%8)
 			marked := b.Data[bit/8]&mask != 0
 			if fn(uint32(blk), marked) != marked {
-				b.Data[bit/8] ^= mask
+				cache.Store(b, false)[bit/8] ^= mask
 				changed = true
 			}
 		}

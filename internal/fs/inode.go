@@ -135,7 +135,7 @@ func (s *slot) set(p uint32) {
 		s.ip.fs.gen.Bump()
 		return
 	}
-	binary.LittleEndian.PutUint32(s.b.Data[s.i*4:], p)
+	binary.LittleEndian.PutUint32(s.ip.fs.cache.Store(s.b, false)[s.i*4:], p)
 	s.changed = true
 }
 
@@ -259,9 +259,7 @@ func (f *FS) allocData(ctx kernel.Ctx, zeroFill bool) (uint32, error) {
 	}
 	if zeroFill {
 		b := f.cache.Getblk(ctx, f.dev, int64(blk))
-		for i := range b.Data {
-			b.Data[i] = 0
-		}
+		clear(f.cache.Store(b, true))
 		f.cache.Bdwrite(ctx, b)
 	}
 	return blk, nil
@@ -275,9 +273,7 @@ func (f *FS) allocPtrBlock(ctx kernel.Ctx) (uint32, error) {
 		return 0, err
 	}
 	b := f.cache.Getblk(ctx, f.dev, int64(blk))
-	for i := range b.Data {
-		b.Data[i] = 0
-	}
+	clear(f.cache.Store(b, true))
 	f.cache.Bdwrite(ctx, b)
 	return blk, nil
 }

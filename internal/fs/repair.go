@@ -278,7 +278,7 @@ func FsckRepair(ctx kernel.Ctx, cache *buf.Cache, dev buf.Device) (*FsckReport, 
 		if err != nil {
 			return nil, err
 		}
-		sb.encode(b.Data)
+		sb.encode(cache.Store(b, false))
 		cache.Bdwrite(ctx, b)
 	}
 

@@ -64,7 +64,7 @@ func (fl *File) PageIn(ctx kernel.Ctx, idx int64, alloc bool) (blk int64, data [
 	var b *buf.Buf
 	if fresh {
 		b = c.Getblk(ctx, fl.fs.dev, int64(pblk))
-		clear(b.Data)
+		clear(c.Store(b, true))
 	} else if b, err = c.Bread(ctx, fl.fs.dev, int64(pblk)); err != nil {
 		return 0, nil, false, err
 	}

@@ -103,7 +103,7 @@ func (r *blocks) start(ctx kernel.Ctx) {
 			// transfers whole blocks, and only reads them.
 			d.issued(lblk)
 			hdr := r.cache.AllocHeader(r.file.Dev(), 0)
-			hdr.Data = r.cache.ZeroBlock()
+			r.cache.Share(hdr, nil)
 			r.cache.SetFlags(hdr, buf.BDone)
 			hdr.SpliceDesc = d
 			hdr.SpliceLblk = lblk

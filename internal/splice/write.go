@@ -95,7 +95,7 @@ func (o *fileOut) scrub() {
 		}
 		blk := int64(o.scrubbed)
 		hdr := o.cache.AllocHeader(o.file.Dev(), int64(o.table[blk]))
-		hdr.Data = o.cache.ZeroBlock()
+		o.cache.Share(hdr, nil)
 		d.pendingWrites++
 		d.gen.Bump()
 		o.issue(hdr, blk, 0, blk)
@@ -131,7 +131,7 @@ func (a *alias) writeBlock(b *buf.Buf, data []byte) {
 		// data area. We thus avoid copying between cache buffers." The
 		// read buffer carries zeros past EOF, so a whole-block write of
 		// a short final block zeroes the destination's tail.
-		hdr.Data = b.Data
+		a.cache.Share(hdr, b)
 		d.stats.Shared++
 	}
 	hdr.SplicePeer = b
@@ -141,7 +141,7 @@ func (a *alias) writeBlock(b *buf.Buf, data []byte) {
 		// A mapped page is the destination block's buffer, which open
 		// left in place: the write goes through it too, so the mapping
 		// and read() see what the platter gets (docs/VM.md §5).
-		copy(pg.Data, data)
+		copy(a.cache.Store(pg, false), data)
 		d.k.StealCPU(d.k.Config().BcopyCost(n))
 	}
 	a.issue(hdr, lblk, n, lblk)
@@ -362,7 +362,10 @@ func (s *stage) writeChunk(data []byte) {
 			}
 			s.hdr, s.fill, hdr.SpliceDesc = hdr, 0, d
 		}
-		n := copy(s.hdr.Data[s.fill:], data)
+		// A block the stage starts on that holds nothing valid is
+		// overwritten whole before it is written or read: staged bytes,
+		// then zeros or a partial device write (flush).
+		n := copy(s.cache.Store(s.hdr, s.fill == 0 && s.hdr.Flags&buf.BDone == 0)[s.fill:], data)
 		d.k.StealCPU(d.k.Config().BcopyCost(n)) // mbuf → cache buffer
 		s.fill += n
 		s.staged += int64(n)
@@ -386,7 +389,7 @@ func (s *stage) flush() {
 	s.hdr = nil
 	blk := (s.staged - 1) / s.bsize
 	if s.fresh[blk] {
-		clear(hdr.Data[n:])
+		clear(s.cache.Store(hdr, false)[n:])
 	}
 	d.pendingWrites++
 	d.gen.Bump()
