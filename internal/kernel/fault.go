@@ -82,9 +82,8 @@ func (a *FaultArm) Fired() int64 { return a.fired }
 // machine. All methods run on the simulation goroutine; the plan is as
 // deterministic as the site hits themselves.
 type FaultPlan struct {
-	k      *Kernel
-	census map[FaultSite]int64
-	arms   map[FaultSite][]*FaultArm
+	k     *Kernel
+	sites map[FaultSite]*Site // every site obtained or armed
 
 	// OnFire, when set, is invoked synchronously for every fire with
 	// the site and its argument — the hook harnesses use to switch into
@@ -92,17 +91,36 @@ type FaultPlan struct {
 	OnFire func(site FaultSite, arg int64)
 }
 
+// Site is one fault site's record: its census count and its arms. The
+// site's owner obtains it once (FaultPlan.Site) and hits it at every
+// eligible occurrence, so a hit looks nothing up.
+type Site struct {
+	fp   *FaultPlan
+	id   FaultSite
+	n    int64 // eligible occurrences since the last ResetCensus
+	arms []*FaultArm
+}
+
 func newFaultPlan(k *Kernel) *FaultPlan {
-	return &FaultPlan{
-		k:      k,
-		census: make(map[FaultSite]int64),
-		arms:   make(map[FaultSite][]*FaultArm),
-	}
+	return &FaultPlan{k: k, sites: make(map[FaultSite]*Site)}
 }
 
 // Faults returns the machine's fault plan. Always non-nil; with no arms
 // a site hit is a census increment and nothing more.
 func (k *Kernel) Faults() *FaultPlan { return k.faults }
+
+// Site returns the record of site id, making it at the first call.
+func (fp *FaultPlan) Site(id FaultSite) *Site {
+	s := fp.sites[id]
+	if s == nil {
+		s = &Site{fp: fp, id: id}
+		fp.sites[id] = s
+	}
+	return s
+}
+
+// ID returns the site's stable identifier.
+func (s *Site) ID() FaultSite { return s.id }
 
 // Arm adds an armed fault to the plan and returns a handle for Remove.
 // A zero Count is normalized to 1 (single-shot).
@@ -117,7 +135,8 @@ func (fp *FaultPlan) Arm(a FaultArm) *FaultArm {
 		a.Count = 1
 	}
 	arm := &a
-	fp.arms[a.Site] = append(fp.arms[a.Site], arm)
+	s := fp.Site(a.Site)
+	s.arms = append(s.arms, arm)
 	if !a.Quiet {
 		fp.k.TraceEmit(trace.KindFaultArm, 0, a.K, a.Every, a.Site)
 	}
@@ -130,35 +149,35 @@ func (fp *FaultPlan) Remove(h *FaultArm) bool {
 	if h == nil {
 		return false
 	}
-	list := fp.arms[h.Site]
-	for i, a := range list {
-		if a != h {
-			continue
-		}
-		list = slices.Delete(list, i, i+1)
-		if len(list) == 0 {
-			delete(fp.arms, h.Site)
-		} else {
-			fp.arms[h.Site] = list
-		}
-		return true
-	}
-	return false
-}
-
-// Hit reports one eligible occurrence of site with the given argument
-// (block number, datagram ordinal, pid — site-specific) and returns
-// whether an armed fault fires on it. Call it from the fault site
-// itself; a true return means the site must take its failure action
-// (complete with ErrIO, drop the packet, post the signal).
-func (fp *FaultPlan) Hit(site FaultSite, arg int64) bool {
-	fp.census[site]++
-	list := fp.arms[site]
-	if len(list) == 0 {
+	s := fp.sites[h.Site]
+	if s == nil {
 		return false
 	}
+	i := slices.Index(s.arms, h)
+	if i < 0 {
+		return false
+	}
+	s.arms = slices.Delete(s.arms, i, i+1)
+	return true
+}
+
+// Hit is Site(site).Hit(arg), for a site hit too rarely to keep its
+// record.
+func (fp *FaultPlan) Hit(site FaultSite, arg int64) bool { return fp.Site(site).Hit(arg) }
+
+// Hit reports one eligible occurrence of the site with the given
+// argument (block number, datagram ordinal, pid — site-specific) and
+// returns whether an armed fault fires on it. Call it from the fault
+// site itself; a true return means the site must take its failure
+// action (complete with ErrIO, drop the packet, post the signal).
+func (s *Site) Hit(arg int64) bool {
+	s.n++
+	if len(s.arms) == 0 {
+		return false
+	}
+	fp := s.fp
 	fired := false
-	for _, a := range list {
+	for _, a := range s.arms {
 		if a.Match != MatchAny && a.Match != arg {
 			continue
 		}
@@ -172,10 +191,10 @@ func (fp *FaultPlan) Hit(site FaultSite, arg int64) bool {
 			}
 			a.fired++
 			if !a.Quiet {
-				fp.k.TraceEmit(trace.KindFaultFire, 0, arg, a.seen, site)
+				fp.k.TraceEmit(trace.KindFaultFire, 0, arg, a.seen, s.id)
 			}
 			if fp.OnFire != nil {
-				fp.OnFire(site, arg)
+				fp.OnFire(s.id, arg)
 			}
 			fired = true
 		}
@@ -187,7 +206,11 @@ func (fp *FaultPlan) Hit(site FaultSite, arg int64) bool {
 // Harnesses call it at the boundary where fault exploration begins —
 // typically after boot — so setup-time occurrences (mkfs, mount) are
 // not sampled as injection points.
-func (fp *FaultPlan) ResetCensus() { fp.census = make(map[FaultSite]int64) }
+func (fp *FaultPlan) ResetCensus() {
+	for _, s := range fp.sites {
+		s.n = 0
+	}
+}
 
 // SiteCount is one row of a census: a site and its occurrence count.
 type SiteCount struct {
@@ -198,9 +221,11 @@ type SiteCount struct {
 // Census returns every site that reported at least one occurrence,
 // sorted by site ID — the deterministic input to a fault sweep.
 func (fp *FaultPlan) Census() []SiteCount {
-	out := make([]SiteCount, 0, len(fp.census))
-	for site, n := range fp.census {
-		out = append(out, SiteCount{Site: site, N: n})
+	out := make([]SiteCount, 0, len(fp.sites))
+	for id, s := range fp.sites {
+		if s.n > 0 {
+			out = append(out, SiteCount{Site: id, N: s.n})
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Site < out[j].Site })
 	return out

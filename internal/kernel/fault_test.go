@@ -21,8 +21,8 @@ func TestFaultArmKthOccurrence(t *testing.T) {
 	if len(fires) != 1 || fires[0] != 3 {
 		t.Fatalf("K=3 fired at occurrences %v, want [3]", fires)
 	}
-	if fp.census["t.site"] != 6 {
-		t.Fatalf("census = %d, want 6", fp.census["t.site"])
+	if n := fp.Site("t.site").n; n != 6 {
+		t.Fatalf("census = %d, want 6", n)
 	}
 	if a.Fired() != 1 {
 		t.Fatalf("fires = %d, want 1", a.Fired())
@@ -80,8 +80,8 @@ func TestFaultArmMatchFilters(t *testing.T) {
 		t.Fatal("did not fire on 2nd matching occurrence")
 	}
 	// Census counts every hit, matching or not.
-	if fp.census["t.match"] != 7 {
-		t.Fatalf("census = %d, want 7", fp.census["t.match"])
+	if n := fp.Site("t.match").n; n != 7 {
+		t.Fatalf("census = %d, want 7", n)
 	}
 }
 
@@ -113,8 +113,8 @@ func TestFaultRemoveDisarms(t *testing.T) {
 	if fp.Hit("t.rm", 0) {
 		t.Fatal("removed arm fired")
 	}
-	if len(fp.arms) != 0 {
-		t.Fatalf("%d site(s) still armed after removal, want 0", len(fp.arms))
+	if n := len(fp.Site("t.rm").arms); n != 0 {
+		t.Fatalf("%d arm(s) still on the site after removal, want 0", n)
 	}
 }
 

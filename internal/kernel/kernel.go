@@ -66,8 +66,11 @@ type Kernel struct {
 	abortErr error    // set by Abort; Run returns it at the next boundary
 	stopErr  error    // what a boundary Proc.Use ran returned; Run returns it as its own
 
-	faults  *FaultPlan // fault-site registry (see fault.go)
-	tracked []Checked  // kernel-resident state no descriptor table reaches (see Track)
+	faults *FaultPlan // fault-site registry (see fault.go)
+	// sleepSignal is the record of SiteSleepSignal, hit by every
+	// interruptible sleep.
+	sleepSignal *Site
+	tracked     []Checked // kernel-resident state no descriptor table reaches (see Track)
 }
 
 // New builds a kernel from the given configuration.
@@ -84,6 +87,7 @@ func New(cfg Config) *Kernel {
 	}
 	k.hardclock = k.hardclockIntr
 	k.faults = newFaultPlan(k)
+	k.sleepSignal = k.faults.Site(SiteSleepSignal)
 	return k
 }
 

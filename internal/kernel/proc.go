@@ -222,7 +222,7 @@ func (p *Proc) Sleep(wchan any, pri int) error {
 		// to an interruptible sleep. Firing posts a real SIGIO so the
 		// caller's handler loop observes a pending signal, then breaks
 		// the sleep the way psignal would have.
-		if p.k.faults.Hit(SiteSleepSignal, int64(p.pid)) {
+		if p.k.sleepSignal.Hit(int64(p.pid)) {
 			p.k.Post(p, SIGIO)
 			return ErrIntr
 		}

@@ -104,7 +104,7 @@ type Net struct {
 	rxCount                  int64
 	sent, delivered, dropped int64
 
-	siteDrop, siteDup, siteReorder kernel.FaultSite
+	siteDrop, siteDup, siteReorder *kernel.Site
 }
 
 // NewNet creates a network on machine k.
@@ -119,10 +119,11 @@ func NewNet(k *kernel.Kernel, p NetParams) *Net {
 	if name == "" {
 		name = "net"
 	}
+	fp := k.Faults()
 	n := &Net{k: k, p: p, socks: make(map[int]*Socket),
-		siteDrop:    "net." + name + ".drop",
-		siteDup:     "net." + name + ".dup",
-		siteReorder: "net." + name + ".reorder",
+		siteDrop:    fp.Site("net." + name + ".drop"),
+		siteDup:     fp.Site("net." + name + ".dup"),
+		siteReorder: fp.Site("net." + name + ".reorder"),
 	}
 	n.onSent, n.onArrive = n.txDone, n.rxArrive
 	n.txq.Grow(netRecords)
@@ -148,13 +149,13 @@ func NewNet(k *kernel.Kernel, p NetParams) *Net {
 const netRecords = 16
 
 // DropSite returns the net's datagram-loss fault site ID.
-func (n *Net) DropSite() kernel.FaultSite { return n.siteDrop }
+func (n *Net) DropSite() kernel.FaultSite { return n.siteDrop.ID() }
 
 // DupSite returns the net's datagram-duplication fault site ID.
-func (n *Net) DupSite() kernel.FaultSite { return n.siteDup }
+func (n *Net) DupSite() kernel.FaultSite { return n.siteDup.ID() }
 
 // ReorderSite returns the net's datagram-reorder fault site ID.
-func (n *Net) ReorderSite() kernel.FaultSite { return n.siteReorder }
+func (n *Net) ReorderSite() kernel.FaultSite { return n.siteReorder.ID() }
 
 // Stats reports network counters: packets sent, delivered, dropped.
 func (n *Net) Stats() (sent, delivered, dropped int64) {
@@ -227,17 +228,16 @@ func (n *Net) rxArrive() {
 func (n *Net) deliver(port int, pkt packet) {
 	dup := false
 	if !pkt.eof && len(pkt.data) > 0 {
-		fp := n.k.Faults()
 		n.rxCount++
 		ord := n.rxCount
-		if fp.Hit(n.siteDrop, ord) {
+		if n.siteDrop.Hit(ord) {
 			n.dropped++
 			n.k.TraceEmit(trace.KindNetDrop, 0, int64(len(pkt.data)), int64(port), "")
 			n.recycle(pkt.data)
 			return
 		}
-		dup = fp.Hit(n.siteDup, ord)
-		if fp.Hit(n.siteReorder, ord) {
+		dup = n.siteDup.Hit(ord)
+		if n.siteReorder.Hit(ord) {
 			n.k.Hold()
 			n.flying.Push(flight{pkt, port, true, dup})
 			n.k.Engine().Schedule(n.p.Latency, "net:reorder", n.onArrive)
