@@ -24,8 +24,10 @@ race:
 # internal/machine holds BenchmarkCheckInvariants/{audited,skip}: ns
 # and allocations per probe (docs/CHECKING.md, "What a probe costs"), and
 # BenchmarkBuildRelease/{cold,warm}: what it costs to stamp out
-# simcheck's machine with the slab recycler empty and with the last
-# machine's platters and buffer slab resting in it; internal/stream
+# simcheck's machine with the block recycler empty and with the last
+# machine's blocks resting in it; internal/disk holds
+# BenchmarkDiskTransfer: ns, bytes and allocations per simulated block
+# read and write, shared and copy-on-write; internal/stream
 # holds BenchmarkStreamTransfer: ns, bytes and allocations per simulated
 # megabyte through one connection; internal/kernel holds BenchmarkUse,
 # BenchmarkSleepWakeup, BenchmarkSyscallLseek and BenchmarkCalloutArmFire:

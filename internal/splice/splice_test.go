@@ -663,3 +663,60 @@ func TestSpliceThroughputBeatsReadWriteOnRAMDisk(t *testing.T) {
 		t.Fatalf("splice (%v) not faster than read/write (%v) on RAM disk", elapsedSplice, elapsedRW)
 	}
 }
+
+// TestPendingReadsReachThePapersWatermark: the paper's flow control
+// (§5.5) refills when fewer than 3 reads and 5 writes are pending,
+// issuing up to five more reads, so on a disk slower than the handlers
+// the read side fills to exactly 3 - 1 + 5 = 7 pending reads; a
+// shallower or deeper watermark shows as another peak.
+func TestPendingReadsReachThePapersWatermark(t *testing.T) {
+	m := newMachine(t, disk.RZ56)
+	m.run(t, func(p *kernel.Proc) {
+		makeFile(t, p, "/d0/src", 64*bsize, 8)
+		if err := m.cache.InvalidateDev(p.Ctx(), m.disks[0]); err != nil {
+			t.Fatal(err)
+		}
+		src, _ := p.Open("/d0/src", kernel.ORdOnly)
+		dst, _ := p.Open("/d1/dst", kernel.OCreat|kernel.OWrOnly)
+		mt := m.k.StartTrace(nil).Metrics()
+		if _, err := Splice(p, src, dst, EOF); err != nil {
+			t.Fatalf("splice: %v", err)
+		}
+		if mt.SplicePeakReads != 7 {
+			t.Errorf("peak pending reads = %d, want 7 (read watermark 3, less one, plus a refill batch of 5)", mt.SplicePeakReads)
+		}
+	})
+}
+
+// TestHandlerCostIsInterruptTime: the splice handlers run at interrupt
+// level (§5.3), so their cost is stolen from whoever holds the CPU,
+// which is what Table 1's availability measures: a millisecond more per
+// handler adds at least two milliseconds of interrupt time per block (a
+// read and a write handler each) and none to the process that started
+// the splice.
+func TestHandlerCostIsInterruptTime(t *testing.T) {
+	const blocks = 16
+	measure := func(extra sim.Duration) (intr, sys sim.Duration) {
+		m := newMachine(t, disk.RAMDisk)
+		m.k.Config().SpliceHandlerCost += extra
+		m.run(t, func(p *kernel.Proc) {
+			makeFile(t, p, "/d0/src", blocks*bsize, 3)
+			src, _ := p.Open("/d0/src", kernel.ORdOnly)
+			dst, _ := p.Open("/d1/dst", kernel.OCreat|kernel.OWrOnly)
+			i0, s0 := m.k.Stats().Interrupt, p.SysTime()
+			if _, err := Splice(p, src, dst, EOF); err != nil {
+				t.Fatalf("splice: %v", err)
+			}
+			intr, sys = m.k.Stats().Interrupt-i0, p.SysTime()-s0
+		})
+		return intr, sys
+	}
+	intr0, sys0 := measure(0)
+	intr1, sys1 := measure(sim.Millisecond)
+	if d := intr1 - intr0; d < 2*blocks*sim.Millisecond {
+		t.Errorf("a millisecond more per handler added %v of interrupt time over %d blocks, want at least %v", d, blocks, 2*blocks*sim.Millisecond)
+	}
+	if sys1 != sys0 {
+		t.Errorf("the caller's system time went %v → %v with the handlers' cost", sys0, sys1)
+	}
+}
