@@ -1,9 +1,10 @@
 package buf
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
+	"strings"
 
 	"kdp/internal/kernel"
 	"kdp/internal/sim"
@@ -554,29 +555,30 @@ func (c *Cache) Bdwrite(ctx kernel.Ctx, b *Buf) {
 // ---- mapped pages ----
 
 // Hold releases b, which the caller has busy, to be a resident mapped
-// page's memory: it stays hashed, so read(), write() and the flushes
-// find it, but off the free list, so getblk never recycles it, until
-// Unhold.
+// page: it stays hashed, so read(), write() and the flushes find it,
+// but off the free list, so getblk never recycles it, until Unhold.
+// Stores through the page go through Dirty.
 func (c *Cache) Hold(ctx kernel.Ctx, b *Buf) {
-	c.Store(b, false) // the VM stores through b.Data: the page owns its block
 	b.Flags |= BHeld
 	c.Brelse(ctx, b)
 }
 
-// Dirty makes held buffer b a delayed write after a store through its
-// page (or a fresh block's zero fill), first waiting out a transfer in
-// flight, and reports whether b was clean.
-func (c *Cache) Dirty(ctx kernel.Ctx, b *Buf) bool {
+// Dirty readies held buffer b for a store through its page and makes it
+// a delayed write: it waits out a transfer in flight, which may lend b's
+// block to the platter, and only then runs Store. It returns the memory
+// to store into and reports whether b was clean.
+func (c *Cache) Dirty(ctx kernel.Ctx, b *Buf) (data []byte, clean bool) {
 	for b.Flags&BBusy != 0 {
 		c.want(b)
 		_ = ctx.Sleep(b, kernel.PRIBIO+1)
 	}
+	data = c.Store(b, false)
 	if b.Flags&BDelwri != 0 {
-		return false
+		return data, false
 	}
 	b.Flags |= BDelwri | BDone
 	c.touch(b)
-	return true
+	return data, true
 }
 
 // Unhold ends b's hold without sleeping. An idle buffer returns to the
@@ -779,16 +781,16 @@ func (c *Cache) SetFlags(b *Buf, flags int) {
 // reference the platter's block (Load), a write makes the platter
 // reference the buffer's (Lend), so a transfer moves a reference, not
 // the bytes. The one way to store into a buffer is Store, which first
-// gives the buffer a block of its own. A page's buffer (BHeld) owns its
-// block while held, because the VM stores through the slice it was
-// handed: a transfer copies it. A delayed write's block is never its
-// own platter entry's, whose bytes it changed (buf-block-owned).
+// gives the buffer a block of its own; a mapped page's buffer (BHeld)
+// is no exception, its stores going through Dirty. A delayed write's
+// block is never its own platter entry's, whose bytes it changed
+// (buf-block-owned).
 
 // Store returns the data of pool buffer b for a caller that has b busy,
-// or holds its page, to store into. A block b shares with a platter or another buffer
-// is copied first, so the others keep their bytes; with whole set the
-// caller overwrites every byte, and the block is replaced without the
-// copy.
+// or holds its page, to store into. A block b shares with a platter or
+// another buffer is copied first, so the others keep their bytes; with
+// whole set the caller overwrites every byte, and the block is replaced
+// without the copy.
 func (c *Cache) Store(b *Buf, whole bool) []byte {
 	if b.blk.Shared() {
 		blk := c.Spare()
@@ -823,34 +825,19 @@ func (c *Cache) Drop(blk *sim.Block) {
 }
 
 // Load completes a read of b from a platter whose entry is blk (nil
-// reads as zeros): b shares the block. A held buffer's page owns its
-// memory, so it takes a copy instead.
+// reads as zeros): b shares the block.
 func (c *Cache) Load(b *Buf, blk *sim.Block) {
 	if blk == nil {
 		blk = c.zero
-	}
-	if b.Flags&BHeld != 0 {
-		copy(b.Data, blk.Bytes)
-		return
 	}
 	blk.Ref()
 	c.setBlock(b, blk)
 }
 
 // Lend returns the block a completed write of b hands the platter to
-// share, or nil when the platter must take a copy of b.Data: when the
-// block is a page's (b, or the buffer a header aliases, is held), or b
-// has none (a header over memory of its own).
-func (b *Buf) Lend() *sim.Block {
-	owner := b
-	if b.SplicePeer != nil {
-		owner = b.SplicePeer
-	}
-	if owner.Flags&BHeld != 0 {
-		return nil
-	}
-	return b.blk
-}
+// share, or nil when b has none (a header over memory of its own) and
+// the platter must take a copy of b.Data.
+func (b *Buf) Lend() *sim.Block { return b.blk }
 
 // setBlock makes pool buffer b reference blk, whose reference it takes
 // over, and drops the one it held.
@@ -895,8 +882,9 @@ func (c *Cache) FlushBlocks(ctx kernel.Ctx, dev Device, blknos []int64) (n int, 
 		return b != nil && b.Flags&BBusy != 0 && b.SpliceDesc == nil &&
 			(b.Flags&BDelwri != 0 || b.Flags&(BRead|BDone) == 0)
 	}
+	var batch [16]*Buf // a batch of a few blocks stays on the stack
 	for pass := 0; ; pass++ {
-		var dirty []*Buf
+		dirty := batch[:0]
 		var owed []int64
 		for _, bn := range blknos {
 			if b := c.Peek(dev, bn); b != nil && b.Flags&(BBusy|BDelwri) == BDelwri {
@@ -931,11 +919,11 @@ func (c *Cache) FlushBlocks(ctx kernel.Ctx, dev Device, blknos []int64) (n int, 
 // emits a disk.cluster event for every run of two or more adjacent
 // blocks.
 func (c *Cache) clusterDirty(dirty []*Buf) {
-	sort.Slice(dirty, func(i, j int) bool {
-		if dirty[i].Dev != dirty[j].Dev {
-			return dirty[i].Dev.DevName() < dirty[j].Dev.DevName()
+	slices.SortFunc(dirty, func(a, b *Buf) int {
+		if a.Dev != b.Dev {
+			return strings.Compare(a.Dev.DevName(), b.Dev.DevName())
 		}
-		return dirty[i].Blkno < dirty[j].Blkno
+		return cmp.Compare(a.Blkno, b.Blkno)
 	})
 	for i := 0; i < len(dirty); {
 		j := i + 1
@@ -955,15 +943,13 @@ func (c *Cache) flushBufs(ctx kernel.Ctx, dirty []*Buf) (int, error) {
 	c.clusterDirty(dirty)
 	// Record the devices involved now: an errored buffer is recycled by
 	// the time the drain loop observes it, so b.Dev is unreliable later.
-	var devs []Device
+	var devArr [4]Device
+	var beforeArr [4]int64
+	devs, before := devArr[:0], beforeArr[:0]
 	for _, b := range dirty {
 		if b.Dev != nil && !slices.Contains(devs, b.Dev) {
-			devs = append(devs, b.Dev)
+			devs, before = append(devs, b.Dev), append(before, c.werrN[b.Dev])
 		}
-	}
-	before := make([]int64, len(devs))
-	for i, dev := range devs {
-		before[i] = c.werrN[dev]
 	}
 	for _, b := range dirty {
 		c.claim(b)

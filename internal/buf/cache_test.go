@@ -640,16 +640,20 @@ func TestHeldBufferLifecycle(t *testing.T) {
 		if b.Flags&(BHeld|BDelwri) != BHeld || f.c.FreeBuffers() != 3 {
 			t.Fatalf("after the flush: %s, %d free", b, f.c.FreeBuffers())
 		}
-		if !f.c.Dirty(ctx, b) || f.c.Dirty(ctx, b) {
-			t.Fatal("Dirty: want true for a clean buffer, then false")
+		if _, clean := f.c.Dirty(ctx, b); !clean {
+			t.Fatal("Dirty: want true for a clean buffer")
 		}
-		f.c.Store(b, false)[0] = 8
+		data, clean := f.c.Dirty(ctx, b)
+		if clean {
+			t.Fatal("Dirty: want false for a dirty buffer")
+		}
+		data[0] = 8
 		if err := f.c.InvalidateDev(ctx, f.dev); err != nil || f.c.Peek(f.dev, 1) != b || f.dev.data[8192] != 8 {
 			t.Fatalf("InvalidateDev: %v; want the held buffer written and kept", err)
 		}
 		check("invalidated")
-		f.c.Dirty(ctx, b)
-		f.c.Store(b, false)[0] = 9
+		data, _ = f.c.Dirty(ctx, b)
+		data[0] = 9
 		// A power cut with a page mapped is a harness error, like one with
 		// a transfer in flight: Crash panics before discarding anything.
 		func() {
@@ -673,7 +677,7 @@ func TestHeldBufferLifecycle(t *testing.T) {
 		// without the write leaves an ordinary delayed write.
 		nb := f.c.Getblk(ctx, f.dev, 20)
 		f.c.Hold(ctx, nb)
-		if !f.c.Dirty(ctx, nb) || nb.Flags&(BHeld|BDelwri|BDone) != BHeld|BDelwri|BDone {
+		if _, clean := f.c.Dirty(ctx, nb); !clean || nb.Flags&(BHeld|BDelwri|BDone) != BHeld|BDelwri|BDone {
 			t.Fatalf("fresh block held dirty: %s", nb)
 		}
 		f.c.Unhold(ctx, nb, false)

@@ -38,10 +38,10 @@ import "kdp/internal/kernel"
 //	                     an in-flight (not BDone) readahead is a busy async read
 //	buf-ra-pending       raPending == number of in-flight readahead buffers
 //	buf-ra-budget        0 <= raPending <= the readahead budget
-//	buf-block-owned      a delayed write's or a held page's block is not
-//	                     the block its platter holds for it: a store
-//	                     into a shared block went in place (the sharing
-//	                     rule, cache.go "block sharing")
+//	buf-block-owned      a delayed write's block is not the block its
+//	                     platter holds for it: a store into a shared
+//	                     block went in place (the sharing rule, cache.go
+//	                     "block sharing")
 
 // CheckInvariants verifies the cache's structural invariants, returning
 // the first violation found (nil if the cache is consistent). It never
@@ -202,10 +202,10 @@ func checkMember(b *Buf) (cls uint8, err error) {
 	return cls, nil
 }
 
-// ownsShared reports whether b, a delayed write or a held page, which
-// must own its block, shares its platter's.
+// ownsShared reports whether b, a delayed write, which must own its
+// block, shares its platter's.
 func ownsShared(b *Buf) bool {
-	return b.Flags&(BDelwri|BHeld) != 0 && b.blk != nil && b.Dev != nil && b.blk == b.Dev.PlatterBlock(b.Blkno)
+	return b.Flags&BDelwri != 0 && b.blk != nil && b.Dev != nil && b.blk == b.Dev.PlatterBlock(b.Blkno)
 }
 
 // digest folds in what the walks read of the cache itself; the audit

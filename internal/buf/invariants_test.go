@@ -164,14 +164,6 @@ func TestCatalogTrips(t *testing.T) {
 			f.dev.shared = map[int64]*sim.Block{b.Blkno: b.blk}
 			mark(f.c, b, BDelwri)
 		}},
-		// A held page on its platter's block: the VM's stores would
-		// reach the platter too.
-		{"buf-block-owned", func(f *fixture) {
-			b := hashedBuf(f.c)
-			f.dev.shared = map[int64]*sim.Block{b.Blkno: b.blk}
-			f.c.freeRemove(b)
-			mark(f.c, b, BHeld)
-		}},
 		{"buf-ra-pending", func(f *fixture) { f.c.raPending++ }},
 		{"buf-ra-budget", func(f *fixture) {
 			// Two well-formed in-flight readaheads against a budget of one.

@@ -314,7 +314,8 @@ func (d *Disk) completeSync(b *buf.Buf) {
 // transfer moves the request's block between buffer and platter, or
 // fails it if its fault site fires. A read makes the buffer share the
 // platter's block, a whole-block write the platter share the buffer's;
-// a partial write, or a block the buffer may not lend, is copied in.
+// a partial write, or a header over memory of its own (splice's NoShare
+// ablation), is copied in.
 func (d *Disk) transfer(b *buf.Buf) {
 	switch {
 	case d.checkFault(b):

@@ -122,7 +122,7 @@ func TestFreshBlockMappedOnce(t *testing.T) {
 			t.Errorf("SpliceMapWrite of one fresh block made %d cache lookups, want 2", got)
 		}
 		before = r.lookups()
-		blk, _, fr, err := fl.PageIn(ctx, NDirect+2, true)
+		blk, fr, err := fl.PageIn(ctx, NDirect+2, true)
 		if err != nil || blk == 0 || !fr {
 			t.Fatalf("PageIn(alloc) = %d %v %v", blk, fr, err)
 		}

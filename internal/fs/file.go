@@ -256,7 +256,8 @@ func (fl *File) syncInode(ctx kernel.Ctx) error {
 
 	bsize := int64(fl.fs.BlockSize())
 	nblocks := (ip.size + bsize - 1) / bsize
-	blknos := make([]int64, 0, nblocks+2)
+	blknos := fl.fs.syncBlks[:0] // an fsync that finds it taken grows its own
+	fl.fs.syncBlks = nil
 	for l := int64(0); l < nblocks; l++ {
 		pblk, _, err := ip.bmap(ctx, l, false, false)
 		if err != nil {
@@ -283,6 +284,7 @@ func (fl *File) syncInode(ctx kernel.Ctx) error {
 	itblk, _ := fl.fs.sb.inodeBlock(ip.ino)
 	blknos = append(blknos, itblk)
 	_, err := fl.fs.cache.FlushBlocks(ctx, fl.fs.dev, blknos)
+	fl.fs.syncBlks = blknos
 	return err
 }
 

@@ -22,8 +22,9 @@ type FS struct {
 	blkRotor   uint32 // next data block to try allocating
 	inoRotor   uint32
 	sbDirty    bool
-	interleave uint32 // allocation stride (FFS rotdelay layout); 1 = dense
-	raMax      int    // per-file readahead window cap, in blocks
+	interleave uint32  // allocation stride (FFS rotdelay layout); 1 = dense
+	raMax      int     // per-file readahead window cap, in blocks
+	syncBlks   []int64 // syncInode's block list, nil while an fsync has it
 	// siteAlloc is the allocator-exhaustion fault site
 	// ("fs.<dev>.nospace"): every block allocation is one eligible
 	// occurrence, and a fire fails it with ErrNoSpace as if the bitmap

@@ -7,9 +7,10 @@ import (
 
 // VM backing-store hooks: a resident page of a mapped file *is* its
 // block's cache buffer, held for the page (buf.Cache.Hold), so a pagein
-// is a Bread that keeps the buffer and a store makes it a delayed write
-// the cache's own flushes write. *File satisfies vm.Backing
-// structurally, so neither package imports the other.
+// is a Bread that keeps the buffer, a load reads the buffer's memory,
+// and a store makes it a delayed write the cache's own flushes write.
+// *File satisfies vm.Backing structurally, so neither package imports
+// the other.
 
 // Pager is what SetPager accepts, a VM page pool (*vm.Pool).
 type Pager interface{}
@@ -44,21 +45,20 @@ func (fl *File) MapKey() (dev string, ino uint32) {
 	return fl.fs.dev.DevName(), fl.ip.ino
 }
 
-// PageIn holds the buffer of logical block idx for a resident page and
-// returns the physical block and the buffer's memory, which is the
-// page from now until PageRelease. Holes and pages past EOF have no
-// block (0, nil) — unless alloc is set: a write fault on a shared
-// mapping gets a block from the non-zero-filling bmap a splice
-// destination uses (§5.2). Such a block is fresh: nothing is read, and
-// its buffer is zeroed and held as a delayed write from birth, because
-// the platter still holds the previous owner's bytes.
-func (fl *File) PageIn(ctx kernel.Ctx, idx int64, alloc bool) (blk int64, data []byte, fresh bool, err error) {
+// PageIn holds the buffer of logical block idx for a resident page, the
+// page from now until PageRelease, and returns the physical block.
+// Holes and pages past EOF have no block (0) — unless alloc is set: a
+// write fault on a shared mapping gets a block from the non-zero-filling
+// bmap a splice destination uses (§5.2). Such a block is fresh: nothing
+// is read, and its buffer is zeroed and held as a delayed write from
+// birth, because the platter still holds the previous owner's bytes.
+func (fl *File) PageIn(ctx kernel.Ctx, idx int64, alloc bool) (blk int64, fresh bool, err error) {
 	ip := fl.ip
 	ip.lock(ctx)
 	defer ip.unlock()
 	pblk, fresh, err := ip.bmap(ctx, idx, alloc, false)
 	if err != nil || pblk == 0 {
-		return 0, nil, false, err
+		return 0, false, err
 	}
 	c := fl.fs.cache
 	var b *buf.Buf
@@ -66,19 +66,20 @@ func (fl *File) PageIn(ctx kernel.Ctx, idx int64, alloc bool) (blk int64, data [
 		b = c.Getblk(ctx, fl.fs.dev, int64(pblk))
 		clear(c.Store(b, true))
 	} else if b, err = c.Bread(ctx, fl.fs.dev, int64(pblk)); err != nil {
-		return 0, nil, false, err
+		return 0, false, err
 	}
 	c.Hold(ctx, b)
 	if fresh {
 		c.Dirty(ctx, b)
 	}
-	return int64(pblk), b.Data, fresh, nil
+	return int64(pblk), fresh, nil
 }
 
-// PageDirty makes the held buffer of blk a delayed write after a store
-// through its page, and reports whether it was clean. From here on it
-// is write() data to the flushes, getblk and the sticky error latch.
-func (fl *File) PageDirty(ctx kernel.Ctx, blk int64) bool {
+// PageDirty readies the held buffer of blk for a store through its page
+// and makes it a delayed write (buf.Cache.Dirty): it returns the memory
+// to store into and reports whether the buffer was clean. From here on
+// it is write() data to the flushes, getblk and the sticky error latch.
+func (fl *File) PageDirty(ctx kernel.Ctx, blk int64) (data []byte, clean bool) {
 	return fl.fs.cache.Dirty(ctx, fl.fs.cache.Peek(fl.fs.dev, blk))
 }
 
@@ -89,8 +90,11 @@ func (fl *File) PageRelease(ctx kernel.Ctx, blk int64, evict bool) {
 }
 
 // PageBuffer returns the memory of blk's held buffer, or nil if no page
-// holds it: what the VM's invariant checker compares a page against.
+// holds it; blk 0, a hole, reads the cache's zero block.
 func (fl *File) PageBuffer(blk int64) []byte {
+	if blk == 0 {
+		return fl.fs.cache.ZeroBlock()
+	}
 	if b := fl.fs.cache.Peek(fl.fs.dev, blk); b != nil && b.Flags&buf.BHeld != 0 {
 		return b.Data
 	}

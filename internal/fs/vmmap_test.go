@@ -34,7 +34,7 @@ func TestSyncWritesHeldBuffers(t *testing.T) {
 		if err := fl.Sync(ctx); err != nil {
 			t.Fatalf("sync: %v", err)
 		}
-		blk, page, _, err := fl.PageIn(ctx, 0, false)
+		blk, _, err := fl.PageIn(ctx, 0, false)
 		if err != nil || blk == 0 {
 			t.Fatalf("pagein: blk=%d err=%v", blk, err)
 		}
@@ -42,10 +42,11 @@ func TestSyncWritesHeldBuffers(t *testing.T) {
 			func() error { return fl.Sync(ctx) },
 			func() error { return f.SyncAll(ctx) },
 		} {
-			page[0] = byte(10 + i)
-			if !fl.PageDirty(ctx, blk) || fl.PageDirty(ctx, blk) {
+			page, clean := fl.PageDirty(ctx, blk)
+			if _, again := fl.PageDirty(ctx, blk); !clean || again {
 				t.Fatalf("sync %d: PageDirty: want true for a clean page, then false", i)
 			}
+			page[0] = byte(10 + i)
 			writes := r.metrics().EventCount[trace.KindDiskWrite]
 			if err := sync(); err != nil {
 				t.Fatalf("sync %d: %v", i, err)
@@ -53,7 +54,7 @@ func TestSyncWritesHeldBuffers(t *testing.T) {
 			if r.metrics().EventCount[trace.KindDiskWrite] == writes || r.c.Peek(r.d, blk).Flags&buf.BDelwri != 0 {
 				t.Errorf("sync %d left the held buffer unwritten", i)
 			}
-			if held := fl.PageBuffer(blk); len(held) == 0 || &held[0] != &page[0] {
+			if held := fl.PageBuffer(blk); len(held) == 0 || held[0] != byte(10+i) {
 				t.Fatalf("sync %d took the buffer from its page", i)
 			}
 		}
@@ -86,11 +87,11 @@ func TestMapRefKeepsInodeAcrossClose(t *testing.T) {
 			t.Fatalf("close: %v", err)
 		}
 		// The mapping reference keeps the backing usable after close.
-		blk, got, _, err := fl.PageIn(ctx, 0, false)
+		blk, _, err := fl.PageIn(ctx, 0, false)
 		if err != nil || blk == 0 {
 			t.Fatalf("pagein after close: blk=%d err=%v", blk, err)
 		}
-		if !bytes.Equal(got, data[:testBlockSize]) {
+		if !bytes.Equal(fl.PageBuffer(blk), data[:testBlockSize]) {
 			t.Error("pagein content wrong")
 		}
 		fl.PageRelease(ctx, blk, false)
@@ -109,16 +110,17 @@ func TestPageInHoleAndAlloc(t *testing.T) {
 		if _, err := fl.Write(ctx, pattern(100, 9), 3*testBlockSize); err != nil {
 			t.Fatalf("write: %v", err)
 		}
-		if blk, data, _, err := fl.PageIn(ctx, 1, false); err != nil || blk != 0 || data != nil {
-			t.Fatalf("pagein hole: blk=%d data=%v err=%v", blk, data != nil, err)
+		if blk, _, err := fl.PageIn(ctx, 1, false); err != nil || blk != 0 || &fl.PageBuffer(blk)[0] != &r.c.ZeroBlock()[0] {
+			t.Fatalf("pagein hole: blk=%d err=%v, or a hole page reads other than the zero block", blk, err)
 		}
 		// alloc=true gives the hole a block as splice's bmap would: fresh,
 		// read from nowhere, its buffer zeroed and held dirty from birth.
 		reads := r.metrics().EventCount[trace.KindDiskRead]
-		blk, data, fresh, err := fl.PageIn(ctx, 1, true)
+		blk, fresh, err := fl.PageIn(ctx, 1, true)
 		if err != nil || blk == 0 || !fresh {
 			t.Fatalf("pagein alloc: blk=%d fresh=%v err=%v", blk, fresh, err)
 		}
+		data := fl.PageBuffer(blk)
 		if r.metrics().EventCount[trace.KindDiskRead] != reads || !bytes.Equal(data, make([]byte, testBlockSize)) {
 			t.Error("pagein alloc read the block or left its buffer unzeroed")
 		}
@@ -128,8 +130,8 @@ func TestPageInHoleAndAlloc(t *testing.T) {
 		// Let go, then page in again: the same block, no new allocation,
 		// and a cache hit on the buffer the first pagein left.
 		fl.PageRelease(ctx, blk, false)
-		blk2, data2, fresh, err := fl.PageIn(ctx, 1, false)
-		if err != nil || blk2 != blk || fresh || &data2[0] != &data[0] {
+		blk2, fresh, err := fl.PageIn(ctx, 1, false)
+		if err != nil || blk2 != blk || fresh || &fl.PageBuffer(blk2)[0] != &data[0] {
 			t.Fatalf("pagein again: blk=%d want %d fresh=%v err=%v", blk2, blk, fresh, err)
 		}
 		fl.PageRelease(ctx, blk2, false)
@@ -154,12 +156,12 @@ func TestPageDirtyFlushRoundTrip(t *testing.T) {
 		if sz, _ := fl.Size(ctx); sz != testBlockSize {
 			t.Fatalf("Extend shrank to %d", sz)
 		}
-		blk, page, _, err := fl.PageIn(ctx, 0, true)
+		blk, _, err := fl.PageIn(ctx, 0, true)
 		if err != nil || blk == 0 {
 			t.Fatalf("pagein alloc: blk=%d err=%v", blk, err)
 		}
+		page, _ := fl.PageDirty(ctx, blk)
 		copy(page, data)
-		fl.PageDirty(ctx, blk)
 		got := make([]byte, len(data))
 		if n, err := fl.Read(ctx, got, 0); err != nil || n != len(data) || !bytes.Equal(got, data) {
 			t.Fatalf("read before any flush: n=%d err=%v, stored data visible=%v", n, err, bytes.Equal(got, data))

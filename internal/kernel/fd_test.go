@@ -89,6 +89,40 @@ func runFD(t *testing.T, k *Kernel, fn func(*Proc)) {
 	}
 }
 
+// TestUserCopyCost is the user-copy rule: a read() or write() of 1 MB to
+// an object that charges nothing costs the trap and one copy at the
+// calibrated user-copy bandwidth, CopyPerCallCost plus a byte time of
+// 1/CopyBytesPerSec — with the trap, what sets cp's CPU per megabyte in
+// Table 1.
+func TestUserCopyCost(t *testing.T) {
+	const n = 1 << 20
+	k, _ := newFDRig()
+	cfg := k.Config()
+	want := cfg.SyscallCost + cfg.CopyPerCallCost + sim.Duration(n*float64(sim.Second)/cfg.CopyBytesPerSec)
+	runFD(t, k, func(p *Proc) {
+		fd, err := p.Open("/m/big", OCreat|ORdWr)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		data := make([]byte, n)
+		for _, call := range []struct {
+			name string
+			io   func(int, []byte) (int, error)
+		}{{"write", p.Write}, {"read", p.Read}} {
+			if _, err := p.Lseek(fd, 0, SeekSet); err != nil {
+				t.Fatal(err)
+			}
+			sys := p.SysTime()
+			if m, err := call.io(fd, data); m != n || err != nil {
+				t.Fatalf("%s: %d bytes, %v", call.name, m, err)
+			}
+			if got := p.SysTime() - sys; got != want {
+				t.Errorf("a 1 MB %s() costs %v of system time, want %v", call.name, got, want)
+			}
+		}
+	})
+}
+
 func TestOpenReadWriteOffsets(t *testing.T) {
 	k, _ := newFDRig()
 	runFD(t, k, func(p *Proc) {

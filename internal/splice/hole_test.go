@@ -30,7 +30,8 @@ func makeSparse(t *testing.T, p *kernel.Proc, path string) []byte {
 // is handed. After a sparse file is spliced to each write side — a file
 // through aliasing headers, a file through copies (NoShare), a socket, a
 // pipe, and a file whose blocks are mapped pages — the destination holds
-// the zeros and the zero block is still all zeros.
+// the zeros and the zero block is still all zeros. So it is after a
+// private and a shared store into a mapped hole.
 func TestHoleBlockStaysZero(t *testing.T) {
 	m := newMachine(t, disk.RAMDisk)
 	pipes(m)
@@ -107,6 +108,31 @@ func TestHoleBlockStaysZero(t *testing.T) {
 		}
 		_ = p.Munmap(addr)
 		_ = p.Close(mfd)
+
+		// A mapped hole's page reads the zero block itself. A private
+		// store copies it and a shared store gives the page a block, so
+		// neither writes through it.
+		sfd, _ := p.Open("/d0/sparse", kernel.ORdWr)
+		for _, flags := range []int{kernel.MapPrivate, kernel.MapShared} {
+			addr, err := p.Mmap(sfd, 0, int64(len(want)), kernel.ProtRead|kernel.ProtWrite, flags)
+			if err != nil {
+				t.Fatalf("mmap %#x: %v", flags, err)
+			}
+			if err := p.MemRead(addr, got); err != nil || !bytes.Equal(got, want) {
+				t.Errorf("mapped hole %#x: the mapping does not show the sparse file (%v)", flags, err)
+			}
+			if err := p.MemWrite(addr+bsize+5, []byte{0x55}); err != nil {
+				t.Fatalf("store into the mapped hole %#x: %v", flags, err)
+			}
+			if err := p.MemRead(addr+bsize, got[:bsize]); err != nil || got[5] != 0x55 {
+				t.Errorf("mapped hole %#x: the store is not the mapping's next load (%v)", flags, err)
+			}
+			if !bytes.Equal(zero, make([]byte, bsize)) {
+				t.Fatalf("mapped hole %#x: the store wrote through the zero block", flags)
+			}
+			_ = p.Munmap(addr)
+		}
+		_ = p.Close(sfd)
 	})
 }
 

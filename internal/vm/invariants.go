@@ -20,8 +20,8 @@ import "kdp/internal/kernel"
 //	vm-frame-leak        owned pages (object-resident + COW shadows)
 //	                     account for every frame in the ring — no
 //	                     leaked and no unlisted frames
-//	vm-page-buffer       a resident file page's memory is the held,
-//	                     hashed cache buffer of its block
+//	vm-page-buffer       a resident file page's block has a held,
+//	                     hashed cache buffer: the page's memory
 //	vm-wired-count       wire counts are never negative
 //	vm-cow-isolation     an anonymous page belongs to exactly one
 //	                     private mapping's shadow (COW means private)
@@ -62,8 +62,8 @@ func (s *stamp) count(pass uint64) int {
 // it at every scheduling boundary; spaces, objects and frames are
 // visited in first-mmap, first-mapping and clock order. It walks when
 // the pool's generation moved since its last passing walk (kernel.Gen).
-// vm-page-buffer also reads the cache's held buffers, but a held
-// buffer changes only through this pool's PageIn and PageRelease calls,
+// vm-page-buffer also reads which of the cache's buffers are held, but
+// that changes only through this pool's PageIn and PageRelease calls,
 // which bump it; the audit's digest holds that to account.
 func (v *Pool) CheckInvariants() error {
 	return v.gen.Check("vm", 0, v.check, v.digest)
@@ -151,10 +151,8 @@ func (v *Pool) check() error {
 			if pg.obj.ck.pass != pass || pg.obj.pages[pg.idx] != pg {
 				return kernel.Violation("vm-frame-owner", "object page %s/%d idx=%d not indexed by its object", pg.obj.dev, pg.obj.ino, pg.idx)
 			}
-			if pg.blk != 0 {
-				if held := pg.obj.backing.PageBuffer(pg.blk); len(held) == 0 || len(pg.data) == 0 || &held[0] != &pg.data[0] {
-					return kernel.Violation("vm-page-buffer", "page %s/%d idx=%d is not the held buffer of block %d", pg.obj.dev, pg.obj.ino, pg.idx, pg.blk)
-				}
+			if pg.blk != 0 && pg.obj.backing.PageBuffer(pg.blk) == nil {
+				return kernel.Violation("vm-page-buffer", "page %s/%d idx=%d names block %d, which no held buffer has", pg.obj.dev, pg.obj.ino, pg.idx, pg.blk)
 			}
 		} else {
 			switch owners := pg.ck.count(pass); owners {
@@ -219,9 +217,8 @@ func (v *Pool) digest(d *kernel.Digest) {
 		if kernel.Ptr(d, pg.obj); pg.obj != nil {
 			kernel.Ptr(d, pg.obj.pages[pg.idx])
 			d.Int(pg.blk)
-			d.Bytes(pg.data)
 			if pg.blk != 0 {
-				d.Bytes(pg.obj.backing.PageBuffer(pg.blk))
+				d.Bool(pg.obj.backing.PageBuffer(pg.blk) == nil)
 			}
 		}
 	}

@@ -82,9 +82,7 @@ func TestCatalogTrips(t *testing.T) {
 			v.hand = pg
 		}},
 		{"vm-frame-dup", func(v *Pool, _, _ *mapping) { v.ringTail.next = v.ringHead }},
-		{"vm-frame-owner", func(v *Pool, _, _ *mapping) {
-			v.ringAdd(&page{data: make([]byte, v.pageSize)})
-		}},
+		{"vm-frame-owner", func(v *Pool, _, _ *mapping) { v.ringAdd(&page{}) }},
 		// A resident page of an object the pool table does not hold.
 		{"vm-frame-owner", func(v *Pool, shared, _ *mapping) {
 			objPage(shared).obj = &object{dev: "stray", pages: map[int64]*page{}}
@@ -92,8 +90,8 @@ func TestCatalogTrips(t *testing.T) {
 		{"vm-frame-leak", func(v *Pool, _, _ *mapping) { v.ringTail.prev.next = nil }},
 		// A frame on the free list that its object still indexes.
 		{"vm-frame-leak", func(v *Pool, shared, _ *mapping) { v.freePage(objPage(shared)) }},
-		// A file page with memory of its own, not its block's buffer.
-		{"vm-page-buffer", func(v *Pool, shared, _ *mapping) { objPage(shared).data = make([]byte, v.pageSize) }},
+		// A file page naming a block no held buffer has.
+		{"vm-page-buffer", func(v *Pool, shared, _ *mapping) { objPage(shared).blk = unheldBlock }},
 		{"vm-wired-count", func(v *Pool, shared, _ *mapping) { objPage(shared).wired = -1 }},
 		{"vm-cow-isolation", func(v *Pool, shared, private *mapping) { private.shadow[0].obj = shared.obj }},
 		{"vm-shadow-private", func(v *Pool, shared, private *mapping) { shared.shadow = private.shadow }},

@@ -48,23 +48,23 @@ func (f *memFile) Write(kernel.Ctx, []byte, int64) (int, error) {
 	return 0, kernel.ErrOpNotSupp
 }
 
-func (f *memFile) PageIn(_ kernel.Ctx, idx int64, _ bool) (int64, []byte, bool, error) {
+func (f *memFile) PageIn(_ kernel.Ctx, idx int64, _ bool) (int64, bool, error) {
 	if f.pageIn != nil {
 		f.pageIn()
 	}
 	f.pageins[idx]++
 	if f.failNext {
 		f.failNext = false
-		return 0, nil, false, errPageIn
+		return 0, false, errPageIn
 	}
 	if f.held[idx+1] {
 		panic("memFile: page held twice")
 	}
 	f.held[idx+1] = true
-	return idx + 1, f.pages[idx], false, nil
+	return idx + 1, false, nil
 }
 
-func (f *memFile) PageDirty(kernel.Ctx, int64) bool { return false }
+func (f *memFile) PageDirty(_ kernel.Ctx, blk int64) ([]byte, bool) { return f.pages[blk-1], false }
 
 func (f *memFile) PageRelease(_ kernel.Ctx, blk int64, _ bool) {
 	if !f.held[blk] {

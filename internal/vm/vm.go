@@ -12,8 +12,10 @@
 // copies, read() and write() see mapped stores at once, and a dirty
 // page is a delayed write, indistinguishable from write() data to the
 // flushes, getblk's recycling and the sticky per-device error latch.
-// The pool's own frames serve only pages with no block: a hole's zero
-// page and copy-on-write copies.
+// A page keeps no memory of its own: every access reads its buffer's,
+// which shares its block copy-on-write like any buffer's, and a hole
+// reads the cache's zero block. The pool's own frames serve only
+// copy-on-write copies.
 //
 // There is no page-daemon process: kernel.Run exits when the last
 // process does, so a perpetual daemon would hang every machine.
@@ -40,7 +42,8 @@ import (
 // Backing is the per-object backing store a mapped file provides
 // (implemented structurally by *fs.File). Pages are one filesystem
 // block: the pool's page size must equal the backing block size, which
-// is what lets a resident page be its block's buffer.
+// is what lets a resident page be its block's buffer, whose memory each
+// access asks for afresh: a write() or a transfer may give it another.
 type Backing interface {
 	// MapRef takes a mapping reference: the object must stay valid
 	// after the fd it was mapped from is closed.
@@ -53,21 +56,22 @@ type Backing interface {
 	Size(ctx kernel.Ctx) (int64, error)
 	// Extend grows the file size to n (never shrinks it).
 	Extend(ctx kernel.Ctx, n int64)
-	// PageIn holds the buffer of page idx's block for the page and
-	// returns the block and the buffer's memory, which is the page until
-	// PageRelease. A hole or a page past EOF has no block (0, nil). With
-	// alloc set a hole is given one (write faults need one) and reported
-	// fresh: nothing was read, and the buffer is zeroed and dirty from
-	// birth.
-	PageIn(ctx kernel.Ctx, idx int64, alloc bool) (blk int64, data []byte, fresh bool, err error)
-	// PageDirty makes blk's held buffer a delayed write after a store
-	// through its page and reports whether it was clean.
-	PageDirty(ctx kernel.Ctx, blk int64) bool
+	// PageIn holds the buffer of page idx's block for the page until
+	// PageRelease and returns the block. A hole or a page past EOF has
+	// no block (0). With alloc set a hole is given one (write faults need
+	// one) and reported fresh: nothing was read, and the buffer is zeroed
+	// and dirty from birth.
+	PageIn(ctx kernel.Ctx, idx int64, alloc bool) (blk int64, fresh bool, err error)
+	// PageDirty readies blk's held buffer for a store through its page,
+	// making it a delayed write with a block of its own, and returns the
+	// memory to store into and whether the buffer was clean.
+	PageDirty(ctx kernel.Ctx, blk int64) (data []byte, clean bool)
 	// PageRelease lets go of blk's held buffer without sleeping; with
 	// evict set (the clock takes the page) a delayed write starts now.
 	PageRelease(ctx kernel.Ctx, blk int64, evict bool)
-	// PageBuffer returns the memory of blk's held buffer, nil if none:
-	// the invariant checker's view. It never sleeps or allocates.
+	// PageBuffer returns the memory of blk's held buffer, nil if none,
+	// and for blk 0 (a hole) the cache's zero block: what a load reads,
+	// and the invariant checker's view. It never sleeps or allocates.
 	PageBuffer(blk int64) []byte
 	// PageFlush forces the whole file (data, inode, inode table) to
 	// stable storage and surfaces any latched async write error:
@@ -77,16 +81,16 @@ type Backing interface {
 
 // page is one resident page. A page belongs either to an object (obj !=
 // nil: a cached page of a mapped file, whose memory is the held buffer
-// of block blk, or its record's frame while it is a hole) or to exactly
-// one private mapping's shadow (obj == nil: an anonymous copy-on-write
-// page in its frame, never paged out — there is no swap device in the
-// model, so anonymous pages are resident for the mapping's lifetime).
+// of block blk, or the cache's zero block while it is a hole) or to
+// exactly one private mapping's shadow (obj == nil: an anonymous
+// copy-on-write page in its frame, never paged out — there is no swap
+// device in the model, so anonymous pages are resident for the
+// mapping's lifetime).
 type page struct {
 	obj   *object
 	idx   int64  // object page index (file offset / page size)
-	blk   int64  // the block whose held buffer is data; 0 = none
-	data  []byte // the page's memory
-	frame []byte // the pool's memory, made the first time the record needs it
+	blk   int64  // the block whose held buffer is the page; 0 = none
+	frame []byte // a COW copy's memory, made the first time the record needs it
 	ref   bool   // clock reference bit
 	busy  bool   // pagein in flight; waiters sleep on the page
 	wired int    // transient pins held across scheduling points
@@ -161,9 +165,9 @@ type Pool struct {
 	resident           int
 
 	// free holds the page records no page is using. A record's frame is
-	// allocated the first time it backs a hole or a copy-on-write page
-	// and then stays with the record, passing from an evicted or unmapped
-	// page to the next fault.
+	// allocated the first time it backs a copy-on-write page and then
+	// stays with the record, passing from an evicted or unmapped page to
+	// the next fault.
 	free *page
 
 	ckPass uint64     // CheckInvariants pass counter (see stamp)
@@ -434,7 +438,7 @@ func (v *Pool) MemRead(p *kernel.Proc, addr int64, dst []byte) error {
 		if err != nil {
 			return err
 		}
-		copy(dst[done:done+n], pg.data[poff:poff+n])
+		copy(dst[done:done+n], v.mem(pg)[poff:poff+n])
 		v.unwire(pg)
 		done += n
 	}
@@ -443,8 +447,9 @@ func (v *Pool) MemRead(p *kernel.Proc, addr int64, dst []byte) error {
 
 // MemWrite implements kernel.AddressSpaceProvider: user-mode stores.
 // A store through a shared mapping makes its page's buffer a delayed
-// write after the bytes land, waiting out a write in flight, so no
-// store is ever left clean; the store that dirties a clean page is its
+// write before the bytes land, waiting out a write in flight and giving
+// the buffer a block of its own (PageDirty), so no store is ever left
+// clean or reaches a platter; the store that dirties a clean page is its
 // vm.pageout.
 func (v *Pool) MemWrite(p *kernel.Proc, addr int64, src []byte) error {
 	if len(src) == 0 {
@@ -467,10 +472,14 @@ func (v *Pool) MemWrite(p *kernel.Proc, addr int64, src []byte) error {
 		if err != nil {
 			return err
 		}
-		copy(pg.data[poff:poff+n], src[done:done+n])
-		if pg.obj != nil && pg.obj.backing.PageDirty(p.Ctx(), pg.blk) {
-			v.k.TraceEmit(trace.KindVMPageout, p.Pid(), pg.idx, pg.blk, pg.obj.dev)
+		mem := pg.frame
+		if pg.obj != nil {
+			var clean bool
+			if mem, clean = pg.obj.backing.PageDirty(p.Ctx(), pg.blk); clean {
+				v.k.TraceEmit(trace.KindVMPageout, p.Pid(), pg.idx, pg.blk, pg.obj.dev)
+			}
 		}
+		copy(mem[poff:poff+n], src[done:done+n])
 		v.unwire(pg)
 		done += n
 	}
@@ -550,7 +559,10 @@ func (v *Pool) touch(p *kernel.Proc, m *mapping, idx int64, write bool) (*page, 
 			v.unwire(pg)
 			return nil, err
 		}
-		copy(v.useFrame(npg), pg.data)
+		if npg.frame == nil { // the record's first COW copy
+			npg.frame = make([]byte, v.pageSize)
+		}
+		copy(npg.frame, v.mem(pg))
 		v.unwire(pg)
 		// Owned by its shadow slot before the copy is charged: the
 		// charge can end at a scheduling boundary.
@@ -622,51 +634,46 @@ func (v *Pool) residentPage(p *kernel.Proc, obj *object, idx int64, alloc bool) 
 	return pg, nil
 }
 
-// pageIn makes pg's memory the held buffer of its block, or, for a
-// hole, its record's frame zero-filled. A fresh block (an allocating
-// write fault on a hole) has nothing to read: its buffer is zeroed and
-// dirty from birth, because the platter holds the block's previous
-// owner's bytes until the whole block has been written — that birth is
-// the page's vm.pageout.
+// pageIn makes pg the held buffer of its block; a hole's page has none
+// and reads the cache's zero block. A fresh block (an allocating write
+// fault on a hole) has nothing to read: its buffer is zeroed and dirty
+// from birth, because the platter holds the block's previous owner's
+// bytes until the whole block has been written — that birth is the
+// page's vm.pageout.
 func (v *Pool) pageIn(p *kernel.Proc, pg *page, alloc bool) error {
 	pg.busy = true
-	blk, data, fresh, err := pg.obj.backing.PageIn(p.Ctx(), pg.idx, alloc)
+	blk, fresh, err := pg.obj.backing.PageIn(p.Ctx(), pg.idx, alloc)
 	pg.busy = false
 	v.k.Wakeup(pg)
 	switch {
 	case err != nil:
 		return err
 	case blk == 0:
-		clear(v.useFrame(pg))
 		return nil
 	case fresh:
 		v.k.TraceEmit(trace.KindVMPageout, p.Pid(), pg.idx, blk, pg.obj.dev)
 	default:
 		v.k.TraceEmit(trace.KindVMPagein, p.Pid(), pg.idx, blk, pg.obj.dev)
 	}
-	pg.blk, pg.data = blk, data
+	pg.blk = blk
 	v.gen.Bump()
 	return nil
 }
 
-// useFrame makes pg's memory its record's frame, allocated the first
-// time the record needs one, and returns it. The frame holds whatever
-// its last page left: every caller overwrites it whole.
-func (v *Pool) useFrame(pg *page) []byte {
-	if pg.frame == nil {
-		pg.frame = make([]byte, v.pageSize)
+// mem returns pg's memory for a load: an anonymous page's frame, or
+// what the backing's PageBuffer shows for an object page's block now.
+func (v *Pool) mem(pg *page) []byte {
+	if pg.obj == nil {
+		return pg.frame
 	}
-	pg.data = pg.frame
-	v.gen.Bump()
-	return pg.data
+	return pg.obj.backing.PageBuffer(pg.blk)
 }
 
 // ---- page pool / clock replacement ----
 
 // allocPage takes a free page record, running the clock algorithm first
 // when the pool is full; it never sleeps. The new page is born wired
-// (the caller is about to fill it) with its reference bit set, and has
-// no memory until pageIn or useFrame gives it some.
+// (the caller is about to fill it) with its reference bit set.
 func (v *Pool) allocPage(ctx kernel.Ctx) (*page, error) {
 	if v.resident >= v.nframes {
 		if err := v.reclaimFrame(ctx); err != nil {
