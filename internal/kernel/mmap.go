@@ -18,8 +18,9 @@ const (
 	// MapShared stores go to the backing file (visible to read() and
 	// other mappings; written back by msync/fsync/pageout).
 	MapShared = 0x1
-	// MapPrivate stores are copy-on-write into anonymous pages private
-	// to the mapping; the backing file is never modified.
+	// MapPrivate stores are copy-on-write: a page's first store copies it
+	// into a block the mapping alone holds until it is unmapped; the
+	// backing file is never modified.
 	MapPrivate = 0x2
 )
 

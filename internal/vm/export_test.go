@@ -10,8 +10,8 @@ func (v *Pool) WriteFault(p *kernel.Proc, addr int64) error {
 	if m == nil {
 		return kernel.ErrInval
 	}
-	pg, err := v.touch(p, m, m.pgoff+(addr-m.addr)/int64(v.pageSize), true)
-	if err == nil {
+	pg, err := v.fault(p, m, m.pgoff+(addr-m.addr)/int64(v.pageSize), true)
+	if pg != nil {
 		v.unwire(pg)
 	}
 	return err
@@ -25,7 +25,7 @@ func (v *Pool) PageData(p *kernel.Proc, addr int64) []byte {
 		return nil
 	}
 	if pg := m.obj.pages[m.pgoff+(addr-m.addr)/int64(v.pageSize)]; pg != nil {
-		return v.mem(pg)
+		return pg.obj.backing.PageBuffer(pg.blk)
 	}
 	return nil
 }

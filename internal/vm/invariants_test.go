@@ -13,7 +13,7 @@ import (
 
 // withMappings runs body in a process that holds two mappings of one
 // two-page file — a shared one with a dirty object page and a private
-// one with a copy-on-write shadow page — on a healthy 8-page pool.
+// one with a copy-on-write shadow block — on a healthy 8-page pool.
 func withMappings(t testing.TB, body func(v *Pool, shared, private *mapping)) {
 	t.Helper()
 	const bsize = 8192
@@ -87,13 +87,15 @@ func TestCatalogTrips(t *testing.T) {
 		{"vm-frame-owner", func(v *Pool, shared, _ *mapping) {
 			objPage(shared).obj = &object{dev: "stray", pages: map[int64]*page{}}
 		}},
-		{"vm-frame-leak", func(v *Pool, _, _ *mapping) { v.ringTail.prev.next = nil }},
+		// A ring cut off before its pages.
+		{"vm-frame-leak", func(v *Pool, _, _ *mapping) { v.ringHead = nil }},
 		// A frame on the free list that its object still indexes.
 		{"vm-frame-leak", func(v *Pool, shared, _ *mapping) { v.freePage(objPage(shared)) }},
 		// A file page naming a block no held buffer has.
 		{"vm-page-buffer", func(v *Pool, shared, _ *mapping) { objPage(shared).blk = unheldBlock }},
 		{"vm-wired-count", func(v *Pool, shared, _ *mapping) { objPage(shared).wired = -1 }},
-		{"vm-cow-isolation", func(v *Pool, shared, private *mapping) { private.shadow[0].obj = shared.obj }},
+		// A shadow block another holder references too.
+		{"vm-cow-isolation", func(v *Pool, _, private *mapping) { private.shadow[0].Ref() }},
 		{"vm-shadow-private", func(v *Pool, shared, private *mapping) { shared.shadow = private.shadow }},
 		{"vm-obj-refcount", func(v *Pool, shared, _ *mapping) { shared.obj.mappings++ }},
 		{"vm-obj-leak", func(v *Pool, shared, _ *mapping) { shared.obj.mappings = 0 }},
@@ -110,7 +112,7 @@ func TestCatalogTrips(t *testing.T) {
 			withMappings(t, func(v *Pool, shared, private *mapping) {
 				ran = true
 				if objPage(shared).blk == 0 || private.shadow[0] == nil {
-					t.Error("rig: want an object page with a block and a shadow page")
+					t.Error("rig: want an object page with a block and a shadow block")
 					return
 				}
 				fault.plant(v, shared, private)

@@ -3,6 +3,7 @@ package vm
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"kdp/internal/kernel"
@@ -84,10 +85,9 @@ func (f *memFile) PageBuffer(blk int64) []byte {
 // twelve-page file with seeded random loads and stores through a shared
 // and a private mapping, failed page-ins, unmaps and remaps — beside a
 // plain copy of the file and of the private mapping's view. Every access
-// must read what the reference holds although every page record, and
-// the frame of every copy-on-write page, has been through many pages,
-// the invariant catalog must hold after every step, and the pool must
-// never own more frame memory than it caps resident pages.
+// must read what the reference holds although every page record has
+// been through many pages, the invariant catalog must hold after every
+// step, and every copy-on-write block must go back with its mapping.
 func TestRecycledFramesAgainstModel(t *testing.T) {
 	const (
 		ps     = 512
@@ -109,13 +109,27 @@ func TestRecycledFramesAgainstModel(t *testing.T) {
 		for i := range f.pages {
 			copy(f.pages[i], file[i*ps:])
 		}
-		seen := map[*byte]bool{} // every frame memory the pool ever used
-		failed := 0
+		failed, cows := 0, 0
 		k.Spawn("model", func(p *kernel.Proc) {
 			fd := p.InstallFile(f, kernel.ORdWr)
 			var shared, private int64
 			var view []byte  // the private mapping's reference
 			var cowed []bool // pages the private mapping has copied
+			// unmap unmaps both mappings and requires that each copy-on-write
+			// block the private one held went back with it: no reference is
+			// left.
+			unmap := func(step int) {
+				blocks := slices.DeleteFunc(slices.Clone(v.findMapping(p.Pid(), private, 1).shadow), func(b *sim.Block) bool { return b == nil })
+				if err := errors.Join(p.Munmap(private), p.Munmap(shared)); err != nil {
+					t.Fatalf("seed %d step %d: munmap: %v", seed, step, err)
+				}
+				for _, b := range blocks {
+					if b.Ref(); !b.Drop() {
+						t.Fatalf("seed %d step %d: a copy-on-write block outlived its mapping", seed, step)
+					}
+				}
+				cows += len(blocks)
+			}
 			remap := func() {
 				var err error
 				if shared, err = p.Mmap(fd, 0, npages*ps, kernel.ProtRead|kernel.ProtWrite, kernel.MapShared); err != nil {
@@ -156,7 +170,7 @@ func TestRecycledFramesAgainstModel(t *testing.T) {
 					if err = p.MemWrite(shared+off+7, []byte{b}); err == nil {
 						file[off+7] = b
 					}
-				case op == 7 && v.resident < frames: // anonymous pages are never evicted: keep them few
+				case op == 7:
 					b := byte(r.Intn(256))
 					if err = p.MemWrite(private+off+9, []byte{b}); err == nil {
 						if !cowed[pg] {
@@ -166,9 +180,7 @@ func TestRecycledFramesAgainstModel(t *testing.T) {
 						view[off+9] = b
 					}
 				case op == 8 && r.Intn(20) == 0:
-					if err := errors.Join(p.Munmap(private), p.Munmap(shared)); err != nil {
-						t.Fatalf("seed %d step %d: munmap: %v", seed, step, err)
-					}
+					unmap(step)
 					if v.resident != 0 || v.hand != nil {
 						t.Fatalf("seed %d step %d: %d frames resident, hand %v after the last unmap", seed, step, v.resident, v.hand)
 					}
@@ -187,27 +199,14 @@ func TestRecycledFramesAgainstModel(t *testing.T) {
 				case err == nil:
 				case failing && err == errPageIn:
 					failed++
-				case err == kernel.ErrNoMem: // every frame anonymous or wired
 				default:
 					t.Fatalf("seed %d step %d: %v", seed, step, err)
 				}
 				if err := v.CheckInvariants(); err != nil {
 					t.Fatalf("seed %d step %d: %v", seed, step, err)
 				}
-				for pg := v.ringHead; pg != nil; pg = pg.next {
-					if pg.frame != nil {
-						seen[&pg.frame[0]] = true
-					}
-				}
-				for pg := v.free; pg != nil; pg = pg.next {
-					if pg.frame != nil {
-						seen[&pg.frame[0]] = true
-					}
-				}
 			}
-			if err := errors.Join(p.Munmap(private), p.Munmap(shared)); err != nil {
-				t.Fatal(err)
-			}
+			unmap(-1)
 		})
 		if err := k.Run(); err != nil {
 			t.Fatal(err)
@@ -215,8 +214,8 @@ func TestRecycledFramesAgainstModel(t *testing.T) {
 		if err := v.CheckDrained(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if len(seen) == 0 || len(seen) > frames || f.refs != 0 {
-			t.Fatalf("seed %d: the pool used %d frame memories for %d resident pages; backing refs %d", seed, len(seen), frames, f.refs)
+		if cows == 0 || f.refs != 0 {
+			t.Fatalf("seed %d: %d copy-on-write copies made; backing refs %d", seed, cows, f.refs)
 		}
 		if failed < 20 {
 			t.Fatalf("seed %d: only %d page-ins failed: the error path was not exercised", seed, failed)

@@ -772,8 +772,10 @@ func TestInvariantsDetectDamage(t *testing.T) {
 // faultRig maps a 64-page file shared through an 8-frame pool and hands
 // body two functions that touch the next page in a cycle: every call is
 // a major fault that evicts a page and pages it in from the buffer
-// cache. fault loads a byte; cycle stores it back and msyncs.
-func faultRig(tb testing.TB, body func(fault, cycle func())) {
+// cache. fault loads a byte; cycle stores it back and msyncs. A third,
+// cow, stores a byte into the next page of a private mapping of the
+// file, breaking its sharing: body may call it 64 times.
+func faultRig(tb testing.TB, body func(fault, cycle, cow func())) {
 	const npages = 64
 	cfg := kernel.DefaultConfig()
 	k := kernel.New(cfg)
@@ -822,7 +824,20 @@ func faultRig(tb testing.TB, body func(fault, cycle func())) {
 			fault()
 			cycle()
 		}
-		body(fault, cycle)
+		priv, err := p.Mmap(fd, 0, npages*bsize, kernel.ProtRead|kernel.ProtWrite, kernel.MapPrivate)
+		if err != nil {
+			tb.Errorf("mmap private: %v", err)
+			return
+		}
+		nextCOW := int64(0)
+		cow := func() {
+			if err := p.MemWrite(priv+nextCOW*bsize, one); err != nil {
+				tb.Errorf("private page %d: store: %v", nextCOW, err)
+			}
+			nextCOW++
+		}
+		body(fault, cycle, cow)
+		_ = p.Munmap(priv)
 		_ = p.Munmap(addr)
 		_ = p.Close(fd)
 	})
@@ -838,7 +853,7 @@ func faultRig(tb testing.TB, body func(fault, cycle func())) {
 // frame — record and memory — instead of asking for a new one.
 func TestPageFaultInFullPoolAllocatesNothing(t *testing.T) {
 	allocs := -1.0
-	faultRig(t, func(fault, _ func()) { allocs = testing.AllocsPerRun(200, fault) })
+	faultRig(t, func(fault, _, _ func()) { allocs = testing.AllocsPerRun(200, fault) })
 	if allocs != 0 {
 		t.Fatalf("a page fault in a full pool allocated %.2f times, want 0", allocs)
 	}
@@ -850,15 +865,35 @@ func TestPageFaultInFullPoolAllocatesNothing(t *testing.T) {
 // the last write let go of, and the msync lends that block back.
 func TestMappedStoreCycleAllocatesNothing(t *testing.T) {
 	allocs := -1.0
-	faultRig(t, func(_, cycle func()) { allocs = testing.AllocsPerRun(200, cycle) })
+	faultRig(t, func(_, cycle, _ func()) { allocs = testing.AllocsPerRun(200, cycle) })
 	if allocs != 0 {
 		t.Fatalf("a page-in, store and msync allocated %.2f times, want 0", allocs)
 	}
 }
 
+// TestCOWStoreAllocatesNothing: once the recycler is warm, a store that
+// breaks a private mapping's sharing takes its copy's block from sim's
+// recycler, not from the heap.
+func TestCOWStoreAllocatesNothing(t *testing.T) {
+	allocs := -1.0
+	faultRig(t, func(_, _, cow func()) {
+		warm := make([]*sim.Block, 64)
+		for i := range warm {
+			warm[i] = sim.NewBlock(bsize)
+		}
+		for _, b := range warm {
+			b.Unref()
+		}
+		allocs = testing.AllocsPerRun(32, cow)
+	})
+	if allocs != 0 {
+		t.Fatalf("a copy-on-write store allocated %.2f times, want 0", allocs)
+	}
+}
+
 func BenchmarkPageFaultWarm(b *testing.B) {
 	b.ReportAllocs()
-	faultRig(b, func(fault, _ func()) {
+	faultRig(b, func(fault, _, _ func()) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			fault()
@@ -868,10 +903,11 @@ func BenchmarkPageFaultWarm(b *testing.B) {
 
 // TestCOWPageOwnedWhileItsCopyIsCharged: the store that breaks sharing
 // charges the page copy, and a CPU charge begins and ends at a
-// scheduling boundary, where a probe checks the pool. The anonymous page
-// must already sit in its mapping's shadow there; it used to be
-// installed after the charge, so every copy-on-write fault under a
-// probe tripped vm-frame-owner.
+// scheduling boundary, where a probe checks the pool. The catalog must
+// hold there. The copy was once a page in the clock ring installed after
+// the charge, so every copy-on-write fault under a probe tripped
+// vm-frame-owner; it is now a block its shadow slot holds, installed
+// before the charge.
 func TestCOWPageOwnedWhileItsCopyIsCharged(t *testing.T) {
 	r := newRig(t, 8)
 	r.k.SetProbe(func() {
