@@ -10,7 +10,8 @@ import (
 // The plain file ops. A range read is open (reconciled with the
 // oracle) → fetch → verify against the oracle's bytes; a range write is
 // open → store → fold the stored bytes into the oracle. read, seq-read,
-// readv, the batch read and mmap-read differ only in their fetch;
+// readv, the batch read, mmap-read and mmap-private differ only in
+// their fetch;
 // write, writev, the batch write and the mmap stores only in their
 // store — as in the kernel under test, where they are one uio mover
 // reached by different routes.

@@ -76,7 +76,8 @@ var opTable = []*opRow{
 	{name: "trunc", std: 4, crash: 6, text: textFile, run: (*machine).doTrunc},
 	{name: "unlink", std: 4, crash: 6, text: textFile, run: (*machine).doUnlink},
 	{name: "fsync", std: 4, crash: 22, text: textFile, run: (*machine).doFsync},
-	{name: "mmap-read", std: 4, text: textFile, run: rangeRead(true, fetchMmap)},
+	{name: "mmap-read", std: 2, text: textFile, run: rangeRead(true, fetchMapped(false))},
+	{name: "mmap-private", std: 2, text: textRangePat, run: rangeRead(false, fetchMapped(true))},
 	{name: "mmap-write", std: 4, crash: 6, text: textRangePat, run: rangeWrite(mappedStore(false))},
 	{name: "msync", std: 3, crash: 6, text: textRangePat, run: rangeWrite(mappedStore(true))},
 	{name: "splice-file", std: 5, crash: 10, draw: drawDst, text: textSpliceFile, run: (*machine).doSpliceFile},

@@ -20,6 +20,7 @@ trunc d1/f2
 unlink d1/f2
 fsync d1/f2
 mmap-read d1/f2
+mmap-private d1/f2 off=4096 n=1234 pat=0xa5
 mmap-write d1/f2 off=4096 n=1234 pat=0xa5
 msync d1/f2 off=4096 n=1234 pat=0xa5
 splice d1/f2 -> d0/f3

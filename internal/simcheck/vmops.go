@@ -15,38 +15,71 @@ import (
 // through the next op's Munmap or msync — those errors taint the oracle
 // exactly like a failed write.
 
-// fetchMmap maps the whole file shared read-only and faults every page
-// in through the buffer cache with one MemRead — the mapped twin of
-// fetchSeq.
-func fetchMmap(m *machine, p *kernel.Proc, fd int, o *op) ([]byte, string, error) {
-	size, err := p.FileSize(fd)
-	if err != nil || size == 0 {
+// fetchMapped builds the mapped fetches. mmap-read maps the whole file
+// shared read-only and faults every page in through the buffer cache
+// with one MemRead — the mapped twin of fetchSeq. mmap-private maps the
+// op's range private and writable and loads it, then stores the op's
+// pattern over it through the mapping — each page's first store copies
+// the page into a block of the mapping's own — and must read the
+// pattern back. The oracle never sees that store, so a store that
+// leaked into the file trips oracle-content at a later read of it.
+func fetchMapped(private bool) fetchFunc {
+	return func(m *machine, p *kernel.Proc, fd int, o *op) ([]byte, string, error) {
+		// A violation names its op, spelled at the call.
+		bad := func(format string, args ...any) {
+			if private {
+				m.violate("mmap-private", format, args...)
+			} else {
+				m.violate("mmap-read", format, args...)
+			}
+		}
+		size, err := p.FileSize(fd)
+		off, n, prot, flags, bufs := int64(0), size, kernel.ProtRead, kernel.MapShared, 1
+		if private {
+			off, n = o.off, min(max(size-o.off, 0), int64(o.size))
+			prot, flags, bufs = kernel.ProtRead|kernel.ProtWrite, kernel.MapPrivate, 3
+		}
+		if err != nil || n == 0 {
+			p.Close(fd)
+			return nil, "", skipped(fmt.Sprintf("nothing to map (size=%d err=%v)", size, err))
+		}
+		d := m.Disks[o.disk]
+		latched, failed := m.Cache.WriteError(d), d.Errors()
+		addr, merr := p.Mmap(fd, 0, off+n, prot, flags)
 		p.Close(fd)
-		return nil, "", skipped(fmt.Sprintf("empty (size=%d err=%v)", size, err))
+		if merr != nil {
+			// Mapping an open regular file takes no I/O; failure is a harness bug.
+			bad("mmap %s: %v", o.path(), merr)
+			return nil, "", nil
+		}
+		buf := m.ioBuf(o.worker, bufs*int(n))
+		got := buf[:n]
+		err = p.MemRead(addr+off, got)
+		var stored, back []byte
+		if private && err == nil {
+			stored, back = pattern(buf[n:2*n], off, o.pat), buf[2*n:]
+			if err = p.MemWrite(addr+off, stored); err == nil {
+				err = p.MemRead(addr+off, back)
+			}
+		}
+		uerr := p.Munmap(addr)
+		if err != nil {
+			// A fault hit an injected disk fault mid-scan.
+			return nil, "", fmt.Errorf("fault: %v", err)
+		}
+		if i := firstDiff(back, stored); i >= 0 {
+			bad("%s reads %#02x at byte %d through its private mapping, which stored %#02x", o.path(), back[i], off+int64(i), stored[i])
+			return nil, "", nil
+		}
+		// The last unmap, like close, reports the device's latched write
+		// error, ignored as fetchRead's close ignores it if a write failed
+		// before or during this fetch; an unmap that stored nothing into the
+		// file failing otherwise is a bug.
+		if uerr != nil && latched == nil && d.Errors() == failed {
+			bad("munmap %s: %v", o.path(), uerr)
+		}
+		return got, "", nil
 	}
-	d := m.Disks[o.disk]
-	latched, failed := m.Cache.WriteError(d), d.Errors()
-	addr, merr := p.Mmap(fd, 0, size, kernel.ProtRead, kernel.MapShared)
-	p.Close(fd)
-	if merr != nil {
-		// Mapping an open regular file takes no I/O; failure is a harness bug.
-		m.violate("mmap-read", "mmap %s: %v", o.path(), merr)
-		return nil, "", nil
-	}
-	got := m.ioBuf(o.worker, int(size))
-	rerr := p.MemRead(addr, got)
-	uerr := p.Munmap(addr)
-	if rerr != nil {
-		// A read fault hit an injected disk fault mid-scan.
-		return nil, "", fmt.Errorf("memread: %v", rerr)
-	}
-	// The last unmap, like close, reports the device's latched write error,
-	// ignored as fetchRead's close ignores it if a write failed before or
-	// during this fetch; a read-only unmap failing otherwise is a bug.
-	if uerr != nil && latched == nil && d.Errors() == failed {
-		m.violate("mmap-read", "munmap %s: %v", o.path(), uerr)
-	}
-	return got, "", nil
 }
 
 // mappedStore builds the mmap-write and msync stores: map [0, off+size)
