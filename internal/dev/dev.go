@@ -48,7 +48,7 @@ func (n *Null) Close(ctx kernel.Ctx) error { return nil }
 
 // SpliceWrite implements the splice Sink interface: data is consumed
 // immediately.
-func (n *Null) SpliceWrite(data []byte, done func(error)) {
+func (n *Null) SpliceWrite(data []byte, _ *sim.Block, done func(error)) {
 	n.written += int64(len(data))
 	done(nil)
 }
@@ -216,7 +216,7 @@ func (d *DAC) Close(ctx kernel.Ctx) error {
 // SpliceWrite implements the splice Sink interface. The done callback
 // fires when the chunk has been played, which throttles the splice to
 // the playback rate via the descriptor's pending-write watermark.
-func (d *DAC) SpliceWrite(data []byte, done func(error)) {
+func (d *DAC) SpliceWrite(data []byte, _ *sim.Block, done func(error)) {
 	if d.closed {
 		done(kernel.ErrBadFD)
 		return

@@ -97,7 +97,7 @@ func TestDACReopens(t *testing.T) {
 		t.Errorf("played %d bytes, want 2000", d.Played())
 	}
 	var err error
-	d.SpliceWrite([]byte{1}, func(e error) { err = e })
+	d.SpliceWrite([]byte{1}, nil, func(e error) { err = e })
 	if err != kernel.ErrBadFD {
 		t.Errorf("splice write after the last close: %v, want ErrBadFD", err)
 	}
@@ -151,7 +151,7 @@ func TestDACSpliceWriteThrottledCompletion(t *testing.T) {
 	var doneAt sim.Time
 	k.Spawn("idle", func(p *kernel.Proc) { p.SleepFor(3 * sim.Second) })
 	k.Engine().Schedule(0, "kick", func() {
-		d.SpliceWrite(make([]byte, 10000), func(err error) {
+		d.SpliceWrite(make([]byte, 10000), nil, func(err error) {
 			if err != nil {
 				t.Errorf("splice write: %v", err)
 			}

@@ -2,6 +2,7 @@ package dev
 
 import (
 	"kdp/internal/kernel"
+	"kdp/internal/sim"
 )
 
 // Pipe is an in-kernel bounded byte queue usable as both a splice sink
@@ -33,7 +34,7 @@ func NewPipe(k *kernel.Kernel, path string, capacity int) *Pipe {
 	if capacity <= 0 {
 		capacity = 64 << 10
 	}
-	p := &Pipe{k: k, q: kernel.WriteQueue{Cap: capacity}}
+	p := &Pipe{k: k, q: kernel.WriteQueue{Cap: capacity, FIFO: kernel.FIFO{Spares: k.Spares()}}}
 	if path != "" {
 		k.RegisterDev(path, func(ctx kernel.Ctx) (kernel.FileOps, error) {
 			return p, nil
@@ -168,13 +169,14 @@ func (pp *Pipe) PollQueue() *kernel.PollQueue { return &pp.pollQ }
 
 // SpliceWrite implements the splice Sink interface: done fires once the
 // whole chunk has been admitted to the pipe buffer (backpressure). data
-// is borrowed until then.
-func (pp *Pipe) SpliceWrite(data []byte, done func(error)) {
+// is borrowed until then, and copied in: a pipe's reads copy out of its
+// buffer, so sharing the block would save nothing.
+func (pp *Pipe) SpliceWrite(data []byte, _ *sim.Block, done func(error)) {
 	if pp.closed {
 		done(kernel.ErrBadFD)
 		return
 	}
-	pp.q.Queue(data, done)
+	pp.q.Queue(data, nil, done)
 	pp.serveReader()
 	pp.wake(kernel.PollIn)
 }

@@ -157,7 +157,7 @@ func TestPipeSpliceEndpointsDirect(t *testing.T) {
 	doneCalled := false
 	k.Spawn("idle", func(pr *kernel.Proc) { pr.SleepFor(50 * sim.Millisecond) })
 	k.Engine().Schedule(sim.Millisecond, "w", func() {
-		p.SpliceWrite([]byte("abc"), func(err error) { doneCalled = true })
+		p.SpliceWrite([]byte("abc"), nil, func(err error) { doneCalled = true })
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -213,11 +213,11 @@ func TestPipeNonblockingAndSpliceWiring(t *testing.T) {
 	if !p.CancelSpliceRead() || p.CancelSpliceRead() {
 		t.Error("CancelSpliceRead did not withdraw the parked read exactly once")
 	}
-	p.SpliceWrite([]byte("late"), done("w1")) // b is gone: the bytes stay buffered
+	p.SpliceWrite([]byte("late"), nil, done("w1")) // b is gone: the bytes stay buffered
 	if p.Buffered() != 4 {
 		t.Errorf("buffered %d after a cancelled read, want 4", p.Buffered())
 	}
-	p.SpliceWrite([]byte("0123456789"), done("w2")) // 4 fit, 6 wait
+	p.SpliceWrite([]byte("0123456789"), nil, done("w2")) // 4 fit, 6 wait
 	if r := p.PollReady(inOut); r != kernel.PollIn {
 		t.Errorf("pipe with a queued writer polls %#x, want PollIn only", r)
 	}

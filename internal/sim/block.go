@@ -141,3 +141,43 @@ func TakeBlocks() (all []*Block) {
 	rest.bytes = 0
 	return all
 }
+
+// Held reports whether b has a reference: a holder's block that is not
+// has been released under it.
+func (b *Block) Held() bool { return b.refs > 0 }
+
+// Span is N bytes of block Blk from Off on, a holder's reference to part
+// of it: a piece of a send queue or of a packet's payload, as an mbuf
+// points into a cluster. Each span holds one reference to its block.
+type Span struct {
+	Blk    *Block
+	Off, N int
+}
+
+// SpanOf returns the span of blk that data is a window of, taking no
+// reference.
+func SpanOf(blk *Block, data []byte) Span {
+	off := cap(blk.Bytes) - cap(data)
+	if off < 0 || off+len(data) > len(blk.Bytes) || len(data) > 0 && &blk.Bytes[off] != &data[0] {
+		panic("sim: data is not a window of the block")
+	}
+	return Span{blk, off, len(data)}
+}
+
+// Bytes returns the span's bytes.
+func (s Span) Bytes() []byte { return s.Blk.Bytes[s.Off : s.Off+s.N] }
+
+// Fault says what makes s no span a holder may keep — its bytes lie
+// outside its block, or the block has no reference left — or returns ""
+// for none.
+func (s Span) Fault() string {
+	switch {
+	case s.Blk == nil:
+		return "no block"
+	case s.Off < 0 || s.N <= 0 || s.Off+s.N > len(s.Blk.Bytes):
+		return "bytes outside its block"
+	case !s.Blk.Held():
+		return "block released under it"
+	}
+	return ""
+}

@@ -19,7 +19,7 @@ func datagram(b []byte, id byte) []byte {
 }
 
 // TestPacketBuffersRecycledAfterLastDelivery holds the net to handing
-// every packet buffer back exactly once, after its last delivery, and
+// every packet record back exactly once, after its last delivery, and
 // never while a delivery keeps it.
 func TestPacketBuffersRecycledAfterLastDelivery(t *testing.T) {
 	t.Run("handlers", testRecycledBetweenHandlers)
@@ -29,12 +29,12 @@ func TestPacketBuffersRecycledAfterLastDelivery(t *testing.T) {
 // testRecycledBetweenHandlers sends patterned datagrams between two
 // handler sockets with dup and reorder armed on the same arrival and
 // drop on the next one. Every handler call copies what it
-// was lent, scribbles over every buffer on the free list, then builds
-// an echo in a buffer from that list. A buffer recycled before its
-// last delivery would be scribbled on or reused while still owed to a
-// handler, and one recycled twice or never would leave the free list
-// larger or smaller than the number of buffers the net ever owned: those
-// it was built with and those PacketBuf made.
+// was lent, scribbles over every header buffer on the free list, then
+// builds an echo in a record from that list. A record recycled before
+// its last delivery would be scribbled on or reused while still owed to
+// a handler, and one recycled twice or never would leave the free list
+// larger or smaller than the number of records the net ever owned: those
+// it was built with and those NewPacket made.
 func testRecycledBetweenHandlers(t *testing.T) {
 	k := newK()
 	n := NewNet(k, Loopback())
@@ -45,38 +45,31 @@ func testRecycledBetweenHandlers(t *testing.T) {
 	b, _ := n.NewSocket(2)
 
 	const size = 64
-	owned := map[*byte]bool{}
-	for _, f := range n.free[0] {
-		owned[&f[:1][0]] = true
+	owned := map[*Packet]bool{}
+	for _, f := range n.free {
+		owned[f] = true
 	}
-	build := func(s *Socket, id byte) []byte {
-		buf := s.PacketBuf(size)
-		owned[&buf[0]] = true
-		return datagram(buf, id)
-	}
-	scribble := func() {
-		for _, f := range n.free[0] {
-			f = f[:cap(f)]
-			for i := range f {
-				f[i] = 0xDB
-			}
-		}
+	build := func(s *Socket, id byte) *Packet {
+		p := s.NewPacket(size)
+		owned[p] = true
+		datagram(p.Hdr, id)
+		return p
 	}
 	var atA, atB []byte // first byte of each datagram seen, i.e. its id
-	see := func(ids *[]byte, data []byte) {
-		kept := append([]byte(nil), data...)
-		scribble()
+	see := func(ids *[]byte, p *Packet) {
+		kept := append([]byte(nil), p.Hdr...)
+		scribble(n)
 		if len(kept) != size || !bytes.Equal(kept, datagram(make([]byte, size), kept[0])) {
 			t.Errorf("datagram %d arrived damaged: %v", kept[0], kept)
 		}
 		*ids = append(*ids, kept[0])
 	}
-	b.SetHandler(func(data []byte, from int, eof bool) bool {
-		see(&atB, data)
-		b.SendTo(from, build(b, data[0]+100), nil)
+	b.SetHandler(func(p *Packet, from int, eof bool) bool {
+		see(&atB, p)
+		b.SendTo(from, build(b, p.Hdr[0]+100), nil)
 		return false
 	})
-	a.SetHandler(func(data []byte, from int, eof bool) bool { see(&atA, data); return false })
+	a.SetHandler(func(p *Packet, from int, eof bool) bool { see(&atA, p); return false })
 
 	burst := func(first byte) {
 		for id := first; id < first+6; id++ { // back to back: all in flight together
@@ -87,7 +80,7 @@ func testRecycledBetweenHandlers(t *testing.T) {
 	k.Spawn("tx", func(p *kernel.Proc) {
 		burst(1)
 		p.SleepFor(20 * sim.Millisecond)
-		resting = len(n.free[0])
+		resting = len(n.free)
 		burst(11) // nothing in flight: every buffer comes off the free list
 		p.SleepFor(20 * sim.Millisecond)
 	})
@@ -103,24 +96,43 @@ func testRecycledBetweenHandlers(t *testing.T) {
 	if want := []byte{101, 102, 102, 104, 105, 106, 111, 112, 113, 114, 115, 116}; !bytes.Equal(atA, want) {
 		t.Errorf("a saw echoes %v, want %v", atA, want)
 	}
-	if resting != len(owned) || len(n.free[0]) != resting || len(n.free[1]) != 0 {
-		t.Errorf("free list holds %d buffers after the first burst and %d at the end; the net ever owned %d",
-			resting, len(n.free[0]), len(owned))
+	if resting != len(owned) || len(n.free) != resting {
+		t.Errorf("free list holds %d records after the first burst and %d at the end; the net ever owned %d",
+			resting, len(n.free), len(owned))
 	}
-	for _, f := range n.free[0] {
-		if p := &f[:1][0]; !owned[p] {
-			t.Errorf("free list holds a buffer twice, or one the net never owned")
-		} else {
-			delete(owned, p)
+	checkFreeList(t, n, owned)
+}
+
+// scribble overwrites the header buffer of every record on n's free list.
+func scribble(n *Net) {
+	for _, f := range n.free {
+		h := f.Hdr[:cap(f.Hdr)]
+		for i := range h {
+			h[i] = 0xDB
 		}
+	}
+}
+
+// checkFreeList requires n's free list to hold each record of owned
+// once, and nothing else.
+func checkFreeList(t *testing.T, n *Net, owned map[*Packet]bool) {
+	t.Helper()
+	for _, f := range n.free {
+		if !owned[f] {
+			t.Errorf("free list holds a record twice, or one the net never owned")
+		}
+		delete(owned, f)
+	}
+	if len(owned) > 0 {
+		t.Errorf("%d record(s) the net owned are not on its free list", len(owned))
 	}
 }
 
 // testRecycledRefusedDuplicate: a queued socket with room for one
 // datagram keeps the first delivery of a duplicated one and refuses its
-// twin. The twin's buffer goes back to the free list, and the read that
+// twin. The twin's record goes back to the free list, and the read that
 // copies the kept one out returns that one: the free list ends holding
-// every buffer the net ever owned.
+// every record the net ever owned.
 func testRecycledRefusedDuplicate(t *testing.T) {
 	const size = 64
 	k := newK()
@@ -130,7 +142,7 @@ func testRecycledRefusedDuplicate(t *testing.T) {
 	k.Faults().Arm(kernel.FaultArm{Site: n.DupSite(), K: 1, Match: kernel.MatchAny})
 	a, _ := n.NewSocket(1)
 	b, _ := n.NewSocket(2)
-	owned := len(n.free[0])
+	owned := len(n.free)
 	k.Spawn("rx", func(p *kernel.Proc) {
 		got := make([]byte, size)
 		if m, err := b.Read(p.Ctx(), got, 0); m != size || err != nil || !bytes.Equal(got, datagram(make([]byte, size), 1)) {
@@ -138,7 +150,9 @@ func testRecycledRefusedDuplicate(t *testing.T) {
 		}
 	})
 	k.Spawn("tx", func(p *kernel.Proc) {
-		a.SendTo(2, datagram(a.PacketBuf(size), 1), nil)
+		pkt := a.NewPacket(size)
+		datagram(pkt.Hdr, 1)
+		a.SendTo(2, pkt, nil)
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -146,8 +160,8 @@ func testRecycledRefusedDuplicate(t *testing.T) {
 	if _, _, dropped := n.Stats(); dropped != 1 {
 		t.Fatalf("%d datagrams dropped, want the twin alone", dropped)
 	}
-	if len(n.free[0]) != owned {
-		t.Errorf("free list holds %d buffers at the end; the net ever owned %d", len(n.free[0]), owned)
+	if len(n.free) != owned {
+		t.Errorf("free list holds %d records at the end; the net ever owned %d", len(n.free), owned)
 	}
 }
 
@@ -155,10 +169,10 @@ func testRecycledRefusedDuplicate(t *testing.T) {
 // datagram it is handed: one of each two it returns through Recycle
 // several arrivals later, the other before it returns. Drop, dup and
 // reorder are armed at intervals, and every arrival draws an echo off
-// the free list. Every call scribbles over the free list: a kept buffer
+// the free list. Every call scribbles over the free list: a kept record
 // that the net recycled as well, or copied from for the twin of a
 // duplicate after its keeper gave it back, would be scribbled on or
-// reused. At the end the free list must hold each buffer the net ever
+// reused. At the end the free list must hold each record the net ever
 // owned once.
 func TestHandlerKeepsUntilRecycle(t *testing.T) {
 	k := newK()
@@ -170,65 +184,59 @@ func TestHandlerKeepsUntilRecycle(t *testing.T) {
 	b, _ := n.NewSocket(2)
 
 	const size = 64
-	owned := map[*byte]bool{}
-	own := func(buf []byte) { owned[&buf[:1][0]] = true }
-	for _, f := range n.free[0] {
+	owned := map[*Packet]bool{}
+	own := func(p *Packet) { owned[p] = true }
+	for _, f := range n.free {
 		own(f)
 	}
-	scribble := func() {
-		for _, f := range n.free[0] {
-			f = f[:cap(f)]
-			for i := range f {
-				f[i] = 0xDB
-			}
-		}
-	}
 	type keptBuf struct {
-		data []byte
+		data *Packet
 		id   byte
 	}
 	var held []keptBuf
 	giveBack := func() {
 		h := held[0]
 		held = held[1:]
-		if !bytes.Equal(h.data, datagram(make([]byte, size), h.id)) {
-			t.Errorf("kept datagram %d was written to while kept: %v", h.id, h.data)
+		if !bytes.Equal(h.data.Hdr, datagram(make([]byte, size), h.id)) {
+			t.Errorf("kept datagram %d was written to while kept: %v", h.id, h.data.Hdr)
 		}
 		b.Recycle(h.data)
 	}
 	calls, seen := 0, 0
-	b.SetHandler(func(data []byte, from int, eof bool) bool {
-		own(data)
-		scribble()
-		id := data[0]
-		if len(data) != size || !bytes.Equal(data, datagram(make([]byte, size), id)) {
-			t.Errorf("datagram %d arrived damaged: %v", id, data)
+	b.SetHandler(func(p *Packet, from int, eof bool) bool {
+		own(p)
+		scribble(n)
+		id := p.Hdr[0]
+		if p.Len() != size || !bytes.Equal(p.Hdr, datagram(make([]byte, size), id)) {
+			t.Errorf("datagram %d arrived damaged: %v", id, p.Hdr)
 		}
 		seen++
-		echo := a.PacketBuf(size)
+		echo := a.NewPacket(size)
 		own(echo)
-		b.SendTo(1, datagram(echo, id+100), nil)
+		datagram(echo.Hdr, id+100)
+		b.SendTo(1, echo, nil)
 		switch calls++; calls % 4 {
 		case 1, 3:
 			return false
 		case 0: // kept and given back at once, as by a reader waiting for it
-			b.Recycle(data)
-			scribble()
+			b.Recycle(p)
+			scribble(n)
 			return true
 		}
-		held = append(held, keptBuf{data, id})
+		held = append(held, keptBuf{p, id})
 		if len(held) > 3 {
 			giveBack()
 		}
 		return true
 	})
-	a.SetHandler(func(data []byte, from int, eof bool) bool { own(data); return false })
+	a.SetHandler(func(p *Packet, from int, eof bool) bool { own(p); return false })
 
 	k.Spawn("tx", func(p *kernel.Proc) {
 		for id := byte(1); id <= 60; id++ {
-			buf := a.PacketBuf(size)
-			own(buf)
-			a.SendTo(2, datagram(buf, id), nil)
+			pkt := a.NewPacket(size)
+			own(pkt)
+			datagram(pkt.Hdr, id)
+			a.SendTo(2, pkt, nil)
 			if id%6 == 0 {
 				p.SleepFor(5 * sim.Millisecond)
 			}
@@ -244,16 +252,10 @@ func TestHandlerKeepsUntilRecycle(t *testing.T) {
 	if _, _, dropped := n.Stats(); dropped == 0 || seen <= 60-int(dropped) {
 		t.Fatalf("b saw %d datagrams with %d dropped: the link was meant to drop and duplicate", seen, dropped)
 	}
-	if len(n.free[0]) != len(owned) || len(n.free[1]) != 0 {
-		t.Errorf("free list holds %d buffers at the end; the net ever owned %d", len(n.free[0]), len(owned))
+	if len(n.free) != len(owned) {
+		t.Errorf("free list holds %d records at the end; the net ever owned %d", len(n.free), len(owned))
 	}
-	for _, f := range n.free[0] {
-		if p := &f[:1][0]; !owned[p] {
-			t.Errorf("free list holds a buffer twice, or one the net never owned")
-		} else {
-			delete(owned, p)
-		}
-	}
+	checkFreeList(t, n, owned)
 }
 
 // backing returns the whole backing array of a kernel.Queue, the popped
@@ -286,7 +288,9 @@ func TestQueuesKeepNothingTheyPopped(t *testing.T) {
 	k.Spawn("tx", func(p *kernel.Proc) {
 		for sent := 0; sent < 1000; {
 			for i := 0; i < 8; i, sent = i+1, sent+1 {
-				a.SendTo(2, datagram(a.PacketBuf(256), byte(sent)), nil)
+				pkt := a.NewPacket(256)
+				datagram(pkt.Hdr, byte(sent))
+				a.SendTo(2, pkt, nil)
 			}
 			p.SleepFor(10 * sim.Millisecond)
 		}
@@ -341,13 +345,13 @@ func TestReadvTruncatesOversizedDatagram(t *testing.T) {
 	}
 }
 
-// TestQueuedDuplicateOwnsItsBuffer: a read hands its datagram's buffer
+// TestQueuedDuplicateOwnsItsBuffer: a read hands its datagram's record
 // back to the net, so a duplicated datagram must not sit in the receive
-// queue twice over one buffer — the second copy would be overwritten by
-// whatever is sent after the first is read. The copy, and a buffer a
-// SendTo caller made itself, may be smaller than the small free list's
-// buffers: every buffer resting on that list afterwards must still be
-// good for the largest small datagram.
+// queue twice over one record — the second copy would be overwritten by
+// whatever is sent after the first is read. A record a SendTo caller made
+// itself, with a header buffer smaller than the net's, is left to the
+// collector: every record resting on the free list afterwards must still
+// be good for the largest header.
 func TestQueuedDuplicateOwnsItsBuffer(t *testing.T) {
 	k := newK()
 	n := NewNet(k, Loopback())
@@ -356,6 +360,11 @@ func TestQueuedDuplicateOwnsItsBuffer(t *testing.T) {
 	b, _ := n.NewSocket(2)
 	const size = 64
 	want := datagram(make([]byte, size), 1)
+	send := func(dst int, size int, id byte) {
+		p := a.NewPacket(size)
+		datagram(p.Hdr, id)
+		a.SendTo(dst, p, nil)
+	}
 	k.Spawn("rx", func(p *kernel.Proc) {
 		got := make([]byte, size)
 		for i := 0; i < 2; i++ {
@@ -364,20 +373,65 @@ func TestQueuedDuplicateOwnsItsBuffer(t *testing.T) {
 			}
 			// Traffic that draws on the free list between the two reads.
 			for id := byte(10); id < 14; id++ {
-				a.SendTo(3, datagram(a.PacketBuf(size), id), nil)
+				send(3, size, id)
 			}
 			p.SleepFor(10 * sim.Millisecond)
 		}
-		a.SendTo(3, []byte{1, 2, 3}, nil) // the sender's own buffer, taken over
+		a.SendTo(3, &Packet{Hdr: []byte{1, 2, 3}}, nil) // the sender's own record, taken over
 		p.SleepFor(10 * sim.Millisecond)
-		for i := len(n.free[0]); i >= 0; i-- { // every resting buffer, and a new one
-			a.SendTo(3, datagram(a.PacketBuf(smallPacket), 20), nil)
+		for i := len(n.free); i >= 0; i-- { // every resting record, and a new one
+			send(3, smallPacket, 20)
+		}
+	})
+	k.Spawn("tx", func(p *kernel.Proc) { send(2, size, 1) })
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPayloadSharesBlocks: a datagram sent from a block shares it — the
+// socket takes a reference and copies nothing — and a duplicate shares
+// it too, with a header of its own. Each delivery reads the block's
+// bytes, and the last one to let go of the packet drops the reference:
+// the block comes back to its holder alone. Bytes of no block too long
+// for a header buffer travel in blocks of the machine's spares.
+func TestPayloadSharesBlocks(t *testing.T) {
+	k := newK()
+	n := NewNet(k, Loopback())
+	k.Faults().Arm(kernel.FaultArm{Site: n.DupSite(), K: 1, Match: kernel.MatchAny})
+	a, _ := n.NewSocket(1)
+	b, _ := n.NewSocket(2)
+	a.Connect(2)
+	blk := sim.NewBlock(512)
+	datagram(blk.Bytes, 7)
+	big := datagram(make([]byte, 3*smallPacket), 9)
+	var got [][]byte
+	k.Spawn("rx", func(p *kernel.Proc) {
+		for {
+			buf := make([]byte, 2*len(big))
+			m, err := b.Read(p.Ctx(), buf, 0)
+			if m == 0 || err != nil {
+				return
+			}
+			got = append(got, buf[:m])
 		}
 	})
 	k.Spawn("tx", func(p *kernel.Proc) {
-		a.SendTo(2, datagram(a.PacketBuf(size), 1), nil)
+		a.SpliceWrite(blk.Bytes[100:400], blk, func(error) {})
+		if !blk.Shared() {
+			t.Error("the datagram took no reference to the block it was sent from")
+		}
+		a.SpliceWrite(big, nil, func(error) {})
+		p.SleepFor(10 * sim.Millisecond)
+		_ = a.Close(p.Ctx())
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
+	}
+	if len(got) != 3 || !bytes.Equal(got[0], blk.Bytes[100:400]) || !bytes.Equal(got[1], got[0]) || !bytes.Equal(got[2], big) {
+		t.Fatalf("received %d datagrams, want the block's window twice and the long one", len(got))
+	}
+	if blk.Shared() {
+		t.Error("the packets kept their references to the block once read")
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"kdp/internal/disk"
 	"kdp/internal/kernel"
+	"kdp/internal/sim"
 	"kdp/internal/socket"
 )
 
@@ -139,10 +140,10 @@ func TestHoleBlockStaysZero(t *testing.T) {
 // nullSink completes every write at once.
 type nullSink struct{}
 
-func (nullSink) Read(kernel.Ctx, []byte, int64) (int, error)        { return 0, kernel.ErrOpNotSupp }
-func (nullSink) Write(_ kernel.Ctx, b []byte, _ int64) (int, error) { return len(b), nil }
-func (nullSink) Close(kernel.Ctx) error                             { return nil }
-func (nullSink) SpliceWrite(_ []byte, done func(error))             { done(nil) }
+func (nullSink) Read(kernel.Ctx, []byte, int64) (int, error)          { return 0, kernel.ErrOpNotSupp }
+func (nullSink) Write(_ kernel.Ctx, b []byte, _ int64) (int, error)   { return len(b), nil }
+func (nullSink) Close(kernel.Ctx) error                               { return nil }
+func (nullSink) SpliceWrite(_ []byte, _ *sim.Block, done func(error)) { done(nil) }
 
 // TestHoleBlockAllocatesNothing: a hole costs a header off the cache's
 // empty list over its zero block, and nothing from the Go heap. A

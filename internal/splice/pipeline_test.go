@@ -365,10 +365,10 @@ func TestBackedOffReadIsNotIssued(t *testing.T) {
 // failingSink is a Sink that refuses everything.
 type failingSink struct{ err error }
 
-func (s *failingSink) Read(kernel.Ctx, []byte, int64) (int, error)  { return 0, kernel.ErrOpNotSupp }
-func (s *failingSink) Write(kernel.Ctx, []byte, int64) (int, error) { return 0, s.err }
-func (s *failingSink) Close(kernel.Ctx) error                       { return nil }
-func (s *failingSink) SpliceWrite(_ []byte, done func(error))       { done(s.err) }
+func (s *failingSink) Read(kernel.Ctx, []byte, int64) (int, error)          { return 0, kernel.ErrOpNotSupp }
+func (s *failingSink) Write(kernel.Ctx, []byte, int64) (int, error)         { return 0, s.err }
+func (s *failingSink) Close(kernel.Ctx) error                               { return nil }
+func (s *failingSink) SpliceWrite(_ []byte, _ *sim.Block, done func(error)) { done(s.err) }
 
 func TestSinkFailureFlushesParkedBlocks(t *testing.T) {
 	// Block 0 comes off the disk while blocks 1-4 are cache hits, so they

@@ -44,6 +44,7 @@ package splice
 import (
 	"kdp/internal/buf"
 	"kdp/internal/kernel"
+	"kdp/internal/sim"
 )
 
 // EOF is the special size value requesting that the splice run until
@@ -127,9 +128,12 @@ type FileLike interface {
 // sockets and the framebuffer implement it. done must be invoked
 // exactly once when the sink has consumed the bytes and the underlying
 // buffer may be reused — data is on loan until then; it may be called
-// synchronously or later from an interrupt or callout.
+// synchronously or later from an interrupt or callout. blk is the block
+// data is a window of (a cache buffer's), or nil for bytes of no block:
+// a sink that keeps the bytes past done takes a reference to blk rather
+// than copying them, and never stores into it.
 type Sink interface {
-	SpliceWrite(data []byte, done func(err error))
+	SpliceWrite(data []byte, blk *sim.Block, done func(err error))
 }
 
 // Source produces spliced data at interrupt level (sockets, the

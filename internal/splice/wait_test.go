@@ -5,6 +5,7 @@ import (
 
 	"kdp/internal/disk"
 	"kdp/internal/kernel"
+	"kdp/internal/sim"
 	"kdp/internal/trace"
 )
 
@@ -15,7 +16,9 @@ type heldSink struct{ pending []func(error) }
 func (s *heldSink) Read(kernel.Ctx, []byte, int64) (int, error)        { return 0, kernel.ErrOpNotSupp }
 func (s *heldSink) Write(_ kernel.Ctx, b []byte, _ int64) (int, error) { return len(b), nil }
 func (s *heldSink) Close(kernel.Ctx) error                             { return nil }
-func (s *heldSink) SpliceWrite(_ []byte, done func(error))             { s.pending = append(s.pending, done) }
+func (s *heldSink) SpliceWrite(_ []byte, _ *sim.Block, done func(error)) {
+	s.pending = append(s.pending, done)
+}
 
 func (s *heldSink) release() {
 	for _, done := range s.pending {

@@ -5,6 +5,7 @@ import (
 
 	"kdp/internal/buf"
 	"kdp/internal/kernel"
+	"kdp/internal/sim"
 	"kdp/internal/trace"
 )
 
@@ -294,7 +295,11 @@ func (s *sink) send(b *buf.Buf, data []byte, tag int64) {
 		s.spare = w.next
 	}
 	w.b, w.n = b, len(data)
-	s.dst.SpliceWrite(data, w.done)
+	var blk *sim.Block
+	if b != nil {
+		blk = b.Lend()
+	}
+	s.dst.SpliceWrite(data, blk, w.done)
 }
 
 func (s *sink) scrub() {} // a Sink is not sized up front

@@ -113,17 +113,17 @@ func TestDelayedAckEconomy(t *testing.T) {
 		col := &trace.Collector{}
 		k.StartTrace(col)
 		var data, acks int
-		srv.sock.SetHandler(func(b []byte, from int, eof bool) bool {
-			if seg, ok := decodeSegment(b); ok && seg.typ == segDATA {
+		srv.sock.SetHandler(func(p *socket.Packet, from int, eof bool) bool {
+			if seg, ok := decodeSegment(p.Hdr); ok && seg.typ == segDATA {
 				data++
 			}
-			return srv.input(b, from, eof)
+			return srv.input(p, from, eof)
 		})
-		cli.sock.SetHandler(func(b []byte, from int, eof bool) bool {
-			if seg, ok := decodeSegment(b); ok && seg.typ == segACK {
+		cli.sock.SetHandler(func(p *socket.Packet, from int, eof bool) bool {
+			if seg, ok := decodeSegment(p.Hdr); ok && seg.typ == segACK {
 				acks++
 			}
-			return cli.input(b, from, eof)
+			return cli.input(p, from, eof)
 		})
 		msg := longPattern(1 << 20)
 		var got []byte
@@ -160,14 +160,17 @@ func TestDelayedAckEconomy(t *testing.T) {
 		k.Faults().Arm(kernel.FaultArm{Site: n.ReorderSite(), Every: 5, Match: kernel.MatchAny, Count: -1, Quiet: true})
 		k.Faults().Arm(kernel.FaultArm{Site: n.DupSite(), Every: 7, Match: kernel.MatchAny, Count: -1, Quiet: true})
 		seen := map[string]int{}
-		srv.sock.SetHandler(func(b []byte, from int, eof bool) bool {
-			seg, ok := decodeSegment(b)
+		srv.sock.SetHandler(func(p *socket.Packet, from int, eof bool) bool {
+			if eof {
+				return srv.input(p, from, eof)
+			}
+			seg, ok := decodeSegment(p.Hdr)
 			c := srv.conns[connKey(from, seg.connID)]
-			if !ok || eof || c == nil {
-				return srv.input(b, from, eof)
+			if !ok || c == nil {
+				return srv.input(p, from, eof)
 			}
 			class := ""
-			switch end := seg.seq + int64(len(seg.payload)); {
+			switch end := seg.seq + int64(p.Len()-hdrBytes); {
 			case seg.typ == segFIN:
 				class = "FIN"
 			case seg.typ != segDATA:
@@ -176,7 +179,7 @@ func TestDelayedAckEconomy(t *testing.T) {
 			case seg.seq <= c.rcvNxt && len(c.reasm) > 0:
 				class = "held-back segment"
 			}
-			kept := srv.input(b, from, eof)
+			kept := srv.input(p, from, eof)
 			if class == "" {
 				return kept
 			}

@@ -273,7 +273,7 @@ func TestStreamFailureReadiness(t *testing.T) {
 				// complete each exactly once with the terminal error.
 				var parked []error
 				c.SpliceRead(64, func(_ []byte, _ bool, err error) { parked = append(parked, err) })
-				c.SpliceWrite(make([]byte, sndCap+rcvCap+MaxSeg+1), func(err error) { parked = append(parked, err) })
+				c.SpliceWrite(make([]byte, sndCap+rcvCap+MaxSeg+1), nil, func(err error) { parked = append(parked, err) })
 				defer func() {
 					if len(parked) != 2 || parked[0] != tc.err || parked[1] != tc.err {
 						t.Errorf("parked splice write and read completed with %v, want %v once each", parked, tc.err)
@@ -385,7 +385,7 @@ func TestConnSpliceWiring(t *testing.T) {
 		if wn, err := c.Write(nb, []byte("x"), 0); wn != 0 || err != kernel.ErrWouldBlock {
 			t.Errorf("nonblocking write into a full send buffer = (%d, %v)", wn, err)
 		}
-		c.SpliceWrite(make([]byte, 100), func(err error) { log = append(log, fmt.Sprintf("w:%v", err)) })
+		c.SpliceWrite(make([]byte, 100), nil, func(err error) { log = append(log, fmt.Sprintf("w:%v", err)) })
 		if !leaks(cli.CheckDrained(), "1 write(s) never admitted") {
 			t.Errorf("CheckDrained with a queued write: %v", cli.CheckDrained())
 		}

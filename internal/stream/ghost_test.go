@@ -97,8 +97,11 @@ func TestGhostAnswersLateSegmentWithoutResurrecting(t *testing.T) {
 		t.Fatal(err)
 	}
 	var replies []segment
-	peer.SetHandler(func(data []byte, from int, eof bool) bool {
-		if s, ok := decodeSegment(data); ok && !eof {
+	peer.SetHandler(func(p *socket.Packet, from int, eof bool) bool {
+		if eof {
+			return false
+		}
+		if s, ok := decodeSegment(p.Hdr); ok {
 			replies = append(replies, s)
 		}
 		return false
@@ -115,7 +118,9 @@ func TestGhostAnswersLateSegmentWithoutResurrecting(t *testing.T) {
 		// stray data segment arrive for the retired key.
 		p.SleepFor(sim.Duration(ghostTTL()/2) * 10 * sim.Millisecond)
 		for _, typ := range []byte{segFIN, segDATA} {
-			tr.input(segment{typ: typ, connID: id, seq: 777}.encode(make([]byte, hdrBytes)), 6001, false)
+			pkt := tr.sock.NewPacket(hdrBytes)
+			segment{typ: typ, connID: id, seq: 777}.encode(pkt.Hdr)
+			tr.input(pkt, 6001, false)
 		}
 		p.SleepFor(200 * sim.Millisecond) // let the replies cross the link
 
@@ -145,7 +150,9 @@ func TestGhostAnswersLateSegmentWithoutResurrecting(t *testing.T) {
 		}
 
 		// A pure ACK for a retired key is dropped silently.
-		tr.input(segment{typ: segACK, connID: id}.encode(make([]byte, hdrBytes)), 6001, false)
+		ack := tr.sock.NewPacket(hdrBytes)
+		segment{typ: segACK, connID: id}.encode(ack.Hdr)
+		tr.input(ack, 6001, false)
 		p.SleepFor(200 * sim.Millisecond)
 		if len(replies) != 2 {
 			t.Errorf("late ACK drew %d extra repl(ies), want silence", len(replies)-2)

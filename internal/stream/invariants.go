@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"kdp/internal/kernel"
+	"kdp/internal/socket"
 )
 
 // Invariant checker: NewTransport tracks each transport on its kernel
@@ -38,6 +39,11 @@ import (
 //	                       out of the ghost table must not re-create a
 //	                       connection (only a fresh SYN may, and
 //	                       handleSYN deletes the ghost first)
+//	stream-span-held       every span a send buffer or a kept packet
+//	                       (receive queue, reassembly) holds lies inside
+//	                       its block, whose count is at least 1, and no
+//	                       send buffer has stored into a block something
+//	                       else references (kernel.FIFO.SpanFault)
 //	stream-delack-bound    a connection that owes a delayed ACK is
 //	                       queued on its transport, every queued
 //	                       connection owes one, and while the queue is
@@ -146,9 +152,14 @@ func (t *Transport) digest(d *kernel.Digest) {
 		d.Int(c.peerWnd)
 		d.Int(c.advWnd)
 		d.Int(int64(c.rcv.Len()))
+		for i := 0; i < c.rcv.pkts.Len(); i++ {
+			digestPacket(d, *c.rcv.pkts.At(i))
+		}
 		for _, s := range c.reasm {
 			d.Int(s.off)
+			digestPacket(d, s.pkt)
 		}
+		c.snd.DigestSpans(d)
 		d.Int(c.retries)
 		d.Int(c.probes)
 		d.Bool(c.delack)
@@ -227,5 +238,39 @@ func (c *Conn) check() error {
 	if c.delack && !slices.Contains(c.t.delacks, c) {
 		return kernel.Violation("stream-delack-bound", "%s: owes a delayed ACK but is not queued on port %d", c.label, c.t.port)
 	}
+	if why := c.snd.SpanFault(); why != "" {
+		return kernel.Violation("stream-span-held", "%s: send buffer: %s", c.label, why)
+	}
+	for i := 0; i < c.rcv.pkts.Len(); i++ {
+		if why := packetFault(*c.rcv.pkts.At(i)); why != "" {
+			return kernel.Violation("stream-span-held", "%s: receive queue: %s", c.label, why)
+		}
+	}
+	for _, s := range c.reasm {
+		if why := packetFault(s.pkt); why != "" {
+			return kernel.Violation("stream-span-held", "%s: reassembly at %d: %s", c.label, s.off, why)
+		}
+	}
 	return nil
+}
+
+// packetFault says what is wrong with a span of kept packet p
+// (sim.Span.Fault), or returns "".
+func packetFault(p *socket.Packet) string {
+	for _, s := range p.Data {
+		if why := s.Fault(); why != "" {
+			return why
+		}
+	}
+	return ""
+}
+
+// digestPacket folds in the spans of kept packet p.
+func digestPacket(d *kernel.Digest, p *socket.Packet) {
+	kernel.Ptr(d, p)
+	for _, s := range p.Data {
+		kernel.Ptr(d, s.Blk)
+		d.Int(int64(s.Off))
+		d.Int(int64(s.N))
+	}
 }

@@ -98,9 +98,12 @@ func (t *Transport) Port() int { return t.port }
 // input is the protocol input routine, invoked at interrupt level for
 // every datagram arriving on the transport's port. It keeps the packet
 // when a connection queued its payload (socket.SetHandler).
-func (t *Transport) input(data []byte, from int, eof bool) (kept bool) {
-	seg, ok := decodeSegment(data)
-	if !ok || eof {
+func (t *Transport) input(p *socket.Packet, from int, eof bool) (kept bool) {
+	if eof {
+		return false
+	}
+	seg, ok := decodeSegment(p.Hdr)
+	if !ok {
 		return false
 	}
 	t.gen.Bump() // input runs at interrupt level: one bump covers it
@@ -110,13 +113,14 @@ func (t *Transport) input(data []byte, from int, eof bool) (kept bool) {
 		return false
 	}
 	if c, live := t.conns[key]; live {
-		return c.handleSegment(seg, data)
+		return c.handleSegment(seg, p)
 	}
 	if e := t.ghost(key); e != nil && seg.typ != segACK {
 		// A lost final ACK left the peer retransmitting its FIN:
 		// answer with the recorded cumulative ack.
-		reply := segment{typ: segACK, connID: seg.connID, ack: e.final}
-		t.sock.SendTo(from, reply.encode(t.sock.PacketBuf(hdrBytes)), nil)
+		reply := t.sock.NewPacket(hdrBytes)
+		segment{typ: segACK, connID: seg.connID, ack: e.final}.encode(reply.Hdr)
+		t.sock.SendTo(from, reply, nil)
 	}
 	return false
 }

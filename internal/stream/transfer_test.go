@@ -205,12 +205,22 @@ func TestStreamTransferAllocBudget(t *testing.T) {
 }
 
 // BenchmarkStreamTransfer reports host ns, bytes and allocations per
-// simulated megabyte through one connection (set-up and the warm-up
-// included).
+// simulated megabyte through one connection, set-up included: written
+// by a process (write, with a 128 KB warm-up), and spliced from a file
+// (splice, the file's writes and the machine's build included).
 func BenchmarkStreamTransfer(b *testing.B) {
-	b.SetBytes(1 << 20)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_, _ = transferMeasured(b, 1<<20, false)
-	}
+	b.Run("write", func(b *testing.B) {
+		b.SetBytes(1 << 20)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_, _ = transferMeasured(b, 1<<20, false)
+		}
+	})
+	b.Run("splice", func(b *testing.B) {
+		b.SetBytes(1 << 20)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			spliceTransfer(b, 1<<20)
+		}
+	})
 }
