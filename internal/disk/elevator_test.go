@@ -1,11 +1,13 @@
 package disk
 
 import (
+	"slices"
 	"testing"
 
 	"kdp/internal/buf"
 	"kdp/internal/kernel"
 	"kdp/internal/sim"
+	"kdp/internal/trace"
 )
 
 // queueMixed enqueues async reads of the given blocks back to back and
@@ -78,8 +80,8 @@ func TestQueueForgetsServicedRequests(t *testing.T) {
 		if d.cur != nil && completed[d.cur] {
 			t.Errorf("%s: the drive still holds a completed request as active", when)
 		}
-		for i, b := range d.queue[:cap(d.queue)] {
-			switch {
+		for i, q := range d.queue[:cap(d.queue)] {
+			switch b := q.b; {
 			case i >= len(d.queue) && b != nil:
 				t.Errorf("%s: slot %d past the queue's %d entries still holds %v", when, i, len(d.queue), b)
 			case b != nil && completed[b]:
@@ -112,4 +114,54 @@ func TestQueueForgetsServicedRequests(t *testing.T) {
 		t.Fatalf("idle drive holds active %v and %d queued", d.cur, len(d.queue))
 	}
 	check("idle")
+}
+
+// TestQueueSortedArrivalAmongEquals: the drive queue is kept sorted by
+// block as requests arrive, those for one block in arrival order, so the
+// elevator's pick is a search; a crash still fails the queued requests
+// in the order they arrived.
+func TestQueueSortedArrivalAmongEquals(t *testing.T) {
+	k, _, d := newRig(RZ58(64, 8192))
+	col := &trace.Collector{}
+	k.StartTrace(col)
+	arrival := []int64{20, 7, 40, 7, 3, 40, 7} // the first goes active at once
+	var reqs []*buf.Buf
+	for _, blk := range arrival {
+		b := queued(blk)
+		reqs = append(reqs, b)
+		d.Strategy(b)
+	}
+	var got []*buf.Buf
+	for _, q := range d.queue {
+		got = append(got, q.b)
+	}
+	want := []*buf.Buf{reqs[4], reqs[1], reqs[3], reqs[6], reqs[2], reqs[5]}
+	if !slices.Equal(got, want) {
+		t.Fatalf("queue holds blocks %v, want 3, 7, 7, 7, 40, 40 in arrival order", blocksOf(got))
+	}
+	for head, want := range map[int64]int{0: 0, 3: 0, 4: 1, 7: 1, 8: 4, 40: 4, 41: 0} {
+		if d.headBlk = head; d.elevatorPick() != want {
+			t.Errorf("head at %d: pick %d (block %d), want index %d", head, d.elevatorPick(), d.queue[d.elevatorPick()].b.Blkno, want)
+		}
+	}
+	col.Reset()
+	if n := d.Crash(); n != 6 {
+		t.Fatalf("Crash dropped %d requests, want 6", n)
+	}
+	var failed []int64
+	for _, ev := range col.Events {
+		if ev.Kind == trace.KindDiskError {
+			failed = append(failed, ev.Arg1)
+		}
+	}
+	if !slices.Equal(failed, arrival[1:]) {
+		t.Errorf("Crash failed blocks %v, want the arrival order %v", failed, arrival[1:])
+	}
+}
+
+func blocksOf(bs []*buf.Buf) (blks []int64) {
+	for _, b := range bs {
+		blks = append(blks, b.Blkno)
+	}
+	return blks
 }

@@ -40,7 +40,8 @@ func (d *Disk) check() error {
 	if !d.active && len(d.queue) > 0 {
 		return kernel.Violation("disk-active", "%s: %d queued requests on inactive device", d.p.Name, len(d.queue))
 	}
-	for _, b := range d.queue {
+	for _, q := range d.queue {
+		b := q.b
 		if b == nil {
 			return kernel.Violation("disk-queue-busy", "%s: nil request in queue", d.p.Name)
 		}
@@ -57,7 +58,8 @@ func (d *Disk) check() error {
 // digest folds in what check reads.
 func (d *Disk) digest(g *kernel.Digest) {
 	g.Bool(d.active)
-	for _, b := range d.queue {
+	for _, q := range d.queue {
+		b := q.b
 		kernel.Ptr(g, b)
 		if b != nil {
 			g.Int(b.Blkno)

@@ -56,10 +56,6 @@ type Path struct {
 	// Label names the pairing in sweeps and metrics: the data path's
 	// own name under EngineProcs, event/escp under the event loop.
 	Label string
-	// move answers one request under EngineProcs: file descriptor to
-	// connection descriptor, FileBytes bytes. The event loop drives its
-	// two paths from its own state machine instead (event.go).
-	move workload.Mover
 }
 
 // Paths is the one table of valid pairings — the server-scalability
@@ -67,10 +63,10 @@ type Path struct {
 // kdptrace -server range over. Start refuses a Config whose (Engine,
 // Mode) is not listed.
 var Paths = []Path{
-	{EngineProcs, ModeCopy, ModeCopy.String(), rewound(ModeCopy)},
-	{EngineProcs, ModeSplice, ModeSplice.String(), rewound(ModeSplice)},
-	{EngineEvent, ModeCopy, "event", nil},
-	{EngineEvent, ModeSplice, "escp", nil},
+	{EngineProcs, ModeCopy, ModeCopy.String()},
+	{EngineProcs, ModeSplice, ModeSplice.String()},
+	{EngineEvent, ModeCopy, "event"},
+	{EngineEvent, ModeSplice, "escp"},
 }
 
 // lookup returns the table entry for an engine/mode pair, or nil.
@@ -175,8 +171,12 @@ func (s *Server) acceptLoop(p *kernel.Proc) {
 	}
 }
 
-// handle serves requests on one connection until the client closes.
+// handle serves requests on one connection until the client closes,
+// each with the handler's own mover: file descriptor to connection
+// descriptor, FileBytes bytes. The event loop drives its two paths from
+// its own state machine instead (event.go).
 func (s *Server) handle(p *kernel.Proc, conn *stream.Conn) {
+	move := rewound(s.path.Mode)
 	cfd := p.InstallFile(conn, kernel.ORdWr)
 	src, err := p.Open(s.cfg.Path, kernel.ORdOnly)
 	if err != nil {
@@ -188,7 +188,7 @@ func (s *Server) handle(p *kernel.Proc, conn *stream.Conn) {
 		if err != nil || n == 0 {
 			break // client closed (or connection failed)
 		}
-		served, err := s.path.move(p, src, cfd, s.cfg.FileBytes)
+		served, err := move(p, src, cfd, s.cfg.FileBytes)
 		s.bytes += served
 		if err != nil || served < s.cfg.FileBytes {
 			break

@@ -1,6 +1,9 @@
 package vm
 
-import "kdp/internal/kernel"
+import (
+	"kdp/internal/kernel"
+	"kdp/internal/sim"
+)
 
 // WriteFault takes the fault a store to addr would take and stops short
 // of the store — a state no schedule reaches (the fault's charges are
@@ -28,6 +31,27 @@ func (v *Pool) PageData(p *kernel.Proc, addr int64) []byte {
 		return pg.obj.backing.PageBuffer(pg.blk)
 	}
 	return nil
+}
+
+// PageWired reports whether the object page p's mapping shows at addr
+// is resident and wired or busy: a fault is using it.
+func (v *Pool) PageWired(p *kernel.Proc, addr int64) bool {
+	m := v.findMapping(p.Pid(), addr, 1)
+	if m == nil {
+		return false
+	}
+	pg := m.obj.pages[m.pgoff+(addr-m.addr)/int64(v.pageSize)]
+	return pg != nil && (pg.wired > 0 || pg.busy)
+}
+
+// Shadow returns the copy-on-write copy p's mapping holds for the page
+// at addr, nil if it holds none.
+func (v *Pool) Shadow(p *kernel.Proc, addr int64) *sim.Block {
+	m := v.findMapping(p.Pid(), addr, 1)
+	if m == nil || !m.private() {
+		return nil
+	}
+	return m.shadow[(addr-m.addr)/int64(v.pageSize)]
 }
 
 // unheldBlock is a block past the end of any test device, so no buffer

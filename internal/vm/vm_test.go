@@ -2,6 +2,7 @@ package vm_test
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"kdp/internal/buf"
@@ -904,16 +905,28 @@ func BenchmarkPageFaultWarm(b *testing.B) {
 // TestCOWPageOwnedWhileItsCopyIsCharged: the store that breaks sharing
 // charges the page copy, and a CPU charge begins and ends at a
 // scheduling boundary, where a probe checks the pool. The catalog must
-// hold there. The copy was once a page in the clock ring installed after
-// the charge, so every copy-on-write fault under a probe tripped
+// hold there, and the copy must already be its mapping's: a probe that
+// finds the object page resident and no longer wired — the fault has
+// taken its copy, which is being charged or done — finds the shadow
+// slot holding the copy. The copy was once a page in the clock ring installed after the
+// charge, so every copy-on-write fault under a probe tripped
 // vm-frame-owner; it is now a block its shadow slot holds, installed
 // before the charge.
 func TestCOWPageOwnedWhileItsCopyIsCharged(t *testing.T) {
 	r := newRig(t, 8)
+	var proc *kernel.Proc
+	addr, seen := int64(-1), 0
 	r.k.SetProbe(func() {
 		if err := r.pool.CheckInvariants(); err != nil {
 			r.k.Abort(err)
 		}
+		if proc == nil || addr < 0 || r.pool.PageData(proc, addr) == nil || r.pool.PageWired(proc, addr) {
+			return
+		}
+		if r.pool.Shadow(proc, addr) == nil {
+			r.k.Abort(errors.New("the page copy is charged before its mapping's shadow slot holds it"))
+		}
+		seen++
 	})
 	r.run(t, "cow", func(p *kernel.Proc) {
 		writeFile(t, p, "/v/f", pattern(bsize, 3))
@@ -921,7 +934,8 @@ func TestCOWPageOwnedWhileItsCopyIsCharged(t *testing.T) {
 		if err != nil {
 			t.Fatalf("open: %v", err)
 		}
-		addr, err := p.Mmap(fd, 0, bsize, kernel.ProtRead|kernel.ProtWrite, kernel.MapPrivate)
+		proc = p
+		addr, err = p.Mmap(fd, 0, bsize, kernel.ProtRead|kernel.ProtWrite, kernel.MapPrivate)
 		if err != nil {
 			t.Fatalf("mmap: %v", err)
 		}
@@ -935,5 +949,8 @@ func TestCOWPageOwnedWhileItsCopyIsCharged(t *testing.T) {
 	})
 	if n := r.tr.Metrics().VMCows; n != 1 {
 		t.Fatalf("%d copy-on-write faults, want 1", n)
+	}
+	if seen == 0 {
+		t.Fatal("no probe ran while the copy was charged")
 	}
 }

@@ -162,11 +162,14 @@ func DefaultCopySpec(src, dst string, mode CopyMode) CopySpec {
 
 // Mover returns spec's data path as a mover between two descriptors the
 // caller has already opened (Src, Dst and Fsync play no part, except
-// that mcp msyncs its mapping when Fsync is set).
+// that mcp msyncs its mapping when Fsync is set). The mover keeps cp's
+// user buffer from one call to the next, as a process keeps its own
+// memory: one process calls it, since a move may sleep halfway, and
+// each process that moves takes a Mover of its own.
 func (spec CopySpec) Mover() Mover {
+	c := &copier{CopySpec: spec}
 	return func(p *kernel.Proc, srcFD, dstFD int, size int64) (int64, error) {
-		c := copier{CopySpec: spec}
-		return paths[spec.Mode].move(&c, p, srcFD, dstFD, size)
+		return paths[spec.Mode].move(c, p, srcFD, dstFD, size)
 	}
 }
 
@@ -214,10 +217,12 @@ func Copy(p *kernel.Proc, spec CopySpec) (CopyResult, error) {
 	return CopyResult{Bytes: n, Elapsed: p.Now().Sub(start), Splice: c.stats}, err
 }
 
-// copier is one move in progress: the spec the movers read their
-// tuning from, and the splice statistics scp leaves behind.
+// copier is the state of one process's moves: the spec the movers read
+// their tuning from, cp's user buffer, and the splice statistics scp
+// leaves behind.
 type copier struct {
 	CopySpec
+	buf   []byte
 	stats splice.Stats
 }
 
@@ -243,7 +248,10 @@ func (c *copier) iovs() [][]byte {
 // LoopCost of user-mode loop overhead between the read and the write of
 // what it returned.
 func (c *copier) cp(p *kernel.Proc, src, dst int, size int64) (moved int64, err error) {
-	buf := make([]byte, c.BufSize)
+	if len(c.buf) != c.BufSize {
+		c.buf = make([]byte, c.BufSize)
+	}
+	buf := c.buf
 	for more(moved, size) {
 		n, err := p.Read(src, buf)
 		if err != nil || n == 0 {
