@@ -179,7 +179,8 @@ reach:
 # (§5.1: devices and sockets) and the packages at the core of the
 # poll/event-loop and cache/disk work must keep a statement-coverage
 # floor. awk parses
-# `go test -cover`'s "coverage: NN.N% of statements" line per package.
+# `go test -cover`'s "coverage: NN.N% of statements" line per package,
+# and fails on a package's FAIL line too: the pipeline's status is awk's.
 COVER_FLOOR ?= 75.0
 COVER_PKGS := ./internal/splice/ ./internal/kernel/ ./internal/stream/ \
 	./internal/server/ ./internal/buf/ ./internal/disk/ ./internal/fs/ \
@@ -187,6 +188,7 @@ COVER_PKGS := ./internal/splice/ ./internal/kernel/ ./internal/stream/ \
 cover:
 	$(GO) test -cover $(COVER_PKGS) | awk -v floor=$(COVER_FLOOR) '\
 		{ print } \
+		/^FAIL/ { bad = 1 } \
 		/coverage:/ { \
 			for (i = 1; i <= NF; i++) if ($$i == "coverage:") { pct = $$(i+1); sub(/%/, "", pct); \
 				if (pct + 0 < floor) { printf "FAIL: %s coverage %s%% below floor %s%%\n", $$2, pct, floor; bad = 1 } } \

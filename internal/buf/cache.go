@@ -39,11 +39,6 @@ type Cache struct {
 	// a hole borrows it; its count never falls to 1, so nothing stores
 	// into it.
 	zero *sim.Block
-	// spare holds the blocks this machine let go of (Drop), uncleared,
-	// for Spare: a rewrite draws the block the last one replaced, and a
-	// block's bytes stay on their machine until Release rests them.
-	spare []*sim.Block
-
 	// Sticky per-device write errors: a failed asynchronous write has
 	// no caller left to report to (biodone's brelse invalidates the
 	// buffer), so the first error per device is latched here and
@@ -110,8 +105,8 @@ func HoldBudget(nbuf int) int { return max(nbuf/8, 2) }
 
 // Release ends the cache's life: it drops its references to the buffers'
 // blocks, the zero block and the walker's shadow, and what no platter
-// still references rests, cleared, for the next machine, as do the
-// spare blocks. Any later getblk panics.
+// still references rests, cleared, for the next machine (the machine's
+// spare blocks rest with the kernel's Spares). Any later getblk panics.
 func (c *Cache) Release() {
 	if c.zero == nil {
 		panic("buf: cache released twice")
@@ -122,10 +117,6 @@ func (c *Cache) Release() {
 		b.blk, b.Data = nil, nil
 	}
 	c.zero.Unref()
-	for _, blk := range c.spare {
-		blk.Rest()
-	}
-	c.spare = nil
 	if w := c.ck; w != nil {
 		w.mem.Unref()
 	}
@@ -804,25 +795,14 @@ func (c *Cache) Store(b *Buf, whole bool) []byte {
 
 // Spare returns a block with one reference, for a caller that
 // overwrites its bytes whole: one this machine let go of, if there is
-// one, or else a zeroed one from sim's recycler.
-func (c *Cache) Spare() *sim.Block {
-	n := len(c.spare)
-	if n == 0 {
-		return sim.NewBlock(c.blockSize)
-	}
-	blk := c.spare[n-1]
-	c.spare = c.spare[:n-1]
-	blk.Ref()
-	return blk
-}
+// one (kernel.Spares), or else a zeroed one from sim's recycler. A
+// rewrite draws the block the last one replaced, and a block's bytes
+// stay on their machine until it is released.
+func (c *Cache) Spare() *sim.Block { return c.k.Spares().Get(c.blockSize) }
 
 // Drop drops a reference to blk (nil drops none). The last one keeps
 // blk, uncleared, for Spare.
-func (c *Cache) Drop(blk *sim.Block) {
-	if blk.Drop() {
-		c.spare = append(c.spare, blk)
-	}
-}
+func (c *Cache) Drop(blk *sim.Block) { c.k.Spares().Drop(blk) }
 
 // Load completes a read of b from a platter whose entry is blk (nil
 // reads as zeros): b shares the block.

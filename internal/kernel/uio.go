@@ -22,6 +22,7 @@ import "kdp/internal/trace"
 // charge nothing (callers charge through the Config cost model).
 type Uio struct {
 	Iovs [][]byte
+	at   int // bytes of Iovs[0] the last Scatter filled
 }
 
 // Total returns the summed length of the iovec array.
@@ -43,18 +44,18 @@ func (u Uio) Gather() []byte {
 	return out
 }
 
-// Scatter copies b across the iovecs in order and returns the number of
-// bytes placed; bytes beyond the vector's total length are discarded
-// (datagram truncation, as recvfrom does).
-func (u Uio) Scatter(b []byte) int {
+// Scatter copies b across the iovecs in order, from where the last
+// Scatter into u stopped, and returns the number of bytes placed; bytes
+// beyond the vector's total length are discarded (datagram truncation,
+// as recvfrom does). The iovecs' bytes change, the array does not.
+func (u *Uio) Scatter(b []byte) int {
 	n := 0
-	for _, iov := range u.Iovs {
-		if len(b) == 0 {
-			break
+	for len(b) > 0 && len(u.Iovs) > 0 {
+		c := copy(u.Iovs[0][u.at:], b)
+		b, n, u.at = b[c:], n+c, u.at+c
+		if u.at == len(u.Iovs[0]) {
+			u.Iovs, u.at = u.Iovs[1:], 0
 		}
-		c := copy(iov, b)
-		b = b[c:]
-		n += c
 	}
 	return n
 }

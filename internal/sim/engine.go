@@ -29,9 +29,12 @@ type Engine struct {
 	fired  uint64
 }
 
-// NewEngine returns an engine with the clock at zero.
+// NewEngine returns an engine with the clock at zero, its queue sized
+// for the events a machine keeps pending at once (a lossy stream
+// connection keeps 5 to 8), so that a run does not grow it on its busy
+// path.
 func NewEngine() *Engine {
-	return &Engine{}
+	return &Engine{queue: make([]event, 0, 16)}
 }
 
 // Now returns the current virtual time.
