@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"regexp"
 	"strconv"
@@ -178,6 +179,70 @@ func TestDominance(t *testing.T) {
 		if checked[name] != n {
 			t.Errorf("%s checked %d cp/scp pairs, want %d", name, checked[name], n)
 		}
+	}
+}
+
+// tracks is the band within which the event loop's availability
+// follows the process-per-connection server's on the same data path, in
+// points: the golden prints one decimal, and no row differs by more.
+const tracks = 0.2
+
+// tracking checks, on every client count of the server sweep in golden,
+// that event's availability is within tracks of cp's and escp's of
+// scp's, and returns how many pairs it checked and the first it found
+// apart.
+func tracking(golden string) (int, error) {
+	_, table, _ := strings.Cut(golden, "== kdpbench -sweep server ==\n")
+	table, _, _ = strings.Cut(table, "\n== ")
+	avail := map[string]float64{} // by clients and mode
+	for _, line := range strings.Split(table, "\n") {
+		f := strings.Fields(line)
+		if len(f) != 6 || !strings.HasSuffix(f[3], "%") {
+			continue
+		}
+		v, err := value(f[3])
+		if err != nil {
+			return 0, fmt.Errorf("server sweep row %q: %v", line, err)
+		}
+		avail[f[0]+" "+f[1]] = v
+	}
+	checked := 0
+	for _, n := range []string{"1", "2", "4", "8"} {
+		for _, pair := range [][2]string{{"cp", "event"}, {"scp", "escp"}} {
+			procs, ok1 := avail[n+" "+pair[0]]
+			event, ok2 := avail[n+" "+pair[1]]
+			if !ok1 || !ok2 {
+				return checked, fmt.Errorf("server sweep: no %s or %s row at %s clients", pair[0], pair[1], n)
+			}
+			checked++
+			if math.Abs(event-procs) > tracks+1e-9 {
+				return checked, fmt.Errorf("server sweep, %s clients: %s availability %.1f%% is not within %.1f points of %s's %.1f%%",
+					n, pair[1], event, tracks, pair[0], procs)
+			}
+		}
+	}
+	return checked, nil
+}
+
+// TestEventTracksProcs holds the server sweep's finding that the data
+// path sets availability and the process model does not: at 1, 2, 4
+// and 8 clients event tracks cp, and escp scp, within two tenths of a
+// point, whichever is ahead. A row planted a point apart must fail it.
+func TestEventTracksProcs(t *testing.T) {
+	golden, err := os.ReadFile("testdata/sweeps.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if checked, err := tracking(string(golden)); err != nil || checked != 8 {
+		t.Fatalf("tracking checked %d pairs, want 8: %v", checked, err)
+	}
+	const row = "8        escp          336      87.6%"
+	if strings.Count(string(golden), row) != 1 {
+		t.Fatalf("sweeps.golden holds %q %d times, want once", row, strings.Count(string(golden), row))
+	}
+	planted := strings.Replace(string(golden), row, "8        escp          336      88.6%", 1)
+	if _, err := tracking(planted); err == nil {
+		t.Error("an escp row a point above scp's passed")
 	}
 }
 

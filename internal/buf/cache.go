@@ -779,12 +779,15 @@ func (c *Cache) SetFlags(b *Buf, flags int) {
 
 // Store returns the data of pool buffer b for a caller that has b busy,
 // or holds its page, to store into. A block b shares with a platter or
-// another buffer is copied first, so the others keep their bytes; with
-// whole set the caller overwrites every byte, and the block is replaced
-// without the copy.
+// another buffer is copied first, so the others keep their bytes, into
+// one the machine let go of (kernel.Spares) if there is one, or else a
+// zeroed one from sim's recycler: a rewrite draws the block the last one
+// replaced, and a block's bytes stay on their machine until it is
+// released. With whole set the caller overwrites every byte, and the
+// block is replaced without the copy.
 func (c *Cache) Store(b *Buf, whole bool) []byte {
 	if b.blk.Shared() {
-		blk := c.Spare()
+		blk := c.k.Spares().Get(c.blockSize)
 		if !whole {
 			copy(blk.Bytes, b.Data)
 		}
@@ -792,17 +795,6 @@ func (c *Cache) Store(b *Buf, whole bool) []byte {
 	}
 	return b.Data
 }
-
-// Spare returns a block with one reference, for a caller that
-// overwrites its bytes whole: one this machine let go of, if there is
-// one (kernel.Spares), or else a zeroed one from sim's recycler. A
-// rewrite draws the block the last one replaced, and a block's bytes
-// stay on their machine until it is released.
-func (c *Cache) Spare() *sim.Block { return c.k.Spares().Get(c.blockSize) }
-
-// Drop drops a reference to blk (nil drops none). The last one keeps
-// blk, uncleared, for Spare.
-func (c *Cache) Drop(blk *sim.Block) { c.k.Spares().Drop(blk) }
 
 // Load completes a read of b from a platter whose entry is blk (nil
 // reads as zeros): b shares the block.
@@ -820,9 +812,10 @@ func (c *Cache) Load(b *Buf, blk *sim.Block) {
 func (b *Buf) Lend() *sim.Block { return b.blk }
 
 // setBlock makes pool buffer b reference blk, whose reference it takes
-// over, and drops the one it held.
+// over, and drops the one it held: the last one leaves it, uncleared,
+// on the machine's spares for the next Store.
 func (c *Cache) setBlock(b *Buf, blk *sim.Block) {
-	c.Drop(b.blk)
+	c.k.Spares().Drop(b.blk)
 	b.blk, b.Data = blk, blk.Bytes
 }
 

@@ -100,8 +100,7 @@ func (pp *Pipe) take(max int) (data []byte, eof bool) {
 // consume moves the oldest bytes of the pipe into dst and returns how
 // many that was.
 func (pp *Pipe) consume(dst []byte) int {
-	n := pp.q.CopyOut(dst, 0)
-	pp.q.Drop(n)
+	n := pp.q.Read(dst)
 	pp.out += int64(n)
 	return n
 }

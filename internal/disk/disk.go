@@ -337,7 +337,7 @@ func (d *Disk) transfer(b *buf.Buf) {
 	default:
 		if blk := b.Lend(); blk != nil && b.Bcount == d.p.BlockSize {
 			blk.Ref()
-			d.drop(d.blocks[b.Blkno])
+			d.k.Spares().Drop(d.blocks[b.Blkno])
 			d.blocks[b.Blkno] = blk
 		} else {
 			d.WriteRaw(b.Blkno, b.Data[:b.Bcount])
@@ -487,7 +487,7 @@ func (d *Disk) WriteRaw(blkno int64, p []byte) {
 	for end := d.span(blkno, len(p)); blkno < end; blkno++ {
 		blk := d.blocks[blkno]
 		if blk == nil || blk.Shared() {
-			fresh := d.spare()
+			fresh := d.k.Spares().Get(d.p.BlockSize)
 			switch {
 			case len(p) >= d.p.BlockSize:
 			case blk != nil:
@@ -495,28 +495,10 @@ func (d *Disk) WriteRaw(blkno int64, p []byte) {
 			default:
 				clear(fresh.Bytes)
 			}
-			d.drop(blk)
+			d.k.Spares().Drop(blk)
 			blk, d.blocks[blkno] = fresh, fresh
 		}
 		p = p[copy(blk.Bytes, p):]
-	}
-}
-
-// spare returns a block for WriteRaw to fill, from the machine's spares
-// (before SetCache, mkfs's, from sim's recycler).
-func (d *Disk) spare() *sim.Block {
-	if d.cache == nil {
-		return sim.NewBlock(d.p.BlockSize)
-	}
-	return d.cache.Spare()
-}
-
-// drop drops the platter's reference to blk, likewise.
-func (d *Disk) drop(blk *sim.Block) {
-	if d.cache == nil {
-		blk.Unref()
-	} else {
-		d.cache.Drop(blk)
 	}
 }
 

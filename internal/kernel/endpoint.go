@@ -84,7 +84,8 @@ func (r *ParkedRead) Parked() bool { return r.deliver != nil }
 // copies bytes into a block of the queue's own, Share takes a reference
 // to a block someone else filled instead of copying it, Spans hands a
 // reader the queued bytes by reference, and Drop lets the oldest go. A
-// byte Push copies in is never moved again; only CopyOut copies it out.
+// byte Push copies in is never moved again; only CopyOut (and Read,
+// which drops what it copied) copies it out.
 //
 // Push stores into the newest block only while nothing else references
 // it (the one sharing rule, as buf.Cache.Store's): a block a packet or
@@ -174,6 +175,14 @@ func (f *FIFO) CopyOut(dst []byte, off int) int {
 		n += copy(dst[n:], b[off:])
 		off = 0
 	}
+	return n
+}
+
+// Read moves the oldest bytes into dst, as many as fit, and returns how
+// many: CopyOut from the front, then Drop.
+func (f *FIFO) Read(dst []byte) int {
+	n := f.CopyOut(dst, 0)
+	f.Drop(n)
 	return n
 }
 

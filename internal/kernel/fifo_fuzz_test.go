@@ -18,8 +18,8 @@ type held struct {
 // runFIFO drives one FIFO from a program of 3-byte ops against a flat
 // reference: Push (fresh bytes), Share (a window of a block the test
 // keeps a reference to, as a cache buffer does), Spans (kept as a packet
-// is), Drop, CopyOut, and letting go of the oldest block or packet the
-// test holds. Its Spares start with small blocks, so a few bytes cross
+// is), Drop or Read, CopyOut, and letting go of the oldest block or
+// packet the test holds. Its Spares start with small blocks, so a few bytes cross
 // block boundaries. After every op the queue must read what the
 // reference holds, report no SpanFault, and leave every byte another
 // holder reads as it was: Push stores only into a block it holds alone.
@@ -81,9 +81,13 @@ func runFIFO(t *testing.T, prog []byte) (stored int) {
 			if !bytes.Equal(got, model[off:off+n]) {
 				t.Fatalf("Spans(%d, %d) = %v, reference %v", off, n, got, model[off:off+n])
 			}
-		case 3:
+		case 3: // Drop, or Read, which drops what it copies out
 			n := arg % (len(model) + 1)
-			f.Drop(n)
+			if arg&1 == 0 {
+				f.Drop(n)
+			} else if dst := make([]byte, n); f.Read(dst) != n || !bytes.Equal(dst, model[:n]) {
+				t.Fatalf("Read(%d bytes) = %v, reference %v", n, dst, model[:n])
+			}
 			model = model[n:]
 		case 4:
 			off := arg % (len(model) + 1)

@@ -18,6 +18,18 @@ func datagram(b []byte, id byte) []byte {
 	return b
 }
 
+// head returns the bytes of p's first span: the header NewPacket made.
+func head(p *Packet) []byte { return p.Data[0].Bytes() }
+
+// bytesOf returns a copy of p's bytes, its spans' in order.
+func bytesOf(p *Packet) []byte {
+	var b []byte
+	for _, s := range p.Data {
+		b = append(b, s.Bytes()...)
+	}
+	return b
+}
+
 // TestPacketBuffersRecycledAfterLastDelivery holds the net to handing
 // every packet record back exactly once, after its last delivery, and
 // never while a delivery keeps it.
@@ -29,12 +41,12 @@ func TestPacketBuffersRecycledAfterLastDelivery(t *testing.T) {
 // testRecycledBetweenHandlers sends patterned datagrams between two
 // handler sockets with dup and reorder armed on the same arrival and
 // drop on the next one. Every handler call copies what it
-// was lent, scribbles over every header buffer on the free list, then
-// builds an echo in a record from that list. A record recycled before
-// its last delivery would be scribbled on or reused while still owed to
-// a handler, and one recycled twice or never would leave the free list
-// larger or smaller than the number of records the net ever owned: those
-// it was built with and those NewPacket made.
+// was lent, scribbles over the spare header blocks, then builds an echo
+// in a record from the free list. A record or header block recycled
+// before its last delivery would be reused or scribbled on while still
+// owed to a handler, and a record recycled twice or never would leave
+// the free list larger or smaller than the number of records the net
+// ever owned: those it was built with and those NewPacket made.
 func testRecycledBetweenHandlers(t *testing.T) {
 	k := newK()
 	n := NewNet(k, Loopback())
@@ -52,12 +64,12 @@ func testRecycledBetweenHandlers(t *testing.T) {
 	build := func(s *Socket, id byte) *Packet {
 		p := s.NewPacket(size)
 		owned[p] = true
-		datagram(p.Hdr, id)
+		datagram(head(p), id)
 		return p
 	}
 	var atA, atB []byte // first byte of each datagram seen, i.e. its id
 	see := func(ids *[]byte, p *Packet) {
-		kept := append([]byte(nil), p.Hdr...)
+		kept := bytesOf(p)
 		scribble(n)
 		if len(kept) != size || !bytes.Equal(kept, datagram(make([]byte, size), kept[0])) {
 			t.Errorf("datagram %d arrived damaged: %v", kept[0], kept)
@@ -66,7 +78,7 @@ func testRecycledBetweenHandlers(t *testing.T) {
 	}
 	b.SetHandler(func(p *Packet, from int, eof bool) bool {
 		see(&atB, p)
-		b.SendTo(from, build(b, p.Hdr[0]+100), nil)
+		b.SendTo(from, build(b, head(p)[0]+100), nil)
 		return false
 	})
 	a.SetHandler(func(p *Packet, from int, eof bool) bool { see(&atA, p); return false })
@@ -103,13 +115,18 @@ func testRecycledBetweenHandlers(t *testing.T) {
 	checkFreeList(t, n, owned)
 }
 
-// scribble overwrites the header buffer of every record on n's free list.
+// scribble overwrites the sixteen header blocks the machine's spares
+// would hand out next, where one let go of too early would be.
 func scribble(n *Net) {
-	for _, f := range n.free {
-		h := f.Hdr[:cap(f.Hdr)]
-		for i := range h {
-			h[i] = 0xDB
+	var blks [16]*sim.Block
+	for i := range blks {
+		blks[i] = n.k.Spares().Get(smallPacket)
+		for j := range blks[i].Bytes {
+			blks[i].Bytes[j] = 0xDB
 		}
+	}
+	for i := range blks {
+		n.k.Spares().Drop(blks[len(blks)-1-i])
 	}
 }
 
@@ -129,19 +146,18 @@ func checkFreeList(t *testing.T, n *Net, owned map[*Packet]bool) {
 }
 
 // testRecycledRefusedDuplicate: a queued socket with room for one
-// datagram keeps the first delivery of a duplicated one and refuses its
-// twin. The twin's record goes back to the free list, and the read that
-// copies the kept one out returns that one: the free list ends holding
-// every record the net ever owned.
+// datagram of more than half its receive bound keeps the first delivery
+// of a duplicated one and refuses its twin. The twin's record goes back
+// to the free list, and the read that copies the kept one out returns
+// that one: the free list ends holding every record the net ever owned.
 func testRecycledRefusedDuplicate(t *testing.T) {
-	const size = 64
+	const size = rcvBufBytes/2 + 1
 	k := newK()
-	p := Loopback()
-	p.RcvBufBytes = size
-	n := NewNet(k, p)
+	n := NewNet(k, Loopback())
 	k.Faults().Arm(kernel.FaultArm{Site: n.DupSite(), K: 1, Match: kernel.MatchAny})
 	a, _ := n.NewSocket(1)
 	b, _ := n.NewSocket(2)
+	a.Connect(2)
 	owned := len(n.free)
 	k.Spawn("rx", func(p *kernel.Proc) {
 		got := make([]byte, size)
@@ -150,9 +166,7 @@ func testRecycledRefusedDuplicate(t *testing.T) {
 		}
 	})
 	k.Spawn("tx", func(p *kernel.Proc) {
-		pkt := a.NewPacket(size)
-		datagram(pkt.Hdr, 1)
-		a.SendTo(2, pkt, nil)
+		a.SpliceWrite(datagram(make([]byte, size), 1), nil, func(error) {})
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -197,8 +211,8 @@ func TestHandlerKeepsUntilRecycle(t *testing.T) {
 	giveBack := func() {
 		h := held[0]
 		held = held[1:]
-		if !bytes.Equal(h.data.Hdr, datagram(make([]byte, size), h.id)) {
-			t.Errorf("kept datagram %d was written to while kept: %v", h.id, h.data.Hdr)
+		if got := bytesOf(h.data); !bytes.Equal(got, datagram(make([]byte, size), h.id)) {
+			t.Errorf("kept datagram %d was written to while kept: %v", h.id, got)
 		}
 		b.Recycle(h.data)
 	}
@@ -206,14 +220,15 @@ func TestHandlerKeepsUntilRecycle(t *testing.T) {
 	b.SetHandler(func(p *Packet, from int, eof bool) bool {
 		own(p)
 		scribble(n)
-		id := p.Hdr[0]
-		if p.Len() != size || !bytes.Equal(p.Hdr, datagram(make([]byte, size), id)) {
-			t.Errorf("datagram %d arrived damaged: %v", id, p.Hdr)
+		got := bytesOf(p)
+		id := got[0]
+		if p.Len() != size || !bytes.Equal(got, datagram(make([]byte, size), id)) {
+			t.Errorf("datagram %d arrived damaged: %v", id, got)
 		}
 		seen++
 		echo := a.NewPacket(size)
 		own(echo)
-		datagram(echo.Hdr, id+100)
+		datagram(head(echo), id+100)
 		b.SendTo(1, echo, nil)
 		switch calls++; calls % 4 {
 		case 1, 3:
@@ -235,7 +250,7 @@ func TestHandlerKeepsUntilRecycle(t *testing.T) {
 		for id := byte(1); id <= 60; id++ {
 			pkt := a.NewPacket(size)
 			own(pkt)
-			datagram(pkt.Hdr, id)
+			datagram(head(pkt), id)
 			a.SendTo(2, pkt, nil)
 			if id%6 == 0 {
 				p.SleepFor(5 * sim.Millisecond)
@@ -289,7 +304,7 @@ func TestQueuesKeepNothingTheyPopped(t *testing.T) {
 		for sent := 0; sent < 1000; {
 			for i := 0; i < 8; i, sent = i+1, sent+1 {
 				pkt := a.NewPacket(256)
-				datagram(pkt.Hdr, byte(sent))
+				datagram(head(pkt), byte(sent))
 				a.SendTo(2, pkt, nil)
 			}
 			p.SleepFor(10 * sim.Millisecond)
@@ -346,12 +361,11 @@ func TestReadvTruncatesOversizedDatagram(t *testing.T) {
 }
 
 // TestQueuedDuplicateOwnsItsBuffer: a read hands its datagram's record
-// back to the net, so a duplicated datagram must not sit in the receive
-// queue twice over one record — the second copy would be overwritten by
-// whatever is sent after the first is read. A record a SendTo caller made
-// itself, with a header buffer smaller than the net's, is left to the
-// collector: every record resting on the free list afterwards must still
-// be good for the largest header.
+// and header block back to the net, so a duplicated datagram must not
+// sit in the receive queue twice over one record, nor over a block the
+// first read let go of — the second copy would be overwritten by
+// whatever is sent after the first is read. Every record resting on the
+// free list afterwards must still be good for the largest header.
 func TestQueuedDuplicateOwnsItsBuffer(t *testing.T) {
 	k := newK()
 	n := NewNet(k, Loopback())
@@ -362,7 +376,7 @@ func TestQueuedDuplicateOwnsItsBuffer(t *testing.T) {
 	want := datagram(make([]byte, size), 1)
 	send := func(dst int, size int, id byte) {
 		p := a.NewPacket(size)
-		datagram(p.Hdr, id)
+		datagram(head(p), id)
 		a.SendTo(dst, p, nil)
 	}
 	k.Spawn("rx", func(p *kernel.Proc) {
@@ -377,8 +391,6 @@ func TestQueuedDuplicateOwnsItsBuffer(t *testing.T) {
 			}
 			p.SleepFor(10 * sim.Millisecond)
 		}
-		a.SendTo(3, &Packet{Hdr: []byte{1, 2, 3}}, nil) // the sender's own record, taken over
-		p.SleepFor(10 * sim.Millisecond)
 		for i := len(n.free); i >= 0; i-- { // every resting record, and a new one
 			send(3, smallPacket, 20)
 		}
@@ -391,10 +403,10 @@ func TestQueuedDuplicateOwnsItsBuffer(t *testing.T) {
 
 // TestPayloadSharesBlocks: a datagram sent from a block shares it — the
 // socket takes a reference and copies nothing — and a duplicate shares
-// it too, with a header of its own. Each delivery reads the block's
+// it too, in a record of its own. Each delivery reads the block's
 // bytes, and the last one to let go of the packet drops the reference:
 // the block comes back to its holder alone. Bytes of no block too long
-// for a header buffer travel in blocks of the machine's spares.
+// for a header block travel in blocks of the machine's spares.
 func TestPayloadSharesBlocks(t *testing.T) {
 	k := newK()
 	n := NewNet(k, Loopback())

@@ -30,10 +30,11 @@ type NetParams struct {
 	// PerPacketCost is the protocol-processing CPU charge per packet
 	// on each side (UDP/IP input and output processing).
 	PerPacketCost sim.Duration
-	// RcvBufBytes bounds each socket's receive queue; datagrams
-	// arriving beyond it are dropped, as UDP does.
-	RcvBufBytes int
 }
+
+// rcvBufBytes bounds each socket's receive queue; datagrams arriving
+// beyond it are dropped, as UDP does.
+const rcvBufBytes = 64 << 10
 
 // Ethernet10 returns parameters for the era's 10Mb/s shared Ethernet.
 func Ethernet10() NetParams {
@@ -41,7 +42,6 @@ func Ethernet10() NetParams {
 		Bandwidth:     1.25e6,
 		Latency:       600 * sim.Microsecond,
 		PerPacketCost: 120 * sim.Microsecond,
-		RcvBufBytes:   64 << 10,
 	}
 }
 
@@ -51,57 +51,33 @@ func Loopback() NetParams {
 		Bandwidth:     16e6,
 		Latency:       50 * sim.Microsecond,
 		PerPacketCost: 60 * sim.Microsecond,
-		RcvBufBytes:   64 << 10,
 	}
 }
 
-// Packet is a datagram as the net carries it: a header in a small
-// buffer of the net's own, then a payload of block spans, the way a
-// 4.4BSD mbuf chain is a header mbuf and references to clusters. A
-// datagram's bytes are Hdr's followed by the spans'; each span holds a
-// reference to its block, so a payload moves between holders by
-// reference and its bytes are copied only where a reader copies them out.
-// A payload small enough travels in the header buffer instead, copied,
-// as a small one does in an mbuf: a block referenced for a few bytes
-// would hold a whole block for them.
+// Packet is a datagram as the net carries it: a chain of block spans,
+// the way a 4.4BSD mbuf chain is a header mbuf and references to
+// clusters. A datagram's bytes are its spans' in order; each span holds
+// a reference to its block, so a payload moves between holders by
+// reference and its bytes are copied only where a reader copies them
+// out. A packet NewPacket builds with a header has it as its first
+// span, in a smallPacket-byte block of the machine's Spares; a payload
+// small enough extends that span, copied, as a small one travels in a
+// header mbuf: a block referenced for a few bytes would hold a whole
+// block for them.
 type Packet struct {
-	Hdr  []byte             // the header and a small payload, in a buffer of capacity smallPacket
-	Data []sim.Span         // the payload
-	buf  *[smallPacket]byte // the net's buffer Hdr is a window of; nil for a caller's
+	Data []sim.Span
 }
 
-// Len returns the datagram's length: header plus payload.
+// Len returns the datagram's length.
 func (p *Packet) Len() int {
 	if p == nil {
 		return 0
 	}
-	n := len(p.Hdr)
+	n := 0
 	for _, s := range p.Data {
 		n += s.N
 	}
 	return n
-}
-
-// Trim drops the first n bytes of the datagram, Hdr's first: each span
-// it empties lets go of its block through spares and leaves Data, whose
-// array p keeps.
-func (p *Packet) Trim(n int, spares *kernel.Spares) {
-	h := min(n, len(p.Hdr))
-	p.Hdr, n = p.Hdr[h:], n-h
-	i := 0
-	for ; i < len(p.Data) && n >= p.Data[i].N; i++ {
-		n -= p.Data[i].N
-		spares.Drop(p.Data[i].Blk)
-	}
-	if i > 0 {
-		k := copy(p.Data, p.Data[i:])
-		clear(p.Data[k:])
-		p.Data = p.Data[:k]
-	}
-	if n > 0 {
-		p.Data[0].Off += n
-		p.Data[0].N -= n
-	}
 }
 
 // packet is a datagram on its way: an EOF marker has no Packet.
@@ -136,7 +112,7 @@ type Net struct {
 	txq    kernel.Queue[txRequest]
 	txBusy bool
 	// free is the packet records nobody refers to any more, for
-	// NewPacket: each keeps its header buffer and its span array.
+	// NewPacket: each keeps its span array.
 	free []*Packet
 
 	// The link serves one request at a time and every datagram
@@ -160,9 +136,6 @@ func NewNet(k *kernel.Kernel, p NetParams) *Net {
 	if p.Bandwidth <= 0 {
 		panic("socket: bandwidth must be positive")
 	}
-	if p.RcvBufBytes <= 0 {
-		p.RcvBufBytes = 64 << 10
-	}
 	name := p.Name
 	if name == "" {
 		name = "net"
@@ -178,31 +151,29 @@ func NewNet(k *kernel.Kernel, p NetParams) *Net {
 	n.flying.Grow(netRecords)
 	n.free = make([]*Packet, netRecords)
 	recs := make([]Packet, netRecords)
-	slab := make([][smallPacket]byte, netRecords)
 	spans := make([]sim.Span, netRecords*packetSpans)
 	for i := range recs {
-		recs[i].buf = &slab[i]
 		recs[i].Data = spans[i*packetSpans : i*packetSpans : (i+1)*packetSpans]
 		n.free[i] = &recs[i]
 	}
 	return n
 }
 
-// packetSpans is the payload spans a record has room for from the
-// start: a segment of MaxSeg bytes over blocks of as many needs two when
-// it does not start at a block's first byte.
-const packetSpans = 2
+// packetSpans is the spans a record has room for from the start: a
+// header, and a segment of MaxSeg bytes over blocks of as many, which
+// needs two when it does not start at a block's first byte.
+const packetSpans = 3
 
 // netRecords sizes a net's link and propagation queues and its stock of
 // packet records at construction. It is measured on one stream
 // connection moving a megabyte (stream's TestStreamTransferAllocBudget),
 // which peaks at 3 queued datagrams, 3 in propagation and 5 packet
 // records out (3, 4 and 8 on its lossy link), counting the packets the
-// receiving connection keeps, so that traffic reaches no new high-water
-// mark after its warm-up; a queue reclaims its popped slots only once
-// they are most of its array, hence the margin. Busier traffic, such as
-// many connections at once, may still grow the queues and the stock
-// past it.
+// receiving connection stashes for reassembly, so that traffic reaches
+// no new high-water mark after its warm-up; a queue reclaims its popped
+// slots only once they are most of its array, hence the margin. Busier
+// traffic, such as many connections at once, may still grow the queues
+// and the stock past it.
 const netRecords = 16
 
 // DropSite returns the net's datagram-loss fault site ID.
@@ -309,13 +280,12 @@ func (n *Net) deliver(port int, pkt packet) {
 // queue's until the read that empties it, a handler's until it calls
 // Recycle, which it may do before it returns. So a duplicate gets a
 // record of its own before the first delivery, while the packet is
-// still the net's: a copy of the header, and a reference of its own to
-// each block of the payload, whose bytes nobody stores into.
+// still the net's: a reference of its own to each block of the chain,
+// header's included, whose bytes nobody stores into.
 func (n *Net) arrive(port int, pkt packet, dup bool) {
 	twin := pkt
 	if dup {
-		twin.Packet = n.newPacket(len(pkt.Hdr))
-		copy(twin.Hdr, pkt.Hdr)
+		twin.Packet = n.newPacket(0)
 		for _, s := range pkt.Data {
 			s.Blk.Ref()
 			twin.Data = append(twin.Data, s)
@@ -351,7 +321,7 @@ func (n *Net) deliverTo(port int, pkt packet) (kept bool) {
 		n.k.TraceEmit(trace.KindNetRx, 0, int64(size), int64(port), "")
 		return s.handler(pkt.Packet, pkt.from, pkt.eof)
 	}
-	if s.rcvBytes+size > n.p.RcvBufBytes {
+	if s.rcvBytes+size > rcvBufBytes {
 		n.dropped++
 		n.k.TraceEmit(trace.KindNetDrop, 0, int64(size), int64(port), "")
 		return false
@@ -442,7 +412,7 @@ func (s *Socket) takeDatagram(max int) (data []byte, eof bool) {
 // placed; what does not fit is left behind.
 func scatter(iovs [][]byte, p *Packet) int {
 	u := kernel.Uio{Iovs: iovs}
-	n := u.Scatter(p.Hdr)
+	n := 0
 	for _, sp := range p.Data {
 		n += u.Scatter(sp.Bytes())
 	}
@@ -459,13 +429,14 @@ func scatter(iovs [][]byte, p *Packet) int {
 //
 // p is the packet itself (nil with eof). fn returns kept = false to
 // lend it back: the net reuses it once fn has returned. It returns kept
-// = true to take it over, as 4.3BSD's sbappend links an mbuf into a
-// socket buffer: the packet is then its keeper's until handed back
-// through Recycle, which may happen before fn returns. The keeper may
-// consume the payload's spans (a span it empties it drops through the
-// machine's Spares and takes out of Data) but stores into no block. A
-// duplicated datagram reaches fn twice in records of its own, so
-// keeping one never shares the other's.
+// = true to take it over, as 4.3BSD's tcp_reass queues a segment's
+// mbufs: the packet is then its keeper's until handed back through
+// Recycle, which may happen before fn returns. Kept or not, fn may
+// share the blocks of p's spans (kernel.FIFO.Share takes a reference of
+// its own) but stores into none of them: a duplicated datagram reaches
+// fn twice in records of its own over the same blocks. The stream
+// transport keeps only what it stashes for reassembly; in-order data
+// it shares into a connection's receive buffer and lends p back.
 func (s *Socket) SetHandler(fn func(p *Packet, from int, eof bool) (kept bool)) {
 	s.handler = fn
 }
@@ -475,9 +446,12 @@ func (s *Socket) SetHandler(fn func(p *Packet, from int, eof bool) (kept bool)) 
 // references.
 func (s *Socket) Recycle(p *Packet) { s.net.recycle(p) }
 
-// NewPacket returns a packet with an hdr-byte header of unspecified
-// content and no payload, to build a datagram for SendTo in, off the
-// net's free list when that has one. hdr is at most smallPacket.
+// NewPacket returns a packet, off the net's free list when that has
+// one, to build a datagram for SendTo in: with hdr > 0, its one span is
+// an hdr-byte header of unspecified content at the front of a
+// smallPacket-byte block drawn from the machine's Spares, which the
+// caller may extend over a small payload; with hdr 0 it has no span.
+// The caller appends the payload's spans, each holding a reference.
 func (s *Socket) NewPacket(hdr int) *Packet { return s.net.newPacket(hdr) }
 
 func (n *Net) newPacket(hdr int) *Packet {
@@ -486,21 +460,21 @@ func (n *Net) newPacket(hdr int) *Packet {
 		p = n.free[top]
 		n.free[top], n.free = nil, n.free[:top]
 	} else {
-		p = &Packet{buf: new([smallPacket]byte)}
+		p = &Packet{Data: make([]sim.Span, 0, packetSpans)}
 	}
-	p.Hdr = p.buf[:hdr]
+	if hdr > 0 {
+		p.Data = append(p.Data, sim.Span{Blk: n.k.Spares().Get(smallPacket), N: hdr})
+	}
 	return p
 }
 
-// smallPacket is the capacity of every packet's header buffer: a
-// datagram of no more bytes than this that comes from no block travels
-// in its header buffer alone, as a small one does in an mbuf.
+// smallPacket is the size of a header's block: a datagram of no more
+// bytes than this that comes from no block travels in it alone, as a
+// small one does in an mbuf.
 const smallPacket = 256
 
-// recycle drops the references p's payload holds and puts p on the free
-// list (nil recycles nothing). A record whose header buffer is not one
-// of the net's (a caller of SendTo built it) is left to the collector,
-// which keeps every record on the list good for any datagram.
+// recycle drops the references p's spans hold and puts p on the free
+// list (nil recycles nothing).
 func (n *Net) recycle(p *Packet) {
 	if p == nil {
 		return
@@ -511,10 +485,7 @@ func (n *Net) recycle(p *Packet) {
 	}
 	clear(p.Data)
 	p.Data = p.Data[:0]
-	if p.buf != nil {
-		p.Hdr = p.buf[:0]
-		n.free = append(n.free, p)
-	}
+	n.free = append(n.free, p)
 }
 
 // SendTo transmits one datagram toward dst, independent of the
@@ -614,8 +585,8 @@ func (s *Socket) PollQueue() *kernel.PollQueue { return &s.pollQ }
 // SpliceWrite implements the splice Sink interface: each chunk is sent
 // as one datagram; done fires when the link has accepted it, which is
 // the sink-side flow control. The datagram shares blk, the block data
-// is a window of; data of no block is copied into the packet's header
-// buffer when it fits, and into blocks of the machine's Spares
+// is a window of; data of no block is copied into a header block
+// (NewPacket) when it fits, and into blocks of the machine's Spares
 // otherwise. Either way data is not read again once the call has
 // returned.
 func (s *Socket) SpliceWrite(data []byte, blk *sim.Block, done func(error)) {
@@ -633,9 +604,9 @@ func (s *Socket) SpliceWrite(data []byte, blk *sim.Block, done func(error)) {
 		p = s.net.newPacket(0)
 		blk.Ref()
 		p.Data = append(p.Data, sim.SpanOf(blk, data))
-	case len(data) <= smallPacket:
+	case len(data) > 0 && len(data) <= smallPacket:
 		p = s.net.newPacket(len(data))
-		copy(p.Hdr, data)
+		copy(p.Data[0].Bytes(), data)
 	default:
 		p = s.net.newPacket(0)
 		for len(data) > 0 {

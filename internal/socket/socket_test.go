@@ -161,9 +161,7 @@ func TestLinkSerializationPacesTransfers(t *testing.T) {
 
 func TestReceiveBufferOverflowDrops(t *testing.T) {
 	k := newK()
-	p := Loopback()
-	p.RcvBufBytes = 4096
-	n := NewNet(k, p)
+	n := NewNet(k, Loopback())
 	a, _ := n.NewSocket(1)
 	if _, err := n.NewSocket(2); err != nil {
 		t.Fatal(err)
@@ -171,8 +169,8 @@ func TestReceiveBufferOverflowDrops(t *testing.T) {
 	a.Connect(2)
 	k.Spawn("send", func(pr *kernel.Proc) {
 		fd := pr.InstallFile(a, kernel.OWrOnly)
-		for i := 0; i < 10; i++ { // 10KB into a 4KB rcv buffer, no reader
-			_, _ = pr.Write(fd, make([]byte, 1024))
+		for i := 0; i < 10; i++ { // 80KB into a 64KB rcv buffer, no reader
+			_, _ = pr.Write(fd, make([]byte, 8192))
 		}
 		pr.SleepFor(100 * sim.Millisecond)
 	})
@@ -358,7 +356,7 @@ func TestDupAndReorderSites(t *testing.T) {
 	k.Spawn("tx", func(p *kernel.Proc) {
 		for i := byte(1); i <= 4; i++ {
 			pkt := a.NewPacket(1)
-			pkt.Hdr[0] = i
+			head(pkt)[0] = i
 			a.SendTo(2, pkt, nil) // back to back: all four are in flight together
 		}
 		p.SleepFor(10 * sim.Millisecond)

@@ -74,15 +74,15 @@ type Conn struct {
 	stalled  bool
 	failed   error
 
-	// Receiver. rcv holds in-order bytes awaiting the consumer, in the
-	// packets that brought them; reasm holds out-of-order segments, in
-	// their packets too, in start-offset order; advWnd
-	// is the window last advertised to the peer and rcvAdv its right
-	// edge (rcvNxt+advWnd at that send); delack is set while an ACK of
-	// in-order data is owed and the connection waits on its transport's
-	// fast timeout.
+	// Receiver. rcv holds in-order bytes awaiting the consumer, sharing
+	// the blocks of the packets that brought them; reasm holds
+	// out-of-order segments, in their packets, in start-offset order;
+	// advWnd is the window last advertised to the peer and rcvAdv its
+	// right edge (rcvNxt+advWnd at that send); delack is set while an
+	// ACK of in-order data is owed and the connection waits on its
+	// transport's fast timeout.
 	rcvNxt    int64
-	rcv       rcvQueue
+	rcv       kernel.FIFO
 	reasm     []reasmSeg
 	advWnd    int64
 	rcvAdv    int64
@@ -110,6 +110,7 @@ func newConn(t *Transport, remote int, id uint32, st connState) *Conn {
 		label:     fmt.Sprintf("%d->%d#%d", t.port, remote, id),
 		state:     st,
 		snd:       kernel.WriteQueue{Cap: sndCap, FIFO: kernel.FIFO{Spares: t.k.Spares()}},
+		rcv:       kernel.FIFO{Spares: t.k.Spares()},
 		finAt:     -1,
 		remoteFin: -1,
 		rtoTicks:  initialRTO,
@@ -158,10 +159,11 @@ func (c *Conn) seqEnd() int64 {
 // packet gets a header of its own, encoded afresh for every transmission
 // and retransmission, and shares the send buffer's blocks for its
 // payload, the n bytes from off on: no byte is copied. A payload that
-// fits in the header buffer's free bytes is copied there instead, as
-// tcp_output copies a small one into the header mbuf: shared, the send
-// buffer's newest block could take no more bytes, and a run of small
-// writes would pin a block per segment at the receiver until it reads.
+// fits in the header block's free bytes extends the header's span,
+// copied, as tcp_output copies a small one into the header mbuf:
+// shared, the send buffer's newest block could take no more bytes, and
+// a run of small writes would pin a block per segment at the receiver
+// until it reads.
 func (c *Conn) sendSeg(typ byte, seq int64, off, n int) {
 	c.t.gen.Bump() // covers the caller's writes after the send too
 	c.advWnd = c.freeWnd()
@@ -177,10 +179,11 @@ func (c *Conn) sendSeg(typ byte, seq int64, off, n int) {
 		wnd:    c.advWnd,
 	}
 	p := c.t.sock.NewPacket(hdrBytes)
-	seg.encode(p.Hdr)
-	if n <= cap(p.Hdr)-hdrBytes {
-		p.Hdr = p.Hdr[:hdrBytes+n]
-		c.snd.CopyOut(p.Hdr[hdrBytes:], off)
+	h := &p.Data[0]
+	seg.encode(h.Bytes())
+	if n <= len(h.Blk.Bytes)-hdrBytes {
+		h.N += n
+		c.snd.CopyOut(h.Bytes()[hdrBytes:], off)
 	} else {
 		p.Data = c.snd.Spans(p.Data, off, n)
 	}
@@ -374,18 +377,19 @@ func (c *Conn) handleSegment(seg segment, p *socket.Packet) (kept bool) {
 }
 
 // acceptData admits the payload of packet p at offset seq and reports
-// whether its ACK may be delayed and whether the connection kept p. In-order data is accepted while receive space remains (one
-// segment of overshoot is allowed, so a window probe never wedges at an
-// exact boundary); out-of-order data is stashed for reassembly when it
+// whether its ACK may be delayed and whether the connection kept p.
+// In-order data is accepted while receive space remains (one segment of
+// overshoot is allowed, so a window probe never wedges at an exact
+// boundary): the receive buffer shares its blocks and p goes back to
+// the net. Out-of-order data is stashed for reassembly, p kept, when it
 // ends inside the receive window. The right edge of the window never
 // moves left, and a sender sends past the edge it last heard only a
 // probe at rcvNxt, so this turns away only a peer that ignores the
 // window; its stash would carry the buffer past stream-rcv-bound once
-// the hole filled. Either way the packet itself is queued, its payload
-// the sender's blocks, not a copy of its bytes. As in 4.3BSD's tcp_input, only in-order data that finds
-// the reassembly queue empty and completes no FIN queues a delayed ACK,
-// before the reader is served, so a window update the drain sends
-// carries it.
+// the hole filled. Either way no byte of the payload is copied. As in
+// 4.3BSD's tcp_input, only in-order data that finds the reassembly
+// queue empty and completes no FIN queues a delayed ACK, before the
+// reader is served, so a window update the drain sends carries it.
 func (c *Conn) acceptData(seq int64, p *socket.Packet) (delayed, kept bool) {
 	n := p.Len() - hdrBytes
 	if n == 0 {
@@ -400,7 +404,7 @@ func (c *Conn) acceptData(seq int64, p *socket.Packet) (delayed, kept bool) {
 			return false, false // window closed: acknowledge only
 		}
 		delayed = len(c.reasm) == 0
-		c.rcv.push(p, int(c.rcvNxt-seq), c.t)
+		c.share(p, c.rcvNxt-seq)
 		c.rcvNxt = end
 		c.drainReasm()
 		c.tryConsumeFin()
@@ -408,7 +412,7 @@ func (c *Conn) acceptData(seq int64, p *socket.Packet) (delayed, kept bool) {
 			c.t.queueDelack(c)
 		}
 		c.serveReader()
-		return delayed, true
+		return delayed, false
 	case end <= c.rcvNxt+c.freeWnd():
 		i, dup := slices.BinarySearchFunc(c.reasm, seq, func(s reasmSeg, off int64) int { return cmp.Compare(s.off, off) })
 		if !dup {
@@ -435,20 +439,32 @@ type reasmSeg struct {
 
 // drainReasm folds stashed out-of-order segments into the in-order
 // buffer, lowest offset first, so reassembly is deterministic
-// regardless of arrival interleaving. A segment the in-order data has
-// overtaken whole goes back to the net.
+// regardless of arrival interleaving. Each packet goes back to the net
+// once its bytes the in-order data has not overtaken are shared.
 func (c *Conn) drainReasm() {
 	n := 0
 	for ; n < len(c.reasm) && c.reasm[n].off <= c.rcvNxt; n++ {
 		s := c.reasm[n]
 		if end := s.off + int64(s.n); end > c.rcvNxt {
-			c.rcv.push(s.pkt, int(c.rcvNxt-s.off), c.t)
+			c.share(s.pkt, c.rcvNxt-s.off)
 			c.rcvNxt = end
-		} else {
-			c.t.sock.Recycle(s.pkt)
 		}
+		c.t.sock.Recycle(s.pkt)
 	}
 	c.reasm = append(c.reasm[:0], c.reasm[n:]...)
+}
+
+// share appends the payload of segment packet p past its first skip
+// bytes to the receive buffer, one Share per span: the buffer takes a
+// reference of its own to each block, so p can go back to the net.
+func (c *Conn) share(p *socket.Packet, skip int64) {
+	off := hdrBytes + int(skip)
+	for _, s := range p.Data {
+		if off < s.N {
+			c.rcv.Share(s.Blk, s.Bytes()[off:])
+		}
+		off = max(off-s.N, 0)
+	}
 }
 
 // tryConsumeFin advances over the peer's FIN once all data before it
@@ -486,7 +502,7 @@ func (c *Conn) serveReader() {
 func (c *Conn) take(max int) (data []byte, eof bool) {
 	if n := min(c.rcv.Len(), max); n > 0 {
 		data = make([]byte, n)
-		c.rcv.read(data, c.t)
+		c.rcv.Read(data)
 	}
 	return data, c.drained()
 }
@@ -562,7 +578,7 @@ func (c *Conn) Read(ctx kernel.Ctx, b []byte, off int64) (int, error) {
 	if c.rcv.Len() == 0 {
 		return 0, c.failed // the terminal error, or nil at EOF
 	}
-	n := c.rcv.read(b, c.t)
+	n := c.rcv.Read(b)
 	c.drained()
 	return n, nil
 }

@@ -114,13 +114,13 @@ func TestDelayedAckEconomy(t *testing.T) {
 		k.StartTrace(col)
 		var data, acks int
 		srv.sock.SetHandler(func(p *socket.Packet, from int, eof bool) bool {
-			if seg, ok := decodeSegment(p.Hdr); ok && seg.typ == segDATA {
+			if seg, ok := decodeSegment(p); ok && seg.typ == segDATA {
 				data++
 			}
 			return srv.input(p, from, eof)
 		})
 		cli.sock.SetHandler(func(p *socket.Packet, from int, eof bool) bool {
-			if seg, ok := decodeSegment(p.Hdr); ok && seg.typ == segACK {
+			if seg, ok := decodeSegment(p); ok && seg.typ == segACK {
 				acks++
 			}
 			return cli.input(p, from, eof)
@@ -164,7 +164,7 @@ func TestDelayedAckEconomy(t *testing.T) {
 			if eof {
 				return srv.input(p, from, eof)
 			}
-			seg, ok := decodeSegment(p.Hdr)
+			seg, ok := decodeSegment(p)
 			c := srv.conns[connKey(from, seg.connID)]
 			if !ok || c == nil {
 				return srv.input(p, from, eof)

@@ -101,7 +101,7 @@ func TestGhostAnswersLateSegmentWithoutResurrecting(t *testing.T) {
 		if eof {
 			return false
 		}
-		if s, ok := decodeSegment(p.Hdr); ok {
+		if s, ok := decodeSegment(p); ok {
 			replies = append(replies, s)
 		}
 		return false
@@ -119,7 +119,7 @@ func TestGhostAnswersLateSegmentWithoutResurrecting(t *testing.T) {
 		p.SleepFor(sim.Duration(ghostTTL()/2) * 10 * sim.Millisecond)
 		for _, typ := range []byte{segFIN, segDATA} {
 			pkt := tr.sock.NewPacket(hdrBytes)
-			segment{typ: typ, connID: id, seq: 777}.encode(pkt.Hdr)
+			segment{typ: typ, connID: id, seq: 777}.encode(pkt.Data[0].Bytes())
 			tr.input(pkt, 6001, false)
 		}
 		p.SleepFor(200 * sim.Millisecond) // let the replies cross the link
@@ -151,7 +151,7 @@ func TestGhostAnswersLateSegmentWithoutResurrecting(t *testing.T) {
 
 		// A pure ACK for a retired key is dropped silently.
 		ack := tr.sock.NewPacket(hdrBytes)
-		segment{typ: segACK, connID: id}.encode(ack.Hdr)
+		segment{typ: segACK, connID: id}.encode(ack.Data[0].Bytes())
 		tr.input(ack, 6001, false)
 		p.SleepFor(200 * sim.Millisecond)
 		if len(replies) != 2 {

@@ -39,11 +39,12 @@ import (
 //	                       out of the ghost table must not re-create a
 //	                       connection (only a fresh SYN may, and
 //	                       handleSYN deletes the ghost first)
-//	stream-span-held       every span a send buffer or a kept packet
-//	                       (receive queue, reassembly) holds lies inside
-//	                       its block, whose count is at least 1, and no
-//	                       send buffer has stored into a block something
-//	                       else references (kernel.FIFO.SpanFault)
+//	stream-span-held       every span a send or receive buffer or a
+//	                       packet stashed for reassembly holds lies
+//	                       inside its block, whose count is at least 1,
+//	                       and no send buffer has stored into a block
+//	                       something else references
+//	                       (kernel.FIFO.SpanFault)
 //	stream-delack-bound    a connection that owes a delayed ACK is
 //	                       queued on its transport, every queued
 //	                       connection owes one, and while the queue is
@@ -151,10 +152,7 @@ func (t *Transport) digest(d *kernel.Digest) {
 		d.Int(c.rcvNxt)
 		d.Int(c.peerWnd)
 		d.Int(c.advWnd)
-		d.Int(int64(c.rcv.Len()))
-		for i := 0; i < c.rcv.pkts.Len(); i++ {
-			digestPacket(d, *c.rcv.pkts.At(i))
-		}
+		c.rcv.DigestSpans(d)
 		for _, s := range c.reasm {
 			d.Int(s.off)
 			digestPacket(d, s.pkt)
@@ -241,10 +239,8 @@ func (c *Conn) check() error {
 	if why := c.snd.SpanFault(); why != "" {
 		return kernel.Violation("stream-span-held", "%s: send buffer: %s", c.label, why)
 	}
-	for i := 0; i < c.rcv.pkts.Len(); i++ {
-		if why := packetFault(*c.rcv.pkts.At(i)); why != "" {
-			return kernel.Violation("stream-span-held", "%s: receive queue: %s", c.label, why)
-		}
+	if why := c.rcv.SpanFault(); why != "" {
+		return kernel.Violation("stream-span-held", "%s: receive buffer: %s", c.label, why)
 	}
 	for _, s := range c.reasm {
 		if why := packetFault(s.pkt); why != "" {
@@ -254,7 +250,7 @@ func (c *Conn) check() error {
 	return nil
 }
 
-// packetFault says what is wrong with a span of kept packet p
+// packetFault says what is wrong with a span of stashed packet p
 // (sim.Span.Fault), or returns "".
 func packetFault(p *socket.Packet) string {
 	for _, s := range p.Data {
@@ -265,7 +261,7 @@ func packetFault(p *socket.Packet) string {
 	return ""
 }
 
-// digestPacket folds in the spans of kept packet p.
+// digestPacket folds in the spans of stashed packet p.
 func digestPacket(d *kernel.Digest, p *socket.Packet) {
 	kernel.Ptr(d, p)
 	for _, s := range p.Data {

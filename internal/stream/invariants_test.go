@@ -39,8 +39,8 @@ func newCheckRig(t testing.TB) *checkRig {
 	return r
 }
 
-// packet returns a kept packet as the net delivers one to the rig's
-// server, with n payload bytes in blocks of the machine's spares.
+// packet returns a packet as the net delivers one to the rig's server:
+// a header span, then n payload bytes in blocks of the machine's spares.
 func (r *checkRig) packet(n int) *socket.Packet {
 	p := r.srv.sock.NewPacket(hdrBytes)
 	for n > 0 {
@@ -61,7 +61,7 @@ func TestCatalogTrips(t *testing.T) {
 	}{
 		{"stream-seq-order", func(r *checkRig) { r.c.sndUna = r.c.sndNxt + 1 }},
 		{"stream-wnd-neg", func(r *checkRig) { r.c.peerWnd = -1 }},
-		{"stream-rcv-bound", func(r *checkRig) { r.c.rcv.push(r.packet(rcvCap+MaxSeg+1), 0, r.srv) }},
+		{"stream-rcv-bound", func(r *checkRig) { r.c.rcv.Push(make([]byte, rcvCap+MaxSeg+1)) }},
 		{"stream-reasm-bound", func(r *checkRig) { r.c.reasm = []reasmSeg{{off: r.c.rcvNxt, n: 1, pkt: r.packet(1)}} }},
 		{"stream-retry-bound", func(r *checkRig) { r.c.retries = maxRetries + 1 }},
 		{"stream-probe-bound", func(r *checkRig) { r.c.probes = maxRetries + 1 }},
@@ -77,17 +77,23 @@ func TestCatalogTrips(t *testing.T) {
 			blk.Drop()
 			blk.Drop()
 		}},
-		{"stream-span-held", func(r *checkRig) { // a kept packet's span past its block's end
+		{"stream-span-held", func(r *checkRig) { // a receive buffer's block released under it
+			blk := sim.NewBlock(64)
+			r.c.rcv.Share(blk, blk.Bytes[:10])
+			blk.Drop()
+			blk.Drop()
+		}},
+		{"stream-span-held", func(r *checkRig) { // a stashed packet's span past its block's end
 			p := r.packet(10)
-			p.Data[0].N = len(p.Data[0].Blk.Bytes) + 1
-			r.c.rcv.push(p, 0, r.srv)
+			p.Data[1].N = len(p.Data[1].Blk.Bytes) + 1
+			r.c.reasm = []reasmSeg{{off: r.c.rcvNxt + 100, n: 10, pkt: p}}
 		}},
 		{"stream-span-held", func(r *checkRig) { // a stashed packet's block released under it
 			p := r.packet(10)
 			p.Data[0].Blk.Drop()
 			r.c.reasm = []reasmSeg{{off: r.c.rcvNxt + 100, n: 10, pkt: p}}
 		}},
-		{"stream-conn-leak", func(r *checkRig) { r.c.rcv.push(r.packet(1), 0, r.srv) }},
+		{"stream-conn-leak", func(r *checkRig) { r.c.rcv.Push(make([]byte, 1)) }},
 	}
 	for _, fault := range faults {
 		t.Run(fault.name, func(t *testing.T) {
@@ -115,7 +121,9 @@ func TestCatalogTrips(t *testing.T) {
 func TestCheckAllocatesNothing(t *testing.T) {
 	r := newCheckRig(t)
 	r.c.reasm = []reasmSeg{{off: r.c.rcvNxt + 100, n: 1, pkt: r.packet(1)}}
-	r.c.rcv.push(r.packet(MaxSeg+1), 0, r.srv)
+	p := r.packet(MaxSeg + 1)
+	r.c.share(p, 0)
+	r.srv.sock.Recycle(p)
 	r.c.snd.Push(make([]byte, 100))
 	r.srv.queueDelack(r.c)
 	r.cli.addGhost(connKey(80, 3), 7)

@@ -17,20 +17,21 @@ func streamByte(off int64) byte { return byte(off) ^ byte(off>>8)*3 ^ byte(off>>
 // reader's offset up to rcvNxt. An op delivers a data segment that
 // starts at or before rcvNxt (a partial duplicate when before) or past
 // it (for reassembly), of 1 to MaxSeg bytes, as the net does: in a
-// packet whose payload is a chain of one to three spans, each placed
-// somewhere inside a block of the machine's spares, or, one delivery in
-// eight, of at most 231 bytes after the header in its buffer, as
-// sendSeg sends a small one; recycled unless the connection keeps it. Or it reads (Read) or takes (a splice read's
+// packet whose payload is a chain of one to three spans after its
+// header's, each placed somewhere inside a block of the machine's
+// spares, or, one delivery in eight, of at most 231 bytes extending the
+// header's span, as sendSeg sends a small one; recycled unless the
+// connection keeps it. Or it reads (Read) or takes (a splice read's
 // take) 1 to 2·MaxSeg bytes, which must be the reference's next bytes.
-// Between ops it draws packet records and spare blocks, scribbles on
-// them and gives them back: a block let go of while a queued span still
-// refers to it reads back scribbled, and a packet handed back while
-// still queued comes out of the free list while the connection holds it.
-// The catalog is checked after every op, and a final read must empty
-// the queue. Once the link has carried off the acknowledgements (to a
-// port nobody binds, so they are recycled on arrival), every packet the
-// connection kept must be back on the net's free list, and every block
-// back on the spares, unreferenced.
+// Between ops it draws packet records with their header blocks and
+// spare blocks, scribbles on them and gives them back: a block let go
+// of while the receive buffer still shares it reads back scribbled, and
+// a packet handed back while still stashed comes out of the free list
+// while the connection holds it. The catalog is checked after every op,
+// and a final read must empty the buffer. Once the link has carried off
+// the acknowledgements (to a port nobody binds, so they are recycled on
+// arrival), every packet the connection kept must be back on the net's
+// free list, and every block back on the spares, unreferenced.
 //
 // `go test -fuzz=FuzzRcvQueue ./internal/stream` searches; plain
 // `go test` replays testdata/fuzz/FuzzRcvQueue.
@@ -51,15 +52,17 @@ func FuzzRcvQueue(f *testing.F) {
 			p := tr.sock.NewPacket(hdrBytes)
 			seen[p] = true
 			delete(kept, p) // handed back and drawn again
-			segment{typ: segDATA, connID: c.id, seq: seq, wnd: rcvCap}.encode(p.Hdr)
-			if small := cap(p.Hdr) - hdrBytes; cut>>13 == 0 {
+			h := &p.Data[0]
+			blocks[h.Blk] = true
+			segment{typ: segDATA, connID: c.id, seq: seq, wnd: rcvCap}.encode(h.Bytes())
+			if small := len(h.Blk.Bytes) - hdrBytes; cut>>13 == 0 {
 				size = 1 + size%small
-				p.Hdr = p.Hdr[:hdrBytes+size]
+				h.N += size
 				for i := range size {
-					p.Hdr[hdrBytes+i] = streamByte(seq + int64(i))
+					h.Bytes()[hdrBytes+i] = streamByte(seq + int64(i))
 				}
 			}
-			for at := len(p.Hdr) - hdrBytes; at < size; cut /= 3 {
+			for at := p.Len() - hdrBytes; at < size; cut /= 3 {
 				blk := k.Spares().Get(kernel.FIFOBlock)
 				blocks[blk] = true
 				off := cut % 512
@@ -118,8 +121,8 @@ func FuzzRcvQueue(f *testing.F) {
 			data, _ := c.take(len(buf))
 			check("final take", data)
 		}
-		if c.rcvNxt != read || c.rcv.pkts.Len() != 0 {
-			t.Fatalf("read up to %d of %d; %d packets still queued", read, c.rcvNxt, c.rcv.pkts.Len())
+		if c.rcvNxt != read {
+			t.Fatalf("read up to %d of %d", read, c.rcvNxt)
 		}
 		for _, q := range c.reasm {
 			delete(kept, q.pkt) // past the last in-order byte: still stashed
@@ -152,35 +155,29 @@ func FuzzRcvQueue(f *testing.F) {
 	})
 }
 
-// scribbleFree draws packet records and spare blocks off the machine,
-// overwrites them and gives them back. A record or block drawn twice, or
-// a record c still holds, fails the test.
+// scribbleFree draws packet records with their header blocks and spare
+// blocks off the machine, overwrites them and gives them back. A record
+// or block drawn twice, or a record c still holds, fails the test.
 func scribbleFree(t *testing.T, tr *Transport, c *Conn) {
 	var recs []*socket.Packet
 	var blks []*sim.Block
 	seen := map[any]bool{}
 	for range 4 {
 		p := tr.sock.NewPacket(hdrBytes)
-		for i := 0; i < c.rcv.pkts.Len(); i++ {
-			if *c.rcv.pkts.At(i) == p {
-				t.Fatal("the free list handed out a packet the receive queue holds")
-			}
-		}
 		for _, q := range c.reasm {
 			if q.pkt == p {
 				t.Fatal("the free list handed out a packet reassembly holds")
 			}
 		}
-		blk := tr.k.Spares().Get(kernel.FIFOBlock)
-		if seen[p] || seen[blk] {
+		hdr, blk := p.Data[0].Blk, tr.k.Spares().Get(kernel.FIFOBlock)
+		if seen[p] || seen[hdr] || seen[blk] {
 			t.Fatal("a free list handed out a record or block twice")
 		}
-		seen[p], seen[blk] = true, true
-		for i := range p.Hdr[:cap(p.Hdr)] {
-			p.Hdr[:cap(p.Hdr)][i] = 0xDB
-		}
-		for i := range blk.Bytes {
-			blk.Bytes[i] = 0xDB
+		seen[p], seen[hdr], seen[blk] = true, true, true
+		for _, b := range []*sim.Block{hdr, blk} {
+			for i := range b.Bytes {
+				b.Bytes[i] = 0xDB
+			}
 		}
 		recs, blks = append(recs, p), append(blks, blk)
 	}

@@ -1,6 +1,10 @@
 package stream
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+
+	"kdp/internal/socket"
+)
 
 // Segment wire format. Every segment — control or data — carries the
 // sender's cumulative acknowledgement and advertised receive window, so
@@ -14,10 +18,10 @@ import "encoding/binary"
 //	bytes 21-24 wnd: advertised receive window in bytes
 //	bytes 25-   payload (DATA only)
 //
-// The header travels in the packet's header buffer and the payload in
-// its spans (socket.Packet), so a segment's payload is the send
-// buffer's blocks, shared, and no copy of its bytes; a payload of a few
-// bytes follows the header in its buffer instead.
+// The header is the packet's first span and the payload the rest
+// (socket.Packet), so a segment's payload is the send buffer's blocks,
+// shared, and no copy of its bytes; a payload of a few bytes follows
+// the header in its span instead.
 //
 // Sequence numbers are byte offsets from zero, as in TCP; SYN and
 // SYNACK carry no sequence space, data starts at offset 0, and the FIN
@@ -52,9 +56,13 @@ func (s segment) encode(b []byte) []byte {
 	return b
 }
 
-// decodeSegment decodes the header at the front of a packet's header
-// buffer; what follows it there is payload.
-func decodeSegment(b []byte) (segment, bool) {
+// decodeSegment decodes the header at the front of p's first span; what
+// follows it there is payload.
+func decodeSegment(p *socket.Packet) (segment, bool) {
+	if len(p.Data) == 0 {
+		return segment{}, false
+	}
+	b := p.Data[0].Bytes()
 	if len(b) < hdrBytes || b[0] < segSYN || b[0] > segFIN {
 		return segment{}, false
 	}

@@ -3,14 +3,17 @@ package stream
 import (
 	"bytes"
 	"testing"
+
+	"kdp/internal/sim"
+	"kdp/internal/socket"
 )
 
-// FuzzDecodeSegment feeds arbitrary header buffers to the segment
-// decoder, as a hostile or corrupted peer would. decodeSegment must
-// never panic or write to its input; whatever it accepts must be at
-// least hdrBytes long (a small payload follows the header in its
-// buffer), of a known type, and its header must re-encode to the
-// input's first hdrBytes exactly.
+// FuzzDecodeSegment feeds arbitrary first spans to the segment decoder,
+// as a hostile or corrupted peer would, an empty input standing for a
+// packet of no span. decodeSegment must never panic or write to its
+// input; whatever it accepts must be at least hdrBytes long (a small
+// payload follows the header in its span), of a known type, and its
+// header must re-encode to the input's first hdrBytes exactly.
 //
 // `go test -fuzz=FuzzDecodeSegment ./internal/stream` searches; plain
 // `go test` replays the seeds below and testdata/fuzz/FuzzDecodeSegment.
@@ -28,7 +31,11 @@ func FuzzDecodeSegment(f *testing.F) {
 	f.Add(make([]byte, hdrBytes)) // type 0
 	f.Fuzz(func(t *testing.T, b []byte) {
 		in := bytes.Clone(b)
-		seg, ok := decodeSegment(b)
+		p := &socket.Packet{}
+		if len(b) > 0 {
+			p.Data = []sim.Span{{Blk: &sim.Block{Bytes: b}, N: len(b)}}
+		}
+		seg, ok := decodeSegment(p)
 		if !bytes.Equal(b, in) {
 			t.Fatal("decodeSegment wrote to its input")
 		}

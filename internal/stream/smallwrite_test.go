@@ -10,13 +10,12 @@ import (
 )
 
 // TestSmallWritesHoldNoBlockPerSegment: a writer making 1-byte writes to
-// a reader that does not read yet sends a segment per write, each kept
-// by the receiver as a packet of its own. Each payload travels in its
-// packet's header buffer, so the kept packets reference no block and
-// the send queue goes on storing into its newest block: the blocks held
-// are the ones the queued bytes fill, not one per segment. The kept
-// packets are at most one per unread byte, and the read hands them all
-// back.
+// a reader that does not read yet sends a segment per write, whose
+// payload the receive buffer shares. Each payload travels in its
+// packet's header block, so the receive buffer holds no FIFOBlock-sized
+// block — none of the send queue's — and the send queue goes on storing
+// into its newest block: the blocks held are the ones the queued bytes
+// fill, not one per segment.
 func TestSmallWritesHoldNoBlockPerSegment(t *testing.T) {
 	k := newK()
 	n := socket.NewNet(k, socket.Ethernet10())
@@ -36,18 +35,17 @@ func TestSmallWritesHoldNoBlockPerSegment(t *testing.T) {
 		if c.rcv.Len() != writes {
 			t.Errorf("%d bytes wait for the reader, want all %d", c.rcv.Len(), writes)
 		}
-		blocks := 0
-		for i := 0; i < c.rcv.pkts.Len(); i++ {
-			blocks += len((*c.rcv.pkts.At(i)).Data)
+		big := 0
+		for _, s := range c.rcv.Spans(nil, 0, c.rcv.Len()) {
+			if len(s.Blk.Bytes) >= kernel.FIFOBlock {
+				big++
+			}
+			k.Spares().Drop(s.Blk)
 		}
-		if kept := c.rcv.pkts.Len(); blocks > 0 || kept == 0 || kept > c.rcv.Len() {
-			t.Errorf("the receiver keeps %d packets referencing %d blocks for %d bytes, want at most a packet per byte and no block",
-				kept, blocks, c.rcv.Len())
+		if big > 0 {
+			t.Errorf("the receive buffer holds %d spans of FIFOBlock-sized blocks for %d bytes, want none", big, c.rcv.Len())
 		}
 		got = readToEOF(t, p, fd)
-		if c.rcv.pkts.Len() != 0 {
-			t.Errorf("the reader left %d packets kept", c.rcv.pkts.Len())
-		}
 		_ = p.Close(fd)
 	})
 	k.Spawn("client", func(p *kernel.Proc) {

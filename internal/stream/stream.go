@@ -97,12 +97,12 @@ func (t *Transport) Port() int { return t.port }
 
 // input is the protocol input routine, invoked at interrupt level for
 // every datagram arriving on the transport's port. It keeps the packet
-// when a connection queued its payload (socket.SetHandler).
+// when a connection stashed it for reassembly (socket.SetHandler).
 func (t *Transport) input(p *socket.Packet, from int, eof bool) (kept bool) {
 	if eof {
 		return false
 	}
-	seg, ok := decodeSegment(p.Hdr)
+	seg, ok := decodeSegment(p)
 	if !ok {
 		return false
 	}
@@ -119,7 +119,7 @@ func (t *Transport) input(p *socket.Packet, from int, eof bool) (kept bool) {
 		// A lost final ACK left the peer retransmitting its FIN:
 		// answer with the recorded cumulative ack.
 		reply := t.sock.NewPacket(hdrBytes)
-		segment{typ: segACK, connID: seg.connID, ack: e.final}.encode(reply.Hdr)
+		segment{typ: segACK, connID: seg.connID, ack: e.final}.encode(reply.Data[0].Bytes())
 		t.sock.SendTo(from, reply, nil)
 	}
 	return false

@@ -191,10 +191,10 @@ func transferMeasured(tb testing.TB, size int, lossy bool) (allocated, objects u
 // detector); one allocation per segment would read 128 or more. A pool
 // that reaches a new high-water mark inside the measured megabyte reads
 // as an allocation too: the net's records are sized at construction
-// for that reason. The lossy run holds the receive window's kept
-// packets to the same budget through duplicates, reassembly and
-// retransmissions: a kept packet never handed back would read as
-// allocation, one handed back twice as wrong bytes.
+// for that reason. The lossy run holds reassembly's kept packets and the
+// receive buffer's shared blocks to the same budget through duplicates,
+// reassembly and retransmissions: a packet or block never handed back
+// would read as allocation, one handed back twice as wrong bytes.
 func TestStreamTransferAllocBudget(t *testing.T) {
 	const payload = 1 << 20
 	for _, lossy := range []bool{false, true} {
