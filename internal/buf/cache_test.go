@@ -640,20 +640,17 @@ func TestHeldBufferLifecycle(t *testing.T) {
 		if b.Flags&(BHeld|BDelwri) != BHeld || f.c.FreeBuffers() != 3 {
 			t.Fatalf("after the flush: %s, %d free", b, f.c.FreeBuffers())
 		}
-		if _, clean := f.c.Dirty(ctx, b); !clean {
+		if !f.c.Dirty(ctx, b, 0, nil) {
 			t.Fatal("Dirty: want true for a clean buffer")
 		}
-		data, clean := f.c.Dirty(ctx, b)
-		if clean {
+		if f.c.Dirty(ctx, b, 0, []byte{8}) {
 			t.Fatal("Dirty: want false for a dirty buffer")
 		}
-		data[0] = 8
 		if err := f.c.InvalidateDev(ctx, f.dev); err != nil || f.c.Peek(f.dev, 1) != b || f.dev.data[8192] != 8 {
 			t.Fatalf("InvalidateDev: %v; want the held buffer written and kept", err)
 		}
 		check("invalidated")
-		data, _ = f.c.Dirty(ctx, b)
-		data[0] = 9
+		f.c.Dirty(ctx, b, 0, []byte{9})
 		// A power cut with a page mapped is a harness error, like one with
 		// a transfer in flight: Crash panics before discarding anything.
 		func() {
@@ -677,7 +674,7 @@ func TestHeldBufferLifecycle(t *testing.T) {
 		// without the write leaves an ordinary delayed write.
 		nb := f.c.Getblk(ctx, f.dev, 20)
 		f.c.Hold(ctx, nb)
-		if _, clean := f.c.Dirty(ctx, nb); !clean || nb.Flags&(BHeld|BDelwri|BDone) != BHeld|BDelwri|BDone {
+		if clean := f.c.Dirty(ctx, nb, 0, nil); !clean || nb.Flags&(BHeld|BDelwri|BDone) != BHeld|BDelwri|BDone {
 			t.Fatalf("fresh block held dirty: %s", nb)
 		}
 		f.c.Unhold(ctx, nb, false)

@@ -164,6 +164,16 @@ func TestCatalogTrips(t *testing.T) {
 			f.dev.shared = map[int64]*sim.Block{b.Blkno: b.blk}
 			mark(f.c, b, BDelwri)
 		}},
+		// A hint that forgot the memory it was copied out to, and one on
+		// the zero block, which no copyout leaves.
+		{"buf-copy-hint", func(f *fixture) {
+			f.c.hint = hashedBuf(f.c).blk
+			f.c.hint.Ref()
+		}},
+		{"buf-copy-hint", func(f *fixture) {
+			var mem [1]byte
+			f.c.hint, f.c.hintMem = f.c.zero, &mem[0]
+		}},
 		{"buf-ra-pending", func(f *fixture) { f.c.raPending++ }},
 		{"buf-ra-budget", func(f *fixture) {
 			// Two well-formed in-flight readaheads against a budget of one.

@@ -299,6 +299,9 @@ func (c *Cache) seed(w *walker) {
 // shadow unseeded.
 func (c *Cache) walkTouched(w *walker) bool {
 	w.seeded = false
+	if c.checkHint() != nil {
+		return false
+	}
 	h, t := c.freeHead, c.freeTail
 	if h != nil && !h.onFree || t != nil && !t.onFree || (h == nil) != (t == nil) {
 		return false

@@ -179,13 +179,18 @@ type Disk struct {
 	// (buf.Cache.Load, buf.Buf.Lend), so the platter, the cache and other
 	// platters share the bytes, copy-on-write. nil after Release.
 	blocks []*sim.Block
-	// queue holds the waiting requests sorted by block, in arrival order
-	// among equal blocks, as 4.3BSD's disksort kept a drive queue;
-	// arrivals numbers them, so a crash can fail them as they came.
-	queue    []waiting
+	// qmem holds the waiting requests from qhead on (queue), sorted by
+	// block, in arrival order among equal blocks, as 4.3BSD's disksort
+	// kept a drive queue; arrivals numbers them, so a crash can fail them
+	// as they came. Taking or inserting a request shifts the shorter side
+	// of the queue, the lower one into or out of the free slots before
+	// qhead, so an fsync's run of picks off the front costs nothing per
+	// pick (enqueue, dequeue).
+	qmem     []waiting
 	active   bool
 	gen      kernel.Gen // the catalog's generation (invariants.go)
 	arrivals uint32
+	qhead    uint32
 	// The drive services one request at a time: cur is the one whose
 	// completion event is scheduled, onComplete the handler of every
 	// such event, bound once.
@@ -197,7 +202,6 @@ type Disk struct {
 
 	// Fault sites in the kernel fault plan (see fault.go).
 	siteRd, siteWr *kernel.Site
-	label          string // "disk:<name>", the label of every completion event
 
 	// Counters no event carries; the trace counts the rest.
 	seeks     int64
@@ -230,7 +234,6 @@ func New(k *kernel.Kernel, p Params) *Disk {
 		blocks: sim.NewTable(int(p.Blocks)),
 		siteRd: k.Faults().Site("disk." + p.Name + ".rderr"),
 		siteWr: k.Faults().Site("disk." + p.Name + ".wrerr"),
-		label:  "disk:" + p.Name,
 	}
 	if p.CacheSegments > 0 {
 		d.segments = make([]raSegment, p.CacheSegments)
@@ -263,7 +266,10 @@ func (d *Disk) PlatterBlock(blkno int64) *sim.Block {
 }
 
 // QueueLen returns the number of requests waiting (excluding active).
-func (d *Disk) QueueLen() int { return len(d.queue) }
+func (d *Disk) QueueLen() int { return len(d.queue()) }
+
+// queue returns the waiting requests in block order.
+func (d *Disk) queue() []waiting { return d.qmem[d.qhead:] }
 
 // Stats describes what no event carries: the seeks the head made and
 // the reads the drive's cache served. Transfers, bytes, busy time and
@@ -291,16 +297,16 @@ func (d *Disk) Strategy(b *buf.Buf) {
 		d.completeSync(b)
 		return
 	}
-	i, _ := slices.BinarySearchFunc(d.queue, b.Blkno, func(q waiting, blk int64) int {
+	i, _ := slices.BinarySearchFunc(d.queue(), b.Blkno, func(q waiting, blk int64) int {
 		if q.b.Blkno <= blk {
 			return -1 // after every request for the same block
 		}
 		return 1
 	})
 	d.arrivals++
-	d.queue = slices.Insert(d.queue, i, waiting{b, d.arrivals})
+	d.enqueue(i, waiting{b, d.arrivals})
 	d.gen.Bump()
-	d.k.TraceEmit(trace.KindDiskQueue, 0, b.Blkno, int64(len(d.queue)), d.p.Name)
+	d.k.TraceEmit(trace.KindDiskQueue, 0, b.Blkno, int64(d.QueueLen()), d.p.Name)
 	if !d.active {
 		d.active = true
 		d.k.Hold() // keep the machine alive while the queue drains
@@ -348,13 +354,11 @@ func (d *Disk) transfer(b *buf.Buf) {
 // startNext begins servicing the C-LOOK elevator's choice of the
 // waiting requests and schedules its completion event.
 func (d *Disk) startNext() {
-	idx := d.elevatorPick()
-	b := d.queue[idx].b
-	d.queue = slices.Delete(d.queue, idx, idx+1)
+	b := d.dequeue(d.elevatorPick())
 	svc := d.serviceTime(b)
 	d.k.TraceEmit(trace.KindDiskStart, 0, b.Blkno, int64(svc), d.p.Name)
 	d.cur = b
-	d.k.Engine().Schedule(svc, d.label, d.onComplete)
+	d.k.Engine().Schedule(svc, "disk", d.onComplete)
 }
 
 // elevatorPick returns the queue index of the C-LOOK choice: the
@@ -362,13 +366,55 @@ func (d *Disk) startNext() {
 // smallest outstanding block when the upward sweep is exhausted — the
 // earliest to arrive of those for that block.
 func (d *Disk) elevatorPick() int {
-	i, _ := slices.BinarySearchFunc(d.queue, d.headBlk, func(q waiting, blk int64) int {
-		return cmp.Compare(q.b.Blkno, blk)
+	q := d.queue()
+	i, _ := slices.BinarySearchFunc(q, d.headBlk, func(w waiting, blk int64) int {
+		return cmp.Compare(w.b.Blkno, blk)
 	})
-	if i == len(d.queue) {
+	if i == len(q) {
 		return 0
 	}
 	return i
+}
+
+// enqueue inserts w at queue index i, shifting the shorter side: the
+// requests before i down into the free slot before the queue, if there
+// is one, or those from i on up.
+func (d *Disk) enqueue(i int, w waiting) {
+	q := d.queue()
+	if h := int(d.qhead); h > 0 && i < len(q)-i {
+		copy(d.qmem[h-1:], q[:i])
+		d.qmem[h-1+i] = w
+		d.qhead--
+		return
+	}
+	if len(d.qmem) == cap(d.qmem) && d.qhead > 0 {
+		// No room past the end, but some before the start: slide to it.
+		n := copy(d.qmem, q)
+		clear(d.qmem[n:])
+		d.qmem, d.qhead = d.qmem[:n], 0
+	}
+	d.qmem = slices.Insert(d.qmem, int(d.qhead)+i, w)
+}
+
+// dequeue takes request i off the queue and returns it, shifting the
+// shorter side and clearing the slot it leaves, so nothing keeps a
+// serviced request reachable.
+func (d *Disk) dequeue(i int) *buf.Buf {
+	q := d.queue()
+	b := q[i].b
+	if n := len(q); i < n-1-i {
+		copy(q[1:], q[:i])
+		q[0] = waiting{}
+		d.qhead++
+	} else {
+		copy(q[i:], q[i+1:])
+		q[n-1] = waiting{}
+		d.qmem = d.qmem[:len(d.qmem)-1]
+	}
+	if int(d.qhead) == len(d.qmem) {
+		d.qmem, d.qhead = d.qmem[:0], 0
+	}
+	return b
 }
 
 // waiting is a queued request and its arrival number.
@@ -393,7 +439,7 @@ func (d *Disk) complete() {
 		}
 		d.cache.Biodone(b)
 	})
-	if len(d.queue) > 0 {
+	if d.QueueLen() > 0 {
 		d.startNext()
 	} else {
 		d.active = false
@@ -426,8 +472,8 @@ func (d *Disk) Busy() bool { return d.active }
 // on the platter when the already-scheduled completion event fires.
 // Returns the number of dropped requests.
 func (d *Disk) Crash() int {
-	dropped := d.queue
-	d.queue = nil
+	dropped := d.queue()
+	d.qmem, d.qhead = nil, 0
 	d.gen.Bump()
 	slices.SortFunc(dropped, func(x, y waiting) int { return cmp.Compare(int32(x.seq-y.seq), 0) })
 	for _, q := range dropped {

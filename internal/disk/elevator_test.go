@@ -80,10 +80,10 @@ func TestQueueForgetsServicedRequests(t *testing.T) {
 		if d.cur != nil && completed[d.cur] {
 			t.Errorf("%s: the drive still holds a completed request as active", when)
 		}
-		for i, q := range d.queue[:cap(d.queue)] {
+		for i, q := range d.qmem[:cap(d.qmem)] {
 			switch b := q.b; {
-			case i >= len(d.queue) && b != nil:
-				t.Errorf("%s: slot %d past the queue's %d entries still holds %v", when, i, len(d.queue), b)
+			case (i < int(d.qhead) || i >= len(d.qmem)) && b != nil:
+				t.Errorf("%s: slot %d outside the queue's slots [%d, %d) still holds %v", when, i, d.qhead, len(d.qmem), b)
 			case b != nil && completed[b]:
 				t.Errorf("%s: completed %v is still queued", when, b)
 			}
@@ -110,8 +110,8 @@ func TestQueueForgetsServicedRequests(t *testing.T) {
 			check("between completions")
 		}
 	})
-	if d.cur != nil || len(d.queue) != 0 {
-		t.Fatalf("idle drive holds active %v and %d queued", d.cur, len(d.queue))
+	if d.cur != nil || d.QueueLen() != 0 {
+		t.Fatalf("idle drive holds active %v and %d queued", d.cur, d.QueueLen())
 	}
 	check("idle")
 }
@@ -132,7 +132,7 @@ func TestQueueSortedArrivalAmongEquals(t *testing.T) {
 		d.Strategy(b)
 	}
 	var got []*buf.Buf
-	for _, q := range d.queue {
+	for _, q := range d.queue() {
 		got = append(got, q.b)
 	}
 	want := []*buf.Buf{reqs[4], reqs[1], reqs[3], reqs[6], reqs[2], reqs[5]}
@@ -141,7 +141,7 @@ func TestQueueSortedArrivalAmongEquals(t *testing.T) {
 	}
 	for head, want := range map[int64]int{0: 0, 3: 0, 4: 1, 7: 1, 8: 4, 40: 4, 41: 0} {
 		if d.headBlk = head; d.elevatorPick() != want {
-			t.Errorf("head at %d: pick %d (block %d), want index %d", head, d.elevatorPick(), d.queue[d.elevatorPick()].b.Blkno, want)
+			t.Errorf("head at %d: pick %d (block %d), want index %d", head, d.elevatorPick(), d.queue()[d.elevatorPick()].b.Blkno, want)
 		}
 	}
 	col.Reset()
@@ -164,4 +164,56 @@ func blocksOf(bs []*buf.Buf) (blks []int64) {
 		blks = append(blks, b.Blkno)
 	}
 	return blks
+}
+
+// TestQueueWindowAgainstModel drives the drive queue's moving window
+// (enqueue, dequeue) with seeded random arrivals and picks beside a
+// plain sorted slice: after every step the queue must hold the model's
+// requests in its order, every slot of the backing array outside the
+// window must be clear, and a run of picks off the front must leave the
+// window's end where it was.
+func TestQueueWindowAgainstModel(t *testing.T) {
+	_, _, d := newRig(RZ58(64, 8192))
+	r := sim.NewRand(7)
+	var model []waiting
+	check := func(step int) {
+		t.Helper()
+		if !slices.Equal(d.queue(), model) {
+			t.Fatalf("step %d: queue %v, model %v", step, d.queue(), model)
+		}
+		for i, w := range d.qmem[:cap(d.qmem)] {
+			if (i < int(d.qhead) || i >= len(d.qmem)) && w.b != nil {
+				t.Fatalf("step %d: slot %d outside [%d, %d) holds block %d", step, i, d.qhead, len(d.qmem), w.b.Blkno)
+			}
+		}
+	}
+	for step := range 4000 {
+		if n := len(model); n == 0 || r.Intn(5) < 3 {
+			w := waiting{queued(r.Int63n(64)), uint32(step)}
+			i, _ := slices.BinarySearchFunc(model, w.b.Blkno, func(q waiting, blk int64) int {
+				if q.b.Blkno <= blk {
+					return -1
+				}
+				return 1
+			})
+			d.enqueue(i, w)
+			model = slices.Insert(model, i, w)
+		} else {
+			i := r.Intn(n)
+			if got := d.dequeue(i); got != model[i].b {
+				t.Fatalf("step %d: dequeue(%d) = block %d, want %d", step, i, got.Blkno, model[i].b.Blkno)
+			}
+			model = slices.Delete(model, i, i+1)
+		}
+		check(step)
+	}
+	end := len(d.qmem)
+	for range len(model) / 2 {
+		d.dequeue(0)
+		model = model[1:]
+	}
+	check(-1)
+	if len(model) > 0 && len(d.qmem) != end {
+		t.Errorf("picks off the front moved the window's end from %d to %d", end, len(d.qmem))
+	}
 }

@@ -27,20 +27,20 @@ import (
 // queued, its cache's: disk-queue-busy reads their flags.
 func (d *Disk) CheckInvariants() error {
 	var cache uint32
-	if len(d.queue) > 0 {
+	if len(d.queue()) > 0 {
 		cache = d.cache.Gen()
 	}
 	return d.gen.Check("disk", cache, d.check, d.digest)
 }
 
 func (d *Disk) check() error {
-	if d.p.SyncCPU && (len(d.queue) > 0 || d.active) {
+	if d.p.SyncCPU && (len(d.queue()) > 0 || d.active) {
 		return kernel.Violation("disk-active", "%s: SyncCPU device with queued or active requests", d.p.Name)
 	}
-	if !d.active && len(d.queue) > 0 {
-		return kernel.Violation("disk-active", "%s: %d queued requests on inactive device", d.p.Name, len(d.queue))
+	if !d.active && len(d.queue()) > 0 {
+		return kernel.Violation("disk-active", "%s: %d queued requests on inactive device", d.p.Name, len(d.queue()))
 	}
-	for _, q := range d.queue {
+	for _, q := range d.queue() {
 		b := q.b
 		if b == nil {
 			return kernel.Violation("disk-queue-busy", "%s: nil request in queue", d.p.Name)
@@ -58,7 +58,7 @@ func (d *Disk) check() error {
 // digest folds in what check reads.
 func (d *Disk) digest(g *kernel.Digest) {
 	g.Bool(d.active)
-	for _, q := range d.queue {
+	for _, q := range d.queue() {
 		b := q.b
 		kernel.Ptr(g, b)
 		if b != nil {

@@ -20,8 +20,8 @@ func TestCatalogTrips(t *testing.T) {
 		name  string
 		plant func(d *Disk)
 	}{
-		{"disk-queue-range", func(d *Disk) { d.queue[0].b.Blkno = d.p.Blocks }},
-		{"disk-queue-busy", func(d *Disk) { d.queue[0].b.Flags |= buf.BDone }},
+		{"disk-queue-range", func(d *Disk) { d.queue()[0].b.Blkno = d.p.Blocks }},
+		{"disk-queue-busy", func(d *Disk) { d.queue()[0].b.Flags |= buf.BDone }},
 		{"disk-active", func(d *Disk) { d.active = false }},
 	}
 	for _, fault := range faults {
@@ -55,7 +55,7 @@ func TestAuditReportsUnbumpedWrite(t *testing.T) {
 	if err := d.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	d.queue[0].b.Blkno = 3
+	d.queue()[0].b.Blkno = 3
 	var ae *kernel.AuditError
 	if err := d.CheckInvariants(); !errors.As(err, &ae) || ae.Owner != "disk" {
 		t.Errorf("CheckInvariants = %v, want the audit to report the disk", err)

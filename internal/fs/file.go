@@ -85,7 +85,7 @@ func (fl *File) Read(ctx kernel.Ctx, p []byte, off int64) (int, error) {
 		if err != nil {
 			return done, err
 		}
-		copy(p[done:done+n], b.Data[boff:])
+		fl.fs.cache.CopyOut(b, int(boff), p[done:done+n])
 		fl.fs.cache.Brelse(ctx, b)
 		done += n
 	}
@@ -176,7 +176,7 @@ func (fl *File) Write(ctx kernel.Ctx, p []byte, off int64) (int, error) {
 			}
 			return done, err
 		}
-		copy(fl.fs.cache.Store(b, full)[boff:], p[done:done+n])
+		fl.fs.cache.CopyIn(b, int(boff), p[done:done+n], full)
 		fl.fs.cache.Bdwrite(ctx, b)
 		done += n
 		if pos+int64(n) > ip.size {

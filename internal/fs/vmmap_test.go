@@ -42,11 +42,10 @@ func TestSyncWritesHeldBuffers(t *testing.T) {
 			func() error { return fl.Sync(ctx) },
 			func() error { return f.SyncAll(ctx) },
 		} {
-			page, clean := fl.PageDirty(ctx, blk)
-			if _, again := fl.PageDirty(ctx, blk); !clean || again {
-				t.Fatalf("sync %d: PageDirty: want true for a clean page, then false", i)
+			clean := fl.PageStore(ctx, blk, 0, []byte{byte(10 + i)})
+			if again := fl.PageStore(ctx, blk, 0, []byte{byte(10 + i)}); !clean || again {
+				t.Fatalf("sync %d: PageStore: want true for a clean page, then false", i)
 			}
-			page[0] = byte(10 + i)
 			writes := r.metrics().EventCount[trace.KindDiskWrite]
 			if err := sync(); err != nil {
 				t.Fatalf("sync %d: %v", i, err)
@@ -160,8 +159,7 @@ func TestPageDirtyFlushRoundTrip(t *testing.T) {
 		if err != nil || blk == 0 {
 			t.Fatalf("pagein alloc: blk=%d err=%v", blk, err)
 		}
-		page, _ := fl.PageDirty(ctx, blk)
-		copy(page, data)
+		fl.PageStore(ctx, blk, 0, data)
 		got := make([]byte, len(data))
 		if n, err := fl.Read(ctx, got, 0); err != nil || n != len(data) || !bytes.Equal(got, data) {
 			t.Fatalf("read before any flush: n=%d err=%v, stored data visible=%v", n, err, bytes.Equal(got, data))

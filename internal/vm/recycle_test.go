@@ -65,7 +65,12 @@ func (f *memFile) PageIn(_ kernel.Ctx, idx int64, _ bool) (int64, bool, error) {
 	return idx + 1, false, nil
 }
 
-func (f *memFile) PageDirty(_ kernel.Ctx, blk int64) ([]byte, bool) { return f.pages[blk-1], false }
+func (f *memFile) PageLoad(blk int64, off int, dst []byte) { copy(dst, f.PageBuffer(blk)[off:]) }
+
+func (f *memFile) PageStore(_ kernel.Ctx, blk int64, off int, src []byte) bool {
+	copy(f.pages[blk-1][off:], src)
+	return false
+}
 
 func (f *memFile) PageRelease(_ kernel.Ctx, blk int64, _ bool) {
 	if !f.held[blk] {

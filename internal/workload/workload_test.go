@@ -6,6 +6,7 @@ import (
 
 	"kdp/internal/buf"
 	"kdp/internal/disk"
+	"kdp/internal/fs"
 	"kdp/internal/kernel"
 	"kdp/internal/machine"
 	"kdp/internal/sim"
@@ -16,7 +17,7 @@ import (
 // /b, and a 400-buffer cache (so a 50-page pool).
 type rig struct{ *machine.Machine }
 
-func newRig(t *testing.T, mk func(int64, int) disk.Params) *rig {
+func newRig(t testing.TB, mk func(int64, int) disk.Params) *rig {
 	t.Helper()
 	spec := machine.Spec{Kernel: kernel.DefaultConfig(), CacheBufs: 400}
 	spec.Kernel.MaxRunTime = 3600 * sim.Second
@@ -245,5 +246,83 @@ func TestCopyClosesDescriptorsOnError(t *testing.T) {
 				t.Errorf("%v: failed copy (%v) left descriptors open: lowest free fd %d, was %d", mode, err, after, before)
 			}
 		})
+	}
+}
+
+// TestCopySharesSourceBlocks: after cp and after mcp on a RAM machine,
+// every destination block's platter entry is the source block's, the
+// same host memory: each copyin of a whole block shared the block the
+// copyout before it read (buf.Cache.CopyIn), and the fsync or msync
+// lent it to the destination's platter.
+func TestCopySharesSourceBlocks(t *testing.T) {
+	const blocks = 40
+	for _, mode := range []CopyMode{CopyReadWrite, CopyMmap} {
+		r := newRig(t, disk.RAMDisk)
+		r.run(t, func(p *kernel.Proc) {
+			if err := MakeFile(p, "/a/src", blocks*8192, 4); err != nil {
+				t.Fatal(err)
+			}
+			if err := ColdStart(p, r.Cache, r.Devices()...); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Copy(p, DefaultCopySpec("/a/src", "/b/dst", mode)); err != nil {
+				t.Fatalf("%v: %v", mode, err)
+			}
+			src, dst := blockMap(t, p, "/a/src", blocks), blockMap(t, p, "/b/dst", blocks)
+			for i := range blocks {
+				s, d := r.Disks[0].PlatterBlock(int64(src[i])), r.Disks[1].PlatterBlock(int64(dst[i]))
+				if s == nil || d != s {
+					t.Fatalf("%v: destination block %d holds %p on its platter, the source %p", mode, i, d, s)
+				}
+			}
+		})
+	}
+}
+
+// blockMap returns the physical blocks of path's first n logical blocks.
+func blockMap(t *testing.T, p *kernel.Proc, path string, n int64) []uint32 {
+	t.Helper()
+	fd, err := p.Open(path, kernel.ORdOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close(fd)
+	f, err := p.FD(fd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blks, err := f.Ops().(*fs.File).SpliceMapRead(p.Ctx(), 0, n)
+	if err != nil || int64(len(blks)) != n {
+		t.Fatalf("%s: block map %v, %v", path, blks, err)
+	}
+	return blks
+}
+
+// BenchmarkCopyReadWrite is cp of a 32-block file between the two RAM
+// disks of a warm machine, the destination truncated each time: the
+// host's ns and bytes per copy of 256 KB.
+func BenchmarkCopyReadWrite(b *testing.B) {
+	r := newRig(b, disk.RAMDisk)
+	r.K.Spawn("w", func(p *kernel.Proc) {
+		if err := r.Boot(p); err != nil {
+			b.Error(err)
+			return
+		}
+		if err := MakeFile(p, "/a/src", 32*8192, 4); err != nil {
+			b.Error(err)
+			return
+		}
+		spec := DefaultCopySpec("/a/src", "/b/dst", CopyReadWrite)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for range b.N {
+			if _, err := Copy(p, spec); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+	if err := r.K.Run(); err != nil {
+		b.Fatal(err)
 	}
 }

@@ -7,9 +7,10 @@
 # `git ls-files` lists them), runs tier-1 with the golden tests and the
 # examples' pinned output skipped — a golden catches every change, so it
 # would name no rule; TestRecycleOrderIndependent compares digests with
-# digests.golden, so it is one too — and prints the first test that
-# fails, or `survived` when none does. A survivor is a rule no
-# behavioural test holds.
+# digests.golden, so it is one too — and prints the first failing
+# package's first failing test (or, where a panic on another goroutine
+# killed the package, the panic's line), or `survived` when none fails.
+# A survivor is a rule no behavioural test holds.
 #
 # Usage, from the repository root:
 #
@@ -39,11 +40,23 @@ for m in "$@"; do
 	if out=$(cd "$work" && go test -count=1 -skip "$skip" ./... 2>&1); then
 		result=survived
 	else
-		# go test prints each package's output whole, in package order:
-		# the first failing package's block holds the first failing test.
-		test=$(printf '%s\n' "$out" | grep -m1 -E -- '--- FAIL: ' | sed -E 's/.*--- FAIL: ([^ ]+).*/\1/' || true)
-		pkg=$(printf '%s\n' "$out" | grep -m1 -E '^FAIL[[:space:]]+kdp' | awk '{print $2}' || true)
-		result="killed by ${test:-a build failure or panic} ($pkg)"
+		# go test prints each package's output whole, in package order,
+		# ending in the package's ok/FAIL line: the first failing
+		# package's block holds the first failing test, or, where a panic
+		# on another goroutine than the test's killed the package, no
+		# `--- FAIL` line but the panic's.
+		result="killed by $(printf '%s\n' "$out" | awk '
+			/^(ok|FAIL|\?)[ \t]+kdp\// {
+				if ($1 == "FAIL") {
+					print (test != "" ? test : panicked != "" ? panicked : "a build failure") " (" $2 ")"
+					exit
+				}
+				test = panicked = ""
+				next
+			}
+			test == "" && /--- FAIL: / { test = $0; sub(/.*--- FAIL: /, "", test); sub(/ .*/, "", test) }
+			panicked == "" && /^panic: / { panicked = $0 }
+		')"
 	fi
 	printf '%-20s %s\n' "$name" "$result"
 	patch -s -R -p1 -d "$work" <"$m" >/dev/null
