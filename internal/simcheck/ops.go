@@ -68,8 +68,9 @@ type opRow struct {
 // crash is the disturbance under test, and the post-crash content
 // checks need checkable volumes.
 var opTable = []*opRow{
-	{name: "write", std: 13, crash: 26, text: textRangePat, run: rangeWrite(storeWrite)},
+	{name: "write", std: 11, crash: 22, text: textRangePat, run: rangeWrite(storeWrite)},
 	{name: "writev", std: 5, text: textRangePat, run: rangeWrite(storeWritev)},
+	{name: "copy", std: 2, crash: 4, draw: drawDst, text: textCopy, run: (*machine).doCopy},
 	{name: "read", std: 6, crash: 8, text: textRange, run: rangeRead(false, fetchRead)},
 	{name: "readv", std: 4, text: textRange, run: rangeRead(false, fetchReadv)},
 	{name: "seq-read", std: 5, crash: 4, text: textChunk, run: rangeRead(true, fetchSeq)},

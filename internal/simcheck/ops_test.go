@@ -13,6 +13,7 @@ import (
 // digest folds these strings in, so they must not drift.
 const describeGolden = `write d1/f2 off=4096 n=1234 pat=0xa5
 writev d1/f2 off=4096 n=1234 pat=0xa5
+copy d1/f2 -> d0/f3 off=4096 n=1234 pat=0xa5
 read d1/f2 off=4096 n=1234
 readv d1/f2 off=4096 n=1234
 seq-read d1/f2 chunk=1234

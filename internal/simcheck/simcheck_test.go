@@ -159,8 +159,8 @@ func TestDamageTripsInvariants(t *testing.T) {
 // damage changed.
 func TestDamageReportsPinned(t *testing.T) {
 	at := map[uint64]struct{ op, t string }{
-		1: {"op 4", "0.248391s"},
-		2: {"op 2", "0.082618s"},
+		1: {"op 4", "0.248445s"},
+		2: {"op 19", "0.029217s"},
 		3: {"op 4", "0.630848s"},
 		4: {"op 15", "0.280843s"},
 	}
