@@ -588,3 +588,52 @@ func TestSpliceStagesIntoMappedBlock(t *testing.T) {
 		}
 	})
 }
+
+// TestFreshPageOverAZeroPlatterEntry: a fresh page's buffer starts on the
+// cache's zero block, and a platter entry can be the zero block too — a
+// fresh page written back before any store leaves it there. When the
+// allocator comes back to such a block, the new page's delayed write
+// holds the very block its platter entry holds, which buf-block-owned
+// allows for the zero block alone: nothing stores into it. Each round
+// faults a page of a truncated file, writes it back unstored and
+// truncates again, until a fault lands on a block an earlier round left
+// on the zero block.
+func TestFreshPageOverAZeroPlatterEntry(t *testing.T) {
+	staleVolume(t, 64, func(m *machine.Machine, p *kernel.Proc) {
+		zero := &m.Cache.ZeroBlock()[0]
+		for round := 0; ; round++ {
+			if round == 200 {
+				t.Fatal("no fault landed on a block whose platter entry is the zero block")
+			}
+			fd, addr := mapNew(t, p, 1)
+			if err := m.Pool.WriteFault(p, addr+storeOff); err != nil {
+				t.Fatalf("write fault: %v", err)
+			}
+			blk := blockOf(t, p, fd, 0)
+			if err := m.CheckInvariants(); err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+			b := m.Cache.Peek(m.Disks[0], blk)
+			if b == nil || b.Flags&buf.BDelwri == 0 || &b.Data[0] != zero {
+				t.Fatalf("round %d: a fresh page's buffer is not a delayed write on the zero block: %v", round, b)
+			}
+			onZero := m.Disks[0].PlatterBlock(blk) != nil && &m.Disks[0].PlatterBlock(blk).Bytes[0] == zero
+			if err := p.Msync(addr); err != nil {
+				t.Fatalf("msync: %v", err)
+			}
+			if err := p.Munmap(addr); err != nil {
+				t.Fatalf("munmap: %v", err)
+			}
+			_ = p.Close(fd)
+			if onZero {
+				break
+			}
+			fd, err := p.Open("/v/new", kernel.OTrunc|kernel.ORdWr)
+			if err != nil {
+				t.Fatalf("truncate: %v", err)
+			}
+			_ = p.Close(fd)
+		}
+		checkFile(t, "read after the last round", readFile(t, p, "/v/new"), 1)
+	})
+}
