@@ -55,7 +55,7 @@ func (m *machine) doCrash(p *kernel.Proc, o *op) {
 func (m *machine) postCrashOracle() {
 	for _, of := range m.oracle {
 		if of.syncedOK {
-			of.data = of.synced.share()
+			of.synced.share(&of.data)
 			of.tainted = false
 		} else {
 			of.tainted = true
@@ -84,7 +84,7 @@ func (m *machine) verifyDurable(p *kernel.Proc, o *op) {
 			p.Close(fd)
 			continue
 		}
-		got := m.ioBuf(o.worker, of.data.size+1)
+		got := m.ioBuf(o.worker, 0, of.data.size+1)
 		n, rerr := p.Read(fd, got)
 		p.Close(fd)
 		if rerr != nil {

@@ -135,7 +135,7 @@ func fetchRead(m *machine, p *kernel.Proc, fd int, o *op) ([]byte, string, error
 	if err := seekTo(p, fd, o.off); err != nil {
 		return nil, "", err
 	}
-	data := m.ioBuf(o.worker, o.size)
+	data := m.ioBuf(o.worker, 0, o.size)
 	n, err := p.Read(fd, data)
 	p.Close(fd)
 	if err != nil {
@@ -161,7 +161,7 @@ func fetchSeq(m *machine, p *kernel.Proc, fd int, o *op) ([]byte, string, error)
 	if of := m.oracle[o.path()]; of != nil {
 		size = of.data.size
 	}
-	got := m.ioBuf(o.worker, size+chunk)[:0]
+	got := m.ioBuf(o.worker, 0, size+chunk)[:0]
 	for {
 		var n int
 		var err error
@@ -180,26 +180,26 @@ func textChunk(name string, o *op) string {
 	return fmt.Sprintf("%s d%d/f%d chunk=%d", name, o.disk, o.slot, o.size)
 }
 
-// splitIovs carves total bytes into up to nvec independently allocated
-// iovec buffers of near-equal size (empty tails are dropped), so the
-// scatter/gather paths see genuinely discontiguous memory rather than
-// views of one array.
-func splitIovs(total, nvec int) [][]byte {
+// splitIovs carves total bytes into up to nvec iovec buffers of
+// near-equal size (empty tails are dropped), worker w's I/O buffers 1
+// on, so the scatter/gather paths see genuinely discontiguous memory
+// rather than views of one array.
+func (m *machine) splitIovs(w, total, nvec int) [][]byte {
 	iovs := make([][]byte, 0, nvec)
 	for i := 0; i < nvec && total > 0; i++ {
 		n := total / (nvec - i)
 		if n == 0 {
 			n = 1
 		}
-		iovs = append(iovs, make([]byte, n))
+		iovs = append(iovs, m.ioBuf(w, 1+i, n))
 		total -= n
 	}
 	return iovs
 }
 
 // scatter tiles data, in order, over fresh iovecs.
-func scatter(data []byte, nvec int) [][]byte {
-	iovs := splitIovs(len(data), nvec)
+func (m *machine) scatter(w int, data []byte, nvec int) [][]byte {
+	iovs := m.splitIovs(w, len(data), nvec)
 	for _, iov := range iovs {
 		data = data[copy(iov, data):]
 	}
@@ -217,14 +217,18 @@ func fetchReadv(m *machine, p *kernel.Proc, fd int, o *op) ([]byte, string, erro
 	if err := seekTo(p, fd, o.off); err != nil {
 		return nil, "", err
 	}
-	iovs := splitIovs(o.size, 2+int(o.pat)%3)
+	iovs := m.splitIovs(o.worker, o.size, 2+int(o.pat)%3)
 	n, err := p.Readv(fd, iovs)
 	latched := p.PendingError(fd)
 	p.Close(fd)
 	if err != nil || latched != nil {
 		return nil, "", fmt.Errorf("readv: err=%v latched=%v", err, latched)
 	}
-	return (kernel.Uio{Iovs: iovs}).Gather()[:n], fmt.Sprintf(" iovs=%d", len(iovs)), nil
+	got := m.ioBuf(o.worker, 0, o.size)[:0]
+	for _, iov := range iovs {
+		got = append(got, iov...)
+	}
+	return got[:n], fmt.Sprintf(" iovs=%d", len(iovs)), nil
 }
 
 // batch exercises aggregated submission. The pattern byte picks the
@@ -273,12 +277,12 @@ func submit(m *machine, p *kernel.Proc, fd int, o *op, rw int, parts [][]byte, s
 }
 
 func fetchBatch(m *machine, p *kernel.Proc, fd int, o *op) ([]byte, string, error) {
-	bufs := splitIovs(o.size, 2)
+	bufs := m.splitIovs(o.worker, o.size, 2)
 	counts, nops, err := submit(m, p, fd, o, kernel.BatchRead, bufs, false)
 	if err != nil {
 		return nil, "", fmt.Errorf("batch-read: %v", err)
 	}
-	var got []byte
+	got := m.ioBuf(o.worker, 0, o.size)[:0]
 	for i, n := range counts {
 		got = append(got, bufs[i][:n]...)
 	}
@@ -295,7 +299,7 @@ func rangeWrite(store storeFunc) opFunc {
 			m.opLog(o, "open: %v", err)
 			return
 		}
-		data := pattern(m.ioBuf(o.worker, o.size), o.off, o.pat)
+		data := pattern(m.ioBuf(o.worker, 0, o.size), o.off, o.pat)
 		note, durable, err := store(m, p, fd, o, data)
 		if m.violation != nil {
 			return // raised inside the store, already reported
@@ -330,7 +334,7 @@ func rangeWrite(store storeFunc) opFunc {
 // content's blocks: the next store copies the ones it touches.
 func (of *ofile) markDurable() {
 	if !of.tainted {
-		of.synced = of.data.share()
+		of.data.share(&of.synced)
 		of.syncedOK = true
 	}
 }
@@ -356,7 +360,7 @@ func storeWritev(m *machine, p *kernel.Proc, fd int, o *op, data []byte) (string
 	if err := seekTo(p, fd, o.off); err != nil {
 		return "", false, err
 	}
-	iovs := scatter(data, 2+int(o.pat)%3)
+	iovs := m.scatter(o.worker, data, 2+int(o.pat)%3)
 	n, err := p.Writev(fd, iovs)
 	latched := p.PendingError(fd)
 	p.Close(fd)
@@ -372,7 +376,7 @@ func storeWritev(m *machine, p *kernel.Proc, fd int, o *op, data []byte) (string
 // crossing earlier than doFsync would.
 func storeBatch(m *machine, p *kernel.Proc, fd int, o *op, data []byte) (string, bool, error) {
 	sync := int(o.pat)%2 == 0
-	counts, nops, err := submit(m, p, fd, o, kernel.BatchWrite, scatter(data, 2), sync)
+	counts, nops, err := submit(m, p, fd, o, kernel.BatchWrite, m.scatter(o.worker, data, 2), sync)
 	n := 0
 	for _, c := range counts {
 		n += c
@@ -396,7 +400,10 @@ func (m *machine) doTrunc(p *kernel.Proc, o *op) {
 	// It is also durable: truncate writes the cleared inode
 	// synchronously before freeing blocks, so after a crash the file is
 	// exactly empty.
-	*m.ensure(path) = ofile{created: true, syncedOK: true}
+	of := m.ensure(path)
+	of.data.release()
+	of.synced.release()
+	of.tainted, of.created, of.syncedOK = false, true, true
 	m.opLog(o, "ok")
 }
 
@@ -406,6 +413,10 @@ func (m *machine) doUnlink(p *kernel.Proc, o *op) {
 	err := p.Unlink(path)
 	switch {
 	case err == nil:
+		if of != nil {
+			of.data.release()
+			of.synced.release()
+		}
 		delete(m.oracle, path)
 		m.opLog(o, "ok")
 	case errors.Is(err, kernel.ErrNoEnt):
@@ -477,7 +488,7 @@ func (m *machine) doCopy(p *kernel.Proc, o *op) {
 		}
 	}
 	known := of != nil && !of.tainted && m.checkable(o.disk)
-	buf := m.ioBuf(o.worker, blockSize)
+	buf := m.ioBuf(o.worker, 0, blockSize)
 	moved := 0
 	for end := o.off + int64(o.size); pos < end; pos += blockSize {
 		n, err := p.Read(sfd, buf)

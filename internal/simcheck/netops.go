@@ -76,7 +76,7 @@ func (m *machine) doStreamXfer(p *kernel.Proc, o *op) {
 	// The worker's I/O buffer holds the pattern and, past it, room for
 	// the server's 8 KB reads to land in place.
 	const chunk = 8 << 10
-	buf := m.ioBuf(o.worker, 2*o.size+chunk)
+	buf := m.ioBuf(o.worker, 0, 2*o.size+chunk)
 	want := pattern(buf[:o.size], 0, o.pat)
 
 	var (
@@ -166,7 +166,7 @@ func (m *machine) doPollWait(p *kernel.Proc, o *op) {
 	// the 1 KB reads to land in place.
 	const chunk = 1 << 10
 	n := o.size
-	buf := m.ioBuf(o.worker, 2*n+chunk)
+	buf := m.ioBuf(o.worker, 0, 2*n+chunk)
 	want := pattern(buf[:n], 0, o.pat)
 	tick := m.K.Config().TickDuration()
 
@@ -283,7 +283,7 @@ func (m *machine) doEventServe(p *kernel.Proc, o *op) {
 	// each client's 4 KB reads to land in place.
 	const chunk = 4096
 	size := o.size
-	buf := m.ioBuf(o.worker, size+nclients*(size+chunk))
+	buf := m.ioBuf(o.worker, 0, size+nclients*(size+chunk))
 	want := pattern(buf[:size], 0, o.pat)
 
 	st, cts, ok := m.transports(o, nclients)

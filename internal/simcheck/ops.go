@@ -2,6 +2,7 @@ package simcheck
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"kdp/internal/kernel"
@@ -208,18 +209,20 @@ func pattern(data []byte, off int64, pat byte) []byte {
 	return data
 }
 
-// ioBuf returns n bytes of worker w's I/O buffer, kept for the run and
-// regrown, to exactly n, only when an op needs more than any op before
-// it; what they hold is whatever the last op left. An op writes from it
-// and reads into it what it drops once checked: the oracle's images are
-// the only memory an op keeps. It is the op's for as long as the op
-// runs, so a helper the op awaits may use it, and a write that lends it
-// to a pipe or socket completes before the op returns.
-func (m *machine) ioBuf(w, n int) []byte {
-	if cap(m.bufs[w]) < n {
-		m.bufs[w] = make([]byte, n)
+// ioBuf returns n bytes of worker w's I/O buffer k: a block kept for
+// the run and redrawn only when an op needs more, at the next power of
+// two from 8 KB, a size the recycler keeps from an earlier run; it
+// holds whatever the last op left. An op writes from its buffers and
+// reads into them what it drops once checked: the oracle's images are
+// the only memory an op keeps. They are the op's while it runs, so a
+// helper the op awaits may use them, and a write that lends them to a
+// pipe or socket completes before the op returns.
+func (m *machine) ioBuf(w, k, n int) []byte {
+	if b := m.bufs[w][k]; b == nil || len(b.Bytes) < n {
+		b.Unref()
+		m.bufs[w][k] = sim.NewBlock(max(blockSize, 1<<bits.Len(uint(n-1))))
 	}
-	return m.bufs[w][:n]
+	return m.bufs[w][k].Bytes[:n]
 }
 
 // readOn reads chunk bytes from fd in place, into the capacity past

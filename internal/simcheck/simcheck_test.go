@@ -426,13 +426,15 @@ func TestCheckMachineShape(t *testing.T) {
 // destination mixing the payload, its previous content and zeros
 // passes; one foreign byte is an oracle-stale violation.
 func TestOracleStaleRule(t *testing.T) {
-	m := &machine{cfg: Config{Seed: 1}, Machine: checkMachine(1), oracle: make(map[string]*ofile)}
+	m := &machine{cfg: Config{Seed: 1}, Machine: checkMachine(1), oracle: make(map[string]*ofile), bufs: make([][5]*sim.Block, 1)}
 	fresh := pattern(make([]byte, 3*blockSize), 0, 5)
 	prev := pattern(make([]byte, 2*blockSize+100, 3*blockSize), 0, 9)
 	// Block 0 written by the splice, block 1 still the old content,
 	// block 2 allocated by the splice and scrubbed.
 	content := append(append(append([]byte(nil), fresh[:blockSize]...), prev[blockSize:2*blockSize]...), make([]byte, blockSize)...)
-	freshImg, prevImg := adopt(fresh), adopt(prev)
+	var freshImg, prevImg image
+	freshImg.write(0, fresh)
+	prevImg.write(0, prev)
 	m.K.Spawn("test", func(p *kernel.Proc) {
 		if err := m.Boot(p); err != nil {
 			t.Errorf("boot: %v", err)
@@ -449,13 +451,13 @@ func TestOracleStaleRule(t *testing.T) {
 			p.Close(fd)
 		}
 		write(content)
-		if !m.checkNoStale(p, "/d0/f", &freshImg, &prevImg) || m.violation != nil {
+		if !m.checkNoStale(p, 0, "/d0/f", &freshImg, &prevImg) || m.violation != nil {
 			t.Errorf("payload/previous/zero mix flagged: %v", m.violation)
 		}
 		content[2*blockSize+17] = fresh[2*blockSize+17] ^ 0x5A // somebody else's byte
 		write(content)
 		var ie *kernel.InvariantError
-		if m.checkNoStale(p, "/d0/f", &freshImg, &prevImg) || !errors.As(m.violation, &ie) || ie.Name != "oracle-stale" ||
+		if m.checkNoStale(p, 0, "/d0/f", &freshImg, &prevImg) || !errors.As(m.violation, &ie) || ie.Name != "oracle-stale" ||
 			!strings.HasPrefix(ie.Detail, "/d0/f byte 16401 (block 2)") {
 			t.Errorf("foreign byte not reported as oracle-stale: %v", m.violation)
 		}

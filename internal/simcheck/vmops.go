@@ -52,7 +52,7 @@ func fetchMapped(private bool) fetchFunc {
 			bad("mmap %s: %v", o.path(), merr)
 			return nil, "", nil
 		}
-		buf := m.ioBuf(o.worker, bufs*int(n))
+		buf := m.ioBuf(o.worker, 0, bufs*int(n))
 		got := buf[:n]
 		err = p.MemRead(addr+off, got)
 		var stored, back []byte
