@@ -59,6 +59,19 @@ func TestBlockRecycler(t *testing.T) {
 	b.Unref()
 }
 
+// TestBlockChunk: fresh blocks of a size come chunk to an allocation,
+// fewer where that would pass chunkBytes, so a size drawn once holds at
+// most chunkBytes it may never use. (The sizes are ones no other test
+// draws, so their chunks are this test's.)
+func TestBlockChunk(t *testing.T) {
+	for _, c := range []struct{ n, want int }{{8<<10 + 8, 63}, {100 << 10, 5}, {300 << 10, 1}} {
+		NewBlock(c.n).Unref()
+		if got := len(rest.fresh[c.n]) + 1; got != c.want {
+			t.Errorf("a fresh %d-byte block came %d to a chunk, want %d", c.n, got, c.want)
+		}
+	}
+}
+
 // TestBlockBound: resting bytes never pass RestBound; a block whose rest
 // would pass it is left to the collector. (The blocks here are never
 // touched, so they cost address space, not memory.)
