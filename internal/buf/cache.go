@@ -85,8 +85,8 @@ func NewCache(k *kernel.Kernel, nbuf, blockSize int) *Cache {
 	c := &Cache{
 		k:         k,
 		blockSize: blockSize,
-		pool:      make([]Buf, nbuf),
-		hash:      make([]*Buf, hashSize(nbuf)),
+		pool:      sim.NewTable[Buf](nbuf),
+		hash:      sim.NewTable[*Buf](hashSize(nbuf)),
 		zero:      sim.NewBlock(blockSize),
 		werrs:     make(map[Device]error),
 		werrN:     make(map[Device]int64),
@@ -112,7 +112,8 @@ func HoldBudget(nbuf int) int { return max(nbuf/8, 2) }
 // Release ends the cache's life: it drops its references to the buffers'
 // blocks, the zero block and the walker's shadow, and what no platter
 // still references rests, cleared, for the next machine (the machine's
-// spare blocks rest with the kernel's Spares). Any later getblk panics.
+// spare blocks rest with the kernel's Spares), as do the header pool and
+// the hash array. Any later getblk panics.
 func (c *Cache) Release() {
 	if c.zero == nil {
 		panic("buf: cache released twice")
@@ -128,7 +129,9 @@ func (c *Cache) Release() {
 	if w := c.ck; w != nil {
 		w.mem.Unref()
 	}
-	c.zero, c.ck = nil, nil
+	sim.RestTable(c.pool)
+	sim.RestTable(c.hash)
+	c.zero, c.ck, c.pool, c.hash = nil, nil, nil, nil
 	c.gen.Bump()
 }
 
@@ -257,6 +260,9 @@ func (c *Cache) hashRemove(b *Buf) {
 // Peek returns the cached buffer for (dev, blkno) without claiming it,
 // or nil. Used by fsync-style scans.
 func (c *Cache) Peek(dev Device, blkno int64) *Buf {
+	if c.zero == nil {
+		panic("buf: lookup on a released cache")
+	}
 	for b := c.hash[c.bucket(blkno)]; b != nil; b = b.hashNext {
 		if b.Dev == dev && b.Blkno == blkno && b.Flags&BInval == 0 {
 			return b

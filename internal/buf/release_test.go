@@ -38,7 +38,8 @@ func TestBufferBlocksStopAtTheirEnd(t *testing.T) {
 // cached ones through the device, the rest directly — and after Release
 // every block the cache let go of rests all-zero, and the next cache
 // draws from them. The fixture's checks made the touched walk's shadow,
-// which rests beside them, cleared too.
+// which rests beside them, cleared too, as do the header pool and the
+// hash array, which the next cache of that size draws.
 func TestReleaseClearsAndRestsTheSlab(t *testing.T) {
 	sim.TakeBlocks()
 	defer sim.TakeBlocks()
@@ -46,12 +47,18 @@ func TestReleaseClearsAndRestsTheSlab(t *testing.T) {
 	for i := range f.c.pool {
 		f.c.Store(&f.c.pool[i], false)[8191] = 0x5A
 	}
-	shadow := f.c.ck.mem
+	shadow, pool, hash := f.c.ck.mem, f.c.pool, f.c.hash
 	f.c.Release()
+	if _, tables := sim.Resting(); len(tables) != 2 {
+		t.Fatalf("%d tables rest, want the header pool and the hash array", len(tables))
+	}
+	if pool[0].blk != nil || pool[3].pool != nil || hash[0] != nil {
+		t.Error("the header pool or the hash array rests uncleared")
+	}
 	blocks := sim.TakeBlocks()
 	// Each buffer's own block, the zero block and the shadow.
-	if len(blocks) != len(f.c.pool)+2 || !slices.Contains(blocks, shadow) {
-		t.Fatalf("%d blocks rest, want the %d buffers', the zero block and the shadow", len(blocks), len(f.c.pool))
+	if len(blocks) != len(pool)+2 || !slices.Contains(blocks, shadow) {
+		t.Fatalf("%d blocks rest, want the %d buffers', the zero block and the shadow", len(blocks), len(pool))
 	}
 	for _, b := range blocks {
 		for i, c := range b.Bytes {
@@ -64,6 +71,11 @@ func TestReleaseClearsAndRestsTheSlab(t *testing.T) {
 	c := NewCache(f.k, 8, 8192)
 	if !slices.Contains(blocks, c.zero) {
 		t.Error("NewCache did not draw a resting block")
+	}
+	pool, hash = c.pool, c.hash
+	c.Release()
+	if d := NewCache(f.k, 8, 8192); &d.pool[0] != &pool[0] || &d.hash[0] != &hash[0] {
+		t.Error("the next cache of its size did not draw the resting header pool and hash array")
 	}
 }
 

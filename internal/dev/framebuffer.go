@@ -101,10 +101,11 @@ func (fb *Framebuffer) serveWaiters() {
 	fb.k.Wakeup(fb)
 }
 
-// takeFrame removes up to max bytes of the oldest frame.
-func (fb *Framebuffer) takeFrame(max int) (data []byte, eof bool) {
+// takeFrame removes up to max bytes of the oldest frame, a slice of no
+// block that the reader then owns.
+func (fb *Framebuffer) takeFrame(max int) (data []byte, _ *sim.Block, eof bool) {
 	if len(fb.frames) == 0 {
-		return nil, fb.eof
+		return nil, nil, fb.eof
 	}
 	f := fb.frames[0]
 	if max >= len(f) {
@@ -113,7 +114,7 @@ func (fb *Framebuffer) takeFrame(max int) (data []byte, eof bool) {
 		fb.frames[0] = f[max:]
 		f = f[:max]
 	}
-	return f, fb.eof && len(fb.frames) == 0
+	return f, nil, fb.eof && len(fb.frames) == 0
 }
 
 // Read implements kernel.FileOps: blocks until a frame (or EOF).
@@ -121,7 +122,7 @@ func (fb *Framebuffer) Read(ctx kernel.Ctx, p []byte, off int64) (int, error) {
 	if err := kernel.SleepUntil(ctx, fb, kernel.PSOCK+1, fb.readable); err != nil || len(fb.frames) == 0 {
 		return 0, err // refused or interrupted, else EOF
 	}
-	data, _ := fb.takeFrame(len(p))
+	data, _, _ := fb.takeFrame(len(p))
 	copy(p, data)
 	return len(data), nil
 }
@@ -137,7 +138,7 @@ func (fb *Framebuffer) Close(ctx kernel.Ctx) error { return nil }
 
 // SpliceRead implements the splice Source interface: deliver the oldest
 // captured frame, or park the request until one arrives.
-func (fb *Framebuffer) SpliceRead(max int, deliver func([]byte, bool, error)) {
+func (fb *Framebuffer) SpliceRead(max int, deliver kernel.Deliver) {
 	fb.rd.Read(max, deliver, fb.readable(), fb.takeFrame)
 }
 

@@ -87,14 +87,14 @@ func (pp *Pipe) drained() {
 	pp.wake(kernel.PollIn | kernel.PollOut)
 }
 
-// take removes up to max buffered bytes as a slice of their own: a
-// splice read's deliver owns what it is handed.
-func (pp *Pipe) take(max int) (data []byte, eof bool) {
+// take removes up to max buffered bytes for a splice read, by
+// reference (kernel.FIFO.Take).
+func (pp *Pipe) take(max int) (data []byte, blk *sim.Block, eof bool) {
 	if n := min(pp.q.Len(), max); n > 0 {
-		data = make([]byte, n)
-		pp.consume(data)
+		data, blk = pp.q.Take(n)
+		pp.out += int64(n)
 	}
-	return data, pp.closed && pp.q.Len() == 0
+	return data, blk, pp.closed && pp.q.Len() == 0
 }
 
 // consume moves the oldest bytes of the pipe into dst and returns how
@@ -181,7 +181,7 @@ func (pp *Pipe) SpliceWrite(data []byte, _ *sim.Block, done func(error)) {
 }
 
 // SpliceRead implements the splice Source interface.
-func (pp *Pipe) SpliceRead(max int, deliver func([]byte, bool, error)) {
+func (pp *Pipe) SpliceRead(max int, deliver kernel.Deliver) {
 	pp.q.Admit()
 	if pp.rd.Read(max, deliver, pp.readable(), pp.take) {
 		pp.drained()

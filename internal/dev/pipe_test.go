@@ -151,8 +151,9 @@ func TestPipeSpliceEndpointsDirect(t *testing.T) {
 	k := newK()
 	p := NewPipe(k, "", 1024)
 	var delivered []byte
-	p.SpliceRead(4096, func(data []byte, eof bool, err error) {
+	p.SpliceRead(4096, func(data []byte, blk *sim.Block, eof bool, err error) {
 		delivered = append([]byte(nil), data...)
+		k.Spares().Drop(blk)
 	})
 	doneCalled := false
 	k.Spawn("idle", func(pr *kernel.Proc) { pr.SleepFor(50 * sim.Millisecond) })
@@ -178,9 +179,10 @@ func TestPipeNonblockingAndSpliceWiring(t *testing.T) {
 	nb := k.IntrCtx()
 	const inOut = kernel.PollIn | kernel.PollOut
 	var log []string
-	deliver := func(tag string) func([]byte, bool, error) {
-		return func(data []byte, eof bool, err error) {
+	deliver := func(tag string) kernel.Deliver {
+		return func(data []byte, blk *sim.Block, eof bool, err error) {
 			log = append(log, fmt.Sprintf("%s:%q eof=%v err=%v", tag, data, eof, err))
+			k.Spares().Drop(blk)
 		}
 	}
 	done := func(tag string) func(error) {
@@ -258,7 +260,7 @@ func TestFramebufferSpliceSource(t *testing.T) {
 	var log []string
 	var read func(tag string, max int)
 	read = func(tag string, max int) {
-		fb.SpliceRead(max, func(data []byte, eof bool, err error) {
+		fb.SpliceRead(max, func(data []byte, _ *sim.Block, eof bool, err error) {
 			log = append(log, fmt.Sprintf("%s:%d eof=%v err=%v in frame period %d",
 				tag, len(data), eof, err, k.Now()/sim.Time(100*sim.Millisecond)))
 			if tag == "c" && !eof && err == nil {

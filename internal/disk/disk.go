@@ -231,7 +231,7 @@ func New(k *kernel.Kernel, p Params) *Disk {
 	d := &Disk{
 		k:      k,
 		p:      p,
-		blocks: sim.NewTable(int(p.Blocks)),
+		blocks: sim.NewTable[*sim.Block](int(p.Blocks)),
 		siteRd: k.Faults().Site("disk." + p.Name + ".rderr"),
 		siteWr: k.Faults().Site("disk." + p.Name + ".wrerr"),
 	}

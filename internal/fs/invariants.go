@@ -1,6 +1,9 @@
 package fs
 
-import "kdp/internal/kernel"
+import (
+	"kdp/internal/kernel"
+	"kdp/internal/sim"
+)
 
 // This file implements the filesystem's live invariant checker used by
 // the simcheck harness. Unlike Fsck — which reads the whole volume and
@@ -39,12 +42,20 @@ func (f *FS) CheckLive() error {
 	return f.gen.Check("fs", 0, f.checkLive, f.digest)
 }
 
+// Release gives the claim table back to sim's recycler, when the
+// machine ends or a recovery replaces this in-core filesystem; a later
+// CheckLive draws another.
+func (f *FS) Release() {
+	sim.RestTable(f.claims)
+	f.claims = nil
+}
+
 func (f *FS) checkLive() error {
 	if len(f.live) != len(f.inodes) {
 		return kernel.Violation("fs-inode-key", "inode table holds %d inodes, the in-core list %d", len(f.inodes), len(f.live))
 	}
 	if f.claims == nil {
-		f.claims = make([]claim, f.sb.TotalBlocks)
+		f.claims = sim.NewTable[claim](int(f.sb.TotalBlocks))
 	}
 	f.ckPass++
 	for _, ip := range f.live {

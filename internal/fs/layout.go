@@ -20,6 +20,7 @@ import (
 	"fmt"
 
 	"kdp/internal/buf"
+	"kdp/internal/sim"
 )
 
 // On-disk layout constants.
@@ -216,8 +217,10 @@ func Mkfs(dev RawDevice, ninodes int) (*Superblock, error) {
 	sb.FreeInodes = uint32(ninodes) - 2 // ino 0 reserved, ino 1 root
 	sb.FreeBlocks = uint32(int(blocks) - dataStart)
 
-	// Superblock.
-	blk := make([]byte, bsize)
+	// Superblock. The scratch block goes back to sim's recycler.
+	scratch := sim.NewBlock(bsize)
+	defer scratch.Unref()
+	blk := scratch.Bytes
 	sb.encode(blk)
 	dev.WriteRaw(0, blk)
 

@@ -21,25 +21,34 @@ import "kdp/internal/sim"
 // waits for data. The zero value is an empty slot.
 type ParkedRead struct {
 	max     int
-	deliver func(data []byte, eof bool, err error)
+	deliver Deliver
 }
+
+// Deliver is a splice read's completion: data, and blk, the block data
+// is a window of, with one reference that deliver owns and drops when it
+// is done with the bytes. A nil blk comes with bytes of no block, which
+// deliver owns outright.
+type Deliver func(data []byte, blk *sim.Block, eof bool, err error)
+
+// Take removes up to max bytes from an endpoint's buffer for a splice
+// read, by reference: a span of the endpoint's own FIFO or packet with a
+// reference taken for the reader, or a copy in one block of the
+// machine's Spares (FIFO.Take), never a slice of the Go heap.
+type Take func(max int) (data []byte, blk *sim.Block, eof bool)
 
 // Read is the body of SpliceRead. A ready endpoint delivers take(max)
 // at once and Read reports true, so the caller can run whatever the
 // drain enables; otherwise the read parks until Serve, Fail or Cancel.
-// deliver owns the data it is handed: take must return a slice nothing
-// else refers to, not a window of the endpoint's buffer.
 // A second read while one is parked is refused with ErrWouldBlock and
 // the first stays parked.
-func (r *ParkedRead) Read(max int, deliver func([]byte, bool, error),
-	ready bool, take func(max int) (data []byte, eof bool)) bool {
+func (r *ParkedRead) Read(max int, deliver Deliver, ready bool, take Take) bool {
 	switch {
 	case ready:
-		data, eof := take(max)
-		deliver(data, eof, nil)
+		data, blk, eof := take(max)
+		deliver(data, blk, eof, nil)
 		return true
 	case r.deliver != nil:
-		deliver(nil, false, ErrWouldBlock)
+		deliver(nil, nil, false, ErrWouldBlock)
 	default:
 		r.max, r.deliver = max, deliver
 	}
@@ -49,14 +58,14 @@ func (r *ParkedRead) Read(max int, deliver func([]byte, bool, error),
 // Serve hands take(max) to the parked read if there is one and the
 // endpoint has become ready, reporting whether it did. Endpoints call
 // it from every path that brings data or end of stream.
-func (r *ParkedRead) Serve(ready bool, take func(max int) (data []byte, eof bool)) bool {
+func (r *ParkedRead) Serve(ready bool, take Take) bool {
 	if r.deliver == nil || !ready {
 		return false
 	}
 	deliver := r.deliver
 	r.deliver = nil
-	data, eof := take(r.max)
-	deliver(data, eof, nil)
+	data, blk, eof := take(r.max)
+	deliver(data, blk, eof, nil)
 	return true
 }
 
@@ -64,7 +73,7 @@ func (r *ParkedRead) Serve(ready bool, take func(max int) (data []byte, eof bool
 func (r *ParkedRead) Fail(err error) {
 	if deliver := r.deliver; deliver != nil {
 		r.deliver = nil
-		deliver(nil, false, err)
+		deliver(nil, nil, false, err)
 	}
 }
 
@@ -142,6 +151,23 @@ func (f *FIFO) Share(blk *sim.Block, data []byte) {
 	blk.Ref()
 	f.spans.Push(sim.SpanOf(blk, data))
 	f.n += len(data)
+}
+
+// Take removes the oldest n bytes (0 < n <= Len) and hands them over by
+// reference: data and blk, the block it is a window of, with one
+// reference taken for the caller. Bytes that lie in one block are a
+// span of the queue's own; bytes across blocks are copied into one
+// block drawn from Spares, at least a FIFOBlock's size.
+func (f *FIFO) Take(n int) (data []byte, blk *sim.Block) {
+	if s := f.spans.Front(); s.N >= n {
+		blk, data = s.Blk, s.Blk.Bytes[s.Off:s.Off+n]
+		blk.Ref()
+	} else {
+		blk = f.Spares.Get(max(n, f.Spares.bySize[0].size))
+		data = blk.Bytes[:f.CopyOut(blk.Bytes[:n], 0)]
+	}
+	f.Drop(n)
+	return data, blk
 }
 
 // Spans appends to dst the queued bytes [off, off+n) as spans, a
@@ -330,7 +356,18 @@ func (q *Queue[T]) Len() int { return len(q.items) - q.head }
 
 // Grow sizes an empty queue's backing array for n values, so that its
 // owner can size it at construction rather than on the first busy path.
-func (q *Queue[T]) Grow(n int) { q.items = make([]T, 0, n) }
+// The array is a table of sim's recycler.
+func (q *Queue[T]) Grow(n int) { q.items = sim.NewTable[T](n)[:0] }
+
+// Rest empties the queue and gives its backing array back to sim's
+// recycler if it is still the n-value one Grow drew: an array the queue
+// outgrew is left to the collector, since no Grow would draw it.
+func (q *Queue[T]) Rest(n int) {
+	if cap(q.items) == n {
+		sim.RestTable(q.items[:n])
+	}
+	*q = Queue[T]{}
+}
 
 // Push adds v at the back. A queue that never empties reclaims its popped
 // slots here, once they are most of a full array, rather than growing.

@@ -15,8 +15,8 @@ import (
 // that each read was completed exactly once and with what.
 type readLog struct{ got []string }
 
-func (l *readLog) deliver(tag string) func([]byte, bool, error) {
-	return func(data []byte, eof bool, err error) {
+func (l *readLog) deliver(tag string) Deliver {
+	return func(data []byte, _ *sim.Block, eof bool, err error) {
 		l.got = append(l.got, fmt.Sprintf("%s:%q eof=%v err=%v", tag, data, eof, err))
 	}
 }
@@ -26,11 +26,11 @@ func TestParkedRead(t *testing.T) {
 	var buf []byte
 	eof := false
 	ready := func() bool { return len(buf) > 0 || eof }
-	take := func(max int) ([]byte, bool) {
+	take := func(max int) ([]byte, *sim.Block, bool) {
 		n := min(len(buf), max)
 		data := buf[:n]
 		buf = buf[n:]
-		return data, eof && len(buf) == 0
+		return data, nil, eof && len(buf) == 0
 	}
 	boom := errors.New("boom")
 

@@ -126,19 +126,28 @@ func (m *Machine) mount(p *kernel.Proc, i int) error {
 	if s.Readahead != 0 {
 		f.SetReadahead(s.Readahead)
 	}
+	if dead := m.FSs[i]; dead != nil {
+		dead.Release()
+	}
 	m.FSs[i] = f
 	m.K.Mount(s.Mount, f)
 	return nil
 }
 
 // Release ends the machine's life and gives its volume memory back: each
-// platter (written blocks re-zeroed) and the cache's slab (cleared) rest
-// where the next New of these sizes draws them, as do the spare blocks
-// its holders let go of (kernel.Spares). Afterwards disks and cache
-// panic on use or Release, and CheckInvariants reports buf-released.
+// platter (written blocks re-zeroed), the cache's slab and header tables
+// and each filesystem's claim table (cleared) rest where the next New of
+// these sizes draws them, as do the spare blocks its holders let go of
+// (kernel.Spares). Afterwards disks and cache panic on use or Release,
+// and CheckInvariants reports buf-released.
 func (m *Machine) Release() {
 	for _, d := range m.Disks {
 		d.Release()
+	}
+	for _, f := range m.FSs {
+		if f != nil {
+			f.Release()
+		}
 	}
 	m.Cache.Release()
 	m.K.Spares().Rest()

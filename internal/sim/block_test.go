@@ -96,21 +96,42 @@ func TestBlockBound(t *testing.T) {
 	}
 }
 
-// TestTableRecycler: a platter's table rests cleared, and serves only
-// a table of its length.
+// restingTables returns the tables that rest.
+func restingTables() []any {
+	_, tables := Resting()
+	return tables
+}
+
+// TestTableRecycler: a table rests cleared and serves only a table of
+// its element type and length, and what rests counts against RestBound.
 func TestTableRecycler(t *testing.T) {
 	TakeBlocks()
 	defer TakeBlocks()
-	a := NewTable(10)
+	a := NewTable[*Block](10)
 	a[3] = NewBlock(8)
 	RestTable(a)
-	if b := NewTable(9); &b[0] == &a[0] {
+	if rest.bytes != 80 {
+		t.Fatalf("a resting 10-reference table counts %d bytes, want 80", rest.bytes)
+	}
+	if b := NewTable[*Block](9); &b[0] == &a[0] {
 		t.Fatal("a 10-entry table served a 9-entry draw")
 	}
-	if b := NewTable(10); &b[0] != &a[0] || b[3] != nil {
+	type rec struct{ a, b int64 }
+	NewTable[rec](10)
+	if got := restingTables(); len(got) != 1 {
+		t.Fatalf("a draw of records took the table of references: %d tables rest, want 1", len(got))
+	}
+	if b := NewTable[*Block](10); &b[0] != &a[0] || b[3] != nil {
 		t.Fatalf("the resting table was not drawn, or not cleared (entry 3 %v)", b[3])
 	}
-	if rest.bytes != 0 {
-		t.Fatalf("%d bytes counted with nothing resting", rest.bytes)
+	r := NewTable[rec](4)
+	r[1] = rec{7, 9}
+	RestTable(r)
+	if rest.bytes != 64 || NewTable[rec](4)[1] != (rec{}) {
+		t.Fatalf("a 4-record table rested as %d bytes, or uncleared", rest.bytes)
+	}
+	RestTable(make([]rec, RestBound/16+1))
+	if rest.bytes != 0 || len(restingTables()) != 0 {
+		t.Fatalf("a table past RestBound rested: %d bytes counted", rest.bytes)
 	}
 }

@@ -7,19 +7,22 @@ import (
 )
 
 // seedBudgetKB bounds what a warm run of seed 1 allocates, under the
-// race detector's build too: the measurement below and the 251 KB
-// margin the bound kept over it before.
-const seedBudgetKB = 480
+// race detector's build too: its 158 KB there and 42 KB of headroom,
+// below the 211 KB the run allocated before its tables rested.
+const seedBudgetKB = 200
 
 // TestSeedAllocationBudget is the budget gate for docs/CHECKING.md
 // "What a seed costs": an op writes from and reads into its worker's
 // I/O buffers (ioBuf), and the oracle's images copy only the blocks a
 // store touches; both are sim.Blocks, drawn from the recycler the last
-// run gave them back to. Seed 1 allocates 228 KB so (x86-64, Go 1.24;
-// 271 KB under -race). It allocated 834 KB (878 KB) while the images
-// and buffers came from the Go heap, 1 665 KB (2 437 KB) while the
-// images were flat copies, and 2 548 KB (3 311 KB) when every op
-// allocated its own buffers too.
+// run gave them back to, as are the machine's tables (the cache's
+// headers and hash, the filesystems' claims, the nets' records) and
+// the blocks a splice source hands over. Seed 1 allocates 114 KB so
+// (x86-64, Go 1.24; 158 KB under -race). It allocated 211 KB while the
+// tables came from the Go heap and a take from a pipe made a slice,
+// 834 KB (878 KB) while the images and buffers came from the Go heap,
+// 1 665 KB (2 437 KB) while the images were flat copies, and 2 548 KB
+// (3 311 KB) when every op allocated its own buffers too.
 func TestSeedAllocationBudget(t *testing.T) {
 	// The first run rests its machine's platters and buffer slab for the
 	// second, as every run but the first in a sweep finds them.

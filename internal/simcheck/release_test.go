@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -11,16 +12,11 @@ import (
 	"kdp/internal/sim"
 )
 
-// restingDirt takes every block resting in the recycler, scans every
-// byte, and rests the blocks again so the next machine still draws
-// them. It returns a description of the first non-zero byte, or "".
+// restingDirt scans every byte of every block resting in the
+// recycler, which stays there, and returns a description of the first
+// non-zero byte, or "".
 func restingDirt() string {
-	blocks := sim.TakeBlocks()
-	defer func() {
-		for _, b := range blocks {
-			b.Rest()
-		}
-	}()
+	blocks, _ := sim.Resting()
 	for _, b := range blocks {
 		// All zero iff the first byte is and every byte equals the one
 		// before it: one memequal, where a byte loop under -race is slow.
@@ -37,14 +33,34 @@ func restingDirt() string {
 	return ""
 }
 
+// restingTableDirt scans every table resting in the recycler, which
+// stays there, element by element, and returns a description of the
+// first element that is not its type's zero value, or "".
+func restingTableDirt() string {
+	_, tables := sim.Resting()
+	for _, t := range tables {
+		v := reflect.ValueOf(t)
+		for i := range v.Len() {
+			if !v.Index(i).IsZero() {
+				return fmt.Sprintf("entry %d of a resting %d-entry %T is not zero", i, v.Len(), t)
+			}
+		}
+	}
+	return ""
+}
+
 // TestReleaseLeavesMemoryZero gives the re-zeroing teeth: after every
 // run — standard, crashed and recovered, or cut short by an armed disk
 // fault — every block execute's Release let go of is scanned byte by
 // byte, and rested again, so each machine but the first is built on
-// blocks an earlier one wrote. A block rests only when its last platter
+// blocks an earlier one wrote; and every typed table that rests (the
+// platters' references, the cache's headers and hash, the filesystems'
+// claims, the nets' records and queues, the snapshot's counters) is
+// scanned element by element. A block rests only when its last platter
 // entry or buffer lets go, so a clean scan means no live reference was
-// dropped early. The last step shows the scan sees what it is for: one
-// stray byte in a resting block fails it.
+// dropped early. The last steps show the scans see what they are for:
+// one stray byte in a resting block fails the first, one stray entry
+// in a resting table the second.
 func TestReleaseLeavesMemoryZero(t *testing.T) {
 	sim.TakeBlocks()
 	defer sim.TakeBlocks()
@@ -81,13 +97,34 @@ func TestReleaseLeavesMemoryZero(t *testing.T) {
 		if dirt := restingDirt(); dirt != "" {
 			t.Fatalf("after %+v: %s", cfg, dirt)
 		}
+		if dirt := restingTableDirt(); dirt != "" {
+			t.Fatalf("after %+v: %s", cfg, dirt)
+		}
 	}
-	blocks := sim.TakeBlocks()
+	_, tables := sim.Resting()
+	kinds := map[string]bool{}
+	for _, tbl := range tables {
+		kinds[fmt.Sprintf("%T", tbl)] = true
+	}
+	for _, want := range []string{"[]*sim.Block", "[]buf.Buf", "[]*buf.Buf", "[]fs.claim", "[]socket.Packet", "[]sim.Span", "[]*socket.Packet", "[]trace.Counter"} {
+		if !kinds[want] {
+			t.Errorf("no %s table rests after the sweep", want)
+		}
+	}
+	for _, tbl := range tables {
+		if refs, ok := tbl.([]*sim.Block); ok {
+			refs[len(refs)-1] = &sim.Block{}
+			want := fmt.Sprintf("entry %d of a resting %d-entry []*sim.Block is not zero", len(refs)-1, len(refs))
+			if dirt := restingTableDirt(); dirt != want {
+				t.Errorf("the scan missed a stray entry at the end of a resting table: %q", dirt)
+			}
+			refs[len(refs)-1] = nil
+			break
+		}
+	}
+	blocks, _ := sim.Resting()
 	if len(blocks) == 0 {
 		t.Fatal("no block rests after the sweep")
-	}
-	for _, b := range blocks {
-		b.Rest()
 	}
 	blocks[0].Bytes[len(blocks[0].Bytes)-1] = 0x7F
 	want := fmt.Sprintf("byte 0x7f at offset %d of a resting %d-byte block", len(blocks[0].Bytes)-1, len(blocks[0].Bytes))

@@ -150,6 +150,7 @@ type machine struct {
 	tr   *trace.Tracer
 	tchk *trace.Checker
 	tdig *trace.Digester
+	snap []trace.Counter // the trace-snapshot op's counters, a table of snapCounters
 
 	violation  error
 	curOp      string
@@ -387,6 +388,8 @@ func execute(cfg Config, ops []*op) *Result {
 	lossy := socket.Loopback()
 	lossy.Name = "snet" // distinct fault sites: "net.snet.drop" etc.
 	m.snet = socket.NewNet(m.K, lossy)
+	defer m.net.Release()
+	defer m.snet.Release()
 	// Every fifth data datagram on snet is lost, for the whole run.
 	m.K.Faults().Arm(kernel.FaultArm{
 		Site: m.snet.DropSite(), Every: 5,
@@ -502,7 +505,12 @@ func (m *machine) checkOracleRefs() error {
 	return nil
 }
 
-// giveBack gives the oracle's images and the workers' I/O buffers back.
+// snapCounters sizes the trace-snapshot op's table: a 60-op seed's
+// snapshot holds up to about 160 counters.
+const snapCounters = 256
+
+// giveBack gives the oracle's images, the workers' I/O buffers and the
+// snapshot table back (the table only if no snapshot outgrew it).
 func (m *machine) giveBack() {
 	for _, of := range m.oracle {
 		of.data.release()
@@ -510,6 +518,9 @@ func (m *machine) giveBack() {
 	}
 	for w := range m.bufs {
 		unrefAll(m.bufs[w][:])
+	}
+	if cap(m.snap) == snapCounters {
+		sim.RestTable(m.snap[:snapCounters])
 	}
 }
 
@@ -575,7 +586,11 @@ func (m *machine) doTraceSnap(p *kernel.Proc, o *op) {
 		m.fail(err)
 		return
 	}
-	snap := m.tr.Metrics().Snapshot()
+	if m.snap == nil {
+		m.snap = sim.NewTable[trace.Counter](snapCounters)[:0]
+	}
+	m.snap = m.tr.Metrics().AppendSnapshot(m.snap[:0])
+	snap := m.snap
 	var sum uint64 = 14695981039346656037
 	for _, c := range snap {
 		for i := 0; i < len(c.Name); i++ {

@@ -112,8 +112,11 @@ type Net struct {
 	txq    kernel.Queue[txRequest]
 	txBusy bool
 	// free is the packet records nobody refers to any more, for
-	// NewPacket: each keeps its span array.
-	free []*Packet
+	// NewPacket: each keeps its span array. recs and spans are the
+	// records NewNet made and their spans, for Release.
+	free  []*Packet
+	recs  []Packet
+	spans []sim.Span
 
 	// The link serves one request at a time and every datagram
 	// propagates for the same Latency (a reordered one twice), so
@@ -149,14 +152,29 @@ func NewNet(k *kernel.Kernel, p NetParams) *Net {
 	n.onSent, n.onArrive = n.txDone, n.rxArrive
 	n.txq.Grow(netRecords)
 	n.flying.Grow(netRecords)
-	n.free = make([]*Packet, netRecords)
-	recs := make([]Packet, netRecords)
-	spans := make([]sim.Span, netRecords*packetSpans)
-	for i := range recs {
-		recs[i].Data = spans[i*packetSpans : i*packetSpans : (i+1)*packetSpans]
-		n.free[i] = &recs[i]
+	n.free = sim.NewTable[*Packet](netRecords)
+	n.recs = sim.NewTable[Packet](netRecords)
+	n.spans = sim.NewTable[sim.Span](netRecords * packetSpans)
+	for i := range n.recs {
+		n.recs[i].Data = n.spans[i*packetSpans : i*packetSpans : (i+1)*packetSpans]
+		n.free[i] = &n.recs[i]
 	}
 	return n
+}
+
+// Release ends the net's life: its first packet records, their span
+// array, its free list and its queues' arrays rest, cleared, in sim's
+// recycler for the next NewNet, each if it is still the size NewNet
+// drew. Nothing on the net may be used again.
+func (n *Net) Release() {
+	sim.RestTable(n.recs)
+	sim.RestTable(n.spans)
+	if cap(n.free) == netRecords {
+		sim.RestTable(n.free[:netRecords])
+	}
+	n.txq.Rest(netRecords)
+	n.flying.Rest(netRecords)
+	n.recs, n.spans, n.free = nil, nil, nil
 }
 
 // packetSpans is the spans a record has room for from the start: a
@@ -390,22 +408,31 @@ func (s *Socket) serveWaiters() {
 	s.pollQ.Notify(events)
 }
 
-// takeDatagram pops the next datagram as a slice of its own (or its
-// first max bytes; the rest of the datagram is discarded, as recvfrom
-// does): a splice read's deliver owns what it is handed.
-func (s *Socket) takeDatagram(max int) (data []byte, eof bool) {
+// takeDatagram pops the next datagram (or its first limit bytes; the
+// rest of the datagram is discarded, as recvfrom does) for a splice
+// read, by reference: a span of the packet's first block, with a
+// reference taken for the reader, when the bytes lie in it, else a copy
+// in one block of the machine's Spares.
+func (s *Socket) takeDatagram(limit int) (data []byte, blk *sim.Block, eof bool) {
 	if s.rcvq.Len() == 0 {
-		return nil, s.closed
+		return nil, nil, s.closed
 	}
 	pkt := s.rcvq.Pop()
 	s.rcvBytes -= pkt.Len()
 	if pkt.eof {
-		return nil, true
+		return nil, nil, true
 	}
-	data = make([]byte, min(max, pkt.Len()))
-	scatter([][]byte{data}, pkt.Packet)
+	switch n := min(limit, pkt.Len()); {
+	case n == 0:
+	case pkt.Data[0].N >= n:
+		blk, data = pkt.Data[0].Blk, pkt.Data[0].Bytes()[:n]
+		blk.Ref()
+	default:
+		blk = s.net.k.Spares().Get(max(n, kernel.FIFOBlock))
+		data = blk.Bytes[:scatter([][]byte{blk.Bytes[:n]}, pkt.Packet)]
+	}
 	s.net.recycle(pkt.Packet)
-	return data, false
+	return data, blk, false
 }
 
 // scatter copies p's bytes across iovs in order and returns the number
@@ -621,7 +648,7 @@ func (s *Socket) SpliceWrite(data []byte, blk *sim.Block, done func(error)) {
 // SpliceRead implements the splice Source interface: the next datagram
 // is delivered immediately if queued, otherwise on its receive
 // interrupt.
-func (s *Socket) SpliceRead(max int, deliver func([]byte, bool, error)) {
+func (s *Socket) SpliceRead(max int, deliver kernel.Deliver) {
 	s.rd.Read(max, deliver, s.readable(), s.takeDatagram)
 }
 

@@ -218,7 +218,8 @@ func TestSpliceSourceDeliversOnArrival(t *testing.T) {
 	var deliveredAt sim.Time
 	var deliveredLen int
 	// Arm the splice-source read before any data exists.
-	b.SpliceRead(8192, func(data []byte, eof bool, err error) {
+	b.SpliceRead(8192, func(data []byte, blk *sim.Block, eof bool, err error) {
+		k.Spares().Drop(blk)
 		deliveredAt = k.Now()
 		deliveredLen = len(data)
 	})
@@ -279,9 +280,10 @@ func TestSpliceReadPollAndVectoredWiring(t *testing.T) {
 	a.Connect(2)
 	const inOut = kernel.PollIn | kernel.PollOut
 	var log []string
-	deliver := func(tag string) func([]byte, bool, error) {
-		return func(data []byte, eof bool, err error) {
+	deliver := func(tag string) kernel.Deliver {
+		return func(data []byte, blk *sim.Block, eof bool, err error) {
 			log = append(log, fmt.Sprintf("%s:%q eof=%v err=%v", tag, data, eof, err))
+			k.Spares().Drop(blk)
 		}
 	}
 

@@ -5,8 +5,11 @@ import (
 	"runtime"
 	"testing"
 
+	"kdp/internal/dev"
 	"kdp/internal/disk"
 	"kdp/internal/kernel"
+	"kdp/internal/socket"
+	"kdp/internal/stream"
 )
 
 // midTransferAllocs starts an asynchronous splice of total bytes from src
@@ -76,4 +79,110 @@ func TestSplicedBlockAllocatesNothing(t *testing.T) {
 			})
 		})
 	}
+}
+
+// warmChunkAllocs starts an asynchronous splice from the source open on
+// src into /dev/null, then counts with testing.AllocsPerRun what one
+// chunk costs once the splice is warm: feed writes 8 KB into the source
+// from process context, and the caller sleeps a tick at a time until
+// the null device has all of it. The source hands each chunk over by
+// reference, a span of its own queue or a copy in one of the machine's
+// spare blocks, and the splice drops it when the null device is done.
+func warmChunkAllocs(t *testing.T, p *kernel.Proc, null *dev.Null, src int, feed func([]byte)) float64 {
+	t.Helper()
+	sink, _ := p.Open("/dev/null", kernel.OWrOnly)
+	if _, err := p.Fcntl(src, kernel.FSetFL, kernel.FAsync); err != nil {
+		t.Fatalf("fcntl: %v", err)
+	}
+	p.SetSignalHandler(kernel.SIGIO, nil)
+	_, h, err := SpliceOpts(p, src, sink, EOF, Options{})
+	if err != nil {
+		t.Fatalf("splice: %v", err)
+	}
+	chunk := bytes.Repeat([]byte{0x5A}, bsize)
+	tick := p.Kernel().Config().TickDuration()
+	allocs := testing.AllocsPerRun(50, func() {
+		want := null.BytesWritten() + bsize
+		feed(chunk)
+		for null.BytesWritten() < want && !h.Done() {
+			p.SleepFor(tick)
+		}
+	})
+	if h.Done() {
+		t.Fatalf("the splice ended early: %v", h.Err())
+	}
+	_ = p.Close(sink)
+	return allocs
+}
+
+// TestWarmSpliceFromPipeAllocatesNothing: a warm splice from a pipe
+// into /dev/null takes each chunk from the pipe as a span of the pipe's
+// own block, by reference, and allocates nothing per chunk.
+func TestWarmSpliceFromPipeAllocatesNothing(t *testing.T) {
+	m := newMachine(t, disk.RAMDisk)
+	pipe := dev.NewPipe(m.k, "/dev/pipe", 4*bsize)
+	null := dev.NewNull(m.k)
+	m.run(t, func(p *kernel.Proc) {
+		pin, _ := p.Open("/dev/pipe", kernel.OWrOnly)
+		pout, _ := p.Open("/dev/pipe", kernel.ORdOnly)
+		allocs := warmChunkAllocs(t, p, null, pout, func(b []byte) {
+			if _, err := p.Write(pin, b); err != nil {
+				t.Fatalf("pipe write: %v", err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("a warm 8 KB chunk spliced from a pipe allocates %.1f objects, want 0", allocs)
+		}
+		pipe.CloseWrite()
+		_ = p.Close(pout)
+		_ = p.Close(pin)
+	})
+}
+
+// TestWarmSpliceFromConnAllocatesNothing: a warm splice from a stream
+// connection into /dev/null takes each chunk from the receive buffer by
+// reference — a span of a received segment's block, or the segments a
+// chunk spans copied into one spare block — and allocates nothing per
+// chunk, the client's writes, segments and acknowledgements included.
+func TestWarmSpliceFromConnAllocatesNothing(t *testing.T) {
+	m := newMachine(t, disk.RAMDisk)
+	null := dev.NewNull(m.k)
+	n := socket.NewNet(m.k, socket.Loopback())
+	srv, _ := stream.NewTransport(m.k, n, 80)
+	cli, _ := stream.NewTransport(m.k, n, 5001)
+	var conn *stream.Conn // the client's end
+	m.k.Spawn("client", func(p *kernel.Proc) {
+		fd, c, err := cli.Connect(p, 80)
+		if err != nil {
+			t.Errorf("connect: %v", err)
+			return
+		}
+		conn = c
+		m.k.Wakeup(&conn)
+		for conn != nil {
+			_ = p.Sleep(&conn, kernel.PWAIT)
+		}
+		_ = p.Close(fd)
+	})
+	m.run(t, func(p *kernel.Proc) {
+		_ = srv.Listen(p)
+		afd, _, err := srv.Accept(p)
+		if err != nil {
+			t.Fatalf("accept: %v", err)
+		}
+		for conn == nil {
+			_ = p.Sleep(&conn, kernel.PWAIT)
+		}
+		allocs := warmChunkAllocs(t, p, null, afd, func(b []byte) {
+			if _, err := conn.Write(p.Ctx(), b, 0); err != nil {
+				t.Fatalf("conn write: %v", err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("a warm 8 KB chunk spliced from a stream connection allocates %.1f objects, want 0", allocs)
+		}
+		conn = nil
+		m.k.Wakeup(&conn)
+		_ = p.Close(afd)
+	})
 }

@@ -3,6 +3,7 @@ package splice
 import (
 	"kdp/internal/buf"
 	"kdp/internal/kernel"
+	"kdp/internal/sim"
 	"kdp/internal/trace"
 )
 
@@ -204,9 +205,11 @@ func (r *blocks) bound() error {
 // ---- source: reading a Source ----
 
 // chunkWriter is a write side that takes byte chunks as a Source
-// delivers them.
+// delivers them: data, a window of blk (or of no block, nil), with the
+// splice's reference to blk, which the writer drops once it is done
+// with the bytes.
 type chunkWriter interface {
-	writeChunk(data []byte)
+	writeChunk(data []byte, blk *sim.Block)
 	// ready reports that the writer holds no earlier chunk back, so
 	// reading another is worthwhile.
 	ready() bool
@@ -223,7 +226,8 @@ type source struct {
 
 	received    int64 // bytes handed to the write side so far
 	eof         bool
-	outstanding bool // a read is parked in the Source, or its data is being handed over
+	outstanding bool           // a read is parked in the Source, or its data is being handed over
+	onDeliver   kernel.Deliver // delivered, bound once
 }
 
 func (r *source) open(_ kernel.Ctx, size int64) (int64, error) { return size, nil }
@@ -249,12 +253,15 @@ func (r *source) start(kernel.Ctx) {
 	d.pendingReads++
 	d.gen.Bump()
 	d.issued(r.received)
-	r.src.SpliceRead(n, r.delivered)
+	if r.onDeliver == nil {
+		r.onDeliver = r.delivered
+	}
+	r.src.SpliceRead(n, r.onDeliver)
 }
 
 // delivered is the read handler: the Source has produced data (or EOF,
 // or an error) at interrupt level.
-func (r *source) delivered(data []byte, eof bool, err error) {
+func (r *source) delivered(data []byte, blk *sim.Block, eof bool, err error) {
 	d := r.d
 	d.handlerCharge()
 	d.pendingReads--
@@ -270,7 +277,9 @@ func (r *source) delivered(data []byte, eof bool, err error) {
 	// start the next read nor see the source as exhausted while part of
 	// this chunk is still to be handed over.
 	if len(data) > 0 {
-		r.wr.writeChunk(data)
+		r.wr.writeChunk(data, blk)
+	} else {
+		d.k.Spares().Drop(blk)
 	}
 	r.received += int64(len(data))
 	r.eof = r.eof || eof

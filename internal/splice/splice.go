@@ -136,12 +136,15 @@ type Sink interface {
 	SpliceWrite(data []byte, blk *sim.Block, done func(err error))
 }
 
-// Source produces spliced data at interrupt level (sockets, the
-// framebuffer). deliver must be invoked exactly once per SpliceRead —
-// synchronously if data is waiting, or later when it arrives; eof
-// reports that no further data will ever arrive.
+// Source produces spliced data at interrupt level (pipes, sockets,
+// stream connections, the framebuffer). deliver must be invoked exactly
+// once per SpliceRead — synchronously if data is waiting, or later when
+// it arrives; eof reports that no further data will ever arrive. A
+// source hands its bytes over by reference (kernel.Deliver): data is a
+// window of blk, and the splice owns one reference to blk, which it
+// passes to the Sink as its blk and drops when the Sink's done fires.
 type Source interface {
-	SpliceRead(max int, deliver func(data []byte, eof bool, err error))
+	SpliceRead(max int, deliver kernel.Deliver)
 	// CancelSpliceRead withdraws the pending read, if any; the deliver
 	// callback will then never be invoked. Reports whether a read was
 	// cancelled. An interrupted splice uses it so a source that never

@@ -203,10 +203,17 @@ type sink struct {
 	// Chunks on the callout list, oldest first: callouts queued for the
 	// same tick fire in the order they were queued, so one handler, bound
 	// once, takes them from the front.
-	chunks  kernel.Queue[[]byte]
+	chunks  kernel.Queue[chunk]
 	onChunk func() // sendChunk
 
 	spare *sending // completed write records, for send
+}
+
+// chunk is bytes a Source delivered: data, a window of blk (nil for
+// bytes of no block), whose reference the splice holds.
+type chunk struct {
+	data []byte
+	blk  *sim.Block
 }
 
 type parkedBlock struct {
@@ -220,7 +227,8 @@ type parkedBlock struct {
 // a completed one is reused by a later send.
 type sending struct {
 	s    *sink
-	b    *buf.Buf // the buffer behind the data, if any
+	b    *buf.Buf   // the buffer behind the data, if any
+	blk  *sim.Block // a Source's block behind the data, if any: the splice's reference
 	n    int
 	done func(error) // completed, bound once
 	next *sending    // on s.spare
@@ -228,7 +236,8 @@ type sending struct {
 
 func (w *sending) completed(err error) {
 	s, b, n := w.s, w.b, w.n
-	w.b = nil
+	s.d.k.Spares().Drop(w.blk)
+	w.b, w.blk = nil, nil
 	w.next, s.spare = s.spare, w
 	s.d.written(b, n, err)
 }
@@ -259,32 +268,35 @@ func (s *sink) writeBlock(b *buf.Buf, data []byte) {
 // when the sink signals completion.
 func (s *sink) handOver(b *buf.Buf, data []byte) {
 	s.d.stats.Shared++
-	s.send(b, data, b.SpliceLblk)
+	s.send(b, nil, data, b.SpliceLblk)
 }
 
-func (s *sink) writeChunk(data []byte) {
+func (s *sink) writeChunk(data []byte, blk *sim.Block) {
 	if s.onChunk == nil {
 		s.onChunk = s.sendChunk
 	}
-	s.chunks.Push(data)
+	s.chunks.Push(chunk{data, blk})
 	s.d.callout(s.onChunk)
 }
 
 // sendChunk runs from the callout list with the oldest queued chunk.
 func (s *sink) sendChunk() {
-	d, data := s.d, s.chunks.Pop()
+	d, c := s.d, s.chunks.Pop()
 	d.handlerCharge()
 	if d.stopped {
+		d.k.Spares().Drop(c.blk)
 		d.settle() // the chunk is dropped
 		return
 	}
 	d.pendingWrites++
 	d.gen.Bump()
-	s.send(nil, data, int64(len(data)))
+	s.send(nil, c.blk, c.data, int64(len(c.data)))
 }
 
-// send passes data to the Sink; b, if any, is the buffer behind it.
-func (s *sink) send(b *buf.Buf, data []byte, tag int64) {
+// send passes data to the Sink; b, if any, is the buffer behind it, and
+// blk, if any, a Source's block, whose reference the splice drops when
+// the Sink's done fires.
+func (s *sink) send(b *buf.Buf, blk *sim.Block, data []byte, tag int64) {
 	d := s.d
 	d.k.TraceEmit(trace.KindSpliceWrite, 0, tag, int64(d.pendingWrites), "")
 	w := s.spare
@@ -294,8 +306,7 @@ func (s *sink) send(b *buf.Buf, data []byte, tag int64) {
 	} else {
 		s.spare = w.next
 	}
-	w.b, w.n = b, len(data)
-	var blk *sim.Block
+	w.b, w.blk, w.n = b, blk, len(data)
 	if b != nil {
 		blk = b.Lend()
 	}
@@ -350,10 +361,17 @@ type stage struct {
 
 func (s *stage) ready() bool { return len(s.stash) == 0 }
 
-// writeChunk stages incoming bytes at interrupt level, writing each
+// writeChunk stages a Source's chunk (stageBytes) and drops the
+// splice's reference to its block: the bytes are copied or stashed.
+func (s *stage) writeChunk(data []byte, blk *sim.Block) {
+	s.stageBytes(data)
+	s.d.k.Spares().Drop(blk)
+}
+
+// stageBytes stages incoming bytes at interrupt level, writing each
 // block as it fills. On a momentarily unavailable buffer the remainder
 // is stashed and retried from the callout list.
-func (s *stage) writeChunk(data []byte) {
+func (s *stage) stageBytes(data []byte) {
 	d := s.d
 	for len(data) > 0 && !d.stopped {
 		if s.hdr == nil {
@@ -416,7 +434,7 @@ func (s *stage) release(hdr *buf.Buf) {
 func (s *stage) resume() {
 	if data := s.stash; len(data) > 0 {
 		s.stash = nil
-		s.writeChunk(data)
+		s.stageBytes(data)
 	}
 }
 

@@ -497,14 +497,14 @@ func (c *Conn) serveReader() {
 	c.pollQ.Notify(events)
 }
 
-// take removes up to max in-order bytes as a slice of their own: a
-// splice read's deliver owns what it is handed.
-func (c *Conn) take(max int) (data []byte, eof bool) {
+// take removes up to max in-order bytes for a splice read, by
+// reference (kernel.FIFO.Take): most often a span of a received
+// segment's payload block.
+func (c *Conn) take(max int) (data []byte, blk *sim.Block, eof bool) {
 	if n := min(c.rcv.Len(), max); n > 0 {
-		data = make([]byte, n)
-		c.rcv.Read(data)
+		data, blk = c.rcv.Take(n)
 	}
-	return data, c.drained()
+	return data, blk, c.drained()
 }
 
 // drained follows the consumer's read of the receive buffer: it sends a
@@ -692,9 +692,9 @@ func (c *Conn) SpliceWrite(data []byte, blk *sim.Block, done func(error)) {
 // SpliceRead implements the splice Source interface: in-order bytes are
 // delivered immediately if buffered, otherwise on the arrival
 // interrupt.
-func (c *Conn) SpliceRead(max int, deliver func([]byte, bool, error)) {
+func (c *Conn) SpliceRead(max int, deliver kernel.Deliver) {
 	if c.failed != nil {
-		deliver(nil, false, c.failed)
+		deliver(nil, nil, false, c.failed)
 		return
 	}
 	c.rd.Read(max, deliver, c.readable(), c.take)

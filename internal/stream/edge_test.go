@@ -272,7 +272,7 @@ func TestStreamFailureReadiness(t *testing.T) {
 				// never reads) are parked callers too: the failure must
 				// complete each exactly once with the terminal error.
 				var parked []error
-				c.SpliceRead(64, func(_ []byte, _ bool, err error) { parked = append(parked, err) })
+				c.SpliceRead(64, func(_ []byte, _ *sim.Block, _ bool, err error) { parked = append(parked, err) })
 				c.SpliceWrite(make([]byte, sndCap+rcvCap+MaxSeg+1), nil, func(err error) { parked = append(parked, err) })
 				defer func() {
 					if len(parked) != 2 || parked[0] != tc.err || parked[1] != tc.err {
@@ -337,9 +337,10 @@ func TestConnSpliceWiring(t *testing.T) {
 	srv, _ := NewTransport(k, n, 80)
 	cli, _ := NewTransport(k, n, 5001)
 	var log []string
-	deliver := func(tag string) func([]byte, bool, error) {
-		return func(data []byte, eof bool, err error) {
+	deliver := func(tag string) kernel.Deliver {
+		return func(data []byte, blk *sim.Block, eof bool, err error) {
 			log = append(log, fmt.Sprintf("%s:%q eof=%v err=%v", tag, data, eof, err))
+			k.Spares().Drop(blk)
 		}
 	}
 	var received int

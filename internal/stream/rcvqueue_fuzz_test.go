@@ -90,6 +90,20 @@ func FuzzRcvQueue(f *testing.F) {
 			}
 			read += int64(len(got))
 		}
+		// A take's bytes are checked only after scribbleFree has drawn
+		// and overwritten the free blocks: the reference the take hands
+		// over must keep its block off the spare list until dropped.
+		var took []byte
+		var tookBlk *sim.Block
+		checkTook := func() {
+			if tookBlk == nil {
+				return
+			}
+			read -= int64(len(took))
+			check("take", took)
+			tr.k.Spares().Drop(tookBlk)
+			took, tookBlk = nil, nil
+		}
 		buf := make([]byte, 2*MaxSeg)
 		ops := len(prog) / 3
 		for ; len(prog) >= 3; prog = prog[3:] {
@@ -106,8 +120,8 @@ func FuzzRcvQueue(f *testing.F) {
 				}
 				check("read", buf[:m])
 			case 3:
-				data, _ := c.take(1 + arg%len(buf))
-				check("take", data)
+				took, tookBlk, _ = c.take(1 + arg%len(buf))
+				read += int64(len(took))
 			}
 			if got, want := c.rcv.Len(), int(c.rcvNxt-read); got != want {
 				t.Fatalf("%d bytes queued, want the %d in [%d, %d)", got, want, read, c.rcvNxt)
@@ -116,10 +130,12 @@ func FuzzRcvQueue(f *testing.F) {
 				t.Fatal(err)
 			}
 			scribbleFree(t, tr, c)
+			checkTook()
 		}
 		for c.rcv.Len() > 0 {
-			data, _ := c.take(len(buf))
+			data, blk, _ := c.take(len(buf))
 			check("final take", data)
+			tr.k.Spares().Drop(blk)
 		}
 		if c.rcvNxt != read {
 			t.Fatalf("read up to %d of %d", read, c.rcvNxt)

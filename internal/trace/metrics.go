@@ -3,7 +3,9 @@ package trace
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
+	"strings"
 
 	"kdp/internal/sim"
 )
@@ -293,8 +295,13 @@ type Counter struct {
 // name — a deterministic flattening of the aggregator, suitable for
 // digesting, diffing, and the counters glossary in EXPERIMENTS.md.
 // Durations are in virtual nanoseconds.
-func (m *Metrics) Snapshot() []Counter {
-	var out []Counter
+func (m *Metrics) Snapshot() []Counter { return m.AppendSnapshot(nil) }
+
+// AppendSnapshot appends Snapshot's counters, sorted by name, to out
+// and returns it: a caller that snapshots repeatedly passes the last
+// snapshot's array, emptied.
+func (m *Metrics) AppendSnapshot(out []Counter) []Counter {
+	n0 := len(out)
 	add := func(name string, v int64) { out = append(out, Counter{name, v}) }
 
 	for k := Kind(1); k < kindMax; k++ {
@@ -363,7 +370,7 @@ func (m *Metrics) Snapshot() []Counter {
 	add("sys.batch_ops", m.BatchOps)
 	add("sys.batch_crossings_saved", m.BatchCrossingsSaved)
 
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	slices.SortFunc(out[n0:], func(a, b Counter) int { return strings.Compare(a.Name, b.Name) })
 	return out
 }
 
