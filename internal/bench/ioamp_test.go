@@ -8,6 +8,7 @@ import (
 	"kdp/internal/fs"
 	"kdp/internal/kernel"
 	"kdp/internal/server"
+	"kdp/internal/sim"
 	"kdp/internal/socket"
 	"kdp/internal/stream"
 	"kdp/internal/trace"
@@ -160,7 +161,9 @@ func TestIOAmplification(t *testing.T) {
 }
 
 // TestCatalogTrips plants a second write of one destination block and a
-// second read of one source block: the relation must name each.
+// second read of one source block, and a Table 1 cell whose test program
+// lost twice or half the copy's busy time per megabyte: the relations
+// must name each.
 func TestCatalogTrips(t *testing.T) {
 	for _, fault := range []struct {
 		name  string
@@ -175,6 +178,23 @@ func TestCatalogTrips(t *testing.T) {
 		}
 		fault.plant(a)
 		if err := a.check("planted", []uint32{10}, []uint32{20}); kernel.ViolationName(err) != fault.name {
+			t.Errorf("check = %v, want a %s violation", err, fault.name)
+		}
+	}
+	cell := availCell{disk: RZ58, mode: workload.CopySplice, lost: 285 * sim.Millisecond, lostMB: 5.7, busy: 0.377, busyMB: 8}
+	if err := cell.check(); err != nil {
+		t.Fatalf("before the plant: %v", err)
+	}
+	for _, fault := range []struct {
+		name  string
+		plant func(c *availCell)
+	}{
+		{"perf-avail-busy", func(c *availCell) { c.lost *= 2 }},
+		{"perf-avail-busy", func(c *availCell) { c.busy *= 2 }},
+	} {
+		c := cell
+		fault.plant(&c)
+		if err := c.check(); kernel.ViolationName(err) != fault.name {
 			t.Errorf("check = %v, want a %s violation", err, fault.name)
 		}
 	}
